@@ -1,6 +1,7 @@
 #ifndef AQE_BENCH_BENCH_UTIL_H_
 #define AQE_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -13,9 +14,9 @@
 
 namespace aqe::bench {
 
-/// Environment knobs shared by the harnesses (the host has 1 physical core;
-/// defaults are scaled so the full bench suite completes in minutes while
-/// preserving the paper's shapes — see EXPERIMENTS.md).
+/// Environment knobs shared by the harnesses. Defaults are scaled so the
+/// full bench suite completes in minutes while preserving the paper's
+/// shapes.
 inline double EnvDouble(const char* name, double fallback) {
   const char* v = std::getenv(name);
   return v == nullptr ? fallback : std::atof(v);
@@ -43,6 +44,15 @@ inline double GeometricMean(const std::vector<double>& values) {
   double log_sum = 0;
   for (double v : values) log_sum += std::log(v);
   return std::exp(log_sum / static_cast<double>(values.size()));
+}
+
+/// Nearest-rank percentile, p in [0, 1]: the sorted value at index
+/// floor(p * (n - 1)); 0 for no values. benchsuite/aqe_bench.cc keeps an
+/// identical copy so its numbers stay comparable.
+inline double Percentile(std::vector<double> values, double p) {
+  if (values.empty()) return 0;
+  std::sort(values.begin(), values.end());
+  return values[static_cast<size_t>(p * static_cast<double>(values.size() - 1))];
 }
 
 /// Builds (once) and caches a TPC-H database per scale factor.

@@ -65,12 +65,6 @@ QueryProgram Build(const PlanSpec& plan, const Catalog& catalog) {
                               : BuildTpchQ6Variant(catalog, plan.literals);
 }
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  return values[static_cast<size_t>(p * static_cast<double>(values.size() - 1))];
-}
-
 /// Zipf(s) over ranks [0, n): rank r with weight 1/(r+1)^s.
 class ZipfSampler {
  public:
@@ -215,9 +209,9 @@ int main(int argc, char** argv) {
   const ArtifactCacheStats warm_stats = stats - cold_stats;
   const TranslatorCounters tc = TranslatorCountersSnapshot();
   const uint64_t warm_translations = tc.programs - cold_tc.programs;
-  const double cold_p50 = Percentile(cold_ms, 0.5);
-  const double warm_p50 = Percentile(warm_ms, 0.5);
-  const double warm_p99 = Percentile(warm_ms, 0.99);
+  const double cold_p50 = bench::Percentile(cold_ms, 0.5);
+  const double warm_p50 = bench::Percentile(warm_ms, 0.5);
+  const double warm_p99 = bench::Percentile(warm_ms, 0.99);
   const double warm_qps =
       static_cast<double>(warm_runs) / phase_timer.ElapsedSeconds();
   const double no_translate_frac =
@@ -232,12 +226,12 @@ int main(int argc, char** argv) {
   std::vector<double> per_plan_speedup;
   for (size_t i = 0; i < plans.size(); ++i) {
     if (warm_by_plan[i].empty()) continue;
-    const double plan_warm_p50 = Percentile(warm_by_plan[i], 0.5);
+    const double plan_warm_p50 = bench::Percentile(warm_by_plan[i], 0.5);
     if (plan_warm_p50 > 0) {
       per_plan_speedup.push_back(cold_ms[i] / plan_warm_p50);
     }
   }
-  const double warm_speedup_p50 = Percentile(per_plan_speedup, 0.5);
+  const double warm_speedup_p50 = bench::Percentile(per_plan_speedup, 0.5);
 
   // Warm peak-memory stability across plans drawn at least twice: the worst
   // per-plan max/min ratio, and the overall warm peak range for the JSON.
@@ -298,7 +292,8 @@ int main(int argc, char** argv) {
                 warm_qps, (unsigned long long)warm_runs, no_translate_frac,
                 (unsigned long long)warm_seeded, warm_speedup_p50,
                 per_plan_speedup.size(),
-                Percentile(warm_wait_ms, 0.5), Percentile(warm_wait_ms, 0.99),
+                bench::Percentile(warm_wait_ms, 0.5),
+                bench::Percentile(warm_wait_ms, 0.99),
                 (unsigned long long)warm_peak_overall_max, worst_peak_ratio);
   EmitJson(line, json_out);
   std::snprintf(line, sizeof(line),

@@ -65,8 +65,6 @@ int main() {
               bench::GeometricMean(columns[6]),
               bench::GeometricMean(columns[7]));
   std::printf("\nexpected shape: bc. several-fold slower than unopt.; unopt. "
-              "modestly slower than opt.; bc. well ahead of PG; (note: the "
-              "host has 1 physical core, so multi-threaded numbers "
-              "timeshare)\n");
+              "modestly slower than opt.; bc. well ahead of PG\n");
   return 0;
 }

@@ -55,14 +55,6 @@ struct PhaseResult {
   double qps() const { return static_cast<double>(queries) / seconds; }
 };
 
-double Percentile(std::vector<double> values, double p) {
-  if (values.empty()) return 0;
-  std::sort(values.begin(), values.end());
-  size_t index =
-      static_cast<size_t>(p * static_cast<double>(values.size() - 1));
-  return values[index];
-}
-
 PhaseResult Summarize(const std::vector<std::vector<Sample>>& per_client,
                       double seconds) {
   PhaseResult result;
@@ -78,11 +70,11 @@ PhaseResult Summarize(const std::vector<std::vector<Sample>>& per_client,
       result.peak_bytes_max = std::max(result.peak_bytes_max, s.peak_bytes);
     }
   }
-  result.p50_ms = Percentile(latencies, 0.50);
-  result.p99_ms = Percentile(latencies, 0.99);
-  result.wait_p50_ms = Percentile(waits, 0.50);
-  result.wait_p99_ms = Percentile(waits, 0.99);
-  result.peak_bytes_p50 = static_cast<uint64_t>(Percentile(peaks, 0.50));
+  result.p50_ms = bench::Percentile(latencies, 0.50);
+  result.p99_ms = bench::Percentile(latencies, 0.99);
+  result.wait_p50_ms = bench::Percentile(waits, 0.50);
+  result.wait_p99_ms = bench::Percentile(waits, 0.99);
+  result.peak_bytes_p50 = static_cast<uint64_t>(bench::Percentile(peaks, 0.50));
   return result;
 }
 

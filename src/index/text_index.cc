@@ -14,38 +14,36 @@ bool IsTokenByte(char c) {
          (c >= '0' && c <= '9');
 }
 
-/// Appends the maximal alphanumeric runs of `s` to `out`.
-void Tokenize(std::string_view s, std::vector<std::string>* out) {
-  size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && !IsTokenByte(s[i])) ++i;
-    size_t begin = i;
-    while (i < s.size() && IsTokenByte(s[i])) ++i;
-    if (i > begin) out->emplace_back(s.substr(begin, i - begin));
-  }
-}
-
 }  // namespace
 
 TokenIndex TokenIndex::Build(const Dictionary& dict) {
   // std::map keeps tokens sorted, so the flattened layout is deterministic
-  // regardless of hash seeds. Token vocabularies are small; build time is
+  // regardless of hash seeds. Its keys view the dictionary's strings, which
+  // `dict` (const here) keeps in place, so a token is copied only once, into
+  // the flattened vocabulary. Token vocabularies are small; build time is
   // dominated by tokenizing the distinct strings, not map overhead.
-  std::map<std::string, std::vector<int32_t>> postings;
-  std::vector<std::string> tokens;
+  std::map<std::string_view, std::vector<int32_t>> postings;
   for (int32_t code = 0; code < dict.size(); ++code) {
-    tokens.clear();
-    Tokenize(dict.Get(code), &tokens);
-    std::sort(tokens.begin(), tokens.end());
-    tokens.erase(std::unique(tokens.begin(), tokens.end()), tokens.end());
-    for (const std::string& t : tokens) postings[t].push_back(code);
+    // The maximal alphanumeric runs of the string.
+    const std::string_view s = dict.Get(code);
+    size_t i = 0;
+    while (i < s.size()) {
+      while (i < s.size() && !IsTokenByte(s[i])) ++i;
+      const size_t begin = i;
+      while (i < s.size() && IsTokenByte(s[i])) ++i;
+      if (i == begin) continue;
+      std::vector<int32_t>& codes = postings[s.substr(begin, i - begin)];
+      // Codes arrive ascending; a token repeated within one string is
+      // posted once.
+      if (codes.empty() || codes.back() != code) codes.push_back(code);
+    }
   }
   TokenIndex index;
   index.tokens_.reserve(postings.size());
   index.offsets_.reserve(postings.size() + 1);
   index.offsets_.push_back(0);
-  for (auto& [token, codes] : postings) {
-    index.tokens_.push_back(token);
+  for (const auto& [token, codes] : postings) {
+    index.tokens_.emplace_back(token);
     index.codes_.insert(index.codes_.end(), codes.begin(), codes.end());
     index.offsets_.push_back(index.codes_.size());
   }

@@ -1,6 +1,7 @@
 #include "storage/dictionary.h"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
 #include "common/status.h"
@@ -8,52 +9,86 @@
 
 namespace aqe {
 
+namespace {
+
+constexpr size_t kMinTableSize = 16;
+
+}  // namespace
+
+size_t Dictionary::Slot(std::string_view s) const {
+  const size_t mask = table_.size() - 1;
+  for (size_t i = std::hash<std::string_view>{}(s) & mask;; i = (i + 1) & mask) {
+    const int32_t code = table_[i];
+    if (code == kEmpty || View(static_cast<size_t>(code)) == s) return i;
+  }
+}
+
+void Dictionary::Rehash(size_t capacity) {
+  table_.assign(capacity, kEmpty);
+  const size_t mask = capacity - 1;
+  for (size_t code = 0; code < ends_.size(); ++code) {
+    size_t i = std::hash<std::string_view>{}(View(code)) & mask;
+    while (table_[i] != kEmpty) i = (i + 1) & mask;
+    table_[i] = static_cast<int32_t>(code);
+  }
+}
+
 int32_t Dictionary::GetOrAdd(std::string_view s) {
-  auto it = index_.find(std::string(s));
-  if (it != index_.end()) return it->second;
-  int32_t code = static_cast<int32_t>(strings_.size());
-  if (code > 0 && sorted_ && s < strings_.back()) sorted_ = false;
-  strings_.emplace_back(s);
-  index_.emplace(strings_.back(), code);
+  // Grow before probing so the insert below keeps the load at most 1/2.
+  if (2 * (ends_.size() + 1) > table_.size()) {
+    Rehash(std::max(kMinTableSize, 2 * table_.size()));
+  }
+  const size_t slot = Slot(s);
+  if (table_[slot] != kEmpty) return table_[slot];
+  AQE_CHECK_MSG(ends_.size() < static_cast<size_t>(
+                                   std::numeric_limits<int32_t>::max()),
+                "dictionary code space exhausted");
+  const int32_t code = size();
+  if (code > 0 && sorted_ && s < View(static_cast<size_t>(code - 1))) {
+    sorted_ = false;
+  }
+  arena_.append(s.data(), s.size());  // may move the arena; `s` is not used again
+  ends_.push_back(arena_.size());
+  table_[slot] = code;
   return code;
 }
 
 int32_t Dictionary::Find(std::string_view s) const {
-  auto it = index_.find(std::string(s));
-  return it == index_.end() ? -1 : it->second;
+  if (table_.empty()) return -1;
+  return table_[Slot(s)];  // kEmpty == -1
 }
 
-const std::string& Dictionary::Get(int32_t code) const {
+std::string_view Dictionary::Get(int32_t code) const {
   AQE_CHECK(code >= 0 && code < size());
-  return strings_[static_cast<size_t>(code)];
+  return View(static_cast<size_t>(code));
+}
+
+template <typename Matches>
+std::vector<uint8_t> Dictionary::BitmapOf(const Matches& matches) const {
+  std::vector<uint8_t> bitmap(ends_.size(), 0);
+  for (size_t code = 0; code < ends_.size(); ++code) {
+    bitmap[code] = matches(View(code)) ? 1 : 0;
+  }
+  return bitmap;
 }
 
 std::vector<uint8_t> Dictionary::MatchPrefix(std::string_view prefix) const {
-  std::vector<uint8_t> bitmap(strings_.size(), 0);
-  for (size_t i = 0; i < strings_.size(); ++i) {
-    bitmap[i] = strings_[i].compare(0, prefix.size(), prefix) == 0 ? 1 : 0;
-  }
-  return bitmap;
+  return BitmapOf([prefix](std::string_view s) {
+    return s.substr(0, prefix.size()) == prefix;
+  });
 }
 
 std::vector<uint8_t> Dictionary::MatchContains(std::string_view infix) const {
-  std::vector<uint8_t> bitmap(strings_.size(), 0);
-  if (infix.empty()) {
-    std::fill(bitmap.begin(), bitmap.end(), 1);
-    return bitmap;
-  }
-  for (size_t i = 0; i < strings_.size(); ++i) {
-    bitmap[i] = FindSubstr(strings_[i].data(), strings_[i].size(),
-                           infix.data(), infix.size()) != SIZE_MAX
-                    ? 1
-                    : 0;
-  }
-  return bitmap;
+  if (infix.empty()) return std::vector<uint8_t>(ends_.size(), 1);
+  return BitmapOf([infix](std::string_view s) {
+    return FindSubstr(s.data(), s.size(), infix.data(), infix.size()) !=
+           SIZE_MAX;
+  });
 }
 
 std::vector<uint8_t> Dictionary::MatchIn(
     const std::vector<std::string>& values) const {
-  std::vector<uint8_t> bitmap(strings_.size(), 0);
+  std::vector<uint8_t> bitmap(ends_.size(), 0);
   for (const std::string& v : values) {
     int32_t code = Find(v);
     if (code >= 0) bitmap[static_cast<size_t>(code)] = 1;
@@ -63,51 +98,57 @@ std::vector<uint8_t> Dictionary::MatchIn(
 
 std::vector<uint8_t> Dictionary::MatchBitmap(
     const std::function<bool(std::string_view)>& predicate) const {
-  std::vector<uint8_t> bitmap(strings_.size(), 0);
-  for (size_t i = 0; i < strings_.size(); ++i) {
-    bitmap[i] = predicate(strings_[i]) ? 1 : 0;
-  }
-  return bitmap;
+  return BitmapOf(predicate);
 }
 
 std::vector<int32_t> Dictionary::SortCodes() {
-  const size_t n = strings_.size();
+  const size_t n = ends_.size();
   std::vector<int32_t> order(n);  // new code -> old code
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [this](int32_t a, int32_t b) {
-    return strings_[static_cast<size_t>(a)] < strings_[static_cast<size_t>(b)];
+    return View(static_cast<size_t>(a)) < View(static_cast<size_t>(b));
   });
-  std::vector<std::string> sorted;
-  sorted.reserve(n);
+  // One pass into exact-size buffers: the load-time slack of both goes.
+  std::string arena;
+  arena.reserve(arena_.size());
+  std::vector<uint64_t> ends(n);
   std::vector<int32_t> remap(n);  // old code -> new code
   for (size_t new_code = 0; new_code < n; ++new_code) {
-    sorted.push_back(std::move(strings_[static_cast<size_t>(order[new_code])]));
-    remap[static_cast<size_t>(order[new_code])] =
-        static_cast<int32_t>(new_code);
+    const auto old_code = static_cast<size_t>(order[new_code]);
+    const std::string_view s = View(old_code);
+    arena.append(s.data(), s.size());
+    ends[new_code] = arena.size();
+    remap[old_code] = static_cast<int32_t>(new_code);
   }
-  strings_ = std::move(sorted);
-  index_.clear();
-  for (size_t code = 0; code < n; ++code) {
-    index_.emplace(strings_[code], static_cast<int32_t>(code));
-  }
+  arena_ = std::move(arena);
+  ends_ = std::move(ends);
+  Rehash(table_.size());
   sorted_ = true;
   return remap;
 }
 
 std::pair<int32_t, int32_t> Dictionary::PrefixRange(
     std::string_view prefix) const {
-  auto lo = std::lower_bound(
-      strings_.begin(), strings_.end(), prefix,
-      [](const std::string& s, std::string_view p) {
-        return std::string_view(s) < p;
-      });
-  auto hi = std::upper_bound(
-      lo, strings_.end(), prefix,
-      [](std::string_view p, const std::string& s) {
-        return std::string_view(s).substr(0, p.size()) > p;
-      });
-  return {static_cast<int32_t>(lo - strings_.begin()),
-          static_cast<int32_t>(hi - strings_.begin())};
+  // First code in [lo, size()) whose string fails `before`; `before` must
+  // hold on a prefix of the (sorted) code range.
+  auto partition_point = [this](int32_t lo, auto before) {
+    int32_t hi = size();
+    while (lo < hi) {
+      const int32_t mid = lo + (hi - lo) / 2;
+      if (before(View(static_cast<size_t>(mid)))) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    return lo;
+  };
+  const int32_t lo =
+      partition_point(0, [prefix](std::string_view s) { return s < prefix; });
+  const int32_t hi = partition_point(lo, [prefix](std::string_view s) {
+    return s.substr(0, prefix.size()) <= prefix;
+  });
+  return {lo, hi};
 }
 
 }  // namespace aqe

@@ -5,7 +5,6 @@
 #include <functional>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -16,6 +15,11 @@ namespace aqe {
 /// dictionary once per query and turned into integer comparisons or match
 /// bitmaps, which is how HyPer executes them and keeps the generated code's
 /// type system small (see DESIGN.md substitutions).
+///
+/// Each distinct string is stored once: the strings lie back to back in one
+/// char arena, code c spanning [end(c-1), end(c)), and an open-addressing
+/// table of codes, probed with the string's bytes, answers lookups. Nothing
+/// is allocated per string (see src/strings/DESIGN.md, "Storage layout").
 class Dictionary {
  public:
   Dictionary() = default;
@@ -26,10 +30,11 @@ class Dictionary {
   /// Returns the code for `s` or -1 if absent.
   int32_t Find(std::string_view s) const;
 
-  /// Returns the string for a code.
-  const std::string& Get(int32_t code) const;
+  /// Returns the string for a code. The view points into the arena and stays
+  /// valid until the next GetOrAdd or SortCodes, either of which may move it.
+  std::string_view Get(int32_t code) const;
 
-  int32_t size() const { return static_cast<int32_t>(strings_.size()); }
+  int32_t size() const { return static_cast<int32_t>(ends_.size()); }
 
   /// Builds a byte-per-code bitmap where bitmap[code] == 1 iff the dictionary
   /// string starts with `prefix` (the LIKE 'x%' pattern).
@@ -65,8 +70,31 @@ class Dictionary {
   std::pair<int32_t, int32_t> PrefixRange(std::string_view prefix) const;
 
  private:
-  std::vector<std::string> strings_;
-  std::unordered_map<std::string, int32_t> index_;
+  /// The string of an in-range code (unchecked).
+  std::string_view View(size_t code) const {
+    const uint64_t begin = code == 0 ? 0 : ends_[code - 1];
+    return {arena_.data() + begin, static_cast<size_t>(ends_[code] - begin)};
+  }
+  /// Table slot holding the code of `s`, or the empty slot where it belongs.
+  /// Requires a non-empty table.
+  size_t Slot(std::string_view s) const;
+  /// Re-inserts every code into an empty table of `capacity` slots.
+  void Rehash(size_t capacity);
+  /// bitmap[code] = matches(Get(code)) for every code.
+  template <typename Matches>
+  std::vector<uint8_t> BitmapOf(const Matches& matches) const;
+
+  /// Every string back to back, without separators. std::string because its
+  /// append is defined for a source inside itself (GetOrAdd of a substring
+  /// of an earlier Get).
+  std::string arena_;
+  /// Code c is arena_[ends_[c-1], ends_[c]) (ends_[-1] reads as 0); 64-bit
+  /// so the arena may exceed 4 GiB.
+  std::vector<uint64_t> ends_;
+  /// Open addressing with linear probing: codes, kEmpty for a free slot. Its
+  /// size is 0 or a power of two at least twice size().
+  std::vector<int32_t> table_;
+  static constexpr int32_t kEmpty = -1;
   bool sorted_ = true;  ///< empty/ordered-insert dictionaries are sorted
 };
 

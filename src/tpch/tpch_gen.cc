@@ -55,6 +55,15 @@ constexpr const char* kCommentWords[16] = {
     "accounts",  "packages", "theodolites", "foxes",     "ideas",
     "platelets"};
 
+/// Adds `values` to `dict` in order; returns their codes, index for index.
+template <size_t N>
+std::array<int32_t, N> RegisterAll(Dictionary* dict,
+                                   const char* const (&values)[N]) {
+  std::array<int32_t, N> codes{};
+  for (size_t i = 0; i < N; ++i) codes[i] = dict->GetOrAdd(values[i]);
+  return codes;
+}
+
 void GenRegionNation(Catalog* catalog) {
   Table* region = catalog->GetTable("region");
   for (int i = 0; i < 5; ++i) {
@@ -198,13 +207,19 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
   Dictionary& sm_dict = lt->dictionary(lt->ColumnIndex("l_shipmode"));
 
   // Register dictionary entries in a fixed order so codes are stable across
-  // scale factors (query constants resolve codes at plan time regardless).
-  for (const char* s : {"F", "O", "P"}) status_dict.GetOrAdd(s);
-  for (const char* s : kPriorities) prio_dict.GetOrAdd(s);
-  for (const char* s : {"R", "A", "N"}) rf_dict.GetOrAdd(s);
-  for (const char* s : {"O", "F"}) ls_dict.GetOrAdd(s);
-  for (const char* s : kInstructions) si_dict.GetOrAdd(s);
-  for (const char* s : kShipModes) sm_dict.GetOrAdd(s);
+  // scale factors (query constants resolve codes at plan time regardless),
+  // and resolve each code once instead of hashing a string per row.
+  const int32_t status_f = status_dict.GetOrAdd("F");
+  const int32_t status_o = status_dict.GetOrAdd("O");
+  const int32_t status_p = status_dict.GetOrAdd("P");
+  const auto prio_code = RegisterAll(&prio_dict, kPriorities);
+  const int32_t flag_r = rf_dict.GetOrAdd("R");
+  const int32_t flag_a = rf_dict.GetOrAdd("A");
+  const int32_t flag_n = rf_dict.GetOrAdd("N");
+  const int32_t line_o = ls_dict.GetOrAdd("O");
+  const int32_t line_f = ls_dict.GetOrAdd("F");
+  const auto si_code = RegisterAll(&si_dict, kInstructions);
+  const auto sm_code = RegisterAll(&sm_dict, kShipModes);
 
   // Comments draw from their own deterministic stream so the text column
   // does not perturb the long-standing key/date/price distributions (and
@@ -221,6 +236,7 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
     return 90000 + (pk / 10) % 20001 + 100 * (pk % 1000);
   };
 
+  std::string comment;  // one buffer, reused for every order's comment
   for (uint64_t o = 0; o < order_count; ++o) {
     // Sparse order keys like the spec (gaps of 8 every 32 keys).
     int64_t okey = static_cast<int64_t>((o / 8) * 32 + o % 8 + 1);
@@ -241,9 +257,10 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
       int32_t cdate = odate + static_cast<int32_t>(rng->NextBelow(61)) + 30;
       int32_t rdate = sdate + static_cast<int32_t>(rng->NextBelow(30)) + 1;
       bool shipped = rdate <= current_date;
-      const char* rflag = shipped ? (rng->NextBool(0.5) ? "R" : "A") : "N";
-      const char* lstatus = sdate > current_date ? "O" : "F";
-      if (lstatus[0] == 'F') ++f_lines;
+      const int32_t rflag =
+          shipped ? (rng->NextBool(0.5) ? flag_r : flag_a) : flag_n;
+      const bool open = sdate > current_date;
+      if (!open) ++f_lines;
 
       l_orderkey.AppendI64(okey);
       l_partkey.AppendI64(pk);
@@ -253,31 +270,30 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
       l_extendedprice.AppendI64(eprice);
       l_discount.AppendI64(discount);
       l_tax.AppendI64(tax);
-      l_returnflag.AppendI32(rf_dict.GetOrAdd(rflag));
-      l_linestatus.AppendI32(ls_dict.GetOrAdd(lstatus));
+      l_returnflag.AppendI32(rflag);
+      l_linestatus.AppendI32(open ? line_o : line_f);
       l_shipdate.AppendI32(sdate);
       l_commitdate.AppendI32(cdate);
       l_receiptdate.AppendI32(rdate);
-      l_shipinstruct.AppendI32(
-          si_dict.GetOrAdd(kInstructions[rng->NextBelow(4)]));
-      l_shipmode.AppendI32(sm_dict.GetOrAdd(kShipModes[rng->NextBelow(7)]));
+      l_shipinstruct.AppendI32(si_code[rng->NextBelow(4)]);
+      l_shipmode.AppendI32(sm_code[rng->NextBelow(7)]);
       total += eprice;
     }
-    const char* ostatus =
-        f_lines == lines ? "F" : (f_lines == 0 ? "O" : "P");
+    const int32_t ostatus =
+        f_lines == lines ? status_f : (f_lines == 0 ? status_o : status_p);
     o_orderkey.AppendI64(okey);
     o_custkey.AppendI64(static_cast<int64_t>(rng->NextBelow(cust_count)) + 1);
-    o_orderstatus.AppendI32(status_dict.GetOrAdd(ostatus));
+    o_orderstatus.AppendI32(ostatus);
     o_totalprice.AppendI64(total);
     o_orderdate.AppendI32(odate);
-    o_orderpriority.AppendI32(prio_dict.GetOrAdd(kPriorities[rng->NextBelow(5)]));
+    o_orderpriority.AppendI32(prio_code[rng->NextBelow(5)]);
     o_shippriority.AppendI32(0);
 
     // Pseudo-text comment of 4..8 vocabulary words; ~2% of orders embed
     // "special ... requests" in order, the Q13 predicate's target. Nearly
     // all comments are distinct, making this the engine's high-cardinality
     // dictionary column.
-    std::string comment;
+    comment.clear();
     const int words = 4 + static_cast<int>(comment_rng.NextBelow(5));
     const bool special = comment_rng.NextBool(0.02);
     const int special_at =

@@ -1,7 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <map>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "common/random.h"
 #include "storage/column.h"
 #include "storage/dictionary.h"
 #include "storage/table.h"
@@ -94,6 +100,189 @@ TEST(DictionaryTest, MatchIn) {
   EXPECT_EQ(bm[0], 0);
   EXPECT_EQ(bm[1], 1);
   EXPECT_EQ(bm[2], 1);
+}
+
+// ---------------------------------------------------------------------------
+// Differential test: Dictionary against a std::map reference
+// ---------------------------------------------------------------------------
+
+/// The reference model: `codes` assigns each string its code, `strings`
+/// decodes it.
+struct RefDict {
+  std::map<std::string, int32_t> codes;
+  std::vector<std::string> strings;
+
+  int32_t GetOrAdd(const std::string& s) {
+    auto [it, added] = codes.emplace(s, static_cast<int32_t>(strings.size()));
+    if (added) strings.push_back(s);
+    return it->second;
+  }
+  int32_t Find(const std::string& s) const {
+    auto it = codes.find(s);
+    return it == codes.end() ? -1 : it->second;
+  }
+  bool IsSorted() const {
+    return std::is_sorted(strings.begin(), strings.end());  // distinct
+  }
+  /// What Dictionary::SortCodes does to the model; returns its remap.
+  std::vector<int32_t> SortCodes() {
+    std::vector<int32_t> remap(strings.size());
+    strings.clear();
+    for (auto& [s, code] : codes) {
+      remap[static_cast<size_t>(code)] = static_cast<int32_t>(strings.size());
+      code = static_cast<int32_t>(strings.size());
+      strings.push_back(s);
+    }
+    return remap;
+  }
+};
+
+/// 0..max_len bytes over a small alphabet, so shared prefixes and repeats
+/// are common. The alphabet has '\0' and a byte above 0x7f, which must
+/// compare as unsigned.
+std::string RandomString(Random* rng, uint64_t max_len) {
+  static constexpr char kAlphabet[] = {'a', 'b', 'c', 'x', ' ', '\0', '\xe9'};
+  std::string s(rng->NextBelow(max_len + 1), ' ');
+  for (char& c : s) c = kAlphabet[rng->NextBelow(sizeof(kAlphabet))];
+  return s;
+}
+
+/// Checks every read of `d` against `ref`; `probes` drive Find, the match
+/// bitmaps and (on a sorted dictionary) PrefixRange.
+void ExpectMatchesReference(const Dictionary& d, const RefDict& ref,
+                            const std::vector<std::string>& probes) {
+  ASSERT_EQ(static_cast<size_t>(d.size()), ref.strings.size());
+  ASSERT_EQ(d.is_sorted(), ref.IsSorted());
+  for (int32_t code = 0; code < d.size(); ++code) {
+    ASSERT_EQ(d.Get(code), ref.strings[static_cast<size_t>(code)]);
+    ASSERT_EQ(d.Find(ref.strings[static_cast<size_t>(code)]), code);
+  }
+  std::vector<uint8_t> in(ref.strings.size(), 0);
+  for (const std::string& p : probes) {
+    ASSERT_EQ(d.Find(p), ref.Find(p));
+    if (ref.Find(p) >= 0) in[static_cast<size_t>(ref.Find(p))] = 1;
+  }
+  EXPECT_EQ(d.MatchIn(probes), in);
+  // The bitmaps are O(size()) each; a few probes cover them.
+  for (size_t i = 0; i < std::min<size_t>(probes.size(), 12); ++i) {
+    const std::string& p = probes[i];
+    std::vector<uint8_t> prefix(ref.strings.size()), contains(prefix.size());
+    int32_t below = 0, with_prefix = 0;
+    for (size_t code = 0; code < ref.strings.size(); ++code) {
+      const std::string& s = ref.strings[code];
+      prefix[code] = s.compare(0, p.size(), p) == 0;
+      contains[code] = s.find(p) != std::string::npos;
+      below += s < p;
+      with_prefix += prefix[code];
+    }
+    EXPECT_EQ(d.MatchPrefix(p), prefix) << "prefix '" << p << "'";
+    EXPECT_EQ(d.MatchContains(p), contains) << "infix '" << p << "'";
+    if (d.is_sorted()) {
+      EXPECT_EQ(d.PrefixRange(p), std::make_pair(below, below + with_prefix))
+          << "prefix '" << p << "'";
+    }
+  }
+}
+
+/// Sorts both, checks the remap and everything readable afterwards.
+void SortAndExpectMatchesReference(Dictionary* d, RefDict* ref,
+                                   const std::vector<std::string>& probes) {
+  EXPECT_EQ(d->SortCodes(), ref->SortCodes());
+  EXPECT_TRUE(d->is_sorted());
+  ExpectMatchesReference(*d, *ref, probes);
+}
+
+/// Probes of 0..3 bytes: short enough to hit as prefixes and infixes, and
+/// some are absent.
+std::vector<std::string> ShortProbes(Random* rng) {
+  std::vector<std::string> probes = {"", std::string(1, '\0'), "zz"};
+  for (int i = 0; i < 24; ++i) probes.push_back(RandomString(rng, 3));
+  return probes;
+}
+
+TEST(DictionaryDifferentialTest, EmptyDictionary) {
+  Dictionary d;
+  RefDict ref;
+  EXPECT_EQ(d.Find(""), -1);
+  EXPECT_EQ(d.Find("a"), -1);
+  EXPECT_EQ(d.PrefixRange(""), std::make_pair(0, 0));
+  ExpectMatchesReference(d, ref, {"", "a"});
+  SortAndExpectMatchesReference(&d, &ref, {"", "a"});
+  EXPECT_EQ(d.Find(""), -1);
+}
+
+TEST(DictionaryDifferentialTest, EmptyOneByteAndEmbeddedNulStrings) {
+  Dictionary d;
+  RefDict ref;
+  using namespace std::string_literals;
+  std::vector<std::string> values = {"",      "\0"s,    "\0\0"s, "a\0"s,
+                                     "a\0b"s, "a"s,     "\0a"s,  "ab"s};
+  // Every 1-byte string, in an order that is not sorted.
+  for (int b = 255; b >= 0; --b) values.emplace_back(1, static_cast<char>(b));
+  for (const std::string& v : values) {
+    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v)) << "'" << v << "'";
+  }
+  ASSERT_EQ(d.size(), 8 + 256 - 2);  // "\0" and "a" came twice
+  EXPECT_EQ(d.Get(d.Find("a\0b"s)).size(), 3u);
+  // A view of the dictionary's own bytes is a valid argument, even when the
+  // insert moves them: add 100 new 100-byte substrings of one string.
+  std::string aperiodic(200, ' ');
+  for (size_t i = 0; i < aperiodic.size(); ++i) {
+    aperiodic[i] = static_cast<char>(i * 7 % 251);
+  }
+  const int32_t whole = d.GetOrAdd(aperiodic);
+  ref.GetOrAdd(aperiodic);
+  for (size_t i = 0; i < 100; ++i) {
+    const std::string_view own = d.Get(whole).substr(i, 100);
+    ASSERT_EQ(d.GetOrAdd(own), ref.GetOrAdd(std::string(own)));
+  }
+  ExpectMatchesReference(d, ref, values);
+  SortAndExpectMatchesReference(&d, &ref, values);
+}
+
+TEST(DictionaryDifferentialTest, DuplicateHeavyStream) {
+  Random rng(17);
+  std::vector<std::string> pool;
+  for (int i = 0; i < 300; ++i) pool.push_back(RandomString(&rng, 6));
+  Dictionary d;
+  RefDict ref;
+  for (int i = 0; i < 50000; ++i) {
+    const std::string& v = pool[rng.NextBelow(pool.size())];
+    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
+  }
+  std::vector<std::string> probes = ShortProbes(&rng);
+  probes.insert(probes.end(), pool.begin(), pool.begin() + 20);
+  ExpectMatchesReference(d, ref, probes);
+  SortAndExpectMatchesReference(&d, &ref, probes);
+  // Re-adding after the sort hands out the sorted codes.
+  for (const std::string& v : pool) ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
+  EXPECT_TRUE(d.is_sorted());
+}
+
+TEST(DictionaryDifferentialTest, ManyDistinctStringsGrowTheTable) {
+  Random rng(23);
+  Dictionary d;
+  RefDict ref;
+  // Sorted inserts keep the dictionary sorted until the first one out of
+  // order.
+  for (const char* v : {"a", "ab", "b", "ba"}) {
+    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
+  }
+  EXPECT_TRUE(d.is_sorted());
+  while (ref.strings.size() < 120000) {
+    const std::string v = RandomString(&rng, 12);
+    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
+  }
+  const std::vector<std::string> probes = ShortProbes(&rng);
+  ExpectMatchesReference(d, ref, probes);
+  SortAndExpectMatchesReference(&d, &ref, probes);
+  // Growth continues from the sorted state.
+  while (ref.strings.size() < 150000) {
+    const std::string v = RandomString(&rng, 12);
+    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
+  }
+  ExpectMatchesReference(d, ref, probes);
+  SortAndExpectMatchesReference(&d, &ref, probes);
 }
 
 TEST(TableTest, SchemaAndRows) {

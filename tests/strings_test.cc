@@ -157,7 +157,7 @@ TEST(DictionaryStringsTest, SortCodesEstablishesOrderInvariant) {
   EXPECT_FALSE(d.is_sorted());
   // Remember the decoding before the sort.
   std::vector<std::string> before;
-  for (int32_t c = 0; c < d.size(); ++c) before.push_back(d.Get(c));
+  for (int32_t c = 0; c < d.size(); ++c) before.emplace_back(d.Get(c));
   const std::vector<int32_t> remap = d.SortCodes();
   EXPECT_TRUE(d.is_sorted());
   for (int32_t old_code = 0; old_code < d.size(); ++old_code) {

@@ -164,6 +164,41 @@ TEST_F(TpchTinyTest, Q14StyleSelectivity) {
   EXPECT_NEAR(sel, 1.0 / 6.0, 0.08);
 }
 
+uint64_t Fnv1a64(uint64_t hash, const void* data, size_t bytes) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  for (size_t i = 0; i < bytes; ++i) {
+    hash ^= p[i];
+    hash *= 0x100000001b3ull;
+  }
+  return hash;
+}
+
+// Pins the generator's output: every column's raw bytes and every
+// dictionary's strings in code order. Storage or load-path refactors must
+// leave the catalog byte-identical, so codes, sort order and data stay put.
+TEST(TpchFingerprintTest, CatalogIsByteIdenticalToPinnedValue) {
+  Catalog catalog;
+  tpch::BuildTpchDatabase(&catalog, /*sf=*/0.01);
+  uint64_t hash = 0xcbf29ce484222325ull;
+  for (const char* name : {"region", "nation", "supplier", "customer", "part",
+                           "partsupp", "orders", "lineitem"}) {
+    const Table* t = catalog.GetTable(name);
+    for (int c = 0; c < t->num_columns(); ++c) {
+      const Column& col = t->column(c);
+      hash = Fnv1a64(hash, col.data(),
+                     col.size() * static_cast<size_t>(DataTypeSize(col.type())));
+      if (!t->has_dictionary(c)) continue;
+      const Dictionary& dict = t->dictionary(c);
+      for (int32_t code = 0; code < dict.size(); ++code) {
+        const std::string_view s = dict.Get(code);
+        hash = Fnv1a64(hash, s.data(), s.size());
+        hash = Fnv1a64(hash, "", 1);  // the terminating '\0'
+      }
+    }
+  }
+  EXPECT_EQ(hash, 0x5a8a1fd634745ee2ull) << std::hex << "got " << hash;
+}
+
 TEST(TpchScaleTest, CardinalitiesScaleLinearly) {
   auto c1 = tpch::CardinalitiesForScale(0.01);
   auto c2 = tpch::CardinalitiesForScale(0.02);
