@@ -48,7 +48,8 @@ QueryProgram BuildGeneratedAggregateQuery(int num_aggregates,
 
   q.AddStep([agg, n = num_aggregates](QueryContext* ctx) {
     AggHashTable merged(static_cast<uint32_t>(n),
-                        std::vector<int64_t>(static_cast<size_t>(n), 0));
+                        std::vector<int64_t>(static_cast<size_t>(n), 0),
+                        ctx->memory.get());
     ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
         &merged,
         [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });

@@ -34,7 +34,8 @@ int64_t DictCode(const Catalog& cat, const char* table, const char* column,
 AggHashTable MergeAgg(QueryContext* ctx, int agg,
                       const std::vector<AggItem>& items,
                       const std::vector<int64_t>& init) {
-  AggHashTable merged(static_cast<uint32_t>(items.size()), init);
+  AggHashTable merged(static_cast<uint32_t>(items.size()), init,
+                      ctx->memory.get());
   ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
       &merged, [&items](uint32_t slot, int64_t* acc, int64_t v) {
         switch (items[slot].kind) {

@@ -22,12 +22,9 @@ AggHashTable::AggHashTable(uint32_t payload_slots,
       init_values_(std::move(init_values)),
       tracker_(tracker) {
   AQE_CHECK(init_values_.size() == payload_slots_);
-  capacity_ = 64;
-  mask_ = capacity_ - 1;
-  data_.resize(capacity_ * entry_bytes());
-  occupied_.assign(capacity_, 0);
+  Allocate(64);
   if (tracker_ != nullptr) {
-    charged_bytes_ = data_.size() + occupied_.size();
+    charged_bytes_ = footprint();
     tracker_->Charge(charged_bytes_);
   }
 }
@@ -102,19 +99,21 @@ void* AggHashTable::Find(int64_t key) const {
   }
 }
 
+void AggHashTable::Allocate(uint64_t capacity) {
+  capacity_ = capacity;
+  mask_ = capacity - 1;
+  data_.resize(capacity * entry_bytes());
+  occupied_.assign(capacity, 0);
+}
+
 void AggHashTable::Grow() {
-  uint64_t old_capacity = capacity_;
-  std::vector<uint8_t> old_data = std::move(data_);
-  std::vector<uint8_t> old_occupied = std::move(occupied_);
-  capacity_ *= 2;
-  mask_ = capacity_ - 1;
-  data_.resize(capacity_ * entry_bytes());
-  occupied_.assign(capacity_, 0);
-  if (tracker_ != nullptr) {
-    const uint64_t footprint = data_.size() + occupied_.size();
-    tracker_->Charge(footprint - charged_bytes_);
-    charged_bytes_ = footprint;
-  }
+  const uint64_t old_capacity = capacity_;
+  auto old_data = std::move(data_);
+  auto old_occupied = std::move(occupied_);
+  Allocate(capacity_ * 2);
+  // Both generations are live during the rehash: charge the new arrays
+  // now and release the old ones only after the last entry has moved.
+  if (tracker_ != nullptr) tracker_->Charge(footprint());
   const uint8_t* old_base = old_data.data();
   for (uint64_t i = 0; i < old_capacity; ++i) {
     if (!old_occupied[i]) continue;
@@ -124,6 +123,10 @@ void AggHashTable::Grow() {
     while (occupied_[slot]) slot = (slot + 1) & mask_;
     occupied_[slot] = 1;
     std::memcpy(EntryAt(slot), entry, entry_bytes());
+  }
+  if (tracker_ != nullptr) {
+    tracker_->Release(charged_bytes_);
+    charged_bytes_ = footprint();
   }
 }
 

@@ -6,6 +6,8 @@
 #include <memory>
 #include <vector>
 
+#include "runtime/page_allocator.h"
+
 namespace aqe {
 
 class QueryMemoryTracker;
@@ -55,6 +57,9 @@ class AggHashTable {
   uint8_t* EntryAt(uint64_t slot) const {
     return const_cast<uint8_t*>(data_.data()) + slot * entry_bytes();
   }
+  uint64_t footprint() const { return data_.size() + occupied_.size(); }
+  /// Allocates empty arrays for `capacity` slots.
+  void Allocate(uint64_t capacity);
   void Grow();
 
   uint32_t payload_slots_;
@@ -62,8 +67,9 @@ class AggHashTable {
   uint64_t capacity_;  // power of two
   uint64_t mask_;
   uint64_t size_ = 0;
-  std::vector<uint8_t> data_;      // capacity_ * entry_bytes()
-  std::vector<uint8_t> occupied_;  // capacity_ bytes
+  /// capacity_ * entry_bytes(); an entry is written only when occupied.
+  std::vector<uint8_t, PageAllocator<uint8_t>> data_;
+  std::vector<uint8_t, PageAllocator<uint8_t>> occupied_;  // capacity_ bytes
   QueryMemoryTracker* tracker_ = nullptr;
   uint64_t charged_bytes_ = 0;  ///< what tracker_ was charged so far
 };

@@ -24,18 +24,20 @@ int GetThreadIndex() { return t_thread_index; }
 
 struct JoinHashTable::Arena {
   static constexpr size_t kChunkBytes = 1 << 20;
-  std::vector<std::unique_ptr<uint8_t[]>> chunks;
+  /// Not zero-filled: Insert writes every byte it hands out, so only the
+  /// pages nodes have reached are resident.
+  std::vector<std::vector<uint8_t, PageAllocator<uint8_t>>> chunks;
   size_t used_in_chunk = kChunkBytes;  // force first allocation
   QueryMemoryTracker* tracker = nullptr;
 
   uint8_t* Alloc(size_t bytes) {
     AQE_CHECK(bytes <= kChunkBytes);
     if (used_in_chunk + bytes > kChunkBytes) {
-      chunks.push_back(std::make_unique<uint8_t[]>(kChunkBytes));
+      chunks.emplace_back(kChunkBytes);
       used_in_chunk = 0;
       if (tracker != nullptr) tracker->Charge(kChunkBytes);
     }
-    uint8_t* p = chunks.back().get() + used_in_chunk;
+    uint8_t* p = chunks.back().data() + used_in_chunk;
     used_in_chunk += bytes;
     return p;
   }
@@ -47,7 +49,7 @@ JoinHashTable::JoinHashTable(uint64_t expected_entries,
     : payload_slots_(payload_slots), tracker_(tracker) {
   uint64_t buckets = 16;
   while (buckets < expected_entries) buckets <<= 1;
-  directory_ = std::vector<std::atomic<uint8_t*>>(buckets);
+  directory_ = decltype(directory_)(buckets);
   for (auto& slot : directory_) slot.store(nullptr, std::memory_order_relaxed);
   mask_ = buckets - 1;
   arenas_.resize(kMaxThreads);

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "runtime/page_allocator.h"
+
 namespace aqe {
 
 class QueryMemoryTracker;
@@ -70,7 +72,8 @@ class JoinHashTable {
   static uint64_t HashKey(int64_t key);
   uint8_t* AllocNode();
 
-  std::vector<std::atomic<uint8_t*>> directory_;
+  std::vector<std::atomic<uint8_t*>, PageAllocator<std::atomic<uint8_t*>>>
+      directory_;
   uint64_t mask_;
   uint32_t payload_slots_;
   std::atomic<uint64_t> size_{0};

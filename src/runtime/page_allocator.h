@@ -1,0 +1,62 @@
+#ifndef AQE_RUNTIME_PAGE_ALLOCATOR_H_
+#define AQE_RUNTIME_PAGE_ALLOCATOR_H_
+
+#include <cstddef>
+#include <new>
+
+namespace aqe {
+
+namespace runtime_internal {
+void* AllocatePageBytes(size_t bytes);
+void FreePageBytes(void* p, size_t bytes) noexcept;
+}  // namespace runtime_internal
+
+/// Allocator for the runtime's data-sized buffers: hash table arrays and
+/// join arena chunks. Requests of 64 KiB and more bypass malloc and map
+/// their own pages (from 2 MiB on, advised as huge pages), so a buffer's
+/// memory returns to the OS the moment its owner frees it; glibc would keep
+/// it resident in a per-thread arena once its adaptive mmap threshold has
+/// ratcheted up (see src/obs/DESIGN.md, "Resource accounting"). Smaller
+/// requests use operator new. AddressSanitizer builds route every size
+/// through operator new so the buffers stay checked.
+///
+/// Elements are default-initialized, not value-initialized: a
+/// std::vector<uint8_t, PageAllocator<uint8_t>>(n) is not zero-filled, so
+/// mapped pages become resident only when written. Owners that need zeros
+/// write them.
+template <typename T>
+class PageAllocator {
+ public:
+  using value_type = T;
+
+  PageAllocator() = default;
+  template <typename U>
+  PageAllocator(const PageAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) {
+    return static_cast<T*>(runtime_internal::AllocatePageBytes(n * sizeof(T)));
+  }
+  void deallocate(T* p, size_t n) noexcept {
+    runtime_internal::FreePageBytes(p, n * sizeof(T));
+  }
+
+  /// Default-initializes; construction with arguments falls back to
+  /// std::allocator_traits' placement new.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+
+  template <typename U>
+  bool operator==(const PageAllocator<U>&) const noexcept {
+    return true;
+  }
+  template <typename U>
+  bool operator!=(const PageAllocator<U>&) const noexcept {
+    return false;
+  }
+};
+
+}  // namespace aqe
+
+#endif  // AQE_RUNTIME_PAGE_ALLOCATOR_H_

@@ -2,9 +2,13 @@
 
 #include <algorithm>
 #include <cstring>
+#include <fstream>
+#include <memory>
 #include <set>
+#include <string>
 #include <thread>
 
+#include "obs/memory_tracker.h"
 #include "runtime/agg_hash_table.h"
 #include "runtime/join_hash_table.h"
 #include "runtime/output_buffer.h"
@@ -48,11 +52,14 @@ TEST(JoinHashTableTest, DuplicateKeysChain) {
 }
 
 TEST(JoinHashTableTest, ManyKeysNoLoss) {
-  JoinHashTable ht(1 << 12, 1);
-  for (int64_t i = 0; i < 5000; ++i) {
+  // 4 MiB directory (mapped, huge-page advised) and 7 arena chunks (mapped).
+  constexpr int64_t kKeys = 300000;
+  JoinHashTable ht(kKeys, 1);
+  for (int64_t i = 0; i < kKeys; ++i) {
     static_cast<int64_t*>(ht.Insert(i))[0] = i * 3;
   }
-  for (int64_t i = 0; i < 5000; ++i) {
+  EXPECT_EQ(ht.size(), static_cast<uint64_t>(kKeys));
+  for (int64_t i = 0; i < kKeys; ++i) {
     void* node = ht.Lookup(i);
     ASSERT_NE(node, nullptr) << i;
     EXPECT_EQ(*reinterpret_cast<int64_t*>(static_cast<uint8_t*>(node) + 16),
@@ -106,17 +113,45 @@ TEST(AggHashTableTest, FindOrInsertInitializes) {
 }
 
 TEST(AggHashTableTest, GrowPreservesEntries) {
+  // Grows from operator-new arrays through mapped ones (>= 64 KiB) to
+  // huge-page advised ones (>= 2 MiB).
+  constexpr int64_t kKeys = 100000;
   AggHashTable ht(1, {0});
-  for (int64_t k = 0; k < 1000; ++k) {
+  for (int64_t k = 0; k < kKeys; ++k) {
     *static_cast<int64_t*>(ht.FindOrInsert(k)) = k * k;
   }
-  EXPECT_EQ(ht.size(), 1000u);
-  for (int64_t k = 0; k < 1000; ++k) {
+  EXPECT_EQ(ht.size(), static_cast<uint64_t>(kKeys));
+  for (int64_t k = 0; k < kKeys; ++k) {
     auto* p = static_cast<int64_t*>(ht.Find(k));
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(*p, k * k);
   }
   EXPECT_EQ(ht.Find(-1), nullptr);
+}
+
+TEST(AggHashTableTest, GrowChargesOldAndNewArrays) {
+  QueryMemoryTracker tracker;
+  {
+    AggHashTable ht(1, {0}, &tracker);
+    uint64_t old_bytes = 0;
+    uint64_t new_bytes = 0;
+    for (int64_t k = 0; k < 100000; ++k) {
+      const uint64_t before = tracker.current_bytes();
+      ht.FindOrInsert(k);
+      const uint64_t after = tracker.current_bytes();
+      if (after != before) {
+        old_bytes = before;
+        new_bytes = after;
+      }
+    }
+    ASSERT_GT(new_bytes, old_bytes);
+    EXPECT_EQ(tracker.current_bytes(), new_bytes);
+    // The last rehash held both generations; the peak may lag the live
+    // total by one unfolded slot residue.
+    EXPECT_GE(tracker.peak_bytes() + QueryMemoryTracker::kFlushBytes,
+              old_bytes + new_bytes);
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0u);
 }
 
 TEST(AggHashTableTest, NegativeKeys) {
@@ -146,6 +181,53 @@ TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
   for (int64_t k = 0; k < 10; ++k) {
     EXPECT_EQ(*static_cast<int64_t*>(merged.Find(k)), 1 + 2 + 3);
   }
+}
+
+#if defined(__linux__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#define AQE_TEST_RSS 1
+/// Resident set size of this process, from /proc/self/status.
+uint64_t ResidentBytes() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("VmRSS:", 0) == 0) return std::stoull(line.substr(6)) << 10;
+  }
+  return 0;
+}
+#endif
+
+TEST(PageAllocatorTest, FreedTablesReturnMemoryToTheOs) {
+#ifndef AQE_TEST_RSS
+  GTEST_SKIP() << "needs /proc and the unsanitized allocator";
+#else
+  uint64_t start = 0;
+  uint64_t end = 0;
+  std::unique_ptr<int64_t> pin;
+  // A worker thread allocates from its own malloc arena, as query workers
+  // do.
+  std::thread worker([&] {
+    start = ResidentBytes();
+    {
+      // ~34 MiB of aggregation arrays, ~32 MiB of join directory and
+      // arena chunks.
+      constexpr int64_t kKeys = 1 << 20;
+      AggHashTable agg(1, {0});
+      JoinHashTable join(kKeys, 1);
+      for (int64_t k = 0; k < kKeys; ++k) {
+        agg.FindOrInsert(k);
+        join.Insert(k);
+      }
+      // Pins the heap top, so malloc cannot trim what the tables freed.
+      pin = std::make_unique<int64_t>(0);
+    }
+    end = ResidentBytes();
+  });
+  worker.join();
+  ASSERT_GT(start, 0u);
+  EXPECT_LE(end, start + (4u << 20))
+      << "RSS " << (start >> 20) << " MiB -> " << (end >> 20) << " MiB";
+#endif
 }
 
 TEST(OutputBufferTest, CollectsRows) {
