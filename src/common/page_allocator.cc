@@ -1,11 +1,11 @@
-#include "runtime/page_allocator.h"
+#include "common/page_allocator.h"
 
 #include <sys/mman.h>
 
 #include <cstdint>
 
 namespace aqe {
-namespace runtime_internal {
+namespace internal {
 
 namespace {
 /// Requests of at least this many bytes are mmap'ed and munmap'ed on free.
@@ -40,5 +40,5 @@ void FreePageBytes(void* p, size_t bytes) noexcept {
   munmap(p, bytes);
 }
 
-}  // namespace runtime_internal
+}  // namespace internal
 }  // namespace aqe

@@ -11,6 +11,7 @@ DictCodeIndex DictCodeIndex::Build(const Column& column, int32_t num_codes) {
   AQE_CHECK(column.type() == DataType::kI32 && num_codes >= 0);
   DictCodeIndex index;
   const uint64_t rows = column.size();
+  AQE_CHECK(rows <= UINT32_MAX);
   const size_t n = static_cast<size_t>(num_codes);
   // Counting sort: one pass for per-code counts, one to place row ids —
   // rows are visited in order, so ids come out ascending within each code.
@@ -23,7 +24,7 @@ DictCodeIndex DictCodeIndex::Build(const Column& column, int32_t num_codes) {
   }
   for (size_t c = 1; c <= n; ++c) index.offsets_[c] += index.offsets_[c - 1];
   index.row_ids_.resize(rows);
-  std::vector<uint64_t> cursor(index.offsets_.begin(), index.offsets_.end() - 1);
+  PageVector<uint64_t> cursor(index.offsets_.begin(), index.offsets_.end() - 1);
   for (uint64_t r = 0; r < rows; ++r) {
     index.row_ids_[cursor[static_cast<size_t>(codes[r])]++] =
         static_cast<uint32_t>(r);

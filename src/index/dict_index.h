@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/page_allocator.h"
+
 namespace aqe {
 
 class Column;
@@ -15,10 +17,12 @@ class Column;
 /// grouped contiguously, as the prefix index: after Table::SortDictionaries
 /// a LIKE-prefix predicate maps to a code range [lo, hi) via
 /// Dictionary::PrefixRange, and that range's rows are one contiguous CSR
-/// slice. Built once after bulk load; immutable.
+/// slice. Built once after bulk load, possibly on a helper thread, so its
+/// arrays come from PageAllocator; immutable.
 class DictCodeIndex {
  public:
-  /// `column` must be the I32 code column; `num_codes` its dictionary size.
+  /// `column` must be the I32 code column of at most 2^32 - 1 rows (row ids
+  /// are 32-bit); `num_codes` its dictionary size.
   static DictCodeIndex Build(const Column& column, int32_t num_codes);
 
   int32_t num_codes() const { return static_cast<int32_t>(offsets_.size()) - 1; }
@@ -44,8 +48,8 @@ class DictCodeIndex {
   }
 
  private:
-  std::vector<uint64_t> offsets_;  ///< size num_codes + 1
-  std::vector<uint32_t> row_ids_;  ///< grouped by code, ascending within
+  PageVector<uint64_t> offsets_;  ///< size num_codes + 1
+  PageVector<uint32_t> row_ids_;  ///< grouped by code, ascending within
 };
 
 }  // namespace aqe

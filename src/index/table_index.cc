@@ -1,7 +1,5 @@
 #include "index/table_index.h"
 
-#include <chrono>
-
 #include "common/status.h"
 #include "storage/table.h"
 
@@ -9,7 +7,6 @@ namespace aqe {
 
 std::shared_ptr<const TableIndexes> BuildTableIndexes(
     const Table& table, TableIndexOptions options) {
-  const auto t0 = std::chrono::steady_clock::now();
   auto indexes = std::make_shared<TableIndexes>();
   indexes->rows = table.num_rows();
   indexes->zones = ZoneMaps::Build(table, options.zone_block_rows);
@@ -29,9 +26,6 @@ std::shared_ptr<const TableIndexes> BuildTableIndexes(
     indexes->text_indexes.emplace(c, std::move(idx));
   }
   indexes->options = std::move(options);
-  indexes->build_seconds =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-          .count();
   return indexes;
 }
 

@@ -35,7 +35,6 @@ struct TableIndexes {
   /// Token → codes, for the configured text columns (keyed by column index).
   std::unordered_map<int, TokenIndex> text_indexes;
   uint64_t rows = 0;
-  double build_seconds = 0;
   uint64_t approx_bytes = 0;
 };
 

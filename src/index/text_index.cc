@@ -21,8 +21,10 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
   // regardless of hash seeds. Its keys view the dictionary's strings, which
   // `dict` (const here) keeps in place, so a token is copied only once, into
   // the flattened vocabulary. Token vocabularies are small; build time is
-  // dominated by tokenizing the distinct strings, not map overhead.
-  std::map<std::string_view, std::vector<int32_t>> postings;
+  // dominated by tokenizing the distinct strings, not map overhead. The
+  // posting lists are data-sized and may grow on a helper thread, so they
+  // come from PageAllocator.
+  std::map<std::string_view, PageVector<int32_t>> postings;
   for (int32_t code = 0; code < dict.size(); ++code) {
     // The maximal alphanumeric runs of the string.
     const std::string_view s = dict.Get(code);
@@ -32,7 +34,7 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
       const size_t begin = i;
       while (i < s.size() && IsTokenByte(s[i])) ++i;
       if (i == begin) continue;
-      std::vector<int32_t>& codes = postings[s.substr(begin, i - begin)];
+      PageVector<int32_t>& codes = postings[s.substr(begin, i - begin)];
       // Codes arrive ascending; a token repeated within one string is
       // posted once.
       if (codes.empty() || codes.back() != code) codes.push_back(code);
@@ -42,6 +44,9 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
   index.tokens_.reserve(postings.size());
   index.offsets_.reserve(postings.size() + 1);
   index.offsets_.push_back(0);
+  size_t entries = 0;
+  for (const auto& posting : postings) entries += posting.second.size();
+  index.codes_.reserve(entries);
   for (const auto& [token, codes] : postings) {
     index.tokens_.emplace_back(token);
     index.codes_.insert(index.codes_.end(), codes.begin(), codes.end());

@@ -6,6 +6,8 @@
 #include <string_view>
 #include <vector>
 
+#include "common/page_allocator.h"
+
 namespace aqe {
 
 class Dictionary;
@@ -55,7 +57,7 @@ class TokenIndex {
  private:
   std::vector<std::string> tokens_;  ///< sorted (deterministic layout)
   std::vector<uint64_t> offsets_;    ///< token t postings = codes_[offsets_[t], offsets_[t+1])
-  std::vector<int32_t> codes_;       ///< ascending within each token
+  PageVector<int32_t> codes_;        ///< ascending within each token
 };
 
 }  // namespace aqe

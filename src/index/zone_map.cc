@@ -1,7 +1,7 @@
 #include "index/zone_map.h"
 
 #include <algorithm>
-#include <limits>
+#include <utility>
 
 #include "common/status.h"
 #include "storage/table.h"
@@ -18,13 +18,50 @@ uint64_t MixHash(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+/// The two presence-filter bits of `value`, each in [0, kPresenceWords * 64).
+std::pair<uint32_t, uint32_t> PresenceBits(int64_t value) {
+  const uint64_t h = MixHash(static_cast<uint64_t>(value));
+  constexpr uint32_t kBits = ZoneMaps::kPresenceWords * 64;
+  return {static_cast<uint32_t>(h) % kBits,
+          static_cast<uint32_t>(h >> 32) % kBits};
+}
+
+/// Fills `cz`'s per-block min/max, and its presence filter if it has one,
+/// from a column of `rows` > 0 values of type T.
+template <typename T>
+void FillZones(const T* values, uint64_t rows, uint32_t block_rows,
+               ZoneMaps::ColumnZones* cz) {
+  const uint64_t num_blocks = (rows + block_rows - 1) / block_rows;
+  cz->min.resize(num_blocks);
+  cz->max.resize(num_blocks);
+  if (cz->has_presence) {
+    cz->presence.assign(num_blocks * ZoneMaps::kPresenceWords, 0);
+  }
+  for (uint64_t b = 0; b < num_blocks; ++b) {
+    const uint64_t begin = b * block_rows;
+    const uint64_t end = std::min(rows, begin + block_rows);
+    T lo = values[begin];
+    T hi = values[begin];
+    for (uint64_t r = begin + 1; r < end; ++r) {
+      lo = std::min(lo, values[r]);
+      hi = std::max(hi, values[r]);
+    }
+    cz->min[b] = lo;
+    cz->max[b] = hi;
+    if (!cz->has_presence) continue;
+    uint64_t* words = cz->presence.data() + b * ZoneMaps::kPresenceWords;
+    for (uint64_t r = begin; r < end; ++r) {
+      const auto [b0, b1] = PresenceBits(values[r]);
+      words[b0 / 64] |= 1ull << (b0 % 64);
+      words[b1 / 64] |= 1ull << (b1 % 64);
+    }
+  }
+}
+
 }  // namespace
 
 bool ZoneMaps::PresenceMayContain(const uint64_t* words, int64_t value) {
-  const uint64_t h = MixHash(static_cast<uint64_t>(value));
-  const uint32_t bits = kPresenceWords * 64;
-  const uint32_t b0 = static_cast<uint32_t>(h) % bits;
-  const uint32_t b1 = static_cast<uint32_t>(h >> 32) % bits;
+  const auto [b0, b1] = PresenceBits(value);
   return (words[b0 / 64] >> (b0 % 64) & 1) && (words[b1 / 64] >> (b1 % 64) & 1);
 }
 
@@ -39,33 +76,11 @@ ZoneMaps ZoneMaps::Build(const Table& table, uint32_t block_rows) {
     if (col.type() == DataType::kF64 || rows == 0) continue;
     ColumnZones cz;
     cz.column = c;
-    cz.min.assign(zones.num_blocks_, std::numeric_limits<int64_t>::max());
-    cz.max.assign(zones.num_blocks_, std::numeric_limits<int64_t>::min());
     cz.has_presence = table.has_dictionary(c);
-    if (cz.has_presence) {
-      cz.presence.assign(zones.num_blocks_ * kPresenceWords, 0);
-    }
-    const uint32_t bits = kPresenceWords * 64;
-    for (uint64_t b = 0; b < zones.num_blocks_; ++b) {
-      const uint64_t begin = b * block_rows;
-      const uint64_t end = std::min(rows, begin + block_rows);
-      int64_t lo = cz.min[b], hi = cz.max[b];
-      uint64_t* words =
-          cz.has_presence ? cz.presence.data() + b * kPresenceWords : nullptr;
-      for (uint64_t r = begin; r < end; ++r) {
-        const int64_t v = col.GetAsI64(r);
-        lo = std::min(lo, v);
-        hi = std::max(hi, v);
-        if (words != nullptr) {
-          const uint64_t h = MixHash(static_cast<uint64_t>(v));
-          const uint32_t b0 = static_cast<uint32_t>(h) % bits;
-          const uint32_t b1 = static_cast<uint32_t>(h >> 32) % bits;
-          words[b0 / 64] |= 1ull << (b0 % 64);
-          words[b1 / 64] |= 1ull << (b1 % 64);
-        }
-      }
-      cz.min[b] = lo;
-      cz.max[b] = hi;
+    if (col.type() == DataType::kI32) {
+      FillZones(static_cast<const int32_t*>(col.data()), rows, block_rows, &cz);
+    } else {
+      FillZones(static_cast<const int64_t*>(col.data()), rows, block_rows, &cz);
     }
     zones.columns_.push_back(std::move(cz));
   }

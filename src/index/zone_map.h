@@ -4,6 +4,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "common/page_allocator.h"
+
 namespace aqe {
 
 class Table;
@@ -13,7 +15,8 @@ class Table;
 /// presence filter for dictionary columns. Blocks are fixed-size row
 /// ranges aligned with the morsel queue's initial morsel size, so pruning
 /// a block prunes (at least) one would-be morsel. Built once after bulk
-/// load; immutable.
+/// load, possibly on a helper thread, so the per-block arrays come from
+/// PageAllocator; immutable.
 class ZoneMaps {
  public:
   /// Presence-filter size: 512 bits per block per dictionary column.
@@ -21,13 +24,13 @@ class ZoneMaps {
 
   struct ColumnZones {
     int column = -1;
-    std::vector<int64_t> min;  ///< per block
-    std::vector<int64_t> max;
+    PageVector<int64_t> min;  ///< per block
+    PageVector<int64_t> max;
     /// Dictionary columns only: blocked Bloom filter (2 probes) over the
     /// codes present in each block, so equality on a code can prune blocks
     /// whose [min, max] happens to straddle it.
     bool has_presence = false;
-    std::vector<uint64_t> presence;  ///< num_blocks * kPresenceWords
+    PageVector<uint64_t> presence;  ///< num_blocks * kPresenceWords
   };
 
   /// Builds zones for every kI32/kI64 column (F64 columns are skipped — no

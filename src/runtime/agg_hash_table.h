@@ -6,7 +6,7 @@
 #include <memory>
 #include <vector>
 
-#include "runtime/page_allocator.h"
+#include "common/page_allocator.h"
 
 namespace aqe {
 

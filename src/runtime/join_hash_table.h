@@ -7,7 +7,7 @@
 #include <mutex>
 #include <vector>
 
-#include "runtime/page_allocator.h"
+#include "common/page_allocator.h"
 
 namespace aqe {
 

@@ -4,6 +4,7 @@
 #include <limits>
 #include <numeric>
 
+#include "common/fork_join.h"
 #include "common/status.h"
 #include "simd/simd.h"
 
@@ -47,10 +48,26 @@ int32_t Dictionary::GetOrAdd(std::string_view s) {
   if (code > 0 && sorted_ && s < View(static_cast<size_t>(code - 1))) {
     sorted_ = false;
   }
-  arena_.append(s.data(), s.size());  // may move the arena; `s` is not used again
+  AppendToArena(s);  // may move the arena; `s` is not used again
   ends_.push_back(arena_.size());
   table_[slot] = code;
   return code;
+}
+
+void Dictionary::AppendToArena(std::string_view s) {
+  const size_t at = arena_.size();
+  if (at + s.size() <= arena_.capacity()) {
+    arena_.resize(at + s.size());  // in place: `s` stays valid
+    std::copy(s.begin(), s.end(), arena_.begin() + at);
+    return;
+  }
+  // Fill the grown buffer before the old one is freed: `s` may view it.
+  PageVector<char> grown;
+  grown.reserve(std::max(2 * arena_.capacity(), at + s.size()));
+  grown.resize(at + s.size());
+  std::copy(arena_.begin(), arena_.end(), grown.begin());
+  std::copy(s.begin(), s.end(), grown.begin() + at);
+  arena_.swap(grown);
 }
 
 int32_t Dictionary::Find(std::string_view s) const {
@@ -101,23 +118,44 @@ std::vector<uint8_t> Dictionary::MatchBitmap(
   return BitmapOf(predicate);
 }
 
-std::vector<int32_t> Dictionary::SortCodes() {
+PageVector<int32_t> Dictionary::SortCodes() {
   const size_t n = ends_.size();
-  std::vector<int32_t> order(n);  // new code -> old code
+  PageVector<int32_t> order(n);  // new code -> old code
   std::iota(order.begin(), order.end(), 0);
-  std::sort(order.begin(), order.end(), [this](int32_t a, int32_t b) {
+  const auto less = [this](int32_t a, int32_t b) {
     return View(static_cast<size_t>(a)) < View(static_cast<size_t>(b));
+  };
+  // Sort chunks in parallel, then merge pairs of sorted runs round by round,
+  // each round's merges in parallel too.
+  const size_t chunks =
+      n < static_cast<size_t>(kParallelSortCodes) ? 1 : ForkJoinWidth();
+  std::vector<size_t> bounds(chunks + 1);
+  for (size_t c = 0; c <= chunks; ++c) bounds[c] = n * c / chunks;
+  ForkJoin(chunks, [&](size_t c) {
+    std::sort(order.begin() + bounds[c], order.begin() + bounds[c + 1], less);
   });
+  PageVector<int32_t> merged(chunks > 1 ? n : 0);
+  for (size_t run = 1; run < chunks; run *= 2) {
+    ForkJoin((chunks + 2 * run - 1) / (2 * run), [&](size_t pair) {
+      const size_t first = pair * 2 * run;
+      const auto lo = order.begin() + bounds[first];
+      const auto mid = order.begin() + bounds[std::min(chunks, first + run)];
+      const auto hi = order.begin() + bounds[std::min(chunks, first + 2 * run)];
+      std::merge(lo, mid, mid, hi, merged.begin() + bounds[first], less);
+    });
+    order.swap(merged);
+  }
   // One pass into exact-size buffers: the load-time slack of both goes.
-  std::string arena;
-  arena.reserve(arena_.size());
-  std::vector<uint64_t> ends(n);
-  std::vector<int32_t> remap(n);  // old code -> new code
+  PageVector<char> arena(arena_.size());
+  PageVector<uint64_t> ends(n);
+  PageVector<int32_t> remap(n);  // old code -> new code
+  uint64_t end = 0;
   for (size_t new_code = 0; new_code < n; ++new_code) {
     const auto old_code = static_cast<size_t>(order[new_code]);
     const std::string_view s = View(old_code);
-    arena.append(s.data(), s.size());
-    ends[new_code] = arena.size();
+    std::copy(s.begin(), s.end(), arena.begin() + end);
+    end += s.size();
+    ends[new_code] = end;
     remap[old_code] = static_cast<int32_t>(new_code);
   }
   arena_ = std::move(arena);

@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "common/page_allocator.h"
+
 namespace aqe {
 
 /// Order-preserving string dictionary. String columns are stored as I32 codes
@@ -19,9 +21,16 @@ namespace aqe {
 /// Each distinct string is stored once: the strings lie back to back in one
 /// char arena, code c spanning [end(c-1), end(c)), and an open-addressing
 /// table of codes, probed with the string's bytes, answers lookups. Nothing
-/// is allocated per string (see src/strings/DESIGN.md, "Storage layout").
+/// is allocated per string, and all three arrays come from PageAllocator,
+/// so a dictionary built or sorted on a helper thread leaves nothing behind
+/// in that thread's malloc arena (see src/strings/DESIGN.md, "Storage
+/// layout").
 class Dictionary {
  public:
+  /// SortCodes sorts a dictionary of at least this many codes in
+  /// ForkJoinWidth() chunks on as many threads, then merges the chunks.
+  static constexpr int32_t kParallelSortCodes = int32_t{64} << 10;
+
   Dictionary() = default;
 
   /// Returns the code for `s`, inserting it if new.
@@ -61,8 +70,10 @@ class Dictionary {
 
   /// Lexicographically reorders the dictionary and returns the old-code ->
   /// new-code remap the owner must apply to every encoded column value.
-  /// After this, is_sorted() holds (until further GetOrAdd inserts).
-  std::vector<int32_t> SortCodes();
+  /// After this, is_sorted() holds (until further GetOrAdd inserts). The
+  /// strings are distinct, so the parallel chunked sort of a large
+  /// dictionary yields the same order as a serial one.
+  PageVector<int32_t> SortCodes();
 
   /// The [lo, hi) code range of strings starting with `prefix`. Only
   /// meaningful on a sorted dictionary, where it turns a LIKE-prefix
@@ -80,20 +91,20 @@ class Dictionary {
   size_t Slot(std::string_view s) const;
   /// Re-inserts every code into an empty table of `capacity` slots.
   void Rehash(size_t capacity);
+  /// Appends `s` to the arena; `s` may view the arena itself.
+  void AppendToArena(std::string_view s);
   /// bitmap[code] = matches(Get(code)) for every code.
   template <typename Matches>
   std::vector<uint8_t> BitmapOf(const Matches& matches) const;
 
-  /// Every string back to back, without separators. std::string because its
-  /// append is defined for a source inside itself (GetOrAdd of a substring
-  /// of an earlier Get).
-  std::string arena_;
+  /// Every string back to back, without separators.
+  PageVector<char> arena_;
   /// Code c is arena_[ends_[c-1], ends_[c]) (ends_[-1] reads as 0); 64-bit
   /// so the arena may exceed 4 GiB.
-  std::vector<uint64_t> ends_;
+  PageVector<uint64_t> ends_;
   /// Open addressing with linear probing: codes, kEmpty for a free slot. Its
   /// size is 0 or a power of two at least twice size().
-  std::vector<int32_t> table_;
+  PageVector<int32_t> table_;
   static constexpr int32_t kEmpty = -1;
   bool sorted_ = true;  ///< empty/ordered-insert dictionaries are sorted
 };

@@ -51,16 +51,20 @@ bool Table::has_dictionary(int index) const {
   return dictionaries_[static_cast<size_t>(index)] != nullptr;
 }
 
+void Table::SortDictionary(int column) {
+  Dictionary& dict = dictionary(column);
+  if (dict.is_sorted()) return;
+  const PageVector<int32_t> remap = dict.SortCodes();
+  Column& col = *columns_[static_cast<size_t>(column)];
+  auto* codes = static_cast<int32_t*>(col.mutable_data());
+  for (uint64_t r = 0; r < col.size(); ++r) {
+    codes[r] = remap[static_cast<size_t>(codes[r])];
+  }
+}
+
 void Table::SortDictionaries() {
-  for (size_t c = 0; c < columns_.size(); ++c) {
-    Dictionary* dict = dictionaries_[c].get();
-    if (dict == nullptr || dict->is_sorted()) continue;
-    const std::vector<int32_t> remap = dict->SortCodes();
-    Column& col = *columns_[c];
-    auto* codes = static_cast<int32_t*>(col.mutable_data());
-    for (uint64_t r = 0; r < col.size(); ++r) {
-      codes[r] = remap[static_cast<size_t>(codes[r])];
-    }
+  for (int c = 0; c < num_columns(); ++c) {
+    if (has_dictionary(c)) SortDictionary(c);
   }
 }
 

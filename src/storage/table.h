@@ -46,11 +46,16 @@ class Table {
   const Dictionary& dictionary(int index) const;
   bool has_dictionary(int index) const;
 
-  /// Establishes the order-preserving invariant on every dictionary column:
-  /// sorts each dictionary lexicographically and rewrites the column's
-  /// codes in place. Called once after bulk load (further GetOrAdd inserts
-  /// would break the invariant again). Enables LIKE-prefix predicates to
-  /// lower to integer range compares on the code column.
+  /// Establishes the order-preserving invariant on one dictionary column:
+  /// sorts its dictionary lexicographically and rewrites the column's codes
+  /// in place (nothing to do if already sorted). Called once after bulk load
+  /// (further GetOrAdd inserts would break the invariant again). Enables
+  /// LIKE-prefix predicates to lower to integer range compares on the code
+  /// column. Touches only that column and its dictionary, so separate
+  /// columns may be sorted concurrently.
+  void SortDictionary(int column);
+
+  /// SortDictionary on every dictionary column.
   void SortDictionaries();
 
   /// Secondary index structures (src/index/: zone maps, dictionary-code

@@ -2,8 +2,10 @@
 
 #include <array>
 #include <cstdio>
+#include <iterator>
 #include <string>
 
+#include "common/fork_join.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "index/table_index.h"
@@ -183,8 +185,6 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
   Column& o_shippriority = ot->column("o_shippriority");
   Dictionary& status_dict = ot->dictionary(ot->ColumnIndex("o_orderstatus"));
   Dictionary& prio_dict = ot->dictionary(ot->ColumnIndex("o_orderpriority"));
-  Column& o_comment = ot->column("o_comment");
-  Dictionary& cmt_dict = ot->dictionary(ot->ColumnIndex("o_comment"));
 
   Column& l_orderkey = lt->column("l_orderkey");
   Column& l_partkey = lt->column("l_partkey");
@@ -221,11 +221,6 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
   const auto si_code = RegisterAll(&si_dict, kInstructions);
   const auto sm_code = RegisterAll(&sm_dict, kShipModes);
 
-  // Comments draw from their own deterministic stream so the text column
-  // does not perturb the long-standing key/date/price distributions (and
-  // the query results derived from them).
-  Random comment_rng(0x5EA7C0DEu);
-
   const int32_t start_date = DateToDays(1992, 1, 1);
   const int32_t end_date = DateToDays(1998, 8, 2);
   // The "current date" used by the spec: lines shipped after it are still 'O'.
@@ -236,7 +231,6 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
     return 90000 + (pk / 10) % 20001 + 100 * (pk % 1000);
   };
 
-  std::string comment;  // one buffer, reused for every order's comment
   for (uint64_t o = 0; o < order_count; ++o) {
     // Sparse order keys like the spec (gaps of 8 every 32 keys).
     int64_t okey = static_cast<int64_t>((o / 8) * 32 + o % 8 + 1);
@@ -288,11 +282,25 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
     o_orderdate.AppendI32(odate);
     o_orderpriority.AppendI32(prio_code[rng->NextBelow(5)]);
     o_shippriority.AppendI32(0);
+  }
+}
 
-    // Pseudo-text comment of 4..8 vocabulary words; ~2% of orders embed
-    // "special ... requests" in order, the Q13 predicate's target. Nearly
-    // all comments are distinct, making this the engine's high-cardinality
-    // dictionary column.
+/// Fills o_comment, then sorts its dictionary and remaps the column. Each
+/// order's comment is 4..8 vocabulary words; ~2% of orders embed
+/// "special ... requests" in order, the Q13 predicate's target. Nearly all
+/// comments are distinct, making this the engine's high-cardinality
+/// dictionary column. The comments draw from their own deterministic stream
+/// so the text column does not perturb the long-standing key/date/price
+/// distributions (and the query results derived from them), and so they can
+/// be generated beside the main stream: only this column and its dictionary
+/// are touched.
+void GenOrderComments(Table* orders, uint64_t order_count) {
+  const int column = orders->ColumnIndex("o_comment");
+  Column& o_comment = orders->column(column);
+  Dictionary& cmt_dict = orders->dictionary(column);
+  Random comment_rng(0x5EA7C0DEu);
+  std::string comment;  // one buffer, reused for every order's comment
+  for (uint64_t o = 0; o < order_count; ++o) {
     comment.clear();
     const int words = 4 + static_cast<int>(comment_rng.NextBelow(5));
     const bool special = comment_rng.NextBool(0.02);
@@ -312,39 +320,54 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
     }
     o_comment.AppendI32(cmt_dict.GetOrAdd(comment));
   }
+  orders->SortDictionary(column);
 }
 
 }  // namespace
 
 void GenerateTpchData(Catalog* catalog, double sf, uint64_t seed) {
-  Random rng(seed);
-  Cardinalities card = CardinalitiesForScale(sf);
-  GenRegionNation(catalog);
-  GenSupplier(catalog, card.supplier, &rng);
-  GenCustomer(catalog, card.customer, &rng);
-  GenPart(catalog, card.part, &rng);
-  GenPartsupp(catalog, card.part, card.supplier, &rng);
-  GenOrdersAndLineitem(catalog, card.orders, card.customer, card.part,
-                       card.supplier, &rng);
+  const Cardinalities card = CardinalitiesForScale(sf);
+  Table* orders = catalog->GetTable("orders");
+  // Task 0, the main stream, stays on this thread: it grows every other
+  // column on malloc, and the catalog keeps them. The comment task runs on a
+  // helper thread, which must take no large buffer from malloc (see
+  // src/obs/DESIGN.md), so its column is reserved here and its dictionary
+  // is page-mapped. The streams are separate, so the bytes are the same as
+  // one thread generating both.
+  orders->column("o_comment").Reserve(card.orders);
+  ForkJoin(2, [&](size_t task) {
+    if (task == 1) {
+      GenOrderComments(orders, card.orders);
+      return;
+    }
+    Random rng(seed);
+    GenRegionNation(catalog);
+    GenSupplier(catalog, card.supplier, &rng);
+    GenCustomer(catalog, card.customer, &rng);
+    GenPart(catalog, card.part, &rng);
+    GenPartsupp(catalog, card.part, card.supplier, &rng);
+    GenOrdersAndLineitem(catalog, card.orders, card.customer, card.part,
+                         card.supplier, &rng);
+  });
   // Establish the order-preserving dictionary invariant after bulk load:
   // codes become lexicographic, so LIKE-prefix predicates lower to integer
   // range compares (strings/like_lowering) and code order matches string
   // order everywhere. Queries resolve codes at plan time, so the remap is
-  // invisible to them.
-  for (const char* name : {"region", "nation", "supplier", "customer", "part",
-                           "partsupp", "orders", "lineitem"}) {
-    catalog->GetTable(name)->SortDictionaries();
-  }
-  // Secondary indexes (zone maps, dictionary-code CSR, inverted token
-  // index) are built after the dictionaries are sorted so code order
-  // matches string order inside the index structures too. o_comment is the
-  // one free-text column queries probe with %word% patterns.
-  for (const char* name : {"region", "nation", "supplier", "customer", "part",
-                           "partsupp", "orders", "lineitem"}) {
+  // invisible to them. Secondary indexes (zone maps, dictionary-code CSR,
+  // inverted token index) are built after a table's dictionaries are sorted
+  // so code order matches string order inside the index structures too.
+  // o_comment is the one free-text column queries probe with %word%
+  // patterns. Tables are independent tasks, largest first.
+  static constexpr const char* kTables[] = {
+      "lineitem", "orders", "partsupp", "part",
+      "customer", "supplier", "nation",  "region"};
+  ForkJoin(std::size(kTables), [&](size_t i) {
+    Table* table = catalog->GetTable(kTables[i]);
+    table->SortDictionaries();
     TableIndexOptions options;
-    if (std::string(name) == "orders") options.text_columns = {"o_comment"};
-    AttachTableIndexes(catalog->GetTable(name), std::move(options));
-  }
+    if (table == orders) options.text_columns = {"o_comment"};
+    AttachTableIndexes(table, std::move(options));
+  });
 }
 
 void BuildTpchDatabase(Catalog* catalog, double sf, uint64_t seed) {

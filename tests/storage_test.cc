@@ -125,8 +125,8 @@ struct RefDict {
     return std::is_sorted(strings.begin(), strings.end());  // distinct
   }
   /// What Dictionary::SortCodes does to the model; returns its remap.
-  std::vector<int32_t> SortCodes() {
-    std::vector<int32_t> remap(strings.size());
+  PageVector<int32_t> SortCodes() {
+    PageVector<int32_t> remap(strings.size());
     strings.clear();
     for (auto& [s, code] : codes) {
       remap[static_cast<size_t>(code)] = static_cast<int32_t>(strings.size());
@@ -273,6 +273,8 @@ TEST(DictionaryDifferentialTest, ManyDistinctStringsGrowTheTable) {
     const std::string v = RandomString(&rng, 12);
     ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
   }
+  // Both sorts below take the parallel chunk-and-merge path.
+  ASSERT_GE(d.size(), Dictionary::kParallelSortCodes);
   const std::vector<std::string> probes = ShortProbes(&rng);
   ExpectMatchesReference(d, ref, probes);
   SortAndExpectMatchesReference(&d, &ref, probes);

@@ -158,7 +158,7 @@ TEST(DictionaryStringsTest, SortCodesEstablishesOrderInvariant) {
   // Remember the decoding before the sort.
   std::vector<std::string> before;
   for (int32_t c = 0; c < d.size(); ++c) before.emplace_back(d.Get(c));
-  const std::vector<int32_t> remap = d.SortCodes();
+  const PageVector<int32_t> remap = d.SortCodes();
   EXPECT_TRUE(d.is_sorted());
   for (int32_t old_code = 0; old_code < d.size(); ++old_code) {
     // Same string, new position; Find agrees with the rebuilt index.

@@ -1,4 +1,15 @@
 #include <gtest/gtest.h>
+#ifdef __linux__
+#include <malloc.h>
+#endif
+
+#include <algorithm>
+#include <cstdio>
+#include <cstdlib>
+#include <memory>
+#include <string>
+#include <string_view>
+#include <utility>
 
 #include "common/fixed_point.h"
 #include "storage/table.h"
@@ -173,12 +184,9 @@ uint64_t Fnv1a64(uint64_t hash, const void* data, size_t bytes) {
   return hash;
 }
 
-// Pins the generator's output: every column's raw bytes and every
-// dictionary's strings in code order. Storage or load-path refactors must
-// leave the catalog byte-identical, so codes, sort order and data stay put.
-TEST(TpchFingerprintTest, CatalogIsByteIdenticalToPinnedValue) {
-  Catalog catalog;
-  tpch::BuildTpchDatabase(&catalog, /*sf=*/0.01);
+/// FNV-1a 64 over every column's raw bytes and every dictionary's strings
+/// in code order, each followed by a '\0'.
+uint64_t CatalogFingerprint(const Catalog& catalog) {
   uint64_t hash = 0xcbf29ce484222325ull;
   for (const char* name : {"region", "nation", "supplier", "customer", "part",
                            "partsupp", "orders", "lineitem"}) {
@@ -196,7 +204,83 @@ TEST(TpchFingerprintTest, CatalogIsByteIdenticalToPinnedValue) {
       }
     }
   }
-  EXPECT_EQ(hash, 0x5a8a1fd634745ee2ull) << std::hex << "got " << hash;
+  return hash;
+}
+
+// Pins the generator's output. Storage or load-path refactors must leave the
+// catalog byte-identical, so codes, sort order and data stay put. At SF 0.1
+// o_comment has 143,681 codes, enough for SortCodes' parallel path.
+TEST(TpchFingerprintTest, CatalogIsByteIdenticalToPinnedValue) {
+  for (const auto& [sf, pinned] : {std::pair{0.01, 0x5a8a1fd634745ee2ull},
+                                   std::pair{0.1, 0x100fb32de027e7ecull}}) {
+    Catalog catalog;
+    tpch::BuildTpchDatabase(&catalog, sf);
+    if (sf == 0.1) {
+      const Table* orders = catalog.GetTable("orders");
+      ASSERT_GE(orders->dictionary(orders->ColumnIndex("o_comment")).size(),
+                Dictionary::kParallelSortCodes);
+    }
+    const uint64_t hash = CatalogFingerprint(catalog);
+    EXPECT_EQ(hash, pinned) << "SF " << sf << std::hex << ": got " << hash;
+  }
+}
+
+#if defined(__GLIBC__) && !defined(__SANITIZE_ADDRESS__) && \
+    !defined(__SANITIZE_THREAD__)
+#if __GLIBC_PREREQ(2, 33)  // mallinfo2
+#define AQE_TEST_MALLINFO 1
+
+/// The most bytes any malloc arena but the main thread's holds, from
+/// malloc_info's per-heap <system type="current"> entries (heap 0 is the
+/// main arena).
+size_t LargestHelperArenaBytes() {
+  char* buf = nullptr;
+  size_t len = 0;
+  FILE* out = open_memstream(&buf, &len);
+  malloc_info(0, out);
+  std::fclose(out);
+  const std::string xml(buf, len);
+  std::free(buf);
+  static constexpr std::string_view kHeap = "<heap nr=\"";
+  static constexpr std::string_view kSystem = "<system type=\"current\" size=\"";
+  size_t largest = 0;
+  for (size_t heap = xml.find(kHeap); heap != std::string::npos;
+       heap = xml.find(kHeap, heap + 1)) {
+    if (std::stoi(xml.substr(heap + kHeap.size())) == 0) continue;
+    const size_t system = xml.find(kSystem, heap) + kSystem.size();
+    largest = std::max<size_t>(largest, std::stoull(xml.substr(system)));
+  }
+  return largest;
+}
+#endif
+#endif
+
+// The load runs tasks on helper threads, and glibc gives each thread its
+// own malloc arena, which keeps what it frees resident. Helpers therefore
+// take their large buffers from PageAllocator and leave their arenas
+// nearly empty. Were they to take them from malloc, a helper arena would
+// hold dictionaries and indexes plus the freed sort and growth buffers of
+// earlier builds: 25-30 MB in one arena after the 4th SF 0.1 build.
+TEST(TpchAllocatorTest, RepeatedBuildsRetainLittleHeap) {
+#ifndef AQE_TEST_MALLINFO
+  GTEST_SKIP() << "needs glibc's mallinfo2 and the unsanitized allocator";
+#else
+  std::unique_ptr<Catalog> catalog;
+  for (int build = 0; build < 4; ++build) {
+    catalog.reset();
+    catalog = std::make_unique<Catalog>();
+    tpch::BuildTpchDatabase(catalog.get(), /*sf=*/0.1);
+  }
+  const struct mallinfo2 info = mallinfo2();
+  EXPECT_LT(info.fordblks, info.uordblks / 4)
+      << "free " << (info.fordblks >> 20) << " MiB, in use "
+      << (info.uordblks >> 20) << " MiB";
+  // A table's indexes are built by one task, so with malloc the lineitem
+  // task's arena alone would hold its four code indexes (9.6 MB).
+  const size_t helper_bytes = LargestHelperArenaBytes();
+  EXPECT_LT(helper_bytes, size_t{4} << 20)
+      << "a helper arena holds " << (helper_bytes >> 20) << " MiB";
+#endif
 }
 
 TEST(TpchScaleTest, CardinalitiesScaleLinearly) {
