@@ -376,8 +376,8 @@ int main(int argc, char** argv) {
     const Table* orders = catalog->GetTable("orders");
     const uint64_t orows = orders->num_rows();
     const Column& okey = orders->column("o_orderkey");
-    const int64_t lo = okey.GetI64(orows * 45 / 100);
-    const int64_t hi = okey.GetI64(orows * 55 / 100);
+    const int64_t lo = okey.GetAsI64(orows * 45 / 100);
+    const int64_t hi = okey.GetAsI64(orows * 55 / 100);
     int64_t reference_count = -1;
     for (const bool pruning : {false, true}) {
       double best_exec = 0;

@@ -56,11 +56,16 @@ def check_micro(build, rules, failures):
     recs = run_json_lines([bench, "--smoke"], cwd=build)
     retried = None
     for rule in rules:
-        # Four rule shapes: fused-tier speedups over the switch baseline,
-        # and the three observability overhead floors (traced/untraced,
+        # Five rule shapes: fused-tier speedups over the switch baseline, a
+        # superinstruction count (exact, so a tier that silently stops
+        # firing fails even when timing noise hides it), and the three
+        # observability overhead floors (traced/untraced,
         # profiled/unprofiled, and instrumented/bare resource accounting).
         if "min_speedup_vs_switch" in rule:
             field, want = "speedup_vs_switch", rule["min_speedup_vs_switch"]
+        elif "min_fused_load_cmp_branches" in rule:
+            field, want = ("fused_load_cmp_branches",
+                           rule["min_fused_load_cmp_branches"])
         elif "min_ratio_vs_untraced" in rule:
             field, want = "ratio_vs_untraced", rule["min_ratio_vs_untraced"]
         elif "min_ratio_vs_bare" in rule:

@@ -135,8 +135,7 @@ std::vector<MorselRange> RangesFromRows(const std::vector<uint32_t>& rows,
 
 }  // namespace
 
-ScanPruning AnalyzeScanPruning(const PipelineSpec& spec, const Table& table,
-                               const AccessPathOptions& options) {
+ScanPruning AnalyzeScanPruning(const PipelineSpec& spec, const Table& table) {
   ScanPruning result;
   const TableIndexes* idx = table.indexes();
   result.stats.table_rows = table.num_rows();
@@ -255,8 +254,7 @@ ScanPruning AnalyzeScanPruning(const PipelineSpec& spec, const Table& table,
   // is a superset of the rows its predicate can match; the conjunction is
   // their intersection.
   std::vector<CandidateSet> sets;
-  const uint64_t max_candidates = static_cast<uint64_t>(
-      options.max_candidate_fraction * static_cast<double>(rows));
+  const uint64_t max_candidates = MaxCandidateRows(rows);
   auto dict_index_for = [&](int slot) -> const DictCodeIndex* {
     auto it = idx->dict_indexes.find(spec.scan_columns[slot]);
     return it == idx->dict_indexes.end() ? nullptr : &it->second;
@@ -343,7 +341,7 @@ ScanPruning AnalyzeScanPruning(const PipelineSpec& spec, const Table& table,
                        candidates.end());
     }
     result.stats.candidate_rows = candidates.size();
-    ranges = RangesFromRows(candidates, options.merge_gap_rows);
+    ranges = RangesFromRows(candidates, kMergeGapRows);
   } else if (zones_used && result.stats.zone_blocks_pruned > 0) {
     result.stats.primary_path = AccessPathKind::kZoneMap;
     ranges = RangesFromBlocks(keep, block_rows, rows);
@@ -354,7 +352,7 @@ ScanPruning AnalyzeScanPruning(const PipelineSpec& spec, const Table& table,
   std::shared_ptr<const ScanDomain> domain = ScanDomain::Make(ranges, rows);
   const uint64_t selected = domain->selected();
   if (static_cast<double>(rows - selected) <
-      options.min_prune_fraction * static_cast<double>(rows)) {
+      kMinPruneFraction * static_cast<double>(rows)) {
     // Not selective enough to pay the per-range overhead: keep the dense
     // scan (stats still report what the analysis found).
     result.stats.primary_path = AccessPathKind::kFullScan;

@@ -54,31 +54,39 @@ struct ScanPruning {
   PruningStats stats;
 };
 
-/// Thresholds of the access-path decision rule (src/index/DESIGN.md §4).
-struct AccessPathOptions {
-  /// Row-granular index candidates are adopted only when they cover at most
-  /// this fraction of the table; above it, gathering + sorting the row ids
-  /// costs more than letting the scan run with zone-map pruning alone.
-  double max_candidate_fraction = 0.10;
-  /// Candidate rows closer than this merge into one scheduled range (the
-  /// rows in the gap are scanned and filtered by the residual predicate —
-  /// cheaper than per-range claim overhead for near-adjacent hits). Kept
-  /// small: a range claim costs one CAS + worker invocation (~tens of ns)
-  /// while every bridged gap row pays the full residual predicate, so
-  /// merging only wins across near-adjacent hits.
-  uint64_t merge_gap_rows = 16;
-  /// Keep the plain full scan unless at least this fraction of rows is
-  /// pruned — a domain with per-range bookkeeping must pay for itself.
-  double min_prune_fraction = 0.05;
-};
+// Thresholds of the access-path decision rule (src/index/DESIGN.md §3).
+
+/// Row-granular index candidates are adopted only when they cover at most
+/// this fraction of the table; above it, gathering + sorting the row ids
+/// costs more than letting the scan run with zone-map pruning alone. The
+/// dictionary-code index lists row ids only for codes under the same bound
+/// (dict_index.h), since no other code's rows are ever collected.
+inline constexpr double kMaxCandidateFraction = 0.10;
+
+/// The most row-granular candidates a scan over `rows` rows adopts.
+inline uint64_t MaxCandidateRows(uint64_t rows) {
+  return static_cast<uint64_t>(kMaxCandidateFraction *
+                               static_cast<double>(rows));
+}
+
+/// Candidate rows closer than this merge into one scheduled range (the
+/// rows in the gap are scanned and filtered by the residual predicate —
+/// cheaper than per-range claim overhead for near-adjacent hits). Kept
+/// small: a range claim costs one CAS + worker invocation (~tens of ns)
+/// while every bridged gap row pays the full residual predicate, so
+/// merging only wins across near-adjacent hits.
+inline constexpr uint64_t kMergeGapRows = 16;
+
+/// Keep the plain full scan unless at least this fraction of rows is
+/// pruned — a domain with per-range bookkeeping must pay for itself.
+inline constexpr double kMinPruneFraction = 0.05;
 
 /// Evaluates `spec`'s filter conjuncts against `table.indexes()` and
 /// decides the scan's access path. Only conjuncts over scan slots are
 /// considered (computed slots and unrecognized shapes are ignored — they
 /// stay residual, which is always sound). Returns a no-op full scan when
 /// the table has no indexes.
-ScanPruning AnalyzeScanPruning(const PipelineSpec& spec, const Table& table,
-                               const AccessPathOptions& options = {});
+ScanPruning AnalyzeScanPruning(const PipelineSpec& spec, const Table& table);
 
 }  // namespace aqe
 

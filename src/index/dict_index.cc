@@ -3,6 +3,7 @@
 #include <algorithm>
 
 #include "common/status.h"
+#include "index/access_path.h"
 #include "storage/column.h"
 
 namespace aqe {
@@ -13,49 +14,61 @@ DictCodeIndex DictCodeIndex::Build(const Column& column, int32_t num_codes) {
   const uint64_t rows = column.size();
   AQE_CHECK(rows <= UINT32_MAX);
   const size_t n = static_cast<size_t>(num_codes);
-  // Counting sort: one pass for per-code counts, one to place row ids —
-  // rows are visited in order, so ids come out ascending within each code.
-  index.offsets_.assign(n + 1, 0);
+  // Counting sort: one pass for per-code counts, one to place the listed
+  // codes' row ids — rows are visited in order, so ids come out ascending
+  // within each code.
+  index.counts_.assign(n + 1, 0);
   const int32_t* codes = static_cast<const int32_t*>(column.data());
   for (uint64_t r = 0; r < rows; ++r) {
     const int32_t code = codes[r];
     AQE_CHECK(code >= 0 && code < num_codes);
-    ++index.offsets_[static_cast<size_t>(code) + 1];
+    ++index.counts_[static_cast<size_t>(code) + 1];
   }
-  for (size_t c = 1; c <= n; ++c) index.offsets_[c] += index.offsets_[c - 1];
-  index.row_ids_.resize(rows);
-  PageVector<uint64_t> cursor(index.offsets_.begin(), index.offsets_.end() - 1);
+  const uint64_t max_listed = MaxCandidateRows(rows);
+  index.listed_.assign(n + 1, 0);
+  for (size_t c = 1; c <= n; ++c) {
+    const uint32_t count = index.counts_[c];
+    index.listed_[c] = index.listed_[c - 1] + (count <= max_listed ? count : 0);
+    index.counts_[c] += index.counts_[c - 1];
+  }
+  index.row_ids_.resize(index.listed_[n]);
+  if (index.row_ids_.empty()) return index;
+  PageVector<uint32_t> cursor(index.listed_.begin(), index.listed_.end() - 1);
   for (uint64_t r = 0; r < rows; ++r) {
-    index.row_ids_[cursor[static_cast<size_t>(codes[r])]++] =
-        static_cast<uint32_t>(r);
+    const size_t code = static_cast<size_t>(codes[r]);
+    // A code present in the column is listed iff its listed span is
+    // non-empty.
+    if (index.listed_[code + 1] != index.listed_[code]) {
+      index.row_ids_[cursor[code]++] = static_cast<uint32_t>(r);
+    }
   }
   return index;
 }
 
+bool DictCodeIndex::Clamp(int64_t* lo, int64_t* hi) const {
+  *lo = std::max<int64_t>(*lo, 0);
+  *hi = std::min<int64_t>(*hi, num_codes());
+  return *lo < *hi;
+}
+
 uint64_t DictCodeIndex::CountForCodeRange(int64_t lo, int64_t hi) const {
-  lo = std::max<int64_t>(lo, 0);
-  hi = std::min<int64_t>(hi, num_codes());
-  if (lo >= hi) return 0;
-  return offsets_[static_cast<size_t>(hi)] - offsets_[static_cast<size_t>(lo)];
+  if (!Clamp(&lo, &hi)) return 0;
+  return counts_[static_cast<size_t>(hi)] - counts_[static_cast<size_t>(lo)];
+}
+
+bool DictCodeIndex::Listed(int64_t lo, int64_t hi) const {
+  if (!Clamp(&lo, &hi)) return true;
+  const auto l = static_cast<size_t>(lo);
+  const auto h = static_cast<size_t>(hi);
+  return listed_[h] - listed_[l] == counts_[h] - counts_[l];
 }
 
 void DictCodeIndex::CollectRows(int64_t lo, int64_t hi,
                                 std::vector<uint32_t>* out) const {
-  lo = std::max<int64_t>(lo, 0);
-  hi = std::min<int64_t>(hi, num_codes());
-  if (lo >= hi) return;
-  out->insert(out->end(), row_ids_.begin() + offsets_[static_cast<size_t>(lo)],
-              row_ids_.begin() + offsets_[static_cast<size_t>(hi)]);
-}
-
-const uint32_t* DictCodeIndex::RowsBegin(int32_t code) const {
-  if (code < 0 || code >= num_codes()) return row_ids_.data();
-  return row_ids_.data() + offsets_[static_cast<size_t>(code)];
-}
-
-const uint32_t* DictCodeIndex::RowsEnd(int32_t code) const {
-  if (code < 0 || code >= num_codes()) return row_ids_.data();
-  return row_ids_.data() + offsets_[static_cast<size_t>(code) + 1];
+  AQE_CHECK_MSG(Listed(lo, hi), "collecting rows of an unlisted code");
+  if (!Clamp(&lo, &hi)) return;
+  out->insert(out->end(), row_ids_.begin() + listed_[static_cast<size_t>(lo)],
+              row_ids_.begin() + listed_[static_cast<size_t>(hi)]);
 }
 
 }  // namespace aqe

@@ -10,46 +10,58 @@ namespace aqe {
 
 class Column;
 
-/// CSR inverted mapping of a dictionary-encoded column: code → the sorted
-/// row ids carrying it. Doubles as the hash index over dictionary codes
-/// (the dictionary's own hash map resolves string → code in O(1); this
-/// structure resolves code → rows in O(result)) and, because codes are
-/// grouped contiguously, as the prefix index: after Table::SortDictionaries
-/// a LIKE-prefix predicate maps to a code range [lo, hi) via
-/// Dictionary::PrefixRange, and that range's rows are one contiguous CSR
-/// slice. Built once after bulk load, possibly on a helper thread, so its
-/// arrays come from PageAllocator; immutable.
+/// CSR inverted mapping of a dictionary-encoded column: the row count of
+/// every code, and the sorted row ids of every *listed* code. A code is
+/// listed when it has at most MaxCandidateRows(rows) rows
+/// (index/access_path.h): the scan-pruning analysis drops any candidate set
+/// above that bound, so it only ever collects the rows of such codes, and
+/// listing a frequent code (l_shipmode's 14% of lineitem) would store one
+/// row id per row for nothing.
+///
+/// Doubles as the hash index over dictionary codes (the dictionary's own
+/// hash map resolves string → code in O(1); this structure resolves code →
+/// rows in O(result)) and, because codes are grouped contiguously, as the
+/// prefix index: after Table::SortDictionaries a LIKE-prefix predicate maps
+/// to a code range [lo, hi) via Dictionary::PrefixRange, and that range's
+/// rows are one contiguous CSR slice. Built once after bulk load, possibly
+/// on a helper thread, so its arrays come from PageAllocator; immutable.
 class DictCodeIndex {
  public:
   /// `column` must be the I32 code column of at most 2^32 - 1 rows (row ids
-  /// are 32-bit); `num_codes` its dictionary size.
+  /// and counts are 32-bit); `num_codes` its dictionary size.
   static DictCodeIndex Build(const Column& column, int32_t num_codes);
 
-  int32_t num_codes() const { return static_cast<int32_t>(offsets_.size()) - 1; }
-  uint64_t rows() const { return row_ids_.size(); }
+  int32_t num_codes() const { return static_cast<int32_t>(counts_.size()) - 1; }
+  /// Rows of the indexed column.
+  uint64_t rows() const { return counts_.back(); }
+  /// Row ids stored: the rows of the listed codes.
+  uint64_t listed_rows() const { return row_ids_.size(); }
 
   /// Rows carrying codes in [lo, hi), clamped to the valid code range.
-  /// O(1) — offsets difference.
+  /// O(1) — a prefix-sum difference; exact for every code, listed or not.
   uint64_t CountForCodeRange(int64_t lo, int64_t hi) const;
 
-  /// Appends the rows carrying codes in [lo, hi) to `out`. Rows are
-  /// ascending per code but NOT across codes — the caller sorts once after
-  /// collecting all candidate rows.
+  /// Whether every code in [lo, hi) (clamped) has its rows listed. O(1).
+  bool Listed(int64_t lo, int64_t hi) const;
+
+  /// Appends the rows carrying codes in [lo, hi) to `out`; every code in
+  /// the range must be listed (CHECKed). Rows are ascending per code but
+  /// NOT across codes — the caller sorts once after collecting all
+  /// candidate rows.
   void CollectRows(int64_t lo, int64_t hi, std::vector<uint32_t>* out) const;
 
-  /// Row ids carrying exactly `code` (ascending); empty span for codes
-  /// outside [0, num_codes).
-  const uint32_t* RowsBegin(int32_t code) const;
-  const uint32_t* RowsEnd(int32_t code) const;
-
   uint64_t approx_bytes() const {
-    return offsets_.size() * sizeof(uint64_t) +
-           row_ids_.size() * sizeof(uint32_t);
+    return (counts_.size() + listed_.size() + row_ids_.size()) *
+           sizeof(uint32_t);
   }
 
  private:
-  PageVector<uint64_t> offsets_;  ///< size num_codes + 1
-  PageVector<uint32_t> row_ids_;  ///< grouped by code, ascending within
+  /// Clamps [lo, hi) to the code range; false when it is empty.
+  bool Clamp(int64_t* lo, int64_t* hi) const;
+
+  PageVector<uint32_t> counts_;   ///< row-count prefix sums, num_codes + 1
+  PageVector<uint32_t> listed_;   ///< listed-row prefix sums, num_codes + 1
+  PageVector<uint32_t> row_ids_;  ///< grouped by listed code, ascending within
 };
 
 }  // namespace aqe

@@ -10,9 +10,9 @@ namespace aqe {
 
 struct LikePredicate;
 
-/// Value types inside query expressions. Integer columns (i32 dates, dict
-/// codes, i64 keys/decimals) are widened to I64 at scan time; comparisons
-/// produce Bool; floating point is F64.
+/// Value types inside query expressions. Integer columns (dates, dict codes,
+/// keys and decimals, stored as i32 or i64) are widened to I64 at scan
+/// time; comparisons produce Bool; floating point is F64.
 enum class ExprType : uint8_t { kI64, kF64, kBool };
 
 /// Expression node kinds.

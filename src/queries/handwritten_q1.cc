@@ -12,11 +12,13 @@ namespace aqe {
 
 std::vector<std::vector<int64_t>> HandwrittenQ1(const Catalog& catalog) {
   const Table* li = catalog.GetTable("lineitem");
-  const auto* qty = static_cast<const int64_t*>(li->column("l_quantity").data());
+  // Decimals are stored as int32 cents; each is widened to int64 on load,
+  // since price * (100 - disc) * (100 + tax) overflows 32 bits.
+  const auto* qty = static_cast<const int32_t*>(li->column("l_quantity").data());
   const auto* price =
-      static_cast<const int64_t*>(li->column("l_extendedprice").data());
-  const auto* disc = static_cast<const int64_t*>(li->column("l_discount").data());
-  const auto* tax = static_cast<const int64_t*>(li->column("l_tax").data());
+      static_cast<const int32_t*>(li->column("l_extendedprice").data());
+  const auto* disc = static_cast<const int32_t*>(li->column("l_discount").data());
+  const auto* tax = static_cast<const int32_t*>(li->column("l_tax").data());
   const auto* rf = static_cast<const int32_t*>(li->column("l_returnflag").data());
   const auto* ls = static_cast<const int32_t*>(li->column("l_linestatus").data());
   const auto* sd = static_cast<const int32_t*>(li->column("l_shipdate").data());
@@ -36,12 +38,16 @@ std::vector<std::vector<int64_t>> HandwrittenQ1(const Catalog& catalog) {
   for (uint64_t i = 0; i < rows; ++i) {
     if (sd[i] > cutoff) continue;
     Group& g = groups[rf[i] * 4 + ls[i]];
-    g.sum_qty += qty[i];
-    g.sum_price += price[i];
-    int64_t disc_price = price[i] * (100 - disc[i]);
+    const int64_t q = qty[i];
+    const int64_t p = price[i];
+    const int64_t d = disc[i];
+    const int64_t t = tax[i];
+    g.sum_qty += q;
+    g.sum_price += p;
+    int64_t disc_price = p * (100 - d);
     g.sum_disc_price += disc_price;
-    g.sum_charge += disc_price * (100 + tax[i]);
-    g.sum_disc += disc[i];
+    g.sum_charge += disc_price * (100 + t);
+    g.sum_disc += d;
     g.count += 1;
   }
 

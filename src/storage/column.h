@@ -11,8 +11,9 @@
 namespace aqe {
 
 /// Column value types. Strings are dictionary-encoded as I32 codes; dates are
-/// I32 days since 1970-01-01; decimals are I64 scaled by 100 (see
-/// common/fixed_point.h).
+/// I32 days since 1970-01-01; decimals are integers scaled by 100 (see
+/// common/fixed_point.h), stored in the narrowest type their range fits —
+/// I32 for every TPC-H key and decimal. Scans widen every integer to i64.
 enum class DataType : uint8_t {
   kI32,
   kI64,

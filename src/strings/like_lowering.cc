@@ -72,8 +72,7 @@ LoweredLike LowerLikePredicate(QueryProgram* program, const Table& table,
       if (text_it->second.CandidateCodes(pattern, &candidates)) {
         uint64_t candidate_rows = 0;
         for (const int32_t code : candidates) {
-          candidate_rows += static_cast<uint64_t>(
-              csr_it->second.RowsEnd(code) - csr_it->second.RowsBegin(code));
+          candidate_rows += csr_it->second.CountForCodeRange(code, code + 1);
         }
         index_usable = true;
         index_selectivity = static_cast<double>(candidate_rows) /

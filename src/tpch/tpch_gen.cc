@@ -3,6 +3,7 @@
 #include <array>
 #include <cstdio>
 #include <iterator>
+#include <limits>
 #include <string>
 
 #include "common/fork_join.h"
@@ -66,6 +67,16 @@ std::array<int32_t, N> RegisterAll(Dictionary* dict,
   return codes;
 }
 
+/// Appends a generated key or decimal to its 32-bit column (see
+/// CreateTpchSchema). Every value fits up to SF 357; past that the load
+/// stops here rather than truncate.
+void AppendNarrowed(Column* column, int64_t value) {
+  AQE_CHECK_MSG(value >= std::numeric_limits<int32_t>::min() &&
+                    value <= std::numeric_limits<int32_t>::max(),
+                "TPC-H value exceeds its 32-bit column (SF > 357)");
+  column->AppendI32(static_cast<int32_t>(value));
+}
+
 void GenRegionNation(Catalog* catalog) {
   Table* region = catalog->GetTable("region");
   for (int i = 0; i < 5; ++i) {
@@ -86,9 +97,10 @@ void GenSupplier(Catalog* catalog, uint64_t count, Random* rng) {
   Column& nationkey = t->column("s_nationkey");
   Column& acctbal = t->column("s_acctbal");
   for (uint64_t i = 0; i < count; ++i) {
-    suppkey.AppendI64(static_cast<int64_t>(i) + 1);
+    AppendNarrowed(&suppkey, static_cast<int64_t>(i) + 1);
     nationkey.AppendI32(static_cast<int32_t>(rng->NextBelow(25)));
-    acctbal.AppendI64(rng->NextRange(-99999, 999999));  // -999.99..9999.99
+    // -999.99..9999.99
+    AppendNarrowed(&acctbal, rng->NextRange(-99999, 999999));
   }
 }
 
@@ -102,7 +114,7 @@ void GenCustomer(Catalog* catalog, uint64_t count, Random* rng) {
   Dictionary& seg_dict = t->dictionary(t->ColumnIndex("c_mktsegment"));
   char buf[32];
   for (uint64_t i = 0; i < count; ++i) {
-    custkey.AppendI64(static_cast<int64_t>(i) + 1);
+    AppendNarrowed(&custkey, static_cast<int64_t>(i) + 1);
     std::snprintf(buf, sizeof(buf), "Customer#%09llu",
                   static_cast<unsigned long long>(i + 1));
     name.AppendI32(name_dict.GetOrAdd(buf));
@@ -124,7 +136,7 @@ void GenPart(Catalog* catalog, uint64_t count, Random* rng) {
   Dictionary& cont_dict = t->dictionary(t->ColumnIndex("p_container"));
   char buf[64];
   for (uint64_t i = 0; i < count; ++i) {
-    partkey.AppendI64(static_cast<int64_t>(i) + 1);
+    AppendNarrowed(&partkey, static_cast<int64_t>(i) + 1);
     std::snprintf(buf, sizeof(buf), "Brand#%llu%llu",
                   static_cast<unsigned long long>(rng->NextBelow(5) + 1),
                   static_cast<unsigned long long>(rng->NextBelow(5) + 1));
@@ -141,7 +153,7 @@ void GenPart(Catalog* catalog, uint64_t count, Random* rng) {
     container.AppendI32(cont_dict.GetOrAdd(buf));
     // p_retailprice per spec: 90000 + (partkey/10 mod 20001) + 100*(partkey mod 1000), /100.
     int64_t pk = static_cast<int64_t>(i) + 1;
-    retail.AppendI64(90000 + (pk / 10) % 20001 + 100 * (pk % 1000));
+    AppendNarrowed(&retail, 90000 + (pk / 10) % 20001 + 100 * (pk % 1000));
   }
 }
 
@@ -154,13 +166,14 @@ void GenPartsupp(Catalog* catalog, uint64_t part_count, uint64_t supp_count,
   Column& ps_supplycost = t->column("ps_supplycost");
   for (uint64_t p = 1; p <= part_count; ++p) {
     for (int s = 0; s < 4; ++s) {
-      ps_partkey.AppendI64(static_cast<int64_t>(p));
+      AppendNarrowed(&ps_partkey, static_cast<int64_t>(p));
       // Spec formula spreads the 4 suppliers of a part across the range.
       uint64_t sk = (p + s * (supp_count / 4 + (p - 1) / supp_count)) %
                         supp_count + 1;
-      ps_suppkey.AppendI64(static_cast<int64_t>(sk));
+      AppendNarrowed(&ps_suppkey, static_cast<int64_t>(sk));
       ps_availqty.AppendI32(static_cast<int32_t>(rng->NextBelow(9999)) + 1);
-      ps_supplycost.AppendI64(rng->NextRange(100, 100000));  // 1.00..1000.00
+      // 1.00..1000.00
+      AppendNarrowed(&ps_supplycost, rng->NextRange(100, 100000));
     }
   }
 }
@@ -256,14 +269,14 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
       const bool open = sdate > current_date;
       if (!open) ++f_lines;
 
-      l_orderkey.AppendI64(okey);
-      l_partkey.AppendI64(pk);
-      l_suppkey.AppendI64(sk);
+      AppendNarrowed(&l_orderkey, okey);
+      AppendNarrowed(&l_partkey, pk);
+      AppendNarrowed(&l_suppkey, sk);
       l_linenumber.AppendI32(ln + 1);
-      l_quantity.AppendI64(qty_units * 100);
-      l_extendedprice.AppendI64(eprice);
-      l_discount.AppendI64(discount);
-      l_tax.AppendI64(tax);
+      AppendNarrowed(&l_quantity, qty_units * 100);
+      AppendNarrowed(&l_extendedprice, eprice);
+      AppendNarrowed(&l_discount, discount);
+      AppendNarrowed(&l_tax, tax);
       l_returnflag.AppendI32(rflag);
       l_linestatus.AppendI32(open ? line_o : line_f);
       l_shipdate.AppendI32(sdate);
@@ -275,10 +288,11 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
     }
     const int32_t ostatus =
         f_lines == lines ? status_f : (f_lines == 0 ? status_o : status_p);
-    o_orderkey.AppendI64(okey);
-    o_custkey.AppendI64(static_cast<int64_t>(rng->NextBelow(cust_count)) + 1);
+    AppendNarrowed(&o_orderkey, okey);
+    AppendNarrowed(&o_custkey,
+                   static_cast<int64_t>(rng->NextBelow(cust_count)) + 1);
     o_orderstatus.AppendI32(ostatus);
-    o_totalprice.AppendI64(total);
+    AppendNarrowed(&o_totalprice, total);
     o_orderdate.AppendI32(odate);
     o_orderpriority.AppendI32(prio_code[rng->NextBelow(5)]);
     o_shippriority.AppendI32(0);

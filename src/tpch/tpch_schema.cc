@@ -30,6 +30,11 @@ void DaysToDate(int32_t days, int* year, int* month, int* day) {
   *year = y + (*month <= 2);
 }
 
+// Every column is 32-bit: keys, dates, dictionary codes and decimals (cents;
+// the largest, o_totalprice, stays under 73.5 M). The largest key,
+// o_orderkey, is about 6 M x SF, so the catalog fits up to SF 357, and the
+// generator checks every narrowed value. Scans widen each value to i64, so
+// query expressions never see the storage width.
 void CreateTpchSchema(Catalog* catalog) {
   Table* region = catalog->CreateTable("region");
   region->AddColumn("r_regionkey", DataType::kI32);
@@ -41,35 +46,35 @@ void CreateTpchSchema(Catalog* catalog) {
   nation->AddColumn("n_regionkey", DataType::kI32);
 
   Table* supplier = catalog->CreateTable("supplier");
-  supplier->AddColumn("s_suppkey", DataType::kI64);
+  supplier->AddColumn("s_suppkey", DataType::kI32);
   supplier->AddColumn("s_nationkey", DataType::kI32);
-  supplier->AddColumn("s_acctbal", DataType::kI64);  // decimal
+  supplier->AddColumn("s_acctbal", DataType::kI32);  // decimal
 
   Table* customer = catalog->CreateTable("customer");
-  customer->AddColumn("c_custkey", DataType::kI64);
+  customer->AddColumn("c_custkey", DataType::kI32);
   customer->AddColumn("c_name", DataType::kI32, /*dictionary=*/true);
   customer->AddColumn("c_nationkey", DataType::kI32);
   customer->AddColumn("c_mktsegment", DataType::kI32, /*dictionary=*/true);
 
   Table* part = catalog->CreateTable("part");
-  part->AddColumn("p_partkey", DataType::kI64);
+  part->AddColumn("p_partkey", DataType::kI32);
   part->AddColumn("p_brand", DataType::kI32, /*dictionary=*/true);
   part->AddColumn("p_type", DataType::kI32, /*dictionary=*/true);
   part->AddColumn("p_size", DataType::kI32);
   part->AddColumn("p_container", DataType::kI32, /*dictionary=*/true);
-  part->AddColumn("p_retailprice", DataType::kI64);  // decimal
+  part->AddColumn("p_retailprice", DataType::kI32);  // decimal
 
   Table* partsupp = catalog->CreateTable("partsupp");
-  partsupp->AddColumn("ps_partkey", DataType::kI64);
-  partsupp->AddColumn("ps_suppkey", DataType::kI64);
+  partsupp->AddColumn("ps_partkey", DataType::kI32);
+  partsupp->AddColumn("ps_suppkey", DataType::kI32);
   partsupp->AddColumn("ps_availqty", DataType::kI32);
-  partsupp->AddColumn("ps_supplycost", DataType::kI64);  // decimal
+  partsupp->AddColumn("ps_supplycost", DataType::kI32);  // decimal
 
   Table* orders = catalog->CreateTable("orders");
-  orders->AddColumn("o_orderkey", DataType::kI64);
-  orders->AddColumn("o_custkey", DataType::kI64);
+  orders->AddColumn("o_orderkey", DataType::kI32);
+  orders->AddColumn("o_custkey", DataType::kI32);
   orders->AddColumn("o_orderstatus", DataType::kI32, /*dictionary=*/true);
-  orders->AddColumn("o_totalprice", DataType::kI64);  // decimal
+  orders->AddColumn("o_totalprice", DataType::kI32);  // decimal
   orders->AddColumn("o_orderdate", DataType::kI32);
   orders->AddColumn("o_orderpriority", DataType::kI32, /*dictionary=*/true);
   orders->AddColumn("o_shippriority", DataType::kI32);
@@ -79,14 +84,14 @@ void CreateTpchSchema(Catalog* catalog) {
   orders->AddColumn("o_comment", DataType::kI32, /*dictionary=*/true);
 
   Table* lineitem = catalog->CreateTable("lineitem");
-  lineitem->AddColumn("l_orderkey", DataType::kI64);
-  lineitem->AddColumn("l_partkey", DataType::kI64);
-  lineitem->AddColumn("l_suppkey", DataType::kI64);
+  lineitem->AddColumn("l_orderkey", DataType::kI32);
+  lineitem->AddColumn("l_partkey", DataType::kI32);
+  lineitem->AddColumn("l_suppkey", DataType::kI32);
   lineitem->AddColumn("l_linenumber", DataType::kI32);
-  lineitem->AddColumn("l_quantity", DataType::kI64);       // decimal
-  lineitem->AddColumn("l_extendedprice", DataType::kI64);  // decimal
-  lineitem->AddColumn("l_discount", DataType::kI64);       // decimal
-  lineitem->AddColumn("l_tax", DataType::kI64);            // decimal
+  lineitem->AddColumn("l_quantity", DataType::kI32);       // decimal
+  lineitem->AddColumn("l_extendedprice", DataType::kI32);  // decimal
+  lineitem->AddColumn("l_discount", DataType::kI32);       // decimal
+  lineitem->AddColumn("l_tax", DataType::kI32);            // decimal
   lineitem->AddColumn("l_returnflag", DataType::kI32, /*dictionary=*/true);
   lineitem->AddColumn("l_linestatus", DataType::kI32, /*dictionary=*/true);
   lineitem->AddColumn("l_shipdate", DataType::kI32);

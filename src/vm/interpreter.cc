@@ -97,6 +97,10 @@ uint64_t DispatchN(uint64_t target, const uint64_t* a, uint32_t n) {
 #define LCB_U64(inst)                                                        \
   (*reinterpret_cast<const uint64_t*>(R_PTR((inst)->a2) +                    \
                                       R_I64((inst)->a3) * 8))
+/// The i32 element sign-extended to i64 (br_load_sext_*), and its unsigned
+/// view for the unsigned predicates.
+#define LCB_SX(inst) static_cast<int64_t>(LCB_I32(inst))
+#define LCB_SXU(inst) static_cast<uint64_t>(LCB_SX(inst))
 
 /// Double view of a literal-pool immediate (br_*_f64_imm).
 inline double BitsToDouble(uint64_t bits) {
@@ -230,6 +234,8 @@ void InitRegisters(const BcProgram& program, const uint64_t* args,
 #undef LCB_U32
 #undef LCB_I64
 #undef LCB_U64
+#undef LCB_SX
+#undef LCB_SXU
 
 constexpr uint32_t kStackRegisterBytes = 16384;
 

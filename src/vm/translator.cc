@@ -44,6 +44,18 @@ struct FusedOverflow {
   const llvm::BasicBlock* continue_block = nullptr;
 };
 
+/// The indexed load a fused compare swallows (br_load_*), and the sign
+/// extension between them when the compare reads the load widened to i64
+/// (br_load_sext_*).
+struct FusedCmpLoad {
+  const llvm::LoadInst* load = nullptr;
+  const llvm::Instruction* sext = nullptr;  // may be null
+  /// The compare operand the pair replaces.
+  const llvm::Value* operand() const {
+    return sext != nullptr ? static_cast<const llvm::Value*>(sext) : load;
+  }
+};
+
 /// The Fig 9 translator. One instance per function; linear passes only.
 class Translator {
  public:
@@ -64,6 +76,7 @@ class Translator {
   void PlanCmpBranchFusion();
   void PlanBranchChainFusion();
   void PlanLoadCmpBranchFusion();
+  void PlanWideningLoads();
   void CountBlockLocalUses();
   void BuildRangeLists();
 
@@ -113,6 +126,8 @@ class Translator {
   void TranslateFCmp(const llvm::FCmpInst& cmp);
   void TranslateCast(const llvm::CastInst& cast);
   void TranslateLoad(const llvm::LoadInst& load);
+  void TranslateWideningLoad(const llvm::CastInst& sext,
+                             const llvm::LoadInst& load);
   void TranslateStore(const llvm::StoreInst& store);
   void TranslateGep(const llvm::GetElementPtrInst& gep);
   void TranslateCall(const llvm::CallInst& call);
@@ -169,10 +184,14 @@ class Translator {
   /// Single-use compares fused into their block's condbr (compare-and-branch
   /// superinstructions); value = the fused opcode.
   llvm::DenseMap<const llvm::Instruction*, Opcode> fused_cmp_;
-  /// Fused compares whose indexed-load operand additionally folds into the
-  /// superinstruction (br_load_*); value = the subsumed load.
+  /// Fused compares whose indexed-load operand (possibly sign-extended)
+  /// additionally folds into the superinstruction (br_load_*,
+  /// br_load_sext_*); value = the subsumed load and sext.
+  llvm::DenseMap<const llvm::Instruction*, FusedCmpLoad> fused_cmp_load_;
+  /// Sign extensions that emit one widening load (load_idx_sext_i32_i64);
+  /// value = their subsumed i32 load.
   llvm::DenseMap<const llvm::Instruction*, const llvm::LoadInst*>
-      fused_cmp_load_;
+      widening_loads_;
   /// Conditional branches whose condition is a single-use same-block and-tree
   /// of i1 predicates: the terminator emits a short-circuit chain of
   /// branches (one per leaf, in source order) instead of materializing the
@@ -320,25 +339,31 @@ bool ImmCmpBranchOpcode(Opcode op, Opcode* out) {
 }
 
 /// Maps a fused compare-and-branch opcode to the form that also swallows the
-/// compare's indexed load (br_load_*, reg or imm RHS). Only the integer
-/// forms exist: the load supplies the LHS, and f64 loads keep the two-op
-/// path (no br_load_*_f64 — scan filters compare integer columns).
-bool LoadCmpBranchOpcode(Opcode op, bool imm, Opcode* out) {
+/// compare's indexed load (br_load_*, reg or imm RHS) or, with `sext`, the
+/// load and its sign extension to i64 (br_load_sext_*, i64 compares only).
+/// Only the integer forms exist: the load supplies the LHS, and f64 loads
+/// keep the two-op path (no br_load_*_f64 — scan filters compare integer
+/// columns).
+bool LoadCmpBranchOpcode(Opcode op, bool imm, bool sext, Opcode* out) {
   switch (op) {
-#define AQE_LCB_CASE(pred)                                              \
-  case Opcode::k_br_##pred:                                             \
-    *out = imm ? Opcode::k_br_load_##pred##_imm : Opcode::k_br_load_##pred; \
+#define AQE_LCB_CASE(pred)                                                  \
+  case Opcode::k_br_##pred##_i32:                                           \
+    if (sext) return false;                                                 \
+    *out = imm ? Opcode::k_br_load_##pred##_i32_imm                         \
+               : Opcode::k_br_load_##pred##_i32;                            \
+    return true;                                                            \
+  case Opcode::k_br_##pred##_i64:                                           \
+    if (sext) {                                                             \
+      *out = imm ? Opcode::k_br_load_sext_##pred##_i64_imm                  \
+                 : Opcode::k_br_load_sext_##pred##_i64;                     \
+    } else {                                                                \
+      *out = imm ? Opcode::k_br_load_##pred##_i64_imm                       \
+                 : Opcode::k_br_load_##pred##_i64;                          \
+    }                                                                       \
     return true;
-    AQE_LCB_CASE(eq_i32) AQE_LCB_CASE(eq_i64)
-    AQE_LCB_CASE(ne_i32) AQE_LCB_CASE(ne_i64)
-    AQE_LCB_CASE(slt_i32) AQE_LCB_CASE(slt_i64)
-    AQE_LCB_CASE(sle_i32) AQE_LCB_CASE(sle_i64)
-    AQE_LCB_CASE(sgt_i32) AQE_LCB_CASE(sgt_i64)
-    AQE_LCB_CASE(sge_i32) AQE_LCB_CASE(sge_i64)
-    AQE_LCB_CASE(ult_i32) AQE_LCB_CASE(ult_i64)
-    AQE_LCB_CASE(ule_i32) AQE_LCB_CASE(ule_i64)
-    AQE_LCB_CASE(ugt_i32) AQE_LCB_CASE(ugt_i64)
-    AQE_LCB_CASE(uge_i32) AQE_LCB_CASE(uge_i64)
+    AQE_LCB_CASE(eq) AQE_LCB_CASE(ne)
+    AQE_LCB_CASE(slt) AQE_LCB_CASE(sle) AQE_LCB_CASE(sgt) AQE_LCB_CASE(sge)
+    AQE_LCB_CASE(ult) AQE_LCB_CASE(ule) AQE_LCB_CASE(ugt) AQE_LCB_CASE(uge)
 #undef AQE_LCB_CASE
     default: return false;
   }
@@ -449,9 +474,12 @@ void Translator::PlanLoadCmpBranchFusion() {
   // Third superinstruction tier: a compare already planned for
   // compare-and-branch fusion whose LHS (or, mirrored, RHS) is a single-use
   // indexed load of the matching width folds the load in too — the exact
-  // `buf[i] <pred> x` shape of every scan-filter loop. The br_load_*
-  // encoding has no scale/offset field (lit carries the branch targets), so
-  // only the implied-scale, zero-offset GEP shape qualifies.
+  // `buf[i] <pred> x` shape of every scan-filter loop. A 32-bit column
+  // reaches the compare through the scan's widening `sext i32 -> i64`; a
+  // single-use sext of such a load folds in as well (br_load_sext_*), so a
+  // narrow column filters in one dispatch too. The br_load_* encoding has
+  // no scale/offset field (lit carries the branch targets), so only the
+  // implied-scale, zero-offset GEP shape qualifies.
   if (!options_.fuse_macro_ops || !options_.fuse_cmp_branches ||
       !options_.fuse_load_cmp_branches) {
     return;
@@ -459,14 +487,24 @@ void Translator::PlanLoadCmpBranchFusion() {
   for (const auto& [cmp_inst, op] : fused_cmp_) {
     const auto* cmp = llvm::cast<llvm::CmpInst>(cmp_inst);
     const llvm::BasicBlock* bb = cmp->getParent();
-    auto fusable_load = [&](const llvm::Value* v) -> const llvm::LoadInst* {
+    auto fusable_load = [&](const llvm::Value* v) -> FusedCmpLoad {
+      FusedCmpLoad fused;
+      if (const auto* sext = llvm::dyn_cast<llvm::SExtInst>(v)) {
+        if (sext->getParent() != bb || !sext->hasOneUse() ||
+            !sext->getType()->isIntegerTy(64) ||
+            !sext->getOperand(0)->getType()->isIntegerTy(32)) {
+          return {};
+        }
+        fused.sext = sext;
+        v = sext->getOperand(0);
+      }
       const auto* load = llvm::dyn_cast<llvm::LoadInst>(v);
       if (load == nullptr || load->getParent() != bb || !load->hasOneUse() ||
           subsumed_.contains(load)) {
-        return nullptr;
+        return {};
       }
       const llvm::Type* ty = load->getType();
-      if (!ty->isIntegerTy(32) && !ty->isIntegerTy(64)) return nullptr;
+      if (!ty->isIntegerTy(32) && !ty->isIntegerTy(64)) return {};
       const auto* gep =
           llvm::dyn_cast<llvm::GetElementPtrInst>(load->getPointerOperand());
       // Only an already-fused single-index GEP whose element type equals the
@@ -475,33 +513,73 @@ void Translator::PlanLoadCmpBranchFusion() {
       if (gep == nullptr || !subsumed_.contains(gep) ||
           gep->getNumIndices() != 1 || gep->getSourceElementType() != ty ||
           llvm::isa<llvm::ConstantInt>(gep->getOperand(1))) {
-        return nullptr;
+        return {};
       }
       // Fusing moves the load's read to the terminator; nothing in between
       // may write memory.
       for (const llvm::Instruction* cur = load->getNextNode();
            cur != bb->getTerminator(); cur = cur->getNextNode()) {
-        if (cur->mayWriteToMemory()) return nullptr;
+        if (cur->mayWriteToMemory()) return {};
       }
-      return load;
+      fused.load = load;
+      return fused;
     };
     Opcode effective = op;
-    const llvm::LoadInst* load = fusable_load(cmp->getOperand(0));
-    if (load == nullptr) {
+    FusedCmpLoad fused = fusable_load(cmp->getOperand(0));
+    if (fused.load == nullptr) {
       // A load on the RHS works through the mirrored predicate
       // (x < buf[i]  ==  buf[i] > x).
       Opcode mirrored;
       if (MirrorCmpBranchOpcode(op, &mirrored)) {
         effective = mirrored;
-        load = fusable_load(cmp->getOperand(1));
+        fused = fusable_load(cmp->getOperand(1));
       }
     }
     Opcode unused;
-    if (load == nullptr || !LoadCmpBranchOpcode(effective, false, &unused)) {
+    if (fused.load == nullptr ||
+        !LoadCmpBranchOpcode(effective, false, fused.sext != nullptr,
+                             &unused)) {
       continue;
     }
-    fused_cmp_load_[cmp] = load;
-    subsumed_.insert(load);  // the terminator performs the load
+    fused_cmp_load_[cmp] = fused;
+    // The terminator performs the load (and the widening).
+    subsumed_.insert(fused.load);
+    if (fused.sext != nullptr) subsumed_.insert(fused.sext);
+  }
+}
+
+void Translator::PlanWideningLoads() {
+  // A scan widens every 32-bit column value right after loading it
+  // (operator_codegen: `sext (load i32 (gep base, i))`), which would cost a
+  // load_idx_i32 and a sext_i32_i64 dispatch per value. When the sext is
+  // the fused-GEP load's only user, the sext emits one widening load
+  // instead and the load vanishes. The read moves to the sext, so nothing
+  // in between may write memory. Sexts already folded into a br_load_sext_*
+  // have their load subsumed and are skipped.
+  if (!options_.fuse_macro_ops) return;
+  for (const llvm::BasicBlock& bb : fn_) {
+    if (cfg_.LabelOf(&bb) < 0) continue;
+    for (const llvm::Instruction& inst : bb) {
+      const auto* sext = llvm::dyn_cast<llvm::SExtInst>(&inst);
+      if (sext == nullptr || !sext->getType()->isIntegerTy(64)) continue;
+      const auto* load = llvm::dyn_cast<llvm::LoadInst>(sext->getOperand(0));
+      if (load == nullptr || load->getParent() != &bb ||
+          !load->getType()->isIntegerTy(32) || !load->hasOneUse() ||
+          subsumed_.contains(load)) {
+        continue;
+      }
+      const auto* gep =
+          llvm::dyn_cast<llvm::GetElementPtrInst>(load->getPointerOperand());
+      if (gep == nullptr || !subsumed_.contains(gep)) continue;
+      bool clean = true;
+      for (const llvm::Instruction* cur = load->getNextNode(); cur != sext;
+           cur = cur->getNextNode()) {
+        clean &= !cur->mayWriteToMemory();
+      }
+      if (!clean) continue;
+      widening_loads_[sext] = load;
+      subsumed_.insert(load);
+    }
   }
 }
 
@@ -830,6 +908,10 @@ void Translator::TranslateFCmp(const llvm::FCmpInst& cmp) {
 }
 
 void Translator::TranslateCast(const llvm::CastInst& cast) {
+  if (const llvm::LoadInst* load = widening_loads_.lookup(&cast)) {
+    TranslateWideningLoad(cast, *load);
+    return;
+  }
   TypeClass from = ClassifyType(cast.getSrcTy());
   TypeClass to = ClassifyType(cast.getDestTy());
   uint32_t a2 = UseReg(cast.getOperand(0));
@@ -964,6 +1046,19 @@ void Translator::TranslateLoad(const llvm::LoadInst& load) {
     case TypeClass::kF64: op = Opcode::k_load_f64; break;
   }
   Emit(op, a1, addr, 0, 0);
+}
+
+void Translator::TranslateWideningLoad(const llvm::CastInst& sext,
+                                       const llvm::LoadInst& load) {
+  GepParts parts = DecomposeGep(
+      *llvm::cast<llvm::GetElementPtrInst>(load.getPointerOperand()));
+  uint32_t base = UseReg(parts.base);
+  // A constant index is already folded into the offset (scale 0); slot 0
+  // holds the index 0.
+  uint32_t idx = parts.index != nullptr ? UseReg(parts.index) : 0;
+  Emit(Opcode::k_load_idx_sext_i32_i64, value_reg_.lookup(&sext), base, idx,
+       PackScaleOffset(parts.scale, parts.offset));
+  program_.fused_instructions += 2;  // gep + load folded into the sext
 }
 
 void Translator::TranslateStore(const llvm::StoreInst& store) {
@@ -1242,12 +1337,15 @@ uint32_t Translator::EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op) {
   const llvm::Value* lhs = cmp->getOperand(0);
   const llvm::Value* rhs = cmp->getOperand(1);
   uint32_t index;
-  const llvm::LoadInst* fused_load = fused_cmp_load_.lookup(cmp);
-  if (fused_load != nullptr) {
-    // Load-compare-and-branch tier: the load supplies the LHS (mirrored
-    // into place if it was the RHS); a2/a3 carry the subsumed GEP's
-    // base/index, a1 the RHS register or literal-pool index.
-    if (lhs != fused_load) {
+  const auto fused_it = fused_cmp_load_.find(cmp);
+  if (fused_it != fused_cmp_load_.end()) {
+    // Load-compare-and-branch tier: the load (or its sign extension)
+    // supplies the LHS (mirrored into place if it was the RHS); a2/a3 carry
+    // the subsumed GEP's base/index, a1 the RHS register or literal-pool
+    // index.
+    const FusedCmpLoad& fused = fused_it->second;
+    const bool sext = fused.sext != nullptr;
+    if (lhs != fused.operand()) {
       Opcode mirrored;
       AQE_CHECK(MirrorCmpBranchOpcode(op, &mirrored));
       op = mirrored;
@@ -1258,21 +1356,22 @@ uint32_t Translator::EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op) {
                          FusableImmediateBits(rhs, &imm_bits) &&
                          imm_bits != 0 && imm_bits != 1;
     const auto* gep = llvm::cast<llvm::GetElementPtrInst>(
-        fused_load->getPointerOperand());
+        fused.load->getPointerOperand());
     GepParts parts = DecomposeGep(*gep);
     uint32_t base = UseReg(parts.base);
     uint32_t idx = UseReg(parts.index);
     Opcode load_op;
-    if (has_imm && LoadCmpBranchOpcode(op, /*imm=*/true, &load_op) &&
+    if (has_imm && LoadCmpBranchOpcode(op, /*imm=*/true, sext, &load_op) &&
         program_.literal_pool.size() < 0xFFFF) {
       uint64_t pool_index = program_.AddPrivateLiteral(imm_bits);
       index = Emit(load_op, static_cast<uint32_t>(pool_index), base, idx);
       ++program_.fused_cmp_branch_imms;
     } else {
-      AQE_CHECK(LoadCmpBranchOpcode(op, /*imm=*/false, &load_op));
+      AQE_CHECK(LoadCmpBranchOpcode(op, /*imm=*/false, sext, &load_op));
       index = Emit(load_op, UseReg(rhs), base, idx);
     }
-    program_.fused_instructions += 3;  // gep + load + compare folded
+    // gep + load (+ sext) + compare folded
+    program_.fused_instructions += sext ? 4 : 3;
     ++program_.fused_cmp_branches;
     ++program_.fused_load_cmp_branches;
   } else {
@@ -1531,6 +1630,7 @@ BcProgram Translator::Run() {
   PlanCmpBranchFusion();
   PlanBranchChainFusion();  // may add to fused_cmp_, so before load planning
   PlanLoadCmpBranchFusion();
+  PlanWideningLoads();  // after load planning, which may take the same sext
   CountBlockLocalUses();
   BuildRangeLists();
   block_start_.assign(static_cast<size_t>(cfg_.num_blocks()), 0);

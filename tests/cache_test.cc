@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <mutex>
@@ -196,6 +197,26 @@ TEST_F(CacheTest, LiteralVariantPatchesBytecode) {
   // relaxed variant filter must see at least the standard revenue.
   auto standard_rows = Uncached(&engine, standard);
   EXPECT_NE(warm.rows, standard_rows);
+
+  // The shared program compares 32-bit columns through sign-extending
+  // superinstructions, whose i64 immediates are literal-pool patch slots
+  // like any other (Q6's quantity limit is one).
+  auto entry = engine.artifact_cache().Peek(
+      ArtifactCacheKey(FingerprintProgram(standard), options.translator));
+  ASSERT_NE(entry, nullptr);
+  std::lock_guard<std::mutex> lock(entry->mu);
+  const PipelineArtifact& artifact = entry->pipelines[0];
+  ASSERT_NE(artifact.bytecode, nullptr);
+  EXPECT_TRUE(artifact.patchable);
+  EXPECT_NE(artifact.bytecode->Disassemble().find("br_load_sext_slt_i64_imm"),
+            std::string::npos);
+  EXPECT_GE(std::count_if(artifact.patch_slots.begin(),
+                          artifact.patch_slots.end(),
+                          [](uint32_t slot) {
+                            return slot != ConstantPatchTable::kPinned &&
+                                   (slot & ConstantPatchTable::kLiteralPoolBit);
+                          }),
+            1);
 }
 
 TEST_F(CacheTest, CachedStaticModesSkipCompilation) {

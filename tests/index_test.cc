@@ -170,7 +170,7 @@ TEST(MorselQueueDomainTest, ShardedDomainCoversEverythingOnce) {
 /// Synthetic table: `id` ascending (clustered), `val` = id % 1000
 /// (uniform, unprunable), `s` a dictionary comment column where every
 /// kSpecialStride-th row says "special requests pending" and the rest cycle
-/// filler phrases. The stride exceeds AccessPathOptions::merge_gap_rows, so
+/// filler phrases. The stride exceeds kMergeGapRows, so
 /// candidate rows stay separate ranges instead of merging into one dense
 /// scan (hits closer than the merge gap are *deliberately* not prunable).
 struct IndexedTable {
@@ -244,20 +244,86 @@ TEST(DictCodeIndexTest, RowsGroupedByCodeAndCountsMatch) {
   EXPECT_EQ(csr.rows(), IndexedTable::kRows);
   EXPECT_EQ(csr.num_codes(), t.table->dictionary(t.s_col).size());
   EXPECT_EQ(csr.CountForCodeRange(0, csr.num_codes()), IndexedTable::kRows);
+  // Every code is rare here, so every row is listed.
+  EXPECT_EQ(csr.listed_rows(), IndexedTable::kRows);
   // Every row listed under a code actually stores that code, ascending.
   for (int32_t c = 0; c < csr.num_codes(); ++c) {
-    const uint32_t* begin = csr.RowsBegin(c);
-    const uint32_t* end = csr.RowsEnd(c);
-    ASSERT_EQ(static_cast<uint64_t>(end - begin),
-              csr.CountForCodeRange(c, c + 1));
-    for (const uint32_t* p = begin; p != end; ++p) {
-      ASSERT_EQ(t.table->column(t.s_col).GetI32(*p), c);
-      if (p != begin) ASSERT_LT(*(p - 1), *p);
+    std::vector<uint32_t> rows;
+    csr.CollectRows(c, c + 1, &rows);
+    ASSERT_EQ(rows.size(), csr.CountForCodeRange(c, c + 1));
+    for (size_t i = 0; i < rows.size(); ++i) {
+      ASSERT_EQ(t.table->column(t.s_col).GetI32(rows[i]), c);
+      if (i > 0) ASSERT_LT(rows[i - 1], rows[i]);
     }
   }
   // Out-of-range code ranges clamp instead of crashing.
   EXPECT_EQ(csr.CountForCodeRange(-5, 0), 0u);
   EXPECT_EQ(csr.CountForCodeRange(csr.num_codes(), csr.num_codes() + 9), 0u);
+}
+
+/// A dictionary column where 80% of rows hold one frequent code and the
+/// rest spread over kRareCodes rare codes, kRareRows rows each, scattered
+/// through the table.
+struct SkewedTable {
+  Catalog catalog;
+  Table* table = nullptr;
+  int id_col, k_col;
+  static constexpr uint64_t kRows = 20000;
+  static constexpr uint64_t kRareCodes = 1000;
+
+  SkewedTable() {
+    table = catalog.CreateTable("skew");
+    id_col = table->AddColumn("id", DataType::kI32);
+    k_col = table->AddColumn("k", DataType::kI32, /*dictionary=*/true);
+    Dictionary& d = table->dictionary(k_col);
+    for (uint64_t i = 0; i < kRows; ++i) {
+      const std::string value =
+          i % 5 == 0 ? "rare#" + std::to_string((i / 5) % kRareCodes)
+                     : std::string("common");
+      table->column(id_col).AppendI32(static_cast<int32_t>(i));
+      table->column(k_col).AppendI32(d.GetOrAdd(value));
+    }
+    table->SortDictionaries();
+    AttachTableIndexes(table, {});
+  }
+
+  int32_t Code(const std::string& value) const {
+    return table->dictionary(k_col).Find(value);
+  }
+};
+
+TEST(DictCodeIndexTest, ListsRowsOfRareCodesOnly) {
+  SkewedTable t;
+  const DictCodeIndex& csr = t.table->indexes()->dict_indexes.at(t.k_col);
+  const Column& k = t.table->column(t.k_col);
+  const int32_t common = t.Code("common");
+  ASSERT_EQ(csr.num_codes(), static_cast<int32_t>(SkewedTable::kRareCodes + 1));
+  EXPECT_EQ(csr.rows(), SkewedTable::kRows);
+  // Brute force: every code's rows, ascending.
+  std::vector<std::vector<uint32_t>> expected(
+      static_cast<size_t>(csr.num_codes()));
+  for (uint64_t r = 0; r < k.size(); ++r) {
+    expected[static_cast<size_t>(k.GetI32(r))].push_back(
+        static_cast<uint32_t>(r));
+  }
+  for (int32_t c = 0; c < csr.num_codes(); ++c) {
+    const std::vector<uint32_t>& rows = expected[static_cast<size_t>(c)];
+    ASSERT_EQ(csr.CountForCodeRange(c, c + 1), rows.size()) << "code " << c;
+    if (c == common) continue;
+    ASSERT_TRUE(csr.Listed(c, c + 1)) << "code " << c;
+    std::vector<uint32_t> listed;
+    csr.CollectRows(c, c + 1, &listed);
+    ASSERT_EQ(listed, rows) << "code " << c;
+  }
+  // The frequent code (80% of rows, above the 10% candidate bound) stores
+  // no row ids; counts over ranges containing it stay exact.
+  const uint64_t common_rows = SkewedTable::kRows * 4 / 5;
+  ASSERT_EQ(csr.CountForCodeRange(common, common + 1), common_rows);
+  EXPECT_GT(common_rows, MaxCandidateRows(SkewedTable::kRows));
+  EXPECT_FALSE(csr.Listed(common, common + 1));
+  EXPECT_FALSE(csr.Listed(0, csr.num_codes()));
+  EXPECT_EQ(csr.listed_rows(), SkewedTable::kRows - common_rows);
+  EXPECT_EQ(csr.CountForCodeRange(0, csr.num_codes()), SkewedTable::kRows);
 }
 
 TEST(TokenIndexTest, PatternPartsSplitsAtWildcardsAndShortParts) {
@@ -560,6 +626,83 @@ TEST_F(IndexEndToEndTest, PrunedPlansMatchFullScansOnEveryEngine) {
       auto rows = engine_->Run(program, options).rows;
       EXPECT_EQ(rows, reference)
           << shape.label << " on " << config.label;
+    }
+  }
+}
+
+// Over a skewed column the CSR lists only the rare codes. Equality on a rare
+// code still takes the row-granular path; equality on the frequent code
+// never asks the CSR for rows (its count is over the candidate bound); and
+// every engine returns the rows of an unpruned scan either way.
+TEST(SkewedIndexTest, PartialListingKeepsAccessPathsAndResults) {
+  SkewedTable t;
+  const int32_t rare = t.Code("rare#17");
+  const int32_t common = t.Code("common");
+  ASSERT_GE(rare, 0);
+  ASSERT_GE(common, 0);
+  std::vector<uint8_t> bits(static_cast<size_t>(SkewedTable::kRareCodes + 1));
+  for (int i = 0; i < 20; ++i) {
+    bits[static_cast<size_t>(t.Code("rare#" + std::to_string(i * 7)))] = 1;
+  }
+  // Predicate 0: a rare code; 1: the frequent code; 2: 20 rare codes.
+  auto spec_for = [&](int which, const uint8_t* bitmap) {
+    PipelineSpec spec;
+    spec.name = "scan skew";
+    spec.scan_columns = {t.id_col, t.k_col};
+    spec.ops.push_back(OpFilter{
+        which == 2 ? BitmapTest(bitmap, Slot(1))
+                   : Eq(Slot(1), I64(which == 0 ? rare : common))});
+    return spec;
+  };
+
+  ScanPruning rare_path = AnalyzeScanPruning(spec_for(0, nullptr), *t.table);
+  EXPECT_EQ(rare_path.stats.primary_path, AccessPathKind::kDictRange);
+  EXPECT_EQ(rare_path.stats.candidate_rows,
+            SkewedTable::kRows / 5 / SkewedTable::kRareCodes);
+  ScanPruning common_path =
+      AnalyzeScanPruning(spec_for(1, nullptr), *t.table);
+  EXPECT_EQ(common_path.stats.candidate_rows, 0u);
+  EXPECT_EQ(common_path.domain, nullptr);
+  ScanPruning bitmap_path = AnalyzeScanPruning(spec_for(2, bits.data()),
+                                               *t.table);
+  EXPECT_EQ(bitmap_path.stats.primary_path, AccessPathKind::kDictBitmap);
+  EXPECT_EQ(bitmap_path.stats.candidate_rows,
+            20 * SkewedTable::kRows / 5 / SkewedTable::kRareCodes);
+
+  QueryEngine engine(&t.catalog, /*num_threads=*/2);
+  auto build = [&](int which) {
+    QueryProgram q("skew_query");
+    const int table = q.DeclareBaseTable("skew");
+    const int output = q.DeclareOutput(1);
+    PipelineSpec p =
+        spec_for(which, which == 2 ? q.AddBitmap(bits) : nullptr);
+    p.source_table = table;
+    SinkOutput sink;
+    sink.output = output;
+    sink.values.push_back(Slot(0));
+    p.sink = std::move(sink);
+    q.AddPipeline(std::move(p));
+    q.AddStep([output](QueryContext* ctx) {
+      ctx->result = ctx->outputs[static_cast<size_t>(output)]->Rows();
+      std::sort(ctx->result.begin(), ctx->result.end());
+    });
+    return q;
+  };
+  for (int which = 0; which < 3; ++which) {
+    QueryRunOptions ref_options;
+    ref_options.engine = EngineKind::kVolcano;
+    const auto reference = engine.Run(build(which), ref_options).rows;
+    ASSERT_FALSE(reference.empty());
+    for (ExecutionStrategy strategy :
+         {ExecutionStrategy::kBytecode, ExecutionStrategy::kOptimized}) {
+      for (bool pruning : {false, true}) {
+        QueryRunOptions options;
+        options.strategy = strategy;
+        options.scan_pruning = pruning;
+        EXPECT_EQ(engine.Run(build(which), options).rows, reference)
+            << "predicate " << which << " strategy "
+            << static_cast<int>(strategy) << " pruning " << pruning;
+      }
     }
   }
 }

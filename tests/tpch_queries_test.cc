@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <string>
+
+#include "codegen/query_compiler.h"
 #include "engine/query_engine.h"
 #include "queries/generated_queries.h"
 #include "queries/handwritten_q1.h"
 #include "queries/tpch_queries.h"
+#include "runtime/runtime_registry.h"
 #include "tpch/tpch_gen.h"
+#include "vm/translator.h"
 
 namespace aqe {
 namespace {
@@ -120,6 +125,36 @@ TEST_F(TpchFixtureTest, Q6SelectivityIsLow) {
   auto rows = engine.Run(q6, {}).rows;
   ASSERT_EQ(rows.size(), 1u);
   EXPECT_GT(rows[0][0], 0);  // some revenue found
+}
+
+// Q6 scans four 32-bit columns. The translator widens each value inside its
+// load — the indexed load (load_idx_sext_i32_i64) or, for the single-use
+// l_quantity filter, the load-compare-and-branch (br_load_sext_*) — so no
+// separate sign-extension dispatch survives.
+TEST_F(TpchFixtureTest, Q6BytecodeWidensInTheLoad) {
+  QueryProgram q6 = BuildTpchQuery(6, catalog());
+  auto ctx = q6.MakeContext(&catalog());
+  const PipelineSpec& spec = q6.pipelines()[0];
+  PipelineBindings bindings = BindPipeline(q6, spec, *ctx);
+  for (DataType type : bindings.column_types) {
+    EXPECT_EQ(type, DataType::kI32);
+  }
+  auto translate = [&](const TranslatorOptions& options) {
+    GeneratedPipeline gen = GeneratePipeline(spec, bindings);
+    return TranslateToBytecode(*gen.mod->module().getFunction("worker"),
+                               RuntimeRegistry::Global(), options);
+  };
+  BcProgram fused = translate({});
+  const std::string disasm = fused.Disassemble();
+  EXPECT_EQ(disasm.find(" sext_i32_i64"), std::string::npos) << disasm;
+  EXPECT_NE(disasm.find("load_idx_sext_i32_i64"), std::string::npos);
+  EXPECT_NE(disasm.find("br_load_sext_slt_i64_imm"), std::string::npos);
+  EXPECT_GE(fused.fused_load_cmp_branches, 1u);
+
+  TranslatorOptions unfused_options;
+  unfused_options.fuse_macro_ops = false;
+  EXPECT_NE(translate(unfused_options).Disassemble().find(" sext_i32_i64"),
+            std::string::npos);
 }
 
 TEST_F(TpchFixtureTest, GeneratedQueryScalesInstructions) {
