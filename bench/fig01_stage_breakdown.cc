@@ -28,8 +28,10 @@ int main() {
   const PipelineSpec& spec = q1.pipelines()[0];
   PipelineBindings bindings = BindPipeline(q1, spec, *ctx);
   GeneratedPipeline generated = GeneratePipeline(spec, bindings);
+  Status status;
   auto compiled = JitCompile(std::move(*generated.mod), JitMode::kOptimized,
-                             RuntimeRegistry::Global());
+                             RuntimeRegistry::Global(), &status);
+  AQE_CHECK_MSG(status.ok(), status.message().c_str());
 
   std::printf("Fig 1 / Fig 3 — compilation stage breakdown, TPC-H Q1 (SF %g)\n",
               sf);

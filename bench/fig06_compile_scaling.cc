@@ -42,23 +42,30 @@ int main() {
     report("gen" + std::to_string(n), engine.MeasureCompileCosts(q));
   }
 
-  // Least-squares linear fit: compile_ms = base + per_instr * n.
+  // Linear fit compile_ms = base + per_instr * n that minimizes the squared
+  // *relative* error (weights 1/y^2). The cost model weighs a compile
+  // against the execution time it saves, so a 1 ms miss on a 2 ms compile
+  // matters as much as a 50 ms miss on a 100 ms one. An unweighted fit is
+  // set by the few largest generated pipelines, whose optimized compile
+  // grows faster than linearly, and drives the optimized intercept below 0.
   auto fit = [&points](auto get) {
-    double sx = 0, sy = 0, sxx = 0, sxy = 0;
-    double n = static_cast<double>(points.size());
+    double s = 0, sx = 0, sy = 0, sxx = 0, sxy = 0;
     for (const Point& p : points) {
-      sx += p.instructions;
-      sy += get(p);
-      sxx += p.instructions * p.instructions;
-      sxy += p.instructions * get(p);
+      const double y = get(p);
+      const double w = 1.0 / (y * y);
+      s += w;
+      sx += w * p.instructions;
+      sy += w * y;
+      sxx += w * p.instructions * p.instructions;
+      sxy += w * p.instructions * y;
     }
-    double slope = (n * sxy - sx * sy) / (n * sxx - sx * sx);
-    double base = (sy - slope * sx) / n;
+    double slope = (s * sxy - sx * sy) / (s * sxx - sx * sx);
+    double base = (sy - slope * sx) / s;
     return std::make_pair(base, slope);
   };
   auto [ub, us] = fit([](const Point& p) { return p.unopt_ms; });
   auto [ob, os] = fit([](const Point& p) { return p.opt_ms; });
-  std::printf("\nlinear fit (cost model parameters):\n");
+  std::printf("\nrelative-error linear fit (cost model parameters):\n");
   std::printf("  unoptimized: %.3f ms + %.5f ms/instr\n", ub, us);
   std::printf("  optimized:   %.3f ms + %.5f ms/instr\n", ob, os);
   std::printf("expected shape: near-linear growth; optimized ~3-10x above "

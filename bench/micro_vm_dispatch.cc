@@ -282,8 +282,10 @@ int main(int argc, char** argv) {
     // JIT tiers for context.
     for (JitMode mode : {JitMode::kUnoptimized, JitMode::kOptimized}) {
       GeneratedPipeline gen = GeneratePipeline(k.spec(), k.bindings);
-      auto compiled =
-          JitCompile(std::move(*gen.mod), mode, RuntimeRegistry::Global());
+      Status status;
+      auto compiled = JitCompile(std::move(*gen.mod), mode,
+                                 RuntimeRegistry::Global(), &status);
+      AQE_CHECK_MSG(status.ok(), status.message().c_str());
       auto* fn = reinterpret_cast<void (*)(void*, uint64_t, uint64_t,
                                            const void*)>(
           compiled->Lookup("worker"));

@@ -108,7 +108,9 @@ CostModelParams RunCalibration() {
   for (int m = 0; m < 2; ++m) {
     IrModule mod("calibrate_jit");
     BuildCalibrationKernel(&mod);
-    auto compiled = JitCompile(std::move(mod), modes[m], registry);
+    Status status;
+    auto compiled = JitCompile(std::move(mod), modes[m], registry, &status);
+    AQE_CHECK_MSG(status.ok(), status.message().c_str());
     auto* fn = reinterpret_cast<int64_t (*)(int64_t, int64_t, int64_t)>(
         compiled->Lookup("kernel"));
     jit_rates[m] = MeasureRate(kRows, kBudgetSeconds, [&] {

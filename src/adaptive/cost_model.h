@@ -10,11 +10,19 @@ namespace aqe {
 /// Empirical parameters of the Fig 7 extrapolation. Compilation time is
 /// modeled as linear in the worker function's LLVM instruction count (the
 /// near-linear correlation of Fig 6); speedups are the Table II empirical
-/// ratios. Defaults are calibrated for this repository's substrate (see
-/// bench/fig06_compile_scaling, which re-derives them) and can be
-/// overridden.
+/// ratios. Defaults are calibrated for this repository's substrate and can
+/// be overridden.
 struct CostModelParams {
-  // compile_seconds(n) = base + per_instruction * n
+  // compile_seconds(n) = base + per_instruction * n. These are above the
+  // measured compile times on purpose. The relative-error fit of
+  // bench/fig06_compile_scaling (SF 0.01: 37 TPC-H pipelines of 30-155
+  // instructions plus generated ones up to 5043; point-wise medians of 5
+  // runs on a 4-core x86-64 VM, shared JIT session) is 1.19 ms + 2.83 us
+  // unoptimized and 3.05 ms + 34.3 us optimized. Set to that fit, the
+  // defaults made the controller compile earlier and lose to the static
+  // modes: the benchsuite's adaptive.vs_best_static went from 0.85 to 1.04
+  // on adhoc-sf0.3 and from 0.92 to 0.96 on concurrent-sf0.1 (medians of 2
+  // traced runs each).
   double unopt_base_seconds = 2e-3;
   double unopt_per_instruction_seconds = 9e-6;
   double opt_base_seconds = 5e-3;

@@ -64,7 +64,7 @@ inline ArtifactCacheStats operator-(const ArtifactCacheStats& a,
 struct CachedCode {
   std::unique_ptr<CompiledModule> module;
   WorkerFn fn = nullptr;
-  uint64_t approx_bytes = 0;
+  uint64_t code_bytes = 0;  ///< CompiledModule::code_bytes()
 };
 
 /// Machine code compiled for one exact constant vector (code embeds the

@@ -467,10 +467,10 @@ class CachePublishTask : public Task {
                 return x.last_use < y.last_use;
               });
           if (v->unopt != nullptr) {
-            delta -= static_cast<int64_t>(v->unopt->approx_bytes);
+            delta -= static_cast<int64_t>(v->unopt->code_bytes);
           }
           if (v->opt != nullptr) {
-            delta -= static_cast<int64_t>(v->opt->approx_bytes);
+            delta -= static_cast<int64_t>(v->opt->code_bytes);
           }
           *v = CodeVariant{};
         }
@@ -479,8 +479,8 @@ class CachePublishTask : public Task {
       v->last_use = ++a.variant_clock;
       std::shared_ptr<CachedCode>& slot =
           mode_ == ExecMode::kOptimized ? v->opt : v->unopt;
-      if (slot != nullptr) delta -= static_cast<int64_t>(slot->approx_bytes);
-      delta += static_cast<int64_t>(code_->approx_bytes);
+      if (slot != nullptr) delta -= static_cast<int64_t>(slot->code_bytes);
+      delta += static_cast<int64_t>(code_->code_bytes);
       slot = std::move(code_);
       if (a.instructions == 0) a.instructions = instructions_;
       if (a.runtime_call_fraction == 0) {
@@ -1370,15 +1370,17 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     // `spec` lives in the (caller-owned) program, `raw_ap` in this job;
     // both outlive the run (PipelineRun invariant 3).
     GeneratedPipeline fresh = GeneratePipeline(spec, raw_ap->bindings);
+    aqe::Status status;  // Task::Status shadows it here
     auto compiled =
         JitCompile(std::move(*fresh.mod),
                    mode == ExecMode::kOptimized ? JitMode::kOptimized
                                                 : JitMode::kUnoptimized,
-                   RuntimeRegistry::Global());
+                   RuntimeRegistry::Global(), &status);
+    AQE_CHECK_MSG(status.ok(), status.message().c_str());
     auto* fn = reinterpret_cast<WorkerFn>(compiled->Lookup("worker"));
     AQE_CHECK(fn != nullptr);
     auto code = std::make_shared<CachedCode>();
-    code->approx_bytes = compiled->approx_code_bytes();
+    code->code_bytes = compiled->code_bytes();
     code->module = std::move(compiled);
     code->fn = fn;
     {
@@ -1756,15 +1758,19 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
     if (measure_unopt) {
       GeneratedPipeline fresh = GeneratePipeline(spec, bindings);
       Timer timer;
-      auto compiled =
-          JitCompile(std::move(*fresh.mod), JitMode::kUnoptimized, registry);
+      Status status;
+      auto compiled = JitCompile(std::move(*fresh.mod), JitMode::kUnoptimized,
+                                 registry, &status);
+      AQE_CHECK_MSG(status.ok(), status.message().c_str());
       cost.unopt_millis = timer.ElapsedMillis();
     }
     if (measure_opt) {
       GeneratedPipeline fresh = GeneratePipeline(spec, bindings);
       Timer timer;
-      auto compiled =
-          JitCompile(std::move(*fresh.mod), JitMode::kOptimized, registry);
+      Status status;
+      auto compiled = JitCompile(std::move(*fresh.mod), JitMode::kOptimized,
+                                 registry, &status);
+      AQE_CHECK_MSG(status.ok(), status.message().c_str());
       cost.opt_millis = timer.ElapsedMillis();
     }
     costs.push_back(std::move(cost));

@@ -11,11 +11,6 @@ IrModule::IrModule(const std::string& name)
 
 IrModule::~IrModule() = default;
 
-std::pair<std::unique_ptr<llvm::Module>, std::unique_ptr<llvm::LLVMContext>>
-IrModule::Release() {
-  return {std::move(module_), std::move(context_)};
-}
-
 std::string IrModule::Verify() const {
   std::string out;
   llvm::raw_string_ostream os(out);

@@ -26,11 +26,6 @@ class IrModule {
   llvm::LLVMContext& context() { return *context_; }
   llvm::Module& module() { return *module_; }
 
-  /// Releases ownership (context first, then module) for handing to ORC's
-  /// ThreadSafeModule. The IrModule is empty afterwards.
-  std::pair<std::unique_ptr<llvm::Module>, std::unique_ptr<llvm::LLVMContext>>
-  Release();
-
   /// Verifies the module; returns an error description or "" if valid.
   std::string Verify() const;
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstring>
 #include <functional>
+#include <memory>
+#include <thread>
 #include <vector>
 
 #include <llvm/IR/IRBuilder.h>
@@ -77,7 +80,9 @@ DifferentialResult RunJit(const IrGenerator& gen, uint64_t a, uint64_t b,
                           JitMode mode) {
   IrModule mod("jit");
   gen(&mod);
-  auto compiled = JitCompile(std::move(mod), mode, TestRegistry());
+  Status status;
+  auto compiled = JitCompile(std::move(mod), mode, TestRegistry(), &status);
+  EXPECT_TRUE(status.ok()) << status.message();
   auto* fn = reinterpret_cast<uint64_t (*)(uint64_t, uint64_t, int64_t*)>(
       compiled->Lookup("f"));
   EXPECT_NE(fn, nullptr);
@@ -361,6 +366,135 @@ TEST(VmJitTest, SelectAndComparisons) {
   };
   ExpectAllEnginesAgree(gen, 5, 9);
   ExpectAllEnginesAgree(gen, static_cast<uint64_t>(-5), 9);
+}
+
+// --- the shared JIT session ---------------------------------------------------
+
+/// Builds `i64 worker(i64 a, i64 b)` returning test_mix2(a * k, b): every
+/// module defines the same symbol, and each body is told apart by `k`.
+IrModule MakeWorkerModule(int64_t k) {
+  IrModule mod("worker");
+  auto& ctx = mod.context();
+  llvm::IRBuilder<> b(ctx);
+  auto* i64 = llvm::Type::getInt64Ty(ctx);
+  auto* fn = llvm::Function::Create(
+      llvm::FunctionType::get(i64, {i64, i64}, false),
+      llvm::Function::ExternalLinkage, "worker", &mod.module());
+  auto* mix2 = llvm::Function::Create(
+      llvm::FunctionType::get(i64, {i64, i64}, false),
+      llvm::Function::ExternalLinkage, "test_mix2", &mod.module());
+  b.SetInsertPoint(llvm::BasicBlock::Create(ctx, "entry", fn));
+  b.CreateRet(b.CreateCall(
+      mix2, {b.CreateMul(fn->getArg(0), b.getInt64(static_cast<uint64_t>(k))),
+             fn->getArg(1)}));
+  return mod;
+}
+
+uint64_t ExpectedWorker(int64_t k, uint64_t a, uint64_t b) {
+  return test_mix2(a * static_cast<uint64_t>(k), b);
+}
+
+using WorkerSig = uint64_t (*)(uint64_t, uint64_t);
+
+std::unique_ptr<CompiledModule> CompileWorker(int64_t k, JitMode mode) {
+  Status status;
+  auto compiled = JitCompile(MakeWorkerModule(k), mode, TestRegistry(), &status);
+  EXPECT_TRUE(status.ok()) << status.message();
+  return compiled;
+}
+
+TEST(JitSessionTest, MissingRuntimeSymbolIsAnError) {
+  for (JitMode mode : {JitMode::kUnoptimized, JitMode::kOptimized}) {
+    IrModule mod("missing");
+    llvm::IRBuilder<> b(mod.context());
+    llvm::Function* fn = MakeF(&mod, &b);
+    auto* i64 = b.getInt64Ty();
+    auto* missing = llvm::Function::Create(
+        llvm::FunctionType::get(i64, {i64}, false),
+        llvm::Function::ExternalLinkage, "aqe_test_not_registered",
+        &mod.module());
+    b.CreateRet(b.CreateCall(missing, {fn->getArg(0)}));
+
+    Status status;
+    auto compiled = JitCompile(std::move(mod), mode, TestRegistry(), &status);
+    EXPECT_EQ(compiled, nullptr) << JitModeName(mode);
+    EXPECT_FALSE(status.ok()) << JitModeName(mode);
+    EXPECT_NE(status.message().find("aqe_test_not_registered"),
+              std::string::npos)
+        << status.message();
+  }
+  // The failed link leaves the session usable.
+  auto compiled = CompileWorker(3, JitMode::kUnoptimized);
+  ASSERT_NE(compiled, nullptr);
+  auto* fn = reinterpret_cast<WorkerSig>(compiled->Lookup("worker"));
+  EXPECT_EQ(fn(5, 6), ExpectedWorker(3, 5, 6));
+}
+
+TEST(JitSessionTest, ModulesDefiningTheSameSymbolStayIsolated) {
+  auto first = CompileWorker(2, JitMode::kUnoptimized);
+  auto second = CompileWorker(7, JitMode::kOptimized);
+  ASSERT_NE(first, nullptr);
+  ASSERT_NE(second, nullptr);
+  EXPECT_GT(first->code_bytes(), 0u);
+  EXPECT_GT(second->code_bytes(), 0u);
+  EXPECT_EQ(first->Lookup("missing"), nullptr);
+
+  auto* first_fn = reinterpret_cast<WorkerSig>(first->Lookup("worker"));
+  auto* second_fn = reinterpret_cast<WorkerSig>(second->Lookup("worker"));
+  ASSERT_NE(first_fn, second_fn);
+  EXPECT_EQ(first_fn(10, 1), ExpectedWorker(2, 10, 1));
+  EXPECT_EQ(second_fn(10, 1), ExpectedWorker(7, 10, 1));
+
+  // Destroying one module unmaps only its own code.
+  first.reset();
+  EXPECT_EQ(second_fn(4, 9), ExpectedWorker(7, 4, 9));
+  auto third = CompileWorker(11, JitMode::kUnoptimized);
+  ASSERT_NE(third, nullptr);
+  auto* third_fn = reinterpret_cast<WorkerSig>(third->Lookup("worker"));
+  EXPECT_EQ(third_fn(4, 9), ExpectedWorker(11, 4, 9));
+  EXPECT_EQ(second_fn(4, 9), ExpectedWorker(7, 4, 9));
+}
+
+TEST(JitSessionTest, ConcurrentCompileRunDestroy) {
+  constexpr int kThreads = 4;
+  constexpr int kRounds = 12;
+  std::atomic<int> wrong{0};
+  std::atomic<int> failed{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &wrong, &failed] {
+      // Keep the previous round's module alive across the next compile, so
+      // removals interleave with other threads' links.
+      std::unique_ptr<CompiledModule> previous;
+      int64_t previous_k = 0;
+      for (int round = 0; round < kRounds; ++round) {
+        const int64_t k = 1000 * (t + 1) + round;
+        const JitMode mode =
+            round % 2 == 0 ? JitMode::kUnoptimized : JitMode::kOptimized;
+        Status status;
+        auto compiled = JitCompile(MakeWorkerModule(k), mode, TestRegistry(),
+                                   &status);
+        if (compiled == nullptr || !status.ok()) {
+          failed.fetch_add(1);
+          continue;
+        }
+        auto* fn = reinterpret_cast<WorkerSig>(compiled->Lookup("worker"));
+        const uint64_t a = static_cast<uint64_t>(round) + 3;
+        if (fn == nullptr || fn(a, 17) != ExpectedWorker(k, a, 17)) {
+          wrong.fetch_add(1);
+        }
+        if (previous != nullptr) {
+          auto* old = reinterpret_cast<WorkerSig>(previous->Lookup("worker"));
+          if (old(a, 5) != ExpectedWorker(previous_k, a, 5)) wrong.fetch_add(1);
+        }
+        previous = std::move(compiled);
+        previous_k = k;
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(failed.load(), 0);
+  EXPECT_EQ(wrong.load(), 0);
 }
 
 // --- register allocation strategies -------------------------------------------
