@@ -24,21 +24,20 @@ int main() {
   std::printf("Fig 14 — execution trace of TPC-H Q11 (SF %g, %d threads)\n\n",
               sf, threads);
   for (const ModeRow& mode : modes) {
-    TraceRecorder trace;
-    trace.Start();
     QueryProgram q = BuildTpchQuery(11, *catalog);
     QueryRunOptions options;
     options.strategy = mode.strategy;
-    options.trace = &trace;
     // The trace shows cold compiles; cached artifacts would blank them.
     options.use_artifact_cache = false;
+    // Each chart starts from empty trace rings and its own time origin.
+    engine.ResetObservabilityStats();
     QueryRunResult r = engine.Run(q, options);
     std::printf("--- %s (total %.2f ms, final modes:", mode.label,
                 r.total_seconds * 1e3);
     for (const auto& p : r.pipelines) {
       std::printf(" %s=%s", p.name.c_str(), ExecModeName(p.final_mode));
     }
-    std::printf(")\n%s\n", trace.Render(threads, 100).c_str());
+    std::printf(")\n%s\n", engine.RenderTrace(100).c_str());
   }
   std::printf("expected shape: adaptive compiles ('#') only the two partsupp "
               "pipelines and beats both static modes\n");

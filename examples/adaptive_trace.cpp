@@ -1,5 +1,5 @@
 // Watch adaptive execution decide, live: runs TPC-H Q11 (the paper's Fig 14
-// query) with the trace recorder attached and prints per-thread swimlanes —
+// query) and prints the engine's trace as per-thread swimlanes —
 // interpreted morsels (digits), compilation events ('#'), and compiled
 // morsels (letters).
 #include <cstdio>
@@ -16,17 +16,15 @@ int main() {
   tpch::BuildTpchDatabase(&catalog, 0.2);
   QueryEngine engine(&catalog, /*num_threads=*/4);
 
-  TraceRecorder trace;
-  trace.Start();
   QueryProgram q11 = BuildTpchQuery(11, catalog);
   QueryRunOptions options;
   options.use_artifact_cache = false;  // show the cold adaptive compiles
   options.strategy = ExecutionStrategy::kAdaptive;
-  options.trace = &trace;
+  engine.ResetObservabilityStats();  // the chart's time origin
   QueryRunResult result = engine.Run(q11, options);
 
   std::printf("\nQ11 adaptive execution trace:\n%s\n",
-              trace.Render(engine.num_threads(), 100).c_str());
+              engine.RenderTrace(100).c_str());
   std::printf("pipeline decisions:\n");
   for (const auto& p : result.pipelines) {
     std::printf("  %-18s %9llu tuples, %4llu LLVM instrs -> %s", p.name.c_str(),

@@ -50,7 +50,6 @@ struct PipelineExecState {
 
   FunctionHandle* handle = nullptr;
   void* state = nullptr;
-  TraceRecorder* trace = nullptr;
   int pipeline_id = 0;
   uint64_t function_instructions = 0;
   PipelineObs obs;
@@ -62,6 +61,12 @@ struct PipelineExecState {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<std::pair<ExecMode, double>> compiles;  ///< guarded by mu
+
+  /// No helper morsel and no compile job in flight: the drain condition.
+  bool Quiescent() const {
+    return active_helpers.load(std::memory_order_seq_cst) == 0 &&
+           compile_state.load(std::memory_order_seq_cst) == kCompIdle;
+  }
 };
 
 namespace {
@@ -83,6 +88,21 @@ void RecordRate(PipelineExecState& st, int slot, uint64_t tuples,
   }
   rate.tuples.fetch_add(tuples, std::memory_order_relaxed);
   rate.nanos.fetch_add(nanos, std::memory_order_relaxed);
+}
+
+/// One of this pipeline's trace events; `mode` is the event's detail.
+TraceEvent PipelineEvent(const PipelineExecState& st, TraceEventKind kind,
+                         int64_t start, int64_t end, uint64_t payload,
+                         ExecMode mode) {
+  TraceEvent e;
+  e.kind = kind;
+  e.start_nanos = start;
+  e.end_nanos = end;
+  e.payload = payload;
+  e.query_id = st.obs.query_id;
+  e.pipeline_id = static_cast<uint16_t>(st.pipeline_id);
+  e.detail = static_cast<uint8_t>(mode);
+  return e;
 }
 
 /// Runs one claimed batch through the current variant, with rate and
@@ -116,20 +136,9 @@ void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
     beacon->word0.store(prior_word0, std::memory_order_relaxed);
   }
   RecordRate(st, slot, batch.rows, static_cast<uint64_t>(t1 - t0));
-  if (st.trace != nullptr) {
-    st.trace->Record({TraceRecorder::EventKind::kMorsel, thread,
-                      st.pipeline_id, mode, t0, t1, batch.rows});
-  }
   if (st.obs.enabled()) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kMorsel;
-    e.start_nanos = t0;
-    e.end_nanos = t1;
-    e.payload = batch.rows;
-    e.query_id = st.obs.query_id;
-    e.pipeline_id = static_cast<uint16_t>(st.pipeline_id);
-    e.detail = static_cast<uint8_t>(mode);
-    st.obs.tracer->Record(thread, e);
+    st.obs.tracer->Record(thread, PipelineEvent(st, TraceEventKind::kMorsel,
+                                                t0, t1, batch.rows, mode));
   }
   if (st.obs.morsels != nullptr) st.obs.morsels->Add();
 }
@@ -172,21 +181,11 @@ bool TryRunCompileJob(PipelineExecState& st,
   if (beacon != nullptr) {
     beacon->word0.store(prior_word0, std::memory_order_relaxed);
   }
-  if (st.trace != nullptr) {
-    st.trace->Record({TraceRecorder::EventKind::kCompile,
-                      runtime_internal::GetThreadIndex(), st.pipeline_id,
-                      target, t0, t1, 0});
-  }
   if (st.obs.enabled()) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kCompile;
-    e.start_nanos = t0;
-    e.end_nanos = t1;
-    e.payload = st.function_instructions;
-    e.query_id = st.obs.query_id;
-    e.pipeline_id = static_cast<uint16_t>(st.pipeline_id);
-    e.detail = static_cast<uint8_t>(target);
-    st.obs.tracer->Record(runtime_internal::GetThreadIndex(), e);
+    st.obs.tracer->Record(
+        runtime_internal::GetThreadIndex(),
+        PipelineEvent(st, TraceEventKind::kCompile, t0, t1,
+                      st.function_instructions, target));
   }
   if (st.obs.compiles != nullptr) st.obs.compiles->Add();
   if (st.obs.compile_us != nullptr) {
@@ -313,46 +312,14 @@ const char* ExecutionStrategyName(ExecutionStrategy strategy) {
   AQE_UNREACHABLE("bad ExecutionStrategy");
 }
 
-PipelineRunner::PipelineRunner(WorkerPool* pool, ExecutionStrategy strategy,
-                               CostModelParams params, TraceRecorder* trace)
-    : pool_(pool), strategy_(strategy), params_(params), trace_(trace) {
-  AQE_CHECK(pool_ != nullptr);
-}
-
-PipelineRunner::PipelineRunner(TaskScheduler* scheduler,
-                               ExecutionStrategy strategy,
-                               CostModelParams params, TraceRecorder* trace)
-    : sched_(scheduler), strategy_(strategy), params_(params), trace_(trace) {
-  AQE_CHECK(sched_ != nullptr);
-}
-
-PipelineRunStats PipelineRunner::Run(const PipelineTask& task) {
-  AQE_CHECK(task.handle != nullptr);
-  return sched_ != nullptr ? RunTasks(task) : RunGang(task);
-}
-
-PipelineRunStats PipelineRunner::RunTasks(const PipelineTask& task) {
-  // Blocking wrapper over the resumable state machine: step to completion
-  // on the calling thread, parking briefly while the drain phase waits out
-  // in-flight helper/compile slices.
-  PipelineRun run(sched_, strategy_, params_, trace_, task, single_threaded_,
-                  first_eval_delay_seconds_);
-  while (run.Step() == Task::Status::kYield) {
-    if (run.draining()) run.WaitDrainBriefly();
-  }
-  return run.TakeStats();
-}
-
 // --- PipelineRun: the resumable controller --------------------------------
 
 PipelineRun::PipelineRun(TaskScheduler* scheduler, ExecutionStrategy strategy,
-                         CostModelParams params, TraceRecorder* trace,
-                         const PipelineTask& task, bool single_threaded,
-                         double first_eval_delay_seconds)
+                         CostModelParams params, const PipelineTask& task,
+                         bool single_threaded, double first_eval_delay_seconds)
     : sched_(scheduler),
       strategy_(strategy),
       params_(params),
-      trace_(trace),
       task_(task),
       single_threaded_(single_threaded),
       first_eval_delay_seconds_(first_eval_delay_seconds),
@@ -374,11 +341,7 @@ PipelineRun::~PipelineRun() {
   int expected = kCompQueued;
   st_->compile_state.compare_exchange_strong(expected, kCompIdle,
                                              std::memory_order_acq_rel);
-  std::unique_lock<std::mutex> lock(st_->mu);
-  while (st_->active_helpers.load(std::memory_order_seq_cst) != 0 ||
-         st_->compile_state.load(std::memory_order_seq_cst) != kCompIdle) {
-    st_->cv.wait_for(lock, std::chrono::milliseconds(1));
-  }
+  while (!st_->Quiescent()) WaitDrainBriefly();
 }
 
 int PipelineRun::CurrentRuntimeThread() const {
@@ -407,21 +370,16 @@ void PipelineRun::Start() {
                                                   participants_);
   st_->handle = task_.handle;
   st_->state = task_.state;
-  st_->trace = trace_;
   st_->pipeline_id = task_.pipeline_id;
   st_->function_instructions = task_.function_instructions;
   st_->obs = task_.obs;
   st_->compile = &task_.compile;  // task_ is our member copy: stable address
 
   if (st_->obs.enabled()) {
-    TraceEvent e;
-    e.kind = TraceEventKind::kPipelineStart;
-    e.start_nanos = start_nanos_;
-    e.end_nanos = start_nanos_;
-    e.payload = task_.total_tuples;
-    e.query_id = st_->obs.query_id;
-    e.pipeline_id = static_cast<uint16_t>(task_.pipeline_id);
-    st_->obs.tracer->Record(CurrentRuntimeThread(), e);
+    st_->obs.tracer->Record(
+        CurrentRuntimeThread(),
+        PipelineEvent(*st_, TraceEventKind::kPipelineStart, start_nanos_,
+                      start_nanos_, task_.total_tuples, ExecMode::kBytecode));
   }
 
   // Static compile-up-front strategies (single-threaded compilation before
@@ -503,8 +461,7 @@ Task::Status PipelineRun::StepMorsel() {
 }
 
 Task::Status PipelineRun::StepDrain() {
-  if (st_->active_helpers.load(std::memory_order_seq_cst) != 0 ||
-      st_->compile_state.load(std::memory_order_seq_cst) != kCompIdle) {
+  if (!st_->Quiescent()) {
     // Helpers mid-morsel notify within microseconds — plain re-check. A
     // *running* JIT compile is ms-scale though: park briefly on the state
     // condvar instead of spinning through the scheduler for its whole
@@ -536,8 +493,7 @@ Task::Status PipelineRun::StepDrain() {
 
 void PipelineRun::WaitDrainBriefly() {
   std::unique_lock<std::mutex> lock(st_->mu);
-  if (st_->active_helpers.load(std::memory_order_seq_cst) != 0 ||
-      st_->compile_state.load(std::memory_order_seq_cst) != kCompIdle) {
+  if (!st_->Quiescent()) {
     // Timed wait: completion is signalled, but a 1 ms re-check also makes
     // the drain robust against any missed notify.
     st_->cv.wait_for(lock, std::chrono::milliseconds(1));
@@ -603,18 +559,13 @@ void PipelineRun::Evaluate() {
   if (st_->obs.enabled()) {
     // The §III-C decision with its cost-model inputs: what the controller
     // observed (r0) and what it extrapolated for staying vs. switching.
-    TraceEvent e;
-    e.kind = TraceEventKind::kModeSwitch;
-    e.start_nanos = decision_nanos;
-    e.end_nanos = e.start_nanos;
-    e.payload = remaining;
+    TraceEvent e =
+        PipelineEvent(*st_, TraceEventKind::kModeSwitch, decision_nanos,
+                      decision_nanos, remaining, st_->compile_target);
     e.payload2 = TraceEventDoubleToBits(task_.runtime_call_fraction);
     e.d0 = r0;
     e.d1 = breakdown.t_current;
     e.d2 = breakdown.chosen_seconds(decision);
-    e.query_id = st_->obs.query_id;
-    e.pipeline_id = static_cast<uint16_t>(task_.pipeline_id);
-    e.detail = static_cast<uint8_t>(st_->compile_target);
     st_->obs.tracer->Record(CurrentRuntimeThread(), e);
   }
   if (st_->obs.mode_switch_decisions != nullptr) {
@@ -630,126 +581,6 @@ void PipelineRun::Evaluate() {
     job->set_scheduling_class(task_.scheduling_class);
     sched_->Submit(std::move(job), TaskPriority::kLow);
   }
-}
-
-PipelineRunStats PipelineRunner::RunGang(const PipelineTask& task) {
-  PipelineRunStats stats;
-  Timer total_timer;
-
-  auto compile_and_install = [&](ExecMode mode) {
-    AQE_CHECK_MSG(task.compile != nullptr, "pipeline has no compile hook");
-    Timer compile_timer;
-    int64_t t0 = MonotonicNanos();
-    WorkerFn fn = task.compile(mode);
-    double seconds = compile_timer.ElapsedSeconds();
-    task.handle->SetCompiled(fn, mode);
-    stats.compiles.emplace_back(mode, seconds);
-    stats.blocking_compile_seconds += seconds;
-    if (trace_ != nullptr) {
-      trace_->Record({TraceRecorder::EventKind::kCompile,
-                      runtime_internal::GetThreadIndex(), task.pipeline_id,
-                      mode, t0, MonotonicNanos(), 0});
-    }
-  };
-
-  // Static compile-up-front strategies (single-threaded compilation, all
-  // other workers idle — exactly the §III critique). Skipped when the
-  // handle was seeded with cached code already in the requested mode.
-  if (strategy_ == ExecutionStrategy::kUnoptimized) {
-    if (task.handle->mode() != ExecMode::kUnoptimized) {
-      compile_and_install(ExecMode::kUnoptimized);
-    }
-  } else if (strategy_ == ExecutionStrategy::kOptimized) {
-    if (task.handle->mode() != ExecMode::kOptimized) {
-      compile_and_install(ExecMode::kOptimized);
-    }
-  }
-
-  auto queue_storage =
-      task.domain != nullptr
-          ? std::make_unique<MorselQueue>(task.domain, 0,
-                                          task.domain->selected())
-          : std::make_unique<MorselQueue>(task.total_tuples);
-  MorselQueue& queue = *queue_storage;
-  std::vector<std::unique_ptr<PipelineExecState::SlotRate>> rates;
-  for (int i = 0; i < pool_->num_threads(); ++i) {
-    rates.push_back(std::make_unique<PipelineExecState::SlotRate>());
-  }
-  std::atomic<uint64_t> epoch{0};
-  const int64_t pipeline_start = MonotonicNanos();
-  const bool adaptive = strategy_ == ExecutionStrategy::kAdaptive;
-
-  auto evaluate = [&]() {
-    ExecMode mode = task.handle->mode();
-    if (mode == ExecMode::kOptimized) return;
-    if (static_cast<double>(MonotonicNanos() - pipeline_start) <
-        first_eval_delay_seconds_ * 1e9) {
-      return;
-    }
-    // Average per-thread rate in the current epoch (Fig 7's r0).
-    uint64_t current_epoch = epoch.load(std::memory_order_relaxed);
-    double rate_sum = 0;
-    int rate_count = 0;
-    for (const auto& rate : rates) {
-      if (rate->epoch.load(std::memory_order_relaxed) != current_epoch) {
-        continue;
-      }
-      uint64_t nanos = rate->nanos.load(std::memory_order_relaxed);
-      uint64_t tuples = rate->tuples.load(std::memory_order_relaxed);
-      if (nanos == 0 || tuples == 0) continue;
-      rate_sum += static_cast<double>(tuples) /
-                  (static_cast<double>(nanos) / 1e9);
-      ++rate_count;
-    }
-    if (rate_count == 0) return;
-    double r0 = rate_sum / rate_count;
-    Decision decision = ExtrapolatePipelineDurations(
-        r0, queue.remaining(), pool_->num_threads(),
-        task.function_instructions, mode, params_,
-        task.runtime_call_fraction);
-    if (decision == Decision::kDoNothing) return;
-    compile_and_install(decision == Decision::kCompileUnoptimized
-                            ? ExecMode::kUnoptimized
-                            : ExecMode::kOptimized);
-    // Reset all processing rates (§III-C): bump the epoch, workers lazily
-    // clear their slots.
-    epoch.fetch_add(1, std::memory_order_relaxed);
-  };
-
-  pool_->RunParallel([&](int thread) {
-    PipelineExecState::SlotRate& rate = *rates[static_cast<size_t>(thread)];
-    MorselBatch morsel;
-    while (queue.Next(&morsel)) {
-      ExecMode mode = task.handle->mode();
-      int64_t t0 = MonotonicNanos();
-      for (int i = 0; i < morsel.count; ++i) {
-        task.handle->Call(task.state, morsel.ranges[i].begin,
-                          morsel.ranges[i].end);
-      }
-      int64_t t1 = MonotonicNanos();
-
-      uint64_t current_epoch = epoch.load(std::memory_order_relaxed);
-      if (rate.epoch.load(std::memory_order_relaxed) != current_epoch) {
-        rate.tuples.store(0, std::memory_order_relaxed);
-        rate.nanos.store(0, std::memory_order_relaxed);
-        rate.epoch.store(current_epoch, std::memory_order_relaxed);
-      }
-      rate.tuples.fetch_add(morsel.rows, std::memory_order_relaxed);
-      rate.nanos.fetch_add(static_cast<uint64_t>(t1 - t0),
-                           std::memory_order_relaxed);
-      if (trace_ != nullptr) {
-        trace_->Record({TraceRecorder::EventKind::kMorsel, thread,
-                        task.pipeline_id, mode, t0, t1, morsel.rows});
-      }
-      // §III-C: the extrapolation is performed by a single worker thread,
-      // re-evaluated after every one of its morsels.
-      if (adaptive && thread == 0) evaluate();
-    }
-  });
-
-  stats.total_seconds = total_timer.ElapsedSeconds();
-  stats.final_mode = task.handle->mode();
-  return stats;
 }
 
 }  // namespace aqe

@@ -11,9 +11,8 @@
 #include "adaptive/cost_model.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
-#include "exec/trace.h"
 #include "obs/observability.h"
+#include "obs/pipeline_report.h"
 #include "sched/scheduler.h"
 #include "sched/task.h"
 
@@ -59,21 +58,6 @@ struct PipelineTask {
   PipelineObs obs;
 };
 
-/// One §III-C decision that chose a compile, with the extrapolation's
-/// inputs and — filled in when the pipeline drains — the realized time from
-/// the decision to pipeline completion. The prediction-vs-realized audit
-/// trail EXPLAIN ANALYZE renders; unlike the kModeSwitch ring event this is
-/// carried on the run itself, so it survives ring overwrites.
-struct ModeSwitchRecord {
-  ExecMode target = ExecMode::kUnoptimized;
-  int64_t decision_nanos = 0;    ///< MonotonicNanos at the decision
-  double r0 = 0;                 ///< observed rate [tuples/s/thread]
-  uint64_t remaining_tuples = 0;
-  double t_current_seconds = 0;  ///< extrapolated: stay in current mode
-  double t_chosen_seconds = 0;   ///< extrapolated: switch (T(chosen))
-  double realized_seconds = 0;   ///< decision -> pipeline end (actual)
-};
-
 struct PipelineRunStats {
   double total_seconds = 0;
   ExecMode final_mode = ExecMode::kBytecode;
@@ -86,8 +70,7 @@ struct PipelineRunStats {
   /// picked up by other workers overlap execution and are not counted.
   double blocking_compile_seconds = 0;
   /// Every adaptive compile decision with its predicted durations and the
-  /// realized remainder (TaskScheduler substrate; the legacy gang path
-  /// leaves it empty).
+  /// realized remainder.
   std::vector<ModeSwitchRecord> mode_switches;
 };
 
@@ -106,6 +89,14 @@ struct PipelineExecState;
 /// interleaves other queries' slices between the controller's morsels, and
 /// the run may resume on a *different* worker after a steal.
 ///
+/// The §III-C policy for kAdaptive: every participant (the controller —
+/// whichever thread calls Step — plus one morsel helper task per other
+/// worker) tracks its tuple rate per morsel; the controller alone, from
+/// 1 ms in and after each of its morsels, runs the Fig 7 extrapolation.
+/// When compiling wins, a low-priority compile task (or the controller
+/// itself, if no worker claims it within a few morsels) compiles and flips
+/// the FunctionHandle, and the rates are reset.
+///
 /// ===================== Suspension invariants =====================
 ///
 /// 1. All mode-switch state survives suspension. The tuple-rate samples,
@@ -114,7 +105,7 @@ struct PipelineExecState;
 ///    cost-model parameters live in PipelineExecState / PipelineRun
 ///    members, never on a worker's stack — a resumed controller continues
 ///    the §III-C evaluation exactly where it left off, and the mode-switch
-///    trace is identical to the blocking controller's (differential-tested
+///    sequence is identical to a single-threaded run's (differential-tested
 ///    in tests/sched_test.cc and tests/fairness_test.cc).
 ///
 /// 2. The controller's identity is fixed at the *first* Step. Its rate
@@ -141,23 +132,26 @@ struct PipelineExecState;
 ///
 /// 4. `single_threaded` pins the pledge, not the wall clock: the whole
 ///    pipeline (morsels and compiles) executes inside one Step on the
-///    calling thread, so baselines and the paper's latency figures see the
-///    exact pre-refactor behavior.
+///    calling thread — no helper tasks, no yields, compiles inline — so
+///    differential baselines and the paper's single-threaded latency
+///    figures see strictly one thread touch the pipeline.
 class PipelineRun {
  public:
   /// `task`'s raw pointers (handle, state, compile captures) must stay
   /// valid until done() or destruction (invariant 3).
+  /// `first_eval_delay_seconds`: the first adaptive evaluation happens
+  /// this long after pipeline start (paper: 1 ms, "to increase the
+  /// accuracy of the estimates").
   PipelineRun(TaskScheduler* scheduler, ExecutionStrategy strategy,
-              CostModelParams params, TraceRecorder* trace,
-              const PipelineTask& task, bool single_threaded,
-              double first_eval_delay_seconds);
+              CostModelParams params, const PipelineTask& task,
+              bool single_threaded, double first_eval_delay_seconds);
   ~PipelineRun();
 
   PipelineRun(const PipelineRun&) = delete;
   PipelineRun& operator=(const PipelineRun&) = delete;
 
   /// Runs one bounded slice on the calling thread. kYield: call again (on
-  /// any thread); kDone: the pipeline finished and stats() is valid.
+  /// any thread); kDone: the pipeline finished and TakeStats() is valid.
   Task::Status Step();
 
   bool done() const { return phase_ == Phase::kDone; }
@@ -165,12 +159,12 @@ class PipelineRun {
   /// in-flight helper/compile slices.
   bool draining() const { return phase_ == Phase::kDrain; }
 
-  /// Blocking callers (PipelineRunner::Run) park here between drain-phase
-  /// steps instead of spinning; bounded by a 1 ms re-check.
+  /// Callers stepping a run to completion on an external thread park here
+  /// between drain-phase steps instead of spinning; bounded by a 1 ms
+  /// re-check.
   void WaitDrainBriefly();
 
   /// The run's statistics; valid once done().
-  const PipelineRunStats& stats() const { return stats_; }
   PipelineRunStats TakeStats() { return std::move(stats_); }
 
  private:
@@ -188,7 +182,6 @@ class PipelineRun {
   TaskScheduler* sched_;
   ExecutionStrategy strategy_;
   CostModelParams params_;
-  TraceRecorder* trace_;
   PipelineTask task_;
   bool single_threaded_;
   double first_eval_delay_seconds_;
@@ -201,71 +194,6 @@ class PipelineRun {
   int morsels_since_queued_ = 0;
   int64_t start_nanos_ = 0;
   bool adaptive_ = false;
-};
-
-/// Executes pipelines under a strategy, applying the §III-C policy for
-/// kAdaptive: every participating thread tracks its local tuple rate per
-/// morsel; a single evaluator thread (the pipeline's controller), starting
-/// 1 ms into the pipeline and re-checking after every one of its morsels,
-/// runs the Fig 7 extrapolation; when compilation wins, the worker function
-/// is compiled and the FunctionHandle flipped, after which all threads pick
-/// up the new variant and the rates are reset.
-///
-/// Two substrates:
-///  - TaskScheduler (the engine's path): a PipelineRun stepped to
-///    completion on the calling thread, which is the controller (the
-///    engine embeds PipelineRun in its query tasks directly and yields
-///    between steps; this blocking wrapper serves benches/tests and
-///    external threads). It shards the morsel domain across the
-///    scheduler's workers, submits one morsel helper task per other worker
-///    (each yields after every morsel, so concurrent queries interleave),
-///    and drains morsels itself. Adaptive compilations are submitted as
-///    low-priority tasks that any worker may pick up; if none has within a
-///    few controller morsels, the controller compiles inline — occupying
-///    one thread, exactly the paper's dedicated-path behavior — so the
-///    mode-switch handshake (decide → compile → install → reset rates) is
-///    preserved under both substrates.
-///  - WorkerPool (legacy shim): the original gang-scheduled path, kept as
-///    the differential-testing baseline; worker 0 is the evaluator and
-///    compiles inline.
-class PipelineRunner {
- public:
-  /// Legacy gang-scheduled substrate.
-  PipelineRunner(WorkerPool* pool, ExecutionStrategy strategy,
-                 CostModelParams params = {}, TraceRecorder* trace = nullptr);
-
-  /// Task-scheduler substrate; the calling thread becomes the pipeline's
-  /// controller (it may itself be a scheduler worker running a query task,
-  /// or an external thread).
-  PipelineRunner(TaskScheduler* scheduler, ExecutionStrategy strategy,
-                 CostModelParams params = {}, TraceRecorder* trace = nullptr);
-
-  PipelineRunStats Run(const PipelineTask& task);
-
-  /// First adaptive evaluation happens this long after pipeline start
-  /// (paper: 1 ms, "to increase the accuracy of the estimates").
-  void set_first_evaluation_delay_seconds(double seconds) {
-    first_eval_delay_seconds_ = seconds;
-  }
-
-  /// Task-scheduler substrate only: run every morsel on the controller and
-  /// compile inline — strictly one thread touches the pipeline (baselines
-  /// and the paper's latency figures need this).
-  void set_single_threaded(bool single_threaded) {
-    single_threaded_ = single_threaded;
-  }
-
- private:
-  PipelineRunStats RunGang(const PipelineTask& task);
-  PipelineRunStats RunTasks(const PipelineTask& task);
-
-  WorkerPool* pool_ = nullptr;
-  TaskScheduler* sched_ = nullptr;
-  ExecutionStrategy strategy_;
-  CostModelParams params_;
-  TraceRecorder* trace_;
-  double first_eval_delay_seconds_ = 1e-3;
-  bool single_threaded_ = false;
 };
 
 }  // namespace aqe

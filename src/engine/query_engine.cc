@@ -628,7 +628,7 @@ class QueryJob : public Task {
   /// retroactively by whichever worker runs the first slice (the span
   /// still starts at submit time).
   Status Run(int worker) override {
-    const int64_t t0 = MonotonicNanos();
+    slice_start_nanos_ = MonotonicNanos();
     // Publish the slice beacon for the continuous profiler; morsel and
     // compile sites inside the slice overwrite it with richer detail and
     // restore it on their way out.
@@ -637,13 +637,13 @@ class QueryJob : public Task {
                   /*mode=*/0, BeaconActivity::kSlice, 0);
     if (!started_) {
       started_ = true;
-      first_slice_nanos_ = t0;
+      first_slice_nanos_ = slice_start_nanos_;
       result_.queue_wait_seconds = total_timer_.ElapsedSeconds();
       const int cls = scheduling_class();
       obs_->queue_wait_us[cls]->Record(result_.queue_wait_seconds * 1e6);
       TraceEvent ev;
       ev.start_nanos = submit_nanos_;
-      ev.end_nanos = t0;
+      ev.end_nanos = slice_start_nanos_;
       ev.d0 = estimated_cost_ms_;
       ev.query_id = query_id_;
       ev.kind = TraceEventKind::kAdmissionWait;
@@ -652,27 +652,8 @@ class QueryJob : public Task {
     }
     const Status status = RunSlice(worker);
     ClearBeacon(beacon);
-    const int64_t t1 = MonotonicNanos();
-    TraceEvent ev;
-    ev.start_nanos = t0;
-    ev.end_nanos = t1;
-    ev.payload = stage_index_;
-    ev.query_id = query_id_;
-    ev.kind = TraceEventKind::kTaskSlice;
-    ev.detail = static_cast<uint8_t>(scheduling_class());
-    obs_->tracer.Record(worker, ev);
-    if (status == Status::kDone) {
-      TraceEvent done;
-      done.start_nanos = first_slice_nanos_;
-      done.end_nanos = t1;
-      done.payload = done_rows_;
-      done.d0 = done_queue_wait_seconds_;
-      done.d1 = done_total_seconds_;
-      done.query_id = query_id_;
-      done.kind = TraceEventKind::kQueryDone;
-      done.detail = static_cast<uint8_t>(scheduling_class());
-      obs_->tracer.Record(worker, done);
-    }
+    // The last slice (kDone) recorded itself before resolving the promise.
+    if (status == Status::kYield) RecordSliceEnd(worker, /*query_done=*/false);
     return status;
   }
 
@@ -697,6 +678,29 @@ class QueryJob : public Task {
     std::unique_ptr<PipelineRun> run;
   };
 
+  /// Records the slice that began at slice_start_nanos_ and, on the
+  /// query's last slice, kQueryDone. Both completion paths call this before
+  /// resolving the promise, so a client whose future is ready finds the
+  /// query's finish in the very next trace snapshot.
+  void RecordSliceEnd(int worker, bool query_done) {
+    TraceEvent ev;
+    ev.start_nanos = slice_start_nanos_;
+    ev.end_nanos = MonotonicNanos();
+    ev.payload = stage_index_;
+    ev.query_id = query_id_;
+    ev.kind = TraceEventKind::kTaskSlice;
+    ev.detail = static_cast<uint8_t>(scheduling_class());
+    obs_->tracer.Record(worker, ev);
+    if (!query_done) return;
+    TraceEvent done = ev;  // same end, query and class
+    done.start_nanos = first_slice_nanos_;
+    done.payload = result_.rows.size();
+    done.d0 = result_.queue_wait_seconds;
+    done.d1 = result_.total_seconds;
+    done.kind = TraceEventKind::kQueryDone;
+    obs_->tracer.Record(worker, done);
+  }
+
   /// Runtime budget enforcement: when the tracker latched over-budget
   /// (Charge never throws under VM/JIT frames; the flag is checked here,
   /// at slice boundaries, where unwinding is safe), fail the future with
@@ -704,7 +708,7 @@ class QueryJob : public Task {
   /// query was failed. An active PipelineRun is destroyed through its
   /// abandoned-run path (drain the domain, wait out in-flight helpers),
   /// so no task touches freed state.
-  bool FailIfOverBudget() {
+  bool FailIfOverBudget(int worker) {
     // Slice boundaries are the tracker's quiesce points: fold the
     // thread-slot residues so the budget latch and the peak high-water see
     // every byte charged since the last boundary, however small.
@@ -746,6 +750,7 @@ class QueryJob : public Task {
     if (obs_->profiler != nullptr) {
       obs_->profiler->RetireQuery(query_id_, program_->name());
     }
+    RecordSliceEnd(worker, /*query_done=*/true);
     promise_.set_exception(std::make_exception_ptr(MemoryBudgetExceeded(
         scheduling_class(), budget, current, /*at_admission=*/false)));
     on_finished_();
@@ -755,7 +760,7 @@ class QueryJob : public Task {
   /// The pre-instrumentation slice body: one engine step, pipeline setup,
   /// or controller checkpoint of the embedded PipelineRun.
   Status RunSlice(int worker) {
-    if (FailIfOverBudget()) return Status::kDone;
+    if (FailIfOverBudget(worker)) return Status::kDone;
     if (active_ != nullptr) {
       // Mid-pipeline: one controller checkpoint per slice.
       if (active_->run->Step() != Task::Status::kDone) return Status::kYield;
@@ -770,7 +775,7 @@ class QueryJob : public Task {
       if (++stage_index_ < program_->stages().size()) return Status::kYield;
     }
     // The last stage may have grown past the budget inside its own slice.
-    if (FailIfOverBudget()) return Status::kDone;
+    if (FailIfOverBudget(worker)) return Status::kDone;
     result_.rows = std::move(ctx_->result);
     result_.total_seconds = total_timer_.ElapsedSeconds();
     result_.peak_memory_bytes = memory_->peak_bytes();
@@ -794,15 +799,14 @@ class QueryJob : public Task {
       result_.profile = profile;
       obs_->AddProfile(std::move(profile));
     }
-    // The caller's completion events outlive the moved-from result.
-    done_rows_ = result_.rows.size();
-    done_queue_wait_seconds_ = result_.queue_wait_seconds;
-    done_total_seconds_ = result_.total_seconds;
-    // Completion metrics land before the promise resolves, so a client
-    // that saw its future ready observes them in the very next snapshot.
+    // Completion metrics and events land before the promise resolves, so
+    // a client that saw its future ready observes them in the very next
+    // snapshot.
     obs_->exec_latency_us[scheduling_class()]->Record(
-        std::max(0.0, done_total_seconds_ - done_queue_wait_seconds_) * 1e6);
+        std::max(0.0, result_.total_seconds - result_.queue_wait_seconds) *
+        1e6);
     obs_->queries_completed->Add();
+    RecordSliceEnd(worker, /*query_done=*/true);
     promise_.set_value(std::move(result_));
     on_finished_();
     return Status::kDone;
@@ -823,9 +827,7 @@ class QueryJob : public Task {
   uint32_t query_id_;
   int64_t submit_nanos_;
   int64_t first_slice_nanos_ = 0;
-  uint64_t done_rows_ = 0;
-  double done_queue_wait_seconds_ = 0;
-  double done_total_seconds_ = 0;
+  int64_t slice_start_nanos_ = 0;
   const QueryProgram* program_;
   QueryRunOptions options_;
   /// Per-query memory accounting; shared with ctx_ and every runtime
@@ -1403,7 +1405,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   };
 
   ap->run = std::make_unique<PipelineRun>(
-      sched_, options.strategy, options.cost_model, options.trace, task,
+      sched_, options.strategy, options.cost_model, task,
       options.single_threaded, options.adaptive_first_eval_seconds);
   active_ = std::move(ap);
 }

@@ -8,10 +8,10 @@
 
 #include "adaptive/controller.h"
 #include "cache/artifact_cache.h"
-#include "exec/trace.h"
 #include "index/access_path.h"
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
+#include "obs/pipeline_report.h"
 #include "obs/query_profile.h"
 #include "obs/regression.h"
 #include "obs/tracer.h"
@@ -39,7 +39,6 @@ struct QueryRunOptions {
   /// Interpreter loop for bytecode execution (kDefault = compile-time
   /// AQE_VM_DISPATCH selection; both engines give bit-identical results).
   VmDispatch vm_dispatch = VmDispatch::kDefault;
-  TraceRecorder* trace = nullptr;
   /// Strictly one thread executes the query's pipelines (no morsel helper
   /// tasks, compilations inline). Baselines and kNaiveIr are single-
   /// threaded by construction; set this for kCompiled to reproduce the
@@ -72,40 +71,6 @@ struct QueryRunOptions {
   /// per query, which is measurable on sub-millisecond queries (the
   /// profile-overhead perf floor gates the on-cost, not the default path).
   bool collect_profile = false;
-};
-
-/// Per-pipeline execution report.
-struct PipelineReport {
-  std::string name;
-  /// The plan's pipeline index — what morsel trace events carry as
-  /// pipeline_id (report order is stage order, which may differ).
-  uint32_t pipeline_index = 0;
-  uint64_t tuples = 0;
-  uint64_t instructions = 0;       ///< LLVM instructions of the worker
-  double codegen_millis = 0;       ///< IR generation
-  double translate_millis = 0;     ///< bytecode translation (§IV-B)
-  uint32_t register_file_bytes = 0;
-  double exec_seconds = 0;         ///< pipeline wall time (incl. switches)
-  /// exec_seconds minus compile time that blocked the pipeline's controller
-  /// thread — pure execution, comparable between cold runs and cache hits.
-  double exec_only_seconds = 0;
-  /// Mode of the first morsel: kBytecode on a cold adaptive start, the best
-  /// cached mode when the artifact cache seeded the pipeline's handle.
-  ExecMode initial_mode = ExecMode::kBytecode;
-  ExecMode final_mode = ExecMode::kBytecode;
-  bool artifact_cache_hit = false;  ///< bytecode or machine code reused
-  std::vector<std::pair<ExecMode, double>> compiles;  ///< mode switches
-  /// §III-C compile decisions with predicted vs realized durations
-  /// (adaptive runs on the task scheduler; empty otherwise).
-  std::vector<ModeSwitchRecord> mode_switches;
-  /// Scan-pruning outcome (access path chosen, rows/blocks pruned,
-  /// posting-list work). `pruning.analyzed` is false when the source table
-  /// has no indexes or pruning was disabled; `tuples` above is the
-  /// *scheduled* (post-pruning) row count.
-  PruningStats pruning;
-  /// The per-fingerprint pruning decision was reused from the artifact
-  /// cache instead of re-analyzed.
-  bool pruning_cache_hit = false;
 };
 
 struct QueryRunResult {
@@ -197,9 +162,9 @@ class QueryEngine {
   /// will finish in a fraction of the time). Pipelines execute as
   /// resumable state machines that yield at morsel boundaries, so a long
   /// scan never blocks a worker against later-submitted short queries.
-  /// `program` (and `options.trace`, if set) must stay alive until the
-  /// future is ready. Destroying the engine abandons queued queries: their
-  /// futures throw std::future_error (broken_promise) — they never hang.
+  /// `program` must stay alive until the future is ready. Destroying the
+  /// engine abandons queued queries: their futures throw
+  /// std::future_error (broken_promise) — they never hang.
   std::future<QueryRunResult> Submit(const QueryProgram& program,
                                      const QueryRunOptions& options = {});
 

@@ -18,8 +18,7 @@ std::string ChromeTraceJson(const TraceSnapshot& snapshot);
 
 /// Renders the ASCII swimlane chart (threads x time, Fig 14 style) from a
 /// TraceSnapshot: morsels print the pipeline digit (digit = interpreted,
-/// letter = compiled), compilations print '#'. Byte-compatible with the
-/// retired TraceRecorder::Render so goldens and eyeballs carry over.
+/// letter = compiled), compilations print '#'.
 std::string RenderTextTrace(const TraceSnapshot& snapshot, int num_lanes,
                             int width = 100);
 

@@ -68,11 +68,10 @@ double UnionSeconds(std::vector<Interval>& intervals) {
   return static_cast<double>(covered) / 1e9;
 }
 
-/// Aggregation state per (pipeline, mode) while folding morsel events.
+/// Aggregation state per (pipeline, mode) while folding morsel events:
+/// the slice so far plus the morsel intervals its wall time is the union of.
 struct ModeAgg {
-  uint64_t morsels = 0;
-  uint64_t tuples = 0;
-  double busy_seconds = 0;
+  ModeSliceProfile slice;
   std::vector<Interval> intervals;
 };
 
@@ -106,9 +105,9 @@ QueryProfile BuildQueryProfile(const TraceSnapshot& snapshot,
       switch (e.kind) {
         case TraceEventKind::kMorsel: {
           ModeAgg& agg = modes[{e.pipeline_id, e.detail}];
-          ++agg.morsels;
-          agg.tuples += e.payload;
-          agg.busy_seconds +=
+          ++agg.slice.morsels;
+          agg.slice.tuples += e.payload;
+          agg.slice.busy_seconds +=
               static_cast<double>(e.end_nanos - e.start_nanos) / 1e9;
           agg.intervals.push_back({e.start_nanos, e.end_nanos});
           lanes[lane.lane].morsels.push_back({e.start_nanos, e.end_nanos});
@@ -156,42 +155,18 @@ QueryProfile BuildQueryProfile(const TraceSnapshot& snapshot,
   }
 
   for (const PipelineReport& report : result.pipelines) {
-    PipelineProfile pp;
-    pp.name = report.name;
-    pp.pipeline_index = report.pipeline_index;
-    pp.tuples = report.tuples;
-    pp.wall_seconds = report.exec_seconds;
-    pp.exec_only_seconds = report.exec_only_seconds;
-    pp.initial_mode = report.initial_mode;
-    pp.final_mode = report.final_mode;
-    pp.artifact_cache_hit = report.artifact_cache_hit;
-    pp.pruning = report.pruning;
-    pp.pruning_cache_hit = report.pruning_cache_hit;
+    PipelineReport pp = report;
     for (uint8_t mode = 0; mode <= 2; ++mode) {
       auto it = modes.find({static_cast<uint16_t>(pp.pipeline_index), mode});
       if (it == modes.end()) continue;
-      ModeSliceProfile slice;
+      ModeSliceProfile& slice = pp.modes.emplace_back(it->second.slice);
       slice.mode = static_cast<ExecMode>(mode);
-      slice.morsels = it->second.morsels;
-      slice.tuples = it->second.tuples;
-      slice.busy_seconds = it->second.busy_seconds;
       slice.wall_seconds = UnionSeconds(it->second.intervals);
-      pp.modes.push_back(slice);
-    }
-    for (const ModeSwitchRecord& rec : report.mode_switches) {
-      ModeSwitchProfile sw;
-      sw.target = rec.target;
-      sw.r0 = rec.r0;
-      sw.remaining_tuples = rec.remaining_tuples;
-      sw.t_current_seconds = rec.t_current_seconds;
-      sw.predicted_seconds = rec.t_chosen_seconds;
-      sw.realized_seconds = rec.realized_seconds;
-      pp.switches.push_back(sw);
     }
     prof.pipelines.push_back(std::move(pp));
   }
   double pipeline_exec_only = 0;
-  for (const PipelineProfile& pp : prof.pipelines) {
+  for (const PipelineReport& pp : prof.pipelines) {
     pipeline_exec_only += pp.exec_only_seconds;
   }
   prof.engine_step_seconds =
@@ -218,14 +193,14 @@ std::string QueryProfile::ToJson() const {
          static_cast<unsigned long long>(peak_memory_bytes),
          lossy ? "true" : "false");
   bool first_p = true;
-  for (const PipelineProfile& pp : pipelines) {
+  for (const PipelineReport& pp : pipelines) {
     Append(out,
            "%s{\"name\":\"%s\",\"index\":%u,\"tuples\":%llu,"
            "\"wall_s\":%.6f,\"exec_only_s\":%.6f,\"initial_mode\":\"%s\","
            "\"final_mode\":\"%s\",\"cache_hit\":%s,",
            first_p ? "" : ",", JsonEscape(pp.name).c_str(),
            pp.pipeline_index, static_cast<unsigned long long>(pp.tuples),
-           pp.wall_seconds, pp.exec_only_seconds,
+           pp.exec_seconds, pp.exec_only_seconds,
            ExecModeName(pp.initial_mode), ExecModeName(pp.final_mode),
            pp.artifact_cache_hit ? "true" : "false");
     first_p = false;
@@ -261,14 +236,14 @@ std::string QueryProfile::ToJson() const {
     }
     out += "],\"switches\":[";
     bool first_s = true;
-    for (const ModeSwitchProfile& sw : pp.switches) {
+    for (const ModeSwitchRecord& sw : pp.mode_switches) {
       Append(out,
              "%s{\"target\":\"%s\",\"r0\":%.1f,\"remaining\":%llu,"
              "\"t_current_s\":%.6f,\"predicted_s\":%.6f,"
              "\"realized_s\":%.6f,\"error_pct\":%.1f}",
              first_s ? "" : ",", ExecModeName(sw.target), sw.r0,
              static_cast<unsigned long long>(sw.remaining_tuples),
-             sw.t_current_seconds, sw.predicted_seconds,
+             sw.t_current_seconds, sw.t_chosen_seconds,
              sw.realized_seconds, sw.error_pct());
       first_s = false;
     }
@@ -302,11 +277,11 @@ std::string ExplainAnalyze(const QueryRunResult& result) {
   Append(out, "  cpu-samples %llu; peak memory %llu bytes\n",
          static_cast<unsigned long long>(p.cpu_samples),
          static_cast<unsigned long long>(p.peak_memory_bytes));
-  for (const PipelineProfile& pp : p.pipelines) {
+  for (const PipelineReport& pp : p.pipelines) {
     Append(out,
            "  pipeline %u \"%s\": %.3f ms wall (%.3f ms exec-only), "
            "%llu tuples, %s -> %s%s\n",
-           pp.pipeline_index, pp.name.c_str(), pp.wall_seconds * 1e3,
+           pp.pipeline_index, pp.name.c_str(), pp.exec_seconds * 1e3,
            pp.exec_only_seconds * 1e3,
            static_cast<unsigned long long>(pp.tuples),
            ExecModeName(pp.initial_mode), ExecModeName(pp.final_mode),
@@ -337,12 +312,12 @@ std::string ExplainAnalyze(const QueryRunResult& result) {
              m.busy_seconds * 1e3, m.wall_seconds * 1e3,
              m.tuples_per_sec() / 1e6);
     }
-    for (const ModeSwitchProfile& sw : pp.switches) {
+    for (const ModeSwitchRecord& sw : pp.mode_switches) {
       Append(out,
              "    switch -> %s: predicted %.3f ms (stay: %.3f ms), "
              "realized %.3f ms, error %+.1f%%  [r0=%.0f t/s, %llu tuples "
              "remained]\n",
-             ExecModeName(sw.target), sw.predicted_seconds * 1e3,
+             ExecModeName(sw.target), sw.t_chosen_seconds * 1e3,
              sw.t_current_seconds * 1e3, sw.realized_seconds * 1e3,
              sw.error_pct(), sw.r0,
              static_cast<unsigned long long>(sw.remaining_tuples));

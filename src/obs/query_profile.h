@@ -5,67 +5,12 @@
 #include <string>
 #include <vector>
 
-#include "exec/function_handle.h"
-#include "index/access_path.h"
+#include "obs/pipeline_report.h"
 #include "obs/tracer.h"
 
 namespace aqe {
 
 struct QueryRunResult;  // engine/query_engine.h (avoids a circular include)
-
-/// Per-(pipeline, ExecMode) execution summary folded out of the morsel
-/// events: how many morsels/tuples ran in that mode, the summed per-morsel
-/// busy time across all workers, and the wall-clock footprint (the union of
-/// the mode's morsel intervals — what "time spent in this mode" means when
-/// several workers overlap).
-struct ModeSliceProfile {
-  ExecMode mode = ExecMode::kBytecode;
-  uint64_t morsels = 0;
-  uint64_t tuples = 0;
-  double busy_seconds = 0;
-  double wall_seconds = 0;
-
-  double tuples_per_sec() const {
-    return busy_seconds > 0 ? static_cast<double>(tuples) / busy_seconds : 0;
-  }
-};
-
-/// One §III-C compile decision audited: the controller's extrapolated
-/// durations against the remainder the pipeline actually took.
-struct ModeSwitchProfile {
-  ExecMode target = ExecMode::kUnoptimized;
-  double r0 = 0;                 ///< observed rate [tuples/s/thread]
-  uint64_t remaining_tuples = 0;
-  double t_current_seconds = 0;  ///< predicted: stay in current mode
-  double predicted_seconds = 0;  ///< predicted: T(chosen)
-  double realized_seconds = 0;   ///< decision -> pipeline end, measured
-
-  /// Signed prediction error: +x% means the switch ran x% slower than the
-  /// extrapolation promised.
-  double error_pct() const {
-    return predicted_seconds > 0
-               ? (realized_seconds - predicted_seconds) / predicted_seconds *
-                     100.0
-               : 0;
-  }
-};
-
-struct PipelineProfile {
-  std::string name;
-  uint32_t pipeline_index = 0;
-  uint64_t tuples = 0;
-  double wall_seconds = 0;       ///< pipeline start -> drained
-  double exec_only_seconds = 0;  ///< wall minus blocking compile
-  ExecMode initial_mode = ExecMode::kBytecode;
-  ExecMode final_mode = ExecMode::kBytecode;
-  bool artifact_cache_hit = false;
-  /// Scan-pruning access-path decision (pruning.analyzed == false when the
-  /// source table has no indexes or pruning was disabled for the run).
-  PruningStats pruning;
-  bool pruning_cache_hit = false;  ///< decision reused, analysis skipped
-  std::vector<ModeSliceProfile> modes;
-  std::vector<ModeSwitchProfile> switches;
-};
 
 /// Everything EXPLAIN ANALYZE knows about one completed query, folded from
 /// the engine's trace rings (events keyed by query id) plus the run result.
@@ -97,7 +42,8 @@ struct QueryProfile {
   /// True when any trace ring dropped events inside the query's window:
   /// morsel/mode aggregates below may undercount.
   bool lossy = false;
-  std::vector<PipelineProfile> pipelines;
+  /// The run's pipeline reports with `modes` folded in.
+  std::vector<PipelineReport> pipelines;
 
   std::string ToJson() const;
 };

@@ -98,7 +98,7 @@ class EngineTracer {
   }
 
   /// Clears every lane and restarts the timeline. Quiescent producers
-  /// only (same contract as the old TraceRecorder::Start).
+  /// only.
   void Reset();
 
   TraceSnapshot Snapshot() const;

@@ -14,12 +14,12 @@
 
 namespace aqe {
 
-/// Task scheduler with per-worker work-stealing deques — the execution
-/// substrate that replaced the gang-scheduled WorkerPool. Queries, morsels
-/// and JIT compilations are all tasks on it, so N concurrent queries (and
-/// the adaptive controller's background compilations) share one set of
-/// cores. See DESIGN.md in this directory for invariants (task lifetime,
-/// steal protocol, priority and class rules).
+/// Task scheduler with per-worker work-stealing deques — the engine's one
+/// execution substrate. Queries, morsels and JIT compilations are all
+/// tasks on it, so N concurrent queries (and the adaptive controller's
+/// background compilations) share one set of cores. See DESIGN.md in
+/// this directory for invariants (task lifetime, steal protocol, priority
+/// and class rules).
 ///
 /// Normal-priority work is split into kNumTaskClasses weighted-fair lanes
 /// (one deque per class per worker). The scheduler keeps one global virtual

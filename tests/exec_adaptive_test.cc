@@ -2,7 +2,7 @@
 
 #include <atomic>
 #include <chrono>
-#include <set>
+#include <string>
 #include <thread>
 
 #include "adaptive/calibrate.h"
@@ -10,8 +10,10 @@
 #include "adaptive/cost_model.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
-#include "exec/trace.h"
+#include "obs/export.h"
+#include "obs/tracer.h"
+#include "sched/scheduler.h"
+#include "tests/pipeline_test_util.h"
 
 namespace aqe {
 namespace {
@@ -139,28 +141,6 @@ TEST(FunctionHandleTest, SwitchesVariantMidStream) {
   EXPECT_EQ(probe.interpreted.load(), 1);
 }
 
-// --- WorkerPool ---------------------------------------------------------------
-
-TEST(WorkerPoolTest, RunsOnAllThreads) {
-  WorkerPool pool(4);
-  std::set<int> indices;
-  std::mutex mutex;
-  pool.RunParallel([&](int thread) {
-    std::lock_guard<std::mutex> lock(mutex);
-    indices.insert(thread);
-  });
-  EXPECT_EQ(indices, (std::set<int>{0, 1, 2, 3}));
-}
-
-TEST(WorkerPoolTest, ReusableAcrossRuns) {
-  WorkerPool pool(2);
-  std::atomic<int> count{0};
-  for (int round = 0; round < 10; ++round) {
-    pool.RunParallel([&](int) { count++; });
-  }
-  EXPECT_EQ(count.load(), 20);
-}
-
 // --- Cost model (Fig 7) --------------------------------------------------------
 
 TEST(CostModelTest, TinyPipelineStaysInterpreted) {
@@ -252,164 +232,110 @@ TEST(CostModelTest, LargerFunctionsRaiseTheBar) {
   EXPECT_EQ(big_fn, Decision::kDoNothing);
 }
 
-// --- PipelineRunner ------------------------------------------------------------
+// --- PipelineRun on a 2-worker TaskScheduler ---------------------------------
 
-/// A synthetic "worker function" whose interpreted variant is slow and
-/// compiled variants are fast, with per-call counters.
-struct SyntheticPipeline {
-  std::atomic<uint64_t> interpreted_tuples{0};
-  std::atomic<uint64_t> unopt_tuples{0};
-  std::atomic<uint64_t> opt_tuples{0};
+using testutil::RunPipeline;
+using testutil::SyntheticPipeline;
 
-  static void SlowInterp(void* state, uint64_t begin, uint64_t end,
-                         const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->interpreted_tuples += end - begin;
-    // ~10M tuples/s.
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 100));
-  }
-  static void FastUnopt(void* state, uint64_t begin, uint64_t end,
-                        const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->unopt_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 25));
-  }
-  static void FastOpt(void* state, uint64_t begin, uint64_t end,
-                      const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->opt_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 18));
-  }
-};
-
-TEST(PipelineRunnerTest, BytecodeStrategyNeverCompiles) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, BytecodeStrategyNeverCompiles) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kBytecode);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 100000;
-  task.function_instructions = 1000;
+  PipelineTask task = pipe.MakeTask(100000);
   task.compile = [](ExecMode) -> WorkerFn {
     ADD_FAILURE() << "bytecode strategy must not compile";
     return nullptr;
   };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunPipeline(&sched, ExecutionStrategy::kBytecode, task);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 100000u);
   EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
   EXPECT_TRUE(stats.compiles.empty());
 }
 
-TEST(PipelineRunnerTest, StaticOptimizedCompilesUpFront) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, StaticOptimizedCompilesUpFront) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kOptimized);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 50000;
-  task.function_instructions = 1000;
+  PipelineTask task = pipe.MakeTask(50000);
   int compile_calls = 0;
   task.compile = [&compile_calls](ExecMode mode) -> WorkerFn {
     ++compile_calls;
     EXPECT_EQ(mode, ExecMode::kOptimized);
     return &SyntheticPipeline::FastOpt;
   };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunPipeline(&sched, ExecutionStrategy::kOptimized, task);
   EXPECT_EQ(compile_calls, 1);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 0u);
   EXPECT_EQ(pipe.opt_tuples.load(), 50000u);
   EXPECT_EQ(stats.final_mode, ExecMode::kOptimized);
 }
 
-TEST(PipelineRunnerTest, AdaptiveSwitchesOnLongPipeline) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, AdaptiveSwitchesOnLongPipeline) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
   CostModelParams params;
   params.unopt_base_seconds = 1e-3;
   params.unopt_per_instruction_seconds = 0;
   params.opt_base_seconds = 4e-3;
   params.opt_per_instruction_seconds = 0;
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 3000000;  // ~300ms of interpretation at 2 threads
-  task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
-  };
-  PipelineRunStats stats = runner.Run(task);
+  // ~100 ms of interpretation across the 3 participants.
+  PipelineRunStats stats = RunPipeline(&sched, ExecutionStrategy::kAdaptive,
+                                       pipe.MakeTask(3000000), params);
   // All tuples processed exactly once across the modes.
-  EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load() +
-                pipe.opt_tuples.load(),
-            3000000u);
+  EXPECT_EQ(pipe.total(), 3000000u);
   // It must have decided to compile, starting from bytecode.
   EXPECT_GT(pipe.interpreted_tuples.load(), 0u);
   EXPECT_FALSE(stats.compiles.empty());
   EXPECT_NE(stats.final_mode, ExecMode::kBytecode);
 }
 
-TEST(PipelineRunnerTest, AdaptiveLeavesShortPipelineInterpreted) {
-  WorkerPool pool(2);
+TEST(PipelineRunTest, AdaptiveLeavesShortPipelineInterpreted) {
+  TaskScheduler sched(2);
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 4000;  // finishes well under 1 ms of work
+  PipelineTask task = pipe.MakeTask(4000);  // well under 1 ms
   task.function_instructions = 5000;
   task.compile = [](ExecMode) -> WorkerFn {
     ADD_FAILURE() << "short pipeline must not compile";
     return nullptr;
   };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunPipeline(&sched, ExecutionStrategy::kAdaptive, task);
   EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 4000u);
 }
 
-TEST(PipelineRunnerTest, TraceRecordsMorselsAndCompiles) {
-  WorkerPool pool(2);
-  TraceRecorder trace;
-  trace.Start();
+TEST(PipelineRunTest, TraceRecordsMorselsAndCompiles) {
+  TaskScheduler sched(2);
+  EngineTracer tracer;
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
   CostModelParams params;
   params.unopt_base_seconds = 1e-4;
   params.unopt_per_instruction_seconds = 0;
-  PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params, &trace);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = 2000000;
+  PipelineTask task = pipe.MakeTask(2000000);
   task.function_instructions = 100;
+  task.obs.tracer = &tracer;
   task.compile = [](ExecMode mode) -> WorkerFn {
+    // A compile long enough to own a few columns of the chart below.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
                                           : &SyntheticPipeline::FastOpt;
   };
-  runner.Run(task);
-  auto events = trace.Events();
-  ASSERT_FALSE(events.empty());
+  RunPipeline(&sched, ExecutionStrategy::kAdaptive, task, params);
+  const TraceSnapshot snap = tracer.Snapshot();
+  ASSERT_FALSE(snap.lanes.empty());
   bool has_morsel = false, has_compile = false;
-  for (const auto& e : events) {
-    has_morsel |= e.kind == TraceRecorder::EventKind::kMorsel;
-    has_compile |= e.kind == TraceRecorder::EventKind::kCompile;
-    EXPECT_GE(e.end_nanos, e.start_nanos);
+  for (const auto& lane : snap.lanes) {
+    for (const TraceEvent& e : lane.events) {
+      has_morsel |= e.kind == TraceEventKind::kMorsel;
+      has_compile |= e.kind == TraceEventKind::kCompile;
+      EXPECT_GE(e.end_nanos, e.start_nanos);
+    }
   }
   EXPECT_TRUE(has_morsel);
   EXPECT_TRUE(has_compile);
-  std::string chart = trace.Render(2, 60);
+  // Every lane, so the controller's leased (external-thread) lane and
+  // whichever lane compiled are both drawn.
+  std::string chart = RenderTextTrace(snap, EngineTracer::kMaxLanes, 60);
   EXPECT_NE(chart.find("thread 0"), std::string::npos);
   EXPECT_NE(chart.find('#'), std::string::npos);
 }

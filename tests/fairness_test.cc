@@ -1,8 +1,8 @@
 // Fairness and resumption tests for the multi-tenant engine:
 //  - differential: the resumable PipelineRun (checkpointing at morsel
 //    boundaries, Task::kYield between slices) must produce identical
-//    results and mode-switch traces as the pre-refactor blocking
-//    controller (the legacy gang-scheduled path, kept as baseline);
+//    results and mode-switch traces as a single-threaded run (the whole
+//    pipeline inside one Step on the calling thread);
 //  - starvation stress: a saturated engine running long scans must still
 //    admit and complete later-submitted short high-class queries with
 //    bounded latency, before the long work finishes;
@@ -22,129 +22,91 @@
 #include "common/timer.h"
 #include "engine/query_engine.h"
 #include "exec/function_handle.h"
-#include "exec/scheduler.h"
-#include "exec/trace.h"
+#include "obs/tracer.h"
 #include "plan/expr.h"
 #include "plan/plan.h"
 #include "runtime/agg_hash_table.h"
 #include "sched/scheduler.h"
 #include "storage/table.h"
+#include "tests/pipeline_test_util.h"
 
 namespace aqe {
 namespace {
 
-// --- differential: resumable controller vs legacy blocking path ------------
+// --- differential: resumable controller vs single-threaded run -------------
 
-struct SyntheticPipeline {
-  std::atomic<uint64_t> interpreted_tuples{0};
-  std::atomic<uint64_t> unopt_tuples{0};
+using testutil::ForcedUnoptParams;
+using testutil::SyntheticPipeline;
 
-  static void SlowInterp(void* state, uint64_t begin, uint64_t end,
-                         const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->interpreted_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 100));
-  }
-  static void FastUnopt(void* state, uint64_t begin, uint64_t end,
-                        const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->unopt_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 25));
-  }
-};
-
-/// Cost-model parameters that force exactly one switch to unoptimized.
-CostModelParams ForcedUnoptParams() {
-  CostModelParams params;
-  params.unopt_base_seconds = 0;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 1e9;  // optimized can never win
-  return params;
-}
-
-/// The (pipeline, mode) sequence of a trace's compile events — the
+/// The (pipeline, mode) sequence of a tracer's compile events — the
 /// mode-switch trace the differential compares.
-std::vector<std::pair<int, ExecMode>> CompileTrace(const TraceRecorder& trace) {
+std::vector<std::pair<int, ExecMode>> CompileTrace(const EngineTracer& tracer) {
   std::vector<std::pair<int, ExecMode>> switches;
-  for (const TraceRecorder::Event& e : trace.Events()) {
-    if (e.kind == TraceRecorder::EventKind::kCompile) {
-      switches.emplace_back(e.pipeline, e.mode);
+  for (const auto& lane : tracer.Snapshot().lanes) {
+    for (const TraceEvent& e : lane.events) {
+      if (e.kind == TraceEventKind::kCompile) {
+        switches.emplace_back(e.pipeline_id, static_cast<ExecMode>(e.detail));
+      }
     }
   }
   return switches;
 }
 
-TEST(ResumablePipelineTest, StepYieldsBetweenMorselsAndMatchesLegacyTraces) {
+TEST(ResumablePipelineTest,
+     StepYieldsBetweenMorselsAndMatchesSingleThreaded) {
   constexpr uint64_t kTuples = 2000000;
+  constexpr int kPipelineId = 3;
   const CostModelParams params = ForcedUnoptParams();
-
-  // Legacy gang-scheduled baseline (the pre-refactor blocking controller).
-  TraceRecorder legacy_trace;
-  SyntheticPipeline legacy_pipe;
-  PipelineRunStats legacy_stats;
-  {
-    WorkerPool pool(2);
-    int marker = 0;
-    FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-    PipelineRunner runner(&pool, ExecutionStrategy::kAdaptive, params,
-                          &legacy_trace);
-    runner.set_first_evaluation_delay_seconds(0);
-    PipelineTask task;
-    task.handle = &handle;
-    task.state = &legacy_pipe;
-    task.total_tuples = kTuples;
-    task.function_instructions = 1000;
-    task.compile = [](ExecMode) -> WorkerFn {
-      return &SyntheticPipeline::FastUnopt;
-    };
-    legacy_stats = runner.Run(task);
-  }
-
-  // Resumable controller, stepped manually: every Step is one checkpoint.
-  TraceRecorder resumable_trace;
-  SyntheticPipeline resumable_pipe;
-  PipelineRunStats resumable_stats;
-  uint64_t yields = 0;
-  {
-    TaskScheduler sched(2);
-    int marker = 0;
-    FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-    PipelineTask task;
-    task.handle = &handle;
-    task.state = &resumable_pipe;
-    task.total_tuples = kTuples;
-    task.function_instructions = 1000;
-    task.compile = [](ExecMode) -> WorkerFn {
-      return &SyntheticPipeline::FastUnopt;
-    };
-    PipelineRun run(&sched, ExecutionStrategy::kAdaptive, params,
-                    &resumable_trace, task, /*single_threaded=*/false,
-                    /*first_eval_delay_seconds=*/0);
+  TaskScheduler sched(2);
+  // Steps one run to completion, counting the yields between steps.
+  auto run_to_end = [&](bool single_threaded, SyntheticPipeline* pipe,
+                        EngineTracer* tracer, uint64_t* yields) {
+    PipelineTask task = pipe->MakeTask(kTuples);
+    task.pipeline_id = kPipelineId;
+    task.obs.tracer = tracer;
+    PipelineRun run(&sched, ExecutionStrategy::kAdaptive, params, task,
+                    single_threaded, /*first_eval_delay_seconds=*/0);
     while (run.Step() == Task::Status::kYield) {
-      ++yields;
+      ++*yields;
       if (run.draining()) run.WaitDrainBriefly();
     }
     EXPECT_TRUE(run.done());
-    resumable_stats = run.TakeStats();
-  }
+    return run.TakeStats();
+  };
+
+  // Single-threaded baseline: one Step runs the whole pipeline.
+  EngineTracer single_tracer;
+  SyntheticPipeline single_pipe;
+  uint64_t single_yields = 0;
+  const PipelineRunStats single_stats =
+      run_to_end(/*single_threaded=*/true, &single_pipe, &single_tracer,
+                 &single_yields);
+  EXPECT_EQ(single_yields, 0u);
+
+  // Resumable controller, stepped manually: every Step is one checkpoint.
+  EngineTracer resumable_tracer;
+  SyntheticPipeline resumable_pipe;
+  uint64_t yields = 0;
+  const PipelineRunStats resumable_stats =
+      run_to_end(/*single_threaded=*/false, &resumable_pipe,
+                 &resumable_tracer, &yields);
 
   // The controller suspended at every morsel boundary (its shard is a
   // sizeable fraction of the domain at the smallest morsel size).
   EXPECT_GT(yields, 10u);
 
   // Identical mode-switch traces and final mode...
-  EXPECT_EQ(CompileTrace(resumable_trace), CompileTrace(legacy_trace));
+  const std::vector<std::pair<int, ExecMode>> expected = {
+      {kPipelineId, ExecMode::kUnoptimized}};
+  EXPECT_EQ(CompileTrace(single_tracer), expected);
+  EXPECT_EQ(CompileTrace(resumable_tracer), CompileTrace(single_tracer));
   ASSERT_EQ(resumable_stats.compiles.size(), 1u);
-  ASSERT_EQ(legacy_stats.compiles.size(), 1u);
+  ASSERT_EQ(single_stats.compiles.size(), 1u);
   EXPECT_EQ(resumable_stats.compiles[0].first, ExecMode::kUnoptimized);
-  EXPECT_EQ(resumable_stats.final_mode, legacy_stats.final_mode);
+  EXPECT_EQ(resumable_stats.final_mode, single_stats.final_mode);
   // ...and identical results: every tuple processed exactly once.
-  EXPECT_EQ(resumable_pipe.interpreted_tuples.load() +
-                resumable_pipe.unopt_tuples.load(),
-            kTuples);
-  EXPECT_EQ(legacy_pipe.interpreted_tuples.load() +
-                legacy_pipe.unopt_tuples.load(),
-            kTuples);
+  EXPECT_EQ(resumable_pipe.total(), kTuples);
+  EXPECT_EQ(single_pipe.total(), kTuples);
 }
 
 TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
@@ -154,19 +116,13 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   constexpr uint64_t kTuples = 1500000;
   TaskScheduler sched(1);  // controller external: exactly one helper
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = kTuples;
-  task.function_instructions = 1000;
+  PipelineTask task = pipe.MakeTask(kTuples);
   task.compile = [](ExecMode mode) -> WorkerFn {
     EXPECT_EQ(mode, ExecMode::kUnoptimized);
     return &SyntheticPipeline::FastUnopt;
   };
   PipelineRun run(&sched, ExecutionStrategy::kAdaptive, ForcedUnoptParams(),
-                  nullptr, task, /*single_threaded=*/false,
+                  task, /*single_threaded=*/false,
                   /*first_eval_delay_seconds=*/0);
   // Step a handful of morsels, then suspend the controller entirely.
   int steps = 0;
@@ -182,8 +138,7 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   PipelineRunStats stats = run.TakeStats();
   ASSERT_EQ(stats.compiles.size(), 1u);
   EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
-  EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load(),
-            kTuples);
+  EXPECT_EQ(pipe.total(), kTuples);
 }
 
 // --- engine-level fairness --------------------------------------------------

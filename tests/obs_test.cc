@@ -441,11 +441,32 @@ TEST_F(ObsEngineTest, ChromeTraceExportIsWellFormedForAdaptiveRun) {
   EXPECT_EQ(brackets, 0);
   EXPECT_FALSE(in_string);
 
-  // The text renderer subsumes the old TraceRecorder::Render format.
+  // The Fig 14 text renderer.
   const std::string text = engine.RenderTrace(/*width=*/80);
   EXPECT_NE(text.find("time ->"), std::string::npos);
   EXPECT_NE(text.find("thread 0 |"), std::string::npos);
   EXPECT_NE(text.find("total:"), std::string::npos);
+}
+
+TEST_F(ObsEngineTest, QueryDoneIsTracedBeforeRunReturns) {
+  // The last slice's events are recorded before the promise resolves, so
+  // a trace snapshot taken right after Run() holds the query's finish.
+  QueryEngine engine(&catalog(), 2);
+  QueryProgram q6 = BuildTpchQuery(6, catalog());
+  QueryRunOptions options;
+  options.collect_profile = true;  // carries the query id
+  for (int i = 0; i < 200; ++i) {
+    const QueryRunResult result = engine.Run(q6, options);
+    ASSERT_NE(result.profile, nullptr);
+    const uint32_t query_id = result.profile->query_id;
+    bool done = false;
+    for (const auto& lane : engine.tracer().Snapshot().lanes) {
+      for (const TraceEvent& e : lane.events) {
+        done |= e.kind == TraceEventKind::kQueryDone && e.query_id == query_id;
+      }
+    }
+    ASSERT_TRUE(done) << "query " << query_id << " (run " << i << ")";
+  }
 }
 
 TEST(EngineTracerTest, LaneStatsReportPerLaneRecordedAndDropped) {
@@ -685,7 +706,7 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
   // morsel spans.
   double mode_wall_sum = 0;
   uint64_t mode_tuples = 0;
-  for (const PipelineProfile& pp : prof.pipelines) {
+  for (const PipelineReport& pp : prof.pipelines) {
     EXPECT_FALSE(pp.modes.empty()) << pp.name;
     for (const ModeSliceProfile& m : pp.modes) {
       EXPECT_GT(m.morsels, 0u);
@@ -707,11 +728,11 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
 
   // At least one mode switch with a predicted-vs-realized verdict.
   size_t switches = 0;
-  for (const PipelineProfile& pp : prof.pipelines) {
-    for (const ModeSwitchProfile& sw : pp.switches) {
+  for (const PipelineReport& pp : prof.pipelines) {
+    for (const ModeSwitchRecord& sw : pp.mode_switches) {
       ++switches;
       EXPECT_EQ(sw.target, ExecMode::kOptimized);
-      EXPECT_GT(sw.predicted_seconds, 0.0);
+      EXPECT_GT(sw.t_chosen_seconds, 0.0);
       EXPECT_GT(sw.t_current_seconds, 0.0);
       EXPECT_GT(sw.realized_seconds, 0.0);
       EXPECT_GT(sw.r0, 0.0);
@@ -734,6 +755,90 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
   EXPECT_NE(json.find("\"plan\":\"q3\""), std::string::npos);
   EXPECT_NE(json.find("\"pipelines\":["), std::string::npos);
   EXPECT_NE(json.find("\"switches\":["), std::string::npos);
+}
+
+// Golden output: a hand-built profile (one pruned pipeline, two mode
+// slices, one switch). Every ToJson key and ExplainAnalyze line is pinned.
+TEST(QueryProfileTest, JsonAndExplainAnalyzeGolden) {
+  auto prof = std::make_shared<QueryProfile>();
+  prof->query_id = 7;
+  prof->plan_name = "golden \"plan\"";
+  prof->total_seconds = 0.0125;
+  prof->queue_wait_seconds = 0.0005;
+  prof->exec_seconds = 0.01;
+  prof->engine_step_seconds = 0.001;
+  prof->on_cpu_seconds = 0.015;
+  prof->compile_seconds = 0.002;
+  prof->compiles = 1;
+  prof->cache_hits = 2;
+  prof->cpu_samples = 3;
+  prof->peak_memory_bytes = 65536;
+  prof->lossy = true;
+  PipelineReport pp;
+  pp.name = "scan lineitem";
+  pp.pipeline_index = 1;
+  pp.tuples = 40000;
+  pp.exec_seconds = 0.009;
+  pp.exec_only_seconds = 0.007;
+  pp.initial_mode = ExecMode::kBytecode;
+  pp.final_mode = ExecMode::kOptimized;
+  pp.artifact_cache_hit = true;
+  // analyzed, table/selected rows, zone blocks total/pruned, candidate
+  // rows, posting entries, domain ranges, path, analysis seconds.
+  pp.pruning = {true, 160000, 40000, 40, 30, 0, 12, 5,
+                AccessPathKind::kZoneMap, 0.00025};
+  pp.pruning_cache_hit = true;
+  // mode, morsels, tuples, busy, wall.
+  pp.modes.push_back({ExecMode::kBytecode, 4, 10000, 0.004, 0.002});
+  pp.modes.push_back({ExecMode::kOptimized, 6, 30000, 0.003, 0.0015});
+  // target, decision, r0, remaining, T(current), T(chosen), realized.
+  pp.mode_switches.push_back(
+      {ExecMode::kOptimized, 0, 2500000, 30000, 0.006, 0.004, 0.005});
+  prof->pipelines.push_back(pp);
+  QueryRunResult result;
+  result.profile = prof;
+
+  EXPECT_EQ(prof->ToJson(),
+      "{\"query\":7,\"plan\":\"golden \\\"plan\\\"\",\"total_s\":0.012500"
+      ",\"queue_wait_s\":0.000500,\"exec_s\":0.010000"
+      ",\"engine_step_s\":0.001000,\"on_cpu_s\":0.015000,\"compile_s\":0.002000"
+      ",\"compiles\":1,\"cache_hits\":2,\"cpu_samples\":3"
+      ",\"peak_memory_bytes\":65536,\"lossy\":true"
+      ",\"pipelines\":[{\"name\":\"scan lineitem\",\"index\":1,\"tuples\":40000"
+      ",\"wall_s\":0.009000,\"exec_only_s\":0.007000"
+      ",\"initial_mode\":\"bytecode\",\"final_mode\":\"optimized\""
+      ",\"cache_hit\":true,\"pruning\":{\"path\":\"zone-map\""
+      ",\"selected_rows\":40000,\"table_rows\":160000"
+      ",\"selected_fraction\":0.250000,\"zone_blocks_pruned\":30"
+      ",\"zone_blocks_total\":40,\"posting_entries\":12,\"domain_ranges\":5"
+      ",\"analysis_s\":0.000250,\"cached\":true}"
+      ",\"modes\":[{\"mode\":\"bytecode\",\"morsels\":4,\"tuples\":10000"
+      ",\"busy_s\":0.004000,\"wall_s\":0.002000,\"tuples_per_s\":2500000}"
+      ",{\"mode\":\"optimized\",\"morsels\":6,\"tuples\":30000"
+      ",\"busy_s\":0.003000,\"wall_s\":0.001500,\"tuples_per_s\":10000000}]"
+      ",\"switches\":[{\"target\":\"optimized\",\"r0\":2500000.0"
+      ",\"remaining\":30000,\"t_current_s\":0.006000,\"predicted_s\":0.004000"
+      ",\"realized_s\":0.005000,\"error_pct\":25.0}]}]}");
+  EXPECT_EQ(ExplainAnalyze(result),
+      "EXPLAIN ANALYZE  golden \"plan\"  (query 7)  "
+      "[lossy: trace ring dropped events]\n"
+      "  total 12.500 ms = queue 0.500 ms + service 12.000 ms; "
+      "exec 10.000 ms; on-cpu 15.000 ms\n"
+      "  compile 2.000 ms this query (1 jits, 2 cache hits)\n"
+      "  engine steps 1.000 ms (finalize / merge / top-k)\n"
+      "  cpu-samples 3; peak memory 65536 bytes\n"
+      "  pipeline 1 \"scan lineitem\": 9.000 ms wall (7.000 ms exec-only), "
+      "40000 tuples, bytecode -> optimized, cache hit\n"
+      "    access path zone-map  : 40000 / 160000 rows scheduled (25.0%), "
+      "30 / 40 zone blocks pruned, 12 posting entries, 5 ranges, "
+      "analysis 0.250 ms  [cached decision]\n"
+      "    mode bytecode   :      4 morsels,      10000 tuples, "
+      "   4.000 ms busy,    2.000 ms wall,    2.50 M tuples/s\n"
+      "    mode optimized  :      6 morsels,      30000 tuples, "
+      "   3.000 ms busy,    1.500 ms wall,   10.00 M tuples/s\n"
+      "    switch -> optimized: predicted 4.000 ms (stay: 6.000 ms), "
+      "realized 5.000 ms, error +25.0%  [r0=2500000 t/s, "
+      "30000 tuples remained]\n");
 }
 
 // --- Regression sentinel ---------------------------------------------------

@@ -3,18 +3,20 @@
 #include <atomic>
 #include <chrono>
 #include <future>
+#include <memory>
 #include <mutex>
 #include <thread>
 #include <vector>
 
 #include "adaptive/controller.h"
 #include "adaptive/cost_model.h"
+#include "common/timer.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
-#include "exec/scheduler.h"
 #include "sched/scheduler.h"
 #include "sched/stealing_deque.h"
 #include "sched/task.h"
+#include "tests/pipeline_test_util.h"
 
 namespace aqe {
 namespace {
@@ -372,37 +374,17 @@ TEST(ShardedMorselQueueTest, SingleShardEqualsFlatQueue) {
   EXPECT_FALSE(sharded.Next(0, &b));
 }
 
-// --- Differential: task-scheduler path vs legacy gang path ----------------
+// --- Differential: multi-worker run vs single-threaded baseline ----------
 //
 // The mode-switch handshake (decide -> compile -> install -> rate reset)
-// must behave identically on both substrates: same mode-switch sequence,
-// same final mode, every tuple processed exactly once. Cost-model
-// parameters force deterministic decisions.
+// must behave identically whether the pipeline runs on the scheduler's
+// workers or strictly on one thread: same mode-switch sequence, same final
+// mode, every tuple processed exactly once. Cost-model parameters force
+// deterministic decisions.
 
-struct SyntheticPipeline {
-  std::atomic<uint64_t> interpreted_tuples{0};
-  std::atomic<uint64_t> unopt_tuples{0};
-  std::atomic<uint64_t> opt_tuples{0};
-
-  static void SlowInterp(void* state, uint64_t begin, uint64_t end,
-                         const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->interpreted_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 100));
-  }
-  static void FastUnopt(void* state, uint64_t begin, uint64_t end,
-                        const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->unopt_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 25));
-  }
-  static void FastOpt(void* state, uint64_t begin, uint64_t end,
-                      const void*) {
-    auto* self = static_cast<SyntheticPipeline*>(state);
-    self->opt_tuples += end - begin;
-    std::this_thread::sleep_for(std::chrono::nanoseconds((end - begin) * 18));
-  }
-};
+using testutil::ForcedUnoptParams;
+using testutil::RunPipeline;
+using testutil::SyntheticPipeline;
 
 struct DifferentialOutcome {
   std::vector<ExecMode> switches;
@@ -410,26 +392,14 @@ struct DifferentialOutcome {
   uint64_t interpreted, unopt, opt;
 };
 
-template <typename Substrate>
-DifferentialOutcome RunSynthetic(Substrate* substrate,
+DifferentialOutcome RunSynthetic(TaskScheduler* sched, bool single_threaded,
                                  ExecutionStrategy strategy,
                                  const CostModelParams& params,
                                  uint64_t total_tuples) {
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(substrate, strategy, params);
-  runner.set_first_evaluation_delay_seconds(0);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = total_tuples;
-  task.function_instructions = 1000;
-  task.compile = [](ExecMode mode) -> WorkerFn {
-    return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
-                                          : &SyntheticPipeline::FastOpt;
-  };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunPipeline(sched, strategy, pipe.MakeTask(total_tuples),
+                  params, single_threaded, /*first_eval_delay_seconds=*/0);
   DifferentialOutcome outcome;
   for (const auto& [mode, seconds] : stats.compiles) {
     outcome.switches.push_back(mode);
@@ -447,27 +417,25 @@ class SchedulerDifferentialTest : public ::testing::Test {
 
   void Compare(ExecutionStrategy strategy, const CostModelParams& params,
                const std::vector<ExecMode>& expected_switches) {
-    WorkerPool pool(2);
     TaskScheduler sched(2);
-    DifferentialOutcome legacy =
-        RunSynthetic(&pool, strategy, params, kTuples);
+    DifferentialOutcome single =
+        RunSynthetic(&sched, /*single_threaded=*/true, strategy, params,
+                     kTuples);
     DifferentialOutcome tasks =
-        RunSynthetic(&sched, strategy, params, kTuples);
+        RunSynthetic(&sched, /*single_threaded=*/false, strategy, params,
+                     kTuples);
 
-    EXPECT_EQ(legacy.switches, expected_switches);
+    EXPECT_EQ(single.switches, expected_switches);
     EXPECT_EQ(tasks.switches, expected_switches);
-    EXPECT_EQ(legacy.final_mode, tasks.final_mode);
-    EXPECT_EQ(legacy.interpreted + legacy.unopt + legacy.opt, kTuples);
+    EXPECT_EQ(single.final_mode, tasks.final_mode);
+    EXPECT_EQ(single.interpreted + single.unopt + single.opt, kTuples);
     EXPECT_EQ(tasks.interpreted + tasks.unopt + tasks.opt, kTuples);
   }
 };
 
 TEST_F(SchedulerDifferentialTest, ForcedUnoptimizedSwitch) {
-  CostModelParams params;
-  params.unopt_base_seconds = 0;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 1e9;  // optimized can never win
-  Compare(ExecutionStrategy::kAdaptive, params, {ExecMode::kUnoptimized});
+  Compare(ExecutionStrategy::kAdaptive, ForcedUnoptParams(),
+          {ExecMode::kUnoptimized});
 }
 
 TEST_F(SchedulerDifferentialTest, ForcedStraightToOptimized) {
@@ -485,41 +453,32 @@ TEST_F(SchedulerDifferentialTest, BytecodeNeverSwitches) {
 
 TEST_F(SchedulerDifferentialTest, StaticOptimizedCompilesUpFront) {
   CostModelParams params;
-  WorkerPool pool(2);
   TaskScheduler sched(2);
-  DifferentialOutcome legacy = RunSynthetic(
-      &pool, ExecutionStrategy::kOptimized, params, uint64_t{200000});
-  DifferentialOutcome tasks = RunSynthetic(
-      &sched, ExecutionStrategy::kOptimized, params, uint64_t{200000});
-  EXPECT_EQ(legacy.switches, (std::vector<ExecMode>{ExecMode::kOptimized}));
+  DifferentialOutcome single =
+      RunSynthetic(&sched, /*single_threaded=*/true,
+                   ExecutionStrategy::kOptimized, params, uint64_t{200000});
+  DifferentialOutcome tasks =
+      RunSynthetic(&sched, /*single_threaded=*/false,
+                   ExecutionStrategy::kOptimized, params, uint64_t{200000});
+  EXPECT_EQ(single.switches, (std::vector<ExecMode>{ExecMode::kOptimized}));
   EXPECT_EQ(tasks.switches, (std::vector<ExecMode>{ExecMode::kOptimized}));
-  EXPECT_EQ(legacy.interpreted, 0u);
+  EXPECT_EQ(single.interpreted, 0u);
   EXPECT_EQ(tasks.interpreted, 0u);
   EXPECT_EQ(tasks.opt, 200000u);
 }
 
 TEST_F(SchedulerDifferentialTest, SingleThreadedTaskPathSwitchesInline) {
-  CostModelParams params;
-  params.unopt_base_seconds = 0;
-  params.unopt_per_instruction_seconds = 0;
-  params.opt_base_seconds = 1e9;
   TaskScheduler sched(2);
   SyntheticPipeline pipe;
-  int marker = 0;
-  FunctionHandle handle(&SyntheticPipeline::SlowInterp, &marker);
-  PipelineRunner runner(&sched, ExecutionStrategy::kAdaptive, params);
-  runner.set_first_evaluation_delay_seconds(0);
-  runner.set_single_threaded(true);
-  PipelineTask task;
-  task.handle = &handle;
-  task.state = &pipe;
-  task.total_tuples = kTuples;
-  task.function_instructions = 1000;
+  PipelineTask task = pipe.MakeTask(kTuples);
   task.compile = [](ExecMode mode) -> WorkerFn {
     EXPECT_EQ(mode, ExecMode::kUnoptimized);
     return &SyntheticPipeline::FastUnopt;
   };
-  PipelineRunStats stats = runner.Run(task);
+  PipelineRunStats stats =
+      RunPipeline(&sched, ExecutionStrategy::kAdaptive, task,
+                  ForcedUnoptParams(), /*single_threaded=*/true,
+                  /*first_eval_delay_seconds=*/0);
   EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
   EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load(),
             kTuples);
@@ -528,6 +487,78 @@ TEST_F(SchedulerDifferentialTest, SingleThreadedTaskPathSwitchesInline) {
   // directly here, but opt tuples must be zero and a switch must exist).
   EXPECT_EQ(pipe.opt_tuples.load(), 0u);
   ASSERT_EQ(stats.compiles.size(), 1u);
+}
+
+/// Per-row call counter over a whole table, for pruned-domain runs.
+struct RowCounter {
+  explicit RowCounter(uint64_t rows) : calls(rows) {}
+  FunctionHandle handle{&Worker<false>, this};
+  std::vector<std::atomic<uint8_t>> calls;
+  std::atomic<uint64_t> compiled_rows{0};
+
+  /// Interpreted rows burn ~1 us and compiled ones ~50 ns, so the forced
+  /// switch lands long before the helpers could drain the domain.
+  template <bool kCompiled>
+  static void Worker(void* state, uint64_t begin, uint64_t end, const void*) {
+    auto* self = static_cast<RowCounter*>(state);
+    if (kCompiled) self->compiled_rows += end - begin;
+    for (uint64_t r = begin; r < end; ++r) self->calls[r]++;
+    const uint64_t ns_per_row = kCompiled ? 50 : 1000;
+    const int64_t until =
+        MonotonicNanos() + static_cast<int64_t>((end - begin) * ns_per_row);
+    while (MonotonicNanos() < until) {
+    }
+  }
+};
+
+TEST_F(SchedulerDifferentialTest, PrunedDomainRunsExactlySelectedRows) {
+  // A fragmented domain: 3-row islands every 40 rows (many per claim
+  // batch), then a few wide ranges, so morsels both batch fragments and
+  // span single ranges.
+  constexpr uint64_t kRows = 400000;
+  std::vector<MorselRange> ranges;
+  for (uint64_t r = 0; r < 200000; r += 40) ranges.push_back({r + 7, r + 10});
+  ranges.push_back({210000, 260000});
+  ranges.push_back({300000, 300001});
+  ranges.push_back({320000, 390000});
+  std::shared_ptr<const ScanDomain> domain =
+      ScanDomain::Make(std::move(ranges), kRows);
+  std::vector<bool> selected(kRows, false);
+  for (const MorselRange& r : domain->ranges) {
+    for (uint64_t i = r.begin; i < r.end; ++i) selected[i] = true;
+  }
+
+  TaskScheduler sched(2);
+  for (bool single_threaded : {true, false}) {
+    SCOPED_TRACE(single_threaded ? "single-threaded" : "multi-worker");
+    RowCounter counter(kRows);
+    PipelineTask task;
+    task.handle = &counter.handle;
+    task.state = &counter;
+    task.domain = domain;
+    task.total_tuples = domain->selected();
+    task.function_instructions = 1000;
+    task.compile = [](ExecMode mode) -> WorkerFn {
+      EXPECT_EQ(mode, ExecMode::kUnoptimized);
+      return &RowCounter::Worker<true>;
+    };
+    PipelineRunStats stats =
+        RunPipeline(&sched, ExecutionStrategy::kAdaptive, task,
+                    ForcedUnoptParams(), single_threaded,
+                    /*first_eval_delay_seconds=*/0);
+
+    // The switch happened mid-run: both variants saw rows.
+    ASSERT_EQ(stats.compiles.size(), 1u);
+    EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
+    EXPECT_GT(counter.compiled_rows.load(), 0u);
+    EXPECT_LT(counter.compiled_rows.load(), domain->selected());
+    // Every selected row exactly once, no pruned row ever.
+    uint64_t wrong = 0;
+    for (uint64_t r = 0; r < kRows; ++r) {
+      wrong += counter.calls[r].load() != (selected[r] ? 1 : 0);
+    }
+    EXPECT_EQ(wrong, 0u);
+  }
 }
 
 }  // namespace
