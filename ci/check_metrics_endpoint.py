@@ -8,9 +8,11 @@ bench is running, exercises every route of the in-process stats server:
   - GET /metrics returns Prometheus text-format 0.0.4: at least 30
     well-formed `# TYPE` series of known types, every sample line
     syntactically valid, histogram series carrying cumulative
-    `_bucket{le=...}` samples ending in `le="+Inf"`, and the PR-10
+    `_bucket{le=...}` samples ending in `le="+Inf"`, the PR-10
     resource-accounting gauges (aqe_mem_current_bytes,
-    aqe_mem_peak_bytes) present
+    aqe_mem_peak_bytes) present, and the catalog-footprint gauges
+    (aqe_catalog_column_bytes, aqe_catalog_index_bytes) present and > 0,
+    so peak RSS splits into catalog and query memory
   - GET /trace.json parses as a Chrome trace with a traceEvents array
   - GET /profiles parses as JSON with a "profiles" array (the bench
     requests collect_profile on a fraction of queries) and an
@@ -46,6 +48,8 @@ SAMPLE_LINE = re.compile(
     r"(-?\d+(\.\d+)?([eE][+-]?\d+)?|\+Inf|-Inf|NaN)$")
 COLLAPSED_LINE = re.compile(r"^\S[^ ]* \d+$")  # "frame;frame;... count"
 REQUIRED_GAUGES = ("aqe_mem_current_bytes", "aqe_mem_peak_bytes")
+# Set once at engine construction from the loaded catalog; never 0 there.
+POSITIVE_GAUGES = ("aqe_catalog_column_bytes", "aqe_catalog_index_bytes")
 
 
 def http_get(port, path):
@@ -86,6 +90,13 @@ def check_metrics_text(body, errors):
         if series.get(name) != "gauge":
             errors.append(f"/metrics: missing resource-accounting gauge "
                           f"{name}")
+    for name in POSITIVE_GAUGES:
+        if series.get(name) != "gauge":
+            errors.append(f"/metrics: missing catalog gauge {name}")
+            continue
+        m = re.search(rf"^{name} (\S+)$", body, re.MULTILINE)
+        if not m or float(m.group(1)) <= 0:
+            errors.append(f"/metrics: catalog gauge {name} is not > 0")
     return len(series)
 
 

@@ -18,8 +18,8 @@ int main() {
   sales->AddColumn("product", DataType::kI64);
   sales->AddColumn("amount", DataType::kI64);
   for (int64_t i = 0; i < 1000000; ++i) {
-    sales->column(0).AppendI64(i % 5);
-    sales->column(1).AppendI64((i % 997) * 100);  // decimal, scale 100
+    sales->column(0).AppendInt(i % 5);
+    sales->column(1).AppendInt((i % 997) * 100);  // decimal, scale 100
   }
 
   // 2. A query: SELECT product, sum(amount), count(*) FROM sales

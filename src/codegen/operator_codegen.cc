@@ -218,35 +218,22 @@ void WorkerEmitter::Emit() {
   b.SetInsertPoint(body);
   ExprCompiler exprs(&b, overflow_block, &bitmap_values, &like_values);
 
-  // Scan: materialize the requested columns into slots, widening i32 to
-  // i64. These are the fusable gep+load pairs of §IV-F.
+  // Scan: materialize the requested columns into slots, sign-extending
+  // every narrow integer column to i64 inside its load. These are the
+  // fusable gep+load(+sext) sequences of §IV-F.
   std::vector<llvm::Value*> slots;
   for (size_t c = 0; c < spec.scan_columns.size(); ++c) {
-    llvm::Value* base_i64 = column_bases[c];
-    switch (bindings.column_types[c]) {
-      case DataType::kI32: {
-        llvm::Value* base =
-            b.CreateIntToPtr(base_i64, b.getInt32Ty()->getPointerTo());
-        llvm::Value* addr = b.CreateGEP(b.getInt32Ty(), base, i);
-        slots.push_back(
-            b.CreateSExt(b.CreateLoad(b.getInt32Ty(), addr), b.getInt64Ty()));
-        break;
-      }
-      case DataType::kI64: {
-        llvm::Value* base =
-            b.CreateIntToPtr(base_i64, b.getInt64Ty()->getPointerTo());
-        llvm::Value* addr = b.CreateGEP(b.getInt64Ty(), base, i);
-        slots.push_back(b.CreateLoad(b.getInt64Ty(), addr));
-        break;
-      }
-      case DataType::kF64: {
-        llvm::Value* base =
-            b.CreateIntToPtr(base_i64, b.getDoubleTy()->getPointerTo());
-        llvm::Value* addr = b.CreateGEP(b.getDoubleTy(), base, i);
-        slots.push_back(b.CreateLoad(b.getDoubleTy(), addr));
-        break;
-      }
+    const DataType type = bindings.column_types[c];
+    llvm::Type* elem = type == DataType::kF64
+                           ? b.getDoubleTy()
+                           : b.getIntNTy(8 * DataTypeSize(type));
+    llvm::Value* base =
+        b.CreateIntToPtr(column_bases[c], elem->getPointerTo());
+    llvm::Value* value = b.CreateLoad(elem, b.CreateGEP(elem, base, i));
+    if (elem->isIntegerTy() && !elem->isIntegerTy(64)) {
+      value = b.CreateSExt(value, b.getInt64Ty());
     }
+    slots.push_back(value);
   }
 
   // Operator chain.

@@ -13,6 +13,7 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "exec/morsel.h"
+#include "index/table_index.h"
 #include "jit/jit_compiler.h"
 #include "jit/naive_interpreter.h"
 #include "obs/export.h"
@@ -27,6 +28,28 @@
 
 namespace aqe {
 namespace {
+
+/// Bytes the catalog holds resident: column data (rows x value width) and
+/// the secondary indexes. Fixed after load, so the engine measures it once.
+struct CatalogFootprint {
+  uint64_t column_bytes = 0;
+  uint64_t index_bytes = 0;
+};
+
+CatalogFootprint MeasureCatalog(const Catalog& catalog) {
+  CatalogFootprint footprint;
+  catalog.ForEachTable([&footprint](const Table& table) {
+    for (int c = 0; c < table.num_columns(); ++c) {
+      const Column& column = table.column(c);
+      footprint.column_bytes +=
+          column.size() * static_cast<uint64_t>(DataTypeSize(column.type()));
+    }
+    if (table.indexes() != nullptr) {
+      footprint.index_bytes += table.indexes()->approx_bytes;
+    }
+  });
+  return footprint;
+}
 
 /// WorkerFn trampoline dispatching a morsel into the bytecode VM; `extra`
 /// is the BcProgram (§IV-E interoperability).
@@ -206,6 +229,9 @@ const char* EngineKindName(EngineKind kind) {
 
 struct QueryEngine::Impl {
   const Catalog* catalog;
+  /// Measured at construction, exported as the catalog.* gauges, so a
+  /// reader can split the process's resident set into catalog and queries.
+  const CatalogFootprint catalog_footprint;
 
   // Plan-keyed artifact cache (fingerprint -> bytecode + machine code).
   // Declared before the scheduler so publish tasks that run during
@@ -271,6 +297,7 @@ struct QueryEngine::Impl {
   // TaskScheduler::kMaxWorkers are reserved for external controllers.
   Impl(const Catalog* catalog, int num_threads)
       : catalog(catalog),
+        catalog_footprint(MeasureCatalog(*catalog)),
         max_active(std::max(2, 2 * num_threads)),
         sched(std::min(std::max(1, num_threads), TaskScheduler::kMaxWorkers)) {
     if (CostModelCalibrationRequested()) {
@@ -1620,9 +1647,16 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
   snap.counters.emplace_back("engine.anomalies_total",
                              obs.sentinel.anomaly_count());
 
-  // Memory accounting: live tracked bytes across in-flight queries and the
-  // engine-lifetime peak. The profiler's sampling rate rides along so
-  // scrapers can interpret profiler.samples as a rate.
+  // Memory accounting: the catalog's resident column data and indexes,
+  // live tracked bytes across in-flight queries and the engine-lifetime
+  // peak. The profiler's sampling rate rides along so scrapers can
+  // interpret profiler.samples as a rate.
+  snap.gauges.emplace_back(
+      "catalog.column_bytes",
+      static_cast<int64_t>(catalog_footprint.column_bytes));
+  snap.gauges.emplace_back(
+      "catalog.index_bytes",
+      static_cast<int64_t>(catalog_footprint.index_bytes));
   uint64_t mem_current = 0;
   {
     std::lock_guard<std::mutex> lock(obs.trackers_mu);

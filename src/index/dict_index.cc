@@ -9,39 +9,41 @@
 namespace aqe {
 
 DictCodeIndex DictCodeIndex::Build(const Column& column, int32_t num_codes) {
-  AQE_CHECK(column.type() == DataType::kI32 && num_codes >= 0);
+  AQE_CHECK(num_codes >= 0);
   DictCodeIndex index;
   const uint64_t rows = column.size();
   AQE_CHECK(rows <= UINT32_MAX);
   const size_t n = static_cast<size_t>(num_codes);
-  // Counting sort: one pass for per-code counts, one to place the listed
-  // codes' row ids — rows are visited in order, so ids come out ascending
-  // within each code.
-  index.counts_.assign(n + 1, 0);
-  const int32_t* codes = static_cast<const int32_t*>(column.data());
-  for (uint64_t r = 0; r < rows; ++r) {
-    const int32_t code = codes[r];
-    AQE_CHECK(code >= 0 && code < num_codes);
-    ++index.counts_[static_cast<size_t>(code) + 1];
-  }
-  const uint64_t max_listed = MaxCandidateRows(rows);
-  index.listed_.assign(n + 1, 0);
-  for (size_t c = 1; c <= n; ++c) {
-    const uint32_t count = index.counts_[c];
-    index.listed_[c] = index.listed_[c - 1] + (count <= max_listed ? count : 0);
-    index.counts_[c] += index.counts_[c - 1];
-  }
-  index.row_ids_.resize(index.listed_[n]);
-  if (index.row_ids_.empty()) return index;
-  PageVector<uint32_t> cursor(index.listed_.begin(), index.listed_.end() - 1);
-  for (uint64_t r = 0; r < rows; ++r) {
-    const size_t code = static_cast<size_t>(codes[r]);
-    // A code present in the column is listed iff its listed span is
-    // non-empty.
-    if (index.listed_[code + 1] != index.listed_[code]) {
-      index.row_ids_[cursor[code]++] = static_cast<uint32_t>(r);
+  VisitIntColumn(column, [&](const auto* codes) {
+    // Counting sort: one pass for per-code counts, one to place the listed
+    // codes' row ids — rows are visited in order, so ids come out ascending
+    // within each code.
+    index.counts_.assign(n + 1, 0);
+    for (uint64_t r = 0; r < rows; ++r) {
+      const int64_t code = codes[r];
+      AQE_CHECK(code >= 0 && code < num_codes);
+      ++index.counts_[static_cast<size_t>(code) + 1];
     }
-  }
+    const uint64_t max_listed = MaxCandidateRows(rows);
+    index.listed_.assign(n + 1, 0);
+    for (size_t c = 1; c <= n; ++c) {
+      const uint32_t count = index.counts_[c];
+      index.listed_[c] =
+          index.listed_[c - 1] + (count <= max_listed ? count : 0);
+      index.counts_[c] += index.counts_[c - 1];
+    }
+    index.row_ids_.resize(index.listed_[n]);
+    if (index.row_ids_.empty()) return;
+    PageVector<uint32_t> cursor(index.listed_.begin(), index.listed_.end() - 1);
+    for (uint64_t r = 0; r < rows; ++r) {
+      const size_t code = static_cast<size_t>(codes[r]);
+      // A code present in the column is listed iff its listed span is
+      // non-empty.
+      if (index.listed_[code + 1] != index.listed_[code]) {
+        index.row_ids_[cursor[code]++] = static_cast<uint32_t>(r);
+      }
+    }
+  });
   return index;
 }
 

@@ -27,8 +27,9 @@ class Column;
 /// on a helper thread, so its arrays come from PageAllocator; immutable.
 class DictCodeIndex {
  public:
-  /// `column` must be the I32 code column of at most 2^32 - 1 rows (row ids
-  /// and counts are 32-bit); `num_codes` its dictionary size.
+  /// `column` must be a code column (any integer width, read through the
+  /// width dispatcher) of at most 2^32 - 1 rows (row ids and counts are
+  /// 32-bit); `num_codes` its dictionary size.
   static DictCodeIndex Build(const Column& column, int32_t num_codes);
 
   int32_t num_codes() const { return static_cast<int32_t>(counts_.size()) - 1; }

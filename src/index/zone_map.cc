@@ -77,11 +77,9 @@ ZoneMaps ZoneMaps::Build(const Table& table, uint32_t block_rows) {
     ColumnZones cz;
     cz.column = c;
     cz.has_presence = table.has_dictionary(c);
-    if (col.type() == DataType::kI32) {
-      FillZones(static_cast<const int32_t*>(col.data()), rows, block_rows, &cz);
-    } else {
-      FillZones(static_cast<const int64_t*>(col.data()), rows, block_rows, &cz);
-    }
+    VisitIntColumn(col, [&](const auto* values) {
+      FillZones(values, rows, block_rows, &cz);
+    });
     zones.columns_.push_back(std::move(cz));
   }
   return zones;

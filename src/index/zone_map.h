@@ -33,8 +33,8 @@ class ZoneMaps {
     PageVector<uint64_t> presence;  ///< num_blocks * kPresenceWords
   };
 
-  /// Builds zones for every kI32/kI64 column (F64 columns are skipped — no
-  /// query predicate compares them to integer constants).
+  /// Builds zones for every integer column, of any width (F64 columns are
+  /// skipped — no query predicate compares them to integer constants).
   static ZoneMaps Build(const Table& table, uint32_t block_rows);
 
   uint32_t block_rows() const { return block_rows_; }

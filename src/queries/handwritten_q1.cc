@@ -3,25 +3,43 @@
 #include <algorithm>
 #include <cstring>
 #include <map>
+#include <type_traits>
 
 #include "common/fixed_point.h"
 #include "runtime/sorter.h"
 #include "tpch/tpch_schema.h"
 
 namespace aqe {
+namespace {
+
+/// The values of a lineitem column at the width this query is written for;
+/// CHECK-fails (through the width dispatcher) if the schema stores the
+/// column at another width.
+template <typename T>
+const T* ColumnAs(const Table& table, const char* name) {
+  return VisitIntColumn(table.column(name), [](const auto* values) {
+    if constexpr (std::is_same_v<decltype(values), const T*>) {
+      return values;
+    } else {
+      AQE_UNREACHABLE("column width differs from the hand-written Q1");
+      return static_cast<const T*>(nullptr);
+    }
+  });
+}
+
+}  // namespace
 
 std::vector<std::vector<int64_t>> HandwrittenQ1(const Catalog& catalog) {
   const Table* li = catalog.GetTable("lineitem");
-  // Decimals are stored as int32 cents; each is widened to int64 on load,
-  // since price * (100 - disc) * (100 + tax) overflows 32 bits.
-  const auto* qty = static_cast<const int32_t*>(li->column("l_quantity").data());
-  const auto* price =
-      static_cast<const int32_t*>(li->column("l_extendedprice").data());
-  const auto* disc = static_cast<const int32_t*>(li->column("l_discount").data());
-  const auto* tax = static_cast<const int32_t*>(li->column("l_tax").data());
-  const auto* rf = static_cast<const int32_t*>(li->column("l_returnflag").data());
-  const auto* ls = static_cast<const int32_t*>(li->column("l_linestatus").data());
-  const auto* sd = static_cast<const int32_t*>(li->column("l_shipdate").data());
+  // Decimals are stored as 8- to 32-bit cents; each is widened to int64 on
+  // load, since price * (100 - disc) * (100 + tax) overflows 32 bits.
+  const auto* qty = ColumnAs<int16_t>(*li, "l_quantity");
+  const auto* price = ColumnAs<int32_t>(*li, "l_extendedprice");
+  const auto* disc = ColumnAs<int8_t>(*li, "l_discount");
+  const auto* tax = ColumnAs<int8_t>(*li, "l_tax");
+  const auto* rf = ColumnAs<int8_t>(*li, "l_returnflag");
+  const auto* ls = ColumnAs<int8_t>(*li, "l_linestatus");
+  const auto* sd = ColumnAs<int16_t>(*li, "l_shipdate");
   const uint64_t rows = li->num_rows();
   const int32_t cutoff = tpch::DateToDays(1998, 9, 2);
 

@@ -814,15 +814,23 @@ QueryProgram BuildQ18(const Catalog& cat) {
     q.AddPipeline(std::move(p));
   }
   // Engine step: materialize qualifying orderkeys (sum > 300.00) into a
-  // join hash table (the paper's queryStart-style C++ glue).
+  // join hash table (the paper's queryStart-style C++ glue). Few orders
+  // qualify, so the table is sized by a counting pass, not by the groups.
   q.AddStep([agg, qualify_ht, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
     AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    auto ht = std::make_unique<JoinHashTable>(merged.size() + 1, 1,
+    auto qualifies = [](const void* payload) {
+      return *static_cast<const int64_t*>(payload) > 300 * kDecimalScale;
+    };
+    uint64_t qualifying = 0;
+    merged.ForEach([&](int64_t, void* payload) {
+      qualifying += qualifies(payload) ? 1 : 0;
+    });
+    auto ht = std::make_unique<JoinHashTable>(qualifying + 1, 1,
                                               ctx->memory.get());
-    merged.ForEach([&ht](int64_t key, void* payload) {
-      int64_t sum = *static_cast<const int64_t*>(payload);
-      if (sum > 300 * kDecimalScale) {
-        *static_cast<int64_t*>(ht->Insert(key)) = sum;
+    merged.ForEach([&](int64_t key, void* payload) {
+      if (qualifies(payload)) {
+        *static_cast<int64_t*>(ht->Insert(key)) =
+            *static_cast<const int64_t*>(payload);
       }
     });
     ctx->join_tables[static_cast<size_t>(qualify_ht)] = std::move(ht);
@@ -977,9 +985,9 @@ QueryProgram BuildQ7(const Catalog& cat) {
   const Table* nt = cat.GetTable("nation");
   int64_t fr_key = -1, de_key = -1;
   for (uint64_t r = 0; r < nt->num_rows(); ++r) {
-    int64_t name = nt->column("n_name").GetI32(r);
-    if (name == france) fr_key = nt->column("n_nationkey").GetI32(r);
-    if (name == germany) de_key = nt->column("n_nationkey").GetI32(r);
+    int64_t name = nt->column("n_name").GetAsI64(r);
+    if (name == france) fr_key = nt->column("n_nationkey").GetAsI64(r);
+    if (name == germany) de_key = nt->column("n_nationkey").GetAsI64(r);
   }
   AQE_CHECK(fr_key >= 0 && de_key >= 0);
 

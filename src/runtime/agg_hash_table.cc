@@ -167,8 +167,8 @@ std::vector<AggHashTable*> AggHashTableSet::NonEmptyTables() const {
 
 void AggHashTableSet::MergeInto(
     AggHashTable* target,
-    const std::function<void(uint32_t, int64_t*, int64_t)>& merge) const {
-  for (const auto& table : tables_) {
+    const std::function<void(uint32_t, int64_t*, int64_t)>& merge) {
+  for (auto& table : tables_) {
     if (table == nullptr) continue;
     table->ForEach([&](int64_t key, void* payload) {
       auto* src = reinterpret_cast<const int64_t*>(payload);
@@ -177,6 +177,7 @@ void AggHashTableSet::MergeInto(
         merge(s, &dst[s], src[s]);
       }
     });
+    table.reset();
   }
 }
 

@@ -93,9 +93,12 @@ class AggHashTableSet {
 
   /// Merges all per-thread tables with a per-slot merge function:
   /// merge(slot_index, accumulator_ptr, value) — engine-side, not generated.
+  /// Each per-thread table is released, with its tracker charge, right after
+  /// it is folded in, so the merge never holds every thread table and the
+  /// merged table at once; nothing reads a thread table after the merge.
   void MergeInto(
       AggHashTable* target,
-      const std::function<void(uint32_t, int64_t*, int64_t)>& merge) const;
+      const std::function<void(uint32_t, int64_t*, int64_t)>& merge);
 
  private:
   uint32_t payload_slots_;

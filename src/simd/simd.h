@@ -35,7 +35,9 @@ constexpr size_t kSimdBitmapPadding = 4;
 
 /// Writes the lane indices whose code matches into `sel` (ascending) and
 /// returns how many matched. The workhorse of dictionary-aware selection
-/// pushdown: raw i32 code column -> selection vector, no materialization.
+/// pushdown: raw code column -> selection vector, no i64 materialization
+/// (the vectorized engine widens 8- and 16-bit codes into an i32 vector
+/// first).
 int BitmapProbeSelI32(const int32_t* codes, int count, const uint8_t* bitmap,
                       int32_t* sel);
 int BitmapProbeSelI64(const int64_t* codes, int count, const uint8_t* bitmap,

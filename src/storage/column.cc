@@ -1,11 +1,15 @@
 #include "storage/column.h"
 
 #include <cstring>
+#include <limits>
+#include <utility>
 
 namespace aqe {
 
 const char* DataTypeName(DataType type) {
   switch (type) {
+    case DataType::kI8: return "i8";
+    case DataType::kI16: return "i16";
     case DataType::kI32: return "i32";
     case DataType::kI64: return "i64";
     case DataType::kF64: return "f64";
@@ -20,17 +24,18 @@ void Column::Reserve(uint64_t rows) {
   data_.reserve(rows * DataTypeSize(type_));
 }
 
-void Column::AppendI32(int32_t v) {
-  AQE_CHECK(type_ == DataType::kI32);
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  data_.insert(data_.end(), p, p + sizeof(v));
-  ++size_;
-}
-
-void Column::AppendI64(int64_t v) {
-  AQE_CHECK(type_ == DataType::kI64);
-  const uint8_t* p = reinterpret_cast<const uint8_t*>(&v);
-  data_.insert(data_.end(), p, p + sizeof(v));
+void Column::AppendInt(int64_t v) {
+  VisitIntColumn(std::as_const(*this), [&](const auto* values) {
+    using T = std::remove_const_t<std::remove_pointer_t<decltype(values)>>;
+    AQE_CHECK_MSG(v >= std::numeric_limits<T>::min() &&
+                      v <= std::numeric_limits<T>::max(),
+                  "value exceeds its column's declared width");
+    const T narrow = static_cast<T>(v);
+    const auto* bytes = reinterpret_cast<const uint8_t*>(&narrow);
+    // Byte-wise push_back keeps vector's inline fast path; a range insert
+    // is an out-of-line call per value, which the catalog load feels.
+    for (size_t b = 0; b < sizeof(T); ++b) data_.push_back(bytes[b]);
+  });
   ++size_;
 }
 
@@ -63,12 +68,9 @@ double Column::GetF64(uint64_t row) const {
 }
 
 int64_t Column::GetAsI64(uint64_t row) const {
-  switch (type_) {
-    case DataType::kI32: return GetI32(row);
-    case DataType::kI64: return GetI64(row);
-    case DataType::kF64: AQE_UNREACHABLE("GetAsI64 on f64 column");
-  }
-  AQE_UNREACHABLE("bad DataType");
+  AQE_CHECK(row < size_);
+  return VisitIntColumn(
+      *this, [row](const auto* values) -> int64_t { return values[row]; });
 }
 
 }  // namespace aqe

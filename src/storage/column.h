@@ -4,17 +4,23 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "common/status.h"
 
 namespace aqe {
 
-/// Column value types. Strings are dictionary-encoded as I32 codes; dates are
-/// I32 days since 1970-01-01; decimals are integers scaled by 100 (see
-/// common/fixed_point.h), stored in the narrowest type their range fits —
-/// I32 for every TPC-H key and decimal. Scans widen every integer to i64.
+/// Column value types. Strings are dictionary-encoded as integer codes;
+/// dates are days since 1970-01-01; decimals are integers scaled by 100 (see
+/// common/fixed_point.h). Every integer column is stored at the narrowest
+/// signed width its fixed domain allows — I8/I16 for TPC-H dates, small
+/// decimals and fixed-vocabulary dictionaries, I32 for keys and decimals
+/// that grow with the scale factor — and every scan sign-extends it to i64
+/// inside its load, so plans, slots and expressions never see the width.
 enum class DataType : uint8_t {
+  kI8,
+  kI16,
   kI32,
   kI64,
   kF64,
@@ -23,6 +29,8 @@ enum class DataType : uint8_t {
 /// Size in bytes of one value of the given type.
 inline int DataTypeSize(DataType type) {
   switch (type) {
+    case DataType::kI8: return 1;
+    case DataType::kI16: return 2;
     case DataType::kI32: return 4;
     case DataType::kI64: return 8;
     case DataType::kF64: return 8;
@@ -54,15 +62,17 @@ class Column {
 
   void Reserve(uint64_t rows);
 
-  void AppendI32(int32_t v);
-  void AppendI64(int64_t v);
+  /// Appends an integer to an integer column of any width. CHECK-fails if
+  /// `v` does not fit the declared width: a value is never truncated.
+  void AppendInt(int64_t v);
   void AppendF64(double v);
 
   int32_t GetI32(uint64_t row) const;
   int64_t GetI64(uint64_t row) const;
   double GetF64(uint64_t row) const;
 
-  /// Returns the value widened to int64 (F64 columns CHECK-fail).
+  /// Returns the value of an integer column of any width, widened to int64
+  /// (F64 columns CHECK-fail).
   int64_t GetAsI64(uint64_t row) const;
 
  private:
@@ -71,6 +81,32 @@ class Column {
   uint64_t size_ = 0;
   std::vector<uint8_t> data_;  // raw bytes, element i at i * DataTypeSize
 };
+
+/// The width dispatcher: calls `fn` with the integer column's data as a
+/// typed pointer — int8_t*, int16_t*, int32_t* or int64_t*, const unless
+/// the column is mutable — and returns its result. Every reader that needs
+/// the stored values (rather than a widened copy) goes through here, so a
+/// new width is one case. F64 columns CHECK-fail.
+template <typename ColumnT, typename Fn>
+decltype(auto) VisitIntColumn(ColumnT& column, Fn&& fn) {
+  static_assert(std::is_same_v<std::remove_const_t<ColumnT>, Column>);
+  auto typed = [&column](auto tag) {
+    using T = decltype(tag);
+    if constexpr (std::is_const_v<ColumnT>) {
+      return static_cast<const T*>(column.data());
+    } else {
+      return static_cast<T*>(column.mutable_data());
+    }
+  };
+  switch (column.type()) {
+    case DataType::kI8: return fn(typed(int8_t{}));
+    case DataType::kI16: return fn(typed(int16_t{}));
+    case DataType::kI32: return fn(typed(int32_t{}));
+    case DataType::kI64: return fn(typed(int64_t{}));
+    case DataType::kF64: break;
+  }
+  AQE_UNREACHABLE("integer column expected");
+}
 
 }  // namespace aqe
 

@@ -7,7 +7,11 @@ Table::Table(std::string name) : name_(std::move(name)) {}
 int Table::AddColumn(std::string name, DataType type, bool dictionary) {
   AQE_CHECK_MSG(column_index_.find(name) == column_index_.end(),
                 "duplicate column name");
-  if (dictionary) AQE_CHECK_MSG(type == DataType::kI32, "dict column not i32");
+  if (dictionary) {
+    AQE_CHECK_MSG(type == DataType::kI8 || type == DataType::kI16 ||
+                      type == DataType::kI32,
+                  "dictionary codes need an i8, i16 or i32 column");
+  }
   int index = static_cast<int>(columns_.size());
   column_index_.emplace(name, index);
   columns_.push_back(std::make_unique<Column>(std::move(name), type));
@@ -56,10 +60,14 @@ void Table::SortDictionary(int column) {
   if (dict.is_sorted()) return;
   const PageVector<int32_t> remap = dict.SortCodes();
   Column& col = *columns_[static_cast<size_t>(column)];
-  auto* codes = static_cast<int32_t*>(col.mutable_data());
-  for (uint64_t r = 0; r < col.size(); ++r) {
-    codes[r] = remap[static_cast<size_t>(codes[r])];
-  }
+  // A remapped code is below the dictionary size, like every code the
+  // checked append let in, so it fits the column's width.
+  VisitIntColumn(col, [&](auto* codes) {
+    using T = std::remove_pointer_t<decltype(codes)>;
+    for (uint64_t r = 0; r < col.size(); ++r) {
+      codes[r] = static_cast<T>(remap[static_cast<size_t>(codes[r])]);
+    }
+  });
 }
 
 void Table::SortDictionaries() {
@@ -90,6 +98,11 @@ const Table* Catalog::GetTable(const std::string& name) const {
 
 bool Catalog::HasTable(const std::string& name) const {
   return tables_.find(name) != tables_.end();
+}
+
+void Catalog::ForEachTable(
+    const std::function<void(const Table&)>& fn) const {
+  for (const auto& entry : tables_) fn(*entry.second);
 }
 
 }  // namespace aqe

@@ -1,6 +1,7 @@
 #ifndef AQE_STORAGE_TABLE_H_
 #define AQE_STORAGE_TABLE_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -25,7 +26,9 @@ class Table {
   const std::string& name() const { return name_; }
 
   /// Adds a column; returns its index. If `dictionary` is true the column is
-  /// a dictionary-encoded string column (type must be kI32).
+  /// a dictionary-encoded string column (type must be kI8, kI16 or kI32,
+  /// and the dictionary's codes must fit it: the checked append enforces
+  /// that on load).
   int AddColumn(std::string name, DataType type, bool dictionary = false);
 
   int num_columns() const { return static_cast<int>(columns_.size()); }
@@ -86,6 +89,9 @@ class Catalog {
   const Table* GetTable(const std::string& name) const;
 
   bool HasTable(const std::string& name) const;
+
+  /// Calls fn(table) for every table, in no particular order.
+  void ForEachTable(const std::function<void(const Table&)>& fn) const;
 
  private:
   std::unordered_map<std::string, std::unique_ptr<Table>> tables_;

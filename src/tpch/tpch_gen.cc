@@ -3,7 +3,6 @@
 #include <array>
 #include <cstdio>
 #include <iterator>
-#include <limits>
 #include <string>
 
 #include "common/fork_join.h"
@@ -67,27 +66,17 @@ std::array<int32_t, N> RegisterAll(Dictionary* dict,
   return codes;
 }
 
-/// Appends a generated key or decimal to its 32-bit column (see
-/// CreateTpchSchema). Every value fits up to SF 357; past that the load
-/// stops here rather than truncate.
-void AppendNarrowed(Column* column, int64_t value) {
-  AQE_CHECK_MSG(value >= std::numeric_limits<int32_t>::min() &&
-                    value <= std::numeric_limits<int32_t>::max(),
-                "TPC-H value exceeds its 32-bit column (SF > 357)");
-  column->AppendI32(static_cast<int32_t>(value));
-}
-
 void GenRegionNation(Catalog* catalog) {
   Table* region = catalog->GetTable("region");
   for (int i = 0; i < 5; ++i) {
-    region->column(0).AppendI32(i);
-    region->column(1).AppendI32(region->dictionary(1).GetOrAdd(kRegionNames[i]));
+    region->column(0).AppendInt(i);
+    region->column(1).AppendInt(region->dictionary(1).GetOrAdd(kRegionNames[i]));
   }
   Table* nation = catalog->GetTable("nation");
   for (int i = 0; i < 25; ++i) {
-    nation->column(0).AppendI32(i);
-    nation->column(1).AppendI32(nation->dictionary(1).GetOrAdd(kNations[i].name));
-    nation->column(2).AppendI32(kNations[i].region);
+    nation->column(0).AppendInt(i);
+    nation->column(1).AppendInt(nation->dictionary(1).GetOrAdd(kNations[i].name));
+    nation->column(2).AppendInt(kNations[i].region);
   }
 }
 
@@ -97,10 +86,10 @@ void GenSupplier(Catalog* catalog, uint64_t count, Random* rng) {
   Column& nationkey = t->column("s_nationkey");
   Column& acctbal = t->column("s_acctbal");
   for (uint64_t i = 0; i < count; ++i) {
-    AppendNarrowed(&suppkey, static_cast<int64_t>(i) + 1);
-    nationkey.AppendI32(static_cast<int32_t>(rng->NextBelow(25)));
+    suppkey.AppendInt(static_cast<int64_t>(i) + 1);
+    nationkey.AppendInt(static_cast<int32_t>(rng->NextBelow(25)));
     // -999.99..9999.99
-    AppendNarrowed(&acctbal, rng->NextRange(-99999, 999999));
+    acctbal.AppendInt(rng->NextRange(-99999, 999999));
   }
 }
 
@@ -114,12 +103,12 @@ void GenCustomer(Catalog* catalog, uint64_t count, Random* rng) {
   Dictionary& seg_dict = t->dictionary(t->ColumnIndex("c_mktsegment"));
   char buf[32];
   for (uint64_t i = 0; i < count; ++i) {
-    AppendNarrowed(&custkey, static_cast<int64_t>(i) + 1);
+    custkey.AppendInt(static_cast<int64_t>(i) + 1);
     std::snprintf(buf, sizeof(buf), "Customer#%09llu",
                   static_cast<unsigned long long>(i + 1));
-    name.AppendI32(name_dict.GetOrAdd(buf));
-    nationkey.AppendI32(static_cast<int32_t>(rng->NextBelow(25)));
-    mktsegment.AppendI32(seg_dict.GetOrAdd(kSegments[rng->NextBelow(5)]));
+    name.AppendInt(name_dict.GetOrAdd(buf));
+    nationkey.AppendInt(static_cast<int32_t>(rng->NextBelow(25)));
+    mktsegment.AppendInt(seg_dict.GetOrAdd(kSegments[rng->NextBelow(5)]));
   }
 }
 
@@ -136,24 +125,24 @@ void GenPart(Catalog* catalog, uint64_t count, Random* rng) {
   Dictionary& cont_dict = t->dictionary(t->ColumnIndex("p_container"));
   char buf[64];
   for (uint64_t i = 0; i < count; ++i) {
-    AppendNarrowed(&partkey, static_cast<int64_t>(i) + 1);
+    partkey.AppendInt(static_cast<int64_t>(i) + 1);
     std::snprintf(buf, sizeof(buf), "Brand#%llu%llu",
                   static_cast<unsigned long long>(rng->NextBelow(5) + 1),
                   static_cast<unsigned long long>(rng->NextBelow(5) + 1));
-    brand.AppendI32(brand_dict.GetOrAdd(buf));
+    brand.AppendInt(brand_dict.GetOrAdd(buf));
     std::snprintf(buf, sizeof(buf), "%s %s %s",
                   kTypeSyllable1[rng->NextBelow(6)],
                   kTypeSyllable2[rng->NextBelow(5)],
                   kTypeSyllable3[rng->NextBelow(5)]);
-    type.AppendI32(type_dict.GetOrAdd(buf));
-    size.AppendI32(static_cast<int32_t>(rng->NextBelow(50)) + 1);
+    type.AppendInt(type_dict.GetOrAdd(buf));
+    size.AppendInt(static_cast<int32_t>(rng->NextBelow(50)) + 1);
     std::snprintf(buf, sizeof(buf), "%s %s",
                   kContainerSyllable1[rng->NextBelow(5)],
                   kContainerSyllable2[rng->NextBelow(8)]);
-    container.AppendI32(cont_dict.GetOrAdd(buf));
+    container.AppendInt(cont_dict.GetOrAdd(buf));
     // p_retailprice per spec: 90000 + (partkey/10 mod 20001) + 100*(partkey mod 1000), /100.
     int64_t pk = static_cast<int64_t>(i) + 1;
-    AppendNarrowed(&retail, 90000 + (pk / 10) % 20001 + 100 * (pk % 1000));
+    retail.AppendInt(90000 + (pk / 10) % 20001 + 100 * (pk % 1000));
   }
 }
 
@@ -166,14 +155,14 @@ void GenPartsupp(Catalog* catalog, uint64_t part_count, uint64_t supp_count,
   Column& ps_supplycost = t->column("ps_supplycost");
   for (uint64_t p = 1; p <= part_count; ++p) {
     for (int s = 0; s < 4; ++s) {
-      AppendNarrowed(&ps_partkey, static_cast<int64_t>(p));
+      ps_partkey.AppendInt(static_cast<int64_t>(p));
       // Spec formula spreads the 4 suppliers of a part across the range.
       uint64_t sk = (p + s * (supp_count / 4 + (p - 1) / supp_count)) %
                         supp_count + 1;
-      AppendNarrowed(&ps_suppkey, static_cast<int64_t>(sk));
-      ps_availqty.AppendI32(static_cast<int32_t>(rng->NextBelow(9999)) + 1);
+      ps_suppkey.AppendInt(static_cast<int64_t>(sk));
+      ps_availqty.AppendInt(static_cast<int32_t>(rng->NextBelow(9999)) + 1);
       // 1.00..1000.00
-      AppendNarrowed(&ps_supplycost, rng->NextRange(100, 100000));
+      ps_supplycost.AppendInt(rng->NextRange(100, 100000));
     }
   }
 }
@@ -269,33 +258,32 @@ void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
       const bool open = sdate > current_date;
       if (!open) ++f_lines;
 
-      AppendNarrowed(&l_orderkey, okey);
-      AppendNarrowed(&l_partkey, pk);
-      AppendNarrowed(&l_suppkey, sk);
-      l_linenumber.AppendI32(ln + 1);
-      AppendNarrowed(&l_quantity, qty_units * 100);
-      AppendNarrowed(&l_extendedprice, eprice);
-      AppendNarrowed(&l_discount, discount);
-      AppendNarrowed(&l_tax, tax);
-      l_returnflag.AppendI32(rflag);
-      l_linestatus.AppendI32(open ? line_o : line_f);
-      l_shipdate.AppendI32(sdate);
-      l_commitdate.AppendI32(cdate);
-      l_receiptdate.AppendI32(rdate);
-      l_shipinstruct.AppendI32(si_code[rng->NextBelow(4)]);
-      l_shipmode.AppendI32(sm_code[rng->NextBelow(7)]);
+      l_orderkey.AppendInt(okey);
+      l_partkey.AppendInt(pk);
+      l_suppkey.AppendInt(sk);
+      l_linenumber.AppendInt(ln + 1);
+      l_quantity.AppendInt(qty_units * 100);
+      l_extendedprice.AppendInt(eprice);
+      l_discount.AppendInt(discount);
+      l_tax.AppendInt(tax);
+      l_returnflag.AppendInt(rflag);
+      l_linestatus.AppendInt(open ? line_o : line_f);
+      l_shipdate.AppendInt(sdate);
+      l_commitdate.AppendInt(cdate);
+      l_receiptdate.AppendInt(rdate);
+      l_shipinstruct.AppendInt(si_code[rng->NextBelow(4)]);
+      l_shipmode.AppendInt(sm_code[rng->NextBelow(7)]);
       total += eprice;
     }
     const int32_t ostatus =
         f_lines == lines ? status_f : (f_lines == 0 ? status_o : status_p);
-    AppendNarrowed(&o_orderkey, okey);
-    AppendNarrowed(&o_custkey,
-                   static_cast<int64_t>(rng->NextBelow(cust_count)) + 1);
-    o_orderstatus.AppendI32(ostatus);
-    AppendNarrowed(&o_totalprice, total);
-    o_orderdate.AppendI32(odate);
-    o_orderpriority.AppendI32(prio_code[rng->NextBelow(5)]);
-    o_shippriority.AppendI32(0);
+    o_orderkey.AppendInt(okey);
+    o_custkey.AppendInt(static_cast<int64_t>(rng->NextBelow(cust_count)) + 1);
+    o_orderstatus.AppendInt(ostatus);
+    o_totalprice.AppendInt(total);
+    o_orderdate.AppendInt(odate);
+    o_orderpriority.AppendInt(prio_code[rng->NextBelow(5)]);
+    o_shippriority.AppendInt(0);
   }
 }
 
@@ -332,7 +320,7 @@ void GenOrderComments(Table* orders, uint64_t order_count) {
         comment += kCommentWords[comment_rng.NextBelow(16)];
       }
     }
-    o_comment.AppendI32(cmt_dict.GetOrAdd(comment));
+    o_comment.AppendInt(cmt_dict.GetOrAdd(comment));
   }
   orders->SortDictionary(column);
 }

@@ -30,75 +30,87 @@ void DaysToDate(int32_t days, int* year, int* month, int* day) {
   *year = y + (*month <= 2);
 }
 
-// Every column is 32-bit: keys, dates, dictionary codes and decimals (cents;
-// the largest, o_totalprice, stays under 73.5 M). The largest key,
-// o_orderkey, is about 6 M x SF, so the catalog fits up to SF 357, and the
-// generator checks every narrowed value. Scans widen each value to i64, so
-// query expressions never see the storage width.
+// Every column is stored at the narrowest signed width its fixed domain
+// allows. Keys and the decimals that grow with the scale factor stay 32-bit
+// (cents; the largest, o_totalprice, stays under 73.5 M); the largest key,
+// o_orderkey, is about 6 M x SF, so the catalog fits up to SF 357. Dates
+// (8035..10438 days), l_quantity (100..5000 cents), ps_availqty and the
+// 150-code p_type dictionary are 16-bit; the small decimals, the line
+// number, the nation keys and every other fixed-vocabulary dictionary are
+// 8-bit. Bytes per row: lineitem 31, orders 21, partsupp 14, part 13,
+// customer 10, supplier 9, nation 3, region 2. The generator's checked
+// append stops the load if a value or dictionary code outgrows its column.
+// Scans widen each value to i64, so query expressions never see the
+// storage width.
 void CreateTpchSchema(Catalog* catalog) {
+  constexpr DataType kI8 = DataType::kI8;
+  constexpr DataType kI16 = DataType::kI16;
+  constexpr DataType kI32 = DataType::kI32;
+  constexpr bool kDict = true;
+
   Table* region = catalog->CreateTable("region");
-  region->AddColumn("r_regionkey", DataType::kI32);
-  region->AddColumn("r_name", DataType::kI32, /*dictionary=*/true);
+  region->AddColumn("r_regionkey", kI8);
+  region->AddColumn("r_name", kI8, kDict);
 
   Table* nation = catalog->CreateTable("nation");
-  nation->AddColumn("n_nationkey", DataType::kI32);
-  nation->AddColumn("n_name", DataType::kI32, /*dictionary=*/true);
-  nation->AddColumn("n_regionkey", DataType::kI32);
+  nation->AddColumn("n_nationkey", kI8);
+  nation->AddColumn("n_name", kI8, kDict);
+  nation->AddColumn("n_regionkey", kI8);
 
   Table* supplier = catalog->CreateTable("supplier");
-  supplier->AddColumn("s_suppkey", DataType::kI32);
-  supplier->AddColumn("s_nationkey", DataType::kI32);
-  supplier->AddColumn("s_acctbal", DataType::kI32);  // decimal
+  supplier->AddColumn("s_suppkey", kI32);
+  supplier->AddColumn("s_nationkey", kI8);
+  supplier->AddColumn("s_acctbal", kI32);  // decimal
 
   Table* customer = catalog->CreateTable("customer");
-  customer->AddColumn("c_custkey", DataType::kI32);
-  customer->AddColumn("c_name", DataType::kI32, /*dictionary=*/true);
-  customer->AddColumn("c_nationkey", DataType::kI32);
-  customer->AddColumn("c_mktsegment", DataType::kI32, /*dictionary=*/true);
+  customer->AddColumn("c_custkey", kI32);
+  customer->AddColumn("c_name", kI32, kDict);  // one code per customer
+  customer->AddColumn("c_nationkey", kI8);
+  customer->AddColumn("c_mktsegment", kI8, kDict);
 
   Table* part = catalog->CreateTable("part");
-  part->AddColumn("p_partkey", DataType::kI32);
-  part->AddColumn("p_brand", DataType::kI32, /*dictionary=*/true);
-  part->AddColumn("p_type", DataType::kI32, /*dictionary=*/true);
-  part->AddColumn("p_size", DataType::kI32);
-  part->AddColumn("p_container", DataType::kI32, /*dictionary=*/true);
-  part->AddColumn("p_retailprice", DataType::kI32);  // decimal
+  part->AddColumn("p_partkey", kI32);
+  part->AddColumn("p_brand", kI8, kDict);
+  part->AddColumn("p_type", kI16, kDict);  // 150 codes
+  part->AddColumn("p_size", kI8);
+  part->AddColumn("p_container", kI8, kDict);
+  part->AddColumn("p_retailprice", kI32);  // decimal
 
   Table* partsupp = catalog->CreateTable("partsupp");
-  partsupp->AddColumn("ps_partkey", DataType::kI32);
-  partsupp->AddColumn("ps_suppkey", DataType::kI32);
-  partsupp->AddColumn("ps_availqty", DataType::kI32);
-  partsupp->AddColumn("ps_supplycost", DataType::kI32);  // decimal
+  partsupp->AddColumn("ps_partkey", kI32);
+  partsupp->AddColumn("ps_suppkey", kI32);
+  partsupp->AddColumn("ps_availqty", kI16);
+  partsupp->AddColumn("ps_supplycost", kI32);  // decimal
 
   Table* orders = catalog->CreateTable("orders");
-  orders->AddColumn("o_orderkey", DataType::kI32);
-  orders->AddColumn("o_custkey", DataType::kI32);
-  orders->AddColumn("o_orderstatus", DataType::kI32, /*dictionary=*/true);
-  orders->AddColumn("o_totalprice", DataType::kI32);  // decimal
-  orders->AddColumn("o_orderdate", DataType::kI32);
-  orders->AddColumn("o_orderpriority", DataType::kI32, /*dictionary=*/true);
-  orders->AddColumn("o_shippriority", DataType::kI32);
+  orders->AddColumn("o_orderkey", kI32);
+  orders->AddColumn("o_custkey", kI32);
+  orders->AddColumn("o_orderstatus", kI8, kDict);
+  orders->AddColumn("o_totalprice", kI32);  // decimal
+  orders->AddColumn("o_orderdate", kI16);
+  orders->AddColumn("o_orderpriority", kI8, kDict);
+  orders->AddColumn("o_shippriority", kI8);
   // Free-form comment text (Q13's '%special%requests%' predicate). Nearly
   // every value is distinct, so the dictionary is high-cardinality — the
   // workload that forces LIKE onto the per-row runtime-call path.
-  orders->AddColumn("o_comment", DataType::kI32, /*dictionary=*/true);
+  orders->AddColumn("o_comment", kI32, kDict);
 
   Table* lineitem = catalog->CreateTable("lineitem");
-  lineitem->AddColumn("l_orderkey", DataType::kI32);
-  lineitem->AddColumn("l_partkey", DataType::kI32);
-  lineitem->AddColumn("l_suppkey", DataType::kI32);
-  lineitem->AddColumn("l_linenumber", DataType::kI32);
-  lineitem->AddColumn("l_quantity", DataType::kI32);       // decimal
-  lineitem->AddColumn("l_extendedprice", DataType::kI32);  // decimal
-  lineitem->AddColumn("l_discount", DataType::kI32);       // decimal
-  lineitem->AddColumn("l_tax", DataType::kI32);            // decimal
-  lineitem->AddColumn("l_returnflag", DataType::kI32, /*dictionary=*/true);
-  lineitem->AddColumn("l_linestatus", DataType::kI32, /*dictionary=*/true);
-  lineitem->AddColumn("l_shipdate", DataType::kI32);
-  lineitem->AddColumn("l_commitdate", DataType::kI32);
-  lineitem->AddColumn("l_receiptdate", DataType::kI32);
-  lineitem->AddColumn("l_shipinstruct", DataType::kI32, /*dictionary=*/true);
-  lineitem->AddColumn("l_shipmode", DataType::kI32, /*dictionary=*/true);
+  lineitem->AddColumn("l_orderkey", kI32);
+  lineitem->AddColumn("l_partkey", kI32);
+  lineitem->AddColumn("l_suppkey", kI32);
+  lineitem->AddColumn("l_linenumber", kI8);
+  lineitem->AddColumn("l_quantity", kI16);      // decimal
+  lineitem->AddColumn("l_extendedprice", kI32);  // decimal
+  lineitem->AddColumn("l_discount", kI8);        // decimal
+  lineitem->AddColumn("l_tax", kI8);             // decimal
+  lineitem->AddColumn("l_returnflag", kI8, kDict);
+  lineitem->AddColumn("l_linestatus", kI8, kDict);
+  lineitem->AddColumn("l_shipdate", kI16);
+  lineitem->AddColumn("l_commitdate", kI16);
+  lineitem->AddColumn("l_receiptdate", kI16);
+  lineitem->AddColumn("l_shipinstruct", kI8, kDict);
+  lineitem->AddColumn("l_shipmode", kI8, kDict);
 }
 
 Cardinalities CardinalitiesForScale(double sf) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <type_traits>
+#include <vector>
 
 #include "common/status.h"
 #include "simd/simd.h"
@@ -161,58 +163,61 @@ void EvalVec(const Expr& expr, const std::vector<Vec>& slot_vecs,
 }
 
 /// Materializes only the selected lanes of a scan column (other lanes keep
-/// the vector's zero-fill — no downstream loop reads them). Used after
-/// selection pushdown so non-probed columns pay per survivor, not per row.
+/// the vector's zero-fill — no downstream loop reads them), widening to
+/// i64. Used after selection pushdown so non-probed columns pay per
+/// survivor, not per row.
 void LoadColumnVecSel(const Column& column, uint64_t base, uint64_t n,
                       const Sel& sel, Vec* out) {
   out->resize(n);
-  switch (column.type()) {
-    case DataType::kI32: {
-      const auto* data = static_cast<const int32_t*>(column.data()) + base;
-      for (int lane : sel) {
-        (*out)[static_cast<size_t>(lane)] = data[lane];
-      }
-      return;
+  if (column.type() == DataType::kF64) {
+    const auto* data = static_cast<const double*>(column.data()) + base;
+    for (int lane : sel) {
+      (*out)[static_cast<size_t>(lane)] = FromF64(data[lane]);
     }
-    case DataType::kI64: {
-      const auto* data = static_cast<const int64_t*>(column.data()) + base;
-      for (int lane : sel) {
-        (*out)[static_cast<size_t>(lane)] = data[lane];
-      }
-      return;
-    }
-    case DataType::kF64: {
-      const auto* data = static_cast<const double*>(column.data()) + base;
-      for (int lane : sel) {
-        (*out)[static_cast<size_t>(lane)] = FromF64(data[lane]);
-      }
-      return;
-    }
+    return;
   }
-  AQE_UNREACHABLE("bad DataType");
+  VisitIntColumn(column, [&](const auto* data) {
+    data += base;
+    for (int lane : sel) {
+      (*out)[static_cast<size_t>(lane)] = data[lane];
+    }
+  });
 }
 
 /// Materializes one scan column for a block, widening to i64.
 void LoadColumnVec(const Column& column, uint64_t base, uint64_t n, Vec* out) {
   out->resize(n);
-  switch (column.type()) {
-    case DataType::kI32: {
-      const auto* data = static_cast<const int32_t*>(column.data()) + base;
-      for (uint64_t i = 0; i < n; ++i) (*out)[i] = data[i];
-      return;
-    }
-    case DataType::kI64: {
-      const auto* data = static_cast<const int64_t*>(column.data()) + base;
-      for (uint64_t i = 0; i < n; ++i) (*out)[i] = data[i];
-      return;
-    }
-    case DataType::kF64: {
-      const auto* data = static_cast<const double*>(column.data()) + base;
-      for (uint64_t i = 0; i < n; ++i) (*out)[i] = FromF64(data[i]);
-      return;
-    }
+  if (column.type() == DataType::kF64) {
+    const auto* data = static_cast<const double*>(column.data()) + base;
+    for (uint64_t i = 0; i < n; ++i) (*out)[i] = FromF64(data[i]);
+    return;
   }
-  AQE_UNREACHABLE("bad DataType");
+  VisitIntColumn(column, [&](const auto* data) {
+    data += base;
+    for (uint64_t i = 0; i < n; ++i) (*out)[i] = data[i];
+  });
+}
+
+/// Probes `n` codes of a dictionary column, starting at row `base`, against
+/// `bitmap`; writes the matching lanes to `sel` and returns their count.
+/// 8- and 16-bit codes are widened into `widened` first, so every code
+/// width up to 32 bits shares the 32-bit SIMD kernel.
+int ProbeCodes(const Column& column, uint64_t base, int n,
+               const uint8_t* bitmap, std::vector<int32_t>* widened,
+               int32_t* sel) {
+  return VisitIntColumn(column, [&](const auto* codes) {
+    using T = std::remove_const_t<std::remove_pointer_t<decltype(codes)>>;
+    codes += base;
+    if constexpr (std::is_same_v<T, int64_t>) {
+      return BitmapProbeSelI64(codes, n, bitmap, sel);
+    } else if constexpr (std::is_same_v<T, int32_t>) {
+      return BitmapProbeSelI32(codes, n, bitmap, sel);
+    } else {
+      widened->resize(static_cast<size_t>(n));
+      for (int i = 0; i < n; ++i) (*widened)[static_cast<size_t>(i)] = codes[i];
+      return BitmapProbeSelI32(widened->data(), n, bitmap, sel);
+    }
+  });
 }
 
 }  // namespace
@@ -255,6 +260,7 @@ void RunPipelineVectorized(const QueryProgram& program,
   std::vector<Vec> slot_vecs;
   Vec tmp;
   Sel sel;
+  std::vector<int32_t> widened_codes;  // narrow pushdown codes, per vector
   for (uint64_t base = 0; base < rows; base += kVectorSize) {
     const uint64_t n = std::min(kVectorSize, rows - base);
     slot_vecs.clear();
@@ -262,16 +268,8 @@ void RunPipelineVectorized(const QueryProgram& program,
     if (pushdown_slot >= 0) {
       const Column& probe_col = *columns[static_cast<size_t>(pushdown_slot)];
       sel.assign(n, 0);
-      int hits;
-      if (probe_col.type() == DataType::kI32) {
-        hits = BitmapProbeSelI32(
-            static_cast<const int32_t*>(probe_col.data()) + base,
-            static_cast<int>(n), pushdown_bitmap, sel.data());
-      } else {
-        hits = BitmapProbeSelI64(
-            static_cast<const int64_t*>(probe_col.data()) + base,
-            static_cast<int>(n), pushdown_bitmap, sel.data());
-      }
+      const int hits = ProbeCodes(probe_col, base, static_cast<int>(n),
+                                  pushdown_bitmap, &widened_codes, sel.data());
       if (hits == 0) continue;
       sel.resize(static_cast<size_t>(hits));
       first_op = 1;

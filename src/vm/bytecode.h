@@ -79,18 +79,40 @@ namespace aqe {
   V(br_load_ult_i32_imm) V(br_load_ult_i64_imm) V(br_load_ule_i32_imm)       \
   V(br_load_ule_i64_imm) V(br_load_ugt_i32_imm) V(br_load_ugt_i64_imm)       \
   V(br_load_uge_i32_imm) V(br_load_uge_i64_imm)                              \
-  /* sign-extending load-compare-and-branch: the compare reads sext(i32 load) \
-     — a 32-bit column value widened by the scan. tmp = (i64)*(i32*)(r[a2] + \
-     r[a3]*4); branch on tmp <pred> r[a1] (or literal_pool[a1]) as i64. */   \
-  V(br_load_sext_eq_i64) V(br_load_sext_ne_i64) V(br_load_sext_slt_i64)      \
-  V(br_load_sext_sle_i64) V(br_load_sext_sgt_i64) V(br_load_sext_sge_i64)    \
-  V(br_load_sext_ult_i64) V(br_load_sext_ule_i64) V(br_load_sext_ugt_i64)    \
-  V(br_load_sext_uge_i64)                                                    \
-  V(br_load_sext_eq_i64_imm) V(br_load_sext_ne_i64_imm)                      \
-  V(br_load_sext_slt_i64_imm) V(br_load_sext_sle_i64_imm)                    \
-  V(br_load_sext_sgt_i64_imm) V(br_load_sext_sge_i64_imm)                    \
-  V(br_load_sext_ult_i64_imm) V(br_load_sext_ule_i64_imm)                    \
-  V(br_load_sext_ugt_i64_imm) V(br_load_sext_uge_i64_imm)                    \
+  /* sign-extending load-compare-and-branch: the compare reads sext(iN load) \
+     — an 8-, 16- or 32-bit column value widened by the scan. tmp =          \
+     (i64)*(iN*)(r[a2] + r[a3]*N/8); branch on tmp <pred> r[a1] (or          \
+     literal_pool[a1]) as i64. */                                            \
+  V(br_load_sext_i8_eq_i64) V(br_load_sext_i8_ne_i64)                        \
+  V(br_load_sext_i8_slt_i64) V(br_load_sext_i8_sle_i64)                      \
+  V(br_load_sext_i8_sgt_i64) V(br_load_sext_i8_sge_i64)                      \
+  V(br_load_sext_i8_ult_i64) V(br_load_sext_i8_ule_i64)                      \
+  V(br_load_sext_i8_ugt_i64) V(br_load_sext_i8_uge_i64)                      \
+  V(br_load_sext_i8_eq_i64_imm) V(br_load_sext_i8_ne_i64_imm)                \
+  V(br_load_sext_i8_slt_i64_imm) V(br_load_sext_i8_sle_i64_imm)              \
+  V(br_load_sext_i8_sgt_i64_imm) V(br_load_sext_i8_sge_i64_imm)              \
+  V(br_load_sext_i8_ult_i64_imm) V(br_load_sext_i8_ule_i64_imm)              \
+  V(br_load_sext_i8_ugt_i64_imm) V(br_load_sext_i8_uge_i64_imm)              \
+  V(br_load_sext_i16_eq_i64) V(br_load_sext_i16_ne_i64)                      \
+  V(br_load_sext_i16_slt_i64) V(br_load_sext_i16_sle_i64)                    \
+  V(br_load_sext_i16_sgt_i64) V(br_load_sext_i16_sge_i64)                    \
+  V(br_load_sext_i16_ult_i64) V(br_load_sext_i16_ule_i64)                    \
+  V(br_load_sext_i16_ugt_i64) V(br_load_sext_i16_uge_i64)                    \
+  V(br_load_sext_i16_eq_i64_imm) V(br_load_sext_i16_ne_i64_imm)              \
+  V(br_load_sext_i16_slt_i64_imm) V(br_load_sext_i16_sle_i64_imm)            \
+  V(br_load_sext_i16_sgt_i64_imm) V(br_load_sext_i16_sge_i64_imm)            \
+  V(br_load_sext_i16_ult_i64_imm) V(br_load_sext_i16_ule_i64_imm)            \
+  V(br_load_sext_i16_ugt_i64_imm) V(br_load_sext_i16_uge_i64_imm)            \
+  V(br_load_sext_i32_eq_i64) V(br_load_sext_i32_ne_i64)                      \
+  V(br_load_sext_i32_slt_i64) V(br_load_sext_i32_sle_i64)                    \
+  V(br_load_sext_i32_sgt_i64) V(br_load_sext_i32_sge_i64)                    \
+  V(br_load_sext_i32_ult_i64) V(br_load_sext_i32_ule_i64)                    \
+  V(br_load_sext_i32_ugt_i64) V(br_load_sext_i32_uge_i64)                    \
+  V(br_load_sext_i32_eq_i64_imm) V(br_load_sext_i32_ne_i64_imm)              \
+  V(br_load_sext_i32_slt_i64_imm) V(br_load_sext_i32_sle_i64_imm)            \
+  V(br_load_sext_i32_sgt_i64_imm) V(br_load_sext_i32_sge_i64_imm)            \
+  V(br_load_sext_i32_ult_i64_imm) V(br_load_sext_i32_ule_i64_imm)            \
+  V(br_load_sext_i32_ugt_i64_imm) V(br_load_sext_i32_uge_i64_imm)            \
   /* floating point */                                                       \
   V(fadd_f64) V(fsub_f64) V(fmul_f64) V(fdiv_f64) V(fneg_f64)                \
   V(fcmp_oeq_f64) V(fcmp_one_f64) V(fcmp_olt_f64) V(fcmp_ole_f64)            \
@@ -113,9 +135,9 @@ namespace aqe {
      address = r[a2] + r[a3]*scale + offset (§IV-F macro op) */              \
   V(load_idx_i8) V(load_idx_i16) V(load_idx_i32) V(load_idx_i64)             \
   V(load_idx_f64)                                                            \
-  /* widening load: an i32 load whose only user is a sext to i64, in one     \
-     dispatch — r[a1] = (i64)*(i32*)address */                               \
-  V(load_idx_sext_i32_i64)                                                   \
+  /* widening loads: an i8/i16/i32 load whose only user is a sext to i64,   \
+     in one dispatch — r[a1] = (i64)*(iN*)address */                         \
+  V(load_idx_sext_i8_i64) V(load_idx_sext_i16_i64) V(load_idx_sext_i32_i64) \
   V(store_idx_i8) V(store_idx_i16) V(store_idx_i32) V(store_idx_i64)         \
   V(store_idx_f64)                                                           \
   /* standalone pointer arithmetic: r[a1] = r[a2] + r[a3]*scale + offset */  \

@@ -97,10 +97,13 @@ uint64_t DispatchN(uint64_t target, const uint64_t* a, uint32_t n) {
 #define LCB_U64(inst)                                                        \
   (*reinterpret_cast<const uint64_t*>(R_PTR((inst)->a2) +                    \
                                       R_I64((inst)->a3) * 8))
-/// The i32 element sign-extended to i64 (br_load_sext_*), and its unsigned
-/// view for the unsigned predicates.
-#define LCB_SX(inst) static_cast<int64_t>(LCB_I32(inst))
-#define LCB_SXU(inst) static_cast<uint64_t>(LCB_SX(inst))
+/// The element of type T (int8_t, int16_t or int32_t) sign-extended to i64
+/// (br_load_sext_iN_*), and its unsigned view for the unsigned predicates.
+#define LCB_SX(inst, T)                                                      \
+  static_cast<int64_t>(*reinterpret_cast<const T*>(                          \
+      R_PTR((inst)->a2) +                                                    \
+      R_I64((inst)->a3) * static_cast<int64_t>(sizeof(T))))
+#define LCB_SXU(inst, T) static_cast<uint64_t>(LCB_SX(inst, T))
 
 /// Double view of a literal-pool immediate (br_*_f64_imm).
 inline double BitsToDouble(uint64_t bits) {

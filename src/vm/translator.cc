@@ -45,14 +45,18 @@ struct FusedOverflow {
 };
 
 /// The indexed load a fused compare swallows (br_load_*), and the sign
-/// extension between them when the compare reads the load widened to i64
-/// (br_load_sext_*).
+/// extension between them when the compare reads an 8-, 16- or 32-bit load
+/// widened to i64 (br_load_sext_iN_*).
 struct FusedCmpLoad {
   const llvm::LoadInst* load = nullptr;
   const llvm::Instruction* sext = nullptr;  // may be null
   /// The compare operand the pair replaces.
   const llvm::Value* operand() const {
     return sext != nullptr ? static_cast<const llvm::Value*>(sext) : load;
+  }
+  /// The width the sext widens from (8, 16 or 32), or 0 without one.
+  unsigned sext_bits() const {
+    return sext != nullptr ? load->getType()->getIntegerBitWidth() : 0;
   }
 };
 
@@ -186,10 +190,10 @@ class Translator {
   llvm::DenseMap<const llvm::Instruction*, Opcode> fused_cmp_;
   /// Fused compares whose indexed-load operand (possibly sign-extended)
   /// additionally folds into the superinstruction (br_load_*,
-  /// br_load_sext_*); value = the subsumed load and sext.
+  /// br_load_sext_iN_*); value = the subsumed load and sext.
   llvm::DenseMap<const llvm::Instruction*, FusedCmpLoad> fused_cmp_load_;
-  /// Sign extensions that emit one widening load (load_idx_sext_i32_i64);
-  /// value = their subsumed i32 load.
+  /// Sign extensions that emit one widening load (load_idx_sext_iN_i64);
+  /// value = their subsumed i8, i16 or i32 load.
   llvm::DenseMap<const llvm::Instruction*, const llvm::LoadInst*>
       widening_loads_;
   /// Conditional branches whose condition is a single-use same-block and-tree
@@ -339,34 +343,49 @@ bool ImmCmpBranchOpcode(Opcode op, Opcode* out) {
 }
 
 /// Maps a fused compare-and-branch opcode to the form that also swallows the
-/// compare's indexed load (br_load_*, reg or imm RHS) or, with `sext`, the
-/// load and its sign extension to i64 (br_load_sext_*, i64 compares only).
-/// Only the integer forms exist: the load supplies the LHS, and f64 loads
-/// keep the two-op path (no br_load_*_f64 — scan filters compare integer
-/// columns).
-bool LoadCmpBranchOpcode(Opcode op, bool imm, bool sext, Opcode* out) {
+/// compare's indexed load (br_load_*, reg or imm RHS) or, with `sext_bits`
+/// 8, 16 or 32, the load of that width and its sign extension to i64
+/// (br_load_sext_iN_*, i64 compares only; 0 = no sext). Only the integer
+/// forms exist: the load supplies the LHS, and f64 loads keep the two-op
+/// path (no br_load_*_f64 — scan filters compare integer columns).
+bool LoadCmpBranchOpcode(Opcode op, bool imm, unsigned sext_bits,
+                         Opcode* out) {
   switch (op) {
+#define AQE_LCB_SEXT(pred, bits)                                            \
+  case bits:                                                                \
+    *out = imm ? Opcode::k_br_load_sext_i##bits##_##pred##_i64_imm          \
+               : Opcode::k_br_load_sext_i##bits##_##pred##_i64;             \
+    return true;
 #define AQE_LCB_CASE(pred)                                                  \
   case Opcode::k_br_##pred##_i32:                                           \
-    if (sext) return false;                                                 \
+    if (sext_bits != 0) return false;                                       \
     *out = imm ? Opcode::k_br_load_##pred##_i32_imm                         \
                : Opcode::k_br_load_##pred##_i32;                            \
     return true;                                                            \
   case Opcode::k_br_##pred##_i64:                                           \
-    if (sext) {                                                             \
-      *out = imm ? Opcode::k_br_load_sext_##pred##_i64_imm                  \
-                 : Opcode::k_br_load_sext_##pred##_i64;                     \
-    } else {                                                                \
-      *out = imm ? Opcode::k_br_load_##pred##_i64_imm                       \
-                 : Opcode::k_br_load_##pred##_i64;                          \
-    }                                                                       \
-    return true;
+    switch (sext_bits) {                                                    \
+      case 0:                                                               \
+        *out = imm ? Opcode::k_br_load_##pred##_i64_imm                     \
+                   : Opcode::k_br_load_##pred##_i64;                        \
+        return true;                                                        \
+      AQE_LCB_SEXT(pred, 8) AQE_LCB_SEXT(pred, 16) AQE_LCB_SEXT(pred, 32)   \
+      default: return false;                                                \
+    }
     AQE_LCB_CASE(eq) AQE_LCB_CASE(ne)
     AQE_LCB_CASE(slt) AQE_LCB_CASE(sle) AQE_LCB_CASE(sgt) AQE_LCB_CASE(sge)
     AQE_LCB_CASE(ult) AQE_LCB_CASE(ule) AQE_LCB_CASE(ugt) AQE_LCB_CASE(uge)
 #undef AQE_LCB_CASE
+#undef AQE_LCB_SEXT
     default: return false;
   }
+}
+
+/// Whether a sign extension to i64 of a `load` of this type can fold into
+/// the load (load_idx_sext_iN_i64, br_load_sext_iN_*): the narrow integer
+/// widths a scan column is stored at.
+bool IsWidenableLoadType(const llvm::Type* type) {
+  return type->isIntegerTy(8) || type->isIntegerTy(16) ||
+         type->isIntegerTy(32);
 }
 
 /// A plain integer/double constant whose raw bits can live in a literal-pool
@@ -474,12 +493,13 @@ void Translator::PlanLoadCmpBranchFusion() {
   // Third superinstruction tier: a compare already planned for
   // compare-and-branch fusion whose LHS (or, mirrored, RHS) is a single-use
   // indexed load of the matching width folds the load in too — the exact
-  // `buf[i] <pred> x` shape of every scan-filter loop. A 32-bit column
-  // reaches the compare through the scan's widening `sext i32 -> i64`; a
-  // single-use sext of such a load folds in as well (br_load_sext_*), so a
-  // narrow column filters in one dispatch too. The br_load_* encoding has
-  // no scale/offset field (lit carries the branch targets), so only the
-  // implied-scale, zero-offset GEP shape qualifies.
+  // `buf[i] <pred> x` shape of every scan-filter loop. A narrow column
+  // reaches the compare through the scan's widening `sext iN -> i64`; a
+  // single-use sext of an 8-, 16- or 32-bit load folds in as well
+  // (br_load_sext_iN_*), so a narrow column filters in one dispatch too.
+  // The br_load_* encoding has no scale/offset field (lit carries the
+  // branch targets), so only the implied-scale, zero-offset GEP shape
+  // qualifies.
   if (!options_.fuse_macro_ops || !options_.fuse_cmp_branches ||
       !options_.fuse_load_cmp_branches) {
     return;
@@ -492,7 +512,7 @@ void Translator::PlanLoadCmpBranchFusion() {
       if (const auto* sext = llvm::dyn_cast<llvm::SExtInst>(v)) {
         if (sext->getParent() != bb || !sext->hasOneUse() ||
             !sext->getType()->isIntegerTy(64) ||
-            !sext->getOperand(0)->getType()->isIntegerTy(32)) {
+            !IsWidenableLoadType(sext->getOperand(0)->getType())) {
           return {};
         }
         fused.sext = sext;
@@ -504,7 +524,10 @@ void Translator::PlanLoadCmpBranchFusion() {
         return {};
       }
       const llvm::Type* ty = load->getType();
-      if (!ty->isIntegerTy(32) && !ty->isIntegerTy(64)) return {};
+      if (fused.sext == nullptr && !ty->isIntegerTy(32) &&
+          !ty->isIntegerTy(64)) {
+        return {};
+      }
       const auto* gep =
           llvm::dyn_cast<llvm::GetElementPtrInst>(load->getPointerOperand());
       // Only an already-fused single-index GEP whose element type equals the
@@ -537,8 +560,7 @@ void Translator::PlanLoadCmpBranchFusion() {
     }
     Opcode unused;
     if (fused.load == nullptr ||
-        !LoadCmpBranchOpcode(effective, false, fused.sext != nullptr,
-                             &unused)) {
+        !LoadCmpBranchOpcode(effective, false, fused.sext_bits(), &unused)) {
       continue;
     }
     fused_cmp_load_[cmp] = fused;
@@ -549,13 +571,13 @@ void Translator::PlanLoadCmpBranchFusion() {
 }
 
 void Translator::PlanWideningLoads() {
-  // A scan widens every 32-bit column value right after loading it
-  // (operator_codegen: `sext (load i32 (gep base, i))`), which would cost a
-  // load_idx_i32 and a sext_i32_i64 dispatch per value. When the sext is
-  // the fused-GEP load's only user, the sext emits one widening load
-  // instead and the load vanishes. The read moves to the sext, so nothing
-  // in between may write memory. Sexts already folded into a br_load_sext_*
-  // have their load subsumed and are skipped.
+  // A scan widens every 8-, 16- and 32-bit column value right after
+  // loading it (operator_codegen: `sext (load iN (gep base, i))`), which
+  // would cost a load_idx_iN and a sext_iN_i64 dispatch per value. When the
+  // sext is the fused-GEP load's only user, the sext emits one widening
+  // load instead and the load vanishes. The read moves to the sext, so
+  // nothing in between may write memory. Sexts already folded into a
+  // br_load_sext_iN_* have their load subsumed and are skipped.
   if (!options_.fuse_macro_ops) return;
   for (const llvm::BasicBlock& bb : fn_) {
     if (cfg_.LabelOf(&bb) < 0) continue;
@@ -564,7 +586,7 @@ void Translator::PlanWideningLoads() {
       if (sext == nullptr || !sext->getType()->isIntegerTy(64)) continue;
       const auto* load = llvm::dyn_cast<llvm::LoadInst>(sext->getOperand(0));
       if (load == nullptr || load->getParent() != &bb ||
-          !load->getType()->isIntegerTy(32) || !load->hasOneUse() ||
+          !IsWidenableLoadType(load->getType()) || !load->hasOneUse() ||
           subsumed_.contains(load)) {
         continue;
       }
@@ -1056,7 +1078,14 @@ void Translator::TranslateWideningLoad(const llvm::CastInst& sext,
   // A constant index is already folded into the offset (scale 0); slot 0
   // holds the index 0.
   uint32_t idx = parts.index != nullptr ? UseReg(parts.index) : 0;
-  Emit(Opcode::k_load_idx_sext_i32_i64, value_reg_.lookup(&sext), base, idx,
+  Opcode op;
+  switch (load.getType()->getIntegerBitWidth()) {
+    case 8: op = Opcode::k_load_idx_sext_i8_i64; break;
+    case 16: op = Opcode::k_load_idx_sext_i16_i64; break;
+    case 32: op = Opcode::k_load_idx_sext_i32_i64; break;
+    default: AQE_UNREACHABLE("widening load of an unplanned width");
+  }
+  Emit(op, value_reg_.lookup(&sext), base, idx,
        PackScaleOffset(parts.scale, parts.offset));
   program_.fused_instructions += 2;  // gep + load folded into the sext
 }
@@ -1344,7 +1373,7 @@ uint32_t Translator::EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op) {
     // the subsumed GEP's base/index, a1 the RHS register or literal-pool
     // index.
     const FusedCmpLoad& fused = fused_it->second;
-    const bool sext = fused.sext != nullptr;
+    const unsigned sext_bits = fused.sext_bits();
     if (lhs != fused.operand()) {
       Opcode mirrored;
       AQE_CHECK(MirrorCmpBranchOpcode(op, &mirrored));
@@ -1361,17 +1390,18 @@ uint32_t Translator::EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op) {
     uint32_t base = UseReg(parts.base);
     uint32_t idx = UseReg(parts.index);
     Opcode load_op;
-    if (has_imm && LoadCmpBranchOpcode(op, /*imm=*/true, sext, &load_op) &&
+    if (has_imm &&
+        LoadCmpBranchOpcode(op, /*imm=*/true, sext_bits, &load_op) &&
         program_.literal_pool.size() < 0xFFFF) {
       uint64_t pool_index = program_.AddPrivateLiteral(imm_bits);
       index = Emit(load_op, static_cast<uint32_t>(pool_index), base, idx);
       ++program_.fused_cmp_branch_imms;
     } else {
-      AQE_CHECK(LoadCmpBranchOpcode(op, /*imm=*/false, sext, &load_op));
+      AQE_CHECK(LoadCmpBranchOpcode(op, /*imm=*/false, sext_bits, &load_op));
       index = Emit(load_op, UseReg(rhs), base, idx);
     }
     // gep + load (+ sext) + compare folded
-    program_.fused_instructions += sext ? 4 : 3;
+    program_.fused_instructions += sext_bits != 0 ? 4 : 3;
     ++program_.fused_cmp_branches;
     ++program_.fused_load_cmp_branches;
   } else {

@@ -9,17 +9,11 @@ namespace {
 
 /// Widened scan of one value.
 int64_t LoadWidened(const Column& column, uint64_t row) {
-  switch (column.type()) {
-    case DataType::kI32: return column.GetI32(row);
-    case DataType::kI64: return column.GetI64(row);
-    case DataType::kF64: {
-      double d = column.GetF64(row);
-      int64_t bits;
-      std::memcpy(&bits, &d, 8);
-      return bits;
-    }
-  }
-  AQE_UNREACHABLE("bad DataType");
+  if (column.type() != DataType::kF64) return column.GetAsI64(row);
+  double d = column.GetF64(row);
+  int64_t bits;
+  std::memcpy(&bits, &d, 8);
+  return bits;
 }
 
 }  // namespace

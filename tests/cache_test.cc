@@ -198,9 +198,9 @@ TEST_F(CacheTest, LiteralVariantPatchesBytecode) {
   auto standard_rows = Uncached(&engine, standard);
   EXPECT_NE(warm.rows, standard_rows);
 
-  // The shared program compares 32-bit columns through sign-extending
+  // The shared program compares narrow columns through sign-extending
   // superinstructions, whose i64 immediates are literal-pool patch slots
-  // like any other (Q6's quantity limit is one).
+  // like any other (Q6's limit on the 16-bit quantity is one).
   auto entry = engine.artifact_cache().Peek(
       ArtifactCacheKey(FingerprintProgram(standard), options.translator));
   ASSERT_NE(entry, nullptr);
@@ -208,8 +208,9 @@ TEST_F(CacheTest, LiteralVariantPatchesBytecode) {
   const PipelineArtifact& artifact = entry->pipelines[0];
   ASSERT_NE(artifact.bytecode, nullptr);
   EXPECT_TRUE(artifact.patchable);
-  EXPECT_NE(artifact.bytecode->Disassemble().find("br_load_sext_slt_i64_imm"),
-            std::string::npos);
+  EXPECT_NE(
+      artifact.bytecode->Disassemble().find("br_load_sext_i16_slt_i64_imm"),
+      std::string::npos);
   EXPECT_GE(std::count_if(artifact.patch_slots.begin(),
                           artifact.patch_slots.end(),
                           [](uint32_t slot) {

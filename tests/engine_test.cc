@@ -20,17 +20,17 @@ class EngineTest : public ::testing::Test {
     dim->AddColumn("d_key", DataType::kI64);
     dim->AddColumn("d_group", DataType::kI32);
     for (int64_t k = 0; k < 100; ++k) {
-      dim->column(0).AppendI64(k);
-      dim->column(1).AppendI32(static_cast<int32_t>(k % 7));
+      dim->column(0).AppendInt(k);
+      dim->column(1).AppendInt(static_cast<int32_t>(k % 7));
     }
     Table* fact = catalog_->CreateTable("fact");
     fact->AddColumn("f_key", DataType::kI64);
     fact->AddColumn("f_value", DataType::kI64);
     fact->AddColumn("f_flag", DataType::kI32);
     for (int64_t i = 0; i < 50000; ++i) {
-      fact->column(0).AppendI64((i * 37) % 120);  // some keys miss the dim
-      fact->column(1).AppendI64(i % 1000);
-      fact->column(2).AppendI32(static_cast<int32_t>(i % 3));
+      fact->column(0).AppendInt((i * 37) % 120);  // some keys miss the dim
+      fact->column(1).AppendInt(i % 1000);
+      fact->column(2).AppendInt(static_cast<int32_t>(i % 3));
     }
     engine_ = new QueryEngine(catalog_, /*num_threads=*/2);
   }

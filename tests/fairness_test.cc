@@ -194,8 +194,8 @@ class FairnessTest : public ::testing::Test {
       t->AddColumn("key", DataType::kI64);
       t->AddColumn("value", DataType::kI64);
       for (int64_t i = 0; i < rows; ++i) {
-        t->column(0).AppendI64(i % kKeys);
-        t->column(1).AppendI64(i % 1000);
+        t->column(0).AppendInt(i % kKeys);
+        t->column(1).AppendInt(i % 1000);
       }
     }
   }

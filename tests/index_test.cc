@@ -187,9 +187,9 @@ struct IndexedTable {
     s_col = table->AddColumn("s", DataType::kI32, /*dictionary=*/true);
     Dictionary& d = table->dictionary(s_col);
     for (uint64_t i = 0; i < kRows; ++i) {
-      table->column(id_col).AppendI64(static_cast<int64_t>(i));
-      table->column(val_col).AppendI64(static_cast<int64_t>(i % 1000));
-      table->column(s_col).AppendI32(d.GetOrAdd(MakeComment(i)));
+      table->column(id_col).AppendInt(static_cast<int64_t>(i));
+      table->column(val_col).AppendInt(static_cast<int64_t>(i % 1000));
+      table->column(s_col).AppendInt(d.GetOrAdd(MakeComment(i)));
     }
     table->SortDictionaries();
     TableIndexOptions options;
@@ -280,8 +280,8 @@ struct SkewedTable {
       const std::string value =
           i % 5 == 0 ? "rare#" + std::to_string((i / 5) % kRareCodes)
                      : std::string("common");
-      table->column(id_col).AppendI32(static_cast<int32_t>(i));
-      table->column(k_col).AppendI32(d.GetOrAdd(value));
+      table->column(id_col).AppendInt(static_cast<int32_t>(i));
+      table->column(k_col).AppendInt(d.GetOrAdd(value));
     }
     table->SortDictionaries();
     AttachTableIndexes(table, {});

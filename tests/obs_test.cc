@@ -5,15 +5,19 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdint>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
+#include "common/fixed_point.h"
 #include "engine/query_engine.h"
+#include "index/table_index.h"
 #include "obs/export.h"
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
@@ -376,6 +380,31 @@ TEST_F(ObsEngineTest, ArtifactCacheStatsDeltaAndReset) {
   EXPECT_EQ(warm.entry_misses, 0u);
   // bytes/entries keep the current residency, not a delta.
   EXPECT_GT(warm.entries, 0u);
+}
+
+TEST_F(ObsEngineTest, CatalogFootprintGaugesMatchTheCatalog) {
+  uint64_t column_bytes = 0;
+  uint64_t index_bytes = 0;
+  for (const char* name : {"region", "nation", "supplier", "customer", "part",
+                           "partsupp", "orders", "lineitem"}) {
+    const Table* t = catalog().GetTable(name);
+    for (int c = 0; c < t->num_columns(); ++c) {
+      column_bytes += t->num_rows() *
+                      static_cast<uint64_t>(DataTypeSize(t->column(c).type()));
+    }
+    ASSERT_NE(t->indexes(), nullptr) << name;
+    index_bytes += t->indexes()->approx_bytes;
+  }
+  QueryEngine engine(&catalog(), 1);
+  int64_t column_gauge = -1;
+  int64_t index_gauge = -1;
+  for (const auto& [name, value] : engine.ObservabilitySnapshot().gauges) {
+    if (name == "catalog.column_bytes") column_gauge = value;
+    if (name == "catalog.index_bytes") index_gauge = value;
+  }
+  EXPECT_EQ(column_gauge, static_cast<int64_t>(column_bytes));
+  EXPECT_EQ(index_gauge, static_cast<int64_t>(index_bytes));
+  EXPECT_GT(index_gauge, 0);
 }
 
 TEST_F(ObsEngineTest, VmOpcodeCountersAppearWhileProfiling) {
@@ -1232,28 +1261,46 @@ TEST_F(ObsEngineTest, QueryResultsReportPeakMemory) {
 
 TEST_F(ObsEngineTest, PeakMemoryCoversMergedAggregationTable) {
   // Q18 groups lineitem by orderkey, one group per order. Run on one
-  // thread, its merge step holds the thread's table and the merged table,
-  // both with every group, while it builds the qualifying-orders join
-  // table; the query's peak must count all three.
+  // thread, its merge step first holds the thread's table and the merged
+  // table, both with every group, until the thread table is folded in and
+  // released; then the merged table lives beside the qualifying-orders join
+  // table, sized by the qualifying count, and its first arena chunk. The
+  // query's peak must cover the larger of the two live sets.
   QueryEngine engine(&catalog(), 1);
   QueryRunOptions options;
   options.single_threaded = true;
   QueryRunResult r = engine.Run(BuildTpchQuery(18, catalog()), options);
 
+  const Table* lineitem = catalog().GetTable("lineitem");
+  std::unordered_map<int64_t, int64_t> quantity;
+  for (uint64_t row = 0; row < lineitem->num_rows(); ++row) {
+    quantity[lineitem->column("l_orderkey").GetAsI64(row)] +=
+        lineitem->column("l_quantity").GetAsI64(row);
+  }
+  uint64_t qualifying_orders = 0;
+  for (const auto& [key, sum] : quantity) {
+    qualifying_orders += sum > 300 * kDecimalScale ? 1 : 0;
+  }
+
   const int64_t groups =
       static_cast<int64_t>(catalog().GetTable("orders")->num_rows());
   QueryMemoryTracker live;
-  AggHashTable thread_table(1, {0}, &live);
   AggHashTable merged(1, {0}, &live);
-  for (int64_t k = 0; k < groups; ++k) {
-    thread_table.FindOrInsert(k);
-    merged.FindOrInsert(k);
+  uint64_t merging_bytes = 0;
+  {
+    AggHashTable thread_table(1, {0}, &live);
+    for (int64_t k = 0; k < groups; ++k) {
+      thread_table.FindOrInsert(k);
+      merged.FindOrInsert(k);
+    }
+    merging_bytes = live.current_bytes();
   }
-  JoinHashTable qualifying(static_cast<uint64_t>(groups) + 1, 1, &live);
-  if (!r.rows.empty()) qualifying.Insert(0);  // its first arena chunk
+  JoinHashTable qualifying(qualifying_orders + 1, 1, &live);
+  if (qualifying_orders > 0) qualifying.Insert(0);  // its first arena chunk
+  const uint64_t qualify_bytes = live.current_bytes();
   // The peak may lag the live total by one unfolded slot residue.
   EXPECT_GE(r.peak_memory_bytes + QueryMemoryTracker::kFlushBytes,
-            live.current_bytes());
+            std::max(merging_bytes, qualify_bytes));
 }
 
 TEST_F(ObsEngineTest, AdmissionRejectsOverBudgetClassAndSparesOthers) {

@@ -34,8 +34,8 @@ class SchedStressTest : public ::testing::Test {
     fact->AddColumn("f_key", DataType::kI64);
     fact->AddColumn("f_value", DataType::kI64);
     for (int64_t i = 0; i < kRows; ++i) {
-      fact->column(0).AppendI64((i * 13) % kGroups);
-      fact->column(1).AppendI64(i % 997);
+      fact->column(0).AppendInt((i * 13) % kGroups);
+      fact->column(1).AppendInt(i % 997);
     }
     // Reference: SELECT f_key, sum(f_value), count(*) FROM fact
     // WHERE f_key <> 3 GROUP BY f_key ORDER BY f_key.

@@ -17,8 +17,8 @@ namespace {
 
 TEST(ColumnTest, AppendAndGet) {
   Column c("x", DataType::kI64);
-  c.AppendI64(10);
-  c.AppendI64(-20);
+  c.AppendInt(10);
+  c.AppendInt(-20);
   EXPECT_EQ(c.size(), 2u);
   EXPECT_EQ(c.GetI64(0), 10);
   EXPECT_EQ(c.GetI64(1), -20);
@@ -26,8 +26,8 @@ TEST(ColumnTest, AppendAndGet) {
 
 TEST(ColumnTest, I32Column) {
   Column c("d", DataType::kI32);
-  c.AppendI32(123);
-  c.AppendI32(-1);
+  c.AppendInt(123);
+  c.AppendInt(-1);
   EXPECT_EQ(c.GetI32(0), 123);
   EXPECT_EQ(c.GetI32(1), -1);
   EXPECT_EQ(c.GetAsI64(1), -1);
@@ -41,7 +41,7 @@ TEST(ColumnTest, F64Column) {
 
 TEST(ColumnTest, RawDataPointerMatchesValues) {
   Column c("x", DataType::kI64);
-  for (int64_t i = 0; i < 100; ++i) c.AppendI64(i * 7);
+  for (int64_t i = 0; i < 100; ++i) c.AppendInt(i * 7);
   const int64_t* raw = static_cast<const int64_t*>(c.data());
   for (int64_t i = 0; i < 100; ++i) EXPECT_EQ(raw[i], i * 7);
 }
@@ -296,8 +296,8 @@ TEST(TableTest, SchemaAndRows) {
   EXPECT_EQ(t.ColumnIndex("b"), b);
   EXPECT_FALSE(t.has_dictionary(a));
   EXPECT_TRUE(t.has_dictionary(b));
-  t.column(a).AppendI64(1);
-  t.column(b).AppendI32(t.dictionary(b).GetOrAdd("x"));
+  t.column(a).AppendInt(1);
+  t.column(b).AppendInt(t.dictionary(b).GetOrAdd("x"));
   EXPECT_EQ(t.num_rows(), 1u);
 }
 

@@ -179,7 +179,7 @@ TEST(DictionaryStringsTest, TableSortRewritesCodesConsistently) {
   Dictionary& d = t.dictionary(sc);
   std::vector<std::string> rows = {"delta", "alpha", "delta", "charlie",
                                    "bravo", "alpha"};
-  for (const std::string& s : rows) t.column(sc).AppendI32(d.GetOrAdd(s));
+  for (const std::string& s : rows) t.column(sc).AppendInt(d.GetOrAdd(s));
   t.SortDictionaries();
   EXPECT_TRUE(t.dictionary(sc).is_sorted());
   for (uint64_t r = 0; r < rows.size(); ++r) {
@@ -212,7 +212,7 @@ TEST(DictionaryStringsTest, TpchDictionariesAreOrderPreserving) {
           << name << "." << t->column(c).name();
       // And every stored code still decodes (remap covered all rows).
       for (uint64_t r = 0; r < std::min<uint64_t>(t->num_rows(), 64); ++r) {
-        const int32_t code = t->column(c).GetI32(r);
+        const int64_t code = t->column(c).GetAsI64(r);
         ASSERT_GE(code, 0);
         ASSERT_LT(code, t->dictionary(c).size());
       }
@@ -258,8 +258,8 @@ struct SyntheticTable {
       codes.push_back(d.GetOrAdd(MakeString(i)));
     }
     for (uint64_t r = 0; r < rows; ++r) {
-      table->column(id_col).AppendI64(static_cast<int64_t>(r));
-      table->column(s_col).AppendI32(codes[r % distinct]);
+      table->column(id_col).AppendInt(static_cast<int64_t>(r));
+      table->column(s_col).AppendInt(codes[r % distinct]);
     }
     if (sorted) table->SortDictionaries();
   }

@@ -127,18 +127,19 @@ TEST_F(TpchFixtureTest, Q6SelectivityIsLow) {
   EXPECT_GT(rows[0][0], 0);  // some revenue found
 }
 
-// Q6 scans four 32-bit columns. The translator widens each value inside its
-// load — the indexed load (load_idx_sext_i32_i64) or, for the single-use
-// l_quantity filter, the load-compare-and-branch (br_load_sext_*) — so no
-// separate sign-extension dispatch survives.
+// Q6 scans a 16-bit date, an 8-bit discount, a 16-bit quantity and a 32-bit
+// price. The translator widens each value inside its load — the indexed
+// load (load_idx_sext_iN_i64) or, for the single-use l_quantity filter, the
+// load-compare-and-branch (br_load_sext_i16_*) — so no separate
+// sign-extension dispatch survives, at any width.
 TEST_F(TpchFixtureTest, Q6BytecodeWidensInTheLoad) {
   QueryProgram q6 = BuildTpchQuery(6, catalog());
   auto ctx = q6.MakeContext(&catalog());
   const PipelineSpec& spec = q6.pipelines()[0];
   PipelineBindings bindings = BindPipeline(q6, spec, *ctx);
-  for (DataType type : bindings.column_types) {
-    EXPECT_EQ(type, DataType::kI32);
-  }
+  EXPECT_EQ(bindings.column_types,
+            (std::vector<DataType>{DataType::kI16, DataType::kI8,
+                                   DataType::kI16, DataType::kI32}));
   auto translate = [&](const TranslatorOptions& options) {
     GeneratedPipeline gen = GeneratePipeline(spec, bindings);
     return TranslateToBytecode(*gen.mod->module().getFunction("worker"),
@@ -146,15 +147,49 @@ TEST_F(TpchFixtureTest, Q6BytecodeWidensInTheLoad) {
   };
   BcProgram fused = translate({});
   const std::string disasm = fused.Disassemble();
-  EXPECT_EQ(disasm.find(" sext_i32_i64"), std::string::npos) << disasm;
-  EXPECT_NE(disasm.find("load_idx_sext_i32_i64"), std::string::npos);
-  EXPECT_NE(disasm.find("br_load_sext_slt_i64_imm"), std::string::npos);
+  for (const char* sext : {" sext_i8_i64", " sext_i16_i64", " sext_i32_i64"}) {
+    EXPECT_EQ(disasm.find(sext), std::string::npos) << sext << "\n" << disasm;
+  }
+  for (const char* widening : {"load_idx_sext_i8_i64", "load_idx_sext_i16_i64",
+                               "load_idx_sext_i32_i64"}) {
+    EXPECT_NE(disasm.find(widening), std::string::npos) << widening;
+  }
+  EXPECT_NE(disasm.find("br_load_sext_i16_slt_i64_imm"), std::string::npos);
   EXPECT_GE(fused.fused_load_cmp_branches, 1u);
 
   TranslatorOptions unfused_options;
   unfused_options.fuse_macro_ops = false;
-  EXPECT_NE(translate(unfused_options).Disassemble().find(" sext_i32_i64"),
-            std::string::npos);
+  const std::string unfused = translate(unfused_options).Disassemble();
+  for (const char* sext : {" sext_i8_i64", " sext_i16_i64", " sext_i32_i64"}) {
+    EXPECT_NE(unfused.find(sext), std::string::npos) << sext;
+  }
+}
+
+// Every base-table scan of every TPC-H query widens its 8-, 16- and 32-bit
+// columns inside the load: with the default translator options, no
+// standalone sign extension survives in any pipeline's bytecode.
+TEST_F(TpchFixtureTest, EveryQueryWidensInTheLoad) {
+  int pipelines = 0;
+  for (int number : ImplementedTpchQueries()) {
+    QueryProgram q = BuildTpchQuery(number, catalog());
+    auto ctx = q.MakeContext(&catalog());
+    for (const PipelineSpec& spec : q.pipelines()) {
+      if (q.table_decl(spec.source_table).base_name == nullptr) continue;
+      PipelineBindings bindings = BindPipeline(q, spec, *ctx);
+      GeneratedPipeline gen = GeneratePipeline(spec, bindings);
+      const std::string disasm =
+          TranslateToBytecode(*gen.mod->module().getFunction("worker"),
+                              RuntimeRegistry::Global(), {})
+              .Disassemble();
+      for (const char* sext :
+           {" sext_i8_i64", " sext_i16_i64", " sext_i32_i64"}) {
+        EXPECT_EQ(disasm.find(sext), std::string::npos)
+            << "Q" << number << " " << spec.name << ": " << sext;
+      }
+      ++pipelines;
+    }
+  }
+  EXPECT_GT(pipelines, 13);
 }
 
 TEST_F(TpchFixtureTest, GeneratedQueryScalesInstructions) {

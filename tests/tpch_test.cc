@@ -82,8 +82,8 @@ TEST_F(TpchTinyTest, Deterministic) {
   for (uint64_t r = 0; r < a->num_rows(); r += 97) {
     EXPECT_EQ(a->column("l_extendedprice").GetAsI64(r),
               b->column("l_extendedprice").GetAsI64(r));
-    EXPECT_EQ(a->column("l_shipdate").GetI32(r),
-              b->column("l_shipdate").GetI32(r));
+    EXPECT_EQ(a->column("l_shipdate").GetAsI64(r),
+              b->column("l_shipdate").GetAsI64(r));
   }
 }
 
@@ -112,16 +112,16 @@ TEST_F(TpchTinyTest, DateRelationsHold) {
   const Table* li = catalog_->GetTable("lineitem");
   const Table* ord = catalog_->GetTable("orders");
   // Build orderkey -> orderdate.
-  std::unordered_map<int64_t, int32_t> odate;
+  std::unordered_map<int64_t, int64_t> odate;
   for (uint64_t r = 0; r < ord->num_rows(); ++r) {
     odate[ord->column("o_orderkey").GetAsI64(r)] =
-        ord->column("o_orderdate").GetI32(r);
+        ord->column("o_orderdate").GetAsI64(r);
   }
   for (uint64_t r = 0; r < li->num_rows(); ++r) {
     int64_t ok = li->column("l_orderkey").GetAsI64(r);
     ASSERT_TRUE(odate.count(ok));
-    int32_t sd = li->column("l_shipdate").GetI32(r);
-    int32_t rd = li->column("l_receiptdate").GetI32(r);
+    int64_t sd = li->column("l_shipdate").GetAsI64(r);
+    int64_t rd = li->column("l_receiptdate").GetAsI64(r);
     EXPECT_GT(sd, odate[ok]);
     EXPECT_GT(rd, sd);
   }
@@ -169,7 +169,7 @@ TEST_F(TpchTinyTest, Q14StyleSelectivity) {
   const Column& tc = part->column("p_type");
   uint64_t hits = 0;
   for (uint64_t r = 0; r < part->num_rows(); ++r) {
-    hits += promo[static_cast<size_t>(tc.GetI32(r))];
+    hits += promo[static_cast<size_t>(tc.GetAsI64(r))];
   }
   double sel = static_cast<double>(hits) / part->num_rows();
   EXPECT_NEAR(sel, 1.0 / 6.0, 0.08);
@@ -232,6 +232,27 @@ TEST(TpchFingerprintTest, CatalogValuesMatchPinnedValue) {
     }
     const uint64_t hash = CatalogFingerprint(catalog);
     EXPECT_EQ(hash, pinned) << "SF " << sf << std::hex << ": got " << hash;
+  }
+}
+
+// Pins each table's storage layout: every fixed-domain column at the
+// narrowest width its domain allows (dates, small decimals and
+// fixed-vocabulary dictionaries at 1 or 2 bytes; keys and growing decimals
+// at 4). A change that widens a column fails here; the values themselves
+// are pinned by CatalogValuesMatchPinnedValue, which holds at any width.
+TEST(TpchSchemaTest, BytesPerRowArePinned) {
+  Catalog catalog;
+  tpch::CreateTpchSchema(&catalog);
+  const std::pair<const char*, int> expected[] = {
+      {"lineitem", 31}, {"orders", 21},  {"partsupp", 14}, {"part", 13},
+      {"customer", 10}, {"supplier", 9}, {"nation", 3},    {"region", 2}};
+  for (const auto& [name, bytes_per_row] : expected) {
+    const Table* t = catalog.GetTable(name);
+    int bytes = 0;
+    for (int c = 0; c < t->num_columns(); ++c) {
+      bytes += DataTypeSize(t->column(c).type());
+    }
+    EXPECT_EQ(bytes, bytes_per_row) << name;
   }
 }
 

@@ -788,23 +788,34 @@ TEST(VmDispatchTest, LoadCmpBranchRequiresMatchingScale) {
 
 // --- sign-extending loads ----------------------------------------------------
 
-/// 32-bit row values at the edges of the sign extension.
-const int32_t kNarrowRows[] = {std::numeric_limits<int32_t>::min(), -1, 0,
-                               std::numeric_limits<int32_t>::max()};
+/// The storage widths a scan sign-extends from: 8-, 16- and 32-bit columns.
+const unsigned kNarrowBits[] = {8, 16, 32};
 
-/// i64 compare operands around the widened range: ±2^31 and one past, the
-/// row values themselves, and the i64 extremes.
-const int64_t kWideOperands[] = {
-    int64_t{1} << 31,
-    -(int64_t{1} << 31) - 1,
-    -(int64_t{1} << 31),
-    (int64_t{1} << 31) - 1,
-    -1,
-    0,
-    1,
-    std::numeric_limits<int64_t>::min(),
-    std::numeric_limits<int64_t>::max(),
-};
+/// `bits`-wide row values at the edges of the sign extension.
+std::vector<int64_t> NarrowRows(unsigned bits) {
+  const int64_t max = (int64_t{1} << (bits - 1)) - 1;
+  return {-max - 1, -1, 0, max};
+}
+
+/// i64 compare operands around the range widened from `bits`: ±2^(bits-1)
+/// and one past, the row values themselves, and the i64 extremes.
+std::vector<int64_t> WideOperands(unsigned bits) {
+  const int64_t half = int64_t{1} << (bits - 1);
+  return {half,
+          -half - 1,
+          -half,
+          half - 1,
+          -1,
+          0,
+          1,
+          std::numeric_limits<int64_t>::min(),
+          std::numeric_limits<int64_t>::max()};
+}
+
+/// The " sext_iN_i64" mnemonic a widening of `bits` would dispatch alone.
+std::string StandaloneSext(unsigned bits) {
+  return " sext_i" + std::to_string(bits) + "_i64";
+}
 
 const llvm::CmpInst::Predicate kIntPredicates[] = {
     llvm::CmpInst::ICMP_EQ,  llvm::CmpInst::ICMP_NE,
@@ -814,32 +825,35 @@ const llvm::CmpInst::Predicate kIntPredicates[] = {
     llvm::CmpInst::ICMP_UGT, llvm::CmpInst::ICMP_UGE,
 };
 
-/// The scan's widening shape: stores trunc(b) into i32 element (a & 63),
-/// loads it back through a GEP+load pair and sign-extends it to i64 — the
-/// exact `sext (load i32 (gep base, i))` of a 32-bit column slot.
-llvm::Value* StoreAndWidenI32(llvm::IRBuilder<>* b, llvm::Function* fn) {
-  auto* i32 = b->getInt32Ty();
+/// The scan's widening shape: stores trunc(b) into `bits`-wide element
+/// (a & 63), loads it back through a GEP+load pair and sign-extends it to
+/// i64 — the exact `sext (load iN (gep base, i))` of a narrow column slot.
+llvm::Value* StoreAndWiden(llvm::IRBuilder<>* b, llvm::Function* fn,
+                           unsigned bits) {
+  auto* narrow = b->getIntNTy(bits);
   auto* idx_s = b->CreateAnd(fn->getArg(0), b->getInt64(63));
-  b->CreateStore(b->CreateTrunc(fn->getArg(1), i32),
-                 b->CreateGEP(i32, fn->getArg(2), idx_s));
+  b->CreateStore(b->CreateTrunc(fn->getArg(1), narrow),
+                 b->CreateGEP(narrow, fn->getArg(2), idx_s));
   auto* idx_l = b->CreateAnd(fn->getArg(0), b->getInt64(63));
-  auto* loaded = b->CreateLoad(i32, b->CreateGEP(i32, fn->getArg(2), idx_l));
+  auto* loaded =
+      b->CreateLoad(narrow, b->CreateGEP(narrow, fn->getArg(2), idx_l));
   return b->CreateSExt(loaded, b->getInt64Ty());
 }
 
-/// Branches on `sext(buf[a & 63]) <pred> rhs` after storing b there. With
-/// `constant` set, rhs is that i64 literal (the imm form); otherwise rhs is
-/// a itself (the register form). `load_on_lhs`=false mirrors the compare.
-IrGenerator SextLoadCmpBranchGen(llvm::CmpInst::Predicate pred,
+/// Branches on `sext(buf[a & 63]) <pred> rhs` after storing b there, with
+/// buf a `bits`-wide array. With `constant` set, rhs is that i64 literal
+/// (the imm form); otherwise rhs is a itself (the register form).
+/// `load_on_lhs`=false mirrors the compare.
+IrGenerator SextLoadCmpBranchGen(unsigned bits, llvm::CmpInst::Predicate pred,
                                  std::optional<int64_t> constant,
                                  bool load_on_lhs) {
-  return [pred, constant, load_on_lhs](IrModule* mod) {
+  return [bits, pred, constant, load_on_lhs](IrModule* mod) {
     llvm::IRBuilder<> b(mod->context());
     llvm::Function* fn = MakeF(mod, &b);
     auto& ctx = mod->context();
     auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
     auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-    llvm::Value* wide = StoreAndWidenI32(&b, fn);
+    llvm::Value* wide = StoreAndWiden(&b, fn, bits);
     llvm::Value* rhs =
         constant ? static_cast<llvm::Value*>(
                        b.getInt64(static_cast<uint64_t>(*constant)))
@@ -886,48 +900,52 @@ uint64_t RunDefault(const IrGenerator& gen, uint64_t a, uint64_t b,
 }
 
 TEST(VmDispatchTest, SextLoadCmpBranchAllPredicatesRegAndImm) {
-  for (llvm::CmpInst::Predicate pred : kIntPredicates) {
-    for (bool load_on_lhs : {true, false}) {
-      // One register-form program, and one imm-form program per constant.
-      std::vector<std::optional<int64_t>> constants = {std::nullopt};
-      constants.insert(constants.end(), std::begin(kWideOperands),
-                       std::end(kWideOperands));
-      for (const std::optional<int64_t>& k : constants) {
-        IrGenerator gen = SextLoadCmpBranchGen(pred, k, load_on_lhs);
-        {
-          IrModule mod("m");
-          gen(&mod);
-          BcProgram program = TranslateToBytecode(
-              *mod.module().getFunction("f"), TestRegistry(), {});
-          const std::string disasm = program.Disassemble();
-          EXPECT_EQ(program.fused_load_cmp_branches, 1u) << disasm;
-          EXPECT_NE(disasm.find("br_load_sext_"), std::string::npos);
-          EXPECT_EQ(disasm.find(" sext_i32_i64"), std::string::npos);
-          const bool imm = k && *k != 0 && *k != 1;  // 0/1: reserved slots
-          EXPECT_EQ(program.fused_cmp_branch_imms, imm ? 1u : 0u);
-        }
-        // a is the register operand (and, masked, the row index); the imm
-        // form ignores it beyond the index.
-        const std::vector<int64_t> regs =
-            k ? std::vector<int64_t>{5}
-              : std::vector<int64_t>(std::begin(kWideOperands),
-                                     std::end(kWideOperands));
-        for (int64_t a : regs) {
-          for (int32_t row : kNarrowRows) {
-            const auto ua = static_cast<uint64_t>(a);
-            const auto urow = static_cast<uint64_t>(static_cast<int64_t>(row));
-            ExpectDispatchEnginesAgree(gen, ua, urow);
-            const int64_t rhs = k.value_or(a);
-            const bool taken = load_on_lhs ? EvalIcmp(pred, row, rhs)
-                                           : EvalIcmp(pred, rhs, row);
-            for (VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
-              EXPECT_EQ(RunDefault(gen, ua, urow, d), taken ? 111u : 222u)
-                  << VmDispatchName(d);
-            }
-            if (::testing::Test::HasFailure()) {
-              FAIL() << "pred=" << pred << " load_lhs=" << load_on_lhs
-                     << " imm=" << k.value_or(0) << " reg=" << a
-                     << " row=" << row;
+  for (unsigned bits : kNarrowBits) {
+    const std::vector<int64_t> wide_operands = WideOperands(bits);
+    const std::string family = "br_load_sext_i" + std::to_string(bits) + "_";
+    for (llvm::CmpInst::Predicate pred : kIntPredicates) {
+      for (bool load_on_lhs : {true, false}) {
+        // One register-form program, and one imm-form program per constant.
+        std::vector<std::optional<int64_t>> constants = {std::nullopt};
+        constants.insert(constants.end(), wide_operands.begin(),
+                         wide_operands.end());
+        for (const std::optional<int64_t>& k : constants) {
+          IrGenerator gen = SextLoadCmpBranchGen(bits, pred, k, load_on_lhs);
+          {
+            IrModule mod("m");
+            gen(&mod);
+            BcProgram program = TranslateToBytecode(
+                *mod.module().getFunction("f"), TestRegistry(), {});
+            const std::string disasm = program.Disassemble();
+            EXPECT_EQ(program.fused_load_cmp_branches, 1u) << disasm;
+            EXPECT_NE(disasm.find(family), std::string::npos) << disasm;
+            EXPECT_EQ(disasm.find(StandaloneSext(bits)), std::string::npos);
+            const bool imm = k && *k != 0 && *k != 1;  // 0/1: reserved slots
+            EXPECT_EQ(program.fused_cmp_branch_imms, imm ? 1u : 0u);
+          }
+          // a is the register operand (and, masked, the row index); the imm
+          // form ignores it beyond the index.
+          const std::vector<int64_t> regs =
+              k ? std::vector<int64_t>{5} : wide_operands;
+          for (int64_t a : regs) {
+            for (int64_t row : NarrowRows(bits)) {
+              const auto ua = static_cast<uint64_t>(a);
+              const auto urow = static_cast<uint64_t>(row);
+              ExpectDispatchEnginesAgree(gen, ua, urow);
+              const int64_t rhs = k.value_or(a);
+              const bool taken = load_on_lhs ? EvalIcmp(pred, row, rhs)
+                                             : EvalIcmp(pred, rhs, row);
+              for (VmDispatch d :
+                   {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+                EXPECT_EQ(RunDefault(gen, ua, urow, d), taken ? 111u : 222u)
+                    << VmDispatchName(d);
+              }
+              if (::testing::Test::HasFailure()) {
+                FAIL() << "bits=" << bits << " pred=" << pred
+                       << " load_lhs=" << load_on_lhs
+                       << " imm=" << k.value_or(0) << " reg=" << a
+                       << " row=" << row;
+              }
             }
           }
         }
@@ -936,54 +954,62 @@ TEST(VmDispatchTest, SextLoadCmpBranchAllPredicatesRegAndImm) {
   }
 }
 
-/// Returns sext(buf[...]) + a after storing b: the sext's only user is an
-/// add, so the widening load fires. `constant_index` addresses element 5
-/// through a constant-index GEP (offset-only address) instead.
-IrGenerator WideningLoadGen(bool constant_index) {
-  return [constant_index](IrModule* mod) {
+/// Returns sext(buf[...]) + a after storing b, with buf a `bits`-wide
+/// array: the sext's only user is an add, so the widening load fires.
+/// `constant_index` addresses element 5 through a constant-index GEP
+/// (offset-only address) instead.
+IrGenerator WideningLoadGen(unsigned bits, bool constant_index) {
+  return [bits, constant_index](IrModule* mod) {
     llvm::IRBuilder<> b(mod->context());
     llvm::Function* fn = MakeF(mod, &b);
     llvm::Value* wide;
     if (constant_index) {
-      auto* i32 = b.getInt32Ty();
-      b.CreateStore(b.CreateTrunc(fn->getArg(1), i32),
-                    b.CreateGEP(i32, fn->getArg(2), b.getInt64(5)));
-      auto* loaded =
-          b.CreateLoad(i32, b.CreateGEP(i32, fn->getArg(2), b.getInt64(5)));
+      auto* narrow = b.getIntNTy(bits);
+      b.CreateStore(b.CreateTrunc(fn->getArg(1), narrow),
+                    b.CreateGEP(narrow, fn->getArg(2), b.getInt64(5)));
+      auto* loaded = b.CreateLoad(
+          narrow, b.CreateGEP(narrow, fn->getArg(2), b.getInt64(5)));
       wide = b.CreateSExt(loaded, b.getInt64Ty());
     } else {
-      wide = StoreAndWidenI32(&b, fn);
+      wide = StoreAndWiden(&b, fn, bits);
     }
     b.CreateRet(b.CreateAdd(wide, fn->getArg(0)));
   };
 }
 
 TEST(VmDispatchTest, WideningLoadFoldsSextAtBoundaries) {
-  for (bool constant_index : {false, true}) {
-    IrGenerator gen = WideningLoadGen(constant_index);
-    IrModule mod("m");
-    gen(&mod);
-    BcProgram fused =
-        TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-    EXPECT_NE(fused.Disassemble().find("load_idx_sext_i32_i64"),
-              std::string::npos);
-    EXPECT_EQ(fused.Disassemble().find(" sext_i32_i64"), std::string::npos);
-    EXPECT_EQ(fused.Disassemble().find("load_idx_i32"), std::string::npos);
-    // Without macro-op fusion the pair stays a load and a sext.
-    TranslatorOptions unfused_options;
-    unfused_options.fuse_macro_ops = false;
-    BcProgram unfused = TranslateToBytecode(*mod.module().getFunction("f"),
-                                            TestRegistry(), unfused_options);
-    EXPECT_NE(unfused.Disassemble().find(" sext_i32_i64"), std::string::npos);
-    for (int32_t row : kNarrowRows) {
-      for (int64_t a : {int64_t{0}, int64_t{7}, int64_t{-1}}) {
-        const auto ua = static_cast<uint64_t>(a);
-        const auto urow = static_cast<uint64_t>(static_cast<int64_t>(row));
-        ExpectDispatchEnginesAgree(gen, ua, urow);
-        for (VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
-          EXPECT_EQ(RunDefault(gen, ua, urow, d),
-                    static_cast<uint64_t>(int64_t{row} + a))
-              << "row=" << row << " a=" << a << " " << VmDispatchName(d);
+  for (unsigned bits : kNarrowBits) {
+    const std::string width = std::to_string(bits);
+    for (bool constant_index : {false, true}) {
+      IrGenerator gen = WideningLoadGen(bits, constant_index);
+      IrModule mod("m");
+      gen(&mod);
+      BcProgram fused = TranslateToBytecode(*mod.module().getFunction("f"),
+                                            TestRegistry(), {});
+      const std::string disasm = fused.Disassemble();
+      EXPECT_NE(disasm.find("load_idx_sext_i" + width + "_i64"),
+                std::string::npos)
+          << disasm;
+      EXPECT_EQ(disasm.find(StandaloneSext(bits)), std::string::npos);
+      EXPECT_EQ(disasm.find("load_idx_i" + width), std::string::npos);
+      // Without macro-op fusion the pair stays a load and a sext.
+      TranslatorOptions unfused_options;
+      unfused_options.fuse_macro_ops = false;
+      BcProgram unfused = TranslateToBytecode(*mod.module().getFunction("f"),
+                                              TestRegistry(), unfused_options);
+      EXPECT_NE(unfused.Disassemble().find(StandaloneSext(bits)),
+                std::string::npos);
+      for (int64_t row : NarrowRows(bits)) {
+        for (int64_t a : {int64_t{0}, int64_t{7}, int64_t{-1}}) {
+          const auto ua = static_cast<uint64_t>(a);
+          const auto urow = static_cast<uint64_t>(row);
+          ExpectDispatchEnginesAgree(gen, ua, urow);
+          for (VmDispatch d : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+            EXPECT_EQ(RunDefault(gen, ua, urow, d),
+                      static_cast<uint64_t>(row + a))
+                << "bits=" << bits << " row=" << row << " a=" << a << " "
+                << VmDispatchName(d);
+          }
         }
       }
     }
@@ -994,30 +1020,32 @@ TEST(VmDispatchTest, MultiUseSextTakesTheWideningLoad) {
   // The widened value feeds the compare and the return, so the compare
   // cannot swallow it; the load still widens in one dispatch, and the
   // compare fuses on the register.
-  IrGenerator gen = [](IrModule* mod) {
-    llvm::IRBuilder<> b(mod->context());
-    llvm::Function* fn = MakeF(mod, &b);
-    auto& ctx = mod->context();
-    auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
-    auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
-    llvm::Value* wide = StoreAndWidenI32(&b, fn);
-    b.CreateCondBr(b.CreateICmpSLT(wide, fn->getArg(0)), then_bb, else_bb);
-    b.SetInsertPoint(then_bb);
-    b.CreateRet(wide);
-    b.SetInsertPoint(else_bb);
-    b.CreateRet(b.getInt64(222));
-  };
-  IrModule mod("m");
-  gen(&mod);
-  BcProgram program =
-      TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_load_cmp_branches, 0u);
-  EXPECT_EQ(program.fused_cmp_branches, 1u);
-  EXPECT_NE(program.Disassemble().find("load_idx_sext_i32_i64"),
-            std::string::npos);
-  for (int32_t row : kNarrowRows) {
-    ExpectDispatchEnginesAgree(gen, 3,
-                               static_cast<uint64_t>(int64_t{row}));
+  for (unsigned bits : kNarrowBits) {
+    IrGenerator gen = [bits](IrModule* mod) {
+      llvm::IRBuilder<> b(mod->context());
+      llvm::Function* fn = MakeF(mod, &b);
+      auto& ctx = mod->context();
+      auto* then_bb = llvm::BasicBlock::Create(ctx, "t", fn);
+      auto* else_bb = llvm::BasicBlock::Create(ctx, "e", fn);
+      llvm::Value* wide = StoreAndWiden(&b, fn, bits);
+      b.CreateCondBr(b.CreateICmpSLT(wide, fn->getArg(0)), then_bb, else_bb);
+      b.SetInsertPoint(then_bb);
+      b.CreateRet(wide);
+      b.SetInsertPoint(else_bb);
+      b.CreateRet(b.getInt64(222));
+    };
+    IrModule mod("m");
+    gen(&mod);
+    BcProgram program =
+        TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
+    EXPECT_EQ(program.fused_load_cmp_branches, 0u);
+    EXPECT_EQ(program.fused_cmp_branches, 1u);
+    EXPECT_NE(program.Disassemble().find("load_idx_sext_i" +
+                                         std::to_string(bits) + "_i64"),
+              std::string::npos);
+    for (int64_t row : NarrowRows(bits)) {
+      ExpectDispatchEnginesAgree(gen, 3, static_cast<uint64_t>(row));
+    }
   }
 }
 
@@ -1145,17 +1173,21 @@ TEST(VmDispatchTest, DisassembleRoundTripsEveryOpcode) {
     pos = nl + 1;
   }
   ASSERT_EQ(lines.size(), static_cast<size_t>(num_opcodes));
-  // The sign-extending forms are part of the set: the widening load and all
-  // twenty br_load_sext_* (ten predicates, reg and imm).
-  int sext_branches = 0;
-  bool widening_load = false;
-  for (uint16_t op = 0; op < num_opcodes; ++op) {
-    const std::string name = OpcodeName(static_cast<Opcode>(op));
-    sext_branches += name.rfind("br_load_sext_", 0) == 0;
-    widening_load |= name == "load_idx_sext_i32_i64";
+  // The sign-extending forms are part of the set: for each of the 8-, 16-
+  // and 32-bit widths, the widening load and twenty br_load_sext_iN_* (ten
+  // predicates, reg and imm).
+  for (unsigned bits : kNarrowBits) {
+    const std::string width = std::to_string(bits);
+    int sext_branches = 0;
+    bool widening_load = false;
+    for (uint16_t op = 0; op < num_opcodes; ++op) {
+      const std::string name = OpcodeName(static_cast<Opcode>(op));
+      sext_branches += name.rfind("br_load_sext_i" + width + "_", 0) == 0;
+      widening_load |= name == "load_idx_sext_i" + width + "_i64";
+    }
+    EXPECT_EQ(sext_branches, 20) << bits;
+    EXPECT_TRUE(widening_load) << bits;
   }
-  EXPECT_EQ(sext_branches, 20);
-  EXPECT_TRUE(widening_load);
   for (uint16_t op = 0; op < num_opcodes; ++op) {
     ParsedInst parsed;
     ASSERT_TRUE(ParseDisassembly(lines[op], &parsed)) << lines[op];
