@@ -17,6 +17,7 @@
 // BENCH_micro_vm_dispatch.json, one snapshot per run) so each PR's perf
 // numbers can be archived and compared.
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -364,9 +365,10 @@ int main(int argc, char** argv) {
   // The CI floor for src/obs: the scan-filter kernel executed in
   // morsel-sized chunks, bare vs with the engine's full per-morsel
   // instrumentation (two MonotonicNanos reads, one TraceRing push, one
-  // counter add — exactly what adaptive/controller.cc's ExecuteMorsel
-  // records). The traced/untraced throughput ratio must stay >= the
-  // obs floor in ci/perf_floors.json (0.97, i.e. <= 3% overhead).
+  // counter add, and the rate slot's three per-mode work counters —
+  // exactly what adaptive/controller.cc's ExecuteMorsel records). The
+  // traced/untraced throughput ratio must stay >= the obs floor in
+  // ci/perf_floors.json (0.97, i.e. <= 3% overhead).
   {
     const uint64_t rows = 1 << 18;
     const uint64_t chunk = 4096;  // mid-schedule morsel (1024..16384)
@@ -390,6 +392,11 @@ int main(int argc, char** argv) {
     });
     TraceRing ring(4096);
     Counter morsels;
+    struct alignas(64) ModeWork {
+      std::atomic<uint64_t> morsels{0};
+      std::atomic<uint64_t> tuples{0};
+      std::atomic<uint64_t> busy_nanos{0};
+    } work;
     const double traced = Throughput(rows, budget, [&] {
       for (uint64_t begin = 0; begin < rows; begin += chunk) {
         const uint64_t end = std::min(begin + chunk, rows);
@@ -404,6 +411,10 @@ int main(int argc, char** argv) {
         ev.kind = TraceEventKind::kMorsel;
         ring.Push(ev);
         morsels.Add();
+        work.morsels.fetch_add(1, std::memory_order_relaxed);
+        work.tuples.fetch_add(end - begin, std::memory_order_relaxed);
+        work.busy_nanos.fetch_add(static_cast<uint64_t>(t1 - t0),
+                                  std::memory_order_relaxed);
       }
     });
     const double ratio = untraced > 0 ? traced / untraced : 0.0;
@@ -424,70 +435,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- kernel 5: EXPLAIN ANALYZE collection overhead -----------------------
-  // The CI floor for the query profiler: the same engine query run with
-  // QueryRunOptions::collect_profile off vs on. The profiled path pays one
-  // trace-ring snapshot plus the QueryProfile fold per query; the
-  // profiled/unprofiled throughput ratio must stay >= the floor in
-  // ci/perf_floors.json (0.97, i.e. <= 3% overhead).
-  {
-    // Bound the snapshot copy: the fold only needs the completing query's
-    // own events, so a small per-lane ring keeps the per-query snapshot
-    // cost proportional to one query, not to the whole history.
-    setenv("AQE_TRACE_RING_EVENTS", "512", 1);
-    Catalog* catalog = bench::TpchAtScale(sf);
-    QueryEngine engine(catalog, 2);
-    QueryProgram q6 = BuildTpchQuery(6, *catalog);
-    const uint64_t rows = catalog->GetTable("lineitem")->num_rows();
-    QueryRunOptions plain;
-    plain.single_threaded = true;  // deterministic: no helper-task jitter
-    // Pin the mode: the adaptive controller warms up across runs (later
-    // runs would reuse cached optimized code), which would skew whichever
-    // config runs second. Profile-collection cost is mode-independent.
-    plain.strategy = ExecutionStrategy::kBytecode;
-    QueryRunOptions profiled_opts = plain;
-    profiled_opts.collect_profile = true;
-    // Interleave the two configs in alternating blocks so slow drift
-    // (frequency scaling, cache state, background load) hits both equally
-    // — the ratio is what the CI floor gates, not the absolute rates.
-    engine.Run(q6, plain);          // warmup: translation, table binding
-    engine.Run(q6, profiled_opts);  // warmup: profile path allocations
-    double un_seconds = 0, pr_seconds = 0;
-    uint64_t reps = 0;
-    Timer total;
-    do {
-      Timer t_un;
-      for (int i = 0; i < 8; ++i) engine.Run(q6, plain);
-      un_seconds += t_un.ElapsedSeconds();
-      Timer t_pr;
-      for (int i = 0; i < 8; ++i) engine.Run(q6, profiled_opts);
-      pr_seconds += t_pr.ElapsedSeconds();
-      reps += 8;
-    } while (total.ElapsedSeconds() < 2 * budget);
-    unsetenv("AQE_TRACE_RING_EVENTS");
-    const double unprofiled =
-        static_cast<double>(rows) * static_cast<double>(reps) / un_seconds;
-    const double profiled =
-        static_cast<double>(rows) * static_cast<double>(reps) / pr_seconds;
-    const double ratio = unprofiled > 0 ? profiled / unprofiled : 0.0;
-    std::printf("\n%-18s %14s %10s\n", "profile-overhead", "rows/s", "ratio");
-    std::printf("%-18s %14.3e %9.2fx\n", "unprofiled", unprofiled, 1.0);
-    std::printf("%-18s %14.3e %9.3fx\n", "profiled", profiled, ratio);
-    for (const auto& [name, rps] :
-         {std::pair<const char*, double>{"unprofiled", unprofiled},
-          std::pair<const char*, double>{"profiled", profiled}}) {
-      char line[256];
-      std::snprintf(line, sizeof(line),
-                    "{\"bench\":\"micro_vm_dispatch\","
-                    "\"kernel\":\"profile-overhead\",\"config\":\"%s\","
-                    "\"rows_per_sec\":%.6e,\"ratio_vs_unprofiled\":%.4f}",
-                    name, rps, unprofiled > 0 ? rps / unprofiled : 0.0);
-      std::printf("%s\n", line);
-      if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
-    }
-  }
-
-  // --- kernel 6: memory-tracker + beacon + live-sampler overhead -----------
+  // --- kernel 5: memory-tracker + beacon + live-sampler overhead -----------
   // The CI floor for PR 10's resource-accounting layer: the same
   // morsel-chunked scan-filter kernel bare vs with everything a production
   // morsel now pays — one tracker Charge/Release pair (the chunk-granular
@@ -535,10 +483,10 @@ int main(int argc, char** argv) {
         beacon->word0.store(prior, std::memory_order_relaxed);
       }
     };
-    // Interleave the two configs in short alternating blocks (same scheme
-    // as the profile-overhead kernel): the sampler thread, frequency drift
-    // and background load then tax both sides equally, and the ratio — the
-    // only thing the CI floor gates — stays stable even on a one-core host.
+    // Interleave the two configs in short alternating blocks: the sampler
+    // thread, frequency drift and background load then tax both sides
+    // equally, and the ratio — the only thing the CI floor gates — stays
+    // stable even on a one-core host.
     bare_pass();          // warmup
     instrumented_pass();  // warmup: tracker slots, beacon lane
     double bare_seconds = 0, inst_seconds = 0;

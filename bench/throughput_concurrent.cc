@@ -94,9 +94,6 @@ void ClientLoop(QueryEngine* engine, const Catalog* catalog, int client_id,
     QueryRunOptions options;
     options.strategy = ExecutionStrategy::kAdaptive;
     options.query_class = query_class;
-    // Profile a sample of queries so the stats server's /profiles endpoint
-    // has live material; cheap enough to leave on unconditionally.
-    options.collect_profile = i % 8 == 1;
     Timer query_timer;
     QueryRunResult result = engine->Run(program, options);
     samples->push_back({query_timer.ElapsedMillis(),

@@ -14,9 +14,9 @@ bench is running, exercises every route of the in-process stats server:
     (aqe_catalog_column_bytes, aqe_catalog_index_bytes) present and > 0,
     so peak RSS splits into catalog and query memory
   - GET /trace.json parses as a Chrome trace with a traceEvents array
-  - GET /profiles parses as JSON with a "profiles" array (the bench
-    requests collect_profile on a fraction of queries) and an
-    "anomalies" array
+  - GET /profiles parses as JSON with a non-empty "profiles" array
+    (every completed query's EXPLAIN ANALYZE lands there, so the bench's
+    first queries fill it) and an "anomalies" array
   - GET /profile returns the continuous profiler's collapsed stacks as
     text/plain, every non-empty line `frame[;frame...] <count>`
   - an unknown path returns 404
@@ -34,6 +34,7 @@ import re
 import subprocess
 import sys
 import threading
+import time
 import urllib.error
 import urllib.request
 
@@ -157,13 +158,21 @@ def main():
             else:
                 print(f"/trace.json: {len(events)} events")
 
-        status, ctype, body = http_get(port, "/profiles")
+        # The stats port is announced before the bench's first query
+        # completes: poll until one has landed (or 5 s pass).
+        for _ in range(50):
+            status, ctype, body = http_get(port, "/profiles")
+            if status != 200 or '"profiles":[]' not in body:
+                break
+            time.sleep(0.1)
         if status != 200 or "application/json" not in ctype:
             errors.append(f"/profiles: HTTP {status}, type {ctype!r}")
         else:
             doc = json.loads(body)
             if not isinstance(doc.get("profiles"), list):
                 errors.append("/profiles: missing profiles array")
+            elif not doc["profiles"]:
+                errors.append("/profiles: no query profiles")
             if not isinstance(doc.get("anomalies"), list):
                 errors.append("/profiles: missing anomalies array")
             if isinstance(doc.get("profiles"), list):

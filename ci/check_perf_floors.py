@@ -56,11 +56,11 @@ def check_micro(build, rules, failures):
     recs = run_json_lines([bench, "--smoke"], cwd=build)
     retried = None
     for rule in rules:
-        # Five rule shapes: fused-tier speedups over the switch baseline, a
+        # Four rule shapes: fused-tier speedups over the switch baseline, a
         # superinstruction count (exact, so a tier that silently stops
-        # firing fails even when timing noise hides it), and the three
-        # observability overhead floors (traced/untraced,
-        # profiled/unprofiled, and instrumented/bare resource accounting).
+        # firing fails even when timing noise hides it), and the two
+        # observability overhead floors (traced/untraced and
+        # instrumented/bare resource accounting).
         if "min_speedup_vs_switch" in rule:
             field, want = "speedup_vs_switch", rule["min_speedup_vs_switch"]
         elif "min_fused_load_cmp_branches" in rule:
@@ -68,11 +68,8 @@ def check_micro(build, rules, failures):
                            rule["min_fused_load_cmp_branches"])
         elif "min_ratio_vs_untraced" in rule:
             field, want = "ratio_vs_untraced", rule["min_ratio_vs_untraced"]
-        elif "min_ratio_vs_bare" in rule:
-            field, want = "ratio_vs_bare", rule["min_ratio_vs_bare"]
         else:
-            field, want = ("ratio_vs_unprofiled",
-                           rule["min_ratio_vs_unprofiled"])
+            field, want = "ratio_vs_bare", rule["min_ratio_vs_bare"]
         key = dict(kernel=rule["kernel"], config=rule["config"])
         rec = find(recs, **key)
         got = rec[field] if rec else 0.0

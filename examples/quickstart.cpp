@@ -5,6 +5,7 @@
 #include <cstdio>
 
 #include "engine/query_engine.h"
+#include "obs/query_profile.h"
 #include "plan/expr.h"
 #include "plan/plan.h"
 #include "storage/table.h"
@@ -62,8 +63,8 @@ int main() {
     std::printf("%7lld | %11.2f | %lld\n", (long long)row[0],
                 row[1] / 100.0, (long long)row[2]);
   }
-  std::printf("\nexecuted in %.2f ms; pipeline finished in mode '%s'\n",
-              result.total_seconds * 1e3,
-              ExecModeName(result.pipelines[0].final_mode));
+  // 4. EXPLAIN ANALYZE: time and tuples per execution mode, and a
+  //    predicted-vs-realized line per mode switch.
+  std::printf("\n%s", ExplainAnalyze(result).c_str());
   return 0;
 }

@@ -28,11 +28,19 @@ enum CompilePhase : int { kCompIdle = 0, kCompQueued = 1, kCompRunning = 2 };
 /// both of which the controller's drain phase (or the PipelineRun
 /// destructor) waits out before the owner frees them.
 struct PipelineExecState {
-  /// Per-participant tuple-rate sample slot (§III-C), cache-line isolated.
+  /// Per-participant slot, cache-line isolated and written only by its
+  /// owner: the current epoch's tuple-rate sample (§III-C), plus the
+  /// participant's cumulative work per ExecMode, which the epoch never
+  /// resets — the exact counts EXPLAIN ANALYZE reports.
   struct alignas(64) SlotRate {
     std::atomic<uint64_t> tuples{0};
     std::atomic<uint64_t> nanos{0};
     std::atomic<uint64_t> epoch{0};
+    struct ModeWork {
+      std::atomic<uint64_t> morsels{0};
+      std::atomic<uint64_t> tuples{0};
+      std::atomic<uint64_t> busy_nanos{0};
+    } modes[kNumExecModes];
   };
 
   PipelineExecState(uint64_t total_tuples, int participants)
@@ -61,6 +69,8 @@ struct PipelineExecState {
   std::mutex mu;
   std::condition_variable cv;
   std::vector<std::pair<ExecMode, double>> compiles;  ///< guarded by mu
+  /// MonotonicNanos at which each of `compiles` was installed; guarded by mu.
+  std::vector<int64_t> install_nanos;
 
   /// No helper morsel and no compile job in flight: the drain condition.
   bool Quiescent() const {
@@ -136,6 +146,12 @@ void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
     beacon->word0.store(prior_word0, std::memory_order_relaxed);
   }
   RecordRate(st, slot, batch.rows, static_cast<uint64_t>(t1 - t0));
+  auto& work =
+      st.rates[static_cast<size_t>(slot)].modes[static_cast<int>(mode)];
+  work.morsels.fetch_add(1, std::memory_order_relaxed);
+  work.tuples.fetch_add(batch.rows, std::memory_order_relaxed);
+  work.busy_nanos.fetch_add(static_cast<uint64_t>(t1 - t0),
+                            std::memory_order_relaxed);
   if (st.obs.enabled()) {
     st.obs.tracer->Record(thread, PipelineEvent(st, TraceEventKind::kMorsel,
                                                 t0, t1, batch.rows, mode));
@@ -195,6 +211,7 @@ bool TryRunCompileJob(PipelineExecState& st,
   {
     std::lock_guard<std::mutex> lock(st.mu);
     st.compiles.emplace_back(target, seconds);
+    st.install_nanos.push_back(t1);
   }
   st.compile_state.store(kCompIdle, std::memory_order_release);
   st.cv.notify_all();
@@ -354,6 +371,7 @@ int PipelineRun::CurrentRuntimeThread() const {
 
 void PipelineRun::Start() {
   start_nanos_ = MonotonicNanos();
+  initial_mode_ = task_.handle->mode();
   // The controller's identity — fixed now, at the first step (invariant 2):
   // a scheduler worker when stepped from a query task, or an external
   // thread (tests, benches) that gets the extra slot/shard.
@@ -476,13 +494,48 @@ Task::Status PipelineRun::StepDrain() {
     }
     return Task::Status::kYield;  // check again next slice
   }
+  std::vector<int64_t> install_nanos;
   {
     std::lock_guard<std::mutex> lock(st_->mu);
     stats_.compiles = std::move(st_->compiles);
+    install_nanos = std::move(st_->install_nanos);
   }
   const int64_t end_nanos = MonotonicNanos();
   stats_.total_seconds = static_cast<double>(end_nanos - start_nanos_) / 1e9;
   stats_.final_mode = task_.handle->mode();
+
+  // A mode's wall time is how long the handle held it: from the start (or
+  // its install) to the next install (or now). The holds partition
+  // total_seconds; a blocking compile counts toward the mode it replaces.
+  int64_t held_nanos[kNumExecModes] = {};
+  int mode = static_cast<int>(initial_mode_);
+  int64_t since = start_nanos_;
+  for (size_t i = 0; i < install_nanos.size(); ++i) {
+    held_nanos[mode] += install_nanos[i] - since;
+    mode = static_cast<int>(stats_.compiles[i].first);
+    since = install_nanos[i];
+  }
+  held_nanos[mode] += end_nanos - since;
+  // The slots are quiescent: sum their per-mode work.
+  uint64_t helper_busy_nanos = 0;
+  for (int m = 0; m < kNumExecModes; ++m) {
+    ModeSliceProfile slice;
+    slice.mode = static_cast<ExecMode>(m);
+    uint64_t busy_nanos = 0;
+    for (size_t s = 0; s < st_->rates.size(); ++s) {
+      const auto& work = st_->rates[s].modes[m];
+      slice.morsels += work.morsels.load(std::memory_order_relaxed);
+      slice.tuples += work.tuples.load(std::memory_order_relaxed);
+      const uint64_t nanos = work.busy_nanos.load(std::memory_order_relaxed);
+      busy_nanos += nanos;
+      if (static_cast<int>(s) != controller_slot_) helper_busy_nanos += nanos;
+    }
+    if (held_nanos[m] == 0 && slice.morsels == 0) continue;  // never held
+    slice.busy_seconds = static_cast<double>(busy_nanos) / 1e9;
+    slice.wall_seconds = static_cast<double>(held_nanos[m]) / 1e9;
+    stats_.modes.push_back(slice);
+  }
+  stats_.helper_busy_seconds = static_cast<double>(helper_busy_nanos) / 1e9;
   for (ModeSwitchRecord& rec : stats_.mode_switches) {
     rec.realized_seconds =
         static_cast<double>(end_nanos - rec.decision_nanos) / 1e9;

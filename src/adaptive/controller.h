@@ -72,6 +72,11 @@ struct PipelineRunStats {
   /// Every adaptive compile decision with its predicted durations and the
   /// realized remainder.
   std::vector<ModeSwitchRecord> mode_switches;
+  /// Exact per-mode work, in ExecMode order, for every mode the handle
+  /// held; the modes' wall_seconds sum to total_seconds.
+  std::vector<ModeSliceProfile> modes;
+  /// Morsel time of every participant but the controller.
+  double helper_busy_seconds = 0;
 };
 
 /// Shared state of one pipeline execution on the task scheduler (defined in
@@ -193,6 +198,7 @@ class PipelineRun {
   int controller_slot_ = 0;
   int morsels_since_queued_ = 0;
   int64_t start_nanos_ = 0;
+  ExecMode initial_mode_ = ExecMode::kBytecode;
   bool adaptive_ = false;
 };
 

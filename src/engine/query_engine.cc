@@ -18,6 +18,7 @@
 #include "jit/naive_interpreter.h"
 #include "obs/export.h"
 #include "obs/profiler.h"
+#include "obs/query_profile.h"
 #include "obs/stats_server.h"
 #include "runtime/runtime_registry.h"
 #include "sched/scheduler.h"
@@ -138,12 +139,11 @@ struct EngineObs {
   /// completed cached query, read by snapshots and the stats server.
   RegressionTracker sentinel;
 
-  /// Ring of the last kRecentProfiles collect_profile query profiles, for
-  /// the stats server's /profiles endpoint. shared_ptr: a client holding
-  /// the query's own result shares the same object.
+  /// The last kRecentProfiles completed queries' results, without their
+  /// rows, for the stats server's /profiles endpoint.
   static constexpr size_t kRecentProfiles = 64;
   mutable std::mutex profiles_mu;
-  std::deque<std::shared_ptr<const QueryProfile>> recent_profiles;
+  std::deque<QueryRunResult> recent_profiles;
 
   /// Serializes ResetObservabilityStats against snapshot assembly: a
   /// snapshot taken concurrently with a reset sees either every resettable
@@ -193,9 +193,9 @@ struct EngineObs {
     }
   }
 
-  void AddProfile(std::shared_ptr<const QueryProfile> profile) {
+  void AddProfile(const QueryRunResult& result) {
     std::lock_guard<std::mutex> lock(profiles_mu);
-    recent_profiles.push_back(std::move(profile));
+    recent_profiles.push_back(result);
     if (recent_profiles.size() > kRecentProfiles) recent_profiles.pop_front();
   }
 
@@ -585,6 +585,8 @@ class QueryJob : public Task {
     // engine steps create them (they read ctx->memory themselves).
     memory_ = std::make_shared<QueryMemoryTracker>();
     ctx_->AttachMemoryTracker(memory_);
+    result_.query_id = query_id;
+    result_.plan_name = program.name();
     if (options_.engine == EngineKind::kCompiled &&
         options_.use_artifact_cache && !program.pipelines().empty()) {
       // Fingerprint on the submitting thread: cheap (a hash walk over the
@@ -718,6 +720,8 @@ class QueryJob : public Task {
     ev.kind = TraceEventKind::kTaskSlice;
     ev.detail = static_cast<uint8_t>(scheduling_class());
     obs_->tracer.Record(worker, ev);
+    result_.on_cpu_seconds +=
+        static_cast<double>(ev.end_nanos - ev.start_nanos) / 1e9;
     if (!query_done) return;
     TraceEvent done = ev;  // same end, query and class
     done.start_nanos = first_slice_nanos_;
@@ -808,24 +812,12 @@ class QueryJob : public Task {
     result_.peak_memory_bytes = memory_->peak_bytes();
     obs_->RecordQueryPeak(result_.peak_memory_bytes, scheduling_class());
     // Retire this query's live profiler samples into the per-plan
-    // aggregate — every query, profiled or not, so CollapsedStacks and
-    // /profile cover the whole workload.
-    uint64_t cpu_samples = 0;
+    // aggregate, so CollapsedStacks and /profile cover the whole workload.
     if (obs_->profiler != nullptr) {
-      cpu_samples = obs_->profiler->RetireQuery(query_id_, program_->name());
+      result_.cpu_samples =
+          obs_->profiler->RetireQuery(query_id_, program_->name());
     }
     RecordServiceTime(worker);
-    if (options_.collect_profile) {
-      // Fold this query's trace events into a structured profile before the
-      // promise resolves, so the client's future carries it. The engine
-      // keeps the last few for the stats server's /profiles endpoint.
-      auto profile = std::make_shared<QueryProfile>(BuildQueryProfile(
-          obs_->tracer.Snapshot(), result_, query_id_, program_->name()));
-      profile->cpu_samples = cpu_samples;
-      profile->peak_memory_bytes = result_.peak_memory_bytes;
-      result_.profile = profile;
-      obs_->AddProfile(std::move(profile));
-    }
     // Completion metrics and events land before the promise resolves, so
     // a client that saw its future ready observes them in the very next
     // snapshot.
@@ -834,6 +826,10 @@ class QueryJob : public Task {
         1e6);
     obs_->queries_completed->Add();
     RecordSliceEnd(worker, /*query_done=*/true);
+    // /profiles keeps the result without its rows.
+    std::vector<std::vector<int64_t>> rows = std::move(result_.rows);
+    obs_->AddProfile(result_);
+    result_.rows = std::move(rows);
     promise_.set_value(std::move(result_));
     on_finished_();
     return Status::kDone;
@@ -1076,6 +1072,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     ev.pipeline_id = static_cast<uint16_t>(p);
     ev.kind = kind;
     obs_->tracer.Record(worker, ev);
+    if (kind == TraceEventKind::kCacheHit) ++result_.cache_hits;
   };
 
   // The worker reads every runtime address out of this packed binding
@@ -1451,6 +1448,8 @@ void QueryJob::FinishCompiledPipeline() {
   report.final_mode = stats.final_mode;
   report.compiles = stats.compiles;
   report.mode_switches = std::move(stats.mode_switches);
+  report.modes = std::move(stats.modes);
+  result_.on_cpu_seconds += stats.helper_busy_seconds;
   for (const auto& [mode, seconds] : stats.compiles) {
     result_.compile_millis_total += seconds * 1e3;
   }
@@ -1686,9 +1685,9 @@ std::string QueryEngine::Impl::ProfilesJson() const {
   {
     std::lock_guard<std::mutex> lock(obs.profiles_mu);
     bool first = true;
-    for (const auto& profile : obs.recent_profiles) {
+    for (const QueryRunResult& result : obs.recent_profiles) {
       if (!first) out += ',';
-      out += profile->ToJson();
+      out += ExplainAnalyzeJson(result);
       first = false;
     }
   }

@@ -12,7 +12,6 @@
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
 #include "obs/pipeline_report.h"
-#include "obs/query_profile.h"
 #include "obs/regression.h"
 #include "obs/tracer.h"
 #include "plan/plan.h"
@@ -65,16 +64,14 @@ struct QueryRunOptions {
   /// baselines always full-scan, which is what the differential tests
   /// compare against). The decision is cached per plan fingerprint.
   bool scan_pruning = true;
-  /// Build a QueryProfile (EXPLAIN ANALYZE input) from the trace rings when
-  /// the query completes and attach it to the result — Submit() users get
-  /// it on the future. Off by default: profiling snapshots every ring once
-  /// per query, which is measurable on sub-millisecond queries (the
-  /// profile-overhead perf floor gates the on-cost, not the default path).
-  bool collect_profile = false;
 };
 
+/// Everything the engine measured about one completed query;
+/// ExplainAnalyze (obs/query_profile.h) renders it.
 struct QueryRunResult {
   std::vector<std::vector<int64_t>> rows;  ///< final result
+  uint32_t query_id = 0;  ///< what the query's trace events carry
+  std::string plan_name;
   double total_seconds = 0;                ///< whole query wall time
   /// Admission-to-first-slice wait: how long the query sat in the engine's
   /// admission queue plus the scheduler's deque before its first task slice
@@ -93,11 +90,13 @@ struct QueryRunResult {
   /// output buffers, binding arenas, cloned programs). Always populated —
   /// memory accounting is on for every engine query.
   uint64_t peak_memory_bytes = 0;
-  /// Set when the query ran with QueryRunOptions::collect_profile: the
-  /// trace-ring fold ExplainAnalyze(result) renders. shared_ptr keeps the
-  /// result copyable and lets the engine retain the last 64 profiles for
-  /// the stats server's /profiles endpoint.
-  std::shared_ptr<const QueryProfile> profile;
+  /// Time on CPU: the query's own task slices plus its morsel helpers'
+  /// busy time (> exec when workers overlap).
+  double on_cpu_seconds = 0;
+  uint64_t cache_hits = 0;  ///< artifacts reused instead of built
+  /// Continuous-profiler samples attributed to this query (0 when the
+  /// sampler never caught it — short queries at low Hz).
+  uint64_t cpu_samples = 0;
 };
 
 /// Per-pipeline compilation-cost measurements (Table I / Fig 6 / Fig 15),
@@ -126,9 +125,10 @@ struct QueryEngineOptions {
   int num_threads = 4;
   /// >= 0 starts the observability HTTP server (obs/stats_server.h) on
   /// 127.0.0.1:<stats_port> serving GET /metrics (Prometheus text),
-  /// /trace.json (Chrome trace), /profiles (last 64 QueryProfiles +
-  /// anomalies) and /profile (continuous-profiler collapsed stacks). 0
-  /// binds an ephemeral port — read it back via QueryEngine::stats_port().
+  /// /trace.json (Chrome trace), /profiles (the last 64 completed queries'
+  /// EXPLAIN ANALYZE JSON + anomalies) and /profile (continuous-profiler
+  /// collapsed stacks). 0 binds an ephemeral port — read it back via
+  /// QueryEngine::stats_port().
   /// -1 (default): no server, no socket.
   int stats_port = -1;
   /// Continuous-profiler sampling rate. -1 (default): the AQE_PROFILE_HZ

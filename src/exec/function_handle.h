@@ -9,6 +9,7 @@ namespace aqe {
 /// Execution modes of a worker function, ordered from lowest latency to
 /// highest throughput (Fig 3).
 enum class ExecMode : uint8_t { kBytecode = 0, kUnoptimized = 1, kOptimized = 2 };
+constexpr int kNumExecModes = 3;
 
 const char* ExecModeName(ExecMode mode);
 

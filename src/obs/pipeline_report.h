@@ -11,11 +11,12 @@
 
 namespace aqe {
 
-/// Per-(pipeline, ExecMode) execution summary folded out of the morsel
-/// events: how many morsels/tuples ran in that mode, the summed per-morsel
-/// busy time across all workers, and the wall-clock footprint (the union of
-/// the mode's morsel intervals — what "time spent in this mode" means when
-/// several workers overlap).
+/// Per-(pipeline, ExecMode) execution summary, counted exactly on the
+/// PipelineRun: how many morsels/tuples ran in that mode, the summed
+/// per-morsel busy time across all workers, and the wall time the
+/// pipeline's handle held the mode (including a blocking compile that ran
+/// while it held it). A pipeline's modes partition its tuples and its
+/// exec_seconds.
 struct ModeSliceProfile {
   ExecMode mode = ExecMode::kBytecode;
   uint64_t morsels = 0;
@@ -52,7 +53,7 @@ struct ModeSwitchRecord {
 };
 
 /// Per-pipeline execution report: what the engine returns per pipeline in
-/// QueryRunResult and what EXPLAIN ANALYZE renders from QueryProfile.
+/// QueryRunResult and what EXPLAIN ANALYZE renders.
 struct PipelineReport {
   std::string name;
   /// The plan's pipeline index — what morsel trace events carry as
@@ -84,9 +85,8 @@ struct PipelineReport {
   /// The per-fingerprint pruning decision was reused from the artifact
   /// cache instead of re-analyzed.
   bool pruning_cache_hit = false;
-  /// Per-mode fold of the pipeline's morsel trace events. Filled only in
-  /// QueryProfile::pipelines (QueryRunOptions::collect_profile); empty in
-  /// QueryRunResult::pipelines.
+  /// Every mode the pipeline ran in, in ExecMode order (compiled engine;
+  /// empty for the baselines).
   std::vector<ModeSliceProfile> modes;
 };
 

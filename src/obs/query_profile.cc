@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cstdarg>
 #include <cstdio>
-#include <map>
-#include <utility>
 
 #include "engine/query_engine.h"
 
@@ -39,142 +37,33 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-struct Interval {
-  int64_t start = 0;
-  int64_t end = 0;
+/// The query-level numbers EXPLAIN ANALYZE derives from the result's own
+/// fields, so each keeps one source.
+struct Derived {
+  /// Exec time outside the pipelines (join-table finalize, aggregate
+  /// merge, top-k): exec_seconds_total minus the pipelines' exec-only time.
+  double engine_step_seconds = 0;
+  double compile_seconds = 0;  ///< JIT time this query paid itself
+  uint64_t compiles = 0;
 };
 
-/// Wall-clock footprint of a set of (possibly overlapping, multi-worker)
-/// intervals: merge and sum. Destroys the input order.
-double UnionSeconds(std::vector<Interval>& intervals) {
-  if (intervals.empty()) return 0;
-  std::sort(intervals.begin(), intervals.end(),
-            [](const Interval& a, const Interval& b) {
-              return a.start < b.start;
-            });
-  int64_t covered = 0;
-  int64_t cur_start = intervals.front().start;
-  int64_t cur_end = intervals.front().end;
-  for (const Interval& iv : intervals) {
-    if (iv.start > cur_end) {
-      covered += cur_end - cur_start;
-      cur_start = iv.start;
-      cur_end = iv.end;
-    } else {
-      cur_end = std::max(cur_end, iv.end);
-    }
+Derived Derive(const QueryRunResult& r) {
+  Derived d;
+  double pipeline_exec_only = 0;
+  for (const PipelineReport& pp : r.pipelines) {
+    pipeline_exec_only += pp.exec_only_seconds;
+    d.compiles += pp.compiles.size();
   }
-  covered += cur_end - cur_start;
-  return static_cast<double>(covered) / 1e9;
+  d.engine_step_seconds =
+      std::max(0.0, r.exec_seconds_total - pipeline_exec_only);
+  d.compile_seconds = r.compile_millis_total / 1e3;
+  return d;
 }
-
-/// Aggregation state per (pipeline, mode) while folding morsel events:
-/// the slice so far plus the morsel intervals its wall time is the union of.
-struct ModeAgg {
-  ModeSliceProfile slice;
-  std::vector<Interval> intervals;
-};
 
 }  // namespace
 
-QueryProfile BuildQueryProfile(const TraceSnapshot& snapshot,
-                               const QueryRunResult& result,
-                               uint32_t query_id,
-                               const std::string& plan_name) {
-  QueryProfile prof;
-  prof.query_id = query_id;
-  prof.plan_name = plan_name;
-  prof.total_seconds = result.total_seconds;
-  prof.queue_wait_seconds = result.queue_wait_seconds;
-  prof.exec_seconds = result.exec_seconds_total;
-
-  // Fold the query's events: per-(pipeline, mode) morsel aggregates, task
-  // slices (for on-CPU attribution), compiles and cache hits.
-  std::map<std::pair<uint16_t, uint8_t>, ModeAgg> modes;
-  struct LaneSpans {
-    std::vector<Interval> slices;   // sorted later
-    std::vector<Interval> morsels;  // candidates for outside-slice credit
-  };
-  std::map<int, LaneSpans> lanes;
-  for (const auto& lane : snapshot.lanes) {
-    // Conservative: a lane that dropped *any* events may have lost part of
-    // this query's window, so aggregates below can undercount.
-    if (lane.dropped > 0) prof.lossy = true;
-    for (const TraceEvent& e : lane.events) {
-      if (e.query_id != query_id) continue;
-      switch (e.kind) {
-        case TraceEventKind::kMorsel: {
-          ModeAgg& agg = modes[{e.pipeline_id, e.detail}];
-          ++agg.slice.morsels;
-          agg.slice.tuples += e.payload;
-          agg.slice.busy_seconds +=
-              static_cast<double>(e.end_nanos - e.start_nanos) / 1e9;
-          agg.intervals.push_back({e.start_nanos, e.end_nanos});
-          lanes[lane.lane].morsels.push_back({e.start_nanos, e.end_nanos});
-          break;
-        }
-        case TraceEventKind::kTaskSlice:
-          prof.on_cpu_seconds +=
-              static_cast<double>(e.end_nanos - e.start_nanos) / 1e9;
-          lanes[lane.lane].slices.push_back({e.start_nanos, e.end_nanos});
-          break;
-        case TraceEventKind::kCompile:
-          prof.compile_seconds +=
-              static_cast<double>(e.end_nanos - e.start_nanos) / 1e9;
-          ++prof.compiles;
-          break;
-        case TraceEventKind::kCacheHit:
-          ++prof.cache_hits;
-          break;
-        default:
-          break;
-      }
-    }
-  }
-
-  // On-CPU credit for helper morsels: the controller's morsels run inside
-  // the query's own task slices (already counted); helper-task morsels on
-  // other workers have no enclosing slice of this query and count extra.
-  for (auto& [lane, spans] : lanes) {
-    std::sort(spans.slices.begin(), spans.slices.end(),
-              [](const Interval& a, const Interval& b) {
-                return a.start < b.start;
-              });
-    for (const Interval& m : spans.morsels) {
-      auto it = std::upper_bound(
-          spans.slices.begin(), spans.slices.end(), m,
-          [](const Interval& a, const Interval& b) {
-            return a.start < b.start;
-          });
-      const bool inside = it != spans.slices.begin() &&
-                          std::prev(it)->end >= m.end;
-      if (!inside) {
-        prof.on_cpu_seconds += static_cast<double>(m.end - m.start) / 1e9;
-      }
-    }
-  }
-
-  for (const PipelineReport& report : result.pipelines) {
-    PipelineReport pp = report;
-    for (uint8_t mode = 0; mode <= 2; ++mode) {
-      auto it = modes.find({static_cast<uint16_t>(pp.pipeline_index), mode});
-      if (it == modes.end()) continue;
-      ModeSliceProfile& slice = pp.modes.emplace_back(it->second.slice);
-      slice.mode = static_cast<ExecMode>(mode);
-      slice.wall_seconds = UnionSeconds(it->second.intervals);
-    }
-    prof.pipelines.push_back(std::move(pp));
-  }
-  double pipeline_exec_only = 0;
-  for (const PipelineReport& pp : prof.pipelines) {
-    pipeline_exec_only += pp.exec_only_seconds;
-  }
-  prof.engine_step_seconds =
-      std::max(0.0, prof.exec_seconds - pipeline_exec_only);
-  return prof;
-}
-
-std::string QueryProfile::ToJson() const {
+std::string ExplainAnalyzeJson(const QueryRunResult& r) {
+  const Derived d = Derive(r);
   std::string out;
   out.reserve(1024);
   Append(out,
@@ -183,17 +72,16 @@ std::string QueryProfile::ToJson() const {
          "\"on_cpu_s\":%.6f,"
          "\"compile_s\":%.6f,\"compiles\":%llu,\"cache_hits\":%llu,"
          "\"cpu_samples\":%llu,\"peak_memory_bytes\":%llu,"
-         "\"lossy\":%s,\"pipelines\":[",
-         query_id, JsonEscape(plan_name).c_str(), total_seconds,
-         queue_wait_seconds, exec_seconds, engine_step_seconds,
-         on_cpu_seconds, compile_seconds,
-         static_cast<unsigned long long>(compiles),
-         static_cast<unsigned long long>(cache_hits),
-         static_cast<unsigned long long>(cpu_samples),
-         static_cast<unsigned long long>(peak_memory_bytes),
-         lossy ? "true" : "false");
+         "\"pipelines\":[",
+         r.query_id, JsonEscape(r.plan_name).c_str(), r.total_seconds,
+         r.queue_wait_seconds, r.exec_seconds_total, d.engine_step_seconds,
+         r.on_cpu_seconds, d.compile_seconds,
+         static_cast<unsigned long long>(d.compiles),
+         static_cast<unsigned long long>(r.cache_hits),
+         static_cast<unsigned long long>(r.cpu_samples),
+         static_cast<unsigned long long>(r.peak_memory_bytes));
   bool first_p = true;
-  for (const PipelineReport& pp : pipelines) {
+  for (const PipelineReport& pp : r.pipelines) {
     Append(out,
            "%s{\"name\":\"%s\",\"index\":%u,\"tuples\":%llu,"
            "\"wall_s\":%.6f,\"exec_only_s\":%.6f,\"initial_mode\":\"%s\","
@@ -253,31 +141,27 @@ std::string QueryProfile::ToJson() const {
   return out;
 }
 
-std::string ExplainAnalyze(const QueryRunResult& result) {
-  if (result.profile == nullptr) {
-    return "EXPLAIN ANALYZE unavailable: run with "
-           "QueryRunOptions::collect_profile = true\n";
-  }
-  const QueryProfile& p = *result.profile;
+std::string ExplainAnalyze(const QueryRunResult& r) {
+  const Derived d = Derive(r);
   std::string out;
-  Append(out, "EXPLAIN ANALYZE  %s  (query %u)%s\n", p.plan_name.c_str(),
-         p.query_id, p.lossy ? "  [lossy: trace ring dropped events]" : "");
+  Append(out, "EXPLAIN ANALYZE  %s  (query %u)\n", r.plan_name.c_str(),
+         r.query_id);
   Append(out,
          "  total %.3f ms = queue %.3f ms + service %.3f ms; exec %.3f ms; "
          "on-cpu %.3f ms\n",
-         p.total_seconds * 1e3, p.queue_wait_seconds * 1e3,
-         (p.total_seconds - p.queue_wait_seconds) * 1e3,
-         p.exec_seconds * 1e3, p.on_cpu_seconds * 1e3);
+         r.total_seconds * 1e3, r.queue_wait_seconds * 1e3,
+         (r.total_seconds - r.queue_wait_seconds) * 1e3,
+         r.exec_seconds_total * 1e3, r.on_cpu_seconds * 1e3);
   Append(out, "  compile %.3f ms this query (%llu jits, %llu cache hits)\n",
-         p.compile_seconds * 1e3,
-         static_cast<unsigned long long>(p.compiles),
-         static_cast<unsigned long long>(p.cache_hits));
+         d.compile_seconds * 1e3,
+         static_cast<unsigned long long>(d.compiles),
+         static_cast<unsigned long long>(r.cache_hits));
   Append(out, "  engine steps %.3f ms (finalize / merge / top-k)\n",
-         p.engine_step_seconds * 1e3);
+         d.engine_step_seconds * 1e3);
   Append(out, "  cpu-samples %llu; peak memory %llu bytes\n",
-         static_cast<unsigned long long>(p.cpu_samples),
-         static_cast<unsigned long long>(p.peak_memory_bytes));
-  for (const PipelineReport& pp : p.pipelines) {
+         static_cast<unsigned long long>(r.cpu_samples),
+         static_cast<unsigned long long>(r.peak_memory_bytes));
+  for (const PipelineReport& pp : r.pipelines) {
     Append(out,
            "  pipeline %u \"%s\": %.3f ms wall (%.3f ms exec-only), "
            "%llu tuples, %s -> %s%s\n",

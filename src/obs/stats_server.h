@@ -18,10 +18,11 @@ namespace aqe {
 ///
 /// Routes (fixed): GET /metrics -> handlers.metrics_text (Prometheus text
 /// exposition), GET /trace.json -> handlers.trace_json (Chrome trace),
-/// GET /profiles -> handlers.profiles_json (recent QueryProfiles +
-/// anomalies), GET /profile -> handlers.profile_text (continuous-profiler
-/// collapsed stacks, flamegraph.pl input). Anything else is 404. Handlers
-/// run on the server thread and must be thread-safe against the engine.
+/// GET /profiles -> handlers.profiles_json (the recent queries' EXPLAIN
+/// ANALYZE JSON + anomalies), GET /profile -> handlers.profile_text
+/// (continuous-profiler collapsed stacks, flamegraph.pl input). Anything
+/// else is 404. Handlers run on the server thread and must be thread-safe
+/// against the engine.
 class StatsServer {
  public:
   struct Handlers {

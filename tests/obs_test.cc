@@ -10,6 +10,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <cstdlib>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -482,12 +483,9 @@ TEST_F(ObsEngineTest, QueryDoneIsTracedBeforeRunReturns) {
   // a trace snapshot taken right after Run() holds the query's finish.
   QueryEngine engine(&catalog(), 2);
   QueryProgram q6 = BuildTpchQuery(6, catalog());
-  QueryRunOptions options;
-  options.collect_profile = true;  // carries the query id
   for (int i = 0; i < 200; ++i) {
-    const QueryRunResult result = engine.Run(q6, options);
-    ASSERT_NE(result.profile, nullptr);
-    const uint32_t query_id = result.profile->query_id;
+    const QueryRunResult result = engine.Run(q6);
+    const uint32_t query_id = result.query_id;
     bool done = false;
     for (const auto& lane : engine.tracer().Snapshot().lanes) {
       for (const TraceEvent& e : lane.events) {
@@ -695,24 +693,30 @@ TEST_F(ObsEngineTest, ConcurrentQueriesRecordSafely) {
 
 // --- Query profiles / EXPLAIN ANALYZE --------------------------------------
 
-TEST_F(ObsEngineTest, ProfileIsAbsentUnlessRequested) {
+TEST_F(ObsEngineTest, DefaultRunRendersAModeLinePerPipeline) {
   QueryEngine engine(&catalog(), 2);
   QueryProgram q6 = BuildTpchQuery(6, catalog());
   QueryRunResult result = engine.Run(q6);
-  EXPECT_EQ(result.profile, nullptr);
+  ASSERT_FALSE(result.pipelines.empty());
+  size_t modes = 0;
+  for (const PipelineReport& pp : result.pipelines) {
+    EXPECT_FALSE(pp.modes.empty()) << pp.name;
+    modes += pp.modes.size();
+  }
   const std::string text = ExplainAnalyze(result);
-  EXPECT_NE(text.find("unavailable"), std::string::npos);
+  size_t mode_lines = 0;
+  for (size_t pos = text.find("\n    mode "); pos != std::string::npos;
+       pos = text.find("\n    mode ", pos + 1)) {
+    ++mode_lines;
+  }
+  EXPECT_EQ(mode_lines, modes) << text;
 }
 
-TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
-  QueryEngine engine(&catalog(), 2);
-  // Multi-pipeline adaptive query (Q3: two builds + probe) forced through
-  // a mode switch: free modeled compilation, huge modeled speedup.
-  QueryProgram q3 = BuildTpchQuery(3, catalog());
+/// Adaptive runs forced through a mode switch at the first evaluation:
+/// free modeled compilation, huge modeled speedup.
+QueryRunOptions ForcedSwitchOptions() {
   QueryRunOptions options;
   options.strategy = ExecutionStrategy::kAdaptive;
-  options.single_threaded = true;  // deterministic interval accounting
-  options.collect_profile = true;
   options.adaptive_first_eval_seconds = 0;
   options.cost_model.unopt_base_seconds = 0;
   options.cost_model.unopt_per_instruction_seconds = 0;
@@ -720,44 +724,50 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
   options.cost_model.opt_per_instruction_seconds = 0;
   options.cost_model.unopt_speedup = 1.01;
   options.cost_model.opt_speedup = 100.0;
+  return options;
+}
+
+TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
+  QueryEngine engine(&catalog(), 2);
+  // Multi-pipeline adaptive query (Q3: two builds + probe).
+  QueryProgram q3 = BuildTpchQuery(3, catalog());
+  QueryRunOptions options = ForcedSwitchOptions();
+  options.single_threaded = true;  // morsels never overlap a mode change
   QueryRunResult result = engine.Run(q3, options);
   ASSERT_FALSE(result.rows.empty());
-  ASSERT_NE(result.profile, nullptr);
-  const QueryProfile& prof = *result.profile;
-  EXPECT_EQ(prof.plan_name, "q3");
-  ASSERT_EQ(prof.pipelines.size(), result.pipelines.size());
-  ASSERT_GE(prof.pipelines.size(), 2u);
-  EXPECT_FALSE(prof.lossy);
+  EXPECT_EQ(result.plan_name, "q3");
+  ASSERT_GE(result.pipelines.size(), 2u);
 
-  // Acceptance: per-pipeline per-mode wall time plus the profile's
-  // engine-step remainder sums to the query's exec_seconds_total within
-  // 5% — the only unattributed time is morsel-loop bookkeeping between
-  // morsel spans.
+  // The identity EXPLAIN ANALYZE rests on: mode wall time (which includes
+  // blocking compiles) minus those compiles, plus the engine steps, is the
+  // query's exec_seconds_total.
   double mode_wall_sum = 0;
-  uint64_t mode_tuples = 0;
-  for (const PipelineReport& pp : prof.pipelines) {
+  double blocking_compile = 0;
+  double exec_only = 0;
+  for (const PipelineReport& pp : result.pipelines) {
     EXPECT_FALSE(pp.modes.empty()) << pp.name;
+    uint64_t tuples = 0;
     for (const ModeSliceProfile& m : pp.modes) {
       EXPECT_GT(m.morsels, 0u);
-      EXPECT_GE(m.wall_seconds, 0.0);
-      EXPECT_LE(m.wall_seconds, m.busy_seconds + 1e-9);  // union <= sum
+      EXPECT_LE(m.busy_seconds, m.wall_seconds);
       mode_wall_sum += m.wall_seconds;
-      mode_tuples += m.tuples;
+      tuples += m.tuples;
     }
+    // Every pipeline tuple went through exactly one mode's morsels.
+    EXPECT_EQ(tuples, pp.tuples) << pp.name;
+    blocking_compile += pp.exec_seconds - pp.exec_only_seconds;
+    exec_only += pp.exec_only_seconds;
   }
   EXPECT_GT(mode_wall_sum, 0.0);
-  EXPECT_GE(prof.engine_step_seconds, 0.0);
-  EXPECT_NEAR(mode_wall_sum + prof.engine_step_seconds,
-              result.exec_seconds_total, 0.05 * result.exec_seconds_total)
+  const double engine_steps = result.exec_seconds_total - exec_only;
+  EXPECT_GE(engine_steps, 0.0);
+  EXPECT_NEAR(mode_wall_sum - blocking_compile + engine_steps,
+              result.exec_seconds_total, 1e-6)
       << ExplainAnalyze(result);
-  // Every pipeline tuple went through exactly one mode's morsels.
-  uint64_t pipeline_tuples = 0;
-  for (const PipelineReport& r : result.pipelines) pipeline_tuples += r.tuples;
-  EXPECT_EQ(mode_tuples, pipeline_tuples);
 
   // At least one mode switch with a predicted-vs-realized verdict.
   size_t switches = 0;
-  for (const PipelineReport& pp : prof.pipelines) {
+  for (const PipelineReport& pp : result.pipelines) {
     for (const ModeSwitchRecord& sw : pp.mode_switches) {
       ++switches;
       EXPECT_EQ(sw.target, ExecMode::kOptimized);
@@ -778,7 +788,7 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
   EXPECT_NE(text.find("realized"), std::string::npos);
   EXPECT_NE(text.find("error"), std::string::npos);
 
-  const std::string json = prof.ToJson();
+  const std::string json = ExplainAnalyzeJson(result);
   EXPECT_EQ(json.front(), '{');
   EXPECT_EQ(json.back(), '}');
   EXPECT_NE(json.find("\"plan\":\"q3\""), std::string::npos);
@@ -786,23 +796,62 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
   EXPECT_NE(json.find("\"switches\":["), std::string::npos);
 }
 
-// Golden output: a hand-built profile (one pruned pipeline, two mode
-// slices, one switch). Every ToJson key and ExplainAnalyze line is pinned.
-TEST(QueryProfileTest, JsonAndExplainAnalyzeGolden) {
-  auto prof = std::make_shared<QueryProfile>();
-  prof->query_id = 7;
-  prof->plan_name = "golden \"plan\"";
-  prof->total_seconds = 0.0125;
-  prof->queue_wait_seconds = 0.0005;
-  prof->exec_seconds = 0.01;
-  prof->engine_step_seconds = 0.001;
-  prof->on_cpu_seconds = 0.015;
-  prof->compile_seconds = 0.002;
-  prof->compiles = 1;
-  prof->cache_hits = 2;
-  prof->cpu_samples = 3;
-  prof->peak_memory_bytes = 65536;
-  prof->lossy = true;
+// The per-mode counts come from the run itself, so they stay exact when
+// the trace rings wrap: 64-event rings overflow within these few queries.
+TEST_F(ObsEngineTest, ModeCountsStayExactWhenTraceRingsWrap) {
+  setenv("AQE_TRACE_RING_EVENTS", "64", 1);
+  QueryEngine engine(&catalog(), 2);
+  unsetenv("AQE_TRACE_RING_EVENTS");
+  for (int number : {6, 3}) {
+    QueryProgram program = BuildTpchQuery(number, catalog());
+    for (bool single_threaded : {true, false}) {
+      QueryRunOptions options = ForcedSwitchOptions();
+      options.single_threaded = single_threaded;
+      const uint64_t morsels_before =
+          engine.ObservabilitySnapshot().counter("exec.morsels");
+      QueryRunResult result = engine.Run(program, options);
+      ASSERT_FALSE(result.rows.empty());
+      const uint64_t morsels_after =
+          engine.ObservabilitySnapshot().counter("exec.morsels");
+      uint64_t morsels = 0;
+      for (const PipelineReport& pp : result.pipelines) {
+        uint64_t tuples = 0;
+        double wall = 0;
+        for (const ModeSliceProfile& m : pp.modes) {
+          morsels += m.morsels;
+          tuples += m.tuples;
+          wall += m.wall_seconds;
+        }
+        EXPECT_EQ(tuples, pp.tuples) << result.plan_name << " " << pp.name;
+        EXPECT_NEAR(wall, pp.exec_seconds, 1e-6)
+            << result.plan_name << " " << pp.name;
+      }
+      EXPECT_EQ(morsels, morsels_after - morsels_before)
+          << result.plan_name << (single_threaded ? " single" : " 2 workers");
+    }
+  }
+  uint64_t dropped = 0;
+  for (const auto& lane : engine.tracer().lane_stats()) {
+    dropped += lane.dropped;
+  }
+  EXPECT_GT(dropped, 0u);  // the rings really wrapped
+}
+
+// Golden output: a hand-built result (one pruned pipeline, two mode
+// slices, one switch). Every JSON key and ExplainAnalyze line is pinned.
+// Engine steps, compile time and the compile count are derived from it.
+TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
+  QueryRunResult result;
+  result.query_id = 7;
+  result.plan_name = "golden \"plan\"";
+  result.total_seconds = 0.0125;
+  result.queue_wait_seconds = 0.0005;
+  result.exec_seconds_total = 0.01;
+  result.on_cpu_seconds = 0.015;
+  result.compile_millis_total = 2;
+  result.cache_hits = 2;
+  result.cpu_samples = 3;
+  result.peak_memory_bytes = 65536;
   PipelineReport pp;
   pp.name = "scan lineitem";
   pp.pipeline_index = 1;
@@ -823,16 +872,15 @@ TEST(QueryProfileTest, JsonAndExplainAnalyzeGolden) {
   // target, decision, r0, remaining, T(current), T(chosen), realized.
   pp.mode_switches.push_back(
       {ExecMode::kOptimized, 0, 2500000, 30000, 0.006, 0.004, 0.005});
-  prof->pipelines.push_back(pp);
-  QueryRunResult result;
-  result.profile = prof;
+  pp.compiles.emplace_back(ExecMode::kOptimized, 0.002);
+  result.pipelines.push_back(pp);
 
-  EXPECT_EQ(prof->ToJson(),
+  EXPECT_EQ(ExplainAnalyzeJson(result),
       "{\"query\":7,\"plan\":\"golden \\\"plan\\\"\",\"total_s\":0.012500"
       ",\"queue_wait_s\":0.000500,\"exec_s\":0.010000"
-      ",\"engine_step_s\":0.001000,\"on_cpu_s\":0.015000,\"compile_s\":0.002000"
+      ",\"engine_step_s\":0.003000,\"on_cpu_s\":0.015000,\"compile_s\":0.002000"
       ",\"compiles\":1,\"cache_hits\":2,\"cpu_samples\":3"
-      ",\"peak_memory_bytes\":65536,\"lossy\":true"
+      ",\"peak_memory_bytes\":65536"
       ",\"pipelines\":[{\"name\":\"scan lineitem\",\"index\":1,\"tuples\":40000"
       ",\"wall_s\":0.009000,\"exec_only_s\":0.007000"
       ",\"initial_mode\":\"bytecode\",\"final_mode\":\"optimized\""
@@ -849,12 +897,11 @@ TEST(QueryProfileTest, JsonAndExplainAnalyzeGolden) {
       ",\"remaining\":30000,\"t_current_s\":0.006000,\"predicted_s\":0.004000"
       ",\"realized_s\":0.005000,\"error_pct\":25.0}]}]}");
   EXPECT_EQ(ExplainAnalyze(result),
-      "EXPLAIN ANALYZE  golden \"plan\"  (query 7)  "
-      "[lossy: trace ring dropped events]\n"
+      "EXPLAIN ANALYZE  golden \"plan\"  (query 7)\n"
       "  total 12.500 ms = queue 0.500 ms + service 12.000 ms; "
       "exec 10.000 ms; on-cpu 15.000 ms\n"
       "  compile 2.000 ms this query (1 jits, 2 cache hits)\n"
-      "  engine steps 1.000 ms (finalize / merge / top-k)\n"
+      "  engine steps 3.000 ms (finalize / merge / top-k)\n"
       "  cpu-samples 3; peak memory 65536 bytes\n"
       "  pipeline 1 \"scan lineitem\": 9.000 ms wall (7.000 ms exec-only), "
       "40000 tuples, bytecode -> optimized, cache hit\n"
@@ -875,20 +922,12 @@ TEST(QueryProfileTest, JsonAndExplainAnalyzeGolden) {
 TEST_F(ObsEngineTest, SentinelFlagsCacheEvictionSlowdownAndNamesCause) {
   QueryEngine engine(&catalog(), 2);
   QueryProgram q3 = BuildTpchQuery(3, catalog());
-  QueryRunOptions options;
   // Adaptive with a modeled 100x speedup, single-threaded so compilation
   // blocks the query: the cold run pays the JIT wall time, warm runs reuse
   // cached machine code — a forced eviction later costs an order of
   // magnitude, far beyond any MAD guard.
-  options.strategy = ExecutionStrategy::kAdaptive;
+  QueryRunOptions options = ForcedSwitchOptions();
   options.single_threaded = true;
-  options.adaptive_first_eval_seconds = 0;
-  options.cost_model.unopt_base_seconds = 0;
-  options.cost_model.unopt_per_instruction_seconds = 0;
-  options.cost_model.opt_base_seconds = 0;
-  options.cost_model.opt_per_instruction_seconds = 0;
-  options.cost_model.unopt_speedup = 1.01;
-  options.cost_model.opt_speedup = 100.0;
   // Enough warm runs for the MAD guard to decay past the cold first run's
   // compile spike (the sentinel deliberately arms slowly after a cold
   // start so one-off compiles never alert).
@@ -1233,16 +1272,16 @@ TEST(MetricsRegistryTest, ZeroCountHistogramsOmittedFromExportsOnly) {
 TEST_F(ObsEngineTest, QueryResultsReportPeakMemory) {
   QueryEngine engine(&catalog(), 2);
   QueryProgram q1 = BuildTpchQuery(1, catalog());
-  QueryRunOptions options;
-  options.collect_profile = true;
-  QueryRunResult r = engine.Run(q1, options);
+  QueryRunResult r = engine.Run(q1);
   ASSERT_FALSE(r.rows.empty());
   // Q1 builds an aggregation table and output chunks — all tracked.
   EXPECT_GT(r.peak_memory_bytes, 0u);
-  ASSERT_NE(r.profile, nullptr);
-  EXPECT_EQ(r.profile->peak_memory_bytes, r.peak_memory_bytes);
   const std::string text = ExplainAnalyze(r);
-  EXPECT_NE(text.find("peak memory"), std::string::npos);
+  EXPECT_NE(text.find("(query " + std::to_string(r.query_id) + ")"),
+            std::string::npos);
+  EXPECT_NE(text.find("peak memory " + std::to_string(r.peak_memory_bytes) +
+                      " bytes"),
+            std::string::npos);
   EXPECT_NE(text.find("cpu-samples"), std::string::npos);
 
   MetricsSnapshot snap = engine.ObservabilitySnapshot();
@@ -1449,9 +1488,8 @@ TEST_F(ObsEngineTest, StatsServerServesMetricsTraceAndProfiles) {
   ASSERT_GT(engine.stats_port(), 0);
 
   QueryProgram q6 = BuildTpchQuery(6, catalog());
-  QueryRunOptions options;
-  options.collect_profile = true;
-  ASSERT_FALSE(engine.Run(q6, options).rows.empty());
+  const QueryRunResult result = engine.Run(q6);
+  ASSERT_FALSE(result.rows.empty());
 
   const std::string metrics = HttpGet(engine.stats_port(), "/metrics");
   EXPECT_NE(metrics.find("HTTP/1.0 200 OK"), std::string::npos);
@@ -1478,7 +1516,9 @@ TEST_F(ObsEngineTest, StatsServerServesMetricsTraceAndProfiles) {
   const std::string profiles = HttpGet(engine.stats_port(), "/profiles");
   EXPECT_NE(profiles.find("application/json"), std::string::npos);
   EXPECT_NE(profiles.find("\"profiles\":[{"), std::string::npos);
-  EXPECT_NE(profiles.find("\"plan\":\"q6\""), std::string::npos);
+  EXPECT_NE(profiles.find("{\"query\":" + std::to_string(result.query_id) +
+                          ",\"plan\":\"q6\""),
+            std::string::npos);
   EXPECT_NE(profiles.find("\"anomalies\":[]"), std::string::npos);
 
   const std::string missing = HttpGet(engine.stats_port(), "/nope");
