@@ -18,6 +18,14 @@ PipelineBindings BindPipeline(const QueryProgram& program,
   for (const auto& jt : ctx.join_tables) {
     bindings.join_tables.push_back(jt.get());
   }
+  // The one seal site: every stage binds before it runs, and the pipelines
+  // that build a table have finished by the time one that probes it binds.
+  for (const PipelineOp& op : spec.ops) {
+    if (const auto* probe = std::get_if<OpProbe>(&op)) {
+      JoinHashTable* ht = ctx.join_tables[static_cast<size_t>(probe->ht)].get();
+      if (ht != nullptr) ht->Seal();
+    }
+  }
   for (const auto& agg : ctx.agg_sets) {
     bindings.agg_sets.push_back(agg.get());
   }

@@ -27,6 +27,8 @@ struct GeneratedPipeline {
 /// Resolves a pipeline's runtime addresses against a query context: scan
 /// column base pointers, join tables, aggregation sets, output buffers.
 /// Requires temp tables / join tables used by this pipeline to exist.
+/// Seals every join table the pipeline probes (JoinHashTable::Seal): its
+/// build is complete once a pipeline that probes it is bound.
 PipelineBindings BindPipeline(const QueryProgram& program,
                               const PipelineSpec& spec,
                               const QueryContext& ctx);

@@ -998,7 +998,11 @@ void QueryJob::RunStage(const QueryProgram::Stage& stage, int worker) {
   report.pipeline_index = static_cast<uint32_t>(stage.pipeline);
   report.tuples = PipelineCardinality(program, spec, *ctx_);
 
+  // Binding seals the join tables this pipeline probes, linking what their
+  // builds inserted: join-table finalize, so it counts as an engine step.
+  Timer bind_timer;
   PipelineBindings bindings = BindPipeline(program, spec, *ctx_);
+  result_.exec_seconds_total += bind_timer.ElapsedSeconds();
 
   if (options.engine == EngineKind::kVolcano) {
     Timer timer;

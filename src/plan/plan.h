@@ -59,8 +59,9 @@ class QueryProgram {
 
   // --- declarations ---------------------------------------------------------
   /// Declares a join hash table with `payload_slots` 8-byte payload values.
-  /// The table itself is created by an engine step (it needs a runtime
-  /// cardinality estimate), conventionally via MakeJoinTable below.
+  /// The table itself is created by an engine step. It needs no cardinality
+  /// estimate: it sizes its directory to the entries its build inserted
+  /// when the first pipeline that probes it binds (JoinHashTable::Seal).
   int DeclareJoinTable(uint32_t payload_slots);
   /// Declares a per-thread aggregation table set.
   int DeclareAggSet(uint32_t payload_slots, std::vector<int64_t> init);

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
 
 #include "common/fixed_point.h"
@@ -87,13 +88,12 @@ int64_t BitsFromF64(double d) {
   return bits;
 }
 
-/// Adds an engine step that creates join table `ht` sized for `table`.
-void AddMakeJoinTable(QueryProgram* q, int ht, std::string table,
-                      uint32_t payload_slots) {
-  q->AddStep([ht, table = std::move(table), payload_slots](QueryContext* ctx) {
-    ctx->join_tables[static_cast<size_t>(ht)] = std::make_unique<JoinHashTable>(
-        ctx->catalog->GetTable(table)->num_rows(), payload_slots,
-        ctx->memory.get());
+/// Adds an engine step that creates the declared join table `ht`.
+void AddMakeJoinTable(QueryProgram* q, int ht) {
+  q->AddStep([ht, payload_slots = q->join_payload_slots(ht)](
+                 QueryContext* ctx) {
+    ctx->join_tables[static_cast<size_t>(ht)] =
+        std::make_unique<JoinHashTable>(payload_slots, ctx->memory.get());
   });
 }
 
@@ -224,7 +224,7 @@ QueryProgram BuildQ3(const Catalog& cat) {
   const int64_t cutoff = DateToDays(1995, 3, 15);
   const int64_t building = DictCode(cat, "customer", "c_mktsegment", "BUILDING");
 
-  AddMakeJoinTable(&q, cust_ht, "customer", 0);
+  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec build;
     build.name = "build customer";
@@ -238,7 +238,7 @@ QueryProgram BuildQ3(const Catalog& cat) {
     build.sink = std::move(sink);
     q.AddPipeline(std::move(build));
   }
-  AddMakeJoinTable(&q, order_ht, "orders", 2);
+  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec build;
     build.name = "build orders";
@@ -303,60 +303,70 @@ QueryProgram BuildQ3(const Catalog& cat) {
 }
 
 // =============================================================================
-// Q4: order priority checking. Semi join orders -> lineitem(exists).
+// Q4: order priority checking. The EXISTS is evaluated from the small side:
+// build the ~1/26 of orders in the 3-month window (payload: priority), probe
+// them from the lineitems with l_commitdate < l_receiptdate, and group the
+// matches by orderkey so each qualifying order counts once; the final step
+// counts orders per priority.
 // =============================================================================
 QueryProgram BuildQ4(const Catalog& cat) {
   QueryProgram q("q4");
-  int lineitem = q.DeclareBaseTable("lineitem");
   int orders = q.DeclareBaseTable("orders");
-  int li_ht = q.DeclareJoinTable(0);
+  int lineitem = q.DeclareBaseTable("lineitem");
+  int order_ht = q.DeclareJoinTable(1);  // payload: o_orderpriority
 
-  AddMakeJoinTable(&q, li_ht, "lineitem", 0);
+  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec build;
-    build.name = "build lineitem exists";
-    build.source_table = lineitem;
-    build.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                          Col(cat, "lineitem", "l_commitdate"),
-                          Col(cat, "lineitem", "l_receiptdate")};
-    build.ops.push_back(OpFilter{Lt(Slot(1), Slot(2))});
+    build.name = "build orders";
+    build.source_table = orders;
+    build.scan_columns = {Col(cat, "orders", "o_orderkey"),
+                          Col(cat, "orders", "o_orderdate"),
+                          Col(cat, "orders", "o_orderpriority")};
+    build.ops.push_back(
+        OpFilter{And(Ge(Slot(1), I64(DateToDays(1993, 7, 1))),
+                     Lt(Slot(1), I64(DateToDays(1993, 10, 1))))});
     SinkBuild sink;
-    sink.ht = li_ht;
+    sink.ht = order_ht;
     sink.key = Slot(0);
+    sink.payload.push_back(Slot(2));
     build.sink = std::move(sink);
     q.AddPipeline(std::move(build));
   }
+  // One group per qualifying order; its lineitems all carry its priority.
   std::vector<AggItem> items;
-  items.push_back({AggKind::kCount, nullptr, false});
+  items.push_back({AggKind::kMax, Slot(3), false});
   int agg = q.DeclareAggSet(1, InitsFor(items));
   {
     PipelineSpec probe;
-    probe.name = "scan orders";
-    probe.source_table = orders;
-    probe.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                          Col(cat, "orders", "o_orderdate"),
-                          Col(cat, "orders", "o_orderpriority")};
-    probe.ops.push_back(
-        OpFilter{And(Ge(Slot(1), I64(DateToDays(1993, 7, 1))),
-                     Lt(Slot(1), I64(DateToDays(1993, 10, 1))))});
+    probe.name = "scan lineitem";
+    probe.source_table = lineitem;
+    probe.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
+                          Col(cat, "lineitem", "l_commitdate"),
+                          Col(cat, "lineitem", "l_receiptdate")};
+    probe.ops.push_back(OpFilter{Lt(Slot(1), Slot(2))});
     OpProbe op;
-    op.ht = li_ht;
+    op.ht = order_ht;
     op.key = Slot(0);
-    op.kind = JoinKind::kSemi;
+    op.payload_slots = 1;  // o_orderpriority -> slot 3
     probe.ops.push_back(std::move(op));
     SinkAgg sink;
     sink.agg = agg;
-    sink.key = Slot(2);
+    sink.key = Slot(0);
     sink.items = CloneItems(items);
     probe.sink = std::move(sink);
     q.AddPipeline(std::move(probe));
   }
   q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
     AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
-      ctx->result.push_back({key, *static_cast<const int64_t*>(payload)});
+    // ORDER BY o_orderpriority (dictionary codes sort like the strings).
+    std::map<int64_t, int64_t> order_count;
+    merged.ForEach([&order_count](int64_t, void* payload) {
+      ++order_count[*static_cast<const int64_t*>(payload)];
     });
-    SortRows(&ctx->result, {{0, false, false}});
+    for (const auto& [priority, count] : order_count) {
+      ctx->result.push_back({priority, count});
+    }
   });
   return q;
 }
@@ -382,7 +392,7 @@ QueryProgram BuildQ5(const Catalog& cat) {
 
   const int64_t asia = DictCode(cat, "region", "r_name", "ASIA");
 
-  AddMakeJoinTable(&q, region_ht, "region", 0);
+  AddMakeJoinTable(&q, region_ht);
   {
     PipelineSpec p;
     p.name = "build region";
@@ -396,7 +406,7 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, nation_ht, "nation", 0);
+  AddMakeJoinTable(&q, nation_ht);
   {
     PipelineSpec p;
     p.name = "build nation";
@@ -414,7 +424,7 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, cust_ht, "customer", 1);
+  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec p;
     p.name = "build customer";
@@ -433,7 +443,7 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht, "orders", 1);
+  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -455,7 +465,7 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, supp_ht, "supplier", 1);
+  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -523,7 +533,7 @@ QueryProgram BuildQ11(const Catalog& cat) {
 
   const int64_t germany = DictCode(cat, "nation", "n_name", "GERMANY");
 
-  AddMakeJoinTable(&q, nation_ht, "nation", 0);
+  AddMakeJoinTable(&q, nation_ht);
   {
     PipelineSpec p;
     p.name = "build nation";
@@ -537,7 +547,7 @@ QueryProgram BuildQ11(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, supp_ht, "supplier", 0);
+  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -643,7 +653,7 @@ QueryProgram BuildQ12(const Catalog& cat) {
       DictCode(cat, "orders", "o_orderpriority", "1-URGENT");
   const int64_t high = DictCode(cat, "orders", "o_orderpriority", "2-HIGH");
 
-  AddMakeJoinTable(&q, order_ht, "orders", 1);
+  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -723,7 +733,7 @@ QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
       &q, *part_table, part_table->ColumnIndex("p_type"), /*code_slot=*/1,
       pattern);
 
-  AddMakeJoinTable(&q, part_ht, "part", 1);
+  AddMakeJoinTable(&q, part_ht);
   {
     PipelineSpec p;
     p.name = "build part";
@@ -815,22 +825,14 @@ QueryProgram BuildQ18(const Catalog& cat) {
   }
   // Engine step: materialize qualifying orderkeys (sum > 300.00) into a
   // join hash table (the paper's queryStart-style C++ glue). Few orders
-  // qualify, so the table is sized by a counting pass, not by the groups.
+  // qualify; the probe's seal sizes the table to them, not to the groups.
   q.AddStep([agg, qualify_ht, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
     AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    auto qualifies = [](const void* payload) {
-      return *static_cast<const int64_t*>(payload) > 300 * kDecimalScale;
-    };
-    uint64_t qualifying = 0;
-    merged.ForEach([&](int64_t, void* payload) {
-      qualifying += qualifies(payload) ? 1 : 0;
-    });
-    auto ht = std::make_unique<JoinHashTable>(qualifying + 1, 1,
-                                              ctx->memory.get());
+    auto ht = std::make_unique<JoinHashTable>(1, ctx->memory.get());
     merged.ForEach([&](int64_t key, void* payload) {
-      if (qualifies(payload)) {
-        *static_cast<int64_t*>(ht->Insert(key)) =
-            *static_cast<const int64_t*>(payload);
+      const int64_t quantity = *static_cast<const int64_t*>(payload);
+      if (quantity > 300 * kDecimalScale) {
+        *static_cast<int64_t*>(ht->Insert(key)) = quantity;
       }
     });
     ctx->join_tables[static_cast<size_t>(qualify_ht)] = std::move(ht);
@@ -896,7 +898,7 @@ QueryProgram BuildQ19(const Catalog& cat) {
   const int64_t deliver = DictCode(cat, "lineitem", "l_shipinstruct",
                                    "DELIVER IN PERSON");
 
-  AddMakeJoinTable(&q, part_ht, "part", 3);
+  AddMakeJoinTable(&q, part_ht);
   {
     PipelineSpec p;
     p.name = "build part";
@@ -991,7 +993,7 @@ QueryProgram BuildQ7(const Catalog& cat) {
   }
   AQE_CHECK(fr_key >= 0 && de_key >= 0);
 
-  AddMakeJoinTable(&q, supp_ht, "supplier", 1);
+  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -1007,7 +1009,7 @@ QueryProgram BuildQ7(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, cust_ht, "customer", 1);
+  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec p;
     p.name = "build customer";
@@ -1023,7 +1025,7 @@ QueryProgram BuildQ7(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht, "orders", 1);
+  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -1101,7 +1103,9 @@ QueryProgram BuildQ7(const Catalog& cat) {
 // our generator has no p_name column, so we filter p_type LIKE '%BRASS%'
 // (similar ~1/5 selectivity, same code path). Composite
 // (partkey, suppkey) partsupp key packed into one i64; per-nation/year
-// profit. The largest worker function among the implemented queries.
+// profit. The part table is built first, and the partsupp build
+// semi-probes it, so only the BRASS parts' partsupp rows (~1/5) are
+// built. The largest worker function among the implemented queries.
 // =============================================================================
 QueryProgram BuildQ9(const Catalog& cat) {
   QueryProgram q("q9");
@@ -1119,7 +1123,7 @@ QueryProgram BuildQ9(const Catalog& cat) {
   const uint8_t* green = q.AddBitmap(
       pt->dictionary(pt->ColumnIndex("p_type")).MatchContains("BRASS"));
 
-  AddMakeJoinTable(&q, part_ht, "part", 0);
+  AddMakeJoinTable(&q, part_ht);
   {
     PipelineSpec p;
     p.name = "build part";
@@ -1133,7 +1137,7 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, supp_ht, "supplier", 1);
+  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -1147,7 +1151,7 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, ps_ht, "partsupp", 1);
+  AddMakeJoinTable(&q, ps_ht);
   {
     PipelineSpec p;
     p.name = "build partsupp";
@@ -1155,6 +1159,12 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.scan_columns = {Col(cat, "partsupp", "ps_partkey"),
                       Col(cat, "partsupp", "ps_suppkey"),
                       Col(cat, "partsupp", "ps_supplycost")};
+    // Only partsupp rows of BRASS parts can meet the lineitem probe.
+    OpProbe probe_part;
+    probe_part.ht = part_ht;
+    probe_part.key = Slot(0);
+    probe_part.kind = JoinKind::kSemi;
+    p.ops.push_back(std::move(probe_part));
     SinkBuild sink;
     sink.ht = ps_ht;
     // composite key: partkey * 2^20 + suppkey (fits for SF <= ~500)
@@ -1163,7 +1173,7 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht, "orders", 1);
+  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -1255,7 +1265,7 @@ QueryProgram BuildQ10(const Catalog& cat) {
 
   const int64_t returned = DictCode(cat, "lineitem", "l_returnflag", "R");
 
-  AddMakeJoinTable(&q, cust_ht, "customer", 1);
+  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec p;
     p.name = "build customer";
@@ -1269,7 +1279,7 @@ QueryProgram BuildQ10(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht, "orders", 1);
+  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";

@@ -168,6 +168,19 @@ std::vector<AggHashTable*> AggHashTableSet::NonEmptyTables() const {
 void AggHashTableSet::MergeInto(
     AggHashTable* target,
     const std::function<void(uint32_t, int64_t*, int64_t)>& merge) {
+  if (target->size() == 0) {
+    std::unique_ptr<AggHashTable>* largest = nullptr;
+    for (auto& table : tables_) {
+      if (table != nullptr &&
+          (largest == nullptr || table->size() > (*largest)->size())) {
+        largest = &table;
+      }
+    }
+    if (largest != nullptr) {
+      *target = std::move(**largest);
+      largest->reset();
+    }
+  }
   for (auto& table : tables_) {
     if (table == nullptr) continue;
     table->ForEach([&](int64_t key, void* payload) {

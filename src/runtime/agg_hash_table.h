@@ -93,9 +93,13 @@ class AggHashTableSet {
 
   /// Merges all per-thread tables with a per-slot merge function:
   /// merge(slot_index, accumulator_ptr, value) — engine-side, not generated.
-  /// Each per-thread table is released, with its tracker charge, right after
-  /// it is folded in, so the merge never holds every thread table and the
-  /// merged table at once; nothing reads a thread table after the merge.
+  /// An empty `target` adopts the largest thread table: its storage and
+  /// tracker charge move, nothing is copied, so a single-threaded run
+  /// merges for free. (Merging a value into a fresh entry must therefore be
+  /// the identity, as it is for sum, count, min and max.) The others are
+  /// folded in, each released with its charge right after, so the merge
+  /// never holds every thread table and the merged table at once; nothing
+  /// reads a thread table after the merge.
   void MergeInto(
       AggHashTable* target,
       const std::function<void(uint32_t, int64_t*, int64_t)>& merge);

@@ -1,5 +1,6 @@
 #include "runtime/join_hash_table.h"
 
+#include <algorithm>
 #include <cstring>
 
 #include "common/status.h"
@@ -22,47 +23,71 @@ void SetThreadIndex(int index) {
 int GetThreadIndex() { return t_thread_index; }
 }  // namespace runtime_internal
 
+/// One thread's node storage. Chunks start at the PageAllocator's mmap
+/// threshold and double up to 1 MiB, so a small build table costs each
+/// inserting worker 64 KiB, not a whole megabyte. Nodes are fixed-size and
+/// packed from the start of each chunk: a chunk holds
+/// ⌊chunk bytes / node bytes⌋ nodes, the last one `used_in_chunk / node`.
 struct JoinHashTable::Arena {
-  static constexpr size_t kChunkBytes = 1 << 20;
+  static constexpr size_t kFirstChunkBytes = 64 << 10;
+  static constexpr size_t kMaxChunkBytes = 1 << 20;
   /// Not zero-filled: Insert writes every byte it hands out, so only the
   /// pages nodes have reached are resident.
-  std::vector<std::vector<uint8_t, PageAllocator<uint8_t>>> chunks;
-  size_t used_in_chunk = kChunkBytes;  // force first allocation
+  std::vector<PageVector<uint8_t>> chunks;
+  size_t used_in_chunk = 0;
+  uint64_t chunk_bytes = 0;  ///< sum of chunk sizes, charged to `tracker`
   QueryMemoryTracker* tracker = nullptr;
 
   uint8_t* Alloc(size_t bytes) {
-    AQE_CHECK(bytes <= kChunkBytes);
-    if (used_in_chunk + bytes > kChunkBytes) {
-      chunks.emplace_back(kChunkBytes);
+    AQE_CHECK(bytes <= kFirstChunkBytes);
+    if (chunks.empty() || used_in_chunk + bytes > chunks.back().size()) {
+      const size_t size =
+          chunks.empty() ? kFirstChunkBytes
+                         : std::min(chunks.back().size() * 2, kMaxChunkBytes);
+      chunks.emplace_back(size);
       used_in_chunk = 0;
-      if (tracker != nullptr) tracker->Charge(kChunkBytes);
+      chunk_bytes += size;
+      if (tracker != nullptr) tracker->Charge(size);
     }
     uint8_t* p = chunks.back().data() + used_in_chunk;
     used_in_chunk += bytes;
     return p;
   }
+
+  /// Bytes of chunk `c` that may hold nodes.
+  size_t Used(size_t c) const {
+    return c + 1 == chunks.size() ? used_in_chunk : chunks[c].size();
+  }
+
+  uint64_t Nodes(size_t node_bytes) const {
+    uint64_t nodes = 0;
+    for (size_t c = 0; c < chunks.size(); ++c) nodes += Used(c) / node_bytes;
+    return nodes;
+  }
+
+  /// Calls fn(node) for every node carved from this arena.
+  template <typename Fn>
+  void ForEachNode(size_t node_bytes, Fn&& fn) {
+    for (size_t c = 0; c < chunks.size(); ++c) {
+      for (size_t offset = 0; offset + node_bytes <= Used(c);
+           offset += node_bytes) {
+        fn(chunks[c].data() + offset);
+      }
+    }
+  }
 };
 
-JoinHashTable::JoinHashTable(uint64_t expected_entries,
-                             uint32_t payload_slots,
+JoinHashTable::JoinHashTable(uint32_t payload_slots,
                              QueryMemoryTracker* tracker)
     : payload_slots_(payload_slots), tracker_(tracker) {
-  uint64_t buckets = 16;
-  while (buckets < expected_entries) buckets <<= 1;
-  directory_ = decltype(directory_)(buckets);
-  for (auto& slot : directory_) slot.store(nullptr, std::memory_order_relaxed);
-  mask_ = buckets - 1;
   arenas_.resize(kMaxThreads);
-  if (tracker_ != nullptr) {
-    tracker_->Charge(directory_.size() * sizeof(std::atomic<uint8_t*>));
-  }
 }
 
 JoinHashTable::~JoinHashTable() {
   if (tracker_ == nullptr) return;
-  uint64_t bytes = directory_.size() * sizeof(std::atomic<uint8_t*>);
+  uint64_t bytes = directory_.size() * sizeof(uint8_t*);
   for (const auto& arena : arenas_) {
-    if (arena != nullptr) bytes += arena->chunks.size() * Arena::kChunkBytes;
+    if (arena != nullptr) bytes += arena->chunk_bytes;
   }
   tracker_->Release(bytes);
 }
@@ -90,23 +115,49 @@ uint8_t* JoinHashTable::AllocNode() {
 }
 
 void* JoinHashTable::Insert(int64_t key) {
+  AQE_CHECK_MSG(!sealed_, "join table insert after Seal");
   uint8_t* node = AllocNode();
   *reinterpret_cast<int64_t*>(node + 8) = key;
   std::memset(node + 16, 0, payload_slots_ * 8);
-  std::atomic<uint8_t*>& head = directory_[HashKey(key) & mask_];
-  uint8_t* expected = head.load(std::memory_order_relaxed);
-  do {
-    *reinterpret_cast<uint8_t**>(node) = expected;
-  } while (!head.compare_exchange_weak(expected, node,
-                                       std::memory_order_release,
-                                       std::memory_order_relaxed));
-  size_.fetch_add(1, std::memory_order_relaxed);
   return node + 16;
 }
 
+uint64_t JoinHashTable::size() const {
+  uint64_t entries = 0;
+  for (const auto& arena : arenas_) {
+    if (arena != nullptr) entries += arena->Nodes(node_bytes());
+  }
+  return entries;
+}
+
+void JoinHashTable::Seal() {
+  if (sealed_) return;
+  sealed_ = true;
+  const uint64_t entries = size();
+  uint64_t buckets = 16;
+  while (buckets < entries) buckets <<= 1;
+  directory_.assign(buckets, nullptr);
+  mask_ = buckets - 1;
+  if (tracker_ != nullptr) tracker_->Charge(buckets * sizeof(uint8_t*));
+  for (const auto& arena : arenas_) {
+    if (arena == nullptr) continue;
+    arena->ForEachNode(node_bytes(), [this](uint8_t* node) {
+      uint8_t*& head =
+          directory_[HashKey(*reinterpret_cast<const int64_t*>(node + 8)) &
+                     mask_];
+      *reinterpret_cast<uint8_t**>(node) = head;
+      head = node;
+    });
+  }
+}
+
+void JoinHashTable::CheckSealed() const {
+  AQE_CHECK_MSG(sealed_, "join table probed before Seal");
+}
+
 void* JoinHashTable::Lookup(int64_t key) const {
-  uint8_t* node =
-      directory_[HashKey(key) & mask_].load(std::memory_order_acquire);
+  CheckSealed();
+  uint8_t* node = directory_[HashKey(key) & mask_];
   while (node != nullptr &&
          *reinterpret_cast<const int64_t*>(node + 8) != key) {
     node = *reinterpret_cast<uint8_t* const*>(node);

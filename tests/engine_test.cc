@@ -52,8 +52,7 @@ class EngineTest : public ::testing::Test {
     // queryStart-style C++ step: create the join hash table.
     q.AddStep([ht](QueryContext* ctx) {
       ctx->join_tables[static_cast<size_t>(ht)] =
-          std::make_unique<JoinHashTable>(
-              ctx->catalog->GetTable("dim")->num_rows(), 1);
+          std::make_unique<JoinHashTable>(1);
     });
 
     // Pipeline 1: build dim hash table (payload: d_group).

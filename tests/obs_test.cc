@@ -13,10 +13,8 @@
 #include <cstdlib>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
-#include "common/fixed_point.h"
 #include "engine/query_engine.h"
 #include "index/table_index.h"
 #include "obs/export.h"
@@ -1300,46 +1298,39 @@ TEST_F(ObsEngineTest, QueryResultsReportPeakMemory) {
 
 TEST_F(ObsEngineTest, PeakMemoryCoversMergedAggregationTable) {
   // Q18 groups lineitem by orderkey, one group per order. Run on one
-  // thread, its merge step first holds the thread's table and the merged
-  // table, both with every group, until the thread table is folded in and
-  // released; then the merged table lives beside the qualifying-orders join
-  // table, sized by the qualifying count, and its first arena chunk. The
-  // query's peak must cover the larger of the two live sets.
+  // thread, its one thread table grows to hold every group, and its last
+  // rehash holds both generations. The merge step adopts that table rather
+  // than copying it, so the thread table and a merged copy are never live
+  // together. The qualifying-orders join table that follows (one 64 KiB
+  // arena chunk and a directory sized to the few qualifying orders) is
+  // smaller than the rehash's old generation. The query's peak must cover
+  // the rehash and stay below a thread table plus a merged copy.
   QueryEngine engine(&catalog(), 1);
   QueryRunOptions options;
   options.single_threaded = true;
   QueryRunResult r = engine.Run(BuildTpchQuery(18, catalog()), options);
 
-  const Table* lineitem = catalog().GetTable("lineitem");
-  std::unordered_map<int64_t, int64_t> quantity;
-  for (uint64_t row = 0; row < lineitem->num_rows(); ++row) {
-    quantity[lineitem->column("l_orderkey").GetAsI64(row)] +=
-        lineitem->column("l_quantity").GetAsI64(row);
-  }
-  uint64_t qualifying_orders = 0;
-  for (const auto& [key, sum] : quantity) {
-    qualifying_orders += sum > 300 * kDecimalScale ? 1 : 0;
-  }
-
+  // Replay the thread table's growth on a private tracker.
   const int64_t groups =
       static_cast<int64_t>(catalog().GetTable("orders")->num_rows());
   QueryMemoryTracker live;
-  AggHashTable merged(1, {0}, &live);
-  uint64_t merging_bytes = 0;
+  uint64_t rehash_bytes = 0;  // both generations of the last rehash
+  uint64_t table_bytes = 0;   // the table holding every group
   {
     AggHashTable thread_table(1, {0}, &live);
     for (int64_t k = 0; k < groups; ++k) {
+      const uint64_t before = live.current_bytes();
       thread_table.FindOrInsert(k);
-      merged.FindOrInsert(k);
+      const uint64_t after = live.current_bytes();
+      if (after != before) rehash_bytes = before + after;
     }
-    merging_bytes = live.current_bytes();
+    table_bytes = live.current_bytes();
   }
-  JoinHashTable qualifying(qualifying_orders + 1, 1, &live);
-  if (qualifying_orders > 0) qualifying.Insert(0);  // its first arena chunk
-  const uint64_t qualify_bytes = live.current_bytes();
+  ASSERT_GT(rehash_bytes, table_bytes);
   // The peak may lag the live total by one unfolded slot residue.
   EXPECT_GE(r.peak_memory_bytes + QueryMemoryTracker::kFlushBytes,
-            std::max(merging_bytes, qualify_bytes));
+            rehash_bytes);
+  EXPECT_LT(r.peak_memory_bytes, 2 * table_bytes);
 }
 
 TEST_F(ObsEngineTest, AdmissionRejectsOverBudgetClassAndSparesOthers) {

@@ -20,13 +20,14 @@ namespace aqe {
 namespace {
 
 TEST(JoinHashTableTest, InsertAndLookup) {
-  JoinHashTable ht(100, /*payload_slots=*/2);
+  JoinHashTable ht(/*payload_slots=*/2);
   auto* p1 = static_cast<int64_t*>(ht.Insert(42));
   p1[0] = 7;
   p1[1] = 8;
   auto* p2 = static_cast<int64_t*>(ht.Insert(43));
   p2[0] = 9;
   EXPECT_EQ(ht.size(), 2u);
+  ht.Seal();
 
   void* node = ht.Lookup(42);
   ASSERT_NE(node, nullptr);
@@ -38,10 +39,11 @@ TEST(JoinHashTableTest, InsertAndLookup) {
 }
 
 TEST(JoinHashTableTest, DuplicateKeysChain) {
-  JoinHashTable ht(16, 1);
+  JoinHashTable ht(1);
   for (int64_t i = 0; i < 5; ++i) {
     static_cast<int64_t*>(ht.Insert(7))[0] = i;
   }
+  ht.Seal();
   std::multiset<int64_t> seen;
   for (void* node = ht.Lookup(7); node != nullptr;
        node = JoinHashTable::Next(node, 7)) {
@@ -52,13 +54,16 @@ TEST(JoinHashTableTest, DuplicateKeysChain) {
 }
 
 TEST(JoinHashTableTest, ManyKeysNoLoss) {
-  // 4 MiB directory (mapped, huge-page advised) and 7 arena chunks (mapped).
+  // 4 MiB directory (mapped, huge-page advised) and 10 arena chunks
+  // growing from 64 KiB to 1 MiB (mapped).
   constexpr int64_t kKeys = 300000;
-  JoinHashTable ht(kKeys, 1);
+  JoinHashTable ht(1);
   for (int64_t i = 0; i < kKeys; ++i) {
     static_cast<int64_t*>(ht.Insert(i))[0] = i * 3;
   }
   EXPECT_EQ(ht.size(), static_cast<uint64_t>(kKeys));
+  ht.Seal();
+  EXPECT_EQ(ht.directory_slots(), 1u << 19);
   for (int64_t i = 0; i < kKeys; ++i) {
     void* node = ht.Lookup(i);
     ASSERT_NE(node, nullptr) << i;
@@ -68,7 +73,7 @@ TEST(JoinHashTableTest, ManyKeysNoLoss) {
 }
 
 TEST(JoinHashTableTest, ConcurrentInserts) {
-  JoinHashTable ht(1 << 12, 1);
+  JoinHashTable ht(1);
   constexpr int kThreads = 4;
   constexpr int64_t kPerThread = 2000;
   std::vector<std::thread> threads;
@@ -82,14 +87,85 @@ TEST(JoinHashTableTest, ConcurrentInserts) {
   }
   for (auto& th : threads) th.join();
   EXPECT_EQ(ht.size(), static_cast<uint64_t>(kThreads * kPerThread));
+  ht.Seal();
   for (int64_t k = 0; k < kThreads * kPerThread; ++k) {
-    EXPECT_NE(ht.Lookup(k), nullptr) << k;
+    void* node = ht.Lookup(k);
+    ASSERT_NE(node, nullptr) << k;
+    EXPECT_EQ(*reinterpret_cast<int64_t*>(static_cast<uint8_t*>(node) + 16),
+              k % kPerThread);
   }
 }
 
+// The directory is sized at seal from the entries actually inserted — a
+// power of two of at least max(16, count) slots — and charged then.
+TEST(JoinHashTableTest, SealSizesDirectoryToInsertedCount) {
+  for (uint64_t count : {0u, 5u, 16u, 17u, 1000u, 70000u}) {
+    QueryMemoryTracker tracker;
+    {
+      JoinHashTable ht(1, &tracker);
+      for (uint64_t k = 0; k < count; ++k) {
+        ht.Insert(static_cast<int64_t>(k));
+      }
+      uint64_t slots = 16;
+      while (slots < count) slots <<= 1;
+      const uint64_t before = tracker.current_bytes();
+      ht.Seal();
+      EXPECT_EQ(ht.directory_slots(), slots) << count;
+      EXPECT_EQ(tracker.current_bytes() - before, slots * sizeof(void*))
+          << count;
+      ht.Seal();  // idempotent: no second directory, no second charge
+      EXPECT_EQ(tracker.current_bytes() - before, slots * sizeof(void*))
+          << count;
+      for (uint64_t k = 0; k < count; ++k) {
+        ASSERT_NE(ht.Lookup(static_cast<int64_t>(k)), nullptr) << k;
+      }
+      EXPECT_EQ(ht.Lookup(-1), nullptr);
+    }
+    EXPECT_EQ(tracker.current_bytes(), 0u) << count;
+  }
+}
+
+// Arena chunks start at 64 KiB: a 5-row table built on 4 workers is charged
+// 4 first chunks and its 16-slot directory, not 4 MiB.
+TEST(JoinHashTableTest, SmallTableChargesSmallChunks) {
+  QueryMemoryTracker tracker;
+  {
+    JoinHashTable ht(1, &tracker);
+    constexpr int kThreads = 4;
+    constexpr int64_t kKeys = 5;
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([&ht, t] {
+        runtime_internal::SetThreadIndex(t);
+        for (int64_t k = t; k < kKeys; k += kThreads) ht.Insert(k);
+      });
+    }
+    for (auto& th : threads) th.join();
+    ht.Seal();
+    EXPECT_EQ(ht.size(), static_cast<uint64_t>(kKeys));
+    EXPECT_LE(tracker.current_bytes(), kThreads * (64u << 10) + 16 * 8);
+    for (int64_t k = 0; k < kKeys; ++k) EXPECT_NE(ht.Lookup(k), nullptr);
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0u);
+}
+
+TEST(JoinHashTableDeathTest, InsertAfterSealDies) {
+  JoinHashTable ht(1);
+  ht.Insert(1);
+  ht.Seal();
+  EXPECT_DEATH(ht.Insert(2), "insert after Seal");
+}
+
+TEST(JoinHashTableDeathTest, LookupBeforeSealDies) {
+  JoinHashTable ht(1);
+  ht.Insert(1);
+  EXPECT_DEATH(ht.Lookup(1), "probed before Seal");
+}
+
 TEST(JoinHashTableTest, ForEachVisitsAll) {
-  JoinHashTable ht(64, 1);
+  JoinHashTable ht(1);
   for (int64_t i = 0; i < 100; ++i) ht.Insert(i);
+  ht.Seal();
   int count = 0;
   int64_t key_sum = 0;
   ht.ForEach([&](int64_t key, void*) {
@@ -183,6 +259,43 @@ TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
   }
 }
 
+// An empty merge target adopts the largest thread table with its tracker
+// charge instead of copying its groups; the smaller tables fold into it.
+TEST(AggHashTableSetTest, MergeAdoptsLargestThreadTable) {
+  QueryMemoryTracker tracker;
+  {
+    AggHashTableSet set(1, {0});
+    set.set_memory_tracker(&tracker);
+    auto fill = [&set](int thread, int64_t keys) {
+      std::thread worker([&set, thread, keys] {
+        runtime_internal::SetThreadIndex(thread);
+        AggHashTable* local = set.Local();
+        for (int64_t k = 0; k < keys; ++k) {
+          *static_cast<int64_t*>(local->FindOrInsert(k)) += thread;
+        }
+      });
+      worker.join();
+    };
+    fill(1, 1000);
+    const uint64_t largest_bytes = tracker.current_bytes();
+    fill(0, 10);
+    fill(2, 10);
+
+    AggHashTable merged(1, {0}, &tracker);
+    set.MergeInto(&merged,
+                  [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
+    EXPECT_TRUE(set.NonEmptyTables().empty());
+    EXPECT_EQ(merged.size(), 1000u);
+    for (int64_t k = 0; k < 1000; ++k) {
+      EXPECT_EQ(*static_cast<int64_t*>(merged.Find(k)), k < 10 ? 3 : 1);
+    }
+    // Only the adopted table is left: the small ones and the target's own
+    // initial arrays were released.
+    EXPECT_EQ(tracker.current_bytes(), largest_bytes);
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0u);
+}
+
 #if defined(__linux__) && !defined(__SANITIZE_ADDRESS__) && \
     !defined(__SANITIZE_THREAD__)
 #define AQE_TEST_RSS 1
@@ -213,11 +326,12 @@ TEST(PageAllocatorTest, FreedTablesReturnMemoryToTheOs) {
       // arena chunks.
       constexpr int64_t kKeys = 1 << 20;
       AggHashTable agg(1, {0});
-      JoinHashTable join(kKeys, 1);
+      JoinHashTable join(1);
       for (int64_t k = 0; k < kKeys; ++k) {
         agg.FindOrInsert(k);
         join.Insert(k);
       }
+      join.Seal();
       // Pins the heap top, so malloc cannot trim what the tables freed.
       pin = std::make_unique<int64_t>(0);
     }
@@ -322,10 +436,11 @@ TEST(RuntimeRegistryTest, BuiltinsRegistered) {
 }
 
 TEST(RuntimeRegistryTest, WrappersRoundTrip) {
-  JoinHashTable ht(16, 1);
+  JoinHashTable ht(1);
   uint64_t payload =
       rt::aqe_jht_insert(reinterpret_cast<uint64_t>(&ht), 123);
   *reinterpret_cast<int64_t*>(payload) = 55;
+  ht.Seal();
   uint64_t node = rt::aqe_jht_lookup(reinterpret_cast<uint64_t>(&ht), 123);
   ASSERT_NE(node, 0u);
   EXPECT_EQ(*reinterpret_cast<int64_t*>(node + 16), 55);

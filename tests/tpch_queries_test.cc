@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
+#include <unordered_map>
+#include <unordered_set>
+#include <utility>
 
 #include "codegen/query_compiler.h"
 #include "engine/query_engine.h"
@@ -9,6 +13,7 @@
 #include "queries/tpch_queries.h"
 #include "runtime/runtime_registry.h"
 #include "tpch/tpch_gen.h"
+#include "tpch/tpch_schema.h"
 #include "vm/translator.h"
 
 namespace aqe {
@@ -36,6 +41,37 @@ QueryEngine* TpchQueryTest::engine_ = nullptr;
 /// Every engine and execution mode must produce identical rows for every
 /// query — this is the end-to-end guarantee behind "no work is lost when
 /// switching between execution modes".
+struct EngineConfig {
+  EngineKind engine;
+  ExecutionStrategy strategy;
+  VmDispatch vm_dispatch;
+  const char* label;
+
+  QueryRunOptions Options() const {
+    QueryRunOptions options;
+    options.engine = engine;
+    options.strategy = strategy;
+    options.vm_dispatch = vm_dispatch;
+    return options;
+  }
+};
+
+// Every engine a query runs on, compared against volcano. Both interpreter
+// dispatch engines must be bit-identical on every query, not just the
+// compile-time default.
+constexpr EngineConfig kEngineConfigs[] = {
+    {EngineKind::kVectorized, ExecutionStrategy::kBytecode,
+     VmDispatch::kDefault, "vectorized"},
+    {EngineKind::kCompiled, ExecutionStrategy::kBytecode, VmDispatch::kSwitch,
+     "vm-switch"},
+    {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
+     VmDispatch::kThreaded, "vm-threaded"},
+    {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized,
+     VmDispatch::kDefault, "jit-unopt"},
+    {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, VmDispatch::kDefault,
+     "adaptive"},
+};
+
 TEST_P(TpchQueryTest, AllEnginesAgree) {
   const int number = GetParam();
   QueryRunOptions volcano;
@@ -44,33 +80,9 @@ TEST_P(TpchQueryTest, AllEnginesAgree) {
   auto reference = engine_->Run(ref_program, volcano).rows;
   ASSERT_FALSE(reference.empty()) << "q" << number << " has empty result";
 
-  struct Config {
-    EngineKind engine;
-    ExecutionStrategy strategy;
-    VmDispatch vm_dispatch;
-    const char* label;
-  };
-  // Both interpreter dispatch engines must be bit-identical on every query,
-  // not just the compile-time default.
-  const Config configs[] = {
-      {EngineKind::kVectorized, ExecutionStrategy::kBytecode,
-       VmDispatch::kDefault, "vectorized"},
-      {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-       VmDispatch::kSwitch, "vm-switch"},
-      {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-       VmDispatch::kThreaded, "vm-threaded"},
-      {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized,
-       VmDispatch::kDefault, "jit-unopt"},
-      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive,
-       VmDispatch::kDefault, "adaptive"},
-  };
-  for (const Config& config : configs) {
+  for (const EngineConfig& config : kEngineConfigs) {
     QueryProgram program = BuildTpchQuery(number, *catalog_);
-    QueryRunOptions options;
-    options.engine = config.engine;
-    options.strategy = config.strategy;
-    options.vm_dispatch = config.vm_dispatch;
-    auto rows = engine_->Run(program, options).rows;
+    auto rows = engine_->Run(program, config.Options()).rows;
     EXPECT_EQ(rows, reference) << "q" << number << " " << config.label;
   }
 }
@@ -92,6 +104,152 @@ class TpchFixtureTest : public ::testing::Test {
     return *catalog;
   }
 };
+
+using Rows = std::vector<std::vector<int64_t>>;
+
+int64_t Value(const Table& table, const char* column, uint64_t row) {
+  return table.column(column).GetAsI64(row);
+}
+
+std::string_view DictString(const Table& table, const char* column,
+                            uint64_t row) {
+  return table.dictionary(table.ColumnIndex(column))
+      .Get(static_cast<int32_t>(Value(table, column, row)));
+}
+
+/// TPC-H Q4 evaluated straight from its SQL with hash maps, independent of
+/// the plan builder:
+///   SELECT o_orderpriority, count(*) FROM orders
+///   WHERE o_orderdate >= '1993-07-01' AND o_orderdate < '1993-10-01'
+///     AND EXISTS (SELECT * FROM lineitem WHERE l_orderkey = o_orderkey
+///                 AND l_commitdate < l_receiptdate)
+///   GROUP BY o_orderpriority ORDER BY o_orderpriority
+/// Rows are {priority dictionary code, count}.
+Rows OracleQ4(const Catalog& catalog) {
+  const Table& lineitem = *catalog.GetTable("lineitem");
+  const Table& orders = *catalog.GetTable("orders");
+  std::unordered_set<int64_t> late_orders;
+  for (uint64_t r = 0; r < lineitem.num_rows(); ++r) {
+    if (Value(lineitem, "l_commitdate", r) <
+        Value(lineitem, "l_receiptdate", r)) {
+      late_orders.insert(Value(lineitem, "l_orderkey", r));
+    }
+  }
+  const int64_t lo = tpch::DateToDays(1993, 7, 1);
+  const int64_t hi = tpch::DateToDays(1993, 10, 1);
+  std::map<std::string, std::pair<int64_t, int64_t>> by_priority;
+  for (uint64_t r = 0; r < orders.num_rows(); ++r) {
+    const int64_t date = Value(orders, "o_orderdate", r);
+    if (date < lo || date >= hi ||
+        late_orders.count(Value(orders, "o_orderkey", r)) == 0) {
+      continue;
+    }
+    auto& [code, count] = by_priority[std::string(
+        DictString(orders, "o_orderpriority", r))];
+    code = Value(orders, "o_orderpriority", r);
+    ++count;
+  }
+  Rows rows;
+  for (const auto& [name, code_count] : by_priority) {
+    rows.push_back({code_count.first, code_count.second});
+  }
+  return rows;
+}
+
+/// TPC-H Q9 as this repo defines it (p_type LIKE '%BRASS%' stands in for
+/// p_name LIKE '%green%'; the nation is reported by key), evaluated
+/// straight from its SQL with hash maps:
+///   SELECT s_nationkey, extract(year FROM o_orderdate) AS o_year,
+///          sum(l_extendedprice * (1 - l_discount)
+///              - ps_supplycost * l_quantity)
+///   FROM part, supplier, lineitem, partsupp, orders
+///   WHERE s_suppkey = l_suppkey AND ps_suppkey = l_suppkey
+///     AND ps_partkey = l_partkey AND p_partkey = l_partkey
+///     AND o_orderkey = l_orderkey AND p_type LIKE '%BRASS%'
+///   GROUP BY s_nationkey, o_year ORDER BY s_nationkey, o_year DESC
+/// Rows are {nation key, year, profit at scale 1e4}.
+Rows OracleQ9(const Catalog& catalog) {
+  const Table& part = *catalog.GetTable("part");
+  const Table& supplier = *catalog.GetTable("supplier");
+  const Table& partsupp = *catalog.GetTable("partsupp");
+  const Table& orders = *catalog.GetTable("orders");
+  const Table& lineitem = *catalog.GetTable("lineitem");
+  std::unordered_set<int64_t> brass_parts;
+  for (uint64_t r = 0; r < part.num_rows(); ++r) {
+    if (DictString(part, "p_type", r).find("BRASS") != std::string::npos) {
+      brass_parts.insert(Value(part, "p_partkey", r));
+    }
+  }
+  std::unordered_map<int64_t, int64_t> supplier_nation;
+  for (uint64_t r = 0; r < supplier.num_rows(); ++r) {
+    supplier_nation[Value(supplier, "s_suppkey", r)] =
+        Value(supplier, "s_nationkey", r);
+  }
+  std::map<std::pair<int64_t, int64_t>, int64_t> supply_cost;
+  for (uint64_t r = 0; r < partsupp.num_rows(); ++r) {
+    supply_cost[{Value(partsupp, "ps_partkey", r),
+                 Value(partsupp, "ps_suppkey", r)}] =
+        Value(partsupp, "ps_supplycost", r);
+  }
+  std::unordered_map<int64_t, int64_t> order_date;
+  for (uint64_t r = 0; r < orders.num_rows(); ++r) {
+    order_date[Value(orders, "o_orderkey", r)] =
+        Value(orders, "o_orderdate", r);
+  }
+  // Keyed (nation, -year) so the map iterates in ORDER BY order.
+  std::map<std::pair<int64_t, int64_t>, int64_t> profit;
+  for (uint64_t r = 0; r < lineitem.num_rows(); ++r) {
+    const int64_t partkey = Value(lineitem, "l_partkey", r);
+    const int64_t suppkey = Value(lineitem, "l_suppkey", r);
+    if (brass_parts.count(partkey) == 0) continue;
+    auto nation = supplier_nation.find(suppkey);
+    auto cost = supply_cost.find({partkey, suppkey});
+    auto date = order_date.find(Value(lineitem, "l_orderkey", r));
+    if (nation == supplier_nation.end() || cost == supply_cost.end() ||
+        date == order_date.end()) {
+      continue;
+    }
+    int year = 0, month = 0, day = 0;
+    tpch::DaysToDate(static_cast<int32_t>(date->second), &year, &month, &day);
+    profit[{nation->second, -year}] +=
+        Value(lineitem, "l_extendedprice", r) *
+            (100 - Value(lineitem, "l_discount", r)) -
+        cost->second * Value(lineitem, "l_quantity", r);
+  }
+  Rows rows;
+  for (const auto& [group, sum] : profit) {
+    rows.push_back({group.first, -group.second, sum});
+  }
+  return rows;
+}
+
+// AllEnginesAgree compares engines running the same plan, so a wrong plan
+// rewrite would pass it. Q4 and Q9 build their small side (Q4 probes
+// orders from lineitem, Q9 filters partsupp by part), so their rows are
+// checked against the SQL evaluated directly, on every engine.
+TEST_F(TpchFixtureTest, Q4AndQ9MatchSqlOracle) {
+  QueryEngine engine(&catalog(), 2);
+  const std::pair<int, Rows> cases[] = {{4, OracleQ4(catalog())},
+                                        {9, OracleQ9(catalog())}};
+  for (const auto& [number, expected] : cases) {
+    ASSERT_FALSE(expected.empty()) << "q" << number;
+    QueryRunOptions volcano;
+    volcano.engine = EngineKind::kVolcano;
+    QueryProgram program = BuildTpchQuery(number, catalog());
+    EXPECT_EQ(engine.Run(program, volcano).rows, expected)
+        << "q" << number << " volcano";
+    for (const EngineConfig& config : kEngineConfigs) {
+      QueryProgram program = BuildTpchQuery(number, catalog());
+      EXPECT_EQ(engine.Run(program, config.Options()).rows, expected)
+          << "q" << number << " " << config.label;
+    }
+    QueryRunOptions jit_opt;
+    jit_opt.strategy = ExecutionStrategy::kOptimized;
+    QueryProgram opt_program = BuildTpchQuery(number, catalog());
+    EXPECT_EQ(engine.Run(opt_program, jit_opt).rows, expected)
+        << "q" << number << " jit-opt";
+  }
+}
 
 TEST_F(TpchFixtureTest, HandwrittenQ1MatchesCompiled) {
   QueryEngine engine(&catalog(), 1);
