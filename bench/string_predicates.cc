@@ -87,7 +87,7 @@ QueryProgram BuildLikeCount(const Catalog& catalog, const Workload& w,
   ExprPtr predicate = std::move(lowered.expr);
   if (w.negate) predicate = Not(std::move(predicate));
 
-  int agg = q.DeclareAggSet(1, {0});
+  int agg = q.DeclareAggSet({AggKind::kCount});
   PipelineSpec p;
   p.name = std::string("scan ") + w.table;
   p.source_table = t;
@@ -100,10 +100,8 @@ QueryProgram BuildLikeCount(const Catalog& catalog, const Workload& w,
   p.sink = std::move(sink);
   q.AddPipeline(std::move(p));
   q.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(1, {0});
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
     int64_t count = 0;
+    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
     merged.ForEach([&count](int64_t, void* payload) {
       count = static_cast<const int64_t*>(payload)[0];
     });
@@ -120,7 +118,7 @@ QueryProgram BuildRangeCount(const Catalog& catalog, int64_t lo, int64_t hi) {
   QueryProgram q("strings_zonemap_range");
   const Table* table = catalog.GetTable("orders");
   int t = q.DeclareBaseTable("orders");
-  int agg = q.DeclareAggSet(1, {0});
+  int agg = q.DeclareAggSet({AggKind::kCount});
   PipelineSpec p;
   p.name = "scan orders";
   p.source_table = t;
@@ -134,10 +132,8 @@ QueryProgram BuildRangeCount(const Catalog& catalog, int64_t lo, int64_t hi) {
   p.sink = std::move(sink);
   q.AddPipeline(std::move(p));
   q.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(1, {0});
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
     int64_t count = 0;
+    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
     merged.ForEach([&count](int64_t, void* payload) {
       count = static_cast<const int64_t*>(payload)[0];
     });

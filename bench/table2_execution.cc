@@ -1,21 +1,57 @@
 // Regenerates Table II: execution times (compilation excluded) per query
 // for the Volcano baseline ("PG"), the vectorized baseline ("Monet"), and
 // the bytecode / unoptimized / optimized modes, single- and multi-threaded,
-// with the geometric mean over all implemented queries.
+// with the geometric mean over all implemented queries. A second table
+// splits each adaptive query's execution into pipelines and engine steps
+// (bind, seal, merge, top-k: exec_seconds_total minus the pipelines'
+// exec_only_seconds), single- and multi-threaded, median of 5 runs.
 #include "bench/bench_util.h"
 
 using namespace aqe;
 
 namespace {
 
-double RunOnce(QueryEngine* engine, Catalog* catalog, int number,
-               EngineKind kind, ExecutionStrategy strategy) {
+QueryRunResult RunQuery(QueryEngine* engine, Catalog* catalog, int number,
+                        EngineKind kind, ExecutionStrategy strategy) {
   QueryProgram q = BuildTpchQuery(number, *catalog);
   QueryRunOptions options;
   options.engine = kind;
   options.strategy = strategy;
   options.use_artifact_cache = false;  // Table II is a cold-execution table
-  return bench::ExecOnlySeconds(engine->Run(q, options)) * 1e3;
+  return engine->Run(q, options);
+}
+
+double RunOnce(QueryEngine* engine, Catalog* catalog, int number,
+               EngineKind kind, ExecutionStrategy strategy) {
+  return bench::ExecOnlySeconds(
+             RunQuery(engine, catalog, number, kind, strategy)) *
+         1e3;
+}
+
+/// An adaptive query's engine-step time and its share of exec: the medians
+/// of `runs` runs.
+struct StepSplit {
+  double steps_ms;
+  double share;
+};
+
+StepSplit MedianSteps(QueryEngine* engine, Catalog* catalog, int number,
+                      int runs) {
+  std::vector<double> steps_ms;
+  std::vector<double> shares;
+  for (int i = 0; i < runs; ++i) {
+    QueryRunResult r = RunQuery(engine, catalog, number, EngineKind::kCompiled,
+                                ExecutionStrategy::kAdaptive);
+    double pipelines = 0;
+    for (const PipelineReport& p : r.pipelines) {
+      pipelines += p.exec_only_seconds;
+    }
+    const double steps = r.exec_seconds_total - pipelines;
+    steps_ms.push_back(steps * 1e3);
+    shares.push_back(r.exec_seconds_total > 0 ? steps / r.exec_seconds_total
+                                              : 0);
+  }
+  return {bench::Percentile(steps_ms, 0.5), bench::Percentile(shares, 0.5)};
 }
 
 }  // namespace
@@ -66,5 +102,18 @@ int main() {
               bench::GeometricMean(columns[7]));
   std::printf("\nexpected shape: bc. several-fold slower than unopt.; unopt. "
               "modestly slower than opt.; bc. well ahead of PG\n");
+
+  constexpr int kStepRuns = 5;
+  std::printf("\nEngine steps of adaptive runs [ms] and their share of exec, "
+              "median of %d\n", kStepRuns);
+  std::printf("%6s | %9s %7s | %9s %7s (%d threads)\n", "query", "steps",
+              "share", "steps", "share", threads);
+  for (int number : ImplementedTpchQueries()) {
+    const StepSplit one = MedianSteps(&single, catalog, number, kStepRuns);
+    const StepSplit many = MedianSteps(&multi, catalog, number, kStepRuns);
+    std::printf("%6d | %9.2f %6.1f%% | %9.2f %6.1f%%\n", number, one.steps_ms,
+                one.share * 100, many.steps_ms, many.share * 100);
+    std::fflush(stdout);
+  }
   return 0;
 }

@@ -27,7 +27,7 @@ int main() {
   //             WHERE amount > 500.00 GROUP BY product ORDER BY product.
   QueryProgram query("quickstart");
   int table = query.DeclareBaseTable("sales");
-  int agg = query.DeclareAggSet(2, {0, 0});
+  int agg = query.DeclareAggSet({AggKind::kSum, AggKind::kCount});
   PipelineSpec scan;
   scan.name = "scan sales";
   scan.source_table = table;
@@ -41,10 +41,7 @@ int main() {
   scan.sink = std::move(sink);
   query.AddPipeline(std::move(scan));
   query.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(2, {0, 0});
-    ctx->agg_sets[agg]->MergeInto(
-        &merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
-    merged.ForEach([ctx](int64_t key, void* payload) {
+    ctx->agg_sets[agg]->ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[0], p[1]});
     });

@@ -43,8 +43,13 @@ struct PipelineExecState {
     } modes[kNumExecModes];
   };
 
-  PipelineExecState(uint64_t total_tuples, int participants)
-      : shards(total_tuples, participants), rates(participants) {}
+  PipelineExecState(uint64_t total_tuples, int participants,
+                    uint64_t morsel_tuples)
+      : shards(morsel_tuples == 0
+                   ? ShardedMorselQueue(total_tuples, participants)
+                   : ShardedMorselQueue(total_tuples, participants,
+                                        morsel_tuples, morsel_tuples)),
+        rates(participants) {}
 
   /// Pruned-scan variant: shards the domain's selected rows instead of a
   /// dense [0, total) — pruned morsels are never scheduled on any shard.
@@ -384,8 +389,8 @@ void PipelineRun::Start() {
 
   st_ = task_.domain != nullptr
             ? std::make_shared<PipelineExecState>(task_.domain, participants_)
-            : std::make_shared<PipelineExecState>(task_.total_tuples,
-                                                  participants_);
+            : std::make_shared<PipelineExecState>(
+                  task_.total_tuples, participants_, task_.morsel_tuples);
   st_->handle = task_.handle;
   st_->state = task_.state;
   st_->pipeline_id = task_.pipeline_id;

@@ -33,6 +33,9 @@ struct PipelineTask {
   FunctionHandle* handle = nullptr;  ///< starts in bytecode mode
   void* state = nullptr;
   uint64_t total_tuples = 0;          ///< known at pipeline start (§III-A)
+  /// Fixed morsel size, for engine-step runs whose units are indivisible
+  /// (one aggregation partition per morsel); 0 = the growing schedule.
+  uint64_t morsel_tuples = 0;
   /// Index/zone-map pruned scan domain (src/index/): when set, only the
   /// domain's ranges are ever scheduled and `total_tuples` must equal
   /// domain->selected(), so the §III-C extrapolation reasons over the rows
@@ -121,8 +124,9 @@ struct PipelineExecState;
 ///    own shard and rate slot, which no helper task ever uses, so slots
 ///    never collide. Per-thread runtime partitions (aggregation tables,
 ///    output buffers) are always indexed by the *executing* thread, which
-///    is correct under migration because every merge step covers all
-///    partitions.
+///    is correct under migration because a buffer's consumer reads every
+///    thread's rows, and an aggregation's partition merge folds partition
+///    p of every thread table.
 ///
 /// 3. Raw pipeline pointers outlive the run. `task.handle`, `task.state`
 ///    and the compile hook are dereferenced by helper/compile tasks only

@@ -35,8 +35,9 @@ struct CostModelParams {
   /// wide apart — load-compare-branch fusion and branch-chain splitting
   /// pull scan-filter shapes (Q6) to near-compiled speed, while join- and
   /// call-heavy plans keep the full compiled advantage — so the flat
-  /// geomean default matters mostly as a prior; the runtime-call-density
-  /// discount below and per-plan EWMA feedback do the per-shape work.
+  /// geomean default matters mostly as a prior. Only the runtime-call-
+  /// density discount below adapts it to a plan's shape; nothing feeds a
+  /// plan's measured rates back into these ratios yet.
   double unopt_speedup = 3.2;
   double opt_speedup = 3.8;
 

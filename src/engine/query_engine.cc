@@ -66,6 +66,33 @@ void NeverCalledWorker(void*, uint64_t, uint64_t, const void*) {
   AQE_UNREACHABLE("placeholder worker variant must never run");
 }
 
+/// Engine-step workers, run as morsels by a PipelineRun: `state` is the
+/// aggregation set (units are its partitions) or the join table (units are
+/// its nodes).
+void MergeWorker(void* state, uint64_t begin, uint64_t end, const void*) {
+  auto* set = static_cast<AggHashTableSet*>(state);
+  for (uint64_t p = begin; p < end; ++p) {
+    set->MergePartition(static_cast<int>(p));
+  }
+}
+
+void SealWorker(void* state, uint64_t begin, uint64_t end, const void*) {
+  static_cast<JoinHashTable*>(state)->LinkNodes(begin, end);
+}
+
+/// Below these sizes a merge or a seal runs inline on the query's thread.
+/// Spreading one is not free: each of its morsels is a slice, so on busy
+/// workers the query waits behind their queues once per morsel, and a
+/// concurrent link's atomic exchange costs about twice a plain store. At
+/// 150 Ki groups or nodes (Q18's merge and Q9's seal at SF 0.1) that cost
+/// 4 clients ~6% of their throughput for a wall-time gain under 1 ms. At
+/// 450 Ki (SF 0.3) on 4 workers, spreading cuts a merge of Q18's shape
+/// from ~16 to ~6 ms, and spreading Q9's orders seal cuts Q9's steps from
+/// ~6.9 to ~5.0 ms. Merge work counts the groups folded (see
+/// AggHashTableSet::BeginMerge), seal work the nodes linked.
+constexpr uint64_t kParallelMergeGroups = 1 << 18;
+constexpr uint64_t kParallelSealNodes = 1 << 18;
+
 /// QueryEngineOptions::profile_hz resolution: -1 defers to the
 /// AQE_PROFILE_HZ env override, falling back to 97 Hz (prime, so the
 /// sampler never phase-locks with msec-periodic engine activity).
@@ -99,6 +126,8 @@ struct EngineObs {
   Counter* queries_submitted = metrics.GetCounter("engine.queries_submitted");
   Counter* queries_completed = metrics.GetCounter("engine.queries_completed");
   Counter* morsels = metrics.GetCounter("exec.morsels");
+  /// Engine steps (aggregation merges, join seals) spread over the workers.
+  Counter* spread_steps = metrics.GetCounter("exec.spread_steps");
   Counter* mode_switches = metrics.GetCounter("adaptive.mode_switches");
   Counter* compiles = metrics.GetCounter("jit.compiles");
   Counter* anomalies = metrics.GetCounter("engine.anomalies");
@@ -775,6 +804,7 @@ class QueryJob : public Task {
                       (1 - kAlpha) * entry_->ewma_service_ms;
       ++entry_->observed_queries;
     }
+    step_run_.reset();
     active_.reset();
     memory_->Release(active_charged_bytes_);
     active_charged_bytes_ = 0;
@@ -789,20 +819,23 @@ class QueryJob : public Task {
   }
 
   /// The pre-instrumentation slice body: one engine step, pipeline setup,
-  /// or controller checkpoint of the embedded PipelineRun.
+  /// controller checkpoint of the embedded PipelineRun, or checkpoint of a
+  /// parallel merge or seal.
   Status RunSlice(int worker) {
     if (FailIfOverBudget(worker)) return Status::kDone;
-    if (active_ != nullptr) {
+    if (step_run_ != nullptr) {
+      if (step_run_->run->Step() != Task::Status::kDone) return Status::kYield;
+      FinishStepRun();
+    } else if (active_ != nullptr) {
       // Mid-pipeline: one controller checkpoint per slice.
       if (active_->run->Step() != Task::Status::kDone) return Status::kYield;
       FinishCompiledPipeline();
       active_.reset();
-      if (++stage_index_ < program_->stages().size()) return Status::kYield;
-    } else if (stage_index_ < program_->stages().size()) {
-      // The size check comes first: a QueryProgram with no stages at all
-      // must still produce an (empty) result.
-      RunStage(program_->stages()[stage_index_], worker);
-      if (active_ != nullptr) return Status::kYield;  // pipeline started
+    }
+    // The size check comes first: a QueryProgram with no stages at all
+    // must still produce an (empty) result.
+    if (stage_index_ < program_->stages().size()) {
+      if (!AdvanceStage(worker)) return Status::kYield;  // work in flight
       if (++stage_index_ < program_->stages().size()) return Status::kYield;
     }
     // The last stage may have grown past the budget inside its own slice.
@@ -837,7 +870,15 @@ class QueryJob : public Task {
 
   void EstimateCost();
   void RecordServiceTime(int worker);
-  void RunStage(const QueryProgram::Stage& stage, int worker);
+  bool AdvanceStage(int worker);
+  bool SpreadsSteps() const;
+  bool StartSealRun(const PipelineSpec& spec);
+  bool MergeAggregation(const PipelineSpec& spec);
+  void StartStepRun(WorkerFn worker, void* state, uint64_t units,
+                    uint64_t morsel_units);
+  void FinishStepRun();
+  void RunPipeline(const QueryProgram::Stage& stage, const PipelineSpec& spec,
+                   int worker);
   void StartCompiledPipeline(const QueryProgram::Stage& stage,
                              const PipelineSpec& spec,
                              PipelineBindings bindings,
@@ -879,9 +920,22 @@ class QueryJob : public Task {
   Timer total_timer_;  ///< from Submit — total_seconds includes queue wait
   std::promise<QueryRunResult> promise_;
   std::function<void()> on_finished_;
+  /// The current pipeline stage has run its pipeline; what is left is
+  /// merging the aggregation it fills.
+  bool stage_ran_ = false;
+  /// A parallel merge or seal: an engine step spread over the workers as a
+  /// PipelineRun whose handle holds a native worker (MergeWorker,
+  /// SealWorker) and whose PipelineObs is empty, so it records no trace
+  /// events and no PipelineReport; its time counts as engine steps.
+  struct StepRun {
+    explicit StepRun(WorkerFn fn) : handle(fn, nullptr) {}
+    FunctionHandle handle;
+    std::unique_ptr<PipelineRun> run;
+  };
   /// Declared after ctx_: destroyed first, so a run abandoned at shutdown
   /// quiesces while the context its bindings point into is still alive.
   std::unique_ptr<ActivePipeline> active_;
+  std::unique_ptr<StepRun> step_run_;
 };
 
 /// Cache-aware admission estimate. The service-time source, best first:
@@ -980,19 +1034,112 @@ void QueryJob::RecordServiceTime(int worker) {
   }
 }
 
-void QueryJob::RunStage(const QueryProgram::Stage& stage, int worker) {
-  const QueryProgram& program = *program_;
-  const QueryRunOptions& options = options_;
-  const RuntimeRegistry& registry = RuntimeRegistry::Global();
-
+/// Advances the current stage as far as it goes on this slice. Returns true
+/// when the stage is complete, false when it left work in flight: a
+/// compiled pipeline (active_) or a parallel merge or seal (step_run_),
+/// after which the next slice calls it again.
+bool QueryJob::AdvanceStage(int worker) {
+  const QueryProgram::Stage& stage = program_->stages()[stage_index_];
   if (stage.pipeline < 0) {
     Timer timer;
     stage.step(ctx_.get());
     result_.exec_seconds_total += timer.ElapsedSeconds();
-    return;
+    return true;
   }
   const PipelineSpec& spec =
-      program.pipelines()[static_cast<size_t>(stage.pipeline)];
+      program_->pipelines()[static_cast<size_t>(stage.pipeline)];
+  if (!stage_ran_) {
+    if (StartSealRun(spec)) return false;
+    RunPipeline(stage, spec, worker);
+    stage_ran_ = true;
+    if (active_ != nullptr) return false;
+  }
+  if (MergeAggregation(spec)) return false;
+  stage_ran_ = false;
+  return true;
+}
+
+/// Whether a large seal or merge is spread over the workers: only on the
+/// compiled engine (the baselines run their pipelines on the query's
+/// thread) and never for a single-threaded run.
+bool QueryJob::SpreadsSteps() const {
+  return options_.engine == EngineKind::kCompiled &&
+         !options_.single_threaded && sched_->num_workers() >= 2;
+}
+
+/// Starts a parallel seal of the first large join table `spec` probes that
+/// is not sealed yet, and returns true; false when none is left. Smaller
+/// tables, and every table when steps are not spread, are sealed by
+/// BindPipeline on the query's thread.
+bool QueryJob::StartSealRun(const PipelineSpec& spec) {
+  if (!SpreadsSteps()) return false;
+  for (const PipelineOp& op : spec.ops) {
+    const auto* probe = std::get_if<OpProbe>(&op);
+    if (probe == nullptr) continue;
+    JoinHashTable* ht = ctx_->join_tables[static_cast<size_t>(probe->ht)].get();
+    if (ht == nullptr || ht->sealed() || ht->size() < kParallelSealNodes) {
+      continue;
+    }
+    Timer timer;
+    const uint64_t nodes = ht->BeginSeal();
+    result_.exec_seconds_total += timer.ElapsedSeconds();
+    StartStepRun(&SealWorker, ht, nodes, /*morsel_units=*/0);
+    return true;
+  }
+  return false;
+}
+
+/// Merges the aggregation set `spec` fills, if it fills one. A large merge
+/// starts as a parallel run over the partitions (returns true); anything
+/// else merges inline, partition by partition.
+bool QueryJob::MergeAggregation(const PipelineSpec& spec) {
+  const auto* sink = std::get_if<SinkAgg>(&spec.sink);
+  if (sink == nullptr) return false;
+  AggHashTableSet* set = ctx_->agg_sets[static_cast<size_t>(sink->agg)].get();
+  Timer timer;
+  const uint64_t groups = set->BeginMerge();
+  if (SpreadsSteps() && groups >= kParallelMergeGroups) {
+    StartStepRun(&MergeWorker, set, kAggPartitions, /*morsel_units=*/1);
+    result_.exec_seconds_total += timer.ElapsedSeconds();
+    return true;
+  }
+  for (int p = 0; groups > 0 && p < kAggPartitions; ++p) {
+    set->MergePartition(p);
+  }
+  result_.exec_seconds_total += timer.ElapsedSeconds();
+  return false;
+}
+
+void QueryJob::StartStepRun(WorkerFn worker, void* state, uint64_t units,
+                            uint64_t morsel_units) {
+  obs_->spread_steps->Add();
+  auto step = std::make_unique<StepRun>(worker);
+  PipelineTask task;
+  task.handle = &step->handle;
+  task.state = state;
+  task.total_tuples = units;
+  task.morsel_tuples = morsel_units;
+  task.scheduling_class = options_.query_class;
+  step->run = std::make_unique<PipelineRun>(
+      sched_, ExecutionStrategy::kBytecode, options_.cost_model, task,
+      /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
+  step_run_ = std::move(step);
+}
+
+void QueryJob::FinishStepRun() {
+  const PipelineRunStats stats = step_run_->run->TakeStats();
+  result_.exec_seconds_total += stats.total_seconds;
+  result_.on_cpu_seconds += stats.helper_busy_seconds;
+  step_run_.reset();
+}
+
+/// Binds and runs (baselines) or starts (compiled engine) one pipeline.
+void QueryJob::RunPipeline(const QueryProgram::Stage& stage,
+                           const PipelineSpec& spec, int worker) {
+  const QueryProgram& program = *program_;
+  const QueryRunOptions& options = options_;
+  const RuntimeRegistry& registry = RuntimeRegistry::Global();
+
   PipelineReport report;
   report.name = spec.name;
   report.pipeline_index = static_cast<uint32_t>(stage.pipeline);
@@ -1815,8 +1962,12 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
     costs.push_back(std::move(cost));
 
     // Execute the pipeline (interpreted) so later pipelines can bind to the
-    // hash tables / temp tables this one produces.
+    // hash tables / temp tables this one produces, and the steps read its
+    // merged aggregation.
     RunPipelineVolcano(program, spec, ctx.get());
+    if (const auto* sink = std::get_if<SinkAgg>(&spec.sink)) {
+      ctx->agg_sets[static_cast<size_t>(sink->agg)]->Merge();
+    }
   }
   return costs;
 }

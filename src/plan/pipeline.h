@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "plan/expr.h"
+#include "runtime/agg_hash_table.h"
 #include "storage/column.h"
 
 namespace aqe {
@@ -29,9 +30,6 @@ struct OpProbe {
   JoinKind kind = JoinKind::kInner;
 };
 using PipelineOp = std::variant<OpFilter, OpCompute, OpProbe>;
-
-/// Aggregate function of one SinkAgg item.
-enum class AggKind : uint8_t { kSum, kCount, kMin, kMax };
 
 struct AggItem {
   AggKind kind;

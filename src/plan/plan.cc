@@ -18,10 +18,8 @@ int QueryProgram::DeclareJoinTable(uint32_t payload_slots) {
   return static_cast<int>(join_payload_slots_.size() - 1);
 }
 
-int QueryProgram::DeclareAggSet(uint32_t payload_slots,
-                                std::vector<int64_t> init) {
-  AQE_CHECK(init.size() == payload_slots);
-  agg_decls_.push_back({payload_slots, std::move(init)});
+int QueryProgram::DeclareAggSet(std::vector<AggKind> kinds) {
+  agg_decls_.push_back(std::move(kinds));
   return static_cast<int>(agg_decls_.size() - 1);
 }
 
@@ -74,9 +72,8 @@ std::unique_ptr<QueryContext> QueryProgram::MakeContext(
   auto ctx = std::make_unique<QueryContext>();
   ctx->catalog = catalog;
   ctx->join_tables.resize(join_payload_slots_.size());
-  for (const AggDecl& decl : agg_decls_) {
-    ctx->agg_sets.push_back(
-        std::make_unique<AggHashTableSet>(decl.payload_slots, decl.init));
+  for (const std::vector<AggKind>& kinds : agg_decls_) {
+    ctx->agg_sets.push_back(std::make_unique<AggHashTableSet>(kinds));
   }
   for (uint32_t slots : output_slots_) {
     ctx->outputs.push_back(std::make_unique<OutputBuffer>(slots));

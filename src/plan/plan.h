@@ -44,9 +44,13 @@ struct QueryContext {
 
 /// A complete executable query: declarations of runtime objects, the
 /// compiled pipelines, and the interleaved engine steps (the C++ part the
-/// paper assigns to queryStart: creating hash tables, merging aggregation
-/// results, sorting, …). Built once by a query builder; executable many
-/// times under any engine/mode.
+/// paper assigns to queryStart: creating hash tables, reading aggregation
+/// results, sorting, …). Two finalizations are not steps but the engine's
+/// own work, so it can spread them over its workers: it merges an
+/// aggregation set's partitions when the pipeline that fills it finishes,
+/// and seals a join table before the first pipeline that probes it binds.
+/// Built once by a query builder; executable many times under any
+/// engine/mode.
 class QueryProgram {
  public:
   explicit QueryProgram(std::string name) : name_(std::move(name)) {}
@@ -63,8 +67,11 @@ class QueryProgram {
   /// estimate: it sizes its directory to the entries its build inserted
   /// when the first pipeline that probes it binds (JoinHashTable::Seal).
   int DeclareJoinTable(uint32_t payload_slots);
-  /// Declares a per-thread aggregation table set.
-  int DeclareAggSet(uint32_t payload_slots, std::vector<int64_t> init);
+  /// Declares an aggregation table set with one slot per entry of `kinds`
+  /// (a SinkAgg's item kinds, in order). The engine merges it by these
+  /// kinds when the pipeline that fills it finishes, so the engine steps
+  /// that follow read merged groups (AggHashTableSet::ForEach).
+  int DeclareAggSet(std::vector<AggKind> kinds);
   /// Declares an output buffer of `row_slots` 8-byte values per row.
   int DeclareOutput(uint32_t row_slots);
   /// Declares a base table by name; returns a table id for pipelines.
@@ -132,11 +139,7 @@ class QueryProgram {
  private:
   std::string name_;
   std::vector<uint32_t> join_payload_slots_;
-  struct AggDecl {
-    uint32_t payload_slots;
-    std::vector<int64_t> init;
-  };
-  std::vector<AggDecl> agg_decls_;
+  std::vector<std::vector<AggKind>> agg_decls_;
   std::vector<uint32_t> output_slots_;
   struct TableDecl {
     std::string base_name;  // empty for temps

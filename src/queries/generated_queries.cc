@@ -33,10 +33,8 @@ QueryProgram BuildGeneratedAggregateQuery(int num_aggregates,
         Mul(Slot(3), I64(c)));
     items.push_back({AggKind::kSum, std::move(value), true});
   }
-  int agg =
-      q.DeclareAggSet(static_cast<uint32_t>(num_aggregates),
-                      std::vector<int64_t>(
-                          static_cast<size_t>(num_aggregates), 0));
+  int agg = q.DeclareAggSet(
+      std::vector<AggKind>(static_cast<size_t>(num_aggregates), AggKind::kSum));
   SinkAgg sink;
   sink.agg = agg;
   sink.key = I64(0);
@@ -47,12 +45,7 @@ QueryProgram BuildGeneratedAggregateQuery(int num_aggregates,
   q.AddPipeline(std::move(scan));
 
   q.AddStep([agg, n = num_aggregates](QueryContext* ctx) {
-    AggHashTable merged(static_cast<uint32_t>(n),
-                        std::vector<int64_t>(static_cast<size_t>(n), 0),
-                        ctx->memory.get());
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged,
-        [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
+    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
     merged.ForEach([ctx, n](int64_t, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.emplace_back(p, p + n);

@@ -30,25 +30,6 @@ int64_t DictCode(const Catalog& cat, const char* table, const char* column,
   return code;
 }
 
-/// Merges all per-thread aggregation tables of `agg` into one, respecting
-/// the per-slot aggregate kinds.
-AggHashTable MergeAgg(QueryContext* ctx, int agg,
-                      const std::vector<AggItem>& items,
-                      const std::vector<int64_t>& init) {
-  AggHashTable merged(static_cast<uint32_t>(items.size()), init,
-                      ctx->memory.get());
-  ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-      &merged, [&items](uint32_t slot, int64_t* acc, int64_t v) {
-        switch (items[slot].kind) {
-          case AggKind::kSum:
-          case AggKind::kCount: *acc += v; break;
-          case AggKind::kMin: *acc = std::min(*acc, v); break;
-          case AggKind::kMax: *acc = std::max(*acc, v); break;
-        }
-      });
-  return merged;
-}
-
 std::vector<AggItem> CloneItems(const std::vector<AggItem>& items) {
   std::vector<AggItem> clone;
   for (const AggItem& item : items) {
@@ -61,20 +42,17 @@ std::vector<AggItem> CloneItems(const std::vector<AggItem>& items) {
   return clone;
 }
 
-int64_t AggInitFor(AggKind kind) {
-  switch (kind) {
-    case AggKind::kSum:
-    case AggKind::kCount: return 0;
-    case AggKind::kMin: return INT64_MAX;
-    case AggKind::kMax: return INT64_MIN;
-  }
-  AQE_UNREACHABLE("bad AggKind");
+/// The slot kinds of an aggregation set, from its sink's items.
+std::vector<AggKind> KindsOf(const std::vector<AggItem>& items) {
+  std::vector<AggKind> kinds;
+  for (const AggItem& item : items) kinds.push_back(item.kind);
+  return kinds;
 }
 
-std::vector<int64_t> InitsFor(const std::vector<AggItem>& items) {
-  std::vector<int64_t> init;
-  for (const AggItem& item : items) init.push_back(AggInitFor(item.kind));
-  return init;
+/// The merged aggregation set `agg` (the engine merges it when the pipeline
+/// that fills it finishes).
+const AggHashTableSet& Merged(const QueryContext* ctx, int agg) {
+  return *ctx->agg_sets[static_cast<size_t>(agg)];
 }
 
 double F64FromBits(int64_t bits) {
@@ -136,16 +114,15 @@ QueryProgram BuildQ1(const Catalog& cat) {
   items.push_back({AggKind::kSum, Slot(8), true});
   items.push_back({AggKind::kSum, Slot(kDisc), true});
   items.push_back({AggKind::kCount, nullptr, false});
-  int agg = q.DeclareAggSet(6, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   agg_sink.agg = agg;
   agg_sink.key = Add(Mul(Slot(kRetFlag), I64(256)), Slot(kLineStatus));
   agg_sink.items = CloneItems(items);
   scan.sink = std::move(agg_sink);
   q.AddPipeline(std::move(scan));
 
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
+  q.AddStep([agg](QueryContext* ctx) {
+    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       int64_t count = p[5];
       // avg_qty, avg_price, avg_disc as doubles.
@@ -187,7 +164,7 @@ QueryProgram BuildQ6Impl(const Catalog& cat, const TpchQ6Literals& lit) {
   std::vector<AggItem> items;
   items.push_back(
       {AggKind::kSum, CheckedMul(Slot(kPrice), Slot(kDisc)), true});
-  int agg = q.DeclareAggSet(1, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   SinkAgg sink;
   sink.agg = agg;
   sink.key = I64(0);
@@ -195,10 +172,9 @@ QueryProgram BuildQ6Impl(const Catalog& cat, const TpchQ6Literals& lit) {
   scan.sink = std::move(sink);
   q.AddPipeline(std::move(scan));
 
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+  q.AddStep([agg](QueryContext* ctx) {
     int64_t revenue = 0;
-    merged.ForEach([&revenue](int64_t, void* payload) {
+    Merged(ctx, agg).ForEach([&revenue](int64_t, void* payload) {
       revenue = *static_cast<const int64_t*>(payload);
     });
     ctx->result.push_back({revenue});
@@ -268,7 +244,7 @@ QueryProgram BuildQ3(const Catalog& cat) {
   items[0].value = CheckedMul(Slot(2), Sub(I64(100), Slot(3)));
   items[1].value = Slot(4);
   items[2].value = Slot(5);
-  int agg = q.DeclareAggSet(3, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec probe;
     probe.name = "scan lineitem";
@@ -290,9 +266,8 @@ QueryProgram BuildQ3(const Catalog& cat) {
     probe.sink = std::move(sink);
     q.AddPipeline(std::move(probe));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
+  q.AddStep([agg](QueryContext* ctx) {
+    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[0], p[1], p[2]});
     });
@@ -336,7 +311,7 @@ QueryProgram BuildQ4(const Catalog& cat) {
   // One group per qualifying order; its lineitems all carry its priority.
   std::vector<AggItem> items;
   items.push_back({AggKind::kMax, Slot(3), false});
-  int agg = q.DeclareAggSet(1, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec probe;
     probe.name = "scan lineitem";
@@ -357,11 +332,10 @@ QueryProgram BuildQ4(const Catalog& cat) {
     probe.sink = std::move(sink);
     q.AddPipeline(std::move(probe));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+  q.AddStep([agg](QueryContext* ctx) {
     // ORDER BY o_orderpriority (dictionary codes sort like the strings).
     std::map<int64_t, int64_t> order_count;
-    merged.ForEach([&order_count](int64_t, void* payload) {
+    Merged(ctx, agg).ForEach([&order_count](int64_t, void* payload) {
       ++order_count[*static_cast<const int64_t*>(payload)];
     });
     for (const auto& [priority, count] : order_count) {
@@ -482,7 +456,7 @@ QueryProgram BuildQ5(const Catalog& cat) {
   std::vector<AggItem> items;
   items.push_back(
       {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(1, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec p;
     p.name = "scan lineitem";
@@ -509,9 +483,8 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
+  q.AddStep([agg](QueryContext* ctx) {
+    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
       ctx->result.push_back({key, *static_cast<const int64_t*>(payload)});
     });
     SortRows(&ctx->result, {{1, true, false}});
@@ -569,7 +542,7 @@ QueryProgram BuildQ11(const Catalog& cat) {
   std::vector<AggItem> part_items;
   part_items.push_back(
       {AggKind::kSum, CheckedMul(Slot(3), Mul(Slot(2), I64(100))), true});
-  int part_agg = q.DeclareAggSet(1, InitsFor(part_items));
+  int part_agg = q.DeclareAggSet(KindsOf(part_items));
   {
     PipelineSpec p;
     p.name = "scan partsupp 1";
@@ -594,7 +567,7 @@ QueryProgram BuildQ11(const Catalog& cat) {
   std::vector<AggItem> total_items;
   total_items.push_back(
       {AggKind::kSum, CheckedMul(Slot(3), Mul(Slot(2), I64(100))), true});
-  int total_agg = q.DeclareAggSet(1, InitsFor(total_items));
+  int total_agg = q.DeclareAggSet(KindsOf(total_items));
   {
     PipelineSpec p;
     p.name = "scan partsupp 2";
@@ -615,37 +588,37 @@ QueryProgram BuildQ11(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([part_agg, total_agg, part_items = std::make_shared<const std::vector<AggItem>>(CloneItems(part_items)),
-             total_items = std::make_shared<const std::vector<AggItem>>(CloneItems(total_items))](QueryContext* ctx) {
-    AggHashTable totals =
-        MergeAgg(ctx, total_agg, *total_items, InitsFor(*total_items));
+  q.AddStep([part_agg, total_agg](QueryContext* ctx) {
     int64_t total = 0;
-    totals.ForEach([&total](int64_t, void* payload) {
+    Merged(ctx, total_agg).ForEach([&total](int64_t, void* payload) {
       total = *static_cast<const int64_t*>(payload);
     });
     // HAVING value > total * 0.0001 (the spec's fraction/SF; we use the
     // SF-1 fraction).
     const int64_t threshold =
         static_cast<int64_t>(static_cast<double>(total) * 0.0001);
-    AggHashTable parts =
-        MergeAgg(ctx, part_agg, *part_items, InitsFor(*part_items));
-    parts.ForEach([ctx, threshold](int64_t key, void* payload) {
-      int64_t value = *static_cast<const int64_t*>(payload);
-      if (value > threshold) ctx->result.push_back({key, value});
-    });
+    Merged(ctx, part_agg)
+        .ForEach([ctx, threshold](int64_t key, void* payload) {
+          int64_t value = *static_cast<const int64_t*>(payload);
+          if (value > threshold) ctx->result.push_back({key, value});
+        });
     SortRows(&ctx->result, {{1, true, false}});
   });
   return q;
 }
 
 // =============================================================================
-// Q12: shipping modes and order priority.
+// Q12: shipping modes and order priority. About 1% of lineitems pass the
+// filter, so they are the small side: pre-aggregate them by orderkey into
+// MAIL and SHIP line counts, turn the groups into a join table in a step
+// (as Q18 does), and probe it from orders into one sum per shipmode and
+// priority class.
 // =============================================================================
 QueryProgram BuildQ12(const Catalog& cat) {
   QueryProgram q("q12");
-  int orders = q.DeclareBaseTable("orders");
   int lineitem = q.DeclareBaseTable("lineitem");
-  int order_ht = q.DeclareJoinTable(1);  // payload: o_orderpriority
+  int orders = q.DeclareBaseTable("orders");
+  int line_ht = q.DeclareJoinTable(2);  // payload: MAIL lines, SHIP lines
 
   const int64_t mail = DictCode(cat, "lineitem", "l_shipmode", "MAIL");
   const int64_t ship = DictCode(cat, "lineitem", "l_shipmode", "SHIP");
@@ -653,32 +626,14 @@ QueryProgram BuildQ12(const Catalog& cat) {
       DictCode(cat, "orders", "o_orderpriority", "1-URGENT");
   const int64_t high = DictCode(cat, "orders", "o_orderpriority", "2-HIGH");
 
-  AddMakeJoinTable(&q, order_ht);
+  // Per order: its qualifying lines shipped by MAIL and by SHIP.
+  std::vector<AggItem> line_items;
+  line_items.push_back({AggKind::kSum, Eq(Slot(1), I64(mail)), false});
+  line_items.push_back({AggKind::kSum, Eq(Slot(1), I64(ship)), false});
+  int line_agg = q.DeclareAggSet(KindsOf(line_items));
   {
     PipelineSpec p;
-    p.name = "build orders";
-    p.source_table = orders;
-    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                      Col(cat, "orders", "o_orderpriority")};
-    SinkBuild sink;
-    sink.ht = order_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  // high_line_count = sum(priority in (URGENT, HIGH)); low = sum(not).
-  std::vector<AggItem> items;
-  items.push_back({AggKind::kSum,
-                   Or(Eq(Slot(6), I64(urgent)), Eq(Slot(6), I64(high))),
-                   false});
-  items.push_back({AggKind::kSum,
-                   And(Ne(Slot(6), I64(urgent)), Ne(Slot(6), I64(high))),
-                   false});
-  int agg = q.DeclareAggSet(2, InitsFor(items));
-  {
-    PipelineSpec p;
-    p.name = "scan lineitem";
+    p.name = "agg lineitem";
     p.source_table = lineitem;
     p.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
                       Col(cat, "lineitem", "l_shipmode"),
@@ -690,26 +645,59 @@ QueryProgram BuildQ12(const Catalog& cat) {
         And(And(Lt(Slot(2), Slot(3)), Lt(Slot(4), Slot(2))),
             And(Ge(Slot(3), I64(DateToDays(1994, 1, 1))),
                 Lt(Slot(3), I64(DateToDays(1995, 1, 1))))))});
+    SinkAgg sink;
+    sink.agg = line_agg;
+    sink.key = Slot(0);
+    sink.items = CloneItems(line_items);
+    p.sink = std::move(sink);
+    q.AddPipeline(std::move(p));
+  }
+  q.AddStep([line_agg, line_ht](QueryContext* ctx) {
+    auto ht = std::make_unique<JoinHashTable>(2, ctx->memory.get());
+    Merged(ctx, line_agg).ForEach([&ht](int64_t key, void* payload) {
+      std::memcpy(ht->Insert(key), payload, 2 * sizeof(int64_t));
+    });
+    ctx->join_tables[static_cast<size_t>(line_ht)] = std::move(ht);
+  });
+  // high_line_count counts the lines of orders with priority 1-URGENT or
+  // 2-HIGH, low_line_count the others: per mode, all lines minus high.
+  // Sums: MAIL high, MAIL all, SHIP high, SHIP all.
+  std::vector<AggItem> items;
+  items.push_back({AggKind::kSum, Mul(Slot(2), Slot(4)), false});
+  items.push_back({AggKind::kSum, Slot(2), false});
+  items.push_back({AggKind::kSum, Mul(Slot(3), Slot(4)), false});
+  items.push_back({AggKind::kSum, Slot(3), false});
+  int agg = q.DeclareAggSet(KindsOf(items));
+  {
+    PipelineSpec p;
+    p.name = "scan orders";
+    p.source_table = orders;
+    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
+                      Col(cat, "orders", "o_orderpriority")};
     OpProbe probe;
-    probe.ht = order_ht;
+    probe.ht = line_ht;
     probe.key = Slot(0);
-    probe.payload_slots = 1;  // o_orderpriority -> slot 5... slot index 5
+    probe.payload_slots = 2;  // MAIL lines -> slot 2, SHIP lines -> slot 3
     p.ops.push_back(std::move(probe));
-    // NOTE: payload lands in slot 5; expressions above reference slot 6
-    // because a compute op below copies it (keeps the agg exprs readable).
-    p.ops.push_back(OpCompute{Add(Slot(5), I64(0))});  // slot 6 = priority
+    p.ops.push_back(OpCompute{BoolToI64(Or(
+        Eq(Slot(1), I64(urgent)), Eq(Slot(1), I64(high))))});  // slot 4
     SinkAgg sink;
     sink.agg = agg;
-    sink.key = Slot(1);  // group by shipmode
+    sink.key = I64(0);
     sink.items = CloneItems(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
+  q.AddStep([agg, mail, ship](QueryContext* ctx) {
+    Merged(ctx, agg).ForEach([&](int64_t, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
-      ctx->result.push_back({key, p[0], p[1]});
+      // GROUP BY l_shipmode: a mode has a row when any line qualified.
+      for (const auto& [mode, counts] : {std::pair(mail, p),
+                                         std::pair(ship, p + 2)}) {
+        if (counts[1] > 0) {
+          ctx->result.push_back({mode, counts[0], counts[1] - counts[0]});
+        }
+      }
     });
     SortRows(&ctx->result, {{0, false, false}});
   });
@@ -755,7 +743,7 @@ QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
                    true});
   items.push_back(
       {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(2, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec p;
     p.name = "scan lineitem";
@@ -778,10 +766,9 @@ QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+  q.AddStep([agg](QueryContext* ctx) {
     int64_t promo = 0, total = 0;
-    merged.ForEach([&promo, &total](int64_t, void* payload) {
+    Merged(ctx, agg).ForEach([&promo, &total](int64_t, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       promo = p[0];
       total = p[1];
@@ -809,7 +796,7 @@ QueryProgram BuildQ18(const Catalog& cat) {
 
   std::vector<AggItem> items;
   items.push_back({AggKind::kSum, Slot(1), true});
-  int agg = q.DeclareAggSet(1, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec p;
     p.name = "agg lineitem";
@@ -826,10 +813,9 @@ QueryProgram BuildQ18(const Catalog& cat) {
   // Engine step: materialize qualifying orderkeys (sum > 300.00) into a
   // join hash table (the paper's queryStart-style C++ glue). Few orders
   // qualify; the probe's seal sizes the table to them, not to the groups.
-  q.AddStep([agg, qualify_ht, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+  q.AddStep([agg, qualify_ht](QueryContext* ctx) {
     auto ht = std::make_unique<JoinHashTable>(1, ctx->memory.get());
-    merged.ForEach([&](int64_t key, void* payload) {
+    Merged(ctx, agg).ForEach([&](int64_t key, void* payload) {
       const int64_t quantity = *static_cast<const int64_t*>(payload);
       if (quantity > 300 * kDecimalScale) {
         *static_cast<int64_t*>(ht->Insert(key)) = quantity;
@@ -919,7 +905,7 @@ QueryProgram BuildQ19(const Catalog& cat) {
   std::vector<AggItem> items;
   items.push_back(
       {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(1, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec p;
     p.name = "scan lineitem";
@@ -955,10 +941,9 @@ QueryProgram BuildQ19(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
+  q.AddStep([agg](QueryContext* ctx) {
     int64_t revenue = 0;
-    merged.ForEach([&revenue](int64_t, void* payload) {
+    Merged(ctx, agg).ForEach([&revenue](int64_t, void* payload) {
       revenue = *static_cast<const int64_t*>(payload);
     });
     ctx->result.push_back({revenue});
@@ -1047,7 +1032,7 @@ QueryProgram BuildQ7(const Catalog& cat) {
   std::vector<AggItem> items;
   items.push_back(
       {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(1, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec p;
     p.name = "scan lineitem";
@@ -1085,10 +1070,8 @@ QueryProgram BuildQ7(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(
-                      CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
+  q.AddStep([agg](QueryContext* ctx) {
+    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
       ctx->result.push_back({key >> 20, (key >> 12) & 255, key & 4095,
                              *static_cast<const int64_t*>(payload)});
     });
@@ -1193,7 +1176,7 @@ QueryProgram BuildQ9(const Catalog& cat) {
                    CheckedSub(CheckedMul(Slot(4), Sub(I64(100), Slot(5))),
                               CheckedMul(Slot(8), Slot(3))),
                    true});
-  int agg = q.DeclareAggSet(1, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec p;
     p.name = "scan lineitem";
@@ -1239,10 +1222,8 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(
-                      CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
+  q.AddStep([agg](QueryContext* ctx) {
+    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
       ctx->result.push_back(
           {key >> 12, key & 4095, *static_cast<const int64_t*>(payload)});
     });
@@ -1300,7 +1281,7 @@ QueryProgram BuildQ10(const Catalog& cat) {
   items.push_back(
       {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
   items.push_back({AggKind::kMin, Slot(5), false});  // nationkey carrier
-  int agg = q.DeclareAggSet(2, InitsFor(items));
+  int agg = q.DeclareAggSet(KindsOf(items));
   {
     PipelineSpec p;
     p.name = "scan lineitem";
@@ -1328,10 +1309,8 @@ QueryProgram BuildQ10(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, items = std::make_shared<const std::vector<AggItem>>(
-                      CloneItems(items))](QueryContext* ctx) {
-    AggHashTable merged = MergeAgg(ctx, agg, *items, InitsFor(*items));
-    merged.ForEach([ctx](int64_t key, void* payload) {
+  q.AddStep([agg](QueryContext* ctx) {
+    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[1], p[0]});
     });

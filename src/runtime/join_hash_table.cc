@@ -64,17 +64,6 @@ struct JoinHashTable::Arena {
     for (size_t c = 0; c < chunks.size(); ++c) nodes += Used(c) / node_bytes;
     return nodes;
   }
-
-  /// Calls fn(node) for every node carved from this arena.
-  template <typename Fn>
-  void ForEachNode(size_t node_bytes, Fn&& fn) {
-    for (size_t c = 0; c < chunks.size(); ++c) {
-      for (size_t offset = 0; offset + node_bytes <= Used(c);
-           offset += node_bytes) {
-        fn(chunks[c].data() + offset);
-      }
-    }
-  }
 };
 
 JoinHashTable::JoinHashTable(uint32_t payload_slots,
@@ -132,22 +121,64 @@ uint64_t JoinHashTable::size() const {
 
 void JoinHashTable::Seal() {
   if (sealed_) return;
+  Link</*kAtomic=*/false>(0, BeginSeal());
+}
+
+uint64_t JoinHashTable::BeginSeal() {
+  AQE_CHECK_MSG(!sealed_, "join table sealed twice");
   sealed_ = true;
-  const uint64_t entries = size();
+  uint64_t entries = 0;
+  for (const auto& arena : arenas_) {
+    if (arena == nullptr) continue;
+    for (size_t c = 0; c < arena->chunks.size(); ++c) {
+      const uint64_t nodes = arena->Used(c) / node_bytes();
+      if (nodes == 0) continue;
+      runs_.push_back({entries, nodes, arena->chunks[c].data()});
+      entries += nodes;
+    }
+  }
   uint64_t buckets = 16;
   while (buckets < entries) buckets <<= 1;
   directory_.assign(buckets, nullptr);
   mask_ = buckets - 1;
   if (tracker_ != nullptr) tracker_->Charge(buckets * sizeof(uint8_t*));
-  for (const auto& arena : arenas_) {
-    if (arena == nullptr) continue;
-    arena->ForEachNode(node_bytes(), [this](uint8_t* node) {
-      uint8_t*& head =
-          directory_[HashKey(*reinterpret_cast<const int64_t*>(node + 8)) &
-                     mask_];
-      *reinterpret_cast<uint8_t**>(node) = head;
-      head = node;
-    });
+  return entries;
+}
+
+void JoinHashTable::LinkNodes(uint64_t begin, uint64_t end) {
+  Link</*kAtomic=*/true>(begin, end);
+}
+
+template <bool kAtomic>
+void JoinHashTable::Link(uint64_t begin, uint64_t end) {
+  if (begin >= end) return;
+  // The last run starting at or before `begin`.
+  auto run = std::upper_bound(
+      runs_.begin(), runs_.end(), begin,
+      [](uint64_t node, const NodeRun& r) { return node < r.first; });
+  AQE_CHECK(run != runs_.begin());
+  --run;
+  // Locals, not members: the links are pointer stores, which the compiler
+  // must assume could overwrite any member read through `this`.
+  uint8_t** const directory = directory_.data();
+  const uint64_t mask = mask_;
+  const uint32_t bytes = node_bytes();
+  for (uint64_t n = begin; n < end; ++run) {
+    const uint64_t stop = std::min(end, run->first + run->count);
+    uint8_t* node = run->base + (n - run->first) * bytes;
+    for (; n < stop; ++n, node += bytes) {
+      uint8_t** head =
+          &directory[HashKey(*reinterpret_cast<const int64_t*>(node + 8)) &
+                     mask];
+      uint8_t* next;
+      if constexpr (kAtomic) {
+        next = __atomic_exchange_n(head, node, __ATOMIC_RELAXED);
+      } else {
+        next = *head;
+        *head = node;
+      }
+      *reinterpret_cast<uint8_t**>(node) = next;
+    }
   }
 }
 

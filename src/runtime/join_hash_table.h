@@ -20,7 +20,11 @@ class QueryMemoryTracker;
 ///   2. Seal: once the build pipeline has finished, the first pipeline that
 ///      probes the table seals it at bind time (BindPipeline). Seal sizes
 ///      the bucket directory to the number of nodes actually inserted and
-///      links every node into its chain.
+///      links every node into its chain. The count is known before any
+///      node is linked, so the links can be split: BeginSeal sizes the
+///      directory, and LinkNodes links a range of nodes, pushing each onto
+///      its chain with an atomic exchange of the bucket head. The engine
+///      runs a large table's ranges as morsels on its workers.
 /// Lookups need a sealed table; an insert after the seal is a CHECK failure.
 /// So no cardinality estimate is needed, and a selective build costs a
 /// directory sized to the rows that passed its filters, not to its input.
@@ -45,9 +49,19 @@ class JoinHashTable {
   /// (zeroed). Thread-safe; called per build tuple from generated code.
   void* Insert(int64_t key);
 
-  /// Sizes the directory to the inserted count and links every node.
-  /// Idempotent; must not run concurrently with Insert.
+  /// Sizes the directory to the inserted count and links every node on
+  /// the calling thread. Idempotent; must not run concurrently with Insert.
   void Seal();
+
+  /// The first half of a split seal: sizes the directory and returns the
+  /// node count. The nodes are numbered in arena order, 0 .. count - 1.
+  uint64_t BeginSeal();
+  /// Links nodes [begin, end) after BeginSeal. Calls on disjoint ranges
+  /// may run concurrently; the table may be probed once every node is
+  /// linked.
+  void LinkNodes(uint64_t begin, uint64_t end);
+
+  bool sealed() const { return sealed_; }
 
   /// First chain node whose key equals `key`, or nullptr. Needs Seal().
   void* Lookup(int64_t key) const;
@@ -81,10 +95,19 @@ class JoinHashTable {
 
  private:
   struct Arena;
+  /// A run of nodes in one arena chunk, in seal numbering.
+  struct NodeRun {
+    uint64_t first;  ///< seal number of the run's first node
+    uint64_t count;
+    uint8_t* base;
+  };
 
   static uint64_t HashKey(int64_t key);
   uint8_t* AllocNode();
   void CheckSealed() const;
+  /// Links nodes [begin, end); kAtomic for concurrent callers.
+  template <bool kAtomic>
+  void Link(uint64_t begin, uint64_t end);
 
   PageVector<uint8_t*> directory_;
   uint64_t mask_ = 0;
@@ -94,6 +117,7 @@ class JoinHashTable {
 
   mutable std::mutex arena_mutex_;
   std::vector<std::unique_ptr<Arena>> arenas_;
+  std::vector<NodeRun> runs_;  ///< every chunk's nodes, set by BeginSeal
 };
 
 }  // namespace aqe

@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <map>
+#include <memory>
+#include <unordered_map>
+#include <vector>
 
 #include "common/fixed_point.h"
 #include "engine/query_engine.h"
@@ -46,7 +50,7 @@ class EngineTest : public ::testing::Test {
     int dim_id = q.DeclareBaseTable("dim");
     int fact_id = q.DeclareBaseTable("fact");
     int ht = q.DeclareJoinTable(/*payload_slots=*/1);
-    int agg = q.DeclareAggSet(2, {0, 0});
+    int agg = q.DeclareAggSet({AggKind::kSum, AggKind::kCount});
     (void)q.DeclareOutput(3);
 
     // queryStart-style C++ step: create the join hash table.
@@ -88,12 +92,7 @@ class EngineTest : public ::testing::Test {
 
     // Final step: merge per-thread aggregates, sort by group.
     q.AddStep([agg](QueryContext* ctx) {
-      AggHashTable merged(2, {0, 0});
-      ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-          &merged, [](uint32_t slot, int64_t* acc, int64_t v) {
-            (void)slot;
-            *acc += v;
-          });
+      const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
       merged.ForEach([ctx](int64_t key, void* payload) {
         const auto* p = static_cast<const int64_t*>(payload);
         ctx->result.push_back({key, p[0], p[1]});
@@ -228,6 +227,99 @@ TEST_F(EngineTest, MeasureCompileCosts) {
     EXPECT_LT(c.bytecode_millis, c.unopt_millis);
     EXPECT_LT(c.unopt_millis, c.opt_millis);
   }
+}
+
+/// SELECT w_key, sum(b.w_value), count(*), min(p.w_value), max(p.w_value)
+/// FROM wide p JOIN (SELECT * FROM wide WHERE w_value < 300000) b
+///   ON p.w_key = b.w_key GROUP BY w_key,
+/// over a table whose every key sits on two rows far apart (w_value is the
+/// row number, so the build side holds each key once). The build side and
+/// the group count are past the engine's inline thresholds, so on a
+/// multi-worker engine the join table is sealed, and the aggregation
+/// merged, in parallel on the workers.
+TEST(EngineStepTest, ParallelMergeAndSealMatchReference) {
+  constexpr int64_t kKeys = 300000;
+  Catalog catalog;
+  Table* wide = catalog.CreateTable("wide");
+  wide->AddColumn("w_key", DataType::kI64);
+  wide->AddColumn("w_value", DataType::kI64);
+  // first_row[key]: the key's row below kKeys, the one the build keeps;
+  // its other row is first_row[key] + kKeys.
+  auto first_row = std::make_shared<std::vector<int64_t>>(kKeys);
+  for (int64_t r = 0; r < 2 * kKeys; ++r) {
+    const int64_t key = (r * 7919) % kKeys;
+    wide->column(0).AppendInt(key);
+    wide->column(1).AppendInt(r);
+    if (r < kKeys) (*first_row)[static_cast<size_t>(key)] = r;
+  }
+
+  QueryProgram q("wide_self_join");
+  const int table = q.DeclareBaseTable("wide");
+  const int ht = q.DeclareJoinTable(1);
+  const int agg = q.DeclareAggSet(
+      {AggKind::kSum, AggKind::kCount, AggKind::kMin, AggKind::kMax});
+  q.AddStep([ht](QueryContext* ctx) {
+    ctx->join_tables[static_cast<size_t>(ht)] =
+        std::make_unique<JoinHashTable>(1, ctx->memory.get());
+  });
+  PipelineSpec build;
+  build.name = "build wide";
+  build.source_table = table;
+  build.scan_columns = {0, 1};
+  build.ops.push_back(OpFilter{Lt(Slot(1), I64(kKeys))});
+  SinkBuild build_sink;
+  build_sink.ht = ht;
+  build_sink.key = Slot(0);
+  build_sink.payload.push_back(Slot(1));
+  build.sink = std::move(build_sink);
+  q.AddPipeline(std::move(build));
+  PipelineSpec probe;
+  probe.name = "probe wide";
+  probe.source_table = table;
+  probe.scan_columns = {0, 1};
+  OpProbe op;
+  op.ht = ht;
+  op.key = Slot(0);
+  op.payload_slots = 1;  // build w_value -> slot 2
+  probe.ops.push_back(std::move(op));
+  SinkAgg sink;
+  sink.agg = agg;
+  sink.key = Slot(0);
+  sink.items.push_back({AggKind::kSum, Slot(2), /*checked=*/true});
+  sink.items.push_back({AggKind::kCount, nullptr, /*checked=*/false});
+  sink.items.push_back({AggKind::kMin, Slot(1), /*checked=*/false});
+  sink.items.push_back({AggKind::kMax, Slot(1), /*checked=*/false});
+  probe.sink = std::move(sink);
+  q.AddPipeline(std::move(probe));
+  // The step checks every group against the reference itself and returns
+  // {groups, groups that differ}, so no 300 k result rows are built.
+  q.AddStep([agg, first_row](QueryContext* ctx) {
+    int64_t groups = 0;
+    int64_t wrong = 0;
+    ctx->agg_sets[static_cast<size_t>(agg)]->ForEach(
+        [&](int64_t key, void* payload) {
+          const auto* p = static_cast<const int64_t*>(payload);
+          const int64_t r = key >= 0 && key < kKeys
+                                ? (*first_row)[static_cast<size_t>(key)]
+                                : -1;
+          ++groups;
+          wrong += p[0] != 2 * r || p[1] != 2 || p[2] != r ||
+                   p[3] != r + kKeys;
+        });
+    ctx->result.push_back({groups, wrong});
+  });
+
+  // One bytecode run on 2 workers: the spread steps are the engine's, not
+  // the mode's, and two workers already split them.
+  QueryEngine engine(&catalog, /*num_threads=*/2);
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  QueryRunResult result = engine.Run(q, options);
+  EXPECT_EQ(result.rows, (std::vector<std::vector<int64_t>>{{kKeys, 0}}));
+  // The merge and the seal are engine steps, not pipelines, and both were
+  // large enough to be spread over the workers.
+  EXPECT_EQ(result.pipelines.size(), 2u);
+  EXPECT_EQ(engine.ObservabilitySnapshot().counter("exec.spread_steps"), 2u);
 }
 
 TEST_F(EngineTest, ExprEvalMatrix) {

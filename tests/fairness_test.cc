@@ -148,7 +148,7 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
 QueryProgram BuildScanAggQuery(const char* table, const char* name) {
   QueryProgram q(name);
   int t = q.DeclareBaseTable(table);
-  int agg = q.DeclareAggSet(1, {0});
+  int agg = q.DeclareAggSet({AggKind::kSum});
   (void)q.DeclareOutput(2);
 
   PipelineSpec scan;
@@ -164,12 +164,7 @@ QueryProgram BuildScanAggQuery(const char* table, const char* name) {
   q.AddPipeline(std::move(scan));
 
   q.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(1, {0});
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged, [](uint32_t slot, int64_t* acc, int64_t v) {
-          (void)slot;
-          *acc += v;
-        });
+    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
     merged.ForEach([ctx](int64_t key, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({key, p[0]});

@@ -139,7 +139,8 @@ QueryProgram BuildCountSum(
     const std::vector<int>& summed) {
   QueryProgram q("narrow");
   const int table = q.DeclareBaseTable("t");
-  const int agg = q.DeclareAggSet(4, {0, 0, 0, 0});
+  const int agg = q.DeclareAggSet(
+      {AggKind::kCount, AggKind::kSum, AggKind::kSum, AggKind::kSum});
   PipelineSpec scan;
   scan.name = "scan t";
   scan.source_table = table;
@@ -157,10 +158,7 @@ QueryProgram BuildCountSum(
   scan.sink = std::move(sink);
   q.AddPipeline(std::move(scan));
   q.AddStep([agg](QueryContext* ctx) {
-    AggHashTable merged(4, {0, 0, 0, 0});
-    ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-        &merged,
-        [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
+    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
     merged.ForEach([ctx](int64_t, void* payload) {
       const auto* p = static_cast<const int64_t*>(payload);
       ctx->result.push_back({p[0], p[1], p[2], p[3]});

@@ -1,12 +1,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cstring>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <memory>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "obs/memory_tracker.h"
 #include "runtime/agg_hash_table.h"
@@ -149,6 +154,53 @@ TEST(JoinHashTableTest, SmallTableChargesSmallChunks) {
   EXPECT_EQ(tracker.current_bytes(), 0u);
 }
 
+// A seal split into node ranges that threads link concurrently (as the
+// engine's parallel seal does) links every node: each key's chain holds
+// exactly the payloads the serial seal's chain holds.
+TEST(JoinHashTableTest, ConcurrentLinkNodesMatchesSerialSeal) {
+  constexpr int kThreads = 4;
+  constexpr int64_t kRows = 100000;  // several arena chunks per thread
+  constexpr int64_t kKeys = 25000;
+  JoinHashTable serial(1);
+  JoinHashTable split(1);
+  for (JoinHashTable* ht : {&serial, &split}) {
+    std::vector<std::thread> threads;
+    for (int t = 0; t < kThreads; ++t) {
+      threads.emplace_back([ht, t] {
+        runtime_internal::SetThreadIndex(t);
+        for (int64_t r = t; r < kRows; r += kThreads) {
+          *static_cast<int64_t*>(ht->Insert(r % kKeys)) = r;
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+  }
+  serial.Seal();
+  const uint64_t nodes = split.BeginSeal();
+  ASSERT_EQ(nodes, static_cast<uint64_t>(kRows));
+  EXPECT_EQ(split.directory_slots(), serial.directory_slots());
+  // Uneven ranges, some crossing chunk and arena boundaries.
+  const uint64_t bounds[] = {0, 1, 7000, 32768, 60001, nodes};
+  std::vector<std::thread> linkers;
+  for (size_t i = 0; i + 1 < std::size(bounds); ++i) {
+    linkers.emplace_back(
+        [&split, &bounds, i] { split.LinkNodes(bounds[i], bounds[i + 1]); });
+  }
+  for (auto& th : linkers) th.join();
+  auto payloads = [](const JoinHashTable& ht, int64_t key) {
+    std::vector<int64_t> out;
+    for (void* n = ht.Lookup(key); n != nullptr;
+         n = JoinHashTable::Next(n, key)) {
+      out.push_back(*reinterpret_cast<int64_t*>(static_cast<uint8_t*>(n) + 16));
+    }
+    std::sort(out.begin(), out.end());
+    return out;
+  };
+  for (int64_t k = 0; k < kKeys; ++k) {
+    ASSERT_EQ(payloads(split, k), payloads(serial, k)) << k;
+  }
+}
+
 TEST(JoinHashTableDeathTest, InsertAfterSealDies) {
   JoinHashTable ht(1);
   ht.Insert(1);
@@ -160,6 +212,20 @@ TEST(JoinHashTableDeathTest, LookupBeforeSealDies) {
   JoinHashTable ht(1);
   ht.Insert(1);
   EXPECT_DEATH(ht.Lookup(1), "probed before Seal");
+}
+
+TEST(AggHashTableSetDeathTest, ReadBeforeMergeDies) {
+  AggHashTableSet set({AggKind::kSum});
+  *static_cast<int64_t*>(set.Local()->FindOrInsert(1)) += 1;
+  EXPECT_DEATH(set.ForEach([](int64_t, void*) {}), "read before Merge");
+  EXPECT_DEATH(set.Find(1), "read before Merge");
+  // A second thread's groups leave partitions to fold after BeginMerge.
+  std::thread([&set] {
+    runtime_internal::SetThreadIndex(1);
+    *static_cast<int64_t*>(set.Local()->FindOrInsert(1)) += 1;
+  }).join();
+  ASSERT_EQ(set.BeginMerge(), 2u);
+  EXPECT_DEATH(set.size(), "read before Merge");
 }
 
 TEST(JoinHashTableTest, ForEachVisitsAll) {
@@ -205,15 +271,21 @@ TEST(AggHashTableTest, GrowPreservesEntries) {
   EXPECT_EQ(ht.Find(-1), nullptr);
 }
 
-TEST(AggHashTableTest, GrowChargesOldAndNewArrays) {
+// Growth moves the entries partition by partition and returns each old
+// partition's pages, with their charge, as soon as its entries have moved:
+// the last rehash holds the new arrays and a sliver of the old ones, not
+// both generations whole.
+TEST(AggHashTableTest, GrowReleasesOldPartitionsAsTheyMove) {
   QueryMemoryTracker tracker;
   {
     AggHashTable ht(1, {0}, &tracker);
     uint64_t old_bytes = 0;
     uint64_t new_bytes = 0;
     for (int64_t k = 0; k < 100000; ++k) {
+      tracker.FoldResidues();
       const uint64_t before = tracker.current_bytes();
       ht.FindOrInsert(k);
+      tracker.FoldResidues();
       const uint64_t after = tracker.current_bytes();
       if (after != before) {
         old_bytes = before;
@@ -221,11 +293,17 @@ TEST(AggHashTableTest, GrowChargesOldAndNewArrays) {
       }
     }
     ASSERT_GT(new_bytes, old_bytes);
+    EXPECT_EQ(new_bytes, ht.footprint());
     EXPECT_EQ(tracker.current_bytes(), new_bytes);
-    // The last rehash held both generations; the peak may lag the live
-    // total by one unfolded slot residue.
-    EXPECT_GE(tracker.peak_bytes() + QueryMemoryTracker::kFlushBytes,
-              old_bytes + new_bytes);
+    EXPECT_GE(tracker.peak_bytes(), new_bytes);
+#ifdef __SANITIZE_ADDRESS__
+    // Every array comes from operator new: nothing is returned early.
+    EXPECT_GE(tracker.peak_bytes(), old_bytes + new_bytes);
+#else
+    // The old arrays (2 MiB) are mapped, so each partition's pages go back
+    // as soon as it has moved.
+    EXPECT_LT(tracker.peak_bytes(), new_bytes + old_bytes / 4);
+#endif
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);
 }
@@ -238,7 +316,7 @@ TEST(AggHashTableTest, NegativeKeys) {
 }
 
 TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
-  AggHashTableSet set(1, {0});
+  AggHashTableSet set({AggKind::kSum});
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&set, t] {
@@ -250,21 +328,21 @@ TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(set.NonEmptyTables().size(), 3u);
-  AggHashTable merged(1, {0});
-  set.MergeInto(&merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
-  EXPECT_EQ(merged.size(), 10u);
+  EXPECT_EQ(set.BeginMerge(), 30u);  // every group has 3 thread sources
+  for (int p = 0; p < kAggPartitions; ++p) set.MergePartition(p);
+  EXPECT_EQ(set.size(), 10u);
   for (int64_t k = 0; k < 10; ++k) {
-    EXPECT_EQ(*static_cast<int64_t*>(merged.Find(k)), 1 + 2 + 3);
+    EXPECT_EQ(*static_cast<int64_t*>(set.Find(k)), 1 + 2 + 3);
   }
 }
 
-// An empty merge target adopts the largest thread table with its tracker
-// charge instead of copying its groups; the smaller tables fold into it.
-TEST(AggHashTableSetTest, MergeAdoptsLargestThreadTable) {
+// Each partition's merge releases what it folded before the next one
+// charges its share of the merged table, so merging one large thread table
+// and two small ones never holds the large table and a merged copy whole.
+TEST(AggHashTableSetTest, MergeReleasesEachPartitionAsItFolds) {
   QueryMemoryTracker tracker;
   {
-    AggHashTableSet set(1, {0});
+    AggHashTableSet set({AggKind::kSum});
     set.set_memory_tracker(&tracker);
     auto fill = [&set](int thread, int64_t keys) {
       std::thread worker([&set, thread, keys] {
@@ -276,22 +354,143 @@ TEST(AggHashTableSetTest, MergeAdoptsLargestThreadTable) {
       });
       worker.join();
     };
-    fill(1, 1000);
+    constexpr int64_t kKeys = 100000;
+    fill(1, kKeys);
+    tracker.FoldResidues();
     const uint64_t largest_bytes = tracker.current_bytes();
     fill(0, 10);
     fill(2, 10);
 
-    AggHashTable merged(1, {0}, &tracker);
-    set.MergeInto(&merged,
-                  [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
-    EXPECT_TRUE(set.NonEmptyTables().empty());
-    EXPECT_EQ(merged.size(), 1000u);
-    for (int64_t k = 0; k < 1000; ++k) {
-      EXPECT_EQ(*static_cast<int64_t*>(merged.Find(k)), k < 10 ? 3 : 1);
+    EXPECT_EQ(set.BeginMerge(), static_cast<uint64_t>(kKeys + 20));
+    for (int p = 0; p < kAggPartitions; ++p) set.MergePartition(p);
+    EXPECT_EQ(set.size(), static_cast<uint64_t>(kKeys));
+    for (int64_t k = 0; k < kKeys; ++k) {
+      EXPECT_EQ(*static_cast<int64_t*>(set.Find(k)), k < 10 ? 3 : 1);
     }
-    // Only the adopted table is left: the small ones and the target's own
-    // initial arrays were released.
-    EXPECT_EQ(tracker.current_bytes(), largest_bytes);
+    // Only the merged table is left: every thread table was released.
+    tracker.FoldResidues();
+    EXPECT_EQ(tracker.current_bytes(), set.footprint());
+#ifndef __SANITIZE_ADDRESS__
+    // Mapped arrays return each folded partition's pages at once (an
+    // AddressSanitizer build frees them only with the table).
+    EXPECT_LT(tracker.peak_bytes(), largest_bytes + largest_bytes / 4);
+#endif
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0u);
+}
+
+/// Keys for the merge property test: random over the whole i64 range,
+/// clustered small ones (so threads share groups), and the extremes.
+int64_t PropertyKey(std::mt19937_64& rng) {
+  switch (rng() % 8) {
+    case 0: return INT64_MIN;
+    case 1: return INT64_MAX;
+    case 2: return static_cast<int64_t>(rng());
+    default: return static_cast<int64_t>(rng() % 4096) - 2048;
+  }
+}
+
+// The partitioned merge against a std::map fold, for every AggKind, on 1,
+// 2, 4 and 8 threads (thread 1 fetches its table but inserts nothing),
+// with the partitions merged concurrently.
+TEST(AggHashTableSetTest, PartitionedMergeMatchesMapFold) {
+  const std::vector<AggKind> kinds = {AggKind::kSum, AggKind::kCount,
+                                      AggKind::kMin, AggKind::kMax};
+  for (int threads : {1, 2, 4, 8}) {
+    SCOPED_TRACE(threads);
+    QueryMemoryTracker tracker;
+    {
+      AggHashTableSet set(kinds);
+      set.set_memory_tracker(&tracker);
+      std::map<int64_t, std::array<int64_t, 4>> expected;
+      std::mt19937_64 rng(static_cast<uint64_t>(threads));
+      for (int t = 0; t < threads; ++t) {
+        runtime_internal::SetThreadIndex(t);
+        AggHashTable* local = set.Local();
+        if (t == 1) continue;
+        for (int i = 0; i < 5000; ++i) {
+          const int64_t key = PropertyKey(rng);
+          const int64_t value = static_cast<int64_t>(rng() % 2000001) - 1000000;
+          auto* p = static_cast<int64_t*>(local->FindOrInsert(key));
+          p[0] += value;
+          p[1] += 1;
+          p[2] = std::min(p[2], value);
+          p[3] = std::max(p[3], value);
+          auto [it, fresh] = expected.try_emplace(
+              key, std::array<int64_t, 4>{0, 0, INT64_MAX, INT64_MIN});
+          std::array<int64_t, 4>& e = it->second;
+          e[0] += value;
+          e[1] += 1;
+          e[2] = std::min(e[2], value);
+          e[3] = std::max(e[3], value);
+        }
+      }
+      runtime_internal::SetThreadIndex(0);
+      set.BeginMerge();
+      std::vector<std::thread> mergers;
+      for (int m = 0; m < 4; ++m) {
+        mergers.emplace_back([&set, m] {
+          for (int p = m; p < kAggPartitions; p += 4) set.MergePartition(p);
+        });
+      }
+      for (auto& merger : mergers) merger.join();
+
+      ASSERT_EQ(set.size(), expected.size());
+      std::map<int64_t, std::array<int64_t, 4>> merged;
+      set.ForEach([&merged](int64_t key, void* payload) {
+        const auto* p = static_cast<const int64_t*>(payload);
+        EXPECT_TRUE(merged.emplace(key, std::array<int64_t, 4>{p[0], p[1],
+                                                               p[2], p[3]})
+                        .second)
+            << "key " << key << " visited twice";
+      });
+      EXPECT_EQ(merged, expected);
+      for (int64_t key : {INT64_MIN, INT64_MAX}) {
+        ASSERT_NE(set.Find(key), nullptr);
+        EXPECT_EQ(static_cast<const int64_t*>(set.Find(key))[1],
+                  expected[key][1]);
+      }
+      tracker.FoldResidues();
+      EXPECT_EQ(tracker.current_bytes(), set.footprint());
+    }
+    EXPECT_EQ(tracker.current_bytes(), 0u);
+  }
+}
+
+TEST(AggHashTableSetTest, MergeOfNoGroupsIsEmpty) {
+  QueryMemoryTracker tracker;
+  {
+    AggHashTableSet set({AggKind::kSum, AggKind::kMax});
+    set.set_memory_tracker(&tracker);
+    set.Local();  // a thread that saw no tuples
+    EXPECT_EQ(set.BeginMerge(), 0u);
+    EXPECT_EQ(set.size(), 0u);
+    set.ForEach([](int64_t, void*) { ADD_FAILURE() << "no groups expected"; });
+    EXPECT_EQ(set.Find(0), nullptr);
+  }
+  EXPECT_EQ(tracker.current_bytes(), 0u);
+}
+
+// One thread's table is the merge's only source: the merge adopts it and
+// allocates nothing.
+TEST(AggHashTableSetTest, OneThreadMergeAllocatesNothing) {
+  QueryMemoryTracker tracker;
+  {
+    AggHashTableSet set({AggKind::kSum});
+    set.set_memory_tracker(&tracker);
+    AggHashTable* local = set.Local();
+    for (int64_t k = 0; k < 100000; ++k) {
+      *static_cast<int64_t*>(local->FindOrInsert(k * 7919)) += k;
+    }
+    tracker.FoldResidues();
+    const uint64_t table_bytes = tracker.current_bytes();
+    const uint64_t peak = tracker.peak_bytes();
+    EXPECT_EQ(set.BeginMerge(), 0u);
+    tracker.FoldResidues();
+    EXPECT_EQ(set.footprint(), table_bytes);
+    EXPECT_EQ(tracker.current_bytes(), table_bytes);
+    EXPECT_EQ(tracker.peak_bytes(), peak);
+    EXPECT_EQ(set.size(), 100000u);
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);
 }
@@ -446,10 +645,10 @@ TEST(RuntimeRegistryTest, WrappersRoundTrip) {
   EXPECT_EQ(*reinterpret_cast<int64_t*>(node + 16), 55);
   EXPECT_EQ(rt::aqe_jht_next(node, 123), 0u);
 
-  AggHashTableSet set(1, {7});
+  AggHashTableSet set({AggKind::kMin});
   uint64_t local = rt::aqe_agg_local(reinterpret_cast<uint64_t>(&set));
   uint64_t agg = rt::aqe_agg_find_or_insert(local, 9);
-  EXPECT_EQ(*reinterpret_cast<int64_t*>(agg), 7);
+  EXPECT_EQ(*reinterpret_cast<int64_t*>(agg), INT64_MAX);
 
   OutputBuffer out(2);
   uint64_t row = rt::aqe_out_alloc_row(reinterpret_cast<uint64_t>(&out));

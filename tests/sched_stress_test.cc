@@ -61,7 +61,7 @@ class SchedStressTest : public ::testing::Test {
   static QueryProgram BuildQuery() {
     QueryProgram q("stress_agg");
     int fact = q.DeclareBaseTable("fact");
-    int agg = q.DeclareAggSet(2, {0, 0});
+    int agg = q.DeclareAggSet({AggKind::kSum, AggKind::kCount});
     PipelineSpec scan;
     scan.name = "scan fact";
     scan.source_table = fact;
@@ -75,9 +75,7 @@ class SchedStressTest : public ::testing::Test {
     scan.sink = std::move(sink);
     q.AddPipeline(std::move(scan));
     q.AddStep([agg](QueryContext* ctx) {
-      AggHashTable merged(2, {0, 0});
-      ctx->agg_sets[static_cast<size_t>(agg)]->MergeInto(
-          &merged, [](uint32_t, int64_t* acc, int64_t v) { *acc += v; });
+      const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
       merged.ForEach([ctx](int64_t key, void* payload) {
         const auto* p = static_cast<const int64_t*>(payload);
         ctx->result.push_back({key, p[0], p[1]});
