@@ -17,11 +17,13 @@ ArtifactCache::ArtifactCache(uint64_t byte_budget)
     : byte_budget_(byte_budget) {}
 
 std::shared_ptr<CacheEntry> ArtifactCache::Intern(
-    uint64_t key, size_t num_pipelines, const std::string& plan_name) {
+    uint64_t key, size_t num_pipelines, const std::string& plan_name,
+    bool* created) {
   Shard& shard = ShardFor(key);
   std::lock_guard<std::mutex> lock(shard.mu);
   auto it = shard.map.find(key);
-  if (it != shard.map.end()) {
+  *created = it == shard.map.end();
+  if (!*created) {
     ++entry_hits_;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
     return it->second.entry;
@@ -44,50 +46,40 @@ std::shared_ptr<CacheEntry> ArtifactCache::Peek(uint64_t key) const {
 }
 
 void ArtifactCache::OnBytesChanged(const CacheEntry& entry, int64_t delta) {
-  std::vector<uint64_t> victims;
-  {
-    Shard& shard = ShardFor(entry.key);
-    std::lock_guard<std::mutex> lock(shard.mu);
-    auto it = shard.map.find(entry.key);
-    // Publishing into an evicted entry — including one whose key has since
-    // been re-interned as a *different* CacheEntry — must not be charged to
-    // the shard: those artifacts die with the queries holding the old entry.
-    // The identity check makes accounting follow the object, not the key.
-    if (it == shard.map.end() || it->second.entry.get() != &entry) return;
-    int64_t updated = static_cast<int64_t>(it->second.bytes) + delta;
-    it->second.bytes = static_cast<uint64_t>(std::max<int64_t>(updated, 0));
-    int64_t total = static_cast<int64_t>(shard.bytes) + delta;
-    shard.bytes = static_cast<uint64_t>(std::max<int64_t>(total, 0));
-    EvictOverBudgetLocked(&shard, &victims);
-  }
-  NotifyEvicted(victims);
+  Shard& shard = ShardFor(entry.key);
+  std::lock_guard<std::mutex> lock(shard.mu);
+  auto it = shard.map.find(entry.key);
+  // Publishing into an evicted entry — including one whose key has since
+  // been re-interned as a *different* CacheEntry — must not be charged to
+  // the shard: those artifacts die with the queries holding the old entry.
+  // The identity check makes accounting follow the object, not the key.
+  if (it == shard.map.end() || it->second.entry.get() != &entry) return;
+  int64_t updated = static_cast<int64_t>(it->second.bytes) + delta;
+  it->second.bytes = static_cast<uint64_t>(std::max<int64_t>(updated, 0));
+  int64_t total = static_cast<int64_t>(shard.bytes) + delta;
+  shard.bytes = static_cast<uint64_t>(std::max<int64_t>(total, 0));
+  EvictOverBudgetLocked(&shard);
 }
 
 void ArtifactCache::set_byte_budget(uint64_t bytes) {
   byte_budget_.store(bytes);
-  std::vector<uint64_t> victims;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    EvictOverBudgetLocked(&shard, &victims);
+    EvictOverBudgetLocked(&shard);
   }
-  NotifyEvicted(victims);
 }
 
 void ArtifactCache::Clear() {
-  std::vector<uint64_t> victims;
   for (Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
-    for (const uint64_t key : shard.lru) victims.push_back(key);
     evictions_ += shard.map.size();
     shard.map.clear();
     shard.lru.clear();
     shard.bytes = 0;
   }
-  NotifyEvicted(victims);
 }
 
-void ArtifactCache::EvictOverBudgetLocked(Shard* shard,
-                                          std::vector<uint64_t>* victims) {
+void ArtifactCache::EvictOverBudgetLocked(Shard* shard) {
   const uint64_t shard_budget =
       std::max<uint64_t>(byte_budget_.load() / kNumShards, 1);
   // Evict from the cold end; the most recently touched entry always stays
@@ -100,13 +92,7 @@ void ArtifactCache::EvictOverBudgetLocked(Shard* shard,
     shard->bytes -= std::min(shard->bytes, it->second.bytes);
     shard->map.erase(it);
     ++evictions_;
-    victims->push_back(victim);
   }
-}
-
-void ArtifactCache::NotifyEvicted(const std::vector<uint64_t>& victims) const {
-  if (!eviction_listener_) return;
-  for (const uint64_t key : victims) eviction_listener_(key);
 }
 
 ArtifactCacheStats ArtifactCache::stats() const {

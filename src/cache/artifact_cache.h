@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <list>
 #include <memory>
 #include <mutex>
@@ -31,9 +30,9 @@ struct ArtifactCacheStats {
   uint64_t code_hits = 0;       ///< pipeline seeded cached machine code
   uint64_t publishes = 0;       ///< artifacts written back
   uint64_t evictions = 0;       ///< entries dropped by the LRU byte budget
-  /// Completed queries that fed their observed service time back into
-  /// their plan's admission-cost EWMA (CacheEntry::ewma_service_ms) — the
-  /// cold-query estimate WFQ admission charges converges as this grows.
+  /// Completed cached queries folded into their plan's record (PlanStats,
+  /// obs/regression.h), whose service-time EWMA is what WFQ admission
+  /// charges the plan's next submit.
   uint64_t cost_feedback_updates = 0;
   uint64_t bytes = 0;
   uint64_t entries = 0;
@@ -139,30 +138,19 @@ struct PipelineArtifact {
   }
 
   ExecMode best_mode = ExecMode::kBytecode;  ///< best mode ever reached
-  uint64_t observed_tuples = 0;              ///< morsel stats, last run
-  double observed_seconds = 0;
 };
 
-/// One cached plan. Entries are handed out as shared_ptr: eviction only
-/// unlinks them from the cache index — queries mid-flight keep using (and
-/// publishing into) their snapshot safely.
+/// One cached plan's artifacts. Entries are handed out as shared_ptr:
+/// eviction only unlinks them from the cache index — queries mid-flight
+/// keep using (and publishing into) their snapshot safely. What the plan's
+/// runs cost is not kept here but in its PlanStats record
+/// (obs/regression.h), which outlives eviction.
 struct CacheEntry {
   uint64_t key = 0;  ///< ArtifactCacheKey(fingerprint, translator options)
   std::string plan_name;
 
-  std::mutex mu;  ///< guards `pipelines` and the service-time feedback
+  std::mutex mu;  ///< guards `pipelines`
   std::vector<PipelineArtifact> pipelines;
-
-  /// Admission cost feedback: EWMA of completed runs' observed service
-  /// time (queue wait excluded). Replaces the flat cold-query default in
-  /// the engine's weighted-fair admission once `observed_queries > 0`, so
-  /// cold estimates converge per plan fingerprint.
-  double ewma_service_ms = 0;
-  /// Admission memory feedback: EWMA of completed runs' tracked peak bytes.
-  /// The engine checks it against the query class's byte budget at Submit,
-  /// so a known-oversized fingerprint is rejected before it queues.
-  double ewma_peak_bytes = 0;
-  uint64_t observed_queries = 0;
 };
 
 /// Concurrent plan-fingerprint → artifact map: sharded locks, per-shard LRU
@@ -176,10 +164,11 @@ class ArtifactCache {
   explicit ArtifactCache(uint64_t byte_budget = kDefaultByteBudget);
 
   /// Returns the entry for `key`, creating it (with `num_pipelines` empty
-  /// artifact slots) on first sight. Counts an entry hit or miss and bumps
-  /// the entry's LRU position.
+  /// artifact slots) when it is not resident; `*created` says which. Counts
+  /// an entry hit or miss and bumps the entry's LRU position.
   std::shared_ptr<CacheEntry> Intern(uint64_t key, size_t num_pipelines,
-                                     const std::string& plan_name);
+                                     const std::string& plan_name,
+                                     bool* created);
 
   /// Lookup without creating; nullptr on miss. Does not touch counters
   /// (introspection / tests).
@@ -196,14 +185,6 @@ class ArtifactCache {
   /// Evicts every entry (ops flush / deterministic eviction in tests).
   /// In-flight queries keep their entries alive via shared ownership.
   void Clear();
-
-  /// Called with each evicted entry's key, outside any shard lock (the
-  /// engine routes this into the regression sentinel so a post-eviction
-  /// slowdown can name its cause). Set once, before traffic — not
-  /// synchronized against concurrent eviction.
-  void set_eviction_listener(std::function<void(uint64_t)> listener) {
-    eviction_listener_ = std::move(listener);
-  }
 
   ArtifactCacheStats stats() const;
 
@@ -239,14 +220,10 @@ class ArtifactCache {
 
   Shard& ShardFor(uint64_t key) { return shards_[key % kNumShards]; }
   const Shard& ShardFor(uint64_t key) const { return shards_[key % kNumShards]; }
-  /// Evicts into `victims` (keys, for the listener — invoked by the caller
-  /// after the shard lock is released).
-  void EvictOverBudgetLocked(Shard* shard, std::vector<uint64_t>* victims);
-  void NotifyEvicted(const std::vector<uint64_t>& victims) const;
+  void EvictOverBudgetLocked(Shard* shard);
 
   Shard shards_[kNumShards];
   std::atomic<uint64_t> byte_budget_;
-  std::function<void(uint64_t)> eviction_listener_;
 
   mutable std::atomic<uint64_t> entry_hits_{0}, entry_misses_{0};
   std::atomic<uint64_t> bytecode_hits_{0}, patched_hits_{0};

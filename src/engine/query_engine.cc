@@ -6,6 +6,7 @@
 #include <deque>
 #include <memory>
 #include <mutex>
+#include <optional>
 
 #include "adaptive/calibrate.h"
 #include "cache/fingerprint.h"
@@ -333,10 +334,6 @@ struct QueryEngine::Impl {
       calibrated = CalibratedCostModelParams();
       use_calibrated = true;
     }
-    // Evictions feed the regression sentinel so a post-eviction slowdown
-    // of the same fingerprint can name its cause.
-    cache.set_eviction_listener(
-        [this](uint64_t key) { obs.sentinel.MarkEvicted(key); });
     // The profiler is always on (AQE_PROFILE_HZ=0 opts out); the options
     // constructor below restarts it when profile_hz overrides the default.
     obs.StartProfiler(ResolveProfileHz(-1));
@@ -616,6 +613,7 @@ class QueryJob : public Task {
     ctx_->AttachMemoryTracker(memory_);
     result_.query_id = query_id;
     result_.plan_name = program.name();
+    bool created_entry = false;
     if (options_.engine == EngineKind::kCompiled &&
         options_.use_artifact_cache && !program.pipelines().empty()) {
       // Fingerprint on the submitting thread: cheap (a hash walk over the
@@ -623,7 +621,7 @@ class QueryJob : public Task {
       fingerprint_ = FingerprintProgram(program);
       entry_ = cache_->Intern(
           ArtifactCacheKey(fingerprint_, options_.translator),
-          program.pipelines().size(), program.name());
+          program.pipelines().size(), program.name(), &created_entry);
       // A 64-bit key collision between different plans would alias their
       // artifacts; name/shape mismatch downgrades to uncached execution.
       if (entry_->pipelines.size() != program.pipelines().size() ||
@@ -652,7 +650,7 @@ class QueryJob : public Task {
         pruning_aux_hash_ = h;
       }
     }
-    EstimateCost();
+    EstimateCost(created_entry);
   }
 
   std::future<QueryRunResult> GetFuture() { return promise_.get_future(); }
@@ -777,32 +775,16 @@ class QueryJob : public Task {
     obs_->budget_rej_runtime->Add();
     const uint64_t budget = memory_->soft_limit();
     const uint64_t current = memory_->current_bytes();
-    // Admission-estimate feedback even though the run never completes
-    // (RecordServiceTime is skipped on this path): fold the observed
-    // footprint into the fingerprint's peak EWMA so the next submission of
-    // this plan is rejected at admission instead of executing to the
-    // failure point again. The peak at the kill point is a lower bound on
-    // the full-run footprint — and already over budget — so the blend must
-    // not dilute it below the observed value. The truncated service time is
-    // likewise a lower bound; folding it avoids seeding the cost EWMA at
-    // zero if the budget is later raised.
+    // The run never completes (RecordServiceTime is skipped on this path),
+    // but the plan's record still learns its footprint, so the next
+    // submission of this plan is rejected at admission instead of executing
+    // to the failure point again.
     if (entry_ != nullptr) {
-      constexpr double kAlpha = 0.3;
-      const double peak = static_cast<double>(memory_->peak_bytes());
       const double service_ms = std::max(
           0.0,
           (total_timer_.ElapsedSeconds() - result_.queue_wait_seconds) * 1e3);
-      std::lock_guard<std::mutex> lock(entry_->mu);
-      const bool first = entry_->observed_queries == 0;
-      entry_->ewma_peak_bytes =
-          first ? peak
-                : std::max(peak, kAlpha * peak +
-                                     (1 - kAlpha) * entry_->ewma_peak_bytes);
-      entry_->ewma_service_ms =
-          first ? service_ms
-                : kAlpha * service_ms +
-                      (1 - kAlpha) * entry_->ewma_service_ms;
-      ++entry_->observed_queries;
+      obs_->sentinel.ObserveBudgetFailure(entry_->key, service_ms,
+                                          memory_->peak_bytes());
     }
     step_run_.reset();
     active_.reset();
@@ -868,7 +850,7 @@ class QueryJob : public Task {
     return Status::kDone;
   }
 
-  void EstimateCost();
+  void EstimateCost(bool created_entry);
   void RecordServiceTime(int worker);
   bool AdvanceStage(int worker);
   bool SpreadsSteps() const;
@@ -903,6 +885,8 @@ class QueryJob : public Task {
   PlanFingerprint fingerprint_;
   uint64_t pruning_aux_hash_ = 0;  ///< literals + bitmap contents (pruning key)
   std::shared_ptr<CacheEntry> entry_;  ///< null when the cache is bypassed
+  /// Submit re-created the entry of a plan that has a record: evicted.
+  bool evicted_ = false;
   /// Keeps compiled code alive until the query finishes; pushed from
   /// compile tasks on any worker. Shared with the cache, so LRU eviction
   /// mid-query cannot free code this query still executes.
@@ -938,83 +922,52 @@ class QueryJob : public Task {
   std::unique_ptr<StepRun> step_run_;
 };
 
-/// Cache-aware admission estimate. The service-time source, best first:
-/// the plan's EWMA of completed runs (admission cost feedback — converges
-/// per fingerprint whether or not artifacts are still resident), else the
-/// sum of last observed pipeline times when every artifact is resident,
-/// else a flat pessimistic cold default. Residency is tracked separately:
-/// only a fully-cached query may overtake cold waiters.
-void QueryJob::EstimateCost() {
+/// Cache-aware admission estimate. Service time and peak footprint come
+/// from the plan's record (RegressionTracker::Lookup), which outlives the
+/// plan's cache entry; a plan with no record is charged a flat pessimistic
+/// cold default and a peak of 0 — admitted optimistically and caught by the
+/// runtime soft limit instead. Residency is separate: only a fully-cached
+/// query may overtake cold waiters. A plan with a record whose entry had to
+/// be created again was evicted in between.
+void QueryJob::EstimateCost(bool created_entry) {
   constexpr double kColdCostMs = 10.0;
   estimated_cost_ms_ = kColdCostMs;
   if (entry_ == nullptr) return;
-  double observed = 0;
-  bool all_resident = true;
-  double ewma_ms = 0;
-  double ewma_peak = 0;
-  uint64_t ewma_runs = 0;
   {
     std::lock_guard<std::mutex> lock(entry_->mu);
-    ewma_ms = entry_->ewma_service_ms;
-    ewma_peak = entry_->ewma_peak_bytes;
-    ewma_runs = entry_->observed_queries;
-    for (const PipelineArtifact& a : entry_->pipelines) {
-      if (a.bytecode == nullptr && a.code_variants.empty()) {
-        all_resident = false;
-        break;
-      }
-      observed += a.observed_seconds * 1e3;
-    }
+    fully_cached_ = std::all_of(
+        entry_->pipelines.begin(), entry_->pipelines.end(),
+        [](const PipelineArtifact& a) {
+          return a.bytecode != nullptr || !a.code_variants.empty();
+        });
   }
-  fully_cached_ = all_resident;
-  if (ewma_runs > 0) {
-    estimated_cost_ms_ = std::max(0.05, ewma_ms);
-    // Peak-memory estimate for admission budget checks: only a plan with
-    // completed runs has one — a cold plan is admitted optimistically and
-    // caught by the runtime soft limit instead.
-    estimated_peak_bytes_ = static_cast<uint64_t>(ewma_peak);
-  } else if (all_resident) {
-    estimated_cost_ms_ = std::max(0.05, observed);
+  if (const std::optional<PlanStats> stats =
+          obs_->sentinel.Lookup(entry_->key)) {
+    estimated_cost_ms_ = std::max(0.05, stats->ewma_ms);
+    estimated_peak_bytes_ = static_cast<uint64_t>(stats->ewma_peak_bytes);
+    evicted_ = created_entry;
   }
 }
 
-/// Admission cost feedback: fold this run's observed service time (queue
-/// wait excluded) into the plan's EWMA. alpha = 0.3 tracks drift (cache
-/// warming, data growth) while smoothing scheduler noise. The same sample
-/// feeds the regression sentinel, which flags the run (counter + kAnomaly
-/// trace event on this worker's lane) when it deviates from the
-/// fingerprint's baseline.
+/// Folds this run's service time (queue wait excluded) and peak into the
+/// plan's record, which the next submit's admission estimate reads. The
+/// sentinel flags the run (counter + kAnomaly trace event on this worker's
+/// lane) when it deviates from the record.
 void QueryJob::RecordServiceTime(int worker) {
   if (entry_ == nullptr) return;
-  constexpr double kAlpha = 0.3;
-  const double service_ms = std::max(
-      0.0, (result_.total_seconds - result_.queue_wait_seconds) * 1e3);
-  const double peak_bytes = static_cast<double>(result_.peak_memory_bytes);
-  {
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    entry_->ewma_service_ms =
-        entry_->observed_queries == 0
-            ? service_ms
-            : kAlpha * service_ms + (1 - kAlpha) * entry_->ewma_service_ms;
-    // Same fold for the admission memory estimate: the class-budget check
-    // at Submit reads this EWMA as the fingerprint's expected footprint.
-    entry_->ewma_peak_bytes =
-        entry_->observed_queries == 0
-            ? peak_bytes
-            : kAlpha * peak_bytes + (1 - kAlpha) * entry_->ewma_peak_bytes;
-    ++entry_->observed_queries;
-  }
   cache_->CountCostFeedback();
 
   RegressionTracker::Observation sample;
   sample.fingerprint = entry_->key;
   sample.query_id = query_id_;
-  sample.service_ms = service_ms;
+  sample.service_ms = std::max(
+      0.0, (result_.total_seconds - result_.queue_wait_seconds) * 1e3);
   sample.queue_wait_ms = result_.queue_wait_seconds * 1e3;
   sample.peak_bytes = result_.peak_memory_bytes;
   for (const PipelineReport& report : result_.pipelines) {
     sample.final_mode = std::max(sample.final_mode, report.final_mode);
   }
+  sample.cache_miss = evicted_;
   sample.plan_name = program_->name();
   AnomalyRecord anomaly;
   if (obs_->sentinel.Observe(sample, &anomaly)) {
@@ -1479,7 +1432,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
                                  report.pruning.selected_rows);
           obs_->zone_blocks_pruned->Add(report.pruning.zone_blocks_pruned);
           // The scheduled-row count every downstream consumer reasons over
-          // (§III-C extrapolation, observed morsel stats, EXPLAIN ANALYZE).
+          // (§III-C extrapolation, EXPLAIN ANALYZE).
           report.tuples = report.pruning.selected_rows;
         }
         TraceEvent ev;
@@ -1606,12 +1559,9 @@ void QueryJob::FinishCompiledPipeline() {
   }
 
   if (entry_ != nullptr) {
-    // Observed morsel stats: what the plan achieved on this run.
     std::lock_guard<std::mutex> lock(entry_->mu);
     PipelineArtifact& a = entry_->pipelines[ap.p];
     a.best_mode = std::max(a.best_mode, stats.final_mode);
-    a.observed_tuples = report.tuples;
-    a.observed_seconds = report.exec_only_seconds;
   }
   result_.pipelines.push_back(std::move(report));
 }

@@ -244,7 +244,7 @@ class QueryEngine {
 
   /// Read-only view of the artifact cache for introspection: Peek entries
   /// by ArtifactCacheKey (cache/fingerprint.h) to inspect per-pipeline
-  /// artifacts, best modes and observed morsel stats.
+  /// artifacts and best modes.
   const ArtifactCache& artifact_cache() const;
 
   /// LRU byte budget of the artifact cache (default 256 MiB). Shrinking it

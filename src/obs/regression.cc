@@ -8,7 +8,35 @@
 namespace aqe {
 
 namespace {
-constexpr double kEwmaAlpha = 0.3;  ///< matches the cache's service EWMA
+
+/// The one EWMA weight of every per-plan number: tracks drift (cache
+/// warming, data growth) while smoothing scheduler noise.
+constexpr double kEwmaAlpha = 0.3;
+
+double Blend(double sample, double ewma) {
+  return kEwmaAlpha * sample + (1 - kEwmaAlpha) * ewma;
+}
+
+/// The one fold of a run into its record. A budget-killed run's peak is a
+/// lower bound, so the blend may not fall below it.
+void Fold(PlanStats* s, double service_ms, uint64_t peak_bytes,
+          bool peak_is_lower_bound) {
+  const double peak = static_cast<double>(peak_bytes);
+  if (s->runs == 0) {
+    s->ewma_ms = service_ms;
+    s->ewma_peak_bytes = peak;
+  } else {
+    const double abs_dev = std::fabs(service_ms - s->ewma_ms);
+    s->mad_ms = s->runs == 1 ? abs_dev : Blend(abs_dev, s->mad_ms);
+    s->ewma_ms = Blend(service_ms, s->ewma_ms);
+    s->ewma_peak_bytes = Blend(peak, s->ewma_peak_bytes);
+    if (peak_is_lower_bound) {
+      s->ewma_peak_bytes = std::max(peak, s->ewma_peak_bytes);
+    }
+  }
+  ++s->runs;
+}
+
 }  // namespace
 
 const char* AnomalyCauseName(AnomalyCause cause) {
@@ -24,10 +52,25 @@ const char* AnomalyCauseName(AnomalyCause cause) {
 RegressionTracker::RegressionTracker(double deviation_factor)
     : factor_(deviation_factor) {}
 
+PlanStats& RegressionTracker::TouchLocked(uint64_t fingerprint) {
+  auto it = plans_.find(fingerprint);
+  if (it != plans_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
+    return it->second.stats;
+  }
+  if (plans_.size() >= kMaxPlans) {
+    plans_.erase(lru_.back());
+    lru_.pop_back();
+  }
+  lru_.push_front(fingerprint);
+  return plans_.emplace(fingerprint, Plan{PlanStats{}, lru_.begin()})
+      .first->second.stats;
+}
+
 bool RegressionTracker::Observe(const Observation& obs,
                                 AnomalyRecord* anomaly) {
   std::lock_guard<std::mutex> lock(mu_);
-  Tracked& t = tracked_[obs.fingerprint];
+  PlanStats& t = TouchLocked(obs.fingerprint);
 
   bool flagged = false;
   AnomalyRecord rec;
@@ -51,7 +94,7 @@ bool RegressionTracker::Observe(const Observation& obs,
       // kPeakFloorBytes keeps KiB-scale jitter on small plans from being
       // named a blowup; the baseline must also have real support.
       constexpr double kPeakFloorBytes = 1 << 20;
-      if (t.evicted_since_last) {
+      if (obs.cache_miss) {
         rec.cause = AnomalyCause::kCacheEvicted;
       } else if (t.ewma_peak_bytes > 0 &&
                  static_cast<double>(obs.peak_bytes) >
@@ -70,22 +113,8 @@ bool RegressionTracker::Observe(const Observation& obs,
 
   // Fold the sample in (anomalous ones too: a persistent shift converges
   // to the new normal instead of alerting on every run).
-  if (t.runs == 0) {
-    t.ewma_ms = obs.service_ms;
-    t.ewma_peak_bytes = static_cast<double>(obs.peak_bytes);
-  } else {
-    const double abs_dev = std::fabs(obs.service_ms - t.ewma_ms);
-    t.mad_ms = t.runs == 1
-                   ? abs_dev
-                   : kEwmaAlpha * abs_dev + (1 - kEwmaAlpha) * t.mad_ms;
-    t.ewma_ms =
-        kEwmaAlpha * obs.service_ms + (1 - kEwmaAlpha) * t.ewma_ms;
-    t.ewma_peak_bytes = kEwmaAlpha * static_cast<double>(obs.peak_bytes) +
-                        (1 - kEwmaAlpha) * t.ewma_peak_bytes;
-  }
-  ++t.runs;
+  Fold(&t, obs.service_ms, obs.peak_bytes, /*peak_is_lower_bound=*/false);
   t.best_mode = std::max(t.best_mode, obs.final_mode);
-  t.evicted_since_last = false;  // consumed by this run's cause probe
 
   if (flagged) {
     ++anomaly_count_;
@@ -96,10 +125,23 @@ bool RegressionTracker::Observe(const Observation& obs,
   return flagged;
 }
 
-void RegressionTracker::MarkEvicted(uint64_t fingerprint) {
+void RegressionTracker::ObserveBudgetFailure(uint64_t fingerprint,
+                                             double service_ms,
+                                             uint64_t peak_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = tracked_.find(fingerprint);
-  if (it != tracked_.end()) it->second.evicted_since_last = true;
+  Fold(&TouchLocked(fingerprint), service_ms, peak_bytes,
+       /*peak_is_lower_bound=*/true);
+}
+
+std::optional<PlanStats> RegressionTracker::Lookup(uint64_t fingerprint) {
+  std::lock_guard<std::mutex> lock(mu_);
+  if (plans_.find(fingerprint) == plans_.end()) return std::nullopt;
+  return TouchLocked(fingerprint);
+}
+
+size_t RegressionTracker::plan_count() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return plans_.size();
 }
 
 std::vector<AnomalyRecord> RegressionTracker::RecentAnomalies() const {

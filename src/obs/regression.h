@@ -3,7 +3,9 @@
 
 #include <cstdint>
 #include <deque>
+#include <list>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -16,8 +18,9 @@ namespace aqe {
 /// priority order (the first applicable cause wins).
 enum class AnomalyCause : uint8_t {
   kUnknown = 0,
-  /// The artifact cache evicted this fingerprint's entry since its last
-  /// run: the slowdown is re-translation / re-compilation.
+  /// The run missed the artifact cache although its plan had run before:
+  /// the entry was evicted, so the slowdown is re-translation /
+  /// re-compilation.
   kCacheEvicted = 1,
   /// The run finished in a slower ExecMode than the best this fingerprint
   /// has reached (e.g. the adaptive controller never re-upgraded).
@@ -45,13 +48,25 @@ struct AnomalyRecord {
   std::string plan_name;
 };
 
-/// Per-fingerprint latency sentinel: maintains an EWMA and a MAD-style
-/// deviation estimate of service time per plan fingerprint and flags a
-/// completed run as anomalous when it deviates by a configurable factor.
-/// The cache reports evictions in (MarkEvicted) so the probe can name
-/// "your compiled variant was evicted" as the cause. All methods are
-/// thread-safe; Observe is one mutex acquisition per completed query —
-/// noise next to a query's admission bookkeeping.
+/// What one plan's runs have cost: the single per-plan record that WFQ
+/// admission, the memory-budget check and the regression sentinel all read.
+/// Exists only once a run has been folded in (runs >= 1).
+struct PlanStats {
+  double ewma_ms = 0;  ///< service time, queue wait excluded
+  double mad_ms = 0;   ///< EWMA of |deviation| (MAD-style, same alpha)
+  double ewma_peak_bytes = 0;  ///< tracked peak memory
+  uint64_t runs = 0;
+  ExecMode best_mode = ExecMode::kBytecode;
+};
+
+/// Per-plan record keeper and latency sentinel. Keeps one PlanStats per
+/// cache key (ArtifactCacheKey), independent of whether the plan's
+/// artifacts are still resident, in an LRU bounded at kMaxPlans. Flags a
+/// completed run as anomalous when it deviates from its record by a
+/// configurable factor, and names the cause; a run that missed the cache
+/// although its plan has a record was evicted. All methods are
+/// thread-safe, one mutex acquisition each — noise next to a query's
+/// admission bookkeeping.
 class RegressionTracker {
  public:
   /// What the engine reports per completed query.
@@ -64,49 +79,61 @@ class RegressionTracker {
     ExecMode final_mode = ExecMode::kBytecode;
     /// Tracked peak memory of this run (0 when accounting is off).
     uint64_t peak_bytes = 0;
+    /// The run re-created its plan's cache entry (ArtifactCache::Intern)
+    /// after the plan had run: the entry was evicted.
+    bool cache_miss = false;
     std::string plan_name;
   };
 
   static constexpr uint64_t kMinRuns = 3;       ///< runs before flagging
   static constexpr double kMadFloorMs = 0.25;   ///< deviation guard floor
   static constexpr size_t kRecentAnomalies = 64;
+  static constexpr size_t kMaxPlans = 4096;  ///< records kept (LRU)
 
   explicit RegressionTracker(double deviation_factor = 4.0);
 
-  /// Folds one completed run into the fingerprint's baseline. Returns true
-  /// (and fills `anomaly`, which may be null) when the run deviates:
-  /// service > factor x EWMA *and* beyond 4 x the MAD guard, after at
-  /// least kMinRuns prior runs. The anomalous sample still updates the
-  /// baseline, so a persistent shift becomes the new normal instead of
-  /// alerting forever.
+  /// Folds one completed run into the plan's record. Returns true (and
+  /// fills `anomaly`, which may be null) when the run deviates: service >
+  /// factor x EWMA *and* beyond 4 x the MAD guard, after at least kMinRuns
+  /// prior runs. The anomalous sample still updates the record, so a
+  /// persistent shift becomes the new normal instead of alerting forever.
   bool Observe(const Observation& obs, AnomalyRecord* anomaly);
 
-  /// The artifact cache evicted this fingerprint's entry; the next
-  /// anomalous run of the fingerprint is attributed to the eviction.
-  void MarkEvicted(uint64_t fingerprint);
+  /// Folds a run the memory budget killed: its service time and peak are
+  /// lower bounds, and the peak (already over budget) must not be diluted
+  /// below what was observed. No cause probe runs.
+  void ObserveBudgetFailure(uint64_t fingerprint, double service_ms,
+                            uint64_t peak_bytes);
+
+  /// The plan's record, or nullopt when it has none (never completed, or
+  /// aged out of the LRU). Counts as a use for the LRU.
+  std::optional<PlanStats> Lookup(uint64_t fingerprint);
+
+  size_t plan_count() const;
 
   std::vector<AnomalyRecord> RecentAnomalies() const;
   uint64_t anomaly_count() const;
 
   void set_deviation_factor(double factor);
 
-  /// Clears the anomaly ring and counter. Baselines persist: they describe
+  /// Clears the anomaly ring and counter. Records persist: they describe
   /// the workload, not a measurement phase (phase-delta hygiene resets
   /// counters, not state).
   void ResetAnomalies();
 
  private:
-  struct Tracked {
-    double ewma_ms = 0;
-    double mad_ms = 0;  ///< EWMA of |deviation| (MAD-style, same alpha)
-    double ewma_peak_bytes = 0;
-    uint64_t runs = 0;
-    ExecMode best_mode = ExecMode::kBytecode;
-    bool evicted_since_last = false;
+  struct Plan {
+    PlanStats stats;
+    std::list<uint64_t>::iterator lru_pos;
   };
 
+  /// The record for `fingerprint`, created empty if absent, moved to the
+  /// LRU front; creating one past kMaxPlans drops the least recent.
+  PlanStats& TouchLocked(uint64_t fingerprint);
+
   mutable std::mutex mu_;
-  std::unordered_map<uint64_t, Tracked> tracked_;
+  std::unordered_map<uint64_t, Plan> plans_;
+  std::list<uint64_t> lru_;  ///< keys, most recent first
   std::deque<AnomalyRecord> recent_;
   uint64_t anomaly_count_ = 0;
   double factor_;

@@ -125,13 +125,11 @@ TEST_F(CacheTest, WarmRunSkipsTranslation) {
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
 
-  // The entry records what the plan achieved (observed morsel stats).
+  // The entry records the best mode the plan reached.
   auto entry = engine.artifact_cache().Peek(
       ArtifactCacheKey(FingerprintProgram(q), options.translator));
   ASSERT_NE(entry, nullptr);
   std::lock_guard<std::mutex> lock(entry->mu);
-  EXPECT_EQ(entry->pipelines[0].observed_tuples, warm.pipelines[0].tuples);
-  EXPECT_GT(entry->pipelines[0].observed_seconds, 0);
   EXPECT_EQ(entry->pipelines[0].best_mode, ExecMode::kBytecode);
 }
 

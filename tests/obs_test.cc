@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -591,13 +592,15 @@ TEST(PrometheusTextTest, RendersCountersGaugesAndCumulativeHistograms) {
 
 RegressionTracker::Observation MakeObs(uint64_t fp, double service_ms,
                                        double queue_ms = 0,
-                                       ExecMode mode = ExecMode::kBytecode) {
+                                       ExecMode mode = ExecMode::kBytecode,
+                                       bool cache_miss = false) {
   RegressionTracker::Observation o;
   o.fingerprint = fp;
   o.query_id = 1;
   o.service_ms = service_ms;
   o.queue_wait_ms = queue_ms;
   o.final_mode = mode;
+  o.cache_miss = cache_miss;
   o.plan_name = "plan";
   return o;
 }
@@ -624,9 +627,12 @@ TEST(RegressionTrackerTest, FlagsDeviationAndNamesCauses) {
   EXPECT_NEAR(rec.expected_ms, 10.0, 1e-9);
   EXPECT_NEAR(rec.observed_ms, 100.0, 1e-9);
 
-  // kCacheEvicted wins over every other cause.
-  tracker.MarkEvicted(1);
-  ASSERT_TRUE(tracker.Observe(MakeObs(1, 1000.0, /*queue_ms=*/5000.0), &rec));
+  // kCacheEvicted (the run missed the cache although the plan has a
+  // record) wins over every other cause.
+  ASSERT_TRUE(tracker.Observe(MakeObs(1, 1000.0, /*queue_ms=*/5000.0,
+                                      ExecMode::kBytecode,
+                                      /*cache_miss=*/true),
+                              &rec));
   EXPECT_EQ(rec.cause, AnomalyCause::kCacheEvicted);
 
   // kModeRegressed: the fingerprint used to reach optimized code.
@@ -651,6 +657,14 @@ TEST(RegressionTrackerTest, FlagsDeviationAndNamesCauses) {
 
   // Baselines survived the reset: the next slow run still alerts.
   ASSERT_TRUE(tracker.Observe(MakeObs(3, 10000.0), &rec));
+
+  // A plan's first-ever run misses the cache too; that is no eviction, and
+  // the bit names no later run's cause either.
+  ASSERT_FALSE(tracker.Observe(
+      MakeObs(4, 10.0, 0, ExecMode::kBytecode, /*cache_miss=*/true), nullptr));
+  for (int i = 0; i < 5; ++i) ASSERT_FALSE(tracker.Observe(MakeObs(4, 10.0), nullptr));
+  ASSERT_TRUE(tracker.Observe(MakeObs(4, 100.0), &rec));
+  EXPECT_EQ(rec.cause, AnomalyCause::kUnknown);
 }
 
 TEST(RegressionTrackerTest, MadFloorSuppressesMicrosecondNoise) {
@@ -661,6 +675,82 @@ TEST(RegressionTrackerTest, MadFloorSuppressesMicrosecondNoise) {
   EXPECT_FALSE(tracker.Observe(MakeObs(1, 0.4), nullptr));
   // Beyond the floor's 4 x 0.25ms guard it does alert.
   EXPECT_TRUE(tracker.Observe(MakeObs(1, 5.0), nullptr));
+}
+
+TEST(RegressionTrackerTest, PlanRecordsAreABoundedLru) {
+  constexpr size_t kCap = RegressionTracker::kMaxPlans;
+  RegressionTracker tracker;
+  for (int i = 0; i < 3; ++i) tracker.Observe(MakeObs(1, 10.0), nullptr);
+  tracker.Observe(MakeObs(2, 20.0), nullptr);
+  for (uint64_t k = 0; k + 2 < kCap; ++k) {
+    tracker.Observe(MakeObs(100 + k, 5.0), nullptr);
+  }
+  ASSERT_EQ(tracker.plan_count(), kCap);
+  // The admission read is a use: key 1 is now newer than key 2.
+  ASSERT_TRUE(tracker.Lookup(1).has_value());
+  tracker.Observe(MakeObs(100 + kCap, 5.0), nullptr);
+  EXPECT_EQ(tracker.plan_count(), kCap);
+  EXPECT_FALSE(tracker.Lookup(2).has_value());  // the oldest went
+  const std::optional<PlanStats> kept = tracker.Lookup(1);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_EQ(kept->runs, 3u);
+  EXPECT_NEAR(kept->ewma_ms, 10.0, 1e-9);
+
+  // A cap's worth of new keys pushes out every old one, key 1 included.
+  for (uint64_t k = 0; k < kCap; ++k) {
+    tracker.Observe(MakeObs(1'000'000 + k, 5.0), nullptr);
+  }
+  EXPECT_EQ(tracker.plan_count(), kCap);
+  EXPECT_FALSE(tracker.Lookup(1).has_value());
+  EXPECT_FALSE(tracker.Lookup(100 + kCap).has_value());
+}
+
+TEST(RegressionTrackerTest, BudgetFailureFoldsPeakAsLowerBound) {
+  RegressionTracker tracker;
+  constexpr uint64_t kMiB = 1 << 20;
+  for (int i = 0; i < 5; ++i) {
+    RegressionTracker::Observation o = MakeObs(1, 10.0);
+    o.peak_bytes = 100 * kMiB;
+    ASSERT_FALSE(tracker.Observe(o, nullptr));
+  }
+  // Killed at 400 MiB after 500 ms: the blend alone (190 MiB) would
+  // understate a footprint already known to reach 400 MiB. The slow run
+  // is no anomaly: no probe runs on this path.
+  tracker.ObserveBudgetFailure(1, 500.0, 400 * kMiB);
+  std::optional<PlanStats> stats = tracker.Lookup(1);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_GE(stats->ewma_peak_bytes, 400.0 * kMiB);
+  EXPECT_EQ(stats->runs, 6u);
+  EXPECT_EQ(tracker.anomaly_count(), 0u);
+  EXPECT_TRUE(tracker.RecentAnomalies().empty());
+
+  // A plan whose only run was killed still gets a record.
+  tracker.ObserveBudgetFailure(2, 1.0, kMiB);
+  stats = tracker.Lookup(2);
+  ASSERT_TRUE(stats.has_value());
+  EXPECT_EQ(stats->ewma_peak_bytes, static_cast<double>(kMiB));
+  EXPECT_EQ(stats->runs, 1u);
+}
+
+TEST(RegressionTrackerTest, ConcurrentObserveAndLookupStayBounded) {
+  // 4 threads interleave completions and admission reads over twice the
+  // cap's worth of keys; the TSan CI leg runs this test.
+  constexpr uint64_t kKeys = 2 * RegressionTracker::kMaxPlans;
+  RegressionTracker tracker;
+  std::vector<std::thread> threads;
+  for (uint64_t t = 0; t < 4; ++t) {
+    threads.emplace_back([&tracker, t] {
+      for (uint64_t i = 0; i < kKeys; ++i) {
+        const uint64_t key = (i * 4 + t) % kKeys;
+        tracker.Observe(MakeObs(key, 1.0 + static_cast<double>(t)), nullptr);
+        const std::optional<PlanStats> stats = tracker.Lookup(key);
+        if (stats.has_value()) EXPECT_GE(stats->runs, 1u);
+        if (i % 7 == 0) tracker.ObserveBudgetFailure(key, 1.0, 4096);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  EXPECT_EQ(tracker.plan_count(), RegressionTracker::kMaxPlans);
 }
 
 TEST_F(ObsEngineTest, ConcurrentQueriesRecordSafely) {
@@ -1388,6 +1478,34 @@ TEST_F(ObsEngineTest, AdmissionRejectsOverBudgetClassAndSparesOthers) {
   // Lifting the budget readmits the class.
   engine.set_class_memory_budget(3, 0);
   EXPECT_FALSE(engine.Run(q6, options).rows.empty());
+}
+
+TEST_F(ObsEngineTest, AdmissionEstimateSurvivesCacheEviction) {
+  QueryEngine engine(&catalog(), 2);
+  QueryProgram q6 = BuildTpchQuery(6, catalog());
+  QueryRunOptions options;
+  options.query_class = 3;
+  for (int i = 0; i < 3; ++i) {
+    ASSERT_FALSE(engine.Run(q6, options).rows.empty());
+  }
+  // Evicting the plan's artifacts must not forget its learned footprint:
+  // the next submit is rejected at admission, not admitted to fail at its
+  // first allocation.
+  engine.ClearArtifactCache();
+  ASSERT_EQ(engine.artifact_cache_stats().entries, 0u);
+  engine.set_class_memory_budget(3, 1024);
+  bool threw = false;
+  try {
+    engine.Run(q6, options);
+  } catch (const MemoryBudgetExceeded& e) {
+    threw = true;
+    EXPECT_TRUE(e.at_admission());
+    EXPECT_EQ(e.query_class(), 3);
+  }
+  ASSERT_TRUE(threw);
+  MetricsSnapshot snap = engine.ObservabilitySnapshot();
+  EXPECT_EQ(snap.counter("mem.budget_rejections.admission"), 1u);
+  EXPECT_EQ(snap.counter("mem.budget_rejections.runtime"), 0u);
 }
 
 TEST_F(ObsEngineTest, RuntimeBudgetCrossingFailsTypedMidQuery) {
