@@ -31,6 +31,10 @@ class TokenIndex {
   /// (they match nearly everything and only cost intersection time).
   static constexpr size_t kMinSubpart = 2;
 
+  /// Build tokenizes a dictionary of at least this many codes in
+  /// 4 x ForkJoinWidth() ranges on as many threads.
+  static constexpr size_t kParallelBuildCodes = size_t{64} << 10;
+
   static TokenIndex Build(const Dictionary& dict);
 
   size_t num_tokens() const { return tokens_.size(); }

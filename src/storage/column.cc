@@ -20,23 +20,41 @@ const char* DataTypeName(DataType type) {
 Column::Column(std::string name, DataType type)
     : name_(std::move(name)), type_(type) {}
 
-void Column::Reserve(uint64_t rows) {
-  data_.reserve(rows * DataTypeSize(type_));
+void Column::Resize(uint64_t rows) {
+  data_.resize(rows * DataTypeSize(type_));
+  size_ = rows;
 }
+
+namespace {
+
+/// `v` as a T; CHECK-fails if it does not fit.
+template <typename T>
+T Narrow(int64_t v) {
+  AQE_CHECK_MSG(v >= std::numeric_limits<T>::min() &&
+                    v <= std::numeric_limits<T>::max(),
+                "value exceeds its column's declared width");
+  return static_cast<T>(v);
+}
+
+}  // namespace
 
 void Column::AppendInt(int64_t v) {
   VisitIntColumn(std::as_const(*this), [&](const auto* values) {
     using T = std::remove_const_t<std::remove_pointer_t<decltype(values)>>;
-    AQE_CHECK_MSG(v >= std::numeric_limits<T>::min() &&
-                      v <= std::numeric_limits<T>::max(),
-                  "value exceeds its column's declared width");
-    const T narrow = static_cast<T>(v);
+    const T narrow = Narrow<T>(v);
     const auto* bytes = reinterpret_cast<const uint8_t*>(&narrow);
     // Byte-wise push_back keeps vector's inline fast path; a range insert
     // is an out-of-line call per value, which the catalog load feels.
     for (size_t b = 0; b < sizeof(T); ++b) data_.push_back(bytes[b]);
   });
   ++size_;
+}
+
+void Column::SetInt(uint64_t row, int64_t v) {
+  AQE_CHECK(row < size_);
+  VisitIntColumn(*this, [&](auto* values) {
+    values[row] = Narrow<std::remove_pointer_t<decltype(values)>>(v);
+  });
 }
 
 void Column::AppendF64(double v) {

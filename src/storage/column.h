@@ -41,6 +41,38 @@ inline int DataTypeSize(DataType type) {
 /// Human-readable type name.
 const char* DataTypeName(DataType type);
 
+/// std::allocator, except that it default-initializes: resizing a vector
+/// of bytes leaves the new bytes to the writers that fill them.
+template <typename T>
+class DefaultInitAllocator {
+ public:
+  using value_type = T;
+
+  DefaultInitAllocator() = default;
+  template <typename U>
+  DefaultInitAllocator(const DefaultInitAllocator<U>&) noexcept {}
+
+  T* allocate(size_t n) { return std::allocator<T>().allocate(n); }
+  void deallocate(T* p, size_t n) noexcept {
+    std::allocator<T>().deallocate(p, n);
+  }
+  /// Construction with arguments falls back to std::allocator_traits'
+  /// placement new.
+  template <typename U>
+  void construct(U* p) {
+    ::new (static_cast<void*>(p)) U;
+  }
+
+  template <typename U>
+  bool operator==(const DefaultInitAllocator<U>&) const noexcept {
+    return true;
+  }
+  template <typename U>
+  bool operator!=(const DefaultInitAllocator<U>&) const noexcept {
+    return false;
+  }
+};
+
 /// A typed, contiguous, in-memory column. The raw data pointer is exposed so
 /// generated code (JIT and bytecode alike) can scan it directly.
 class Column {
@@ -56,15 +88,23 @@ class Column {
   DataType type() const { return type_; }
   uint64_t size() const { return size_; }
 
-  /// Raw pointer to the first value. Stable until the next Append/Reserve.
+  /// Raw pointer to the first value. Stable until the next Append or
+  /// Resize.
   const void* data() const { return data_.data(); }
   void* mutable_data() { return data_.data(); }
 
-  void Reserve(uint64_t rows);
+  /// Sizes the column to `rows` values so that writers can fill disjoint
+  /// row ranges with SetInt concurrently. New rows hold no defined value
+  /// until written, and are not touched here: their pages are first
+  /// touched by their writers.
+  void Resize(uint64_t rows);
 
   /// Appends an integer to an integer column of any width. CHECK-fails if
   /// `v` does not fit the declared width: a value is never truncated.
   void AppendInt(int64_t v);
+  /// Overwrites row `row` < size() of an integer column, with AppendInt's
+  /// width check.
+  void SetInt(uint64_t row, int64_t v);
   void AppendF64(double v);
 
   int32_t GetI32(uint64_t row) const;
@@ -79,7 +119,8 @@ class Column {
   std::string name_;
   DataType type_;
   uint64_t size_ = 0;
-  std::vector<uint8_t> data_;  // raw bytes, element i at i * DataTypeSize
+  // Raw bytes, element i at i * DataTypeSize.
+  std::vector<uint8_t, DefaultInitAllocator<uint8_t>> data_;
 };
 
 /// The width dispatcher: calls `fn` with the integer column's data as a

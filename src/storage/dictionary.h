@@ -27,8 +27,9 @@ namespace aqe {
 /// layout").
 class Dictionary {
  public:
-  /// SortCodes sorts a dictionary of at least this many codes in
-  /// ForkJoinWidth() chunks on as many threads, then merges the chunks.
+  /// SortCodes and BulkLoad sort, and rehashes hash, at least this many
+  /// strings on ForkJoinWidth() threads (see src/strings/DESIGN.md,
+  /// "Storage layout").
   static constexpr int32_t kParallelSortCodes = int32_t{64} << 10;
 
   Dictionary() = default;
@@ -64,16 +65,23 @@ class Dictionary {
   /// True when codes are assigned in lexicographic string order, i.e.
   /// code_a < code_b  <=>  Get(code_a) < Get(code_b). Incremental GetOrAdd
   /// assigns insertion order; SortCodes() (via Table::SortDictionaries)
-  /// establishes the invariant after bulk load. O(1): the flag is
-  /// maintained on every insert (plan lowering consults it per query).
+  /// establishes the invariant after a load, and BulkLoad loads sorted.
+  /// O(1): the flag is maintained on every insert (plan lowering consults
+  /// it per query).
   bool is_sorted() const { return sorted_; }
 
   /// Lexicographically reorders the dictionary and returns the old-code ->
   /// new-code remap the owner must apply to every encoded column value.
-  /// After this, is_sorted() holds (until further GetOrAdd inserts). The
-  /// strings are distinct, so the parallel chunked sort of a large
-  /// dictionary yields the same order as a serial one.
+  /// After this, is_sorted() holds (until further GetOrAdd inserts).
   PageVector<int32_t> SortCodes();
+
+  /// Loads an empty dictionary from a column's strings at once and returns
+  /// each row's code: row r's string is bytes[ends[r-1], ends[r]) (ends[-1]
+  /// reads as 0). The distinct strings are stored sorted, so the codes are
+  /// those GetOrAdd on every row and then SortCodes would give, without the
+  /// per-row probes, the rehashes or the remap.
+  PageVector<int32_t> BulkLoad(const PageVector<char>& bytes,
+                               const PageVector<uint64_t>& ends);
 
   /// The [lo, hi) code range of strings starting with `prefix`. Only
   /// meaningful on a sorted dictionary, where it turns a LIKE-prefix

@@ -4,8 +4,12 @@
 #include <cstdio>
 #include <iterator>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <vector>
 
 #include "common/fork_join.h"
+#include "common/page_allocator.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "index/table_index.h"
@@ -51,7 +55,7 @@ constexpr const char* kContainerSyllable1[5] = {"SM", "LG", "MED", "JUMBO",
                                                 "WRAP"};
 constexpr const char* kContainerSyllable2[8] = {"CASE", "BOX", "BAG", "JAR",
                                                 "PKG", "PACK", "CAN", "DRUM"};
-constexpr const char* kCommentWords[16] = {
+constexpr std::string_view kCommentWords[16] = {
     "carefully", "quickly",  "furiously", "ironic",      "final",
     "pending",   "bold",     "regular",   "express",     "deposits",
     "accounts",  "packages", "theodolites", "foxes",     "ideas",
@@ -167,162 +171,264 @@ void GenPartsupp(Catalog* catalog, uint64_t part_count, uint64_t supp_count,
   }
 }
 
-struct OrderDates {
-  int32_t min_orderdate;
-  int32_t max_orderdate;
-};
+/// One order's values in the orders table's schema order, o_comment
+/// aside, and one of its lines' values in the lineitem table's.
+using OrdersRow = std::array<int64_t, 7>;
+using LineitemRow = std::array<int64_t, 15>;
 
-void GenOrdersAndLineitem(Catalog* catalog, uint64_t order_count,
-                          uint64_t cust_count, uint64_t part_count,
-                          uint64_t supp_count, Random* rng) {
-  Table* ot = catalog->GetTable("orders");
-  Table* lt = catalog->GetTable("lineitem");
+/// The orders and their lines, drawn from the main stream one order at a
+/// time. The same draws feed both passes over them: a replay that only
+/// counts lines, then the writes.
+class OrderGenerator {
+ public:
+  OrderGenerator(Catalog* catalog, const Cardinalities& card)
+      : cust_count_(card.customer),
+        part_count_(card.part),
+        supp_count_(card.supplier) {
+    Table* ot = catalog->GetTable("orders");
+    Table* lt = catalog->GetTable("lineitem");
+    Dictionary& status_dict = ot->dictionary(ot->ColumnIndex("o_orderstatus"));
+    Dictionary& prio_dict = ot->dictionary(ot->ColumnIndex("o_orderpriority"));
+    Dictionary& rf_dict = lt->dictionary(lt->ColumnIndex("l_returnflag"));
+    Dictionary& ls_dict = lt->dictionary(lt->ColumnIndex("l_linestatus"));
+    Dictionary& si_dict = lt->dictionary(lt->ColumnIndex("l_shipinstruct"));
+    Dictionary& sm_dict = lt->dictionary(lt->ColumnIndex("l_shipmode"));
+    // Register dictionary entries in a fixed order so codes are stable
+    // across scale factors (query constants resolve codes at plan time
+    // regardless), and resolve each code once instead of hashing a string
+    // per row.
+    status_f_ = status_dict.GetOrAdd("F");
+    status_o_ = status_dict.GetOrAdd("O");
+    status_p_ = status_dict.GetOrAdd("P");
+    prio_code_ = RegisterAll(&prio_dict, kPriorities);
+    flag_r_ = rf_dict.GetOrAdd("R");
+    flag_a_ = rf_dict.GetOrAdd("A");
+    flag_n_ = rf_dict.GetOrAdd("N");
+    line_o_ = ls_dict.GetOrAdd("O");
+    line_f_ = ls_dict.GetOrAdd("F");
+    si_code_ = RegisterAll(&si_dict, kInstructions);
+    sm_code_ = RegisterAll(&sm_dict, kShipModes);
+  }
 
-  Column& o_orderkey = ot->column("o_orderkey");
-  Column& o_custkey = ot->column("o_custkey");
-  Column& o_orderstatus = ot->column("o_orderstatus");
-  Column& o_totalprice = ot->column("o_totalprice");
-  Column& o_orderdate = ot->column("o_orderdate");
-  Column& o_orderpriority = ot->column("o_orderpriority");
-  Column& o_shippriority = ot->column("o_shippriority");
-  Dictionary& status_dict = ot->dictionary(ot->ColumnIndex("o_orderstatus"));
-  Dictionary& prio_dict = ot->dictionary(ot->ColumnIndex("o_orderpriority"));
-
-  Column& l_orderkey = lt->column("l_orderkey");
-  Column& l_partkey = lt->column("l_partkey");
-  Column& l_suppkey = lt->column("l_suppkey");
-  Column& l_linenumber = lt->column("l_linenumber");
-  Column& l_quantity = lt->column("l_quantity");
-  Column& l_extendedprice = lt->column("l_extendedprice");
-  Column& l_discount = lt->column("l_discount");
-  Column& l_tax = lt->column("l_tax");
-  Column& l_returnflag = lt->column("l_returnflag");
-  Column& l_linestatus = lt->column("l_linestatus");
-  Column& l_shipdate = lt->column("l_shipdate");
-  Column& l_commitdate = lt->column("l_commitdate");
-  Column& l_receiptdate = lt->column("l_receiptdate");
-  Column& l_shipinstruct = lt->column("l_shipinstruct");
-  Column& l_shipmode = lt->column("l_shipmode");
-  Dictionary& rf_dict = lt->dictionary(lt->ColumnIndex("l_returnflag"));
-  Dictionary& ls_dict = lt->dictionary(lt->ColumnIndex("l_linestatus"));
-  Dictionary& si_dict = lt->dictionary(lt->ColumnIndex("l_shipinstruct"));
-  Dictionary& sm_dict = lt->dictionary(lt->ColumnIndex("l_shipmode"));
-
-  // Register dictionary entries in a fixed order so codes are stable across
-  // scale factors (query constants resolve codes at plan time regardless),
-  // and resolve each code once instead of hashing a string per row.
-  const int32_t status_f = status_dict.GetOrAdd("F");
-  const int32_t status_o = status_dict.GetOrAdd("O");
-  const int32_t status_p = status_dict.GetOrAdd("P");
-  const auto prio_code = RegisterAll(&prio_dict, kPriorities);
-  const int32_t flag_r = rf_dict.GetOrAdd("R");
-  const int32_t flag_a = rf_dict.GetOrAdd("A");
-  const int32_t flag_n = rf_dict.GetOrAdd("N");
-  const int32_t line_o = ls_dict.GetOrAdd("O");
-  const int32_t line_f = ls_dict.GetOrAdd("F");
-  const auto si_code = RegisterAll(&si_dict, kInstructions);
-  const auto sm_code = RegisterAll(&sm_dict, kShipModes);
-
-  const int32_t start_date = DateToDays(1992, 1, 1);
-  const int32_t end_date = DateToDays(1998, 8, 2);
-  // The "current date" used by the spec: lines shipped after it are still 'O'.
-  const int32_t current_date = DateToDays(1995, 6, 17);
-
-  // The part retail prices, re-derived (cheaper than a column lookup loop).
-  auto retail_price = [](int64_t pk) {
-    return 90000 + (pk / 10) % 20001 + 100 * (pk % 1000);
-  };
-
-  for (uint64_t o = 0; o < order_count; ++o) {
+  /// Draws order `o` from `rng` and hands its lines, then the order, to
+  /// `sink`'s Line(const LineitemRow&) and Order(const OrdersRow&).
+  template <typename Sink>
+  void Generate(uint64_t o, Random* rng, Sink* sink) const {
     // Sparse order keys like the spec (gaps of 8 every 32 keys).
-    int64_t okey = static_cast<int64_t>((o / 8) * 32 + o % 8 + 1);
-    int32_t odate = static_cast<int32_t>(
-        start_date + rng->NextBelow(static_cast<uint64_t>(
-                         end_date - start_date - 151)));
-    int lines = static_cast<int>(rng->NextBelow(7)) + 1;
+    const auto okey = static_cast<int64_t>((o / 8) * 32 + o % 8 + 1);
+    const int32_t odate = static_cast<int32_t>(
+        kStartDate + rng->NextBelow(static_cast<uint64_t>(
+                         kEndDate - kStartDate - 151)));
+    const int lines = static_cast<int>(rng->NextBelow(7)) + 1;
     int64_t total = 0;
     int f_lines = 0;
     for (int ln = 0; ln < lines; ++ln) {
-      int64_t pk = static_cast<int64_t>(rng->NextBelow(part_count)) + 1;
-      int64_t sk = static_cast<int64_t>(rng->NextBelow(supp_count)) + 1;
-      int64_t qty_units = static_cast<int64_t>(rng->NextBelow(50)) + 1;
-      int64_t eprice = qty_units * retail_price(pk);
-      int64_t discount = rng->NextRange(0, 10);   // 0.00 .. 0.10
-      int64_t tax = rng->NextRange(0, 8);         // 0.00 .. 0.08
-      int32_t sdate = odate + static_cast<int32_t>(rng->NextBelow(121)) + 1;
-      int32_t cdate = odate + static_cast<int32_t>(rng->NextBelow(61)) + 30;
-      int32_t rdate = sdate + static_cast<int32_t>(rng->NextBelow(30)) + 1;
-      bool shipped = rdate <= current_date;
+      const int64_t pk = static_cast<int64_t>(rng->NextBelow(part_count_)) + 1;
+      const int64_t sk = static_cast<int64_t>(rng->NextBelow(supp_count_)) + 1;
+      const int64_t qty_units = static_cast<int64_t>(rng->NextBelow(50)) + 1;
+      // The part's retail price, re-derived (cheaper than a column lookup).
+      const int64_t eprice =
+          qty_units * (90000 + (pk / 10) % 20001 + 100 * (pk % 1000));
+      const int64_t discount = rng->NextRange(0, 10);  // 0.00 .. 0.10
+      const int64_t tax = rng->NextRange(0, 8);        // 0.00 .. 0.08
+      const int32_t sdate =
+          odate + static_cast<int32_t>(rng->NextBelow(121)) + 1;
+      const int32_t cdate =
+          odate + static_cast<int32_t>(rng->NextBelow(61)) + 30;
+      const int32_t rdate =
+          sdate + static_cast<int32_t>(rng->NextBelow(30)) + 1;
+      const bool shipped = rdate <= kCurrentDate;
       const int32_t rflag =
-          shipped ? (rng->NextBool(0.5) ? flag_r : flag_a) : flag_n;
-      const bool open = sdate > current_date;
+          shipped ? (rng->NextBool(0.5) ? flag_r_ : flag_a_) : flag_n_;
+      const bool open = sdate > kCurrentDate;
       if (!open) ++f_lines;
-
-      l_orderkey.AppendInt(okey);
-      l_partkey.AppendInt(pk);
-      l_suppkey.AppendInt(sk);
-      l_linenumber.AppendInt(ln + 1);
-      l_quantity.AppendInt(qty_units * 100);
-      l_extendedprice.AppendInt(eprice);
-      l_discount.AppendInt(discount);
-      l_tax.AppendInt(tax);
-      l_returnflag.AppendInt(rflag);
-      l_linestatus.AppendInt(open ? line_o : line_f);
-      l_shipdate.AppendInt(sdate);
-      l_commitdate.AppendInt(cdate);
-      l_receiptdate.AppendInt(rdate);
-      l_shipinstruct.AppendInt(si_code[rng->NextBelow(4)]);
-      l_shipmode.AppendInt(sm_code[rng->NextBelow(7)]);
+      const int32_t instruct = si_code_[rng->NextBelow(4)];
+      const int32_t mode = sm_code_[rng->NextBelow(7)];
+      sink->Line(LineitemRow{okey, pk, sk, ln + 1, qty_units * 100, eprice,
+                             discount, tax, rflag, open ? line_o_ : line_f_,
+                             sdate, cdate, rdate, instruct, mode});
       total += eprice;
     }
     const int32_t ostatus =
-        f_lines == lines ? status_f : (f_lines == 0 ? status_o : status_p);
-    o_orderkey.AppendInt(okey);
-    o_custkey.AppendInt(static_cast<int64_t>(rng->NextBelow(cust_count)) + 1);
-    o_orderstatus.AppendInt(ostatus);
-    o_totalprice.AppendInt(total);
-    o_orderdate.AppendInt(odate);
-    o_orderpriority.AppendInt(prio_code[rng->NextBelow(5)]);
-    o_shippriority.AppendInt(0);
+        f_lines == lines ? status_f_ : (f_lines == 0 ? status_o_ : status_p_);
+    const int64_t custkey =
+        static_cast<int64_t>(rng->NextBelow(cust_count_)) + 1;
+    const int32_t priority = prio_code_[rng->NextBelow(5)];
+    sink->Order(OrdersRow{okey, custkey, ostatus, total, odate, priority, 0});
   }
+
+ private:
+  static inline const int32_t kStartDate = DateToDays(1992, 1, 1);
+  static inline const int32_t kEndDate = DateToDays(1998, 8, 2);
+  // The "current date" used by the spec: lines shipped after it are still 'O'.
+  static inline const int32_t kCurrentDate = DateToDays(1995, 6, 17);
+
+  uint64_t cust_count_, part_count_, supp_count_;
+  int32_t status_f_, status_o_, status_p_;
+  std::array<int32_t, 5> prio_code_;
+  int32_t flag_r_, flag_a_, flag_n_, line_o_, line_f_;
+  std::array<int32_t, 4> si_code_;
+  std::array<int32_t, 7> sm_code_;
+};
+
+/// The replay's sink: counts the lines.
+struct LineCounter {
+  uint64_t lines = 0;
+  void Line(const LineitemRow&) { ++lines; }
+  void Order(const OrdersRow&) {}
+};
+
+/// The writers' sink: writes rows from the given ones on into the sized
+/// orders and lineitem columns, each value width-checked.
+class RowWriter {
+ public:
+  RowWriter(Table* orders, Table* lineitem, uint64_t order_row,
+            uint64_t line_row)
+      : orders_(orders),
+        lineitem_(lineitem),
+        order_row_(order_row),
+        line_row_(line_row) {}
+
+  void Line(const LineitemRow& values) {
+    Write(lineitem_, line_row_++, values);
+  }
+  void Order(const OrdersRow& values) { Write(orders_, order_row_++, values); }
+
+ private:
+  template <size_t N>
+  static void Write(Table* table, uint64_t row,
+                    const std::array<int64_t, N>& values) {
+    for (size_t c = 0; c < N; ++c) {
+      table->column(static_cast<int>(c)).SetInt(row, values[c]);
+    }
+  }
+
+  Table* orders_;
+  Table* lineitem_;
+  uint64_t order_row_, line_row_;
+};
+
+/// The orders in one range of a replay split, which one task writes.
+constexpr uint64_t kOrdersPerRange = 16384;
+
+/// Generates orders and lineitem: a replay on this thread records the
+/// Random state and lineitem row at the start of each range of
+/// kOrdersPerRange orders and counts the lines; this thread then sizes
+/// every column, so they stay on its malloc (see src/obs/DESIGN.md), and
+/// the ranges are written in parallel into their disjoint rows. The values
+/// are those of one pass writing every order in turn.
+void GenOrdersAndLineitem(Catalog* catalog, const Cardinalities& card,
+                          Random* rng) {
+  Table* orders = catalog->GetTable("orders");
+  Table* lineitem = catalog->GetTable("lineitem");
+  // The rows are written by column position: o_comment is last.
+  AQE_CHECK(orders->ColumnIndex("o_comment") == std::tuple_size_v<OrdersRow> &&
+            lineitem->num_columns() == std::tuple_size_v<LineitemRow>);
+  const OrderGenerator generator(catalog, card);
+  struct RangeStart {
+    Random rng;
+    uint64_t line_row;
+  };
+  std::vector<RangeStart> starts;
+  LineCounter counter;
+  for (uint64_t o = 0; o < card.orders; ++o) {
+    if (o % kOrdersPerRange == 0) starts.push_back({*rng, counter.lines});
+    generator.Generate(o, rng, &counter);
+  }
+  for (size_t c = 0; c < std::tuple_size_v<OrdersRow>; ++c) {
+    orders->column(static_cast<int>(c)).Resize(card.orders);
+  }
+  for (int c = 0; c < lineitem->num_columns(); ++c) {
+    lineitem->column(c).Resize(counter.lines);
+  }
+  ForkJoin(starts.size(), [&](size_t r) {
+    Random range_rng = starts[r].rng;
+    const uint64_t first = r * kOrdersPerRange;
+    RowWriter writer(orders, lineitem, first, starts[r].line_row);
+    for (uint64_t o = first; o < std::min(card.orders, first + kOrdersPerRange);
+         ++o) {
+      generator.Generate(o, &range_rng, &writer);
+    }
+  });
 }
 
-/// Fills o_comment, then sorts its dictionary and remaps the column. Each
-/// order's comment is 4..8 vocabulary words; ~2% of orders embed
-/// "special ... requests" in order, the Q13 predicate's target. Nearly all
-/// comments are distinct, making this the engine's high-cardinality
-/// dictionary column. The comments draw from their own deterministic stream
-/// so the text column does not perturb the long-standing key/date/price
-/// distributions (and the query results derived from them), and so they can
-/// be generated beside the main stream: only this column and its dictionary
-/// are touched.
-void GenOrderComments(Table* orders, uint64_t order_count) {
-  const int column = orders->ColumnIndex("o_comment");
-  Column& o_comment = orders->column(column);
-  Dictionary& cmt_dict = orders->dictionary(column);
-  Random comment_rng(0x5EA7C0DEu);
-  std::string comment;  // one buffer, reused for every order's comment
-  for (uint64_t o = 0; o < order_count; ++o) {
-    comment.clear();
-    const int words = 4 + static_cast<int>(comment_rng.NextBelow(5));
-    const bool special = comment_rng.NextBool(0.02);
+/// One order's comment: 4..8 vocabulary words joined by single spaces.
+class Comment {
+ public:
+  /// Draws the next comment from `rng`. ~2% of comments embed
+  /// "special ... requests" in order, the Q13 predicate's target.
+  explicit Comment(Random* rng) {
+    count_ = 4 + static_cast<int>(rng->NextBelow(5));
+    const bool special = rng->NextBool(0.02);
     const int special_at =
-        special ? static_cast<int>(comment_rng.NextBelow(
-                      static_cast<uint64_t>(words - 1)))
+        special ? static_cast<int>(rng->NextBelow(
+                      static_cast<uint64_t>(count_ - 1)))
                 : -1;
-    for (int wi = 0; wi < words; ++wi) {
-      if (!comment.empty()) comment += ' ';
+    for (int wi = 0; wi < count_; ++wi) {
       if (wi == special_at) {
-        comment += "special";
+        words_[wi] = "special";
       } else if (special && wi == special_at + 1) {
-        comment += "requests";
+        words_[wi] = "requests";
       } else {
-        comment += kCommentWords[comment_rng.NextBelow(16)];
+        words_[wi] = kCommentWords[rng->NextBelow(16)];
       }
     }
-    o_comment.AppendInt(cmt_dict.GetOrAdd(comment));
   }
-  orders->SortDictionary(column);
+
+  size_t size() const {
+    size_t bytes = static_cast<size_t>(count_ - 1);
+    for (int wi = 0; wi < count_; ++wi) bytes += words_[wi].size();
+    return bytes;
+  }
+
+  /// Writes the size() bytes of the comment to `out`.
+  void CopyTo(char* out) const {
+    for (int wi = 0; wi < count_; ++wi) {
+      if (wi > 0) *out++ = ' ';
+      out = std::copy(words_[wi].begin(), words_[wi].end(), out);
+    }
+  }
+
+ private:
+  std::array<std::string_view, 8> words_;
+  int count_;
+};
+
+/// Fills o_comment, sized by the caller. Nearly all comments are distinct,
+/// making this the engine's high-cardinality dictionary column. Split by
+/// replay like the orders: a replay sizes every comment and records the
+/// Random state at the start of each range of kOrdersPerRange orders, the
+/// ranges write the comments back to back into one buffer in parallel, and
+/// the dictionary is bulk-loaded from it, sorted, so the column is written
+/// once with its final codes. The comments draw from their own
+/// deterministic stream so the text column does not perturb the
+/// long-standing key/date/price distributions (and the query results
+/// derived from them), and so they can be generated beside the main
+/// stream: only this column and its dictionary are touched.
+void GenOrderComments(Table* orders, uint64_t order_count) {
+  Random rng(0x5EA7C0DEu);
+  PageVector<Random> starts;  // a helper's: see GenerateTpchData
+  PageVector<uint64_t> ends(order_count);
+  uint64_t end = 0;
+  for (uint64_t o = 0; o < order_count; ++o) {
+    if (o % kOrdersPerRange == 0) starts.push_back(rng);
+    end += Comment(&rng).size();
+    ends[o] = end;
+  }
+  PageVector<char> bytes(end);
+  ForkJoin(starts.size(), [&](size_t r) {
+    Random range_rng = starts[r];
+    const uint64_t first = r * kOrdersPerRange;
+    for (uint64_t o = first; o < std::min(order_count, first + kOrdersPerRange);
+         ++o) {
+      Comment(&range_rng).CopyTo(bytes.data() + (o == 0 ? 0 : ends[o - 1]));
+    }
+  });
+  const int column = orders->ColumnIndex("o_comment");
+  const PageVector<int32_t> codes =
+      orders->dictionary(column).BulkLoad(bytes, ends);
+  Column& o_comment = orders->column(column);
+  for (uint64_t o = 0; o < order_count; ++o) o_comment.SetInt(o, codes[o]);
 }
 
 }  // namespace
@@ -330,13 +436,13 @@ void GenOrderComments(Table* orders, uint64_t order_count) {
 void GenerateTpchData(Catalog* catalog, double sf, uint64_t seed) {
   const Cardinalities card = CardinalitiesForScale(sf);
   Table* orders = catalog->GetTable("orders");
-  // Task 0, the main stream, stays on this thread: it grows every other
-  // column on malloc, and the catalog keeps them. The comment task runs on a
-  // helper thread, which must take no large buffer from malloc (see
-  // src/obs/DESIGN.md), so its column is reserved here and its dictionary
-  // is page-mapped. The streams are separate, so the bytes are the same as
-  // one thread generating both.
-  orders->column("o_comment").Reserve(card.orders);
+  // Task 0, the main stream, stays on this thread: it sizes every other
+  // column on malloc, and the catalog keeps them; its helpers only write
+  // into them. The comment task runs on a helper thread, which must take
+  // no large buffer from malloc (see src/obs/DESIGN.md), so its column is
+  // sized here and its buffers and dictionary are page-mapped. The streams
+  // are separate, so the bytes are the same as one thread generating both.
+  orders->column("o_comment").Resize(card.orders);
   ForkJoin(2, [&](size_t task) {
     if (task == 1) {
       GenOrderComments(orders, card.orders);
@@ -348,13 +454,13 @@ void GenerateTpchData(Catalog* catalog, double sf, uint64_t seed) {
     GenCustomer(catalog, card.customer, &rng);
     GenPart(catalog, card.part, &rng);
     GenPartsupp(catalog, card.part, card.supplier, &rng);
-    GenOrdersAndLineitem(catalog, card.orders, card.customer, card.part,
-                         card.supplier, &rng);
+    GenOrdersAndLineitem(catalog, card, &rng);
   });
-  // Establish the order-preserving dictionary invariant after bulk load:
-  // codes become lexicographic, so LIKE-prefix predicates lower to integer
-  // range compares (strings/like_lowering) and code order matches string
-  // order everywhere. Queries resolve codes at plan time, so the remap is
+  // Establish the order-preserving dictionary invariant after the load
+  // (o_comment's bulk load already has it): codes become lexicographic, so
+  // LIKE-prefix predicates lower to integer range compares
+  // (strings/like_lowering) and code order matches string order
+  // everywhere. Queries resolve codes at plan time, so the remap is
   // invisible to them. Secondary indexes (zone maps, dictionary-code CSR,
   // inverted token index) are built after a table's dictionaries are sorted
   // so code order matches string order inside the index structures too.

@@ -1,10 +1,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "engine/query_engine.h"
 #include "exec/morsel.h"
 #include "index/access_path.h"
@@ -361,6 +364,68 @@ TEST(TokenIndexTest, CandidateCodesAreASupersetOfMatches) {
   // No usable sub-part: the index reports it cannot help.
   EXPECT_FALSE(tokens.CandidateCodes("%", &none));
   EXPECT_FALSE(tokens.CandidateCodes("_%_", &none));
+}
+
+// A dictionary of kParallelBuildCodes+ codes is tokenized in ranges on
+// several threads; the index must equal a serial std::map build. The
+// strings repeat tokens within one string, and the codes at every range
+// boundary n*r/R of any range count R <= 64 carry a token of their own.
+TEST(TokenIndexTest, ParallelBuildMatchesSerialReference) {
+  static constexpr const char* kVocabulary[] = {
+      "alpha", "beta", "gamma", "al", "pha", "x", "Z9", "42", "delta7"};
+  static constexpr char kSeparators[] = "!#$%&()*+,-./:;<";  // 16, no token
+  const size_t n = TokenIndex::kParallelBuildCodes + 4099;
+  std::vector<bool> boundary(n, false);
+  for (size_t ranges = 1; ranges <= 64; ++ranges) {
+    for (size_t r = 0; r < ranges; ++r) boundary[n * r / ranges] = true;
+  }
+  Random rng(43);
+  Dictionary dict;
+  std::map<std::string, std::vector<int32_t>> reference;
+  for (size_t code = 0; code < n; ++code) {
+    std::vector<std::string> tokens;
+    for (uint64_t t = 1 + rng.NextBelow(6); t > 0; --t) {
+      tokens.push_back(kVocabulary[rng.NextBelow(std::size(kVocabulary))]);
+      if (rng.NextBelow(4) == 0) tokens.push_back(tokens.back());  // repeat
+    }
+    if (boundary[code]) tokens.push_back("edge");
+    // The code in base 16 over separator bytes keeps the strings distinct.
+    std::string s;
+    for (size_t rest = code; rest > 0; rest /= 16) s += kSeparators[rest % 16];
+    for (const std::string& token : tokens) s += " " + token;
+    ASSERT_EQ(dict.GetOrAdd(s), static_cast<int32_t>(code));
+    for (const std::string& token : tokens) {
+      std::vector<int32_t>& codes = reference[token];
+      if (codes.empty() || codes.back() != static_cast<int32_t>(code)) {
+        codes.push_back(static_cast<int32_t>(code));
+      }
+    }
+  }
+  const TokenIndex index = TokenIndex::Build(dict);
+  ASSERT_EQ(index.num_tokens(), reference.size());
+  uint64_t postings = 0;
+  for (const auto& entry : reference) postings += entry.second.size();
+  EXPECT_EQ(index.posting_entries(), postings);
+  for (const auto& [token, codes] : reference) {
+    std::vector<int32_t> candidates;
+    const bool usable =
+        index.CandidateCodes("%" + token + "%", &candidates);
+    if (token.size() < TokenIndex::kMinSubpart) {
+      EXPECT_FALSE(usable) << token;
+      continue;
+    }
+    // The candidates of %t% are the codes of every token containing t.
+    std::vector<int32_t> expected;
+    for (const auto& [other, other_codes] : reference) {
+      if (other.find(token) == std::string::npos) continue;
+      expected.insert(expected.end(), other_codes.begin(), other_codes.end());
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    ASSERT_TRUE(usable) << token;
+    EXPECT_EQ(candidates, expected) << token;
+  }
 }
 
 // ============================================================================

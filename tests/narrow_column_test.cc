@@ -85,7 +85,6 @@ class NarrowColumnTest : public ::testing::Test {
     const std::vector<int64_t> b8 = Boundaries<int8_t>();
     const std::vector<int64_t> b16 = Boundaries<int16_t>();
     const std::vector<int64_t> b32 = Boundaries<int32_t>();
-    for (int c = 0; c < kNumCols; ++c) t->column(c).Reserve(kRows);
     for (uint64_t r = 0; r < kRows; ++r) {
       const bool last = r + 1 == kRows;
       // c8 ascends in runs (zone maps can prune it), c16 cycles row by row
@@ -352,23 +351,38 @@ TEST_F(NarrowColumnTest, DictionaryBitmapFiltersAgreeOnNarrowCodes) {
   }
 }
 
+/// A value just past each end of each integer width below 64 bits.
+struct OutOfRangeCase {
+  DataType type;
+  int64_t value;
+};
+constexpr OutOfRangeCase kOutOfRangeCases[] = {
+    {DataType::kI8, 128},
+    {DataType::kI8, -129},
+    {DataType::kI16, 32768},
+    {DataType::kI16, -32769},
+    {DataType::kI32, int64_t{1} << 31},
+    {DataType::kI32, -(int64_t{1} << 31) - 1},
+};
+
 TEST(NarrowColumnDeathTest, AppendOutOfRangeValueFails) {
-  struct Case {
-    DataType type;
-    int64_t value;
-  };
-  const Case cases[] = {
-      {DataType::kI8, 128},
-      {DataType::kI8, -129},
-      {DataType::kI16, 32768},
-      {DataType::kI16, -32769},
-      {DataType::kI32, int64_t{1} << 31},
-      {DataType::kI32, -(int64_t{1} << 31) - 1},
-  };
-  for (const Case& c : cases) {
+  for (const OutOfRangeCase& c : kOutOfRangeCases) {
     Column column("x", c.type);
     column.AppendInt(c.value > 0 ? c.value - 1 : c.value + 1);  // fits
     EXPECT_DEATH(column.AppendInt(c.value), "declared width")
+        << DataTypeName(c.type) << " " << c.value;
+  }
+}
+
+// The sized-write path the catalog's parallel writers take checks the
+// same widths.
+TEST(NarrowColumnDeathTest, SetOutOfRangeValueFails) {
+  for (const OutOfRangeCase& c : kOutOfRangeCases) {
+    Column column("x", c.type);
+    column.Resize(2);
+    column.SetInt(1, c.value > 0 ? c.value - 1 : c.value + 1);  // fits
+    EXPECT_EQ(column.GetAsI64(1), c.value > 0 ? c.value - 1 : c.value + 1);
+    EXPECT_DEATH(column.SetInt(0, c.value), "declared width")
         << DataTypeName(c.type) << " " << c.value;
   }
 }

@@ -273,7 +273,7 @@ TEST(DictionaryDifferentialTest, ManyDistinctStringsGrowTheTable) {
     const std::string v = RandomString(&rng, 12);
     ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
   }
-  // Both sorts below take the parallel chunk-and-merge path.
+  // Both sorts below take the parallel, bucketed path.
   ASSERT_GE(d.size(), Dictionary::kParallelSortCodes);
   const std::vector<std::string> probes = ShortProbes(&rng);
   ExpectMatchesReference(d, ref, probes);
@@ -285,6 +285,135 @@ TEST(DictionaryDifferentialTest, ManyDistinctStringsGrowTheTable) {
   }
   ExpectMatchesReference(d, ref, probes);
   SortAndExpectMatchesReference(&d, &ref, probes);
+}
+
+// Strings sharing a 20-byte prefix: the MSD sort ties on their first two
+// 8-byte digits and on part of the third, so it recurses at least three
+// digits deep, on the parallel path. Three prefixes that differ in their
+// first byte fill three buckets.
+TEST(DictionaryDifferentialTest, ParallelSortRecursesPastSharedPrefixes) {
+  Random rng(29);
+  Dictionary d;
+  RefDict ref;
+  const std::string prefixes[] = {std::string(20, 'p'),
+                                  "a" + std::string(19, '\0'),
+                                  "\xf0" + std::string(19, 'z')};
+  while (ref.strings.size() < 70000) {
+    const std::string& prefix = prefixes[rng.NextBelow(3)];
+    const std::string v = prefix + RandomString(&rng, 10);
+    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
+  }
+  ASSERT_GE(d.size(), Dictionary::kParallelSortCodes);
+  std::vector<std::string> probes = ShortProbes(&rng);
+  for (const std::string& p : prefixes) {
+    probes.push_back(p);
+    probes.push_back(p.substr(0, 17));
+  }
+  std::rotate(probes.begin(), probes.end() - 6, probes.end());  // checked first
+  SortAndExpectMatchesReference(&d, &ref, probes);
+}
+
+// ---------------------------------------------------------------------------
+// Bulk load against the same reference: GetOrAdd on every row, then
+// SortCodes
+// ---------------------------------------------------------------------------
+
+/// Bulk-loads `values` as a column's rows and checks each row's code, and
+/// everything readable, against the reference.
+void BulkLoadAndExpectMatchesReference(const std::vector<std::string>& values,
+                                       const std::vector<std::string>& probes) {
+  PageVector<char> bytes;
+  PageVector<uint64_t> ends;
+  RefDict ref;
+  std::vector<int32_t> load_codes;  // the reference's codes before its sort
+  for (const std::string& v : values) {
+    bytes.insert(bytes.end(), v.begin(), v.end());
+    ends.push_back(bytes.size());
+    load_codes.push_back(ref.GetOrAdd(v));
+  }
+  const PageVector<int32_t> remap = ref.SortCodes();
+  Dictionary d;
+  const PageVector<int32_t> codes = d.BulkLoad(bytes, ends);
+  ASSERT_EQ(codes.size(), values.size());
+  for (size_t r = 0; r < values.size(); ++r) {
+    ASSERT_EQ(codes[r], remap[static_cast<size_t>(load_codes[r])])
+        << "row " << r << " '" << values[r] << "'";
+  }
+  EXPECT_TRUE(d.is_sorted());
+  ExpectMatchesReference(d, ref, probes);
+  // GetOrAdd goes on from the loaded state.
+  const std::string past = "\xff\xff\xff";
+  ASSERT_EQ(d.GetOrAdd(past), ref.GetOrAdd(past));
+  EXPECT_EQ(d.is_sorted(), ref.IsSorted());
+  EXPECT_EQ(d.Find(past), d.size() - 1);
+}
+
+TEST(BulkLoadDifferentialTest, NoValues) {
+  Dictionary d;
+  EXPECT_TRUE(d.BulkLoad({}, {}).empty());
+  EXPECT_EQ(d.size(), 0);
+  EXPECT_EQ(d.Find(""), -1);
+  EXPECT_EQ(d.PrefixRange(""), std::make_pair(0, 0));
+  BulkLoadAndExpectMatchesReference({}, {"", "a"});
+}
+
+TEST(BulkLoadDifferentialTest, EmptyNulAndHighBytes) {
+  using namespace std::string_literals;
+  std::vector<std::string> values = {"",         "\0"s,       "\0\0"s,
+                                     "a\0"s,     "a\0b"s,     "a"s,
+                                     "\0a"s,     "\x80"s,     "\xe9" "a"s,
+                                     "\xff\0"s,  "\x7f\xff"s, ""};
+  for (int b = 255; b >= 0; --b) values.emplace_back(1, static_cast<char>(b));
+  BulkLoadAndExpectMatchesReference(values, values);
+}
+
+TEST(BulkLoadDifferentialTest, Duplicates) {
+  Random rng(31);
+  std::vector<std::string> pool;
+  for (int i = 0; i < 300; ++i) pool.push_back(RandomString(&rng, 6));
+  std::vector<std::string> values;
+  for (int i = 0; i < 20000; ++i) {
+    values.push_back(pool[rng.NextBelow(pool.size())]);
+  }
+  std::vector<std::string> probes = ShortProbes(&rng);
+  probes.insert(probes.end(), pool.begin(), pool.begin() + 20);
+  BulkLoadAndExpectMatchesReference(values, probes);
+}
+
+// Strings that end on either side of the 8-byte digit boundaries and
+// share digits, and strings that differ only in trailing '\0's: the
+// zero-padded digits of "ab" and "ab\0" tie, and the byte count orders them.
+TEST(BulkLoadDifferentialTest, DigitBoundariesAndZeroPadding) {
+  using namespace std::string_literals;
+  const std::string base = "abcdefghijklmnopq";
+  std::vector<std::string> values;
+  for (size_t len : {7, 8, 9, 15, 16, 17}) {
+    const std::string s = base.substr(0, len);
+    values.push_back(s);
+    values.push_back(s + "\0"s);
+    values.push_back(s.substr(0, len - 1) + "\0"s);
+    values.push_back(s.substr(0, len - 1) + "\xff"s);
+    values.push_back(s.substr(0, len - 1) + "a"s);
+  }
+  for (size_t zeros = 0; zeros <= 10; ++zeros) {
+    values.push_back("ab"s + std::string(zeros, '\0'));
+    values.push_back("ab"s + std::string(zeros, '\0') + "c"s);
+  }
+  std::vector<std::string> shuffled = values;
+  Random rng(37);
+  for (size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
+  }
+  values.insert(values.end(), shuffled.begin(), shuffled.end());
+  BulkLoadAndExpectMatchesReference(values, values);
+}
+
+TEST(BulkLoadDifferentialTest, ParallelPath) {
+  Random rng(41);
+  std::vector<std::string> values;
+  for (int i = 0; i < 90000; ++i) values.push_back(RandomString(&rng, 12));
+  ASSERT_GE(values.size(), static_cast<size_t>(Dictionary::kParallelSortCodes));
+  BulkLoadAndExpectMatchesReference(values, ShortProbes(&rng));
 }
 
 TEST(TableTest, SchemaAndRows) {

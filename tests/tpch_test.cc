@@ -10,8 +10,11 @@
 #include <string>
 #include <string_view>
 #include <utility>
+#include <vector>
 
 #include "common/fixed_point.h"
+#include "index/table_index.h"
+#include "index/text_index.h"
 #include "storage/table.h"
 #include "tpch/tpch_gen.h"
 #include "tpch/tpch_schema.h"
@@ -231,6 +234,49 @@ TEST(TpchFingerprintTest, CatalogValuesMatchPinnedValue) {
                 Dictionary::kParallelSortCodes);
     }
     const uint64_t hash = CatalogFingerprint(catalog);
+    EXPECT_EQ(hash, pinned) << "SF " << sf << std::hex << ": got " << hash;
+  }
+}
+
+// The same pin at a scale factor whose 67,650 orders are not a multiple of
+// any power-of-two range of orders: the generator's last range is partial.
+TEST(TpchFingerprintTest, CatalogValuesMatchPinnedValueAtPartialRange) {
+  Catalog catalog;
+  tpch::BuildTpchDatabase(&catalog, 0.0451);
+  ASSERT_EQ(catalog.GetTable("orders")->num_rows(), 67650u);
+  const uint64_t hash = CatalogFingerprint(catalog);
+  EXPECT_EQ(hash, 0x92ff247c569dfcf7ull) << std::hex << "got " << hash;
+}
+
+// Pins what the catalog fingerprint does not see: o_comment's token index,
+// hashed as its token count, its posting count and the candidate codes of
+// every word a comment is made of.
+TEST(TpchFingerprintTest, TokenIndexMatchesPinnedValue) {
+  static constexpr const char* kWords[] = {
+      "carefully", "quickly",  "furiously",   "ironic", "final",
+      "pending",   "bold",     "regular",     "express", "deposits",
+      "accounts",  "packages", "theodolites", "foxes",  "ideas",
+      "platelets", "special",  "requests"};
+  for (const auto& [sf, pinned] :
+       {std::pair{0.01, 0x1478e4a559669119ull},
+        std::pair{0.1, 0x40613da7c168df11ull}}) {
+    Catalog catalog;
+    tpch::BuildTpchDatabase(&catalog, sf);
+    const Table* orders = catalog.GetTable("orders");
+    const TokenIndex& index =
+        orders->indexes()->text_indexes.at(orders->ColumnIndex("o_comment"));
+    uint64_t hash = 0xcbf29ce484222325ull;
+    auto add = [&hash](uint64_t value) {
+      hash = Fnv1a64(hash, &value, sizeof(value));
+    };
+    add(index.num_tokens());
+    add(index.posting_entries());
+    std::vector<int32_t> codes;
+    for (const char* word : kWords) {
+      ASSERT_TRUE(index.CandidateCodes("%" + std::string(word) + "%", &codes));
+      add(codes.size());
+      hash = Fnv1a64(hash, codes.data(), codes.size() * sizeof(int32_t));
+    }
     EXPECT_EQ(hash, pinned) << "SF " << sf << std::hex << ": got " << hash;
   }
 }
