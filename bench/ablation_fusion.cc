@@ -49,7 +49,7 @@ int main() {
                   static_cast<unsigned long long>(fused),
                   static_cast<unsigned long long>(cmp_brs),
                   r.translate_millis_total,
-                  bench::ExecOnlySeconds(r) * 1e3);
+                  r.exec_seconds_total * 1e3);
     }
   }
   std::printf("\nexpected shape: each fusion class reduces executed VM "

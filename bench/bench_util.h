@@ -68,15 +68,6 @@ inline Catalog* TpchAtScale(double sf) {
   return catalog;
 }
 
-/// Query wall time excluding code generation, translation and machine-code
-/// compilation (Table II reports pure execution; compilation latency is
-/// Table I's subject). The engine now reports this directly — pipeline run
-/// time minus controller-blocking compiles, plus engine steps — so cache
-/// hits and cold runs are compared on identical terms.
-inline double ExecOnlySeconds(const QueryRunResult& result) {
-  return result.exec_seconds_total;
-}
-
 }  // namespace aqe::bench
 
 #endif  // AQE_BENCH_BENCH_UTIL_H_

@@ -62,7 +62,7 @@ int main() {
     QueryRunResult r = engine.Run(q1, options);
     double compile_ms = r.codegen_millis_total + r.translate_millis_total +
                         r.compile_millis_total;
-    Report(mode.label, sf, compile_ms, bench::ExecOnlySeconds(r) * 1e3,
+    Report(mode.label, sf, compile_ms, r.exec_seconds_total * 1e3,
            json_out);
   }
   {  // naive IR interpretation — measured on a smaller SF and scaled
@@ -74,7 +74,7 @@ int main() {
     QueryRunOptions options;
     options.engine = EngineKind::kNaiveIr;
     QueryRunResult r = small_engine.Run(q1, options);
-    double scaled = bench::ExecOnlySeconds(r) * 1e3 * (sf / naive_sf);
+    double scaled = r.exec_seconds_total * 1e3 * (sf / naive_sf);
     char note[64];
     std::snprintf(note, sizeof(note), "(measured at SF %g, scaled)",
                   naive_sf);

@@ -243,7 +243,7 @@ int main(int argc, char** argv) {
           // matters for the sub-ms bitmap-path runs the smoke asserts on.
           options.single_threaded = true;
           QueryRunResult result = engine.Run(q, options);
-          const double exec = bench::ExecOnlySeconds(result);
+          const double exec = result.exec_seconds_total;
           if (r <= 0 || exec < best_exec) best_exec = exec;
           matches = result.rows.at(0).at(0);
           for (const PipelineReport& p : result.pipelines) {
@@ -387,7 +387,7 @@ int main(int argc, char** argv) {
         options.scan_pruning = pruning;
         options.single_threaded = true;
         QueryRunResult result = engine.Run(q, options);
-        const double exec = bench::ExecOnlySeconds(result);
+        const double exec = result.exec_seconds_total;
         if (r <= 0 || exec < best_exec) best_exec = exec;
         count = result.rows.at(0).at(0);
         for (const PipelineReport& p : result.pipelines) {

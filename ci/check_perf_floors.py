@@ -144,61 +144,6 @@ def check_strings_index(simd, rules, failures):
                 f"string_predicates index {name}: {got:.2f} vs {rel} {bound}")
 
 
-def load_metrics_snapshot(path):
-    """Loads and structurally validates a MetricsSnapshot::ToJson() dump.
-
-    Shared with ci/check_metrics_endpoint.py. Raises ValueError on any
-    structural problem: the C++ serializer promises unique keys per
-    section (sections are emitted in a fixed order: registry first, then
-    the engine's own counters) and, per histogram, ascending
-    [upper_bound, count] buckets whose counts sum to the total count.
-    """
-    def no_dupes(pairs):
-        keys = [k for k, _ in pairs]
-        if len(keys) != len(set(keys)):
-            dupes = sorted({k for k in keys if keys.count(k) > 1})
-            raise ValueError(f"{path}: duplicate keys {dupes}")
-        return dict(pairs)
-
-    with open(path) as f:
-        # decode errors propagate: malformed is fatal
-        snap = json.load(f, object_pairs_hook=no_dupes)
-    for section in ("counters", "gauges", "histograms"):
-        if not isinstance(snap.get(section), dict):
-            raise ValueError(f"{path}: missing object {section!r}")
-    for name, h in snap["histograms"].items():
-        for field in ("count", "sum", "max", "mean", "p50", "p95", "p99",
-                      "buckets"):
-            if field not in h:
-                raise ValueError(f"{path}: histogram {name!r} lacks {field!r}")
-        buckets = h["buckets"]
-        uppers = [b[0] for b in buckets]
-        if uppers != sorted(uppers):
-            raise ValueError(
-                f"{path}: histogram {name!r} buckets not ascending: {uppers}")
-        if sum(b[1] for b in buckets) != h["count"]:
-            raise ValueError(
-                f"{path}: histogram {name!r} bucket counts sum to "
-                f"{sum(b[1] for b in buckets)}, expected count {h['count']}")
-    return snap
-
-
-def check_observability_json(build, failures):
-    """Round-trips the last bench run's metrics dump, when one exists (the
-    endpoint-check step produces it; earlier steps may run first)."""
-    path = os.path.join(build, "BENCH_observability.json")
-    if not os.path.exists(path):
-        print("  [skip] BENCH_observability.json not present yet")
-        return
-    try:
-        snap = load_metrics_snapshot(path)
-        print(f"  [ok] BENCH_observability.json: {len(snap['counters'])} "
-              f"counters, {len(snap['histograms'])} histograms round-trip")
-    except (ValueError, json.JSONDecodeError) as e:
-        print(f"  [FAIL] BENCH_observability.json: {e}")
-        failures.append(f"observability json: {e}")
-
-
 def main():
     if platform.machine().lower() not in ("x86_64", "amd64"):
         print(f"perf gate: skipping on {platform.machine()} (x86-only floors)")
@@ -221,8 +166,6 @@ def main():
                        floors["string_predicates_probe_kernel"], failures)
     print("perf gate: string_predicates index access-path ratios")
     check_strings_index(strings, floors["string_predicates_index"], failures)
-    print("perf gate: observability snapshot round-trip")
-    check_observability_json(build, failures)
     if failures:
         print("perf gate FAILED:")
         for f_ in failures:

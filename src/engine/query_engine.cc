@@ -1731,7 +1731,7 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
   // per-lane breakdown, so a single overflowing worker is identifiable.
   // `dropped` splits into deliberate bulk-event decimation under ring
   // pressure (`dropped.sampled`) vs genuine loss of lossless-class events
-  // (`dropped.lost` — what ci/check_trace.py gates at 0).
+  // (`dropped.lost` — what obs_test holds at 0 on a sized run).
   snap.counters.emplace_back("trace.recorded", obs.tracer.total_recorded());
   snap.counters.emplace_back("trace.dropped", obs.tracer.total_dropped());
   snap.counters.emplace_back("trace.dropped.sampled",

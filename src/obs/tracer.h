@@ -69,8 +69,8 @@ struct TraceSnapshot {
 ///  - **critical** (everything else: admission waits, mode switches,
 ///    compiles, cache traffic, anomalies, query/pipeline markers): sized
 ///    at max(kMinCriticalEvents, bulk/4) and kept lossless by sizing;
-///    overwrites there count as `dropped_lost`, which ci/check_trace.py
-///    gates at 0.
+///    overwrites there count as `dropped_lost`, which obs_test's
+///    ConcurrentQueriesRecordSafely holds at 0.
 class EngineTracer {
  public:
   static constexpr int kMaxLanes = 64;

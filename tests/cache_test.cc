@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstdlib>
+#include <functional>
 #include <mutex>
 #include <set>
+#include <string>
 #include <thread>
 
 #include "cache/fingerprint.h"
+#include "common/timer.h"
 #include "engine/query_engine.h"
 #include "queries/tpch_queries.h"
 #include "tpch/tpch_gen.h"
@@ -47,6 +51,33 @@ class CacheTest : public ::testing::Test {
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
     }
     return true;
+  }
+
+  /// The compiled-code publish is a scheduler task too: waits until every
+  /// pipeline of `q` holds optimized code for `q`'s own literals.
+  static bool WaitForOptimizedCode(QueryEngine* engine, const QueryProgram& q,
+                                   const QueryRunOptions& options) {
+    const PlanFingerprint fp = FingerprintProgram(q);
+    auto entry = engine->artifact_cache().Peek(
+        ArtifactCacheKey(fp, options.translator));
+    if (entry == nullptr) return false;
+    auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (std::chrono::steady_clock::now() < deadline) {
+      bool resident = true;
+      {
+        std::lock_guard<std::mutex> lock(entry->mu);
+        for (size_t p = 0; p < entry->pipelines.size(); ++p) {
+          const auto [cb, ce] = fp.pipeline_constants[p];
+          const CodeVariant* v = entry->pipelines[p].FindVariant(
+              {fp.constants.begin() + cb, fp.constants.begin() + ce});
+          resident &= v != nullptr && v->opt != nullptr;
+        }
+      }
+      if (resident) return true;
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return false;
   }
 
   static TpchQ6Literals VariantLiterals() {
@@ -282,6 +313,113 @@ TEST_F(CacheTest, CodeVariantsCoexistPerConstantVector) {
   for (const PipelineArtifact& a : entry->pipelines) {
     EXPECT_LE(a.code_variants.size(), PipelineArtifact::kMaxCodeVariants);
   }
+}
+
+/// Repeated plans, cold then warm: every TPC-H query, three Q6 literal
+/// variants submitted as prepared statements (their cold run compiles
+/// eagerly under kOptimized, publishing machine code that warm adaptive
+/// runs seed from), and three Q14 LIKE-pattern variants (fingerprint-equal
+/// to q14, patch-sharing its bytecode). Deterministic rounds in a fixed
+/// plan order stand in for a timed Zipf mix.
+TEST_F(CacheTest, RepeatedPlansRunWarmFromCachedArtifacts) {
+  struct Plan {
+    std::string label;
+    std::function<QueryProgram()> build;
+    bool prepared = false;
+  };
+  std::vector<Plan> plans;
+  for (int number : ImplementedTpchQueries()) {
+    plans.push_back({"q" + std::to_string(number),
+                     [number] { return BuildTpchQuery(number, catalog()); }});
+  }
+  for (int v = 1; v <= 3; ++v) {
+    TpchQ6Literals lit = DefaultQ6Literals();
+    lit.ship_date_lo += 31 * v;
+    lit.ship_date_hi += 31 * v;
+    lit.quantity_limit += 100 * v;
+    plans.push_back({"q6var" + std::to_string(v),
+                     [lit] { return BuildTpchQ6Variant(catalog(), lit); },
+                     /*prepared=*/true});
+  }
+  for (const char* pattern : {"STANDARD%", "SMALL%", "LARGE%"}) {
+    plans.push_back({std::string("q14like_") + pattern, [pattern] {
+                       return BuildTpchQ14Variant(catalog(), pattern);
+                     }});
+  }
+  ASSERT_EQ(plans.size(), 19u);
+
+  // The one engine on the calibrated cost model: its queries substitute
+  // the measured JIT speedups for the default ones.
+  setenv("AQE_CALIBRATE", "1", 1);
+  QueryEngine engine(&catalog(), 2);
+  unsetenv("AQE_CALIBRATE");
+
+  QueryRunOptions adaptive;
+  adaptive.strategy = ExecutionStrategy::kAdaptive;
+  QueryRunOptions prepared = adaptive;
+  prepared.strategy = ExecutionStrategy::kOptimized;
+
+  // Each round empties the cache and runs every plan cold, then at once
+  // warm, so host load reaches both runs of a pair alike.
+  constexpr int kRounds = 3;
+  std::vector<std::vector<double>> cold_ms(plans.size());
+  std::vector<std::vector<double>> warm_ms(plans.size());
+  std::vector<std::vector<std::vector<int64_t>>> rows(plans.size());
+  std::vector<uint64_t> peak_min(plans.size(), UINT64_MAX);
+  std::vector<uint64_t> peak_max(plans.size(), 0);
+  for (int round = 0; round < kRounds; ++round) {
+    engine.ClearArtifactCache();
+    const uint64_t misses = engine.artifact_cache_stats().entry_misses;
+    for (size_t i = 0; i < plans.size(); ++i) {
+      QueryProgram cold_q = plans[i].build();
+      const QueryRunOptions& options = plans[i].prepared ? prepared : adaptive;
+      Timer cold_timer;
+      QueryRunResult cold = engine.Run(cold_q, options);
+      cold_ms[i].push_back(cold_timer.ElapsedMillis());
+      ASSERT_FALSE(cold.rows.empty()) << plans[i].label;
+      if (round == 0) rows[i] = cold.rows;
+      EXPECT_EQ(cold.rows, rows[i]) << plans[i].label;
+      if (plans[i].prepared) {
+        ASSERT_TRUE(WaitForOptimizedCode(&engine, cold_q, options))
+            << plans[i].label;
+      }
+
+      QueryProgram warm_q = plans[i].build();
+      Timer warm_timer;
+      QueryRunResult warm = engine.Run(warm_q, adaptive);
+      warm_ms[i].push_back(warm_timer.ElapsedMillis());
+      EXPECT_EQ(warm.rows, rows[i]) << plans[i].label;
+      EXPECT_EQ(warm.translate_millis_total, 0) << plans[i].label;
+      EXPECT_EQ(warm.codegen_millis_total, 0) << plans[i].label;
+      EXPECT_GT(warm.peak_memory_bytes, 0u) << plans[i].label;
+      peak_min[i] = std::min(peak_min[i], warm.peak_memory_bytes);
+      peak_max[i] = std::max(peak_max[i], warm.peak_memory_bytes);
+    }
+    EXPECT_GT(engine.artifact_cache_stats().entry_misses, misses);
+  }
+  // Cold runs start from an empty cache, so every code hit is a warm run
+  // seeded from a prepared variant's published machine code.
+  EXPECT_GT(engine.artifact_cache_stats().code_hits, 0u);
+
+  // A warm rerun allocates the same state, so each plan's peak stays put;
+  // a wide spread means charges leak or double-count.
+  for (size_t i = 0; i < plans.size(); ++i) {
+    EXPECT_LE(peak_max[i], 4 * peak_min[i]) << plans[i].label;
+  }
+
+  // Like for like: each plan's median cold run against its median warm
+  // run, then the median over plans. Warm runs skip codegen and
+  // translation and start in the best mode the plan reached, so reuse
+  // never loses.
+  auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    return v[(v.size() - 1) / 2];
+  };
+  std::vector<double> speedups;
+  for (size_t i = 0; i < plans.size(); ++i) {
+    speedups.push_back(median(cold_ms[i]) / median(warm_ms[i]));
+  }
+  EXPECT_GE(median(speedups), 1.0);
 }
 
 // --- eviction ---------------------------------------------------------------

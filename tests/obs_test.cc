@@ -11,7 +11,11 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <map>
 #include <optional>
+#include <regex>
+#include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -454,7 +458,7 @@ TEST_F(ObsEngineTest, ChromeTraceExportIsWellFormedForAdaptiveRun) {
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
   // Balanced braces/brackets (cheap well-formedness proxy without a JSON
-  // parser; CI's check_trace.py does the full parse).
+  // parser; ChromeTraceTest.JsonGolden pins the keys of every phase).
   int braces = 0, brackets = 0;
   bool in_string = false;
   for (size_t i = 0; i < json.size(); ++i) {
@@ -475,6 +479,155 @@ TEST_F(ObsEngineTest, ChromeTraceExportIsWellFormedForAdaptiveRun) {
   EXPECT_NE(text.find("time ->"), std::string::npos);
   EXPECT_NE(text.find("thread 0 |"), std::string::npos);
   EXPECT_NE(text.find("total:"), std::string::npos);
+}
+
+// Golden output: a hand-built snapshot with one event of each kind on two
+// worker lanes and a control lane, and one query whose flow starts at its
+// admission wait, steps through a slice on another worker and finishes at
+// its completion. Every key of every phase (M, X, i, s, t, f) is pinned.
+TEST(ChromeTraceTest, JsonGolden) {
+  auto event = [](TraceEventKind kind, int64_t start_us, int64_t end_us) {
+    TraceEvent e;
+    e.kind = kind;
+    e.start_nanos = 1000000 + start_us * 1000;
+    e.end_nanos = 1000000 + end_us * 1000;
+    return e;
+  };
+  TraceSnapshot snapshot;
+  snapshot.origin_nanos = 1000000;
+
+  TraceSnapshot::Lane worker0;
+  worker0.lane = 0;
+  TraceEvent wait = event(TraceEventKind::kAdmissionWait, 0, 250);
+  wait.detail = 3;
+  wait.d0 = 2.5;
+  wait.query_id = 7;
+  TraceEvent done = event(TraceEventKind::kQueryDone, 250, 800);
+  done.payload = 1;
+  done.d0 = 0.00025;
+  done.d1 = 0.0008;
+  done.query_id = 7;
+  TraceEvent anomaly = event(TraceEventKind::kAnomaly, 800, 800);
+  anomaly.payload = 0xabc;
+  anomaly.detail = static_cast<uint8_t>(AnomalyCause::kCacheEvicted);
+  anomaly.d0 = 0.4;
+  anomaly.d1 = 2.0;
+  anomaly.d2 = 0.25;
+  anomaly.query_id = 7;
+  worker0.events = {wait, done, anomaly};
+  worker0.recorded = 3;
+
+  TraceSnapshot::Lane worker1;
+  worker1.lane = 1;
+  TraceEvent slice = event(TraceEventKind::kTaskSlice, 250, 750);
+  slice.detail = 3;
+  slice.payload = 1;
+  slice.query_id = 7;
+  TraceEvent start = event(TraceEventKind::kPipelineStart, 300, 300);
+  start.payload = 6000;
+  TraceEvent prune = event(TraceEventKind::kScanPrune, 310, 310);
+  prune.detail = static_cast<uint8_t>(AccessPathKind::kZoneMap);
+  prune.payload = 4096;
+  prune.payload2 = 6000;
+  prune.d0 = 0.5;
+  prune.d1 = 0.000125;
+  prune.d2 = 12;
+  TraceEvent miss = event(TraceEventKind::kCacheMiss, 320, 320);
+  TraceEvent morsel = event(TraceEventKind::kMorsel, 400, 500);
+  morsel.detail = static_cast<uint8_t>(ExecMode::kBytecode);
+  morsel.payload = 4096;
+  morsel.pipeline_id = 2;
+  TraceEvent mode_switch = event(TraceEventKind::kModeSwitch, 510, 510);
+  mode_switch.detail = static_cast<uint8_t>(ExecMode::kUnoptimized);
+  mode_switch.payload = 1904;
+  mode_switch.payload2 = TraceEventDoubleToBits(0.125);
+  mode_switch.d0 = 40000000;
+  mode_switch.d1 = 0.000047;
+  mode_switch.d2 = 0.000021;
+  TraceEvent hit = event(TraceEventKind::kCacheHit, 740, 740);
+  hit.payload = 1;
+  worker1.events = {slice, start, prune, miss, morsel, mode_switch, hit};
+  worker1.recorded = 9;
+  worker1.dropped = 2;
+  worker1.dropped_sampled = 2;
+
+  TraceSnapshot::Lane control0;
+  control0.lane = 48;
+  TraceEvent compile = event(TraceEventKind::kCompile, 520, 720);
+  compile.detail = static_cast<uint8_t>(ExecMode::kUnoptimized);
+  compile.payload = 812;
+  TraceEvent publish = event(TraceEventKind::kCachePublish, 730, 730);
+  publish.detail = static_cast<uint8_t>(ExecMode::kUnoptimized);
+  control0.events = {compile, publish};
+  control0.recorded = 3;
+  control0.dropped = 1;
+  control0.dropped_lost = 1;
+
+  snapshot.lanes = {worker0, worker1, control0};
+  EXPECT_EQ(ChromeTraceJson(snapshot),
+      "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":15,"
+      "\"dropped\":3,\"dropped_sampled\":2,\"dropped_lost\":1},"
+      "\"traceEvents\":[\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"worker 0\"}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":0,\"name\":\"thread_sort_index\","
+      "\"args\":{\"sort_index\":0}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"worker 1\"}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_sort_index\","
+      "\"args\":{\"sort_index\":1}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":48,\"name\":\"thread_name\","
+      "\"args\":{\"name\":\"control 0\"}},\n"
+      "{\"ph\":\"M\",\"pid\":1,\"tid\":48,\"name\":\"thread_sort_index\","
+      "\"args\":{\"sort_index\":48}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"admission-wait\","
+      "\"cat\":\"engine\",\"ts\":0.000,\"dur\":250.000,\"args\":{\"class\":3,"
+      "\"est_cost_ms\":2.500,\"query\":7}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"query\",\"cat\":\"engine\","
+      "\"ts\":250.000,\"dur\":550.000,\"args\":{\"rows\":1,"
+      "\"queue_wait_s\":0.000250,\"total_s\":0.000800,\"query\":7}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":0,\"name\":\"anomaly\","
+      "\"cat\":\"engine\",\"s\":\"t\",\"ts\":800.000,"
+      "\"args\":{\"fingerprint\":\"0000000000000abc\",\"cause\":1,"
+      "\"expected_ms\":0.400,\"observed_ms\":2.000,\"queue_wait_ms\":0.250,"
+      "\"query\":7}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"slice\",\"cat\":\"engine\","
+      "\"ts\":250.000,\"dur\":500.000,\"args\":{\"class\":3,\"stage\":1,"
+      "\"query\":7}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"name\":\"pipeline\","
+      "\"cat\":\"engine\",\"s\":\"t\",\"ts\":300.000,\"args\":{\"tuples\":6000,"
+      "\"pipeline\":0}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"name\":\"scan-prune\","
+      "\"cat\":\"engine\",\"s\":\"t\",\"ts\":310.000,"
+      "\"args\":{\"path\":\"zone-map\",\"selected_rows\":4096,"
+      "\"table_rows\":6000,\"selectivity\":0.500000,\"analysis_s\":0.000125,"
+      "\"posting_entries\":12}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"name\":\"cache-miss\","
+      "\"cat\":\"engine\",\"s\":\"t\",\"ts\":320.000,\"args\":{}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":1,\"name\":\"morsel\","
+      "\"cat\":\"engine\",\"ts\":400.000,\"dur\":100.000,"
+      "\"args\":{\"mode\":\"bytecode\",\"tuples\":4096,\"pipeline\":2}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"name\":\"mode-switch\","
+      "\"cat\":\"engine\",\"s\":\"t\",\"ts\":510.000,"
+      "\"args\":{\"target\":\"unoptimized\",\"remaining_tuples\":1904,"
+      "\"r0_tuples_per_s\":40000000.0,\"t_current_s\":0.000047,"
+      "\"t_chosen_s\":0.000021,\"runtime_call_fraction\":0.1250}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":1,\"name\":\"cache-hit\","
+      "\"cat\":\"engine\",\"s\":\"t\",\"ts\":740.000,"
+      "\"args\":{\"artifact\":\"code\"}},\n"
+      "{\"ph\":\"X\",\"pid\":1,\"tid\":48,\"name\":\"compile\","
+      "\"cat\":\"engine\",\"ts\":520.000,\"dur\":200.000,"
+      "\"args\":{\"target\":\"unoptimized\",\"instructions\":812}},\n"
+      "{\"ph\":\"i\",\"pid\":1,\"tid\":48,\"name\":\"cache-publish\","
+      "\"cat\":\"engine\",\"s\":\"t\",\"ts\":730.000,"
+      "\"args\":{\"mode\":\"unoptimized\"}},\n"
+      "{\"ph\":\"s\",\"pid\":1,\"tid\":0,\"name\":\"query\",\"cat\":\"flow\","
+      "\"id\":7,\"ts\":0.000},\n"
+      "{\"ph\":\"t\",\"pid\":1,\"tid\":1,\"name\":\"query\",\"cat\":\"flow\","
+      "\"id\":7,\"ts\":250.000},\n"
+      "{\"ph\":\"f\",\"pid\":1,\"tid\":0,\"name\":\"query\",\"cat\":\"flow\","
+      "\"id\":7,\"ts\":800.000,\"bp\":\"e\"}\n"
+      "]}\n");
 }
 
 TEST_F(ObsEngineTest, QueryDoneIsTracedBeforeRunReturns) {
@@ -534,9 +687,17 @@ TEST(MetricsRegistryTest, ToJsonKeepsStableKeyOrderAndBuckets) {
   ASSERT_NE(z, std::string::npos);
   EXPECT_LT(a, m);
   EXPECT_LT(m, z);
-  // Same input, same output: the loader in ci/check_perf_floors.py relies
-  // on deterministic serialization.
+  // Same input, same output: serialization is deterministic.
   EXPECT_EQ(json, reg.Snapshot().ToJson());
+  // Three sections, and every histogram field in a fixed order.
+  EXPECT_EQ(json.rfind("{\"counters\":{", 0), 0u) << json;
+  EXPECT_NE(json.find("},\"gauges\":{},\"histograms\":{\"t.h\":{"
+                      "\"count\":4,\"sum\":104,\"max\":100,\"mean\":26.000,"
+                      "\"p50\":"),
+            std::string::npos)
+      << json;
+  EXPECT_NE(json.find(",\"p95\":"), std::string::npos);
+  EXPECT_NE(json.find(",\"p99\":"), std::string::npos);
 
   // Bucket serialization: (exclusive upper bound, count) pairs, ascending,
   // only non-empty buckets, counts summing to the histogram count.
@@ -753,10 +914,24 @@ TEST(RegressionTrackerTest, ConcurrentObserveAndLookupStayBounded) {
   EXPECT_EQ(tracker.plan_count(), RegressionTracker::kMaxPlans);
 }
 
+/// The number after `"key":` in `text`, or nullopt when the key is absent.
+std::optional<double> JsonNumber(const std::string& text,
+                                 const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const size_t pos = text.find(needle);
+  if (pos == std::string::npos) return std::nullopt;
+  return std::strtod(text.c_str() + pos + needle.size(), nullptr);
+}
+
 TEST_F(ObsEngineTest, ConcurrentQueriesRecordSafely) {
   // Concurrent Submit stress under the obs layer: the TSan CI matrix runs
-  // this test to prove slices/morsels/histograms record race-free.
+  // this test to prove slices/morsels/histograms record race-free. With
+  // the rings sized for the run, the trace export loses no event, its
+  // drop split adds up, no span runs backwards, and every query's flow
+  // has a start point.
+  setenv("AQE_TRACE_RING_EVENTS", "65536", 1);
   QueryEngine engine(&catalog(), 2);
+  unsetenv("AQE_TRACE_RING_EVENTS");
   QueryProgram q6 = BuildTpchQuery(6, catalog());
   constexpr int kClients = 4, kPerClient = 5;
   std::vector<std::thread> clients;
@@ -777,6 +952,41 @@ TEST_F(ObsEngineTest, ConcurrentQueriesRecordSafely) {
             static_cast<uint64_t>(kClients * kPerClient));
   const std::string json = engine.ExportChromeTrace();
   EXPECT_NE(json.find("\"name\":\"slice\""), std::string::npos);
+
+  // The exporter writes the header, then one event per line.
+  const std::string header = json.substr(0, json.find('\n'));
+  const auto dropped = JsonNumber(header, "dropped");
+  const auto sampled = JsonNumber(header, "dropped_sampled");
+  const auto lost = JsonNumber(header, "dropped_lost");
+  ASSERT_TRUE(dropped && sampled && lost) << header;
+  EXPECT_EQ(*lost, 0) << header;
+  EXPECT_EQ(*dropped, *sampled + *lost) << header;
+
+  std::set<uint32_t> flows, started;
+  int finishes = 0;
+  size_t pos = header.size() + 1;
+  while (pos < json.size()) {
+    size_t end = json.find('\n', pos);
+    if (end == std::string::npos) end = json.size();
+    const std::string line = json.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.rfind("{\"ph\":\"", 0) != 0) continue;
+    const char ph = line[7];
+    if (ph == 'X') {
+      const auto dur = JsonNumber(line, "dur");
+      ASSERT_TRUE(dur.has_value()) << line;
+      ASSERT_GE(*dur, 0) << line;
+    } else if (ph == 's' || ph == 't' || ph == 'f') {
+      const auto id = JsonNumber(line, "id");
+      ASSERT_TRUE(id.has_value()) << line;
+      flows.insert(static_cast<uint32_t>(*id));
+      if (ph == 's') started.insert(static_cast<uint32_t>(*id));
+      finishes += ph == 'f';
+    }
+  }
+  EXPECT_EQ(flows.size(), static_cast<size_t>(kClients * kPerClient));
+  EXPECT_EQ(started, flows);
+  EXPECT_GE(finishes, 1);
 }
 
 // --- Query profiles / EXPLAIN ANALYZE --------------------------------------
@@ -1625,13 +1835,64 @@ TEST_F(ObsEngineTest, StatsServerServesMetricsTraceAndProfiles) {
   EXPECT_NE(metrics.find("aqe_engine_exec_latency_us_class0_bucket{le=\"+Inf\"} 1"),
             std::string::npos);
   EXPECT_NE(metrics.find("aqe_cache_bytes "), std::string::npos);
-  // Well over the 30-series bar even on one query.
-  size_t series = 0;
-  for (size_t pos = metrics.find("# TYPE"); pos != std::string::npos;
-       pos = metrics.find("# TYPE", pos + 1)) {
-    ++series;
+  // Prometheus text 0.0.4, line by line: a TYPE line of a known type or a
+  // sample, and every histogram closes with a +Inf bucket.
+  const std::regex type_line(
+      "# TYPE ([a-zA-Z_:][a-zA-Z0-9_:]*) (counter|gauge|histogram)");
+  const std::regex sample_line(
+      "[a-zA-Z_:][a-zA-Z0-9_:]*(\\{[^{}]*\\})? "
+      "(-?[0-9]+(\\.[0-9]+)?([eE][+-]?[0-9]+)?|\\+Inf|-Inf|NaN)");
+  std::map<std::string, std::string> series;
+  std::map<std::string, double> samples;
+  std::istringstream body(metrics.substr(metrics.find("\r\n\r\n") + 4));
+  for (std::string line; std::getline(body, line);) {
+    std::smatch m;
+    if (line.empty()) continue;
+    if (line.rfind("# TYPE ", 0) == 0) {
+      ASSERT_TRUE(std::regex_match(line, m, type_line)) << line;
+      series[m[1]] = m[2];
+    } else {
+      ASSERT_TRUE(std::regex_match(line, sample_line)) << line;
+      const size_t space = line.rfind(' ');
+      samples[line.substr(0, space)] = std::atof(line.c_str() + space + 1);
+    }
   }
-  EXPECT_GE(series, 30u);
+  EXPECT_GE(series.size(), 30u);  // well over the bar even on one query
+  for (const auto& [name, type] : series) {
+    if (type == "histogram") {
+      EXPECT_EQ(samples.count(name + "_bucket{le=\"+Inf\"}"), 1u) << name;
+    }
+  }
+  // The memory gauges, and the catalog footprint split out of peak RSS.
+  for (const char* gauge : {"aqe_mem_current_bytes", "aqe_mem_peak_bytes",
+                            "aqe_catalog_column_bytes",
+                            "aqe_catalog_index_bytes"}) {
+    EXPECT_EQ(series[gauge], "gauge") << gauge;
+  }
+  EXPECT_GT(samples["aqe_catalog_column_bytes"], 0);
+  EXPECT_GT(samples["aqe_catalog_index_bytes"], 0);
+
+  // Behind the text: names are unique per section, and each histogram's
+  // buckets ascend and sum to its count.
+  const MetricsSnapshot snap = engine.ObservabilitySnapshot();
+  auto expect_unique = [](const auto& section) {
+    std::set<std::string> names;
+    for (const auto& entry : section) {
+      EXPECT_TRUE(names.insert(entry.first).second) << entry.first;
+    }
+  };
+  expect_unique(snap.counters);
+  expect_unique(snap.gauges);
+  expect_unique(snap.histograms);
+  for (const auto& [name, h] : snap.histograms) {
+    uint64_t in_buckets = 0, last_upper = 0;
+    for (const auto& [upper, n] : h.buckets) {
+      EXPECT_GT(upper, last_upper) << name;
+      last_upper = upper;
+      in_buckets += n;
+    }
+    EXPECT_EQ(in_buckets, h.count) << name;
+  }
 
   const std::string trace = HttpGet(engine.stats_port(), "/trace.json");
   EXPECT_NE(trace.find("application/json"), std::string::npos);
@@ -1645,6 +1906,25 @@ TEST_F(ObsEngineTest, StatsServerServesMetricsTraceAndProfiles) {
                           ",\"plan\":\"q6\""),
             std::string::npos);
   EXPECT_NE(profiles.find("\"anomalies\":[]"), std::string::npos);
+
+  // The flamegraph: collapsed stacks as text, one `frame;frame count` per
+  // line. Run until the sampler has caught query work.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (engine.CollapsedStacks().empty() &&
+         std::chrono::steady_clock::now() < deadline) {
+    ASSERT_FALSE(engine.Run(q6).rows.empty());
+  }
+  const std::string profile = HttpGet(engine.stats_port(), "/profile");
+  EXPECT_NE(profile.find("HTTP/1.0 200 OK"), std::string::npos);
+  EXPECT_NE(profile.find("Content-Type: text/plain\r\n"), std::string::npos);
+  const std::regex collapsed_line("[^ ;]+(;[^ ;]+)* [0-9]+");
+  std::istringstream stacks(profile.substr(profile.find("\r\n\r\n") + 4));
+  int stack_lines = 0;
+  for (std::string line; std::getline(stacks, line); ++stack_lines) {
+    EXPECT_TRUE(std::regex_match(line, collapsed_line)) << line;
+  }
+  EXPECT_GT(stack_lines, 0);
 
   const std::string missing = HttpGet(engine.stats_port(), "/nope");
   EXPECT_NE(missing.find("404 Not Found"), std::string::npos);
