@@ -34,7 +34,6 @@
 #include "jit/jit_compiler.h"
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/trace_ring.h"
 #include "runtime/runtime_registry.h"
 #include "vm/interpreter.h"
@@ -435,15 +434,12 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- kernel 5: memory-tracker + beacon + live-sampler overhead -----------
-  // The CI floor for PR 10's resource-accounting layer: the same
-  // morsel-chunked scan-filter kernel bare vs with everything a production
-  // morsel now pays — one tracker Charge/Release pair (the chunk-granular
-  // allocation sites), one beacon publish/restore (two relaxed stores each
-  // way) — while a live ContinuousProfiler samples the beacon board at its
-  // default rate from another thread. The instrumented/bare throughput
-  // ratio must stay >= the resource floor in ci/perf_floors.json (0.97,
-  // i.e. <= 3% overhead).
+  // --- kernel 5: memory-tracker overhead ------------------------------------
+  // The CI floor for the resource-accounting layer: the same morsel-chunked
+  // scan-filter kernel bare vs with the one tracker Charge/Release pair a
+  // production morsel pays (the chunk-granular allocation sites). The
+  // instrumented/bare throughput ratio must stay >= the resource floor in
+  // ci/perf_floors.json (0.97, i.e. <= 3% overhead).
   {
     const uint64_t rows = 1 << 18;
     const uint64_t chunk = 4096;
@@ -460,12 +456,7 @@ int main(int argc, char** argv) {
                           reinterpret_cast<uint64_t>(data.data() + begin)};
       VmExecute(bc, args, 3);
     };
-    MetricsRegistry metrics;
-    BeaconBoard board;
-    ContinuousProfiler profiler(&board, 97,
-                                metrics.GetCounter("profiler.samples"));
     QueryMemoryTracker tracker;
-    WorkerBeacon* beacon = board.lane(0);
     const auto bare_pass = [&] {
       for (uint64_t begin = 0; begin < rows; begin += chunk) {
         run_chunk(begin, std::min(begin + chunk, rows));
@@ -474,21 +465,17 @@ int main(int argc, char** argv) {
     const auto instrumented_pass = [&] {
       for (uint64_t begin = 0; begin < rows; begin += chunk) {
         const uint64_t end = std::min(begin + chunk, rows);
-        const uint64_t prior =
-            beacon->word0.load(std::memory_order_relaxed);
-        PublishBeacon(beacon, 1, 0, 0, BeaconActivity::kMorsel, end - begin);
         tracker.Charge((end - begin) * sizeof(int64_t));
         run_chunk(begin, end);
         tracker.Release((end - begin) * sizeof(int64_t));
-        beacon->word0.store(prior, std::memory_order_relaxed);
       }
     };
-    // Interleave the two configs in short alternating blocks: the sampler
-    // thread, frequency drift and background load then tax both sides
-    // equally, and the ratio — the only thing the CI floor gates — stays
-    // stable even on a one-core host.
+    // Interleave the two configs in short alternating blocks: frequency
+    // drift and background load then tax both sides equally, and the
+    // ratio — the only thing the CI floor gates — stays stable even on a
+    // one-core host.
     bare_pass();          // warmup
-    instrumented_pass();  // warmup: tracker slots, beacon lane
+    instrumented_pass();  // warmup: tracker slots
     double bare_seconds = 0, inst_seconds = 0;
     uint64_t reps = 0;
     Timer total;
@@ -509,8 +496,6 @@ int main(int argc, char** argv) {
     std::printf("\n%-18s %14s %10s\n", "resource-overhead", "rows/s", "ratio");
     std::printf("%-18s %14.3e %9.2fx\n", "bare", bare, 1.0);
     std::printf("%-18s %14.3e %9.3fx\n", "instrumented", instrumented, ratio);
-    std::printf("(sampler took %llu samples during the instrumented runs)\n",
-                static_cast<unsigned long long>(profiler.total_samples()));
     for (const auto& [name, rps] :
          {std::pair<const char*, double>{"bare", bare},
           std::pair<const char*, double>{"instrumented", instrumented}}) {

@@ -8,7 +8,6 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "exec/morsel.h"
-#include "obs/profiler.h"
 #include "runtime/agg_hash_table.h"
 #include "sched/task.h"
 
@@ -129,27 +128,11 @@ TraceEvent PipelineEvent(const PipelineExecState& st, TraceEventKind kind,
 void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
                    int thread) {
   ExecMode mode = st.handle->mode();
-  // Beacon for the sampling profiler: publish the morsel (query, pipeline,
-  // mode), restore whatever the enclosing slice published afterwards — a
-  // helper task's slice beacon must survive its morsels.
-  WorkerBeacon* beacon =
-      st.obs.beacons != nullptr ? st.obs.beacons->lane(thread) : nullptr;
-  uint64_t prior_word0 = 0;
-  if (beacon != nullptr) {
-    prior_word0 = beacon->word0.load(std::memory_order_relaxed);
-    PublishBeacon(beacon, st.obs.query_id,
-                  static_cast<uint16_t>(st.pipeline_id),
-                  static_cast<uint8_t>(mode), BeaconActivity::kMorsel,
-                  batch.rows);
-  }
   int64_t t0 = MonotonicNanos();
   for (int i = 0; i < batch.count; ++i) {
     st.handle->Call(st.state, batch.ranges[i].begin, batch.ranges[i].end);
   }
   int64_t t1 = MonotonicNanos();
-  if (beacon != nullptr) {
-    beacon->word0.store(prior_word0, std::memory_order_relaxed);
-  }
   RecordRate(st, slot, batch.rows, static_cast<uint64_t>(t1 - t0));
   auto& work =
       st.rates[static_cast<size_t>(slot)].modes[static_cast<int>(mode)];
@@ -161,7 +144,20 @@ void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
     st.obs.tracer->Record(thread, PipelineEvent(st, TraceEventKind::kMorsel,
                                                 t0, t1, batch.rows, mode));
   }
-  if (st.obs.morsels != nullptr) st.obs.morsels->Add();
+}
+
+/// Adds a quiescent run's morsels, every slot and mode, to the engine's
+/// exec.morsels counter: one add per pipeline, from the exact counts
+/// EXPLAIN ANALYZE reports, instead of one shared atomic add per morsel.
+void CountMorsels(const PipelineExecState& st) {
+  if (st.obs.morsels == nullptr) return;
+  uint64_t morsels = 0;
+  for (const auto& slot : st.rates) {
+    for (const auto& work : slot.modes) {
+      morsels += work.morsels.load(std::memory_order_relaxed);
+    }
+  }
+  st.obs.morsels->Add(morsels);
 }
 
 /// Claims and performs a pending compile job: compile -> install into the
@@ -179,29 +175,12 @@ bool TryRunCompileJob(PipelineExecState& st,
   }
   AQE_CHECK_MSG(*st.compile != nullptr, "pipeline has no compile hook");
   const ExecMode target = st.compile_target;
-  // Compiles are ms-scale, the one activity long enough for the sampler to
-  // attribute reliably; publish it on this thread's beacon lane.
-  WorkerBeacon* beacon =
-      st.obs.beacons != nullptr
-          ? st.obs.beacons->lane(runtime_internal::GetThreadIndex())
-          : nullptr;
-  uint64_t prior_word0 = 0;
-  if (beacon != nullptr) {
-    prior_word0 = beacon->word0.load(std::memory_order_relaxed);
-    PublishBeacon(beacon, st.obs.query_id,
-                  static_cast<uint16_t>(st.pipeline_id),
-                  static_cast<uint8_t>(target), BeaconActivity::kCompile,
-                  st.function_instructions);
-  }
   Timer compile_timer;
   int64_t t0 = MonotonicNanos();
   WorkerFn fn = (*st.compile)(target);
   double seconds = compile_timer.ElapsedSeconds();
   st.handle->SetCompiled(fn, target);
   const int64_t t1 = MonotonicNanos();
-  if (beacon != nullptr) {
-    beacon->word0.store(prior_word0, std::memory_order_relaxed);
-  }
   if (st.obs.enabled()) {
     st.obs.tracer->Record(
         runtime_internal::GetThreadIndex(),
@@ -364,6 +343,7 @@ PipelineRun::~PipelineRun() {
   st_->compile_state.compare_exchange_strong(expected, kCompIdle,
                                              std::memory_order_acq_rel);
   while (!st_->Quiescent()) WaitDrainBriefly();
+  CountMorsels(*st_);  // a budget-killed pipeline still counts what it ran
 }
 
 int PipelineRun::CurrentRuntimeThread() const {
@@ -541,6 +521,7 @@ Task::Status PipelineRun::StepDrain() {
     stats_.modes.push_back(slice);
   }
   stats_.helper_busy_seconds = static_cast<double>(helper_busy_nanos) / 1e9;
+  CountMorsels(*st_);
   for (ModeSwitchRecord& rec : stats_.mode_switches) {
     rec.realized_seconds =
         static_cast<double>(end_nanos - rec.decision_nanos) / 1e9;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <deque>
 #include <memory>
 #include <mutex>
@@ -18,7 +17,6 @@
 #include "jit/jit_compiler.h"
 #include "jit/naive_interpreter.h"
 #include "obs/export.h"
-#include "obs/profiler.h"
 #include "obs/query_profile.h"
 #include "obs/stats_server.h"
 #include "runtime/runtime_registry.h"
@@ -94,18 +92,6 @@ void SealWorker(void* state, uint64_t begin, uint64_t end, const void*) {
 constexpr uint64_t kParallelMergeGroups = 1 << 18;
 constexpr uint64_t kParallelSealNodes = 1 << 18;
 
-/// QueryEngineOptions::profile_hz resolution: -1 defers to the
-/// AQE_PROFILE_HZ env override, falling back to 97 Hz (prime, so the
-/// sampler never phase-locks with msec-periodic engine activity).
-int ResolveProfileHz(int requested) {
-  if (requested >= 0) return requested;
-  if (const char* env = std::getenv("AQE_PROFILE_HZ")) {
-    const int hz = std::atoi(env);
-    return hz > 0 ? hz : 0;
-  }
-  return 97;
-}
-
 }  // namespace
 
 /// The engine's observability state: the always-on tracer, the metrics
@@ -117,11 +103,6 @@ struct EngineObs {
   EngineTracer tracer;
   MetricsRegistry metrics;
   std::atomic<uint32_t> next_query_id{1};
-
-  /// Per-lane beacons the continuous profiler samples. Lives here (before
-  /// the scheduler in Impl) so a worker publishing during shutdown still
-  /// touches live memory.
-  BeaconBoard beacons;
 
   // Declaration order matters: handles resolve against `metrics` above.
   Counter* queries_submitted = metrics.GetCounter("engine.queries_submitted");
@@ -145,8 +126,6 @@ struct EngineObs {
       metrics.GetCounter("mem.budget_rejections.admission");
   Counter* budget_rej_runtime =
       metrics.GetCounter("mem.budget_rejections.runtime");
-  /// Accepted (coherent) profiler samples — liveness signal for /metrics.
-  Counter* profiler_samples = metrics.GetCounter("profiler.samples");
   Histogram* compile_us = metrics.GetHistogram("jit.compile_us");
   // Scan pruning (src/index/): registry counters, so metrics.Reset()
   // covers them (phase-delta hygiene) and BuildSnapshot picks them up with
@@ -170,10 +149,12 @@ struct EngineObs {
   RegressionTracker sentinel;
 
   /// The last kRecentProfiles completed queries' results, without their
-  /// rows, for the stats server's /profiles endpoint.
+  /// rows, for the stats server's /profiles endpoint, and every finished
+  /// query's CPU time by plan, for /profile.
   static constexpr size_t kRecentProfiles = 64;
   mutable std::mutex profiles_mu;
   std::deque<QueryRunResult> recent_profiles;
+  Flamegraph flamegraph;
 
   /// Serializes ResetObservabilityStats against snapshot assembly: a
   /// snapshot taken concurrently with a reset sees either every resettable
@@ -203,17 +184,6 @@ struct EngineObs {
     }
   }
 
-  /// (Re)starts the sampler at `hz`; 0 leaves the profiler off. Called
-  /// before any query traffic, so tearing down a default-rate sampler from
-  /// the delegating constructor races nothing.
-  void StartProfiler(int hz) {
-    profiler.reset();
-    if (hz > 0) {
-      profiler =
-          std::make_unique<ContinuousProfiler>(&beacons, hz, profiler_samples);
-    }
-  }
-
   void RecordQueryPeak(uint64_t peak_bytes, int query_class) {
     mem_peak_by_class[query_class]->Record(static_cast<double>(peak_bytes));
     uint64_t prev = engine_peak_bytes.load(std::memory_order_relaxed);
@@ -223,16 +193,25 @@ struct EngineObs {
     }
   }
 
-  void AddProfile(const QueryRunResult& result) {
+  /// Folds a finished query into the flamegraph and, when it completed,
+  /// keeps it for /profiles. A query failed by its memory budget passes
+  /// `completed` false: its CPU time still counts, its profile does not.
+  void AddProfile(const QueryRunResult& result, bool completed) {
     std::lock_guard<std::mutex> lock(profiles_mu);
+    flamegraph.Add(result);
+    if (!completed) return;
     recent_profiles.push_back(result);
     if (recent_profiles.size() > kRecentProfiles) recent_profiles.pop_front();
+  }
+
+  std::string CollapsedStacks() const {
+    std::lock_guard<std::mutex> lock(profiles_mu);
+    return flamegraph.CollapsedStacks();
   }
 
   PipelineObs MakePipelineObs(uint32_t query_id) {
     PipelineObs obs;
     obs.tracer = &tracer;
-    obs.beacons = &beacons;
     obs.morsels = morsels;
     obs.mode_switch_decisions = mode_switches;
     obs.compiles = compiles;
@@ -240,11 +219,6 @@ struct EngineObs {
     obs.query_id = query_id;
     return obs;
   }
-
-  /// Declared last: the sampler thread reads `beacons` and bumps
-  /// `profiler_samples`, so it must stop (reverse destruction order)
-  /// before either goes away. Null when profile_hz resolved to 0.
-  std::unique_ptr<ContinuousProfiler> profiler;
 };
 
 const char* EngineKindName(EngineKind kind) {
@@ -334,14 +308,10 @@ struct QueryEngine::Impl {
       calibrated = CalibratedCostModelParams();
       use_calibrated = true;
     }
-    // The profiler is always on (AQE_PROFILE_HZ=0 opts out); the options
-    // constructor below restarts it when profile_hz overrides the default.
-    obs.StartProfiler(ResolveProfileHz(-1));
   }
 
   Impl(const Catalog* catalog, const QueryEngineOptions& options)
       : Impl(catalog, options.num_threads) {
-    if (options.profile_hz >= 0) obs.StartProfiler(options.profile_hz);
     if (options.stats_port >= 0) {
       StatsServer::Handlers handlers;
       handlers.metrics_text = [this] { return PrometheusText(BuildSnapshot()); };
@@ -349,10 +319,7 @@ struct QueryEngine::Impl {
         return ChromeTraceJson(obs.tracer.Snapshot());
       };
       handlers.profiles_json = [this] { return ProfilesJson(); };
-      handlers.profile_text = [this] {
-        return obs.profiler != nullptr ? obs.profiler->CollapsedStacks()
-                                       : std::string();
-      };
+      handlers.profile_text = [this] { return obs.CollapsedStacks(); };
       stats_server =
           std::make_unique<StatsServer>(options.stats_port, std::move(handlers));
       if (!stats_server->ok()) stats_server.reset();
@@ -685,12 +652,6 @@ class QueryJob : public Task {
   /// still starts at submit time).
   Status Run(int worker) override {
     slice_start_nanos_ = MonotonicNanos();
-    // Publish the slice beacon for the continuous profiler; morsel and
-    // compile sites inside the slice overwrite it with richer detail and
-    // restore it on their way out.
-    WorkerBeacon* beacon = obs_->beacons.lane(worker);
-    PublishBeacon(beacon, query_id_, static_cast<uint16_t>(stage_index_),
-                  /*mode=*/0, BeaconActivity::kSlice, 0);
     if (!started_) {
       started_ = true;
       first_slice_nanos_ = slice_start_nanos_;
@@ -707,7 +668,6 @@ class QueryJob : public Task {
       obs_->tracer.Record(worker, ev);
     }
     const Status status = RunSlice(worker);
-    ClearBeacon(beacon);
     // The last slice (kDone) recorded itself before resolving the promise.
     if (status == Status::kYield) RecordSliceEnd(worker, /*query_done=*/false);
     return status;
@@ -790,9 +750,7 @@ class QueryJob : public Task {
     active_.reset();
     memory_->Release(active_charged_bytes_);
     active_charged_bytes_ = 0;
-    if (obs_->profiler != nullptr) {
-      obs_->profiler->RetireQuery(query_id_, program_->name());
-    }
+    obs_->AddProfile(result_, /*completed=*/false);
     RecordSliceEnd(worker, /*query_done=*/true);
     promise_.set_exception(std::make_exception_ptr(MemoryBudgetExceeded(
         scheduling_class(), budget, current, /*at_admission=*/false)));
@@ -826,12 +784,6 @@ class QueryJob : public Task {
     result_.total_seconds = total_timer_.ElapsedSeconds();
     result_.peak_memory_bytes = memory_->peak_bytes();
     obs_->RecordQueryPeak(result_.peak_memory_bytes, scheduling_class());
-    // Retire this query's live profiler samples into the per-plan
-    // aggregate, so CollapsedStacks and /profile cover the whole workload.
-    if (obs_->profiler != nullptr) {
-      result_.cpu_samples =
-          obs_->profiler->RetireQuery(query_id_, program_->name());
-    }
     RecordServiceTime(worker);
     // Completion metrics and events land before the promise resolves, so
     // a client that saw its future ready observes them in the very next
@@ -843,7 +795,7 @@ class QueryJob : public Task {
     RecordSliceEnd(worker, /*query_done=*/true);
     // /profiles keeps the result without its rows.
     std::vector<std::vector<int64_t>> rows = std::move(result_.rows);
-    obs_->AddProfile(result_);
+    obs_->AddProfile(result_, /*completed=*/true);
     result_.rows = std::move(rows);
     promise_.set_value(std::move(result_));
     on_finished_();
@@ -1600,8 +1552,7 @@ void QueryEngine::set_class_memory_budget(int query_class, uint64_t bytes) {
 }
 
 std::string QueryEngine::CollapsedStacks() const {
-  return impl_->obs.profiler != nullptr ? impl_->obs.profiler->CollapsedStacks()
-                                        : std::string();
+  return impl_->obs.CollapsedStacks();
 }
 
 std::future<QueryRunResult> QueryEngine::Submit(
@@ -1749,8 +1700,7 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
 
   // Memory accounting: the catalog's resident column data and indexes,
   // live tracked bytes across in-flight queries and the engine-lifetime
-  // peak. The profiler's sampling rate rides along so scrapers can
-  // interpret profiler.samples as a rate.
+  // peak.
   snap.gauges.emplace_back(
       "catalog.column_bytes",
       static_cast<int64_t>(catalog_footprint.column_bytes));
@@ -1771,8 +1721,6 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
   snap.gauges.emplace_back(
       "mem.peak_bytes",
       static_cast<int64_t>(obs.engine_peak_bytes.load()));
-  snap.gauges.emplace_back(
-      "profiler.hz", obs.profiler != nullptr ? obs.profiler->hz() : 0);
 
   // Reset epoch last (tests key on it closing the gauge list; it moves
   // when a concurrent ResetObservabilityStats landed between snapshots).
@@ -1833,7 +1781,10 @@ void QueryEngine::ResetObservabilityStats() {
   impl_->obs.metrics.Reset();
   impl_->obs.tracer.Reset();
   impl_->obs.sentinel.ResetAnomalies();
-  if (impl_->obs.profiler != nullptr) impl_->obs.profiler->Reset();
+  {
+    std::lock_guard<std::mutex> lock(impl_->obs.profiles_mu);
+    impl_->obs.flamegraph.Clear();
+  }
   impl_->cache.ResetStats();
   VmResetProfileCounts();
   ResetTranslatorCounters();

@@ -94,9 +94,6 @@ struct QueryRunResult {
   /// busy time (> exec when workers overlap).
   double on_cpu_seconds = 0;
   uint64_t cache_hits = 0;  ///< artifacts reused instead of built
-  /// Continuous-profiler samples attributed to this query (0 when the
-  /// sampler never caught it — short queries at low Hz).
-  uint64_t cpu_samples = 0;
 };
 
 /// Per-pipeline compilation-cost measurements (Table I / Fig 6 / Fig 15),
@@ -126,15 +123,11 @@ struct QueryEngineOptions {
   /// >= 0 starts the observability HTTP server (obs/stats_server.h) on
   /// 127.0.0.1:<stats_port> serving GET /metrics (Prometheus text),
   /// /trace.json (Chrome trace), /profiles (the last 64 completed queries'
-  /// EXPLAIN ANALYZE JSON + anomalies) and /profile (continuous-profiler
-  /// collapsed stacks). 0 binds an ephemeral port — read it back via
+  /// EXPLAIN ANALYZE JSON + anomalies) and /profile (CollapsedStacks()).
+  /// 0 binds an ephemeral port — read it back via
   /// QueryEngine::stats_port().
   /// -1 (default): no server, no socket.
   int stats_port = -1;
-  /// Continuous-profiler sampling rate. -1 (default): the AQE_PROFILE_HZ
-  /// env override, or 97 Hz (prime, so the sampler never phase-locks with
-  /// msec-periodic engine activity). 0 disables the sampler thread.
-  int profile_hz = -1;
 };
 
 /// The public facade: executes QueryPrograms against a catalog under any
@@ -195,10 +188,14 @@ class QueryEngine {
   /// unaffected. Thread-safe; takes effect for queries submitted later.
   void set_class_memory_budget(int query_class, uint64_t bytes);
 
-  /// Collapsed-stack text of the continuous profiler (flamegraph.pl /
-  /// speedscope input): one "frame;frame;... count" line per distinct
-  /// (plan, pipeline, mode, activity) stack, plus engine idle time. Also
-  /// served at GET /profile when the stats server is on. Thread-safe.
+  /// Where finished queries spent their CPU, as collapsed-stack text
+  /// (flamegraph.pl / speedscope input): one "engine;<plan>;... <µs>" line
+  /// per stack, summed over queries since the last
+  /// ResetObservabilityStats. Each query adds the exact times its
+  /// QueryRunResult holds: per pipeline, morsel busy time per mode,
+  /// compiles per target mode, codegen + translation, and a baseline
+  /// pipeline's exec time; per plan, its engine steps. Also served at
+  /// GET /profile when the stats server is on. Thread-safe.
   std::string CollapsedStacks() const;
 
   /// One consistent snapshot of every engine metric, by name: counters and
@@ -223,9 +220,10 @@ class QueryEngine {
   std::string RenderTrace(int width = 100) const;
 
   /// Zeroes every resettable statistic: metric counters and histograms,
-  /// trace rings, artifact-cache counters (residency untouched), VM
-  /// per-opcode counts and translator counters. Phase-delta hygiene for
-  /// benches; gauges and the scheduler's lifetime slice counters persist.
+  /// trace rings, the flamegraph, artifact-cache counters (residency
+  /// untouched), VM per-opcode counts and translator counters. Phase-delta
+  /// hygiene for benches; gauges and the scheduler's lifetime slice
+  /// counters persist.
   void ResetObservabilityStats();
 
   /// Routes interpreted execution through the counting dispatch loop so

@@ -8,15 +8,13 @@
 
 namespace aqe {
 
-class BeaconBoard;
-
 /// The observability hooks a pipeline execution carries with it: the
 /// engine's tracer plus pre-resolved metric handles, so hot paths never
 /// touch the registry. All pointers may be null (standalone runner/test
 /// pipelines trace nothing); query_id 0 means "not a query".
 struct PipelineObs {
   EngineTracer* tracer = nullptr;
-  BeaconBoard* beacons = nullptr;  ///< continuous-profiler beacon lanes
+  /// exec.morsels, added once per pipeline when its run quiesces.
   Counter* morsels = nullptr;
   Counter* mode_switch_decisions = nullptr;
   Counter* compiles = nullptr;

@@ -1,6 +1,7 @@
 #include "obs/query_profile.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -37,8 +38,8 @@ std::string JsonEscape(const std::string& s) {
   return out;
 }
 
-/// The query-level numbers EXPLAIN ANALYZE derives from the result's own
-/// fields, so each keeps one source.
+/// The query-level numbers EXPLAIN ANALYZE and the flamegraph derive from
+/// the result's own fields, so each keeps one source.
 struct Derived {
   /// Exec time outside the pipelines (join-table finalize, aggregate
   /// merge, top-k): exec_seconds_total minus the pipelines' exec-only time.
@@ -60,7 +61,70 @@ Derived Derive(const QueryRunResult& r) {
   return d;
 }
 
+/// A plan name as one flamegraph frame. flamegraph.pl splits a line at
+/// every ';' and at its last space, so those and control bytes become '_'.
+std::string FrameName(const std::string& name) {
+  std::string out = name;
+  for (char& c : out) {
+    const unsigned char u = static_cast<unsigned char>(c);
+    if (c == ';' || c == ' ' || u < 0x20 || u == 0x7f) c = '_';
+  }
+  return out;
+}
+
 }  // namespace
+
+void Flamegraph::Add(const QueryRunResult& r) {
+  const std::string plan = "engine;" + FrameName(r.plan_name) + ";";
+  // This query's seconds per stack; each is rounded to µs once, summed.
+  std::map<std::string, double> seconds;
+  for (const PipelineReport& pp : r.pipelines) {
+    const std::string pipeline =
+        plan + "pipeline" + std::to_string(pp.pipeline_index) + ";";
+    for (const ModeSliceProfile& m : pp.modes) {
+      seconds[pipeline + ExecModeName(m.mode) + ";morsel"] += m.busy_seconds;
+    }
+    for (const auto& [mode, compile_seconds] : pp.compiles) {
+      seconds[pipeline + ExecModeName(mode) + ";compile"] += compile_seconds;
+    }
+    seconds[pipeline + "codegen"] +=
+        (pp.codegen_millis + pp.translate_millis) / 1e3;
+    // The baselines count no modes; their pipelines are one exec frame.
+    if (pp.modes.empty()) seconds[pipeline + "exec"] += pp.exec_only_seconds;
+  }
+  seconds[plan + "engine-step"] += Derive(r).engine_step_seconds;
+  for (const auto& [stack, s] : seconds) {
+    const long long us = std::llround(s * 1e6);
+    if (us <= 0) continue;
+    auto it = stacks_.find(stack);
+    if (it != stacks_.end()) {
+      it->second += static_cast<uint64_t>(us);
+    } else if (stacks_.size() < kMaxStacks) {
+      stacks_.emplace(stack, static_cast<uint64_t>(us));
+    } else {
+      overflow_us_ += static_cast<uint64_t>(us);
+    }
+  }
+}
+
+std::string Flamegraph::CollapsedStacks() const {
+  std::string out;
+  for (const auto& [stack, us] : stacks_) {
+    out += stack;
+    out += ' ';
+    out += std::to_string(us);
+    out += '\n';
+  }
+  if (overflow_us_ > 0) {
+    out += "engine;overflow " + std::to_string(overflow_us_) + "\n";
+  }
+  return out;
+}
+
+void Flamegraph::Clear() {
+  stacks_.clear();
+  overflow_us_ = 0;
+}
 
 std::string ExplainAnalyzeJson(const QueryRunResult& r) {
   const Derived d = Derive(r);
@@ -71,14 +135,13 @@ std::string ExplainAnalyzeJson(const QueryRunResult& r) {
          "\"queue_wait_s\":%.6f,\"exec_s\":%.6f,\"engine_step_s\":%.6f,"
          "\"on_cpu_s\":%.6f,"
          "\"compile_s\":%.6f,\"compiles\":%llu,\"cache_hits\":%llu,"
-         "\"cpu_samples\":%llu,\"peak_memory_bytes\":%llu,"
+         "\"peak_memory_bytes\":%llu,"
          "\"pipelines\":[",
          r.query_id, JsonEscape(r.plan_name).c_str(), r.total_seconds,
          r.queue_wait_seconds, r.exec_seconds_total, d.engine_step_seconds,
          r.on_cpu_seconds, d.compile_seconds,
          static_cast<unsigned long long>(d.compiles),
          static_cast<unsigned long long>(r.cache_hits),
-         static_cast<unsigned long long>(r.cpu_samples),
          static_cast<unsigned long long>(r.peak_memory_bytes));
   bool first_p = true;
   for (const PipelineReport& pp : r.pipelines) {
@@ -158,8 +221,7 @@ std::string ExplainAnalyze(const QueryRunResult& r) {
          static_cast<unsigned long long>(r.cache_hits));
   Append(out, "  engine steps %.3f ms (finalize / merge / top-k)\n",
          d.engine_step_seconds * 1e3);
-  Append(out, "  cpu-samples %llu; peak memory %llu bytes\n",
-         static_cast<unsigned long long>(r.cpu_samples),
+  Append(out, "  peak memory %llu bytes\n",
          static_cast<unsigned long long>(r.peak_memory_bytes));
   for (const PipelineReport& pp : r.pipelines) {
     Append(out,

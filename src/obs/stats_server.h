@@ -20,7 +20,8 @@ namespace aqe {
 /// exposition), GET /trace.json -> handlers.trace_json (Chrome trace),
 /// GET /profiles -> handlers.profiles_json (the recent queries' EXPLAIN
 /// ANALYZE JSON + anomalies), GET /profile -> handlers.profile_text
-/// (continuous-profiler collapsed stacks, flamegraph.pl input). Anything
+/// (completed queries' exact CPU time as collapsed stacks, flamegraph.pl
+/// input). Anything
 /// else is 404. Handlers run on the server thread and must be thread-safe
 /// against the engine.
 class StatsServer {

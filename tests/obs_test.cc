@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
+#include <dirent.h>
 #include <netinet/in.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -11,6 +12,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <functional>
 #include <map>
 #include <optional>
 #include <regex>
@@ -25,7 +27,6 @@
 #include "obs/export.h"
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
-#include "obs/profiler.h"
 #include "obs/query_profile.h"
 #include "obs/regression.h"
 #include "obs/trace_ring.h"
@@ -1148,7 +1149,6 @@ TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
   result.on_cpu_seconds = 0.015;
   result.compile_millis_total = 2;
   result.cache_hits = 2;
-  result.cpu_samples = 3;
   result.peak_memory_bytes = 65536;
   PipelineReport pp;
   pp.name = "scan lineitem";
@@ -1177,8 +1177,7 @@ TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
       "{\"query\":7,\"plan\":\"golden \\\"plan\\\"\",\"total_s\":0.012500"
       ",\"queue_wait_s\":0.000500,\"exec_s\":0.010000"
       ",\"engine_step_s\":0.003000,\"on_cpu_s\":0.015000,\"compile_s\":0.002000"
-      ",\"compiles\":1,\"cache_hits\":2,\"cpu_samples\":3"
-      ",\"peak_memory_bytes\":65536"
+      ",\"compiles\":1,\"cache_hits\":2,\"peak_memory_bytes\":65536"
       ",\"pipelines\":[{\"name\":\"scan lineitem\",\"index\":1,\"tuples\":40000"
       ",\"wall_s\":0.009000,\"exec_only_s\":0.007000"
       ",\"initial_mode\":\"bytecode\",\"final_mode\":\"optimized\""
@@ -1200,7 +1199,7 @@ TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
       "exec 10.000 ms; on-cpu 15.000 ms\n"
       "  compile 2.000 ms this query (1 jits, 2 cache hits)\n"
       "  engine steps 3.000 ms (finalize / merge / top-k)\n"
-      "  cpu-samples 3; peak memory 65536 bytes\n"
+      "  peak memory 65536 bytes\n"
       "  pipeline 1 \"scan lineitem\": 9.000 ms wall (7.000 ms exec-only), "
       "40000 tuples, bytecode -> optimized, cache hit\n"
       "    access path zone-map  : 40000 / 160000 rows scheduled (25.0%), "
@@ -1400,117 +1399,6 @@ TEST(MemoryTrackerTest, ConcurrentChargeReleaseBalancesToZero) {
                  static_cast<uint64_t>(QueryMemoryTracker::kFlushBytes)));
 }
 
-// --- Worker beacons / continuous profiler ----------------------------------
-
-TEST(BeaconTest, PackedWordRoundTripsAllFields) {
-  const uint64_t w = PackBeaconWord(/*query_id=*/0xDEADBEEF,
-                                    /*pipeline=*/0x1234, /*mode=*/2,
-                                    BeaconActivity::kMorsel);
-  EXPECT_EQ(static_cast<uint32_t>(w >> 32), 0xDEADBEEFu);
-  EXPECT_EQ(static_cast<uint16_t>(w >> 16), 0x1234u);
-  EXPECT_EQ(static_cast<uint8_t>(w >> 8), 2u);
-  EXPECT_EQ(static_cast<uint8_t>(w),
-            static_cast<uint8_t>(BeaconActivity::kMorsel));
-}
-
-TEST(BeaconTest, SamplerNeverObservesTornAttribution) {
-  // The profiler folds attribution from word0 alone — a single atomic word,
-  // so a sample can never mix one publication's query id with another's
-  // pipeline/mode/activity. Publish packed words whose fields all derive
-  // from one counter and assert every accepted sample is self-consistent;
-  // SampleBeacon's re-read additionally discards samples taken while word0
-  // moved. The TSan CI leg runs this test.
-  WorkerBeacon beacon;
-  std::atomic<bool> stop{false};
-  std::thread publisher([&] {
-    uint32_t i = 1;
-    while (!stop.load(std::memory_order_relaxed)) {
-      PublishBeacon(&beacon, /*query_id=*/i,
-                    /*pipeline=*/static_cast<uint16_t>(i),
-                    /*mode=*/static_cast<uint8_t>(i % 3),
-                    BeaconActivity::kMorsel, /*detail=*/i * 31ull);
-      ++i;
-    }
-  });
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::milliseconds(200);
-  uint64_t accepted = 0;
-  while (std::chrono::steady_clock::now() < deadline) {
-    uint64_t w0 = 0, w1 = 0;
-    if (!SampleBeacon(beacon, &w0, &w1) || w0 == 0) continue;
-    const uint32_t qid = static_cast<uint32_t>(w0 >> 32);
-    ASSERT_EQ(static_cast<uint16_t>(w0 >> 16),
-              static_cast<uint16_t>(qid));
-    ASSERT_EQ(static_cast<uint8_t>(w0 >> 8),
-              static_cast<uint8_t>(qid % 3));
-    ASSERT_EQ(static_cast<uint8_t>(w0),
-              static_cast<uint8_t>(BeaconActivity::kMorsel));
-    ++accepted;
-  }
-  stop.store(true);
-  publisher.join();
-  EXPECT_GT(accepted, 0u);
-  ClearBeacon(&beacon);
-  uint64_t w0 = 1, w1 = 1;
-  ASSERT_TRUE(SampleBeacon(beacon, &w0, &w1));
-  EXPECT_EQ(w0, 0u);  // cleared lane samples as idle
-}
-
-TEST(ContinuousProfilerTest, SamplesBeaconsAndRendersCollapsedStacks) {
-  MetricsRegistry reg;
-  BeaconBoard board;
-  // Publish a steady state on two lanes, then sample fast enough that a
-  // short sleep collects plenty.
-  PublishBeacon(board.lane(0), /*query_id=*/7, /*pipeline=*/1, /*mode=*/0,
-                BeaconActivity::kMorsel, 1024);
-  PublishBeacon(board.lane(1), /*query_id=*/7, /*pipeline=*/2, /*mode=*/2,
-                BeaconActivity::kCompile, 99);
-  Counter* samples = reg.GetCounter("profiler.samples");
-  ContinuousProfiler profiler(&board, /*hz=*/2000, samples);
-  EXPECT_EQ(profiler.hz(), 2000);
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(5);
-  while (profiler.total_samples() < 20 &&
-         std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-  }
-  ASSERT_GE(profiler.total_samples(), 20u);
-
-  const uint64_t retired = profiler.RetireQuery(7, "q_test");
-  EXPECT_GT(retired, 0u);
-  const std::string stacks = profiler.CollapsedStacks();
-  EXPECT_NE(stacks.find("engine;q_test;pipeline1;bytecode;morsel"),
-            std::string::npos)
-      << stacks;
-  EXPECT_NE(stacks.find("engine;q_test;pipeline2;optimized;compile"),
-            std::string::npos)
-      << stacks;
-  // Well-formed collapsed-stack text: "frame;frame;... count" per line.
-  size_t lines = 0;
-  size_t pos = 0;
-  while (pos < stacks.size()) {
-    size_t eol = stacks.find('\n', pos);
-    if (eol == std::string::npos) eol = stacks.size();
-    const std::string line = stacks.substr(pos, eol - pos);
-    pos = eol + 1;
-    if (line.empty()) continue;
-    ++lines;
-    const size_t space = line.rfind(' ');
-    ASSERT_NE(space, std::string::npos) << line;
-    ASSERT_GT(space, 0u) << line;
-    EXPECT_EQ(line.find(' '), space) << "one space, before the count: "
-                                     << line;
-    for (size_t i = space + 1; i < line.size(); ++i) {
-      ASSERT_TRUE(line[i] >= '0' && line[i] <= '9') << line;
-    }
-  }
-  EXPECT_GT(lines, 0u);
-  EXPECT_GT(reg.Snapshot().counter("profiler.samples"), 0u);
-
-  profiler.Reset();
-  EXPECT_EQ(profiler.RetireQuery(7, "q_test"), 0u);
-}
-
 // --- Trace-ring saturation: bulk sampling vs lossless criticals ------------
 
 TEST(EngineTracerTest, BulkSamplingUnderPressureKeepsCriticalsLossless) {
@@ -1580,7 +1468,6 @@ TEST_F(ObsEngineTest, QueryResultsReportPeakMemory) {
   EXPECT_NE(text.find("peak memory " + std::to_string(r.peak_memory_bytes) +
                       " bytes"),
             std::string::npos);
-  EXPECT_NE(text.find("cpu-samples"), std::string::npos);
 
   MetricsSnapshot snap = engine.ObservabilitySnapshot();
   const auto* h = snap.histogram("mem.query_peak_bytes.class0");
@@ -1761,33 +1648,152 @@ TEST_F(ObsEngineTest, RuntimeBudgetCrossingFailsTypedMidQuery) {
   EXPECT_FALSE(engine.Run(q1, options).rows.empty());
 }
 
-TEST_F(ObsEngineTest, EngineFlamegraphCoversCompletedQueries) {
-  QueryEngineOptions engine_options;
-  engine_options.num_threads = 2;
-  engine_options.profile_hz = 4000;  // aggressive cadence: fast test
-  QueryEngine engine(&catalog(), engine_options);
-  QueryProgram q1 = BuildTpchQuery(1, catalog());
-  // Run until the sampler has demonstrably caught query work (the beacons
-  // are only interesting while morsels run, so keep feeding it).
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  std::string stacks;
-  while (std::chrono::steady_clock::now() < deadline) {
-    ASSERT_FALSE(engine.Run(q1).rows.empty());
-    stacks = engine.CollapsedStacks();
-    if (stacks.find(";q1;") != std::string::npos) break;
+/// What the flamegraph must hold after `results` ran, computed from the
+/// results alone: per query and stack, the llround in µs of the times the
+/// result holds, summed over queries; zero-weight stacks have no line.
+/// `frame` maps a plan name to its escaped flamegraph frame.
+std::map<std::string, uint64_t> ExpectedStacks(
+    const std::vector<QueryRunResult>& results,
+    const std::function<std::string(const std::string&)>& frame) {
+  std::map<std::string, uint64_t> stacks;
+  for (const QueryRunResult& r : results) {
+    const std::string plan = "engine;" + frame(r.plan_name) + ";";
+    std::map<std::string, double> seconds;
+    double exec_only = 0;
+    for (const PipelineReport& pp : r.pipelines) {
+      const std::string pipeline =
+          plan + "pipeline" + std::to_string(pp.pipeline_index) + ";";
+      for (const ModeSliceProfile& m : pp.modes) {
+        seconds[pipeline + ExecModeName(m.mode) + ";morsel"] +=
+            m.busy_seconds;
+      }
+      for (const auto& [mode, compile_seconds] : pp.compiles) {
+        seconds[pipeline + ExecModeName(mode) + ";compile"] +=
+            compile_seconds;
+      }
+      seconds[pipeline + "codegen"] +=
+          (pp.codegen_millis + pp.translate_millis) / 1e3;
+      if (pp.modes.empty()) seconds[pipeline + "exec"] += pp.exec_only_seconds;
+      exec_only += pp.exec_only_seconds;
+    }
+    seconds[plan + "engine-step"] =
+        std::max(0.0, r.exec_seconds_total - exec_only);
+    for (const auto& [stack, sec] : seconds) {
+      stacks[stack] += static_cast<uint64_t>(std::llround(sec * 1e6));
+    }
   }
-  EXPECT_NE(stacks.find(";q1;"), std::string::npos) << stacks;
-  EXPECT_GT(engine.ObservabilitySnapshot().counter("profiler.samples"), 0u);
-  int64_t hz = -1;
-  for (const auto& [name, value] :
-       engine.ObservabilitySnapshot().gauges) {
-    if (name == "profiler.hz") hz = value;
+  for (auto it = stacks.begin(); it != stacks.end();) {
+    it = it->second == 0 ? stacks.erase(it) : std::next(it);
   }
-  EXPECT_EQ(hz, 4000);
-  // ResetObservabilityStats drops the folded samples too.
+  return stacks;
+}
+
+/// Parses collapsed-stack text, checking each line's shape.
+std::map<std::string, uint64_t> ParseStacks(const std::string& text) {
+  const std::regex collapsed_line("[^ ;]+(;[^ ;]+)* [0-9]+");
+  std::map<std::string, uint64_t> stacks;
+  std::istringstream in(text);
+  for (std::string line; std::getline(in, line);) {
+    EXPECT_TRUE(std::regex_match(line, collapsed_line)) << line;
+    const size_t space = line.rfind(' ');
+    if (space == std::string::npos) continue;
+    EXPECT_TRUE(stacks
+                    .emplace(line.substr(0, space),
+                             std::stoull(line.substr(space + 1)))
+                    .second)
+        << "duplicate stack: " << line;
+  }
+  return stacks;
+}
+
+bool HasStackEndingIn(const std::map<std::string, uint64_t>& stacks,
+                      const std::string& suffix) {
+  for (const auto& entry : stacks) {
+    const std::string& stack = entry.first;
+    if (stack.size() >= suffix.size() &&
+        stack.compare(stack.size() - suffix.size(), suffix.size(), suffix) ==
+            0) {
+      return true;
+    }
+  }
+  return false;
+}
+
+// The flamegraph is exact: each frame's weight is the sum over the queries
+// that ran of one rounded µs figure their results already hold, so it can
+// be checked to the microsecond with no sampling and no waiting.
+TEST_F(ObsEngineTest, FlamegraphIsTheSumOfEachRunsExactTimes) {
+  QueryEngine engine(&catalog(), 2);
+  std::vector<QueryRunResult> results;
+  for (int number : {1, 3, 6}) {
+    QueryProgram program = BuildTpchQuery(number, catalog());
+    results.push_back(engine.Run(program, ForcedSwitchOptions()));
+    ASSERT_FALSE(results.back().rows.empty());
+  }
+  QueryProgram q6 = BuildTpchQuery(6, catalog());
+  QueryRunOptions volcano;
+  volcano.engine = EngineKind::kVolcano;
+  results.push_back(engine.Run(q6, volcano));
+
+  // A caller-chosen plan name with a space, a ';', a control byte and
+  // more bytes than any fixed frame buffer: escaped, never truncated.
+  const std::string odd_name = "a b;c\x01" + std::string(300, 'x');
+  const std::string odd_frame = "a_b_c_" + std::string(300, 'x');
+  QueryProgram odd(odd_name);
+  {
+    const Table* lineitem = catalog().GetTable("lineitem");
+    PipelineSpec scan;
+    scan.name = "scan lineitem";
+    scan.source_table = odd.DeclareBaseTable("lineitem");
+    scan.scan_columns = {lineitem->ColumnIndex("l_quantity")};
+    std::vector<AggItem> items;
+    items.push_back({AggKind::kSum, Slot(0), true});
+    SinkAgg sink;
+    sink.agg = odd.DeclareAggSet({AggKind::kSum});
+    sink.key = I64(0);
+    sink.items = std::move(items);
+    scan.sink = std::move(sink);
+    odd.AddPipeline(std::move(scan));
+  }
+  results.push_back(engine.Run(odd));
+
+  const std::map<std::string, uint64_t> stacks =
+      ParseStacks(engine.CollapsedStacks());
+  EXPECT_EQ(stacks, ExpectedStacks(results, [&](const std::string& name) {
+              return name == odd_name ? odd_frame : name;
+            }));
+  // Every kind of frame is present: morsels per mode, the forced switches'
+  // compiles, codegen, a volcano pipeline's exec time and engine steps.
+  for (const char* suffix :
+       {";bytecode;morsel", ";compile", ";codegen", ";exec", ";engine-step"}) {
+    EXPECT_TRUE(HasStackEndingIn(stacks, suffix)) << suffix;
+  }
+  EXPECT_TRUE(stacks.count("engine;" + odd_frame + ";pipeline0;codegen"));
+
   engine.ResetObservabilityStats();
-  EXPECT_EQ(engine.CollapsedStacks().find(";q1;"), std::string::npos);
+  EXPECT_EQ(engine.CollapsedStacks(), "");
+}
+
+TEST(FlamegraphTest, NewStacksPastTheBoundGoToOverflow) {
+  Flamegraph flamegraph;
+  const size_t plans = Flamegraph::kMaxStacks + 4;
+  for (size_t i = 0; i < plans; ++i) {
+    QueryRunResult result;  // no pipelines: one engine-step stack of 2 µs
+    result.plan_name = "p" + std::to_string(i);
+    result.exec_seconds_total = 2e-6;
+    flamegraph.Add(result);
+  }
+  QueryRunResult known;
+  known.plan_name = "p0";
+  known.exec_seconds_total = 3e-6;
+  flamegraph.Add(known);  // an existing stack still grows
+  const std::map<std::string, uint64_t> stacks =
+      ParseStacks(flamegraph.CollapsedStacks());
+  EXPECT_EQ(stacks.size(), Flamegraph::kMaxStacks + 1);
+  EXPECT_EQ(stacks.at("engine;p0;engine-step"), 5u);
+  EXPECT_EQ(stacks.at("engine;overflow"), 4u * 2);
+  flamegraph.Clear();
+  EXPECT_EQ(flamegraph.CollapsedStacks(), "");
 }
 
 // --- Stats server ----------------------------------------------------------
@@ -1907,32 +1913,38 @@ TEST_F(ObsEngineTest, StatsServerServesMetricsTraceAndProfiles) {
             std::string::npos);
   EXPECT_NE(profiles.find("\"anomalies\":[]"), std::string::npos);
 
-  // The flamegraph: collapsed stacks as text, one `frame;frame count` per
-  // line. Run until the sampler has caught query work.
-  const auto deadline =
-      std::chrono::steady_clock::now() + std::chrono::seconds(10);
-  while (engine.CollapsedStacks().empty() &&
-         std::chrono::steady_clock::now() < deadline) {
-    ASSERT_FALSE(engine.Run(q6).rows.empty());
-  }
+  // The flamegraph: collapsed stacks as text, one `frame;frame µs` per
+  // line; the one completed query is already in it.
   const std::string profile = HttpGet(engine.stats_port(), "/profile");
   EXPECT_NE(profile.find("HTTP/1.0 200 OK"), std::string::npos);
   EXPECT_NE(profile.find("Content-Type: text/plain\r\n"), std::string::npos);
-  const std::regex collapsed_line("[^ ;]+(;[^ ;]+)* [0-9]+");
-  std::istringstream stacks(profile.substr(profile.find("\r\n\r\n") + 4));
-  int stack_lines = 0;
-  for (std::string line; std::getline(stacks, line); ++stack_lines) {
-    EXPECT_TRUE(std::regex_match(line, collapsed_line)) << line;
-  }
-  EXPECT_GT(stack_lines, 0);
+  const std::map<std::string, uint64_t> stacks =
+      ParseStacks(profile.substr(profile.find("\r\n\r\n") + 4));
+  EXPECT_TRUE(HasStackEndingIn(stacks, ";morsel"));
 
   const std::string missing = HttpGet(engine.stats_port(), "/nope");
   EXPECT_NE(missing.find("404 Not Found"), std::string::npos);
 }
 
+size_t ProcessThreads() {
+  size_t threads = 0;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return 0;
+  while (const dirent* entry = ::readdir(dir)) {
+    if (entry->d_name[0] != '.') ++threads;
+  }
+  ::closedir(dir);
+  return threads;
+}
+
 TEST_F(ObsEngineTest, StatsServerOffByDefault) {
-  QueryEngine engine(&catalog(), 2);
+  const Catalog* tpch = &catalog();  // generated before counting threads
+  const size_t threads_before = ProcessThreads();
+  ASSERT_GT(threads_before, 0u);
+  QueryEngine engine(tpch, 2);
   EXPECT_EQ(engine.stats_port(), -1);
+  // The engine's only threads are its scheduler's workers.
+  EXPECT_EQ(ProcessThreads() - threads_before, 2u);
 }
 
 }  // namespace
