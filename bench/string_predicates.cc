@@ -99,14 +99,7 @@ QueryProgram BuildLikeCount(const Catalog& catalog, const Workload& w,
   sink.items.push_back({AggKind::kCount, nullptr, false});
   p.sink = std::move(sink);
   q.AddPipeline(std::move(p));
-  q.AddStep([agg](QueryContext* ctx) {
-    int64_t count = 0;
-    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
-    merged.ForEach([&count](int64_t, void* payload) {
-      count = static_cast<const int64_t*>(payload)[0];
-    });
-    ctx->result.push_back({count});
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
   return q;
 }
 
@@ -131,14 +124,7 @@ QueryProgram BuildRangeCount(const Catalog& catalog, int64_t lo, int64_t hi) {
   sink.items.push_back({AggKind::kCount, nullptr, false});
   p.sink = std::move(sink);
   q.AddPipeline(std::move(p));
-  q.AddStep([agg](QueryContext* ctx) {
-    int64_t count = 0;
-    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
-    merged.ForEach([&count](int64_t, void* payload) {
-      count = static_cast<const int64_t*>(payload)[0];
-    });
-    ctx->result.push_back({count});
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
   return q;
 }
 

@@ -40,13 +40,9 @@ int main() {
   sink.items.push_back({AggKind::kCount, nullptr, false});
   scan.sink = std::move(sink);
   query.AddPipeline(std::move(scan));
-  query.AddStep([agg](QueryContext* ctx) {
-    ctx->agg_sets[agg]->ForEach([ctx](int64_t key, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      ctx->result.push_back({key, p[0], p[1]});
-    });
-    SortRows(&ctx->result, {{0, false, false}});
-  });
+  // Engine steps: read each group as a row {key, sum, count}, then sort.
+  query.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1), Slot(2))));
+  query.AddStep(StepSort{{{0, false, false}}});
 
   // 3. Execute adaptively: starts in the bytecode interpreter and promotes
   //    the pipeline to machine code only if that pays off.

@@ -14,7 +14,6 @@
 #include "exec/morsel.h"
 #include "index/access_path.h"
 #include "jit/jit_compiler.h"
-#include "storage/column.h"
 #include "vm/bytecode.h"
 
 namespace aqe {
@@ -88,9 +87,6 @@ struct PipelineArtifact {
   std::vector<uint64_t> bytecode_constants;
   bool patchable = false;
   std::vector<uint32_t> patch_slots;  ///< per-constant constant_pool index
-  /// Bind-time validation: the artifact only fits when the scanned column
-  /// types match (temp-table schemas are only knowable at run time).
-  std::vector<DataType> column_types;
   uint64_t instructions = 0;  ///< LLVM instruction count (cost model input)
   /// Runtime-call density of the worker's loop body (cost model input;
   /// recorded at first publish so cache hits skip IR generation entirely).

@@ -47,6 +47,7 @@ enum Tag : uint64_t {
   kTagStage = 0xE6,
   kTagDecl = 0xE7,
   kTagLike = 0xE8,
+  kTagStep = 0xE9,
 };
 
 struct FingerprintBuilder {
@@ -167,6 +168,46 @@ struct FingerprintBuilder {
       for (const auto& v : out.values) HashExpr(*v);
     }
   }
+
+  void HashSortKeys(const std::vector<SortKey>& keys) {
+    hash.U64(keys.size());
+    for (const SortKey& key : keys) {
+      hash.U64(uint64_t{key.slot} << 2 | key.descending << 1 | key.as_double);
+    }
+  }
+
+  void HashStep(const EngineStep& step) {
+    hash.U64(kTagStep);
+    hash.U64(step.index());
+    if (const auto* read = std::get_if<StepReadGroups>(&step)) {
+      hash.I64(read->agg);
+      hash.U64(read->scalar ? 1 : 0);
+      hash.I64(read->scalar_agg);
+      hash.U64(read->rows.size());
+      for (const GroupRow& row : read->rows) {
+        hash.U64(row.filter != nullptr ? 1 : 0);
+        if (row.filter != nullptr) HashExpr(*row.filter);
+        hash.U64(row.columns.size());
+        for (const auto& column : row.columns) HashExpr(*column);
+      }
+    } else if (const auto* read = std::get_if<StepReadOutput>(&step)) {
+      hash.I64(read->output);
+    } else if (const auto* count_by = std::get_if<StepCountBy>(&step)) {
+      hash.I64(count_by->agg);
+      hash.U64(count_by->column);
+    } else if (const auto* sort = std::get_if<StepSort>(&step)) {
+      HashSortKeys(sort->keys);
+    } else if (const auto* top = std::get_if<StepTopK>(&step)) {
+      HashSortKeys(top->keys);
+      hash.U64(top->k);
+    } else {
+      const auto& build = std::get<StepGroupsToJoinTable>(step);
+      hash.I64(build.agg);
+      hash.I64(build.ht);
+      hash.U64(build.filter != nullptr ? 1 : 0);
+      if (build.filter != nullptr) HashExpr(*build.filter);
+    }
+  }
 };
 
 /// Sentinel constant for global constant index `i`: a distinctive high
@@ -269,8 +310,8 @@ PlanFingerprint FingerprintProgram(const QueryProgram& program) {
   }
   // Aggregation/output declaration counts: they fix the binding-array
   // layout. Their payload shapes live in runtime objects built fresh per
-  // context (never in cached artifacts), so counts suffice here; the plan
-  // name above anchors the opaque engine steps that consume them.
+  // context (never in cached artifacts), so counts suffice here; the sinks
+  // that fill them and the engine steps that read them are hashed below.
   h.U64(static_cast<uint64_t>(program.num_agg_sets()));
   h.U64(static_cast<uint64_t>(program.num_outputs()));
   h.U64(program.bitmaps().size());
@@ -281,23 +322,23 @@ PlanFingerprint FingerprintProgram(const QueryProgram& program) {
   h.U64(kTagStage);
   h.U64(program.stages().size());
   for (const QueryProgram::Stage& stage : program.stages()) {
-    h.I64(stage.pipeline);  // -1 marks an (opaque) engine step
+    h.I64(stage.pipeline);
+    h.I64(stage.step);
   }
 
   for (const PipelineSpec& spec : program.pipelines()) {
     uint32_t begin = static_cast<uint32_t>(builder.constants.size());
     builder.HashPipeline(spec);
-    // Anchor the scanned table's declaration: a base table by name, a temp
-    // table by index (its schema is validated again at bind time).
-    QueryProgram::TableDeclView decl = program.table_decl(spec.source_table);
-    if (decl.base_name != nullptr) {
-      h.Str(*decl.base_name);
-    } else {
-      h.I64(~decl.temp_index);
-    }
+    // The scanned table's name: one engine's catalog has unique names, so
+    // with the column indices hashed above it fixes every column's type.
+    h.Str(program.table_name(spec.source_table));
     fp.pipeline_constants.emplace_back(
         begin, static_cast<uint32_t>(builder.constants.size()));
   }
+  // The steps' literals follow the last pipeline's constant slice, so a
+  // variant that differs only in a step literal (a HAVING bound) shares
+  // every pipeline artifact.
+  for (const EngineStep& step : program.steps()) builder.HashStep(step);
 
   fp.structural_hash = h.digest();
   fp.constants = std::move(builder.constants);

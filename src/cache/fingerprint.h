@@ -18,15 +18,16 @@ namespace aqe {
 ///
 /// The structural hash covers the program name, every declaration (tables,
 /// join tables, aggregation sets, outputs, bitmap indices), the stage
-/// sequence, and each pipeline's operator/sink/expression shape. Expression
-/// constants (kConstI64 / kConstF64) are hashed as *placeholders*; their raw
-/// 8-byte values are collected into `constants` in deterministic preorder
-/// traversal, so two queries differing only in literals share a structural
-/// hash and differ in the constant vector. Runtime addresses never enter
-/// the fingerprint: workers read them from the per-run binding array.
+/// sequence, each pipeline's operator/sink/expression shape, and each
+/// engine step's kind and fields. Expression constants (kConstI64 /
+/// kConstF64) are hashed as *placeholders*; their raw 8-byte values are
+/// collected into `constants` in deterministic preorder traversal, so two
+/// queries differing only in literals share a structural hash and differ
+/// in the constant vector. Runtime addresses never enter the fingerprint:
+/// workers read them from the per-run binding array.
 struct PlanFingerprint {
   uint64_t structural_hash = 0;
-  /// Pipeline expression constants, traversal order (f64 bit-cast).
+  /// Expression constants, traversal order (f64 bit-cast), steps' last.
   std::vector<uint64_t> constants;
   /// Hash of `constants` (fast pre-filter; equality is decided on vectors).
   uint64_t constants_hash = 0;

@@ -22,8 +22,7 @@ PipelineBindings BindPipeline(const QueryProgram& program,
   // that build a table have finished by the time one that probes it binds.
   for (const PipelineOp& op : spec.ops) {
     if (const auto* probe = std::get_if<OpProbe>(&op)) {
-      JoinHashTable* ht = ctx.join_tables[static_cast<size_t>(probe->ht)].get();
-      if (ht != nullptr) ht->Seal();
+      ctx.join_tables[static_cast<size_t>(probe->ht)]->Seal();
     }
   }
   for (const auto& agg : ctx.agg_sets) {
@@ -39,35 +38,6 @@ PipelineBindings BindPipeline(const QueryProgram& program,
     bindings.like_preds.push_back(pred.get());
   }
   return bindings;
-}
-
-void ValidatePipelineBindings(const PipelineSpec& spec,
-                              const PipelineBindings& bindings) {
-  for (const PipelineOp& op : spec.ops) {
-    if (const auto* probe = std::get_if<OpProbe>(&op)) {
-      AQE_CHECK_MSG(
-          bindings.join_tables[static_cast<size_t>(probe->ht)] != nullptr,
-          "join table not bound");
-    }
-  }
-  if (const auto* build = std::get_if<SinkBuild>(&spec.sink)) {
-    AQE_CHECK_MSG(
-        bindings.join_tables[static_cast<size_t>(build->ht)] != nullptr,
-        "join table not bound");
-  } else if (const auto* agg = std::get_if<SinkAgg>(&spec.sink)) {
-    AQE_CHECK_MSG(bindings.agg_sets[static_cast<size_t>(agg->agg)] != nullptr,
-                  "agg set not bound");
-  } else {
-    const auto& out = std::get<SinkOutput>(spec.sink);
-    AQE_CHECK_MSG(bindings.outputs[static_cast<size_t>(out.output)] != nullptr,
-                  "output buffer not bound");
-  }
-}
-
-uint64_t PipelineCardinality(const QueryProgram& program,
-                             const PipelineSpec& spec,
-                             const QueryContext& ctx) {
-  return program.ResolveTable(spec.source_table, ctx)->num_rows();
 }
 
 GeneratedPipeline GeneratePipeline(const PipelineSpec& spec,

@@ -26,24 +26,11 @@ struct GeneratedPipeline {
 
 /// Resolves a pipeline's runtime addresses against a query context: scan
 /// column base pointers, join tables, aggregation sets, output buffers.
-/// Requires temp tables / join tables used by this pipeline to exist.
 /// Seals every join table the pipeline probes (JoinHashTable::Seal): its
 /// build is complete once a pipeline that probes it is bound.
 PipelineBindings BindPipeline(const QueryProgram& program,
                               const PipelineSpec& spec,
                               const QueryContext& ctx);
-
-/// Checks that every runtime object `spec` dereferences is present in
-/// `bindings` (codegen no longer sees the addresses, so this is the place
-/// the "join table not created yet" class of plan bugs is caught).
-void ValidatePipelineBindings(const PipelineSpec& spec,
-                              const PipelineBindings& bindings);
-
-/// Source-table cardinality of a pipeline (the pipeline's total work,
-/// always known at pipeline start, §III-A).
-uint64_t PipelineCardinality(const QueryProgram& program,
-                             const PipelineSpec& spec,
-                             const QueryContext& ctx);
 
 /// Generates the worker-function module for one pipeline. Deterministic:
 /// the adaptive controller re-invokes it for each compilation request

@@ -449,8 +449,7 @@ class CachePublishTask : public Task {
   CachePublishTask(ArtifactCache* cache, std::shared_ptr<CacheEntry> entry,
                    size_t pipeline, ExecMode mode,
                    std::shared_ptr<CachedCode> code,
-                   std::vector<uint64_t> constants,
-                   std::vector<DataType> column_types, uint64_t instructions,
+                   std::vector<uint64_t> constants, uint64_t instructions,
                    double runtime_call_fraction, EngineTracer* tracer,
                    uint32_t query_id)
       : cache_(cache),
@@ -459,7 +458,6 @@ class CachePublishTask : public Task {
         mode_(mode),
         code_(std::move(code)),
         constants_(std::move(constants)),
-        column_types_(std::move(column_types)),
         instructions_(instructions),
         runtime_call_fraction_(runtime_call_fraction),
         tracer_(tracer),
@@ -470,11 +468,6 @@ class CachePublishTask : public Task {
     {
       std::lock_guard<std::mutex> lock(entry_->mu);
       PipelineArtifact& a = entry_->pipelines[pipeline_];
-      if (a.column_types.empty()) {
-        a.column_types = column_types_;
-      } else if (a.column_types != column_types_) {
-        return Status::kDone;  // schema drifted (temp table): don't publish
-      }
       CodeVariant* v = a.FindVariant(constants_);
       if (v == nullptr) {
         if (a.code_variants.size() < PipelineArtifact::kMaxCodeVariants) {
@@ -529,7 +522,6 @@ class CachePublishTask : public Task {
   ExecMode mode_;
   std::shared_ptr<CachedCode> code_;
   std::vector<uint64_t> constants_;
-  std::vector<DataType> column_types_;
   uint64_t instructions_;
   double runtime_call_fraction_;
   EngineTracer* tracer_;
@@ -566,18 +558,16 @@ class QueryJob : public Task {
         submit_nanos_(MonotonicNanos()),
         program_(&program),
         options_(options),
-        ctx_(program.MakeContext(catalog)),
+        // Every engine query is memory-accounted: every runtime structure
+        // the context creates charges the tracker.
+        memory_(std::make_shared<QueryMemoryTracker>()),
+        ctx_(program.MakeContext(catalog, memory_.get())),
         on_finished_(std::move(on_finished)) {
     // Cost-model micro-calibration (AQE_CALIBRATE): substitute measured
     // speedups when the caller left the cost model at its defaults.
     if (calibrated != nullptr && options_.cost_model == CostModelParams{}) {
       options_.cost_model = *calibrated;
     }
-    // Every engine query is memory-accounted: the tracker rides the context
-    // into the agg sets / output buffers now, and into join tables as
-    // engine steps create them (they read ctx->memory themselves).
-    memory_ = std::make_shared<QueryMemoryTracker>();
-    ctx_->AttachMemoryTracker(memory_);
     result_.query_id = query_id;
     result_.plan_name = program.name();
     bool created_entry = false;
@@ -828,10 +818,10 @@ class QueryJob : public Task {
   int64_t slice_start_nanos_ = 0;
   const QueryProgram* program_;
   QueryRunOptions options_;
-  /// Per-query memory accounting; shared with ctx_ and every runtime
-  /// structure created on the query's behalf. Declared before ctx_ so it
-  /// is destroyed after the context: charged structures hold raw
-  /// tracker pointers and call Release() from their destructors.
+  /// Per-query memory accounting, charged by every runtime structure ctx_
+  /// holds and by the run itself. Declared before ctx_ so it is destroyed
+  /// after the context: charged structures hold raw tracker pointers and
+  /// call Release() from their destructors.
   std::shared_ptr<QueryMemoryTracker> memory_;
   std::unique_ptr<QueryContext> ctx_;
   PlanFingerprint fingerprint_;
@@ -947,7 +937,7 @@ bool QueryJob::AdvanceStage(int worker) {
   const QueryProgram::Stage& stage = program_->stages()[stage_index_];
   if (stage.pipeline < 0) {
     Timer timer;
-    stage.step(ctx_.get());
+    RunStep(program_->steps()[static_cast<size_t>(stage.step)], ctx_.get());
     result_.exec_seconds_total += timer.ElapsedSeconds();
     return true;
   }
@@ -982,9 +972,7 @@ bool QueryJob::StartSealRun(const PipelineSpec& spec) {
     const auto* probe = std::get_if<OpProbe>(&op);
     if (probe == nullptr) continue;
     JoinHashTable* ht = ctx_->join_tables[static_cast<size_t>(probe->ht)].get();
-    if (ht == nullptr || ht->sealed() || ht->size() < kParallelSealNodes) {
-      continue;
-    }
+    if (ht->sealed() || ht->size() < kParallelSealNodes) continue;
     Timer timer;
     const uint64_t nodes = ht->BeginSeal();
     result_.exec_seconds_total += timer.ElapsedSeconds();
@@ -1048,7 +1036,8 @@ void QueryJob::RunPipeline(const QueryProgram::Stage& stage,
   PipelineReport report;
   report.name = spec.name;
   report.pipeline_index = static_cast<uint32_t>(stage.pipeline);
-  report.tuples = PipelineCardinality(program, spec, *ctx_);
+  // The pipeline's total work, known at pipeline start (§III-A).
+  report.tuples = program.ResolveTable(spec.source_table, *ctx_)->num_rows();
 
   // Binding seals the join tables this pipeline probes, linking what their
   // builds inserted: join-table finalize, so it counts as an engine step.
@@ -1056,36 +1045,27 @@ void QueryJob::RunPipeline(const QueryProgram::Stage& stage,
   PipelineBindings bindings = BindPipeline(program, spec, *ctx_);
   result_.exec_seconds_total += bind_timer.ElapsedSeconds();
 
+  if (options.engine == EngineKind::kCompiled) {
+    StartCompiledPipeline(stage, spec, std::move(bindings), std::move(report),
+                          worker);
+    return;
+  }
+  // The baselines run the whole pipeline on the query's thread.
+  Timer timer;
   if (options.engine == EngineKind::kVolcano) {
-    Timer timer;
     RunPipelineVolcano(program, spec, ctx_.get());
-    report.exec_seconds = timer.ElapsedSeconds();
-    report.exec_only_seconds = report.exec_seconds;
-    result_.exec_seconds_total += report.exec_only_seconds;
-    result_.pipelines.push_back(std::move(report));
-    return;
-  }
-  if (options.engine == EngineKind::kVectorized) {
-    Timer timer;
+  } else if (options.engine == EngineKind::kVectorized) {
     RunPipelineVectorized(program, spec, ctx_.get());
-    report.exec_seconds = timer.ElapsedSeconds();
-    report.exec_only_seconds = report.exec_seconds;
-    result_.exec_seconds_total += report.exec_only_seconds;
-    result_.pipelines.push_back(std::move(report));
-    return;
-  }
-
-  if (options.engine == EngineKind::kNaiveIr) {
+  } else {
     // Fig 2's "LLVM IR" mode: interpret the IR objects directly,
     // single-threaded, morsel by morsel.
-    ValidatePipelineBindings(spec, bindings);
     std::vector<uint64_t> binding_values = bindings.Pack();
     GeneratedPipeline generated = GeneratePipeline(spec, bindings);
     report.instructions = generated.instructions;
     report.codegen_millis = generated.codegen_millis;
     result_.codegen_millis_total += generated.codegen_millis;
     const llvm::Function* fn = generated.mod->module().getFunction("worker");
-    Timer timer;
+    timer.Reset();
     MorselQueue queue(report.tuples);
     MorselRange morsel;
     while (queue.Next(&morsel)) {
@@ -1093,16 +1073,11 @@ void QueryJob::RunPipeline(const QueryProgram::Stage& stage,
                           morsel.begin, morsel.end, 0};
       NaiveIrInterpret(*fn, args, 4, registry);
     }
-    report.exec_seconds = timer.ElapsedSeconds();
-    report.exec_only_seconds = report.exec_seconds;
-    result_.exec_seconds_total += report.exec_only_seconds;
-    result_.pipelines.push_back(std::move(report));
-    return;
   }
-
-  AQE_CHECK(options.engine == EngineKind::kCompiled);
-  StartCompiledPipeline(stage, spec, std::move(bindings), std::move(report),
-                        worker);
+  report.exec_seconds = timer.ElapsedSeconds();
+  report.exec_only_seconds = report.exec_seconds;
+  result_.exec_seconds_total += report.exec_only_seconds;
+  result_.pipelines.push_back(std::move(report));
 }
 
 /// Sets up one compiled pipeline and hands it to a resumable PipelineRun:
@@ -1133,7 +1108,6 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
 
   // The worker reads every runtime address out of this packed binding
   // array (its `state` argument); it must outlive the pipeline run.
-  ValidatePipelineBindings(spec, bindings);
   std::vector<uint64_t> binding_values = bindings.Pack();
 
   const bool needs_bytecode =
@@ -1156,7 +1130,6 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     snap.bytecode_constants = a.bytecode_constants;
     snap.patchable = a.patchable;
     snap.patch_slots = a.patch_slots;
-    snap.column_types = a.column_types;
     snap.instructions = a.instructions;
     snap.runtime_call_fraction = a.runtime_call_fraction;
     if (CodeVariant* v = a.FindVariant(my_constants); v != nullptr) {
@@ -1165,16 +1138,10 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
       snap_opt = v->opt;
     }
   }
-  // Column types are the one plan property only knowable at bind time
-  // (temp-table schemas); artifacts recorded under other types don't fit.
-  const bool types_fit =
-      entry_ != nullptr &&
-      (snap.column_types.empty() || snap.column_types == bindings.column_types);
-
   // Bytecode: exact-constant hits share the cached program, literal-only
   // variants clone it and patch the constant pool.
   std::shared_ptr<const BcProgram> bytecode;
-  if (needs_bytecode && types_fit && snap.bytecode != nullptr) {
+  if (needs_bytecode && snap.bytecode != nullptr) {
     if (snap.bytecode_constants == my_constants) {
       bytecode = ProgramForDispatch(snap.bytecode, options.vm_dispatch);
       cache_->CountBytecodeHit(/*patched=*/false);
@@ -1217,25 +1184,23 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   // snapshot above already picked the variant matching my_constants.
   std::shared_ptr<CachedCode> seed_code;
   ExecMode seed_mode = ExecMode::kBytecode;
-  if (types_fit) {
-    if (options.strategy == ExecutionStrategy::kAdaptive) {
-      // Start straight in the best mode this plan ever reached.
-      if (snap_opt != nullptr) {
-        seed_code = snap_opt;
-        seed_mode = ExecMode::kOptimized;
-      } else if (snap_unopt != nullptr) {
-        seed_code = snap_unopt;
-        seed_mode = ExecMode::kUnoptimized;
-      }
-    } else if (options.strategy == ExecutionStrategy::kUnoptimized &&
-               snap_unopt != nullptr) {
-      seed_code = snap_unopt;
-      seed_mode = ExecMode::kUnoptimized;
-    } else if (options.strategy == ExecutionStrategy::kOptimized &&
-               snap_opt != nullptr) {
+  if (options.strategy == ExecutionStrategy::kAdaptive) {
+    // Start straight in the best mode this plan ever reached.
+    if (snap_opt != nullptr) {
       seed_code = snap_opt;
       seed_mode = ExecMode::kOptimized;
+    } else if (snap_unopt != nullptr) {
+      seed_code = snap_unopt;
+      seed_mode = ExecMode::kUnoptimized;
     }
+  } else if (options.strategy == ExecutionStrategy::kUnoptimized &&
+             snap_unopt != nullptr) {
+    seed_code = snap_unopt;
+    seed_mode = ExecMode::kUnoptimized;
+  } else if (options.strategy == ExecutionStrategy::kOptimized &&
+             snap_opt != nullptr) {
+    seed_code = snap_opt;
+    seed_mode = ExecMode::kOptimized;
   }
 
   // --- code generation / translation (cache misses only) ------------------
@@ -1275,11 +1240,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
       bool worth_publishing;
       {
         std::lock_guard<std::mutex> lock(entry_->mu);
-        const PipelineArtifact& a = entry_->pipelines[p];
-        worth_publishing =
-            a.bytecode == nullptr &&
-            (a.column_types.empty() ||
-             a.column_types == bindings.column_types);
+        worth_publishing = entry_->pipelines[p].bytecode == nullptr;
       }
       int64_t delta = 0;
       if (worth_publishing) {
@@ -1291,14 +1252,11 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
             fingerprint_.pipeline_constants[p].second);
         std::lock_guard<std::mutex> lock(entry_->mu);
         PipelineArtifact& a = entry_->pipelines[p];
-        if (a.bytecode == nullptr &&
-            (a.column_types.empty() ||
-             a.column_types == bindings.column_types)) {
+        if (a.bytecode == nullptr) {
           a.bytecode = fresh;
           a.bytecode_constants = my_constants;
           a.patchable = patch.patchable;
           a.patch_slots = std::move(patch.pool_indices);
-          a.column_types = bindings.column_types;
           if (a.instructions == 0) a.instructions = instructions;
           if (a.runtime_call_fraction == 0) {
             a.runtime_call_fraction = call_fraction;
@@ -1473,8 +1431,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
       // Write-back happens off the critical path, as a low-priority task.
       sched_->Submit(std::make_unique<CachePublishTask>(
                          cache_, entry_, raw_ap->p, mode, std::move(code),
-                         raw_ap->my_constants, raw_ap->bindings.column_types,
-                         fresh.instructions,
+                         raw_ap->my_constants, fresh.instructions,
                          RuntimeCallFraction(fresh.loop_instructions,
                                              fresh.loop_calls,
                                              options_.cost_model),
@@ -1814,7 +1771,7 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
 
   for (const QueryProgram::Stage& stage : program.stages()) {
     if (stage.pipeline < 0) {
-      stage.step(ctx.get());
+      RunStep(program.steps()[static_cast<size_t>(stage.step)], ctx.get());
       continue;
     }
     const PipelineSpec& spec =
@@ -1862,9 +1819,8 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
     }
     costs.push_back(std::move(cost));
 
-    // Execute the pipeline (interpreted) so later pipelines can bind to the
-    // hash tables / temp tables this one produces, and the steps read its
-    // merged aggregation.
+    // Execute the pipeline (interpreted) so later pipelines probe the hash
+    // tables this one builds, and the steps read its merged aggregation.
     RunPipelineVolcano(program, spec, ctx.get());
     if (const auto* sink = std::get_if<SinkAgg>(&spec.sink)) {
       ctx->agg_sets[static_cast<size_t>(sink->agg)]->Merge();

@@ -64,9 +64,12 @@ ExprPtr Binary(ExprKind kind, ExprPtr lhs, ExprPtr rhs) {
 ExprPtr Add(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kAdd, std::move(l), std::move(r)); }
 ExprPtr Sub(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kSub, std::move(l), std::move(r)); }
 ExprPtr Mul(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kMul, std::move(l), std::move(r)); }
+ExprPtr Div(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kDiv, std::move(l), std::move(r)); }
 ExprPtr CheckedAdd(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kCheckedAdd, std::move(l), std::move(r)); }
 ExprPtr CheckedSub(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kCheckedSub, std::move(l), std::move(r)); }
 ExprPtr CheckedMul(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kCheckedMul, std::move(l), std::move(r)); }
+ExprPtr FMul(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kFMul, std::move(l), std::move(r)); }
+ExprPtr FDiv(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kFDiv, std::move(l), std::move(r)); }
 ExprPtr Eq(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kEq, std::move(l), std::move(r)); }
 ExprPtr Ne(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kNe, std::move(l), std::move(r)); }
 ExprPtr Lt(ExprPtr l, ExprPtr r) { return Binary(ExprKind::kLt, std::move(l), std::move(r)); }
@@ -147,7 +150,13 @@ int64_t FromF64(double d) {
 }  // namespace
 
 int64_t EvalExpr(const Expr& expr, const int64_t* slots) {
-  auto child = [&](size_t i) { return EvalExpr(*expr.children[i], slots); };
+  // Leaves are read in place: engine steps evaluate per group (Q18: 450 k).
+  auto child = [&](size_t i) {
+    const Expr& c = *expr.children[i];
+    if (c.kind == ExprKind::kSlot) return slots[c.slot];
+    if (c.kind == ExprKind::kConstI64) return c.i64_value;
+    return EvalExpr(c, slots);
+  };
   switch (expr.kind) {
     case ExprKind::kSlot: return slots[expr.slot];
     case ExprKind::kConstI64: return expr.i64_value;

@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace aqe {
@@ -58,9 +59,12 @@ ExprPtr Binary(ExprKind kind, ExprPtr lhs, ExprPtr rhs);
 ExprPtr Add(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Sub(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Mul(ExprPtr lhs, ExprPtr rhs);
+ExprPtr Div(ExprPtr lhs, ExprPtr rhs);
 ExprPtr CheckedAdd(ExprPtr lhs, ExprPtr rhs);
 ExprPtr CheckedSub(ExprPtr lhs, ExprPtr rhs);
 ExprPtr CheckedMul(ExprPtr lhs, ExprPtr rhs);
+ExprPtr FMul(ExprPtr lhs, ExprPtr rhs);
+ExprPtr FDiv(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Eq(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Ne(ExprPtr lhs, ExprPtr rhs);
 ExprPtr Lt(ExprPtr lhs, ExprPtr rhs);
@@ -74,6 +78,15 @@ ExprPtr BitmapTest(const uint8_t* bitmap, ExprPtr code);
 ExprPtr LikeMatch(const LikePredicate* pred, ExprPtr code);
 ExprPtr CastF64(ExprPtr child);
 ExprPtr BoolToI64(ExprPtr child);
+
+/// Collects move-only expressions into a vector (a brace list would copy).
+template <typename... Exprs>
+std::vector<ExprPtr> ExprList(Exprs... exprs) {
+  std::vector<ExprPtr> list;
+  list.reserve(sizeof...(exprs));
+  (list.push_back(std::move(exprs)), ...);
+  return list;
+}
 
 /// Deep copy (query builders occasionally reuse sub-expressions).
 ExprPtr CloneExpr(const Expr& expr);

@@ -54,9 +54,9 @@ struct SinkOutput {
 };
 using PipelineSink = std::variant<SinkBuild, SinkAgg, SinkOutput>;
 
-/// One query pipeline (§III-A): a scan over a table (base or temporary),
-/// a chain of per-tuple operators, and a sink. Compiled into one worker
-/// function `worker(state, begin, end, extra)` over the scan's row range.
+/// One query pipeline (§III-A): a scan over a base table, a chain of
+/// per-tuple operators, and a sink. Compiled into one worker function
+/// `worker(state, begin, end, extra)` over the scan's row range.
 struct PipelineSpec {
   std::string name;            ///< e.g. "scan lineitem"
   int source_table = 0;        ///< QueryProgram table id

@@ -1,17 +1,9 @@
 #include "plan/plan.h"
 
 #include "common/status.h"
-#include "obs/memory_tracker.h"
 #include "simd/simd.h"
 
 namespace aqe {
-
-void QueryContext::AttachMemoryTracker(
-    std::shared_ptr<QueryMemoryTracker> tracker) {
-  memory = std::move(tracker);
-  for (auto& set : agg_sets) set->set_memory_tracker(memory.get());
-  for (auto& out : outputs) out->set_memory_tracker(memory.get());
-}
 
 int QueryProgram::DeclareJoinTable(uint32_t payload_slots) {
   join_payload_slots_.push_back(payload_slots);
@@ -29,12 +21,7 @@ int QueryProgram::DeclareOutput(uint32_t row_slots) {
 }
 
 int QueryProgram::DeclareBaseTable(const std::string& name) {
-  tables_.push_back({name, -1});
-  return static_cast<int>(tables_.size() - 1);
-}
-
-int QueryProgram::DeclareTempTable() {
-  tables_.push_back({"", num_temps_++});
+  tables_.push_back(name);
   return static_cast<int>(tables_.size() - 1);
 }
 
@@ -55,43 +42,42 @@ const LikePredicate* QueryProgram::AddLikePredicate(LikePredicate pred) {
 
 int QueryProgram::AddPipeline(PipelineSpec spec) {
   pipelines_.push_back(std::move(spec));
-  Stage stage;
-  stage.pipeline = static_cast<int>(pipelines_.size() - 1);
-  stages_.push_back(std::move(stage));
-  return stage.pipeline;
+  stages_.push_back({static_cast<int>(pipelines_.size() - 1), -1});
+  return stages_.back().pipeline;
 }
 
 void QueryProgram::AddStep(EngineStep step) {
-  Stage stage;
-  stage.step = std::move(step);
-  stages_.push_back(std::move(stage));
+  if (const auto* read = std::get_if<StepReadGroups>(&step)) {
+    AQE_CHECK_MSG(!read->scalar || read->rows.size() == 1,
+                  "a scalar read has exactly one row template");
+  } else if (const auto* build = std::get_if<StepGroupsToJoinTable>(&step)) {
+    AQE_CHECK_MSG(agg_decls_[static_cast<size_t>(build->agg)].size() ==
+                      join_payload_slots(build->ht),
+                  "group payload and join payload differ in width");
+  }
+  steps_.push_back(std::move(step));
+  stages_.push_back({-1, static_cast<int>(steps_.size() - 1)});
 }
 
 std::unique_ptr<QueryContext> QueryProgram::MakeContext(
-    const Catalog* catalog) const {
+    const Catalog* catalog, QueryMemoryTracker* memory) const {
   auto ctx = std::make_unique<QueryContext>();
   ctx->catalog = catalog;
-  ctx->join_tables.resize(join_payload_slots_.size());
+  for (uint32_t slots : join_payload_slots_) {
+    ctx->join_tables.push_back(std::make_unique<JoinHashTable>(slots, memory));
+  }
   for (const std::vector<AggKind>& kinds : agg_decls_) {
-    ctx->agg_sets.push_back(std::make_unique<AggHashTableSet>(kinds));
+    ctx->agg_sets.push_back(std::make_unique<AggHashTableSet>(kinds, memory));
   }
   for (uint32_t slots : output_slots_) {
-    ctx->outputs.push_back(std::make_unique<OutputBuffer>(slots));
+    ctx->outputs.push_back(std::make_unique<OutputBuffer>(slots, memory));
   }
-  ctx->temp_tables.resize(static_cast<size_t>(num_temps_));
   return ctx;
 }
 
 const Table* QueryProgram::ResolveTable(int table_id,
                                         const QueryContext& ctx) const {
-  const TableDecl& decl = tables_[static_cast<size_t>(table_id)];
-  if (decl.temp_index >= 0) {
-    const Table* table =
-        ctx.temp_tables[static_cast<size_t>(decl.temp_index)].get();
-    AQE_CHECK_MSG(table != nullptr, "temp table not materialized yet");
-    return table;
-  }
-  return ctx.catalog->GetTable(decl.base_name);
+  return ctx.catalog->GetTable(table_name(table_id));
 }
 
 }  // namespace aqe

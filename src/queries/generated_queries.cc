@@ -44,13 +44,9 @@ QueryProgram BuildGeneratedAggregateQuery(int num_aggregates,
   scan.sink = std::move(sink);
   q.AddPipeline(std::move(scan));
 
-  q.AddStep([agg, n = num_aggregates](QueryContext* ctx) {
-    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
-    merged.ForEach([ctx, n](int64_t, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      ctx->result.emplace_back(p, p + n);
-    });
-  });
+  std::vector<ExprPtr> columns;
+  for (int k = 1; k <= num_aggregates; ++k) columns.push_back(Slot(k));
+  q.AddStep(ReadGroups(agg, std::move(columns)));
   return q;
 }
 

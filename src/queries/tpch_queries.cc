@@ -1,9 +1,7 @@
 #include "queries/tpch_queries.h"
 
-#include <algorithm>
-#include <cstring>
-#include <map>
 #include <memory>
+#include <utility>
 
 #include "common/fixed_point.h"
 #include "common/status.h"
@@ -30,18 +28,6 @@ int64_t DictCode(const Catalog& cat, const char* table, const char* column,
   return code;
 }
 
-std::vector<AggItem> CloneItems(const std::vector<AggItem>& items) {
-  std::vector<AggItem> clone;
-  for (const AggItem& item : items) {
-    AggItem c;
-    c.kind = item.kind;
-    c.checked = item.checked;
-    if (item.value != nullptr) c.value = CloneExpr(*item.value);
-    clone.push_back(std::move(c));
-  }
-  return clone;
-}
-
 /// The slot kinds of an aggregation set, from its sink's items.
 std::vector<AggKind> KindsOf(const std::vector<AggItem>& items) {
   std::vector<AggKind> kinds;
@@ -49,30 +35,11 @@ std::vector<AggKind> KindsOf(const std::vector<AggItem>& items) {
   return kinds;
 }
 
-/// The merged aggregation set `agg` (the engine merges it when the pipeline
-/// that fills it finishes).
-const AggHashTableSet& Merged(const QueryContext* ctx, int agg) {
-  return *ctx->agg_sets[static_cast<size_t>(agg)];
-}
-
-double F64FromBits(int64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, 8);
-  return d;
-}
-int64_t BitsFromF64(double d) {
-  int64_t bits;
-  std::memcpy(&bits, &d, 8);
-  return bits;
-}
-
-/// Adds an engine step that creates the declared join table `ht`.
-void AddMakeJoinTable(QueryProgram* q, int ht) {
-  q->AddStep([ht, payload_slots = q->join_payload_slots(ht)](
-                 QueryContext* ctx) {
-    ctx->join_tables[static_cast<size_t>(ht)] =
-        std::make_unique<JoinHashTable>(payload_slots, ctx->memory.get());
-  });
+/// Digit `(key / unit) % radix` of a packed, non-negative group key (slot 0
+/// of a group read), in i64 division.
+ExprPtr KeyDigit(int64_t unit, int64_t radix) {
+  return Sub(Div(Slot(0), I64(unit)),
+             Mul(Div(Slot(0), I64(unit * radix)), I64(radix)));
 }
 
 // =============================================================================
@@ -117,24 +84,19 @@ QueryProgram BuildQ1(const Catalog& cat) {
   int agg = q.DeclareAggSet(KindsOf(items));
   agg_sink.agg = agg;
   agg_sink.key = Add(Mul(Slot(kRetFlag), I64(256)), Slot(kLineStatus));
-  agg_sink.items = CloneItems(items);
+  agg_sink.items = std::move(items);
   scan.sink = std::move(agg_sink);
   q.AddPipeline(std::move(scan));
 
-  q.AddStep([agg](QueryContext* ctx) {
-    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      int64_t count = p[5];
-      // avg_qty, avg_price, avg_disc as doubles.
-      ctx->result.push_back(
-          {key >> 8, key & 255, p[0], p[1], p[2], p[3],
-           BitsFromF64(static_cast<double>(p[0]) / kDecimalScale / count),
-           BitsFromF64(static_cast<double>(p[1]) / kDecimalScale / count),
-           BitsFromF64(static_cast<double>(p[4]) / kDecimalScale / count),
-           count});
-    });
-    SortRows(&ctx->result, {{0, false, false}, {1, false, false}});
-  });
+  // avg_qty, avg_price, avg_disc as doubles; slot 6 is the count.
+  const auto avg = [](int sum) {
+    return FDiv(FDiv(CastF64(Slot(sum)), F64(kDecimalScale)),
+                CastF64(Slot(6)));
+  };
+  q.AddStep(ReadGroups(agg, ExprList(Div(Slot(0), I64(256)), KeyDigit(1, 256),
+                                     Slot(1), Slot(2), Slot(3), Slot(4),
+                                     avg(1), avg(2), avg(5), Slot(6))));
+  q.AddStep(StepSort{{{0, false, false}, {1, false, false}}});
   return q;
 }
 
@@ -168,22 +130,12 @@ QueryProgram BuildQ6Impl(const Catalog& cat, const TpchQ6Literals& lit) {
   SinkAgg sink;
   sink.agg = agg;
   sink.key = I64(0);
-  sink.items = CloneItems(items);
+  sink.items = std::move(items);
   scan.sink = std::move(sink);
   q.AddPipeline(std::move(scan));
 
-  q.AddStep([agg](QueryContext* ctx) {
-    int64_t revenue = 0;
-    Merged(ctx, agg).ForEach([&revenue](int64_t, void* payload) {
-      revenue = *static_cast<const int64_t*>(payload);
-    });
-    ctx->result.push_back({revenue});
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
   return q;
-}
-
-QueryProgram BuildQ6(const Catalog& cat) {
-  return BuildQ6Impl(cat, DefaultQ6Literals());
 }
 
 // =============================================================================
@@ -200,7 +152,6 @@ QueryProgram BuildQ3(const Catalog& cat) {
   const int64_t cutoff = DateToDays(1995, 3, 15);
   const int64_t building = DictCode(cat, "customer", "c_mktsegment", "BUILDING");
 
-  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec build;
     build.name = "build customer";
@@ -214,7 +165,6 @@ QueryProgram BuildQ3(const Catalog& cat) {
     build.sink = std::move(sink);
     q.AddPipeline(std::move(build));
   }
-  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec build;
     build.name = "build orders";
@@ -262,18 +212,13 @@ QueryProgram BuildQ3(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = Slot(0);  // group by orderkey (unique per group)
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     probe.sink = std::move(sink);
     q.AddPipeline(std::move(probe));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      ctx->result.push_back({key, p[0], p[1], p[2]});
-    });
-    // ORDER BY revenue DESC, o_orderdate; LIMIT 10.
-    TopK(&ctx->result, {{1, true, false}, {2, false, false}}, 10);
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1), Slot(2), Slot(3))));
+  // ORDER BY revenue DESC, o_orderdate; LIMIT 10.
+  q.AddStep(StepTopK{{{1, true, false}, {2, false, false}}, 10});
   return q;
 }
 
@@ -290,7 +235,6 @@ QueryProgram BuildQ4(const Catalog& cat) {
   int lineitem = q.DeclareBaseTable("lineitem");
   int order_ht = q.DeclareJoinTable(1);  // payload: o_orderpriority
 
-  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec build;
     build.name = "build orders";
@@ -328,20 +272,13 @@ QueryProgram BuildQ4(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = Slot(0);
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     probe.sink = std::move(sink);
     q.AddPipeline(std::move(probe));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    // ORDER BY o_orderpriority (dictionary codes sort like the strings).
-    std::map<int64_t, int64_t> order_count;
-    Merged(ctx, agg).ForEach([&order_count](int64_t, void* payload) {
-      ++order_count[*static_cast<const int64_t*>(payload)];
-    });
-    for (const auto& [priority, count] : order_count) {
-      ctx->result.push_back({priority, count});
-    }
-  });
+  // Orders per priority, ORDER BY o_orderpriority (dictionary codes sort
+  // like the strings).
+  q.AddStep(StepCountBy{agg, 1});
   return q;
 }
 
@@ -366,7 +303,6 @@ QueryProgram BuildQ5(const Catalog& cat) {
 
   const int64_t asia = DictCode(cat, "region", "r_name", "ASIA");
 
-  AddMakeJoinTable(&q, region_ht);
   {
     PipelineSpec p;
     p.name = "build region";
@@ -380,7 +316,6 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, nation_ht);
   {
     PipelineSpec p;
     p.name = "build nation";
@@ -398,7 +333,6 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec p;
     p.name = "build customer";
@@ -417,7 +351,6 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -439,7 +372,6 @@ QueryProgram BuildQ5(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -479,16 +411,12 @@ QueryProgram BuildQ5(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = Slot(5);  // group by nation
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
-      ctx->result.push_back({key, *static_cast<const int64_t*>(payload)});
-    });
-    SortRows(&ctx->result, {{1, true, false}});
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1))));
+  q.AddStep(StepSort{{{1, true, false}}});
   return q;
 }
 
@@ -506,7 +434,6 @@ QueryProgram BuildQ11(const Catalog& cat) {
 
   const int64_t germany = DictCode(cat, "nation", "n_name", "GERMANY");
 
-  AddMakeJoinTable(&q, nation_ht);
   {
     PipelineSpec p;
     p.name = "build nation";
@@ -520,7 +447,6 @@ QueryProgram BuildQ11(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -559,7 +485,7 @@ QueryProgram BuildQ11(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = part_agg;
     sink.key = Slot(0);
-    sink.items = CloneItems(part_items);
+    sink.items = std::move(part_items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
@@ -584,26 +510,17 @@ QueryProgram BuildQ11(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = total_agg;
     sink.key = I64(0);
-    sink.items = CloneItems(total_items);
+    sink.items = std::move(total_items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([part_agg, total_agg](QueryContext* ctx) {
-    int64_t total = 0;
-    Merged(ctx, total_agg).ForEach([&total](int64_t, void* payload) {
-      total = *static_cast<const int64_t*>(payload);
-    });
-    // HAVING value > total * 0.0001 (the spec's fraction/SF; we use the
-    // SF-1 fraction).
-    const int64_t threshold =
-        static_cast<int64_t>(static_cast<double>(total) * 0.0001);
-    Merged(ctx, part_agg)
-        .ForEach([ctx, threshold](int64_t key, void* payload) {
-          int64_t value = *static_cast<const int64_t*>(payload);
-          if (value > threshold) ctx->result.push_back({key, value});
-        });
-    SortRows(&ctx->result, {{1, true, false}});
-  });
+  // HAVING value > total * 0.0001 (the spec's fraction/SF; we use the
+  // SF-1 fraction), over the slots [partkey, value, total].
+  StepReadGroups having = ReadGroups(part_agg, ExprList(Slot(0), Slot(1)),
+                                     Gt(Mul(Slot(1), I64(10000)), Slot(2)));
+  having.scalar_agg = total_agg;
+  q.AddStep(std::move(having));
+  q.AddStep(StepSort{{{1, true, false}}});
   return q;
 }
 
@@ -648,17 +565,11 @@ QueryProgram BuildQ12(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = line_agg;
     sink.key = Slot(0);
-    sink.items = CloneItems(line_items);
+    sink.items = std::move(line_items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([line_agg, line_ht](QueryContext* ctx) {
-    auto ht = std::make_unique<JoinHashTable>(2, ctx->memory.get());
-    Merged(ctx, line_agg).ForEach([&ht](int64_t key, void* payload) {
-      std::memcpy(ht->Insert(key), payload, 2 * sizeof(int64_t));
-    });
-    ctx->join_tables[static_cast<size_t>(line_ht)] = std::move(ht);
-  });
+  q.AddStep(StepGroupsToJoinTable{line_agg, line_ht, nullptr});
   // high_line_count counts the lines of orders with priority 1-URGENT or
   // 2-HIGH, low_line_count the others: per mode, all lines minus high.
   // Sums: MAIL high, MAIL all, SHIP high, SHIP all.
@@ -684,23 +595,21 @@ QueryProgram BuildQ12(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = I64(0);
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg, mail, ship](QueryContext* ctx) {
-    Merged(ctx, agg).ForEach([&](int64_t, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      // GROUP BY l_shipmode: a mode has a row when any line qualified.
-      for (const auto& [mode, counts] : {std::pair(mail, p),
-                                         std::pair(ship, p + 2)}) {
-        if (counts[1] > 0) {
-          ctx->result.push_back({mode, counts[0], counts[1] - counts[0]});
-        }
-      }
-    });
-    SortRows(&ctx->result, {{0, false, false}});
-  });
+  // GROUP BY l_shipmode: a mode has a row when any line qualified. The
+  // slots are [0, MAIL high, MAIL all, SHIP high, SHIP all].
+  StepReadGroups modes;
+  modes.agg = agg;
+  for (const auto& [mode, high] : {std::pair(mail, 1), std::pair(ship, 3)}) {
+    modes.rows.push_back(
+        {Gt(Slot(high + 1), I64(0)),
+         ExprList(I64(mode), Slot(high), Sub(Slot(high + 1), Slot(high)))});
+  }
+  q.AddStep(std::move(modes));
+  q.AddStep(StepSort{{{0, false, false}}});
   return q;
 }
 
@@ -721,7 +630,6 @@ QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
       &q, *part_table, part_table->ColumnIndex("p_type"), /*code_slot=*/1,
       pattern);
 
-  AddMakeJoinTable(&q, part_ht);
   {
     PipelineSpec p;
     p.name = "build part";
@@ -762,33 +670,22 @@ QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = I64(0);
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    int64_t promo = 0, total = 0;
-    Merged(ctx, agg).ForEach([&promo, &total](int64_t, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      promo = p[0];
-      total = p[1];
-    });
-    double pct = total == 0 ? 0
-                            : 100.0 * static_cast<double>(promo) /
-                                  static_cast<double>(total);
-    ctx->result.push_back({BitsFromF64(pct), promo, total});
-  });
+  // promo_revenue = 100 * promo / total.
+  q.AddStep(ReadGroups(
+      agg, ExprList(FDiv(FMul(F64(100.0), CastF64(Slot(1))), CastF64(Slot(2))),
+                    Slot(1), Slot(2)),
+      nullptr, /*scalar=*/true));
   return q;
-}
-
-QueryProgram BuildQ14(const Catalog& cat) {
-  return BuildQ14Impl(cat, "PROMO%");
 }
 
 // =============================================================================
 // Q18: large volume customer. Group lineitem by orderkey, HAVING sum > 300.
 // =============================================================================
-QueryProgram BuildQ18(const Catalog& cat) {
+QueryProgram BuildQ18Impl(const Catalog& cat, int64_t min_quantity) {
   QueryProgram q("q18");
   int lineitem = q.DeclareBaseTable("lineitem");
   int orders = q.DeclareBaseTable("orders");
@@ -806,23 +703,15 @@ QueryProgram BuildQ18(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = Slot(0);
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  // Engine step: materialize qualifying orderkeys (sum > 300.00) into a
-  // join hash table (the paper's queryStart-style C++ glue). Few orders
-  // qualify; the probe's seal sizes the table to them, not to the groups.
-  q.AddStep([agg, qualify_ht](QueryContext* ctx) {
-    auto ht = std::make_unique<JoinHashTable>(1, ctx->memory.get());
-    Merged(ctx, agg).ForEach([&](int64_t key, void* payload) {
-      const int64_t quantity = *static_cast<const int64_t*>(payload);
-      if (quantity > 300 * kDecimalScale) {
-        *static_cast<int64_t*>(ht->Insert(key)) = quantity;
-      }
-    });
-    ctx->join_tables[static_cast<size_t>(qualify_ht)] = std::move(ht);
-  });
+  // HAVING sum(l_quantity) > min_quantity: the qualifying orderkeys become
+  // a join table. Few orders qualify; the probe's seal sizes the table to
+  // them, not to the groups.
+  q.AddStep(StepGroupsToJoinTable{
+      agg, qualify_ht, Gt(Slot(1), I64(min_quantity * kDecimalScale))});
   {
     PipelineSpec p;
     p.name = "scan orders";
@@ -846,11 +735,9 @@ QueryProgram BuildQ18(const Catalog& cat) {
     sink.values.push_back(Slot(4));  // sum qty
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
-    q.AddStep([output](QueryContext* ctx) {
-      ctx->result = ctx->outputs[static_cast<size_t>(output)]->Rows();
-      // ORDER BY o_totalprice DESC, o_orderdate; LIMIT 100.
-      TopK(&ctx->result, {{3, true, false}, {2, false, false}}, 100);
-    });
+    q.AddStep(StepReadOutput{output});
+    // ORDER BY o_totalprice DESC, o_orderdate; LIMIT 100.
+    q.AddStep(StepTopK{{{3, true, false}, {2, false, false}}, 100});
   }
   return q;
 }
@@ -884,7 +771,6 @@ QueryProgram BuildQ19(const Catalog& cat) {
   const int64_t deliver = DictCode(cat, "lineitem", "l_shipinstruct",
                                    "DELIVER IN PERSON");
 
-  AddMakeJoinTable(&q, part_ht);
   {
     PipelineSpec p;
     p.name = "build part";
@@ -937,17 +823,11 @@ QueryProgram BuildQ19(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = I64(0);
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    int64_t revenue = 0;
-    Merged(ctx, agg).ForEach([&revenue](int64_t, void* payload) {
-      revenue = *static_cast<const int64_t*>(payload);
-    });
-    ctx->result.push_back({revenue});
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
   return q;
 }
 
@@ -978,7 +858,6 @@ QueryProgram BuildQ7(const Catalog& cat) {
   }
   AQE_CHECK(fr_key >= 0 && de_key >= 0);
 
-  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -994,7 +873,6 @@ QueryProgram BuildQ7(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec p;
     p.name = "build customer";
@@ -1010,7 +888,6 @@ QueryProgram BuildQ7(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -1066,18 +943,15 @@ QueryProgram BuildQ7(const Catalog& cat) {
     // group key packs (supp_nation, cust_nation, year).
     sink.key = Add(Mul(Slot(5), I64(1 << 20)),
                    Add(Mul(Slot(6), I64(4096)), Slot(7)));
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
-      ctx->result.push_back({key >> 20, (key >> 12) & 255, key & 4095,
-                             *static_cast<const int64_t*>(payload)});
-    });
-    SortRows(&ctx->result,
-             {{0, false, false}, {1, false, false}, {2, false, false}});
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Div(Slot(0), I64(1 << 20)),
+                                     KeyDigit(4096, 256), KeyDigit(1, 4096),
+                                     Slot(1))));
+  q.AddStep(
+      StepSort{{{0, false, false}, {1, false, false}, {2, false, false}}});
   return q;
 }
 
@@ -1106,7 +980,6 @@ QueryProgram BuildQ9(const Catalog& cat) {
   const uint8_t* green = q.AddBitmap(
       pt->dictionary(pt->ColumnIndex("p_type")).MatchContains("BRASS"));
 
-  AddMakeJoinTable(&q, part_ht);
   {
     PipelineSpec p;
     p.name = "build part";
@@ -1120,7 +993,6 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, supp_ht);
   {
     PipelineSpec p;
     p.name = "build supplier";
@@ -1134,7 +1006,6 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, ps_ht);
   {
     PipelineSpec p;
     p.name = "build partsupp";
@@ -1156,7 +1027,6 @@ QueryProgram BuildQ9(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -1218,18 +1088,14 @@ QueryProgram BuildQ9(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = Add(Mul(Slot(6), I64(4096)), Slot(9));
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
-      ctx->result.push_back(
-          {key >> 12, key & 4095, *static_cast<const int64_t*>(payload)});
-    });
-    // ORDER BY nation, o_year DESC.
-    SortRows(&ctx->result, {{0, false, false}, {1, true, false}});
-  });
+  q.AddStep(ReadGroups(
+      agg, ExprList(Div(Slot(0), I64(4096)), KeyDigit(1, 4096), Slot(1))));
+  // ORDER BY nation, o_year DESC.
+  q.AddStep(StepSort{{{0, false, false}, {1, true, false}}});
   return q;
 }
 
@@ -1246,7 +1112,6 @@ QueryProgram BuildQ10(const Catalog& cat) {
 
   const int64_t returned = DictCode(cat, "lineitem", "l_returnflag", "R");
 
-  AddMakeJoinTable(&q, cust_ht);
   {
     PipelineSpec p;
     p.name = "build customer";
@@ -1260,7 +1125,6 @@ QueryProgram BuildQ10(const Catalog& cat) {
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  AddMakeJoinTable(&q, order_ht);
   {
     PipelineSpec p;
     p.name = "build orders";
@@ -1305,18 +1169,13 @@ QueryProgram BuildQ10(const Catalog& cat) {
     SinkAgg sink;
     sink.agg = agg;
     sink.key = Slot(4);  // group by custkey
-    sink.items = CloneItems(items);
+    sink.items = std::move(items);
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
   }
-  q.AddStep([agg](QueryContext* ctx) {
-    Merged(ctx, agg).ForEach([ctx](int64_t key, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      ctx->result.push_back({key, p[1], p[0]});
-    });
-    // ORDER BY revenue DESC LIMIT 20.
-    TopK(&ctx->result, {{2, true, false}, {0, false, false}}, 20);
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(2), Slot(1))));
+  // ORDER BY revenue DESC LIMIT 20.
+  q.AddStep(StepTopK{{{2, true, false}, {0, false, false}}, 20});
   return q;
 }
 
@@ -1328,14 +1187,14 @@ QueryProgram BuildTpchQuery(int number, const Catalog& catalog) {
     case 3: return BuildQ3(catalog);
     case 4: return BuildQ4(catalog);
     case 5: return BuildQ5(catalog);
-    case 6: return BuildQ6(catalog);
+    case 6: return BuildQ6Impl(catalog, DefaultQ6Literals());
     case 7: return BuildQ7(catalog);
     case 9: return BuildQ9(catalog);
     case 10: return BuildQ10(catalog);
     case 11: return BuildQ11(catalog);
     case 12: return BuildQ12(catalog);
-    case 14: return BuildQ14(catalog);
-    case 18: return BuildQ18(catalog);
+    case 14: return BuildQ14Impl(catalog, "PROMO%");
+    case 18: return BuildQ18Impl(catalog, 300);
     case 19: return BuildQ19(catalog);
     default:
       AQE_UNREACHABLE("TPC-H query not implemented");
@@ -1360,6 +1219,11 @@ QueryProgram BuildTpchQ6Variant(const Catalog& catalog,
 QueryProgram BuildTpchQ14Variant(const Catalog& catalog,
                                  const std::string& type_pattern) {
   return BuildQ14Impl(catalog, type_pattern);
+}
+
+QueryProgram BuildTpchQ18Variant(const Catalog& catalog,
+                                 int64_t min_quantity) {
+  return BuildQ18Impl(catalog, min_quantity);
 }
 
 }  // namespace aqe

@@ -45,6 +45,11 @@ QueryProgram BuildTpchQ6Variant(const Catalog& catalog,
 QueryProgram BuildTpchQ14Variant(const Catalog& catalog,
                                  const std::string& type_pattern);
 
+/// Q18 with HAVING sum(l_quantity) > `min_quantity` (300 is the standard
+/// query). The bound is an engine-step literal, so variants share every
+/// cached pipeline artifact of q18.
+QueryProgram BuildTpchQ18Variant(const Catalog& catalog, int64_t min_quantity);
+
 }  // namespace aqe
 
 #endif  // AQE_QUERIES_TPCH_QUERIES_H_

@@ -152,8 +152,9 @@ void AggHashTable::ReleasePartition(int p) {
   sizes_[p] = 0;
 }
 
-AggHashTableSet::AggHashTableSet(std::vector<AggKind> kinds, int max_threads)
-    : kinds_(std::move(kinds)) {
+AggHashTableSet::AggHashTableSet(std::vector<AggKind> kinds,
+                                 QueryMemoryTracker* tracker, int max_threads)
+    : kinds_(std::move(kinds)), tracker_(tracker) {
   for (AggKind kind : kinds_) init_values_.push_back(AggInitValue(kind));
   tables_.resize(static_cast<size_t>(max_threads));
 }

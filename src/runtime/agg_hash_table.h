@@ -199,11 +199,10 @@ class AggHashTable {
 class AggHashTableSet {
  public:
   /// One slot per entry of `kinds`, each starting at AggInitValue(kind).
-  explicit AggHashTableSet(std::vector<AggKind> kinds, int max_threads = 64);
-
-  /// Memory accounting for tables created from now on (existing tables are
-  /// not retro-charged; the engine attaches the tracker before execution).
-  void set_memory_tracker(QueryMemoryTracker* tracker) { tracker_ = tracker; }
+  /// `tracker` (may be null) is charged for every table the set holds.
+  explicit AggHashTableSet(std::vector<AggKind> kinds,
+                           QueryMemoryTracker* tracker = nullptr,
+                           int max_threads = 64);
 
   /// Table of the calling worker thread (created lazily).
   AggHashTable* Local();
@@ -222,6 +221,8 @@ class AggHashTableSet {
   /// BeginMerge and every pending MergePartition, on the calling thread.
   void Merge();
 
+  /// The slot kinds, one 8-byte payload value each.
+  const std::vector<AggKind>& kinds() const { return kinds_; }
   /// Merged groups.
   uint64_t size() const;
   /// Bytes of the merged table's arrays.
@@ -248,7 +249,7 @@ class AggHashTableSet {
   /// merge.
   std::vector<std::unique_ptr<AggHashTable>> sources_;
   std::atomic<int> partitions_left_{0};
-  QueryMemoryTracker* tracker_ = nullptr;
+  QueryMemoryTracker* tracker_;
 };
 
 inline void* AggHashTable::FindOrInsert(int64_t key) {

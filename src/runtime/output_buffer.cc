@@ -6,8 +6,9 @@
 
 namespace aqe {
 
-OutputBuffer::OutputBuffer(uint32_t row_slots, int max_threads)
-    : row_slots_(row_slots) {
+OutputBuffer::OutputBuffer(uint32_t row_slots, QueryMemoryTracker* tracker,
+                           int max_threads)
+    : row_slots_(row_slots), tracker_(tracker) {
   AQE_CHECK(row_slots_ > 0);
   buffers_.resize(static_cast<size_t>(max_threads));
 }

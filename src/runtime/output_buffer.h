@@ -17,12 +17,12 @@ class QueryMemoryTracker;
 /// (row order across threads is unspecified — ORDER BY happens engine-side).
 class OutputBuffer {
  public:
-  explicit OutputBuffer(uint32_t row_slots, int max_threads = 64);
+  /// `tracker` (may be null, else it must outlive the buffer) is charged
+  /// for every chunk.
+  explicit OutputBuffer(uint32_t row_slots,
+                        QueryMemoryTracker* tracker = nullptr,
+                        int max_threads = 64);
   ~OutputBuffer();
-
-  /// Memory accounting for chunks allocated from now on; the tracker must
-  /// outlive the buffer (both are owned by the same query).
-  void set_memory_tracker(QueryMemoryTracker* tracker) { tracker_ = tracker; }
 
   /// Reserves one row in the calling thread's sub-buffer and returns the
   /// pointer to its first slot (valid until the next AllocRow on the same
@@ -44,10 +44,9 @@ class OutputBuffer {
 
   uint32_t row_slots_;
   std::vector<std::unique_ptr<ThreadBuffer>> buffers_;
-  QueryMemoryTracker* tracker_ = nullptr;
-  /// What tracker_ was charged so far; the destructor releases exactly
-  /// this, so chunks allocated before set_memory_tracker (never charged)
-  /// are never over-released. Atomic: AllocRow charges from many threads.
+  QueryMemoryTracker* tracker_;
+  /// What tracker_ was charged, released by the destructor. Atomic:
+  /// AllocRow charges from many threads.
   std::atomic<uint64_t> charged_bytes_{0};
   mutable std::mutex create_mutex_;
 };

@@ -305,7 +305,6 @@ void RunPipelineVectorized(const QueryProgram& program,
         const auto& probe = std::get<OpProbe>(op);
         JoinHashTable* ht =
             ctx->join_tables[static_cast<size_t>(probe.ht)].get();
-        AQE_CHECK_MSG(ht != nullptr, "join table not built");
         EvalVec(*probe.key, slot_vecs, sel, n, &tmp);
         Sel next;
         next.reserve(sel.size());
@@ -340,7 +339,6 @@ void RunPipelineVectorized(const QueryProgram& program,
     if (const auto* build = std::get_if<SinkBuild>(&spec.sink)) {
       JoinHashTable* ht =
           ctx->join_tables[static_cast<size_t>(build->ht)].get();
-      AQE_CHECK_MSG(ht != nullptr, "join table not built");
       Vec key;
       EvalVec(*build->key, slot_vecs, sel, n, &key);
       std::vector<Vec> payload_vecs(build->payload.size());

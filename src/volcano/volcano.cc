@@ -2,8 +2,6 @@
 
 #include <cstring>
 
-#include "common/status.h"
-
 namespace aqe {
 namespace {
 
@@ -49,7 +47,6 @@ void RunPipelineVolcano(const QueryProgram& program, const PipelineSpec& spec,
         const auto& probe = std::get<OpProbe>(op);
         JoinHashTable* ht =
             ctx->join_tables[static_cast<size_t>(probe.ht)].get();
-        AQE_CHECK_MSG(ht != nullptr, "join table not built");
         int64_t key = EvalExpr(*probe.key, slots.data());
         void* node = ht->Lookup(key);
         if (probe.kind == JoinKind::kAnti) {
@@ -74,7 +71,6 @@ void RunPipelineVolcano(const QueryProgram& program, const PipelineSpec& spec,
     if (const auto* build = std::get_if<SinkBuild>(&spec.sink)) {
       JoinHashTable* ht =
           ctx->join_tables[static_cast<size_t>(build->ht)].get();
-      AQE_CHECK_MSG(ht != nullptr, "join table not built");
       int64_t key = EvalExpr(*build->key, slots.data());
       auto* payload = static_cast<int64_t*>(ht->Insert(key));
       for (size_t k = 0; k < build->payload.size(); ++k) {

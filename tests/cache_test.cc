@@ -13,6 +13,7 @@
 #include "cache/fingerprint.h"
 #include "common/timer.h"
 #include "engine/query_engine.h"
+#include "obs/regression.h"
 #include "queries/tpch_queries.h"
 #include "tpch/tpch_gen.h"
 
@@ -124,6 +125,95 @@ TEST_F(CacheTest, StructurallyDifferentPlansCollideFree) {
         << "q" << number << " collides with an earlier query";
   }
   EXPECT_EQ(hashes.size(), ImplementedTpchQueries().size());
+}
+
+/// SELECT l_orderkey, sum(l_quantity) FROM lineitem GROUP BY l_orderkey
+/// ORDER BY 2 DESC, 1 LIMIT k, under one plan name for every k.
+QueryProgram TopKPlan(const Catalog& catalog, uint64_t k) {
+  QueryProgram q("top_orders");
+  const Table* lineitem = catalog.GetTable("lineitem");
+  PipelineSpec scan;
+  scan.name = "agg lineitem";
+  scan.source_table = q.DeclareBaseTable("lineitem");
+  scan.scan_columns = {lineitem->ColumnIndex("l_orderkey"),
+                       lineitem->ColumnIndex("l_quantity")};
+  SinkAgg sink;
+  sink.agg = q.DeclareAggSet({AggKind::kSum});
+  sink.key = Slot(0);
+  sink.items.push_back({AggKind::kSum, Slot(1), /*checked=*/true});
+  const int agg = sink.agg;
+  scan.sink = std::move(sink);
+  q.AddPipeline(std::move(scan));
+  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1))));
+  q.AddStep(StepTopK{{{1, true, false}, {0, false, false}}, k});
+  return q;
+}
+
+// The fingerprint hashes the engine steps: one plan name with two top-k
+// sizes is two plans, each with its own cache entry and, since PlanStats
+// records are keyed by the same ArtifactCacheKey, its own record.
+TEST_F(CacheTest, StepFieldsSplitPlansOfOneName) {
+  QueryProgram top20 = TopKPlan(catalog(), 20);
+  QueryProgram top21 = TopKPlan(catalog(), 21);
+  const uint64_t key20 = ArtifactCacheKey(FingerprintProgram(top20), {});
+  const uint64_t key21 = ArtifactCacheKey(FingerprintProgram(top21), {});
+  EXPECT_NE(key20, key21);
+
+  QueryEngine engine(&catalog(), 2);
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  EXPECT_EQ(engine.Run(top20, options).rows.size(), 20u);
+  EXPECT_EQ(engine.Run(top21, options).rows.size(), 21u);
+  EXPECT_EQ(engine.artifact_cache_stats().entry_misses, 2u);
+  auto entry20 = engine.artifact_cache().Peek(key20);
+  auto entry21 = engine.artifact_cache().Peek(key21);
+  ASSERT_NE(entry20, nullptr);
+  ASSERT_NE(entry21, nullptr);
+  EXPECT_NE(entry20, entry21);
+
+  RegressionTracker records;
+  RegressionTracker::Observation run;
+  run.fingerprint = key20;
+  run.service_ms = 1;
+  records.Observe(run, nullptr);
+  EXPECT_TRUE(records.Lookup(key20).has_value());
+  EXPECT_FALSE(records.Lookup(key21).has_value());
+}
+
+// A literal in an engine step (Q18's HAVING bound) is a constant like a
+// pipeline literal: the variant keeps q18's key and every pipeline's
+// constants, differs only in the step constants after them, and runs on
+// q18's cached bytecode with its own rows.
+TEST_F(CacheTest, StepLiteralVariantsShareArtifacts) {
+  QueryProgram q300 = BuildTpchQ18Variant(catalog(), 300);
+  QueryProgram q301 = BuildTpchQ18Variant(catalog(), 301);
+  const PlanFingerprint f300 = FingerprintProgram(q300);
+  const PlanFingerprint f301 = FingerprintProgram(q301);
+  EXPECT_EQ(ArtifactCacheKey(f300, {}), ArtifactCacheKey(f301, {}));
+  EXPECT_EQ(f300.pipeline_constants, f301.pipeline_constants);
+  const uint32_t pipelines_end = f300.pipeline_constants.back().second;
+  ASSERT_GT(f300.constants.size(), pipelines_end);
+  EXPECT_TRUE(std::equal(f300.constants.begin(),
+                         f300.constants.begin() + pipelines_end,
+                         f301.constants.begin()));
+  EXPECT_NE(f300.constants, f301.constants);
+  EXPECT_EQ(FingerprintProgram(BuildTpchQuery(18, catalog())).constants,
+            f300.constants);
+
+  // At SF 0.01 one order passes 300 and 301 alike; 250 lets more pass.
+  QueryProgram q250 = BuildTpchQ18Variant(catalog(), 250);
+  QueryEngine engine(&catalog(), 2);
+  const auto reference300 = Uncached(&engine, q300);
+  const auto reference250 = Uncached(&engine, q250);
+  EXPECT_GT(reference250.size(), reference300.size());
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  EXPECT_EQ(engine.Run(q300, options).rows, reference300);
+  QueryRunResult warm = engine.Run(q250, options);
+  EXPECT_EQ(warm.rows, reference250);
+  for (const PipelineReport& report : warm.pipelines) {
+    EXPECT_TRUE(report.artifact_cache_hit) << report.name;
+  }
 }
 
 // --- end-to-end reuse -------------------------------------------------------

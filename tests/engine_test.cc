@@ -53,12 +53,6 @@ class EngineTest : public ::testing::Test {
     int agg = q.DeclareAggSet({AggKind::kSum, AggKind::kCount});
     (void)q.DeclareOutput(3);
 
-    // queryStart-style C++ step: create the join hash table.
-    q.AddStep([ht](QueryContext* ctx) {
-      ctx->join_tables[static_cast<size_t>(ht)] =
-          std::make_unique<JoinHashTable>(1);
-    });
-
     // Pipeline 1: build dim hash table (payload: d_group).
     PipelineSpec build;
     build.name = "build dim";
@@ -90,15 +84,9 @@ class EngineTest : public ::testing::Test {
     probe.sink = std::move(sink_agg);
     q.AddPipeline(std::move(probe));
 
-    // Final step: merge per-thread aggregates, sort by group.
-    q.AddStep([agg](QueryContext* ctx) {
-      const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
-      merged.ForEach([ctx](int64_t key, void* payload) {
-        const auto* p = static_cast<const int64_t*>(payload);
-        ctx->result.push_back({key, p[0], p[1]});
-      });
-      SortRows(&ctx->result, {{0, false, false}});
-    });
+    // Final steps: read the merged groups, sort by group.
+    q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1), Slot(2))));
+    q.AddStep(StepSort{{{0, false, false}}});
     return q;
   }
 
@@ -245,12 +233,12 @@ TEST(EngineStepTest, ParallelMergeAndSealMatchReference) {
   wide->AddColumn("w_value", DataType::kI64);
   // first_row[key]: the key's row below kKeys, the one the build keeps;
   // its other row is first_row[key] + kKeys.
-  auto first_row = std::make_shared<std::vector<int64_t>>(kKeys);
+  std::vector<int64_t> first_row(kKeys);
   for (int64_t r = 0; r < 2 * kKeys; ++r) {
     const int64_t key = (r * 7919) % kKeys;
     wide->column(0).AppendInt(key);
     wide->column(1).AppendInt(r);
-    if (r < kKeys) (*first_row)[static_cast<size_t>(key)] = r;
+    if (r < kKeys) first_row[static_cast<size_t>(key)] = r;
   }
 
   QueryProgram q("wide_self_join");
@@ -258,10 +246,6 @@ TEST(EngineStepTest, ParallelMergeAndSealMatchReference) {
   const int ht = q.DeclareJoinTable(1);
   const int agg = q.DeclareAggSet(
       {AggKind::kSum, AggKind::kCount, AggKind::kMin, AggKind::kMax});
-  q.AddStep([ht](QueryContext* ctx) {
-    ctx->join_tables[static_cast<size_t>(ht)] =
-        std::make_unique<JoinHashTable>(1, ctx->memory.get());
-  });
   PipelineSpec build;
   build.name = "build wide";
   build.source_table = table;
@@ -291,23 +275,8 @@ TEST(EngineStepTest, ParallelMergeAndSealMatchReference) {
   sink.items.push_back({AggKind::kMax, Slot(1), /*checked=*/false});
   probe.sink = std::move(sink);
   q.AddPipeline(std::move(probe));
-  // The step checks every group against the reference itself and returns
-  // {groups, groups that differ}, so no 300 k result rows are built.
-  q.AddStep([agg, first_row](QueryContext* ctx) {
-    int64_t groups = 0;
-    int64_t wrong = 0;
-    ctx->agg_sets[static_cast<size_t>(agg)]->ForEach(
-        [&](int64_t key, void* payload) {
-          const auto* p = static_cast<const int64_t*>(payload);
-          const int64_t r = key >= 0 && key < kKeys
-                                ? (*first_row)[static_cast<size_t>(key)]
-                                : -1;
-          ++groups;
-          wrong += p[0] != 2 * r || p[1] != 2 || p[2] != r ||
-                   p[3] != r + kKeys;
-        });
-    ctx->result.push_back({groups, wrong});
-  });
+  q.AddStep(ReadGroups(
+      agg, ExprList(Slot(0), Slot(1), Slot(2), Slot(3), Slot(4))));
 
   // One bytecode run on 2 workers: the spread steps are the engine's, not
   // the mode's, and two workers already split them.
@@ -315,11 +284,153 @@ TEST(EngineStepTest, ParallelMergeAndSealMatchReference) {
   QueryRunOptions options;
   options.strategy = ExecutionStrategy::kBytecode;
   QueryRunResult result = engine.Run(q, options);
-  EXPECT_EQ(result.rows, (std::vector<std::vector<int64_t>>{{kKeys, 0}}));
+  // Every group against the reference: each key once, with its sums.
+  EXPECT_EQ(result.rows.size(), static_cast<size_t>(kKeys));
+  std::vector<bool> seen(kKeys);
+  int64_t wrong = 0;
+  for (const std::vector<int64_t>& row : result.rows) {
+    const int64_t key = row[0];
+    if (key < 0 || key >= kKeys || seen[static_cast<size_t>(key)]) {
+      ++wrong;
+      continue;
+    }
+    seen[static_cast<size_t>(key)] = true;
+    const int64_t r = first_row[static_cast<size_t>(key)];
+    wrong += row[1] != 2 * r || row[2] != 2 || row[3] != r ||
+             row[4] != r + kKeys;
+  }
+  EXPECT_EQ(wrong, 0);
   // The merge and the seal are engine steps, not pipelines, and both were
   // large enough to be spread over the workers.
   EXPECT_EQ(result.pipelines.size(), 2u);
   EXPECT_EQ(engine.ObservabilitySnapshot().counter("exec.spread_steps"), 2u);
+}
+
+/// Each engine-step kind on a hand-filled context, against the same step
+/// written in plain C++. The groups: `quads` holds Q12's shape (key 0..9;
+/// MAIL high/all and SHIP high/all counts, some modes with no line),
+/// `singles` 40 keys with one sum, `total` one global sum (Q11's) and
+/// `empty` none (Q6's scalar read of an empty aggregate).
+TEST(EngineStepTest, EachStepKindMatchesPlainCpp) {
+  using Rows = std::vector<std::vector<int64_t>>;
+  QueryProgram q("steps");
+  const int quads = q.DeclareAggSet(std::vector<AggKind>(4, AggKind::kSum));
+  const int singles = q.DeclareAggSet({AggKind::kSum});
+  const int total = q.DeclareAggSet({AggKind::kSum});
+  const int empty = q.DeclareAggSet({AggKind::kSum});
+  const int output = q.DeclareOutput(2);
+  const int ht = q.DeclareJoinTable(1);
+  std::unique_ptr<QueryContext> ctx = q.MakeContext(nullptr);
+
+  std::map<int64_t, std::vector<int64_t>> quad_groups, single_groups;
+  for (int64_t k = 0; k < 10; ++k) {
+    quad_groups[k] = {k % 3, k % 4, k % 2, k % 5};
+  }
+  for (int64_t k = 0; k < 40; ++k) single_groups[k * 3] = {(k * 7) % 11};
+  const auto fill = [&ctx](int agg, const auto& groups) {
+    for (const auto& [key, payload] : groups) {
+      auto* p = static_cast<int64_t*>(
+          ctx->agg_sets[static_cast<size_t>(agg)]->Local()->FindOrInsert(key));
+      std::copy(payload.begin(), payload.end(), p);
+    }
+    ctx->agg_sets[static_cast<size_t>(agg)]->Merge();
+  };
+  fill(quads, quad_groups);
+  fill(singles, single_groups);
+  fill(total, std::map<int64_t, std::vector<int64_t>>{{0, {200}}});
+  fill(empty, std::map<int64_t, std::vector<int64_t>>{});
+  for (int64_t r = 0; r < 5; ++r) {
+    int64_t* row = ctx->outputs[static_cast<size_t>(output)]->AllocRow();
+    row[0] = r % 2;
+    row[1] = 10 - r;
+  }
+
+  // The plain C++ of each step.
+  Rows q12_rows;  // two templates: a row per mode whose "all" count is > 0
+  for (const auto& [key, p] : quad_groups) {
+    if (p[1] > 0) q12_rows.push_back({100, p[0], p[1] - p[0]});
+    if (p[3] > 0) q12_rows.push_back({200, p[2], p[3] - p[2]});
+  }
+  Rows having_rows;  // Q11's HAVING against the global total
+  for (const auto& [key, p] : single_groups) {
+    if (p[0] * 30 > 200) having_rows.push_back({key, p[0]});
+  }
+  Rows count_rows;  // CountBy over slot 1 of the singles' groups
+  std::map<int64_t, int64_t> counts;
+  for (const auto& [key, p] : single_groups) ++counts[p[0]];
+  for (const auto& [value, n] : counts) count_rows.push_back({value, n});
+  Rows singles_rows;
+  for (const auto& [key, p] : single_groups) {
+    singles_rows.push_back({key, p[0]});
+  }
+  Rows sorted_rows = singles_rows;
+  std::stable_sort(sorted_rows.begin(), sorted_rows.end(),
+                   [](const auto& a, const auto& b) { return a[1] > b[1]; });
+  Rows top_rows(sorted_rows.begin(), sorted_rows.begin() + 5);
+  Rows output_rows = {{0, 6}, {0, 8}, {0, 10}, {1, 7}, {1, 9}};
+  Rows join_rows;  // GroupsToJoinTable with the filter sum > 5
+  for (const auto& [key, p] : single_groups) {
+    if (p[0] > 5) join_rows.push_back({key, p[0]});
+  }
+
+  struct Case {
+    const char* name;
+    Rows input;  ///< ctx->result before the step
+    EngineStep step;
+    Rows expected;  ///< ctx->result after it, both sorted if `sort_after`
+    bool sort_after;
+  };
+  std::vector<Case> cases;
+  StepReadGroups q12;
+  q12.agg = quads;
+  for (const auto& [mode, high] : {std::pair(100, 1), std::pair(200, 3)}) {
+    q12.rows.push_back(
+        {Gt(Slot(high + 1), I64(0)),
+         ExprList(I64(mode), Slot(high), Sub(Slot(high + 1), Slot(high)))});
+  }
+  cases.push_back({"q12 templates", {}, std::move(q12), q12_rows, true});
+  cases.push_back({"empty scalar", {},
+                   ReadGroups(empty, ExprList(Slot(1), Slot(0)), nullptr,
+                              /*scalar=*/true),
+                   {{0, 0}}, false});
+  cases.push_back({"one-group scalar", {},
+                   ReadGroups(total, ExprList(Slot(1)), nullptr,
+                              /*scalar=*/true),
+                   {{200}}, false});
+  StepReadGroups having = ReadGroups(singles, ExprList(Slot(0), Slot(1)),
+                                     Gt(Mul(Slot(1), I64(30)), Slot(2)));
+  having.scalar_agg = total;
+  cases.push_back({"scalar_agg having", {}, std::move(having), having_rows,
+                   true});
+  cases.push_back({"count by", {}, StepCountBy{singles, 1}, count_rows,
+                   false});
+  cases.push_back({"sort", singles_rows, StepSort{{{1, true, false}}},
+                   sorted_rows, false});
+  cases.push_back({"top-k", singles_rows, StepTopK{{{1, true, false}}, 5},
+                   top_rows, false});
+  cases.push_back({"read output", {{42}}, StepReadOutput{output}, output_rows,
+                   true});
+  for (Case& c : cases) {
+    ctx->result = std::move(c.input);
+    RunStep(c.step, ctx.get());
+    if (c.sort_after) {  // group order is the hash table's
+      std::sort(ctx->result.begin(), ctx->result.end());
+      std::sort(c.expected.begin(), c.expected.end());
+    }
+    EXPECT_EQ(ctx->result, c.expected) << c.name;
+  }
+
+  ctx->result.clear();
+  RunStep(StepGroupsToJoinTable{singles, ht, Gt(Slot(1), I64(5))}, ctx.get());
+  JoinHashTable& table = *ctx->join_tables[static_cast<size_t>(ht)];
+  table.Seal();
+  Rows joined;
+  table.ForEach([&joined](int64_t key, void* payload) {
+    joined.push_back({key, *static_cast<const int64_t*>(payload)});
+  });
+  std::sort(joined.begin(), joined.end());
+  EXPECT_EQ(joined, join_rows);
+  EXPECT_TRUE(ctx->result.empty());
 }
 
 TEST_F(EngineTest, ExprEvalMatrix) {

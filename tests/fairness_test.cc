@@ -163,14 +163,8 @@ QueryProgram BuildScanAggQuery(const char* table, const char* name) {
   scan.sink = std::move(sink);
   q.AddPipeline(std::move(scan));
 
-  q.AddStep([agg](QueryContext* ctx) {
-    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
-    merged.ForEach([ctx](int64_t key, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      ctx->result.push_back({key, p[0]});
-    });
-    SortRows(&ctx->result, {{0, false, false}});
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1))));
+  q.AddStep(StepSort{{{0, false, false}}});
   return q;
 }
 

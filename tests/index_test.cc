@@ -618,10 +618,9 @@ class IndexEndToEndTest : public ::testing::Test {
     sink.values.push_back(Slot(2));
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
-    q.AddStep([output](QueryContext* ctx) {
-      ctx->result = ctx->outputs[static_cast<size_t>(output)]->Rows();
-      std::sort(ctx->result.begin(), ctx->result.end());
-    });
+    q.AddStep(StepReadOutput{output});
+    q.AddStep(
+        StepSort{{{0, false, false}, {1, false, false}, {2, false, false}}});
     return q;
   }
 
@@ -747,10 +746,8 @@ TEST(SkewedIndexTest, PartialListingKeepsAccessPathsAndResults) {
     sink.values.push_back(Slot(0));
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
-    q.AddStep([output](QueryContext* ctx) {
-      ctx->result = ctx->outputs[static_cast<size_t>(output)]->Rows();
-      std::sort(ctx->result.begin(), ctx->result.end());
-    });
+    q.AddStep(StepReadOutput{output});
+    q.AddStep(StepSort{{{0, false, false}}});
     return q;
   };
   for (int which = 0; which < 3; ++which) {

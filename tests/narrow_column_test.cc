@@ -156,13 +156,7 @@ QueryProgram BuildCountSum(
   }
   scan.sink = std::move(sink);
   q.AddPipeline(std::move(scan));
-  q.AddStep([agg](QueryContext* ctx) {
-    const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
-    merged.ForEach([ctx](int64_t, void* payload) {
-      const auto* p = static_cast<const int64_t*>(payload);
-      ctx->result.push_back({p[0], p[1], p[2], p[3]});
-    });
-  });
+  q.AddStep(ReadGroups(agg, ExprList(Slot(1), Slot(2), Slot(3), Slot(4))));
   return q;
 }
 

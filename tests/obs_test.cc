@@ -1509,8 +1509,7 @@ TEST_F(ObsEngineTest, PeakMemoryCoversMergedAggregationTable) {
   uint64_t table_bytes = 0;
   uint64_t capacity = 64;
   {
-    AggHashTableSet set({AggKind::kSum});
-    set.set_memory_tracker(&partitioned);
+    AggHashTableSet set({AggKind::kSum}, &partitioned);
     AggHashTable* local = set.Local();
     for (uint64_t r = 0; r < orders.num_rows(); ++r) {
       local->FindOrInsert(orders.column("o_orderkey").GetAsI64(r));

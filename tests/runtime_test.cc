@@ -342,8 +342,7 @@ TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
 TEST(AggHashTableSetTest, MergeReleasesEachPartitionAsItFolds) {
   QueryMemoryTracker tracker;
   {
-    AggHashTableSet set({AggKind::kSum});
-    set.set_memory_tracker(&tracker);
+    AggHashTableSet set({AggKind::kSum}, &tracker);
     auto fill = [&set](int thread, int64_t keys) {
       std::thread worker([&set, thread, keys] {
         runtime_internal::SetThreadIndex(thread);
@@ -400,8 +399,7 @@ TEST(AggHashTableSetTest, PartitionedMergeMatchesMapFold) {
     SCOPED_TRACE(threads);
     QueryMemoryTracker tracker;
     {
-      AggHashTableSet set(kinds);
-      set.set_memory_tracker(&tracker);
+      AggHashTableSet set(kinds, &tracker);
       std::map<int64_t, std::array<int64_t, 4>> expected;
       std::mt19937_64 rng(static_cast<uint64_t>(threads));
       for (int t = 0; t < threads; ++t) {
@@ -460,8 +458,7 @@ TEST(AggHashTableSetTest, PartitionedMergeMatchesMapFold) {
 TEST(AggHashTableSetTest, MergeOfNoGroupsIsEmpty) {
   QueryMemoryTracker tracker;
   {
-    AggHashTableSet set({AggKind::kSum, AggKind::kMax});
-    set.set_memory_tracker(&tracker);
+    AggHashTableSet set({AggKind::kSum, AggKind::kMax}, &tracker);
     set.Local();  // a thread that saw no tuples
     EXPECT_EQ(set.BeginMerge(), 0u);
     EXPECT_EQ(set.size(), 0u);
@@ -476,8 +473,7 @@ TEST(AggHashTableSetTest, MergeOfNoGroupsIsEmpty) {
 TEST(AggHashTableSetTest, OneThreadMergeAllocatesNothing) {
   QueryMemoryTracker tracker;
   {
-    AggHashTableSet set({AggKind::kSum});
-    set.set_memory_tracker(&tracker);
+    AggHashTableSet set({AggKind::kSum}, &tracker);
     AggHashTable* local = set.Local();
     for (int64_t k = 0; k < 100000; ++k) {
       *static_cast<int64_t*>(local->FindOrInsert(k * 7919)) += k;

@@ -74,14 +74,8 @@ class SchedStressTest : public ::testing::Test {
     sink.items.push_back({AggKind::kCount, nullptr, /*checked=*/false});
     scan.sink = std::move(sink);
     q.AddPipeline(std::move(scan));
-    q.AddStep([agg](QueryContext* ctx) {
-      const AggHashTableSet& merged = *ctx->agg_sets[static_cast<size_t>(agg)];
-      merged.ForEach([ctx](int64_t key, void* payload) {
-        const auto* p = static_cast<const int64_t*>(payload);
-        ctx->result.push_back({key, p[0], p[1]});
-      });
-      SortRows(&ctx->result, {{0, false, false}});
-    });
+    q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1), Slot(2))));
+    q.AddStep(StepSort{{{0, false, false}}});
     return q;
   }
 

@@ -386,10 +386,8 @@ class LikeEndToEndTest : public ::testing::Test {
     sink.values.push_back(Slot(1));
     p.sink = std::move(sink);
     q.AddPipeline(std::move(p));
-    q.AddStep([output](QueryContext* ctx) {
-      ctx->result = ctx->outputs[static_cast<size_t>(output)]->Rows();
-      std::sort(ctx->result.begin(), ctx->result.end());
-    });
+    q.AddStep(StepReadOutput{output});
+    q.AddStep(StepSort{{{0, false, false}, {1, false, false}}});
     return q;
   }
 

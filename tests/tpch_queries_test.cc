@@ -89,6 +89,52 @@ TEST_P(TpchQueryTest, AllEnginesAgree) {
   }
 }
 
+/// FNV-1a over a result: its row count, then each row's width and values.
+uint64_t RowsDigest(const std::vector<std::vector<int64_t>>& rows) {
+  uint64_t h = 0xCBF29CE484222325ULL;
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  mix(rows.size());
+  for (const std::vector<int64_t>& row : rows) {
+    mix(row.size());
+    for (int64_t v : row) mix(static_cast<uint64_t>(v));
+  }
+  return h;
+}
+
+// Every engine runs the same engine steps, so AllEnginesAgree cannot catch
+// a wrong step. These digests of each query's rows at SF 0.01 were taken
+// from the hand-written C++ steps that the typed steps replaced; volcano
+// and 2-worker adaptive must both reproduce them.
+TEST_F(TpchQueryTest, RowsMatchPinnedDigest) {
+  const std::pair<int, uint64_t> pinned[] = {
+      {1, 0x141921c9a457eb50ULL},  {3, 0xe4da24b7bc91066aULL},
+      {4, 0x3fb7fc9ccf50e5d6ULL},  {5, 0xe0f9b6f08e62c5d6ULL},
+      {6, 0xc21e05eb018343e2ULL},  {7, 0xa177c9eccaa8011cULL},
+      {9, 0x8c2455d87ef7d423ULL},  {10, 0x380e3f0f74eb4fbdULL},
+      {11, 0x8d6d857d6f80f723ULL}, {12, 0xf17572256d952f19ULL},
+      {14, 0x8eeb2d66146d50b2ULL}, {18, 0x06e398c8a8a8d513ULL},
+      {19, 0x173987512818561cULL},
+      {-8, 0x00a6a7abe2881d23ULL},  // -8: generated_8
+  };
+  QueryRunOptions volcano;
+  volcano.engine = EngineKind::kVolcano;
+  for (const auto& [number, digest] : pinned) {
+    for (const QueryRunOptions& options : {volcano, QueryRunOptions{}}) {
+      QueryProgram program =
+          number > 0 ? BuildTpchQuery(number, *catalog_)
+                     : BuildGeneratedAggregateQuery(-number, *catalog_);
+      const uint64_t actual = RowsDigest(engine_->Run(program, options).rows);
+      EXPECT_EQ(actual, digest) << program.name() << " on "
+                                << EngineKindName(options.engine) << std::hex
+                                << ": 0x" << actual;
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          ::testing::ValuesIn(ImplementedTpchQueries()),
                          [](const auto& info) {
@@ -420,7 +466,6 @@ TEST_F(TpchFixtureTest, EveryQueryWidensInTheLoad) {
     QueryProgram q = BuildTpchQuery(number, catalog());
     auto ctx = q.MakeContext(&catalog());
     for (const PipelineSpec& spec : q.pipelines()) {
-      if (q.table_decl(spec.source_table).base_name == nullptr) continue;
       PipelineBindings bindings = BindPipeline(q, spec, *ctx);
       GeneratedPipeline gen = GeneratePipeline(spec, bindings);
       const std::string disasm =
