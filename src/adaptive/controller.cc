@@ -42,18 +42,13 @@ struct PipelineExecState {
     } modes[kNumExecModes];
   };
 
-  PipelineExecState(uint64_t total_tuples, int participants,
+  PipelineExecState(std::shared_ptr<const ScanDomain> domain, int participants,
                     uint64_t morsel_tuples)
       : shards(morsel_tuples == 0
-                   ? ShardedMorselQueue(total_tuples, participants)
-                   : ShardedMorselQueue(total_tuples, participants,
+                   ? ShardedMorselQueue(std::move(domain), participants)
+                   : ShardedMorselQueue(std::move(domain), participants,
                                         morsel_tuples, morsel_tuples)),
         rates(participants) {}
-
-  /// Pruned-scan variant: shards the domain's selected rows instead of a
-  /// dense [0, total) — pruned morsels are never scheduled on any shard.
-  PipelineExecState(std::shared_ptr<const ScanDomain> domain, int participants)
-      : shards(std::move(domain), participants), rates(participants) {}
 
   ShardedMorselQueue shards;
   std::vector<SlotRate> rates;
@@ -121,8 +116,8 @@ TraceEvent PipelineEvent(const PipelineExecState& st, TraceEventKind kind,
 
 /// Runs one claimed batch through the current variant, with rate and
 /// trace bookkeeping. `slot` is the rate slot, `thread` the trace lane.
-/// The batch (one range on dense scans, up to kMaxRanges fragments of a
-/// pruned domain) shares a single rate sample and trace event, so the
+/// The batch (one range on an unpruned scan, up to kMaxRanges fragments of
+/// a pruned domain) shares a single rate sample and trace event, so the
 /// bookkeeping cost stays per-claim, not per-fragment; the recorded rate
 /// honestly includes the inter-fragment dispatch overhead.
 void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
@@ -240,52 +235,6 @@ class MorselHelperTask : public Task {
   const int slot_;
 };
 
-/// A controller thread that is not a scheduler worker still executes
-/// morsels, and the runtime's per-thread partitions (aggregation tables,
-/// output buffers) are indexed by the thread-local runtime index — which
-/// defaults to 0 and would alias worker 0's partitions. External
-/// controller threads therefore lease a unique index from the top of the
-/// runtime's 64-slot range (workers occupy [0, kMaxSchedulerWorkers) from
-/// the bottom; TaskScheduler enforces the split), once per thread, and
-/// return it to the pool when the thread exits — so thread churn cannot
-/// exhaust the range, only >16 *live* external controllers can.
-constexpr int kFirstExternalIndex = 48;
-
-std::mutex& ExternalIndexMutex() {
-  static std::mutex mutex;
-  return mutex;
-}
-std::vector<int>& ExternalIndexFreeList() {
-  static std::vector<int> free_list = [] {
-    std::vector<int> all;
-    for (int i = 63; i >= kFirstExternalIndex; --i) all.push_back(i);
-    return all;
-  }();
-  return free_list;
-}
-
-int EnsureExternalRuntimeIndex() {
-  struct Lease {
-    int index = -1;
-    ~Lease() {
-      if (index < 0) return;
-      std::lock_guard<std::mutex> lock(ExternalIndexMutex());
-      ExternalIndexFreeList().push_back(index);
-    }
-  };
-  thread_local Lease lease;
-  if (lease.index < 0) {
-    std::lock_guard<std::mutex> lock(ExternalIndexMutex());
-    std::vector<int>& free_list = ExternalIndexFreeList();
-    AQE_CHECK_MSG(!free_list.empty(),
-                  "more than 16 live external controller threads");
-    lease.index = free_list.back();
-    free_list.pop_back();
-    runtime_internal::SetThreadIndex(lease.index);
-  }
-  return lease.index;
-}
-
 /// Low-priority carrier for an adaptive compile decision.
 class CompileJobTask : public Task {
  public:
@@ -326,7 +275,7 @@ PipelineRun::PipelineRun(TaskScheduler* scheduler, ExecutionStrategy strategy,
       first_eval_delay_seconds_(first_eval_delay_seconds),
       adaptive_(strategy == ExecutionStrategy::kAdaptive) {
   AQE_CHECK(sched_ != nullptr);
-  AQE_CHECK(task_.handle != nullptr);
+  AQE_CHECK(task_.handle != nullptr && task_.domain != nullptr);
 }
 
 PipelineRun::~PipelineRun() {
@@ -342,35 +291,29 @@ PipelineRun::~PipelineRun() {
   int expected = kCompQueued;
   st_->compile_state.compare_exchange_strong(expected, kCompIdle,
                                              std::memory_order_acq_rel);
-  while (!st_->Quiescent()) WaitDrainBriefly();
+  std::unique_lock<std::mutex> lock(st_->mu);
+  // Timed wait: completion is signalled, but a 1 ms re-check also makes
+  // the wait robust against any missed notify.
+  while (!st_->Quiescent()) {
+    st_->cv.wait_for(lock, std::chrono::milliseconds(1));
+  }
   CountMorsels(*st_);  // a budget-killed pipeline still counts what it ran
 }
 
-int PipelineRun::CurrentRuntimeThread() const {
-  // External controllers get a runtime thread index that cannot collide
-  // with any worker's per-thread runtime partitions.
-  return TaskScheduler::CurrentScheduler() == sched_
-             ? TaskScheduler::CurrentWorker()
-             : EnsureExternalRuntimeIndex();
-}
-
-void PipelineRun::Start() {
+void PipelineRun::Start(int worker) {
+  AQE_CHECK_MSG(TaskScheduler::CurrentScheduler() == sched_ &&
+                    TaskScheduler::CurrentWorker() == worker,
+                "a PipelineRun is stepped only by a task of its own "
+                "scheduler, passing the worker index its Run received");
   start_nanos_ = MonotonicNanos();
   initial_mode_ = task_.handle->mode();
-  // The controller's identity — fixed now, at the first step (invariant 2):
-  // a scheduler worker when stepped from a query task, or an external
-  // thread (tests, benches) that gets the extra slot/shard.
-  const int self = TaskScheduler::CurrentScheduler() == sched_
-                       ? TaskScheduler::CurrentWorker()
-                       : -1;
+  // The controller's identity — fixed now, at the first step (invariant 2).
   const int workers = sched_->num_workers();
-  participants_ = single_threaded_ ? 1 : (self >= 0 ? workers : workers + 1);
-  controller_slot_ = single_threaded_ ? 0 : (self >= 0 ? self : workers);
+  participants_ = single_threaded_ ? 1 : workers;
+  controller_slot_ = single_threaded_ ? 0 : worker;
 
-  st_ = task_.domain != nullptr
-            ? std::make_shared<PipelineExecState>(task_.domain, participants_)
-            : std::make_shared<PipelineExecState>(
-                  task_.total_tuples, participants_, task_.morsel_tuples);
+  st_ = std::make_shared<PipelineExecState>(task_.domain, participants_,
+                                            task_.morsel_tuples);
   st_->handle = task_.handle;
   st_->state = task_.state;
   st_->pipeline_id = task_.pipeline_id;
@@ -380,9 +323,9 @@ void PipelineRun::Start() {
 
   if (st_->obs.enabled()) {
     st_->obs.tracer->Record(
-        CurrentRuntimeThread(),
+        worker,
         PipelineEvent(*st_, TraceEventKind::kPipelineStart, start_nanos_,
-                      start_nanos_, task_.total_tuples, ExecMode::kBytecode));
+                      start_nanos_, st_->shards.total(), ExecMode::kBytecode));
   }
 
   // Static compile-up-front strategies (single-threaded compilation before
@@ -405,7 +348,7 @@ void PipelineRun::Start() {
 
   if (!single_threaded_) {
     for (int v = 0; v < workers; ++v) {
-      if (v == self) continue;  // the controller drains its own shard
+      if (v == worker) continue;  // the controller drains its own shard
       auto helper = std::make_unique<MorselHelperTask>(st_, v);
       helper->set_scheduling_class(task_.scheduling_class);
       sched_->SubmitTo(v, std::move(helper));
@@ -414,14 +357,14 @@ void PipelineRun::Start() {
   phase_ = Phase::kMorsels;
 }
 
-Task::Status PipelineRun::Step() {
+Task::Status PipelineRun::Step(int worker) {
   switch (phase_) {
     case Phase::kStart:
-      if (single_threaded_) return RunSingleThreaded();
-      Start();
+      if (single_threaded_) return RunSingleThreaded(worker);
+      Start(worker);
       return Task::Status::kYield;
     case Phase::kMorsels:
-      return StepMorsel();
+      return StepMorsel(worker);
     case Phase::kDrain:
       return StepDrain();
     case Phase::kDone:
@@ -430,21 +373,20 @@ Task::Status PipelineRun::Step() {
   AQE_UNREACHABLE("bad PipelineRun phase");
 }
 
-Task::Status PipelineRun::RunSingleThreaded() {
+Task::Status PipelineRun::RunSingleThreaded(int worker) {
   // Invariant 4: strictly one thread touches the pipeline, in one slice —
   // no helpers, no yields, compiles inline.
-  Start();
-  const int thread = CurrentRuntimeThread();
+  Start(worker);
   MorselBatch morsel;
   while (st_->shards.Next(controller_slot_, &morsel)) {
-    ExecuteMorsel(*st_, morsel, controller_slot_, thread);
-    if (adaptive_) Evaluate();
+    ExecuteMorsel(*st_, morsel, controller_slot_, worker);
+    if (adaptive_) Evaluate(worker);
   }
   phase_ = Phase::kDrain;
   return StepDrain();
 }
 
-Task::Status PipelineRun::StepMorsel() {
+Task::Status PipelineRun::StepMorsel(int worker) {
   MorselBatch morsel;
   if (!st_->shards.Next(controller_slot_, &morsel)) {
     // Domain drained. Abort a compile job nobody started (it would be
@@ -458,8 +400,8 @@ Task::Status PipelineRun::StepMorsel() {
   }
   // The checkpoint: exactly one controller morsel (plus the §III-C
   // re-evaluation) per slice, then hand the worker back to the scheduler.
-  ExecuteMorsel(*st_, morsel, controller_slot_, CurrentRuntimeThread());
-  if (adaptive_) Evaluate();
+  ExecuteMorsel(*st_, morsel, controller_slot_, worker);
+  if (adaptive_) Evaluate(worker);
   return Task::Status::kYield;
 }
 
@@ -530,18 +472,9 @@ Task::Status PipelineRun::StepDrain() {
   return Task::Status::kDone;
 }
 
-void PipelineRun::WaitDrainBriefly() {
-  std::unique_lock<std::mutex> lock(st_->mu);
-  if (!st_->Quiescent()) {
-    // Timed wait: completion is signalled, but a 1 ms re-check also makes
-    // the drain robust against any missed notify.
-    st_->cv.wait_for(lock, std::chrono::milliseconds(1));
-  }
-}
-
 /// §III-C: the extrapolation is performed by a single thread — the
 /// controller — re-evaluated after every one of its morsels.
-void PipelineRun::Evaluate() {
+void PipelineRun::Evaluate(int worker) {
   ExecMode mode = task_.handle->mode();
   if (mode == ExecMode::kOptimized) return;
   int phase = st_->compile_state.load(std::memory_order_acquire);
@@ -605,7 +538,7 @@ void PipelineRun::Evaluate() {
     e.d0 = r0;
     e.d1 = breakdown.t_current;
     e.d2 = breakdown.chosen_seconds(decision);
-    st_->obs.tracer->Record(CurrentRuntimeThread(), e);
+    st_->obs.tracer->Record(worker, e);
   }
   if (st_->obs.mode_switch_decisions != nullptr) {
     st_->obs.mode_switch_decisions->Add();

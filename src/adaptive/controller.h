@@ -32,15 +32,15 @@ const char* ExecutionStrategyName(ExecutionStrategy strategy);
 struct PipelineTask {
   FunctionHandle* handle = nullptr;  ///< starts in bytecode mode
   void* state = nullptr;
-  uint64_t total_tuples = 0;          ///< known at pipeline start (§III-A)
+  /// The rows the run schedules, known at pipeline start (§III-A); never
+  /// null. An unpruned scan of n rows is ScanDomain::Make({{0, n}}, n); an
+  /// index/zone-map pruned one (src/index/) holds only the surviving
+  /// ranges, so the §III-C extrapolation reasons over the rows that will
+  /// actually run.
+  std::shared_ptr<const ScanDomain> domain;
   /// Fixed morsel size, for engine-step runs whose units are indivisible
   /// (one aggregation partition per morsel); 0 = the growing schedule.
   uint64_t morsel_tuples = 0;
-  /// Index/zone-map pruned scan domain (src/index/): when set, only the
-  /// domain's ranges are ever scheduled and `total_tuples` must equal
-  /// domain->selected(), so the §III-C extrapolation reasons over the rows
-  /// that will actually run. Null = dense scan over [0, total_tuples).
-  std::shared_ptr<const ScanDomain> domain;
   uint64_t function_instructions = 0; ///< LLVM instruction count (cost model)
   /// Fraction of per-tuple time spent in opaque runtime calls
   /// (RuntimeCallFraction over the worker's loop-body IR): discounts the
@@ -92,13 +92,15 @@ struct PipelineExecState;
 /// call runs one bounded slice — one controller morsel (plus the §III-C
 /// cost-model evaluation), one up-front compile, or one drain check — and
 /// returns Task::Status::kYield until the pipeline completes, exactly like
-/// the morsel helper tasks it spawns. A query task embedding a PipelineRun
-/// therefore never blocks its worker for a whole pipeline: the scheduler
-/// interleaves other queries' slices between the controller's morsels, and
-/// the run may resume on a *different* worker after a steal.
+/// the morsel helper tasks it spawns. Only a task of the run's scheduler
+/// steps it, from its Run(worker): as in the paper, every thread that takes
+/// part in a pipeline is a morsel worker. A query task embedding a
+/// PipelineRun therefore never blocks its worker for a whole pipeline: the
+/// scheduler interleaves other queries' slices between the controller's
+/// morsels, and the run may resume on a *different* worker after a steal.
 ///
 /// The §III-C policy for kAdaptive: every participant (the controller —
-/// whichever thread calls Step — plus one morsel helper task per other
+/// the task that steps the run — plus one morsel helper task per other
 /// worker) tracks its tuple rate per morsel; the controller alone, from
 /// 1 ms in and after each of its morsels, runs the Fig 7 extrapolation.
 /// When compiling wins, a low-priority compile task (or the controller
@@ -117,16 +119,16 @@ struct PipelineExecState;
 ///    in tests/sched_test.cc and tests/fairness_test.cc).
 ///
 /// 2. The controller's identity is fixed at the *first* Step. Its rate
-///    slot, preferred shard and participant count are chosen once (the
-///    first-step worker's index, or the extra slot for an external thread)
-///    and stored; migration to another worker after a yield changes only
-///    which thread executes — the migrated controller keeps draining its
-///    own shard and rate slot, which no helper task ever uses, so slots
-///    never collide. Per-thread runtime partitions (aggregation tables,
-///    output buffers) are always indexed by the *executing* thread, which
-///    is correct under migration because a buffer's consumer reads every
-///    thread's rows, and an aggregation's partition merge folds partition
-///    p of every thread table.
+///    slot and preferred shard are the first-step worker's index, and the
+///    participants are the scheduler's workers (1 when single-threaded),
+///    chosen once and stored; migration to another worker after a yield
+///    changes only which thread executes — the migrated controller keeps
+///    draining its own shard and rate slot, which no helper task ever
+///    uses, so slots never collide. Per-thread runtime partitions
+///    (aggregation tables, output buffers) are always indexed by the
+///    *executing* thread, which is correct under migration because a
+///    buffer's consumer reads every thread's rows, and an aggregation's
+///    partition merge folds partition p of every thread table.
 ///
 /// 3. Raw pipeline pointers outlive the run. `task.handle`, `task.state`
 ///    and the compile hook are dereferenced by helper/compile tasks only
@@ -141,7 +143,7 @@ struct PipelineExecState;
 ///
 /// 4. `single_threaded` pins the pledge, not the wall clock: the whole
 ///    pipeline (morsels and compiles) executes inside one Step on the
-///    calling thread — no helper tasks, no yields, compiles inline — so
+///    stepping worker — no helper tasks, no yields, compiles inline — so
 ///    differential baselines and the paper's single-threaded latency
 ///    figures see strictly one thread touch the pipeline.
 class PipelineRun {
@@ -159,19 +161,13 @@ class PipelineRun {
   PipelineRun(const PipelineRun&) = delete;
   PipelineRun& operator=(const PipelineRun&) = delete;
 
-  /// Runs one bounded slice on the calling thread. kYield: call again (on
-  /// any thread); kDone: the pipeline finished and TakeStats() is valid.
-  Task::Status Step();
+  /// Runs one bounded slice. `worker` is the index the calling
+  /// Task::Run(worker) received from the run's scheduler; the first step
+  /// aborts on any other caller. kYield: step again (from any worker's
+  /// task slice); kDone: the pipeline finished and TakeStats() is valid.
+  Task::Status Step(int worker);
 
   bool done() const { return phase_ == Phase::kDone; }
-  /// True when all morsels are claimed and the run is only waiting out
-  /// in-flight helper/compile slices.
-  bool draining() const { return phase_ == Phase::kDrain; }
-
-  /// Callers stepping a run to completion on an external thread park here
-  /// between drain-phase steps instead of spinning; bounded by a 1 ms
-  /// re-check.
-  void WaitDrainBriefly();
 
   /// The run's statistics; valid once done().
   PipelineRunStats TakeStats() { return std::move(stats_); }
@@ -179,14 +175,11 @@ class PipelineRun {
  private:
   enum class Phase { kStart, kMorsels, kDrain, kDone };
 
-  void Start();
-  Task::Status StepMorsel();
+  void Start(int worker);
+  Task::Status StepMorsel(int worker);
   Task::Status StepDrain();
-  Task::Status RunSingleThreaded();  // whole pipeline, one slice (inv. 4)
-  void Evaluate();
-  /// Runtime thread index of the calling thread (worker index, or a leased
-  /// external-controller index).
-  int CurrentRuntimeThread() const;
+  Task::Status RunSingleThreaded(int worker);  // one slice (inv. 4)
+  void Evaluate(int worker);
 
   TaskScheduler* sched_;
   ExecutionStrategy strategy_;

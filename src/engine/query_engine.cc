@@ -297,8 +297,7 @@ struct QueryEngine::Impl {
   std::unique_ptr<StatsServer> stats_server;
 
   // Thread count clamped to the scheduler's worker range: callers pass
-  // hardware_concurrency() on big machines, and indices above
-  // TaskScheduler::kMaxWorkers are reserved for external controllers.
+  // hardware_concurrency() on big machines.
   Impl(const Catalog* catalog, int num_threads)
       : catalog(catalog),
         catalog_footprint(MeasureCatalog(*catalog)),
@@ -754,11 +753,11 @@ class QueryJob : public Task {
   Status RunSlice(int worker) {
     if (FailIfOverBudget(worker)) return Status::kDone;
     if (step_run_ != nullptr) {
-      if (step_run_->run->Step() != Task::Status::kDone) return Status::kYield;
+      if (step_run_->run->Step(worker) != Status::kDone) return Status::kYield;
       FinishStepRun();
     } else if (active_ != nullptr) {
       // Mid-pipeline: one controller checkpoint per slice.
-      if (active_->run->Step() != Task::Status::kDone) return Status::kYield;
+      if (active_->run->Step(worker) != Status::kDone) return Status::kYield;
       FinishCompiledPipeline();
       active_.reset();
     }
@@ -1010,7 +1009,7 @@ void QueryJob::StartStepRun(WorkerFn worker, void* state, uint64_t units,
   PipelineTask task;
   task.handle = &step->handle;
   task.state = state;
-  task.total_tuples = units;
+  task.domain = ScanDomain::Make({{0, units}}, units);
   task.morsel_tuples = morsel_units;
   task.scheduling_class = options_.query_class;
   step->run = std::make_unique<PipelineRun>(
@@ -1066,11 +1065,13 @@ void QueryJob::RunPipeline(const QueryProgram::Stage& stage,
     result_.codegen_millis_total += generated.codegen_millis;
     const llvm::Function* fn = generated.mod->module().getFunction("worker");
     timer.Reset();
-    MorselQueue queue(report.tuples);
-    MorselRange morsel;
+    MorselQueue queue(ScanDomain::Make({{0, report.tuples}}, report.tuples),
+                      0, report.tuples);
+    MorselBatch morsel;
     while (queue.Next(&morsel)) {
+      const MorselRange& range = morsel.ranges[0];  // one-range domain
       uint64_t args[4] = {reinterpret_cast<uint64_t>(binding_values.data()),
-                          morsel.begin, morsel.end, 0};
+                          range.begin, range.end, 0};
       NaiveIrInterpret(*fn, args, 4, registry);
     }
   }
@@ -1393,15 +1394,17 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   PipelineTask task;
   task.handle = &ap->handle;
   task.state = ap->binding_values.data();
-  task.total_tuples = ap->report.tuples;
+  // Pruned scans hand the run a restricted domain (report.tuples is
+  // already its selected count); the rest scan every row.
+  task.domain = scan_domain != nullptr
+                    ? scan_domain
+                    : ScanDomain::Make({{0, ap->report.tuples}},
+                                       ap->report.tuples);
   task.function_instructions = instructions;
   task.runtime_call_fraction = call_fraction;
   task.pipeline_id = stage.pipeline;
   task.scheduling_class = options.query_class;
   task.obs = obs_->MakePipelineObs(query_id_);
-  // Pruned scans hand the run a restricted morsel domain; total_tuples
-  // (already report.tuples = selected rows) must match its selected count.
-  task.domain = scan_domain;
   ActivePipeline* raw_ap = ap.get();
   task.compile = [this, raw_ap, &spec](ExecMode mode) -> WorkerFn {
     // Regenerate IR (codegen is ~100x cheaper than machine-code

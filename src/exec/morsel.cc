@@ -41,20 +41,16 @@ size_t ScanDomain::RangeIndexFor(uint64_t v) const {
   return static_cast<size_t>(it - prefix.begin()) - 1;
 }
 
-MorselQueue::MorselQueue(uint64_t total, uint64_t initial_size,
-                         uint64_t max_size, uint64_t grow_every)
-    : total_(total),
-      initial_size_(std::max<uint64_t>(1, initial_size)),
-      max_size_(std::max(initial_size_, max_size)),
-      grow_every_(std::max<uint64_t>(1, grow_every)) {}
-
 MorselQueue::MorselQueue(std::shared_ptr<const ScanDomain> domain,
                          uint64_t vbase, uint64_t vend, uint64_t initial_size,
                          uint64_t max_size, uint64_t grow_every)
-    : MorselQueue(vend - vbase, initial_size, max_size, grow_every) {
-  AQE_CHECK(domain != nullptr && vbase <= vend && vend <= domain->selected());
-  domain_ = std::move(domain);
-  vbase_ = vbase;
+    : total_(vend - vbase),
+      initial_size_(std::max<uint64_t>(1, initial_size)),
+      max_size_(std::max(initial_size_, max_size)),
+      grow_every_(std::max<uint64_t>(1, grow_every)),
+      domain_(std::move(domain)),
+      vbase_(vbase) {
+  AQE_CHECK(domain_ != nullptr && vbase <= vend && vend <= domain_->selected());
 }
 
 uint64_t MorselQueue::SizeAt(uint64_t offset) const {
@@ -69,45 +65,7 @@ uint64_t MorselQueue::SizeAt(uint64_t offset) const {
   return size;
 }
 
-bool MorselQueue::Next(MorselRange* out) {
-  uint64_t begin = cursor_.load(std::memory_order_relaxed);
-  uint64_t size;
-  uint64_t phys_begin = 0;
-  do {
-    if (begin >= total_) return false;
-    size = std::min(SizeAt(begin), total_ - begin);
-    if (domain_ != nullptr) {
-      // Clamp to the containing domain range *before* the claim so the
-      // cursor advances by exactly the rows this morsel covers — a morsel
-      // never spans two physical ranges and no virtual rows are lost.
-      const uint64_t v = vbase_ + begin;
-      const size_t idx = domain_->RangeIndexFor(v);
-      const MorselRange& range = domain_->ranges[idx];
-      const uint64_t offset_in_range = v - domain_->prefix[idx];
-      size = std::min(size, (range.end - range.begin) - offset_in_range);
-      phys_begin = range.begin + offset_in_range;
-    }
-  } while (!cursor_.compare_exchange_weak(begin, begin + size,
-                                          std::memory_order_relaxed));
-  if (domain_ != nullptr) {
-    out->begin = phys_begin;
-    out->end = phys_begin + size;
-  } else {
-    out->begin = begin;
-    out->end = begin + size;
-  }
-  return true;
-}
-
 bool MorselQueue::Next(MorselBatch* out) {
-  if (domain_ == nullptr) {
-    MorselRange r;
-    if (!Next(&r)) return false;
-    out->ranges[0] = r;
-    out->count = 1;
-    out->rows = r.end - r.begin;
-    return true;
-  }
   uint64_t begin = cursor_.load(std::memory_order_relaxed);
   uint64_t size;
   size_t first_idx;
@@ -140,23 +98,6 @@ bool MorselQueue::Next(MorselBatch* out) {
   return true;
 }
 
-ShardedMorselQueue::ShardedMorselQueue(uint64_t total, int num_shards,
-                                       uint64_t initial_size,
-                                       uint64_t max_size, uint64_t grow_every)
-    : total_(total) {
-  AQE_CHECK(num_shards >= 1);
-  const uint64_t n = static_cast<uint64_t>(num_shards);
-  const uint64_t per_shard = total / n;
-  uint64_t base = 0;
-  shards_.reserve(static_cast<size_t>(num_shards));
-  for (uint64_t s = 0; s < n; ++s) {
-    const uint64_t rows = s + 1 == n ? total - base : per_shard;
-    shards_.push_back({base, std::make_unique<MorselQueue>(
-                                 rows, initial_size, max_size, grow_every)});
-    base += rows;
-  }
-}
-
 ShardedMorselQueue::ShardedMorselQueue(std::shared_ptr<const ScanDomain> domain,
                                        int num_shards, uint64_t initial_size,
                                        uint64_t max_size, uint64_t grow_every)
@@ -168,37 +109,15 @@ ShardedMorselQueue::ShardedMorselQueue(std::shared_ptr<const ScanDomain> domain,
   shards_.reserve(static_cast<size_t>(num_shards));
   for (uint64_t s = 0; s < n; ++s) {
     const uint64_t rows = s + 1 == n ? total_ - vbase : per_shard;
-    // base = 0: a domain queue already emits physical coordinates.
-    shards_.push_back(
-        {0, std::make_unique<MorselQueue>(domain, vbase, vbase + rows,
-                                          initial_size, max_size, grow_every)});
+    shards_.push_back(std::make_unique<MorselQueue>(
+        domain, vbase, vbase + rows, initial_size, max_size, grow_every));
     vbase += rows;
   }
 }
 
-bool ShardedMorselQueue::NextFrom(size_t shard, MorselRange* out) {
-  MorselRange local;
-  if (!shards_[shard].queue->Next(&local)) return false;
-  out->begin = shards_[shard].base + local.begin;
-  out->end = shards_[shard].base + local.end;
-  return true;
-}
-
-bool ShardedMorselQueue::NextFrom(size_t shard, MorselBatch* out) {
-  if (!shards_[shard].queue->Next(out)) return false;
-  const uint64_t base = shards_[shard].base;
-  if (base != 0) {
-    for (int i = 0; i < out->count; ++i) {
-      out->ranges[i].begin += base;
-      out->ranges[i].end += base;
-    }
-  }
-  return true;
-}
-
-bool ShardedMorselQueue::Next(int shard, MorselRange* out) {
+bool ShardedMorselQueue::Next(int shard, MorselBatch* out) {
   AQE_CHECK(shard >= 0 && shard < num_shards());
-  if (NextFrom(static_cast<size_t>(shard), out)) return true;
+  if (shards_[static_cast<size_t>(shard)]->Next(out)) return true;
   // Own shard dry: steal from the shard with the most remaining rows.
   // Loop because a near-empty victim can be drained between the size scan
   // and the claim.
@@ -206,44 +125,26 @@ bool ShardedMorselQueue::Next(int shard, MorselRange* out) {
     size_t victim = shards_.size();
     uint64_t victim_remaining = 0;
     for (size_t s = 0; s < shards_.size(); ++s) {
-      uint64_t r = shards_[s].queue->remaining();
+      uint64_t r = shards_[s]->remaining();
       if (r > victim_remaining) {
         victim_remaining = r;
         victim = s;
       }
     }
     if (victim == shards_.size()) return false;
-    if (NextFrom(victim, out)) return true;
-  }
-}
-
-bool ShardedMorselQueue::Next(int shard, MorselBatch* out) {
-  AQE_CHECK(shard >= 0 && shard < num_shards());
-  if (NextFrom(static_cast<size_t>(shard), out)) return true;
-  for (;;) {
-    size_t victim = shards_.size();
-    uint64_t victim_remaining = 0;
-    for (size_t s = 0; s < shards_.size(); ++s) {
-      uint64_t r = shards_[s].queue->remaining();
-      if (r > victim_remaining) {
-        victim_remaining = r;
-        victim = s;
-      }
-    }
-    if (victim == shards_.size()) return false;
-    if (NextFrom(victim, out)) return true;
+    if (shards_[victim]->Next(out)) return true;
   }
 }
 
 uint64_t ShardedMorselQueue::remaining() const {
   uint64_t sum = 0;
-  for (const Shard& shard : shards_) sum += shard.queue->remaining();
+  for (const auto& shard : shards_) sum += shard->remaining();
   return sum;
 }
 
 uint64_t ShardedMorselQueue::shard_remaining(int shard) const {
   AQE_CHECK(shard >= 0 && shard < num_shards());
-  return shards_[static_cast<size_t>(shard)].queue->remaining();
+  return shards_[static_cast<size_t>(shard)]->remaining();
 }
 
 }  // namespace aqe

@@ -16,7 +16,7 @@ struct MorselRange {
 };
 
 /// One claim's worth of work: the physical row ranges covered by a single
-/// cursor advance. Dense scans always yield one range. A pruned scan's
+/// cursor advance; an unpruned scan's claim is one range. A pruned scan's
 /// domain can be fragmented into clusters far smaller than the morsel
 /// schedule (a selective text-index scan keeps ~3-row islands); claiming
 /// them one range at a time would pay the full per-claim bookkeeping (CAS,
@@ -31,14 +31,15 @@ struct MorselBatch {
   uint64_t rows = 0;  ///< total rows across ranges
 };
 
-/// The surviving portion of a scan after index/zone-map pruning: a sorted,
-/// disjoint set of physical row ranges plus prefix sums that map a *virtual*
-/// position (0 .. selected) onto a physical row. Morsel queues run their
-/// cursor in virtual coordinates — the growth schedule, remaining() and the
-/// cost model all see only the rows that will actually be scheduled — and
-/// translate each claim back to physical rows. Shared (immutable) between
-/// all shards of one pipeline and, via the pruning cache, between repeated
-/// runs of the same plan fingerprint.
+/// The rows a scan schedules: a sorted, disjoint set of physical row ranges
+/// plus prefix sums that map a *virtual* position (0 .. selected) onto a
+/// physical row. An unpruned scan of n rows is the one-range domain
+/// Make({{0, n}}, n); index/zone-map pruning leaves fewer. Morsel queues run
+/// their cursor in virtual coordinates — the growth schedule, remaining()
+/// and the cost model all see only the rows that will actually be
+/// scheduled — and translate each claim back to physical rows. Shared
+/// (immutable) between all shards of one pipeline and, via the pruning
+/// cache, between repeated runs of the same plan fingerprint.
 struct ScanDomain {
   std::vector<MorselRange> ranges;  ///< sorted, disjoint, non-empty
   /// prefix[i] = selected rows before ranges[i]; prefix.back() = selected().
@@ -56,9 +57,9 @@ struct ScanDomain {
   size_t RangeIndexFor(uint64_t v) const;
 };
 
-/// Hands out morsels of a pipeline's input domain [0, total) to worker
-/// threads from a single atomic cursor: whichever thread finishes first
-/// grabs the next morsel, so no thread imbalance can build up (§III-A).
+/// Hands out morsels of a ScanDomain's selected rows to worker threads
+/// from a single atomic cursor: whichever thread finishes first grabs the
+/// next morsel, so no thread imbalance can build up (§III-A).
 ///
 /// Morsel sizes grow dynamically from `initial_size` to `max_size`
 /// (doubling after every `grow_every` morsels of the current size), which
@@ -68,42 +69,32 @@ struct ScanDomain {
 /// position, so the sequence of morsel boundaries is deterministic no
 /// matter how many threads claim concurrently.
 ///
-/// With a ScanDomain attached the cursor runs over a virtual window
-/// [vbase, vbase + total) of the domain's selected rows and each claim is
-/// translated to physical coordinates; a morsel never spans two domain
-/// ranges (its size is additionally clamped to the distance to the next
-/// range boundary), so workers always receive one contiguous row range.
+/// The cursor runs over a virtual window [vbase, vbase + total) of the
+/// domain's selected rows; each claim is translated to physical
+/// coordinates as one batch of up to MorselBatch::kMaxRanges ranges.
 class MorselQueue {
  public:
-  explicit MorselQueue(uint64_t total, uint64_t initial_size = 1024,
-                       uint64_t max_size = 16384, uint64_t grow_every = 8);
-
-  /// Pruned-scan mode: serves the domain's virtual rows [vbase, vend) in
-  /// physical coordinates.
+  /// Serves the domain's virtual rows [vbase, vend) in physical
+  /// coordinates.
   MorselQueue(std::shared_ptr<const ScanDomain> domain, uint64_t vbase,
               uint64_t vend, uint64_t initial_size = 1024,
               uint64_t max_size = 16384, uint64_t grow_every = 8);
 
-  /// Claims the next morsel. Returns false when the domain is exhausted.
-  /// A domain-mode claim is clamped at the containing range's boundary, so
-  /// fragmented domains should prefer the batch overload.
-  bool Next(MorselRange* out);
-
-  /// Claims the next batch: one schedule-sized window of (virtual) rows
-  /// covering up to MorselBatch::kMaxRanges physical ranges. Dense mode
-  /// fills exactly one range.
+  /// Claims the next batch: one schedule-sized window of virtual rows
+  /// covering up to MorselBatch::kMaxRanges physical ranges. Returns false
+  /// when the window is exhausted.
   bool Next(MorselBatch* out);
 
   uint64_t total() const { return total_; }
 
-  /// Rows already handed out (an upper bound on rows processed). Virtual
-  /// (selected) rows when a ScanDomain is attached.
+  /// Virtual (selected) rows already handed out — an upper bound on rows
+  /// processed.
   uint64_t dispatched() const {
     return std::min(cursor_.load(std::memory_order_relaxed), total_);
   }
 
-  /// Rows not yet handed out — the `n` of Fig 7. Selected rows only when
-  /// pruned, so rate extrapolation sees the work that will actually run.
+  /// Rows not yet handed out — the `n` of Fig 7. Selected rows only, so
+  /// rate extrapolation sees the work that will actually run.
   uint64_t remaining() const { return total_ - dispatched(); }
 
   /// The morsel size used at cursor position `offset` (doubles after every
@@ -116,8 +107,8 @@ class MorselQueue {
   uint64_t initial_size_;
   uint64_t max_size_;
   uint64_t grow_every_;
-  std::shared_ptr<const ScanDomain> domain_;  ///< null = dense [0, total)
-  uint64_t vbase_ = 0;  ///< domain virtual offset of cursor position 0
+  std::shared_ptr<const ScanDomain> domain_;
+  uint64_t vbase_;  ///< domain virtual offset of cursor position 0
   std::atomic<uint64_t> cursor_{0};
 };
 
@@ -125,33 +116,24 @@ class MorselQueue {
 /// across shards: worker w claims from shard w (preserving cache/NUMA
 /// locality and avoiding a single hammered cursor) and falls back to the
 /// richest other shard when its own runs dry, so the no-imbalance property
-/// of the flat queue is kept. Each shard runs the dynamic growth schedule
-/// independently, so early pipelines still produce many small sample
-/// morsels per worker.
+/// of the flat queue is kept. The domain's *selected* rows are split evenly
+/// (contiguous virtual windows per shard; all shards share the one
+/// immutable domain), so pruned rows never reach any shard. Each shard runs
+/// the dynamic growth schedule independently, so early pipelines still
+/// produce many small sample morsels per worker.
 class ShardedMorselQueue {
  public:
-  ShardedMorselQueue(uint64_t total, int num_shards,
-                     uint64_t initial_size = 1024, uint64_t max_size = 16384,
-                     uint64_t grow_every = 8);
-
-  /// Pruned-morsel-set constructor: shards the domain's *selected* rows
-  /// evenly (contiguous virtual windows per shard; all shards share the one
-  /// immutable domain). Pruned rows never reach any shard, so they are never
-  /// scheduled.
   ShardedMorselQueue(std::shared_ptr<const ScanDomain> domain, int num_shards,
                      uint64_t initial_size = 1024, uint64_t max_size = 16384,
                      uint64_t grow_every = 8);
 
-  /// Claims a morsel, preferring `shard` and stealing from the shard with
+  /// Claims a batch, preferring `shard` and stealing from the shard with
   /// the most remaining rows otherwise. Returns false when every shard is
   /// exhausted.
-  bool Next(int shard, MorselRange* out);
-
-  /// Batch counterpart (see MorselQueue::Next(MorselBatch*)).
   bool Next(int shard, MorselBatch* out);
 
   int num_shards() const { return static_cast<int>(shards_.size()); }
-  /// Selected rows when pruned (what the cost model should extrapolate on).
+  /// Selected rows (what the cost model extrapolates on).
   uint64_t total() const { return total_; }
   uint64_t remaining() const;
 
@@ -159,16 +141,8 @@ class ShardedMorselQueue {
   uint64_t shard_remaining(int shard) const;
 
  private:
-  struct Shard {
-    uint64_t base;  ///< global row offset of this shard's subdomain
-    std::unique_ptr<MorselQueue> queue;
-  };
-
-  bool NextFrom(size_t shard, MorselRange* out);
-  bool NextFrom(size_t shard, MorselBatch* out);
-
   uint64_t total_;
-  std::vector<Shard> shards_;
+  std::vector<std::unique_ptr<MorselQueue>> shards_;
 };
 
 }  // namespace aqe

@@ -11,8 +11,6 @@ namespace aqe {
 
 namespace {
 
-constexpr int kFirstExternalLane = 48;  ///< mirrors the scheduler's lease base
-
 void Append(std::string& out, const char* fmt, ...) {
   char buf[512];
   va_list args;
@@ -129,10 +127,8 @@ std::string ChromeTraceJson(const TraceSnapshot& snapshot) {
     comma();
     Append(out,
            "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":\"thread_name\","
-           "\"args\":{\"name\":\"%s %d\"}}",
-           lane.lane, lane.lane < kFirstExternalLane ? "worker" : "control",
-           lane.lane < kFirstExternalLane ? lane.lane
-                                          : lane.lane - kFirstExternalLane);
+           "\"args\":{\"name\":\"worker %d\"}}",
+           lane.lane, lane.lane);
     comma();
     Append(out,
            "{\"ph\":\"M\",\"pid\":1,\"tid\":%d,\"name\":"

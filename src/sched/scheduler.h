@@ -43,10 +43,7 @@ namespace aqe {
 /// query task breaks its promise, so Submit() futures never hang.
 class TaskScheduler {
  public:
-  /// Workers use runtime thread indices [0, num_workers); indices
-  /// [kMaxWorkers, 64) are reserved for external pipeline-controller
-  /// threads (see EnsureExternalRuntimeIndex in adaptive/controller.cc),
-  /// so the two can never alias a per-thread runtime partition.
+  /// Workers use runtime thread indices [0, num_workers).
   static constexpr int kMaxWorkers = 48;
 
   explicit TaskScheduler(int num_workers);

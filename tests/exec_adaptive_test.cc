@@ -19,12 +19,30 @@ namespace aqe {
 namespace {
 
 // --- MorselQueue ----------------------------------------------------------
+//
+// An unpruned scan of n rows is the one-range domain [0, n): every batch
+// claimed from it is one range, on the schedule below.
+
+MorselQueue DenseQueue(uint64_t n, uint64_t initial_size = 1024,
+                       uint64_t max_size = 16384, uint64_t grow_every = 8) {
+  return MorselQueue(ScanDomain::Make({{0, n}}, n), 0, n, initial_size,
+                     max_size, grow_every);
+}
+
+/// Claims one batch and returns its single range in `m`.
+bool NextRange(MorselQueue* queue, MorselRange* m) {
+  MorselBatch batch;
+  if (!queue->Next(&batch)) return false;
+  EXPECT_EQ(batch.count, 1);
+  *m = batch.ranges[0];
+  return true;
+}
 
 TEST(MorselQueueTest, CoversDomainExactlyOnce) {
-  MorselQueue queue(100000, 1024);
+  MorselQueue queue = DenseQueue(100000, 1024);
   std::vector<bool> seen(100000, false);
   MorselRange m;
-  while (queue.Next(&m)) {
+  while (NextRange(&queue, &m)) {
     for (uint64_t i = m.begin; i < m.end; ++i) {
       ASSERT_FALSE(seen[i]);
       seen[i] = true;
@@ -35,23 +53,23 @@ TEST(MorselQueueTest, CoversDomainExactlyOnce) {
 }
 
 TEST(MorselQueueTest, GrowingMorselSizes) {
-  MorselQueue queue(1 << 20, 1024, 16384, 4);
+  MorselQueue queue = DenseQueue(1 << 20, 1024, 16384, 4);
   MorselRange m;
-  ASSERT_TRUE(queue.Next(&m));
+  ASSERT_TRUE(NextRange(&queue, &m));
   EXPECT_EQ(m.end - m.begin, 1024u);
   uint64_t max_seen = 0;
-  while (queue.Next(&m)) max_seen = std::max(max_seen, m.end - m.begin);
+  while (NextRange(&queue, &m)) max_seen = std::max(max_seen, m.end - m.begin);
   EXPECT_EQ(max_seen, 16384u);
 }
 
 TEST(MorselQueueTest, ConcurrentWorkStealingNoOverlap) {
-  MorselQueue queue(1 << 18, 512);
+  MorselQueue queue = DenseQueue(1 << 18, 512);
   std::atomic<uint64_t> total{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&queue, &total] {
       MorselRange m;
-      while (queue.Next(&m)) total += m.end - m.begin;
+      while (NextRange(&queue, &m)) total += m.end - m.begin;
     });
   }
   for (auto& th : threads) th.join();
@@ -59,9 +77,9 @@ TEST(MorselQueueTest, ConcurrentWorkStealingNoOverlap) {
 }
 
 TEST(MorselQueueTest, EmptyDomain) {
-  MorselQueue queue(0);
+  MorselQueue queue = DenseQueue(0);
   MorselRange m;
-  EXPECT_FALSE(queue.Next(&m));
+  EXPECT_FALSE(NextRange(&queue, &m));
 }
 
 // Dynamic morsel-size growth boundaries: the size doubles after every
@@ -70,7 +88,7 @@ TEST(MorselQueueTest, EmptyDomain) {
 
 TEST(MorselQueueTest, GrowthBoundarySchedule) {
   // initial 4, grow_every 2, max 16: sizes 4,4,8,8,16,16,16,...
-  MorselQueue queue(100, 4, 16, 2);
+  MorselQueue queue = DenseQueue(100, 4, 16, 2);
   EXPECT_EQ(queue.SizeAt(0), 4u);
   EXPECT_EQ(queue.SizeAt(7), 4u);   // still inside the first 2 morsels
   EXPECT_EQ(queue.SizeAt(8), 8u);   // first boundary: 2 * 4
@@ -80,17 +98,17 @@ TEST(MorselQueueTest, GrowthBoundarySchedule) {
 
   std::vector<uint64_t> sizes;
   MorselRange m;
-  while (queue.Next(&m)) sizes.push_back(m.end - m.begin);
+  while (NextRange(&queue, &m)) sizes.push_back(m.end - m.begin);
   // Positions 0,4 | 8,16 | 24,40,56,72,88 — the tail morsel is partial.
   EXPECT_EQ(sizes, (std::vector<uint64_t>{4, 4, 8, 8, 16, 16, 16, 16, 12}));
 }
 
 TEST(MorselQueueTest, ClampsAtMaxSizeEvenWhenNotPowerOfTwoMultiple) {
   // max_size 24 is not initial * 2^k: growth must clamp to exactly 24.
-  MorselQueue queue(1000, 10, 24, 1);
+  MorselQueue queue = DenseQueue(1000, 10, 24, 1);
   std::vector<uint64_t> sizes;
   MorselRange m;
-  while (queue.Next(&m)) sizes.push_back(m.end - m.begin);
+  while (NextRange(&queue, &m)) sizes.push_back(m.end - m.begin);
   // 10, then 20, then clamp: min(40, 24) = 24 for the rest.
   EXPECT_EQ(sizes[0], 10u);
   EXPECT_EQ(sizes[1], 20u);
@@ -99,10 +117,10 @@ TEST(MorselQueueTest, ClampsAtMaxSizeEvenWhenNotPowerOfTwoMultiple) {
 }
 
 TEST(MorselQueueTest, LastMorselIsPartial) {
-  MorselQueue queue(2500, 1024);
+  MorselQueue queue = DenseQueue(2500, 1024);
   MorselRange m;
   uint64_t last = 0, covered = 0;
-  while (queue.Next(&m)) {
+  while (NextRange(&queue, &m)) {
     last = m.end - m.begin;
     covered += m.end - m.begin;
     EXPECT_LE(m.end, 2500u);
@@ -232,7 +250,7 @@ TEST(CostModelTest, LargerFunctionsRaiseTheBar) {
   EXPECT_EQ(big_fn, Decision::kDoNothing);
 }
 
-// --- PipelineRun on a 2-worker TaskScheduler ---------------------------------
+// --- PipelineRun, stepped by a scheduler task --------------------------------
 
 using testutil::RunPipeline;
 using testutil::SyntheticPipeline;
@@ -271,7 +289,7 @@ TEST(PipelineRunTest, StaticOptimizedCompilesUpFront) {
 }
 
 TEST(PipelineRunTest, AdaptiveSwitchesOnLongPipeline) {
-  TaskScheduler sched(2);
+  TaskScheduler sched(3);
   SyntheticPipeline pipe;
   CostModelParams params;
   params.unopt_base_seconds = 1e-3;
@@ -333,11 +351,26 @@ TEST(PipelineRunTest, TraceRecordsMorselsAndCompiles) {
   }
   EXPECT_TRUE(has_morsel);
   EXPECT_TRUE(has_compile);
-  // Every lane, so the controller's leased (external-thread) lane and
-  // whichever lane compiled are both drawn.
+  // Every lane, so the controller's worker lane and whichever lane
+  // compiled are both drawn.
   std::string chart = RenderTextTrace(snap, EngineTracer::kMaxLanes, 60);
   EXPECT_NE(chart.find("thread 0"), std::string::npos);
   EXPECT_NE(chart.find('#'), std::string::npos);
+}
+
+TEST(PipelineRunDeathTest, StepOffTheSchedulerAborts) {
+  // Only a task of the run's own scheduler steps a run: the test thread,
+  // which is no worker, may not.
+  EXPECT_DEATH(
+      {
+        TaskScheduler sched(1);
+        SyntheticPipeline pipe;
+        PipelineRun run(&sched, ExecutionStrategy::kBytecode, {},
+                        pipe.MakeTask(1000), /*single_threaded=*/false,
+                        /*first_eval_delay_seconds=*/0);
+        run.Step(0);
+      },
+      "stepped only by a task of its own scheduler");
 }
 
 // --- cost-model micro-calibration -----------------------------------------

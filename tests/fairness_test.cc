@@ -2,7 +2,7 @@
 //  - differential: the resumable PipelineRun (checkpointing at morsel
 //    boundaries, Task::kYield between slices) must produce identical
 //    results and mode-switch traces as a single-threaded run (the whole
-//    pipeline inside one Step on the calling thread);
+//    pipeline inside one Step on the stepping worker);
 //  - starvation stress: a saturated engine running long scans must still
 //    admit and complete later-submitted short high-class queries with
 //    bounded latency, before the long work finishes;
@@ -58,7 +58,8 @@ TEST(ResumablePipelineTest,
   constexpr int kPipelineId = 3;
   const CostModelParams params = ForcedUnoptParams();
   TaskScheduler sched(2);
-  // Steps one run to completion, counting the yields between steps.
+  // Steps one run to completion in a scheduler task, counting the yields
+  // between steps.
   auto run_to_end = [&](bool single_threaded, SyntheticPipeline* pipe,
                         EngineTracer* tracer, uint64_t* yields) {
     PipelineTask task = pipe->MakeTask(kTuples);
@@ -66,12 +67,10 @@ TEST(ResumablePipelineTest,
     task.obs.tracer = tracer;
     PipelineRun run(&sched, ExecutionStrategy::kAdaptive, params, task,
                     single_threaded, /*first_eval_delay_seconds=*/0);
-    while (run.Step() == Task::Status::kYield) {
-      ++*yields;
-      if (run.draining()) run.WaitDrainBriefly();
-    }
+    PipelineRunStats stats =
+        testutil::StepInTask(&sched, &run, [yields] { ++*yields; }).get();
     EXPECT_TRUE(run.done());
-    return run.TakeStats();
+    return stats;
   };
 
   // Single-threaded baseline: one Step runs the whole pipeline.
@@ -83,7 +82,7 @@ TEST(ResumablePipelineTest,
                  &single_yields);
   EXPECT_EQ(single_yields, 0u);
 
-  // Resumable controller, stepped manually: every Step is one checkpoint.
+  // Resumable controller: every Step is one checkpoint.
   EngineTracer resumable_tracer;
   SyntheticPipeline resumable_pipe;
   uint64_t yields = 0;
@@ -114,7 +113,7 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   // queued compile claim and the rate epoch must survive the suspension and
   // the switch must still happen when stepping resumes.
   constexpr uint64_t kTuples = 1500000;
-  TaskScheduler sched(1);  // controller external: exactly one helper
+  TaskScheduler sched(2);  // the controller's worker and exactly one helper
   SyntheticPipeline pipe;
   PipelineTask task = pipe.MakeTask(kTuples);
   task.compile = [](ExecMode mode) -> WorkerFn {
@@ -124,18 +123,16 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   PipelineRun run(&sched, ExecutionStrategy::kAdaptive, ForcedUnoptParams(),
                   task, /*single_threaded=*/false,
                   /*first_eval_delay_seconds=*/0);
-  // Step a handful of morsels, then suspend the controller entirely.
+  // Step a handful of morsels, then suspend the controller entirely inside
+  // one slice, and resume to completion: the switch recorded exactly once,
+  // all tuples seen.
   int steps = 0;
-  while (!run.done() && steps < 8) {
-    run.Step();
-    ++steps;
-  }
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  // Resume to completion: the switch recorded exactly once, all tuples seen.
-  while (run.Step() == Task::Status::kYield) {
-    if (run.draining()) run.WaitDrainBriefly();
-  }
-  PipelineRunStats stats = run.TakeStats();
+  PipelineRunStats stats =
+      testutil::StepInTask(&sched, &run, [&steps] {
+        if (++steps == 8) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(20));
+        }
+      }).get();
   ASSERT_EQ(stats.compiles.size(), 1u);
   EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
   EXPECT_EQ(pipe.total(), kTuples);

@@ -54,16 +54,19 @@ TEST(ScanDomainTest, EmptyDomainSelectsNothing) {
   auto d = ScanDomain::Make({}, 1000);
   EXPECT_EQ(d->selected(), 0u);
   MorselQueue queue(d, 0, 0);
-  MorselRange m;
-  EXPECT_FALSE(queue.Next(&m));
+  MorselBatch batch;
+  EXPECT_FALSE(queue.Next(&batch));
 }
 
-/// Claims every morsel and checks the union is exactly the domain: sorted,
-/// gapless within ranges, never crossing a range boundary.
+/// Claims every batch, flattens it into its ranges, and checks the union
+/// is exactly the domain: sorted, gapless within ranges, no range crossing
+/// a domain range boundary.
 void DrainAndCheck(MorselQueue* queue, const ScanDomain& domain) {
   std::vector<MorselRange> claimed;
-  MorselRange m;
-  while (queue->Next(&m)) claimed.push_back(m);
+  MorselBatch batch;
+  while (queue->Next(&batch)) {
+    claimed.insert(claimed.end(), batch.ranges, batch.ranges + batch.count);
+  }
   std::sort(claimed.begin(), claimed.end(),
             [](const MorselRange& a, const MorselRange& b) {
               return a.begin < b.begin;
@@ -142,13 +145,16 @@ TEST(MorselQueueDomainTest, ShardedDomainCoversEverythingOnce) {
   ShardedMorselQueue queue(d, /*num_shards=*/4, /*initial_size=*/64);
   EXPECT_EQ(queue.total(), d->selected());
   std::vector<char> seen(20000, 0);
-  MorselRange m;
+  MorselBatch batch;
   // Round-robin across shards (exercises stealing once shards drain).
   int shard = 0;
-  while (queue.Next(shard, &m)) {
-    for (uint64_t r = m.begin; r < m.end; ++r) {
-      ASSERT_EQ(seen[r], 0) << "row " << r << " claimed twice";
-      seen[r] = 1;
+  while (queue.Next(shard, &batch)) {
+    for (int i = 0; i < batch.count; ++i) {
+      const MorselRange& m = batch.ranges[i];
+      for (uint64_t r = m.begin; r < m.end; ++r) {
+        ASSERT_EQ(seen[r], 0) << "row " << r << " claimed twice";
+        seen[r] = 1;
+      }
     }
     shard = (shard + 1) % 4;
   }

@@ -482,10 +482,9 @@ TEST_F(ObsEngineTest, ChromeTraceExportIsWellFormedForAdaptiveRun) {
   EXPECT_NE(text.find("total:"), std::string::npos);
 }
 
-// Golden output: a hand-built snapshot with one event of each kind on two
-// worker lanes and a control lane, and one query whose flow starts at its
-// admission wait, steps through a slice on another worker and finishes at
-// its completion. Every key of every phase (M, X, i, s, t, f) is pinned.
+// Golden output: a hand-built snapshot with one event of each kind on three
+// worker lanes, and one query whose flow starts at its admission wait,
+// steps through a slice on another worker and finishes at its completion. Every key of every phase (M, X, i, s, t, f) is pinned.
 TEST(ChromeTraceTest, JsonGolden) {
   auto event = [](TraceEventKind kind, int64_t start_us, int64_t end_us) {
     TraceEvent e;
@@ -552,19 +551,19 @@ TEST(ChromeTraceTest, JsonGolden) {
   worker1.dropped = 2;
   worker1.dropped_sampled = 2;
 
-  TraceSnapshot::Lane control0;
-  control0.lane = 48;
+  TraceSnapshot::Lane worker48;
+  worker48.lane = 48;
   TraceEvent compile = event(TraceEventKind::kCompile, 520, 720);
   compile.detail = static_cast<uint8_t>(ExecMode::kUnoptimized);
   compile.payload = 812;
   TraceEvent publish = event(TraceEventKind::kCachePublish, 730, 730);
   publish.detail = static_cast<uint8_t>(ExecMode::kUnoptimized);
-  control0.events = {compile, publish};
-  control0.recorded = 3;
-  control0.dropped = 1;
-  control0.dropped_lost = 1;
+  worker48.events = {compile, publish};
+  worker48.recorded = 3;
+  worker48.dropped = 1;
+  worker48.dropped_lost = 1;
 
-  snapshot.lanes = {worker0, worker1, control0};
+  snapshot.lanes = {worker0, worker1, worker48};
   EXPECT_EQ(ChromeTraceJson(snapshot),
       "{\"displayTimeUnit\":\"ms\",\"otherData\":{\"recorded\":15,"
       "\"dropped\":3,\"dropped_sampled\":2,\"dropped_lost\":1},"
@@ -578,7 +577,7 @@ TEST(ChromeTraceTest, JsonGolden) {
       "{\"ph\":\"M\",\"pid\":1,\"tid\":1,\"name\":\"thread_sort_index\","
       "\"args\":{\"sort_index\":1}},\n"
       "{\"ph\":\"M\",\"pid\":1,\"tid\":48,\"name\":\"thread_name\","
-      "\"args\":{\"name\":\"control 0\"}},\n"
+      "\"args\":{\"name\":\"worker 48\"}},\n"
       "{\"ph\":\"M\",\"pid\":1,\"tid\":48,\"name\":\"thread_sort_index\","
       "\"args\":{\"sort_index\":48}},\n"
       "{\"ph\":\"X\",\"pid\":1,\"tid\":0,\"name\":\"admission-wait\","

@@ -4,10 +4,15 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
+#include <functional>
+#include <future>
+#include <memory>
 #include <thread>
+#include <utility>
 
 #include "adaptive/controller.h"
 #include "exec/function_handle.h"
+#include "exec/morsel.h"
 #include "sched/scheduler.h"
 
 namespace aqe::testutil {
@@ -47,7 +52,7 @@ struct SyntheticPipeline {
     PipelineTask task;
     task.handle = &handle;
     task.state = this;
-    task.total_tuples = tuples;
+    task.domain = ScanDomain::Make({{0, tuples}}, tuples);
     task.function_instructions = 1000;
     task.compile = [](ExecMode mode) -> WorkerFn {
       return mode == ExecMode::kUnoptimized ? &FastUnopt : &FastOpt;
@@ -65,8 +70,40 @@ inline CostModelParams ForcedUnoptParams() {
   return params;
 }
 
-/// Steps a PipelineRun to completion on the calling thread, which becomes
-/// the pipeline's (external) controller, parking between drain checks.
+/// Steps `run` the way the engine's query task does: a one-shot scheduler
+/// task calls Step(worker) once per slice until the run is done, calling
+/// `on_yield` after every step that yields. The future carries the run's
+/// stats; `run` must outlive it.
+inline std::future<PipelineRunStats> StepInTask(
+    TaskScheduler* sched, PipelineRun* run,
+    std::function<void()> on_yield = nullptr) {
+  class StepTask : public Task {
+   public:
+    StepTask(PipelineRun* run, std::function<void()> on_yield)
+        : run_(run), on_yield_(std::move(on_yield)) {}
+    std::future<PipelineRunStats> GetFuture() { return stats_.get_future(); }
+
+    Status Run(int worker) override {
+      if (run_->Step(worker) == Status::kYield) {
+        if (on_yield_) on_yield_();
+        return Status::kYield;
+      }
+      stats_.set_value(run_->TakeStats());
+      return Status::kDone;
+    }
+
+   private:
+    PipelineRun* run_;
+    std::function<void()> on_yield_;
+    std::promise<PipelineRunStats> stats_;
+  };
+  auto task = std::make_unique<StepTask>(run, std::move(on_yield));
+  std::future<PipelineRunStats> stats = task->GetFuture();
+  sched->Submit(std::move(task));
+  return stats;
+}
+
+/// Runs a pipeline to completion on `sched`, stepped by a scheduler task.
 inline PipelineRunStats RunPipeline(TaskScheduler* sched,
                                     ExecutionStrategy strategy,
                                     const PipelineTask& task,
@@ -75,10 +112,7 @@ inline PipelineRunStats RunPipeline(TaskScheduler* sched,
                                     double first_eval_delay_seconds = 1e-3) {
   PipelineRun run(sched, strategy, params, task, single_threaded,
                   first_eval_delay_seconds);
-  while (run.Step() == Task::Status::kYield) {
-    if (run.draining()) run.WaitDrainBriefly();
-  }
-  return run.TakeStats();
+  return StepInTask(sched, &run).get();
 }
 
 }  // namespace aqe::testutil

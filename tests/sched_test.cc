@@ -317,13 +317,29 @@ TEST(TaskSchedulerTest, ShutdownWithTasksPendingDestroysThemUnrun) {
 }
 
 // --- ShardedMorselQueue ---------------------------------------------------
+//
+// Over the one-range domain [0, n) of an unpruned scan, so every claimed
+// batch is one range.
+
+std::shared_ptr<const ScanDomain> Dense(uint64_t n) {
+  return ScanDomain::Make({{0, n}}, n);
+}
+
+/// Claims one batch for `shard` and returns its single range in `m`.
+bool NextRange(ShardedMorselQueue* queue, int shard, MorselRange* m) {
+  MorselBatch batch;
+  if (!queue->Next(shard, &batch)) return false;
+  EXPECT_EQ(batch.count, 1);
+  *m = batch.ranges[0];
+  return true;
+}
 
 TEST(ShardedMorselQueueTest, CoversDomainExactlyOnceAcrossShards) {
-  ShardedMorselQueue queue(100000, 4, 512);
+  ShardedMorselQueue queue(Dense(100000), 4, 512);
   std::vector<bool> seen(100000, false);
   MorselRange m;
   int shard = 0;
-  while (queue.Next(shard, &m)) {
+  while (NextRange(&queue, shard, &m)) {
     shard = (shard + 1) % 4;
     for (uint64_t i = m.begin; i < m.end; ++i) {
       ASSERT_FALSE(seen[i]);
@@ -335,27 +351,27 @@ TEST(ShardedMorselQueueTest, CoversDomainExactlyOnceAcrossShards) {
 }
 
 TEST(ShardedMorselQueueTest, PreferredShardFirstThenSteal) {
-  ShardedMorselQueue queue(4000, 4, 100, 100, 1000000);
+  ShardedMorselQueue queue(Dense(4000), 4, 100, 100, 1000000);
   // Shard 2 owns [2000, 3000): the first claim must come from there.
   MorselRange m;
-  ASSERT_TRUE(queue.Next(2, &m));
+  ASSERT_TRUE(NextRange(&queue, 2, &m));
   EXPECT_EQ(m.begin, 2000u);
   // Drain shard 2 completely; the next claim for shard 2 must steal from
   // another (richest) shard instead of failing.
-  while (queue.shard_remaining(2) > 0) ASSERT_TRUE(queue.Next(2, &m));
-  ASSERT_TRUE(queue.Next(2, &m));
+  while (queue.shard_remaining(2) > 0) ASSERT_TRUE(NextRange(&queue, 2, &m));
+  ASSERT_TRUE(NextRange(&queue, 2, &m));
   EXPECT_TRUE(m.begin < 2000 || m.begin >= 3000);
   EXPECT_EQ(queue.remaining(), 4000u - 100 * (1000 / 100 + 1));
 }
 
 TEST(ShardedMorselQueueTest, ConcurrentClaimsNoOverlap) {
-  ShardedMorselQueue queue(1 << 18, 3, 256);
+  ShardedMorselQueue queue(Dense(1 << 18), 3, 256);
   std::atomic<uint64_t> total{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 3; ++t) {
     threads.emplace_back([&queue, &total, t] {
       MorselRange m;
-      while (queue.Next(t, &m)) total += m.end - m.begin;
+      while (NextRange(&queue, t, &m)) total += m.end - m.begin;
     });
   }
   for (auto& th : threads) th.join();
@@ -363,15 +379,16 @@ TEST(ShardedMorselQueueTest, ConcurrentClaimsNoOverlap) {
 }
 
 TEST(ShardedMorselQueueTest, SingleShardEqualsFlatQueue) {
-  ShardedMorselQueue sharded(50000, 1, 1024);
-  MorselQueue flat(50000, 1024);
-  MorselRange a, b;
+  ShardedMorselQueue sharded(Dense(50000), 1, 1024);
+  MorselQueue flat(Dense(50000), 0, 50000, 1024);
+  MorselBatch a;
+  MorselRange b;
   while (flat.Next(&a)) {
-    ASSERT_TRUE(sharded.Next(0, &b));
-    EXPECT_EQ(a.begin, b.begin);
-    EXPECT_EQ(a.end, b.end);
+    ASSERT_TRUE(NextRange(&sharded, 0, &b));
+    EXPECT_EQ(a.ranges[0].begin, b.begin);
+    EXPECT_EQ(a.ranges[0].end, b.end);
   }
-  EXPECT_FALSE(sharded.Next(0, &b));
+  EXPECT_FALSE(NextRange(&sharded, 0, &b));
 }
 
 // --- Differential: multi-worker run vs single-threaded baseline ----------
@@ -536,7 +553,6 @@ TEST_F(SchedulerDifferentialTest, PrunedDomainRunsExactlySelectedRows) {
     task.handle = &counter.handle;
     task.state = &counter;
     task.domain = domain;
-    task.total_tuples = domain->selected();
     task.function_instructions = 1000;
     task.compile = [](ExecMode mode) -> WorkerFn {
       EXPECT_EQ(mode, ExecMode::kUnoptimized);

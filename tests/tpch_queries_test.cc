@@ -135,6 +135,29 @@ TEST_F(TpchQueryTest, RowsMatchPinnedDigest) {
   }
 }
 
+// The morsel schedule end to end: the morsels each query claims on the
+// 2-worker engine (adaptive, artifact cache off, pruning on). A boundary is
+// a pure function of its shard's cursor, so the count does not depend on
+// which worker claims what; a change to the morsel queues or the
+// controller must not move it. Pinned from 20 identical runs.
+TEST_F(TpchQueryTest, MorselCountsMatchPinned) {
+  const std::pair<int, uint64_t> pinned[] = {
+      {1, 36},  {3, 54},  {4, 52},  {5, 60},  {6, 36},  {7, 56}, {9, 64},
+      {10, 54}, {11, 19}, {12, 52}, {14, 38}, {18, 52}, {19, 38},
+  };
+  QueryRunOptions options;
+  options.use_artifact_cache = false;
+  for (const auto& [number, morsels] : pinned) {
+    QueryProgram program = BuildTpchQuery(number, *catalog_);
+    const uint64_t before =
+        engine_->ObservabilitySnapshot().counter("exec.morsels");
+    engine_->Run(program, options);
+    EXPECT_EQ(engine_->ObservabilitySnapshot().counter("exec.morsels") - before,
+              morsels)
+        << program.name();
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllQueries, TpchQueryTest,
                          ::testing::ValuesIn(ImplementedTpchQueries()),
                          [](const auto& info) {
