@@ -29,10 +29,12 @@
 namespace aqe {
 namespace {
 
-/// Bytes the catalog holds resident: column data (rows x value width) and
-/// the secondary indexes. Fixed after load, so the engine measures it once.
+/// Bytes the catalog holds resident: column data (rows x value width), the
+/// string dictionaries and the secondary indexes. Fixed after load, so the
+/// engine measures it once.
 struct CatalogFootprint {
   uint64_t column_bytes = 0;
+  uint64_t dictionary_bytes = 0;
   uint64_t index_bytes = 0;
 };
 
@@ -43,6 +45,9 @@ CatalogFootprint MeasureCatalog(const Catalog& catalog) {
       const Column& column = table.column(c);
       footprint.column_bytes +=
           column.size() * static_cast<uint64_t>(DataTypeSize(column.type()));
+      if (table.has_dictionary(c)) {
+        footprint.dictionary_bytes += table.dictionary(c).approx_bytes();
+      }
     }
     if (table.indexes() != nullptr) {
       footprint.index_bytes += table.indexes()->approx_bytes;
@@ -1658,12 +1663,15 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
   snap.counters.emplace_back("engine.anomalies_total",
                              obs.sentinel.anomaly_count());
 
-  // Memory accounting: the catalog's resident column data and indexes,
-  // live tracked bytes across in-flight queries and the engine-lifetime
-  // peak.
+  // Memory accounting: the catalog's resident column data, dictionaries
+  // and indexes, live tracked bytes across in-flight queries and the
+  // engine-lifetime peak.
   snap.gauges.emplace_back(
       "catalog.column_bytes",
       static_cast<int64_t>(catalog_footprint.column_bytes));
+  snap.gauges.emplace_back(
+      "catalog.dictionary_bytes",
+      static_cast<int64_t>(catalog_footprint.dictionary_bytes));
   snap.gauges.emplace_back(
       "catalog.index_bytes",
       static_cast<int64_t>(catalog_footprint.index_bytes));

@@ -64,31 +64,39 @@ class TokenIds {
 
 TokenIndex TokenIndex::Build(const Dictionary& dict) {
   // Each range of codes tokenizes its strings into one list of postings in
-  // code order, and the ranges' postings of a token are concatenated in
-  // range order, so a token's codes stay ascending and the layout is a
-  // serial build's. The merged vocabulary is a std::map, so the flattened
-  // tokens are sorted whatever the hash seeds. Every map key views the
-  // dictionary's strings, which `dict` (const here) keeps in place, so a
-  // token is copied only once, into the flattened vocabulary. Build time is
-  // dominated by tokenizing the distinct strings. The per-range buffers
-  // are data-sized and built on helper threads, so they come from
-  // PageAllocator.
+  // code order. A token's container follows from its total count. The
+  // ranges' array postings of a token are concatenated in range order, so
+  // its codes stay ascending; a range sets the bits of its codes in the
+  // bitmap words it owns, as the ranges start on multiples of 64 codes.
+  // Either way the layout is a serial build's. The merged vocabulary is a
+  // std::map, so the flattened tokens are sorted whatever the hash seeds.
+  // Every map key views the dictionary's strings, which `dict` (const
+  // here) keeps in place, so a token is copied only once, into the
+  // flattened vocabulary. Build time is dominated by tokenizing the
+  // distinct strings. The per-range buffers are data-sized and built on
+  // helper threads, so they come from PageAllocator.
   struct Posting {
     uint32_t token;  ///< the range's own id of the token
     int32_t code;
   };
   struct Range {
     TokenIds ids;
-    PageVector<uint64_t> counts;  ///< postings per id
+    /// Postings per id; after the flatten, the next codes_ slot of an
+    /// array token's postings.
+    PageVector<uint64_t> counts;
+    PageVector<uint32_t> token;  ///< per id, after the flatten: its token
     PageVector<Posting> postings;
   };
   const auto n = static_cast<size_t>(dict.size());
   const size_t num_ranges =
       n < kParallelBuildCodes ? 1 : 4 * ForkJoinWidth();
+  const auto range_begin = [n, num_ranges](size_t r) {
+    return std::min(n, (n * r / num_ranges + 63) / 64 * 64);
+  };
   std::vector<Range> ranges(num_ranges);
   ForkJoin(num_ranges, [&](size_t r) {
     Range& range = ranges[r];
-    const size_t first = n * r / num_ranges, end = n * (r + 1) / num_ranges;
+    const size_t first = range_begin(r), end = range_begin(r + 1);
     // A string of b bytes holds at most (b + 1) / 2 tokens, each posted at
     // most once: the bound sizes the postings once, so they are never
     // regrown (each regrowth would map, copy and unmap pages).
@@ -121,41 +129,66 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
       }
     }
   });
-  // slot[token]: first the token's posting count, then the next free slot
-  // of its postings in the flattened codes.
-  std::map<std::string_view, uint64_t> slot;
+  // token[t]: first the token's posting count, then its index in the
+  // flattened vocabulary.
+  std::map<std::string_view, uint64_t> token;
   for (const Range& range : ranges) {
     for (uint32_t id = 0; id < range.ids.tokens().size(); ++id) {
-      slot[range.ids.tokens()[id]] += range.counts[id];
+      token[range.ids.tokens()[id]] += range.counts[id];
     }
   }
   TokenIndex index;
-  index.tokens_.reserve(slot.size());
-  index.offsets_.reserve(slot.size() + 1);
-  index.offsets_.push_back(0);
-  for (auto& [token, next] : slot) {
-    const uint64_t first = index.offsets_.back();
-    index.tokens_.emplace_back(token);
-    index.offsets_.push_back(first + next);
-    next = first;
+  index.num_codes_ = n;
+  index.tokens_.reserve(token.size());
+  index.postings_.reserve(token.size());
+  uint64_t array_codes = 0, bitmaps = 0;
+  for (auto& [text, count_then_index] : token) {
+    const uint64_t count = count_then_index;
+    count_then_index = index.tokens_.size();
+    index.tokens_.emplace_back(text);
+    if (index.IsBitmap(count)) {
+      index.postings_.push_back({count, bitmaps++ * index.bitmap_words()});
+    } else {
+      index.postings_.push_back({count, array_codes});
+      array_codes += count;
+    }
+    index.posting_entries_ += count;
   }
-  // Each range's counts become the slots its tokens' postings start at.
+  // Each range's ids get their tokens, and an array token's counts become
+  // the slots its postings from this range start at.
+  std::vector<uint64_t> next(index.postings_.size());
+  for (size_t t = 0; t < next.size(); ++t) next[t] = index.postings_[t].first;
   for (Range& range : ranges) {
+    range.token.resize(range.counts.size());
     for (uint32_t id = 0; id < range.ids.tokens().size(); ++id) {
-      uint64_t& next = slot[range.ids.tokens()[id]];
+      const auto t = static_cast<uint32_t>(token[range.ids.tokens()[id]]);
       const uint64_t count = range.counts[id];
-      range.counts[id] = next;
-      next += count;
+      range.token[id] = t;
+      range.counts[id] = next[t];
+      next[t] += count;
     }
   }
-  index.codes_.resize(index.offsets_.back());
+  index.codes_.resize(array_codes);
+  index.words_.assign(bitmaps * index.bitmap_words(), 0);
   ForkJoin(num_ranges, [&](size_t r) {
     Range& range = ranges[r];
     for (const Posting& p : range.postings) {
-      index.codes_[range.counts[p.token]++] = p.code;
+      const Postings& postings = index.postings_[range.token[p.token]];
+      if (index.IsBitmap(postings.count)) {
+        const auto code = static_cast<uint64_t>(p.code);
+        index.words_[postings.first + code / 64] |= uint64_t{1} << (code % 64);
+      } else {
+        index.codes_[range.counts[p.token]++] = p.code;
+      }
     }
   });
   return index;
+}
+
+size_t TokenIndex::num_bitmaps() const {
+  return static_cast<size_t>(
+      std::count_if(postings_.begin(), postings_.end(),
+                    [this](const Postings& p) { return IsBitmap(p.count); }));
 }
 
 std::vector<std::string> TokenIndex::PatternParts(std::string_view pattern) {
@@ -179,46 +212,63 @@ std::vector<std::string> TokenIndex::PatternParts(std::string_view pattern) {
   return parts;
 }
 
+void TokenIndex::OrInto(size_t t, uint64_t* bits) const {
+  const Postings& postings = postings_[t];
+  if (IsBitmap(postings.count)) {
+    const uint64_t* words = words_.data() + postings.first;
+    for (uint64_t w = 0; w < bitmap_words(); ++w) bits[w] |= words[w];
+    return;
+  }
+  for (uint64_t i = postings.first; i < postings.first + postings.count; ++i) {
+    const auto code = static_cast<uint64_t>(codes_[i]);
+    bits[code / 64] |= uint64_t{1} << (code % 64);
+  }
+}
+
 bool TokenIndex::CandidateCodes(std::string_view pattern,
                                 std::vector<int32_t>* out,
                                 uint64_t* posting_entries_touched) const {
   const std::vector<std::string> parts = PatternParts(pattern);
   if (parts.empty()) return false;
   out->clear();
-  std::vector<int32_t> part_codes;
-  std::vector<int32_t> merged;
-  for (size_t p = 0; p < parts.size(); ++p) {
+  // `all` holds the intersection so far, `part` each later sub-part's
+  // union.
+  std::vector<uint64_t> all(bitmap_words()), part;
+  bool empty = false;
+  for (size_t p = 0; p < parts.size() && !empty; ++p) {
+    uint64_t* bits = all.data();
+    if (p > 0) {
+      part.assign(all.size(), 0);
+      bits = part.data();
+    }
     // Union of postings over tokens containing the sub-part: a substring
     // scan of the (small) token vocabulary.
-    part_codes.clear();
     for (size_t t = 0; t < tokens_.size(); ++t) {
       if (tokens_[t].find(parts[p]) == std::string::npos) continue;
-      const size_t begin = offsets_[t], end = offsets_[t + 1];
-      part_codes.insert(part_codes.end(), codes_.begin() + begin,
-                        codes_.begin() + end);
+      OrInto(t, bits);
       if (posting_entries_touched != nullptr) {
-        *posting_entries_touched += end - begin;
+        *posting_entries_touched += postings_[t].count;
       }
     }
-    std::sort(part_codes.begin(), part_codes.end());
-    part_codes.erase(std::unique(part_codes.begin(), part_codes.end()),
-                     part_codes.end());
-    if (p == 0) {
-      *out = part_codes;
-    } else {
-      merged.clear();
-      std::set_intersection(out->begin(), out->end(), part_codes.begin(),
-                            part_codes.end(), std::back_inserter(merged));
-      out->swap(merged);
+    uint64_t any = 0;
+    for (size_t w = 0; w < all.size(); ++w) {
+      if (p > 0) all[w] &= part[w];
+      any |= all[w];
     }
-    if (out->empty()) break;  // conjunction already empty
+    empty = any == 0;  // the conjunction is already empty
+  }
+  for (size_t w = 0; w < all.size(); ++w) {
+    for (uint64_t word = all[w]; word != 0; word &= word - 1) {
+      out->push_back(static_cast<int32_t>(64 * w + __builtin_ctzll(word)));
+    }
   }
   return true;
 }
 
 uint64_t TokenIndex::approx_bytes() const {
-  uint64_t bytes = offsets_.size() * sizeof(uint64_t) +
-                   codes_.size() * sizeof(int32_t);
+  uint64_t bytes = postings_.size() * sizeof(Postings) +
+                   codes_.size() * sizeof(int32_t) +
+                   words_.size() * sizeof(uint64_t);
   for (const std::string& t : tokens_) bytes += t.size() + sizeof(std::string);
   return bytes;
 }

@@ -14,6 +14,13 @@ namespace {
 
 constexpr size_t kMinTableSize = 16;
 
+/// The table size for `n` codes: a power of two, at least twice `n`.
+size_t TableCapacity(size_t n) {
+  size_t capacity = kMinTableSize;
+  while (capacity < 2 * n) capacity *= 2;
+  return capacity;
+}
+
 /// String i of a string list is bytes[ends[i-1], ends[i]) (ends[-1] reads
 /// as 0): the arena's layout, and the bulk load's.
 std::string_view ListEntry(const char* bytes, const uint64_t* ends,
@@ -140,6 +147,20 @@ PageVector<int32_t> SortStrings(const char* bytes, const uint64_t* ends,
 
 }  // namespace
 
+template <typename Before>
+int32_t Dictionary::PartitionPoint(int32_t lo, const Before& before) const {
+  int32_t hi = size();
+  while (lo < hi) {
+    const int32_t mid = lo + (hi - lo) / 2;
+    if (before(View(static_cast<size_t>(mid)))) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  return lo;
+}
+
 size_t Dictionary::Slot(std::string_view s) const {
   const size_t mask = table_.size() - 1;
   for (size_t i = std::hash<std::string_view>{}(s) & mask;; i = (i + 1) & mask) {
@@ -171,23 +192,34 @@ void Dictionary::Rehash(size_t capacity) {
 }
 
 int32_t Dictionary::GetOrAdd(std::string_view s) {
-  // Grow before probing so the insert below keeps the load at most 1/2.
+  if (sorted_) {
+    // An in-order append costs one compare with the last string.
+    const int order = ends_.empty() ? 1 : s.compare(View(ends_.size() - 1));
+    if (order > 0) return Append(s);
+    const int32_t code = Find(s);
+    if (code >= 0) return code;
+    // The first insert out of order: the table, built below, answers from
+    // here on.
+    sorted_ = false;
+  }
+  // Build or grow the table before probing, so the insert below keeps the
+  // load at most 1/2.
   if (2 * (ends_.size() + 1) > table_.size()) {
-    Rehash(std::max(kMinTableSize, 2 * table_.size()));
+    Rehash(TableCapacity(ends_.size() + 1));
   }
   const size_t slot = Slot(s);
   if (table_[slot] != kEmpty) return table_[slot];
+  table_[slot] = Append(s);
+  return table_[slot];
+}
+
+int32_t Dictionary::Append(std::string_view s) {
   AQE_CHECK_MSG(ends_.size() < static_cast<size_t>(
                                    std::numeric_limits<int32_t>::max()),
                 "dictionary code space exhausted");
-  const int32_t code = size();
-  if (code > 0 && sorted_ && s < View(static_cast<size_t>(code - 1))) {
-    sorted_ = false;
-  }
   AppendToArena(s);  // may move the arena; `s` is not used again
   ends_.push_back(arena_.size());
-  table_[slot] = code;
-  return code;
+  return size() - 1;
 }
 
 void Dictionary::AppendToArena(std::string_view s) {
@@ -207,7 +239,11 @@ void Dictionary::AppendToArena(std::string_view s) {
 }
 
 int32_t Dictionary::Find(std::string_view s) const {
-  if (table_.empty()) return -1;
+  if (sorted_) {
+    const int32_t code =
+        PartitionPoint(0, [s](std::string_view other) { return other < s; });
+    return code < size() && View(static_cast<size_t>(code)) == s ? code : -1;
+  }
   return table_[Slot(s)];  // kEmpty == -1
 }
 
@@ -273,7 +309,7 @@ PageVector<int32_t> Dictionary::SortCodes() {
   }
   arena_ = std::move(arena);
   ends_ = std::move(ends);
-  Rehash(table_.size());
+  PageVector<int32_t>().swap(table_);
   sorted_ = true;
   return remap;
 }
@@ -327,32 +363,15 @@ PageVector<int32_t> Dictionary::BulkLoad(const PageVector<char>& bytes,
       codes[static_cast<size_t>(order[i])] = code;
     }
   });
-  size_t capacity = kMinTableSize;
-  while (capacity < 2 * (ends_.size() + 1)) capacity *= 2;
-  Rehash(capacity);
   sorted_ = true;
   return codes;
 }
 
 std::pair<int32_t, int32_t> Dictionary::PrefixRange(
     std::string_view prefix) const {
-  // First code in [lo, size()) whose string fails `before`; `before` must
-  // hold on a prefix of the (sorted) code range.
-  auto partition_point = [this](int32_t lo, auto before) {
-    int32_t hi = size();
-    while (lo < hi) {
-      const int32_t mid = lo + (hi - lo) / 2;
-      if (before(View(static_cast<size_t>(mid)))) {
-        lo = mid + 1;
-      } else {
-        hi = mid;
-      }
-    }
-    return lo;
-  };
   const int32_t lo =
-      partition_point(0, [prefix](std::string_view s) { return s < prefix; });
-  const int32_t hi = partition_point(lo, [prefix](std::string_view s) {
+      PartitionPoint(0, [prefix](std::string_view s) { return s < prefix; });
+  const int32_t hi = PartitionPoint(lo, [prefix](std::string_view s) {
     return s.substr(0, prefix.size()) <= prefix;
   });
   return {lo, hi};

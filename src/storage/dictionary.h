@@ -19,25 +19,30 @@ namespace aqe {
 /// type system small (see DESIGN.md substitutions).
 ///
 /// Each distinct string is stored once: the strings lie back to back in one
-/// char arena, code c spanning [end(c-1), end(c)), and an open-addressing
-/// table of codes, probed with the string's bytes, answers lookups. Nothing
+/// char arena, code c spanning [end(c-1), end(c)). A sorted dictionary
+/// answers lookups by binary search over its codes; an unsorted one keeps
+/// an open-addressing table of codes, probed with the string's bytes, built
+/// by the first insert out of order and dropped again by SortCodes. Nothing
 /// is allocated per string, and all three arrays come from PageAllocator,
 /// so a dictionary built or sorted on a helper thread leaves nothing behind
 /// in that thread's malloc arena (see src/strings/DESIGN.md, "Storage
 /// layout").
 class Dictionary {
  public:
-  /// SortCodes and BulkLoad sort, and rehashes hash, at least this many
-  /// strings on ForkJoinWidth() threads (see src/strings/DESIGN.md,
+  /// SortCodes and BulkLoad sort, and building the table hashes, at least
+  /// this many strings on ForkJoinWidth() threads (see src/strings/DESIGN.md,
   /// "Storage layout").
   static constexpr int32_t kParallelSortCodes = int32_t{64} << 10;
 
   Dictionary() = default;
 
-  /// Returns the code for `s`, inserting it if new.
+  /// Returns the code for `s`, inserting it if new. On a sorted dictionary
+  /// a string above the last one is appended after one compare; the first
+  /// string that breaks the order builds the table.
   int32_t GetOrAdd(std::string_view s);
 
-  /// Returns the code for `s` or -1 if absent.
+  /// Returns the code for `s` or -1 if absent: a binary search on a sorted
+  /// dictionary, a table probe on an unsorted one.
   int32_t Find(std::string_view s) const;
 
   /// Returns the string for a code. The view points into the arena and stays
@@ -45,6 +50,13 @@ class Dictionary {
   std::string_view Get(int32_t code) const;
 
   int32_t size() const { return static_cast<int32_t>(ends_.size()); }
+
+  /// Bytes held: the arena, the ends and the table's slots (none while
+  /// sorted).
+  uint64_t approx_bytes() const {
+    return arena_.size() + ends_.size() * sizeof(uint64_t) +
+           table_.size() * sizeof(int32_t);
+  }
 
   /// Builds a byte-per-code bitmap where bitmap[code] == 1 iff the dictionary
   /// string starts with `prefix` (the LIKE 'x%' pattern).
@@ -70,16 +82,17 @@ class Dictionary {
   /// it per query).
   bool is_sorted() const { return sorted_; }
 
-  /// Lexicographically reorders the dictionary and returns the old-code ->
-  /// new-code remap the owner must apply to every encoded column value.
-  /// After this, is_sorted() holds (until further GetOrAdd inserts).
+  /// Lexicographically reorders the dictionary, drops its table and returns
+  /// the old-code -> new-code remap the owner must apply to every encoded
+  /// column value. After this, is_sorted() holds (until a GetOrAdd inserts
+  /// out of order).
   PageVector<int32_t> SortCodes();
 
   /// Loads an empty dictionary from a column's strings at once and returns
   /// each row's code: row r's string is bytes[ends[r-1], ends[r]) (ends[-1]
   /// reads as 0). The distinct strings are stored sorted, so the codes are
   /// those GetOrAdd on every row and then SortCodes would give, without the
-  /// per-row probes, the rehashes or the remap.
+  /// per-row probes, a table or the remap.
   PageVector<int32_t> BulkLoad(const PageVector<char>& bytes,
                                const PageVector<uint64_t>& ends);
 
@@ -94,11 +107,18 @@ class Dictionary {
     const uint64_t begin = code == 0 ? 0 : ends_[code - 1];
     return {arena_.data() + begin, static_cast<size_t>(ends_[code] - begin)};
   }
+  /// The first code in [lo, size()) whose string fails `before`, which
+  /// must hold on a prefix of the codes (of a sorted dictionary, for an
+  /// order-compatible `before`).
+  template <typename Before>
+  int32_t PartitionPoint(int32_t lo, const Before& before) const;
   /// Table slot holding the code of `s`, or the empty slot where it belongs.
   /// Requires a non-empty table.
   size_t Slot(std::string_view s) const;
   /// Re-inserts every code into an empty table of `capacity` slots.
   void Rehash(size_t capacity);
+  /// Appends `s` as the next code and returns it; `s` may view the arena.
+  int32_t Append(std::string_view s);
   /// Appends `s` to the arena; `s` may view the arena itself.
   void AppendToArena(std::string_view s);
   /// bitmap[code] = matches(Get(code)) for every code.
@@ -110,8 +130,8 @@ class Dictionary {
   /// Code c is arena_[ends_[c-1], ends_[c]) (ends_[-1] reads as 0); 64-bit
   /// so the arena may exceed 4 GiB.
   PageVector<uint64_t> ends_;
-  /// Open addressing with linear probing: codes, kEmpty for a free slot. Its
-  /// size is 0 or a power of two at least twice size().
+  /// Open addressing with linear probing: codes, kEmpty for a free slot.
+  /// Empty while sorted_; otherwise a power of two at least twice size().
   PageVector<int32_t> table_;
   static constexpr int32_t kEmpty = -1;
   bool sorted_ = true;  ///< empty/ordered-insert dictionaries are sorted

@@ -434,6 +434,94 @@ TEST(TokenIndexTest, ParallelBuildMatchesSerialReference) {
   }
 }
 
+// Each token's postings are an array or a bitmap, whichever is smaller: a
+// bitmap once 4 bytes per posting exceed one bit per code. Tokens sit on
+// both sides of that crossover and one exactly at it (an array), and the
+// patterns' sub-parts hit only bitmaps, only arrays or both. The
+// candidates and the posting counts read must equal a brute-force scan of
+// every string's tokens. The dictionary is big enough for the parallel
+// build, whose ranges set bits in their own words.
+TEST(TokenIndexTest, BitmapAndArrayPostingsMatchBruteForce) {
+  static constexpr char kSeparators[] = "!#$%&()*+,-./:;<";  // 16, no token
+  const size_t n = TokenIndex::kParallelBuildCodes + 4099;
+  // At `crossover` postings an array takes exactly the bitmap's bytes.
+  const size_t crossover = 2 * ((n + 63) / 64);
+  const size_t stride = n / (crossover + 1);
+  std::vector<std::vector<std::string>> tokens_of(n);
+  for (size_t code = 0; code < n; ++code) {
+    std::vector<std::string>& tokens = tokens_of[code];
+    if (code % 4 == 0) tokens.push_back("bigone");     // n / 4: bitmap
+    if (code % 3 == 1) tokens.push_back("bigtwo");     // n / 3: bitmap
+    if (code % 50 == 7) tokens.push_back("rareone");   // n / 50: array
+    if (code % 70 == 3) tokens.push_back("raretwo");   // n / 70: array
+    if (code % stride == 0 && code / stride < crossover) {
+      tokens.push_back("atedge");  // exactly at the crossover: array
+    }
+    if (code % stride == 1 && code / stride < crossover + 1) {
+      tokens.push_back("pastedge");  // one past it: bitmap
+    }
+  }
+  Dictionary dict;
+  for (size_t code = 0; code < n; ++code) {
+    // The code in base 16 over separator bytes keeps the strings distinct.
+    std::string s;
+    for (size_t rest = code; rest > 0; rest /= 16) s += kSeparators[rest % 16];
+    for (const std::string& token : tokens_of[code]) s += " " + token;
+    ASSERT_EQ(dict.GetOrAdd(s), static_cast<int32_t>(code));
+  }
+  std::map<std::string, uint64_t> count;
+  for (const auto& tokens : tokens_of) {
+    for (const std::string& token : tokens) ++count[token];
+  }
+  ASSERT_EQ(count["atedge"], crossover);
+  ASSERT_EQ(count["pastedge"], crossover + 1);
+  const TokenIndex index = TokenIndex::Build(dict);
+  ASSERT_EQ(index.num_tokens(), count.size());
+  EXPECT_EQ(index.num_bitmaps(), 3u);  // bigone, bigtwo, pastedge
+  uint64_t postings = 0;
+  for (const auto& entry : count) postings += entry.second;
+  EXPECT_EQ(index.posting_entries(), postings);
+
+  for (const char* pattern :
+       {"%big%", "%rare%", "%one%", "%two%", "%edge%", "%atedge%",
+        "%pastedge%", "%big%rare%", "%one%two%", "%edge%big%", "%rare%edge%",
+        "%bigone%bigtwo%pastedge%", "%zzz%", "%big%zzz%"}) {
+    const std::vector<std::string> parts = TokenIndex::PatternParts(pattern);
+    ASSERT_FALSE(parts.empty()) << pattern;
+    // Brute force: a code matches when each sub-part lies inside one of its
+    // tokens. The index reads sub-parts until the conjunction is empty.
+    std::vector<bool> match(n, true);
+    uint64_t touched = 0;
+    for (const std::string& part : parts) {
+      for (const auto& [token, codes] : count) {
+        if (token.find(part) != std::string::npos) touched += codes;
+      }
+      bool any = false;
+      for (size_t code = 0; code < n; ++code) {
+        bool has = false;
+        for (const std::string& token : tokens_of[code]) {
+          has = has || token.find(part) != std::string::npos;
+        }
+        match[code] = match[code] && has;
+        any = any || match[code];
+      }
+      if (!any) break;
+    }
+    std::vector<int32_t> expected;
+    for (size_t code = 0; code < n; ++code) {
+      if (match[code]) expected.push_back(static_cast<int32_t>(code));
+    }
+    std::vector<int32_t> candidates;
+    uint64_t read = 0;
+    ASSERT_TRUE(index.CandidateCodes(pattern, &candidates, &read)) << pattern;
+    EXPECT_EQ(candidates, expected) << pattern;
+    EXPECT_EQ(read, touched) << pattern;
+  }
+  // No usable sub-part: the index reports it cannot help.
+  std::vector<int32_t> none;
+  EXPECT_FALSE(index.CandidateCodes("%a_b%", &none));
+}
+
 // ============================================================================
 // Access-path analysis
 // ============================================================================

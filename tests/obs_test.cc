@@ -34,6 +34,8 @@
 #include "queries/tpch_queries.h"
 #include "runtime/agg_hash_table.h"
 #include "runtime/join_hash_table.h"
+#include "storage/dictionary.h"
+#include "storage/table.h"
 #include "tpch/tpch_gen.h"
 #include "vm/interpreter.h"
 #include "vm/translator.h"
@@ -389,6 +391,7 @@ TEST_F(ObsEngineTest, ArtifactCacheStatsDeltaAndReset) {
 
 TEST_F(ObsEngineTest, CatalogFootprintGaugesMatchTheCatalog) {
   uint64_t column_bytes = 0;
+  uint64_t dictionary_bytes = 0;
   uint64_t index_bytes = 0;
   for (const char* name : {"region", "nation", "supplier", "customer", "part",
                            "partsupp", "orders", "lineitem"}) {
@@ -396,18 +399,35 @@ TEST_F(ObsEngineTest, CatalogFootprintGaugesMatchTheCatalog) {
     for (int c = 0; c < t->num_columns(); ++c) {
       column_bytes += t->num_rows() *
                       static_cast<uint64_t>(DataTypeSize(t->column(c).type()));
+      if (!t->has_dictionary(c)) continue;
+      // A loaded dictionary is sorted, so it holds its strings and their
+      // ends and no table.
+      const Dictionary& dict = t->dictionary(c);
+      ASSERT_TRUE(dict.is_sorted()) << name << " column " << c;
+      uint64_t string_bytes = 0;
+      for (int32_t code = 0; code < dict.size(); ++code) {
+        string_bytes += dict.Get(code).size();
+      }
+      EXPECT_EQ(dict.approx_bytes(),
+                string_bytes + dict.size() * sizeof(uint64_t))
+          << name << " column " << c;
+      dictionary_bytes += dict.approx_bytes();
     }
     ASSERT_NE(t->indexes(), nullptr) << name;
     index_bytes += t->indexes()->approx_bytes;
   }
   QueryEngine engine(&catalog(), 1);
   int64_t column_gauge = -1;
+  int64_t dictionary_gauge = -1;
   int64_t index_gauge = -1;
   for (const auto& [name, value] : engine.ObservabilitySnapshot().gauges) {
     if (name == "catalog.column_bytes") column_gauge = value;
+    if (name == "catalog.dictionary_bytes") dictionary_gauge = value;
     if (name == "catalog.index_bytes") index_gauge = value;
   }
   EXPECT_EQ(column_gauge, static_cast<int64_t>(column_bytes));
+  EXPECT_EQ(dictionary_gauge, static_cast<int64_t>(dictionary_bytes));
+  EXPECT_GT(dictionary_gauge, 0);
   EXPECT_EQ(index_gauge, static_cast<int64_t>(index_bytes));
   EXPECT_GT(index_gauge, 0);
 }
@@ -1870,10 +1890,12 @@ TEST_F(ObsEngineTest, StatsServerServesMetricsTraceAndProfiles) {
   // The memory gauges, and the catalog footprint split out of peak RSS.
   for (const char* gauge : {"aqe_mem_current_bytes", "aqe_mem_peak_bytes",
                             "aqe_catalog_column_bytes",
+                            "aqe_catalog_dictionary_bytes",
                             "aqe_catalog_index_bytes"}) {
     EXPECT_EQ(series[gauge], "gauge") << gauge;
   }
   EXPECT_GT(samples["aqe_catalog_column_bytes"], 0);
+  EXPECT_GT(samples["aqe_catalog_dictionary_bytes"], 0);
   EXPECT_GT(samples["aqe_catalog_index_bytes"], 0);
 
   // Behind the text: names are unique per section, and each histogram's

@@ -184,12 +184,47 @@ void ExpectMatchesReference(const Dictionary& d, const RefDict& ref,
   }
 }
 
+/// The bytes of a table-less dictionary: its strings and their ends.
+uint64_t StringAndEndBytes(const RefDict& ref) {
+  uint64_t bytes = ref.strings.size() * sizeof(uint64_t);
+  for (const std::string& s : ref.strings) bytes += s.size();
+  return bytes;
+}
+
+/// GetOrAdd on a sorted dictionary, which has no table: every string it
+/// holds comes back with its code and nothing grows, a new string past the
+/// last keeps it sorted, and a new string below the last builds the table
+/// from nothing, at least twice the size. Runs on copies, so `d` stays
+/// sorted for the caller.
+void ExpectSortedGetOrAddMatchesReference(
+    const Dictionary& d, const RefDict& ref,
+    const std::vector<std::string>& probes) {
+  ASSERT_TRUE(d.is_sorted());
+  Dictionary copy = d;
+  RefDict copy_ref = ref;
+  for (size_t code = 0; code < ref.strings.size(); ++code) {
+    ASSERT_EQ(copy.GetOrAdd(ref.strings[code]), static_cast<int32_t>(code));
+  }
+  ASSERT_EQ(copy.size(), d.size());
+  const std::string last = ref.strings.empty() ? "" : ref.strings.back();
+  ASSERT_EQ(copy.GetOrAdd(last + "b"), copy_ref.GetOrAdd(last + "b"));
+  EXPECT_TRUE(copy.is_sorted());
+  EXPECT_EQ(copy.approx_bytes(), StringAndEndBytes(copy_ref));
+  ASSERT_EQ(copy.GetOrAdd(last + "a"), copy_ref.GetOrAdd(last + "a"));
+  EXPECT_FALSE(copy.is_sorted());
+  EXPECT_GE(copy.approx_bytes(), StringAndEndBytes(copy_ref) +
+                                     2 * copy_ref.strings.size() *
+                                         sizeof(int32_t));
+  ExpectMatchesReference(copy, copy_ref, probes);
+}
+
 /// Sorts both, checks the remap and everything readable afterwards.
 void SortAndExpectMatchesReference(Dictionary* d, RefDict* ref,
                                    const std::vector<std::string>& probes) {
   EXPECT_EQ(d->SortCodes(), ref->SortCodes());
   EXPECT_TRUE(d->is_sorted());
   ExpectMatchesReference(*d, *ref, probes);
+  ExpectSortedGetOrAddMatchesReference(*d, *ref, probes);
 }
 
 /// Probes of 0..3 bytes: short enough to hit as prefixes and infixes, and
@@ -341,6 +376,7 @@ void BulkLoadAndExpectMatchesReference(const std::vector<std::string>& values,
   }
   EXPECT_TRUE(d.is_sorted());
   ExpectMatchesReference(d, ref, probes);
+  ExpectSortedGetOrAddMatchesReference(d, ref, probes);
   // GetOrAdd goes on from the loaded state.
   const std::string past = "\xff\xff\xff";
   ASSERT_EQ(d.GetOrAdd(past), ref.GetOrAdd(past));

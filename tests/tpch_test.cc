@@ -281,6 +281,41 @@ TEST(TpchFingerprintTest, TokenIndexMatchesPinnedValue) {
   }
 }
 
+// Pins what the catalog holds besides its columns, per table at SF 0.1:
+// the bytes of its indexes and of its dictionaries. Both are counts of what
+// the structures store, so they repeat exactly on every load and under
+// the sanitizers. A loaded dictionary is sorted, so it holds its strings
+// and their ends and no table; the o_comment token index keeps each
+// token's postings in the smaller of an array and a bitmap.
+TEST(TpchFingerprintTest, CatalogBytesMatchPinnedValues) {
+  struct Pin {
+    const char* table;
+    uint64_t index_bytes;
+    uint64_t dictionary_bytes;
+  };
+  static constexpr Pin kPins[] = {{"region", 144, 74},
+                                  {"nation", 420, 377},
+                                  {"supplier", 48, 0},
+                                  {"customer", 182936, 390085},
+                                  {"part", 247504, 5313},
+                                  {"partsupp", 5056, 0},
+                                  {"orders", 2124370, 8169312},
+                                  {"lineitem", 290816, 211}};
+  Catalog catalog;
+  tpch::BuildTpchDatabase(&catalog, 0.1);
+  for (const Pin& pin : kPins) {
+    const Table* t = catalog.GetTable(pin.table);
+    uint64_t dictionary_bytes = 0;
+    for (int c = 0; c < t->num_columns(); ++c) {
+      if (!t->has_dictionary(c)) continue;
+      EXPECT_TRUE(t->dictionary(c).is_sorted()) << pin.table << " " << c;
+      dictionary_bytes += t->dictionary(c).approx_bytes();
+    }
+    EXPECT_EQ(t->indexes()->approx_bytes, pin.index_bytes) << pin.table;
+    EXPECT_EQ(dictionary_bytes, pin.dictionary_bytes) << pin.table;
+  }
+}
+
 // Pins each table's storage layout: every fixed-domain column at the
 // narrowest width its domain allows (dates, small decimals and
 // fixed-vocabulary dictionaries at 1 or 2 bytes; keys and growing decimals
