@@ -1,8 +1,6 @@
 #include "adaptive/calibrate.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <vector>
 
 #include <llvm/IR/IRBuilder.h>
@@ -131,11 +129,6 @@ CostModelParams RunCalibration() {
 }
 
 }  // namespace
-
-bool CostModelCalibrationRequested() {
-  const char* v = std::getenv("AQE_CALIBRATE");
-  return v != nullptr && *v != '\0' && std::strcmp(v, "0") != 0;
-}
 
 const CostModelParams& CalibratedCostModelParams() {
   static const CostModelParams params = RunCalibration();

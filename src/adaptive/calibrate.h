@@ -5,10 +5,6 @@
 
 namespace aqe {
 
-/// True when the AQE_CALIBRATE environment variable requests cost-model
-/// micro-calibration at engine startup (any value but "0"/"" enables it).
-bool CostModelCalibrationRequested();
-
 /// Measures this machine's real interpreter-vs-compiled speedups on a tiny
 /// scan-filter-sum kernel (translated bytecode vs unoptimized vs optimized
 /// machine code of the same IR) and returns CostModelParams with the

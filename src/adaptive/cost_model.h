@@ -71,21 +71,6 @@ struct CostModelParams {
   }
 };
 
-/// Field-wise equality; the engine uses it to detect "caller left the cost
-/// model at its defaults" and substitute micro-calibrated speedups
-/// (AQE_CALIBRATE, src/adaptive/calibrate.h).
-inline bool operator==(const CostModelParams& a, const CostModelParams& b) {
-  return a.unopt_base_seconds == b.unopt_base_seconds &&
-         a.unopt_per_instruction_seconds == b.unopt_per_instruction_seconds &&
-         a.opt_base_seconds == b.opt_base_seconds &&
-         a.opt_per_instruction_seconds == b.opt_per_instruction_seconds &&
-         a.unopt_speedup == b.unopt_speedup && a.opt_speedup == b.opt_speedup &&
-         a.runtime_call_weight == b.runtime_call_weight;
-}
-inline bool operator!=(const CostModelParams& a, const CostModelParams& b) {
-  return !(a == b);
-}
-
 /// The three options continuously evaluated per pipeline (§III-C).
 enum class Decision { kDoNothing, kCompileUnoptimized, kCompileOptimized };
 

@@ -3,14 +3,44 @@
 #include <algorithm>
 
 #include "common/status.h"
+#include "vm/interpreter.h"
 
 namespace aqe {
+namespace {
+
+/// The first publish of a pipeline records its cost-model inputs.
+void NoteCostInputs(PipelineArtifact* a, uint64_t instructions,
+                    double runtime_call_fraction) {
+  if (a->instructions == 0) a->instructions = instructions;
+  if (a->runtime_call_fraction == 0) {
+    a->runtime_call_fraction = runtime_call_fraction;
+  }
+}
+
+}  // namespace
 
 uint64_t BcProgramBytes(const BcProgram& program) {
   return sizeof(BcProgram) + program.code.size() * sizeof(BcInstruction) +
          program.constant_pool.size() * sizeof(BcProgram::PoolEntry) +
          program.literal_pool.size() * sizeof(uint64_t) +
          program.arg_offsets.size() * sizeof(uint32_t);
+}
+
+std::shared_ptr<const BcProgram> ProgramForDispatch(
+    std::shared_ptr<const BcProgram> bc, VmDispatch want) {
+  if (VmResolveDispatch(want) == VmResolveDispatch(bc->dispatch)) return bc;
+  auto copy = std::make_shared<BcProgram>(*bc);
+  copy->dispatch = want;
+  return copy;
+}
+
+bool CacheEntry::FullyCached() {
+  std::lock_guard<std::mutex> lock(mu);
+  return std::all_of(pipelines.begin(), pipelines.end(),
+                     [](const PipelineArtifact& a) {
+                       return a.bytecode != nullptr ||
+                              a.code_variants.size() > 0;
+                     });
 }
 
 ArtifactCache::ArtifactCache(uint64_t byte_budget)
@@ -26,7 +56,12 @@ std::shared_ptr<CacheEntry> ArtifactCache::Intern(
   if (!*created) {
     ++entry_hits_;
     shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
-    return it->second.entry;
+    const std::shared_ptr<CacheEntry>& entry = it->second.entry;
+    if (entry->plan_name != plan_name ||
+        entry->pipelines.size() != num_pipelines) {
+      return nullptr;
+    }
+    return entry;
   }
   ++entry_misses_;
   auto entry = std::make_shared<CacheEntry>();
@@ -36,6 +71,125 @@ std::shared_ptr<CacheEntry> ArtifactCache::Intern(
   shard.lru.push_front(key);
   shard.map.emplace(key, Resident{entry, shard.lru.begin(), 0});
   return entry;
+}
+
+CachedArtifacts ArtifactCache::Lookup(CacheEntry& entry,
+                                      const ArtifactRequest& request) {
+  CachedArtifacts found;
+  const bool runs_bytecode =
+      request.strategy == ExecutionStrategy::kBytecode ||
+      request.strategy == ExecutionStrategy::kAdaptive;
+  bool patched = false;
+  {
+    std::lock_guard<std::mutex> lock(entry.mu);
+    PipelineArtifact& a = entry.pipelines[request.pipeline];
+    found.bytecode_resident = a.bytecode != nullptr;
+    found.instructions = a.instructions;
+    found.runtime_call_fraction = a.runtime_call_fraction;
+    if (runs_bytecode && a.bytecode != nullptr) {
+      if (a.bytecode_constants == request.constants) {
+        found.bytecode = ProgramForDispatch(a.bytecode, request.dispatch);
+        found.bytecode_shared = found.bytecode == a.bytecode;
+      } else if (a.patchable) {
+        std::shared_ptr<BcProgram> clone =
+            ApplyConstantPatch(*a.bytecode, a.patch_slots,
+                               a.bytecode_constants, request.constants);
+        if (clone != nullptr) {
+          clone->dispatch = request.dispatch;
+          found.bytecode = std::move(clone);
+          patched = true;
+        }
+      }
+    }
+    // Machine code is only reusable for the exact literals it embeds;
+    // adaptive starts in the best mode the plan reached.
+    if (const CodeVariant* v =
+            a.code_variants.Find(request.constants, /*use=*/true)) {
+      const ExecutionStrategy s = request.strategy;
+      if (v->opt != nullptr && (s == ExecutionStrategy::kAdaptive ||
+                                s == ExecutionStrategy::kOptimized)) {
+        found.seed_code = v->opt;
+        found.seed_mode = ExecMode::kOptimized;
+      } else if (v->unopt != nullptr &&
+                 (s == ExecutionStrategy::kAdaptive ||
+                  s == ExecutionStrategy::kUnoptimized)) {
+        found.seed_code = v->unopt;
+        found.seed_mode = ExecMode::kUnoptimized;
+      }
+    }
+    if (request.pruning) {
+      if (const PruningDecision* d = a.pruning_variants.Find(
+              {request.constants, request.pruning_key}, /*use=*/true)) {
+        found.pruning = *d;
+      }
+    }
+  }
+  if (runs_bytecode) {
+    if (found.bytecode == nullptr) {
+      ++bytecode_misses_;
+    } else {
+      ++(patched ? patched_hits_ : bytecode_hits_);
+    }
+  }
+  if (found.seed_code != nullptr) ++code_hits_;
+  return found;
+}
+
+bool ArtifactCache::PublishBytecode(CacheEntry& entry,
+                                    const ArtifactRequest& request,
+                                    std::shared_ptr<const BcProgram> program,
+                                    ConstantPatchTable patch,
+                                    uint64_t instructions,
+                                    double runtime_call_fraction) {
+  const auto bytes = static_cast<int64_t>(BcProgramBytes(*program));
+  {
+    std::lock_guard<std::mutex> lock(entry.mu);
+    PipelineArtifact& a = entry.pipelines[request.pipeline];
+    if (a.bytecode != nullptr) return false;
+    a.bytecode = std::move(program);
+    a.bytecode_constants = request.constants;
+    a.patchable = patch.patchable;
+    a.patch_slots = std::move(patch.pool_indices);
+    NoteCostInputs(&a, instructions, runtime_call_fraction);
+  }
+  OnBytesChanged(entry, bytes);
+  ++publishes_;
+  return true;
+}
+
+void ArtifactCache::PublishCode(CacheEntry& entry,
+                                const ArtifactRequest& request, ExecMode mode,
+                                std::shared_ptr<CachedCode> code,
+                                uint64_t instructions,
+                                double runtime_call_fraction) {
+  int64_t delta = static_cast<int64_t>(code->code_bytes);
+  // Dropped code is released after the lock: the last reference unmaps it.
+  CodeVariant evicted;
+  std::shared_ptr<CachedCode> replaced;
+  {
+    std::lock_guard<std::mutex> lock(entry.mu);
+    PipelineArtifact& a = entry.pipelines[request.pipeline];
+    CodeVariant& v = a.code_variants.Insert(request.constants, &evicted);
+    replaced = std::exchange(mode == ExecMode::kOptimized ? v.opt : v.unopt,
+                             std::move(code));
+    NoteCostInputs(&a, instructions, runtime_call_fraction);
+  }
+  for (const auto& dropped : {evicted.unopt, evicted.opt, replaced}) {
+    if (dropped != nullptr) delta -= static_cast<int64_t>(dropped->code_bytes);
+  }
+  OnBytesChanged(entry, delta);
+  ++publishes_;
+}
+
+void ArtifactCache::PublishPruning(CacheEntry& entry,
+                                   const ArtifactRequest& request,
+                                   PruningDecision decision) {
+  const std::pair key{request.constants, request.pruning_key};
+  PruningDecision evicted;
+  std::lock_guard<std::mutex> lock(entry.mu);
+  PipelineArtifact& a = entry.pipelines[request.pipeline];
+  if (a.pruning_variants.Find(key) != nullptr) return;
+  a.pruning_variants.Insert(key, &evicted) = std::move(decision);
 }
 
 std::shared_ptr<CacheEntry> ArtifactCache::Peek(uint64_t key) const {
@@ -105,7 +259,6 @@ ArtifactCacheStats ArtifactCache::stats() const {
   s.code_hits = code_hits_.load();
   s.publishes = publishes_.load();
   s.evictions = evictions_.load();
-  s.cost_feedback_updates = cost_feedback_updates_.load();
   for (const Shard& shard : shards_) {
     std::lock_guard<std::mutex> lock(shard.mu);
     s.bytes += shard.bytes;
@@ -123,7 +276,6 @@ void ArtifactCache::ResetStats() {
   code_hits_.store(0);
   publishes_.store(0);
   evictions_.store(0);
-  cost_feedback_updates_.store(0);
 }
 
 }  // namespace aqe

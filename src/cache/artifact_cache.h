@@ -1,15 +1,20 @@
 #ifndef AQE_CACHE_ARTIFACT_CACHE_H_
 #define AQE_CACHE_ARTIFACT_CACHE_H_
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
+#include "adaptive/controller.h"
+#include "cache/fingerprint.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
 #include "index/access_path.h"
@@ -31,7 +36,8 @@ struct ArtifactCacheStats {
   uint64_t evictions = 0;       ///< entries dropped by the LRU byte budget
   /// Completed cached queries folded into their plan's record (PlanStats,
   /// obs/regression.h), whose service-time EWMA is what WFQ admission
-  /// charges the plan's next submit.
+  /// charges the plan's next submit. Counted by the record keeper
+  /// (RegressionTracker::observed_runs); QueryEngine fills it in.
   uint64_t cost_feedback_updates = 0;
   uint64_t bytes = 0;
   uint64_t entries = 0;
@@ -65,75 +71,98 @@ struct CachedCode {
   uint64_t code_bytes = 0;  ///< CompiledModule::code_bytes()
 };
 
-/// Machine code compiled for one exact constant vector (code embeds the
-/// literals; only the bytecode is patchable). A pipeline keeps a small set
-/// of these so queries alternating between a few parameter values don't
-/// evict each other's compilations.
-struct CodeVariant {
-  std::vector<uint64_t> constants;
-  std::shared_ptr<CachedCode> unopt;
-  std::shared_ptr<CachedCode> opt;
-  uint64_t last_use = 0;  ///< PipelineArtifact::variant_clock at last touch
+/// At most `kMax` values, each under its own key: inserting an unseen key
+/// into a full list replaces the least recently used value. A linear scan:
+/// the list is tiny, and its owner's mutex is held around every call.
+template <typename Key, typename Value, size_t kMax>
+class VariantList {
+ public:
+  /// The value stored under `key`, or null; `use` makes a found value the
+  /// most recently used.
+  Value* Find(const Key& key, bool use = false) {
+    for (Slot& s : slots_) {
+      if (s.key != key) continue;
+      if (use) s.last_use = ++clock_;
+      return &s.value;
+    }
+    return nullptr;
+  }
+
+  /// The value stored under `key`, made the most recently used. An unseen
+  /// key gets a default value; when the list is full it takes the slot of
+  /// the least recently used one, whose value moves into `*evicted`.
+  Value& Insert(const Key& key, Value* evicted) {
+    if (Value* value = Find(key, /*use=*/true)) return *value;
+    Slot* slot = nullptr;
+    if (slots_.size() < kMax) {
+      slot = &slots_.emplace_back();
+    } else {
+      slot = &*std::min_element(
+          slots_.begin(), slots_.end(),
+          [](const Slot& a, const Slot& b) { return a.last_use < b.last_use; });
+      *evicted = std::move(slot->value);
+    }
+    *slot = Slot{key, Value{}, ++clock_};
+    return slot->value;
+  }
+
+  size_t size() const { return slots_.size(); }
+
+ private:
+  struct Slot {
+    Key key;
+    Value value;
+    uint64_t last_use = 0;
+  };
+  std::vector<Slot> slots_;
+  uint64_t clock_ = 0;
 };
 
-/// Cached artifacts of one pipeline, filled in as stages complete. All
-/// fields are guarded by the owning CacheEntry's mutex.
+/// Machine code compiled for one exact constant vector (code embeds the
+/// literals; only the bytecode is patchable).
+struct CodeVariant {
+  std::shared_ptr<CachedCode> unopt;
+  std::shared_ptr<CachedCode> opt;
+};
+
+/// One cached scan-pruning decision (src/index/access_path.h).
+struct PruningDecision {
+  std::shared_ptr<const ScanDomain> domain;  ///< null = full scan decided
+  PruningStats stats;
+};
+
+/// Cached artifacts of one pipeline, filled in by ArtifactCache's publishes
+/// under the owning CacheEntry's mutex.
 struct PipelineArtifact {
-  /// Position-independent bytecode (dispatch = kDefault). Shared directly
-  /// on exact-constant hits; cloned + patched for literal-only variants.
+  /// Position-independent bytecode (dispatch = kDefault), written once.
+  /// Shared on exact-constant hits; cloned + patched for literal variants.
   std::shared_ptr<const BcProgram> bytecode;
   /// The pipeline-constant values `bytecode` was translated with (the
   /// pipeline's slice of the inserting query's fingerprint constants).
   std::vector<uint64_t> bytecode_constants;
   bool patchable = false;
-  std::vector<uint32_t> patch_slots;  ///< per-constant constant_pool index
+  std::vector<uint32_t> patch_slots;  ///< ConstantPatchTable::pool_indices
   uint64_t instructions = 0;  ///< LLVM instruction count (cost model input)
   /// Runtime-call density of the worker's loop body (cost model input;
   /// recorded at first publish so cache hits skip IR generation entirely).
   double runtime_call_fraction = 0;
 
-  /// Machine-code variants, keyed by the exact constant vector each embeds.
-  /// Bounded: publishing an unseen variant when full evicts the
-  /// least-recently-used one. The bytecode slot above needs no such map —
-  /// one program patch-shares across all literal variants.
+  /// Machine-code variants, keyed by the exact constant vector each embeds,
+  /// so queries alternating between a few parameter values don't evict
+  /// each other's compilations. The bytecode slot above needs no such
+  /// list: one program patch-shares across all literal variants.
   static constexpr size_t kMaxCodeVariants = 4;
-  std::vector<CodeVariant> code_variants;
-  uint64_t variant_clock = 0;  ///< bumped on every variant touch
+  VariantList<std::vector<uint64_t>, CodeVariant, kMaxCodeVariants>
+      code_variants;
 
-  /// Linear scan (the map is tiny and the entry mutex is already held).
-  CodeVariant* FindVariant(const std::vector<uint64_t>& constants) {
-    for (CodeVariant& v : code_variants) {
-      if (v.constants == constants) return &v;
-    }
-    return nullptr;
-  }
-
-  /// One cached scan-pruning decision (src/index/access_path.h). Keyed by
-  /// the pipeline's constant slice *plus* an auxiliary hash over the run's
-  /// string literals and predicate bitmaps: bytecode patch-shares across
-  /// literal variants and LIKE patterns are not constants at all, so the
-  /// constants alone under-key the pruning outcome (two runs sharing this
-  /// artifact may select very different rows).
-  struct PruningVariant {
-    std::vector<uint64_t> constants;
-    uint64_t aux_hash = 0;
-    std::shared_ptr<const ScanDomain> domain;  ///< null = full scan decided
-    PruningStats stats;
-    uint64_t last_use = 0;  ///< pruning_clock at last touch
-  };
+  /// Scan-pruning decisions, keyed by the constants *and* the pruning key:
+  /// bytecode patch-shares across literal variants, and LIKE patterns and
+  /// predicate bitmaps are not constants at all, so two runs sharing this
+  /// artifact may select very different rows.
   static constexpr size_t kMaxPruningVariants = 4;
-  std::vector<PruningVariant> pruning_variants;
-  uint64_t pruning_clock = 0;
-
-  PruningVariant* FindPruning(const std::vector<uint64_t>& constants,
-                              uint64_t aux_hash) {
-    for (PruningVariant& v : pruning_variants) {
-      if (v.aux_hash == aux_hash && v.constants == constants) return &v;
-    }
-    return nullptr;
-  }
-
-  ExecMode best_mode = ExecMode::kBytecode;  ///< best mode ever reached
+  VariantList<std::pair<std::vector<uint64_t>, uint64_t>, PruningDecision,
+              kMaxPruningVariants>
+      pruning_variants;
 };
 
 /// One cached plan's artifacts. Entries are handed out as shared_ptr:
@@ -147,6 +176,40 @@ struct CacheEntry {
 
   std::mutex mu;  ///< guards `pipelines`
   std::vector<PipelineArtifact> pipelines;
+
+  /// Every pipeline has bytecode or machine code resident.
+  bool FullyCached();
+};
+
+/// What one run of a pipeline asks of its plan's entry.
+struct ArtifactRequest {
+  size_t pipeline = 0;
+  /// The pipeline's slice of the fingerprint constants: machine code and
+  /// pruning decisions are kept per exact vector, bytecode is patched to it.
+  std::vector<uint64_t> constants;
+  uint64_t pruning_key = 0;  ///< PlanFingerprint::pruning_key
+  /// Picks what is looked up: bytecode for kBytecode and kAdaptive,
+  /// machine code in the modes the strategy runs.
+  ExecutionStrategy strategy = ExecutionStrategy::kAdaptive;
+  VmDispatch dispatch = VmDispatch::kDefault;  ///< the run's VM dispatch
+  bool pruning = false;  ///< the run decides scan pruning
+};
+
+/// What ArtifactCache::Lookup found: only what the run will use.
+struct CachedArtifacts {
+  /// The program to run, or null when the run must translate: the cache's
+  /// own program on an exact-constant hit (`bytecode_shared`, unless the
+  /// dispatch differs), else a private clone with the run's constants.
+  std::shared_ptr<const BcProgram> bytecode;
+  bool bytecode_shared = false;
+  /// Some bytecode is resident, so a fresh translation would not be kept.
+  bool bytecode_resident = false;
+  /// Code for the run's constants in the best mode its strategy runs.
+  std::shared_ptr<CachedCode> seed_code;
+  ExecMode seed_mode = ExecMode::kBytecode;
+  uint64_t instructions = 0;  ///< 0 until a publish recorded it
+  double runtime_call_fraction = 0;
+  std::optional<PruningDecision> pruning;  ///< when asked for and resident
 };
 
 /// Concurrent plan-fingerprint → artifact map: sharded locks, per-shard LRU
@@ -161,22 +224,50 @@ class ArtifactCache {
 
   /// Returns the entry for `key`, creating it (with `num_pipelines` empty
   /// artifact slots) when it is not resident; `*created` says which. Counts
-  /// an entry hit or miss and bumps the entry's LRU position.
+  /// an entry hit or miss and bumps the entry's LRU position. Returns null
+  /// when the resident entry belongs to another plan (a 64-bit key
+  /// collision: its name or pipeline count differs); such a run goes
+  /// uncached.
   std::shared_ptr<CacheEntry> Intern(uint64_t key, size_t num_pipelines,
                                      const std::string& plan_name,
                                      bool* created);
+
+  // One pipeline run's traffic: a Lookup when the pipeline starts, then
+  // at most one publish of each kind. Each call takes the entry's lock
+  // once; none translates, compiles or analyzes under it.
+
+  /// What `entry` holds for `request`, counting a bytecode hit (exact or
+  /// patched) or miss when the strategy runs bytecode, and a code hit when
+  /// machine code is seeded. Touches the code and pruning variants used.
+  CachedArtifacts Lookup(CacheEntry& entry, const ArtifactRequest& request);
+
+  /// Stores a fresh translation of the request's pipeline, made with the
+  /// request's constants, and its patch table — unless bytecode is already
+  /// resident. Returns whether it was stored (and counted as a publish).
+  bool PublishBytecode(CacheEntry& entry, const ArtifactRequest& request,
+                       std::shared_ptr<const BcProgram> program,
+                       ConstantPatchTable patch, uint64_t instructions,
+                       double runtime_call_fraction);
+
+  /// Stores machine code compiled in `mode` for the request's constants,
+  /// evicting the least recently used code variant when the pipeline has
+  /// kMaxCodeVariants others. Counted as a publish.
+  void PublishCode(CacheEntry& entry, const ArtifactRequest& request,
+                   ExecMode mode, std::shared_ptr<CachedCode> code,
+                   uint64_t instructions, double runtime_call_fraction);
+
+  /// Stores the scan-pruning decision for the request's constants and
+  /// pruning key unless one is resident, evicting the least recently used
+  /// when the pipeline has kMaxPruningVariants others. Decisions are small
+  /// and neither charged to the byte budget nor counted as publishes.
+  void PublishPruning(CacheEntry& entry, const ArtifactRequest& request,
+                      PruningDecision decision);
 
   /// Lookup without creating; nullptr on miss. Does not touch counters
   /// (introspection / tests).
   std::shared_ptr<CacheEntry> Peek(uint64_t key) const;
 
-  /// Records that artifacts worth `delta` bytes were added to (or, negative,
-  /// replaced in) `entry`, then enforces the byte budget by evicting
-  /// least-recently-used entries (the most recent entry is never evicted).
-  void OnBytesChanged(const CacheEntry& entry, int64_t delta);
-
   void set_byte_budget(uint64_t bytes);
-  uint64_t byte_budget() const { return byte_budget_.load(); }
 
   /// Evicts every entry (ops flush / deterministic eviction in tests).
   /// In-flight queries keep their entries alive via shared ownership.
@@ -188,15 +279,6 @@ class ArtifactCache {
   /// cached). Benches call this between a cold and a warm phase so warm
   /// hit/miss numbers aren't polluted by cold-phase traffic.
   void ResetStats();
-
-  // Pipeline-granular counters (bumped by the engine integration).
-  void CountBytecodeHit(bool patched) {
-    patched ? ++patched_hits_ : ++bytecode_hits_;
-  }
-  void CountBytecodeMiss() { ++bytecode_misses_; }
-  void CountCodeHit() { ++code_hits_; }
-  void CountPublish() { ++publishes_; }
-  void CountCostFeedback() { ++cost_feedback_updates_; }
 
  private:
   /// A resident entry's cache-side bookkeeping, all under the shard lock
@@ -214,6 +296,11 @@ class ArtifactCache {
     uint64_t bytes = 0;
   };
 
+  /// Records that artifacts worth `delta` bytes were added to (or, negative,
+  /// replaced in) `entry`, then enforces the byte budget by evicting
+  /// least-recently-used entries (the most recent entry is never evicted).
+  void OnBytesChanged(const CacheEntry& entry, int64_t delta);
+
   Shard& ShardFor(uint64_t key) { return shards_[key % kNumShards]; }
   const Shard& ShardFor(uint64_t key) const { return shards_[key % kNumShards]; }
   void EvictOverBudgetLocked(Shard* shard);
@@ -225,8 +312,12 @@ class ArtifactCache {
   std::atomic<uint64_t> bytecode_hits_{0}, patched_hits_{0};
   std::atomic<uint64_t> bytecode_misses_{0}, code_hits_{0};
   std::atomic<uint64_t> publishes_{0}, evictions_{0};
-  std::atomic<uint64_t> cost_feedback_updates_{0};
 };
+
+/// `bc` when its resolved dispatch already matches `want`, else a clone
+/// running `want` — cached programs are immutable while queries run them.
+std::shared_ptr<const BcProgram> ProgramForDispatch(
+    std::shared_ptr<const BcProgram> bc, VmDispatch want);
 
 /// Approximate resident footprint of a translated program.
 uint64_t BcProgramBytes(const BcProgram& program);

@@ -19,12 +19,14 @@ class HashStream {
     }
   }
   void I64(int64_t v) { U64(static_cast<uint64_t>(v)); }
-  void Str(const std::string& s) {
-    U64(s.size());
-    for (char c : s) {
-      hash_ = (hash_ ^ static_cast<uint8_t>(c)) * 0x100000001B3ULL;
+  void Bytes(const void* data, size_t n) {
+    U64(n);
+    const auto* bytes = static_cast<const uint8_t*>(data);
+    for (size_t i = 0; i < n; ++i) {
+      hash_ = (hash_ ^ bytes[i]) * 0x100000001B3ULL;
     }
   }
+  void Str(const std::string& s) { Bytes(s.data(), s.size()); }
   uint64_t digest() const {
     // splitmix64 finalizer: diffuses the low-entropy FNV state.
     uint64_t z = hash_ + 0x9E3779B97F4A7C15ULL;
@@ -297,7 +299,6 @@ bool StructurallyEqual(const BcProgram& a, const BcProgram& b) {
 
 PlanFingerprint FingerprintProgram(const QueryProgram& program) {
   PlanFingerprint fp;
-  fp.plan_name = program.name();
   FingerprintBuilder builder(program);
   HashStream& h = builder.hash;
 
@@ -343,9 +344,12 @@ PlanFingerprint FingerprintProgram(const QueryProgram& program) {
   fp.structural_hash = h.digest();
   fp.constants = std::move(builder.constants);
   fp.string_literals = std::move(builder.string_literals);
-  HashStream ch;
-  for (uint64_t c : fp.constants) ch.U64(c);
-  fp.constants_hash = ch.digest();
+  HashStream ph;
+  for (const std::string& s : fp.string_literals) ph.Str(s);
+  for (const auto& bitmap : program.bitmaps()) {
+    ph.Bytes(bitmap->data(), bitmap->size());
+  }
+  fp.pruning_key = ph.digest();
   return fp;
 }
 
@@ -355,7 +359,9 @@ uint64_t ArtifactCacheKey(const PlanFingerprint& fingerprint,
   h.U64(fingerprint.structural_hash);
   h.U64(static_cast<uint64_t>(options.strategy));
   h.U64(static_cast<uint64_t>(options.window_size));
-  h.U64((options.fuse_imm_cmp_branches ? 4 : 0) |
+  h.U64((options.fuse_branch_chains ? 16 : 0) |
+        (options.fuse_load_cmp_branches ? 8 : 0) |
+        (options.fuse_imm_cmp_branches ? 4 : 0) |
         (options.fuse_macro_ops ? 2 : 0) | (options.fuse_cmp_branches ? 1 : 0));
   return h.digest();
 }
@@ -455,6 +461,32 @@ ConstantPatchTable BuildConstantPatchTable(
   }
   table.patchable = true;
   return table;
+}
+
+std::shared_ptr<BcProgram> ApplyConstantPatch(
+    const BcProgram& program, const std::vector<uint32_t>& pool_indices,
+    const std::vector<uint64_t>& baseline,
+    const std::vector<uint64_t>& constants) {
+  for (size_t k = 0; k < constants.size(); ++k) {
+    if (pool_indices[k] == ConstantPatchTable::kPinned &&
+        constants[k] != baseline[k]) {
+      return nullptr;
+    }
+  }
+  auto patched = std::make_shared<BcProgram>(program);
+  for (size_t k = 0; k < constants.size(); ++k) {
+    const uint32_t slot = pool_indices[k];
+    if (slot == ConstantPatchTable::kPinned) continue;
+    if (slot & ConstantPatchTable::kLiteralPoolBit) {
+      // Immediate-operand superinstruction: the constant lives in the
+      // literal pool, not in a register-file slot.
+      patched->literal_pool[slot & ~ConstantPatchTable::kLiteralPoolBit] =
+          constants[k];
+    } else {
+      patched->constant_pool[slot].value = constants[k];
+    }
+  }
+  return patched;
 }
 
 }  // namespace aqe

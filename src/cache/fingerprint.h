@@ -2,6 +2,7 @@
 #define AQE_CACHE_FINGERPRINT_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -29,24 +30,25 @@ struct PlanFingerprint {
   uint64_t structural_hash = 0;
   /// Expression constants, traversal order (f64 bit-cast), steps' last.
   std::vector<uint64_t> constants;
-  /// Hash of `constants` (fast pre-filter; equality is decided on vectors).
-  uint64_t constants_hash = 0;
   /// Per-pipeline [begin, end) slice into `constants`.
   std::vector<std::pair<uint32_t, uint32_t>> pipeline_constants;
   /// LIKE patterns (kLike expressions), traversal order — extracted as
   /// literals exactly like numeric constants, but they need no patch slots:
   /// the matcher object reaches the worker through the binding array, so
   /// plans differing only in patterns share bytecode *and* machine code
-  /// as-is. Recorded for introspection and tests.
+  /// as-is. They feed `pruning_key`.
   std::vector<std::string> string_literals;
-  std::string plan_name;
+  /// Hash of the string literals and of each predicate bitmap's contents:
+  /// what, besides the constants, decides the rows scan pruning selects.
+  /// Artifacts are shared across runs that differ in exactly these.
+  uint64_t pruning_key = 0;
 };
 
 PlanFingerprint FingerprintProgram(const QueryProgram& program);
 
-/// Folds the translator options that shape bytecode into a cache key: two
-/// runs may only share artifacts when they agree on fusion flags and the
-/// register-allocation strategy.
+/// Folds the translator options, every one of which shapes bytecode, into a
+/// cache key: two runs may only share artifacts when they agree on all of
+/// them.
 uint64_t ArtifactCacheKey(const PlanFingerprint& fingerprint,
                           const TranslatorOptions& options);
 
@@ -85,6 +87,15 @@ ConstantPatchTable BuildConstantPatchTable(
     const PipelineBindings& bindings, const RuntimeRegistry& registry,
     const TranslatorOptions& translator_options,
     const std::vector<uint64_t>& constants, uint32_t begin, uint32_t end);
+
+/// Applies a patch table (`pool_indices`, ConstantPatchTable) to `program`,
+/// which was translated with the constants `baseline`: a clone carrying
+/// `constants` in every slot, or null when a pinned constant differs from
+/// the baseline's (it has no private slot to patch).
+std::shared_ptr<BcProgram> ApplyConstantPatch(
+    const BcProgram& program, const std::vector<uint32_t>& pool_indices,
+    const std::vector<uint64_t>& baseline,
+    const std::vector<uint64_t>& constants);
 
 }  // namespace aqe
 

@@ -7,7 +7,6 @@
 #include <mutex>
 #include <optional>
 
-#include "adaptive/calibrate.h"
 #include "cache/fingerprint.h"
 #include "codegen/query_compiler.h"
 #include "common/status.h"
@@ -251,11 +250,6 @@ struct QueryEngine::Impl {
   // record events until the scheduler's workers join.
   EngineObs obs;
 
-  // Micro-calibrated cost-model speedups (AQE_CALIBRATE), substituted for
-  // QueryRunOptions that leave the cost model at its defaults.
-  CostModelParams calibrated;
-  bool use_calibrated = false;
-
   // Admission layer: at most `max_active` queries execute concurrently;
   // excess queries wait in one FIFO queue per class and are released
   // weighted-fair as running queries finish, so a burst cannot pile
@@ -307,12 +301,7 @@ struct QueryEngine::Impl {
       : catalog(catalog),
         catalog_footprint(MeasureCatalog(*catalog)),
         max_active(std::max(2, 2 * num_threads)),
-        sched(std::min(std::max(1, num_threads), TaskScheduler::kMaxWorkers)) {
-    if (CostModelCalibrationRequested()) {
-      calibrated = CalibratedCostModelParams();
-      use_calibrated = true;
-    }
-  }
+        sched(std::min(std::max(1, num_threads), TaskScheduler::kMaxWorkers)) {}
 
   Impl(const Catalog* catalog, const QueryEngineOptions& options)
       : Impl(catalog, options.num_threads) {
@@ -443,105 +432,6 @@ struct QueryEngine::Impl {
 
 namespace {
 
-/// Low-priority task that writes a freshly compiled worker back into the
-/// plan's cache entry (the ISSUE's "cache publish as a task": publishing is
-/// off the query's critical path, claimable by any worker). The entry and
-/// code are held by shared_ptr, so a publish racing engine shutdown or LRU
-/// eviction touches only live memory.
-class CachePublishTask : public Task {
- public:
-  CachePublishTask(ArtifactCache* cache, std::shared_ptr<CacheEntry> entry,
-                   size_t pipeline, ExecMode mode,
-                   std::shared_ptr<CachedCode> code,
-                   std::vector<uint64_t> constants, uint64_t instructions,
-                   double runtime_call_fraction, EngineTracer* tracer,
-                   uint32_t query_id)
-      : cache_(cache),
-        entry_(std::move(entry)),
-        pipeline_(pipeline),
-        mode_(mode),
-        code_(std::move(code)),
-        constants_(std::move(constants)),
-        instructions_(instructions),
-        runtime_call_fraction_(runtime_call_fraction),
-        tracer_(tracer),
-        query_id_(query_id) {}
-
-  Status Run(int worker) override {
-    int64_t delta = 0;
-    {
-      std::lock_guard<std::mutex> lock(entry_->mu);
-      PipelineArtifact& a = entry_->pipelines[pipeline_];
-      CodeVariant* v = a.FindVariant(constants_);
-      if (v == nullptr) {
-        if (a.code_variants.size() < PipelineArtifact::kMaxCodeVariants) {
-          v = &a.code_variants.emplace_back();
-        } else {
-          // Evict the least-recently-used variant's code and reuse its slot.
-          v = &*std::min_element(
-              a.code_variants.begin(), a.code_variants.end(),
-              [](const CodeVariant& x, const CodeVariant& y) {
-                return x.last_use < y.last_use;
-              });
-          if (v->unopt != nullptr) {
-            delta -= static_cast<int64_t>(v->unopt->code_bytes);
-          }
-          if (v->opt != nullptr) {
-            delta -= static_cast<int64_t>(v->opt->code_bytes);
-          }
-          *v = CodeVariant{};
-        }
-        v->constants = constants_;
-      }
-      v->last_use = ++a.variant_clock;
-      std::shared_ptr<CachedCode>& slot =
-          mode_ == ExecMode::kOptimized ? v->opt : v->unopt;
-      if (slot != nullptr) delta -= static_cast<int64_t>(slot->code_bytes);
-      delta += static_cast<int64_t>(code_->code_bytes);
-      slot = std::move(code_);
-      if (a.instructions == 0) a.instructions = instructions_;
-      if (a.runtime_call_fraction == 0) {
-        a.runtime_call_fraction = runtime_call_fraction_;
-      }
-      a.best_mode = std::max(a.best_mode, mode_);
-    }
-    cache_->OnBytesChanged(*entry_, delta);
-    cache_->CountPublish();
-    TraceEvent ev;
-    ev.start_nanos = MonotonicNanos();
-    ev.end_nanos = ev.start_nanos;
-    ev.payload = 1;  // machine code (bytecode publishes happen inline)
-    ev.query_id = query_id_;
-    ev.pipeline_id = static_cast<uint16_t>(pipeline_);
-    ev.kind = TraceEventKind::kCachePublish;
-    ev.detail = static_cast<uint8_t>(mode_);
-    tracer_->Record(worker, ev);
-    return Status::kDone;
-  }
-
- private:
-  ArtifactCache* cache_;
-  std::shared_ptr<CacheEntry> entry_;
-  size_t pipeline_;
-  ExecMode mode_;
-  std::shared_ptr<CachedCode> code_;
-  std::vector<uint64_t> constants_;
-  uint64_t instructions_;
-  double runtime_call_fraction_;
-  EngineTracer* tracer_;
-  uint32_t query_id_;
-};
-
-/// Shares `bc` when its resolved dispatch already matches `want`, clones
-/// otherwise — cached programs are immutable while queries execute them.
-std::shared_ptr<const BcProgram> ProgramForDispatch(
-    std::shared_ptr<const BcProgram> bc, VmDispatch want) {
-  if (VmResolveDispatch(want) == VmResolveDispatch(bc->dispatch)) return bc;
-  auto copy = std::make_shared<BcProgram>(*bc);
-  copy->dispatch = want;
-  return copy;
-}
-
 /// One query in flight: a task that executes one bounded slice at a time —
 /// an engine step, a pipeline-setup (bind + cache lookup + translation), or
 /// one controller morsel of the embedded resumable PipelineRun — and yields
@@ -552,8 +442,7 @@ std::shared_ptr<const BcProgram> ProgramForDispatch(
 class QueryJob : public Task {
  public:
   QueryJob(const Catalog* catalog, TaskScheduler* sched, ArtifactCache* cache,
-           const CostModelParams* calibrated, EngineObs* obs,
-           uint32_t query_id, const QueryProgram& program,
+           EngineObs* obs, uint32_t query_id, const QueryProgram& program,
            const QueryRunOptions& options, std::function<void()> on_finished)
       : sched_(sched),
         cache_(cache),
@@ -567,11 +456,6 @@ class QueryJob : public Task {
         memory_(std::make_shared<QueryMemoryTracker>()),
         ctx_(program.MakeContext(catalog, memory_.get())),
         on_finished_(std::move(on_finished)) {
-    // Cost-model micro-calibration (AQE_CALIBRATE): substitute measured
-    // speedups when the caller left the cost model at its defaults.
-    if (calibrated != nullptr && options_.cost_model == CostModelParams{}) {
-      options_.cost_model = *calibrated;
-    }
     result_.query_id = query_id;
     result_.plan_name = program.name();
     bool created_entry = false;
@@ -583,33 +467,6 @@ class QueryJob : public Task {
       entry_ = cache_->Intern(
           ArtifactCacheKey(fingerprint_, options_.translator),
           program.pipelines().size(), program.name(), &created_entry);
-      // A 64-bit key collision between different plans would alias their
-      // artifacts; name/shape mismatch downgrades to uncached execution.
-      if (entry_->pipelines.size() != program.pipelines().size() ||
-          entry_->plan_name != program.name()) {
-        entry_.reset();
-      }
-      if (entry_ != nullptr) {
-        // Auxiliary pruning-cache key: the fingerprint's constants alone
-        // under-key a pruning decision — bytecode patch-shares across
-        // literal variants, and LIKE patterns / predicate bitmaps are not
-        // constants at all. Hash the run's string literals and bitmap
-        // *contents* so each distinct predicate gets its own cached domain.
-        uint64_t h = 1469598103934665603ull;
-        const auto mix = [&h](const uint8_t* bytes, size_t n, uint8_t sep) {
-          for (size_t i = 0; i < n; ++i) {
-            h = (h ^ bytes[i]) * 1099511628211ull;
-          }
-          h = (h ^ sep) * 1099511628211ull;
-        };
-        for (const std::string& s : fingerprint_.string_literals) {
-          mix(reinterpret_cast<const uint8_t*>(s.data()), s.size(), 0xff);
-        }
-        for (const auto& bitmap : program.bitmaps()) {
-          mix(bitmap->data(), bitmap->size(), 0xfe);
-        }
-        pruning_aux_hash_ = h;
-      }
     }
     EstimateCost(created_entry);
   }
@@ -677,11 +534,10 @@ class QueryJob : public Task {
   struct ActivePipeline {
     ActivePipeline(WorkerFn fn, const void* extra) : handle(fn, extra) {}
 
-    size_t p = 0;  ///< pipeline index
+    ArtifactRequest request;  ///< what the run asks of the plan's entry
     PipelineReport report;
     PipelineBindings bindings;
     std::vector<uint64_t> binding_values;
-    std::vector<uint64_t> my_constants;
     std::shared_ptr<const BcProgram> bytecode;
     std::shared_ptr<CachedCode> seed_code;  ///< eviction-safe seeded code
     FunctionHandle handle;
@@ -829,7 +685,6 @@ class QueryJob : public Task {
   std::shared_ptr<QueryMemoryTracker> memory_;
   std::unique_ptr<QueryContext> ctx_;
   PlanFingerprint fingerprint_;
-  uint64_t pruning_aux_hash_ = 0;  ///< literals + bitmap contents (pruning key)
   std::shared_ptr<CacheEntry> entry_;  ///< null when the cache is bypassed
   /// Submit re-created the entry of a plan that has a record: evicted.
   bool evicted_ = false;
@@ -879,14 +734,7 @@ void QueryJob::EstimateCost(bool created_entry) {
   constexpr double kColdCostMs = 10.0;
   estimated_cost_ms_ = kColdCostMs;
   if (entry_ == nullptr) return;
-  {
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    fully_cached_ = std::all_of(
-        entry_->pipelines.begin(), entry_->pipelines.end(),
-        [](const PipelineArtifact& a) {
-          return a.bytecode != nullptr || !a.code_variants.empty();
-        });
-  }
+  fully_cached_ = entry_->FullyCached();
   if (const std::optional<PlanStats> stats =
           obs_->sentinel.Lookup(entry_->key)) {
     estimated_cost_ms_ = std::max(0.05, stats->ewma_ms);
@@ -901,7 +749,6 @@ void QueryJob::EstimateCost(bool created_entry) {
 /// lane) when it deviates from the record.
 void QueryJob::RecordServiceTime(int worker) {
   if (entry_ == nullptr) return;
-  cache_->CountCostFeedback();
 
   RegressionTracker::Observation sample;
   sample.fingerprint = entry_->key;
@@ -1119,104 +966,36 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   const bool needs_bytecode =
       options.strategy == ExecutionStrategy::kBytecode ||
       options.strategy == ExecutionStrategy::kAdaptive;
+  const Table* source = program_->ResolveTable(spec.source_table, *ctx_);
+  const bool prunes = options.scan_pruning && source != nullptr &&
+                      source->indexes() != nullptr;
 
-  // --- artifact-cache lookup ----------------------------------------------
-  // Snapshot this pipeline's artifacts under the entry lock; shared_ptrs
-  // keep everything alive regardless of concurrent publishes or eviction.
-  PipelineArtifact snap;
-  std::shared_ptr<CachedCode> snap_unopt, snap_opt;
-  std::vector<uint64_t> my_constants;
+  // --- artifact-cache lookup: what it returns stays alive by shared_ptr ---
+  ArtifactRequest request;
+  CachedArtifacts cached;
   if (entry_ != nullptr) {
     const auto [cb, ce] = fingerprint_.pipeline_constants[p];
-    my_constants.assign(fingerprint_.constants.begin() + cb,
-                        fingerprint_.constants.begin() + ce);
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    PipelineArtifact& a = entry_->pipelines[p];
-    snap.bytecode = a.bytecode;
-    snap.bytecode_constants = a.bytecode_constants;
-    snap.patchable = a.patchable;
-    snap.patch_slots = a.patch_slots;
-    snap.instructions = a.instructions;
-    snap.runtime_call_fraction = a.runtime_call_fraction;
-    if (CodeVariant* v = a.FindVariant(my_constants); v != nullptr) {
-      v->last_use = ++a.variant_clock;
-      snap_unopt = v->unopt;
-      snap_opt = v->opt;
-    }
+    request.pipeline = p;
+    request.constants.assign(fingerprint_.constants.begin() + cb,
+                             fingerprint_.constants.begin() + ce);
+    request.pruning_key = fingerprint_.pruning_key;
+    request.strategy = options.strategy;
+    request.dispatch = options.vm_dispatch;
+    request.pruning = prunes;
+    cached = cache_->Lookup(*entry_, request);
   }
-  // Bytecode: exact-constant hits share the cached program, literal-only
-  // variants clone it and patch the constant pool.
-  std::shared_ptr<const BcProgram> bytecode;
-  if (needs_bytecode && snap.bytecode != nullptr) {
-    if (snap.bytecode_constants == my_constants) {
-      bytecode = ProgramForDispatch(snap.bytecode, options.vm_dispatch);
-      cache_->CountBytecodeHit(/*patched=*/false);
-      cache_instant(TraceEventKind::kCacheHit, /*payload=*/0);
-    } else if (snap.patchable) {
-      // Pinned constants (0/1, interned duplicates) have no private pool
-      // slot; the variant must agree on them to patch-share.
-      bool pins_match = true;
-      for (size_t k = 0; k < my_constants.size(); ++k) {
-        if (snap.patch_slots[k] == ConstantPatchTable::kPinned &&
-            my_constants[k] != snap.bytecode_constants[k]) {
-          pins_match = false;
-          break;
-        }
-      }
-      if (pins_match) {
-        auto patched = std::make_shared<BcProgram>(*snap.bytecode);
-        for (size_t k = 0; k < my_constants.size(); ++k) {
-          const uint32_t slot = snap.patch_slots[k];
-          if (slot == ConstantPatchTable::kPinned) continue;
-          if (slot & ConstantPatchTable::kLiteralPoolBit) {
-            // Immediate-operand superinstruction: the constant lives in the
-            // literal pool, not in a register-file slot.
-            patched->literal_pool[slot & ~ConstantPatchTable::kLiteralPoolBit] =
-                my_constants[k];
-          } else {
-            patched->constant_pool[slot].value = my_constants[k];
-          }
-        }
-        patched->dispatch = options.vm_dispatch;
-        bytecode = std::move(patched);
-        cache_->CountBytecodeHit(/*patched=*/true);
-        cache_instant(TraceEventKind::kCacheHit, /*payload=*/0);
-      }
-    }
-  }
-  if (bytecode != nullptr) report.artifact_cache_hit = true;
-
-  // Machine code is only reusable for the exact literals it embeds; the
-  // snapshot above already picked the variant matching my_constants.
-  std::shared_ptr<CachedCode> seed_code;
-  ExecMode seed_mode = ExecMode::kBytecode;
-  if (options.strategy == ExecutionStrategy::kAdaptive) {
-    // Start straight in the best mode this plan ever reached.
-    if (snap_opt != nullptr) {
-      seed_code = snap_opt;
-      seed_mode = ExecMode::kOptimized;
-    } else if (snap_unopt != nullptr) {
-      seed_code = snap_unopt;
-      seed_mode = ExecMode::kUnoptimized;
-    }
-  } else if (options.strategy == ExecutionStrategy::kUnoptimized &&
-             snap_unopt != nullptr) {
-    seed_code = snap_unopt;
-    seed_mode = ExecMode::kUnoptimized;
-  } else if (options.strategy == ExecutionStrategy::kOptimized &&
-             snap_opt != nullptr) {
-    seed_code = snap_opt;
-    seed_mode = ExecMode::kOptimized;
+  std::shared_ptr<const BcProgram> bytecode = cached.bytecode;
+  if (bytecode != nullptr) {
+    report.artifact_cache_hit = true;
+    cache_instant(TraceEventKind::kCacheHit, /*payload=*/0);
   }
 
   // --- code generation / translation (cache misses only) ------------------
-  uint64_t instructions = snap.instructions;
-  double call_fraction = snap.runtime_call_fraction;
+  uint64_t instructions = cached.instructions;
+  double call_fraction = cached.runtime_call_fraction;
   GeneratedPipeline generated;  // .mod stays null when cached artifacts hit
   const bool need_translation = needs_bytecode && bytecode == nullptr;
-  const bool static_strategy_covered =
-      !needs_bytecode && seed_code != nullptr;
-  if (need_translation || (!needs_bytecode && !static_strategy_covered)) {
+  if (need_translation || (!needs_bytecode && cached.seed_code == nullptr)) {
     generated = GeneratePipeline(spec, bindings);
     instructions = generated.instructions;
     call_fraction = RuntimeCallFraction(
@@ -1236,44 +1015,20 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     result_.translate_millis_total += report.translate_millis;
 
     if (entry_ != nullptr) {
-      cache_->CountBytecodeMiss();
       cache_instant(TraceEventKind::kCacheMiss, /*payload=*/0);
-      // Skip the (codegen + translation sized) patch-table build when the
-      // publish below is bound to be discarded — e.g. a variant whose
-      // pinned constants mismatch re-translates every run, and must not
-      // also pay the sentinel pass every run. A benign race just wastes
-      // one patch-table build.
-      bool worth_publishing;
-      {
-        std::lock_guard<std::mutex> lock(entry_->mu);
-        worth_publishing = entry_->pipelines[p].bytecode == nullptr;
-      }
-      int64_t delta = 0;
-      if (worth_publishing) {
-        // Publish position-independently (dispatch stays kDefault) with
-        // the constant-patch table that lets literal variants reuse it.
+      // The patch table costs a codegen and a translation; skip it when
+      // resident bytecode would make the cache discard this program — e.g.
+      // a variant whose pinned constants mismatch re-translates every run,
+      // and must not also pay the sentinel pass every run.
+      if (!cached.bytecode_resident) {
         ConstantPatchTable patch = BuildConstantPatchTable(
             *fresh, spec, bindings, registry, options.translator,
             fingerprint_.constants, fingerprint_.pipeline_constants[p].first,
             fingerprint_.pipeline_constants[p].second);
-        std::lock_guard<std::mutex> lock(entry_->mu);
-        PipelineArtifact& a = entry_->pipelines[p];
-        if (a.bytecode == nullptr) {
-          a.bytecode = fresh;
-          a.bytecode_constants = my_constants;
-          a.patchable = patch.patchable;
-          a.patch_slots = std::move(patch.pool_indices);
-          if (a.instructions == 0) a.instructions = instructions;
-          if (a.runtime_call_fraction == 0) {
-            a.runtime_call_fraction = call_fraction;
-          }
-          delta = static_cast<int64_t>(BcProgramBytes(*fresh));
+        if (cache_->PublishBytecode(*entry_, request, fresh, std::move(patch),
+                                    instructions, call_fraction)) {
+          cache_instant(TraceEventKind::kCachePublish, /*payload=*/0);
         }
-      }
-      if (delta != 0) {
-        cache_->OnBytesChanged(*entry_, delta);
-        cache_->CountPublish();
-        cache_instant(TraceEventKind::kCachePublish, /*payload=*/0);
       }
     }
     bytecode = ProgramForDispatch(std::move(fresh), options.vm_dispatch);
@@ -1283,113 +1038,76 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   }
 
   // --- scan pruning: the index access-path decision (src/index/) ----------
-  // Runs against the *source table's* immutable indexes; the resulting
-  // domain restricts which morsels the PipelineRun ever schedules. The
-  // decision is cached per (fingerprint, constants, literals/bitmaps hash)
-  // in the pipeline's artifact, so warm runs skip the analysis entirely.
+  // The resulting domain restricts which morsels the PipelineRun ever
+  // schedules. The decision is cached per constants and pruning key, so
+  // warm runs skip the analysis entirely.
   std::shared_ptr<const ScanDomain> scan_domain;
-  if (options.scan_pruning) {
-    const Table* source = program_->ResolveTable(spec.source_table, *ctx_);
-    if (source != nullptr && source->indexes() != nullptr) {
-      bool reused = false;
+  if (prunes) {
+    const bool reused = cached.pruning.has_value();
+    if (reused) {
+      scan_domain = cached.pruning->domain;
+      report.pruning = cached.pruning->stats;
+      report.pruning.analysis_seconds = 0;  // no analysis this run
+      report.pruning_cache_hit = true;
+    } else {
+      ScanPruning pruning = AnalyzeScanPruning(spec, *source);
+      report.pruning = pruning.stats;
+      scan_domain = std::move(pruning.domain);
       if (entry_ != nullptr) {
-        std::lock_guard<std::mutex> lock(entry_->mu);
-        PipelineArtifact& a = entry_->pipelines[p];
-        if (PipelineArtifact::PruningVariant* v =
-                a.FindPruning(my_constants, pruning_aux_hash_);
-            v != nullptr) {
-          v->last_use = ++a.pruning_clock;
-          scan_domain = v->domain;
-          report.pruning = v->stats;
-          report.pruning.analysis_seconds = 0;  // no analysis this run
-          report.pruning_cache_hit = true;
-          reused = true;
-        }
+        cache_->PublishPruning(*entry_, request, {scan_domain, report.pruning});
       }
-      if (!reused) {
-        ScanPruning pruning = AnalyzeScanPruning(spec, *source);
-        report.pruning = pruning.stats;
-        scan_domain = std::move(pruning.domain);
-        if (entry_ != nullptr) {
-          std::lock_guard<std::mutex> lock(entry_->mu);
-          PipelineArtifact& a = entry_->pipelines[p];
-          if (a.FindPruning(my_constants, pruning_aux_hash_) == nullptr) {
-            if (a.pruning_variants.size() >=
-                PipelineArtifact::kMaxPruningVariants) {
-              size_t victim = 0;
-              for (size_t i = 1; i < a.pruning_variants.size(); ++i) {
-                if (a.pruning_variants[i].last_use <
-                    a.pruning_variants[victim].last_use) {
-                  victim = i;
-                }
-              }
-              a.pruning_variants.erase(a.pruning_variants.begin() +
-                                       static_cast<std::ptrdiff_t>(victim));
-            }
-            PipelineArtifact::PruningVariant v;
-            v.constants = my_constants;
-            v.aux_hash = pruning_aux_hash_;
-            v.domain = scan_domain;
-            v.stats = report.pruning;
-            v.last_use = ++a.pruning_clock;
-            a.pruning_variants.push_back(std::move(v));
-          }
-        }
+    }
+    if (report.pruning.analyzed) {
+      if (entry_ != nullptr) {
+        (reused ? obs_->prune_cache_hits : obs_->prune_cache_misses)->Add();
       }
-      if (report.pruning.analyzed) {
-        if (entry_ != nullptr) {
-          (reused ? obs_->prune_cache_hits : obs_->prune_cache_misses)->Add();
-        }
-        obs_->rows_selected->Add(report.pruning.selected_rows);
-        obs_->posting_entries->Add(report.pruning.posting_entries);
-        if (scan_domain != nullptr) {
-          obs_->pruned_pipelines->Add();
-          obs_->rows_pruned->Add(report.pruning.table_rows -
-                                 report.pruning.selected_rows);
-          obs_->zone_blocks_pruned->Add(report.pruning.zone_blocks_pruned);
-          // The scheduled-row count every downstream consumer reasons over
-          // (§III-C extrapolation, EXPLAIN ANALYZE).
-          report.tuples = report.pruning.selected_rows;
-        }
-        TraceEvent ev;
-        ev.start_nanos = MonotonicNanos();
-        ev.end_nanos = ev.start_nanos;
-        ev.payload = report.pruning.selected_rows;
-        ev.payload2 = report.pruning.table_rows;
-        ev.d0 = report.pruning.selected_fraction();
-        ev.d1 = report.pruning.analysis_seconds;
-        ev.d2 = static_cast<double>(report.pruning.posting_entries);
-        ev.query_id = query_id_;
-        ev.pipeline_id = static_cast<uint16_t>(p);
-        ev.kind = TraceEventKind::kScanPrune;
-        ev.detail = static_cast<uint8_t>(report.pruning.primary_path);
-        obs_->tracer.Record(worker, ev);
+      obs_->rows_selected->Add(report.pruning.selected_rows);
+      obs_->posting_entries->Add(report.pruning.posting_entries);
+      if (scan_domain != nullptr) {
+        obs_->pruned_pipelines->Add();
+        obs_->rows_pruned->Add(report.pruning.table_rows -
+                               report.pruning.selected_rows);
+        obs_->zone_blocks_pruned->Add(report.pruning.zone_blocks_pruned);
+        // The scheduled-row count every downstream consumer reasons over
+        // (§III-C extrapolation, EXPLAIN ANALYZE).
+        report.tuples = report.pruning.selected_rows;
       }
+      TraceEvent ev;
+      ev.start_nanos = MonotonicNanos();
+      ev.end_nanos = ev.start_nanos;
+      ev.payload = report.pruning.selected_rows;
+      ev.payload2 = report.pruning.table_rows;
+      ev.d0 = report.pruning.selected_fraction();
+      ev.d1 = report.pruning.analysis_seconds;
+      ev.d2 = static_cast<double>(report.pruning.posting_entries);
+      ev.query_id = query_id_;
+      ev.pipeline_id = static_cast<uint16_t>(p);
+      ev.kind = TraceEventKind::kScanPrune;
+      ev.detail = static_cast<uint8_t>(report.pruning.primary_path);
+      obs_->tracer.Record(worker, ev);
     }
   }
 
   auto ap = std::make_unique<ActivePipeline>(
       bytecode != nullptr ? &VmWorkerTrampoline : &NeverCalledWorker,
       static_cast<const void*>(bytecode.get()));
-  ap->p = p;
+  ap->request = std::move(request);
   ap->bindings = std::move(bindings);
   ap->binding_values = std::move(binding_values);
-  ap->my_constants = std::move(my_constants);
   ap->bytecode = std::move(bytecode);
   // Per-run allocations the context's trackers can't see: the packed
   // binding array and any private bytecode this run cloned (patched
   // constants, dispatch clone, fresh translation). A shared cache-resident
   // program is the cache's footprint, not this query's.
   uint64_t run_bytes = ap->binding_values.size() * sizeof(uint64_t);
-  if (ap->bytecode != nullptr && ap->bytecode.get() != snap.bytecode.get()) {
+  if (ap->bytecode != nullptr && !cached.bytecode_shared) {
     run_bytes += BcProgramBytes(*ap->bytecode);
   }
   memory_->Charge(run_bytes);
   active_charged_bytes_ = run_bytes;
-  if (seed_code != nullptr) {
-    ap->handle.SetCompiled(seed_code->fn, seed_mode);
-    ap->seed_code = std::move(seed_code);
-    cache_->CountCodeHit();
+  if (cached.seed_code != nullptr) {
+    ap->handle.SetCompiled(cached.seed_code->fn, cached.seed_mode);
+    ap->seed_code = std::move(cached.seed_code);
     cache_instant(TraceEventKind::kCacheHit, /*payload=*/1);
     report.artifact_cache_hit = true;
   }
@@ -1436,15 +1154,30 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
       keepalive_.push_back(code);
     }
     if (entry_ != nullptr) {
-      // Write-back happens off the critical path, as a low-priority task.
-      sched_->Submit(std::make_unique<CachePublishTask>(
-                         cache_, entry_, raw_ap->p, mode, std::move(code),
-                         raw_ap->my_constants, fresh.instructions,
-                         RuntimeCallFraction(fresh.loop_instructions,
-                                             fresh.loop_calls,
-                                             options_.cost_model),
-                         &obs_->tracer, query_id_),
-                     TaskPriority::kLow);
+      // The publish runs off the critical path, as a low-priority task. It
+      // holds the entry and code by shared_ptr, so a publish racing engine
+      // shutdown or LRU eviction touches only live memory.
+      const double call_fraction = RuntimeCallFraction(
+          fresh.loop_instructions, fresh.loop_calls, options_.cost_model);
+      sched_->Submit(
+          MakeClosureTask([cache = cache_, entry = entry_,
+                           request = raw_ap->request, mode, code,
+                           instructions = fresh.instructions, call_fraction,
+                           tracer = &obs_->tracer,
+                           query_id = query_id_](int worker) {
+            cache->PublishCode(*entry, request, mode, code, instructions,
+                               call_fraction);
+            TraceEvent ev;
+            ev.start_nanos = MonotonicNanos();
+            ev.end_nanos = ev.start_nanos;
+            ev.payload = 1;  // machine code (bytecode publishes happen inline)
+            ev.query_id = query_id;
+            ev.pipeline_id = static_cast<uint16_t>(request.pipeline);
+            ev.kind = TraceEventKind::kCachePublish;
+            ev.detail = static_cast<uint8_t>(mode);
+            tracer->Record(worker, ev);
+          }),
+          TaskPriority::kLow);
     }
     return fn;
   };
@@ -1475,11 +1208,6 @@ void QueryJob::FinishCompiledPipeline() {
     result_.compile_millis_total += seconds * 1e3;
   }
 
-  if (entry_ != nullptr) {
-    std::lock_guard<std::mutex> lock(entry_->mu);
-    PipelineArtifact& a = entry_->pipelines[ap.p];
-    a.best_mode = std::max(a.best_mode, stats.final_mode);
-  }
   result_.pipelines.push_back(std::move(report));
 }
 
@@ -1527,9 +1255,8 @@ std::future<QueryRunResult> QueryEngine::Submit(
       impl->obs.next_query_id.fetch_add(1, std::memory_order_relaxed);
   impl->obs.queries_submitted->Add();
   auto job = std::make_unique<QueryJob>(
-      impl->catalog, &impl->sched, &impl->cache,
-      impl->use_calibrated ? &impl->calibrated : nullptr, &impl->obs,
-      query_id, program, options, [impl] { impl->OnQueryFinished(); });
+      impl->catalog, &impl->sched, &impl->cache, &impl->obs, query_id,
+      program, options, [impl] { impl->OnQueryFinished(); });
   std::future<QueryRunResult> future = job->GetFuture();
   const double cost_ms = job->estimated_cost_ms();
   const bool cached = job->fully_cached();
@@ -1565,7 +1292,9 @@ std::future<QueryRunResult> QueryEngine::Submit(
 }
 
 ArtifactCacheStats QueryEngine::artifact_cache_stats() const {
-  return impl_->cache.stats();
+  ArtifactCacheStats stats = impl_->cache.stats();
+  stats.cost_feedback_updates = impl_->obs.sentinel.observed_runs();
+  return stats;
 }
 
 const ArtifactCache& QueryEngine::artifact_cache() const {
@@ -1618,7 +1347,7 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
   snap.counters.emplace_back("cache.publishes", cs.publishes);
   snap.counters.emplace_back("cache.evictions", cs.evictions);
   snap.counters.emplace_back("cache.cost_feedback_updates",
-                             cs.cost_feedback_updates);
+                             obs.sentinel.observed_runs());
   snap.gauges.emplace_back("cache.bytes", static_cast<int64_t>(cs.bytes));
   snap.gauges.emplace_back("cache.entries", static_cast<int64_t>(cs.entries));
 

@@ -70,6 +70,7 @@ PlanStats& RegressionTracker::TouchLocked(uint64_t fingerprint) {
 bool RegressionTracker::Observe(const Observation& obs,
                                 AnomalyRecord* anomaly) {
   std::lock_guard<std::mutex> lock(mu_);
+  ++observed_runs_;
   PlanStats& t = TouchLocked(obs.fingerprint);
 
   bool flagged = false;
@@ -163,6 +164,7 @@ void RegressionTracker::ResetAnomalies() {
   std::lock_guard<std::mutex> lock(mu_);
   recent_.clear();
   anomaly_count_ = 0;
+  observed_runs_ = 0;
 }
 
 }  // namespace aqe

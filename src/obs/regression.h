@@ -1,6 +1,7 @@
 #ifndef AQE_OBS_REGRESSION_H_
 #define AQE_OBS_REGRESSION_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <list>
@@ -113,12 +114,14 @@ class RegressionTracker {
 
   std::vector<AnomalyRecord> RecentAnomalies() const;
   uint64_t anomaly_count() const;
+  /// Completed runs folded in by Observe since the last ResetAnomalies.
+  uint64_t observed_runs() const { return observed_runs_.load(); }
 
   void set_deviation_factor(double factor);
 
-  /// Clears the anomaly ring and counter. Records persist: they describe
-  /// the workload, not a measurement phase (phase-delta hygiene resets
-  /// counters, not state).
+  /// Clears the anomaly ring and the anomaly and run counters. Records
+  /// persist: they describe the workload, not a measurement phase
+  /// (phase-delta hygiene resets counters, not state).
   void ResetAnomalies();
 
  private:
@@ -136,6 +139,7 @@ class RegressionTracker {
   std::list<uint64_t> lru_;  ///< keys, most recent first
   std::deque<AnomalyRecord> recent_;
   uint64_t anomaly_count_ = 0;
+  std::atomic<uint64_t> observed_runs_{0};
   double factor_;
 };
 

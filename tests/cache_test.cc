@@ -3,13 +3,13 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <functional>
 #include <mutex>
 #include <set>
 #include <string>
 #include <thread>
 
+#include "adaptive/calibrate.h"
 #include "cache/fingerprint.h"
 #include "common/timer.h"
 #include "engine/query_engine.h"
@@ -70,7 +70,7 @@ class CacheTest : public ::testing::Test {
         std::lock_guard<std::mutex> lock(entry->mu);
         for (size_t p = 0; p < entry->pipelines.size(); ++p) {
           const auto [cb, ce] = fp.pipeline_constants[p];
-          const CodeVariant* v = entry->pipelines[p].FindVariant(
+          const CodeVariant* v = entry->pipelines[p].code_variants.Find(
               {fp.constants.begin() + cb, fp.constants.begin() + ce});
           resident &= v != nullptr && v->opt != nullptr;
         }
@@ -216,6 +216,190 @@ TEST_F(CacheTest, StepLiteralVariantsShareArtifacts) {
   }
 }
 
+// Every translator option shapes the bytecode, so each is part of the key:
+// a run with one option flipped must translate its own program, not reuse
+// the default run's.
+TEST_F(CacheTest, CacheKeyCoversEveryTranslatorOption) {
+  const PlanFingerprint fp = FingerprintProgram(BuildTpchQuery(6, catalog()));
+  std::vector<TranslatorOptions> flipped(7);
+  flipped[0].strategy = RegAllocStrategy::kWindow;
+  flipped[1].window_size = 8;
+  flipped[2].fuse_macro_ops = false;
+  flipped[3].fuse_cmp_branches = false;
+  flipped[4].fuse_imm_cmp_branches = false;
+  flipped[5].fuse_load_cmp_branches = false;
+  flipped[6].fuse_branch_chains = false;
+  std::set<uint64_t> keys = {ArtifactCacheKey(fp, {})};
+  for (size_t i = 0; i < flipped.size(); ++i) {
+    EXPECT_TRUE(keys.insert(ArtifactCacheKey(fp, flipped[i])).second)
+        << "option " << i;
+  }
+
+  QueryEngine engine(&catalog(), 2);
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  const QueryRunResult chained = engine.Run(BuildTpchQuery(6, catalog()),
+                                            options);
+  const uint64_t misses = engine.artifact_cache_stats().bytecode_misses;
+  options.translator.fuse_branch_chains = false;
+  const QueryRunResult unchained = engine.Run(BuildTpchQuery(6, catalog()),
+                                              options);
+  EXPECT_GT(unchained.translate_millis_total, 0);
+  EXPECT_EQ(engine.artifact_cache_stats().bytecode_misses, misses + 1);
+  EXPECT_EQ(unchained.rows, chained.rows);
+}
+
+// --- the entry API, without an engine ---------------------------------------
+
+/// A fresh one-pipeline entry of `cache`.
+std::shared_ptr<CacheEntry> NewEntry(ArtifactCache* cache) {
+  bool created = false;
+  return cache->Intern(/*key=*/42, /*num_pipelines=*/1, "unit", &created);
+}
+
+std::shared_ptr<CachedCode> FakeCode(uint64_t code_bytes) {
+  auto code = std::make_shared<CachedCode>();
+  code->code_bytes = code_bytes;
+  return code;
+}
+
+ArtifactRequest RequestFor(std::vector<uint64_t> constants,
+                           ExecutionStrategy strategy) {
+  ArtifactRequest request;
+  request.constants = std::move(constants);
+  request.strategy = strategy;
+  request.pruning = true;
+  return request;
+}
+
+TEST_F(CacheTest, InternRefusesAnotherPlansEntry) {
+  ArtifactCache cache;
+  bool created = false;
+  ASSERT_NE(cache.Intern(7, 2, "a", &created), nullptr);
+  EXPECT_TRUE(created);
+  EXPECT_NE(cache.Intern(7, 2, "a", &created), nullptr);
+  EXPECT_FALSE(created);
+  EXPECT_EQ(cache.Intern(7, 2, "b", &created), nullptr);
+  EXPECT_EQ(cache.Intern(7, 3, "a", &created), nullptr);
+}
+
+TEST_F(CacheTest, VariantListsEvictTheLeastRecentlyUsed) {
+  ArtifactCache cache;
+  auto entry = NewEntry(&cache);
+  const auto request = [](uint64_t c) {
+    return RequestFor({c}, ExecutionStrategy::kOptimized);
+  };
+  for (uint64_t c = 1; c <= 4; ++c) {
+    cache.PublishCode(*entry, request(c), ExecMode::kOptimized,
+                      FakeCode(100 * c), /*instructions=*/10,
+                      /*runtime_call_fraction=*/0);
+    PruningStats stats;
+    stats.selected_rows = c;
+    cache.PublishPruning(*entry, request(c), {nullptr, stats});
+  }
+  EXPECT_EQ(cache.stats().bytes, 1000u);
+  // Lookups are uses: after touching 1 and 3, variant 2 is the least
+  // recently used of each list.
+  EXPECT_NE(cache.Lookup(*entry, request(1)).seed_code, nullptr);
+  EXPECT_NE(cache.Lookup(*entry, request(3)).seed_code, nullptr);
+  cache.PublishCode(*entry, request(5), ExecMode::kOptimized, FakeCode(500),
+                    10, 0);
+  PruningStats fifth;
+  fifth.selected_rows = 5;
+  cache.PublishPruning(*entry, request(5), {nullptr, fifth});
+
+  EXPECT_EQ(cache.stats().bytes, 1000u - 200u + 500u);
+  EXPECT_EQ(cache.stats().publishes, 5u);
+  {
+    std::lock_guard<std::mutex> lock(entry->mu);
+    EXPECT_EQ(entry->pipelines[0].code_variants.size(),
+              PipelineArtifact::kMaxCodeVariants);
+    EXPECT_EQ(entry->pipelines[0].pruning_variants.size(),
+              PipelineArtifact::kMaxPruningVariants);
+  }
+  for (uint64_t c = 1; c <= 5; ++c) {
+    const CachedArtifacts found = cache.Lookup(*entry, request(c));
+    EXPECT_EQ(found.seed_code != nullptr, c != 2) << c;
+    ASSERT_EQ(found.pruning.has_value(), c != 2) << c;
+    if (found.pruning) EXPECT_EQ(found.pruning->stats.selected_rows, c);
+  }
+}
+
+TEST_F(CacheTest, PatchedBytecodeAgreesOnPinnedConstants) {
+  // Three constants: one in constant-pool entry 0, one pinned (no private
+  // slot), one in literal-pool entry 1 beside a callee address.
+  auto program = std::make_shared<BcProgram>();
+  program->constant_pool = {{/*slot=*/2, /*value=*/7}};
+  program->literal_pool = {0xCA11, 9};
+  ConstantPatchTable patch;
+  patch.patchable = true;
+  patch.pool_indices = {0, ConstantPatchTable::kPinned,
+                        1 | ConstantPatchTable::kLiteralPoolBit};
+
+  ArtifactCache cache;
+  auto entry = NewEntry(&cache);
+  ArtifactRequest request = RequestFor({7, 1, 9}, ExecutionStrategy::kBytecode);
+  ASSERT_TRUE(cache.PublishBytecode(*entry, request, program, patch, 10, 0));
+  EXPECT_FALSE(cache.PublishBytecode(*entry, request, program, patch, 10, 0));
+  EXPECT_EQ(cache.stats().bytes, BcProgramBytes(*program));
+
+  const CachedArtifacts exact = cache.Lookup(*entry, request);
+  EXPECT_EQ(exact.bytecode, program);
+  EXPECT_TRUE(exact.bytecode_shared);
+
+  request.constants = {8, 1, 10};
+  const CachedArtifacts patched = cache.Lookup(*entry, request);
+  ASSERT_NE(patched.bytecode, nullptr);
+  EXPECT_FALSE(patched.bytecode_shared);
+  EXPECT_EQ(patched.bytecode->constant_pool[0].value, 8u);
+  EXPECT_EQ(patched.bytecode->literal_pool[0], 0xCA11u);
+  EXPECT_EQ(patched.bytecode->literal_pool[1], 10u);
+  EXPECT_EQ(program->constant_pool[0].value, 7u);  // the cached one stays
+
+  request.constants = {8, 2, 10};
+  const CachedArtifacts pinned = cache.Lookup(*entry, request);
+  EXPECT_EQ(pinned.bytecode, nullptr);
+  EXPECT_TRUE(pinned.bytecode_resident);
+
+  const ArtifactCacheStats stats = cache.stats();
+  EXPECT_EQ(stats.bytecode_hits, 1u);
+  EXPECT_EQ(stats.patched_hits, 1u);
+  EXPECT_EQ(stats.bytecode_misses, 1u);
+  EXPECT_EQ(stats.publishes, 1u);
+}
+
+// Q14's suffix-pattern variants test p_type through a bitmap of matching
+// codes: they share a key and constants but not a pruning key, so a variant
+// reuses the bytecode and code, never the pruning decision.
+TEST_F(CacheTest, PruningKeySplitsDecisionsNotCode) {
+  const PlanFingerprint brass =
+      FingerprintProgram(BuildTpchQ14Variant(catalog(), "%BRASS"));
+  const PlanFingerprint tin =
+      FingerprintProgram(BuildTpchQ14Variant(catalog(), "%TIN"));
+  EXPECT_EQ(ArtifactCacheKey(brass, {}), ArtifactCacheKey(tin, {}));
+  EXPECT_EQ(brass.constants, tin.constants);
+  EXPECT_NE(brass.pruning_key, tin.pruning_key);
+
+  ArtifactCache cache;
+  auto entry = NewEntry(&cache);
+  ArtifactRequest request = RequestFor({5}, ExecutionStrategy::kAdaptive);
+  request.pruning_key = brass.pruning_key;
+  ASSERT_TRUE(cache.PublishBytecode(*entry, request,
+                                    std::make_shared<BcProgram>(),
+                                    ConstantPatchTable{}, 10, 0));
+  cache.PublishCode(*entry, request, ExecMode::kUnoptimized, FakeCode(64), 10,
+                    0);
+  cache.PublishPruning(*entry, request, {nullptr, PruningStats{}});
+  EXPECT_TRUE(cache.Lookup(*entry, request).pruning.has_value());
+
+  request.pruning_key = tin.pruning_key;
+  const CachedArtifacts variant = cache.Lookup(*entry, request);
+  EXPECT_NE(variant.bytecode, nullptr);
+  EXPECT_NE(variant.seed_code, nullptr);
+  EXPECT_EQ(variant.seed_mode, ExecMode::kUnoptimized);
+  EXPECT_FALSE(variant.pruning.has_value());
+}
+
 // --- end-to-end reuse -------------------------------------------------------
 
 TEST_F(CacheTest, WarmRunSkipsTranslation) {
@@ -245,13 +429,6 @@ TEST_F(CacheTest, WarmRunSkipsTranslation) {
   EXPECT_GE(stats.bytecode_hits, 1u);
   EXPECT_EQ(stats.entries, 1u);
   EXPECT_GT(stats.bytes, 0u);
-
-  // The entry records the best mode the plan reached.
-  auto entry = engine.artifact_cache().Peek(
-      ArtifactCacheKey(FingerprintProgram(q), options.translator));
-  ASSERT_NE(entry, nullptr);
-  std::lock_guard<std::mutex> lock(entry->mu);
-  EXPECT_EQ(entry->pipelines[0].best_mode, ExecMode::kBytecode);
 }
 
 TEST_F(CacheTest, AdaptiveSeedsBestCachedMode) {
@@ -438,14 +615,13 @@ TEST_F(CacheTest, RepeatedPlansRunWarmFromCachedArtifacts) {
   }
   ASSERT_EQ(plans.size(), 19u);
 
-  // The one engine on the calibrated cost model: its queries substitute
-  // the measured JIT speedups for the default ones.
-  setenv("AQE_CALIBRATE", "1", 1);
   QueryEngine engine(&catalog(), 2);
-  unsetenv("AQE_CALIBRATE");
 
+  // The calibrated cost model: the measured JIT speedups replace the
+  // default ones.
   QueryRunOptions adaptive;
   adaptive.strategy = ExecutionStrategy::kAdaptive;
+  adaptive.cost_model = CalibratedCostModelParams();
   QueryRunOptions prepared = adaptive;
   prepared.strategy = ExecutionStrategy::kOptimized;
 
@@ -561,8 +737,9 @@ TEST_F(CacheTest, ShrinkingBudgetEvictsResidentEntries) {
 /// Concurrent clients share one engine with a budget small enough that
 /// entries are continuously evicted while sibling queries execute them
 /// (shared_ptr ownership is what keeps this safe); literal variants force
-/// the patch path, adaptive switches force publish-vs-hit races. Run under
-/// TSan in CI.
+/// the patch path, adaptive switches force publish-vs-hit races, and Q14's
+/// two LIKE patterns race lookups and publishes of pruning decisions under
+/// two pruning keys of one entry. Run under TSan in CI.
 TEST_F(CacheTest, ConcurrentHitPublishEvictStress) {
   QueryEngine engine(&catalog(), 3);
   engine.set_artifact_cache_byte_budget(1 << 16);  // a few entries at most
@@ -573,6 +750,12 @@ TEST_F(CacheTest, ConcurrentHitPublishEvictStress) {
   auto rows_q6 = Uncached(&engine, ref_q6);
   auto rows_var = Uncached(&engine, ref_var);
   auto rows_q1 = Uncached(&engine, ref_q1);
+  const char* const patterns[2] = {"%BRASS", "%TIN"};
+  std::vector<std::vector<int64_t>> rows_q14[2];
+  for (int k = 0; k < 2; ++k) {
+    rows_q14[k] =
+        Uncached(&engine, BuildTpchQ14Variant(catalog(), patterns[k]));
+  }
 
   constexpr int kThreads = 4;
   constexpr int kItersPerThread = 12;
@@ -581,11 +764,12 @@ TEST_F(CacheTest, ConcurrentHitPublishEvictStress) {
   for (int t = 0; t < kThreads; ++t) {
     threads.emplace_back([&, t] {
       for (int i = 0; i < kItersPerThread; ++i) {
-        const int pick = (t + i) % 3;
-        QueryProgram q = pick == 0 ? BuildTpchQuery(6, catalog())
-                         : pick == 1
-                             ? BuildTpchQ6Variant(catalog(), VariantLiterals())
-                             : BuildTpchQuery(1, catalog());
+        const int pick = (t + i) % 4;
+        QueryProgram q =
+            pick == 0   ? BuildTpchQuery(6, catalog())
+            : pick == 1 ? BuildTpchQ6Variant(catalog(), VariantLiterals())
+            : pick == 2 ? BuildTpchQuery(1, catalog())
+                        : BuildTpchQ14Variant(catalog(), patterns[i % 2]);
         QueryRunOptions options;
         options.strategy = ExecutionStrategy::kAdaptive;
         // Cheap modeled compilation: frequent mode switches and publishes.
@@ -596,8 +780,10 @@ TEST_F(CacheTest, ConcurrentHitPublishEvictStress) {
         options.cost_model.opt_per_instruction_seconds = 0;
         options.cost_model.opt_speedup = 100.0;
         QueryRunResult r = engine.Run(q, options);
-        const auto& expect =
-            pick == 0 ? rows_q6 : pick == 1 ? rows_var : rows_q1;
+        const auto& expect = pick == 0   ? rows_q6
+                             : pick == 1 ? rows_var
+                             : pick == 2 ? rows_q1
+                                         : rows_q14[i % 2];
         if (r.rows != expect) failures.fetch_add(1);
       }
     });

@@ -388,8 +388,8 @@ TEST(CostModelCalibrationTest, MeasuredSpeedupsAreSaneAndOrdered) {
   EXPECT_EQ(params.unopt_base_seconds, defaults.unopt_base_seconds);
   EXPECT_EQ(params.opt_per_instruction_seconds,
             defaults.opt_per_instruction_seconds);
-  // Memoized: a second call returns the identical measurement.
-  EXPECT_TRUE(params == CalibratedCostModelParams());
+  // Memoized: a second call returns the same measurement object.
+  EXPECT_EQ(&params, &CalibratedCostModelParams());
 }
 
 }  // namespace
