@@ -37,6 +37,7 @@
 
 #include "bench/bench_util.h"
 #include "common/timer.h"
+#include "plan/builder.h"
 #include "simd/simd.h"
 #include "strings/like_lowering.h"
 
@@ -64,7 +65,15 @@ const Workload kWorkloads[] = {
     {"highcard", "orders", "o_comment", "%special%requests%", false},
 };
 
-/// SELECT count(*) FROM <table> WHERE [NOT] <column> LIKE <pattern>.
+/// Ends `scan` in count(*) and reads the count as the plan's one row.
+QueryProgram CountRows(PlanBuilder* b, Pipe* scan) {
+  AggRef count = scan->Aggregate(
+      I64(0), Aggs(Agg{"count", AggKind::kCount, nullptr, false}));
+  b->Step(ReadGroups(count.id, ExprList(count["count"]), nullptr,
+                     /*scalar=*/true));
+  return b->Take();
+}
+
 const char* PathName(LikeStrategy strategy) {
   switch (strategy) {
     case LikeStrategy::kBitmap: return "bitmap";
@@ -73,34 +82,22 @@ const char* PathName(LikeStrategy strategy) {
   }
 }
 
+/// SELECT count(*) FROM <table> WHERE [NOT] <column> LIKE <pattern>.
 QueryProgram BuildLikeCount(const Catalog& catalog, const Workload& w,
                             LikeStrategy strategy) {
-  QueryProgram q(std::string("strings_") + w.name + "_" +
-                 PathName(strategy));
+  PlanBuilder b(catalog, std::string("strings_") + w.name + "_" +
+                             PathName(strategy));
+  Pipe scan = b.Scan(std::string("scan ") + w.table, w.table, {w.column});
   const Table* table = catalog.GetTable(w.table);
-  int t = q.DeclareBaseTable(w.table);
   LikeLoweringOptions options;
   options.strategy = strategy;
-  LoweredLike lowered = LowerLikePredicate(
-      &q, *table, table->ColumnIndex(w.column), /*code_slot=*/0, w.pattern,
-      options);
+  LoweredLike lowered =
+      LowerLikePredicate(&b.program(), *table, table->ColumnIndex(w.column),
+                         scan.slot(w.column), w.pattern, options);
   ExprPtr predicate = std::move(lowered.expr);
   if (w.negate) predicate = Not(std::move(predicate));
-
-  int agg = q.DeclareAggSet({AggKind::kCount});
-  PipelineSpec p;
-  p.name = std::string("scan ") + w.table;
-  p.source_table = t;
-  p.scan_columns = {table->ColumnIndex(w.column)};
-  p.ops.push_back(OpFilter{std::move(predicate)});
-  SinkAgg sink;
-  sink.agg = agg;
-  sink.key = I64(0);
-  sink.items.push_back({AggKind::kCount, nullptr, false});
-  p.sink = std::move(sink);
-  q.AddPipeline(std::move(p));
-  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
-  return q;
+  scan.Filter(std::move(predicate));
+  return CountRows(&b, &scan);
 }
 
 /// SELECT count(*) FROM orders WHERE lo <= o_orderkey < hi. o_orderkey is
@@ -108,24 +105,11 @@ QueryProgram BuildLikeCount(const Catalog& catalog, const Workload& w,
 /// can prune every morsel outside the key window before scheduling. This
 /// is the zone-map probe's plan (pruning off vs on on the same plan).
 QueryProgram BuildRangeCount(const Catalog& catalog, int64_t lo, int64_t hi) {
-  QueryProgram q("strings_zonemap_range");
-  const Table* table = catalog.GetTable("orders");
-  int t = q.DeclareBaseTable("orders");
-  int agg = q.DeclareAggSet({AggKind::kCount});
-  PipelineSpec p;
-  p.name = "scan orders";
-  p.source_table = t;
-  p.scan_columns = {table->ColumnIndex("o_orderkey")};
-  p.ops.push_back(
-      OpFilter{And(Ge(Slot(0), I64(lo)), Lt(Slot(0), I64(hi)))});
-  SinkAgg sink;
-  sink.agg = agg;
-  sink.key = I64(0);
-  sink.items.push_back({AggKind::kCount, nullptr, false});
-  p.sink = std::move(sink);
-  q.AddPipeline(std::move(p));
-  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
-  return q;
+  PlanBuilder b(catalog, "strings_zonemap_range");
+  Pipe scan = b.Scan("scan orders", "orders", {"o_orderkey"});
+  scan.Filter(
+      And(Ge(scan["o_orderkey"], I64(lo)), Lt(scan["o_orderkey"], I64(hi))));
+  return CountRows(&b, &scan);
 }
 
 struct EngineConfig {

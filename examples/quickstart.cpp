@@ -1,13 +1,12 @@
-// Quickstart: build a tiny database, define a query with the public plan
-// API, and execute it adaptively. Shows the three moving parts a user
-// touches: Catalog/Table (storage), QueryProgram (plans), QueryEngine
+// Quickstart: build a tiny database, define a query with the plan builder,
+// and execute it adaptively. Shows the three moving parts a user touches:
+// Catalog/Table (storage), PlanBuilder/QueryProgram (plans), QueryEngine
 // (execution).
 #include <cstdio>
 
 #include "engine/query_engine.h"
 #include "obs/query_profile.h"
-#include "plan/expr.h"
-#include "plan/plan.h"
+#include "plan/builder.h"
 #include "storage/table.h"
 
 using namespace aqe;
@@ -25,24 +24,20 @@ int main() {
 
   // 2. A query: SELECT product, sum(amount), count(*) FROM sales
   //             WHERE amount > 500.00 GROUP BY product ORDER BY product.
-  QueryProgram query("quickstart");
-  int table = query.DeclareBaseTable("sales");
-  int agg = query.DeclareAggSet({AggKind::kSum, AggKind::kCount});
-  PipelineSpec scan;
-  scan.name = "scan sales";
-  scan.source_table = table;
-  scan.scan_columns = {0, 1};
-  scan.ops.push_back(OpFilter{Gt(Slot(1), I64(50000))});
-  SinkAgg sink;
-  sink.agg = agg;
-  sink.key = Slot(0);
-  sink.items.push_back({AggKind::kSum, Slot(1), /*checked=*/true});
-  sink.items.push_back({AggKind::kCount, nullptr, false});
-  scan.sink = std::move(sink);
-  query.AddPipeline(std::move(scan));
+  //    A plan builder names the columns; it numbers the pipeline's slots
+  //    and declares the aggregation set the sink fills.
+  PlanBuilder plan(catalog, "quickstart");
+  Pipe scan = plan.Scan("scan sales", "sales", {"product", "amount"});
+  scan.Filter(Gt(scan["amount"], I64(50000)));
+  AggRef totals = scan.Aggregate(
+      scan["product"],
+      Aggs(Agg{"sum", AggKind::kSum, scan["amount"], /*checked=*/true},
+           Agg{"count", AggKind::kCount, nullptr, /*checked=*/false}));
   // Engine steps: read each group as a row {key, sum, count}, then sort.
-  query.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1), Slot(2))));
-  query.AddStep(StepSort{{{0, false, false}}});
+  plan.Step(ReadGroups(totals.id, ExprList(totals.key(), totals["sum"],
+                                           totals["count"])));
+  plan.Step(StepSort{{{0, false, false}}});
+  QueryProgram query = plan.Take();
 
   // 3. Execute adaptively: starts in the bytecode interpreter and promotes
   //    the pipeline to machine code only if that pays off.

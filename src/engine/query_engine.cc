@@ -863,7 +863,7 @@ void QueryJob::StartStepRun(WorkerFn worker, void* state, uint64_t units,
   task.state = state;
   task.domain = ScanDomain::Make({{0, units}}, units);
   task.morsel_tuples = morsel_units;
-  task.scheduling_class = options_.query_class;
+  task.scheduling_class = scheduling_class();
   step->run = std::make_unique<PipelineRun>(
       sched_, ExecutionStrategy::kBytecode, options_.cost_model, task,
       /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
@@ -1126,7 +1126,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   task.function_instructions = instructions;
   task.runtime_call_fraction = call_fraction;
   task.pipeline_id = stage.pipeline;
-  task.scheduling_class = options.query_class;
+  task.scheduling_class = scheduling_class();
   task.obs = obs_->MakePipelineObs(query_id_);
   ActivePipeline* raw_ap = ap.get();
   task.compile = [this, raw_ap, &spec](ExecMode mode) -> WorkerFn {
@@ -1260,10 +1260,8 @@ std::future<QueryRunResult> QueryEngine::Submit(
   std::future<QueryRunResult> future = job->GetFuture();
   const double cost_ms = job->estimated_cost_ms();
   const bool cached = job->fully_cached();
-  int cls = options.query_class;
-  if (cls < 0) cls = 0;
-  if (cls >= kNumTaskClasses) cls = kNumTaskClasses - 1;
-  job->set_scheduling_class(cls);
+  job->set_scheduling_class(options.query_class);
+  const int cls = job->scheduling_class();
   // Per-class memory budget, checked before the query ever queues: a
   // fingerprint whose cached peak estimate exceeds the budget fails with
   // the typed error here — it never takes an admission slot, so other

@@ -176,6 +176,7 @@ class QueryEngine {
   /// proportion to weight (charging each query its cache-estimated service
   /// time, so a fully-cached plan overtakes cold ones), and the task
   /// scheduler serves the class's slices in the same proportion.
+  /// `query_class` is CHECKed to be a class (0..kNumTaskClasses-1).
   /// Thread-safe; takes effect immediately.
   void set_class_weight(int query_class, int weight);
 
@@ -242,7 +243,7 @@ class QueryEngine {
 
   /// Read-only view of the artifact cache for introspection: Peek entries
   /// by ArtifactCacheKey (cache/fingerprint.h) to inspect per-pipeline
-  /// artifacts and best modes.
+  /// artifacts.
   const ArtifactCache& artifact_cache() const;
 
   /// LRU byte budget of the artifact cache (default 256 MiB). Shrinking it

@@ -1,5 +1,7 @@
 #include "plan/plan.h"
 
+#include <algorithm>
+
 #include "common/status.h"
 #include "simd/simd.h"
 
@@ -21,6 +23,8 @@ int QueryProgram::DeclareOutput(uint32_t row_slots) {
 }
 
 int QueryProgram::DeclareBaseTable(const std::string& name) {
+  auto it = std::find(tables_.begin(), tables_.end(), name);
+  if (it != tables_.end()) return static_cast<int>(it - tables_.begin());
   tables_.push_back(name);
   return static_cast<int>(tables_.size() - 1);
 }
@@ -40,7 +44,54 @@ const LikePredicate* QueryProgram::AddLikePredicate(LikePredicate pred) {
   return like_predicates_.back().get();
 }
 
+namespace {
+
+bool InRange(int id, size_t count) {
+  return id >= 0 && static_cast<size_t>(id) < count;
+}
+
+}  // namespace
+
 int QueryProgram::AddPipeline(PipelineSpec spec) {
+  // Generated code moves exactly as many values as these counts say, so a
+  // count that differs from the declared width reads or writes past it.
+  AQE_CHECK_MSG(InRange(spec.source_table, tables_.size()),
+                "pipeline scans an undeclared table");
+  for (const PipelineOp& op : spec.ops) {
+    const auto* probe = std::get_if<OpProbe>(&op);
+    if (probe == nullptr) continue;
+    AQE_CHECK_MSG(InRange(probe->ht, join_payload_slots_.size()),
+                  "probe of an undeclared join table");
+    const int width = probe->kind == JoinKind::kInner
+                          ? static_cast<int>(join_payload_slots(probe->ht))
+                          : 0;
+    AQE_CHECK_MSG(probe->payload_slots == width,
+                  "probe payload and join payload differ in width");
+  }
+  if (const auto* build = std::get_if<SinkBuild>(&spec.sink)) {
+    AQE_CHECK_MSG(InRange(build->ht, join_payload_slots_.size()),
+                  "build of an undeclared join table");
+    AQE_CHECK_MSG(build->payload.size() == join_payload_slots(build->ht),
+                  "build payload and join payload differ in width");
+  } else if (const auto* agg = std::get_if<SinkAgg>(&spec.sink)) {
+    AQE_CHECK_MSG(InRange(agg->agg, agg_decls_.size()),
+                  "aggregation into an undeclared set");
+    const std::vector<AggKind>& kinds =
+        agg_decls_[static_cast<size_t>(agg->agg)];
+    AQE_CHECK_MSG(std::equal(agg->items.begin(), agg->items.end(),
+                             kinds.begin(), kinds.end(),
+                             [](const AggItem& item, AggKind kind) {
+                               return item.kind == kind;
+                             }),
+                  "aggregate items and declared kinds differ");
+  } else {
+    const auto& out = std::get<SinkOutput>(spec.sink);
+    AQE_CHECK_MSG(InRange(out.output, output_slots_.size()),
+                  "output into an undeclared buffer");
+    AQE_CHECK_MSG(
+        out.values.size() == output_slots_[static_cast<size_t>(out.output)],
+        "output values and output width differ");
+  }
   pipelines_.push_back(std::move(spec));
   stages_.push_back({static_cast<int>(pipelines_.size() - 1), -1});
   return stages_.back().pipeline;

@@ -68,7 +68,8 @@ class QueryProgram {
   int DeclareAggSet(std::vector<AggKind> kinds);
   /// Declares an output buffer of `row_slots` 8-byte values per row.
   int DeclareOutput(uint32_t row_slots);
-  /// Declares a base table by name; returns a table id for pipelines.
+  /// Declares a base table by name; returns a table id for pipelines (the
+  /// same id for every declaration of one name).
   int DeclareBaseTable(const std::string& name);
   /// Stores a dictionary-predicate bitmap; the pointer stays valid for the
   /// program's lifetime (Expr::bitmap references it).
@@ -79,7 +80,12 @@ class QueryProgram {
   const LikePredicate* AddLikePredicate(LikePredicate pred);
 
   // --- stages -----------------------------------------------------------------
-  /// Appends a generated pipeline stage; returns the pipeline id.
+  /// Appends a generated pipeline stage; returns the pipeline id. CHECKs
+  /// that every table, join-table, aggregation-set and output id is
+  /// declared, and that each count generated code moves matches its
+  /// declaration: an inner probe's `payload_slots` (0 for semi and anti)
+  /// and a build's payload the join table's width, an aggregation's item
+  /// kinds the set's kinds, and an output's values the buffer's width.
   int AddPipeline(PipelineSpec spec);
   /// Appends an engine step. CHECKs that a StepGroupsToJoinTable's
   /// aggregation payload is as wide as its join table's.

@@ -1,10 +1,11 @@
 #include "queries/tpch_queries.h"
 
-#include <memory>
+#include <string>
 #include <utility>
 
 #include "common/fixed_point.h"
 #include "common/status.h"
+#include "plan/builder.h"
 #include "strings/like_lowering.h"
 #include "tpch/tpch_schema.h"
 
@@ -13,28 +14,6 @@ namespace {
 
 using tpch::DateToDays;
 
-/// Shorthand: column index in a base table.
-int Col(const Catalog& cat, const char* table, const char* column) {
-  return cat.GetTable(table)->ColumnIndex(column);
-}
-
-/// Dictionary code of a string constant (CHECK-fails if the value does not
-/// occur — the workload generator registers all spec values).
-int64_t DictCode(const Catalog& cat, const char* table, const char* column,
-                 const char* value) {
-  const Table* t = cat.GetTable(table);
-  int32_t code = t->dictionary(t->ColumnIndex(column)).Find(value);
-  AQE_CHECK_MSG(code >= 0, value);
-  return code;
-}
-
-/// The slot kinds of an aggregation set, from its sink's items.
-std::vector<AggKind> KindsOf(const std::vector<AggItem>& items) {
-  std::vector<AggKind> kinds;
-  for (const AggItem& item : items) kinds.push_back(item.kind);
-  return kinds;
-}
-
 /// Digit `(key / unit) % radix` of a packed, non-negative group key (slot 0
 /// of a group read), in i64 division.
 ExprPtr KeyDigit(int64_t unit, int64_t radix) {
@@ -42,1141 +21,520 @@ ExprPtr KeyDigit(int64_t unit, int64_t radix) {
              Mul(Div(Slot(0), I64(unit * radix)), I64(radix)));
 }
 
-// =============================================================================
-// Q1: pricing summary report. 1 pipeline over lineitem; group by
-// (returnflag, linestatus); the heavy checked decimal arithmetic query.
-// =============================================================================
-QueryProgram BuildQ1(const Catalog& cat) {
-  QueryProgram q("q1");
-  int lineitem = q.DeclareBaseTable("lineitem");
+/// l_extendedprice * (1.00 - l_discount), at scale 1e4.
+ExprPtr Revenue(const Pipe& p) {
+  return CheckedMul(p["l_extendedprice"], Sub(I64(100), p["l_discount"]));
+}
 
-  // Scan slots.
-  enum { kQty, kPrice, kDisc, kTax, kRetFlag, kLineStatus, kShipDate };
-  PipelineSpec scan;
-  scan.name = "scan lineitem";
-  scan.source_table = lineitem;
-  scan.scan_columns = {
-      Col(cat, "lineitem", "l_quantity"),
-      Col(cat, "lineitem", "l_extendedprice"),
-      Col(cat, "lineitem", "l_discount"),
-      Col(cat, "lineitem", "l_tax"),
-      Col(cat, "lineitem", "l_returnflag"),
-      Col(cat, "lineitem", "l_linestatus"),
-      Col(cat, "lineitem", "l_shipdate"),
-  };
-  scan.ops.push_back(
-      OpFilter{Le(Slot(kShipDate), I64(DateToDays(1998, 9, 2)))});
+/// `lo <= p[column] < hi`.
+ExprPtr InRange(const Pipe& p, const char* column, int64_t lo, int64_t hi) {
+  return And(Ge(p[column], I64(lo)), Lt(p[column], I64(hi)));
+}
+
+/// Q1: pricing summary report. 1 pipeline over lineitem; group by
+/// (returnflag, linestatus); the heavy checked decimal arithmetic query.
+QueryProgram BuildQ1(const Catalog& cat) {
+  PlanBuilder b(cat, "q1");
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_quantity", "l_extendedprice", "l_discount", "l_tax",
+                   "l_returnflag", "l_linestatus", "l_shipdate"});
+  l.Filter(Le(l["l_shipdate"], I64(DateToDays(1998, 9, 2))));
   // disc_price = price * (1.00 - disc); charge = disc_price * (1.00 + tax).
   // Fixed-point: factors are at scale 100, products at scale 1e4 / 1e6.
-  scan.ops.push_back(OpCompute{
-      CheckedMul(Slot(kPrice), Sub(I64(100), Slot(kDisc)))});  // slot 7
-  scan.ops.push_back(OpCompute{
-      CheckedMul(Slot(7), Add(I64(100), Slot(kTax)))});        // slot 8
-
-  SinkAgg agg_sink;
-  std::vector<AggItem> items;
-  items.push_back({AggKind::kSum, Slot(kQty), true});
-  items.push_back({AggKind::kSum, Slot(kPrice), true});
-  items.push_back({AggKind::kSum, Slot(7), true});
-  items.push_back({AggKind::kSum, Slot(8), true});
-  items.push_back({AggKind::kSum, Slot(kDisc), true});
-  items.push_back({AggKind::kCount, nullptr, false});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  agg_sink.agg = agg;
-  agg_sink.key = Add(Mul(Slot(kRetFlag), I64(256)), Slot(kLineStatus));
-  agg_sink.items = std::move(items);
-  scan.sink = std::move(agg_sink);
-  q.AddPipeline(std::move(scan));
-
-  // avg_qty, avg_price, avg_disc as doubles; slot 6 is the count.
-  const auto avg = [](int sum) {
-    return FDiv(FDiv(CastF64(Slot(sum)), F64(kDecimalScale)),
-                CastF64(Slot(6)));
+  l.Compute("disc_price", Revenue(l));
+  l.Compute("charge", CheckedMul(l["disc_price"], Add(I64(100), l["l_tax"])));
+  AggRef agg = l.Aggregate(
+      Add(Mul(l["l_returnflag"], I64(256)), l["l_linestatus"]),
+      Aggs(Agg{"sum_qty", AggKind::kSum, l["l_quantity"]},
+           Agg{"sum_base_price", AggKind::kSum, l["l_extendedprice"]},
+           Agg{"sum_disc_price", AggKind::kSum, l["disc_price"]},
+           Agg{"sum_charge", AggKind::kSum, l["charge"]},
+           Agg{"sum_disc", AggKind::kSum, l["l_discount"]},
+           Agg{"count_order", AggKind::kCount, nullptr, false}));
+  // avg_qty, avg_price, avg_disc as doubles.
+  const auto avg = [&agg](const char* sum) {
+    return FDiv(FDiv(CastF64(agg[sum]), F64(kDecimalScale)),
+                CastF64(agg["count_order"]));
   };
-  q.AddStep(ReadGroups(agg, ExprList(Div(Slot(0), I64(256)), KeyDigit(1, 256),
-                                     Slot(1), Slot(2), Slot(3), Slot(4),
-                                     avg(1), avg(2), avg(5), Slot(6))));
-  q.AddStep(StepSort{{{0, false, false}, {1, false, false}}});
-  return q;
+  b.Step(ReadGroups(
+      agg.id, ExprList(Div(agg.key(), I64(256)), KeyDigit(1, 256),
+                       agg["sum_qty"], agg["sum_base_price"],
+                       agg["sum_disc_price"], agg["sum_charge"], avg("sum_qty"),
+                       avg("sum_base_price"), avg("sum_disc"),
+                       agg["count_order"])));
+  b.Step(StepSort{{{0, false, false}, {1, false, false}}});
+  return b.Take();
 }
 
-// =============================================================================
-// Q6: forecasting revenue change. 1 pipeline, highly selective filter.
-// =============================================================================
+/// Q6: forecasting revenue change. 1 pipeline, highly selective filter.
 QueryProgram BuildQ6Impl(const Catalog& cat, const TpchQ6Literals& lit) {
-  QueryProgram q("q6");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  enum { kShipDate, kDisc, kQty, kPrice };
-  PipelineSpec scan;
-  scan.name = "scan lineitem";
-  scan.source_table = lineitem;
-  scan.scan_columns = {
-      Col(cat, "lineitem", "l_shipdate"),
-      Col(cat, "lineitem", "l_discount"),
-      Col(cat, "lineitem", "l_quantity"),
-      Col(cat, "lineitem", "l_extendedprice"),
-  };
-  scan.ops.push_back(OpFilter{And(
-      And(Ge(Slot(kShipDate), I64(lit.ship_date_lo)),
-          Lt(Slot(kShipDate), I64(lit.ship_date_hi))),
-      And(And(Ge(Slot(kDisc), I64(lit.discount_lo)),
-              Le(Slot(kDisc), I64(lit.discount_hi))),
-          Lt(Slot(kQty), I64(lit.quantity_limit))))});
-
-  std::vector<AggItem> items;
-  items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(kPrice), Slot(kDisc)), true});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  SinkAgg sink;
-  sink.agg = agg;
-  sink.key = I64(0);
-  sink.items = std::move(items);
-  scan.sink = std::move(sink);
-  q.AddPipeline(std::move(scan));
-
-  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
-  return q;
+  PlanBuilder b(cat, "q6");
+  Pipe l = b.Scan(
+      "scan lineitem", "lineitem",
+      {"l_shipdate", "l_discount", "l_quantity", "l_extendedprice"});
+  l.Filter(And(InRange(l, "l_shipdate", lit.ship_date_lo, lit.ship_date_hi),
+               And(And(Ge(l["l_discount"], I64(lit.discount_lo)),
+                       Le(l["l_discount"], I64(lit.discount_hi))),
+                   Lt(l["l_quantity"], I64(lit.quantity_limit)))));
+  AggRef agg = l.Aggregate(
+      I64(0), Aggs(Agg{"revenue", AggKind::kSum,
+                       CheckedMul(l["l_extendedprice"], l["l_discount"])}));
+  b.Step(ReadGroups(agg.id, ExprList(agg["revenue"]), nullptr,
+                    /*scalar=*/true));
+  return b.Take();
 }
 
-// =============================================================================
-// Q3: shipping priority. customer -> orders -> lineitem, top-10.
-// =============================================================================
+/// Q3: shipping priority. customer -> orders -> lineitem, top-10.
 QueryProgram BuildQ3(const Catalog& cat) {
-  QueryProgram q("q3");
-  int customer = q.DeclareBaseTable("customer");
-  int orders = q.DeclareBaseTable("orders");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int cust_ht = q.DeclareJoinTable(0);   // semi: qualifying customers
-  int order_ht = q.DeclareJoinTable(2);  // payload: orderdate, shippriority
-
+  PlanBuilder b(cat, "q3");
   const int64_t cutoff = DateToDays(1995, 3, 15);
-  const int64_t building = DictCode(cat, "customer", "c_mktsegment", "BUILDING");
+  Pipe c = b.Scan("build customer", "customer", {"c_custkey", "c_mktsegment"});
+  c.Filter(Eq(c["c_mktsegment"],
+              I64(b.Code("customer", "c_mktsegment", "BUILDING"))));
+  JoinRef customers = c.Build(c["c_custkey"]);
 
-  {
-    PipelineSpec build;
-    build.name = "build customer";
-    build.source_table = customer;
-    build.scan_columns = {Col(cat, "customer", "c_custkey"),
-                          Col(cat, "customer", "c_mktsegment")};
-    build.ops.push_back(OpFilter{Eq(Slot(1), I64(building))});
-    SinkBuild sink;
-    sink.ht = cust_ht;
-    sink.key = Slot(0);
-    build.sink = std::move(sink);
-    q.AddPipeline(std::move(build));
-  }
-  {
-    PipelineSpec build;
-    build.name = "build orders";
-    build.source_table = orders;
-    build.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                          Col(cat, "orders", "o_custkey"),
-                          Col(cat, "orders", "o_orderdate"),
-                          Col(cat, "orders", "o_shippriority")};
-    build.ops.push_back(OpFilter{Lt(Slot(2), I64(cutoff))});
-    OpProbe probe;
-    probe.ht = cust_ht;
-    probe.key = Slot(1);
-    probe.kind = JoinKind::kSemi;
-    build.ops.push_back(std::move(probe));
-    SinkBuild sink;
-    sink.ht = order_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(2));
-    sink.payload.push_back(Slot(3));
-    build.sink = std::move(sink);
-    q.AddPipeline(std::move(build));
-  }
-  std::vector<AggItem> items;
-  items.push_back({AggKind::kSum, nullptr, true});  // revenue, expr below
-  items.push_back({AggKind::kMin, nullptr, false}); // orderdate carrier
-  items.push_back({AggKind::kMin, nullptr, false}); // shippriority carrier
-  items[0].value = CheckedMul(Slot(2), Sub(I64(100), Slot(3)));
-  items[1].value = Slot(4);
-  items[2].value = Slot(5);
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec probe;
-    probe.name = "scan lineitem";
-    probe.source_table = lineitem;
-    probe.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                          Col(cat, "lineitem", "l_shipdate"),
-                          Col(cat, "lineitem", "l_extendedprice"),
-                          Col(cat, "lineitem", "l_discount")};
-    probe.ops.push_back(OpFilter{Gt(Slot(1), I64(cutoff))});
-    OpProbe op;
-    op.ht = order_ht;
-    op.key = Slot(0);
-    op.payload_slots = 2;  // orderdate -> slot 4, shippriority -> slot 5
-    probe.ops.push_back(std::move(op));
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = Slot(0);  // group by orderkey (unique per group)
-    sink.items = std::move(items);
-    probe.sink = std::move(sink);
-    q.AddPipeline(std::move(probe));
-  }
-  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1), Slot(2), Slot(3))));
+  Pipe o = b.Scan("build orders", "orders",
+                  {"o_orderkey", "o_custkey", "o_orderdate", "o_shippriority"});
+  o.Filter(Lt(o["o_orderdate"], I64(cutoff)));
+  o.Probe(customers, o["o_custkey"], JoinKind::kSemi);
+  JoinRef orders = o.Build(o["o_orderkey"], {"o_orderdate", "o_shippriority"});
+
+  Pipe l = b.Scan(
+      "scan lineitem", "lineitem",
+      {"l_orderkey", "l_shipdate", "l_extendedprice", "l_discount"});
+  l.Filter(Gt(l["l_shipdate"], I64(cutoff)));
+  l.Probe(orders, l["l_orderkey"]);
+  // Group by orderkey; the order's date and priority ride along as minima.
+  AggRef agg = l.Aggregate(
+      l["l_orderkey"],
+      Aggs(Agg{"revenue", AggKind::kSum, Revenue(l)},
+           Agg{"o_orderdate", AggKind::kMin, l["o_orderdate"], false},
+           Agg{"o_shippriority", AggKind::kMin, l["o_shippriority"], false}));
+  b.Step(ReadGroups(agg.id, ExprList(agg.key(), agg["revenue"],
+                                     agg["o_orderdate"],
+                                     agg["o_shippriority"])));
   // ORDER BY revenue DESC, o_orderdate; LIMIT 10.
-  q.AddStep(StepTopK{{{1, true, false}, {2, false, false}}, 10});
-  return q;
+  b.Step(StepTopK{{{1, true, false}, {2, false, false}}, 10});
+  return b.Take();
 }
 
-// =============================================================================
-// Q4: order priority checking. The EXISTS is evaluated from the small side:
-// build the ~1/26 of orders in the 3-month window (payload: priority), probe
-// them from the lineitems with l_commitdate < l_receiptdate, and group the
-// matches by orderkey so each qualifying order counts once; the final step
-// counts orders per priority.
-// =============================================================================
+/// Q4: order priority checking. The EXISTS is evaluated from the small side:
+/// build the ~1/26 of orders in the 3-month window (payload: priority), probe
+/// them from the lineitems with l_commitdate < l_receiptdate, and group the
+/// matches by orderkey so each qualifying order counts once; the final step
+/// counts orders per priority.
 QueryProgram BuildQ4(const Catalog& cat) {
-  QueryProgram q("q4");
-  int orders = q.DeclareBaseTable("orders");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int order_ht = q.DeclareJoinTable(1);  // payload: o_orderpriority
+  PlanBuilder b(cat, "q4");
+  Pipe o = b.Scan("build orders", "orders",
+                  {"o_orderkey", "o_orderdate", "o_orderpriority"});
+  o.Filter(InRange(o, "o_orderdate", DateToDays(1993, 7, 1),
+                   DateToDays(1993, 10, 1)));
+  JoinRef orders = o.Build(o["o_orderkey"], {"o_orderpriority"});
 
-  {
-    PipelineSpec build;
-    build.name = "build orders";
-    build.source_table = orders;
-    build.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                          Col(cat, "orders", "o_orderdate"),
-                          Col(cat, "orders", "o_orderpriority")};
-    build.ops.push_back(
-        OpFilter{And(Ge(Slot(1), I64(DateToDays(1993, 7, 1))),
-                     Lt(Slot(1), I64(DateToDays(1993, 10, 1))))});
-    SinkBuild sink;
-    sink.ht = order_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(2));
-    build.sink = std::move(sink);
-    q.AddPipeline(std::move(build));
-  }
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_orderkey", "l_commitdate", "l_receiptdate"});
+  l.Filter(Lt(l["l_commitdate"], l["l_receiptdate"]));
+  l.Probe(orders, l["l_orderkey"]);
   // One group per qualifying order; its lineitems all carry its priority.
-  std::vector<AggItem> items;
-  items.push_back({AggKind::kMax, Slot(3), false});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec probe;
-    probe.name = "scan lineitem";
-    probe.source_table = lineitem;
-    probe.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                          Col(cat, "lineitem", "l_commitdate"),
-                          Col(cat, "lineitem", "l_receiptdate")};
-    probe.ops.push_back(OpFilter{Lt(Slot(1), Slot(2))});
-    OpProbe op;
-    op.ht = order_ht;
-    op.key = Slot(0);
-    op.payload_slots = 1;  // o_orderpriority -> slot 3
-    probe.ops.push_back(std::move(op));
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = Slot(0);
-    sink.items = std::move(items);
-    probe.sink = std::move(sink);
-    q.AddPipeline(std::move(probe));
-  }
+  AggRef agg = l.Aggregate(
+      l["l_orderkey"], Aggs(Agg{"o_orderpriority", AggKind::kMax,
+                                l["o_orderpriority"], false}));
   // Orders per priority, ORDER BY o_orderpriority (dictionary codes sort
   // like the strings).
-  q.AddStep(StepCountBy{agg, 1});
-  return q;
+  b.Step(StepCountBy{agg.id, agg.slot("o_orderpriority")});
+  return b.Take();
 }
 
-// =============================================================================
-// Q5: local supplier volume. 6 pipelines (region, nation, customer, orders,
-// supplier builds + lineitem probe).
-// =============================================================================
+/// Q5: local supplier volume. 6 pipelines (region, nation, customer, orders,
+/// supplier builds + lineitem probe).
 QueryProgram BuildQ5(const Catalog& cat) {
-  QueryProgram q("q5");
-  int region = q.DeclareBaseTable("region");
-  int nation = q.DeclareBaseTable("nation");
-  int customer = q.DeclareBaseTable("customer");
-  int orders = q.DeclareBaseTable("orders");
-  int supplier = q.DeclareBaseTable("supplier");
-  int lineitem = q.DeclareBaseTable("lineitem");
+  PlanBuilder b(cat, "q5");
+  Pipe r = b.Scan("build region", "region", {"r_regionkey", "r_name"});
+  r.Filter(Eq(r["r_name"], I64(b.Code("region", "r_name", "ASIA"))));
+  JoinRef regions = r.Build(r["r_regionkey"]);
 
-  int region_ht = q.DeclareJoinTable(0);
-  int nation_ht = q.DeclareJoinTable(0);
-  int cust_ht = q.DeclareJoinTable(1);    // payload: c_nationkey
-  int order_ht = q.DeclareJoinTable(1);   // payload: c_nationkey
-  int supp_ht = q.DeclareJoinTable(1);    // payload: s_nationkey
+  Pipe n = b.Scan("build nation", "nation", {"n_nationkey", "n_regionkey"});
+  n.Probe(regions, n["n_regionkey"], JoinKind::kSemi);
+  JoinRef nations = n.Build(n["n_nationkey"]);
 
-  const int64_t asia = DictCode(cat, "region", "r_name", "ASIA");
+  Pipe c = b.Scan("build customer", "customer", {"c_custkey", "c_nationkey"});
+  c.Probe(nations, c["c_nationkey"], JoinKind::kSemi);
+  JoinRef customers = c.Build(c["c_custkey"], {"c_nationkey"});
 
-  {
-    PipelineSpec p;
-    p.name = "build region";
-    p.source_table = region;
-    p.scan_columns = {Col(cat, "region", "r_regionkey"),
-                      Col(cat, "region", "r_name")};
-    p.ops.push_back(OpFilter{Eq(Slot(1), I64(asia))});
-    SinkBuild sink;
-    sink.ht = region_ht;
-    sink.key = Slot(0);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build nation";
-    p.source_table = nation;
-    p.scan_columns = {Col(cat, "nation", "n_nationkey"),
-                      Col(cat, "nation", "n_regionkey")};
-    OpProbe probe;
-    probe.ht = region_ht;
-    probe.key = Slot(1);
-    probe.kind = JoinKind::kSemi;
-    p.ops.push_back(std::move(probe));
-    SinkBuild sink;
-    sink.ht = nation_ht;
-    sink.key = Slot(0);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build customer";
-    p.source_table = customer;
-    p.scan_columns = {Col(cat, "customer", "c_custkey"),
-                      Col(cat, "customer", "c_nationkey")};
-    OpProbe probe;
-    probe.ht = nation_ht;
-    probe.key = Slot(1);
-    probe.kind = JoinKind::kSemi;
-    p.ops.push_back(std::move(probe));
-    SinkBuild sink;
-    sink.ht = cust_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build orders";
-    p.source_table = orders;
-    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                      Col(cat, "orders", "o_custkey"),
-                      Col(cat, "orders", "o_orderdate")};
-    p.ops.push_back(OpFilter{And(Ge(Slot(2), I64(DateToDays(1994, 1, 1))),
-                                 Lt(Slot(2), I64(DateToDays(1995, 1, 1))))});
-    OpProbe probe;
-    probe.ht = cust_ht;
-    probe.key = Slot(1);
-    probe.payload_slots = 1;  // c_nationkey -> slot 3
-    p.ops.push_back(std::move(probe));
-    SinkBuild sink;
-    sink.ht = order_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(3));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build supplier";
-    p.source_table = supplier;
-    p.scan_columns = {Col(cat, "supplier", "s_suppkey"),
-                      Col(cat, "supplier", "s_nationkey")};
-    SinkBuild sink;
-    sink.ht = supp_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  std::vector<AggItem> items;
-  items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "scan lineitem";
-    p.source_table = lineitem;
-    p.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                      Col(cat, "lineitem", "l_suppkey"),
-                      Col(cat, "lineitem", "l_extendedprice"),
-                      Col(cat, "lineitem", "l_discount")};
-    OpProbe probe_orders;
-    probe_orders.ht = order_ht;
-    probe_orders.key = Slot(0);
-    probe_orders.payload_slots = 1;  // c_nationkey -> slot 4
-    p.ops.push_back(std::move(probe_orders));
-    OpProbe probe_supp;
-    probe_supp.ht = supp_ht;
-    probe_supp.key = Slot(1);
-    probe_supp.payload_slots = 1;  // s_nationkey -> slot 5
-    p.ops.push_back(std::move(probe_supp));
-    p.ops.push_back(OpFilter{Eq(Slot(4), Slot(5))});
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = Slot(5);  // group by nation
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1))));
-  q.AddStep(StepSort{{{1, true, false}}});
-  return q;
+  Pipe o = b.Scan("build orders", "orders",
+                  {"o_orderkey", "o_custkey", "o_orderdate"});
+  o.Filter(InRange(o, "o_orderdate", DateToDays(1994, 1, 1),
+                   DateToDays(1995, 1, 1)));
+  o.Probe(customers, o["o_custkey"]);
+  JoinRef orders = o.Build(o["o_orderkey"], {"c_nationkey"});
+
+  Pipe s = b.Scan("build supplier", "supplier", {"s_suppkey", "s_nationkey"});
+  JoinRef suppliers = s.Build(s["s_suppkey"], {"s_nationkey"});
+
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount"});
+  l.Probe(orders, l["l_orderkey"]);
+  l.Probe(suppliers, l["l_suppkey"]);
+  l.Filter(Eq(l["c_nationkey"], l["s_nationkey"]));
+  AggRef agg = l.Aggregate(l["s_nationkey"],
+                           Aggs(Agg{"revenue", AggKind::kSum, Revenue(l)}));
+  b.Step(ReadGroups(agg.id, ExprList(agg.key(), agg["revenue"])));
+  b.Step(StepSort{{{1, true, false}}});
+  return b.Take();
 }
 
-// =============================================================================
-// Q11: important stock identification. The Fig 14 trace query: two large
-// partsupp scans dominate.
-// =============================================================================
+/// Q11: important stock identification. The Fig 14 trace query: two large
+/// partsupp scans dominate.
 QueryProgram BuildQ11(const Catalog& cat) {
-  QueryProgram q("q11");
-  int nation = q.DeclareBaseTable("nation");
-  int supplier = q.DeclareBaseTable("supplier");
-  int partsupp = q.DeclareBaseTable("partsupp");
-  int nation_ht = q.DeclareJoinTable(0);
-  int supp_ht = q.DeclareJoinTable(0);
+  PlanBuilder b(cat, "q11");
+  Pipe n = b.Scan("build nation", "nation", {"n_nationkey", "n_name"});
+  n.Filter(Eq(n["n_name"], I64(b.Code("nation", "n_name", "GERMANY"))));
+  JoinRef nations = n.Build(n["n_nationkey"]);
 
-  const int64_t germany = DictCode(cat, "nation", "n_name", "GERMANY");
+  Pipe s = b.Scan("build supplier", "supplier", {"s_suppkey", "s_nationkey"});
+  s.Probe(nations, s["s_nationkey"], JoinKind::kSemi);
+  JoinRef suppliers = s.Build(s["s_suppkey"]);
 
-  {
-    PipelineSpec p;
-    p.name = "build nation";
-    p.source_table = nation;
-    p.scan_columns = {Col(cat, "nation", "n_nationkey"),
-                      Col(cat, "nation", "n_name")};
-    p.ops.push_back(OpFilter{Eq(Slot(1), I64(germany))});
-    SinkBuild sink;
-    sink.ht = nation_ht;
-    sink.key = Slot(0);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build supplier";
-    p.source_table = supplier;
-    p.scan_columns = {Col(cat, "supplier", "s_suppkey"),
-                      Col(cat, "supplier", "s_nationkey")};
-    OpProbe probe;
-    probe.ht = nation_ht;
-    probe.key = Slot(1);
-    probe.kind = JoinKind::kSemi;
-    p.ops.push_back(std::move(probe));
-    SinkBuild sink;
-    sink.ht = supp_ht;
-    sink.key = Slot(0);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  // Pipeline "scan partsupp 1": per-part value sums.
-  std::vector<AggItem> part_items;
-  part_items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(3), Mul(Slot(2), I64(100))), true});
-  int part_agg = q.DeclareAggSet(KindsOf(part_items));
-  {
-    PipelineSpec p;
-    p.name = "scan partsupp 1";
-    p.source_table = partsupp;
-    p.scan_columns = {Col(cat, "partsupp", "ps_partkey"),
-                      Col(cat, "partsupp", "ps_suppkey"),
-                      Col(cat, "partsupp", "ps_availqty"),
-                      Col(cat, "partsupp", "ps_supplycost")};
-    OpProbe probe;
-    probe.ht = supp_ht;
-    probe.key = Slot(1);
-    probe.kind = JoinKind::kSemi;
-    p.ops.push_back(std::move(probe));
-    SinkAgg sink;
-    sink.agg = part_agg;
-    sink.key = Slot(0);
-    sink.items = std::move(part_items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  // Pipeline "scan partsupp 2": total value.
-  std::vector<AggItem> total_items;
-  total_items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(3), Mul(Slot(2), I64(100))), true});
-  int total_agg = q.DeclareAggSet(KindsOf(total_items));
-  {
-    PipelineSpec p;
-    p.name = "scan partsupp 2";
-    p.source_table = partsupp;
-    p.scan_columns = {Col(cat, "partsupp", "ps_partkey"),
-                      Col(cat, "partsupp", "ps_suppkey"),
-                      Col(cat, "partsupp", "ps_availqty"),
-                      Col(cat, "partsupp", "ps_supplycost")};
-    OpProbe probe;
-    probe.ht = supp_ht;
-    probe.key = Slot(1);
-    probe.kind = JoinKind::kSemi;
-    p.ops.push_back(std::move(probe));
-    SinkAgg sink;
-    sink.agg = total_agg;
-    sink.key = I64(0);
-    sink.items = std::move(total_items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
+  // The German suppliers' stock value, per part or in total.
+  const auto stock_value = [&](const char* name, bool per_part) {
+    Pipe ps = b.Scan(name, "partsupp", {"ps_partkey", "ps_suppkey",
+                                        "ps_availqty", "ps_supplycost"});
+    ps.Probe(suppliers, ps["ps_suppkey"], JoinKind::kSemi);
+    return ps.Aggregate(
+        per_part ? ps["ps_partkey"] : I64(0),
+        Aggs(Agg{"value", AggKind::kSum,
+                 CheckedMul(ps["ps_supplycost"],
+                            Mul(ps["ps_availqty"], I64(100)))}));
+  };
+  AggRef parts = stock_value("scan partsupp 1", /*per_part=*/true);
+  AggRef total = stock_value("scan partsupp 2", /*per_part=*/false);
   // HAVING value > total * 0.0001 (the spec's fraction/SF; we use the
-  // SF-1 fraction), over the slots [partkey, value, total].
-  StepReadGroups having = ReadGroups(part_agg, ExprList(Slot(0), Slot(1)),
-                                     Gt(Mul(Slot(1), I64(10000)), Slot(2)));
-  having.scalar_agg = total_agg;
-  q.AddStep(std::move(having));
-  q.AddStep(StepSort{{{1, true, false}}});
-  return q;
+  // SF-1 fraction). The total set's slots follow a part's.
+  StepReadGroups having = ReadGroups(
+      parts.id, ExprList(parts.key(), parts["value"]),
+      Gt(Mul(parts["value"], I64(10000)),
+         Slot(static_cast<int>(parts.names.size() + total.slot("value")))));
+  having.scalar_agg = total.id;
+  b.Step(std::move(having));
+  b.Step(StepSort{{{1, true, false}}});
+  return b.Take();
 }
 
-// =============================================================================
-// Q12: shipping modes and order priority. About 1% of lineitems pass the
-// filter, so they are the small side: pre-aggregate them by orderkey into
-// MAIL and SHIP line counts, turn the groups into a join table in a step
-// (as Q18 does), and probe it from orders into one sum per shipmode and
-// priority class.
-// =============================================================================
+/// Q12: shipping modes and order priority. About 1% of lineitems pass the
+/// filter, so they are the small side: pre-aggregate them by orderkey into
+/// MAIL and SHIP line counts, turn the groups into a join table in a step
+/// (as Q18 does), and probe it from orders into one sum per shipmode and
+/// priority class.
 QueryProgram BuildQ12(const Catalog& cat) {
-  QueryProgram q("q12");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int orders = q.DeclareBaseTable("orders");
-  int line_ht = q.DeclareJoinTable(2);  // payload: MAIL lines, SHIP lines
+  PlanBuilder b(cat, "q12");
+  const int64_t mail = b.Code("lineitem", "l_shipmode", "MAIL");
+  const int64_t ship = b.Code("lineitem", "l_shipmode", "SHIP");
+  const int64_t urgent = b.Code("orders", "o_orderpriority", "1-URGENT");
+  const int64_t high = b.Code("orders", "o_orderpriority", "2-HIGH");
 
-  const int64_t mail = DictCode(cat, "lineitem", "l_shipmode", "MAIL");
-  const int64_t ship = DictCode(cat, "lineitem", "l_shipmode", "SHIP");
-  const int64_t urgent =
-      DictCode(cat, "orders", "o_orderpriority", "1-URGENT");
-  const int64_t high = DictCode(cat, "orders", "o_orderpriority", "2-HIGH");
-
+  Pipe l = b.Scan("agg lineitem", "lineitem",
+                  {"l_orderkey", "l_shipmode", "l_commitdate", "l_receiptdate",
+                   "l_shipdate"});
+  l.Filter(And(Or(Eq(l["l_shipmode"], I64(mail)),
+                  Eq(l["l_shipmode"], I64(ship))),
+               And(And(Lt(l["l_commitdate"], l["l_receiptdate"]),
+                       Lt(l["l_shipdate"], l["l_commitdate"])),
+                   InRange(l, "l_receiptdate", DateToDays(1994, 1, 1),
+                           DateToDays(1995, 1, 1)))));
   // Per order: its qualifying lines shipped by MAIL and by SHIP.
-  std::vector<AggItem> line_items;
-  line_items.push_back({AggKind::kSum, Eq(Slot(1), I64(mail)), false});
-  line_items.push_back({AggKind::kSum, Eq(Slot(1), I64(ship)), false});
-  int line_agg = q.DeclareAggSet(KindsOf(line_items));
-  {
-    PipelineSpec p;
-    p.name = "agg lineitem";
-    p.source_table = lineitem;
-    p.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                      Col(cat, "lineitem", "l_shipmode"),
-                      Col(cat, "lineitem", "l_commitdate"),
-                      Col(cat, "lineitem", "l_receiptdate"),
-                      Col(cat, "lineitem", "l_shipdate")};
-    p.ops.push_back(OpFilter{And(
-        Or(Eq(Slot(1), I64(mail)), Eq(Slot(1), I64(ship))),
-        And(And(Lt(Slot(2), Slot(3)), Lt(Slot(4), Slot(2))),
-            And(Ge(Slot(3), I64(DateToDays(1994, 1, 1))),
-                Lt(Slot(3), I64(DateToDays(1995, 1, 1))))))});
-    SinkAgg sink;
-    sink.agg = line_agg;
-    sink.key = Slot(0);
-    sink.items = std::move(line_items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  q.AddStep(StepGroupsToJoinTable{line_agg, line_ht, nullptr});
+  AggRef lines = l.Aggregate(
+      l["l_orderkey"],
+      Aggs(Agg{"mail", AggKind::kSum, Eq(l["l_shipmode"], I64(mail)), false},
+           Agg{"ship", AggKind::kSum, Eq(l["l_shipmode"], I64(ship)), false}));
+  JoinRef per_order = b.GroupsToJoin(lines);
+
+  Pipe o = b.Scan("scan orders", "orders", {"o_orderkey", "o_orderpriority"});
+  o.Probe(per_order, o["o_orderkey"]);
+  o.Compute("high", BoolToI64(Or(Eq(o["o_orderpriority"], I64(urgent)),
+                                 Eq(o["o_orderpriority"], I64(high)))));
   // high_line_count counts the lines of orders with priority 1-URGENT or
   // 2-HIGH, low_line_count the others: per mode, all lines minus high.
-  // Sums: MAIL high, MAIL all, SHIP high, SHIP all.
-  std::vector<AggItem> items;
-  items.push_back({AggKind::kSum, Mul(Slot(2), Slot(4)), false});
-  items.push_back({AggKind::kSum, Slot(2), false});
-  items.push_back({AggKind::kSum, Mul(Slot(3), Slot(4)), false});
-  items.push_back({AggKind::kSum, Slot(3), false});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "scan orders";
-    p.source_table = orders;
-    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                      Col(cat, "orders", "o_orderpriority")};
-    OpProbe probe;
-    probe.ht = line_ht;
-    probe.key = Slot(0);
-    probe.payload_slots = 2;  // MAIL lines -> slot 2, SHIP lines -> slot 3
-    p.ops.push_back(std::move(probe));
-    p.ops.push_back(OpCompute{BoolToI64(Or(
-        Eq(Slot(1), I64(urgent)), Eq(Slot(1), I64(high))))});  // slot 4
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = I64(0);
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  // GROUP BY l_shipmode: a mode has a row when any line qualified. The
-  // slots are [0, MAIL high, MAIL all, SHIP high, SHIP all].
+  AggRef agg = o.Aggregate(
+      I64(0),
+      Aggs(Agg{"mail_high", AggKind::kSum, Mul(o["mail"], o["high"]), false},
+           Agg{"mail_all", AggKind::kSum, o["mail"], false},
+           Agg{"ship_high", AggKind::kSum, Mul(o["ship"], o["high"]), false},
+           Agg{"ship_all", AggKind::kSum, o["ship"], false}));
+  // GROUP BY l_shipmode: a mode has a row when any line qualified.
   StepReadGroups modes;
-  modes.agg = agg;
-  for (const auto& [mode, high] : {std::pair(mail, 1), std::pair(ship, 3)}) {
+  modes.agg = agg.id;
+  for (const auto& [code, mode] :
+       {std::pair(mail, "mail"), std::pair(ship, "ship")}) {
+    const std::string all = std::string(mode) + "_all";
+    const std::string high_lines = std::string(mode) + "_high";
     modes.rows.push_back(
-        {Gt(Slot(high + 1), I64(0)),
-         ExprList(I64(mode), Slot(high), Sub(Slot(high + 1), Slot(high)))});
+        {Gt(agg[all], I64(0)),
+         ExprList(I64(code), agg[high_lines],
+                  Sub(agg[all], agg[high_lines]))});
   }
-  q.AddStep(std::move(modes));
-  q.AddStep(StepSort{{{0, false, false}}});
-  return q;
+  b.Step(std::move(modes));
+  b.Step(StepSort{{{0, false, false}}});
+  return b.Take();
 }
 
-// =============================================================================
-// Q14: promotion effect. part -> lineitem with a LIKE-prefix predicate on
-// p_type, lowered by the string predicate subsystem (on the sorted
-// dictionary this is a code-range compare; pattern variants differ only in
-// the range literals and patch-share q14's cached bytecode).
-// =============================================================================
+/// Q14: promotion effect. part -> lineitem with a LIKE-prefix predicate on
+/// p_type, lowered by the string predicate subsystem (on the sorted
+/// dictionary this is a code-range compare; pattern variants differ only in
+/// the range literals and patch-share q14's cached bytecode).
 QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
-  QueryProgram q("q14");
-  int part = q.DeclareBaseTable("part");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int part_ht = q.DeclareJoinTable(1);  // payload: is_promo
+  PlanBuilder b(cat, "q14");
+  Pipe p = b.Scan("build part", "part", {"p_partkey", "p_type"});
+  const Table& part = *cat.GetTable("part");
+  LoweredLike promo =
+      LowerLikePredicate(&b.program(), part, part.ColumnIndex("p_type"),
+                         p.slot("p_type"), pattern);
+  p.Compute("is_promo", std::move(promo.expr));
+  JoinRef parts = p.Build(p["p_partkey"], {"is_promo"});
 
-  const Table* part_table = cat.GetTable("part");
-  LoweredLike promo = LowerLikePredicate(
-      &q, *part_table, part_table->ColumnIndex("p_type"), /*code_slot=*/1,
-      pattern);
-
-  {
-    PipelineSpec p;
-    p.name = "build part";
-    p.source_table = part;
-    p.scan_columns = {Col(cat, "part", "p_partkey"),
-                      Col(cat, "part", "p_type")};
-    p.ops.push_back(OpCompute{std::move(promo.expr)});  // slot 2
-    SinkBuild sink;
-    sink.ht = part_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(2));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  std::vector<AggItem> items;
-  // revenue = price * (100 - disc); promo_revenue = is_promo * revenue.
-  items.push_back({AggKind::kSum,
-                   Mul(Slot(4), CheckedMul(Slot(2), Sub(I64(100), Slot(3)))),
-                   true});
-  items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "scan lineitem";
-    p.source_table = lineitem;
-    p.scan_columns = {Col(cat, "lineitem", "l_partkey"),
-                      Col(cat, "lineitem", "l_shipdate"),
-                      Col(cat, "lineitem", "l_extendedprice"),
-                      Col(cat, "lineitem", "l_discount")};
-    p.ops.push_back(OpFilter{And(Ge(Slot(1), I64(DateToDays(1995, 9, 1))),
-                                 Lt(Slot(1), I64(DateToDays(1995, 10, 1))))});
-    OpProbe probe;
-    probe.ht = part_ht;
-    probe.key = Slot(0);
-    probe.payload_slots = 1;  // is_promo -> slot 4
-    p.ops.push_back(std::move(probe));
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = I64(0);
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_partkey", "l_shipdate", "l_extendedprice", "l_discount"});
+  l.Filter(InRange(l, "l_shipdate", DateToDays(1995, 9, 1),
+                   DateToDays(1995, 10, 1)));
+  l.Probe(parts, l["l_partkey"]);
+  AggRef agg = l.Aggregate(
+      I64(0), Aggs(Agg{"promo", AggKind::kSum, Mul(l["is_promo"], Revenue(l))},
+                   Agg{"total", AggKind::kSum, Revenue(l)}));
   // promo_revenue = 100 * promo / total.
-  q.AddStep(ReadGroups(
-      agg, ExprList(FDiv(FMul(F64(100.0), CastF64(Slot(1))), CastF64(Slot(2))),
-                    Slot(1), Slot(2)),
+  b.Step(ReadGroups(
+      agg.id,
+      ExprList(FDiv(FMul(F64(100.0), CastF64(agg["promo"])),
+                    CastF64(agg["total"])),
+               agg["promo"], agg["total"]),
       nullptr, /*scalar=*/true));
-  return q;
+  return b.Take();
 }
 
-// =============================================================================
-// Q18: large volume customer. Group lineitem by orderkey, HAVING sum > 300.
-// =============================================================================
+/// Q18: large volume customer. Group lineitem by orderkey, HAVING sum > 300.
 QueryProgram BuildQ18Impl(const Catalog& cat, int64_t min_quantity) {
-  QueryProgram q("q18");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int orders = q.DeclareBaseTable("orders");
-  int qualify_ht = q.DeclareJoinTable(1);  // payload: sum(l_quantity)
-
-  std::vector<AggItem> items;
-  items.push_back({AggKind::kSum, Slot(1), true});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "agg lineitem";
-    p.source_table = lineitem;
-    p.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                      Col(cat, "lineitem", "l_quantity")};
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = Slot(0);
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
+  PlanBuilder b(cat, "q18");
+  Pipe l = b.Scan("agg lineitem", "lineitem", {"l_orderkey", "l_quantity"});
+  AggRef agg = l.Aggregate(
+      l["l_orderkey"], Aggs(Agg{"sum_qty", AggKind::kSum, l["l_quantity"]}));
   // HAVING sum(l_quantity) > min_quantity: the qualifying orderkeys become
   // a join table. Few orders qualify; the probe's seal sizes the table to
   // them, not to the groups.
-  q.AddStep(StepGroupsToJoinTable{
-      agg, qualify_ht, Gt(Slot(1), I64(min_quantity * kDecimalScale))});
-  {
-    PipelineSpec p;
-    p.name = "scan orders";
-    p.source_table = orders;
-    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                      Col(cat, "orders", "o_custkey"),
-                      Col(cat, "orders", "o_orderdate"),
-                      Col(cat, "orders", "o_totalprice")};
-    OpProbe probe;
-    probe.ht = qualify_ht;
-    probe.key = Slot(0);
-    probe.payload_slots = 1;  // sum(l_quantity) -> slot 4
-    p.ops.push_back(std::move(probe));
-    int output = q.DeclareOutput(5);
-    SinkOutput sink;
-    sink.output = output;
-    sink.values.push_back(Slot(1));  // custkey
-    sink.values.push_back(Slot(0));  // orderkey
-    sink.values.push_back(Slot(2));  // orderdate
-    sink.values.push_back(Slot(3));  // totalprice
-    sink.values.push_back(Slot(4));  // sum qty
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-    q.AddStep(StepReadOutput{output});
-    // ORDER BY o_totalprice DESC, o_orderdate; LIMIT 100.
-    q.AddStep(StepTopK{{{3, true, false}, {2, false, false}}, 100});
-  }
-  return q;
+  JoinRef large = b.GroupsToJoin(
+      agg, Gt(agg["sum_qty"], I64(min_quantity * kDecimalScale)));
+
+  Pipe o = b.Scan("scan orders", "orders",
+                  {"o_orderkey", "o_custkey", "o_orderdate", "o_totalprice"});
+  o.Probe(large, o["o_orderkey"]);
+  const int output = o.Output(
+      {"o_custkey", "o_orderkey", "o_orderdate", "o_totalprice", "sum_qty"});
+  b.Step(StepReadOutput{output});
+  // ORDER BY o_totalprice DESC, o_orderdate; LIMIT 100.
+  b.Step(StepTopK{{{3, true, false}, {2, false, false}}, 100});
+  return b.Take();
 }
 
-// =============================================================================
-// Q19: discounted revenue — the big disjunctive predicate over part
-// attributes and lineitem, evaluated after the part join.
-// =============================================================================
+/// Q19: discounted revenue — the big disjunctive predicate over part
+/// attributes and lineitem, evaluated after the part join.
 QueryProgram BuildQ19(const Catalog& cat) {
-  QueryProgram q("q19");
-  int part = q.DeclareBaseTable("part");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int part_ht = q.DeclareJoinTable(3);  // payload: brand, container, size
-
+  PlanBuilder b(cat, "q19");
   const Table* pt = cat.GetTable("part");
   const Dictionary& containers =
       pt->dictionary(pt->ColumnIndex("p_container"));
-  const uint8_t* sm = q.AddBitmap(
+  const uint8_t* sm = b.program().AddBitmap(
       containers.MatchIn({"SM CASE", "SM BOX", "SM PACK", "SM PKG"}));
-  const uint8_t* med = q.AddBitmap(
+  const uint8_t* med = b.program().AddBitmap(
       containers.MatchIn({"MED BAG", "MED BOX", "MED PKG", "MED PACK"}));
-  const uint8_t* lg = q.AddBitmap(
+  const uint8_t* lg = b.program().AddBitmap(
       containers.MatchIn({"LG CASE", "LG BOX", "LG PACK", "LG PKG"}));
-  const int64_t brand12 = DictCode(cat, "part", "p_brand", "Brand#12");
-  const int64_t brand23 = DictCode(cat, "part", "p_brand", "Brand#23");
-  const int64_t brand34 = DictCode(cat, "part", "p_brand", "Brand#34");
   const Table* lt = cat.GetTable("lineitem");
-  const uint8_t* air_modes = q.AddBitmap(
+  const uint8_t* air_modes = b.program().AddBitmap(
       lt->dictionary(lt->ColumnIndex("l_shipmode"))
           .MatchIn({"AIR", "REG AIR"}));
-  const int64_t deliver = DictCode(cat, "lineitem", "l_shipinstruct",
-                                   "DELIVER IN PERSON");
 
-  {
-    PipelineSpec p;
-    p.name = "build part";
-    p.source_table = part;
-    p.scan_columns = {Col(cat, "part", "p_partkey"),
-                      Col(cat, "part", "p_brand"),
-                      Col(cat, "part", "p_container"),
-                      Col(cat, "part", "p_size")};
-    SinkBuild sink;
-    sink.ht = part_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    sink.payload.push_back(Slot(2));
-    sink.payload.push_back(Slot(3));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  std::vector<AggItem> items;
-  items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "scan lineitem";
-    p.source_table = lineitem;
-    // 0 partkey, 1 qty, 2 price, 3 disc, 4 shipmode, 5 shipinstruct
-    p.scan_columns = {Col(cat, "lineitem", "l_partkey"),
-                      Col(cat, "lineitem", "l_quantity"),
-                      Col(cat, "lineitem", "l_extendedprice"),
-                      Col(cat, "lineitem", "l_discount"),
-                      Col(cat, "lineitem", "l_shipmode"),
-                      Col(cat, "lineitem", "l_shipinstruct")};
-    p.ops.push_back(OpFilter{And(Eq(Slot(5), I64(deliver)),
-                                 BitmapTest(air_modes, Slot(4)))});
-    OpProbe probe;
-    probe.ht = part_ht;
-    probe.key = Slot(0);
-    probe.payload_slots = 3;  // brand->6, container->7, size->8
-    p.ops.push_back(std::move(probe));
-    auto branch = [&](int64_t brand, const uint8_t* bitmap, int64_t qlo,
-                      int64_t qhi, int64_t size_hi) {
-      return And(
-          And(Eq(Slot(6), I64(brand)), BitmapTest(bitmap, Slot(7))),
-          And(And(Ge(Slot(1), I64(qlo * 100)), Le(Slot(1), I64(qhi * 100))),
-              And(Ge(Slot(8), I64(1)), Le(Slot(8), I64(size_hi)))));
-    };
-    p.ops.push_back(OpFilter{Or(
-        Or(branch(brand12, sm, 1, 11, 5), branch(brand23, med, 10, 20, 10)),
-        branch(brand34, lg, 20, 30, 15))});
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = I64(0);
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  q.AddStep(ReadGroups(agg, ExprList(Slot(1)), nullptr, /*scalar=*/true));
-  return q;
+  Pipe p = b.Scan("build part", "part",
+                  {"p_partkey", "p_brand", "p_container", "p_size"});
+  JoinRef parts =
+      p.Build(p["p_partkey"], {"p_brand", "p_container", "p_size"});
+
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_partkey", "l_quantity", "l_extendedprice", "l_discount",
+                   "l_shipmode", "l_shipinstruct"});
+  l.Filter(And(Eq(l["l_shipinstruct"], I64(b.Code("lineitem", "l_shipinstruct",
+                                                   "DELIVER IN PERSON"))),
+               BitmapTest(air_modes, l["l_shipmode"])));
+  l.Probe(parts, l["l_partkey"]);
+  const auto branch = [&](const char* brand, const uint8_t* containers_in,
+                          int64_t qlo, int64_t qhi, int64_t size_hi) {
+    return And(
+        And(Eq(l["p_brand"], I64(b.Code("part", "p_brand", brand))),
+            BitmapTest(containers_in, l["p_container"])),
+        And(And(Ge(l["l_quantity"], I64(qlo * 100)),
+                Le(l["l_quantity"], I64(qhi * 100))),
+            And(Ge(l["p_size"], I64(1)), Le(l["p_size"], I64(size_hi)))));
+  };
+  l.Filter(Or(Or(branch("Brand#12", sm, 1, 11, 5),
+                 branch("Brand#23", med, 10, 20, 10)),
+              branch("Brand#34", lg, 20, 30, 15)));
+  AggRef agg =
+      l.Aggregate(I64(0), Aggs(Agg{"revenue", AggKind::kSum, Revenue(l)}));
+  b.Step(ReadGroups(agg.id, ExprList(agg["revenue"]), nullptr,
+                    /*scalar=*/true));
+  return b.Take();
 }
 
+/// The n_nationkey of nation `name` (n_name codes are not nation keys).
+int64_t NationKey(const PlanBuilder& b, const char* name) {
+  const int64_t code = b.Code("nation", "n_name", name);
+  const Table* nation = b.catalog().GetTable("nation");
+  for (uint64_t r = 0; r < nation->num_rows(); ++r) {
+    if (nation->column("n_name").GetAsI64(r) == code) {
+      return nation->column("n_nationkey").GetAsI64(r);
+    }
+  }
+  AQE_UNREACHABLE(name);
+}
 
-// =============================================================================
-// Q7: volume shipping. supplier x lineitem x orders x customer with two
-// nation filters and per-year revenue (year via date-threshold arithmetic).
-// =============================================================================
+/// Q7: volume shipping. supplier x lineitem x orders x customer with two
+/// nation filters and per-year revenue (year via date-threshold arithmetic).
 QueryProgram BuildQ7(const Catalog& cat) {
-  QueryProgram q("q7");
-  int supplier = q.DeclareBaseTable("supplier");
-  int customer = q.DeclareBaseTable("customer");
-  int orders = q.DeclareBaseTable("orders");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int supp_ht = q.DeclareJoinTable(1);   // payload: s_nationkey
-  int cust_ht = q.DeclareJoinTable(1);   // payload: c_nationkey
-  int order_ht = q.DeclareJoinTable(1);  // payload: c_nationkey
+  PlanBuilder b(cat, "q7");
+  const int64_t fr = NationKey(b, "FRANCE");
+  const int64_t de = NationKey(b, "GERMANY");
+  const auto fr_or_de = [&](const Pipe& p, const char* nation) {
+    return Or(Eq(p[nation], I64(fr)), Eq(p[nation], I64(de)));
+  };
 
-  const int64_t france = DictCode(cat, "nation", "n_name", "FRANCE");
-  const int64_t germany = DictCode(cat, "nation", "n_name", "GERMANY");
-  // n_name dictionary codes are not nation keys; map via the nation table.
-  const Table* nt = cat.GetTable("nation");
-  int64_t fr_key = -1, de_key = -1;
-  for (uint64_t r = 0; r < nt->num_rows(); ++r) {
-    int64_t name = nt->column("n_name").GetAsI64(r);
-    if (name == france) fr_key = nt->column("n_nationkey").GetAsI64(r);
-    if (name == germany) de_key = nt->column("n_nationkey").GetAsI64(r);
-  }
-  AQE_CHECK(fr_key >= 0 && de_key >= 0);
+  Pipe s = b.Scan("build supplier", "supplier", {"s_suppkey", "s_nationkey"});
+  s.Filter(fr_or_de(s, "s_nationkey"));
+  JoinRef suppliers = s.Build(s["s_suppkey"], {"s_nationkey"});
 
-  {
-    PipelineSpec p;
-    p.name = "build supplier";
-    p.source_table = supplier;
-    p.scan_columns = {Col(cat, "supplier", "s_suppkey"),
-                      Col(cat, "supplier", "s_nationkey")};
-    p.ops.push_back(
-        OpFilter{Or(Eq(Slot(1), I64(fr_key)), Eq(Slot(1), I64(de_key)))});
-    SinkBuild sink;
-    sink.ht = supp_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build customer";
-    p.source_table = customer;
-    p.scan_columns = {Col(cat, "customer", "c_custkey"),
-                      Col(cat, "customer", "c_nationkey")};
-    p.ops.push_back(
-        OpFilter{Or(Eq(Slot(1), I64(fr_key)), Eq(Slot(1), I64(de_key)))});
-    SinkBuild sink;
-    sink.ht = cust_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build orders";
-    p.source_table = orders;
-    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                      Col(cat, "orders", "o_custkey")};
-    OpProbe probe;
-    probe.ht = cust_ht;
-    probe.key = Slot(1);
-    probe.payload_slots = 1;  // c_nationkey -> slot 2
-    p.ops.push_back(std::move(probe));
-    SinkBuild sink;
-    sink.ht = order_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(2));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  std::vector<AggItem> items;
-  items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "scan lineitem";
-    p.source_table = lineitem;
-    // 0 orderkey, 1 suppkey, 2 price, 3 disc, 4 shipdate
-    p.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                      Col(cat, "lineitem", "l_suppkey"),
-                      Col(cat, "lineitem", "l_extendedprice"),
-                      Col(cat, "lineitem", "l_discount"),
-                      Col(cat, "lineitem", "l_shipdate")};
-    p.ops.push_back(OpFilter{And(Ge(Slot(4), I64(DateToDays(1995, 1, 1))),
-                                 Le(Slot(4), I64(DateToDays(1996, 12, 31))))});
-    OpProbe probe_supp;
-    probe_supp.ht = supp_ht;
-    probe_supp.key = Slot(1);
-    probe_supp.payload_slots = 1;  // s_nationkey -> slot 5
-    p.ops.push_back(std::move(probe_supp));
-    OpProbe probe_ord;
-    probe_ord.ht = order_ht;
-    probe_ord.key = Slot(0);
-    probe_ord.payload_slots = 1;  // c_nationkey -> slot 6
-    p.ops.push_back(std::move(probe_ord));
-    p.ops.push_back(OpFilter{
-        Or(And(Eq(Slot(5), I64(fr_key)), Eq(Slot(6), I64(de_key))),
-           And(Eq(Slot(5), I64(de_key)), Eq(Slot(6), I64(fr_key))))});
-    // year = 1995 + (shipdate >= 1996-01-01) -> slot 7
-    p.ops.push_back(OpCompute{Add(
-        I64(1995), BoolToI64(Ge(Slot(4), I64(DateToDays(1996, 1, 1)))))});
-    SinkAgg sink;
-    sink.agg = agg;
-    // group key packs (supp_nation, cust_nation, year).
-    sink.key = Add(Mul(Slot(5), I64(1 << 20)),
-                   Add(Mul(Slot(6), I64(4096)), Slot(7)));
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  q.AddStep(ReadGroups(agg, ExprList(Div(Slot(0), I64(1 << 20)),
+  Pipe c = b.Scan("build customer", "customer", {"c_custkey", "c_nationkey"});
+  c.Filter(fr_or_de(c, "c_nationkey"));
+  JoinRef customers = c.Build(c["c_custkey"], {"c_nationkey"});
+
+  Pipe o = b.Scan("build orders", "orders", {"o_orderkey", "o_custkey"});
+  o.Probe(customers, o["o_custkey"]);
+  JoinRef orders = o.Build(o["o_orderkey"], {"c_nationkey"});
+
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_orderkey", "l_suppkey", "l_extendedprice", "l_discount",
+                   "l_shipdate"});
+  l.Filter(And(Ge(l["l_shipdate"], I64(DateToDays(1995, 1, 1))),
+               Le(l["l_shipdate"], I64(DateToDays(1996, 12, 31)))));
+  l.Probe(suppliers, l["l_suppkey"]);
+  l.Probe(orders, l["l_orderkey"]);
+  l.Filter(Or(And(Eq(l["s_nationkey"], I64(fr)), Eq(l["c_nationkey"], I64(de))),
+              And(Eq(l["s_nationkey"], I64(de)),
+                  Eq(l["c_nationkey"], I64(fr)))));
+  // year = 1995 + (shipdate >= 1996-01-01)
+  l.Compute("l_year",
+            Add(I64(1995), BoolToI64(Ge(l["l_shipdate"],
+                                        I64(DateToDays(1996, 1, 1))))));
+  // The group key packs (supp_nation, cust_nation, year).
+  AggRef agg = l.Aggregate(
+      Add(Mul(l["s_nationkey"], I64(1 << 20)),
+          Add(Mul(l["c_nationkey"], I64(4096)), l["l_year"])),
+      Aggs(Agg{"revenue", AggKind::kSum, Revenue(l)}));
+  b.Step(ReadGroups(agg.id, ExprList(Div(agg.key(), I64(1 << 20)),
                                      KeyDigit(4096, 256), KeyDigit(1, 4096),
-                                     Slot(1))));
-  q.AddStep(
-      StepSort{{{0, false, false}, {1, false, false}, {2, false, false}}});
-  return q;
+                                     agg["revenue"])));
+  b.Step(StepSort{{{0, false, false}, {1, false, false}, {2, false, false}}});
+  return b.Take();
 }
 
-// =============================================================================
-// Q9: product type profit measure. The spec filters p_name LIKE '%green%';
-// our generator has no p_name column, so we filter p_type LIKE '%BRASS%'
-// (similar ~1/5 selectivity, same code path). Composite
-// (partkey, suppkey) partsupp key packed into one i64; per-nation/year
-// profit. The part table is built first, and the partsupp build
-// semi-probes it, so only the BRASS parts' partsupp rows (~1/5) are
-// built. The largest worker function among the implemented queries.
-// =============================================================================
-QueryProgram BuildQ9(const Catalog& cat) {
-  QueryProgram q("q9");
-  int part = q.DeclareBaseTable("part");
-  int supplier = q.DeclareBaseTable("supplier");
-  int partsupp = q.DeclareBaseTable("partsupp");
-  int orders = q.DeclareBaseTable("orders");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int part_ht = q.DeclareJoinTable(0);   // green parts (semi)
-  int supp_ht = q.DeclareJoinTable(1);   // payload: s_nationkey
-  int ps_ht = q.DeclareJoinTable(1);     // payload: ps_supplycost
-  int order_ht = q.DeclareJoinTable(1);  // payload: o_orderdate
+/// Q9's composite partsupp key, partkey * 2^20 + suppkey.
+ExprPtr PartSuppKey(ExprPtr partkey, ExprPtr suppkey) {
+  return Add(Mul(std::move(partkey), I64(1 << 20)), std::move(suppkey));
+}
 
+/// Q9: product type profit measure. The spec filters p_name LIKE '%green%';
+/// our generator has no p_name column, so we filter p_type LIKE '%BRASS%'
+/// (similar ~1/5 selectivity, same code path). Composite
+/// (partkey, suppkey) partsupp key packed into one i64; per-nation/year
+/// profit. The part table is built first, and the partsupp build
+/// semi-probes it, so only the BRASS parts' partsupp rows (~1/5) are
+/// built. The largest worker function among the implemented queries.
+QueryProgram BuildQ9(const Catalog& cat) {
+  // The packed key is exact only while every suppkey is below 2^20.
+  // Suppkeys run to 10,000 * SF, so this holds below SF ~104.
+  AQE_CHECK_MSG(cat.GetTable("supplier")->num_rows() < (1u << 20),
+                "q9 packs suppkey into 20 bits of its partsupp key");
+  PlanBuilder b(cat, "q9");
   const Table* pt = cat.GetTable("part");
-  const uint8_t* green = q.AddBitmap(
+  const uint8_t* brass = b.program().AddBitmap(
       pt->dictionary(pt->ColumnIndex("p_type")).MatchContains("BRASS"));
 
-  {
-    PipelineSpec p;
-    p.name = "build part";
-    p.source_table = part;
-    p.scan_columns = {Col(cat, "part", "p_partkey"),
-                      Col(cat, "part", "p_type")};
-    p.ops.push_back(OpFilter{BitmapTest(green, Slot(1))});
-    SinkBuild sink;
-    sink.ht = part_ht;
-    sink.key = Slot(0);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
+  Pipe p = b.Scan("build part", "part", {"p_partkey", "p_type"});
+  p.Filter(BitmapTest(brass, p["p_type"]));
+  JoinRef parts = p.Build(p["p_partkey"]);
+
+  Pipe s = b.Scan("build supplier", "supplier", {"s_suppkey", "s_nationkey"});
+  JoinRef suppliers = s.Build(s["s_suppkey"], {"s_nationkey"});
+
+  Pipe ps = b.Scan("build partsupp", "partsupp",
+                   {"ps_partkey", "ps_suppkey", "ps_supplycost"});
+  // Only partsupp rows of BRASS parts can meet the lineitem probe.
+  ps.Probe(parts, ps["ps_partkey"], JoinKind::kSemi);
+  JoinRef partsupps = ps.Build(PartSuppKey(ps["ps_partkey"], ps["ps_suppkey"]),
+                               {"ps_supplycost"});
+
+  Pipe o = b.Scan("build orders", "orders", {"o_orderkey", "o_orderdate"});
+  JoinRef orders = o.Build(o["o_orderkey"], {"o_orderdate"});
+
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_orderkey", "l_partkey", "l_suppkey", "l_quantity",
+                   "l_extendedprice", "l_discount"});
+  l.Probe(parts, l["l_partkey"], JoinKind::kSemi);
+  l.Probe(suppliers, l["l_suppkey"]);
+  l.Probe(orders, l["l_orderkey"]);
+  l.Probe(partsupps, PartSuppKey(l["l_partkey"], l["l_suppkey"]));
+  // year(o_orderdate) = 1992 + sum of >=-year-boundary indicators
+  ExprPtr year = I64(1992);
+  for (int y = 1993; y <= 1998; ++y) {
+    year = Add(std::move(year),
+               BoolToI64(Ge(l["o_orderdate"], I64(DateToDays(y, 1, 1)))));
   }
-  {
-    PipelineSpec p;
-    p.name = "build supplier";
-    p.source_table = supplier;
-    p.scan_columns = {Col(cat, "supplier", "s_suppkey"),
-                      Col(cat, "supplier", "s_nationkey")};
-    SinkBuild sink;
-    sink.ht = supp_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build partsupp";
-    p.source_table = partsupp;
-    p.scan_columns = {Col(cat, "partsupp", "ps_partkey"),
-                      Col(cat, "partsupp", "ps_suppkey"),
-                      Col(cat, "partsupp", "ps_supplycost")};
-    // Only partsupp rows of BRASS parts can meet the lineitem probe.
-    OpProbe probe_part;
-    probe_part.ht = part_ht;
-    probe_part.key = Slot(0);
-    probe_part.kind = JoinKind::kSemi;
-    p.ops.push_back(std::move(probe_part));
-    SinkBuild sink;
-    sink.ht = ps_ht;
-    // composite key: partkey * 2^20 + suppkey (fits for SF <= ~500)
-    sink.key = Add(Mul(Slot(0), I64(1 << 20)), Slot(1));
-    sink.payload.push_back(Slot(2));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build orders";
-    p.source_table = orders;
-    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                      Col(cat, "orders", "o_orderdate")};
-    SinkBuild sink;
-    sink.ht = order_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  std::vector<AggItem> items;
+  l.Compute("o_year", std::move(year));
   // profit = price*(100-disc) - supplycost*qty  (both at scale 1e4)
-  items.push_back({AggKind::kSum,
-                   CheckedSub(CheckedMul(Slot(4), Sub(I64(100), Slot(5))),
-                              CheckedMul(Slot(8), Slot(3))),
-                   true});
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "scan lineitem";
-    p.source_table = lineitem;
-    // 0 orderkey, 1 partkey, 2 suppkey, 3 qty, 4 price, 5 disc
-    p.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                      Col(cat, "lineitem", "l_partkey"),
-                      Col(cat, "lineitem", "l_suppkey"),
-                      Col(cat, "lineitem", "l_quantity"),
-                      Col(cat, "lineitem", "l_extendedprice"),
-                      Col(cat, "lineitem", "l_discount")};
-    OpProbe probe_part;
-    probe_part.ht = part_ht;
-    probe_part.key = Slot(1);
-    probe_part.kind = JoinKind::kSemi;
-    p.ops.push_back(std::move(probe_part));
-    OpProbe probe_supp;
-    probe_supp.ht = supp_ht;
-    probe_supp.key = Slot(2);
-    probe_supp.payload_slots = 1;  // s_nationkey -> slot 6
-    p.ops.push_back(std::move(probe_supp));
-    OpProbe probe_ord;
-    probe_ord.ht = order_ht;
-    probe_ord.key = Slot(0);
-    probe_ord.payload_slots = 1;  // o_orderdate -> slot 7
-    p.ops.push_back(std::move(probe_ord));
-    OpProbe probe_ps;
-    probe_ps.ht = ps_ht;
-    probe_ps.key = Add(Mul(Slot(1), I64(1 << 20)), Slot(2));
-    probe_ps.payload_slots = 1;  // ps_supplycost -> slot 8
-    p.ops.push_back(std::move(probe_ps));
-    // year(o_orderdate) = 1992 + sum of >=-year-boundary indicators
-    ExprPtr year = I64(1992);
-    for (int y = 1993; y <= 1998; ++y) {
-      year = Add(std::move(year),
-                 BoolToI64(Ge(Slot(7), I64(DateToDays(y, 1, 1)))));
-    }
-    p.ops.push_back(OpCompute{std::move(year)});  // slot 9
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = Add(Mul(Slot(6), I64(4096)), Slot(9));
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  q.AddStep(ReadGroups(
-      agg, ExprList(Div(Slot(0), I64(4096)), KeyDigit(1, 4096), Slot(1))));
+  AggRef agg = l.Aggregate(
+      Add(Mul(l["s_nationkey"], I64(4096)), l["o_year"]),
+      Aggs(Agg{"profit", AggKind::kSum,
+               CheckedSub(Revenue(l),
+                          CheckedMul(l["ps_supplycost"], l["l_quantity"]))}));
+  b.Step(ReadGroups(agg.id, ExprList(Div(agg.key(), I64(4096)),
+                                     KeyDigit(1, 4096), agg["profit"])));
   // ORDER BY nation, o_year DESC.
-  q.AddStep(StepSort{{{0, false, false}, {1, true, false}}});
-  return q;
+  b.Step(StepSort{{{0, false, false}, {1, true, false}}});
+  return b.Take();
 }
 
-// =============================================================================
-// Q10: returned item reporting. Top-20 customers by lost revenue.
-// =============================================================================
+/// Q10: returned item reporting. Top-20 customers by lost revenue.
 QueryProgram BuildQ10(const Catalog& cat) {
-  QueryProgram q("q10");
-  int customer = q.DeclareBaseTable("customer");
-  int orders = q.DeclareBaseTable("orders");
-  int lineitem = q.DeclareBaseTable("lineitem");
-  int cust_ht = q.DeclareJoinTable(1);   // payload: c_nationkey
-  int order_ht = q.DeclareJoinTable(1);  // payload: o_custkey
+  PlanBuilder b(cat, "q10");
+  Pipe c = b.Scan("build customer", "customer", {"c_custkey", "c_nationkey"});
+  JoinRef customers = c.Build(c["c_custkey"], {"c_nationkey"});
 
-  const int64_t returned = DictCode(cat, "lineitem", "l_returnflag", "R");
+  Pipe o = b.Scan("build orders", "orders",
+                  {"o_orderkey", "o_custkey", "o_orderdate"});
+  o.Filter(InRange(o, "o_orderdate", DateToDays(1993, 10, 1),
+                   DateToDays(1994, 1, 1)));
+  JoinRef orders = o.Build(o["o_orderkey"], {"o_custkey"});
 
-  {
-    PipelineSpec p;
-    p.name = "build customer";
-    p.source_table = customer;
-    p.scan_columns = {Col(cat, "customer", "c_custkey"),
-                      Col(cat, "customer", "c_nationkey")};
-    SinkBuild sink;
-    sink.ht = cust_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  {
-    PipelineSpec p;
-    p.name = "build orders";
-    p.source_table = orders;
-    p.scan_columns = {Col(cat, "orders", "o_orderkey"),
-                      Col(cat, "orders", "o_custkey"),
-                      Col(cat, "orders", "o_orderdate")};
-    p.ops.push_back(OpFilter{And(Ge(Slot(2), I64(DateToDays(1993, 10, 1))),
-                                 Lt(Slot(2), I64(DateToDays(1994, 1, 1))))});
-    SinkBuild sink;
-    sink.ht = order_ht;
-    sink.key = Slot(0);
-    sink.payload.push_back(Slot(1));
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  std::vector<AggItem> items;
-  items.push_back(
-      {AggKind::kSum, CheckedMul(Slot(2), Sub(I64(100), Slot(3))), true});
-  items.push_back({AggKind::kMin, Slot(5), false});  // nationkey carrier
-  int agg = q.DeclareAggSet(KindsOf(items));
-  {
-    PipelineSpec p;
-    p.name = "scan lineitem";
-    p.source_table = lineitem;
-    // 0 orderkey, 1 returnflag, 2 price, 3 disc
-    p.scan_columns = {Col(cat, "lineitem", "l_orderkey"),
-                      Col(cat, "lineitem", "l_returnflag"),
-                      Col(cat, "lineitem", "l_extendedprice"),
-                      Col(cat, "lineitem", "l_discount")};
-    p.ops.push_back(OpFilter{Eq(Slot(1), I64(returned))});
-    OpProbe probe_ord;
-    probe_ord.ht = order_ht;
-    probe_ord.key = Slot(0);
-    probe_ord.payload_slots = 1;  // o_custkey -> slot 4
-    p.ops.push_back(std::move(probe_ord));
-    OpProbe probe_cust;
-    probe_cust.ht = cust_ht;
-    probe_cust.key = Slot(4);
-    probe_cust.payload_slots = 1;  // c_nationkey -> slot 5
-    p.ops.push_back(std::move(probe_cust));
-    SinkAgg sink;
-    sink.agg = agg;
-    sink.key = Slot(4);  // group by custkey
-    sink.items = std::move(items);
-    p.sink = std::move(sink);
-    q.AddPipeline(std::move(p));
-  }
-  q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(2), Slot(1))));
+  Pipe l = b.Scan("scan lineitem", "lineitem",
+                  {"l_orderkey", "l_returnflag", "l_extendedprice",
+                   "l_discount"});
+  l.Filter(
+      Eq(l["l_returnflag"], I64(b.Code("lineitem", "l_returnflag", "R"))));
+  l.Probe(orders, l["l_orderkey"]);
+  l.Probe(customers, l["o_custkey"]);
+  AggRef agg = l.Aggregate(
+      l["o_custkey"],
+      Aggs(Agg{"revenue", AggKind::kSum, Revenue(l)},
+           Agg{"c_nationkey", AggKind::kMin, l["c_nationkey"], false}));
+  b.Step(ReadGroups(agg.id, ExprList(agg.key(), agg["c_nationkey"],
+                                     agg["revenue"])));
   // ORDER BY revenue DESC LIMIT 20.
-  q.AddStep(StepTopK{{{2, true, false}, {0, false, false}}, 20});
-  return q;
+  b.Step(StepTopK{{{2, true, false}, {0, false, false}}, 20});
+  return b.Take();
 }
 
 }  // namespace

@@ -51,6 +51,7 @@ TaskScheduler::~TaskScheduler() {
 }
 
 void TaskScheduler::set_class_weight(int cls, int weight) {
+  AQE_CHECK(cls >= 0 && cls < kNumTaskClasses);
   AQE_CHECK(weight >= 1);
   // Above kVtimeScale the per-slice charge kVtimeScale/weight would
   // truncate to 0 and freeze the class's clock (permanent starvation of
@@ -58,8 +59,7 @@ void TaskScheduler::set_class_weight(int cls, int weight) {
   if (weight > static_cast<int>(kVtimeScale)) {
     weight = static_cast<int>(kVtimeScale);
   }
-  weights_[static_cast<size_t>(ClampClass(cls))].store(
-      weight, std::memory_order_relaxed);
+  weights_[static_cast<size_t>(cls)].store(weight, std::memory_order_relaxed);
 }
 
 int TaskScheduler::CurrentWorker() { return t_worker_index; }
@@ -88,7 +88,7 @@ void TaskScheduler::Enqueue(int worker, Task* task, TaskPriority priority) {
   if (priority == TaskPriority::kLow) {
     w.low.PushLocal(task);
   } else {
-    const int cls = ClampClass(task->scheduling_class());
+    const int cls = task->scheduling_class();
     if (class_pending_[static_cast<size_t>(cls)].fetch_add(
             1, std::memory_order_acq_rel) == 0) {
       OnClassActivated(cls);
@@ -206,7 +206,7 @@ Task* TaskScheduler::FindWork(int index, uint64_t picks, bool* from_low) {
 
 void TaskScheduler::RunTask(Task* task, int worker, bool from_low) {
   executed_slices_.fetch_add(1, std::memory_order_relaxed);
-  const int cls = ClampClass(task->scheduling_class());
+  const int cls = task->scheduling_class();
   Task::Status status = task->Run(worker);
   // Weighted-fair accounting: one slice advances the class clock by
   // 1/weight, so heavier classes fall behind slower and are picked more.

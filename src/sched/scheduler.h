@@ -75,18 +75,17 @@ class TaskScheduler {
 
   /// Weighted-fair share of a scheduling class (default 1). A class with
   /// weight w receives ~w times the slices of a weight-1 class while both
-  /// are backlogged. Weights are clamped to [1, kVtimeScale]. Thread-safe;
-  /// takes effect on the next slice.
+  /// are backlogged. Weights are clamped to [1, kVtimeScale]; `cls` must be
+  /// a class (CHECKed). Thread-safe; takes effect on the next slice.
   void set_class_weight(int cls, int weight);
   int class_weight(int cls) const {
-    return weights_[static_cast<size_t>(ClampClass(cls))].load(
-        std::memory_order_relaxed);
+    return weights_[static_cast<size_t>(cls)].load(std::memory_order_relaxed);
   }
 
   /// Slices executed per class (yields count once per slice). Test hook
   /// for fairness assertions.
   uint64_t class_slices(int cls) const {
-    return class_slices_[static_cast<size_t>(ClampClass(cls))].load(
+    return class_slices_[static_cast<size_t>(cls)].load(
         std::memory_order_relaxed);
   }
 
@@ -101,10 +100,6 @@ class TaskScheduler {
   /// even when normal work is plentiful, bounding compile-task latency to a
   /// few morsels without letting compilations displace morsel processing.
   static constexpr uint64_t kLowPriorityTick = 4;
-
-  static int ClampClass(int cls) {
-    return cls < 0 ? 0 : (cls >= kNumTaskClasses ? kNumTaskClasses - 1 : cls);
-  }
 
   /// Virtual-time increment of one slice for a weight-1 class; a weight-w
   /// class advances by kVtimeScale / w.

@@ -45,7 +45,7 @@ class Task {
   virtual Status Run(int worker) = 0;
 
   /// Weighted-fair class (0..kNumTaskClasses-1). Set before submission;
-  /// out-of-range values are clamped by the scheduler.
+  /// the setter clamps out-of-range values, so the class is always valid.
   uint8_t scheduling_class() const { return scheduling_class_; }
   void set_scheduling_class(int cls) {
     if (cls < 0) cls = 0;

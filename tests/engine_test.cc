@@ -8,6 +8,7 @@
 
 #include "common/fixed_point.h"
 #include "engine/query_engine.h"
+#include "plan/builder.h"
 #include "plan/expr.h"
 #include "plan/plan.h"
 #include "storage/table.h"
@@ -46,48 +47,22 @@ class EngineTest : public ::testing::Test {
   /// SELECT d_group, sum(f_value), count(*) FROM fact JOIN dim ON f_key =
   /// d_key WHERE f_flag <> 2 GROUP BY d_group ORDER BY d_group.
   static QueryProgram BuildJoinAggQuery() {
-    QueryProgram q("join_agg");
-    int dim_id = q.DeclareBaseTable("dim");
-    int fact_id = q.DeclareBaseTable("fact");
-    int ht = q.DeclareJoinTable(/*payload_slots=*/1);
-    int agg = q.DeclareAggSet({AggKind::kSum, AggKind::kCount});
-    (void)q.DeclareOutput(3);
-
+    PlanBuilder b(*catalog_, "join_agg");
     // Pipeline 1: build dim hash table (payload: d_group).
-    PipelineSpec build;
-    build.name = "build dim";
-    build.source_table = dim_id;
-    build.scan_columns = {0, 1};  // d_key, d_group
-    SinkBuild sink_build;
-    sink_build.ht = ht;
-    sink_build.key = Slot(0);
-    sink_build.payload.push_back(Slot(1));
-    build.sink = std::move(sink_build);
-    q.AddPipeline(std::move(build));
-
+    Pipe dim = b.Scan("build dim", "dim", {"d_key", "d_group"});
+    JoinRef groups = dim.Build(dim["d_key"], {"d_group"});
     // Pipeline 2: scan fact, filter, probe, aggregate by d_group.
-    PipelineSpec probe;
-    probe.name = "probe fact";
-    probe.source_table = fact_id;
-    probe.scan_columns = {0, 1, 2};  // f_key, f_value, f_flag
-    probe.ops.push_back(OpFilter{Ne(Slot(2), I64(2))});
-    OpProbe op_probe;
-    op_probe.ht = ht;
-    op_probe.key = Slot(0);
-    op_probe.payload_slots = 1;  // appends d_group as slot 3
-    probe.ops.push_back(std::move(op_probe));
-    SinkAgg sink_agg;
-    sink_agg.agg = agg;
-    sink_agg.key = Slot(3);
-    sink_agg.items.push_back({AggKind::kSum, Slot(1), /*checked=*/true});
-    sink_agg.items.push_back({AggKind::kCount, nullptr, /*checked=*/false});
-    probe.sink = std::move(sink_agg);
-    q.AddPipeline(std::move(probe));
-
+    Pipe fact = b.Scan("probe fact", "fact", {"f_key", "f_value", "f_flag"});
+    fact.Filter(Ne(fact["f_flag"], I64(2)));
+    fact.Probe(groups, fact["f_key"]);
+    AggRef agg = fact.Aggregate(
+        fact["d_group"],
+        Aggs(Agg{"sum", AggKind::kSum, fact["f_value"], /*checked=*/true},
+             Agg{"count", AggKind::kCount, nullptr, /*checked=*/false}));
     // Final steps: read the merged groups, sort by group.
-    q.AddStep(ReadGroups(agg, ExprList(Slot(0), Slot(1), Slot(2))));
-    q.AddStep(StepSort{{{0, false, false}}});
-    return q;
+    b.Step(ReadGroups(agg.id, ExprList(agg.key(), agg["sum"], agg["count"])));
+    b.Step(StepSort{{{0, false, false}}});
+    return b.Take();
   }
 
   static Catalog* catalog_;
@@ -431,6 +406,118 @@ TEST(EngineStepTest, EachStepKindMatchesPlainCpp) {
   std::sort(joined.begin(), joined.end());
   EXPECT_EQ(joined, join_rows);
   EXPECT_TRUE(ctx->result.empty());
+}
+
+/// A pipeline over a three-column table with one probe of `ht` (`payload`
+/// values appended), or none when `ht` is -1, ending in `sink`.
+PipelineSpec CheckedPipeline(int table, int ht, int payload, JoinKind kind,
+                             PipelineSink sink) {
+  PipelineSpec spec;
+  spec.name = "scan fact";
+  spec.source_table = table;
+  spec.scan_columns = {0, 1, 2};
+  if (ht >= 0) {
+    OpProbe probe;
+    probe.ht = ht;
+    probe.key = Slot(0);
+    probe.payload_slots = payload;
+    probe.kind = kind;
+    spec.ops.push_back(std::move(probe));
+  }
+  spec.sink = std::move(sink);
+  return spec;
+}
+
+SinkBuild BuildSink(int ht, int payload) {
+  SinkBuild sink;
+  sink.ht = ht;
+  sink.key = Slot(0);
+  for (int i = 0; i < payload; ++i) sink.payload.push_back(Slot(1));
+  return sink;
+}
+
+SinkAgg AggSink(int agg, const std::vector<AggKind>& kinds) {
+  SinkAgg sink;
+  sink.agg = agg;
+  sink.key = Slot(0);
+  for (AggKind kind : kinds) sink.items.push_back({kind, Slot(1), false});
+  return sink;
+}
+
+SinkOutput OutputSink(int output, int values) {
+  SinkOutput sink;
+  sink.output = output;
+  for (int i = 0; i < values; ++i) sink.values.push_back(Slot(i));
+  return sink;
+}
+
+// Generated code stores one value per build payload, loads payload_slots
+// values per inner probe, updates one slot per aggregate item and writes
+// one value per output value. AddPipeline checks each count against the
+// declaration it indexes, and every id against the declared ones.
+TEST(QueryProgramDeathTest, AddPipelineChecksIdsAndWidths) {
+  QueryProgram q("checks");
+  const int table = q.DeclareBaseTable("fact");
+  const int ht = q.DeclareJoinTable(1);
+  const int agg = q.DeclareAggSet({AggKind::kSum, AggKind::kCount});
+  const int output = q.DeclareOutput(2);
+  const auto add = [&q](int source, int probe_ht, int payload, JoinKind kind,
+                        PipelineSink sink) {
+    q.AddPipeline(
+        CheckedPipeline(source, probe_ht, payload, kind, std::move(sink)));
+  };
+  const JoinKind inner = JoinKind::kInner;
+  EXPECT_DEATH(add(table + 1, -1, 0, inner, BuildSink(ht, 1)),
+               "scans an undeclared table");
+  EXPECT_DEATH(add(table, ht + 1, 1, inner, OutputSink(output, 2)),
+               "probe of an undeclared join table");
+  for (const auto& [payload, kind] :
+       {std::pair(0, inner), std::pair(2, inner), std::pair(1, JoinKind::kSemi),
+        std::pair(1, JoinKind::kAnti)}) {
+    EXPECT_DEATH(add(table, ht, payload, kind, OutputSink(output, 2)),
+                 "probe payload and join payload differ in width");
+  }
+  EXPECT_DEATH(add(table, -1, 0, inner, BuildSink(ht + 1, 1)),
+               "build of an undeclared join table");
+  EXPECT_DEATH(add(table, -1, 0, inner, BuildSink(ht, 2)),
+               "build payload and join payload differ in width");
+  EXPECT_DEATH(add(table, -1, 0, inner, AggSink(agg + 1, {AggKind::kSum})),
+               "aggregation into an undeclared set");
+  EXPECT_DEATH(add(table, -1, 0, inner, AggSink(agg, {AggKind::kSum})),
+               "aggregate items and declared kinds differ");
+  EXPECT_DEATH(
+      add(table, -1, 0, inner, AggSink(agg, {AggKind::kCount, AggKind::kSum})),
+      "aggregate items and declared kinds differ");
+  EXPECT_DEATH(add(table, -1, 0, inner, OutputSink(output + 1, 2)),
+               "output into an undeclared buffer");
+  EXPECT_DEATH(add(table, -1, 0, inner, OutputSink(output, 3)),
+               "output values and output width differ");
+
+  // The matching pipelines are added.
+  add(table, -1, 0, inner, BuildSink(ht, 1));
+  add(table, ht, 1, inner, AggSink(agg, {AggKind::kSum, AggKind::kCount}));
+  add(table, ht, 0, JoinKind::kSemi, OutputSink(output, 2));
+  EXPECT_EQ(q.pipelines().size(), 3u);
+}
+
+// The builder names slots; a name it was not given is a bug in the plan.
+TEST(PlanBuilderDeathTest, UnknownAndDuplicateNamesDie) {
+  Catalog catalog;
+  Table* table = catalog.CreateTable("t");
+  table->AddColumn("a", DataType::kI64);
+  table->AddColumn("b", DataType::kI64);
+  PlanBuilder b(catalog, "names");
+  Pipe build = b.Scan("build t", "t", {"a", "b"});
+  EXPECT_DEATH(build["c"], "unknown name c");
+  EXPECT_DEATH(build.Compute("b", I64(1)), "duplicate slot name b");
+  JoinRef join = build.Build(build["a"], {"b"});
+  Pipe probe = b.Scan("probe t", "t", {"a", "b"});
+  EXPECT_DEATH(probe.Probe(join, probe["a"]), "duplicate slot name b");
+  AggRef agg = probe.Aggregate(probe["a"],
+                               Aggs(Agg{"n", AggKind::kCount, nullptr, false}));
+  EXPECT_DEATH(agg["m"], "unknown name m");
+  EXPECT_EQ(agg.slot("n"), 1u);
+  EXPECT_DEATH(probe.Output({"a"}), "a pipeline has one sink");
 }
 
 TEST_F(EngineTest, ExprEvalMatrix) {

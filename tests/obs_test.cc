@@ -299,6 +299,39 @@ class ObsEngineTest : public ::testing::Test {
   }
 };
 
+// A query class outside 0..3 is clamped once, when the job takes it: the
+// query returns the right rows, and every per-class record lands in the
+// nearest class.
+TEST_F(ObsEngineTest, OutOfRangeQueryClassesAreRecordedInTheNearestClass) {
+  QueryEngine engine(&catalog(), /*num_threads=*/2);
+  QueryProgram q6 = BuildTpchQuery(6, catalog());
+  QueryRunOptions options;
+  options.query_class = 1;
+  const std::vector<std::vector<int64_t>> reference =
+      engine.Run(q6, options).rows;
+  ASSERT_FALSE(reference.empty());
+  for (int cls : {-1, 99}) {
+    options.query_class = cls;
+    EXPECT_EQ(engine.Run(q6, options).rows, reference) << "class " << cls;
+  }
+
+  MetricsSnapshot snap = engine.ObservabilitySnapshot();
+  for (int cls = 0; cls < kNumTaskClasses; ++cls) {
+    const std::string suffix = ".class" + std::to_string(cls);
+    const uint64_t queries = cls == 2 ? 0u : 1u;
+    EXPECT_EQ(snap.histogram("admission.queue_wait_us" + suffix)->count,
+              queries)
+        << suffix;
+    EXPECT_EQ(snap.histogram("engine.exec_latency_us" + suffix)->count,
+              queries)
+        << suffix;
+    EXPECT_EQ(snap.histogram("mem.query_peak_bytes" + suffix)->count, queries)
+        << suffix;
+    EXPECT_EQ(snap.counter("sched.class_slices" + suffix) > 0, queries > 0)
+        << suffix;
+  }
+}
+
 TEST_F(ObsEngineTest, SnapshotReportsPerClassHistogramsAndCounters) {
   QueryEngine engine(&catalog(), /*num_threads=*/2);
   QueryProgram q6 = BuildTpchQuery(6, catalog());

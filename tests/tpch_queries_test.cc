@@ -7,6 +7,7 @@
 #include <unordered_set>
 #include <utility>
 
+#include "cache/fingerprint.h"
 #include "codegen/query_compiler.h"
 #include "common/fixed_point.h"
 #include "engine/query_engine.h"
@@ -155,6 +156,85 @@ TEST_F(TpchQueryTest, MorselCountsMatchPinned) {
     EXPECT_EQ(engine_->ObservabilitySnapshot().counter("exec.morsels") - before,
               morsels)
         << program.name();
+  }
+}
+
+// The plans themselves: each builder's program at SF 0.01, fingerprinted.
+// A change to how plans are written must leave the generated code alone,
+// so it must not move the structural hash, the constants (with each
+// pipeline's slice of them) or the pruning key.
+TEST_F(TpchQueryTest, PlansMatchPinnedFingerprints) {
+  struct Pin {
+    uint64_t structural_hash;
+    uint64_t constants;
+    uint64_t pruning_key;
+  };
+  std::vector<std::pair<QueryProgram, Pin>> plans;
+  const std::pair<int, Pin> pinned[] = {
+      {1,
+       {0xca25c473fb3cd6a5ULL, 0xf14967f6172ae225ULL, 0xc3817c016ba4ff30ULL}},
+      {3,
+       {0xfe2a9ee29a66c492ULL, 0x319e468f19a381ccULL, 0xc3817c016ba4ff30ULL}},
+      {4,
+       {0x3b576b3b16a36bcaULL, 0xc84a9f19093f8343ULL, 0xc3817c016ba4ff30ULL}},
+      {5,
+       {0x65123da35740c4e2ULL, 0xcd16665b02bd2aefULL, 0xc3817c016ba4ff30ULL}},
+      {6,
+       {0x5d007562b250d9e9ULL, 0x8f17087ae2cefc5aULL, 0xc3817c016ba4ff30ULL}},
+      {7,
+       {0x2d792216097f0892ULL, 0x6248d66fe2e1bc8cULL, 0xc3817c016ba4ff30ULL}},
+      {9,
+       {0xbd3cf9bcb3975af5ULL, 0x5cb440dc254ea1b7ULL, 0x1d80474f09629f1fULL}},
+      {10,
+       {0xa9a450867d71c4c5ULL, 0xd52b25e2a5e5360aULL, 0xc3817c016ba4ff30ULL}},
+      {11,
+       {0x081a245382c7b146ULL, 0x7fecc7eaf59d265fULL, 0xc3817c016ba4ff30ULL}},
+      {12,
+       {0xbec16fe844cec543ULL, 0x0788f44fb59ce5cbULL, 0xc3817c016ba4ff30ULL}},
+      {14,
+       {0x31e3118118f45e61ULL, 0x7adbc9c5b3938d80ULL, 0xc3817c016ba4ff30ULL}},
+      {18,
+       {0xb40d4f436f4b3cc2ULL, 0xa778165886276b69ULL, 0xc3817c016ba4ff30ULL}},
+      {19,
+       {0xacc03c614eb02d26ULL, 0x27b48fbe9ed2dcd8ULL, 0x66fe3eb97597edb4ULL}},
+  };
+  for (const auto& [number, pin] : pinned) {
+    plans.emplace_back(BuildTpchQuery(number, *catalog_), pin);
+  }
+  TpchQ6Literals q6 = DefaultQ6Literals();
+  q6.ship_date_lo += 365;
+  q6.ship_date_hi += 365;
+  q6.discount_lo = 2;
+  q6.discount_hi = 4;
+  q6.quantity_limit = 2500;
+  plans.emplace_back(BuildTpchQ6Variant(*catalog_, q6),
+                     Pin{0x5d007562b250d9e9ULL,
+                         0xec82207d3f8f94c1ULL,
+                         0xc3817c016ba4ff30ULL});
+  plans.emplace_back(BuildTpchQ14Variant(*catalog_, "%BRASS"),
+                     Pin{0xb21accb16f48771aULL,
+                         0xb224a7ee57019043ULL,
+                         0x1d80474f09629f1fULL});
+  plans.emplace_back(BuildTpchQ18Variant(*catalog_, 301),
+                     Pin{0xb40d4f436f4b3cc2ULL,
+                         0xfd6e2762bc700215ULL,
+                         0xc3817c016ba4ff30ULL});
+  for (const auto& [program, pin] : plans) {
+    const PlanFingerprint fp = FingerprintProgram(program);
+    // The constants and the slice bounds as two rows of one digest.
+    std::vector<int64_t> constants(fp.constants.begin(), fp.constants.end());
+    std::vector<int64_t> slices;
+    for (const auto& [begin, end] : fp.pipeline_constants) {
+      slices.push_back(begin);
+      slices.push_back(end);
+    }
+    const uint64_t constants_digest = RowsDigest({constants, slices});
+    EXPECT_EQ(fp.structural_hash, pin.structural_hash)
+        << program.name() << std::hex << ": 0x" << fp.structural_hash;
+    EXPECT_EQ(constants_digest, pin.constants)
+        << program.name() << std::hex << ": 0x" << constants_digest;
+    EXPECT_EQ(fp.pruning_key, pin.pruning_key)
+        << program.name() << std::hex << ": 0x" << fp.pruning_key;
   }
 }
 
