@@ -27,7 +27,8 @@ int main() {
   auto ctx = q1.MakeContext(catalog);
   const PipelineSpec& spec = q1.pipelines()[0];
   PipelineBindings bindings = BindPipeline(q1, spec, *ctx);
-  GeneratedPipeline generated = GeneratePipeline(spec, bindings);
+  GeneratedPipeline generated =
+      GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
   Status status;
   auto compiled = JitCompile(std::move(*generated.mod), JitMode::kOptimized,
                              RuntimeRegistry::Global(), &status);

@@ -190,32 +190,28 @@ struct Measurement {
   std::string config;
   double rows_per_sec = 0;
   uint64_t fused_cmp_branches = 0;
-  uint64_t fused_cmp_branch_imms = 0;
   uint64_t fused_load_cmp_branches = 0;
 };
 
 void Report(const char* kernel, std::vector<Measurement>& results,
             std::FILE* json_out) {
   double base = results.empty() ? 0 : results[0].rows_per_sec;
-  std::printf("\n%-18s %14s %10s %8s %8s %8s\n", kernel, "rows/s", "speedup",
-              "cmp-brs", "imm-brs", "ld-brs");
+  std::printf("\n%-18s %14s %10s %8s %8s\n", kernel, "rows/s", "speedup",
+              "cmp-brs", "ld-brs");
   for (const Measurement& m : results) {
-    std::printf("%-18s %14.3e %9.2fx %8llu %8llu %8llu\n", m.config.c_str(),
+    std::printf("%-18s %14.3e %9.2fx %8llu %8llu\n", m.config.c_str(),
                 m.rows_per_sec, m.rows_per_sec / base,
                 static_cast<unsigned long long>(m.fused_cmp_branches),
-                static_cast<unsigned long long>(m.fused_cmp_branch_imms),
                 static_cast<unsigned long long>(m.fused_load_cmp_branches));
     char line[384];
     std::snprintf(line, sizeof(line),
                   "{\"bench\":\"micro_vm_dispatch\",\"kernel\":\"%s\","
                   "\"config\":\"%s\",\"rows_per_sec\":%.6e,"
                   "\"speedup_vs_switch\":%.4f,\"fused_cmp_branches\":%llu,"
-                  "\"fused_cmp_branch_imms\":%llu,"
                   "\"fused_load_cmp_branches\":%llu}",
                   kernel, m.config.c_str(), m.rows_per_sec,
                   m.rows_per_sec / base,
                   static_cast<unsigned long long>(m.fused_cmp_branches),
-                  static_cast<unsigned long long>(m.fused_cmp_branch_imms),
                   static_cast<unsigned long long>(m.fused_load_cmp_branches));
     std::printf("%s\n", line);
     if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
@@ -261,7 +257,8 @@ int main(int argc, char** argv) {
     Q6Kernel k(sf);
     std::vector<Measurement> results;
     for (const Config& config : kConfigs) {
-      GeneratedPipeline gen = GeneratePipeline(k.spec(), k.bindings);
+      GeneratedPipeline gen =
+          GeneratePipeline(k.spec(), k.bindings, LiteralForm::kBound);
       TranslatorOptions options;
       options.fuse_cmp_branches = config.fuse_cmp_branches;
       options.fuse_load_cmp_branches = config.fuse_load_cmp_branches;
@@ -271,7 +268,6 @@ int main(int argc, char** argv) {
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
-      m.fused_cmp_branch_imms = bc.fused_cmp_branch_imms;
       m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       bc.dispatch = config.dispatch;
       m.rows_per_sec = Throughput(k.rows, budget, [&] {
@@ -281,7 +277,8 @@ int main(int argc, char** argv) {
     }
     // JIT tiers for context.
     for (JitMode mode : {JitMode::kUnoptimized, JitMode::kOptimized}) {
-      GeneratedPipeline gen = GeneratePipeline(k.spec(), k.bindings);
+      GeneratedPipeline gen =
+          GeneratePipeline(k.spec(), k.bindings, LiteralForm::kImmediate);
       Status status;
       auto compiled = JitCompile(std::move(*gen.mod), mode,
                                  RuntimeRegistry::Global(), &status);
@@ -319,7 +316,6 @@ int main(int argc, char** argv) {
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
-      m.fused_cmp_branch_imms = bc.fused_cmp_branch_imms;
       m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
       m.rows_per_sec =
@@ -350,7 +346,6 @@ int main(int argc, char** argv) {
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
-      m.fused_cmp_branch_imms = bc.fused_cmp_branch_imms;
       m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
       m.rows_per_sec =

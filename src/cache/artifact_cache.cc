@@ -17,6 +17,16 @@ void NoteCostInputs(PipelineArtifact* a, uint64_t instructions,
   }
 }
 
+/// `bc` when its resolved dispatch already matches `want`, else a clone
+/// running `want` — cached programs are immutable while queries run them.
+std::shared_ptr<const BcProgram> ProgramForDispatch(
+    std::shared_ptr<const BcProgram> bc, VmDispatch want) {
+  if (VmResolveDispatch(want) == VmResolveDispatch(bc->dispatch)) return bc;
+  auto copy = std::make_shared<BcProgram>(*bc);
+  copy->dispatch = want;
+  return copy;
+}
+
 }  // namespace
 
 uint64_t BcProgramBytes(const BcProgram& program) {
@@ -24,14 +34,6 @@ uint64_t BcProgramBytes(const BcProgram& program) {
          program.constant_pool.size() * sizeof(BcProgram::PoolEntry) +
          program.literal_pool.size() * sizeof(uint64_t) +
          program.arg_offsets.size() * sizeof(uint32_t);
-}
-
-std::shared_ptr<const BcProgram> ProgramForDispatch(
-    std::shared_ptr<const BcProgram> bc, VmDispatch want) {
-  if (VmResolveDispatch(want) == VmResolveDispatch(bc->dispatch)) return bc;
-  auto copy = std::make_shared<BcProgram>(*bc);
-  copy->dispatch = want;
-  return copy;
 }
 
 bool CacheEntry::FullyCached() {
@@ -79,27 +81,14 @@ CachedArtifacts ArtifactCache::Lookup(CacheEntry& entry,
   const bool runs_bytecode =
       request.strategy == ExecutionStrategy::kBytecode ||
       request.strategy == ExecutionStrategy::kAdaptive;
-  bool patched = false;
   {
     std::lock_guard<std::mutex> lock(entry.mu);
     PipelineArtifact& a = entry.pipelines[request.pipeline];
-    found.bytecode_resident = a.bytecode != nullptr;
     found.instructions = a.instructions;
     found.runtime_call_fraction = a.runtime_call_fraction;
     if (runs_bytecode && a.bytecode != nullptr) {
-      if (a.bytecode_constants == request.constants) {
-        found.bytecode = ProgramForDispatch(a.bytecode, request.dispatch);
-        found.bytecode_shared = found.bytecode == a.bytecode;
-      } else if (a.patchable) {
-        std::shared_ptr<BcProgram> clone =
-            ApplyConstantPatch(*a.bytecode, a.patch_slots,
-                               a.bytecode_constants, request.constants);
-        if (clone != nullptr) {
-          clone->dispatch = request.dispatch;
-          found.bytecode = std::move(clone);
-          patched = true;
-        }
-      }
+      found.bytecode = ProgramForDispatch(a.bytecode, request.dispatch);
+      found.bytecode_shared = found.bytecode == a.bytecode;
     }
     // Machine code is only reusable for the exact literals it embeds;
     // adaptive starts in the best mode the plan reached.
@@ -125,11 +114,7 @@ CachedArtifacts ArtifactCache::Lookup(CacheEntry& entry,
     }
   }
   if (runs_bytecode) {
-    if (found.bytecode == nullptr) {
-      ++bytecode_misses_;
-    } else {
-      ++(patched ? patched_hits_ : bytecode_hits_);
-    }
+    ++(found.bytecode == nullptr ? bytecode_misses_ : bytecode_hits_);
   }
   if (found.seed_code != nullptr) ++code_hits_;
   return found;
@@ -138,7 +123,6 @@ CachedArtifacts ArtifactCache::Lookup(CacheEntry& entry,
 bool ArtifactCache::PublishBytecode(CacheEntry& entry,
                                     const ArtifactRequest& request,
                                     std::shared_ptr<const BcProgram> program,
-                                    ConstantPatchTable patch,
                                     uint64_t instructions,
                                     double runtime_call_fraction) {
   const auto bytes = static_cast<int64_t>(BcProgramBytes(*program));
@@ -147,9 +131,6 @@ bool ArtifactCache::PublishBytecode(CacheEntry& entry,
     PipelineArtifact& a = entry.pipelines[request.pipeline];
     if (a.bytecode != nullptr) return false;
     a.bytecode = std::move(program);
-    a.bytecode_constants = request.constants;
-    a.patchable = patch.patchable;
-    a.patch_slots = std::move(patch.pool_indices);
     NoteCostInputs(&a, instructions, runtime_call_fraction);
   }
   OnBytesChanged(entry, bytes);
@@ -254,7 +235,6 @@ ArtifactCacheStats ArtifactCache::stats() const {
   s.entry_hits = entry_hits_.load();
   s.entry_misses = entry_misses_.load();
   s.bytecode_hits = bytecode_hits_.load();
-  s.patched_hits = patched_hits_.load();
   s.bytecode_misses = bytecode_misses_.load();
   s.code_hits = code_hits_.load();
   s.publishes = publishes_.load();
@@ -271,7 +251,6 @@ void ArtifactCache::ResetStats() {
   entry_hits_.store(0);
   entry_misses_.store(0);
   bytecode_hits_.store(0);
-  patched_hits_.store(0);
   bytecode_misses_.store(0);
   code_hits_.store(0);
   publishes_.store(0);

@@ -28,8 +28,10 @@ namespace aqe {
 struct ArtifactCacheStats {
   uint64_t entry_hits = 0;      ///< Submit found the plan's entry
   uint64_t entry_misses = 0;    ///< Submit created a fresh entry
-  uint64_t bytecode_hits = 0;   ///< pipeline reused cached bytecode as-is
-  uint64_t patched_hits = 0;    ///< ...via the constant-patch table
+  uint64_t bytecode_hits = 0;   ///< pipeline reused cached bytecode
+  /// Always 0: bytecode no longer depends on literals, so every reuse is a
+  /// bytecode hit. Kept because the benchmark harness still reads it.
+  uint64_t patched_hits = 0;
   uint64_t bytecode_misses = 0; ///< pipeline had to translate
   uint64_t code_hits = 0;       ///< pipeline seeded cached machine code
   uint64_t publishes = 0;       ///< artifacts written back
@@ -52,7 +54,6 @@ inline ArtifactCacheStats operator-(const ArtifactCacheStats& a,
   d.entry_hits -= b.entry_hits;
   d.entry_misses -= b.entry_misses;
   d.bytecode_hits -= b.bytecode_hits;
-  d.patched_hits -= b.patched_hits;
   d.bytecode_misses -= b.bytecode_misses;
   d.code_hits -= b.code_hits;
   d.publishes -= b.publishes;
@@ -119,7 +120,7 @@ class VariantList {
 };
 
 /// Machine code compiled for one exact constant vector (code embeds the
-/// literals; only the bytecode is patchable).
+/// literals; bytecode reads them from the binding array).
 struct CodeVariant {
   std::shared_ptr<CachedCode> unopt;
   std::shared_ptr<CachedCode> opt;
@@ -134,14 +135,9 @@ struct PruningDecision {
 /// Cached artifacts of one pipeline, filled in by ArtifactCache's publishes
 /// under the owning CacheEntry's mutex.
 struct PipelineArtifact {
-  /// Position-independent bytecode (dispatch = kDefault), written once.
-  /// Shared on exact-constant hits; cloned + patched for literal variants.
+  /// Position-independent bytecode, written once. It reads the plan's
+  /// literals from the binding array, so every literal variant shares it.
   std::shared_ptr<const BcProgram> bytecode;
-  /// The pipeline-constant values `bytecode` was translated with (the
-  /// pipeline's slice of the inserting query's fingerprint constants).
-  std::vector<uint64_t> bytecode_constants;
-  bool patchable = false;
-  std::vector<uint32_t> patch_slots;  ///< ConstantPatchTable::pool_indices
   uint64_t instructions = 0;  ///< LLVM instruction count (cost model input)
   /// Runtime-call density of the worker's loop body (cost model input;
   /// recorded at first publish so cache hits skip IR generation entirely).
@@ -150,13 +146,13 @@ struct PipelineArtifact {
   /// Machine-code variants, keyed by the exact constant vector each embeds,
   /// so queries alternating between a few parameter values don't evict
   /// each other's compilations. The bytecode slot above needs no such
-  /// list: one program patch-shares across all literal variants.
+  /// list: one program serves all literal variants.
   static constexpr size_t kMaxCodeVariants = 4;
   VariantList<std::vector<uint64_t>, CodeVariant, kMaxCodeVariants>
       code_variants;
 
   /// Scan-pruning decisions, keyed by the constants *and* the pruning key:
-  /// bytecode patch-shares across literal variants, and LIKE patterns and
+  /// bytecode is shared across literal variants, and LIKE patterns and
   /// predicate bitmaps are not constants at all, so two runs sharing this
   /// artifact may select very different rows.
   static constexpr size_t kMaxPruningVariants = 4;
@@ -185,7 +181,7 @@ struct CacheEntry {
 struct ArtifactRequest {
   size_t pipeline = 0;
   /// The pipeline's slice of the fingerprint constants: machine code and
-  /// pruning decisions are kept per exact vector, bytecode is patched to it.
+  /// pruning decisions are kept per exact vector; bytecode ignores it.
   std::vector<uint64_t> constants;
   uint64_t pruning_key = 0;  ///< PlanFingerprint::pruning_key
   /// Picks what is looked up: bytecode for kBytecode and kAdaptive,
@@ -198,12 +194,9 @@ struct ArtifactRequest {
 /// What ArtifactCache::Lookup found: only what the run will use.
 struct CachedArtifacts {
   /// The program to run, or null when the run must translate: the cache's
-  /// own program on an exact-constant hit (`bytecode_shared`, unless the
-  /// dispatch differs), else a private clone with the run's constants.
+  /// own program (`bytecode_shared`), or a clone when the dispatch differs.
   std::shared_ptr<const BcProgram> bytecode;
   bool bytecode_shared = false;
-  /// Some bytecode is resident, so a fresh translation would not be kept.
-  bool bytecode_resident = false;
   /// Code for the run's constants in the best mode its strategy runs.
   std::shared_ptr<CachedCode> seed_code;
   ExecMode seed_mode = ExecMode::kBytecode;
@@ -236,18 +229,17 @@ class ArtifactCache {
   // at most one publish of each kind. Each call takes the entry's lock
   // once; none translates, compiles or analyzes under it.
 
-  /// What `entry` holds for `request`, counting a bytecode hit (exact or
-  /// patched) or miss when the strategy runs bytecode, and a code hit when
-  /// machine code is seeded. Touches the code and pruning variants used.
+  /// What `entry` holds for `request`, counting a bytecode hit or miss when
+  /// the strategy runs bytecode, and a code hit when machine code is
+  /// seeded. Touches the code and pruning variants used.
   CachedArtifacts Lookup(CacheEntry& entry, const ArtifactRequest& request);
 
-  /// Stores a fresh translation of the request's pipeline, made with the
-  /// request's constants, and its patch table — unless bytecode is already
-  /// resident. Returns whether it was stored (and counted as a publish).
+  /// Stores a fresh translation of the request's pipeline unless bytecode
+  /// is already resident. Returns whether it was stored (and counted as a
+  /// publish).
   bool PublishBytecode(CacheEntry& entry, const ArtifactRequest& request,
                        std::shared_ptr<const BcProgram> program,
-                       ConstantPatchTable patch, uint64_t instructions,
-                       double runtime_call_fraction);
+                       uint64_t instructions, double runtime_call_fraction);
 
   /// Stores machine code compiled in `mode` for the request's constants,
   /// evicting the least recently used code variant when the pipeline has
@@ -309,15 +301,10 @@ class ArtifactCache {
   std::atomic<uint64_t> byte_budget_;
 
   mutable std::atomic<uint64_t> entry_hits_{0}, entry_misses_{0};
-  std::atomic<uint64_t> bytecode_hits_{0}, patched_hits_{0};
-  std::atomic<uint64_t> bytecode_misses_{0}, code_hits_{0};
+  std::atomic<uint64_t> bytecode_hits_{0}, bytecode_misses_{0};
+  std::atomic<uint64_t> code_hits_{0};
   std::atomic<uint64_t> publishes_{0}, evictions_{0};
 };
-
-/// `bc` when its resolved dispatch already matches `want`, else a clone
-/// running `want` — cached programs are immutable while queries run them.
-std::shared_ptr<const BcProgram> ProgramForDispatch(
-    std::shared_ptr<const BcProgram> bc, VmDispatch want);
 
 /// Approximate resident footprint of a translated program.
 uint64_t BcProgramBytes(const BcProgram& program);

@@ -2,9 +2,6 @@
 
 #include <cstring>
 
-#include "codegen/query_compiler.h"
-#include "common/status.h"
-
 namespace aqe {
 namespace {
 
@@ -77,8 +74,8 @@ struct FingerprintBuilder {
 
   /// Index of `pred` in the program's LIKE-predicate list (its
   /// binding-array slot); the *pattern* is extracted as a string literal,
-  /// not hashed — pattern-only variants share artifacts without patching
-  /// because the matcher flows through the binding array.
+  /// not hashed — pattern-only variants share artifacts because the
+  /// matcher flows through the binding array.
   void HashLikePred(const LikePredicate* pred) {
     const auto& preds = program.like_predicates();
     for (size_t i = 0; i < preds.size(); ++i) {
@@ -212,89 +209,6 @@ struct FingerprintBuilder {
   }
 };
 
-/// Sentinel constant for global constant index `i`: a distinctive high
-/// pattern no real query literal or structural codegen constant uses, with
-/// the index folded in so every sentinel is unique.
-uint64_t ConstantSentinel(uint32_t i) {
-  return 0x5EA7C0DE00000000ULL | (0xA0000ULL + i);
-}
-
-/// Replaces the non-pinned constants of `expr` (preorder, same traversal as
-/// FingerprintBuilder) with sentinels. `next` is the running global index,
-/// `pinned` is indexed by local position (global - `base`).
-struct SentinelRewriter {
-  uint32_t base;
-  const std::vector<bool>& pinned;
-  uint32_t next;
-
-  void Visit(Expr* expr) {
-    if (expr->kind == ExprKind::kConstI64) {
-      if (!pinned[next - base]) {
-        expr->i64_value = static_cast<int64_t>(ConstantSentinel(next));
-      }
-      ++next;
-    } else if (expr->kind == ExprKind::kConstF64) {
-      if (!pinned[next - base]) {
-        uint64_t bits = ConstantSentinel(next);
-        std::memcpy(&expr->f64_value, &bits, sizeof(bits));
-      }
-      ++next;
-    }
-    for (auto& child : expr->children) Visit(child.get());
-  }
-};
-
-void ReplaceSpecConstants(PipelineSpec* spec, uint32_t first_index,
-                          const std::vector<bool>& pinned) {
-  SentinelRewriter rw{first_index, pinned, first_index};
-  for (PipelineOp& op : spec->ops) {
-    if (auto* filter = std::get_if<OpFilter>(&op)) {
-      rw.Visit(filter->predicate.get());
-    } else if (auto* compute = std::get_if<OpCompute>(&op)) {
-      rw.Visit(compute->expr.get());
-    } else {
-      rw.Visit(std::get<OpProbe>(op).key.get());
-    }
-  }
-  if (auto* build = std::get_if<SinkBuild>(&spec->sink)) {
-    rw.Visit(build->key.get());
-    for (auto& p : build->payload) rw.Visit(p.get());
-  } else if (auto* agg = std::get_if<SinkAgg>(&spec->sink)) {
-    rw.Visit(agg->key.get());
-    for (AggItem& item : agg->items) {
-      if (item.value != nullptr) rw.Visit(item.value.get());
-    }
-  } else {
-    for (auto& v : std::get<SinkOutput>(spec->sink).values) {
-      rw.Visit(v.get());
-    }
-  }
-}
-
-/// Everything but the constant-pool and literal-pool *values* must match
-/// for the sentinel diff to be meaningful (literal-pool entries carry the
-/// immediates of br_*_imm superinstructions, which differ between the
-/// sentinel and real translations; BuildConstantPatchTable verifies the
-/// non-immediate entries — callee addresses — value by value).
-bool StructurallyEqual(const BcProgram& a, const BcProgram& b) {
-  if (a.code.size() != b.code.size() ||
-      a.constant_pool.size() != b.constant_pool.size() ||
-      a.literal_pool.size() != b.literal_pool.size() ||
-      a.arg_offsets != b.arg_offsets ||
-      a.register_file_size != b.register_file_size) {
-    return false;
-  }
-  if (!a.code.empty() &&
-      std::memcmp(a.code.data(), b.code.data(),
-                  a.code.size() * sizeof(BcInstruction)) != 0) {
-    return false;
-  }
-  for (size_t i = 0; i < a.constant_pool.size(); ++i) {
-    if (a.constant_pool[i].slot != b.constant_pool[i].slot) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 PlanFingerprint FingerprintProgram(const QueryProgram& program) {
@@ -359,134 +273,10 @@ uint64_t ArtifactCacheKey(const PlanFingerprint& fingerprint,
   h.U64(fingerprint.structural_hash);
   h.U64(static_cast<uint64_t>(options.strategy));
   h.U64(static_cast<uint64_t>(options.window_size));
-  h.U64((options.fuse_branch_chains ? 16 : 0) |
-        (options.fuse_load_cmp_branches ? 8 : 0) |
-        (options.fuse_imm_cmp_branches ? 4 : 0) |
+  h.U64((options.fuse_branch_chains ? 8 : 0) |
+        (options.fuse_load_cmp_branches ? 4 : 0) |
         (options.fuse_macro_ops ? 2 : 0) | (options.fuse_cmp_branches ? 1 : 0));
   return h.digest();
-}
-
-ConstantPatchTable BuildConstantPatchTable(
-    const BcProgram& real, const PipelineSpec& spec,
-    const PipelineBindings& bindings, const RuntimeRegistry& registry,
-    const TranslatorOptions& translator_options,
-    const std::vector<uint64_t>& constants, uint32_t begin, uint32_t end) {
-  ConstantPatchTable table;
-  if (begin == end) {
-    table.patchable = true;  // nothing to patch: any constant vector fits
-    return table;
-  }
-
-  // Constants the translator gives no private pool slot: 0/1 live in the
-  // reserved registers, duplicated literals are interned into one slot.
-  // They stay pinned — the sentinel translation keeps their real values so
-  // the program structure matches, and a variant may only patch-share when
-  // its pinned constants agree with the baseline.
-  std::vector<bool> pinned(end - begin, false);
-  for (uint32_t i = begin; i < end; ++i) {
-    const uint64_t v = constants[i];
-    if (v == 0 || v == 1) {
-      pinned[i - begin] = true;
-      continue;
-    }
-    for (uint32_t j = begin; j < end; ++j) {
-      if (j != i && constants[j] == v) {
-        pinned[i - begin] = true;
-        break;
-      }
-    }
-  }
-
-  PipelineSpec sentinel_spec = ClonePipelineSpec(spec);
-  ReplaceSpecConstants(&sentinel_spec, begin, pinned);
-  GeneratedPipeline generated = GeneratePipeline(sentinel_spec, bindings);
-  BcProgram sentinel = TranslateToBytecode(
-      *generated.mod->module().getFunction("worker"), registry,
-      translator_options);
-
-  // Any remaining structural drift (constant folding, a literal colliding
-  // with a codegen-internal constant, ...) makes the artifact exact-match
-  // only — never incorrect.
-  if (!StructurallyEqual(sentinel, real)) return table;
-
-  table.pool_indices.reserve(end - begin);
-  std::vector<bool> literal_claimed(sentinel.literal_pool.size(), false);
-  for (uint32_t i = begin; i < end; ++i) {
-    if (pinned[i - begin]) {
-      table.pool_indices.push_back(ConstantPatchTable::kPinned);
-      continue;
-    }
-    // A sentinel lands either in the constant pool (register operand) or in
-    // the literal pool (immediate-operand superinstruction); finding it in
-    // both, twice, or neither makes the pipeline exact-match only.
-    const uint64_t wanted = ConstantSentinel(i);
-    int found_const = -1;
-    int found_lit = -1;
-    for (size_t p = 0; p < sentinel.constant_pool.size(); ++p) {
-      if (sentinel.constant_pool[p].value == wanted) {
-        if (found_const >= 0) return table;  // duplicated sentinel: bail
-        found_const = static_cast<int>(p);
-      }
-    }
-    for (size_t p = 0; p < sentinel.literal_pool.size(); ++p) {
-      if (sentinel.literal_pool[p] == wanted) {
-        if (found_lit >= 0) return table;
-        found_lit = static_cast<int>(p);
-      }
-    }
-    if ((found_const >= 0) == (found_lit >= 0)) return table;
-    // The real program must carry the genuine literal in the same slot.
-    if (found_const >= 0) {
-      if (real.constant_pool[static_cast<size_t>(found_const)].value !=
-          constants[i]) {
-        return table;
-      }
-      table.pool_indices.push_back(static_cast<uint32_t>(found_const));
-    } else {
-      if (real.literal_pool[static_cast<size_t>(found_lit)] != constants[i]) {
-        return table;
-      }
-      literal_claimed[static_cast<size_t>(found_lit)] = true;
-      table.pool_indices.push_back(static_cast<uint32_t>(found_lit) |
-                                   ConstantPatchTable::kLiteralPoolBit);
-    }
-  }
-  // Every literal-pool entry not claimed by a sentinel (callee addresses,
-  // pinned immediates) must match exactly, or the programs differ in ways
-  // the patch table cannot express.
-  for (size_t p = 0; p < sentinel.literal_pool.size(); ++p) {
-    if (!literal_claimed[p] && sentinel.literal_pool[p] != real.literal_pool[p]) {
-      return table;
-    }
-  }
-  table.patchable = true;
-  return table;
-}
-
-std::shared_ptr<BcProgram> ApplyConstantPatch(
-    const BcProgram& program, const std::vector<uint32_t>& pool_indices,
-    const std::vector<uint64_t>& baseline,
-    const std::vector<uint64_t>& constants) {
-  for (size_t k = 0; k < constants.size(); ++k) {
-    if (pool_indices[k] == ConstantPatchTable::kPinned &&
-        constants[k] != baseline[k]) {
-      return nullptr;
-    }
-  }
-  auto patched = std::make_shared<BcProgram>(program);
-  for (size_t k = 0; k < constants.size(); ++k) {
-    const uint32_t slot = pool_indices[k];
-    if (slot == ConstantPatchTable::kPinned) continue;
-    if (slot & ConstantPatchTable::kLiteralPoolBit) {
-      // Immediate-operand superinstruction: the constant lives in the
-      // literal pool, not in a register-file slot.
-      patched->literal_pool[slot & ~ConstantPatchTable::kLiteralPoolBit] =
-          constants[k];
-    } else {
-      patched->constant_pool[slot].value = constants[k];
-    }
-  }
-  return patched;
 }
 
 }  // namespace aqe

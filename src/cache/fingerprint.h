@@ -2,20 +2,18 @@
 #define AQE_CACHE_FINGERPRINT_H_
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "plan/plan.h"
-#include "vm/bytecode.h"
 #include "vm/translator.h"
 
 namespace aqe {
 
 /// Canonical identity of a query plan, split into the parts that determine
-/// the generated artifacts (the structural hash) and the parts that are
-/// patchable at hit time (the query constants).
+/// the generated artifacts (the structural hash) and the query constants,
+/// which bytecode reads from the binding array and machine code embeds.
 ///
 /// The structural hash covers the program name, every declaration (tables,
 /// join tables, aggregation sets, outputs, bitmap indices), the stage
@@ -32,11 +30,10 @@ struct PlanFingerprint {
   std::vector<uint64_t> constants;
   /// Per-pipeline [begin, end) slice into `constants`.
   std::vector<std::pair<uint32_t, uint32_t>> pipeline_constants;
-  /// LIKE patterns (kLike expressions), traversal order — extracted as
-  /// literals exactly like numeric constants, but they need no patch slots:
-  /// the matcher object reaches the worker through the binding array, so
-  /// plans differing only in patterns share bytecode *and* machine code
-  /// as-is. They feed `pruning_key`.
+  /// LIKE patterns (kLike expressions), traversal order. The matcher
+  /// object reaches the worker through the binding array, so plans
+  /// differing only in patterns share bytecode *and* machine code. They
+  /// feed `pruning_key`.
   std::vector<std::string> string_literals;
   /// Hash of the string literals and of each predicate bitmap's contents:
   /// what, besides the constants, decides the rows scan pruning selects.
@@ -51,51 +48,6 @@ PlanFingerprint FingerprintProgram(const QueryProgram& program);
 /// them.
 uint64_t ArtifactCacheKey(const PlanFingerprint& fingerprint,
                           const TranslatorOptions& options);
-
-/// Maps each of a pipeline's fingerprint constants to the pool slot that
-/// materializes it, so a literal-only plan variant can reuse the bytecode by
-/// patching `pool_indices` with its own constant values. A slot is either a
-/// constant-pool index (plain) or — when the translator folded the constant
-/// into an immediate-operand superinstruction (br_*_imm) — a literal-pool
-/// index tagged with `kLiteralPoolBit`. Constants with no private slot at
-/// all — the values 0/1 (reserved registers) and duplicated literals
-/// (interned) — are marked `kPinned`: a variant may still patch-share the
-/// bytecode as long as its pinned constants equal the baseline's.
-/// `patchable == false` means the mapping could not be established at all
-/// (e.g. a constant was folded) and the bytecode may only be reused for an
-/// exact constant match.
-struct ConstantPatchTable {
-  static constexpr uint32_t kPinned = 0xFFFFFFFFu;
-  /// Tag: the slot indexes literal_pool, not constant_pool.
-  static constexpr uint32_t kLiteralPoolBit = 0x80000000u;
-  bool patchable = false;
-  std::vector<uint32_t> pool_indices;  ///< one per pipeline constant
-};
-
-struct PipelineBindings;
-
-/// Builds the patch table for `real` (the program translated from `spec`
-/// with its genuine constants, under `translator_options`): re-runs codegen
-/// and translation over a clone of `spec` whose constants are replaced by
-/// distinctive sentinel values, then diffs the two constant pools. Any
-/// structural difference between the sentinel and real programs makes the
-/// pipeline unpatchable — never incorrect.
-/// `constants` is the fingerprint constant vector, [begin, end) the
-/// pipeline's slice.
-ConstantPatchTable BuildConstantPatchTable(
-    const BcProgram& real, const PipelineSpec& spec,
-    const PipelineBindings& bindings, const RuntimeRegistry& registry,
-    const TranslatorOptions& translator_options,
-    const std::vector<uint64_t>& constants, uint32_t begin, uint32_t end);
-
-/// Applies a patch table (`pool_indices`, ConstantPatchTable) to `program`,
-/// which was translated with the constants `baseline`: a clone carrying
-/// `constants` in every slot, or null when a pinned constant differs from
-/// the baseline's (it has no private slot to patch).
-std::shared_ptr<BcProgram> ApplyConstantPatch(
-    const BcProgram& program, const std::vector<uint32_t>& pool_indices,
-    const std::vector<uint64_t>& baseline,
-    const std::vector<uint64_t>& constants);
 
 }  // namespace aqe
 

@@ -20,6 +20,13 @@ llvm::Value* ExprCompiler::CheckedOp(llvm::Intrinsic::ID intrinsic,
   return value;
 }
 
+llvm::Value* ExprCompiler::BoundLiteral(const Expr& expr) const {
+  auto it = literal_values_->find(&expr);
+  AQE_CHECK_MSG(it != literal_values_->end(),
+                "literal missing from the worker's binding array");
+  return it->second;
+}
+
 llvm::Value* ExprCompiler::Compile(const Expr& expr,
                                    const std::vector<llvm::Value*>& slots) {
   auto child = [&](size_t i) { return Compile(*expr.children[i], slots); };
@@ -30,8 +37,11 @@ llvm::Value* ExprCompiler::Compile(const Expr& expr,
                 static_cast<size_t>(expr.slot) < slots.size());
       return slots[static_cast<size_t>(expr.slot)];
     }
-    case ExprKind::kConstI64: return b.getInt64(static_cast<uint64_t>(expr.i64_value));
+    case ExprKind::kConstI64:
+      if (literal_values_ != nullptr) return BoundLiteral(expr);
+      return b.getInt64(static_cast<uint64_t>(expr.i64_value));
     case ExprKind::kConstF64:
+      if (literal_values_ != nullptr) return BoundLiteral(expr);
       return llvm::ConstantFP::get(b.getDoubleTy(), expr.f64_value);
     case ExprKind::kAdd: return b.CreateAdd(child(0), child(1));
     case ExprKind::kSub: return b.CreateSub(child(0), child(1));
@@ -67,17 +77,11 @@ llvm::Value* ExprCompiler::Compile(const Expr& expr,
     case ExprKind::kNot: return b.CreateNot(child(0));
     case ExprKind::kBitmapTest: {
       llvm::Value* code = child(0);
-      llvm::Value* base_i64 = nullptr;
-      if (bitmap_values_ != nullptr) {
-        auto it = bitmap_values_->find(expr.bitmap);
-        AQE_CHECK_MSG(it != bitmap_values_->end(),
-                      "bitmap missing from the worker's binding array");
-        base_i64 = it->second;
-      } else {
-        base_i64 = b.getInt64(reinterpret_cast<uint64_t>(expr.bitmap));
-      }
+      auto it = bitmap_values_.find(expr.bitmap);
+      AQE_CHECK_MSG(it != bitmap_values_.end(),
+                    "bitmap missing from the worker's binding array");
       llvm::Value* base = b.CreateIntToPtr(
-          base_i64, llvm::Type::getInt8PtrTy(b.getContext()));
+          it->second, llvm::Type::getInt8PtrTy(b.getContext()));
       llvm::Value* addr = b.CreateGEP(b.getInt8Ty(), base, code);
       llvm::Value* byte = b.CreateLoad(b.getInt8Ty(), addr);
       // Compare at i32 width: the VM's statically typed icmp opcodes cover
@@ -91,20 +95,14 @@ llvm::Value* ExprCompiler::Compile(const Expr& expr,
       // translator and JIT both resolve it; the predicate address comes
       // from the binding array to keep artifacts position-independent.
       llvm::Value* code = child(0);
-      llvm::Value* pred_i64 = nullptr;
-      if (like_values_ != nullptr) {
-        auto it = like_values_->find(expr.like_pred);
-        AQE_CHECK_MSG(it != like_values_->end(),
-                      "LIKE predicate missing from the worker's binding array");
-        pred_i64 = it->second;
-      } else {
-        pred_i64 = b.getInt64(reinterpret_cast<uint64_t>(expr.like_pred));
-      }
+      auto it = like_values_.find(expr.like_pred);
+      AQE_CHECK_MSG(it != like_values_.end(),
+                    "LIKE predicate missing from the worker's binding array");
       llvm::Module* mod = b.GetInsertBlock()->getParent()->getParent();
       auto* i64 = b.getInt64Ty();
       llvm::FunctionCallee callee = mod->getOrInsertFunction(
           "aqe_like_match", llvm::FunctionType::get(i64, {i64, i64}, false));
-      llvm::Value* match = b.CreateCall(callee, {pred_i64, code});
+      llvm::Value* match = b.CreateCall(callee, {it->second, code});
       return b.CreateICmpNE(match, b.getInt64(0));
     }
     case ExprKind::kCastF64:

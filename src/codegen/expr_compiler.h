@@ -18,21 +18,22 @@ namespace aqe {
 ///
 /// `bitmap_values` maps a kBitmapTest bitmap pointer to the i64 value
 /// holding its runtime base address (loaded from the worker's binding
-/// array), and `like_values` does the same for kLike predicate objects.
-/// When absent, the pointer is embedded as a constant — acceptable for
-/// standalone kernels, but position-dependent, so the pipeline path always
-/// supplies the maps (the artifact cache relies on them).
+/// array), and `like_values` does the same for kLike predicate objects, so
+/// no address is ever embedded and a cached artifact runs against any
+/// context. `literal_values`, when given, maps each plan literal to the
+/// value loaded for it (LiteralForm::kBound); null embeds literals as
+/// immediates (kImmediate).
 class ExprCompiler {
  public:
   ExprCompiler(llvm::IRBuilder<>* builder, llvm::BasicBlock* overflow_block,
-               const std::map<const uint8_t*, llvm::Value*>* bitmap_values =
-                   nullptr,
-               const std::map<const LikePredicate*, llvm::Value*>*
-                   like_values = nullptr)
+               const std::map<const uint8_t*, llvm::Value*>& bitmap_values,
+               const std::map<const LikePredicate*, llvm::Value*>& like_values,
+               const std::map<const Expr*, llvm::Value*>* literal_values)
       : builder_(builder),
         overflow_block_(overflow_block),
         bitmap_values_(bitmap_values),
-        like_values_(like_values) {}
+        like_values_(like_values),
+        literal_values_(literal_values) {}
 
   /// Compiles `expr` against the current slot values. Bool results are i1,
   /// I64 results i64, F64 results double.
@@ -44,10 +45,14 @@ class ExprCompiler {
                          llvm::Value* rhs);
 
  private:
+  /// The bound value of a plan literal (kBound form only).
+  llvm::Value* BoundLiteral(const Expr& expr) const;
+
   llvm::IRBuilder<>* builder_;
   llvm::BasicBlock* overflow_block_;
-  const std::map<const uint8_t*, llvm::Value*>* bitmap_values_;
-  const std::map<const LikePredicate*, llvm::Value*>* like_values_;
+  const std::map<const uint8_t*, llvm::Value*>& bitmap_values_;
+  const std::map<const LikePredicate*, llvm::Value*>& like_values_;
+  const std::map<const Expr*, llvm::Value*>* literal_values_;
 };
 
 }  // namespace aqe

@@ -11,48 +11,6 @@
 namespace aqe {
 namespace {
 
-template <typename Pred>
-bool AnyExprNode(const Expr& expr, const Pred& pred) {
-  if (pred(expr)) return true;
-  for (const auto& child : expr.children) {
-    if (AnyExprNode(*child, pred)) return true;
-  }
-  return false;
-}
-
-/// True when any expression node of the pipeline satisfies `pred` — the
-/// reachability scan behind the entry block's binding hoists.
-template <typename Pred>
-bool AnyPipelineExpr(const PipelineSpec& spec, const Pred& pred) {
-  for (const PipelineOp& op : spec.ops) {
-    if (const auto* filter = std::get_if<OpFilter>(&op)) {
-      if (AnyExprNode(*filter->predicate, pred)) return true;
-    } else if (const auto* compute = std::get_if<OpCompute>(&op)) {
-      if (AnyExprNode(*compute->expr, pred)) return true;
-    } else if (AnyExprNode(*std::get<OpProbe>(op).key, pred)) {
-      return true;
-    }
-  }
-  if (const auto* build = std::get_if<SinkBuild>(&spec.sink)) {
-    if (AnyExprNode(*build->key, pred)) return true;
-    for (const auto& p : build->payload) {
-      if (AnyExprNode(*p, pred)) return true;
-    }
-  } else if (const auto* agg = std::get_if<SinkAgg>(&spec.sink)) {
-    if (AnyExprNode(*agg->key, pred)) return true;
-    for (const AggItem& item : agg->items) {
-      if (item.value != nullptr && AnyExprNode(*item.value, pred)) {
-        return true;
-      }
-    }
-  } else {
-    for (const auto& v : std::get<SinkOutput>(spec.sink).values) {
-      if (AnyExprNode(*v, pred)) return true;
-    }
-  }
-  return false;
-}
-
 bool PipelineUsesBitmap(const PipelineSpec& spec, const uint8_t* bitmap) {
   return AnyPipelineExpr(spec, [bitmap](const Expr& e) {
     return e.kind == ExprKind::kBitmapTest && e.bitmap == bitmap;
@@ -69,8 +27,13 @@ bool PipelineUsesLikePred(const PipelineSpec& spec,
 /// Per-function emission state.
 struct WorkerEmitter {
   WorkerEmitter(const PipelineSpec& spec, const PipelineBindings& bindings,
-                IrModule* mod, const std::string& fn_name)
-      : spec(spec), bindings(bindings), mod(mod), b(mod->context()) {
+                LiteralForm literal_form, IrModule* mod,
+                const std::string& fn_name)
+      : spec(spec),
+        bindings(bindings),
+        literal_form(literal_form),
+        mod(mod),
+        b(mod->context()) {
     auto* i64 = llvm::Type::getInt64Ty(mod->context());
     auto* fty = llvm::FunctionType::get(
         llvm::Type::getVoidTy(mod->context()), {i64, i64, i64, i64}, false);
@@ -135,10 +98,12 @@ struct WorkerEmitter {
     return v;
   }
 
-  void Emit();
+  /// Emits the worker; returns the number of literal-load instructions.
+  uint64_t Emit();
 
   const PipelineSpec& spec;
   const PipelineBindings& bindings;
+  const LiteralForm literal_form;
   IrModule* mod;
   llvm::IRBuilder<> b;
   llvm::Function* fn = nullptr;
@@ -146,7 +111,7 @@ struct WorkerEmitter {
   llvm::BasicBlock* latch = nullptr;
 };
 
-void WorkerEmitter::Emit() {
+uint64_t WorkerEmitter::Emit() {
   auto& ctx = mod->context();
   auto* entry = llvm::BasicBlock::Create(ctx, "entry", fn);
   auto* head = llvm::BasicBlock::Create(ctx, "loop.head", fn);
@@ -192,6 +157,23 @@ void WorkerEmitter::Emit() {
           BindingValue(bindings.LikePredSlot(id));
     }
   }
+  // Bytecode reads the plan's literals from the binding array too, so its
+  // program does not depend on them; machine code gets them as immediates.
+  std::map<const Expr*, llvm::Value*> literal_values;
+  uint64_t literal_instructions = 0;
+  if (literal_form == LiteralForm::kBound) {
+    const std::vector<const Expr*> literals = PipelineLiterals(spec);
+    AQE_CHECK(literals.size() == bindings.literals.size());
+    const size_t before = entry->size();
+    for (size_t k = 0; k < literals.size(); ++k) {
+      llvm::Value* bits = BindingValue(bindings.LiteralSlot(k));
+      literal_values[literals[k]] =
+          literals[k]->kind == ExprKind::kConstF64
+              ? b.CreateBitCast(bits, b.getDoubleTy())
+              : bits;
+    }
+    literal_instructions = entry->size() - before;
+  }
   llvm::Value* agg_local = nullptr;
   llvm::Value* build_table = nullptr;
   llvm::Value* output_buffer = nullptr;
@@ -216,7 +198,9 @@ void WorkerEmitter::Emit() {
   b.CreateCondBr(in_range, body, exit);
 
   b.SetInsertPoint(body);
-  ExprCompiler exprs(&b, overflow_block, &bitmap_values, &like_values);
+  ExprCompiler exprs(
+      &b, overflow_block, bitmap_values, like_values,
+      literal_form == LiteralForm::kBound ? &literal_values : nullptr);
 
   // Scan: materialize the requested columns into slots, sign-extending
   // every narrow integer column to i64 inside its load. These are the
@@ -347,6 +331,7 @@ void WorkerEmitter::Emit() {
 
   i->addIncoming(fn->getArg(1), entry);
   i->addIncoming(next, latch);
+  return literal_instructions;
 }
 
 }  // namespace
@@ -366,14 +351,15 @@ std::vector<uint64_t> PipelineBindings::Pack() const {
   for (const LikePredicate* p : like_preds) {
     values.push_back(reinterpret_cast<uint64_t>(p));
   }
+  values.insert(values.end(), literals.begin(), literals.end());
   return values;
 }
 
-void EmitWorkerFunction(const PipelineSpec& spec,
-                        const PipelineBindings& bindings, IrModule* mod,
-                        const std::string& fn_name) {
-  WorkerEmitter emitter(spec, bindings, mod, fn_name);
-  emitter.Emit();
+uint64_t EmitWorkerFunction(const PipelineSpec& spec,
+                            const PipelineBindings& bindings,
+                            LiteralForm literal_form, IrModule* mod,
+                            const std::string& fn_name) {
+  return WorkerEmitter(spec, bindings, literal_form, mod, fn_name).Emit();
 }
 
 }  // namespace aqe

@@ -1,5 +1,7 @@
 #include "codegen/query_compiler.h"
 
+#include <cstring>
+
 #include "common/status.h"
 #include "common/timer.h"
 #include "ir/ir_stats.h"
@@ -37,20 +39,29 @@ PipelineBindings BindPipeline(const QueryProgram& program,
   for (const auto& pred : program.like_predicates()) {
     bindings.like_preds.push_back(pred.get());
   }
+  for (const Expr* literal : PipelineLiterals(spec)) {
+    uint64_t bits = static_cast<uint64_t>(literal->i64_value);
+    if (literal->kind == ExprKind::kConstF64) {
+      std::memcpy(&bits, &literal->f64_value, sizeof(bits));
+    }
+    bindings.literals.push_back(bits);
+  }
   return bindings;
 }
 
 GeneratedPipeline GeneratePipeline(const PipelineSpec& spec,
                                    const PipelineBindings& bindings,
+                                   LiteralForm literal_form,
                                    const std::string& fn_name) {
   Timer timer;
   GeneratedPipeline result;
   result.mod = std::make_unique<IrModule>("pipeline_" + spec.name);
-  EmitWorkerFunction(spec, bindings, result.mod.get(), fn_name);
+  const uint64_t literal_loads = EmitWorkerFunction(
+      spec, bindings, literal_form, result.mod.get(), fn_name);
   const llvm::Function* fn = result.mod->module().getFunction(fn_name);
   AQE_CHECK(fn != nullptr);
   const IrFunctionStats stats = ComputeFunctionStats(*fn);
-  result.instructions = stats.instructions;
+  result.instructions = stats.instructions - literal_loads;
   result.loop_instructions = stats.loop_instructions;
   result.loop_calls = stats.loop_calls;
   result.codegen_millis = timer.ElapsedMillis();

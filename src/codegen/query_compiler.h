@@ -25,18 +25,23 @@ struct GeneratedPipeline {
 };
 
 /// Resolves a pipeline's runtime addresses against a query context: scan
-/// column base pointers, join tables, aggregation sets, output buffers.
+/// column base pointers, join tables, aggregation sets, output buffers —
+/// and collects its literals, which bytecode reads from the same array.
 /// Seals every join table the pipeline probes (JoinHashTable::Seal): its
 /// build is complete once a pipeline that probes it is bound.
 PipelineBindings BindPipeline(const QueryProgram& program,
                               const PipelineSpec& spec,
                               const QueryContext& ctx);
 
-/// Generates the worker-function module for one pipeline. Deterministic:
-/// the adaptive controller re-invokes it for each compilation request
-/// (code generation costs well under a millisecond, Fig 1).
+/// Generates the worker-function module for one pipeline, with literals in
+/// the form its consumer needs: kBound for bytecode translation, kImmediate
+/// for the JIT. Deterministic: the adaptive controller re-invokes it for
+/// each compilation request (code generation costs well under a
+/// millisecond, Fig 1). The counts leave out the literal loads, so both
+/// forms report the same instruction count.
 GeneratedPipeline GeneratePipeline(const PipelineSpec& spec,
                                    const PipelineBindings& bindings,
+                                   LiteralForm literal_form,
                                    const std::string& fn_name = "worker");
 
 }  // namespace aqe

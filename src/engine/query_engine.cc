@@ -911,7 +911,8 @@ void QueryJob::RunPipeline(const QueryProgram::Stage& stage,
     // Fig 2's "LLVM IR" mode: interpret the IR objects directly,
     // single-threaded, morsel by morsel.
     std::vector<uint64_t> binding_values = bindings.Pack();
-    GeneratedPipeline generated = GeneratePipeline(spec, bindings);
+    GeneratedPipeline generated =
+        GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
     report.instructions = generated.instructions;
     report.codegen_millis = generated.codegen_millis;
     result_.codegen_millis_total += generated.codegen_millis;
@@ -996,7 +997,9 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   GeneratedPipeline generated;  // .mod stays null when cached artifacts hit
   const bool need_translation = needs_bytecode && bytecode == nullptr;
   if (need_translation || (!needs_bytecode && cached.seed_code == nullptr)) {
-    generated = GeneratePipeline(spec, bindings);
+    generated = GeneratePipeline(
+        spec, bindings,
+        need_translation ? LiteralForm::kBound : LiteralForm::kImmediate);
     instructions = generated.instructions;
     call_fraction = RuntimeCallFraction(
         generated.loop_instructions, generated.loop_calls,
@@ -1011,27 +1014,18 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     auto fresh = std::make_shared<BcProgram>(TranslateToBytecode(
         *generated.mod->module().getFunction("worker"), registry,
         options.translator));
+    fresh->dispatch = options.vm_dispatch;
     report.translate_millis = timer.ElapsedMillis();
     result_.translate_millis_total += report.translate_millis;
 
     if (entry_ != nullptr) {
       cache_instant(TraceEventKind::kCacheMiss, /*payload=*/0);
-      // The patch table costs a codegen and a translation; skip it when
-      // resident bytecode would make the cache discard this program — e.g.
-      // a variant whose pinned constants mismatch re-translates every run,
-      // and must not also pay the sentinel pass every run.
-      if (!cached.bytecode_resident) {
-        ConstantPatchTable patch = BuildConstantPatchTable(
-            *fresh, spec, bindings, registry, options.translator,
-            fingerprint_.constants, fingerprint_.pipeline_constants[p].first,
-            fingerprint_.pipeline_constants[p].second);
-        if (cache_->PublishBytecode(*entry_, request, fresh, std::move(patch),
-                                    instructions, call_fraction)) {
-          cache_instant(TraceEventKind::kCachePublish, /*payload=*/0);
-        }
+      if (cache_->PublishBytecode(*entry_, request, fresh, instructions,
+                                  call_fraction)) {
+        cache_instant(TraceEventKind::kCachePublish, /*payload=*/0);
       }
     }
-    bytecode = ProgramForDispatch(std::move(fresh), options.vm_dispatch);
+    bytecode = std::move(fresh);
   }
   if (bytecode != nullptr) {
     report.register_file_bytes = bytecode->register_file_size;
@@ -1096,8 +1090,8 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   ap->binding_values = std::move(binding_values);
   ap->bytecode = std::move(bytecode);
   // Per-run allocations the context's trackers can't see: the packed
-  // binding array and any private bytecode this run cloned (patched
-  // constants, dispatch clone, fresh translation). A shared cache-resident
+  // binding array and any private bytecode this run holds (a dispatch
+  // clone or a fresh translation). A shared cache-resident
   // program is the cache's footprint, not this query's.
   uint64_t run_bytes = ap->binding_values.size() * sizeof(uint64_t);
   if (ap->bytecode != nullptr && !cached.bytecode_shared) {
@@ -1135,7 +1129,8 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     // required because adaptive compilation runs on a worker thread.
     // `spec` lives in the (caller-owned) program, `raw_ap` in this job;
     // both outlive the run (PipelineRun invariant 3).
-    GeneratedPipeline fresh = GeneratePipeline(spec, raw_ap->bindings);
+    GeneratedPipeline fresh =
+        GeneratePipeline(spec, raw_ap->bindings, LiteralForm::kImmediate);
     aqe::Status status;  // Task::Status shadows it here
     auto compiled =
         JitCompile(std::move(*fresh.mod),
@@ -1339,7 +1334,6 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
   snap.counters.emplace_back("cache.entry_hits", cs.entry_hits);
   snap.counters.emplace_back("cache.entry_misses", cs.entry_misses);
   snap.counters.emplace_back("cache.bytecode_hits", cs.bytecode_hits);
-  snap.counters.emplace_back("cache.patched_hits", cs.patched_hits);
   snap.counters.emplace_back("cache.bytecode_misses", cs.bytecode_misses);
   snap.counters.emplace_back("cache.code_hits", cs.code_hits);
   snap.counters.emplace_back("cache.publishes", cs.publishes);
@@ -1357,8 +1351,6 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
                              tc.fused_instructions);
   snap.counters.emplace_back("translator.fused_cmp_branches",
                              tc.fused_cmp_branches);
-  snap.counters.emplace_back("translator.fused_cmp_branch_imms",
-                             tc.fused_cmp_branch_imms);
   snap.counters.emplace_back("translator.fused_load_cmp_branches",
                              tc.fused_load_cmp_branches);
 
@@ -1518,7 +1510,8 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
     PipelineCompileCosts cost;
     cost.name = spec.name;
 
-    GeneratedPipeline generated = GeneratePipeline(spec, bindings);
+    GeneratedPipeline generated =
+        GeneratePipeline(spec, bindings, LiteralForm::kBound);
     cost.instructions = generated.instructions;
     cost.codegen_millis = generated.codegen_millis;
     cost.runtime_calls = generated.loop_calls;
@@ -1535,10 +1528,10 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
       cost.bytecode_ops = bytecode.code.size();
       cost.fused_ops = bytecode.fused_instructions;
       cost.fused_cmp_branches = bytecode.fused_cmp_branches;
-      cost.fused_cmp_branch_imms = bytecode.fused_cmp_branch_imms;
     }
     if (measure_unopt) {
-      GeneratedPipeline fresh = GeneratePipeline(spec, bindings);
+      GeneratedPipeline fresh =
+          GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
       Timer timer;
       Status status;
       auto compiled = JitCompile(std::move(*fresh.mod), JitMode::kUnoptimized,
@@ -1547,7 +1540,8 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
       cost.unopt_millis = timer.ElapsedMillis();
     }
     if (measure_opt) {
-      GeneratedPipeline fresh = GeneratePipeline(spec, bindings);
+      GeneratedPipeline fresh =
+          GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
       Timer timer;
       Status status;
       auto compiled = JitCompile(std::move(*fresh.mod), JitMode::kOptimized,

@@ -109,7 +109,6 @@ struct PipelineCompileCosts {
   uint64_t bytecode_ops = 0;  ///< fixed-length VM instructions emitted
   uint64_t fused_ops = 0;     ///< LLVM instructions folded by macro fusion
   uint64_t fused_cmp_branches = 0;  ///< compare-and-branch superinstructions
-  uint64_t fused_cmp_branch_imms = 0;  ///< ...with a literal-pool immediate
   uint64_t runtime_calls = 0;  ///< per-tuple opaque runtime calls (loop body)
   /// Runtime-call-density cost-model input (adaptive/cost_model.h):
   /// fraction of per-tuple time the model attributes to runtime calls.

@@ -25,50 +25,15 @@ std::vector<ExprType> ComputeSlotTypes(
   return slots;
 }
 
-PipelineSpec ClonePipelineSpec(const PipelineSpec& spec) {
-  PipelineSpec copy;
-  copy.name = spec.name;
-  copy.source_table = spec.source_table;
-  copy.scan_columns = spec.scan_columns;
-  for (const PipelineOp& op : spec.ops) {
-    if (const auto* filter = std::get_if<OpFilter>(&op)) {
-      copy.ops.push_back(OpFilter{CloneExpr(*filter->predicate)});
-    } else if (const auto* compute = std::get_if<OpCompute>(&op)) {
-      copy.ops.push_back(OpCompute{CloneExpr(*compute->expr)});
-    } else {
-      const auto& probe = std::get<OpProbe>(op);
-      OpProbe p;
-      p.ht = probe.ht;
-      p.key = CloneExpr(*probe.key);
-      p.payload_slots = probe.payload_slots;
-      p.kind = probe.kind;
-      copy.ops.push_back(std::move(p));
+std::vector<const Expr*> PipelineLiterals(const PipelineSpec& spec) {
+  std::vector<const Expr*> literals;
+  AnyPipelineExpr(spec, [&literals](const Expr& e) {
+    if (e.kind == ExprKind::kConstI64 || e.kind == ExprKind::kConstF64) {
+      literals.push_back(&e);
     }
-  }
-  if (const auto* build = std::get_if<SinkBuild>(&spec.sink)) {
-    SinkBuild s;
-    s.ht = build->ht;
-    s.key = CloneExpr(*build->key);
-    for (const auto& p : build->payload) s.payload.push_back(CloneExpr(*p));
-    copy.sink = std::move(s);
-  } else if (const auto* agg = std::get_if<SinkAgg>(&spec.sink)) {
-    SinkAgg s;
-    s.agg = agg->agg;
-    s.key = CloneExpr(*agg->key);
-    for (const AggItem& item : agg->items) {
-      s.items.push_back({item.kind,
-                         item.value ? CloneExpr(*item.value) : nullptr,
-                         item.checked});
-    }
-    copy.sink = std::move(s);
-  } else {
-    const auto& out = std::get<SinkOutput>(spec.sink);
-    SinkOutput s;
-    s.output = out.output;
-    for (const auto& v : out.values) s.values.push_back(CloneExpr(*v));
-    copy.sink = std::move(s);
-  }
-  return copy;
+    return false;
+  });
+  return literals;
 }
 
 }  // namespace aqe

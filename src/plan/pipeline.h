@@ -70,9 +70,54 @@ struct PipelineSpec {
 std::vector<ExprType> ComputeSlotTypes(const PipelineSpec& spec,
                                        const std::vector<DataType>& column_types);
 
-/// Deep copy of a pipeline spec (expression trees cloned). Used by the plan
-/// fingerprint's sentinel translation (src/cache/).
-PipelineSpec ClonePipelineSpec(const PipelineSpec& spec);
+template <typename Pred>
+bool AnyExprNode(const Expr& expr, const Pred& pred) {
+  if (pred(expr)) return true;
+  for (const auto& child : expr.children) {
+    if (AnyExprNode(*child, pred)) return true;
+  }
+  return false;
+}
+
+/// True when any expression node of the pipeline satisfies `pred`. Visits
+/// the nodes in preorder: each op's expression in op order, then the sink's
+/// (key, then payload, items or values). The plan fingerprint hashes in the
+/// same order, so the k-th literal this walk meets is the k-th constant of
+/// the pipeline's fingerprint slice.
+template <typename Pred>
+bool AnyPipelineExpr(const PipelineSpec& spec, const Pred& pred) {
+  for (const PipelineOp& op : spec.ops) {
+    if (const auto* filter = std::get_if<OpFilter>(&op)) {
+      if (AnyExprNode(*filter->predicate, pred)) return true;
+    } else if (const auto* compute = std::get_if<OpCompute>(&op)) {
+      if (AnyExprNode(*compute->expr, pred)) return true;
+    } else if (AnyExprNode(*std::get<OpProbe>(op).key, pred)) {
+      return true;
+    }
+  }
+  if (const auto* build = std::get_if<SinkBuild>(&spec.sink)) {
+    if (AnyExprNode(*build->key, pred)) return true;
+    for (const auto& p : build->payload) {
+      if (AnyExprNode(*p, pred)) return true;
+    }
+  } else if (const auto* agg = std::get_if<SinkAgg>(&spec.sink)) {
+    if (AnyExprNode(*agg->key, pred)) return true;
+    for (const AggItem& item : agg->items) {
+      if (item.value != nullptr && AnyExprNode(*item.value, pred)) {
+        return true;
+      }
+    }
+  } else {
+    for (const auto& v : std::get<SinkOutput>(spec.sink).values) {
+      if (AnyExprNode(*v, pred)) return true;
+    }
+  }
+  return false;
+}
+
+/// The pipeline's plan literals (kConstI64 and kConstF64 nodes), in
+/// AnyPipelineExpr's order.
+std::vector<const Expr*> PipelineLiterals(const PipelineSpec& spec);
 
 }  // namespace aqe
 

@@ -280,7 +280,7 @@ QueryProgram BuildQ12(const Catalog& cat) {
 /// Q14: promotion effect. part -> lineitem with a LIKE-prefix predicate on
 /// p_type, lowered by the string predicate subsystem (on the sorted
 /// dictionary this is a code-range compare; pattern variants differ only in
-/// the range literals and patch-share q14's cached bytecode).
+/// the range literals and share q14's cached bytecode).
 QueryProgram BuildQ14Impl(const Catalog& cat, const std::string& pattern) {
   PlanBuilder b(cat, "q14");
   Pipe p = b.Scan("build part", "part", {"p_partkey", "p_type"});

@@ -18,8 +18,8 @@ QueryProgram BuildTpchQuery(int number, const Catalog& catalog);
 const std::vector<int>& ImplementedTpchQueries();
 
 /// The literals of TPC-H Q6's filter. Variants that differ only here share
-/// a plan fingerprint (and, via the constant-patch table, cached bytecode)
-/// with the standard Q6 — the repeated-query workload's parameterized
+/// a plan fingerprint (and with it the cached bytecode, which reads the
+/// literals from the binding array) with the standard Q6 — the repeated-query workload's parameterized
 /// query.
 struct TpchQ6Literals {
   int64_t ship_date_lo;  ///< days since 1970-01-01, inclusive
@@ -39,8 +39,8 @@ QueryProgram BuildTpchQ6Variant(const Catalog& catalog,
 
 /// Q14 with the p_type LIKE pattern replaced ("PROMO%" is the standard
 /// query). Prefix patterns lower to code-range literals on the sorted
-/// dictionary, so variants share q14's plan fingerprint and patch-share
-/// its cached bytecode — the string-pattern analogue of the Q6 literal
+/// dictionary, so variants share q14's plan fingerprint and its cached
+/// bytecode — the string-pattern analogue of the Q6 literal
 /// variants.
 QueryProgram BuildTpchQ14Variant(const Catalog& catalog,
                                  const std::string& type_pattern);

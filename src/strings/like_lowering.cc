@@ -22,7 +22,7 @@ LoweredLike LowerLikePredicate(QueryProgram* program, const Table& table,
   result.pattern_class = matcher.pattern_class();
 
   // Pattern-independent structure: these classes become pure integer
-  // compares whose literals flow through the constant-patch table, so any
+  // compares whose literals flow through the binding array, so any
   // strategy request collapses to the same (cheapest) form.
   switch (matcher.pattern_class()) {
     case LikePatternClass::kMatchAll:

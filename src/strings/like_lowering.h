@@ -69,8 +69,8 @@ struct LoweredLike {
 /// `table.column(column_index)`, whose code the pipeline scans into
 /// `code_slot`. Wildcard-free patterns become a single code compare and
 /// prefix patterns on a sorted dictionary a code-range compare — both
-/// carry the pattern as plain I64 literals, so pattern variants
-/// patch-share cached bytecode exactly like numeric constants. Everything
+/// carry the pattern as plain I64 literals, so pattern variants share
+/// cached bytecode exactly like numeric constants. Everything
 /// else either pre-evaluates into a program-owned bitmap (kBitmapTest) or
 /// becomes a kLike runtime call whose matcher reaches the worker through
 /// the binding array.

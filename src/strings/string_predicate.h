@@ -14,7 +14,7 @@ namespace aqe {
 /// QueryProgram (AddLikePredicate); the worker receives its address through
 /// the packed binding array, so cached bytecode and machine code stay
 /// position-independent — two plans differing only in the pattern literal
-/// share artifacts without patching.
+/// share artifacts.
 struct LikePredicate {
   LikeMatcher matcher;
   const Dictionary* dict = nullptr;  ///< not owned

@@ -32,11 +32,6 @@ uint64_t BcProgram::AddLiteral(uint64_t value) {
   return literal_pool.size() - 1;
 }
 
-uint64_t BcProgram::AddPrivateLiteral(uint64_t value) {
-  literal_pool.push_back(value);
-  return literal_pool.size() - 1;
-}
-
 std::string BcProgram::Disassemble() const {
   std::string out;
   char line[160];

@@ -50,15 +50,6 @@ namespace aqe {
   V(br_ult_i32) V(br_ult_i64) V(br_ule_i32) V(br_ule_i64)                    \
   V(br_ugt_i32) V(br_ugt_i64) V(br_uge_i32) V(br_uge_i64)                    \
   V(br_folt_f64) V(br_fogt_f64)                                              \
-  /* constant-operand compare-and-branch: r[a2] <pred> literal_pool[a1],     \
-     lit packs the branch targets. Query constants stay out of the register  \
-     file entirely — no permanent slot, no entry load. */                    \
-  V(br_eq_i32_imm) V(br_eq_i64_imm) V(br_ne_i32_imm) V(br_ne_i64_imm)        \
-  V(br_slt_i32_imm) V(br_slt_i64_imm) V(br_sle_i32_imm) V(br_sle_i64_imm)    \
-  V(br_sgt_i32_imm) V(br_sgt_i64_imm) V(br_sge_i32_imm) V(br_sge_i64_imm)    \
-  V(br_ult_i32_imm) V(br_ult_i64_imm) V(br_ule_i32_imm) V(br_ule_i64_imm)    \
-  V(br_ugt_i32_imm) V(br_ugt_i64_imm) V(br_uge_i32_imm) V(br_uge_i64_imm)    \
-  V(br_folt_f64_imm) V(br_fogt_f64_imm)                                      \
   /* load-compare-and-branch: the scan-filter kernel in one dispatch.        \
      tmp = *(ty*)(r[a2] + r[a3]*sizeof(ty)); branch on tmp <pred> r[a1].     \
      The element scale is implied by the type and the byte offset is zero    \
@@ -71,48 +62,24 @@ namespace aqe {
   V(br_load_ult_i64) V(br_load_ule_i32) V(br_load_ule_i64)                   \
   V(br_load_ugt_i32) V(br_load_ugt_i64) V(br_load_uge_i32)                   \
   V(br_load_uge_i64)                                                         \
-  /* constant-RHS forms: tmp <pred> literal_pool[a1] */                      \
-  V(br_load_eq_i32_imm) V(br_load_eq_i64_imm) V(br_load_ne_i32_imm)          \
-  V(br_load_ne_i64_imm) V(br_load_slt_i32_imm) V(br_load_slt_i64_imm)        \
-  V(br_load_sle_i32_imm) V(br_load_sle_i64_imm) V(br_load_sgt_i32_imm)       \
-  V(br_load_sgt_i64_imm) V(br_load_sge_i32_imm) V(br_load_sge_i64_imm)       \
-  V(br_load_ult_i32_imm) V(br_load_ult_i64_imm) V(br_load_ule_i32_imm)       \
-  V(br_load_ule_i64_imm) V(br_load_ugt_i32_imm) V(br_load_ugt_i64_imm)       \
-  V(br_load_uge_i32_imm) V(br_load_uge_i64_imm)                              \
   /* sign-extending load-compare-and-branch: the compare reads sext(iN load) \
      — an 8-, 16- or 32-bit column value widened by the scan. tmp =          \
-     (i64)*(iN*)(r[a2] + r[a3]*N/8); branch on tmp <pred> r[a1] (or          \
-     literal_pool[a1]) as i64. */                                            \
+     (i64)*(iN*)(r[a2] + r[a3]*N/8); branch on tmp <pred> r[a1] as i64. */   \
   V(br_load_sext_i8_eq_i64) V(br_load_sext_i8_ne_i64)                        \
   V(br_load_sext_i8_slt_i64) V(br_load_sext_i8_sle_i64)                      \
   V(br_load_sext_i8_sgt_i64) V(br_load_sext_i8_sge_i64)                      \
   V(br_load_sext_i8_ult_i64) V(br_load_sext_i8_ule_i64)                      \
   V(br_load_sext_i8_ugt_i64) V(br_load_sext_i8_uge_i64)                      \
-  V(br_load_sext_i8_eq_i64_imm) V(br_load_sext_i8_ne_i64_imm)                \
-  V(br_load_sext_i8_slt_i64_imm) V(br_load_sext_i8_sle_i64_imm)              \
-  V(br_load_sext_i8_sgt_i64_imm) V(br_load_sext_i8_sge_i64_imm)              \
-  V(br_load_sext_i8_ult_i64_imm) V(br_load_sext_i8_ule_i64_imm)              \
-  V(br_load_sext_i8_ugt_i64_imm) V(br_load_sext_i8_uge_i64_imm)              \
   V(br_load_sext_i16_eq_i64) V(br_load_sext_i16_ne_i64)                      \
   V(br_load_sext_i16_slt_i64) V(br_load_sext_i16_sle_i64)                    \
   V(br_load_sext_i16_sgt_i64) V(br_load_sext_i16_sge_i64)                    \
   V(br_load_sext_i16_ult_i64) V(br_load_sext_i16_ule_i64)                    \
   V(br_load_sext_i16_ugt_i64) V(br_load_sext_i16_uge_i64)                    \
-  V(br_load_sext_i16_eq_i64_imm) V(br_load_sext_i16_ne_i64_imm)              \
-  V(br_load_sext_i16_slt_i64_imm) V(br_load_sext_i16_sle_i64_imm)            \
-  V(br_load_sext_i16_sgt_i64_imm) V(br_load_sext_i16_sge_i64_imm)            \
-  V(br_load_sext_i16_ult_i64_imm) V(br_load_sext_i16_ule_i64_imm)            \
-  V(br_load_sext_i16_ugt_i64_imm) V(br_load_sext_i16_uge_i64_imm)            \
   V(br_load_sext_i32_eq_i64) V(br_load_sext_i32_ne_i64)                      \
   V(br_load_sext_i32_slt_i64) V(br_load_sext_i32_sle_i64)                    \
   V(br_load_sext_i32_sgt_i64) V(br_load_sext_i32_sge_i64)                    \
   V(br_load_sext_i32_ult_i64) V(br_load_sext_i32_ule_i64)                    \
   V(br_load_sext_i32_ugt_i64) V(br_load_sext_i32_uge_i64)                    \
-  V(br_load_sext_i32_eq_i64_imm) V(br_load_sext_i32_ne_i64_imm)              \
-  V(br_load_sext_i32_slt_i64_imm) V(br_load_sext_i32_sle_i64_imm)            \
-  V(br_load_sext_i32_sgt_i64_imm) V(br_load_sext_i32_sge_i64_imm)            \
-  V(br_load_sext_i32_ult_i64_imm) V(br_load_sext_i32_ule_i64_imm)            \
-  V(br_load_sext_i32_ugt_i64_imm) V(br_load_sext_i32_uge_i64_imm)            \
   /* floating point */                                                       \
   V(fadd_f64) V(fsub_f64) V(fmul_f64) V(fdiv_f64) V(fneg_f64)                \
   V(fcmp_oeq_f64) V(fcmp_one_f64) V(fcmp_olt_f64) V(fcmp_ole_f64)            \
@@ -247,21 +214,12 @@ struct BcProgram {
   uint64_t source_instructions = 0;  ///< LLVM instructions translated
   uint64_t fused_instructions = 0;   ///< LLVM instructions folded away
   uint64_t fused_cmp_branches = 0;   ///< compare-and-branch superinstructions
-  /// Subset of fused_cmp_branches whose constant operand was folded into a
-  /// literal-pool immediate (br_*_imm) instead of a constant-pool register.
-  uint64_t fused_cmp_branch_imms = 0;
   /// Subset of fused_cmp_branches that additionally swallowed the compare's
   /// indexed load (br_load_*): load + compare + branch in one dispatch.
   uint64_t fused_load_cmp_branches = 0;
 
   /// Interns `value` into literal_pool and returns its index.
   uint64_t AddLiteral(uint64_t value);
-
-  /// Appends `value` to literal_pool *without* interning. Immediate-operand
-  /// superinstructions need a private slot: the constant-patch table may
-  /// rewrite it for literal-only plan variants, which must never alias a
-  /// callee address or another instruction's immediate.
-  uint64_t AddPrivateLiteral(uint64_t value);
 
   /// Human-readable disassembly; round-trips every instruction field (see
   /// ParseDisassembly in tests/vm_dispatch_test.cc).

@@ -105,13 +105,6 @@ uint64_t DispatchN(uint64_t target, const uint64_t* a, uint32_t n) {
       R_I64((inst)->a3) * static_cast<int64_t>(sizeof(T))))
 #define LCB_SXU(inst, T) static_cast<uint64_t>(LCB_SX(inst, T))
 
-/// Double view of a literal-pool immediate (br_*_f64_imm).
-inline double BitsToDouble(uint64_t bits) {
-  double d;
-  std::memcpy(&d, &bits, sizeof(d));
-  return d;
-}
-
 /// Per-opcode dispatch counts collected under AQE_VM_PROFILE (or the
 /// programmatic VmSetProfileCounting switch); feeds the hot-order list that
 /// drives the handler layout in interpreter_ops.inc, and the engine's

@@ -141,8 +141,8 @@ class Translator {
   void TranslateTerminator(const llvm::Instruction& term);
 
   /// Emits one fused compare-and-branch superinstruction for a compare
-  /// planned in fused_cmp_ (picking the load-fused / immediate / register
-  /// form) and returns its instruction index. Branch targets are left for
+  /// planned in fused_cmp_ (picking the load-fused or the register form)
+  /// and returns its instruction index. Branch targets are left for
   /// the caller to patch.
   uint32_t EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op);
   /// Emits one element of a short-circuit branch chain: the fused form when
@@ -292,8 +292,8 @@ bool FusedCmpBranchOpcode(const llvm::CmpInst& cmp, Opcode* out) {
 }
 
 /// Maps a fused compare-and-branch opcode to its mirrored form (operands
-/// swapped: c < x  ==  x > c), so a constant LHS can still use the
-/// immediate encoding.
+/// swapped: x < buf[i]  ==  buf[i] > x), so a load on the RHS can still
+/// fuse into a br_load_* superinstruction.
 bool MirrorCmpBranchOpcode(Opcode op, Opcode* out) {
   switch (op) {
     case Opcode::k_br_eq_i32: case Opcode::k_br_eq_i64:
@@ -321,52 +321,27 @@ bool MirrorCmpBranchOpcode(Opcode op, Opcode* out) {
   }
 }
 
-/// Maps a register-register fused compare-and-branch to its immediate form.
-bool ImmCmpBranchOpcode(Opcode op, Opcode* out) {
-  switch (op) {
-#define AQE_IMM_CASE(name) \
-  case Opcode::k_##name: *out = Opcode::k_##name##_imm; return true;
-    AQE_IMM_CASE(br_eq_i32) AQE_IMM_CASE(br_eq_i64)
-    AQE_IMM_CASE(br_ne_i32) AQE_IMM_CASE(br_ne_i64)
-    AQE_IMM_CASE(br_slt_i32) AQE_IMM_CASE(br_slt_i64)
-    AQE_IMM_CASE(br_sle_i32) AQE_IMM_CASE(br_sle_i64)
-    AQE_IMM_CASE(br_sgt_i32) AQE_IMM_CASE(br_sgt_i64)
-    AQE_IMM_CASE(br_sge_i32) AQE_IMM_CASE(br_sge_i64)
-    AQE_IMM_CASE(br_ult_i32) AQE_IMM_CASE(br_ult_i64)
-    AQE_IMM_CASE(br_ule_i32) AQE_IMM_CASE(br_ule_i64)
-    AQE_IMM_CASE(br_ugt_i32) AQE_IMM_CASE(br_ugt_i64)
-    AQE_IMM_CASE(br_uge_i32) AQE_IMM_CASE(br_uge_i64)
-    AQE_IMM_CASE(br_folt_f64) AQE_IMM_CASE(br_fogt_f64)
-#undef AQE_IMM_CASE
-    default: return false;
-  }
-}
-
 /// Maps a fused compare-and-branch opcode to the form that also swallows the
-/// compare's indexed load (br_load_*, reg or imm RHS) or, with `sext_bits`
-/// 8, 16 or 32, the load of that width and its sign extension to i64
-/// (br_load_sext_iN_*, i64 compares only; 0 = no sext). Only the integer
-/// forms exist: the load supplies the LHS, and f64 loads keep the two-op
-/// path (no br_load_*_f64 — scan filters compare integer columns).
-bool LoadCmpBranchOpcode(Opcode op, bool imm, unsigned sext_bits,
-                         Opcode* out) {
+/// compare's indexed load (br_load_*) or, with `sext_bits` 8, 16 or 32, the
+/// load of that width and its sign extension to i64 (br_load_sext_iN_*, i64
+/// compares only; 0 = no sext). Only the integer forms exist: the load
+/// supplies the LHS, and f64 loads keep the two-op path (no br_load_*_f64 —
+/// scan filters compare integer columns).
+bool LoadCmpBranchOpcode(Opcode op, unsigned sext_bits, Opcode* out) {
   switch (op) {
 #define AQE_LCB_SEXT(pred, bits)                                            \
   case bits:                                                                \
-    *out = imm ? Opcode::k_br_load_sext_i##bits##_##pred##_i64_imm          \
-               : Opcode::k_br_load_sext_i##bits##_##pred##_i64;             \
+    *out = Opcode::k_br_load_sext_i##bits##_##pred##_i64;                   \
     return true;
 #define AQE_LCB_CASE(pred)                                                  \
   case Opcode::k_br_##pred##_i32:                                           \
     if (sext_bits != 0) return false;                                       \
-    *out = imm ? Opcode::k_br_load_##pred##_i32_imm                         \
-               : Opcode::k_br_load_##pred##_i32;                            \
+    *out = Opcode::k_br_load_##pred##_i32;                                  \
     return true;                                                            \
   case Opcode::k_br_##pred##_i64:                                           \
     switch (sext_bits) {                                                    \
       case 0:                                                               \
-        *out = imm ? Opcode::k_br_load_##pred##_i64_imm                     \
-                   : Opcode::k_br_load_##pred##_i64;                        \
+        *out = Opcode::k_br_load_##pred##_i64;                              \
         return true;                                                        \
       AQE_LCB_SEXT(pred, 8) AQE_LCB_SEXT(pred, 16) AQE_LCB_SEXT(pred, 32)   \
       default: return false;                                                \
@@ -386,21 +361,6 @@ bool LoadCmpBranchOpcode(Opcode op, bool imm, unsigned sext_bits,
 bool IsWidenableLoadType(const llvm::Type* type) {
   return type->isIntegerTy(8) || type->isIntegerTy(16) ||
          type->isIntegerTy(32);
-}
-
-/// A plain integer/double constant whose raw bits can live in a literal-pool
-/// immediate. Returns true and sets `bits`; false for every other constant
-/// kind (pointers, constant expressions — those keep the register path).
-bool FusableImmediateBits(const llvm::Value* v, uint64_t* bits) {
-  if (const auto* ci = llvm::dyn_cast<llvm::ConstantInt>(v)) {
-    *bits = ci->getZExtValue();
-    return true;
-  }
-  if (const auto* cf = llvm::dyn_cast<llvm::ConstantFP>(v)) {
-    *bits = cf->getValueAPF().bitcastToAPInt().getZExtValue();
-    return true;
-  }
-  return false;
 }
 
 void Translator::PlanCmpBranchFusion() {
@@ -479,7 +439,7 @@ void Translator::PlanBranchChainFusion() {
           subsumed_.contains(cmp) || !FusedCmpBranchOpcode(*cmp, &op)) {
         continue;
       }
-      fused_cmp_[cmp] = op;  // load/imm planning now applies to it too
+      fused_cmp_[cmp] = op;  // load planning now applies to it too
       subsumed_.insert(cmp);
     }
     branch_chains_[br] = std::move(leaves);
@@ -560,7 +520,7 @@ void Translator::PlanLoadCmpBranchFusion() {
     }
     Opcode unused;
     if (fused.load == nullptr ||
-        !LoadCmpBranchOpcode(effective, false, fused.sext_bits(), &unused)) {
+        !LoadCmpBranchOpcode(effective, fused.sext_bits(), &unused)) {
       continue;
     }
     fused_cmp_load_[cmp] = fused;
@@ -1370,74 +1330,30 @@ uint32_t Translator::EmitFusedCmpBranch(const llvm::CmpInst* cmp, Opcode op) {
   if (fused_it != fused_cmp_load_.end()) {
     // Load-compare-and-branch tier: the load (or its sign extension)
     // supplies the LHS (mirrored into place if it was the RHS); a2/a3 carry
-    // the subsumed GEP's base/index, a1 the RHS register or literal-pool
-    // index.
+    // the subsumed GEP's base/index, a1 the RHS register.
     const FusedCmpLoad& fused = fused_it->second;
-    const unsigned sext_bits = fused.sext_bits();
     if (lhs != fused.operand()) {
       Opcode mirrored;
       AQE_CHECK(MirrorCmpBranchOpcode(op, &mirrored));
       op = mirrored;
       std::swap(lhs, rhs);
     }
-    uint64_t imm_bits = 0;
-    const bool has_imm = options_.fuse_imm_cmp_branches &&
-                         FusableImmediateBits(rhs, &imm_bits) &&
-                         imm_bits != 0 && imm_bits != 1;
     const auto* gep = llvm::cast<llvm::GetElementPtrInst>(
         fused.load->getPointerOperand());
     GepParts parts = DecomposeGep(*gep);
     uint32_t base = UseReg(parts.base);
     uint32_t idx = UseReg(parts.index);
     Opcode load_op;
-    if (has_imm &&
-        LoadCmpBranchOpcode(op, /*imm=*/true, sext_bits, &load_op) &&
-        program_.literal_pool.size() < 0xFFFF) {
-      uint64_t pool_index = program_.AddPrivateLiteral(imm_bits);
-      index = Emit(load_op, static_cast<uint32_t>(pool_index), base, idx);
-      ++program_.fused_cmp_branch_imms;
-    } else {
-      AQE_CHECK(LoadCmpBranchOpcode(op, /*imm=*/false, sext_bits, &load_op));
-      index = Emit(load_op, UseReg(rhs), base, idx);
-    }
+    AQE_CHECK(LoadCmpBranchOpcode(op, fused.sext_bits(), &load_op));
+    index = Emit(load_op, UseReg(rhs), base, idx);
     // gep + load (+ sext) + compare folded
-    program_.fused_instructions += sext_bits != 0 ? 4 : 3;
+    program_.fused_instructions += fused.sext != nullptr ? 4 : 3;
     ++program_.fused_cmp_branches;
     ++program_.fused_load_cmp_branches;
   } else {
-    // Constant-operand form: the literal moves into a private
-    // literal-pool slot read directly by the handler, so it neither
-    // occupies a permanent register nor pays the entry load. A constant
-    // LHS is mirrored (c < x == x > c) onto the same encoding. Bits 0/1
-    // keep the register path — the reserved slots already hold them for
-    // free.
-    uint64_t imm_bits = 0;
-    bool has_imm = false;
-    if (options_.fuse_cmp_branches && options_.fuse_imm_cmp_branches) {
-      if (FusableImmediateBits(rhs, &imm_bits)) {
-        has_imm = true;
-      } else if (FusableImmediateBits(lhs, &imm_bits)) {
-        Opcode mirrored;
-        if (MirrorCmpBranchOpcode(op, &mirrored)) {
-          op = mirrored;
-          std::swap(lhs, rhs);
-          has_imm = true;
-        }
-      }
-      if (has_imm && (imm_bits == 0 || imm_bits == 1)) has_imm = false;
-    }
-    Opcode imm_op;
-    if (has_imm && ImmCmpBranchOpcode(op, &imm_op) &&
-        program_.literal_pool.size() < 0xFFFF) {
-      uint64_t pool_index = program_.AddPrivateLiteral(imm_bits);
-      index = Emit(imm_op, static_cast<uint32_t>(pool_index),
-                   UseReg(lhs));
-      ++program_.fused_cmp_branch_imms;
-    } else {
-      uint32_t a2 = UseReg(lhs);
-      uint32_t a3 = UseReg(rhs);
-      index = Emit(op, 0, a2, a3);
-    }
+    uint32_t a2 = UseReg(lhs);
+    uint32_t a3 = UseReg(rhs);
+    index = Emit(op, 0, a2, a3);
     ++program_.fused_instructions;  // the compare folded away
     ++program_.fused_cmp_branches;
   }
@@ -1698,7 +1614,6 @@ std::atomic<uint64_t> g_programs{0};
 std::atomic<uint64_t> g_bytecode_ops{0};
 std::atomic<uint64_t> g_fused_instructions{0};
 std::atomic<uint64_t> g_fused_cmp_branches{0};
-std::atomic<uint64_t> g_fused_cmp_branch_imms{0};
 std::atomic<uint64_t> g_fused_load_cmp_branches{0};
 
 }  // namespace
@@ -1709,8 +1624,6 @@ TranslatorCounters TranslatorCountersSnapshot() {
   c.bytecode_ops = g_bytecode_ops.load(std::memory_order_relaxed);
   c.fused_instructions = g_fused_instructions.load(std::memory_order_relaxed);
   c.fused_cmp_branches = g_fused_cmp_branches.load(std::memory_order_relaxed);
-  c.fused_cmp_branch_imms =
-      g_fused_cmp_branch_imms.load(std::memory_order_relaxed);
   c.fused_load_cmp_branches =
       g_fused_load_cmp_branches.load(std::memory_order_relaxed);
   return c;
@@ -1721,7 +1634,6 @@ void ResetTranslatorCounters() {
   g_bytecode_ops.store(0, std::memory_order_relaxed);
   g_fused_instructions.store(0, std::memory_order_relaxed);
   g_fused_cmp_branches.store(0, std::memory_order_relaxed);
-  g_fused_cmp_branch_imms.store(0, std::memory_order_relaxed);
   g_fused_load_cmp_branches.store(0, std::memory_order_relaxed);
 }
 
@@ -1736,8 +1648,6 @@ BcProgram TranslateToBytecode(const llvm::Function& fn,
                                  std::memory_order_relaxed);
   g_fused_cmp_branches.fetch_add(program.fused_cmp_branches,
                                  std::memory_order_relaxed);
-  g_fused_cmp_branch_imms.fetch_add(program.fused_cmp_branch_imms,
-                                    std::memory_order_relaxed);
   g_fused_load_cmp_branches.fetch_add(program.fused_load_cmp_branches,
                                       std::memory_order_relaxed);
   return program;

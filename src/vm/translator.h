@@ -24,11 +24,6 @@ struct TranslatorOptions {
   /// superinstruction. Independent of fuse_macro_ops so the ablation bench
   /// can isolate its effect.
   bool fuse_cmp_branches = true;
-  /// Enables the constant-operand forms of the fused compare-and-branch
-  /// (br_*_imm): a compare against a query constant reads it from a private
-  /// literal-pool slot instead of burning a constant-pool register and its
-  /// entry load. Only effective together with fuse_cmp_branches.
-  bool fuse_imm_cmp_branches = true;
   /// Enables the third superinstruction tier (br_load_*): a single-use
   /// indexed load feeding an already-fused compare-and-branch folds into it,
   /// executing the whole scan-filter kernel body — load, compare, branch —
@@ -53,7 +48,6 @@ struct TranslatorCounters {
   uint64_t bytecode_ops = 0;        ///< VM instructions emitted
   uint64_t fused_instructions = 0;  ///< LLVM instructions folded by fusion
   uint64_t fused_cmp_branches = 0;
-  uint64_t fused_cmp_branch_imms = 0;
   uint64_t fused_load_cmp_branches = 0;
 };
 

@@ -11,11 +11,14 @@
 
 #include "adaptive/calibrate.h"
 #include "cache/fingerprint.h"
+#include "codegen/query_compiler.h"
 #include "common/timer.h"
 #include "engine/query_engine.h"
 #include "obs/regression.h"
 #include "queries/tpch_queries.h"
 #include "tpch/tpch_gen.h"
+#include "vm/interpreter.h"
+#include "vm/translator.h"
 
 namespace aqe {
 namespace {
@@ -221,14 +224,13 @@ TEST_F(CacheTest, StepLiteralVariantsShareArtifacts) {
 // the default run's.
 TEST_F(CacheTest, CacheKeyCoversEveryTranslatorOption) {
   const PlanFingerprint fp = FingerprintProgram(BuildTpchQuery(6, catalog()));
-  std::vector<TranslatorOptions> flipped(7);
+  std::vector<TranslatorOptions> flipped(6);
   flipped[0].strategy = RegAllocStrategy::kWindow;
   flipped[1].window_size = 8;
   flipped[2].fuse_macro_ops = false;
   flipped[3].fuse_cmp_branches = false;
-  flipped[4].fuse_imm_cmp_branches = false;
-  flipped[5].fuse_load_cmp_branches = false;
-  flipped[6].fuse_branch_chains = false;
+  flipped[4].fuse_load_cmp_branches = false;
+  flipped[5].fuse_branch_chains = false;
   std::set<uint64_t> keys = {ArtifactCacheKey(fp, {})};
   for (size_t i = 0; i < flipped.size(); ++i) {
     EXPECT_TRUE(keys.insert(ArtifactCacheKey(fp, flipped[i])).second)
@@ -325,46 +327,37 @@ TEST_F(CacheTest, VariantListsEvictTheLeastRecentlyUsed) {
   }
 }
 
-TEST_F(CacheTest, PatchedBytecodeAgreesOnPinnedConstants) {
-  // Three constants: one in constant-pool entry 0, one pinned (no private
-  // slot), one in literal-pool entry 1 beside a callee address.
+TEST_F(CacheTest, OneBytecodeProgramServesEveryConstantVector) {
   auto program = std::make_shared<BcProgram>();
-  program->constant_pool = {{/*slot=*/2, /*value=*/7}};
-  program->literal_pool = {0xCA11, 9};
-  ConstantPatchTable patch;
-  patch.patchable = true;
-  patch.pool_indices = {0, ConstantPatchTable::kPinned,
-                        1 | ConstantPatchTable::kLiteralPoolBit};
-
   ArtifactCache cache;
   auto entry = NewEntry(&cache);
   ArtifactRequest request = RequestFor({7, 1, 9}, ExecutionStrategy::kBytecode);
-  ASSERT_TRUE(cache.PublishBytecode(*entry, request, program, patch, 10, 0));
-  EXPECT_FALSE(cache.PublishBytecode(*entry, request, program, patch, 10, 0));
+  ASSERT_TRUE(cache.PublishBytecode(*entry, request, program, 10, 0));
+  EXPECT_FALSE(cache.PublishBytecode(*entry, request, program, 10, 0));
   EXPECT_EQ(cache.stats().bytes, BcProgramBytes(*program));
 
-  const CachedArtifacts exact = cache.Lookup(*entry, request);
-  EXPECT_EQ(exact.bytecode, program);
-  EXPECT_TRUE(exact.bytecode_shared);
-
-  request.constants = {8, 1, 10};
-  const CachedArtifacts patched = cache.Lookup(*entry, request);
-  ASSERT_NE(patched.bytecode, nullptr);
-  EXPECT_FALSE(patched.bytecode_shared);
-  EXPECT_EQ(patched.bytecode->constant_pool[0].value, 8u);
-  EXPECT_EQ(patched.bytecode->literal_pool[0], 0xCA11u);
-  EXPECT_EQ(patched.bytecode->literal_pool[1], 10u);
-  EXPECT_EQ(program->constant_pool[0].value, 7u);  // the cached one stays
-
-  request.constants = {8, 2, 10};
-  const CachedArtifacts pinned = cache.Lookup(*entry, request);
-  EXPECT_EQ(pinned.bytecode, nullptr);
-  EXPECT_TRUE(pinned.bytecode_resident);
+  for (std::vector<uint64_t> constants :
+       {std::vector<uint64_t>{7, 1, 9}, {8, 1, 10}, {8, 2, 10}, {0, 0, 0}}) {
+    request.constants = constants;
+    const CachedArtifacts found = cache.Lookup(*entry, request);
+    EXPECT_EQ(found.bytecode, program);
+    EXPECT_TRUE(found.bytecode_shared);
+  }
+  // Another dispatch loop gets a clone of the same code.
+  request.dispatch = VmResolveDispatch(VmDispatch::kDefault) ==
+                             VmDispatch::kSwitch
+                         ? VmDispatch::kThreaded
+                         : VmDispatch::kSwitch;
+  const CachedArtifacts clone = cache.Lookup(*entry, request);
+  ASSERT_NE(clone.bytecode, nullptr);
+  EXPECT_NE(clone.bytecode, program);
+  EXPECT_FALSE(clone.bytecode_shared);
+  EXPECT_EQ(clone.bytecode->dispatch, request.dispatch);
 
   const ArtifactCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.bytecode_hits, 1u);
-  EXPECT_EQ(stats.patched_hits, 1u);
-  EXPECT_EQ(stats.bytecode_misses, 1u);
+  EXPECT_EQ(stats.bytecode_hits, 5u);
+  EXPECT_EQ(stats.patched_hits, 0u);
+  EXPECT_EQ(stats.bytecode_misses, 0u);
   EXPECT_EQ(stats.publishes, 1u);
 }
 
@@ -385,8 +378,7 @@ TEST_F(CacheTest, PruningKeySplitsDecisionsNotCode) {
   ArtifactRequest request = RequestFor({5}, ExecutionStrategy::kAdaptive);
   request.pruning_key = brass.pruning_key;
   ASSERT_TRUE(cache.PublishBytecode(*entry, request,
-                                    std::make_shared<BcProgram>(),
-                                    ConstantPatchTable{}, 10, 0));
+                                    std::make_shared<BcProgram>(), 10, 0));
   cache.PublishCode(*entry, request, ExecMode::kUnoptimized, FakeCode(64), 10,
                     0);
   cache.PublishPruning(*entry, request, {nullptr, PruningStats{}});
@@ -469,51 +461,161 @@ TEST_F(CacheTest, AdaptiveSeedsBestCachedMode) {
   EXPECT_GE(engine.artifact_cache_stats().code_hits, 1u);
 }
 
-TEST_F(CacheTest, LiteralVariantPatchesBytecode) {
-  QueryEngine engine(&catalog(), 2);
-  QueryProgram variant_ref = BuildTpchQ6Variant(catalog(), VariantLiterals());
-  auto reference = Uncached(&engine, variant_ref);
+/// The cached bytecode of `q`'s first pipeline, or null.
+std::shared_ptr<const BcProgram> CachedBytecode(QueryEngine* engine,
+                                                const QueryProgram& q,
+                                                const QueryRunOptions& options) {
+  auto entry = engine->artifact_cache().Peek(
+      ArtifactCacheKey(FingerprintProgram(q), options.translator));
+  if (entry == nullptr) return nullptr;
+  std::lock_guard<std::mutex> lock(entry->mu);
+  return entry->pipelines[0].bytecode;
+}
 
+// Bytecode reads the plan's literals from the binding array, so a literal
+// variant runs the very program its plan shape translated, on either
+// dispatch loop, and still computes its own rows.
+TEST_F(CacheTest, LiteralVariantSharesBytecode) {
+  for (VmDispatch dispatch : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+    QueryEngine engine(&catalog(), 2);
+    QueryProgram variant_ref = BuildTpchQ6Variant(catalog(), VariantLiterals());
+    const auto reference = Uncached(&engine, variant_ref);
+
+    QueryRunOptions options;
+    options.strategy = ExecutionStrategy::kBytecode;
+    options.vm_dispatch = dispatch;
+    QueryProgram standard = BuildTpchQuery(6, catalog());
+    const auto standard_rows = engine.Run(standard, options).rows;
+    ASSERT_NE(standard_rows, reference);
+    const std::shared_ptr<const BcProgram> program =
+        CachedBytecode(&engine, standard, options);
+    ASSERT_NE(program, nullptr);
+    EXPECT_EQ(program->dispatch, dispatch);
+
+    QueryProgram variant = BuildTpchQ6Variant(catalog(), VariantLiterals());
+    const uint64_t programs = TranslatorCountersSnapshot().programs;
+    QueryRunResult warm = engine.Run(variant, options);
+    EXPECT_EQ(TranslatorCountersSnapshot().programs, programs);
+    EXPECT_EQ(warm.translate_millis_total, 0);
+    EXPECT_TRUE(warm.pipelines[0].artifact_cache_hit);
+    EXPECT_EQ(warm.rows, reference) << VmDispatchName(dispatch);
+
+    ArtifactCacheStats stats = engine.artifact_cache_stats();
+    EXPECT_EQ(stats.bytecode_hits, 1u);
+    EXPECT_EQ(stats.bytecode_misses, 1u);
+    EXPECT_EQ(stats.patched_hits, 0u);
+
+    // What the variant's lookup returns is the cached program itself. The
+    // lookup reads only the entry, so a bystander cache can make it without
+    // touching the engine's counters.
+    const PlanFingerprint fp = FingerprintProgram(variant);
+    auto entry = engine.artifact_cache().Peek(
+        ArtifactCacheKey(fp, options.translator));
+    ASSERT_NE(entry, nullptr);
+    ArtifactRequest request;
+    request.constants.assign(
+        fp.constants.begin() + fp.pipeline_constants[0].first,
+        fp.constants.begin() + fp.pipeline_constants[0].second);
+    request.strategy = options.strategy;
+    request.dispatch = dispatch;
+    ArtifactCache bystander;
+    const CachedArtifacts found = bystander.Lookup(*entry, request);
+    EXPECT_EQ(found.bytecode, program);
+    EXPECT_TRUE(found.bytecode_shared);
+    EXPECT_EQ(CachedBytecode(&engine, variant, options), program);
+  }
+}
+
+// Literals equal to 0 or 1, or to another literal of the same pipeline, are
+// bound like any other. So whichever of a plan's variants translated the
+// program — one with such a literal, or one without — every other variant
+// shares it, run after run, with nothing translated.
+TEST_F(CacheTest, ZeroOneAndRepeatedLiteralsShareBytecode) {
+  QueryEngine engine(&catalog(), 2);
   QueryRunOptions options;
   options.strategy = ExecutionStrategy::kBytecode;
+  const TpchQ6Literals standard = DefaultQ6Literals();
+  const auto standard_rows =
+      Uncached(&engine, BuildTpchQ6Variant(catalog(), standard));
 
-  QueryProgram standard = BuildTpchQuery(6, catalog());
-  engine.Run(standard, options);
+  TpchQ6Literals zero = standard;
+  zero.discount_lo = 0;
+  TpchQ6Literals one = standard;
+  one.discount_lo = 1;
+  TpchQ6Literals repeated = standard;
+  repeated.discount_lo = 6;
+  repeated.discount_hi = 6;
+  for (const TpchQ6Literals& special : {zero, one, repeated}) {
+    const auto special_rows =
+        Uncached(&engine, BuildTpchQ6Variant(catalog(), special));
+    EXPECT_NE(special_rows, standard_rows);
+    for (bool special_first : {true, false}) {
+      SCOPED_TRACE(::testing::Message()
+                   << "discount " << special.discount_lo << ".."
+                   << special.discount_hi << (special_first ? " first" : ""));
+      engine.ClearArtifactCache();
+      const uint64_t misses = engine.artifact_cache_stats().bytecode_misses;
+      const QueryProgram first =
+          BuildTpchQ6Variant(catalog(), special_first ? special : standard);
+      engine.Run(first, options);
+      const std::shared_ptr<const BcProgram> program =
+          CachedBytecode(&engine, first, options);
+      ASSERT_NE(program, nullptr);
+      for (int run = 0; run < 2; ++run) {
+        QueryProgram second =
+            BuildTpchQ6Variant(catalog(), special_first ? standard : special);
+        const uint64_t programs = TranslatorCountersSnapshot().programs;
+        QueryRunResult result = engine.Run(second, options);
+        EXPECT_EQ(TranslatorCountersSnapshot().programs, programs);
+        EXPECT_TRUE(result.pipelines[0].artifact_cache_hit);
+        EXPECT_EQ(result.rows, special_first ? standard_rows : special_rows);
+      }
+      EXPECT_EQ(CachedBytecode(&engine, first, options), program);
+      EXPECT_EQ(engine.artifact_cache_stats().bytecode_misses, misses + 1);
+    }
+  }
+}
 
-  QueryProgram variant = BuildTpchQ6Variant(catalog(), VariantLiterals());
-  QueryRunResult warm = engine.Run(variant, options);
-  EXPECT_EQ(warm.rows, reference);
-  EXPECT_EQ(warm.translate_millis_total, 0);
-  EXPECT_TRUE(warm.pipelines[0].artifact_cache_hit);
+// A cold miss translates each pipeline once: finding the literals needs no
+// second translation.
+TEST_F(CacheTest, ColdRunTranslatesOncePerPipeline) {
+  QueryEngine engine(&catalog(), 2);
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  for (int number : ImplementedTpchQueries()) {
+    QueryProgram q = BuildTpchQuery(number, catalog());
+    const uint64_t programs = TranslatorCountersSnapshot().programs;
+    QueryRunResult cold = engine.Run(q, options);
+    EXPECT_EQ(TranslatorCountersSnapshot().programs - programs,
+              q.pipelines().size())
+        << q.name();
+    for (const PipelineReport& report : cold.pipelines) {
+      EXPECT_FALSE(report.artifact_cache_hit) << q.name() << " " << report.name;
+    }
+  }
+}
 
-  ArtifactCacheStats stats = engine.artifact_cache_stats();
-  EXPECT_GE(stats.patched_hits, 1u)
-      << "Q6 literal variant should reuse bytecode via the patch table";
-  // Different results prove the patched constants are live, not stale: the
-  // relaxed variant filter must see at least the standard revenue.
-  auto standard_rows = Uncached(&engine, standard);
-  EXPECT_NE(warm.rows, standard_rows);
-
-  // The shared program compares narrow columns through sign-extending
-  // superinstructions, whose i64 immediates are literal-pool patch slots
-  // like any other (Q6's limit on the 16-bit quantity is one).
-  auto entry = engine.artifact_cache().Peek(
-      ArtifactCacheKey(FingerprintProgram(standard), options.translator));
-  ASSERT_NE(entry, nullptr);
-  std::lock_guard<std::mutex> lock(entry->mu);
-  const PipelineArtifact& artifact = entry->pipelines[0];
-  ASSERT_NE(artifact.bytecode, nullptr);
-  EXPECT_TRUE(artifact.patchable);
-  EXPECT_NE(
-      artifact.bytecode->Disassemble().find("br_load_sext_i16_slt_i64_imm"),
-      std::string::npos);
-  EXPECT_GE(std::count_if(artifact.patch_slots.begin(),
-                          artifact.patch_slots.end(),
-                          [](uint32_t slot) {
-                            return slot != ConstantPatchTable::kPinned &&
-                                   (slot & ConstantPatchTable::kLiteralPoolBit);
-                          }),
-            1);
+// The literals bytecode binds are numbered by the pipeline's own walk, and
+// that walk meets them in the fingerprint's order: each pipeline's bound
+// literals are exactly its slice of the fingerprint constants.
+TEST_F(CacheTest, BoundLiteralsAreTheFingerprintSlice) {
+  std::vector<QueryProgram> plans;
+  for (int number : ImplementedTpchQueries()) {
+    plans.push_back(BuildTpchQuery(number, catalog()));
+  }
+  plans.push_back(BuildTpchQ6Variant(catalog(), VariantLiterals()));
+  plans.push_back(BuildTpchQ18Variant(catalog(), 301));
+  for (const QueryProgram& q : plans) {
+    const PlanFingerprint fp = FingerprintProgram(q);
+    auto ctx = q.MakeContext(&catalog());
+    for (size_t p = 0; p < q.pipelines().size(); ++p) {
+      const auto [begin, end] = fp.pipeline_constants[p];
+      const std::vector<uint64_t> slice(fp.constants.begin() + begin,
+                                        fp.constants.begin() + end);
+      EXPECT_EQ(BindPipeline(q, q.pipelines()[p], *ctx).literals, slice)
+          << q.name() << " pipeline " << p;
+    }
+  }
 }
 
 TEST_F(CacheTest, CachedStaticModesSkipCompilation) {
@@ -586,8 +688,8 @@ TEST_F(CacheTest, CodeVariantsCoexistPerConstantVector) {
 /// variants submitted as prepared statements (their cold run compiles
 /// eagerly under kOptimized, publishing machine code that warm adaptive
 /// runs seed from), and three Q14 LIKE-pattern variants (fingerprint-equal
-/// to q14, patch-sharing its bytecode). Deterministic rounds in a fixed
-/// plan order stand in for a timed Zipf mix.
+/// to q14, sharing its bytecode). Deterministic rounds in a fixed plan order
+/// stand in for a timed Zipf mix.
 TEST_F(CacheTest, RepeatedPlansRunWarmFromCachedArtifacts) {
   struct Plan {
     std::string label;
@@ -614,6 +716,11 @@ TEST_F(CacheTest, RepeatedPlansRunWarmFromCachedArtifacts) {
                      }});
   }
   ASSERT_EQ(plans.size(), 19u);
+  // Only the 13 plan shapes translate; their variants share the bytecode.
+  uint64_t shape_pipelines = 0;
+  for (int number : ImplementedTpchQueries()) {
+    shape_pipelines += BuildTpchQuery(number, catalog()).pipelines().size();
+  }
 
   QueryEngine engine(&catalog(), 2);
 
@@ -635,10 +742,12 @@ TEST_F(CacheTest, RepeatedPlansRunWarmFromCachedArtifacts) {
   std::vector<uint64_t> peak_max(plans.size(), 0);
   for (int round = 0; round < kRounds; ++round) {
     engine.ClearArtifactCache();
-    const uint64_t misses = engine.artifact_cache_stats().entry_misses;
+    const ArtifactCacheStats before = engine.artifact_cache_stats();
+    uint64_t lookups = 0;  // pipelines that ran with bytecode
     for (size_t i = 0; i < plans.size(); ++i) {
       QueryProgram cold_q = plans[i].build();
       const QueryRunOptions& options = plans[i].prepared ? prepared : adaptive;
+      lookups += cold_q.pipelines().size() * (plans[i].prepared ? 1 : 2);
       Timer cold_timer;
       QueryRunResult cold = engine.Run(cold_q, options);
       cold_ms[i].push_back(cold_timer.ElapsedMillis());
@@ -661,7 +770,13 @@ TEST_F(CacheTest, RepeatedPlansRunWarmFromCachedArtifacts) {
       peak_min[i] = std::min(peak_min[i], warm.peak_memory_bytes);
       peak_max[i] = std::max(peak_max[i], warm.peak_memory_bytes);
     }
-    EXPECT_GT(engine.artifact_cache_stats().entry_misses, misses);
+    const ArtifactCacheStats delta = engine.artifact_cache_stats() - before;
+    EXPECT_GT(delta.entry_misses, 0u);
+    // Each plan shape translates once per round; every other bytecode
+    // lookup, the literal and pattern variants' included, shares a program.
+    EXPECT_EQ(delta.bytecode_misses, shape_pipelines);
+    EXPECT_EQ(delta.bytecode_hits, lookups - shape_pipelines);
+    EXPECT_EQ(delta.patched_hits, 0u);
   }
   // Cold runs start from an empty cache, so every code hit is a warm run
   // seeded from a prepared variant's published machine code.

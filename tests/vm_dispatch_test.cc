@@ -4,6 +4,8 @@
 // and fusion setting, including at numeric boundary values.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
@@ -60,9 +62,6 @@ void ExpectDispatchEnginesAgree(const IrGenerator& gen, uint64_t a,
   TranslatorOptions no_load_fusion;
   no_load_fusion.fuse_load_cmp_branches = false;
   option_sets.push_back(no_load_fusion);
-  TranslatorOptions no_imm_fusion;
-  no_imm_fusion.fuse_imm_cmp_branches = false;
-  option_sets.push_back(no_imm_fusion);
   TranslatorOptions no_chains;
   no_chains.fuse_branch_chains = false;
   option_sets.push_back(no_chains);
@@ -223,9 +222,9 @@ TEST(VmDispatchTest, CmpBranchFusionEmitsSuperinstruction) {
   EXPECT_EQ(fused.code.size() + 1, unfused.code.size());
 }
 
-/// f = (a <pred> K) ? 111 : 222 with the constant on the LHS or RHS, so the
-/// peephole's immediate form (and its operand mirroring) is exercised.
-IrGenerator CmpImmBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
+/// f = (a <pred> K) ? 111 : 222 with the constant on the LHS or RHS: the
+/// fused compare reads K from a constant-pool register on either side.
+IrGenerator CmpConstBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
                             uint64_t constant, bool constant_lhs) {
   return [pred, use_i32, constant, constant_lhs](IrModule* mod) {
     llvm::IRBuilder<> b(mod->context());
@@ -251,7 +250,15 @@ IrGenerator CmpImmBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
   };
 }
 
-TEST(VmDispatchTest, ImmCmpBranchAllPredicatesBothEnginesAtBoundaries) {
+/// Whether `program` keeps `value` in a constant-pool register.
+bool InConstantPool(const BcProgram& program, uint64_t value) {
+  return std::any_of(program.constant_pool.begin(), program.constant_pool.end(),
+                     [value](const BcProgram::PoolEntry& entry) {
+                       return entry.value == value;
+                     });
+}
+
+TEST(VmDispatchTest, ConstCmpBranchAllPredicatesBothEnginesAtBoundaries) {
   const llvm::CmpInst::Predicate predicates[] = {
       llvm::CmpInst::ICMP_EQ,  llvm::CmpInst::ICMP_NE,
       llvm::CmpInst::ICMP_SLT, llvm::CmpInst::ICMP_SLE,
@@ -272,7 +279,7 @@ TEST(VmDispatchTest, ImmCmpBranchAllPredicatesBothEnginesAtBoundaries) {
     for (bool use_i32 : {false, true}) {
       for (bool constant_lhs : {false, true}) {
         for (uint64_t k : constants) {
-          IrGenerator gen = CmpImmBranchGen(pred, use_i32, k, constant_lhs);
+          IrGenerator gen = CmpConstBranchGen(pred, use_i32, k, constant_lhs);
           for (uint64_t x : args) {
             ExpectDispatchEnginesAgree(gen, x, 0);
             if (::testing::Test::HasFailure()) {
@@ -287,46 +294,41 @@ TEST(VmDispatchTest, ImmCmpBranchAllPredicatesBothEnginesAtBoundaries) {
   }
 }
 
-TEST(VmDispatchTest, ImmCmpBranchEmitsImmSuperinstruction) {
+TEST(VmDispatchTest, ConstCmpBranchReadsConstantPoolRegister) {
   IrGenerator gen =
-      CmpImmBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/false);
+      CmpConstBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/false);
   IrModule mod("m");
   gen(&mod);
   BcProgram fused =
       TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
   EXPECT_EQ(fused.fused_cmp_branches, 1u);
-  EXPECT_EQ(fused.fused_cmp_branch_imms, 1u);
-  EXPECT_NE(fused.Disassemble().find("br_slt_i64_imm"), std::string::npos);
-  // The compared constant lives in the literal pool, not the register file.
-  ASSERT_EQ(fused.literal_pool.size(), 1u);
-  EXPECT_EQ(fused.literal_pool[0], 42u);
-
-  // Without the imm option the same compare still fuses, through a
-  // constant-pool register — one more pool entry (and its entry load).
-  TranslatorOptions no_imm;
-  no_imm.fuse_imm_cmp_branches = false;
-  BcProgram reg_form = TranslateToBytecode(*mod.module().getFunction("f"),
-                                           TestRegistry(), no_imm);
-  EXPECT_EQ(reg_form.fused_cmp_branches, 1u);
-  EXPECT_EQ(reg_form.fused_cmp_branch_imms, 0u);
-  EXPECT_EQ(reg_form.Disassemble().find("_imm"), std::string::npos);
-  EXPECT_TRUE(reg_form.literal_pool.empty());
-  EXPECT_EQ(reg_form.constant_pool.size(), fused.constant_pool.size() + 1);
+  EXPECT_NE(fused.Disassemble().find("br_slt_i64"), std::string::npos);
+  // The compared constant is a constant-pool register, loaded on entry.
+  EXPECT_TRUE(fused.literal_pool.empty());
+  EXPECT_TRUE(InConstantPool(fused, 42));
 }
 
-TEST(VmDispatchTest, ImmCmpBranchMirrorsConstantLhs) {
-  // 42 < x  must become  x > 42 (br_sgt_i64_imm).
+TEST(VmDispatchTest, ConstCmpBranchKeepsConstantLhsInPlace) {
+  // 42 < x stays br_slt_i64 with the constant's register as its LHS.
   IrGenerator gen =
-      CmpImmBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/true);
+      CmpConstBranchGen(llvm::CmpInst::ICMP_SLT, false, 42, /*lhs=*/true);
   IrModule mod("m");
   gen(&mod);
   BcProgram program =
       TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
-  EXPECT_EQ(program.fused_cmp_branch_imms, 1u);
-  EXPECT_NE(program.Disassemble().find("br_sgt_i64_imm"), std::string::npos);
+  EXPECT_EQ(program.fused_cmp_branches, 1u);
+  EXPECT_NE(program.Disassemble().find("br_slt_i64"), std::string::npos);
+  EXPECT_EQ(program.Disassemble().find("br_sgt_i64"), std::string::npos);
+  for (uint64_t x : {uint64_t{41}, uint64_t{42}, uint64_t{43}}) {
+    for (VmDispatch dispatch : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
+      uint64_t args[3] = {x, 0, 0};
+      EXPECT_EQ(VmExecute(program, args, 3, dispatch), x > 42 ? 111u : 222u)
+          << x << " " << VmDispatchName(dispatch);
+    }
+  }
 }
 
-TEST(VmDispatchTest, ImmFcmpBranchWithNaN) {
+TEST(VmDispatchTest, ConstFcmpBranchWithNaN) {
   for (llvm::CmpInst::Predicate pred :
        {llvm::CmpInst::FCMP_OLT, llvm::CmpInst::FCMP_OGT}) {
     for (double k : {1.5, -3.25}) {
@@ -350,7 +352,8 @@ TEST(VmDispatchTest, ImmFcmpBranchWithNaN) {
         gen(&mod);
         BcProgram program = TranslateToBytecode(
             *mod.module().getFunction("f"), TestRegistry(), {});
-        EXPECT_EQ(program.fused_cmp_branch_imms, 1u);
+        EXPECT_EQ(program.fused_cmp_branches, 1u);
+        EXPECT_TRUE(program.literal_pool.empty());
       }
       auto bits = [](double d) {
         uint64_t u;
@@ -366,19 +369,19 @@ TEST(VmDispatchTest, ImmFcmpBranchWithNaN) {
   }
 }
 
-TEST(VmDispatchTest, ImmCmpBranchSkipsReservedZeroAndOne) {
-  // Compares against 0/1 keep the register form: the reserved slots already
-  // hold those values, so an immediate would only waste a pool entry.
+TEST(VmDispatchTest, ConstCmpBranchReadsZeroAndOneFromReservedSlots) {
+  // Compares against 0/1 read the reserved slots, which already hold those
+  // values: no pool entry at all.
   for (uint64_t k : {uint64_t{0}, uint64_t{1}}) {
     IrGenerator gen =
-        CmpImmBranchGen(llvm::CmpInst::ICMP_SGT, false, k, /*lhs=*/false);
+        CmpConstBranchGen(llvm::CmpInst::ICMP_SGT, false, k, /*lhs=*/false);
     IrModule mod("m");
     gen(&mod);
     BcProgram program = TranslateToBytecode(*mod.module().getFunction("f"),
                                             TestRegistry(), {});
     EXPECT_EQ(program.fused_cmp_branches, 1u);
-    EXPECT_EQ(program.fused_cmp_branch_imms, 0u);
     EXPECT_TRUE(program.literal_pool.empty());
+    EXPECT_FALSE(InConstantPool(program, k));
     ExpectDispatchEnginesAgree(gen, 0, 0);
     ExpectDispatchEnginesAgree(gen, 5, 0);
     ExpectDispatchEnginesAgree(gen, static_cast<uint64_t>(-5), 0);
@@ -476,10 +479,11 @@ TEST(VmDispatchTest, BranchChainSplitsConjunction) {
       TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
   // Loop bound + all three conjunction leaves fuse; the first leaf's
   // single-use load folds into its chain element, and the bound (ult 64)
-  // and ne-40 leaves take the immediate form. No condbr survives.
+  // and ne-40 leaves read their constants from registers. No condbr
+  // survives.
   EXPECT_EQ(chained.fused_cmp_branches, 4u);
   EXPECT_EQ(chained.fused_load_cmp_branches, 1u);
-  EXPECT_EQ(chained.fused_cmp_branch_imms, 2u);
+  EXPECT_TRUE(chained.literal_pool.empty());
   EXPECT_EQ(chained.Disassemble().find("condbr"), std::string::npos);
 
   TranslatorOptions no_chains;
@@ -641,10 +645,10 @@ TEST(VmDispatchTest, LoadCmpBranchMirrorsLoadOnRhs) {
   EXPECT_NE(program.Disassemble().find("br_load_sgt_i64"), std::string::npos);
 }
 
-/// Loads buf[a & 63] and branches on `loaded <pred> K`: the imm form of the
-/// load-compare-and-branch tier.
-IrGenerator LoadCmpImmBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
-                                uint64_t constant) {
+/// Loads buf[a & 63] and branches on `loaded <pred> K`: the
+/// load-compare-and-branch tier against a constant.
+IrGenerator LoadCmpConstBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
+                                  uint64_t constant) {
   return [pred, use_i32, constant](IrModule* mod) {
     llvm::IRBuilder<> b(mod->context());
     llvm::Function* fn = MakeF(mod, &b);
@@ -667,34 +671,32 @@ IrGenerator LoadCmpImmBranchGen(llvm::CmpInst::Predicate pred, bool use_i32,
   };
 }
 
-TEST(VmDispatchTest, LoadCmpImmBranchEmitsImmForm) {
-  IrGenerator gen = LoadCmpImmBranchGen(llvm::CmpInst::ICMP_SLT, false, 42);
+TEST(VmDispatchTest, LoadCmpConstBranchReadsConstantPoolRegister) {
+  IrGenerator gen = LoadCmpConstBranchGen(llvm::CmpInst::ICMP_SLT, false, 42);
   IrModule mod("m");
   gen(&mod);
   BcProgram program =
       TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
   EXPECT_EQ(program.fused_load_cmp_branches, 1u);
-  EXPECT_EQ(program.fused_cmp_branch_imms, 1u);
-  EXPECT_NE(program.Disassemble().find("br_load_slt_i64_imm"),
-            std::string::npos);
-  ASSERT_EQ(program.literal_pool.size(), 1u);
-  EXPECT_EQ(program.literal_pool[0], 42u);
+  EXPECT_NE(program.Disassemble().find("br_load_slt_i64"), std::string::npos);
+  EXPECT_TRUE(program.literal_pool.empty());
+  EXPECT_TRUE(InConstantPool(program, 42));
   for (uint64_t x : {uint64_t{0}, uint64_t{7}, uint64_t{45}}) {
     ExpectDispatchEnginesAgree(gen, x, 0);
   }
 }
 
-TEST(VmDispatchTest, LoadCmpImmBranchSkipsReservedZeroAndOne) {
-  // Constants 0/1 keep the reg form through the reserved register slots.
+TEST(VmDispatchTest, LoadCmpBranchReadsZeroAndOneFromReservedSlots) {
+  // Constants 0/1 read the reserved register slots: no pool entry.
   for (uint64_t k : {uint64_t{0}, uint64_t{1}}) {
-    IrGenerator gen = LoadCmpImmBranchGen(llvm::CmpInst::ICMP_SGT, true, k);
+    IrGenerator gen = LoadCmpConstBranchGen(llvm::CmpInst::ICMP_SGT, true, k);
     IrModule mod("m");
     gen(&mod);
     BcProgram program =
         TranslateToBytecode(*mod.module().getFunction("f"), TestRegistry(), {});
     EXPECT_EQ(program.fused_load_cmp_branches, 1u);
-    EXPECT_EQ(program.fused_cmp_branch_imms, 0u);
     EXPECT_TRUE(program.literal_pool.empty());
+    EXPECT_FALSE(InConstantPool(program, k));
     EXPECT_NE(program.Disassemble().find("br_load_sgt_i32"),
               std::string::npos);
     ExpectDispatchEnginesAgree(gen, 3, 0);
@@ -842,7 +844,7 @@ llvm::Value* StoreAndWiden(llvm::IRBuilder<>* b, llvm::Function* fn,
 
 /// Branches on `sext(buf[a & 63]) <pred> rhs` after storing b there, with
 /// buf a `bits`-wide array. With `constant` set, rhs is that i64 literal
-/// (the imm form); otherwise rhs is a itself (the register form).
+/// (a constant-pool register); otherwise rhs is a itself.
 /// `load_on_lhs`=false mirrors the compare.
 IrGenerator SextLoadCmpBranchGen(unsigned bits, llvm::CmpInst::Predicate pred,
                                  std::optional<int64_t> constant,
@@ -899,13 +901,14 @@ uint64_t RunDefault(const IrGenerator& gen, uint64_t a, uint64_t b,
   return VmExecute(program, args, 3, dispatch);
 }
 
-TEST(VmDispatchTest, SextLoadCmpBranchAllPredicatesRegAndImm) {
+TEST(VmDispatchTest, SextLoadCmpBranchAllPredicatesRegAndConst) {
   for (unsigned bits : kNarrowBits) {
     const std::vector<int64_t> wide_operands = WideOperands(bits);
     const std::string family = "br_load_sext_i" + std::to_string(bits) + "_";
     for (llvm::CmpInst::Predicate pred : kIntPredicates) {
       for (bool load_on_lhs : {true, false}) {
-        // One register-form program, and one imm-form program per constant.
+        // One program comparing against an argument register, and one per
+        // constant, which the compare reads from a constant-pool register.
         std::vector<std::optional<int64_t>> constants = {std::nullopt};
         constants.insert(constants.end(), wide_operands.begin(),
                          wide_operands.end());
@@ -920,11 +923,10 @@ TEST(VmDispatchTest, SextLoadCmpBranchAllPredicatesRegAndImm) {
             EXPECT_EQ(program.fused_load_cmp_branches, 1u) << disasm;
             EXPECT_NE(disasm.find(family), std::string::npos) << disasm;
             EXPECT_EQ(disasm.find(StandaloneSext(bits)), std::string::npos);
-            const bool imm = k && *k != 0 && *k != 1;  // 0/1: reserved slots
-            EXPECT_EQ(program.fused_cmp_branch_imms, imm ? 1u : 0u);
+            EXPECT_TRUE(program.literal_pool.empty());
           }
-          // a is the register operand (and, masked, the row index); the imm
-          // form ignores it beyond the index.
+          // a is the register operand (and, masked, the row index); the
+          // constant form ignores it beyond the index.
           const std::vector<int64_t> regs =
               k ? std::vector<int64_t>{5} : wide_operands;
           for (int64_t a : regs) {
@@ -943,7 +945,7 @@ TEST(VmDispatchTest, SextLoadCmpBranchAllPredicatesRegAndImm) {
               if (::testing::Test::HasFailure()) {
                 FAIL() << "bits=" << bits << " pred=" << pred
                        << " load_lhs=" << load_on_lhs
-                       << " imm=" << k.value_or(0) << " reg=" << a
+                       << " const=" << k.value_or(0) << " reg=" << a
                        << " row=" << row;
               }
             }
@@ -1174,8 +1176,8 @@ TEST(VmDispatchTest, DisassembleRoundTripsEveryOpcode) {
   }
   ASSERT_EQ(lines.size(), static_cast<size_t>(num_opcodes));
   // The sign-extending forms are part of the set: for each of the 8-, 16-
-  // and 32-bit widths, the widening load and twenty br_load_sext_iN_* (ten
-  // predicates, reg and imm).
+  // and 32-bit widths, the widening load and ten br_load_sext_iN_* (one per
+  // predicate, register operand).
   for (unsigned bits : kNarrowBits) {
     const std::string width = std::to_string(bits);
     int sext_branches = 0;
@@ -1185,8 +1187,16 @@ TEST(VmDispatchTest, DisassembleRoundTripsEveryOpcode) {
       sext_branches += name.rfind("br_load_sext_i" + width + "_", 0) == 0;
       widening_load |= name == "load_idx_sext_i" + width + "_i64";
     }
-    EXPECT_EQ(sext_branches, 20) << bits;
+    EXPECT_EQ(sext_branches, 10) << bits;
     EXPECT_TRUE(widening_load) << bits;
+  }
+  // Constants reach every compare through a register: no opcode reads an
+  // immediate operand from the literal pool.
+  for (uint16_t op = 0; op < num_opcodes; ++op) {
+    const std::string name = OpcodeName(static_cast<Opcode>(op));
+    const bool imm = name.size() > 4 &&
+                     name.compare(name.size() - 4, 4, "_imm") == 0;
+    EXPECT_FALSE(imm) << name;
   }
   for (uint16_t op = 0; op < num_opcodes; ++op) {
     ParsedInst parsed;
