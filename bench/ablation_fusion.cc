@@ -1,7 +1,8 @@
 // §IV-F ablation: effect of macro-operation fusion (overflow-check
 // sequences, GEP+load/store folding, and compare-and-branch
 // superinstructions) on bytecode size and interpreter throughput, on the
-// arithmetic-heavy Q1 and the filter-heavy Q6.
+// arithmetic-heavy Q1 and the filter-heavy Q6. Ends with the VM's hot
+// order: each opcode's exact dispatch count over every TPC-H query.
 #include "bench/bench_util.h"
 
 using namespace aqe;
@@ -55,5 +56,32 @@ int main() {
   std::printf("\nexpected shape: each fusion class reduces executed VM "
               "instructions and execution time (paper: 'greatly reduces the "
               "number of instructions for some queries')\n");
+
+  // The hot order src/vm/interpreter_ops.inc lays its handlers out by: the
+  // vm.op.* counters of every TPC-H query run as bytecode, default fusion.
+  engine.ResetObservabilityStats();
+  engine.set_vm_opcode_profiling(true);
+  for (int number : ImplementedTpchQueries()) {
+    QueryRunOptions options;
+    options.strategy = ExecutionStrategy::kBytecode;
+    engine.Run(BuildTpchQuery(number, *catalog), options);
+  }
+  engine.set_vm_opcode_profiling(false);
+  std::vector<std::pair<uint64_t, std::string>> ranked;
+  uint64_t total = 0;
+  for (const auto& [name, count] : engine.ObservabilitySnapshot().counters) {
+    if (name.rfind("vm.op.", 0) != 0) continue;
+    ranked.emplace_back(count, name.substr(6));
+    total += count;
+  }
+  std::sort(ranked.rbegin(), ranked.rend());
+  std::printf("\nVM hot order (SF %g, every TPC-H query, bytecode): %llu "
+              "dispatches\n",
+              sf, static_cast<unsigned long long>(total));
+  for (const auto& [count, opcode] : ranked) {
+    std::printf("%14llu %5.1f%% %s\n", static_cast<unsigned long long>(count),
+                100.0 * static_cast<double>(count) / static_cast<double>(total),
+                opcode.c_str());
+  }
   return 0;
 }

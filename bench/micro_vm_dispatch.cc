@@ -269,10 +269,10 @@ int main(int argc, char** argv) {
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
       m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
-      bc.dispatch = config.dispatch;
-      m.rows_per_sec = Throughput(k.rows, budget, [&] {
-        VmExecuteWorker(bc, k.state(), 0, k.rows);
-      });
+      const uint64_t args[4] = {reinterpret_cast<uint64_t>(k.state()), 0,
+                                k.rows, reinterpret_cast<uint64_t>(&bc)};
+      m.rows_per_sec = Throughput(
+          k.rows, budget, [&] { VmExecute(bc, args, 4, config.dispatch); });
       results.push_back(std::move(m));
     }
     // JIT tiers for context.
@@ -312,14 +312,13 @@ int main(int argc, char** argv) {
       BcProgram bc =
           TranslateToBytecode(*mod.module().getFunction("f"),
                               RuntimeRegistry::Global(), options);
-      bc.dispatch = config.dispatch;
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
       m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
-      m.rows_per_sec =
-          Throughput(rows, budget, [&] { VmExecute(bc, args, 3); });
+      m.rows_per_sec = Throughput(
+          rows, budget, [&] { VmExecute(bc, args, 3, config.dispatch); });
       results.push_back(std::move(m));
     }
     Report("scan-filter", results, json_out);
@@ -342,14 +341,13 @@ int main(int argc, char** argv) {
       BcProgram bc =
           TranslateToBytecode(*mod.module().getFunction("f"),
                               RuntimeRegistry::Global(), options);
-      bc.dispatch = config.dispatch;
       Measurement m;
       m.config = config.name;
       m.fused_cmp_branches = bc.fused_cmp_branches;
       m.fused_load_cmp_branches = bc.fused_load_cmp_branches;
       uint64_t args[3] = {500, rows, reinterpret_cast<uint64_t>(data.data())};
-      m.rows_per_sec =
-          Throughput(rows, budget, [&] { VmExecute(bc, args, 3); });
+      m.rows_per_sec = Throughput(
+          rows, budget, [&] { VmExecute(bc, args, 3, config.dispatch); });
       results.push_back(std::move(m));
     }
     Report("expression-loop", results, json_out);

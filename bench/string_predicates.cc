@@ -10,8 +10,8 @@
 //            morsels are ever scheduled (src/index/); the call is the
 //            residual verify. Only orders.o_comment carries a token index,
 //            so the other workloads measure the no-index fallback.
-//   (all measured interpreted and compiled, across both VM dispatch
-//   engines, the JIT and the adaptive controller; bitmap/call run with
+//   (all measured interpreted and compiled: the VM on the build's dispatch
+//   loop, the JIT and the adaptive controller; bitmap/call run with
 //   pruning disabled so their per-row numbers keep meaning full scans)
 //
 // over three workloads:
@@ -115,23 +115,15 @@ QueryProgram BuildRangeCount(const Catalog& catalog, int64_t lo, int64_t hi) {
 struct EngineConfig {
   EngineKind engine;
   ExecutionStrategy strategy;
-  VmDispatch vm_dispatch;
   const char* label;
 };
 
 const EngineConfig kConfigs[] = {
-    {EngineKind::kVolcano, ExecutionStrategy::kBytecode, VmDispatch::kDefault,
-     "volcano"},
-    {EngineKind::kVectorized, ExecutionStrategy::kBytecode,
-     VmDispatch::kDefault, "vectorized"},
-    {EngineKind::kCompiled, ExecutionStrategy::kBytecode, VmDispatch::kSwitch,
-     "vm-switch"},
-    {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-     VmDispatch::kThreaded, "vm-threaded"},
-    {EngineKind::kCompiled, ExecutionStrategy::kOptimized,
-     VmDispatch::kDefault, "jit-opt"},
-    {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, VmDispatch::kDefault,
-     "adaptive"},
+    {EngineKind::kVolcano, ExecutionStrategy::kBytecode, "volcano"},
+    {EngineKind::kVectorized, ExecutionStrategy::kBytecode, "vectorized"},
+    {EngineKind::kCompiled, ExecutionStrategy::kBytecode, "vm"},
+    {EngineKind::kCompiled, ExecutionStrategy::kOptimized, "jit-opt"},
+    {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, "adaptive"},
 };
 
 void EmitJson(const char* line, std::FILE* json_out) {
@@ -204,7 +196,6 @@ int main(int argc, char** argv) {
           QueryRunOptions options;
           options.engine = config.engine;
           options.strategy = config.strategy;
-          options.vm_dispatch = config.vm_dispatch;
           // Only the index path runs with scan pruning: bitmap/call keep
           // full scans so their per-row numbers stay comparable across PRs.
           options.scan_pruning = strategy == LikeStrategy::kIndex;
@@ -383,14 +374,14 @@ int main(int argc, char** argv) {
         zonemap_full_ns = ns_per_row;
       }
       std::printf("%-9s %-7s %-11s %12llu %10lld %9.2f -\n", "zonemap",
-                  pruning ? "pruned" : "full", "vm-switch",
+                  pruning ? "pruned" : "full", "vm",
                   static_cast<unsigned long long>(orows),
                   static_cast<long long>(count), ns_per_row);
       char zline[384];
       std::snprintf(
           zline, sizeof(zline),
           "{\"bench\":\"string_predicates\",\"sf\":%g,\"simd\":\"%s\","
-          "\"workload\":\"zonemap\",\"path\":\"%s\",\"engine\":\"vm-switch\","
+          "\"workload\":\"zonemap\",\"path\":\"%s\",\"engine\":\"vm\","
           "\"rows\":%llu,\"matches\":%lld,\"ns_per_row\":%.3f,"
           "\"selected_fraction\":%.4f}",
           sf, simd, pruning ? "pruned" : "full",

@@ -3,7 +3,6 @@
 #include <algorithm>
 
 #include "common/status.h"
-#include "vm/interpreter.h"
 
 namespace aqe {
 namespace {
@@ -15,16 +14,6 @@ void NoteCostInputs(PipelineArtifact* a, uint64_t instructions,
   if (a->runtime_call_fraction == 0) {
     a->runtime_call_fraction = runtime_call_fraction;
   }
-}
-
-/// `bc` when its resolved dispatch already matches `want`, else a clone
-/// running `want` — cached programs are immutable while queries run them.
-std::shared_ptr<const BcProgram> ProgramForDispatch(
-    std::shared_ptr<const BcProgram> bc, VmDispatch want) {
-  if (VmResolveDispatch(want) == VmResolveDispatch(bc->dispatch)) return bc;
-  auto copy = std::make_shared<BcProgram>(*bc);
-  copy->dispatch = want;
-  return copy;
 }
 
 }  // namespace
@@ -87,8 +76,7 @@ CachedArtifacts ArtifactCache::Lookup(CacheEntry& entry,
     found.instructions = a.instructions;
     found.runtime_call_fraction = a.runtime_call_fraction;
     if (runs_bytecode && a.bytecode != nullptr) {
-      found.bytecode = ProgramForDispatch(a.bytecode, request.dispatch);
-      found.bytecode_shared = found.bytecode == a.bytecode;
+      found.bytecode = a.bytecode;
     }
     // Machine code is only reusable for the exact literals it embeds;
     // adaptive starts in the best mode the plan reached.

@@ -187,16 +187,13 @@ struct ArtifactRequest {
   /// Picks what is looked up: bytecode for kBytecode and kAdaptive,
   /// machine code in the modes the strategy runs.
   ExecutionStrategy strategy = ExecutionStrategy::kAdaptive;
-  VmDispatch dispatch = VmDispatch::kDefault;  ///< the run's VM dispatch
   bool pruning = false;  ///< the run decides scan pruning
 };
 
 /// What ArtifactCache::Lookup found: only what the run will use.
 struct CachedArtifacts {
-  /// The program to run, or null when the run must translate: the cache's
-  /// own program (`bytecode_shared`), or a clone when the dispatch differs.
+  /// The cache's own program, or null when the run must translate.
   std::shared_ptr<const BcProgram> bytecode;
-  bool bytecode_shared = false;
   /// Code for the run's constants in the best mode its strategy runs.
   std::shared_ptr<CachedCode> seed_code;
   ExecMode seed_mode = ExecMode::kBytecode;

@@ -55,16 +55,6 @@ CatalogFootprint MeasureCatalog(const Catalog& catalog) {
   return footprint;
 }
 
-/// WorkerFn trampoline dispatching a morsel into the bytecode VM; `extra`
-/// is the BcProgram (§IV-E interoperability).
-void VmWorkerTrampoline(void* state, uint64_t begin, uint64_t end,
-                        const void* extra) {
-  const auto* program = static_cast<const BcProgram*>(extra);
-  uint64_t args[4] = {reinterpret_cast<uint64_t>(state), begin, end,
-                      reinterpret_cast<uint64_t>(extra)};
-  VmExecute(*program, args, 4);
-}
-
 void NeverCalledWorker(void*, uint64_t, uint64_t, const void*) {
   AQE_UNREACHABLE("placeholder worker variant must never run");
 }
@@ -981,7 +971,6 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
                              fingerprint_.constants.begin() + ce);
     request.pruning_key = fingerprint_.pruning_key;
     request.strategy = options.strategy;
-    request.dispatch = options.vm_dispatch;
     request.pruning = prunes;
     cached = cache_->Lookup(*entry_, request);
   }
@@ -1014,7 +1003,6 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     auto fresh = std::make_shared<BcProgram>(TranslateToBytecode(
         *generated.mod->module().getFunction("worker"), registry,
         options.translator));
-    fresh->dispatch = options.vm_dispatch;
     report.translate_millis = timer.ElapsedMillis();
     result_.translate_millis_total += report.translate_millis;
 
@@ -1083,20 +1071,17 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   }
 
   auto ap = std::make_unique<ActivePipeline>(
-      bytecode != nullptr ? &VmWorkerTrampoline : &NeverCalledWorker,
+      bytecode != nullptr ? &VmExecuteWorker : &NeverCalledWorker,
       static_cast<const void*>(bytecode.get()));
   ap->request = std::move(request);
   ap->bindings = std::move(bindings);
   ap->binding_values = std::move(binding_values);
   ap->bytecode = std::move(bytecode);
   // Per-run allocations the context's trackers can't see: the packed
-  // binding array and any private bytecode this run holds (a dispatch
-  // clone or a fresh translation). A shared cache-resident
+  // binding array and the bytecode this run translated. A cache-resident
   // program is the cache's footprint, not this query's.
   uint64_t run_bytes = ap->binding_values.size() * sizeof(uint64_t);
-  if (ap->bytecode != nullptr && !cached.bytecode_shared) {
-    run_bytes += BcProgramBytes(*ap->bytecode);
-  }
+  if (need_translation) run_bytes += BcProgramBytes(*ap->bytecode);
   memory_->Charge(run_bytes);
   active_charged_bytes_ = run_bytes;
   if (cached.seed_code != nullptr) {
@@ -1354,8 +1339,8 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
   snap.counters.emplace_back("translator.fused_load_cmp_branches",
                              tc.fused_load_cmp_branches);
 
-  // VM: per-opcode dispatch counts (populated while opcode profiling is
-  // on — set_vm_opcode_profiling or AQE_VM_PROFILE).
+  // VM: per-opcode dispatch counts (populated while
+  // set_vm_opcode_profiling is on).
   for (const VmOpcodeCount& oc : VmProfileCounts()) {
     std::string op_name = "vm.op.";
     op_name += oc.opcode;
@@ -1430,21 +1415,13 @@ std::string QueryEngine::Impl::ProfilesJson() const {
   out += "],\"anomalies\":[";
   bool first = true;
   for (const AnomalyRecord& a : obs.sentinel.RecentAnomalies()) {
-    char buf[256];
-    std::snprintf(buf, sizeof(buf),
-                  "%s{\"fingerprint\":\"%016llx\",\"query\":%u,"
-                  "\"cause\":\"%s\",\"expected_ms\":%.3f,"
-                  "\"observed_ms\":%.3f,\"queue_wait_ms\":%.3f,\"plan\":\"",
-                  first ? "" : ",",
-                  static_cast<unsigned long long>(a.fingerprint), a.query_id,
-                  AnomalyCauseName(a.cause), a.expected_ms, a.observed_ms,
-                  a.queue_wait_ms);
-    out += buf;
-    for (char c : a.plan_name) {
-      if (c == '"' || c == '\\') out += '\\';
-      if (static_cast<unsigned char>(c) >= 0x20) out += c;
-    }
-    out += "\"}";
+    Append(out,
+           "%s{\"fingerprint\":\"%016llx\",\"query\":%u,"
+           "\"cause\":\"%s\",\"expected_ms\":%.3f,"
+           "\"observed_ms\":%.3f,\"queue_wait_ms\":%.3f,\"plan\":\"%s\"}",
+           first ? "" : ",", static_cast<unsigned long long>(a.fingerprint),
+           a.query_id, AnomalyCauseName(a.cause), a.expected_ms,
+           a.observed_ms, a.queue_wait_ms, JsonEscape(a.plan_name).c_str());
     first = false;
   }
   out += "]}";

@@ -35,9 +35,6 @@ struct QueryRunOptions {
   ExecutionStrategy strategy = ExecutionStrategy::kAdaptive;
   CostModelParams cost_model;
   TranslatorOptions translator;
-  /// Interpreter loop for bytecode execution (kDefault = compile-time
-  /// AQE_VM_DISPATCH selection; both engines give bit-identical results).
-  VmDispatch vm_dispatch = VmDispatch::kDefault;
   /// Strictly one thread executes the query's pipelines (no morsel helper
   /// tasks, compilations inline). Baselines and kNaiveIr are single-
   /// threaded by construction; set this for kCompiled to reproduce the
@@ -228,8 +225,7 @@ class QueryEngine {
 
   /// Routes interpreted execution through the counting dispatch loop so
   /// ObservabilitySnapshot() reports per-opcode counters (vm.op.*). Off by
-  /// default (AQE_VM_PROFILE also enables it, with an atexit dump).
-  /// Process-wide, like the counters themselves.
+  /// default. Process-wide, like the counters themselves.
   void set_vm_opcode_profiling(bool enabled);
 
   /// The engine's always-on tracer (tests and custom exporters; prefer

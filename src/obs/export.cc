@@ -9,16 +9,41 @@
 
 namespace aqe {
 
-namespace {
-
 void Append(std::string& out, const char* fmt, ...) {
-  char buf[512];
-  va_list args;
+  va_list args, again;
   va_start(args, fmt);
-  std::vsnprintf(buf, sizeof(buf), fmt, args);
+  va_copy(again, args);
+  char buf[512];
+  const int n = std::vsnprintf(buf, sizeof(buf), fmt, args);
   va_end(args);
-  out += buf;
+  if (n > 0 && static_cast<size_t>(n) < sizeof(buf)) {
+    out.append(buf, static_cast<size_t>(n));
+  } else if (n > 0) {
+    const size_t at = out.size();
+    out.resize(at + static_cast<size_t>(n) + 1);
+    std::vsnprintf(&out[at], static_cast<size_t>(n) + 1, fmt, again);
+    out.resize(at + static_cast<size_t>(n));
+  }
+  va_end(again);
 }
+
+std::string JsonEscape(const std::string& s) {
+  std::string out;
+  out.reserve(s.size());
+  for (char c : s) {
+    if (c == '"' || c == '\\') {
+      out += '\\';
+      out += c;
+    } else if (static_cast<unsigned char>(c) < 0x20) {
+      Append(out, "\\u%04x", static_cast<unsigned>(c));
+    } else {
+      out += c;
+    }
+  }
+  return out;
+}
+
+namespace {
 
 double Micros(int64_t nanos, int64_t origin) {
   return static_cast<double>(nanos - origin) / 1e3;

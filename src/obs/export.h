@@ -29,6 +29,15 @@ std::string RenderTextTrace(const TraceSnapshot& snapshot, int num_lanes,
 /// server serves this at GET /metrics.
 std::string PrometheusText(const MetricsSnapshot& snapshot);
 
+/// Appends printf-style `fmt` to `out`, at whatever length it formats to.
+/// The JSON and text renderers build their output with it.
+void Append(std::string& out, const char* fmt, ...)
+    __attribute__((format(printf, 2, 3)));
+
+/// `s` as the inside of a JSON string: quotes and backslashes escaped,
+/// control bytes as \u00XX.
+std::string JsonEscape(const std::string& s);
+
 }  // namespace aqe
 
 #endif  // AQE_OBS_EXPORT_H_

@@ -17,7 +17,6 @@ const char* OpcodeName(Opcode op) {
 
 const char* VmDispatchName(VmDispatch dispatch) {
   switch (dispatch) {
-    case VmDispatch::kDefault: return "default";
     case VmDispatch::kSwitch: return "switch";
     case VmDispatch::kThreaded: return "threaded";
   }

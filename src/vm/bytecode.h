@@ -177,8 +177,8 @@ inline uint32_t UnpackElseTarget(uint64_t lit) {
 /// Which interpreter loop executes a program. kSwitch is the classic
 /// for(;;)-switch with one shared indirect branch; kThreaded is
 /// direct-threaded dispatch (computed goto), one indirect branch per
-/// handler. kDefault resolves to the compile-time AQE_VM_DISPATCH choice.
-enum class VmDispatch { kDefault, kSwitch, kThreaded };
+/// handler. The build picks the one the engine runs (see kVmBuildDispatch).
+enum class VmDispatch { kSwitch, kThreaded };
 
 const char* VmDispatchName(VmDispatch dispatch);
 
@@ -205,10 +205,6 @@ struct BcProgram {
 
   /// Register slots that receive the function arguments, in order.
   std::vector<uint32_t> arg_offsets;
-
-  /// Dispatch engine this program is executed with (kDefault = the
-  /// compile-time selection; see VmResolveDispatch).
-  VmDispatch dispatch = VmDispatch::kDefault;
 
   /// Stats for the cost model and the ablation benches.
   uint64_t source_instructions = 0;  ///< LLVM instructions translated

@@ -1,22 +1,9 @@
 #include "vm/interpreter.h"
 
-#include <algorithm>
 #include <atomic>
-#include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/status.h"
-
-// The threaded engine needs the GCC/Clang label-address extension.
-#if defined(__GNUC__) || defined(__clang__)
-#define AQE_VM_HAS_COMPUTED_GOTO 1
-#else
-#define AQE_VM_HAS_COMPUTED_GOTO 0
-#endif
 
 namespace aqe {
 namespace {
@@ -105,42 +92,15 @@ uint64_t DispatchN(uint64_t target, const uint64_t* a, uint32_t n) {
       R_I64((inst)->a3) * static_cast<int64_t>(sizeof(T))))
 #define LCB_SXU(inst, T) static_cast<uint64_t>(LCB_SX(inst, T))
 
-/// Per-opcode dispatch counts collected under AQE_VM_PROFILE (or the
-/// programmatic VmSetProfileCounting switch); feeds the hot-order list that
-/// drives the handler layout in interpreter_ops.inc, and the engine's
-/// metrics snapshot.
+/// Per-opcode dispatch counts, collected while VmSetProfileCounting is on;
+/// the engine's metrics snapshot reads them as vm.op.*.
 std::atomic<uint64_t>
     g_dispatch_counts[static_cast<size_t>(Opcode::kNumOpcodes)];
-
-/// Runtime (env-independent) switch: lets the engine's observability API
-/// enable per-opcode counting for a phase and read the counts back without
-/// restarting the process.
 std::atomic<bool> g_profile_counting{false};
-
-void VmProfileDumpAtExit() {
-  const char* dest = std::getenv("AQE_VM_PROFILE");
-  std::string list = VmProfileHotOrder();
-  FILE* f = stderr;
-  if (dest != nullptr && dest[0] != '\0' && std::strcmp(dest, "1") != 0) {
-    f = std::fopen(dest, "w");
-    if (f == nullptr) f = stderr;
-  }
-  std::fprintf(f, "# AQE_VM_PROFILE hot-order dispatch counts\n%s",
-               list.c_str());
-  if (f != stderr) std::fclose(f);
-}
-
-bool VmProfileEnabledImpl() {
-  const char* v = std::getenv("AQE_VM_PROFILE");
-  const bool on =
-      v != nullptr && v[0] != '\0' && !(v[0] == '0' && v[1] == '\0');
-  if (on) std::atexit(VmProfileDumpAtExit);
-  return on;
-}
 
 /// The classic interpreter loop (Fig 8): one switch, one shared indirect
 /// branch that every opcode funnels through. The kProfile instantiation
-/// counts every dispatch (AQE_VM_PROFILE); the regular one stays count-free.
+/// counts every dispatch; the regular one stays count-free.
 template <bool kProfile>
 uint64_t RunSwitch(const BcProgram& program, uint8_t* regs) {
   const BcInstruction* code = program.code.data();
@@ -236,10 +196,10 @@ void InitRegisters(const BcProgram& program, const uint64_t* args,
 constexpr uint32_t kStackRegisterBytes = 16384;
 
 uint64_t Run(const BcProgram& program, uint8_t* regs, VmDispatch dispatch) {
-  // Opcode frequencies are engine-independent, so the profile build always
-  // runs the (counting) switch engine and the hot loops stay count-free.
-  if (VmProfileEnabled() ||
-      g_profile_counting.load(std::memory_order_relaxed)) {
+  // Opcode frequencies are engine-independent, so counting always runs the
+  // switch engine's counting instantiation and the hot loops stay
+  // count-free.
+  if (g_profile_counting.load(std::memory_order_relaxed)) {
     return RunSwitch<true>(program, regs);
   }
 #if AQE_VM_HAS_COMPUTED_GOTO
@@ -251,38 +211,8 @@ uint64_t Run(const BcProgram& program, uint8_t* regs, VmDispatch dispatch) {
 
 }  // namespace
 
-bool VmProfileEnabled() {
-  static const bool on = VmProfileEnabledImpl();
-  return on;
-}
-
-std::string VmProfileHotOrder() {
-  std::vector<std::pair<uint64_t, uint16_t>> rows;
-  for (uint16_t op = 0; op < static_cast<uint16_t>(Opcode::kNumOpcodes);
-       ++op) {
-    uint64_t n = g_dispatch_counts[op].load(std::memory_order_relaxed);
-    if (n != 0) rows.emplace_back(n, op);
-  }
-  std::stable_sort(rows.begin(), rows.end(),
-                   [](const auto& a, const auto& b) { return a.first > b.first; });
-  std::string out;
-  char line[96];
-  for (const auto& [n, op] : rows) {
-    std::snprintf(line, sizeof(line), "%14llu %s\n",
-                  static_cast<unsigned long long>(n),
-                  OpcodeName(static_cast<Opcode>(op)));
-    out += line;
-  }
-  return out;
-}
-
 void VmSetProfileCounting(bool enabled) {
   g_profile_counting.store(enabled, std::memory_order_relaxed);
-}
-
-bool VmProfileCountingEnabled() {
-  return VmProfileEnabled() ||
-         g_profile_counting.load(std::memory_order_relaxed);
 }
 
 std::vector<VmOpcodeCount> VmProfileCounts() {
@@ -303,25 +233,9 @@ void VmResetProfileCounts() {
 
 bool VmThreadedDispatchAvailable() { return AQE_VM_HAS_COMPUTED_GOTO != 0; }
 
-VmDispatch VmResolveDispatch(VmDispatch dispatch) {
-  if (dispatch == VmDispatch::kDefault) {
-#if defined(AQE_VM_DISPATCH_SWITCH)
-    dispatch = VmDispatch::kSwitch;
-#else
-    dispatch = VmDispatch::kThreaded;
-#endif
-  }
-  if (dispatch == VmDispatch::kThreaded && !VmThreadedDispatchAvailable()) {
-    dispatch = VmDispatch::kSwitch;
-  }
-  return dispatch;
-}
-
 uint64_t VmExecute(const BcProgram& program, const uint64_t* args,
                    int num_args, VmDispatch dispatch) {
   AQE_CHECK(!program.code.empty());
-  if (dispatch == VmDispatch::kDefault) dispatch = program.dispatch;
-  dispatch = VmResolveDispatch(dispatch);
   if (program.register_file_size <= kStackRegisterBytes) {
     alignas(16) uint8_t regs[kStackRegisterBytes];
     InitRegisters(program, args, num_args, regs);
@@ -332,14 +246,15 @@ uint64_t VmExecute(const BcProgram& program, const uint64_t* args,
   return Run(program, heap_regs.data(), dispatch);
 }
 
-void VmExecuteWorker(const BcProgram& program, void* state, uint64_t begin,
-                     uint64_t end) {
+void VmExecuteWorker(void* state, uint64_t begin, uint64_t end,
+                     const void* program) {
+  const auto& bc = *static_cast<const BcProgram*>(program);
   // The worker ABI has exactly four parameters; a program expecting more
   // would read past `args` — fail loudly instead.
-  AQE_CHECK(program.arg_offsets.size() <= 4);
+  AQE_CHECK(bc.arg_offsets.size() <= 4);
   uint64_t args[4] = {reinterpret_cast<uint64_t>(state), begin, end,
-                      reinterpret_cast<uint64_t>(&program)};
-  VmExecute(program, args, static_cast<int>(program.arg_offsets.size()));
+                      reinterpret_cast<uint64_t>(program)};
+  VmExecute(bc, args, static_cast<int>(bc.arg_offsets.size()));
 }
 
 }  // namespace aqe

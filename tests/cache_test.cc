@@ -17,7 +17,6 @@
 #include "obs/regression.h"
 #include "queries/tpch_queries.h"
 #include "tpch/tpch_gen.h"
-#include "vm/interpreter.h"
 #include "vm/translator.h"
 
 namespace aqe {
@@ -341,21 +340,10 @@ TEST_F(CacheTest, OneBytecodeProgramServesEveryConstantVector) {
     request.constants = constants;
     const CachedArtifacts found = cache.Lookup(*entry, request);
     EXPECT_EQ(found.bytecode, program);
-    EXPECT_TRUE(found.bytecode_shared);
   }
-  // Another dispatch loop gets a clone of the same code.
-  request.dispatch = VmResolveDispatch(VmDispatch::kDefault) ==
-                             VmDispatch::kSwitch
-                         ? VmDispatch::kThreaded
-                         : VmDispatch::kSwitch;
-  const CachedArtifacts clone = cache.Lookup(*entry, request);
-  ASSERT_NE(clone.bytecode, nullptr);
-  EXPECT_NE(clone.bytecode, program);
-  EXPECT_FALSE(clone.bytecode_shared);
-  EXPECT_EQ(clone.bytecode->dispatch, request.dispatch);
 
   const ArtifactCacheStats stats = cache.stats();
-  EXPECT_EQ(stats.bytecode_hits, 5u);
+  EXPECT_EQ(stats.bytecode_hits, 4u);
   EXPECT_EQ(stats.patched_hits, 0u);
   EXPECT_EQ(stats.bytecode_misses, 0u);
   EXPECT_EQ(stats.publishes, 1u);
@@ -473,57 +461,51 @@ std::shared_ptr<const BcProgram> CachedBytecode(QueryEngine* engine,
 }
 
 // Bytecode reads the plan's literals from the binding array, so a literal
-// variant runs the very program its plan shape translated, on either
-// dispatch loop, and still computes its own rows.
+// variant runs the very program its plan shape translated, and still
+// computes its own rows.
 TEST_F(CacheTest, LiteralVariantSharesBytecode) {
-  for (VmDispatch dispatch : {VmDispatch::kSwitch, VmDispatch::kThreaded}) {
-    QueryEngine engine(&catalog(), 2);
-    QueryProgram variant_ref = BuildTpchQ6Variant(catalog(), VariantLiterals());
-    const auto reference = Uncached(&engine, variant_ref);
+  QueryEngine engine(&catalog(), 2);
+  QueryProgram variant_ref = BuildTpchQ6Variant(catalog(), VariantLiterals());
+  const auto reference = Uncached(&engine, variant_ref);
 
-    QueryRunOptions options;
-    options.strategy = ExecutionStrategy::kBytecode;
-    options.vm_dispatch = dispatch;
-    QueryProgram standard = BuildTpchQuery(6, catalog());
-    const auto standard_rows = engine.Run(standard, options).rows;
-    ASSERT_NE(standard_rows, reference);
-    const std::shared_ptr<const BcProgram> program =
-        CachedBytecode(&engine, standard, options);
-    ASSERT_NE(program, nullptr);
-    EXPECT_EQ(program->dispatch, dispatch);
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  QueryProgram standard = BuildTpchQuery(6, catalog());
+  const auto standard_rows = engine.Run(standard, options).rows;
+  ASSERT_NE(standard_rows, reference);
+  const std::shared_ptr<const BcProgram> program =
+      CachedBytecode(&engine, standard, options);
+  ASSERT_NE(program, nullptr);
 
-    QueryProgram variant = BuildTpchQ6Variant(catalog(), VariantLiterals());
-    const uint64_t programs = TranslatorCountersSnapshot().programs;
-    QueryRunResult warm = engine.Run(variant, options);
-    EXPECT_EQ(TranslatorCountersSnapshot().programs, programs);
-    EXPECT_EQ(warm.translate_millis_total, 0);
-    EXPECT_TRUE(warm.pipelines[0].artifact_cache_hit);
-    EXPECT_EQ(warm.rows, reference) << VmDispatchName(dispatch);
+  QueryProgram variant = BuildTpchQ6Variant(catalog(), VariantLiterals());
+  const uint64_t programs = TranslatorCountersSnapshot().programs;
+  QueryRunResult warm = engine.Run(variant, options);
+  EXPECT_EQ(TranslatorCountersSnapshot().programs, programs);
+  EXPECT_EQ(warm.translate_millis_total, 0);
+  EXPECT_TRUE(warm.pipelines[0].artifact_cache_hit);
+  EXPECT_EQ(warm.rows, reference);
 
-    ArtifactCacheStats stats = engine.artifact_cache_stats();
-    EXPECT_EQ(stats.bytecode_hits, 1u);
-    EXPECT_EQ(stats.bytecode_misses, 1u);
-    EXPECT_EQ(stats.patched_hits, 0u);
+  ArtifactCacheStats stats = engine.artifact_cache_stats();
+  EXPECT_EQ(stats.bytecode_hits, 1u);
+  EXPECT_EQ(stats.bytecode_misses, 1u);
+  EXPECT_EQ(stats.patched_hits, 0u);
 
-    // What the variant's lookup returns is the cached program itself. The
-    // lookup reads only the entry, so a bystander cache can make it without
-    // touching the engine's counters.
-    const PlanFingerprint fp = FingerprintProgram(variant);
-    auto entry = engine.artifact_cache().Peek(
-        ArtifactCacheKey(fp, options.translator));
-    ASSERT_NE(entry, nullptr);
-    ArtifactRequest request;
-    request.constants.assign(
-        fp.constants.begin() + fp.pipeline_constants[0].first,
-        fp.constants.begin() + fp.pipeline_constants[0].second);
-    request.strategy = options.strategy;
-    request.dispatch = dispatch;
-    ArtifactCache bystander;
-    const CachedArtifacts found = bystander.Lookup(*entry, request);
-    EXPECT_EQ(found.bytecode, program);
-    EXPECT_TRUE(found.bytecode_shared);
-    EXPECT_EQ(CachedBytecode(&engine, variant, options), program);
-  }
+  // What the variant's lookup returns is the cached program itself. The
+  // lookup reads only the entry, so a bystander cache can make it without
+  // touching the engine's counters.
+  const PlanFingerprint fp = FingerprintProgram(variant);
+  auto entry =
+      engine.artifact_cache().Peek(ArtifactCacheKey(fp, options.translator));
+  ASSERT_NE(entry, nullptr);
+  ArtifactRequest request;
+  request.constants.assign(
+      fp.constants.begin() + fp.pipeline_constants[0].first,
+      fp.constants.begin() + fp.pipeline_constants[0].second);
+  request.strategy = options.strategy;
+  ArtifactCache bystander;
+  const CachedArtifacts found = bystander.Lookup(*entry, request);
+  EXPECT_EQ(found.bytecode, program);
+  EXPECT_EQ(CachedBytecode(&engine, variant, options), program);
 }
 
 // Literals equal to 0 or 1, or to another literal of the same pipeline, are

@@ -749,22 +749,14 @@ TEST_F(IndexEndToEndTest, PrunedPlansMatchFullScansOnEveryEngine) {
   struct Config {
     EngineKind engine;
     ExecutionStrategy strategy;
-    VmDispatch vm_dispatch;
     const char* label;
   };
   const Config configs[] = {
-      {EngineKind::kVolcano, ExecutionStrategy::kBytecode,
-       VmDispatch::kDefault, "volcano"},
-      {EngineKind::kVectorized, ExecutionStrategy::kBytecode,
-       VmDispatch::kDefault, "vectorized"},
-      {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-       VmDispatch::kSwitch, "vm-switch"},
-      {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-       VmDispatch::kThreaded, "vm-threaded"},
-      {EngineKind::kCompiled, ExecutionStrategy::kOptimized,
-       VmDispatch::kDefault, "jit-opt"},
-      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive,
-       VmDispatch::kDefault, "adaptive"},
+      {EngineKind::kVolcano, ExecutionStrategy::kBytecode, "volcano"},
+      {EngineKind::kVectorized, ExecutionStrategy::kBytecode, "vectorized"},
+      {EngineKind::kCompiled, ExecutionStrategy::kBytecode, "vm"},
+      {EngineKind::kCompiled, ExecutionStrategy::kOptimized, "jit-opt"},
+      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, "adaptive"},
   };
   for (const Shape& shape : shapes) {
     // Reference: compiled full scan with pruning disabled.
@@ -780,7 +772,6 @@ TEST_F(IndexEndToEndTest, PrunedPlansMatchFullScansOnEveryEngine) {
       QueryRunOptions options;
       options.engine = config.engine;
       options.strategy = config.strategy;
-      options.vm_dispatch = config.vm_dispatch;
       auto rows = engine_->Run(program, options).rows;
       EXPECT_EQ(rows, reference)
           << shape.label << " on " << config.label;

@@ -174,34 +174,25 @@ std::vector<std::vector<int64_t>> ReferenceCountSum(
   return {row};
 }
 
-/// One engine/mode the differential runs a plan on.
+/// One engine/mode the differential runs a plan on. Bytecode runs on the
+/// build's dispatch loop, fused and unfused.
 struct Config {
   const char* label;
   EngineKind engine;
   ExecutionStrategy strategy;
-  VmDispatch dispatch;
   bool fused;
 };
 
 const Config kConfigs[] = {
-    {"volcano", EngineKind::kVolcano, ExecutionStrategy::kBytecode,
-     VmDispatch::kDefault, true},
+    {"volcano", EngineKind::kVolcano, ExecutionStrategy::kBytecode, true},
     {"vectorized", EngineKind::kVectorized, ExecutionStrategy::kBytecode,
-     VmDispatch::kDefault, true},
-    {"naive-ir", EngineKind::kNaiveIr, ExecutionStrategy::kBytecode,
-     VmDispatch::kDefault, true},
-    {"vm-switch-fused", EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-     VmDispatch::kSwitch, true},
-    {"vm-switch-unfused", EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-     VmDispatch::kSwitch, false},
-    {"vm-threaded-fused", EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-     VmDispatch::kThreaded, true},
-    {"vm-threaded-unfused", EngineKind::kCompiled,
-     ExecutionStrategy::kBytecode, VmDispatch::kThreaded, false},
+     true},
+    {"naive-ir", EngineKind::kNaiveIr, ExecutionStrategy::kBytecode, true},
+    {"vm-fused", EngineKind::kCompiled, ExecutionStrategy::kBytecode, true},
+    {"vm-unfused", EngineKind::kCompiled, ExecutionStrategy::kBytecode, false},
     {"jit-unopt", EngineKind::kCompiled, ExecutionStrategy::kUnoptimized,
-     VmDispatch::kDefault, true},
-    {"jit-opt", EngineKind::kCompiled, ExecutionStrategy::kOptimized,
-     VmDispatch::kDefault, true},
+     true},
+    {"jit-opt", EngineKind::kCompiled, ExecutionStrategy::kOptimized, true},
 };
 
 /// Runs `build()` on every config, with pruning on and off where it applies
@@ -218,7 +209,6 @@ bool ExpectAllEnginesAgree(QueryEngine* engine,
       QueryRunOptions options;
       options.engine = config.engine;
       options.strategy = config.strategy;
-      options.vm_dispatch = config.dispatch;
       options.translator.fuse_macro_ops = config.fused;
       options.scan_pruning = pruning;
       QueryProgram q = build();

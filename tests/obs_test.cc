@@ -485,6 +485,32 @@ TEST_F(ObsEngineTest, VmOpcodeCountersAppearWhileProfiling) {
   EXPECT_TRUE(VmProfileCounts().empty());
 }
 
+/// Balanced braces and brackets outside strings, and every string closed:
+/// a cheap well-formedness proxy without a JSON parser.
+void ExpectBalancedJson(const std::string& json) {
+  int braces = 0, brackets = 0;
+  bool in_string = false;
+  for (size_t i = 0; i < json.size(); ++i) {
+    const char ch = json[i];
+    if (in_string) {
+      if (ch == '\\') {
+        ++i;  // the escaped character
+      } else if (ch == '"') {
+        in_string = false;
+      }
+      continue;
+    }
+    in_string = ch == '"';
+    braces += ch == '{' ? 1 : ch == '}' ? -1 : 0;
+    brackets += ch == '[' ? 1 : ch == ']' ? -1 : 0;
+    ASSERT_GE(braces, 0) << "at " << i;
+    ASSERT_GE(brackets, 0) << "at " << i;
+  }
+  EXPECT_EQ(braces, 0);
+  EXPECT_EQ(brackets, 0);
+  EXPECT_FALSE(in_string);
+}
+
 TEST_F(ObsEngineTest, ChromeTraceExportIsWellFormedForAdaptiveRun) {
   QueryEngine engine(&catalog(), 2);
   QueryProgram q6 = BuildTpchQuery(6, catalog());
@@ -511,22 +537,8 @@ TEST_F(ObsEngineTest, ChromeTraceExportIsWellFormedForAdaptiveRun) {
   EXPECT_NE(json.find("\"ph\":\"s\""), std::string::npos);
   EXPECT_NE(json.find("\"ph\":\"f\""), std::string::npos);
   EXPECT_NE(json.find("\"bp\":\"e\""), std::string::npos);
-  // Balanced braces/brackets (cheap well-formedness proxy without a JSON
-  // parser; ChromeTraceTest.JsonGolden pins the keys of every phase).
-  int braces = 0, brackets = 0;
-  bool in_string = false;
-  for (size_t i = 0; i < json.size(); ++i) {
-    const char ch = json[i];
-    if (ch == '"' && (i == 0 || json[i - 1] != '\\')) in_string = !in_string;
-    if (in_string) continue;
-    braces += ch == '{' ? 1 : ch == '}' ? -1 : 0;
-    brackets += ch == '[' ? 1 : ch == ']' ? -1 : 0;
-    ASSERT_GE(braces, 0);
-    ASSERT_GE(brackets, 0);
-  }
-  EXPECT_EQ(braces, 0);
-  EXPECT_EQ(brackets, 0);
-  EXPECT_FALSE(in_string);
+  // ChromeTraceTest.JsonGolden pins the keys of every phase.
+  ExpectBalancedJson(json);
 
   // The Fig 14 text renderer.
   const std::string text = engine.RenderTrace(/*width=*/80);
@@ -1264,6 +1276,27 @@ TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
       "    switch -> optimized: predicted 4.000 ms (stay: 6.000 ms), "
       "realized 5.000 ms, error +25.0%  [r0=2500000 t/s, "
       "30000 tuples remained]\n");
+}
+
+// Plan names come from the caller of Submit, so they can be any length:
+// names past the renderer's stack buffer come back whole, escaped, in JSON
+// that still balances.
+TEST(ExplainAnalyzeTest, LongNamesComeBackWhole) {
+  QueryRunResult result;
+  result.plan_name = std::string(600, 'p') + "\"\x01";
+  PipelineReport pp;
+  pp.name = std::string(600, 's') + "\\";
+  result.pipelines.push_back(pp);
+
+  const std::string json = ExplainAnalyzeJson(result);
+  EXPECT_NE(json.find("\"plan\":\"" + std::string(600, 'p') +
+                      "\\\"\\u0001\",\"total_s\":"),
+            std::string::npos);
+  EXPECT_NE(json.find("{\"name\":\"" + std::string(600, 's') +
+                      "\\\\\",\"index\":"),
+            std::string::npos);
+  EXPECT_EQ(json.back(), '}');
+  ExpectBalancedJson(json);
 }
 
 // --- Regression sentinel ---------------------------------------------------

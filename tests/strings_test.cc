@@ -2,7 +2,7 @@
 // compiler against a reference matcher, the dictionary's order-preserving
 // invariant and bitmap pre-evaluation, the runtime-call path, the lowering
 // decision rule, end-to-end differential execution across every engine and
-// dispatch mode (including the string edge cases: empty pattern, bare '%',
+// mode (including the string edge cases: empty pattern, bare '%',
 // '_'-only, absent code), pattern-variant artifact sharing, and the
 // runtime-call-density cost-model hook. Runs under ASan and TSan in CI
 // (the concurrent-submission test is the TSan surface).
@@ -414,22 +414,14 @@ TEST_F(LikeEndToEndTest, AllEnginesAgreeOnEveryPatternAndStrategy) {
   struct Config {
     EngineKind engine;
     ExecutionStrategy strategy;
-    VmDispatch vm_dispatch;
     const char* label;
   };
   const Config configs[] = {
-      {EngineKind::kVectorized, ExecutionStrategy::kBytecode,
-       VmDispatch::kDefault, "vectorized"},
-      {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-       VmDispatch::kSwitch, "vm-switch"},
-      {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-       VmDispatch::kThreaded, "vm-threaded"},
-      {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized,
-       VmDispatch::kDefault, "jit-unopt"},
-      {EngineKind::kCompiled, ExecutionStrategy::kOptimized,
-       VmDispatch::kDefault, "jit-opt"},
-      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive,
-       VmDispatch::kDefault, "adaptive"},
+      {EngineKind::kVectorized, ExecutionStrategy::kBytecode, "vectorized"},
+      {EngineKind::kCompiled, ExecutionStrategy::kBytecode, "vm"},
+      {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized, "jit-unopt"},
+      {EngineKind::kCompiled, ExecutionStrategy::kOptimized, "jit-opt"},
+      {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, "adaptive"},
   };
   for (const std::string& pattern : patterns) {
     for (LikeStrategy strategy :
@@ -446,7 +438,6 @@ TEST_F(LikeEndToEndTest, AllEnginesAgreeOnEveryPatternAndStrategy) {
         QueryRunOptions options;
         options.engine = config.engine;
         options.strategy = config.strategy;
-        options.vm_dispatch = config.vm_dispatch;
         auto rows = engine_->Run(program, options).rows;
         EXPECT_EQ(rows, reference)
             << config.label << " pattern='" << pattern << "' strategy="

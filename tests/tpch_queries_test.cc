@@ -47,32 +47,24 @@ QueryEngine* TpchQueryTest::engine_ = nullptr;
 struct EngineConfig {
   EngineKind engine;
   ExecutionStrategy strategy;
-  VmDispatch vm_dispatch;
   const char* label;
 
   QueryRunOptions Options() const {
     QueryRunOptions options;
     options.engine = engine;
     options.strategy = strategy;
-    options.vm_dispatch = vm_dispatch;
     return options;
   }
 };
 
-// Every engine a query runs on, compared against volcano. Both interpreter
-// dispatch engines must be bit-identical on every query, not just the
-// compile-time default.
+// Every engine a query runs on, compared against volcano. Bytecode runs on
+// the build's dispatch loop; VmDispatchCountsMatchPinned runs every query
+// through the counting switch loop.
 constexpr EngineConfig kEngineConfigs[] = {
-    {EngineKind::kVectorized, ExecutionStrategy::kBytecode,
-     VmDispatch::kDefault, "vectorized"},
-    {EngineKind::kCompiled, ExecutionStrategy::kBytecode, VmDispatch::kSwitch,
-     "vm-switch"},
-    {EngineKind::kCompiled, ExecutionStrategy::kBytecode,
-     VmDispatch::kThreaded, "vm-threaded"},
-    {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized,
-     VmDispatch::kDefault, "jit-unopt"},
-    {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, VmDispatch::kDefault,
-     "adaptive"},
+    {EngineKind::kVectorized, ExecutionStrategy::kBytecode, "vectorized"},
+    {EngineKind::kCompiled, ExecutionStrategy::kBytecode, "vm"},
+    {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized, "jit-unopt"},
+    {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, "adaptive"},
 };
 
 TEST_P(TpchQueryTest, AllEnginesAgree) {
@@ -108,22 +100,31 @@ uint64_t RowsDigest(const std::vector<std::vector<int64_t>>& rows) {
 
 // Every engine runs the same engine steps, so AllEnginesAgree cannot catch
 // a wrong step. These digests of each query's rows at SF 0.01 were taken
-// from the hand-written C++ steps that the typed steps replaced; volcano
-// and 2-worker adaptive must both reproduce them.
+// from the hand-written C++ steps that the typed steps replaced.
+constexpr std::pair<int, uint64_t> kPinnedDigests[] = {
+    {1, 0x141921c9a457eb50ULL},  {3, 0xe4da24b7bc91066aULL},
+    {4, 0x3fb7fc9ccf50e5d6ULL},  {5, 0xe0f9b6f08e62c5d6ULL},
+    {6, 0xc21e05eb018343e2ULL},  {7, 0xa177c9eccaa8011cULL},
+    {9, 0x8c2455d87ef7d423ULL},  {10, 0x380e3f0f74eb4fbdULL},
+    {11, 0x8d6d857d6f80f723ULL}, {12, 0xf17572256d952f19ULL},
+    {14, 0x8eeb2d66146d50b2ULL}, {18, 0x06e398c8a8a8d513ULL},
+    {19, 0x173987512818561cULL},
+    {-8, 0x00a6a7abe2881d23ULL},  // -8: generated_8
+};
+
+uint64_t PinnedDigest(int number) {
+  for (const auto& [n, digest] : kPinnedDigests) {
+    if (n == number) return digest;
+  }
+  ADD_FAILURE() << "no pinned digest for q" << number;
+  return 0;
+}
+
+// Volcano and 2-worker adaptive must both reproduce the pinned digests.
 TEST_F(TpchQueryTest, RowsMatchPinnedDigest) {
-  const std::pair<int, uint64_t> pinned[] = {
-      {1, 0x141921c9a457eb50ULL},  {3, 0xe4da24b7bc91066aULL},
-      {4, 0x3fb7fc9ccf50e5d6ULL},  {5, 0xe0f9b6f08e62c5d6ULL},
-      {6, 0xc21e05eb018343e2ULL},  {7, 0xa177c9eccaa8011cULL},
-      {9, 0x8c2455d87ef7d423ULL},  {10, 0x380e3f0f74eb4fbdULL},
-      {11, 0x8d6d857d6f80f723ULL}, {12, 0xf17572256d952f19ULL},
-      {14, 0x8eeb2d66146d50b2ULL}, {18, 0x06e398c8a8a8d513ULL},
-      {19, 0x173987512818561cULL},
-      {-8, 0x00a6a7abe2881d23ULL},  // -8: generated_8
-  };
   QueryRunOptions volcano;
   volcano.engine = EngineKind::kVolcano;
-  for (const auto& [number, digest] : pinned) {
+  for (const auto& [number, digest] : kPinnedDigests) {
     for (const QueryRunOptions& options : {volcano, QueryRunOptions{}}) {
       QueryProgram program =
           number > 0 ? BuildTpchQuery(number, *catalog_)
@@ -172,6 +173,9 @@ uint64_t VmDispatches(const QueryEngine& engine) {
 // query makes at SF 0.01, single-threaded bytecode, counted with opcode
 // profiling on. The count does not depend on the host, so a change to
 // codegen, the translator or the morsel schedule that moves it shows here.
+// Counting runs the switch loop, so the rows, checked against their pinned
+// digests, cover the switch handlers on every query whatever loop the build
+// runs.
 TEST_F(TpchQueryTest, VmDispatchCountsMatchPinned) {
   const std::pair<int, uint64_t> pinned[] = {
       {1, 3765164},  {3, 1018295},  {4, 868189},   {5, 1052935},
@@ -187,8 +191,9 @@ TEST_F(TpchQueryTest, VmDispatchCountsMatchPinned) {
   for (const auto& [number, dispatches] : pinned) {
     QueryProgram program = BuildTpchQuery(number, *catalog_);
     const uint64_t before = VmDispatches(*engine_);
-    engine_->Run(program, options);
+    const QueryRunResult result = engine_->Run(program, options);
     EXPECT_EQ(VmDispatches(*engine_) - before, dispatches) << program.name();
+    EXPECT_EQ(RowsDigest(result.rows), PinnedDigest(number)) << program.name();
   }
   engine_->set_vm_opcode_profiling(false);
 }

@@ -102,10 +102,18 @@ void ExpectDispatchEnginesAgree(const IrGenerator& gen, uint64_t a,
 }
 
 TEST(VmDispatchTest, ThreadedEngineIsCompiledIn) {
-  // The bakery images build with GCC/Clang; if this starts failing the
+  // The supported compilers are GCC and Clang; if this starts failing the
   // dispatch benchmark silently degenerates to switch-vs-switch.
   EXPECT_TRUE(VmThreadedDispatchAvailable());
-  EXPECT_NE(VmResolveDispatch(VmDispatch::kDefault), VmDispatch::kDefault);
+  // The engine runs the loop the build's AQE_VM_DISPATCH names.
+#if defined(AQE_VM_DISPATCH_SWITCH)
+  EXPECT_EQ(kVmBuildDispatch, VmDispatch::kSwitch);
+#elif defined(AQE_VM_DISPATCH_THREADED)
+  EXPECT_EQ(kVmBuildDispatch, VmDispatch::kThreaded);
+#else
+  ADD_FAILURE() << "the build defines neither AQE_VM_DISPATCH_SWITCH nor "
+                   "AQE_VM_DISPATCH_THREADED";
+#endif
 }
 
 // --- compare-and-branch superinstructions ------------------------------------
