@@ -1,9 +1,12 @@
 #include "adaptive/controller.h"
 
+#include <atomic>
 #include <chrono>
 #include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <utility>
+#include <vector>
 
 #include "common/status.h"
 #include "common/timer.h"
@@ -15,8 +18,8 @@ namespace aqe {
 
 /// Compile-handshake phases (PipelineExecState::compile_state):
 /// kIdle -> kQueued (evaluator decides) -> kRunning (a thread claims the
-/// job) -> kIdle (installed + rates reset). The controller aborts a still-
-/// kQueued job at drain time and waits out a kRunning one.
+/// job) -> kIdle (installed). The controller aborts a still-kQueued job at
+/// drain time and waits out a kRunning one.
 enum CompilePhase : int { kCompIdle = 0, kCompQueued = 1, kCompRunning = 2 };
 
 /// Shared state of one pipeline execution on the task scheduler. Held via
@@ -28,13 +31,11 @@ enum CompilePhase : int { kCompIdle = 0, kCompQueued = 1, kCompRunning = 2 };
 /// destructor) waits out before the owner frees them.
 struct PipelineExecState {
   /// Per-participant slot, cache-line isolated and written only by its
-  /// owner: the current epoch's tuple-rate sample (§III-C), plus the
-  /// participant's cumulative work per ExecMode, which the epoch never
-  /// resets — the exact counts EXPLAIN ANALYZE reports.
+  /// owner: the participant's cumulative work per ExecMode, each morsel
+  /// counted under the mode it started in. The controller reads r0
+  /// (§III-C) from the current mode's counters, and the drain sums them
+  /// into the report's exact per-mode counts.
   struct alignas(64) SlotRate {
-    std::atomic<uint64_t> tuples{0};
-    std::atomic<uint64_t> nanos{0};
-    std::atomic<uint64_t> epoch{0};
     struct ModeWork {
       std::atomic<uint64_t> morsels{0};
       std::atomic<uint64_t> tuples{0};
@@ -52,7 +53,6 @@ struct PipelineExecState {
 
   ShardedMorselQueue shards;
   std::vector<SlotRate> rates;
-  std::atomic<uint64_t> epoch{0};
   std::atomic<int> active_helpers{0};
 
   FunctionHandle* handle = nullptr;
@@ -86,19 +86,6 @@ namespace {
 /// switch indefinitely.
 constexpr int kInlineCompileAfterMorsels = 2;
 
-void RecordRate(PipelineExecState& st, int slot, uint64_t tuples,
-                uint64_t nanos) {
-  auto& rate = st.rates[static_cast<size_t>(slot)];
-  uint64_t current_epoch = st.epoch.load(std::memory_order_relaxed);
-  if (rate.epoch.load(std::memory_order_relaxed) != current_epoch) {
-    rate.tuples.store(0, std::memory_order_relaxed);
-    rate.nanos.store(0, std::memory_order_relaxed);
-    rate.epoch.store(current_epoch, std::memory_order_relaxed);
-  }
-  rate.tuples.fetch_add(tuples, std::memory_order_relaxed);
-  rate.nanos.fetch_add(nanos, std::memory_order_relaxed);
-}
-
 /// One of this pipeline's trace events; `mode` is the event's detail.
 TraceEvent PipelineEvent(const PipelineExecState& st, TraceEventKind kind,
                          int64_t start, int64_t end, uint64_t payload,
@@ -114,12 +101,14 @@ TraceEvent PipelineEvent(const PipelineExecState& st, TraceEventKind kind,
   return e;
 }
 
-/// Runs one claimed batch through the current variant, with rate and
+/// Runs one claimed batch through the current variant, with work and
 /// trace bookkeeping. `slot` is the rate slot, `thread` the trace lane.
 /// The batch (one range on an unpruned scan, up to kMaxRanges fragments of
-/// a pruned domain) shares a single rate sample and trace event, so the
-/// bookkeeping cost stays per-claim, not per-fragment; the recorded rate
-/// honestly includes the inter-fragment dispatch overhead.
+/// a pruned domain) counts as one morsel and records one trace event, so
+/// the bookkeeping cost stays per-claim, not per-fragment; the recorded
+/// rate honestly includes the inter-fragment dispatch overhead. A batch
+/// that straddles an install counts toward the mode it started in, so it
+/// never enters the new mode's rate.
 void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
                    int thread) {
   ExecMode mode = st.handle->mode();
@@ -128,7 +117,6 @@ void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
     st.handle->Call(st.state, batch.ranges[i].begin, batch.ranges[i].end);
   }
   int64_t t1 = MonotonicNanos();
-  RecordRate(st, slot, batch.rows, static_cast<uint64_t>(t1 - t0));
   auto& work =
       st.rates[static_cast<size_t>(slot)].modes[static_cast<int>(mode)];
   work.morsels.fetch_add(1, std::memory_order_relaxed);
@@ -141,26 +129,11 @@ void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
   }
 }
 
-/// Adds a quiescent run's morsels, every slot and mode, to the engine's
-/// exec.morsels counter: one add per pipeline, from the exact counts
-/// EXPLAIN ANALYZE reports, instead of one shared atomic add per morsel.
-void CountMorsels(const PipelineExecState& st) {
-  if (st.obs.morsels == nullptr) return;
-  uint64_t morsels = 0;
-  for (const auto& slot : st.rates) {
-    for (const auto& work : slot.modes) {
-      morsels += work.morsels.load(std::memory_order_relaxed);
-    }
-  }
-  st.obs.morsels->Add(morsels);
-}
-
 /// Claims and performs a pending compile job: compile -> install into the
-/// handle -> record -> bump the epoch (rate reset, §III-C) -> notify the
-/// controller. Returns false when no job is pending or another thread owns
-/// it. Callable from any scheduler worker or the controller; controller
-/// call sites pass `blocking_seconds` to attribute the compile to blocked
-/// execution time (see PipelineRunStats).
+/// handle -> record -> notify the controller. Returns false when no job is
+/// pending or another thread owns it. Callable from any scheduler worker or
+/// the controller; controller call sites pass `blocking_seconds` to
+/// attribute the compile to blocked execution time.
 bool TryRunCompileJob(PipelineExecState& st,
                       double* blocking_seconds = nullptr) {
   int expected = kCompQueued;
@@ -182,11 +155,6 @@ bool TryRunCompileJob(PipelineExecState& st,
         PipelineEvent(st, TraceEventKind::kCompile, t0, t1,
                       st.function_instructions, target));
   }
-  if (st.obs.compiles != nullptr) st.obs.compiles->Add();
-  if (st.obs.compile_us != nullptr) {
-    st.obs.compile_us->Record(static_cast<uint64_t>(seconds * 1e6));
-  }
-  st.epoch.fetch_add(1, std::memory_order_relaxed);
   {
     std::lock_guard<std::mutex> lock(st.mu);
     st.compiles.emplace_back(target, seconds);
@@ -275,7 +243,8 @@ PipelineRun::PipelineRun(TaskScheduler* scheduler, ExecutionStrategy strategy,
       first_eval_delay_seconds_(first_eval_delay_seconds),
       adaptive_(strategy == ExecutionStrategy::kAdaptive) {
   AQE_CHECK(sched_ != nullptr);
-  AQE_CHECK(task_.handle != nullptr && task_.domain != nullptr);
+  AQE_CHECK(task_.handle != nullptr && task_.domain != nullptr &&
+            task_.report != nullptr);
 }
 
 PipelineRun::~PipelineRun() {
@@ -297,7 +266,6 @@ PipelineRun::~PipelineRun() {
   while (!st_->Quiescent()) {
     st_->cv.wait_for(lock, std::chrono::milliseconds(1));
   }
-  CountMorsels(*st_);  // a budget-killed pipeline still counts what it ran
 }
 
 void PipelineRun::Start(int worker) {
@@ -306,7 +274,7 @@ void PipelineRun::Start(int worker) {
                 "a PipelineRun is stepped only by a task of its own "
                 "scheduler, passing the worker index its Run received");
   start_nanos_ = MonotonicNanos();
-  initial_mode_ = task_.handle->mode();
+  task_.report->initial_mode = task_.handle->mode();
   // The controller's identity — fixed now, at the first step (invariant 2).
   const int workers = sched_->num_workers();
   participants_ = single_threaded_ ? 1 : workers;
@@ -334,7 +302,7 @@ void PipelineRun::Start(int worker) {
   auto compile_inline = [&](ExecMode mode) {
     st_->compile_target = mode;
     st_->compile_state.store(kCompQueued, std::memory_order_release);
-    AQE_CHECK(TryRunCompileJob(*st_, &stats_.blocking_compile_seconds));
+    AQE_CHECK(TryRunCompileJob(*st_, &blocking_compile_seconds_));
   };
   if (strategy_ == ExecutionStrategy::kUnoptimized) {
     if (task_.handle->mode() != ExecMode::kUnoptimized) {
@@ -421,25 +389,27 @@ Task::Status PipelineRun::StepDrain() {
     }
     return Task::Status::kYield;  // check again next slice
   }
+  PipelineReport& report = *task_.report;
   std::vector<int64_t> install_nanos;
   {
     std::lock_guard<std::mutex> lock(st_->mu);
-    stats_.compiles = std::move(st_->compiles);
+    report.compiles = std::move(st_->compiles);
     install_nanos = std::move(st_->install_nanos);
   }
   const int64_t end_nanos = MonotonicNanos();
-  stats_.total_seconds = static_cast<double>(end_nanos - start_nanos_) / 1e9;
-  stats_.final_mode = task_.handle->mode();
+  report.exec_seconds = static_cast<double>(end_nanos - start_nanos_) / 1e9;
+  report.exec_only_seconds = report.exec_seconds - blocking_compile_seconds_;
+  report.final_mode = task_.handle->mode();
 
   // A mode's wall time is how long the handle held it: from the start (or
   // its install) to the next install (or now). The holds partition
-  // total_seconds; a blocking compile counts toward the mode it replaces.
+  // exec_seconds; a blocking compile counts toward the mode it replaces.
   int64_t held_nanos[kNumExecModes] = {};
-  int mode = static_cast<int>(initial_mode_);
+  int mode = static_cast<int>(report.initial_mode);
   int64_t since = start_nanos_;
   for (size_t i = 0; i < install_nanos.size(); ++i) {
     held_nanos[mode] += install_nanos[i] - since;
-    mode = static_cast<int>(stats_.compiles[i].first);
+    mode = static_cast<int>(report.compiles[i].first);
     since = install_nanos[i];
   }
   held_nanos[mode] += end_nanos - since;
@@ -460,11 +430,10 @@ Task::Status PipelineRun::StepDrain() {
     if (held_nanos[m] == 0 && slice.morsels == 0) continue;  // never held
     slice.busy_seconds = static_cast<double>(busy_nanos) / 1e9;
     slice.wall_seconds = static_cast<double>(held_nanos[m]) / 1e9;
-    stats_.modes.push_back(slice);
+    report.modes.push_back(slice);
   }
-  stats_.helper_busy_seconds = static_cast<double>(helper_busy_nanos) / 1e9;
-  CountMorsels(*st_);
-  for (ModeSwitchRecord& rec : stats_.mode_switches) {
+  report.helper_busy_seconds = static_cast<double>(helper_busy_nanos) / 1e9;
+  for (ModeSwitchRecord& rec : report.mode_switches) {
     rec.realized_seconds =
         static_cast<double>(end_nanos - rec.decision_nanos) / 1e9;
   }
@@ -481,7 +450,7 @@ void PipelineRun::Evaluate(int worker) {
   if (phase == kCompRunning) return;
   if (phase == kCompQueued) {
     if (++morsels_since_queued_ >= kInlineCompileAfterMorsels) {
-      TryRunCompileJob(*st_, &stats_.blocking_compile_seconds);
+      TryRunCompileJob(*st_, &blocking_compile_seconds_);
     }
     return;
   }
@@ -489,16 +458,14 @@ void PipelineRun::Evaluate(int worker) {
       first_eval_delay_seconds_ * 1e9) {
     return;
   }
-  // Average per-participant rate in the current epoch (Fig 7's r0).
-  uint64_t current_epoch = st_->epoch.load(std::memory_order_relaxed);
+  // Fig 7's r0: the average per-participant rate in the handle's mode,
+  // over the morsels that started in it (§III-C's rate reset).
   double rate_sum = 0;
   int rate_count = 0;
-  for (const auto& rate : st_->rates) {
-    if (rate.epoch.load(std::memory_order_relaxed) != current_epoch) {
-      continue;
-    }
-    uint64_t nanos = rate.nanos.load(std::memory_order_relaxed);
-    uint64_t tuples = rate.tuples.load(std::memory_order_relaxed);
+  for (const auto& slot : st_->rates) {
+    const auto& work = slot.modes[static_cast<int>(mode)];
+    const uint64_t nanos = work.busy_nanos.load(std::memory_order_relaxed);
+    const uint64_t tuples = work.tuples.load(std::memory_order_relaxed);
     if (nanos == 0 || tuples == 0) continue;
     rate_sum +=
         static_cast<double>(tuples) / (static_cast<double>(nanos) / 1e9);
@@ -517,8 +484,8 @@ void PipelineRun::Evaluate(int worker) {
                             : ExecMode::kOptimized;
   const int64_t decision_nanos = MonotonicNanos();
   {
-    // Prediction-vs-realized bookkeeping: keep the decision on the run
-    // itself (stats_ is controller-thread-only), realized filled at drain.
+    // Prediction-vs-realized bookkeeping: keep the decision in the report
+    // (only the controller writes it), realized filled at drain.
     ModeSwitchRecord rec;
     rec.target = st_->compile_target;
     rec.decision_nanos = decision_nanos;
@@ -526,7 +493,7 @@ void PipelineRun::Evaluate(int worker) {
     rec.remaining_tuples = remaining;
     rec.t_current_seconds = breakdown.t_current;
     rec.t_chosen_seconds = breakdown.chosen_seconds(decision);
-    stats_.mode_switches.push_back(rec);
+    task_.report->mode_switches.push_back(rec);
   }
   if (st_->obs.enabled()) {
     // The §III-C decision with its cost-model inputs: what the controller
@@ -540,14 +507,11 @@ void PipelineRun::Evaluate(int worker) {
     e.d2 = breakdown.chosen_seconds(decision);
     st_->obs.tracer->Record(worker, e);
   }
-  if (st_->obs.mode_switch_decisions != nullptr) {
-    st_->obs.mode_switch_decisions->Add();
-  }
   morsels_since_queued_ = 0;
   st_->compile_state.store(kCompQueued, std::memory_order_release);
   if (single_threaded_ || participants_ == 1) {
     // No other thread can ever pick the job up: compile inline now.
-    TryRunCompileJob(*st_, &stats_.blocking_compile_seconds);
+    TryRunCompileJob(*st_, &blocking_compile_seconds_);
   } else {
     auto job = std::make_unique<CompileJobTask>(st_);
     job->set_scheduling_class(task_.scheduling_class);

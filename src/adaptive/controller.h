@@ -1,12 +1,9 @@
 #ifndef AQE_ADAPTIVE_CONTROLLER_H_
 #define AQE_ADAPTIVE_CONTROLLER_H_
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <utility>
-#include <vector>
 
 #include "adaptive/cost_model.h"
 #include "exec/function_handle.h"
@@ -56,30 +53,15 @@ struct PipelineTask {
   /// inherit (the submitting query's class; see sched/task.h).
   int scheduling_class = 0;
   /// Engine observability: ring-buffer trace events (morsels, mode-switch
-  /// decisions with their cost-model inputs, compiles) and metric updates
-  /// flow through these handles; default-empty pipelines record nothing.
+  /// decisions with their cost-model inputs, compiles); a default-empty
+  /// PipelineObs records nothing.
   PipelineObs obs;
-};
-
-struct PipelineRunStats {
-  double total_seconds = 0;
-  ExecMode final_mode = ExecMode::kBytecode;
-  /// Mode switches performed, with the compile time spent on each.
-  std::vector<std::pair<ExecMode, double>> compiles;
-  /// Compile time that occupied the controller thread (the up-front static
-  /// compiles and adaptive compiles claimed inline). total_seconds minus
-  /// this is pure execution: what the engine reports as exec time so cache
-  /// hits (which compile nothing) are visible next to cold runs. Compiles
-  /// picked up by other workers overlap execution and are not counted.
-  double blocking_compile_seconds = 0;
-  /// Every adaptive compile decision with its predicted durations and the
-  /// realized remainder.
-  std::vector<ModeSwitchRecord> mode_switches;
-  /// Exact per-mode work, in ExecMode order, for every mode the handle
-  /// held; the modes' wall_seconds sum to total_seconds.
-  std::vector<ModeSliceProfile> modes;
-  /// Morsel time of every participant but the controller.
-  double helper_busy_seconds = 0;
+  /// What the run ran, written by the controller: its initial mode when it
+  /// starts, its mode switches as it decides them, and the rest when it
+  /// drains (see PipelineReport). Never null; owned by the caller and
+  /// valid until done() or destruction. The caller fills the fields the
+  /// run does not (name, tuples, codegen, pruning).
+  PipelineReport* report = nullptr;
 };
 
 /// Shared state of one pipeline execution on the task scheduler (defined in
@@ -101,22 +83,25 @@ struct PipelineExecState;
 ///
 /// The §III-C policy for kAdaptive: every participant (the controller —
 /// the task that steps the run — plus one morsel helper task per other
-/// worker) tracks its tuple rate per morsel; the controller alone, from
-/// 1 ms in and after each of its morsels, runs the Fig 7 extrapolation.
-/// When compiling wins, a low-priority compile task (or the controller
-/// itself, if no worker claims it within a few morsels) compiles and flips
-/// the FunctionHandle, and the rates are reset.
+/// worker) counts its work per morsel, under the mode the morsel started
+/// in; the controller alone, from 1 ms in and after each of its morsels,
+/// runs the Fig 7 extrapolation on the participants' rates in the handle's
+/// current mode. When compiling wins, a low-priority compile task (or the
+/// controller itself, if no worker claims it within a few morsels)
+/// compiles and flips the FunctionHandle; the next evaluation reads the new
+/// mode's counters, which is the paper's rate reset.
 ///
 /// ===================== Suspension invariants =====================
 ///
-/// 1. All mode-switch state survives suspension. The tuple-rate samples,
+/// 1. All mode-switch state survives suspension. The per-mode work
+///    counters r0 is read from (per mode, so a switch needs no reset),
 ///    the compile handshake word (kIdle/kQueued/kRunning + target mode),
-///    the rate-reset epoch, the recorded compiles and the calibrated
-///    cost-model parameters live in PipelineExecState / PipelineRun
-///    members, never on a worker's stack — a resumed controller continues
-///    the §III-C evaluation exactly where it left off, and the mode-switch
-///    sequence is identical to a single-threaded run's (differential-tested
-///    in tests/sched_test.cc and tests/fairness_test.cc).
+///    the recorded compiles and the calibrated cost-model parameters live
+///    in PipelineExecState / PipelineRun members, never on a worker's
+///    stack — a resumed controller continues the §III-C evaluation exactly
+///    where it left off, and the mode-switch sequence is identical to a
+///    single-threaded run's (differential-tested in tests/sched_test.cc
+///    and tests/fairness_test.cc).
 ///
 /// 2. The controller's identity is fixed at the *first* Step. Its rate
 ///    slot and preferred shard are the first-step worker's index, and the
@@ -164,13 +149,10 @@ class PipelineRun {
   /// Runs one bounded slice. `worker` is the index the calling
   /// Task::Run(worker) received from the run's scheduler; the first step
   /// aborts on any other caller. kYield: step again (from any worker's
-  /// task slice); kDone: the pipeline finished and TakeStats() is valid.
+  /// task slice); kDone: the pipeline finished and its report is filled.
   Task::Status Step(int worker);
 
   bool done() const { return phase_ == Phase::kDone; }
-
-  /// The run's statistics; valid once done().
-  PipelineRunStats TakeStats() { return std::move(stats_); }
 
  private:
   enum class Phase { kStart, kMorsels, kDrain, kDone };
@@ -190,12 +172,15 @@ class PipelineRun {
 
   Phase phase_ = Phase::kStart;
   std::shared_ptr<PipelineExecState> st_;
-  PipelineRunStats stats_;
   int participants_ = 1;
   int controller_slot_ = 0;
   int morsels_since_queued_ = 0;
   int64_t start_nanos_ = 0;
-  ExecMode initial_mode_ = ExecMode::kBytecode;
+  /// Compile time that occupied the controller thread: the up-front static
+  /// compiles and adaptive compiles claimed inline. Compiles other workers
+  /// picked up overlap execution and are not counted. The report's
+  /// exec_only_seconds is exec_seconds minus this.
+  double blocking_compile_seconds_ = 0;
   bool adaptive_ = false;
 };
 

@@ -36,11 +36,6 @@ struct ArtifactCacheStats {
   uint64_t code_hits = 0;       ///< pipeline seeded cached machine code
   uint64_t publishes = 0;       ///< artifacts written back
   uint64_t evictions = 0;       ///< entries dropped by the LRU byte budget
-  /// Completed cached queries folded into their plan's record (PlanStats,
-  /// obs/regression.h), whose service-time EWMA is what WFQ admission
-  /// charges the plan's next submit. Counted by the record keeper
-  /// (RegressionTracker::observed_runs); QueryEngine fills it in.
-  uint64_t cost_feedback_updates = 0;
   uint64_t bytes = 0;
   uint64_t entries = 0;
 };
@@ -58,7 +53,6 @@ inline ArtifactCacheStats operator-(const ArtifactCacheStats& a,
   d.code_hits -= b.code_hits;
   d.publishes -= b.publishes;
   d.evictions -= b.evictions;
-  d.cost_feedback_updates -= b.cost_feedback_updates;
   return d;
 }
 

@@ -178,19 +178,56 @@ struct EngineObs {
     }
   }
 
-  void RecordQueryPeak(uint64_t peak_bytes, int query_class) {
-    mem_peak_by_class[query_class]->Record(static_cast<double>(peak_bytes));
-    uint64_t prev = engine_peak_bytes.load(std::memory_order_relaxed);
-    while (prev < peak_bytes &&
-           !engine_peak_bytes.compare_exchange_weak(
-               prev, peak_bytes, std::memory_order_relaxed)) {
+  /// Folds a finished query's result into every registry metric whose
+  /// number it holds (morsels, compiles, mode switches, the index.*
+  /// counters), into the flamegraph and, when it completed, into the
+  /// completion metrics and /profiles. Both completion paths call it before
+  /// the promise resolves. A query failed by its memory budget passes
+  /// `completed` false: it adds only the pipelines it finished.
+  /// `consulted_cache`: the query used the artifact cache, so each pruning
+  /// analysis is a prune-cache hit or miss.
+  void FoldResult(const QueryRunResult& result, int query_class,
+                  bool consulted_cache, bool completed) {
+    uint64_t morsel_count = 0;
+    for (const PipelineReport& report : result.pipelines) {
+      for (const ModeSliceProfile& mode : report.modes) {
+        morsel_count += mode.morsels;
+      }
+      for (const auto& compile : report.compiles) {
+        compile_us->Record(static_cast<uint64_t>(compile.second * 1e6));
+      }
+      compiles->Add(report.compiles.size());
+      mode_switches->Add(report.mode_switches.size());
+      const PruningStats& pruning = report.pruning;
+      if (!pruning.analyzed) continue;
+      if (report.pruning_cache_hit) {
+        prune_cache_hits->Add();
+      } else if (consulted_cache) {
+        prune_cache_misses->Add();
+      }
+      rows_selected->Add(pruning.selected_rows);
+      posting_entries->Add(pruning.posting_entries);
+      // Any other path than a full scan ran a restricted domain.
+      if (pruning.primary_path != AccessPathKind::kFullScan) {
+        pruned_pipelines->Add();
+        rows_pruned->Add(pruning.table_rows - pruning.selected_rows);
+        zone_blocks_pruned->Add(pruning.zone_blocks_pruned);
+      }
     }
-  }
-
-  /// Folds a finished query into the flamegraph and, when it completed,
-  /// keeps it for /profiles. A query failed by its memory budget passes
-  /// `completed` false: its CPU time still counts, its profile does not.
-  void AddProfile(const QueryRunResult& result, bool completed) {
+    morsels->Add(morsel_count);
+    if (completed) {
+      exec_latency_us[query_class]->Record(
+          std::max(0.0, result.total_seconds - result.queue_wait_seconds) *
+          1e6);
+      const uint64_t peak_bytes = result.peak_memory_bytes;
+      mem_peak_by_class[query_class]->Record(peak_bytes);
+      uint64_t prev = engine_peak_bytes.load(std::memory_order_relaxed);
+      while (prev < peak_bytes &&
+             !engine_peak_bytes.compare_exchange_weak(
+                 prev, peak_bytes, std::memory_order_relaxed)) {
+      }
+      queries_completed->Add();
+    }
     std::lock_guard<std::mutex> lock(profiles_mu);
     flamegraph.Add(result);
     if (!completed) return;
@@ -201,17 +238,6 @@ struct EngineObs {
   std::string CollapsedStacks() const {
     std::lock_guard<std::mutex> lock(profiles_mu);
     return flamegraph.CollapsedStacks();
-  }
-
-  PipelineObs MakePipelineObs(uint32_t query_id) {
-    PipelineObs obs;
-    obs.tracer = &tracer;
-    obs.morsels = morsels;
-    obs.mode_switch_decisions = mode_switches;
-    obs.compiles = compiles;
-    obs.compile_us = compile_us;
-    obs.query_id = query_id;
-    return obs;
   }
 };
 
@@ -525,7 +551,6 @@ class QueryJob : public Task {
     ActivePipeline(WorkerFn fn, const void* extra) : handle(fn, extra) {}
 
     ArtifactRequest request;  ///< what the run asks of the plan's entry
-    PipelineReport report;
     PipelineBindings bindings;
     std::vector<uint64_t> binding_values;
     std::shared_ptr<const BcProgram> bytecode;
@@ -587,10 +612,14 @@ class QueryJob : public Task {
                                           memory_->peak_bytes());
     }
     step_run_.reset();
-    active_.reset();
+    if (active_ != nullptr) {
+      active_.reset();
+      result_.pipelines.pop_back();  // the abandoned run's partial report
+    }
     memory_->Release(active_charged_bytes_);
     active_charged_bytes_ = 0;
-    obs_->AddProfile(result_, /*completed=*/false);
+    obs_->FoldResult(result_, scheduling_class(), entry_ != nullptr,
+                     /*completed=*/false);
     RecordSliceEnd(worker, /*query_done=*/true);
     promise_.set_exception(std::make_exception_ptr(MemoryBudgetExceeded(
         scheduling_class(), budget, current, /*at_admission=*/false)));
@@ -623,19 +652,15 @@ class QueryJob : public Task {
     result_.rows = std::move(ctx_->result);
     result_.total_seconds = total_timer_.ElapsedSeconds();
     result_.peak_memory_bytes = memory_->peak_bytes();
-    obs_->RecordQueryPeak(result_.peak_memory_bytes, scheduling_class());
     RecordServiceTime(worker);
     // Completion metrics and events land before the promise resolves, so
     // a client that saw its future ready observes them in the very next
     // snapshot.
-    obs_->exec_latency_us[scheduling_class()]->Record(
-        std::max(0.0, result_.total_seconds - result_.queue_wait_seconds) *
-        1e6);
-    obs_->queries_completed->Add();
     RecordSliceEnd(worker, /*query_done=*/true);
     // /profiles keeps the result without its rows.
     std::vector<std::vector<int64_t>> rows = std::move(result_.rows);
-    obs_->AddProfile(result_, /*completed=*/true);
+    obs_->FoldResult(result_, scheduling_class(), entry_ != nullptr,
+                     /*completed=*/true);
     result_.rows = std::move(rows);
     promise_.set_value(std::move(result_));
     on_finished_();
@@ -701,10 +726,12 @@ class QueryJob : public Task {
   /// A parallel merge or seal: an engine step spread over the workers as a
   /// PipelineRun whose handle holds a native worker (MergeWorker,
   /// SealWorker) and whose PipelineObs is empty, so it records no trace
-  /// events and no PipelineReport; its time counts as engine steps.
+  /// events; its report stays out of the result, and its time counts as
+  /// engine steps.
   struct StepRun {
     explicit StepRun(WorkerFn fn) : handle(fn, nullptr) {}
     FunctionHandle handle;
+    PipelineReport report;
     std::unique_ptr<PipelineRun> run;
   };
   /// Declared after ctx_: destroyed first, so a run abandoned at shutdown
@@ -854,6 +881,7 @@ void QueryJob::StartStepRun(WorkerFn worker, void* state, uint64_t units,
   task.domain = ScanDomain::Make({{0, units}}, units);
   task.morsel_tuples = morsel_units;
   task.scheduling_class = scheduling_class();
+  task.report = &step->report;
   step->run = std::make_unique<PipelineRun>(
       sched_, ExecutionStrategy::kBytecode, options_.cost_model, task,
       /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
@@ -861,9 +889,8 @@ void QueryJob::StartStepRun(WorkerFn worker, void* state, uint64_t units,
 }
 
 void QueryJob::FinishStepRun() {
-  const PipelineRunStats stats = step_run_->run->TakeStats();
-  result_.exec_seconds_total += stats.total_seconds;
-  result_.on_cpu_seconds += stats.helper_busy_seconds;
+  result_.exec_seconds_total += step_run_->report.exec_seconds;
+  result_.on_cpu_seconds += step_run_->report.helper_busy_seconds;
   step_run_.reset();
 }
 
@@ -1040,16 +1067,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
       }
     }
     if (report.pruning.analyzed) {
-      if (entry_ != nullptr) {
-        (reused ? obs_->prune_cache_hits : obs_->prune_cache_misses)->Add();
-      }
-      obs_->rows_selected->Add(report.pruning.selected_rows);
-      obs_->posting_entries->Add(report.pruning.posting_entries);
       if (scan_domain != nullptr) {
-        obs_->pruned_pipelines->Add();
-        obs_->rows_pruned->Add(report.pruning.table_rows -
-                               report.pruning.selected_rows);
-        obs_->zone_blocks_pruned->Add(report.pruning.zone_blocks_pruned);
         // The scheduled-row count every downstream consumer reasons over
         // (§III-C extrapolation, EXPLAIN ANALYZE).
         report.tuples = report.pruning.selected_rows;
@@ -1090,8 +1108,6 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     cache_instant(TraceEventKind::kCacheHit, /*payload=*/1);
     report.artifact_cache_hit = true;
   }
-  report.initial_mode = ap->handle.mode();
-  ap->report = std::move(report);
 
   PipelineTask task;
   task.handle = &ap->handle;
@@ -1100,13 +1116,16 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   // already its selected count); the rest scan every row.
   task.domain = scan_domain != nullptr
                     ? scan_domain
-                    : ScanDomain::Make({{0, ap->report.tuples}},
-                                       ap->report.tuples);
+                    : ScanDomain::Make({{0, report.tuples}}, report.tuples);
   task.function_instructions = instructions;
   task.runtime_call_fraction = call_fraction;
   task.pipeline_id = stage.pipeline;
   task.scheduling_class = scheduling_class();
-  task.obs = obs_->MakePipelineObs(query_id_);
+  task.obs = {&obs_->tracer, query_id_};
+  // The run fills the report in place: no other pipeline is added to the
+  // result while this one is active.
+  result_.pipelines.push_back(std::move(report));
+  task.report = &result_.pipelines.back();
   ActivePipeline* raw_ap = ap.get();
   task.compile = [this, raw_ap, &spec](ExecMode mode) -> WorkerFn {
     // Regenerate IR (codegen is ~100x cheaper than machine-code
@@ -1168,27 +1187,17 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   active_ = std::move(ap);
 }
 
-/// Post-run accounting, after the embedded PipelineRun reported kDone.
+/// Post-run accounting, after the embedded PipelineRun filled its report
+/// (the result's last pipeline) and reported kDone.
 void QueryJob::FinishCompiledPipeline() {
   memory_->Release(active_charged_bytes_);
   active_charged_bytes_ = 0;
-  ActivePipeline& ap = *active_;
-  PipelineReport report = std::move(ap.report);
-  PipelineRunStats stats = ap.run->TakeStats();
-  report.exec_seconds = stats.total_seconds;
-  report.exec_only_seconds =
-      stats.total_seconds - stats.blocking_compile_seconds;
+  const PipelineReport& report = result_.pipelines.back();
   result_.exec_seconds_total += report.exec_only_seconds;
-  report.final_mode = stats.final_mode;
-  report.compiles = stats.compiles;
-  report.mode_switches = std::move(stats.mode_switches);
-  report.modes = std::move(stats.modes);
-  result_.on_cpu_seconds += stats.helper_busy_seconds;
-  for (const auto& [mode, seconds] : stats.compiles) {
+  result_.on_cpu_seconds += report.helper_busy_seconds;
+  for (const auto& [mode, seconds] : report.compiles) {
     result_.compile_millis_total += seconds * 1e3;
   }
-
-  result_.pipelines.push_back(std::move(report));
 }
 
 }  // namespace
@@ -1270,9 +1279,7 @@ std::future<QueryRunResult> QueryEngine::Submit(
 }
 
 ArtifactCacheStats QueryEngine::artifact_cache_stats() const {
-  ArtifactCacheStats stats = impl_->cache.stats();
-  stats.cost_feedback_updates = impl_->obs.sentinel.observed_runs();
-  return stats;
+  return impl_->cache.stats();
 }
 
 const ArtifactCache& QueryEngine::artifact_cache() const {

@@ -11,9 +11,9 @@ namespace aqe {
 /// Renders a TraceSnapshot as Chrome-trace/Perfetto JSON (the "JSON Array
 /// with metadata" flavor: {"displayTimeUnit":...,"traceEvents":[...]}),
 /// loadable in chrome://tracing and ui.perfetto.dev. One track per lane
-/// (worker threads first, external-controller leases after), spans as
-/// complete events, point events as instants, and one flow per query id
-/// linking admission wait -> task slices -> completion across tracks.
+/// (a lane is a scheduler worker, in worker order), spans as complete
+/// events, point events as instants, and one flow per query id linking
+/// admission wait -> task slices -> completion across tracks.
 std::string ChromeTraceJson(const TraceSnapshot& snapshot);
 
 /// Renders the ASCII swimlane chart (threads x time, Fig 14 style) from a

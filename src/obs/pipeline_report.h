@@ -53,7 +53,10 @@ struct ModeSwitchRecord {
 };
 
 /// Per-pipeline execution report: what the engine returns per pipeline in
-/// QueryRunResult and what EXPLAIN ANALYZE renders.
+/// QueryRunResult and what EXPLAIN ANALYZE renders. On the compiled engine
+/// the pipeline's PipelineRun writes the execution fields (exec and
+/// exec-only seconds, initial and final mode, compiles, mode switches,
+/// modes, helper busy time); the engine writes the rest.
 struct PipelineReport {
   std::string name;
   /// The plan's pipeline index — what morsel trace events carry as
@@ -68,6 +71,9 @@ struct PipelineReport {
   /// exec_seconds minus compile time that blocked the pipeline's controller
   /// thread — pure execution, comparable between cold runs and cache hits.
   double exec_only_seconds = 0;
+  /// Morsel time of every participant but the controller (the query's own
+  /// thread): what the pipeline adds to the query's on_cpu_seconds.
+  double helper_busy_seconds = 0;
   /// Mode of the first morsel: kBytecode on a cold adaptive start, the best
   /// cached mode when the artifact cache seeded the pipeline's handle.
   ExecMode initial_mode = ExecMode::kBytecode;

@@ -2,12 +2,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <future>
+#include <memory>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "adaptive/calibrate.h"
 #include "adaptive/controller.h"
 #include "adaptive/cost_model.h"
+#include "common/timer.h"
 #include "exec/function_handle.h"
 #include "exec/morsel.h"
 #include "obs/export.h"
@@ -263,11 +267,11 @@ TEST(PipelineRunTest, BytecodeStrategyNeverCompiles) {
     ADD_FAILURE() << "bytecode strategy must not compile";
     return nullptr;
   };
-  PipelineRunStats stats =
+  PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kBytecode, task);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 100000u);
-  EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
-  EXPECT_TRUE(stats.compiles.empty());
+  EXPECT_EQ(report.final_mode, ExecMode::kBytecode);
+  EXPECT_TRUE(report.compiles.empty());
 }
 
 TEST(PipelineRunTest, StaticOptimizedCompilesUpFront) {
@@ -280,12 +284,12 @@ TEST(PipelineRunTest, StaticOptimizedCompilesUpFront) {
     EXPECT_EQ(mode, ExecMode::kOptimized);
     return &SyntheticPipeline::FastOpt;
   };
-  PipelineRunStats stats =
+  PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kOptimized, task);
   EXPECT_EQ(compile_calls, 1);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 0u);
   EXPECT_EQ(pipe.opt_tuples.load(), 50000u);
-  EXPECT_EQ(stats.final_mode, ExecMode::kOptimized);
+  EXPECT_EQ(report.final_mode, ExecMode::kOptimized);
 }
 
 TEST(PipelineRunTest, AdaptiveSwitchesOnLongPipeline) {
@@ -297,14 +301,14 @@ TEST(PipelineRunTest, AdaptiveSwitchesOnLongPipeline) {
   params.opt_base_seconds = 4e-3;
   params.opt_per_instruction_seconds = 0;
   // ~100 ms of interpretation across the 3 participants.
-  PipelineRunStats stats = RunPipeline(&sched, ExecutionStrategy::kAdaptive,
-                                       pipe.MakeTask(3000000), params);
+  PipelineReport report = RunPipeline(&sched, ExecutionStrategy::kAdaptive,
+                                      pipe.MakeTask(3000000), params);
   // All tuples processed exactly once across the modes.
   EXPECT_EQ(pipe.total(), 3000000u);
   // It must have decided to compile, starting from bytecode.
   EXPECT_GT(pipe.interpreted_tuples.load(), 0u);
-  EXPECT_FALSE(stats.compiles.empty());
-  EXPECT_NE(stats.final_mode, ExecMode::kBytecode);
+  EXPECT_FALSE(report.compiles.empty());
+  EXPECT_NE(report.final_mode, ExecMode::kBytecode);
 }
 
 TEST(PipelineRunTest, AdaptiveLeavesShortPipelineInterpreted) {
@@ -316,9 +320,9 @@ TEST(PipelineRunTest, AdaptiveLeavesShortPipelineInterpreted) {
     ADD_FAILURE() << "short pipeline must not compile";
     return nullptr;
   };
-  PipelineRunStats stats =
+  PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kAdaptive, task);
-  EXPECT_EQ(stats.final_mode, ExecMode::kBytecode);
+  EXPECT_EQ(report.final_mode, ExecMode::kBytecode);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 4000u);
 }
 
@@ -356,6 +360,175 @@ TEST(PipelineRunTest, TraceRecordsMorselsAndCompiles) {
   std::string chart = RenderTextTrace(snap, EngineTracer::kMaxLanes, 60);
   EXPECT_NE(chart.find("thread 0"), std::string::npos);
   EXPECT_NE(chart.find('#'), std::string::npos);
+}
+
+// --- §III-C rate reset: r0 is read per mode --------------------------------
+
+/// True on a thread that is inside PipelineRun::Step: the controller's
+/// morsels run there, a helper's never do.
+thread_local bool tl_in_controller_step = false;
+
+/// Spins `rows` x `ns_per_row`, so a morsel's measured rate is at most
+/// 1e9 / ns_per_row rows/s.
+void SpinRows(uint64_t rows, int64_t ns_per_row) {
+  const int64_t until =
+      MonotonicNanos() + static_cast<int64_t>(rows) * ns_per_row;
+  while (MonotonicNanos() < until) {
+  }
+}
+
+/// Spins until `done()`; after 5 s fails the test and returns, so a broken
+/// handshake fails the test instead of hanging it.
+template <typename Done>
+void AwaitOrFail(Done done) {
+  const int64_t deadline = MonotonicNanos() + 5'000'000'000;
+  while (!done()) {
+    if (MonotonicNanos() > deadline) {
+      ADD_FAILURE() << "handshake timed out";
+      return;
+    }
+  }
+}
+
+/// A pipeline whose helper runs one bytecode morsel across the switch to
+/// unoptimized. The helper's first bytecode morsel holds until the handle
+/// reports unoptimized. Its first compiled morsel marks `resumed` (which it
+/// reaches only after the held morsel was counted) and then holds until the
+/// switch to optimized, so the helper counts no unoptimized morsel before
+/// the controller's second decision.
+struct StraddlingPipeline {
+  static constexpr int64_t kBytecodeNsPerRow = 400;
+  static constexpr int64_t kUnoptNsPerRow = 200;
+  static constexpr int64_t kOptNsPerRow = 100;
+
+  FunctionHandle handle{&Bytecode, this};
+  PipelineReport report;
+  std::atomic<bool> holding{false};
+  std::atomic<bool> resumed{false};
+  /// The controller's first unoptimized morsel's rate, timed inside the
+  /// worker: an upper bound on the rate the run records for it.
+  std::atomic<double> controller_unopt_rate{0};
+
+  static void Bytecode(void* state, uint64_t begin, uint64_t end,
+                       const void*) {
+    auto* self = static_cast<StraddlingPipeline*>(state);
+    bool expected = false;
+    if (!tl_in_controller_step &&
+        self->holding.compare_exchange_strong(expected, true)) {
+      AwaitOrFail(
+          [self] { return self->handle.mode() != ExecMode::kBytecode; });
+      return;
+    }
+    SpinRows(end - begin, kBytecodeNsPerRow);
+  }
+  static void Unopt(void* state, uint64_t begin, uint64_t end, const void*) {
+    auto* self = static_cast<StraddlingPipeline*>(state);
+    if (!tl_in_controller_step) {
+      if (!self->resumed.exchange(true)) {
+        AwaitOrFail(
+            [self] { return self->handle.mode() == ExecMode::kOptimized; });
+        return;
+      }
+      SpinRows(end - begin, kUnoptNsPerRow);
+      return;
+    }
+    const int64_t t0 = MonotonicNanos();
+    SpinRows(end - begin, kUnoptNsPerRow);
+    const double seconds = static_cast<double>(MonotonicNanos() - t0) / 1e9;
+    double unset = 0;
+    self->controller_unopt_rate.compare_exchange_strong(
+        unset, static_cast<double>(end - begin) / seconds);
+  }
+  static void Opt(void* state, uint64_t begin, uint64_t end, const void*) {
+    if (!tl_in_controller_step) {
+      static_cast<StraddlingPipeline*>(state)->resumed.store(true);
+    }
+    SpinRows(end - begin, kOptNsPerRow);
+  }
+};
+
+/// Steps the run like testutil::StepInTask, marking the stepping thread.
+/// From the second step on it starts no step before the helper holds its
+/// morsel, and, once the handle left bytecode, none before the helper
+/// resumed: so the first decision is made while the helper holds, and the
+/// next evaluation after the install sees the held morsel counted.
+class StraddleStepTask : public Task {
+ public:
+  StraddleStepTask(PipelineRun* run, StraddlingPipeline* pipe)
+      : run_(run), pipe_(pipe) {}
+  std::future<void> GetFuture() { return done_.get_future(); }
+
+  Status Run(int worker) override {
+    if (stepped_) {
+      AwaitOrFail([this] { return pipe_->holding.load(); });
+      if (pipe_->handle.mode() != ExecMode::kBytecode) {
+        AwaitOrFail([this] { return pipe_->resumed.load(); });
+      }
+    }
+    stepped_ = true;
+    tl_in_controller_step = true;
+    const Status status = run_->Step(worker);
+    tl_in_controller_step = false;
+    if (status == Status::kDone) done_.set_value();
+    return status;
+  }
+
+ private:
+  PipelineRun* run_;
+  StraddlingPipeline* pipe_;
+  bool stepped_ = false;
+  std::promise<void> done_;
+};
+
+TEST(PipelineRunTest, MorselAcrossTheSwitchStaysOutOfTheNewModesRate) {
+  // Costs that pick unoptimized from bytecode and then optimized from
+  // unoptimized: a free unoptimized compile with a large modeled speedup,
+  // and a 50 ms optimized compile that only the second extrapolation, from
+  // a rate 64x below the modeled one, justifies.
+  CostModelParams params;
+  params.unopt_base_seconds = 0;
+  params.unopt_per_instruction_seconds = 0;
+  params.opt_base_seconds = 0.05;
+  params.opt_per_instruction_seconds = 0;
+  params.unopt_speedup = 64;
+  params.opt_speedup = 1000;
+
+  TaskScheduler sched(2);  // the controller's worker and one helper
+  StraddlingPipeline pipe;
+  PipelineTask task;
+  task.handle = &pipe.handle;
+  task.state = &pipe;
+  task.report = &pipe.report;
+  task.domain = ScanDomain::Make({{0, 1000000}}, 1000000);
+  task.compile = [](ExecMode mode) -> WorkerFn {
+    // Holds the helper's morsel a little longer.
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    return mode == ExecMode::kUnoptimized ? &StraddlingPipeline::Unopt
+                                          : &StraddlingPipeline::Opt;
+  };
+  PipelineRun run(&sched, ExecutionStrategy::kAdaptive, params, task,
+                  /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
+  auto stepper = std::make_unique<StraddleStepTask>(&run, &pipe);
+  std::future<void> done = stepper->GetFuture();
+  sched.Submit(std::move(stepper));
+  done.get();
+
+  const std::vector<ModeSwitchRecord>& switches = pipe.report.mode_switches;
+  ASSERT_EQ(switches.size(), 2u);
+  EXPECT_EQ(switches[0].target, ExecMode::kUnoptimized);
+  EXPECT_EQ(switches[1].target, ExecMode::kOptimized);
+  // The second decision's r0 is the controller's one unoptimized morsel's
+  // rate: the helper's held bytecode morsel stays out of it. Had it
+  // entered, r0 would be about half that rate.
+  const double controller_rate = pipe.controller_unopt_rate.load();
+  EXPECT_LE(switches[1].r0, controller_rate);
+  EXPECT_GE(switches[1].r0, 0.9 * controller_rate);
+  EXPECT_LE(switches[1].r0, 1e9 / StraddlingPipeline::kUnoptNsPerRow);
+  // The held morsel counts toward bytecode, the mode it started in, beside
+  // the controller's first.
+  ASSERT_FALSE(pipe.report.modes.empty());
+  EXPECT_EQ(pipe.report.modes[0].mode, ExecMode::kBytecode);
+  EXPECT_GE(pipe.report.modes[0].morsels, 2u);
 }
 
 TEST(PipelineRunDeathTest, StepOffTheSchedulerAborts) {

@@ -67,17 +67,16 @@ TEST(ResumablePipelineTest,
     task.obs.tracer = tracer;
     PipelineRun run(&sched, ExecutionStrategy::kAdaptive, params, task,
                     single_threaded, /*first_eval_delay_seconds=*/0);
-    PipelineRunStats stats =
-        testutil::StepInTask(&sched, &run, [yields] { ++*yields; }).get();
+    testutil::StepInTask(&sched, &run, [yields] { ++*yields; }).get();
     EXPECT_TRUE(run.done());
-    return stats;
+    return pipe->report;
   };
 
   // Single-threaded baseline: one Step runs the whole pipeline.
   EngineTracer single_tracer;
   SyntheticPipeline single_pipe;
   uint64_t single_yields = 0;
-  const PipelineRunStats single_stats =
+  const PipelineReport single_report =
       run_to_end(/*single_threaded=*/true, &single_pipe, &single_tracer,
                  &single_yields);
   EXPECT_EQ(single_yields, 0u);
@@ -86,7 +85,7 @@ TEST(ResumablePipelineTest,
   EngineTracer resumable_tracer;
   SyntheticPipeline resumable_pipe;
   uint64_t yields = 0;
-  const PipelineRunStats resumable_stats =
+  const PipelineReport resumable_report =
       run_to_end(/*single_threaded=*/false, &resumable_pipe,
                  &resumable_tracer, &yields);
 
@@ -99,10 +98,10 @@ TEST(ResumablePipelineTest,
       {kPipelineId, ExecMode::kUnoptimized}};
   EXPECT_EQ(CompileTrace(single_tracer), expected);
   EXPECT_EQ(CompileTrace(resumable_tracer), CompileTrace(single_tracer));
-  ASSERT_EQ(resumable_stats.compiles.size(), 1u);
-  ASSERT_EQ(single_stats.compiles.size(), 1u);
-  EXPECT_EQ(resumable_stats.compiles[0].first, ExecMode::kUnoptimized);
-  EXPECT_EQ(resumable_stats.final_mode, single_stats.final_mode);
+  ASSERT_EQ(resumable_report.compiles.size(), 1u);
+  ASSERT_EQ(single_report.compiles.size(), 1u);
+  EXPECT_EQ(resumable_report.compiles[0].first, ExecMode::kUnoptimized);
+  EXPECT_EQ(resumable_report.final_mode, single_report.final_mode);
   // ...and identical results: every tuple processed exactly once.
   EXPECT_EQ(resumable_pipe.total(), kTuples);
   EXPECT_EQ(single_pipe.total(), kTuples);
@@ -110,8 +109,8 @@ TEST(ResumablePipelineTest,
 
 TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   // Force the compile decision, then stop stepping for a while mid-run: the
-  // queued compile claim and the rate epoch must survive the suspension and
-  // the switch must still happen when stepping resumes.
+  // queued compile claim and the per-mode counters must survive the
+  // suspension and the switch must still happen when stepping resumes.
   constexpr uint64_t kTuples = 1500000;
   TaskScheduler sched(2);  // the controller's worker and exactly one helper
   SyntheticPipeline pipe;
@@ -127,14 +126,13 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   // one slice, and resume to completion: the switch recorded exactly once,
   // all tuples seen.
   int steps = 0;
-  PipelineRunStats stats =
-      testutil::StepInTask(&sched, &run, [&steps] {
-        if (++steps == 8) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(20));
-        }
-      }).get();
-  ASSERT_EQ(stats.compiles.size(), 1u);
-  EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
+  testutil::StepInTask(&sched, &run, [&steps] {
+    if (++steps == 8) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    }
+  }).get();
+  ASSERT_EQ(pipe.report.compiles.size(), 1u);
+  EXPECT_EQ(pipe.report.final_mode, ExecMode::kUnoptimized);
   EXPECT_EQ(pipe.total(), kTuples);
 }
 

@@ -884,16 +884,37 @@ TEST_F(IndexEndToEndTest, ReportsPruningAndCachesTheDecision) {
   ASSERT_TRUE(r3.pipelines[0].pruning.analyzed);
   EXPECT_FALSE(r3.pipelines[0].pruning_cache_hit);
 
+  // The index.* counters fold from the results: each moved by exactly the
+  // three results' pruning sums. A pruned pipeline is one whose run
+  // scheduled fewer rows than its table holds.
   const auto after = engine_->ObservabilitySnapshot();
-  EXPECT_GE(after.counter("index.prune_cache_hits") -
-                before.counter("index.prune_cache_hits"),
-            1u);
-  EXPECT_GE(after.counter("index.pruned_pipelines") -
-                before.counter("index.pruned_pipelines"),
-            3u);
-  EXPECT_GT(after.counter("index.rows_pruned") -
-                before.counter("index.rows_pruned"),
-            0u);
+  const auto delta = [&](const char* name) {
+    return after.counter(name) - before.counter(name);
+  };
+  uint64_t hits = 0, misses = 0, pruned = 0, rows_pruned = 0;
+  uint64_t rows_selected = 0, zone_blocks_pruned = 0, posting_entries = 0;
+  for (const QueryRunResult* r : {&r1, &r2, &r3}) {
+    for (const PipelineReport& p : r->pipelines) {
+      if (!p.pruning.analyzed) continue;
+      ++(p.pruning_cache_hit ? hits : misses);
+      rows_selected += p.pruning.selected_rows;
+      posting_entries += p.pruning.posting_entries;
+      if (p.tuples < p.pruning.table_rows) {
+        ++pruned;
+        rows_pruned += p.pruning.table_rows - p.tuples;
+        zone_blocks_pruned += p.pruning.zone_blocks_pruned;
+      }
+    }
+  }
+  EXPECT_EQ(hits, 1u);
+  EXPECT_EQ(pruned, 3u);
+  EXPECT_EQ(delta("index.prune_cache_hits"), hits);
+  EXPECT_EQ(delta("index.prune_cache_misses"), misses);
+  EXPECT_EQ(delta("index.pruned_pipelines"), pruned);
+  EXPECT_EQ(delta("index.rows_pruned"), rows_pruned);
+  EXPECT_EQ(delta("index.rows_selected"), rows_selected);
+  EXPECT_EQ(delta("index.zone_blocks_pruned"), zone_blocks_pruned);
+  EXPECT_EQ(delta("index.posting_entries"), posting_entries);
 }
 
 }  // namespace

@@ -1161,23 +1161,35 @@ TEST_F(ObsEngineTest, ExplainAnalyzeAccountsModeTimeAndSwitchVerdicts) {
 
 // The per-mode counts come from the run itself, so they stay exact when
 // the trace rings wrap: 64-event rings overflow within these few queries.
+// The registry's morsel, compile and mode-switch metrics fold from the
+// same result, so each query moves them by exactly its result's sums.
 TEST_F(ObsEngineTest, ModeCountsStayExactWhenTraceRingsWrap) {
   setenv("AQE_TRACE_RING_EVENTS", "64", 1);
   QueryEngine engine(&catalog(), 2);
   unsetenv("AQE_TRACE_RING_EVENTS");
+  const auto compile_us_count = [](const MetricsSnapshot& snap) {
+    const HistogramSnapshot* h = snap.histogram("jit.compile_us");
+    return h != nullptr ? h->count : 0;
+  };
+  uint64_t total_compiles = 0;  // warm runs seed cached code, compile none
   for (int number : {6, 3}) {
     QueryProgram program = BuildTpchQuery(number, catalog());
     for (bool single_threaded : {true, false}) {
       QueryRunOptions options = ForcedSwitchOptions();
       options.single_threaded = single_threaded;
-      const uint64_t morsels_before =
-          engine.ObservabilitySnapshot().counter("exec.morsels");
+      const MetricsSnapshot before = engine.ObservabilitySnapshot();
       QueryRunResult result = engine.Run(program, options);
       ASSERT_FALSE(result.rows.empty());
-      const uint64_t morsels_after =
-          engine.ObservabilitySnapshot().counter("exec.morsels");
+      const MetricsSnapshot after = engine.ObservabilitySnapshot();
+      const auto delta = [&](const char* name) {
+        return after.counter(name) - before.counter(name);
+      };
       uint64_t morsels = 0;
+      uint64_t compiles = 0;
+      uint64_t switches = 0;
       for (const PipelineReport& pp : result.pipelines) {
+        compiles += pp.compiles.size();
+        switches += pp.mode_switches.size();
         uint64_t tuples = 0;
         double wall = 0;
         for (const ModeSliceProfile& m : pp.modes) {
@@ -1189,10 +1201,17 @@ TEST_F(ObsEngineTest, ModeCountsStayExactWhenTraceRingsWrap) {
         EXPECT_NEAR(wall, pp.exec_seconds, 1e-6)
             << result.plan_name << " " << pp.name;
       }
-      EXPECT_EQ(morsels, morsels_after - morsels_before)
-          << result.plan_name << (single_threaded ? " single" : " 2 workers");
+      const std::string where =
+          result.plan_name + (single_threaded ? " single" : " 2 workers");
+      EXPECT_EQ(morsels, delta("exec.morsels")) << where;
+      EXPECT_EQ(compiles, delta("jit.compiles")) << where;
+      EXPECT_EQ(compiles, compile_us_count(after) - compile_us_count(before))
+          << where;
+      EXPECT_EQ(switches, delta("adaptive.mode_switches")) << where;
+      total_compiles += compiles;
     }
   }
+  EXPECT_GT(total_compiles, 0u);
   uint64_t dropped = 0;
   for (const auto& lane : engine.tracer().lane_stats()) {
     dropped += lane.dropped;
@@ -1382,8 +1401,8 @@ TEST_F(ObsEngineTest, SnapshotNeverObservesHalfAReset) {
   for (uint64_t i = 0; i < kQueries; ++i) {
     ASSERT_FALSE(engine.Run(q6).rows.empty());
   }
-  // With the engine quiesced, queries_completed and cost_feedback_updates
-  // are frozen and equal. A reset zeroes both under the stats epoch lock,
+  // With the engine quiesced, engine.queries_completed and
+  // cache.cost_feedback_updates are frozen and equal. A reset zeroes both under the stats epoch lock,
   // so every concurrent snapshot sees them equal — all-old or all-new,
   // never a mix. The TSan CI leg runs this test.
   std::atomic<bool> stop{false};

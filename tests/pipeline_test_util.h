@@ -19,9 +19,10 @@ namespace aqe::testutil {
 
 /// A synthetic "worker function" whose interpreted variant is slow
 /// (~10M tuples/s) and compiled variants are fast, with per-variant tuple
-/// counters and a handle that starts interpreted.
+/// counters, a handle that starts interpreted and the report its run fills.
 struct SyntheticPipeline {
   FunctionHandle handle{&SlowInterp, this};
+  PipelineReport report;
   std::atomic<uint64_t> interpreted_tuples{0};
   std::atomic<uint64_t> unopt_tuples{0};
   std::atomic<uint64_t> opt_tuples{0};
@@ -51,6 +52,7 @@ struct SyntheticPipeline {
   PipelineTask MakeTask(uint64_t tuples) {
     PipelineTask task;
     task.handle = &handle;
+    task.report = &report;
     task.state = this;
     task.domain = ScanDomain::Make({{0, tuples}}, tuples);
     task.function_instructions = 1000;
@@ -72,47 +74,48 @@ inline CostModelParams ForcedUnoptParams() {
 
 /// Steps `run` the way the engine's query task does: a one-shot scheduler
 /// task calls Step(worker) once per slice until the run is done, calling
-/// `on_yield` after every step that yields. The future carries the run's
-/// stats; `run` must outlive it.
-inline std::future<PipelineRunStats> StepInTask(
-    TaskScheduler* sched, PipelineRun* run,
-    std::function<void()> on_yield = nullptr) {
+/// `on_yield` after every step that yields. The future is ready once the
+/// run has filled its report; `run` must outlive it.
+inline std::future<void> StepInTask(TaskScheduler* sched, PipelineRun* run,
+                                    std::function<void()> on_yield = nullptr) {
   class StepTask : public Task {
    public:
     StepTask(PipelineRun* run, std::function<void()> on_yield)
         : run_(run), on_yield_(std::move(on_yield)) {}
-    std::future<PipelineRunStats> GetFuture() { return stats_.get_future(); }
+    std::future<void> GetFuture() { return done_.get_future(); }
 
     Status Run(int worker) override {
       if (run_->Step(worker) == Status::kYield) {
         if (on_yield_) on_yield_();
         return Status::kYield;
       }
-      stats_.set_value(run_->TakeStats());
+      done_.set_value();
       return Status::kDone;
     }
 
    private:
     PipelineRun* run_;
     std::function<void()> on_yield_;
-    std::promise<PipelineRunStats> stats_;
+    std::promise<void> done_;
   };
   auto task = std::make_unique<StepTask>(run, std::move(on_yield));
-  std::future<PipelineRunStats> stats = task->GetFuture();
+  std::future<void> done = task->GetFuture();
   sched->Submit(std::move(task));
-  return stats;
+  return done;
 }
 
-/// Runs a pipeline to completion on `sched`, stepped by a scheduler task.
-inline PipelineRunStats RunPipeline(TaskScheduler* sched,
-                                    ExecutionStrategy strategy,
-                                    const PipelineTask& task,
-                                    const CostModelParams& params = {},
-                                    bool single_threaded = false,
-                                    double first_eval_delay_seconds = 1e-3) {
+/// Runs a pipeline to completion on `sched`, stepped by a scheduler task,
+/// and returns the report the run filled.
+inline PipelineReport RunPipeline(TaskScheduler* sched,
+                                  ExecutionStrategy strategy,
+                                  const PipelineTask& task,
+                                  const CostModelParams& params = {},
+                                  bool single_threaded = false,
+                                  double first_eval_delay_seconds = 1e-3) {
   PipelineRun run(sched, strategy, params, task, single_threaded,
                   first_eval_delay_seconds);
-  return StepInTask(sched, &run).get();
+  StepInTask(sched, &run).get();
+  return *task.report;
 }
 
 }  // namespace aqe::testutil

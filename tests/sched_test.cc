@@ -414,14 +414,14 @@ DifferentialOutcome RunSynthetic(TaskScheduler* sched, bool single_threaded,
                                  const CostModelParams& params,
                                  uint64_t total_tuples) {
   SyntheticPipeline pipe;
-  PipelineRunStats stats =
+  PipelineReport report =
       RunPipeline(sched, strategy, pipe.MakeTask(total_tuples),
                   params, single_threaded, /*first_eval_delay_seconds=*/0);
   DifferentialOutcome outcome;
-  for (const auto& [mode, seconds] : stats.compiles) {
+  for (const auto& [mode, seconds] : report.compiles) {
     outcome.switches.push_back(mode);
   }
-  outcome.final_mode = stats.final_mode;
+  outcome.final_mode = report.final_mode;
   outcome.interpreted = pipe.interpreted_tuples.load();
   outcome.unopt = pipe.unopt_tuples.load();
   outcome.opt = pipe.opt_tuples.load();
@@ -492,18 +492,18 @@ TEST_F(SchedulerDifferentialTest, SingleThreadedTaskPathSwitchesInline) {
     EXPECT_EQ(mode, ExecMode::kUnoptimized);
     return &SyntheticPipeline::FastUnopt;
   };
-  PipelineRunStats stats =
+  PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kAdaptive, task,
                   ForcedUnoptParams(), /*single_threaded=*/true,
                   /*first_eval_delay_seconds=*/0);
-  EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
+  EXPECT_EQ(report.final_mode, ExecMode::kUnoptimized);
   EXPECT_EQ(pipe.interpreted_tuples.load() + pipe.unopt_tuples.load(),
             kTuples);
   // Strictly single-threaded: the helpers never saw this pipeline, so
   // everything ran on the calling thread (no way to assert thread identity
   // directly here, but opt tuples must be zero and a switch must exist).
   EXPECT_EQ(pipe.opt_tuples.load(), 0u);
-  ASSERT_EQ(stats.compiles.size(), 1u);
+  ASSERT_EQ(report.compiles.size(), 1u);
 }
 
 /// Per-row call counter over a whole table, for pruned-domain runs.
@@ -512,6 +512,7 @@ struct RowCounter {
   FunctionHandle handle{&Worker<false>, this};
   std::vector<std::atomic<uint8_t>> calls;
   std::atomic<uint64_t> compiled_rows{0};
+  PipelineReport report;
 
   /// Interpreted rows burn ~1 us and compiled ones ~50 ns, so the forced
   /// switch lands long before the helpers could drain the domain.
@@ -552,20 +553,21 @@ TEST_F(SchedulerDifferentialTest, PrunedDomainRunsExactlySelectedRows) {
     PipelineTask task;
     task.handle = &counter.handle;
     task.state = &counter;
+    task.report = &counter.report;
     task.domain = domain;
     task.function_instructions = 1000;
     task.compile = [](ExecMode mode) -> WorkerFn {
       EXPECT_EQ(mode, ExecMode::kUnoptimized);
       return &RowCounter::Worker<true>;
     };
-    PipelineRunStats stats =
+    PipelineReport report =
         RunPipeline(&sched, ExecutionStrategy::kAdaptive, task,
                     ForcedUnoptParams(), single_threaded,
                     /*first_eval_delay_seconds=*/0);
 
     // The switch happened mid-run: both variants saw rows.
-    ASSERT_EQ(stats.compiles.size(), 1u);
-    EXPECT_EQ(stats.final_mode, ExecMode::kUnoptimized);
+    ASSERT_EQ(report.compiles.size(), 1u);
+    EXPECT_EQ(report.final_mode, ExecMode::kUnoptimized);
     EXPECT_GT(counter.compiled_rows.load(), 0u);
     EXPECT_LT(counter.compiled_rows.load(), domain->selected());
     // Every selected row exactly once, no pruned row ever.

@@ -505,7 +505,9 @@ TEST_F(LikeEndToEndTest, AdmissionCostFeedbackConverges) {
     engine.Run(q, options);
   }
   // Every completed run feeds the plan's service-time EWMA.
-  EXPECT_GE(engine.artifact_cache_stats().cost_feedback_updates, 3u);
+  EXPECT_GE(engine.ObservabilitySnapshot().counter(
+                "cache.cost_feedback_updates"),
+            3u);
 }
 
 TEST_F(LikeEndToEndTest, ConcurrentSubmissionsAreRaceFree) {
