@@ -4,7 +4,8 @@
 // with the geometric mean over all implemented queries. A second table
 // splits each adaptive query's execution into pipelines and engine steps
 // (bind, seal, merge, top-k: exec_seconds_total minus the pipelines'
-// exec_only_seconds), single- and multi-threaded, median of 5 runs.
+// exec_only_seconds) and gives its tracked peak memory, single- and
+// multi-threaded, median of 5 runs.
 #include "bench/bench_util.h"
 
 using namespace aqe;
@@ -28,17 +29,19 @@ double RunOnce(QueryEngine* engine, Catalog* catalog, int number,
          1e3;
 }
 
-/// An adaptive query's engine-step time and its share of exec: the medians
-/// of `runs` runs.
+/// An adaptive query's engine-step time, its share of exec and its tracked
+/// peak memory: the medians of `runs` runs.
 struct StepSplit {
   double steps_ms;
   double share;
+  double peak_mib;
 };
 
 StepSplit MedianSteps(QueryEngine* engine, Catalog* catalog, int number,
                       int runs) {
   std::vector<double> steps_ms;
   std::vector<double> shares;
+  std::vector<double> peaks_mib;
   for (int i = 0; i < runs; ++i) {
     QueryRunResult r = RunQuery(engine, catalog, number, EngineKind::kCompiled,
                                 ExecutionStrategy::kAdaptive);
@@ -50,8 +53,10 @@ StepSplit MedianSteps(QueryEngine* engine, Catalog* catalog, int number,
     steps_ms.push_back(steps * 1e3);
     shares.push_back(r.exec_seconds_total > 0 ? steps / r.exec_seconds_total
                                               : 0);
+    peaks_mib.push_back(static_cast<double>(r.peak_memory_bytes) / (1 << 20));
   }
-  return {bench::Percentile(steps_ms, 0.5), bench::Percentile(shares, 0.5)};
+  return {bench::Percentile(steps_ms, 0.5), bench::Percentile(shares, 0.5),
+          bench::Percentile(peaks_mib, 0.5)};
 }
 
 }  // namespace
@@ -104,15 +109,16 @@ int main() {
               "modestly slower than opt.; bc. well ahead of PG\n");
 
   constexpr int kStepRuns = 5;
-  std::printf("\nEngine steps of adaptive runs [ms] and their share of exec, "
-              "median of %d\n", kStepRuns);
-  std::printf("%6s | %9s %7s | %9s %7s (%d threads)\n", "query", "steps",
-              "share", "steps", "share", threads);
+  std::printf("\nEngine steps of adaptive runs [ms], their share of exec and "
+              "the tracked peak memory [MiB], median of %d\n", kStepRuns);
+  std::printf("%6s | %9s %7s %8s | %9s %7s %8s (%d threads)\n", "query",
+              "steps", "share", "peak", "steps", "share", "peak", threads);
   for (int number : ImplementedTpchQueries()) {
     const StepSplit one = MedianSteps(&single, catalog, number, kStepRuns);
     const StepSplit many = MedianSteps(&multi, catalog, number, kStepRuns);
-    std::printf("%6d | %9.2f %6.1f%% | %9.2f %6.1f%%\n", number, one.steps_ms,
-                one.share * 100, many.steps_ms, many.share * 100);
+    std::printf("%6d | %9.2f %6.1f%% %8.2f | %9.2f %6.1f%% %8.2f\n", number,
+                one.steps_ms, one.share * 100, one.peak_mib, many.steps_ms,
+                many.share * 100, many.peak_mib);
     std::fflush(stdout);
   }
   return 0;

@@ -40,17 +40,5 @@ void FreePageBytes(void* p, size_t bytes) noexcept {
   munmap(p, bytes);
 }
 
-size_t DiscardPageBytes(void* buffer, size_t buffer_bytes, size_t offset,
-                        size_t bytes) noexcept {
-  if (buffer_bytes < kPageMapBytes) return 0;
-  constexpr uintptr_t kPage = 4096;
-  const auto start = reinterpret_cast<uintptr_t>(buffer) + offset;
-  const uintptr_t begin = (start + kPage - 1) & ~(kPage - 1);
-  const uintptr_t end = (start + bytes) & ~(kPage - 1);
-  if (end <= begin) return 0;
-  madvise(reinterpret_cast<void*>(begin), end - begin, MADV_DONTNEED);
-  return end - begin;
-}
-
 }  // namespace internal
 }  // namespace aqe

@@ -10,12 +10,10 @@ namespace aqe {
 namespace internal {
 void* AllocatePageBytes(size_t bytes);
 void FreePageBytes(void* p, size_t bytes) noexcept;
-size_t DiscardPageBytes(void* buffer, size_t buffer_bytes, size_t offset,
-                        size_t bytes) noexcept;
 }  // namespace internal
 
 /// Allocator for data-sized buffers that must not stay in a malloc arena
-/// once freed: the runtime's hash table arrays and join arena chunks, and
+/// once freed: the runtime's hash table arrays and entry arena chunks, and
 /// the catalog buffers built off the main thread (dictionaries, their sort
 /// buffers, secondary indexes). Requests of 64 KiB and more bypass malloc
 /// and map their own pages (from 2 MiB on, advised as huge pages), so a
@@ -65,16 +63,6 @@ class PageAllocator {
 /// A vector whose buffer comes from PageAllocator.
 template <typename T>
 using PageVector = std::vector<T, PageAllocator<T>>;
-
-/// Returns the whole pages within elements [first, first + count) of `v`
-/// to the OS while the buffer stays allocated; those elements read as zero
-/// afterwards. Returns the bytes given back: 0 when the buffer came from
-/// operator new (below the mmap threshold, or in AddressSanitizer builds).
-template <typename T>
-size_t DiscardPages(PageVector<T>& v, size_t first, size_t count) {
-  return internal::DiscardPageBytes(v.data(), v.capacity() * sizeof(T),
-                                    first * sizeof(T), count * sizeof(T));
-}
 
 }  // namespace aqe
 

@@ -81,7 +81,7 @@ void SealWorker(void* state, uint64_t begin, uint64_t end, const void*) {
 /// 4 clients ~6% of their throughput for a wall-time gain under 1 ms. At
 /// 450 Ki (SF 0.3) on 4 workers, spreading cuts a merge of Q18's shape
 /// from ~16 to ~6 ms, and spreading Q9's orders seal cuts Q9's steps from
-/// ~6.9 to ~5.0 ms. Merge work counts the groups folded (see
+/// ~6.9 to ~5.0 ms. Merge work counts the spilled entries left to fold (see
 /// AggHashTableSet::BeginMerge), seal work the nodes linked.
 constexpr uint64_t kParallelMergeGroups = 1 << 18;
 constexpr uint64_t kParallelSealNodes = 1 << 18;

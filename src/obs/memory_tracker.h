@@ -36,9 +36,9 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// Per-query memory accounting: one tracker per submitted query, shared
 /// (via shared_ptr) with every runtime structure that allocates on the
 /// query's behalf — join/agg hash tables, output buffers, binding arrays,
-/// private bytecode copies. Allocation sites are chunk-granular (1 MiB
-/// arena chunks, doubling hash directories, 8 KiB output chunks), so a
-/// charge is rare relative to row work; small charges are additionally
+/// private bytecode copies. Allocation sites are page- or chunk-granular
+/// (4 KiB arena pages, doubling hash tables and directories, 8 KiB output
+/// chunks), so a charge is rare relative to row work; small charges are additionally
 /// thread-cached in per-thread slots and folded into the shared counters
 /// only when a slot accumulates `kFlushBytes`, so even byte-granular
 /// callers never contend.

@@ -22,47 +22,25 @@ namespace {
 /// A fresh table's slots per partition: 64 slots in all, so a handful of
 /// groups (Q1's 4, Q6's 1) costs one small table.
 constexpr uint32_t kMinPartBits = 2;
+/// A run is not folded in the pipeline before it could hold twice this
+/// many distinct keys, so a run of a few spills is not folded again and
+/// again.
+constexpr uint64_t kMinFoldEntries = 1024;
+
 }  // namespace
 
-AggHashTable::AggHashTable(uint32_t payload_slots,
-                           std::vector<int64_t> init_values,
-                           QueryMemoryTracker* tracker)
-    : payload_slots_(payload_slots),
-      init_values_(std::move(init_values)),
-      tracker_(tracker) {
-  AQE_CHECK(init_values_.size() == payload_slots_);
+AggHashTable::AggHashTable(AggHashTableSet* set)
+    : set_(set), entry_bytes_(set->entry_bytes_), max_part_bits_(kMinPartBits) {
+  while ((uint64_t{kAggPartitions} << (max_part_bits_ + 1)) *
+             (entry_bytes_ + 1) <=
+         kAggTableBytes) {
+    ++max_part_bits_;
+  }
   Allocate(kMinPartBits);
-  Charge(footprint());
 }
 
-AggHashTable::AggHashTable(uint32_t payload_slots,
-                           std::vector<int64_t> init_values,
-                           QueryMemoryTracker* tracker, uint32_t part_bits)
-    : payload_slots_(payload_slots),
-      init_values_(std::move(init_values)),
-      tracker_(tracker) {
-  AQE_CHECK(init_values_.size() == payload_slots_);
-  Allocate(part_bits);
-  Charge(occupied_.size());
-}
-
-AggHashTable::~AggHashTable() { Release(charged_bytes_.load()); }
-
-void AggHashTable::Charge(uint64_t bytes) {
-  charged_bytes_.fetch_add(bytes, std::memory_order_relaxed);
-  if (tracker_ != nullptr && bytes > 0) tracker_->Charge(bytes);
-}
-
-void AggHashTable::Release(uint64_t bytes) {
-  charged_bytes_.fetch_sub(bytes, std::memory_order_relaxed);
-  if (tracker_ != nullptr && bytes > 0) tracker_->Release(bytes);
-}
-
-uint32_t AggHashTable::PartBitsFor(uint64_t groups) {
-  // FindOrInsert grows when an insert finds its partition 3/4 full.
-  uint32_t bits = kMinPartBits;
-  while (groups > 0 && (groups - 1) * 4 >= (uint64_t{3} << bits)) ++bits;
-  return bits;
+AggHashTable::~AggHashTable() {
+  if (set_->tracker_ != nullptr) set_->tracker_->Release(footprint());
 }
 
 uint64_t AggHashTable::size() const {
@@ -71,163 +49,190 @@ uint64_t AggHashTable::size() const {
   return groups;
 }
 
-void* AggHashTable::InsertAt(uint64_t slot, int64_t key, uint64_t& size) {
-  occupied_[slot] = 1;
-  uint8_t* entry = EntryAt(slot);
-  *reinterpret_cast<int64_t*>(entry) = key;
-  std::memcpy(entry + 8, init_values_.data(), payload_slots_ * 8);
-  ++size;
-  return entry + 8;
-}
-
-void* AggHashTable::GrowAndInsert(int64_t key) {
-  Grow();
-  return FindOrInsert(key);
-}
-
-void* AggHashTable::Find(int64_t key) const {
-  const uint64_t hash = Hash(key);
-  const uint64_t first = static_cast<uint64_t>(PartitionOf(hash))
-                         << part_bits_;
-  uint64_t slot = hash & part_mask_;
-  for (;;) {
-    if (!occupied_[first + slot]) return nullptr;
-    uint8_t* entry = EntryAt(first + slot);
-    if (*reinterpret_cast<const int64_t*>(entry) == key) return entry + 8;
-    slot = (slot + 1) & part_mask_;
-  }
-}
-
 void AggHashTable::Allocate(uint32_t part_bits) {
   part_bits_ = part_bits;
   part_mask_ = (uint64_t{1} << part_bits) - 1;
   grow_at_ = uint64_t{3} << (part_bits - 2);
   const uint64_t slots = uint64_t{kAggPartitions} << part_bits;
-  data_.resize(slots * entry_bytes());
+  data_ = PageVector<uint8_t>(slots * entry_bytes_);
   occupied_.assign(slots, 0);
+  if (set_->tracker_ != nullptr) set_->tracker_->Charge(footprint());
+}
+
+void* AggHashTable::InsertAt(uint64_t slot, int64_t key, int p) {
+  if (sizes_[p] >= grow_at_) {
+    if (part_bits_ < max_part_bits_) {
+      Grow();
+    } else {
+      Spill(p, /*fold_when_doubled=*/true);
+    }
+    return FindOrInsert(key);
+  }
+  occupied_[slot] = 1;
+  uint8_t* entry = EntryAt(slot);
+  *reinterpret_cast<int64_t*>(entry) = key;
+  std::memcpy(entry + 8, set_->init_values_.data(), entry_bytes_ - 8);
+  ++sizes_[p];
+  return entry + 8;
 }
 
 void AggHashTable::Grow() {
-  auto old_data = std::move(data_);
-  auto old_occupied = std::move(occupied_);
+  const auto old_data = std::move(data_);
+  const auto old_occupied = std::move(occupied_);
   const uint32_t old_bits = part_bits_;
   const uint64_t old_slots = uint64_t{1} << old_bits;
-  const uint64_t old_bytes = old_data.size() + old_occupied.size();
-  data_ = {};
-  occupied_ = {};
   Allocate(old_bits + 1);
-  Charge(occupied_.size());
-  uint64_t released = 0;
   for (int p = 0; p < kAggPartitions; ++p) {
-    Charge(partition_data_bytes());
     const uint64_t first = static_cast<uint64_t>(p) << old_bits;
     const uint64_t new_first = static_cast<uint64_t>(p) << part_bits_;
-    ForEachOccupied(old_occupied.data() + first, old_slots, [&](uint64_t i) {
-      const uint8_t* entry = old_data.data() + (first + i) * entry_bytes();
-      uint64_t slot = Hash(*reinterpret_cast<const int64_t*>(entry)) &
-                      part_mask_;
+    for (uint64_t i = first; i < first + old_slots; ++i) {
+      if (!old_occupied[i]) continue;
+      const uint8_t* entry = old_data.data() + i * entry_bytes_;
+      uint64_t slot =
+          Hash(*reinterpret_cast<const int64_t*>(entry)) & part_mask_;
       while (occupied_[new_first + slot]) slot = (slot + 1) & part_mask_;
       occupied_[new_first + slot] = 1;
-      std::memcpy(EntryAt(new_first + slot), entry, entry_bytes());
-    });
-    // The old partition is dead: give its pages back before the next one
-    // moves.
-    const uint64_t bytes =
-        DiscardPages(old_data, first * entry_bytes(),
-                     old_slots * entry_bytes()) +
-        DiscardPages(old_occupied, first, old_slots);
-    Release(bytes);
-    released += bytes;
+      std::memcpy(EntryAt(new_first + slot), entry, entry_bytes_);
+    }
   }
-  old_data = {};
-  old_occupied = {};
-  Release(old_bytes - released);
+  if (set_->tracker_ != nullptr) {
+    set_->tracker_->Release(old_data.size() + old_occupied.size());
+  }
 }
 
-void AggHashTable::ReleasePartition(int p) {
+void AggHashTable::Spill(int p, bool fold_when_doubled) {
+  set_->Spill(*this, p, fold_when_doubled);
   const uint64_t first = static_cast<uint64_t>(p) << part_bits_;
-  const uint64_t slots = uint64_t{1} << part_bits_;
-  Release(DiscardPages(data_, first * entry_bytes(), slots * entry_bytes()) +
-          DiscardPages(occupied_, first, slots));
+  std::memset(occupied_.data() + first, 0, uint64_t{1} << part_bits_);
   sizes_[p] = 0;
 }
 
 AggHashTableSet::AggHashTableSet(std::vector<AggKind> kinds,
                                  QueryMemoryTracker* tracker, int max_threads)
-    : kinds_(std::move(kinds)), tracker_(tracker) {
+    : kinds_(std::move(kinds)),
+      entry_bytes_(static_cast<uint32_t>(8 + 8 * kinds_.size())),
+      tracker_(tracker) {
   for (AggKind kind : kinds_) init_values_.push_back(AggInitValue(kind));
   tables_.resize(static_cast<size_t>(max_threads));
+  for (auto& part : parts_) {
+    part = std::make_unique<Partition>(entry_bytes_, tracker_);
+    part->fold_at = FoldAt(0);
+  }
 }
+
+uint64_t AggHashTableSet::FoldAt(uint64_t distinct) const {
+  // The smallest run whose entries and fold index take twice the bytes of
+  // `distinct` entries: n * E + 4/3 * n * 4 >= 2 * E * distinct.
+  const uint64_t bytes = entry_bytes_;
+  return 6 * bytes * std::max(distinct, kMinFoldEntries) / (3 * bytes + 16);
+}
+
+AggHashTableSet::~AggHashTableSet() = default;
 
 AggHashTable* AggHashTableSet::Local() {
   int index = runtime_internal::GetThreadIndex();
   AQE_CHECK(static_cast<size_t>(index) < tables_.size());
   auto& table = tables_[static_cast<size_t>(index)];
-  if (table == nullptr) {
-    table = std::make_unique<AggHashTable>(
-        static_cast<uint32_t>(kinds_.size()), init_values_, tracker_);
-  }
+  if (table == nullptr) table.reset(new AggHashTable(this));
   return table.get();
 }
 
-uint64_t AggHashTableSet::BeginMerge() {
-  AQE_CHECK_MSG(partitions_left_.load() == 0, "merge already in flight");
-  if (merged_ != nullptr) sources_.push_back(std::move(merged_));
-  for (auto& table : tables_) {
-    if (table != nullptr) sources_.push_back(std::move(table));
-  }
-  // A table that saw no groups has nothing to give.
-  sources_.erase(std::remove_if(sources_.begin(), sources_.end(),
-                                [](const auto& t) { return t->size() == 0; }),
-                 sources_.end());
-  if (sources_.size() <= 1) {
-    if (!sources_.empty()) merged_ = std::move(sources_[0]);
-    sources_.clear();
-    return 0;
-  }
-  uint64_t groups = 0;
-  uint64_t largest = 0;
-  for (int p = 0; p < kAggPartitions; ++p) {
-    uint64_t part = 0;
-    for (const auto& source : sources_) part += source->partition_size(p);
-    groups += part;
-    largest = std::max(largest, part);
-  }
-  merged_.reset(new AggHashTable(static_cast<uint32_t>(kinds_.size()),
-                                 init_values_, tracker_,
-                                 AggHashTable::PartBitsFor(largest)));
-  partitions_left_.store(kAggPartitions);
-  return groups;
+void AggHashTableSet::Spill(const AggHashTable& table, int p,
+                            bool fold_when_doubled) {
+  Partition& part = *parts_[p];
+  std::lock_guard<std::mutex> lock(part.mutex);
+  const bool empty = part.run.size() == 0;
+  table.ForEachInPartition(p, [&](const uint8_t* entry) {
+    std::memcpy(part.run.Append(), entry, entry_bytes_);
+  });
+  // One table's partition holds each of its keys once.
+  if (empty) part.distinct = part.run.size();
+  if (fold_when_doubled && part.run.size() >= part.fold_at) Fold(part);
 }
 
-void AggHashTableSet::MergePartition(int p) {
-  if (partitions_left_.load(std::memory_order_acquire) == 0) return;
-  AggHashTable& merged = *merged_;
-  merged.ChargePartition();
-  const auto slots = static_cast<uint32_t>(kinds_.size());
-  uint64_t groups = 0;
-  for (const auto& source : sources_) {
-    source->ForEachInPartition(p, [&](int64_t key, void* payload) {
-      const auto* src = static_cast<const int64_t*>(payload);
-      auto* dst = static_cast<int64_t*>(merged.FindOrInsertInPartition(
-          p, key, AggHashTable::Hash(key), groups));
-      for (uint32_t s = 0; s < slots; ++s) {
-        switch (kinds_[s]) {
-          case AggKind::kSum:
-          case AggKind::kCount: dst[s] += src[s]; break;
-          case AggKind::kMin: dst[s] = std::min(dst[s], src[s]); break;
-          case AggKind::kMax: dst[s] = std::max(dst[s], src[s]); break;
+void AggHashTableSet::FoldSlots(int64_t* dst, const int64_t* src) const {
+  for (size_t s = 0; s < kinds_.size(); ++s) {
+    switch (kinds_[s]) {
+      case AggKind::kSum:
+      case AggKind::kCount: dst[s] += src[s]; break;
+      case AggKind::kMin: dst[s] = std::min(dst[s], src[s]); break;
+      case AggKind::kMax: dst[s] = std::max(dst[s], src[s]); break;
+    }
+  }
+}
+
+void AggHashTableSet::Fold(Partition& part) {
+  EntryArena& run = part.run;
+  const uint64_t n = run.size();
+  if (part.distinct < n) {
+    AQE_CHECK(n < UINT32_MAX);
+    // Each cell holds a kept entry's number + 1 in its low bits (0 for an
+    // empty cell) and, above them, a tag of the key's hash, so most probes
+    // that pass a different key do not read the run. At most 3/4 full. The
+    // run's keys share their hash's partition bits, so the cell comes from
+    // the bits below them.
+    const uint64_t cells = n + n / 3 + 1;
+    const int number_bits = 64 - __builtin_clzll(n);
+    const uint32_t number_mask =
+        static_cast<uint32_t>((uint64_t{1} << number_bits) - 1);
+    PageVector<uint32_t> index(cells, 0);
+    if (tracker_ != nullptr) tracker_->Charge(cells * sizeof(uint32_t));
+    uint64_t kept = 0;
+    uint64_t seen = 0;
+    run.ForEachChunk([&](uint8_t* entry, uint64_t count) {
+      for (uint64_t i = 0; i < count; ++i, ++seen, entry += entry_bytes_) {
+        const int64_t key = *reinterpret_cast<const int64_t*>(entry);
+        const uint64_t hash = AggHashTable::Hash(key);
+        const uint32_t tag = static_cast<uint32_t>(hash) & ~number_mask;
+        auto cell = static_cast<uint64_t>(
+            (static_cast<unsigned __int128>(hash << kAggPartitionBits) *
+             cells) >>
+            64);
+        for (;; cell = cell + 1 == cells ? 0 : cell + 1) {
+          const uint32_t value = index[cell];
+          if (value == 0) {
+            // A new key moves down to the next kept entry: kept <= seen, so
+            // no entry is overwritten before it is read.
+            if (kept != seen) std::memcpy(run.At(kept), entry, entry_bytes_);
+            index[cell] = tag | static_cast<uint32_t>(++kept);
+            break;
+          }
+          if ((value & ~number_mask) != tag) continue;
+          auto* dst =
+              reinterpret_cast<int64_t*>(run.At((value & number_mask) - 1));
+          if (dst[0] != key) continue;
+          FoldSlots(dst + 1, reinterpret_cast<const int64_t*>(entry) + 1);
+          break;
         }
       }
     });
-    source->ReleasePartition(p);
+    run.Truncate(kept);
+    index = {};
+    if (tracker_ != nullptr) tracker_->Release(cells * sizeof(uint32_t));
   }
-  merged.sizes_[p] = groups;
-  // The last partition's merge frees the sources: every other merge has
-  // finished with them.
-  if (partitions_left_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-    sources_.clear();
+  part.distinct = run.size();
+  part.fold_at = FoldAt(part.distinct);
+}
+
+uint64_t AggHashTableSet::BeginMerge() {
+  for (auto& table : tables_) {
+    if (table == nullptr) continue;
+    for (int p = 0; p < kAggPartitions; ++p) {
+      if (table->sizes_[p] > 0) Spill(*table, p, /*fold_when_doubled=*/false);
+    }
+    table.reset();
   }
+  uint64_t entries = 0;
+  for (const auto& part : parts_) {
+    if (part->distinct < part->run.size()) entries += part->run.size();
+  }
+  return entries;
+}
+
+void AggHashTableSet::MergePartition(int p) {
+  Partition& part = *parts_[p];
+  std::lock_guard<std::mutex> lock(part.mutex);
+  Fold(part);
 }
 
 void AggHashTableSet::Merge() {
@@ -236,24 +241,24 @@ void AggHashTableSet::Merge() {
 }
 
 void AggHashTableSet::CheckMerged() const {
-  bool pending = partitions_left_.load(std::memory_order_acquire) != 0;
+  bool pending = false;
   for (const auto& table : tables_) pending |= table != nullptr;
+  for (const auto& part : parts_) pending |= part->distinct < part->run.size();
   AQE_CHECK_MSG(!pending, "aggregation read before Merge");
 }
 
 uint64_t AggHashTableSet::size() const {
   CheckMerged();
-  return merged_ != nullptr ? merged_->size() : 0;
+  uint64_t groups = 0;
+  for (const auto& part : parts_) groups += part->run.size();
+  return groups;
 }
 
 uint64_t AggHashTableSet::footprint() const {
   CheckMerged();
-  return merged_ != nullptr ? merged_->footprint() : 0;
-}
-
-void* AggHashTableSet::Find(int64_t key) const {
-  CheckMerged();
-  return merged_ != nullptr ? merged_->Find(key) : nullptr;
+  uint64_t bytes = 0;
+  for (const auto& part : parts_) bytes += part->run.charged_bytes();
+  return bytes;
 }
 
 }  // namespace aqe

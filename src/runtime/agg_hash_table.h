@@ -1,13 +1,14 @@
 #ifndef AQE_RUNTIME_AGG_HASH_TABLE_H_
 #define AQE_RUNTIME_AGG_HASH_TABLE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/page_allocator.h"
+#include "runtime/entry_arena.h"
 
 namespace aqe {
 
@@ -33,29 +34,31 @@ int64_t AggInitValue(AggKind kind);
 constexpr int kAggPartitionBits = 4;
 constexpr int kAggPartitions = 1 << kAggPartitionBits;
 
-/// Linear-probing hash table for group-by aggregation, split by the hash's
-/// high bits into kAggPartitions partitions of equal capacity. The
-/// partitions share one pair of arrays (partition p owns slots
-/// [p * capacity, (p + 1) * capacity)), and a key probes only within its
-/// partition, so each partition can be merged, and released, on its own.
-/// One allocation per table keeps a large table on huge pages.
+/// Largest size of a thread table's arrays: an L2-sized bound, past which
+/// a full partition spills instead of the table growing.
+constexpr uint64_t kAggTableBytes = uint64_t{256} << 10;
+
+class AggHashTableSet;
+
+/// A worker thread's aggregation table: a linear-probing hash table split
+/// by the hash's high bits into kAggPartitions partitions of equal
+/// capacity. The partitions share one pair of arrays (partition p owns
+/// slots [p * capacity, (p + 1) * capacity)), and a key probes only within
+/// its partition.
 ///
-/// When an insert finds its partition 3/4 full, every partition doubles.
-/// The entries move partition by partition, and each old partition's pages
-/// go back to the OS (with their tracker charge) as soon as its entries
-/// have moved, so growing holds the new arrays and one old partition, not
-/// both generations whole. Keys whose hashes crowd into one partition make
-/// the table larger than its groups need, by up to kAggPartitions times.
+/// The table starts at 64 slots. When an insert finds its partition 3/4
+/// full, every partition doubles, but only while the arrays stay within
+/// kAggTableBytes, so the table stays in cache. Past that, the full
+/// partition spills instead: its entries move to the set's spill run of the
+/// same partition and the partition starts empty. So the table holds the
+/// groups seen lately, and a group spilled earlier is folded with its
+/// later entries in the run.
 ///
 /// Entry layout (seen by generated code): [key i64][slots...]; FindOrInsert
-/// returns the pointer to the first aggregate slot.
+/// returns the pointer to the first aggregate slot, valid until the next
+/// call.
 class AggHashTable {
  public:
-  /// `payload_slots` aggregate values per group, initialized to
-  /// `init_values` (size payload_slots) on first touch. `tracker` (may be
-  /// null) is charged for the backing arrays, including growth.
-  AggHashTable(uint32_t payload_slots, std::vector<int64_t> init_values,
-               QueryMemoryTracker* tracker = nullptr);
   ~AggHashTable();
 
   AggHashTable(const AggHashTable&) = delete;
@@ -71,201 +74,186 @@ class AggHashTable {
     return static_cast<int>(hash >> (64 - kAggPartitionBits));
   }
 
-  /// Payload pointer for `key`, inserting an initialized entry if new.
+  /// Payload pointer for `key`, inserting an initialized entry if the
+  /// table holds none. Valid until the next call.
   void* FindOrInsert(int64_t key);
 
-  /// Payload pointer for `key` or nullptr (no insert).
-  void* Find(int64_t key) const;
-
+  /// Groups the table holds (not counting what it spilled).
   uint64_t size() const;
-  /// Groups in partition `p`.
-  uint64_t partition_size(int p) const { return sizes_[p]; }
-  uint32_t payload_slots() const { return payload_slots_; }
-  /// Bytes of the backing arrays (what the tracker is charged once every
-  /// partition is in use).
+  /// Bytes of the arrays, what the tracker is charged for.
   uint64_t footprint() const { return data_.size() + occupied_.size(); }
-
-  /// Iterates entries: fn(key, payload pointer).
-  template <typename Fn>
-  void ForEach(Fn&& fn) const {
-    for (int p = 0; p < kAggPartitions; ++p) ForEachInPartition(p, fn);
-  }
-
-  /// Iterates the entries of partition `p`: fn(key, payload pointer).
-  template <typename Fn>
-  void ForEachInPartition(int p, Fn&& fn) const {
-    const uint64_t first = static_cast<uint64_t>(p) << part_bits_;
-    ForEachOccupied(occupied_.data() + first, uint64_t{1} << part_bits_,
-                    [&](uint64_t i) {
-                      uint8_t* entry = EntryAt(first + i);
-                      fn(*reinterpret_cast<const int64_t*>(entry),
-                         static_cast<void*>(entry + 8));
-                    });
-  }
 
  private:
   friend class AggHashTableSet;
 
-  /// A merge target: `part_bits` sized, charged for its occupancy bytes
-  /// now and for each partition's entries by ChargePartition.
-  AggHashTable(uint32_t payload_slots, std::vector<int64_t> init_values,
-               QueryMemoryTracker* tracker, uint32_t part_bits);
+  explicit AggHashTable(AggHashTableSet* set);
 
-  /// Calls fn(i) for each occupied byte i of `occupied[0, count)`, in
-  /// order. Reads the bytes eight at a time, so a run of empty slots costs
-  /// one test per eight, not a mispredicted branch per slot.
+  /// Calls fn(entry) for each occupied slot of partition `p`, in order.
+  /// Reads the occupancy bytes eight at a time, so a run of empty slots
+  /// costs one test per eight, not a mispredicted branch per slot.
   template <typename Fn>
-  static void ForEachOccupied(const uint8_t* occupied, uint64_t count,
-                              Fn&& fn) {
+  void ForEachInPartition(int p, Fn&& fn) const {
+    const uint64_t first = static_cast<uint64_t>(p) << part_bits_;
+    const uint8_t* occupied = occupied_.data() + first;
+    const uint64_t count = uint64_t{1} << part_bits_;
     uint64_t base = 0;
     for (; base + 8 <= count; base += 8) {
       uint64_t word;  // one bit set per occupied slot's byte
       std::memcpy(&word, occupied + base, sizeof(word));
       for (; word != 0; word &= word - 1) {
-        fn(base + (__builtin_ctzll(word) >> 3));
+        fn(EntryAt(first + base + (__builtin_ctzll(word) >> 3)));
       }
     }
     for (; base < count; ++base) {
-      if (occupied[base]) fn(base);
+      if (occupied[base]) fn(EntryAt(first + base));
     }
   }
 
-  /// The smallest partition size (log2) that holds `groups` without
-  /// growing.
-  static uint32_t PartBitsFor(uint64_t groups);
-
-  uint32_t entry_bytes() const { return 8 + payload_slots_ * 8; }
-  uint64_t partition_data_bytes() const {
-    return (uint64_t{1} << part_bits_) * entry_bytes();
-  }
   uint8_t* EntryAt(uint64_t slot) const {
-    return const_cast<uint8_t*>(data_.data()) + slot * entry_bytes();
+    return const_cast<uint8_t*>(data_.data()) + slot * entry_bytes_;
   }
-  /// Entry of `key` in partition `p`, inserted if new (counted in `size`,
-  /// the partition's group count); never grows. A merge counts into a local
-  /// and stores it once: concurrent merges would otherwise share sizes_'s
-  /// cache lines on every insert.
-  void* FindOrInsertInPartition(int p, int64_t key, uint64_t hash,
-                                uint64_t& size);
   /// The insert paths, kept out of line so the lookup of an existing
   /// group (one per tuple, from generated code) stays a leaf function.
-  void* InsertAt(uint64_t slot, int64_t key, uint64_t& size);
-  void* GrowAndInsert(int64_t key);
-  /// Allocates empty arrays of 2^part_bits slots per partition (at least
-  /// 4).
+  /// Inserts into `slot` of partition `p`, or, when `p` is 3/4 full,
+  /// grows the table or spills `p` and inserts again.
+  void* InsertAt(uint64_t slot, int64_t key, int p);
+  /// Allocates empty arrays of 2^part_bits slots per partition and charges
+  /// them.
   void Allocate(uint32_t part_bits);
   void Grow();
-  void Charge(uint64_t bytes);
-  void Release(uint64_t bytes);
-  /// Charges one partition's entry bytes of a merge target.
-  void ChargePartition() { Charge(partition_data_bytes()); }
-  /// Returns partition `p`'s pages to the OS, if its arrays are mapped, and
-  /// their charge to the tracker. The partition is not read again.
-  void ReleasePartition(int p);
+  /// Moves partition `p`'s entries to the set's run `p` (see
+  /// AggHashTableSet::Spill) and empties it.
+  void Spill(int p, bool fold_when_doubled);
 
-  uint32_t payload_slots_;
-  std::vector<int64_t> init_values_;
+  AggHashTableSet* set_;
+  uint32_t entry_bytes_;
   uint32_t part_bits_ = 0;  ///< log2 of the slots per partition
+  uint32_t max_part_bits_;  ///< the largest part_bits_ within kAggTableBytes
   uint64_t part_mask_ = 0;
   /// An insert into a partition holding this many groups (3/4 of its
-  /// slots) grows the table first.
+  /// slots) grows the table or spills the partition first.
   uint64_t grow_at_ = 0;
   uint64_t sizes_[kAggPartitions] = {};
   /// kAggPartitions << part_bits_ entries; an entry is written only when
   /// occupied.
   PageVector<uint8_t> data_;
   PageVector<uint8_t> occupied_;  // one byte per slot
-  QueryMemoryTracker* tracker_ = nullptr;
-  /// What tracker_ is charged for now; merges of distinct partitions
-  /// charge and release concurrently.
-  std::atomic<uint64_t> charged_bytes_{0};
 };
 
-/// The aggregation tables of one aggregation operator: one AggHashTable
-/// per worker thread while the aggregating pipeline runs, then one merged
-/// table that the engine steps read.
+/// The groups of one aggregation operator: one AggHashTable per worker
+/// thread while the aggregating pipeline runs, and one spill run per
+/// partition, shared by the threads. A run is an EntryArena of
+/// [key][payload] entries that may repeat a key.
 ///
-/// Merging is partitioned, as in morsel-driven parallelism (Leis et al.,
-/// SIGMOD 2014): partition p's merge folds every thread table's partition
-/// p into the merged table's partition p and touches nothing else, so the
-/// engine runs the kAggPartitions merges as independent morsels on its
-/// workers (or in a loop) once the pipeline has finished. A merge adopts
-/// its only non-empty source (a single-threaded run merges for free).
-/// Otherwise the merged table is sized to the largest summed partition, so
-/// it never grows, and is charged partition by partition as the merges fold
-/// into it, each slot with its AggKind; each source partition is released
-/// as soon as it is folded. Reading the set before every pending group is
-/// merged is a CHECK failure.
+/// This is the partitioned aggregation of morsel-driven parallelism (Leis
+/// et al., SIGMOD 2014, §4.4): thread tables pre-aggregate in cache and
+/// spill to partitions, and each partition is aggregated on its own. A
+/// spill appends under the partition's lock. A run that has doubled since
+/// it was last folded (FoldAt) is folded in place then, so a stream of many
+/// distinct groups holds at most two entries' bytes per group, not an entry
+/// per tuple, and a stream whose keys all fall in one partition costs no
+/// more than one spread over all 16.
+///
+/// BeginMerge spills what every thread table still holds and frees the
+/// tables; MergePartition(p) folds run p once, so the engine runs the
+/// kAggPartitions merges as independent morsels on its workers (or in a
+/// loop) once the pipeline has finished. The merged set is the 16 runs,
+/// each holding every group of its partition once; the engine steps
+/// iterate it (ForEach). Reading the set before every spilled entry is
+/// folded is a CHECK failure.
 class AggHashTableSet {
  public:
   /// One slot per entry of `kinds`, each starting at AggInitValue(kind).
-  /// `tracker` (may be null) is charged for every table the set holds.
+  /// `tracker` (may be null) is charged for every table and run the set
+  /// holds and for each fold's transient index.
   explicit AggHashTableSet(std::vector<AggKind> kinds,
                            QueryMemoryTracker* tracker = nullptr,
                            int max_threads = 64);
+  ~AggHashTableSet();
 
   /// Table of the calling worker thread (created lazily).
   AggHashTable* Local();
 
-  /// Starts merging the thread tables, and the merged table of an earlier
-  /// merge if groups were added since: adopts the only non-empty one, or
-  /// allocates the merged table. Returns the groups left to fold: 0 when
-  /// nothing is, otherwise every partition must be passed to MergePartition
-  /// before the set is read. Must not overlap an insert.
+  /// Starts merging: spills every thread table into the runs and frees the
+  /// tables. Returns the entries left to fold: 0 when every run already
+  /// holds each of its keys once (one thread's table that never spilled),
+  /// otherwise every partition must be passed to MergePartition before
+  /// the set is read. Must not overlap an insert.
   uint64_t BeginMerge();
 
-  /// Folds partition `p` of the merge BeginMerge started (see the class
-  /// comment). Calls on distinct partitions may run concurrently.
+  /// Folds run `p` of the merge BeginMerge started. Calls on distinct
+  /// partitions may run concurrently.
   void MergePartition(int p);
 
-  /// BeginMerge and every pending MergePartition, on the calling thread.
+  /// BeginMerge and every MergePartition, on the calling thread.
   void Merge();
 
   /// The slot kinds, one 8-byte payload value each.
   const std::vector<AggKind>& kinds() const { return kinds_; }
   /// Merged groups.
   uint64_t size() const;
-  /// Bytes of the merged table's arrays.
+  /// Bytes the merged runs are charged for.
   uint64_t footprint() const;
 
   /// Iterates the merged groups: fn(key, payload pointer).
   template <typename Fn>
   void ForEach(Fn&& fn) const {
     CheckMerged();
-    if (merged_ != nullptr) merged_->ForEach(fn);
+    for (const auto& part : parts_) {
+      part->run.ForEachChunk([&](uint8_t* entry, uint64_t count) {
+        for (uint64_t i = 0; i < count; ++i, entry += entry_bytes_) {
+          fn(*reinterpret_cast<const int64_t*>(entry),
+             static_cast<void*>(entry + 8));
+        }
+      });
+    }
   }
 
-  /// Merged payload pointer for `key`, or nullptr.
-  void* Find(int64_t key) const;
-
  private:
+  friend class AggHashTable;
+
+  /// One partition's spill run. Entries [0, distinct) hold distinct keys.
+  struct Partition {
+    Partition(uint32_t entry_bytes, QueryMemoryTracker* tracker)
+        : run(entry_bytes, tracker) {}
+    std::mutex mutex;
+    EntryArena run;
+    uint64_t distinct = 0;
+    /// A spill that leaves the run this long folds it (FoldAt).
+    uint64_t fold_at = 0;
+  };
+
+  /// The run length at which a run folded down to `distinct` entries has
+  /// doubled: its entries and its fold's index take twice the bytes of
+  /// `distinct` entries. So a run and its fold never hold more than twice
+  /// the bytes of the partition's groups.
+  uint64_t FoldAt(uint64_t distinct) const;
+
+  /// Appends `table`'s partition `p` to run `p`, under its lock; folds the
+  /// run if `fold_when_doubled` and the run has reached its fold_at.
+  void Spill(const AggHashTable& table, int p, bool fold_when_doubled);
+  /// Folds the entries of `part` that repeat a key into the first entry of
+  /// that key, and compacts the run in place.
+  void Fold(Partition& part);
+  /// Folds payload `src` into `dst`, each slot by its AggKind.
+  void FoldSlots(int64_t* dst, const int64_t* src) const;
   void CheckMerged() const;
 
   std::vector<AggKind> kinds_;
   std::vector<int64_t> init_values_;
-  std::vector<std::unique_ptr<AggHashTable>> tables_;
-  std::unique_ptr<AggHashTable> merged_;
-  /// The tables the merge in flight folds; freed by the last partition's
-  /// merge.
-  std::vector<std::unique_ptr<AggHashTable>> sources_;
-  std::atomic<int> partitions_left_{0};
+  uint32_t entry_bytes_;
   QueryMemoryTracker* tracker_;
+  std::vector<std::unique_ptr<AggHashTable>> tables_;
+  std::unique_ptr<Partition> parts_[kAggPartitions];
 };
 
 inline void* AggHashTable::FindOrInsert(int64_t key) {
   const uint64_t hash = Hash(key);
   const int p = PartitionOf(hash);
-  if (__builtin_expect(sizes_[p] >= grow_at_, 0)) return GrowAndInsert(key);
-  return FindOrInsertInPartition(p, key, hash, sizes_[p]);
-}
-
-inline void* AggHashTable::FindOrInsertInPartition(int p, int64_t key,
-                                                   uint64_t hash,
-                                                   uint64_t& size) {
   const uint64_t first = static_cast<uint64_t>(p) << part_bits_;
   uint64_t slot = hash & part_mask_;
   for (;;) {
-    if (!occupied_[first + slot]) return InsertAt(first + slot, key, size);
+    if (!occupied_[first + slot]) return InsertAt(first + slot, key, p);
     uint8_t* entry = EntryAt(first + slot);
     if (*reinterpret_cast<const int64_t*>(entry) == key) return entry + 8;
     slot = (slot + 1) & part_mask_;

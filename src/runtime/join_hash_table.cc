@@ -23,49 +23,6 @@ void SetThreadIndex(int index) {
 int GetThreadIndex() { return t_thread_index; }
 }  // namespace runtime_internal
 
-/// One thread's node storage. Chunks start at the PageAllocator's mmap
-/// threshold and double up to 1 MiB, so a small build table costs each
-/// inserting worker 64 KiB, not a whole megabyte. Nodes are fixed-size and
-/// packed from the start of each chunk: a chunk holds
-/// ⌊chunk bytes / node bytes⌋ nodes, the last one `used_in_chunk / node`.
-struct JoinHashTable::Arena {
-  static constexpr size_t kFirstChunkBytes = 64 << 10;
-  static constexpr size_t kMaxChunkBytes = 1 << 20;
-  /// Not zero-filled: Insert writes every byte it hands out, so only the
-  /// pages nodes have reached are resident.
-  std::vector<PageVector<uint8_t>> chunks;
-  size_t used_in_chunk = 0;
-  uint64_t chunk_bytes = 0;  ///< sum of chunk sizes, charged to `tracker`
-  QueryMemoryTracker* tracker = nullptr;
-
-  uint8_t* Alloc(size_t bytes) {
-    AQE_CHECK(bytes <= kFirstChunkBytes);
-    if (chunks.empty() || used_in_chunk + bytes > chunks.back().size()) {
-      const size_t size =
-          chunks.empty() ? kFirstChunkBytes
-                         : std::min(chunks.back().size() * 2, kMaxChunkBytes);
-      chunks.emplace_back(size);
-      used_in_chunk = 0;
-      chunk_bytes += size;
-      if (tracker != nullptr) tracker->Charge(size);
-    }
-    uint8_t* p = chunks.back().data() + used_in_chunk;
-    used_in_chunk += bytes;
-    return p;
-  }
-
-  /// Bytes of chunk `c` that may hold nodes.
-  size_t Used(size_t c) const {
-    return c + 1 == chunks.size() ? used_in_chunk : chunks[c].size();
-  }
-
-  uint64_t Nodes(size_t node_bytes) const {
-    uint64_t nodes = 0;
-    for (size_t c = 0; c < chunks.size(); ++c) nodes += Used(c) / node_bytes;
-    return nodes;
-  }
-};
-
 JoinHashTable::JoinHashTable(uint32_t payload_slots,
                              QueryMemoryTracker* tracker)
     : payload_slots_(payload_slots), tracker_(tracker) {
@@ -73,12 +30,9 @@ JoinHashTable::JoinHashTable(uint32_t payload_slots,
 }
 
 JoinHashTable::~JoinHashTable() {
-  if (tracker_ == nullptr) return;
-  uint64_t bytes = directory_.size() * sizeof(uint8_t*);
-  for (const auto& arena : arenas_) {
-    if (arena != nullptr) bytes += arena->chunk_bytes;
+  if (tracker_ != nullptr) {
+    tracker_->Release(directory_.size() * sizeof(uint8_t*));
   }
-  tracker_->Release(bytes);
 }
 
 uint64_t JoinHashTable::HashKey(int64_t key) {
@@ -90,17 +44,16 @@ uint64_t JoinHashTable::HashKey(int64_t key) {
 
 uint8_t* JoinHashTable::AllocNode() {
   int index = runtime_internal::GetThreadIndex();
-  Arena* arena = arenas_[static_cast<size_t>(index)].get();
+  EntryArena* arena = arenas_[static_cast<size_t>(index)].get();
   if (arena == nullptr) {
     std::lock_guard<std::mutex> lock(arena_mutex_);
-    if (arenas_[static_cast<size_t>(index)] == nullptr) {
-      auto fresh = std::make_unique<Arena>();
-      fresh->tracker = tracker_;
-      arenas_[static_cast<size_t>(index)] = std::move(fresh);
+    auto& slot = arenas_[static_cast<size_t>(index)];
+    if (slot == nullptr) {
+      slot = std::make_unique<EntryArena>(node_bytes(), tracker_);
     }
-    arena = arenas_[static_cast<size_t>(index)].get();
+    arena = slot.get();
   }
-  return arena->Alloc(node_bytes());
+  return arena->Append();
 }
 
 void* JoinHashTable::Insert(int64_t key) {
@@ -114,7 +67,7 @@ void* JoinHashTable::Insert(int64_t key) {
 uint64_t JoinHashTable::size() const {
   uint64_t entries = 0;
   for (const auto& arena : arenas_) {
-    if (arena != nullptr) entries += arena->Nodes(node_bytes());
+    if (arena != nullptr) entries += arena->size();
   }
   return entries;
 }
@@ -130,12 +83,10 @@ uint64_t JoinHashTable::BeginSeal() {
   uint64_t entries = 0;
   for (const auto& arena : arenas_) {
     if (arena == nullptr) continue;
-    for (size_t c = 0; c < arena->chunks.size(); ++c) {
-      const uint64_t nodes = arena->Used(c) / node_bytes();
-      if (nodes == 0) continue;
-      runs_.push_back({entries, nodes, arena->chunks[c].data()});
+    arena->ForEachChunk([&](uint8_t* base, uint64_t nodes) {
+      runs_.push_back({entries, nodes, base});
       entries += nodes;
-    }
+    });
   }
   uint64_t buckets = 16;
   while (buckets < entries) buckets <<= 1;

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/page_allocator.h"
+#include "runtime/entry_arena.h"
 
 namespace aqe {
 
@@ -36,8 +37,9 @@ class QueryMemoryTracker;
 class JoinHashTable {
  public:
   /// `payload_slots` is the number of 8-byte payload values per entry.
-  /// `tracker` (may be null) is charged for each per-thread arena chunk as
-  /// build inserts carve it and for the directory when Seal allocates it.
+  /// `tracker` (may be null) is charged for each page of a per-thread arena
+  /// as the first node reaches it (EntryArena) and for the directory when
+  /// Seal allocates it.
   explicit JoinHashTable(uint32_t payload_slots,
                          QueryMemoryTracker* tracker = nullptr);
   ~JoinHashTable();
@@ -94,7 +96,6 @@ class JoinHashTable {
   }
 
  private:
-  struct Arena;
   /// A run of nodes in one arena chunk, in seal numbering.
   struct NodeRun {
     uint64_t first;  ///< seal number of the run's first node
@@ -116,7 +117,7 @@ class JoinHashTable {
   QueryMemoryTracker* tracker_ = nullptr;
 
   mutable std::mutex arena_mutex_;
-  std::vector<std::unique_ptr<Arena>> arenas_;
+  std::vector<std::unique_ptr<EntryArena>> arenas_;  ///< per worker thread
   std::vector<NodeRun> runs_;  ///< every chunk's nodes, set by BeginSeal
 };
 

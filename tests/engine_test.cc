@@ -11,7 +11,9 @@
 #include "plan/builder.h"
 #include "plan/expr.h"
 #include "plan/plan.h"
+#include "queries/tpch_queries.h"
 #include "storage/table.h"
+#include "tpch/tpch_gen.h"
 
 namespace aqe {
 namespace {
@@ -532,6 +534,29 @@ TEST_F(EngineTest, ExprEvalMatrix) {
   auto cloned = CloneExpr(*e2);
   EXPECT_EQ(EvalExpr(*cloned, slots.data()), 1);
   EXPECT_EQ(ExprSize(*e2), 7);
+}
+
+// Spreading a query over workers costs memory only for what each worker
+// holds on its own. At SF 0.1 on 4 workers, Q9's join arenas are charged by
+// the pages their nodes reach (not by whole chunks per worker), and Q18's
+// aggregation adds each worker's capped table and the concurrent folds'
+// indexes to runs that hold every group once.
+TEST(EngineMemoryTest, WorkersAddLittleToTheTrackedPeak) {
+  Catalog catalog;
+  tpch::BuildTpchDatabase(&catalog, /*sf=*/0.1);
+  QueryEngine one(&catalog, /*num_threads=*/1);
+  QueryEngine four(&catalog, /*num_threads=*/4);
+  QueryRunOptions single;
+  single.single_threaded = true;
+  for (const auto& [number, ratio] : {std::pair{9, 1.1}, std::pair{18, 1.15}}) {
+    const uint64_t peak1 =
+        one.Run(BuildTpchQuery(number, catalog), single).peak_memory_bytes;
+    const uint64_t peak4 =
+        four.Run(BuildTpchQuery(number, catalog)).peak_memory_bytes;
+    EXPECT_LE(static_cast<double>(peak4), ratio * static_cast<double>(peak1))
+        << "q" << number << ": " << peak4 << " bytes on 4 workers, " << peak1
+        << " on one";
+  }
 }
 
 }  // namespace

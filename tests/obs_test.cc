@@ -1588,13 +1588,11 @@ TEST_F(ObsEngineTest, QueryResultsReportPeakMemory) {
 }
 
 TEST_F(ObsEngineTest, PeakMemoryCoversMergedAggregationTable) {
-  // Q18 groups lineitem by orderkey, one group per order, into partitioned
-  // tables. A table grows by moving its partitions one at a time, and the
-  // merge releases each folded partition before the next one is charged.
-  // So the peak holds one table of every group, but never a whole-table
-  // rehash (both generations of one table) nor every thread table next to a
-  // merged copy: running on 4 workers costs at most a few merge transients
-  // more than on one.
+  // Q18 groups lineitem by orderkey, one group per order. Each worker's
+  // table stays within kAggTableBytes and spills to 16 runs of 16-byte
+  // [key, sum] entries, and the merge folds each run in place. So the peak
+  // holds every group once in the runs, but no table of every group, and
+  // each more worker adds at most its own table.
   QueryRunOptions single;
   single.single_threaded = true;
   QueryEngine one(&catalog(), 1);
@@ -1604,39 +1602,19 @@ TEST_F(ObsEngineTest, PeakMemoryCoversMergedAggregationTable) {
   const uint64_t peak4 =
       four.Run(BuildTpchQuery(18, catalog())).peak_memory_bytes;
 
-  // Replay the groups on a private tracker: the table a single thread
-  // builds. Before tables were partitioned, one thread grew one table from
-  // 64 slots of 17 bytes (8 key, 8 sum, 1 occupancy), doubling when an
-  // insert found it 3/4 full, and its last rehash held both generations.
-  const Table& orders = *catalog().GetTable("orders");
-  QueryMemoryTracker partitioned;
-  uint64_t table_bytes = 0;
-  uint64_t capacity = 64;
-  {
-    AggHashTableSet set({AggKind::kSum}, &partitioned);
-    AggHashTable* local = set.Local();
-    for (uint64_t r = 0; r < orders.num_rows(); ++r) {
-      local->FindOrInsert(orders.column("o_orderkey").GetAsI64(r));
-      if (r * 4 >= capacity * 3) capacity *= 2;
-    }
-    set.Merge();
-    table_bytes = set.footprint();
-  }
-  const uint64_t rehash_bytes = (capacity / 2 + capacity) * 17;
-  ASSERT_GT(table_bytes, 0u);
-  ASSERT_GT(rehash_bytes, table_bytes);
+  const uint64_t groups = catalog().GetTable("orders")->num_rows();
+  const uint64_t run_bytes = groups * 16;
+  // The table a single worker grew before tables were capped: 17 bytes a
+  // slot (8 key, 8 sum, 1 occupancy), at most 3/4 full.
+  uint64_t slots = 64;
+  while (groups * 4 > slots * 3) slots *= 2;
+  const uint64_t table_bytes = slots * 17;
   for (const uint64_t peak : {peak1, peak4}) {
     // The peak may lag the live total by one unfolded slot residue.
-    EXPECT_GE(peak + QueryMemoryTracker::kFlushBytes, table_bytes);
-#ifndef __SANITIZE_ADDRESS__
-    // Mapped arrays give a dead partition's pages back at once (an
-    // AddressSanitizer build frees them only with their table).
-    EXPECT_LT(peak, rehash_bytes);
-#endif
+    EXPECT_GE(peak + QueryMemoryTracker::kFlushBytes, run_bytes);
   }
-#ifndef __SANITIZE_ADDRESS__
-  EXPECT_LE(static_cast<double>(peak4), 1.15 * static_cast<double>(peak1));
-#endif
+  EXPECT_LT(peak1, table_bytes);
+  EXPECT_LE(peak4, peak1 + 3 * kAggTableBytes);
 }
 
 TEST_F(ObsEngineTest, AdmissionRejectsOverBudgetClassAndSparesOthers) {

@@ -11,6 +11,7 @@
 #include <set>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "obs/memory_tracker.h"
@@ -59,8 +60,8 @@ TEST(JoinHashTableTest, DuplicateKeysChain) {
 }
 
 TEST(JoinHashTableTest, ManyKeysNoLoss) {
-  // 4 MiB directory (mapped, huge-page advised) and 10 arena chunks
-  // growing from 64 KiB to 1 MiB (mapped).
+  // 4 MiB directory (mapped, huge-page advised) and 12 arena chunks
+  // growing from 96 KiB to 768 KiB (mapped).
   constexpr int64_t kKeys = 300000;
   JoinHashTable ht(1);
   for (int64_t i = 0; i < kKeys; ++i) {
@@ -130,8 +131,8 @@ TEST(JoinHashTableTest, SealSizesDirectoryToInsertedCount) {
   }
 }
 
-// Arena chunks start at 64 KiB: a 5-row table built on 4 workers is charged
-// 4 first chunks and its 16-slot directory, not 4 MiB.
+// An arena is charged by the pages its nodes reach: a 5-row table built on
+// 4 workers is charged one page per worker and its 16-slot directory.
 TEST(JoinHashTableTest, SmallTableChargesSmallChunks) {
   QueryMemoryTracker tracker;
   {
@@ -148,7 +149,7 @@ TEST(JoinHashTableTest, SmallTableChargesSmallChunks) {
     for (auto& th : threads) th.join();
     ht.Seal();
     EXPECT_EQ(ht.size(), static_cast<uint64_t>(kKeys));
-    EXPECT_LE(tracker.current_bytes(), kThreads * (64u << 10) + 16 * 8);
+    EXPECT_LE(tracker.current_bytes(), kThreads * 4096u + 16 * 8);
     for (int64_t k = 0; k < kKeys; ++k) EXPECT_NE(ht.Lookup(k), nullptr);
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);
@@ -218,8 +219,7 @@ TEST(AggHashTableSetDeathTest, ReadBeforeMergeDies) {
   AggHashTableSet set({AggKind::kSum});
   *static_cast<int64_t*>(set.Local()->FindOrInsert(1)) += 1;
   EXPECT_DEATH(set.ForEach([](int64_t, void*) {}), "read before Merge");
-  EXPECT_DEATH(set.Find(1), "read before Merge");
-  // A second thread's groups leave partitions to fold after BeginMerge.
+  // A second thread's groups leave a run to fold after BeginMerge.
   std::thread([&set] {
     runtime_internal::SetThreadIndex(1);
     *static_cast<int64_t*>(set.Local()->FindOrInsert(1)) += 1;
@@ -242,77 +242,72 @@ TEST(JoinHashTableTest, ForEachVisitsAll) {
   EXPECT_EQ(key_sum, 99 * 100 / 2);
 }
 
+/// Every merged group of `set`: its key and payload slots. A key visited
+/// twice fails the test.
+std::map<int64_t, std::vector<int64_t>> MergedGroups(
+    const AggHashTableSet& set) {
+  std::map<int64_t, std::vector<int64_t>> groups;
+  const size_t width = set.kinds().size();
+  set.ForEach([&](int64_t key, void* payload) {
+    const auto* p = static_cast<const int64_t*>(payload);
+    EXPECT_TRUE(groups.emplace(key, std::vector<int64_t>(p, p + width)).second)
+        << "key " << key << " visited twice";
+  });
+  return groups;
+}
+
 TEST(AggHashTableTest, FindOrInsertInitializes) {
-  AggHashTable ht(2, {0, INT64_MAX});
-  auto* p = static_cast<int64_t*>(ht.FindOrInsert(5));
+  AggHashTableSet set({AggKind::kSum, AggKind::kMin});
+  AggHashTable* ht = set.Local();
+  auto* p = static_cast<int64_t*>(ht->FindOrInsert(5));
   EXPECT_EQ(p[0], 0);
   EXPECT_EQ(p[1], INT64_MAX);
   p[0] = 10;
-  auto* q = static_cast<int64_t*>(ht.FindOrInsert(5));
+  auto* q = static_cast<int64_t*>(ht->FindOrInsert(5));
   EXPECT_EQ(q, p);
   EXPECT_EQ(q[0], 10);
-  EXPECT_EQ(ht.size(), 1u);
+  EXPECT_EQ(ht->size(), 1u);
 }
 
-TEST(AggHashTableTest, GrowPreservesEntries) {
-  // Grows from operator-new arrays through mapped ones (>= 64 KiB) to
-  // huge-page advised ones (>= 2 MiB).
+// A thread table doubles only while its arrays stay within kAggTableBytes;
+// past that a full partition spills to its run, and the merge folds every
+// group once. The runs are charged by the pages their entries reach.
+TEST(AggHashTableTest, TableStopsGrowingAtItsCapAndSpills) {
   constexpr int64_t kKeys = 100000;
-  AggHashTable ht(1, {0});
-  for (int64_t k = 0; k < kKeys; ++k) {
-    *static_cast<int64_t*>(ht.FindOrInsert(k)) = k * k;
-  }
-  EXPECT_EQ(ht.size(), static_cast<uint64_t>(kKeys));
-  for (int64_t k = 0; k < kKeys; ++k) {
-    auto* p = static_cast<int64_t*>(ht.Find(k));
-    ASSERT_NE(p, nullptr);
-    EXPECT_EQ(*p, k * k);
-  }
-  EXPECT_EQ(ht.Find(-1), nullptr);
-}
-
-// Growth moves the entries partition by partition and returns each old
-// partition's pages, with their charge, as soon as its entries have moved:
-// the last rehash holds the new arrays and a sliver of the old ones, not
-// both generations whole.
-TEST(AggHashTableTest, GrowReleasesOldPartitionsAsTheyMove) {
   QueryMemoryTracker tracker;
   {
-    AggHashTable ht(1, {0}, &tracker);
-    uint64_t old_bytes = 0;
-    uint64_t new_bytes = 0;
-    for (int64_t k = 0; k < 100000; ++k) {
-      tracker.FoldResidues();
-      const uint64_t before = tracker.current_bytes();
-      ht.FindOrInsert(k);
-      tracker.FoldResidues();
-      const uint64_t after = tracker.current_bytes();
-      if (after != before) {
-        old_bytes = before;
-        new_bytes = after;
-      }
+    AggHashTableSet set({AggKind::kSum}, &tracker);
+    AggHashTable* ht = set.Local();
+    uint64_t largest = 0;
+    for (int64_t k = 0; k < kKeys; ++k) {
+      *static_cast<int64_t*>(ht->FindOrInsert(k)) = k * k;
+      largest = std::max(largest, ht->footprint());
     }
-    ASSERT_GT(new_bytes, old_bytes);
-    EXPECT_EQ(new_bytes, ht.footprint());
-    EXPECT_EQ(tracker.current_bytes(), new_bytes);
-    EXPECT_GE(tracker.peak_bytes(), new_bytes);
-#ifdef __SANITIZE_ADDRESS__
-    // Every array comes from operator new: nothing is returned early.
-    EXPECT_GE(tracker.peak_bytes(), old_bytes + new_bytes);
-#else
-    // The old arrays (2 MiB) are mapped, so each partition's pages go back
-    // as soon as it has moved.
-    EXPECT_LT(tracker.peak_bytes(), new_bytes + old_bytes / 4);
-#endif
+    EXPECT_LE(largest, kAggTableBytes);
+    EXPECT_GT(largest, kAggTableBytes / 2);
+    EXPECT_LT(ht->size(), static_cast<uint64_t>(kKeys));  // it spilled
+    set.Merge();
+    const auto groups = MergedGroups(set);
+    ASSERT_EQ(groups.size(), static_cast<uint64_t>(kKeys));
+    for (int64_t k = 0; k < kKeys; ++k) {
+      ASSERT_EQ(groups.at(k)[0], k * k) << k;
+    }
+    tracker.FoldResidues();
+    EXPECT_EQ(tracker.current_bytes(), set.footprint());
+    // 16 bytes per group, and at most a page more per run.
+    EXPECT_GE(set.footprint(), kKeys * 16u);
+    EXPECT_LE(set.footprint(), kKeys * 16u + kAggPartitions * 4096u);
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);
 }
 
 TEST(AggHashTableTest, NegativeKeys) {
-  AggHashTable ht(1, {0});
-  *static_cast<int64_t*>(ht.FindOrInsert(-42)) = 1;
-  ASSERT_NE(ht.Find(-42), nullptr);
-  EXPECT_EQ(ht.Find(42), nullptr);
+  AggHashTableSet set({AggKind::kSum});
+  *static_cast<int64_t*>(set.Local()->FindOrInsert(-42)) = 1;
+  set.Merge();
+  const auto groups = MergedGroups(set);
+  EXPECT_EQ(groups.count(-42), 1u);
+  EXPECT_EQ(groups.count(42), 0u);
 }
 
 TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
@@ -328,18 +323,17 @@ TEST(AggHashTableSetTest, PerThreadTablesAndMerge) {
     });
   }
   for (auto& th : threads) th.join();
-  EXPECT_EQ(set.BeginMerge(), 30u);  // every group has 3 thread sources
+  EXPECT_EQ(set.BeginMerge(), 30u);  // every group has 3 thread entries
   for (int p = 0; p < kAggPartitions; ++p) set.MergePartition(p);
   EXPECT_EQ(set.size(), 10u);
-  for (int64_t k = 0; k < 10; ++k) {
-    EXPECT_EQ(*static_cast<int64_t*>(set.Find(k)), 1 + 2 + 3);
-  }
+  const auto groups = MergedGroups(set);
+  for (int64_t k = 0; k < 10; ++k) EXPECT_EQ(groups.at(k)[0], 1 + 2 + 3);
 }
 
-// Each partition's merge releases what it folded before the next one
-// charges its share of the merged table, so merging one large thread table
-// and two small ones never holds the large table and a merged copy whole.
-TEST(AggHashTableSetTest, MergeReleasesEachPartitionAsItFolds) {
+// The merge folds each run in place: merging one large thread table and
+// two small ones holds the runs, the tables' last spills and one
+// partition's index, never a merged copy beside the runs.
+TEST(AggHashTableSetTest, MergeFoldsRunsInPlace) {
   QueryMemoryTracker tracker;
   {
     AggHashTableSet set({AggKind::kSum}, &tracker);
@@ -355,25 +349,24 @@ TEST(AggHashTableSetTest, MergeReleasesEachPartitionAsItFolds) {
     };
     constexpr int64_t kKeys = 100000;
     fill(1, kKeys);
-    tracker.FoldResidues();
-    const uint64_t largest_bytes = tracker.current_bytes();
     fill(0, 10);
     fill(2, 10);
+    tracker.FoldResidues();
+    const uint64_t before = tracker.current_bytes();
 
-    EXPECT_EQ(set.BeginMerge(), static_cast<uint64_t>(kKeys + 20));
+    EXPECT_GT(set.BeginMerge(), 0u);
     for (int p = 0; p < kAggPartitions; ++p) set.MergePartition(p);
     EXPECT_EQ(set.size(), static_cast<uint64_t>(kKeys));
+    const auto groups = MergedGroups(set);
     for (int64_t k = 0; k < kKeys; ++k) {
-      EXPECT_EQ(*static_cast<int64_t*>(set.Find(k)), k < 10 ? 3 : 1);
+      ASSERT_EQ(groups.at(k)[0], k < 10 ? 3 : 1) << k;
     }
-    // Only the merged table is left: every thread table was released.
+    // Only the runs are left: every thread table was freed.
     tracker.FoldResidues();
     EXPECT_EQ(tracker.current_bytes(), set.footprint());
-#ifndef __SANITIZE_ADDRESS__
-    // Mapped arrays return each folded partition's pages at once (an
-    // AddressSanitizer build frees them only with the table).
-    EXPECT_LT(tracker.peak_bytes(), largest_bytes + largest_bytes / 4);
-#endif
+    // A partition's index takes 4/3 of 4 bytes per entry, and a partition
+    // holds about a 16th of the keys.
+    EXPECT_LE(tracker.peak_bytes(), before + kAggTableBytes + kKeys);
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);
 }
@@ -400,7 +393,7 @@ TEST(AggHashTableSetTest, PartitionedMergeMatchesMapFold) {
     QueryMemoryTracker tracker;
     {
       AggHashTableSet set(kinds, &tracker);
-      std::map<int64_t, std::array<int64_t, 4>> expected;
+      std::map<int64_t, std::vector<int64_t>> expected;
       std::mt19937_64 rng(static_cast<uint64_t>(threads));
       for (int t = 0; t < threads; ++t) {
         runtime_internal::SetThreadIndex(t);
@@ -415,8 +408,8 @@ TEST(AggHashTableSetTest, PartitionedMergeMatchesMapFold) {
           p[2] = std::min(p[2], value);
           p[3] = std::max(p[3], value);
           auto [it, fresh] = expected.try_emplace(
-              key, std::array<int64_t, 4>{0, 0, INT64_MAX, INT64_MIN});
-          std::array<int64_t, 4>& e = it->second;
+              key, std::vector<int64_t>{0, 0, INT64_MAX, INT64_MIN});
+          std::vector<int64_t>& e = it->second;
           e[0] += value;
           e[1] += 1;
           e[2] = std::min(e[2], value);
@@ -434,20 +427,7 @@ TEST(AggHashTableSetTest, PartitionedMergeMatchesMapFold) {
       for (auto& merger : mergers) merger.join();
 
       ASSERT_EQ(set.size(), expected.size());
-      std::map<int64_t, std::array<int64_t, 4>> merged;
-      set.ForEach([&merged](int64_t key, void* payload) {
-        const auto* p = static_cast<const int64_t*>(payload);
-        EXPECT_TRUE(merged.emplace(key, std::array<int64_t, 4>{p[0], p[1],
-                                                               p[2], p[3]})
-                        .second)
-            << "key " << key << " visited twice";
-      });
-      EXPECT_EQ(merged, expected);
-      for (int64_t key : {INT64_MIN, INT64_MAX}) {
-        ASSERT_NE(set.Find(key), nullptr);
-        EXPECT_EQ(static_cast<const int64_t*>(set.Find(key))[1],
-                  expected[key][1]);
-      }
+      EXPECT_EQ(MergedGroups(set), expected);
       tracker.FoldResidues();
       EXPECT_EQ(tracker.current_bytes(), set.footprint());
     }
@@ -463,32 +443,144 @@ TEST(AggHashTableSetTest, MergeOfNoGroupsIsEmpty) {
     EXPECT_EQ(set.BeginMerge(), 0u);
     EXPECT_EQ(set.size(), 0u);
     set.ForEach([](int64_t, void*) { ADD_FAILURE() << "no groups expected"; });
-    EXPECT_EQ(set.Find(0), nullptr);
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);
 }
 
-// One thread's table is the merge's only source: the merge adopts it and
-// allocates nothing.
-TEST(AggHashTableSetTest, OneThreadMergeAllocatesNothing) {
+// One thread's table that never spilled holds each key once, so its
+// partitions move to the runs as they are: nothing is left to fold, and
+// only the runs stay charged.
+TEST(AggHashTableSetTest, OneUnspilledTableNeedsNoFold) {
   QueryMemoryTracker tracker;
   {
     AggHashTableSet set({AggKind::kSum}, &tracker);
     AggHashTable* local = set.Local();
-    for (int64_t k = 0; k < 100000; ++k) {
+    for (int64_t k = 0; k < 1000; ++k) {
       *static_cast<int64_t*>(local->FindOrInsert(k * 7919)) += k;
     }
-    tracker.FoldResidues();
-    const uint64_t table_bytes = tracker.current_bytes();
-    const uint64_t peak = tracker.peak_bytes();
+    ASSERT_EQ(local->size(), 1000u);  // below the cap: nothing spilled
     EXPECT_EQ(set.BeginMerge(), 0u);
     tracker.FoldResidues();
-    EXPECT_EQ(set.footprint(), table_bytes);
-    EXPECT_EQ(tracker.current_bytes(), table_bytes);
-    EXPECT_EQ(tracker.peak_bytes(), peak);
-    EXPECT_EQ(set.size(), 100000u);
+    EXPECT_EQ(tracker.current_bytes(), set.footprint());
+    EXPECT_EQ(set.size(), 1000u);
+    const auto groups = MergedGroups(set);
+    for (int64_t k = 0; k < 1000; ++k) EXPECT_EQ(groups.at(k * 7919)[0], k);
   }
   EXPECT_EQ(tracker.current_bytes(), 0u);
+}
+
+/// A key stream for the aggregation differential: `rows` keys over
+/// `groups` distinct keys.
+enum class KeyStream { kSorted, kRandom, kOnePartition };
+
+std::vector<int64_t> MakeKeyStream(KeyStream stream, int64_t rows,
+                                   int64_t groups) {
+  std::vector<int64_t> keys;  // the distinct keys
+  if (stream == KeyStream::kOnePartition) {
+    // Keys whose hashes share their top bits: every group in partition 0.
+    for (int64_t k = 0; static_cast<int64_t>(keys.size()) < groups; ++k) {
+      if (AggHashTable::PartitionOf(AggHashTable::Hash(k)) == 0) {
+        keys.push_back(k);
+      }
+    }
+  } else {
+    for (int64_t g = 0; g < groups; ++g) keys.push_back(g * 7 - groups);
+  }
+  std::vector<int64_t> out(static_cast<size_t>(rows));
+  std::mt19937_64 rng(static_cast<uint64_t>(stream) + 1);
+  for (int64_t r = 0; r < rows; ++r) {
+    const int64_t g = stream == KeyStream::kSorted
+                          ? r * groups / rows
+                          : static_cast<int64_t>(rng() % groups);
+    out[static_cast<size_t>(r)] = keys[static_cast<size_t>(g)];
+  }
+  return out;
+}
+
+// The aggregation against std::unordered_map on 1.8 M rows of 450 k groups:
+// sorted (as Q18's lineitem), random, and random over keys that all fall
+// in one partition, with every AggKind, on 1 and 4 threads (each thread
+// takes a contiguous quarter, as morsels do). On every stream the tracked
+// peak stays within twice the entry bytes of the groups, plus each
+// thread's table and a last page per run: a random stream does not hold
+// an entry per tuple, and one partition does not cost 16 times its groups.
+TEST(AggHashTableSetTest, MatchesUnorderedMapOnEveryStream) {
+  constexpr int64_t kRows = 1800000;
+  constexpr int64_t kGroups = 450000;
+  const std::vector<AggKind> kinds = {AggKind::kSum, AggKind::kCount,
+                                      AggKind::kMin, AggKind::kMax};
+  const uint64_t entry_bytes = 8 * (1 + kinds.size());
+  for (KeyStream stream :
+       {KeyStream::kSorted, KeyStream::kRandom, KeyStream::kOnePartition}) {
+    const std::vector<int64_t> keys = MakeKeyStream(stream, kRows, kGroups);
+    const auto value = [](int64_t r) {
+      return static_cast<int64_t>((static_cast<uint64_t>(r) * 2654435761u) %
+                                  2000001) -
+             1000000;
+    };
+    std::unordered_map<int64_t, std::vector<int64_t>> expected;
+    for (int64_t r = 0; r < kRows; ++r) {
+      auto [it, fresh] = expected.try_emplace(
+          keys[static_cast<size_t>(r)],
+          std::vector<int64_t>{0, 0, INT64_MAX, INT64_MIN});
+      std::vector<int64_t>& e = it->second;
+      e[0] += value(r);
+      e[1] += 1;
+      e[2] = std::min(e[2], value(r));
+      e[3] = std::max(e[3], value(r));
+    }
+    for (int threads : {1, 4}) {
+      SCOPED_TRACE(testing::Message() << "stream " << static_cast<int>(stream)
+                                      << ", " << threads << " threads");
+      QueryMemoryTracker tracker;
+      AggHashTableSet set(kinds, &tracker);
+      std::vector<std::thread> workers;
+      for (int t = 0; t < threads; ++t) {
+        workers.emplace_back([&, t] {
+          runtime_internal::SetThreadIndex(t);
+          AggHashTable* local = set.Local();
+          for (int64_t r = kRows * t / threads;
+               r < kRows * (t + 1) / threads; ++r) {
+            auto* p = static_cast<int64_t*>(
+                local->FindOrInsert(keys[static_cast<size_t>(r)]));
+            p[0] += value(r);
+            p[1] += 1;
+            p[2] = std::min(p[2], value(r));
+            p[3] = std::max(p[3], value(r));
+          }
+        });
+      }
+      for (auto& worker : workers) worker.join();
+      set.BeginMerge();
+      std::vector<std::thread> mergers;
+      for (int m = 0; m < threads; ++m) {
+        mergers.emplace_back([&set, m, threads] {
+          for (int p = m; p < kAggPartitions; p += threads) {
+            set.MergePartition(p);
+          }
+        });
+      }
+      for (auto& merger : mergers) merger.join();
+
+      ASSERT_EQ(set.size(), expected.size());
+      uint64_t matched = 0;
+      set.ForEach([&](int64_t key, void* payload) {
+        const auto* p = static_cast<const int64_t*>(payload);
+        const auto it = expected.find(key);
+        ASSERT_NE(it, expected.end()) << key;
+        EXPECT_EQ(std::vector<int64_t>(p, p + kinds.size()), it->second)
+            << key;
+        ++matched;
+      });
+      EXPECT_EQ(matched, expected.size());
+      tracker.FoldResidues();
+      const uint64_t fixed =
+          static_cast<uint64_t>(threads) * kAggTableBytes +
+          kAggPartitions * 4096u;
+      EXPECT_LE(tracker.peak_bytes(),
+                2 * entry_bytes * expected.size() + fixed);
+    }
+  }
 }
 
 #if defined(__linux__) && !defined(__SANITIZE_ADDRESS__) && \
@@ -517,15 +609,16 @@ TEST(PageAllocatorTest, FreedTablesReturnMemoryToTheOs) {
   std::thread worker([&] {
     start = ResidentBytes();
     {
-      // ~34 MiB of aggregation arrays, ~32 MiB of join directory and
-      // arena chunks.
+      // 16 MiB of aggregation runs, ~32 MiB of join directory and arena
+      // chunks.
       constexpr int64_t kKeys = 1 << 20;
-      AggHashTable agg(1, {0});
+      AggHashTableSet agg({AggKind::kSum});
       JoinHashTable join(1);
       for (int64_t k = 0; k < kKeys; ++k) {
-        agg.FindOrInsert(k);
+        agg.Local()->FindOrInsert(k);
         join.Insert(k);
       }
+      agg.Merge();
       join.Seal();
       // Pins the heap top, so malloc cannot trim what the tables freed.
       pin = std::make_unique<int64_t>(0);

@@ -160,6 +160,28 @@ TEST_F(TpchQueryTest, MorselCountsMatchPinned) {
   }
 }
 
+// Each query's tracked peak memory at SF 0.01: single-threaded bytecode
+// with the artifact cache off, so every allocation happens on one thread
+// in one order. The peak counts every table, run, arena page, directory
+// and output chunk the query held at once; a change to how the runtime
+// allocates or charges them shows here.
+TEST_F(TpchQueryTest, PeakMemoryMatchesPinned) {
+  const std::pair<int, uint64_t> pinned[] = {
+      {1, 16384},   {3, 151808},  {4, 91136},  {5, 66816},  {6, 4096},
+      {7, 80000},   {9, 636416},  {10, 148480}, {11, 78080}, {12, 86016},
+      {14, 69632},  {18, 336536}, {19, 102400},
+  };
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  options.single_threaded = true;
+  options.use_artifact_cache = false;
+  for (const auto& [number, peak] : pinned) {
+    QueryProgram program = BuildTpchQuery(number, *catalog_);
+    EXPECT_EQ(engine_->Run(program, options).peak_memory_bytes, peak)
+        << program.name();
+  }
+}
+
 /// The VM's exact dispatch count so far: the sum of its per-opcode counts.
 uint64_t VmDispatches(const QueryEngine& engine) {
   uint64_t total = 0;
