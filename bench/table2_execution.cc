@@ -108,14 +108,14 @@ int main() {
   std::printf("\nexpected shape: bc. several-fold slower than unopt.; unopt. "
               "modestly slower than opt.; bc. well ahead of PG\n");
 
-  constexpr int kStepRuns = 5;
+  constexpr int kStepRepeats = 5;
   std::printf("\nEngine steps of adaptive runs [ms], their share of exec and "
-              "the tracked peak memory [MiB], median of %d\n", kStepRuns);
+              "the tracked peak memory [MiB], median of %d\n", kStepRepeats);
   std::printf("%6s | %9s %7s %8s | %9s %7s %8s (%d threads)\n", "query",
               "steps", "share", "peak", "steps", "share", "peak", threads);
   for (int number : ImplementedTpchQueries()) {
-    const StepSplit one = MedianSteps(&single, catalog, number, kStepRuns);
-    const StepSplit many = MedianSteps(&multi, catalog, number, kStepRuns);
+    const StepSplit one = MedianSteps(&single, catalog, number, kStepRepeats);
+    const StepSplit many = MedianSteps(&multi, catalog, number, kStepRepeats);
     std::printf("%6d | %9.2f %6.1f%% %8.2f | %9.2f %6.1f%% %8.2f\n", number,
                 one.steps_ms, one.share * 100, one.peak_mib, many.steps_ms,
                 many.share * 100, many.peak_mib);

@@ -1,7 +1,12 @@
 // Runs one TPC-H query under every engine and execution mode and prints a
-// latency comparison — a miniature of the paper's whole evaluation.
+// latency comparison — a miniature of the paper's whole evaluation. Every
+// engine's rows are checked against volcano's; a mismatch exits 1.
+//
+//   ./examples/mode_comparison [query] [scale factor]   (default: 1 0.1)
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <vector>
 
 #include "engine/query_engine.h"
 #include "queries/tpch_queries.h"
@@ -37,7 +42,8 @@ int main(int argc, char** argv) {
   };
   std::printf("%-32s %12s %12s\n", "engine/mode", "total [ms]",
               "compile [ms]");
-  size_t result_rows = 0;
+  std::vector<std::vector<int64_t>> reference;  // volcano's rows
+  bool all_agree = true;
   for (const Config& config : configs) {
     QueryProgram q = BuildTpchQuery(number, catalog);
     QueryRunOptions options;
@@ -50,8 +56,18 @@ int main(int argc, char** argv) {
     std::printf("%-32s %12.2f %12.2f\n", config.label, r.total_seconds * 1e3,
                 r.codegen_millis_total + r.translate_millis_total +
                     r.compile_millis_total);
-    result_rows = r.rows.size();
+    if (config.engine == EngineKind::kVolcano) {
+      reference = std::move(r.rows);
+    } else if (r.rows != reference) {
+      std::printf("  ^ %zu rows differ from volcano's %zu\n", r.rows.size(),
+                  reference.size());
+      all_agree = false;
+    }
   }
-  std::printf("\n(all produce the same %zu result rows)\n", result_rows);
+  if (!all_agree) {
+    std::printf("\nresults differ between engines\n");
+    return 1;
+  }
+  std::printf("\n(all produce the same %zu result rows)\n", reference.size());
   return 0;
 }

@@ -11,7 +11,7 @@
 #include "common/status.h"
 #include "common/timer.h"
 #include "exec/morsel.h"
-#include "runtime/agg_hash_table.h"
+#include "runtime/thread_index.h"
 #include "sched/task.h"
 
 namespace aqe {

@@ -2,18 +2,7 @@
 
 #include <algorithm>
 
-#include "common/status.h"
-
 namespace aqe {
-
-const char* DecisionName(Decision decision) {
-  switch (decision) {
-    case Decision::kDoNothing: return "do-nothing";
-    case Decision::kCompileUnoptimized: return "compile-unoptimized";
-    case Decision::kCompileOptimized: return "compile-optimized";
-  }
-  AQE_UNREACHABLE("bad Decision");
-}
 
 double RuntimeCallFraction(uint64_t loop_instructions, uint64_t loop_calls,
                            const CostModelParams& params) {

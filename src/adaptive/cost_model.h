@@ -74,8 +74,6 @@ struct CostModelParams {
 /// The three options continuously evaluated per pipeline (§III-C).
 enum class Decision { kDoNothing, kCompileUnoptimized, kCompileOptimized };
 
-const char* DecisionName(Decision decision);
-
 /// Fig 7, verbatim: extrapolates the remaining pipeline duration under
 /// (1) the current mode, (2) unoptimized and (3) optimized compilation, and
 /// returns the winner.

@@ -25,9 +25,6 @@ class Timer {
   /// Elapsed time in milliseconds.
   double ElapsedMillis() const { return ElapsedSeconds() * 1e3; }
 
-  /// Elapsed time in microseconds.
-  double ElapsedMicros() const { return ElapsedSeconds() * 1e6; }
-
  private:
   using Clock = std::chrono::steady_clock;
   Clock::time_point start_;

@@ -108,7 +108,7 @@ struct EngineObs {
   Counter* compiles = metrics.GetCounter("jit.compiles");
   Counter* anomalies = metrics.GetCounter("engine.anomalies");
   /// Per-cause anomaly counters, indexed by AnomalyCause.
-  Counter* anomalies_by_cause[5] = {
+  Counter* anomalies_by_cause[kNumAnomalyCauses] = {
       metrics.GetCounter("engine.anomalies.unknown"),
       metrics.GetCounter("engine.anomalies.cache_evicted"),
       metrics.GetCounter("engine.anomalies.mode_regressed"),
@@ -474,6 +474,7 @@ class QueryJob : public Task {
         on_finished_(std::move(on_finished)) {
     result_.query_id = query_id;
     result_.plan_name = program.name();
+    result_.engine = options.engine;
     bool created_entry = false;
     if (options_.engine == EngineKind::kCompiled &&
         options_.use_artifact_cache && !program.pipelines().empty()) {
@@ -541,21 +542,22 @@ class QueryJob : public Task {
   }
 
  private:
-  /// Per-pipeline state that must survive suspension: the worker reads
-  /// every runtime address out of the packed binding array, the handle is
-  /// flipped by compile tasks, and the PipelineRun checkpoints the
-  /// controller between morsels. Destroyed only after the run quiesced
-  /// (PipelineRun's drain phase / destructor, invariant 3 in
-  /// adaptive/controller.h) — `run` is declared last so it goes first.
-  struct ActivePipeline {
-    ActivePipeline(WorkerFn fn, const void* extra) : handle(fn, extra) {}
+  /// The query's one run in flight, a pipeline on any engine or a spread
+  /// merge or seal, with what must survive suspension: the worker's `state`
+  /// and what keeps its `extra` alive, the handle compile tasks flip and
+  /// the report the run fills. Destroyed only after the run quiesced
+  /// (invariant 3 in adaptive/controller.h): `run` is declared last.
+  struct ActiveRun {
+    ActiveRun(WorkerFn fn, const void* extra) : handle(fn, extra) {}
 
-    ArtifactRequest request;  ///< what the run asks of the plan's entry
-    PipelineBindings bindings;
-    std::vector<uint64_t> binding_values;
-    std::shared_ptr<const BcProgram> bytecode;
-    std::shared_ptr<CachedCode> seed_code;  ///< eviction-safe seeded code
+    bool is_pipeline = false;  ///< else a merge or seal
+    std::vector<uint64_t> binding_values;  ///< compiled, naive-IR `state`
+    InterpretedPipeline interpreted;       ///< volcano, vectorized `state`
+    /// Bytecode, cache-seeded machine code, naive-IR's module.
+    std::vector<std::shared_ptr<const void>> keepalive;
+    uint64_t charged_bytes = 0;  ///< binding array + private bytecode
     FunctionHandle handle;
+    PipelineReport report;
     std::unique_ptr<PipelineRun> run;
   };
 
@@ -611,13 +613,11 @@ class QueryJob : public Task {
       obs_->sentinel.ObserveBudgetFailure(entry_->key, service_ms,
                                           memory_->peak_bytes());
     }
-    step_run_.reset();
     if (active_ != nullptr) {
+      // The abandoned run's partial report goes with it.
+      memory_->Release(active_->charged_bytes);
       active_.reset();
-      result_.pipelines.pop_back();  // the abandoned run's partial report
     }
-    memory_->Release(active_charged_bytes_);
-    active_charged_bytes_ = 0;
     obs_->FoldResult(result_, scheduling_class(), entry_ != nullptr,
                      /*completed=*/false);
     RecordSliceEnd(worker, /*query_done=*/true);
@@ -628,18 +628,14 @@ class QueryJob : public Task {
   }
 
   /// The pre-instrumentation slice body: one engine step, pipeline setup,
-  /// controller checkpoint of the embedded PipelineRun, or checkpoint of a
-  /// parallel merge or seal.
+  /// or controller checkpoint of the active run (a pipeline, or a parallel
+  /// merge or seal).
   Status RunSlice(int worker) {
     if (FailIfOverBudget(worker)) return Status::kDone;
-    if (step_run_ != nullptr) {
-      if (step_run_->run->Step(worker) != Status::kDone) return Status::kYield;
-      FinishStepRun();
-    } else if (active_ != nullptr) {
-      // Mid-pipeline: one controller checkpoint per slice.
+    if (active_ != nullptr) {
+      // Mid-run: one controller checkpoint per slice.
       if (active_->run->Step(worker) != Status::kDone) return Status::kYield;
-      FinishCompiledPipeline();
-      active_.reset();
+      FinishRun();
     }
     // The size check comes first: a QueryProgram with no stages at all
     // must still produce an (empty) result.
@@ -670,19 +666,20 @@ class QueryJob : public Task {
   void EstimateCost(bool created_entry);
   void RecordServiceTime(int worker);
   bool AdvanceStage(int worker);
+  bool RunsSingleThreaded() const;
   bool SpreadsSteps() const;
   bool StartSealRun(const PipelineSpec& spec);
   bool MergeAggregation(const PipelineSpec& spec);
-  void StartStepRun(WorkerFn worker, void* state, uint64_t units,
-                    uint64_t morsel_units);
-  void FinishStepRun();
-  void RunPipeline(const QueryProgram::Stage& stage, const PipelineSpec& spec,
-                   int worker);
-  void StartCompiledPipeline(const QueryProgram::Stage& stage,
-                             const PipelineSpec& spec,
-                             PipelineBindings bindings,
-                             PipelineReport report, int worker);
-  void FinishCompiledPipeline();
+  void StartSpreadStep(WorkerFn worker, void* state, uint64_t units,
+                       uint64_t morsel_units);
+  void StartPipeline(const QueryProgram::Stage& stage,
+                     const PipelineSpec& spec, int worker);
+  std::unique_ptr<ActiveRun> PrepareCompiledRun(
+      const QueryProgram::Stage& stage, const PipelineSpec& spec,
+      const Table* source, PipelineBindings bindings, PipelineReport* report,
+      PipelineTask* task, int worker);
+  void StartRun(std::unique_ptr<ActiveRun> run, PipelineTask task);
+  void FinishRun();
 
   TaskScheduler* sched_;
   ArtifactCache* cache_;
@@ -713,9 +710,6 @@ class QueryJob : public Task {
   bool started_ = false;
   double estimated_cost_ms_ = 0;
   uint64_t estimated_peak_bytes_ = 0;
-  /// Tracker bytes charged for the active pipeline's binding array and
-  /// private bytecode; released when the pipeline finishes or is abandoned.
-  uint64_t active_charged_bytes_ = 0;
   bool fully_cached_ = false;
   Timer total_timer_;  ///< from Submit — total_seconds includes queue wait
   std::promise<QueryRunResult> promise_;
@@ -723,21 +717,9 @@ class QueryJob : public Task {
   /// The current pipeline stage has run its pipeline; what is left is
   /// merging the aggregation it fills.
   bool stage_ran_ = false;
-  /// A parallel merge or seal: an engine step spread over the workers as a
-  /// PipelineRun whose handle holds a native worker (MergeWorker,
-  /// SealWorker) and whose PipelineObs is empty, so it records no trace
-  /// events; its report stays out of the result, and its time counts as
-  /// engine steps.
-  struct StepRun {
-    explicit StepRun(WorkerFn fn) : handle(fn, nullptr) {}
-    FunctionHandle handle;
-    PipelineReport report;
-    std::unique_ptr<PipelineRun> run;
-  };
   /// Declared after ctx_: destroyed first, so a run abandoned at shutdown
   /// quiesces while the context its bindings point into is still alive.
-  std::unique_ptr<ActivePipeline> active_;
-  std::unique_ptr<StepRun> step_run_;
+  std::unique_ptr<ActiveRun> active_;
 };
 
 /// Cache-aware admission estimate. Service time and peak footprint come
@@ -798,9 +780,9 @@ void QueryJob::RecordServiceTime(int worker) {
 }
 
 /// Advances the current stage as far as it goes on this slice. Returns true
-/// when the stage is complete, false when it left work in flight: a
-/// compiled pipeline (active_) or a parallel merge or seal (step_run_),
-/// after which the next slice calls it again.
+/// when the stage is complete, false when it left a run in flight (a
+/// pipeline, or a parallel merge or seal), after which the next slice calls
+/// it again.
 bool QueryJob::AdvanceStage(int worker) {
   const QueryProgram::Stage& stage = program_->stages()[stage_index_];
   if (stage.pipeline < 0) {
@@ -813,21 +795,25 @@ bool QueryJob::AdvanceStage(int worker) {
       program_->pipelines()[static_cast<size_t>(stage.pipeline)];
   if (!stage_ran_) {
     if (StartSealRun(spec)) return false;
-    RunPipeline(stage, spec, worker);
+    StartPipeline(stage, spec, worker);
     stage_ran_ = true;
-    if (active_ != nullptr) return false;
+    return false;
   }
   if (MergeAggregation(spec)) return false;
   stage_ran_ = false;
   return true;
 }
 
-/// Whether a large seal or merge is spread over the workers: only on the
-/// compiled engine (the baselines run their pipelines on the query's
-/// thread) and never for a single-threaded run.
+/// Whether the query's pipelines run on one thread: when the options ask
+/// for it, and always on the baseline engines.
+bool QueryJob::RunsSingleThreaded() const {
+  return options_.single_threaded || options_.engine != EngineKind::kCompiled;
+}
+
+/// Whether a large seal or merge is spread over the workers: never for a
+/// query whose pipelines run single-threaded.
 bool QueryJob::SpreadsSteps() const {
-  return options_.engine == EngineKind::kCompiled &&
-         !options_.single_threaded && sched_->num_workers() >= 2;
+  return !RunsSingleThreaded() && sched_->num_workers() >= 2;
 }
 
 /// Starts a parallel seal of the first large join table `spec` probes that
@@ -844,7 +830,7 @@ bool QueryJob::StartSealRun(const PipelineSpec& spec) {
     Timer timer;
     const uint64_t nodes = ht->BeginSeal();
     result_.exec_seconds_total += timer.ElapsedSeconds();
-    StartStepRun(&SealWorker, ht, nodes, /*morsel_units=*/0);
+    StartSpreadStep(&SealWorker, ht, nodes, /*morsel_units=*/0);
     return true;
   }
   return false;
@@ -860,7 +846,7 @@ bool QueryJob::MergeAggregation(const PipelineSpec& spec) {
   Timer timer;
   const uint64_t groups = set->BeginMerge();
   if (SpreadsSteps() && groups >= kParallelMergeGroups) {
-    StartStepRun(&MergeWorker, set, kAggPartitions, /*morsel_units=*/1);
+    StartSpreadStep(&MergeWorker, set, kAggPartitions, /*morsel_units=*/1);
     result_.exec_seconds_total += timer.ElapsedSeconds();
     return true;
   }
@@ -871,95 +857,81 @@ bool QueryJob::MergeAggregation(const PipelineSpec& spec) {
   return false;
 }
 
-void QueryJob::StartStepRun(WorkerFn worker, void* state, uint64_t units,
-                            uint64_t morsel_units) {
+/// Starts an engine step spread over the workers: a run whose handle holds
+/// a native worker (MergeWorker, SealWorker) over `units`, and whose
+/// PipelineObs is empty, so it records no trace events.
+void QueryJob::StartSpreadStep(WorkerFn worker, void* state, uint64_t units,
+                               uint64_t morsel_units) {
   obs_->spread_steps->Add();
-  auto step = std::make_unique<StepRun>(worker);
   PipelineTask task;
-  task.handle = &step->handle;
   task.state = state;
   task.domain = ScanDomain::Make({{0, units}}, units);
   task.morsel_tuples = morsel_units;
-  task.scheduling_class = scheduling_class();
-  task.report = &step->report;
-  step->run = std::make_unique<PipelineRun>(
-      sched_, ExecutionStrategy::kBytecode, options_.cost_model, task,
-      /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
-  step_run_ = std::move(step);
+  StartRun(std::make_unique<ActiveRun>(worker, nullptr), std::move(task));
 }
 
-void QueryJob::FinishStepRun() {
-  result_.exec_seconds_total += step_run_->report.exec_seconds;
-  result_.on_cpu_seconds += step_run_->report.helper_busy_seconds;
-  step_run_.reset();
-}
-
-/// Binds and runs (baselines) or starts (compiled engine) one pipeline.
-void QueryJob::RunPipeline(const QueryProgram::Stage& stage,
-                           const PipelineSpec& spec, int worker) {
-  const QueryProgram& program = *program_;
-  const QueryRunOptions& options = options_;
-  const RuntimeRegistry& registry = RuntimeRegistry::Global();
-
+/// Starts one pipeline the same way on every engine: bind, a handle over
+/// the engine's worker, a PipelineTask, a PipelineRun. The engine picks only
+/// the worker and what keeps it alive; the baselines skip the artifact
+/// cache and pruning, and record no trace events.
+void QueryJob::StartPipeline(const QueryProgram::Stage& stage,
+                             const PipelineSpec& spec, int worker) {
   PipelineReport report;
   report.name = spec.name;
   report.pipeline_index = static_cast<uint32_t>(stage.pipeline);
+  const Table* source = program_->ResolveTable(spec.source_table, *ctx_);
   // The pipeline's total work, known at pipeline start (§III-A).
-  report.tuples = program.ResolveTable(spec.source_table, *ctx_)->num_rows();
+  report.tuples = source->num_rows();
 
   // Binding seals the join tables this pipeline probes, linking what their
   // builds inserted: join-table finalize, so it counts as an engine step.
   Timer bind_timer;
-  PipelineBindings bindings = BindPipeline(program, spec, *ctx_);
+  PipelineBindings bindings = BindPipeline(*program_, spec, *ctx_);
   result_.exec_seconds_total += bind_timer.ElapsedSeconds();
 
-  if (options.engine == EngineKind::kCompiled) {
-    StartCompiledPipeline(stage, spec, std::move(bindings), std::move(report),
-                          worker);
-    return;
-  }
-  // The baselines run the whole pipeline on the query's thread.
-  Timer timer;
-  if (options.engine == EngineKind::kVolcano) {
-    RunPipelineVolcano(program, spec, ctx_.get());
-  } else if (options.engine == EngineKind::kVectorized) {
-    RunPipelineVectorized(program, spec, ctx_.get());
-  } else {
-    // Fig 2's "LLVM IR" mode: interpret the IR objects directly,
-    // single-threaded, morsel by morsel.
-    std::vector<uint64_t> binding_values = bindings.Pack();
+  PipelineTask task;
+  task.pipeline_id = stage.pipeline;
+  std::unique_ptr<ActiveRun> run;
+  if (options_.engine == EngineKind::kCompiled) {
+    run = PrepareCompiledRun(stage, spec, source, std::move(bindings),
+                             &report, &task, worker);
+  } else if (options_.engine == EngineKind::kNaiveIr) {
+    // Fig 2's "LLVM IR" mode: interpret the generated IR objects.
     GeneratedPipeline generated =
         GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
     report.instructions = generated.instructions;
     report.codegen_millis = generated.codegen_millis;
     result_.codegen_millis_total += generated.codegen_millis;
-    const llvm::Function* fn = generated.mod->module().getFunction("worker");
-    timer.Reset();
-    MorselQueue queue(ScanDomain::Make({{0, report.tuples}}, report.tuples),
-                      0, report.tuples);
-    MorselBatch morsel;
-    while (queue.Next(&morsel)) {
-      const MorselRange& range = morsel.ranges[0];  // one-range domain
-      uint64_t args[4] = {reinterpret_cast<uint64_t>(binding_values.data()),
-                          range.begin, range.end, 0};
-      NaiveIrInterpret(*fn, args, 4, registry);
-    }
+    run = std::make_unique<ActiveRun>(
+        &NaiveIrWorker, generated.mod->module().getFunction("worker"));
+    run->keepalive.push_back(std::move(generated.mod));
+    run->binding_values = bindings.Pack();
+    task.state = run->binding_values.data();
+  } else {
+    run = std::make_unique<ActiveRun>(options_.engine == EngineKind::kVolcano
+                                          ? &VolcanoWorker
+                                          : &VectorizedWorker,
+                                      nullptr);
+    run->interpreted = {&spec, source, ctx_.get()};
+    task.state = &run->interpreted;
   }
-  report.exec_seconds = timer.ElapsedSeconds();
-  report.exec_only_seconds = report.exec_seconds;
-  result_.exec_seconds_total += report.exec_only_seconds;
-  result_.pipelines.push_back(std::move(report));
+  // Only the compiled engine prunes; the rest scan every row.
+  if (task.domain == nullptr) {
+    task.domain = ScanDomain::Make({{0, report.tuples}}, report.tuples);
+  }
+  run->is_pipeline = true;
+  run->report = std::move(report);
+  StartRun(std::move(run), std::move(task));
 }
 
-/// Sets up one compiled pipeline and hands it to a resumable PipelineRun:
-/// bind, artifact-cache lookup, (on miss) codegen + translation, handle
-/// seeding. Everything the run touches across suspensions moves into the
-/// ActivePipeline member; the caller's Run() loop then steps the pipeline
-/// one morsel per slice.
-void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
-                                     const PipelineSpec& spec,
-                                     PipelineBindings bindings,
-                                     PipelineReport report, int worker) {
+/// Sets up one compiled pipeline's run: artifact-cache lookup, (on miss)
+/// codegen + translation, scan pruning, handle seeding. Everything the run
+/// touches across suspensions moves into the returned ActiveRun; the
+/// pipeline's fields of `task` and `report` are filled in place.
+std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
+    const QueryProgram::Stage& stage, const PipelineSpec& spec,
+    const Table* source, PipelineBindings bindings, PipelineReport* report,
+    PipelineTask* task, int worker) {
   const QueryRunOptions& options = options_;
   const RuntimeRegistry& registry = RuntimeRegistry::Global();
   const auto p = static_cast<size_t>(stage.pipeline);
@@ -984,7 +956,6 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   const bool needs_bytecode =
       options.strategy == ExecutionStrategy::kBytecode ||
       options.strategy == ExecutionStrategy::kAdaptive;
-  const Table* source = program_->ResolveTable(spec.source_table, *ctx_);
   const bool prunes = options.scan_pruning && source != nullptr &&
                       source->indexes() != nullptr;
 
@@ -1003,7 +974,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
   }
   std::shared_ptr<const BcProgram> bytecode = cached.bytecode;
   if (bytecode != nullptr) {
-    report.artifact_cache_hit = true;
+    report->artifact_cache_hit = true;
     cache_instant(TraceEventKind::kCacheHit, /*payload=*/0);
   }
 
@@ -1020,18 +991,18 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     call_fraction = RuntimeCallFraction(
         generated.loop_instructions, generated.loop_calls,
         options_.cost_model);
-    report.codegen_millis = generated.codegen_millis;
+    report->codegen_millis = generated.codegen_millis;
     result_.codegen_millis_total += generated.codegen_millis;
   }
-  report.instructions = instructions;
+  report->instructions = instructions;
 
   if (need_translation) {
     Timer timer;
     auto fresh = std::make_shared<BcProgram>(TranslateToBytecode(
         *generated.mod->module().getFunction("worker"), registry,
         options.translator));
-    report.translate_millis = timer.ElapsedMillis();
-    result_.translate_millis_total += report.translate_millis;
+    report->translate_millis = timer.ElapsedMillis();
+    result_.translate_millis_total += report->translate_millis;
 
     if (entry_ != nullptr) {
       cache_instant(TraceEventKind::kCacheMiss, /*payload=*/0);
@@ -1043,7 +1014,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     bytecode = std::move(fresh);
   }
   if (bytecode != nullptr) {
-    report.register_file_bytes = bytecode->register_file_size;
+    report->register_file_bytes = bytecode->register_file_size;
   }
 
   // --- scan pruning: the index access-path decision (src/index/) ----------
@@ -1055,86 +1026,74 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     const bool reused = cached.pruning.has_value();
     if (reused) {
       scan_domain = cached.pruning->domain;
-      report.pruning = cached.pruning->stats;
-      report.pruning.analysis_seconds = 0;  // no analysis this run
-      report.pruning_cache_hit = true;
+      report->pruning = cached.pruning->stats;
+      report->pruning.analysis_seconds = 0;  // no analysis this run
+      report->pruning_cache_hit = true;
     } else {
       ScanPruning pruning = AnalyzeScanPruning(spec, *source);
-      report.pruning = pruning.stats;
+      report->pruning = pruning.stats;
       scan_domain = std::move(pruning.domain);
       if (entry_ != nullptr) {
-        cache_->PublishPruning(*entry_, request, {scan_domain, report.pruning});
+        cache_->PublishPruning(*entry_, request,
+                               {scan_domain, report->pruning});
       }
     }
-    if (report.pruning.analyzed) {
+    if (report->pruning.analyzed) {
       if (scan_domain != nullptr) {
         // The scheduled-row count every downstream consumer reasons over
         // (§III-C extrapolation, EXPLAIN ANALYZE).
-        report.tuples = report.pruning.selected_rows;
+        report->tuples = report->pruning.selected_rows;
       }
       TraceEvent ev;
       ev.start_nanos = MonotonicNanos();
       ev.end_nanos = ev.start_nanos;
-      ev.payload = report.pruning.selected_rows;
-      ev.payload2 = report.pruning.table_rows;
-      ev.d0 = report.pruning.selected_fraction();
-      ev.d1 = report.pruning.analysis_seconds;
-      ev.d2 = static_cast<double>(report.pruning.posting_entries);
+      ev.payload = report->pruning.selected_rows;
+      ev.payload2 = report->pruning.table_rows;
+      ev.d0 = report->pruning.selected_fraction();
+      ev.d1 = report->pruning.analysis_seconds;
+      ev.d2 = static_cast<double>(report->pruning.posting_entries);
       ev.query_id = query_id_;
       ev.pipeline_id = static_cast<uint16_t>(p);
       ev.kind = TraceEventKind::kScanPrune;
-      ev.detail = static_cast<uint8_t>(report.pruning.primary_path);
+      ev.detail = static_cast<uint8_t>(report->pruning.primary_path);
       obs_->tracer.Record(worker, ev);
     }
   }
 
-  auto ap = std::make_unique<ActivePipeline>(
+  auto run = std::make_unique<ActiveRun>(
       bytecode != nullptr ? &VmExecuteWorker : &NeverCalledWorker,
       static_cast<const void*>(bytecode.get()));
-  ap->request = std::move(request);
-  ap->bindings = std::move(bindings);
-  ap->binding_values = std::move(binding_values);
-  ap->bytecode = std::move(bytecode);
+  run->binding_values = std::move(binding_values);
   // Per-run allocations the context's trackers can't see: the packed
   // binding array and the bytecode this run translated. A cache-resident
   // program is the cache's footprint, not this query's.
-  uint64_t run_bytes = ap->binding_values.size() * sizeof(uint64_t);
-  if (need_translation) run_bytes += BcProgramBytes(*ap->bytecode);
-  memory_->Charge(run_bytes);
-  active_charged_bytes_ = run_bytes;
+  run->charged_bytes = run->binding_values.size() * sizeof(uint64_t);
+  if (need_translation) run->charged_bytes += BcProgramBytes(*bytecode);
+  memory_->Charge(run->charged_bytes);
+  run->keepalive.push_back(std::move(bytecode));
   if (cached.seed_code != nullptr) {
-    ap->handle.SetCompiled(cached.seed_code->fn, cached.seed_mode);
-    ap->seed_code = std::move(cached.seed_code);
+    run->handle.SetCompiled(cached.seed_code->fn, cached.seed_mode);
+    run->keepalive.push_back(std::move(cached.seed_code));
     cache_instant(TraceEventKind::kCacheHit, /*payload=*/1);
-    report.artifact_cache_hit = true;
+    report->artifact_cache_hit = true;
   }
 
-  PipelineTask task;
-  task.handle = &ap->handle;
-  task.state = ap->binding_values.data();
-  // Pruned scans hand the run a restricted domain (report.tuples is
-  // already its selected count); the rest scan every row.
-  task.domain = scan_domain != nullptr
-                    ? scan_domain
-                    : ScanDomain::Make({{0, report.tuples}}, report.tuples);
-  task.function_instructions = instructions;
-  task.runtime_call_fraction = call_fraction;
-  task.pipeline_id = stage.pipeline;
-  task.scheduling_class = scheduling_class();
-  task.obs = {&obs_->tracer, query_id_};
-  // The run fills the report in place: no other pipeline is added to the
-  // result while this one is active.
-  result_.pipelines.push_back(std::move(report));
-  task.report = &result_.pipelines.back();
-  ActivePipeline* raw_ap = ap.get();
-  task.compile = [this, raw_ap, &spec](ExecMode mode) -> WorkerFn {
+  task->state = run->binding_values.data();
+  // Pruned scans hand the run a restricted domain (report->tuples is
+  // already its selected count).
+  task->domain = std::move(scan_domain);
+  task->function_instructions = instructions;
+  task->runtime_call_fraction = call_fraction;
+  task->obs = {&obs_->tracer, query_id_};
+  task->compile = [this, &spec, bindings = std::move(bindings),
+                   request = std::move(request)](ExecMode mode) -> WorkerFn {
     // Regenerate IR (codegen is ~100x cheaper than machine-code
     // generation, Fig 1) so each compilation owns its LLVMContext —
     // required because adaptive compilation runs on a worker thread.
-    // `spec` lives in the (caller-owned) program, `raw_ap` in this job;
-    // both outlive the run (PipelineRun invariant 3).
+    // `spec` lives in the (caller-owned) program and outlives the run
+    // (PipelineRun invariant 3).
     GeneratedPipeline fresh =
-        GeneratePipeline(spec, raw_ap->bindings, LiteralForm::kImmediate);
+        GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
     aqe::Status status;  // Task::Status shadows it here
     auto compiled =
         JitCompile(std::move(*fresh.mod),
@@ -1160,7 +1119,7 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
           fresh.loop_instructions, fresh.loop_calls, options_.cost_model);
       sched_->Submit(
           MakeClosureTask([cache = cache_, entry = entry_,
-                           request = raw_ap->request, mode, code,
+                           request, mode, code,
                            instructions = fresh.instructions, call_fraction,
                            tracer = &obs_->tracer,
                            query_id = query_id_](int worker) {
@@ -1181,23 +1140,38 @@ void QueryJob::StartCompiledPipeline(const QueryProgram::Stage& stage,
     return fn;
   };
 
-  ap->run = std::make_unique<PipelineRun>(
-      sched_, options.strategy, options.cost_model, task,
-      options.single_threaded, options.adaptive_first_eval_seconds);
-  active_ = std::move(ap);
+  return run;
 }
 
-/// Post-run accounting, after the embedded PipelineRun filled its report
-/// (the result's last pipeline) and reported kDone.
-void QueryJob::FinishCompiledPipeline() {
-  memory_->Release(active_charged_bytes_);
-  active_charged_bytes_ = 0;
-  const PipelineReport& report = result_.pipelines.back();
+/// Hands `run` its PipelineRun and makes it the query's active run; the
+/// next slices step it one controller checkpoint at a time. Only a
+/// compiled pipeline has modes to choose between.
+void QueryJob::StartRun(std::unique_ptr<ActiveRun> run, PipelineTask task) {
+  task.handle = &run->handle;
+  task.report = &run->report;
+  task.scheduling_class = scheduling_class();
+  const bool compiled =
+      run->is_pipeline && options_.engine == EngineKind::kCompiled;
+  run->run = std::make_unique<PipelineRun>(
+      sched_, compiled ? options_.strategy : ExecutionStrategy::kBytecode,
+      options_.cost_model, task, RunsSingleThreaded(),
+      options_.adaptive_first_eval_seconds);
+  active_ = std::move(run);
+}
+
+/// Post-run accounting, after the active run filled its report and
+/// reported kDone. A pipeline's report joins the result; a spread step's
+/// time counts as engine steps.
+void QueryJob::FinishRun() {
+  memory_->Release(active_->charged_bytes);
+  PipelineReport& report = active_->report;
   result_.exec_seconds_total += report.exec_only_seconds;
   result_.on_cpu_seconds += report.helper_busy_seconds;
   for (const auto& [mode, seconds] : report.compiles) {
     result_.compile_millis_total += seconds * 1e3;
   }
+  if (active_->is_pipeline) result_.pipelines.push_back(std::move(report));
+  active_.reset();
 }
 
 }  // namespace
@@ -1513,31 +1487,25 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
       cost.fused_ops = bytecode.fused_instructions;
       cost.fused_cmp_branches = bytecode.fused_cmp_branches;
     }
-    if (measure_unopt) {
+    const auto jit_millis = [&](JitMode mode) {
       GeneratedPipeline fresh =
           GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
       Timer timer;
       Status status;
-      auto compiled = JitCompile(std::move(*fresh.mod), JitMode::kUnoptimized,
-                                 registry, &status);
+      auto compiled =
+          JitCompile(std::move(*fresh.mod), mode, registry, &status);
       AQE_CHECK_MSG(status.ok(), status.message().c_str());
-      cost.unopt_millis = timer.ElapsedMillis();
-    }
-    if (measure_opt) {
-      GeneratedPipeline fresh =
-          GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
-      Timer timer;
-      Status status;
-      auto compiled = JitCompile(std::move(*fresh.mod), JitMode::kOptimized,
-                                 registry, &status);
-      AQE_CHECK_MSG(status.ok(), status.message().c_str());
-      cost.opt_millis = timer.ElapsedMillis();
-    }
+      return timer.ElapsedMillis();
+    };
+    if (measure_unopt) cost.unopt_millis = jit_millis(JitMode::kUnoptimized);
+    if (measure_opt) cost.opt_millis = jit_millis(JitMode::kOptimized);
     costs.push_back(std::move(cost));
 
     // Execute the pipeline (interpreted) so later pipelines probe the hash
     // tables this one builds, and the steps read its merged aggregation.
-    RunPipelineVolcano(program, spec, ctx.get());
+    InterpretedPipeline interpreted{
+        &spec, program.ResolveTable(spec.source_table, *ctx), ctx.get()};
+    VolcanoWorker(&interpreted, 0, interpreted.source->num_rows(), nullptr);
     if (const auto* sink = std::get_if<SinkAgg>(&spec.sink)) {
       ctx->agg_sets[static_cast<size_t>(sink->agg)]->Merge();
     }

@@ -36,9 +36,10 @@ struct QueryRunOptions {
   CostModelParams cost_model;
   TranslatorOptions translator;
   /// Strictly one thread executes the query's pipelines (no morsel helper
-  /// tasks, compilations inline). Baselines and kNaiveIr are single-
-  /// threaded by construction; set this for kCompiled to reproduce the
-  /// paper's single-threaded latency figures.
+  /// tasks, compilations inline), and no merge or seal is spread over the
+  /// workers. The baseline engines (kVolcano, kVectorized, kNaiveIr)
+  /// always run this way; set it for kCompiled to reproduce the paper's
+  /// single-threaded latency figures.
   bool single_threaded = false;
   /// First adaptive cost-model evaluation happens this long after pipeline
   /// start (paper: 1 ms). Tests lower it to force early mode switches.
@@ -69,6 +70,7 @@ struct QueryRunResult {
   std::vector<std::vector<int64_t>> rows;  ///< final result
   uint32_t query_id = 0;  ///< what the query's trace events carry
   std::string plan_name;
+  EngineKind engine = EngineKind::kCompiled;  ///< names a baseline's mode
   double total_seconds = 0;                ///< whole query wall time
   /// Admission-to-first-slice wait: how long the query sat in the engine's
   /// admission queue plus the scheduler's deque before its first task slice
@@ -150,7 +152,8 @@ class QueryEngine {
   /// overtaking: a fully-cached plan may jump ahead of cold ones since it
   /// will finish in a fraction of the time). Pipelines execute as
   /// resumable state machines that yield at morsel boundaries, so a long
-  /// scan never blocks a worker against later-submitted short queries.
+  /// scan never blocks a worker against later-submitted short queries; a
+  /// single-threaded or baseline query runs each pipeline in one slice.
   /// `program` must stay alive until the future is ready. Destroying the
   /// engine abandons queued queries: their futures throw
   /// std::future_error (broken_promise) — they never hang.
@@ -189,9 +192,9 @@ class QueryEngine {
   /// (flamegraph.pl / speedscope input): one "engine;<plan>;... <µs>" line
   /// per stack, summed over queries since the last
   /// ResetObservabilityStats. Each query adds the exact times its
-  /// QueryRunResult holds: per pipeline, morsel busy time per mode,
-  /// compiles per target mode, codegen + translation, and a baseline
-  /// pipeline's exec time; per plan, its engine steps. Also served at
+  /// QueryRunResult holds: per pipeline, morsel busy time per mode (per
+  /// engine on a baseline), compiles per target mode, codegen +
+  /// translation; per plan, its engine steps. Also served at
   /// GET /profile when the stats server is on. Thread-safe.
   std::string CollapsedStacks() const;
 

@@ -29,8 +29,8 @@ using WorkerFn = void (*)(void* state, uint64_t begin, uint64_t end,
 /// using the new variant."
 class FunctionHandle {
  public:
-  /// Starts in bytecode mode: `interpreter` is the VM trampoline,
-  /// `program` the translated bytecode (owned by the caller).
+  /// Starts in bytecode mode with the engine's first worker (the VM, the IR
+  /// interpreter or a baseline) and its `program` (owned by the caller).
   FunctionHandle(WorkerFn interpreter, const void* program);
 
   /// Installs a compiled variant. Threads pick it up on their next morsel.

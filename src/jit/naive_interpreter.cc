@@ -442,4 +442,12 @@ uint64_t NaiveIrInterpret(const llvm::Function& fn, const uint64_t* args,
   return frame.Run();
 }
 
+void NaiveIrWorker(void* state, uint64_t begin, uint64_t end,
+                   const void* function) {
+  const uint64_t args[4] = {reinterpret_cast<uint64_t>(state), begin, end,
+                            reinterpret_cast<uint64_t>(function)};
+  NaiveIrInterpret(*static_cast<const llvm::Function*>(function), args, 4,
+                   RuntimeRegistry::Global());
+}
+
 }  // namespace aqe

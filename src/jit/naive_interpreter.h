@@ -20,6 +20,11 @@ namespace aqe {
 uint64_t NaiveIrInterpret(const llvm::Function& fn, const uint64_t* args,
                           int num_args, const RuntimeRegistry& registry);
 
+/// NaiveIrInterpret as a worker (exec/function_handle.h): `extra` is the
+/// generated `llvm::Function`, `state` its packed binding array.
+void NaiveIrWorker(void* state, uint64_t begin, uint64_t end,
+                   const void* function);
+
 }  // namespace aqe
 
 #endif  // AQE_JIT_NAIVE_INTERPRETER_H_

@@ -2,11 +2,9 @@
 
 #include <cstdio>
 
-namespace aqe {
+#include "runtime/thread_index.h"
 
-namespace runtime_internal {
-int GetThreadIndex();  // defined in runtime/join_hash_table.cc
-}
+namespace aqe {
 
 MemoryBudgetExceeded::MemoryBudgetExceeded(int query_class,
                                            uint64_t budget_bytes,

@@ -6,6 +6,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "runtime/thread_index.h"
+
 namespace aqe {
 
 /// Typed failure for per-class memory budgets: thrown through the query's
@@ -57,7 +59,7 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// checks the flag at slice boundaries where unwinding is safe.
 class QueryMemoryTracker {
  public:
-  static constexpr int kSlots = 64;  ///< == the runtime's kMaxThreads
+  static constexpr int kSlots = kMaxThreads;
   static constexpr int64_t kFlushBytes = 64 << 10;
 
   QueryMemoryTracker() = default;

@@ -53,10 +53,10 @@ struct ModeSwitchRecord {
 };
 
 /// Per-pipeline execution report: what the engine returns per pipeline in
-/// QueryRunResult and what EXPLAIN ANALYZE renders. On the compiled engine
-/// the pipeline's PipelineRun writes the execution fields (exec and
-/// exec-only seconds, initial and final mode, compiles, mode switches,
-/// modes, helper busy time); the engine writes the rest.
+/// QueryRunResult and what EXPLAIN ANALYZE renders. On every engine the
+/// pipeline's PipelineRun writes the execution fields (exec and exec-only
+/// seconds, initial and final mode, compiles, mode switches, modes, helper
+/// busy time); the engine writes the rest.
 struct PipelineReport {
   std::string name;
   /// The plan's pipeline index — what morsel trace events carry as
@@ -91,8 +91,8 @@ struct PipelineReport {
   /// The per-fingerprint pruning decision was reused from the artifact
   /// cache instead of re-analyzed.
   bool pruning_cache_hit = false;
-  /// Every mode the pipeline ran in, in ExecMode order (compiled engine;
-  /// empty for the baselines).
+  /// Every mode the pipeline ran in, in ExecMode order (a baseline's one
+  /// worker runs in the first, kBytecode).
   std::vector<ModeSliceProfile> modes;
 };
 

@@ -33,6 +33,13 @@ Derived Derive(const QueryRunResult& r) {
   return d;
 }
 
+/// A mode of `r`'s pipelines, named; a baseline's worker never changes
+/// mode, so the engine names it.
+const char* ModeLabel(const QueryRunResult& r, ExecMode mode) {
+  return r.engine == EngineKind::kCompiled ? ExecModeName(mode)
+                                           : EngineKindName(r.engine);
+}
+
 /// A plan name as one flamegraph frame. flamegraph.pl splits a line at
 /// every ';' and at its last space, so those and control bytes become '_'.
 std::string FrameName(const std::string& name) {
@@ -54,15 +61,13 @@ void Flamegraph::Add(const QueryRunResult& r) {
     const std::string pipeline =
         plan + "pipeline" + std::to_string(pp.pipeline_index) + ";";
     for (const ModeSliceProfile& m : pp.modes) {
-      seconds[pipeline + ExecModeName(m.mode) + ";morsel"] += m.busy_seconds;
+      seconds[pipeline + ModeLabel(r, m.mode) + ";morsel"] += m.busy_seconds;
     }
     for (const auto& [mode, compile_seconds] : pp.compiles) {
       seconds[pipeline + ExecModeName(mode) + ";compile"] += compile_seconds;
     }
     seconds[pipeline + "codegen"] +=
         (pp.codegen_millis + pp.translate_millis) / 1e3;
-    // The baselines count no modes; their pipelines are one exec frame.
-    if (pp.modes.empty()) seconds[pipeline + "exec"] += pp.exec_only_seconds;
   }
   seconds[plan + "engine-step"] += Derive(r).engine_step_seconds;
   for (const auto& [stack, s] : seconds) {
@@ -124,7 +129,7 @@ std::string ExplainAnalyzeJson(const QueryRunResult& r) {
            first_p ? "" : ",", JsonEscape(pp.name).c_str(),
            pp.pipeline_index, static_cast<unsigned long long>(pp.tuples),
            pp.exec_seconds, pp.exec_only_seconds,
-           ExecModeName(pp.initial_mode), ExecModeName(pp.final_mode),
+           ModeLabel(r, pp.initial_mode), ModeLabel(r, pp.final_mode),
            pp.artifact_cache_hit ? "true" : "false");
     first_p = false;
     if (pp.pruning.analyzed) {
@@ -151,7 +156,7 @@ std::string ExplainAnalyzeJson(const QueryRunResult& r) {
       Append(out,
              "%s{\"mode\":\"%s\",\"morsels\":%llu,\"tuples\":%llu,"
              "\"busy_s\":%.6f,\"wall_s\":%.6f,\"tuples_per_s\":%.0f}",
-             first_m ? "" : ",", ExecModeName(m.mode),
+             first_m ? "" : ",", ModeLabel(r, m.mode),
              static_cast<unsigned long long>(m.morsels),
              static_cast<unsigned long long>(m.tuples), m.busy_seconds,
              m.wall_seconds, m.tuples_per_sec());
@@ -202,7 +207,7 @@ std::string ExplainAnalyze(const QueryRunResult& r) {
            pp.pipeline_index, pp.name.c_str(), pp.exec_seconds * 1e3,
            pp.exec_only_seconds * 1e3,
            static_cast<unsigned long long>(pp.tuples),
-           ExecModeName(pp.initial_mode), ExecModeName(pp.final_mode),
+           ModeLabel(r, pp.initial_mode), ModeLabel(r, pp.final_mode),
            pp.artifact_cache_hit ? ", cache hit" : "");
     if (pp.pruning.analyzed) {
       Append(out,
@@ -224,7 +229,7 @@ std::string ExplainAnalyze(const QueryRunResult& r) {
       Append(out,
              "    mode %-11s: %6llu morsels, %10llu tuples, "
              "%8.3f ms busy, %8.3f ms wall, %7.2f M tuples/s\n",
-             ExecModeName(m.mode),
+             ModeLabel(r, m.mode),
              static_cast<unsigned long long>(m.morsels),
              static_cast<unsigned long long>(m.tuples),
              m.busy_seconds * 1e3, m.wall_seconds * 1e3,

@@ -33,6 +33,10 @@ enum class AnomalyCause : uint8_t {
   /// tracks allocation churn (hash-table growth, spill-scale buffering).
   kMemoryBlowup = 4,
 };
+/// The size of an array indexed by AnomalyCause.
+constexpr int kNumAnomalyCauses = 5;
+static_assert(static_cast<int>(AnomalyCause::kMemoryBlowup) <
+              kNumAnomalyCauses, "the last cause must index inside");
 
 const char* AnomalyCauseName(AnomalyCause cause);
 

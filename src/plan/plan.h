@@ -29,6 +29,14 @@ struct QueryContext {
   std::vector<std::vector<int64_t>> result;
 };
 
+/// What the volcano and vectorized workers interpret: a pipeline, its
+/// resolved source table and the context whose tables it probes and fills.
+struct InterpretedPipeline {
+  const PipelineSpec* spec = nullptr;
+  const Table* source = nullptr;
+  QueryContext* ctx = nullptr;
+};
+
 /// A complete executable query: declarations of runtime objects, the
 /// compiled pipelines, and the engine steps between them. The steps are
 /// the C++ part the paper assigns to queryStart, as a closed set of typed

@@ -5,6 +5,7 @@
 
 #include "common/status.h"
 #include "obs/memory_tracker.h"
+#include "runtime/thread_index.h"
 
 namespace aqe {
 

@@ -9,17 +9,11 @@
 
 #include "common/page_allocator.h"
 #include "runtime/entry_arena.h"
+#include "runtime/thread_index.h"
 
 namespace aqe {
 
 class QueryMemoryTracker;
-
-namespace runtime_internal {
-/// Worker-thread index plumbing shared by the runtime (set by the morsel
-/// scheduler, read by thread-local runtime structures).
-void SetThreadIndex(int index);
-int GetThreadIndex();
-}  // namespace runtime_internal
 
 /// Aggregate function of one aggregation slot.
 enum class AggKind : uint8_t { kSum, kCount, kMin, kMax };
@@ -168,7 +162,7 @@ class AggHashTableSet {
   /// holds and for each fold's transient index.
   explicit AggHashTableSet(std::vector<AggKind> kinds,
                            QueryMemoryTracker* tracker = nullptr,
-                           int max_threads = 64);
+                           int max_threads = kMaxThreads);
   ~AggHashTableSet();
 
   /// Table of the calling worker thread (created lazily).

@@ -5,23 +5,9 @@
 
 #include "common/status.h"
 #include "obs/memory_tracker.h"
+#include "runtime/thread_index.h"
 
 namespace aqe {
-
-namespace {
-/// Index of the calling worker thread, assigned by the scheduler (0 for the
-/// main thread / single-threaded use). Also used by the aggregation runtime.
-thread_local int t_thread_index = 0;
-constexpr int kMaxThreads = 64;
-}  // namespace
-
-namespace runtime_internal {
-void SetThreadIndex(int index) {
-  AQE_CHECK(index >= 0 && index < kMaxThreads);
-  t_thread_index = index;
-}
-int GetThreadIndex() { return t_thread_index; }
-}  // namespace runtime_internal
 
 JoinHashTable::JoinHashTable(uint32_t payload_slots,
                              QueryMemoryTracker* tracker)

@@ -2,7 +2,7 @@
 
 #include "common/status.h"
 #include "obs/memory_tracker.h"
-#include "runtime/agg_hash_table.h"
+#include "runtime/thread_index.h"
 
 namespace aqe {
 

@@ -7,6 +7,8 @@
 #include <mutex>
 #include <vector>
 
+#include "runtime/thread_index.h"
+
 namespace aqe {
 
 class QueryMemoryTracker;
@@ -21,7 +23,7 @@ class OutputBuffer {
   /// for every chunk.
   explicit OutputBuffer(uint32_t row_slots,
                         QueryMemoryTracker* tracker = nullptr,
-                        int max_threads = 64);
+                        int max_threads = kMaxThreads);
   ~OutputBuffer();
 
   /// Reserves one row in the calling thread's sub-buffer and returns the

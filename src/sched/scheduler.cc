@@ -1,7 +1,7 @@
 #include "sched/scheduler.h"
 
 #include "common/status.h"
-#include "runtime/agg_hash_table.h"
+#include "runtime/thread_index.h"
 
 namespace aqe {
 namespace {

@@ -14,6 +14,8 @@ namespace {
 using Vec = std::vector<int64_t>;
 using Sel = std::vector<int>;
 
+constexpr uint64_t kVectorSize = 1024;
+
 double AsF64(int64_t bits) {
   double d;
   std::memcpy(&d, &bits, 8);
@@ -222,12 +224,13 @@ int ProbeCodes(const Column& column, uint64_t base, int n,
 
 }  // namespace
 
-void RunPipelineVectorized(const QueryProgram& program,
-                           const PipelineSpec& spec, QueryContext* ctx) {
-  const Table* table = program.ResolveTable(spec.source_table, *ctx);
-  const uint64_t rows = table->num_rows();
+void VectorizedWorker(void* state, uint64_t begin, uint64_t end,
+                      const void*) {
+  const auto& input = *static_cast<const InterpretedPipeline*>(state);
+  const PipelineSpec& spec = *input.spec;
+  QueryContext* ctx = input.ctx;
   std::vector<const Column*> columns;
-  for (int c : spec.scan_columns) columns.push_back(&table->column(c));
+  for (int c : spec.scan_columns) columns.push_back(&input.source->column(c));
 
   AggHashTable* agg_local = nullptr;
   if (const auto* agg = std::get_if<SinkAgg>(&spec.sink)) {
@@ -261,8 +264,8 @@ void RunPipelineVectorized(const QueryProgram& program,
   Vec tmp;
   Sel sel;
   std::vector<int32_t> widened_codes;  // narrow pushdown codes, per vector
-  for (uint64_t base = 0; base < rows; base += kVectorSize) {
-    const uint64_t n = std::min(kVectorSize, rows - base);
+  for (uint64_t base = begin; base < end; base += kVectorSize) {
+    const uint64_t n = std::min(kVectorSize, end - base);
     slot_vecs.clear();
     size_t first_op = 0;
     if (pushdown_slot >= 0) {

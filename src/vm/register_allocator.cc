@@ -4,15 +4,6 @@
 
 namespace aqe {
 
-const char* RegAllocStrategyName(RegAllocStrategy strategy) {
-  switch (strategy) {
-    case RegAllocStrategy::kNoReuse: return "no-reuse";
-    case RegAllocStrategy::kWindow: return "window";
-    case RegAllocStrategy::kLoopAware: return "loop-aware";
-  }
-  AQE_UNREACHABLE("bad strategy");
-}
-
 RegisterAllocator::RegisterAllocator(RegAllocStrategy strategy,
                                      int window_size)
     : strategy_(strategy), window_size_(window_size) {

@@ -19,8 +19,6 @@ enum class RegAllocStrategy {
   kLoopAware,
 };
 
-const char* RegAllocStrategyName(RegAllocStrategy strategy);
-
 /// Hands out 8-byte register-file slots (as slot *indices* — the compact
 /// 16-byte instruction encoding stores them in 16-bit fields) and tracks the
 /// high-water mark. Slots 0 and 1 are pre-reserved for the constants 0 and 1

@@ -16,12 +16,12 @@ int64_t LoadWidened(const Column& column, uint64_t row) {
 
 }  // namespace
 
-void RunPipelineVolcano(const QueryProgram& program, const PipelineSpec& spec,
-                        QueryContext* ctx) {
-  const Table* table = program.ResolveTable(spec.source_table, *ctx);
-  const uint64_t rows = table->num_rows();
+void VolcanoWorker(void* state, uint64_t begin, uint64_t end, const void*) {
+  const auto& input = *static_cast<const InterpretedPipeline*>(state);
+  const PipelineSpec& spec = *input.spec;
+  QueryContext* ctx = input.ctx;
   std::vector<const Column*> columns;
-  for (int c : spec.scan_columns) columns.push_back(&table->column(c));
+  for (int c : spec.scan_columns) columns.push_back(&input.source->column(c));
 
   AggHashTable* agg_local = nullptr;
   if (const auto* agg = std::get_if<SinkAgg>(&spec.sink)) {
@@ -29,7 +29,7 @@ void RunPipelineVolcano(const QueryProgram& program, const PipelineSpec& spec,
   }
 
   std::vector<int64_t> slots;
-  for (uint64_t row = 0; row < rows; ++row) {
+  for (uint64_t row = begin; row < end; ++row) {
     slots.clear();
     for (const Column* column : columns) {
       slots.push_back(LoadWidened(*column, row));

@@ -1075,6 +1075,25 @@ TEST_F(ObsEngineTest, DefaultRunRendersAModeLinePerPipeline) {
   EXPECT_EQ(mode_lines, modes) << text;
 }
 
+// A volcano pipeline runs its worker in the handle's first mode
+// throughout: EXPLAIN ANALYZE names the engine wherever it names that mode,
+// and never claims bytecode ran.
+TEST_F(ObsEngineTest, VolcanoExplainAnalyzeNamesTheEngine) {
+  QueryEngine engine(&catalog(), 2);
+  QueryProgram q6 = BuildTpchQuery(6, catalog());
+  QueryRunOptions volcano;
+  volcano.engine = EngineKind::kVolcano;
+  const QueryRunResult result = engine.Run(q6, volcano);
+  EXPECT_EQ(result.engine, EngineKind::kVolcano);
+  const std::string text = ExplainAnalyze(result);
+  EXPECT_NE(text.find("volcano -> volcano"), std::string::npos) << text;
+  EXPECT_NE(text.find("\n    mode volcano "), std::string::npos) << text;
+  EXPECT_EQ(text.find("bytecode"), std::string::npos) << text;
+  const std::string json = ExplainAnalyzeJson(result);
+  EXPECT_NE(json.find("\"mode\":\"volcano\""), std::string::npos) << json;
+  EXPECT_EQ(json.find("bytecode"), std::string::npos) << json;
+}
+
 /// Adaptive runs forced through a mode switch at the first evaluation:
 /// free modeled compilation, huge modeled speedup.
 QueryRunOptions ForcedSwitchOptions() {
@@ -1745,8 +1764,11 @@ std::map<std::string, uint64_t> ExpectedStacks(
       const std::string pipeline =
           plan + "pipeline" + std::to_string(pp.pipeline_index) + ";";
       for (const ModeSliceProfile& m : pp.modes) {
-        seconds[pipeline + ExecModeName(m.mode) + ";morsel"] +=
-            m.busy_seconds;
+        // A baseline's morsels are named for its engine.
+        const char* mode = r.engine == EngineKind::kCompiled
+                               ? ExecModeName(m.mode)
+                               : EngineKindName(r.engine);
+        seconds[pipeline + mode + ";morsel"] += m.busy_seconds;
       }
       for (const auto& [mode, compile_seconds] : pp.compiles) {
         seconds[pipeline + ExecModeName(mode) + ";compile"] +=
@@ -1754,7 +1776,6 @@ std::map<std::string, uint64_t> ExpectedStacks(
       }
       seconds[pipeline + "codegen"] +=
           (pp.codegen_millis + pp.translate_millis) / 1e3;
-      if (pp.modes.empty()) seconds[pipeline + "exec"] += pp.exec_only_seconds;
       exec_only += pp.exec_only_seconds;
     }
     seconds[plan + "engine-step"] =
@@ -1843,10 +1864,11 @@ TEST_F(ObsEngineTest, FlamegraphIsTheSumOfEachRunsExactTimes) {
   EXPECT_EQ(stacks, ExpectedStacks(results, [&](const std::string& name) {
               return name == odd_name ? odd_frame : name;
             }));
-  // Every kind of frame is present: morsels per mode, the forced switches'
-  // compiles, codegen, a volcano pipeline's exec time and engine steps.
-  for (const char* suffix :
-       {";bytecode;morsel", ";compile", ";codegen", ";exec", ";engine-step"}) {
+  // Every kind of frame is present: morsels per mode and a volcano
+  // pipeline's morsels, the forced switches' compiles, codegen and engine
+  // steps.
+  for (const char* suffix : {";bytecode;morsel", ";volcano;morsel", ";compile",
+                             ";codegen", ";engine-step"}) {
     EXPECT_TRUE(HasStackEndingIn(stacks, suffix)) << suffix;
   }
   EXPECT_TRUE(stacks.count("engine;" + odd_frame + ";pipeline0;codegen"));

@@ -21,6 +21,7 @@
 #include "runtime/runtime_functions.h"
 #include "runtime/runtime_registry.h"
 #include "runtime/sorter.h"
+#include "runtime/thread_index.h"
 
 namespace aqe {
 namespace {

@@ -160,6 +160,50 @@ TEST_F(TpchQueryTest, MorselCountsMatchPinned) {
   }
 }
 
+// Every engine runs its pipelines as morsel workers on a PipelineRun.
+// Single-threaded, unpruned and uncached, a pipeline's morsel boundaries are
+// a pure function of its cursor over the same rows, so every engine claims
+// the same morsels, and its modes cover each of the pipeline's tuples once.
+// Naive-IR interpretation is slow, so it runs Q6 only.
+TEST_F(TpchQueryTest, EveryEngineRunsTheSameMorsels) {
+  QueryRunOptions options;
+  options.strategy = ExecutionStrategy::kBytecode;
+  options.single_threaded = true;
+  options.use_artifact_cache = false;
+  options.scan_pruning = false;
+  // Runs query `number` on `engine`; returns each pipeline's morsels.
+  const auto pipeline_morsels = [&](int number, EngineKind engine) {
+    options.engine = engine;
+    QueryProgram program = BuildTpchQuery(number, *catalog_);
+    const QueryRunResult result = engine_->Run(program, options);
+    std::vector<uint64_t> counts;
+    for (const PipelineReport& pp : result.pipelines) {
+      uint64_t morsels = 0;
+      uint64_t tuples = 0;
+      for (const ModeSliceProfile& mode : pp.modes) {
+        morsels += mode.morsels;
+        tuples += mode.tuples;
+      }
+      EXPECT_EQ(tuples, pp.tuples)
+          << program.name() << " " << pp.name << " on "
+          << EngineKindName(engine);
+      counts.push_back(morsels);
+    }
+    return counts;
+  };
+  for (int number : ImplementedTpchQueries()) {
+    const std::vector<uint64_t> compiled =
+        pipeline_morsels(number, EngineKind::kCompiled);
+    ASSERT_FALSE(compiled.empty()) << "q" << number;
+    for (EngineKind engine : {EngineKind::kVolcano, EngineKind::kVectorized,
+                              EngineKind::kNaiveIr}) {
+      if (engine == EngineKind::kNaiveIr && number != 6) continue;
+      EXPECT_EQ(pipeline_morsels(number, engine), compiled)
+          << "q" << number << " on " << EngineKindName(engine);
+    }
+  }
+}
+
 // Each query's tracked peak memory at SF 0.01: single-threaded bytecode
 // with the artifact cache off, so every allocation happens on one thread
 // in one order. The peak counts every table, run, arena page, directory
