@@ -198,6 +198,8 @@ int main(int argc, char** argv) {
           options.strategy = config.strategy;
           // Only the index path runs with scan pruning: bitmap/call keep
           // full scans so their per-row numbers stay comparable across PRs.
+          // On the index path the volcano and vectorized rows prune too:
+          // every engine scans the same pruned domain.
           options.scan_pruning = strategy == LikeStrategy::kIndex;
           // Whole pipeline on one thread (the paper's latency setup):
           // per-row costs aren't blurred by morsel scheduling, which

@@ -1,11 +1,15 @@
 // Regenerates Table II: execution times (compilation excluded) per query
 // for the Volcano baseline ("PG"), the vectorized baseline ("Monet"), and
 // the bytecode / unoptimized / optimized modes, single- and multi-threaded,
-// with the geometric mean over all implemented queries. A second table
+// with the geometric mean over all implemented queries. Every engine runs
+// its pipelines on the same morsels over the same pruned scans, so the
+// baseline columns prune like the compiled ones. A second table
 // splits each adaptive query's execution into pipelines and engine steps
 // (bind, seal, merge, top-k: exec_seconds_total minus the pipelines'
 // exec_only_seconds) and gives its tracked peak memory, single- and
 // multi-threaded, median of 5 runs.
+#include <iterator>
+
 #include "bench/bench_util.h"
 
 using namespace aqe;
@@ -68,43 +72,52 @@ int main() {
   QueryEngine single(catalog, 1);
   QueryEngine multi(catalog, threads);
 
-  std::printf("Table II — execution times [ms], SF %g\n", sf);
-  std::printf("%6s | %9s %9s %9s %9s %9s | %9s %9s %9s (%d threads)\n",
-              "query", "PG", "Monet", "bc.", "unopt.", "opt.", "bc.",
-              "unopt.", "opt.", threads);
-  std::vector<std::vector<double>> columns(8);
-  for (int number : ImplementedTpchQueries()) {
-    double pg = RunOnce(&single, catalog, number, EngineKind::kVolcano,
-                        ExecutionStrategy::kBytecode);
-    double monet = RunOnce(&single, catalog, number, EngineKind::kVectorized,
-                           ExecutionStrategy::kBytecode);
-    double bc1 = RunOnce(&single, catalog, number, EngineKind::kCompiled,
-                         ExecutionStrategy::kBytecode);
-    double un1 = RunOnce(&single, catalog, number, EngineKind::kCompiled,
-                         ExecutionStrategy::kUnoptimized);
-    double op1 = RunOnce(&single, catalog, number, EngineKind::kCompiled,
-                         ExecutionStrategy::kOptimized);
-    double bcn = RunOnce(&multi, catalog, number, EngineKind::kCompiled,
-                         ExecutionStrategy::kBytecode);
-    double unn = RunOnce(&multi, catalog, number, EngineKind::kCompiled,
-                         ExecutionStrategy::kUnoptimized);
-    double opn = RunOnce(&multi, catalog, number, EngineKind::kCompiled,
-                         ExecutionStrategy::kOptimized);
-    double row[8] = {pg, monet, bc1, un1, op1, bcn, unn, opn};
-    for (int c = 0; c < 8; ++c) columns[static_cast<size_t>(c)].push_back(row[c]);
-    std::printf("%6d | %9.1f %9.1f %9.1f %9.1f %9.1f | %9.1f %9.1f %9.1f\n",
-                number, pg, monet, bc1, un1, op1, bcn, unn, opn);
-    std::fflush(stdout);
+  struct Column {
+    EngineKind engine;
+    ExecutionStrategy strategy;
+    const char* label;
+  };
+  const Column kColumns[] = {
+      {EngineKind::kVolcano, ExecutionStrategy::kBytecode, "PG"},
+      {EngineKind::kVectorized, ExecutionStrategy::kBytecode, "Monet"},
+      {EngineKind::kCompiled, ExecutionStrategy::kBytecode, "bc."},
+      {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized, "unopt."},
+      {EngineKind::kCompiled, ExecutionStrategy::kOptimized, "opt."},
+  };
+  constexpr size_t kNumColumns = std::size(kColumns);
+  std::printf("Table II — execution times [ms], SF %g\n%6s |", sf, "query");
+  for (const char* side : {" |", ""}) {
+    for (const Column& column : kColumns) std::printf(" %9s", column.label);
+    std::printf("%s", side);
   }
-  std::printf("%6s | %9.1f %9.1f %9.1f %9.1f %9.1f | %9.1f %9.1f %9.1f\n",
-              "geo.m.", bench::GeometricMean(columns[0]),
-              bench::GeometricMean(columns[1]),
-              bench::GeometricMean(columns[2]),
-              bench::GeometricMean(columns[3]),
-              bench::GeometricMean(columns[4]),
-              bench::GeometricMean(columns[5]),
-              bench::GeometricMean(columns[6]),
-              bench::GeometricMean(columns[7]));
+  std::printf(" (%d threads)\n", threads);
+  // columns[side * kNumColumns + c]: side 0 on 1 thread, side 1 on `threads`.
+  std::vector<std::vector<double>> columns(2 * kNumColumns);
+  const auto print_row = [&](const std::vector<double>& row) {
+    for (size_t c = 0; c < row.size(); ++c) {
+      std::printf(" %9.1f%s", row[c], c + 1 == kNumColumns ? " |" : "");
+    }
+    std::printf("\n");
+    std::fflush(stdout);
+  };
+  for (int number : ImplementedTpchQueries()) {
+    std::vector<double> row;
+    for (QueryEngine* engine : {&single, &multi}) {
+      for (const Column& column : kColumns) {
+        row.push_back(RunOnce(engine, catalog, number, column.engine,
+                              column.strategy));
+        columns[row.size() - 1].push_back(row.back());
+      }
+    }
+    std::printf("%6d |", number);
+    print_row(row);
+  }
+  std::vector<double> means;
+  for (const std::vector<double>& column : columns) {
+    means.push_back(bench::GeometricMean(column));
+  }
+  std::printf("%6s |", "geo.m.");
+  print_row(means);
   std::printf("\nexpected shape: bc. several-fold slower than unopt.; unopt. "
               "modestly slower than opt.; bc. well ahead of PG\n");
 

@@ -129,7 +129,7 @@ struct PipelineExecState;
 /// 4. `single_threaded` pins the pledge, not the wall clock: the whole
 ///    pipeline (morsels and compiles) executes inside one Step on the
 ///    stepping worker — no helper tasks, no yields, compiles inline — so
-///    differential baselines and the paper's single-threaded latency
+///    differential references and the paper's single-threaded latency
 ///    figures see strictly one thread touch the pipeline.
 class PipelineRun {
  public:

@@ -666,7 +666,6 @@ class QueryJob : public Task {
   void EstimateCost(bool created_entry);
   void RecordServiceTime(int worker);
   bool AdvanceStage(int worker);
-  bool RunsSingleThreaded() const;
   bool SpreadsSteps() const;
   bool StartSealRun(const PipelineSpec& spec);
   bool MergeAggregation(const PipelineSpec& spec);
@@ -674,9 +673,13 @@ class QueryJob : public Task {
                        uint64_t morsel_units);
   void StartPipeline(const QueryProgram::Stage& stage,
                      const PipelineSpec& spec, int worker);
+  std::shared_ptr<const ScanDomain> PlanScan(
+      const PipelineSpec& spec, const Table& source,
+      const ArtifactRequest& request, const CachedArtifacts& cached,
+      PipelineReport* report, int worker);
   std::unique_ptr<ActiveRun> PrepareCompiledRun(
-      const QueryProgram::Stage& stage, const PipelineSpec& spec,
-      const Table* source, PipelineBindings bindings, PipelineReport* report,
+      const PipelineSpec& spec, PipelineBindings bindings,
+      ArtifactRequest request, CachedArtifacts cached, PipelineReport* report,
       PipelineTask* task, int worker);
   void StartRun(std::unique_ptr<ActiveRun> run, PipelineTask task);
   void FinishRun();
@@ -804,16 +807,10 @@ bool QueryJob::AdvanceStage(int worker) {
   return true;
 }
 
-/// Whether the query's pipelines run on one thread: when the options ask
-/// for it, and always on the baseline engines.
-bool QueryJob::RunsSingleThreaded() const {
-  return options_.single_threaded || options_.engine != EngineKind::kCompiled;
-}
-
 /// Whether a large seal or merge is spread over the workers: never for a
-/// query whose pipelines run single-threaded.
+/// single-threaded query.
 bool QueryJob::SpreadsSteps() const {
-  return !RunsSingleThreaded() && sched_->num_workers() >= 2;
+  return !options_.single_threaded && sched_->num_workers() >= 2;
 }
 
 /// Starts a parallel seal of the first large join table `spec` probes that
@@ -870,18 +867,17 @@ void QueryJob::StartSpreadStep(WorkerFn worker, void* state, uint64_t units,
   StartRun(std::make_unique<ActiveRun>(worker, nullptr), std::move(task));
 }
 
-/// Starts one pipeline the same way on every engine: bind, a handle over
-/// the engine's worker, a PipelineTask, a PipelineRun. The engine picks only
-/// the worker and what keeps it alive; the baselines skip the artifact
-/// cache and pruning, and record no trace events.
+/// Starts one pipeline the same way on every engine: bind, the artifact-
+/// cache lookup (when the query has an entry), the scan's domain, a handle
+/// over the engine's worker, a PipelineTask, a PipelineRun. The engine picks
+/// only the worker and what keeps it alive.
 void QueryJob::StartPipeline(const QueryProgram::Stage& stage,
                              const PipelineSpec& spec, int worker) {
+  const auto p = static_cast<size_t>(stage.pipeline);
   PipelineReport report;
   report.name = spec.name;
   report.pipeline_index = static_cast<uint32_t>(stage.pipeline);
-  const Table* source = program_->ResolveTable(spec.source_table, *ctx_);
-  // The pipeline's total work, known at pipeline start (§III-A).
-  report.tuples = source->num_rows();
+  const Table& source = *program_->ResolveTable(spec.source_table, *ctx_);
 
   // Binding seals the join tables this pipeline probes, linking what their
   // builds inserted: join-table finalize, so it counts as an engine step.
@@ -889,12 +885,28 @@ void QueryJob::StartPipeline(const QueryProgram::Stage& stage,
   PipelineBindings bindings = BindPipeline(*program_, spec, *ctx_);
   result_.exec_seconds_total += bind_timer.ElapsedSeconds();
 
+  // --- artifact-cache lookup: what it returns stays alive by shared_ptr ---
+  ArtifactRequest request;
+  request.pipeline = p;
+  request.strategy = options_.strategy;
+  request.pruning = options_.scan_pruning && source.indexes() != nullptr;
+  CachedArtifacts cached;
+  if (entry_ != nullptr) {
+    const auto [cb, ce] = fingerprint_.pipeline_constants[p];
+    request.constants.assign(fingerprint_.constants.begin() + cb,
+                             fingerprint_.constants.begin() + ce);
+    request.pruning_key = fingerprint_.pruning_key;
+    cached = cache_->Lookup(*entry_, request);
+  }
+
   PipelineTask task;
   task.pipeline_id = stage.pipeline;
+  task.domain = PlanScan(spec, source, request, cached, &report, worker);
+
   std::unique_ptr<ActiveRun> run;
   if (options_.engine == EngineKind::kCompiled) {
-    run = PrepareCompiledRun(stage, spec, source, std::move(bindings),
-                             &report, &task, worker);
+    run = PrepareCompiledRun(spec, std::move(bindings), std::move(request),
+                             std::move(cached), &report, &task, worker);
   } else if (options_.engine == EngineKind::kNaiveIr) {
     // Fig 2's "LLVM IR" mode: interpret the generated IR objects.
     GeneratedPipeline generated =
@@ -912,29 +924,76 @@ void QueryJob::StartPipeline(const QueryProgram::Stage& stage,
                                           ? &VolcanoWorker
                                           : &VectorizedWorker,
                                       nullptr);
-    run->interpreted = {&spec, source, ctx_.get()};
+    run->interpreted = {&spec, &source, ctx_.get()};
     task.state = &run->interpreted;
-  }
-  // Only the compiled engine prunes; the rest scan every row.
-  if (task.domain == nullptr) {
-    task.domain = ScanDomain::Make({{0, report.tuples}}, report.tuples);
   }
   run->is_pipeline = true;
   run->report = std::move(report);
   StartRun(std::move(run), std::move(task));
 }
 
-/// Sets up one compiled pipeline's run: artifact-cache lookup, (on miss)
-/// codegen + translation, scan pruning, handle seeding. Everything the run
-/// touches across suspensions moves into the returned ActiveRun; the
-/// pipeline's fields of `task` and `report` are filled in place.
+/// The rows `spec`'s scan schedules, decided the same way on every engine
+/// (src/index/DESIGN.md §2): the cached pruning decision, or a fresh
+/// analysis (published back when the query has a cache entry), or the full
+/// range when `request` does not prune or the analysis keeps every row.
+/// Fills the report's pruning stats and tuples — the scheduled-row count
+/// every downstream consumer reasons over (§III-C extrapolation, EXPLAIN
+/// ANALYZE) — and records the kScanPrune event.
+std::shared_ptr<const ScanDomain> QueryJob::PlanScan(
+    const PipelineSpec& spec, const Table& source,
+    const ArtifactRequest& request, const CachedArtifacts& cached,
+    PipelineReport* report, int worker) {
+  // The pipeline's total work, known at pipeline start (§III-A).
+  report->tuples = source.num_rows();
+  std::shared_ptr<const ScanDomain> domain;
+  if (request.pruning) {
+    if (cached.pruning.has_value()) {
+      domain = cached.pruning->domain;
+      report->pruning = cached.pruning->stats;
+      report->pruning.analysis_seconds = 0;  // no analysis this run
+      report->pruning_cache_hit = true;
+    } else {
+      ScanPruning pruning = AnalyzeScanPruning(spec, source);
+      report->pruning = pruning.stats;
+      domain = std::move(pruning.domain);
+      if (entry_ != nullptr) {
+        cache_->PublishPruning(*entry_, request, {domain, report->pruning});
+      }
+    }
+    if (report->pruning.analyzed) {
+      if (domain != nullptr) report->tuples = report->pruning.selected_rows;
+      TraceEvent ev;
+      ev.start_nanos = MonotonicNanos();
+      ev.end_nanos = ev.start_nanos;
+      ev.payload = report->pruning.selected_rows;
+      ev.payload2 = report->pruning.table_rows;
+      ev.d0 = report->pruning.selected_fraction();
+      ev.d1 = report->pruning.analysis_seconds;
+      ev.d2 = static_cast<double>(report->pruning.posting_entries);
+      ev.query_id = query_id_;
+      ev.pipeline_id = static_cast<uint16_t>(request.pipeline);
+      ev.kind = TraceEventKind::kScanPrune;
+      ev.detail = static_cast<uint8_t>(report->pruning.primary_path);
+      obs_->tracer.Record(worker, ev);
+    }
+  }
+  if (domain == nullptr) {
+    domain = ScanDomain::Make({{0, report->tuples}}, report->tuples);
+  }
+  return domain;
+}
+
+/// Sets up one compiled pipeline's run from the artifact-cache lookup's
+/// result: (on miss) codegen + translation, handle seeding, the compile
+/// hook. Everything the run touches across suspensions moves into the
+/// returned ActiveRun; the pipeline's fields of `task` and `report` are
+/// filled in place.
 std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
-    const QueryProgram::Stage& stage, const PipelineSpec& spec,
-    const Table* source, PipelineBindings bindings, PipelineReport* report,
+    const PipelineSpec& spec, PipelineBindings bindings,
+    ArtifactRequest request, CachedArtifacts cached, PipelineReport* report,
     PipelineTask* task, int worker) {
   const QueryRunOptions& options = options_;
   const RuntimeRegistry& registry = RuntimeRegistry::Global();
-  const auto p = static_cast<size_t>(stage.pipeline);
 
   // Cache lookup outcomes below emit instant events on this worker's lane.
   const auto cache_instant = [&](TraceEventKind kind, uint64_t payload) {
@@ -943,7 +1002,7 @@ std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
     ev.end_nanos = ev.start_nanos;
     ev.payload = payload;
     ev.query_id = query_id_;
-    ev.pipeline_id = static_cast<uint16_t>(p);
+    ev.pipeline_id = static_cast<uint16_t>(request.pipeline);
     ev.kind = kind;
     obs_->tracer.Record(worker, ev);
     if (kind == TraceEventKind::kCacheHit) ++result_.cache_hits;
@@ -956,22 +1015,7 @@ std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
   const bool needs_bytecode =
       options.strategy == ExecutionStrategy::kBytecode ||
       options.strategy == ExecutionStrategy::kAdaptive;
-  const bool prunes = options.scan_pruning && source != nullptr &&
-                      source->indexes() != nullptr;
 
-  // --- artifact-cache lookup: what it returns stays alive by shared_ptr ---
-  ArtifactRequest request;
-  CachedArtifacts cached;
-  if (entry_ != nullptr) {
-    const auto [cb, ce] = fingerprint_.pipeline_constants[p];
-    request.pipeline = p;
-    request.constants.assign(fingerprint_.constants.begin() + cb,
-                             fingerprint_.constants.begin() + ce);
-    request.pruning_key = fingerprint_.pruning_key;
-    request.strategy = options.strategy;
-    request.pruning = prunes;
-    cached = cache_->Lookup(*entry_, request);
-  }
   std::shared_ptr<const BcProgram> bytecode = cached.bytecode;
   if (bytecode != nullptr) {
     report->artifact_cache_hit = true;
@@ -1017,49 +1061,6 @@ std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
     report->register_file_bytes = bytecode->register_file_size;
   }
 
-  // --- scan pruning: the index access-path decision (src/index/) ----------
-  // The resulting domain restricts which morsels the PipelineRun ever
-  // schedules. The decision is cached per constants and pruning key, so
-  // warm runs skip the analysis entirely.
-  std::shared_ptr<const ScanDomain> scan_domain;
-  if (prunes) {
-    const bool reused = cached.pruning.has_value();
-    if (reused) {
-      scan_domain = cached.pruning->domain;
-      report->pruning = cached.pruning->stats;
-      report->pruning.analysis_seconds = 0;  // no analysis this run
-      report->pruning_cache_hit = true;
-    } else {
-      ScanPruning pruning = AnalyzeScanPruning(spec, *source);
-      report->pruning = pruning.stats;
-      scan_domain = std::move(pruning.domain);
-      if (entry_ != nullptr) {
-        cache_->PublishPruning(*entry_, request,
-                               {scan_domain, report->pruning});
-      }
-    }
-    if (report->pruning.analyzed) {
-      if (scan_domain != nullptr) {
-        // The scheduled-row count every downstream consumer reasons over
-        // (§III-C extrapolation, EXPLAIN ANALYZE).
-        report->tuples = report->pruning.selected_rows;
-      }
-      TraceEvent ev;
-      ev.start_nanos = MonotonicNanos();
-      ev.end_nanos = ev.start_nanos;
-      ev.payload = report->pruning.selected_rows;
-      ev.payload2 = report->pruning.table_rows;
-      ev.d0 = report->pruning.selected_fraction();
-      ev.d1 = report->pruning.analysis_seconds;
-      ev.d2 = static_cast<double>(report->pruning.posting_entries);
-      ev.query_id = query_id_;
-      ev.pipeline_id = static_cast<uint16_t>(p);
-      ev.kind = TraceEventKind::kScanPrune;
-      ev.detail = static_cast<uint8_t>(report->pruning.primary_path);
-      obs_->tracer.Record(worker, ev);
-    }
-  }
-
   auto run = std::make_unique<ActiveRun>(
       bytecode != nullptr ? &VmExecuteWorker : &NeverCalledWorker,
       static_cast<const void*>(bytecode.get()));
@@ -1079,9 +1080,6 @@ std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
   }
 
   task->state = run->binding_values.data();
-  // Pruned scans hand the run a restricted domain (report->tuples is
-  // already its selected count).
-  task->domain = std::move(scan_domain);
   task->function_instructions = instructions;
   task->runtime_call_fraction = call_fraction;
   task->obs = {&obs_->tracer, query_id_};
@@ -1154,7 +1152,7 @@ void QueryJob::StartRun(std::unique_ptr<ActiveRun> run, PipelineTask task) {
       run->is_pipeline && options_.engine == EngineKind::kCompiled;
   run->run = std::make_unique<PipelineRun>(
       sched_, compiled ? options_.strategy : ExecutionStrategy::kBytecode,
-      options_.cost_model, task, RunsSingleThreaded(),
+      options_.cost_model, task, options_.single_threaded,
       options_.adaptive_first_eval_seconds);
   active_ = std::move(run);
 }

@@ -37,8 +37,7 @@ struct QueryRunOptions {
   TranslatorOptions translator;
   /// Strictly one thread executes the query's pipelines (no morsel helper
   /// tasks, compilations inline), and no merge or seal is spread over the
-  /// workers. The baseline engines (kVolcano, kVectorized, kNaiveIr)
-  /// always run this way; set it for kCompiled to reproduce the paper's
+  /// workers; the same on every engine. Set it to reproduce the paper's
   /// single-threaded latency figures.
   bool single_threaded = false;
   /// First adaptive cost-model evaluation happens this long after pipeline
@@ -56,11 +55,10 @@ struct QueryRunOptions {
   /// high-weight class for latency-sensitive tenants so their short
   /// queries overtake saturating low-class scans.
   int query_class = 0;
-  /// Index/zone-map scan pruning (src/index/): evaluate each compiled
-  /// pipeline's filter conjuncts against the scanned table's indexes and
-  /// schedule only the morsel ranges that can match (kCompiled only; the
-  /// baselines always full-scan, which is what the differential tests
-  /// compare against). The decision is cached per plan fingerprint.
+  /// Index/zone-map scan pruning (src/index/): evaluate each pipeline's
+  /// filter conjuncts against the scanned table's indexes and schedule only
+  /// the morsel ranges that can match, on every engine. A cached compiled
+  /// query reuses the decision per plan fingerprint.
   bool scan_pruning = true;
 };
 
@@ -153,7 +151,7 @@ class QueryEngine {
   /// will finish in a fraction of the time). Pipelines execute as
   /// resumable state machines that yield at morsel boundaries, so a long
   /// scan never blocks a worker against later-submitted short queries; a
-  /// single-threaded or baseline query runs each pipeline in one slice.
+  /// single-threaded query runs each pipeline in one slice.
   /// `program` must stay alive until the future is ready. Destroying the
   /// engine abandons queued queries: their futures throw
   /// std::future_error (broken_promise) — they never hang.

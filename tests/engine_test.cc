@@ -255,32 +255,43 @@ TEST(EngineStepTest, ParallelMergeAndSealMatchReference) {
   q.AddStep(ReadGroups(
       agg, ExprList(Slot(0), Slot(1), Slot(2), Slot(3), Slot(4))));
 
-  // One bytecode run on 2 workers: the spread steps are the engine's, not
-  // the mode's, and two workers already split them.
+  // Bytecode, volcano and vectorized runs on 2 workers: the spread steps
+  // are the engine's, not the mode's or the engine kind's, and two workers
+  // already split them.
   QueryEngine engine(&catalog, /*num_threads=*/2);
-  QueryRunOptions options;
-  options.strategy = ExecutionStrategy::kBytecode;
-  QueryRunResult result = engine.Run(q, options);
-  // Every group against the reference: each key once, with its sums.
-  EXPECT_EQ(result.rows.size(), static_cast<size_t>(kKeys));
-  std::vector<bool> seen(kKeys);
-  int64_t wrong = 0;
-  for (const std::vector<int64_t>& row : result.rows) {
-    const int64_t key = row[0];
-    if (key < 0 || key >= kKeys || seen[static_cast<size_t>(key)]) {
-      ++wrong;
-      continue;
+  for (EngineKind kind : {EngineKind::kCompiled, EngineKind::kVolcano,
+                          EngineKind::kVectorized}) {
+    QueryRunOptions options;
+    options.engine = kind;
+    options.strategy = ExecutionStrategy::kBytecode;
+    const uint64_t spread_before =
+        engine.ObservabilitySnapshot().counter("exec.spread_steps");
+    QueryRunResult result = engine.Run(q, options);
+    // Every group against the reference: each key once, with its sums.
+    EXPECT_EQ(result.rows.size(), static_cast<size_t>(kKeys))
+        << EngineKindName(kind);
+    std::vector<bool> seen(kKeys);
+    int64_t wrong = 0;
+    for (const std::vector<int64_t>& row : result.rows) {
+      const int64_t key = row[0];
+      if (key < 0 || key >= kKeys || seen[static_cast<size_t>(key)]) {
+        ++wrong;
+        continue;
+      }
+      seen[static_cast<size_t>(key)] = true;
+      const int64_t r = first_row[static_cast<size_t>(key)];
+      wrong += row[1] != 2 * r || row[2] != 2 || row[3] != r ||
+               row[4] != r + kKeys;
     }
-    seen[static_cast<size_t>(key)] = true;
-    const int64_t r = first_row[static_cast<size_t>(key)];
-    wrong += row[1] != 2 * r || row[2] != 2 || row[3] != r ||
-             row[4] != r + kKeys;
+    EXPECT_EQ(wrong, 0) << EngineKindName(kind);
+    // The merge and the seal are engine steps, not pipelines, and both were
+    // large enough to be spread over the workers.
+    EXPECT_EQ(result.pipelines.size(), 2u) << EngineKindName(kind);
+    EXPECT_EQ(engine.ObservabilitySnapshot().counter("exec.spread_steps") -
+                  spread_before,
+              2u)
+        << EngineKindName(kind);
   }
-  EXPECT_EQ(wrong, 0);
-  // The merge and the seal are engine steps, not pipelines, and both were
-  // large enough to be spread over the workers.
-  EXPECT_EQ(result.pipelines.size(), 2u);
-  EXPECT_EQ(engine.ObservabilitySnapshot().counter("exec.spread_steps"), 2u);
 }
 
 /// Each engine-step kind on a hand-filled context, against the same step

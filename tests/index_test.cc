@@ -838,6 +838,8 @@ TEST(SkewedIndexTest, PartialListingKeepsAccessPathsAndResults) {
   for (int which = 0; which < 3; ++which) {
     QueryRunOptions ref_options;
     ref_options.engine = EngineKind::kVolcano;
+    ref_options.single_threaded = true;
+    ref_options.scan_pruning = false;
     const auto reference = engine.Run(build(which), ref_options).rows;
     ASSERT_FALSE(reference.empty());
     for (ExecutionStrategy strategy :

@@ -195,8 +195,8 @@ const Config kConfigs[] = {
     {"jit-opt", EngineKind::kCompiled, ExecutionStrategy::kOptimized, true},
 };
 
-/// Runs `build()` on every config, with pruning on and off where it applies
-/// (the baselines always full-scan), and expects `reference` from each.
+/// Runs `build()` on every config, with pruning on and off, and expects
+/// `reference` from each.
 /// Returns whether any pruned run scheduled fewer than all rows.
 bool ExpectAllEnginesAgree(QueryEngine* engine,
                            const std::function<QueryProgram()>& build,
@@ -205,7 +205,6 @@ bool ExpectAllEnginesAgree(QueryEngine* engine,
   bool pruned = false;
   for (const Config& config : kConfigs) {
     for (bool pruning : {true, false}) {
-      if (config.engine != EngineKind::kCompiled && !pruning) continue;
       QueryRunOptions options;
       options.engine = config.engine;
       options.strategy = config.strategy;

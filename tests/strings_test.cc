@@ -432,6 +432,8 @@ TEST_F(LikeEndToEndTest, AllEnginesAgreeOnEveryPatternAndStrategy) {
       QueryProgram ref_program = BuildLikeQuery(pattern, strategy);
       QueryRunOptions volcano;
       volcano.engine = EngineKind::kVolcano;
+      volcano.single_threaded = true;
+      volcano.scan_pruning = false;
       auto reference = engine_->Run(ref_program, volcano).rows;
       for (const Config& config : configs) {
         QueryProgram program = BuildLikeQuery(pattern, strategy);
@@ -519,6 +521,8 @@ TEST_F(LikeEndToEndTest, ConcurrentSubmissionsAreRaceFree) {
   constexpr int kRuns = 6;
   QueryRunOptions ref_options;
   ref_options.engine = EngineKind::kVolcano;
+  ref_options.single_threaded = true;
+  ref_options.scan_pruning = false;
   QueryProgram ref = BuildLikeQuery("%requests%", LikeStrategy::kAuto);
   const auto reference = engine.Run(ref, ref_options).rows;
 

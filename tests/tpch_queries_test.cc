@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <map>
+#include <ostream>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -29,17 +31,21 @@ class TpchQueryTest : public ::testing::TestWithParam<int> {
     catalog_ = new Catalog();
     tpch::BuildTpchDatabase(catalog_, /*sf=*/0.01);
     engine_ = new QueryEngine(catalog_, /*num_threads=*/2);
+    four_workers_ = new QueryEngine(catalog_, /*num_threads=*/4);
   }
   static void TearDownTestSuite() {
+    delete four_workers_;
     delete engine_;
     delete catalog_;
   }
   static Catalog* catalog_;
   static QueryEngine* engine_;
+  static QueryEngine* four_workers_;
 };
 
 Catalog* TpchQueryTest::catalog_ = nullptr;
 QueryEngine* TpchQueryTest::engine_ = nullptr;
+QueryEngine* TpchQueryTest::four_workers_ = nullptr;
 
 /// Every engine and execution mode must produce identical rows for every
 /// query — this is the end-to-end guarantee behind "no work is lost when
@@ -57,28 +63,45 @@ struct EngineConfig {
   }
 };
 
-// Every engine a query runs on, compared against volcano. Bytecode runs on
-// the build's dispatch loop; VmDispatchCountsMatchPinned runs every query
-// through the counting switch loop.
+/// The reference every engine is compared against: volcano on one thread,
+/// scanning every row, so no parallel merge or seal and no pruning path
+/// can make it agree with a wrong run.
+QueryRunOptions ReferenceOptions() {
+  QueryRunOptions options;
+  options.engine = EngineKind::kVolcano;
+  options.single_threaded = true;
+  options.scan_pruning = false;
+  return options;
+}
+
+// Every engine a query runs on with default options (on every worker,
+// pruned), compared against the reference. Bytecode runs on the build's
+// dispatch loop; VmDispatchCountsMatchPinned runs every query through the
+// counting switch loop.
 constexpr EngineConfig kEngineConfigs[] = {
+    {EngineKind::kVolcano, ExecutionStrategy::kBytecode, "volcano"},
     {EngineKind::kVectorized, ExecutionStrategy::kBytecode, "vectorized"},
     {EngineKind::kCompiled, ExecutionStrategy::kBytecode, "vm"},
     {EngineKind::kCompiled, ExecutionStrategy::kUnoptimized, "jit-unopt"},
     {EngineKind::kCompiled, ExecutionStrategy::kAdaptive, "adaptive"},
 };
 
+// Each config runs on the 2-worker engine; the baselines run on the 4-worker
+// engine too.
 TEST_P(TpchQueryTest, AllEnginesAgree) {
   const int number = GetParam();
-  QueryRunOptions volcano;
-  volcano.engine = EngineKind::kVolcano;
   QueryProgram ref_program = BuildTpchQuery(number, *catalog_);
-  auto reference = engine_->Run(ref_program, volcano).rows;
+  auto reference = engine_->Run(ref_program, ReferenceOptions()).rows;
   ASSERT_FALSE(reference.empty()) << "q" << number << " has empty result";
 
   for (const EngineConfig& config : kEngineConfigs) {
     QueryProgram program = BuildTpchQuery(number, *catalog_);
     auto rows = engine_->Run(program, config.Options()).rows;
     EXPECT_EQ(rows, reference) << "q" << number << " " << config.label;
+    if (config.engine == EngineKind::kCompiled) continue;
+    QueryProgram again = BuildTpchQuery(number, *catalog_);
+    EXPECT_EQ(four_workers_->Run(again, config.Options()).rows, reference)
+        << "q" << number << " " << config.label << " on 4 workers";
   }
 }
 
@@ -160,47 +183,103 @@ TEST_F(TpchQueryTest, MorselCountsMatchPinned) {
   }
 }
 
-// Every engine runs its pipelines as morsel workers on a PipelineRun.
-// Single-threaded, unpruned and uncached, a pipeline's morsel boundaries are
-// a pure function of its cursor over the same rows, so every engine claims
-// the same morsels, and its modes cover each of the pipeline's tuples once.
-// Naive-IR interpretation is slow, so it runs Q6 only.
+/// What one pipeline ran: its scheduled tuples, its modes' sums, and its
+/// scan's pruning decision.
+struct PipelineFacts {
+  uint64_t tuples = 0;
+  uint64_t mode_tuples = 0;
+  uint64_t morsels = 0;
+  bool analyzed = false;
+  AccessPathKind primary_path = AccessPathKind::kFullScan;
+  uint64_t selected_rows = 0;
+
+  auto Tie() const {
+    return std::tie(tuples, mode_tuples, morsels, analyzed, primary_path,
+                    selected_rows);
+  }
+  bool operator==(const PipelineFacts& other) const {
+    return Tie() == other.Tie();
+  }
+};
+
+std::ostream& operator<<(std::ostream& os, const PipelineFacts& facts) {
+  return os << "{tuples " << facts.tuples << ", mode tuples "
+            << facts.mode_tuples << ", morsels " << facts.morsels
+            << ", analyzed " << facts.analyzed << ", path "
+            << AccessPathKindName(facts.primary_path) << ", selected "
+            << facts.selected_rows << "}";
+}
+
+// Every engine runs its pipelines as morsel workers on a PipelineRun, and
+// the engine kind picks only the worker: threads and pruning mean the same
+// on every engine. A morsel boundary is a pure function of its shard's
+// cursor over the scan's domain, whoever claims it, so for every pipeline
+// every engine schedules the same tuples in the same morsels and reports
+// the same pruning decision, and its modes cover each tuple once. Two
+// passes: single-threaded and unpruned on the 2-worker engine, then on a
+// 4-worker engine with pruning on. Naive-IR interpretation is slow, so it
+// runs Q6 in both passes and Q3 in the second.
 TEST_F(TpchQueryTest, EveryEngineRunsTheSameMorsels) {
-  QueryRunOptions options;
-  options.strategy = ExecutionStrategy::kBytecode;
-  options.single_threaded = true;
-  options.use_artifact_cache = false;
-  options.scan_pruning = false;
-  // Runs query `number` on `engine`; returns each pipeline's morsels.
-  const auto pipeline_morsels = [&](int number, EngineKind engine) {
-    options.engine = engine;
-    QueryProgram program = BuildTpchQuery(number, *catalog_);
-    const QueryRunResult result = engine_->Run(program, options);
-    std::vector<uint64_t> counts;
-    for (const PipelineReport& pp : result.pipelines) {
-      uint64_t morsels = 0;
-      uint64_t tuples = 0;
-      for (const ModeSliceProfile& mode : pp.modes) {
-        morsels += mode.morsels;
-        tuples += mode.tuples;
-      }
-      EXPECT_EQ(tuples, pp.tuples)
-          << program.name() << " " << pp.name << " on "
-          << EngineKindName(engine);
-      counts.push_back(morsels);
-    }
-    return counts;
+  QueryRunOptions single;
+  single.single_threaded = true;
+  single.scan_pruning = false;
+  const struct {
+    const char* label;
+    QueryEngine* engine;
+    QueryRunOptions options;
+    std::vector<int> naive_ir;
+  } passes[] = {
+      {"single-threaded, unpruned", engine_, single, {6}},
+      {"4 workers, pruned", four_workers_, QueryRunOptions{}, {3, 6}},
   };
-  for (int number : ImplementedTpchQueries()) {
-    const std::vector<uint64_t> compiled =
-        pipeline_morsels(number, EngineKind::kCompiled);
-    ASSERT_FALSE(compiled.empty()) << "q" << number;
-    for (EngineKind engine : {EngineKind::kVolcano, EngineKind::kVectorized,
-                              EngineKind::kNaiveIr}) {
-      if (engine == EngineKind::kNaiveIr && number != 6) continue;
-      EXPECT_EQ(pipeline_morsels(number, engine), compiled)
-          << "q" << number << " on " << EngineKindName(engine);
+  for (const auto& pass : passes) {
+    QueryRunOptions options = pass.options;
+    options.strategy = ExecutionStrategy::kBytecode;
+    options.use_artifact_cache = false;
+    bool pruned = false;
+    // Runs query `number` on `engine`; returns each pipeline's facts.
+    const auto pipeline_facts = [&](int number, EngineKind engine) {
+      options.engine = engine;
+      QueryProgram program = BuildTpchQuery(number, *catalog_);
+      const QueryRunResult result = pass.engine->Run(program, options);
+      std::vector<PipelineFacts> facts;
+      for (const PipelineReport& pp : result.pipelines) {
+        PipelineFacts f;
+        f.tuples = pp.tuples;
+        for (const ModeSliceProfile& mode : pp.modes) {
+          f.mode_tuples += mode.tuples;
+          f.morsels += mode.morsels;
+        }
+        f.analyzed = pp.pruning.analyzed;
+        f.primary_path = pp.pruning.primary_path;
+        f.selected_rows = pp.pruning.selected_rows;
+        EXPECT_EQ(f.mode_tuples, f.tuples)
+            << program.name() << " " << pp.name << " on "
+            << EngineKindName(engine) << ", " << pass.label;
+        pruned |= f.analyzed && f.selected_rows < pp.pruning.table_rows;
+        facts.push_back(f);
+      }
+      return facts;
+    };
+    for (int number : ImplementedTpchQueries()) {
+      const std::vector<PipelineFacts> compiled =
+          pipeline_facts(number, EngineKind::kCompiled);
+      ASSERT_FALSE(compiled.empty()) << "q" << number;
+      for (EngineKind engine : {EngineKind::kVolcano, EngineKind::kVectorized,
+                                EngineKind::kNaiveIr}) {
+        if (engine == EngineKind::kNaiveIr &&
+            std::count(pass.naive_ir.begin(), pass.naive_ir.end(), number) ==
+                0) {
+          continue;
+        }
+        EXPECT_EQ(pipeline_facts(number, engine), compiled)
+            << "q" << number << " on " << EngineKindName(engine) << ", "
+            << pass.label;
+      }
     }
+    // A scan really pruned in the pruned pass (Q11's nation scan selects
+    // one of 25 rows), so its check is not vacuous.
+    EXPECT_EQ(pruned, pass.options.scan_pruning) << pass.label;
   }
 }
 
@@ -575,11 +654,9 @@ TEST_F(TpchFixtureTest, Q4AndQ9MatchSqlOracle) {
                                         {18, OracleQ18(catalog())}};
   for (const auto& [number, expected] : cases) {
     ASSERT_FALSE(expected.empty()) << "q" << number;
-    QueryRunOptions volcano;
-    volcano.engine = EngineKind::kVolcano;
     QueryProgram program = BuildTpchQuery(number, catalog());
-    EXPECT_EQ(engine.Run(program, volcano).rows, expected)
-        << "q" << number << " volcano";
+    EXPECT_EQ(engine.Run(program, ReferenceOptions()).rows, expected)
+        << "q" << number << " reference";
     for (const EngineConfig& config : kEngineConfigs) {
       QueryProgram program = BuildTpchQuery(number, catalog());
       EXPECT_EQ(engine.Run(program, config.Options()).rows, expected)
@@ -708,10 +785,8 @@ TEST_F(TpchFixtureTest, GeneratedQueryScalesInstructions) {
 
 TEST_F(TpchFixtureTest, GeneratedQueryAllEnginesAgree) {
   QueryEngine engine(&catalog(), 2);
-  QueryRunOptions volcano;
-  volcano.engine = EngineKind::kVolcano;
   QueryProgram ref_q = BuildGeneratedAggregateQuery(25, catalog());
-  auto reference = engine.Run(ref_q, volcano).rows;
+  auto reference = engine.Run(ref_q, ReferenceOptions()).rows;
 
   QueryProgram vm_q = BuildGeneratedAggregateQuery(25, catalog());
   QueryRunOptions vm;
