@@ -25,15 +25,6 @@ uint64_t BcProgramBytes(const BcProgram& program) {
          program.arg_offsets.size() * sizeof(uint32_t);
 }
 
-bool CacheEntry::FullyCached() {
-  std::lock_guard<std::mutex> lock(mu);
-  return std::all_of(pipelines.begin(), pipelines.end(),
-                     [](const PipelineArtifact& a) {
-                       return a.bytecode != nullptr ||
-                              a.code_variants.size() > 0;
-                     });
-}
-
 ArtifactCache::ArtifactCache(uint64_t byte_budget)
     : byte_budget_(byte_budget) {}
 

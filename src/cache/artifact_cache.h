@@ -166,9 +166,6 @@ struct CacheEntry {
 
   std::mutex mu;  ///< guards `pipelines`
   std::vector<PipelineArtifact> pipelines;
-
-  /// Every pipeline has bytecode or machine code resident.
-  bool FullyCached();
 };
 
 /// What one run of a pipeline asks of its plan's entry.

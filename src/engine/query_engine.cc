@@ -6,11 +6,13 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 
 #include "cache/fingerprint.h"
 #include "codegen/query_compiler.h"
 #include "common/status.h"
 #include "common/timer.h"
+#include "engine/query_engine_test_peer.h"
 #include "exec/morsel.h"
 #include "index/table_index.h"
 #include "jit/jit_compiler.h"
@@ -266,32 +268,17 @@ struct QueryEngine::Impl {
   // record events until the scheduler's workers join.
   EngineObs obs;
 
-  // Admission layer: at most `max_active` queries execute concurrently;
-  // excess queries wait in one FIFO queue per class and are released
-  // weighted-fair as running queries finish, so a burst cannot pile
-  // unbounded task state onto the scheduler and every class gets its share
-  // of slots. Each class keeps a virtual admission clock: releasing a
-  // query advances its class's clock by estimated_cost / weight, and the
-  // most-behind non-empty class is always served next — weighted fair
-  // queueing over service time, not query count, so a class of cheap
-  // cached queries admits many per heavy cold query. Within a class,
-  // release is FIFO except for a bounded cache-aware overtake (see
-  // PickFromClassLocked).
-  struct WaitingQuery {
+  // Admission: at most `max_active` queries execute at once, so a burst
+  // cannot pile unbounded task state onto the scheduler. Excess queries
+  // wait in one FIFO per class (see DrainWaiting). Class shares are the
+  // scheduler's alone: its weights, per-slice charge and clamps.
+  struct Waiter {
     std::unique_ptr<Task> job;
-    double cost_ms = 0;        ///< cache-estimated service time
-    bool fully_cached = false; ///< every pipeline artifact is resident
-    int bypassed = 0;          ///< times a cached waiter overtook this one
+    uint64_t seq;  ///< arrival order across classes
   };
-  /// A fully-cached waiter may overtake from at most this many queue
-  /// positions back, and a cold query at the head may be bypassed at most
-  /// this many times — both bounds keep a cold query's extra wait finite
-  /// even under a sustained stream of cached arrivals.
-  static constexpr size_t kMaxCacheOvertake = 8;
-
   std::mutex admission_mutex;
-  std::deque<WaitingQuery> waiting[kNumTaskClasses];
-  double admit_vtime[kNumTaskClasses] = {};
+  std::deque<Waiter> waiting[kNumTaskClasses];
+  uint64_t next_seq = 0;
   int active = 0;
   int max_active;
 
@@ -338,111 +325,45 @@ struct QueryEngine::Impl {
   MetricsSnapshot BuildSnapshot() const;
   std::string ProfilesJson() const;
 
-  void Admit(std::unique_ptr<Task> job, int cls, double cost_ms,
-             bool fully_cached) {
-    std::vector<std::unique_ptr<Task>> ready;
-    {
-      std::lock_guard<std::mutex> lock(admission_mutex);
-      std::deque<WaitingQuery>& queue = waiting[static_cast<size_t>(cls)];
-      if (queue.empty()) {
-        // The clocks only mean anything while some class is backlogged: a
-        // class served without contention still gets charged, and that
-        // banked *debt* would lock it out when another class later becomes
-        // backlogged. With no waiters anywhere, restart all clocks.
-        bool any_waiting = false;
-        for (int c = 0; c < kNumTaskClasses; ++c) {
-          if (!waiting[c].empty()) {
-            any_waiting = true;
-            break;
-          }
-        }
-        if (!any_waiting) {
-          for (int c = 0; c < kNumTaskClasses; ++c) admit_vtime[c] = 0;
-        }
-        // An idle class's clock stood still; clamp it forward so it cannot
-        // return with banked credit and starve the others.
-        double min_active_vtime = -1;
-        for (int c = 0; c < kNumTaskClasses; ++c) {
-          if (c == cls || waiting[c].empty()) continue;
-          if (min_active_vtime < 0 || admit_vtime[c] < min_active_vtime) {
-            min_active_vtime = admit_vtime[c];
-          }
-        }
-        if (min_active_vtime > admit_vtime[cls]) {
-          admit_vtime[cls] = min_active_vtime;
-        }
-      }
-      queue.push_back({std::move(job), cost_ms, fully_cached, 0});
-      DrainWaitingLocked(&ready);
-    }
-    for (auto& task : ready) sched.Submit(std::move(task));
+  void Admit(std::unique_ptr<Task> job) {
+    const int cls = job->scheduling_class();
+    DrainWaiting([&] { waiting[cls].push_back({std::move(job), next_seq++}); });
   }
 
-  /// Called by a finishing query task: hands its admission slot to the
-  /// most-behind class's next waiting query, if any.
-  void OnQueryFinished() {
-    std::vector<std::unique_ptr<Task>> ready;
-    {
-      std::lock_guard<std::mutex> lock(admission_mutex);
-      --active;
-      DrainWaitingLocked(&ready);
-    }
-    for (auto& task : ready) sched.Submit(std::move(task));
-  }
+  /// Called by a finishing query task: hands its slot to a waiting query.
+  void OnQueryFinished() { DrainWaiting([this] { --active; }); }
 
+  /// A raised cap releases already-waiting queries immediately.
   void SetMaxActive(int max_queries) {
+    DrainWaiting([&] { max_active = max_queries; });
+  }
+
+  /// Applies `change` under admission_mutex, gives each free slot to the
+  /// head of the waiting class with the lowest class_vtime (ties to the
+  /// earlier arrival), and submits those queries outside the lock.
+  template <typename Change>
+  void DrainWaiting(Change change) {
     std::vector<std::unique_ptr<Task>> ready;
     {
       std::lock_guard<std::mutex> lock(admission_mutex);
-      max_active = max_queries;
-      // A raised cap releases already-waiting queries immediately.
-      DrainWaitingLocked(&ready);
+      change();
+      const auto order = [this](int c) {
+        return std::make_pair(sched.class_vtime(c), waiting[c].front().seq);
+      };
+      while (active < max_active) {
+        int cls = -1;
+        for (int c = 0; c < kNumTaskClasses; ++c) {
+          if (!waiting[c].empty() && (cls < 0 || order(c) < order(cls))) {
+            cls = c;
+          }
+        }
+        if (cls < 0) break;  // nothing waiting
+        ready.push_back(std::move(waiting[cls].front().job));
+        waiting[cls].pop_front();
+        ++active;
+      }
     }
     for (auto& task : ready) sched.Submit(std::move(task));
-  }
-
-  /// Pops the next query of class `cls`: the oldest waiter, unless it is
-  /// cold and a fully-cached one sits within the first kMaxCacheOvertake
-  /// positions behind it — that one overtakes (it will finish in a
-  /// fraction of the time). A head that has already been bypassed
-  /// kMaxCacheOvertake times is released unconditionally, so a sustained
-  /// stream of cached arrivals cannot starve a cold query.
-  WaitingQuery PickFromClassLocked(int cls) {
-    std::deque<WaitingQuery>& queue = waiting[static_cast<size_t>(cls)];
-    size_t pick = 0;
-    if (!queue.front().fully_cached &&
-        queue.front().bypassed < static_cast<int>(kMaxCacheOvertake)) {
-      const size_t horizon = std::min(queue.size(), kMaxCacheOvertake + 1);
-      for (size_t i = 1; i < horizon; ++i) {
-        if (queue[i].fully_cached) {
-          pick = i;
-          ++queue.front().bypassed;
-          break;
-        }
-      }
-    }
-    WaitingQuery picked = std::move(queue[pick]);
-    queue.erase(queue.begin() + static_cast<ptrdiff_t>(pick));
-    return picked;
-  }
-
-  /// Moves waiting queries into `ready` (weighted-fair across classes)
-  /// while slots exist. Caller holds admission_mutex and submits outside
-  /// the lock.
-  void DrainWaitingLocked(std::vector<std::unique_ptr<Task>>* ready) {
-    while (active < max_active) {
-      int cls = -1;
-      for (int c = 0; c < kNumTaskClasses; ++c) {
-        if (waiting[c].empty()) continue;
-        if (cls < 0 || admit_vtime[c] < admit_vtime[cls]) cls = c;
-      }
-      if (cls < 0) return;  // nothing waiting
-      WaitingQuery picked = PickFromClassLocked(cls);
-      admit_vtime[cls] +=
-          picked.cost_ms / static_cast<double>(sched.class_weight(cls));
-      ++active;
-      ready->push_back(std::move(picked.job));
-    }
   }
 };
 
@@ -475,25 +396,28 @@ class QueryJob : public Task {
     result_.query_id = query_id;
     result_.plan_name = program.name();
     result_.engine = options.engine;
-    bool created_entry = false;
     if (options_.engine == EngineKind::kCompiled &&
         options_.use_artifact_cache && !program.pipelines().empty()) {
       // Fingerprint on the submitting thread: cheap (a hash walk over the
       // plan), and it makes the entry visible before any stage runs.
       fingerprint_ = FingerprintProgram(program);
+      bool created_entry = false;
       entry_ = cache_->Intern(
           ArtifactCacheKey(fingerprint_, options_.translator),
           program.pipelines().size(), program.name(), &created_entry);
+      // The plan's record (RegressionTracker::Lookup) outlives its cache
+      // entry, so a plan with a record whose entry had to be created again
+      // was evicted. A plan with no record has a peak estimate of 0: it is
+      // admitted, and the runtime soft limit catches it instead.
+      if (const std::optional<PlanStats> stats =
+              obs_->sentinel.Lookup(entry_->key)) {
+        estimated_peak_bytes_ = static_cast<uint64_t>(stats->ewma_peak_bytes);
+        evicted_ = created_entry;
+      }
     }
-    EstimateCost(created_entry);
   }
 
   std::future<QueryRunResult> GetFuture() { return promise_.get_future(); }
-
-  /// Cache-estimated service time and residency, for cache-aware
-  /// admission. Computed on the submitting thread from the interned entry.
-  double estimated_cost_ms() const { return estimated_cost_ms_; }
-  bool fully_cached() const { return fully_cached_; }
 
   /// Cache-estimated peak footprint (the fingerprint's peak-memory EWMA;
   /// 0 when the plan has no completed runs). What admission checks against
@@ -529,7 +453,6 @@ class QueryJob : public Task {
       TraceEvent ev;
       ev.start_nanos = submit_nanos_;
       ev.end_nanos = slice_start_nanos_;
-      ev.d0 = estimated_cost_ms_;
       ev.query_id = query_id_;
       ev.kind = TraceEventKind::kAdmissionWait;
       ev.detail = static_cast<uint8_t>(cls);
@@ -663,7 +586,6 @@ class QueryJob : public Task {
     return Status::kDone;
   }
 
-  void EstimateCost(bool created_entry);
   void RecordServiceTime(int worker);
   bool AdvanceStage(int worker);
   bool SpreadsSteps() const;
@@ -711,9 +633,7 @@ class QueryJob : public Task {
   QueryRunResult result_;
   size_t stage_index_ = 0;
   bool started_ = false;
-  double estimated_cost_ms_ = 0;
   uint64_t estimated_peak_bytes_ = 0;
-  bool fully_cached_ = false;
   Timer total_timer_;  ///< from Submit — total_seconds includes queue wait
   std::promise<QueryRunResult> promise_;
   std::function<void()> on_finished_;
@@ -725,28 +645,8 @@ class QueryJob : public Task {
   std::unique_ptr<ActiveRun> active_;
 };
 
-/// Cache-aware admission estimate. Service time and peak footprint come
-/// from the plan's record (RegressionTracker::Lookup), which outlives the
-/// plan's cache entry; a plan with no record is charged a flat pessimistic
-/// cold default and a peak of 0 — admitted optimistically and caught by the
-/// runtime soft limit instead. Residency is separate: only a fully-cached
-/// query may overtake cold waiters. A plan with a record whose entry had to
-/// be created again was evicted in between.
-void QueryJob::EstimateCost(bool created_entry) {
-  constexpr double kColdCostMs = 10.0;
-  estimated_cost_ms_ = kColdCostMs;
-  if (entry_ == nullptr) return;
-  fully_cached_ = entry_->FullyCached();
-  if (const std::optional<PlanStats> stats =
-          obs_->sentinel.Lookup(entry_->key)) {
-    estimated_cost_ms_ = std::max(0.05, stats->ewma_ms);
-    estimated_peak_bytes_ = static_cast<uint64_t>(stats->ewma_peak_bytes);
-    evicted_ = created_entry;
-  }
-}
-
 /// Folds this run's service time (queue wait excluded) and peak into the
-/// plan's record, which the next submit's admission estimate reads. The
+/// plan's record, whose peak the next submit's budget check reads. The
 /// sentinel flags the run (counter + kAnomaly trace event on this worker's
 /// lane) when it deviates from the record.
 void QueryJob::RecordServiceTime(int worker) {
@@ -765,7 +665,7 @@ void QueryJob::RecordServiceTime(int worker) {
   sample.cache_miss = evicted_;
   sample.plan_name = program_->name();
   AnomalyRecord anomaly;
-  if (obs_->sentinel.Observe(sample, &anomaly)) {
+  if (obs_->sentinel.Observe(std::move(sample), &anomaly)) {
     obs_->anomalies->Add();
     obs_->anomalies_by_cause[static_cast<int>(anomaly.cause)]->Add();
     TraceEvent ev;
@@ -1195,8 +1095,8 @@ void QueryEngine::set_max_concurrent_queries(int max_queries) {
 }
 
 void QueryEngine::set_class_weight(int query_class, int weight) {
-  // One weight drives both layers: admission release order and the
-  // scheduler's per-class slice shares.
+  // The scheduler's weight is the only class share; admission reads it
+  // back through the class's virtual time.
   impl_->sched.set_class_weight(query_class, weight);
 }
 
@@ -1219,8 +1119,6 @@ std::future<QueryRunResult> QueryEngine::Submit(
       impl->catalog, &impl->sched, &impl->cache, &impl->obs, query_id,
       program, options, [impl] { impl->OnQueryFinished(); });
   std::future<QueryRunResult> future = job->GetFuture();
-  const double cost_ms = job->estimated_cost_ms();
-  const bool cached = job->fully_cached();
   job->set_scheduling_class(options.query_class);
   const int cls = job->scheduling_class();
   // Per-class memory budget, checked before the query ever queues: a
@@ -1246,7 +1144,7 @@ std::future<QueryRunResult> QueryEngine::Submit(
                live.end());
     live.push_back(job->tracker());
   }
-  impl_->Admit(std::move(job), cls, cost_ms, cached);
+  impl_->Admit(std::move(job));
   return future;
 }
 
@@ -1263,6 +1161,10 @@ void QueryEngine::set_artifact_cache_byte_budget(uint64_t bytes) {
 }
 
 void QueryEngine::ClearArtifactCache() { impl_->cache.Clear(); }
+
+RegressionTracker& QueryEngineTestPeer::sentinel(QueryEngine& engine) {
+  return engine.impl_->obs.sentinel;
+}
 
 void QueryEngine::set_anomaly_deviation_factor(double factor) {
   impl_->obs.sentinel.set_deviation_factor(factor);

@@ -48,12 +48,11 @@ struct QueryRunOptions {
   /// measure cold compilation costs switch it off.
   bool use_artifact_cache = true;
   /// Weighted-fair class of this query (0..kNumTaskClasses-1; out-of-range
-  /// values are clamped). The class scopes both admission (per-class
-  /// weighted-fair release order, see QueryEngine::set_class_weight) and
-  /// execution (every task the query spawns — stages, morsel helpers,
-  /// adaptive compiles — runs in the class's scheduler lane). Use a
-  /// high-weight class for latency-sensitive tenants so their short
-  /// queries overtake saturating low-class scans.
+  /// values are clamped). Every task the query spawns — stages, morsel
+  /// helpers, adaptive compiles — runs in the class's scheduler lane, and
+  /// the query waits for admission in the class's FIFO (see
+  /// QueryEngine::Submit). Use a high-weight class for latency-sensitive
+  /// tenants so their short queries overtake saturating low-class scans.
   int query_class = 0;
   /// Index/zone-map scan pruning (src/index/): evaluate each pipeline's
   /// filter conjuncts against the scanned table's indexes and schedule only
@@ -72,7 +71,7 @@ struct QueryRunResult {
   double total_seconds = 0;                ///< whole query wall time
   /// Admission-to-first-slice wait: how long the query sat in the engine's
   /// admission queue plus the scheduler's deque before its first task slice
-  /// ran. Makes fairness and cache-aware overtaking observable per query
+  /// ran. Makes admission order observable per query
   /// (total_seconds - queue_wait_seconds ≈ service time).
   double queue_wait_seconds = 0;
   std::vector<PipelineReport> pipelines;
@@ -145,13 +144,12 @@ class QueryEngine {
 
   /// Enqueues a query for execution and returns a future for its result.
   /// Thread-safe: N clients share one engine. An admission layer caps the
-  /// number of queries in flight; excess queries wait in per-class queues
-  /// released weighted-fair (FIFO within a class, with bounded cache-aware
-  /// overtaking: a fully-cached plan may jump ahead of cold ones since it
-  /// will finish in a fraction of the time). Pipelines execute as
-  /// resumable state machines that yield at morsel boundaries, so a long
-  /// scan never blocks a worker against later-submitted short queries; a
-  /// single-threaded query runs each pipeline in one slice.
+  /// number of queries in flight; excess queries wait in one FIFO per
+  /// class, and a freed slot goes to the head of the waiting class the
+  /// scheduler has served least (ties to the earlier arrival). Pipelines
+  /// execute as resumable state machines that yield at morsel boundaries,
+  /// so a long scan never blocks a worker against later-submitted short
+  /// queries; a single-threaded query runs each pipeline in one slice.
   /// `program` must stay alive until the future is ready. Destroying the
   /// engine abandons queued queries: their futures throw
   /// std::future_error (broken_promise) — they never hang.
@@ -168,11 +166,9 @@ class QueryEngine {
   /// max(2, 2 * num_threads). Thread-safe; affects queries submitted later.
   void set_max_concurrent_queries(int max_queries);
 
-  /// Weighted-fair share of a query class (default 1), applied at both
-  /// layers: admission releases waiting queries class-by-class in
-  /// proportion to weight (charging each query its cache-estimated service
-  /// time, so a fully-cached plan overtakes cold ones), and the task
-  /// scheduler serves the class's slices in the same proportion.
+  /// Weighted-fair share of a query class (default 1): the task scheduler
+  /// serves the class's slices, and through them admission's freed slots,
+  /// in proportion to weight.
   /// `query_class` is CHECKed to be a class (0..kNumTaskClasses-1).
   /// Thread-safe; takes effect immediately.
   void set_class_weight(int query_class, int weight);
@@ -275,6 +271,7 @@ class QueryEngine {
       const CostModelParams& cost_model = {});
 
  private:
+  friend struct QueryEngineTestPeer;  // engine/query_engine_test_peer.h
   struct Impl;
   std::unique_ptr<Impl> impl_;
 };

@@ -58,8 +58,8 @@ std::string EventArgs(const TraceEvent& e) {
   std::string args;
   switch (e.kind) {
     case TraceEventKind::kAdmissionWait:
-      Append(args, "{\"class\":%d,\"est_cost_ms\":%.3f,\"query\":%u}",
-             static_cast<int>(e.detail), e.d0, e.query_id);
+      Append(args, "{\"class\":%d,\"query\":%u}", static_cast<int>(e.detail),
+             e.query_id);
       break;
     case TraceEventKind::kTaskSlice:
       Append(args, "{\"class\":%d,\"stage\":%llu,\"query\":%u}",

@@ -67,10 +67,13 @@ PlanStats& RegressionTracker::TouchLocked(uint64_t fingerprint) {
       .first->second.stats;
 }
 
-bool RegressionTracker::Observe(const Observation& obs,
-                                AnomalyRecord* anomaly) {
+bool RegressionTracker::Observe(Observation obs, AnomalyRecord* anomaly) {
   std::lock_guard<std::mutex> lock(mu_);
   ++observed_runs_;
+  if (!replay_ms_.empty()) {
+    obs.service_ms = replay_ms_.front();
+    replay_ms_.pop_front();
+  }
   PlanStats& t = TouchLocked(obs.fingerprint);
 
   bool flagged = false;
@@ -158,6 +161,12 @@ uint64_t RegressionTracker::anomaly_count() const {
 void RegressionTracker::set_deviation_factor(double factor) {
   std::lock_guard<std::mutex> lock(mu_);
   factor_ = factor;
+}
+
+void RegressionTracker::ReplayServiceTimes(
+    const std::vector<double>& service_ms) {
+  std::lock_guard<std::mutex> lock(mu_);
+  replay_ms_.assign(service_ms.begin(), service_ms.end());
 }
 
 void RegressionTracker::ResetAnomalies() {

@@ -53,8 +53,8 @@ struct AnomalyRecord {
   std::string plan_name;
 };
 
-/// What one plan's runs have cost: the single per-plan record that WFQ
-/// admission, the memory-budget check and the regression sentinel all read.
+/// What one plan's runs have cost: the single per-plan record that the
+/// regression sentinel and Submit's memory-budget check (its peak) read.
 /// Exists only once a run has been folded in (runs >= 1).
 struct PlanStats {
   double ewma_ms = 0;  ///< service time, queue wait excluded
@@ -102,7 +102,7 @@ class RegressionTracker {
   /// factor x EWMA *and* beyond 4 x the MAD guard, after at least kMinRuns
   /// prior runs. The anomalous sample still updates the record, so a
   /// persistent shift becomes the new normal instead of alerting forever.
-  bool Observe(const Observation& obs, AnomalyRecord* anomaly);
+  bool Observe(Observation obs, AnomalyRecord* anomaly);
 
   /// Folds a run the memory budget killed: its service time and peak are
   /// lower bounds, and the peak (already over budget) must not be diluted
@@ -123,6 +123,10 @@ class RegressionTracker {
 
   void set_deviation_factor(double factor);
 
+  /// Test seam: the next Observe calls take these service times, in order,
+  /// in place of the measured ones (recorded times instead of live timing).
+  void ReplayServiceTimes(const std::vector<double>& service_ms);
+
   /// Clears the anomaly ring and the anomaly and run counters. Records
   /// persist: they describe the workload, not a measurement phase
   /// (phase-delta hygiene resets counters, not state).
@@ -142,6 +146,7 @@ class RegressionTracker {
   std::unordered_map<uint64_t, Plan> plans_;
   std::list<uint64_t> lru_;  ///< keys, most recent first
   std::deque<AnomalyRecord> recent_;
+  std::deque<double> replay_ms_;  ///< see ReplayServiceTimes
   uint64_t anomaly_count_ = 0;
   std::atomic<uint64_t> observed_runs_{0};
   double factor_;

@@ -11,8 +11,7 @@ namespace aqe {
 enum class TraceEventKind : uint8_t {
   kNone = 0,
   /// Span: submit -> first task slice (admission queue + scheduler deque).
-  /// detail = scheduling class, d0 = the admission layer's estimated
-  /// service time [ms] (what WFQ admission charged the class clock).
+  /// detail = scheduling class.
   kAdmissionWait,
   /// Span: one query-task slice on a worker (an engine step, a pipeline
   /// setup, or one controller morsel + evaluation). detail = class,

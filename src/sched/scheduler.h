@@ -82,6 +82,13 @@ class TaskScheduler {
     return weights_[static_cast<size_t>(cls)].load(std::memory_order_relaxed);
   }
 
+  /// A class's virtual time (kVtimeScale / weight per slice, plus the
+  /// clamps): the least-served class has the lowest. Engine admission gives
+  /// a freed slot to the waiting class with the lowest.
+  uint64_t class_vtime(int cls) const {
+    return vtime_[static_cast<size_t>(cls)].load(std::memory_order_relaxed);
+  }
+
   /// Slices executed per class (yields count once per slice). Test hook
   /// for fairness assertions.
   uint64_t class_slices(int cls) const {

@@ -6,8 +6,8 @@
 //  - starvation stress: a saturated engine running long scans must still
 //    admit and complete later-submitted short high-class queries with
 //    bounded latency, before the long work finishes;
-//  - queue_wait_seconds observability and cache-aware admission
-//    overtaking.
+//  - queue_wait_seconds observability, and admission giving a freed slot
+//    to the class the scheduler has served least.
 // Runs under the ThreadSanitizer CI job (see .github/workflows/ci.yml).
 #include <gtest/gtest.h>
 
@@ -297,36 +297,30 @@ TEST_F(FairnessTest, QueueWaitIsObservableUnderAdmissionBacklog) {
   EXPECT_GT(previous_wait, 0.0);
 }
 
-TEST_F(FairnessTest, FullyCachedQueryOvertakesColdInAdmission) {
+TEST_F(FairnessTest, LeastServedClassGetsTheFreedSlot) {
   QueryEngine engine(catalog_, /*num_threads=*/1);
   engine.set_max_concurrent_queries(1);
-  QueryRunOptions options;  // adaptive, artifact cache on
+  QueryRunOptions class0;
+  class0.strategy = ExecutionStrategy::kBytecode;
+  QueryRunOptions class3 = class0;
+  class3.query_class = 3;
+  QueryProgram big = BuildScanAggQuery("big", "big_scan");
+  QueryProgram tiny = BuildScanAggQuery("tiny", "tiny_scan");
 
-  QueryProgram warm_query = BuildScanAggQuery("tiny", "warm_scan");
-  QueryProgram cold_query = BuildScanAggQuery("big", "cold_scan");
+  // A class-0 scan holds the only slot and runs up class 0's virtual
+  // time. A class-0 waiter arrives first, then a class-3 one: class 3 has
+  // been served least, so it gets the slot the blocker frees.
+  std::future<QueryRunResult> blocker = engine.Submit(big, class0);
+  std::future<QueryRunResult> waiter0 = engine.Submit(big, class0);
+  std::future<QueryRunResult> waiter3 = engine.Submit(tiny, class3);
 
-  // Warm the tiny plan's artifacts, then occupy the only admission slot.
-  engine.Run(warm_query, options);
-  QueryRunOptions blocker_options;
-  blocker_options.strategy = ExecutionStrategy::kBytecode;
-  QueryProgram blocker = BuildScanAggQuery("big", "blocker_scan");
-  std::future<QueryRunResult> blocker_future =
-      engine.Submit(blocker, blocker_options);
-
-  // Submit cold first, warm second — same class. Cache-aware admission
-  // must release the fully-cached warm query first when the slot frees.
-  std::future<QueryRunResult> cold_future = engine.Submit(cold_query, options);
-  std::future<QueryRunResult> warm_future = engine.Submit(warm_query, options);
-
-  QueryRunResult warm = warm_future.get();
-  // The warm query finished; the cold one (admitted after despite its
-  // earlier submission) still has a full big-table scan ahead of it.
-  EXPECT_NE(cold_future.wait_for(std::chrono::seconds(0)),
+  QueryRunResult r3 = waiter3.get();
+  EXPECT_NE(waiter0.wait_for(std::chrono::seconds(0)),
             std::future_status::ready)
-      << "cold query was admitted ahead of the fully-cached one";
-  EXPECT_EQ(warm.rows, Reference("tiny"));
-  EXPECT_EQ(cold_future.get().rows, Reference("big"));
-  blocker_future.get();
+      << "the earlier class-0 waiter was admitted ahead of class 3";
+  EXPECT_EQ(r3.rows, Reference("tiny"));
+  EXPECT_EQ(waiter0.get().rows, Reference("big"));
+  EXPECT_EQ(blocker.get().rows, Reference("big"));
 }
 
 }  // namespace
