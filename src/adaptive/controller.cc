@@ -2,9 +2,9 @@
 
 #include <atomic>
 #include <chrono>
-#include <condition_variable>
 #include <memory>
 #include <mutex>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -18,17 +18,18 @@ namespace aqe {
 
 /// Compile-handshake phases (PipelineExecState::compile_state):
 /// kIdle -> kQueued (evaluator decides) -> kRunning (a thread claims the
-/// job) -> kIdle (installed). The controller aborts a still-kQueued job at
-/// drain time and waits out a kRunning one.
-enum CompilePhase : int { kCompIdle = 0, kCompQueued = 1, kCompRunning = 2 };
+/// job) -> kIdle (done), or kFailed for good when the job produced no code.
+/// The controller aborts a still-kQueued job when the domain drains; a
+/// kRunning one finishes on its own and finds installs closed.
+enum CompilePhase : int { kCompIdle, kCompQueued, kCompRunning, kCompFailed };
 
 /// Shared state of one pipeline execution on the task scheduler. Held via
 /// shared_ptr by the controller (PipelineRun) and every helper/compile
 /// task, so a task that runs after the pipeline finished touches only this
-/// struct: the raw pipeline pointers (handle, state, compile) are
-/// dereferenced only after a successful morsel claim or compile-job claim,
-/// both of which the controller's drain phase (or the PipelineRun
-/// destructor) waits out before the owner frees them.
+/// struct: `state` is dereferenced only after a successful morsel claim,
+/// which the controller's drain phase (or the PipelineRun destructor)
+/// waits out, and `handle` also by an install, under `mu` while `drained`
+/// is unset.
 struct PipelineExecState {
   /// Per-participant slot, cache-line isolated and written only by its
   /// owner: the participant's cumulative work per ExecMode, each morsel
@@ -60,30 +61,32 @@ struct PipelineExecState {
   int pipeline_id = 0;
   uint64_t function_instructions = 0;
   PipelineObs obs;
-  const std::function<WorkerFn(ExecMode)>* compile = nullptr;
 
   std::atomic<int> compile_state{kCompIdle};
   ExecMode compile_target = ExecMode::kUnoptimized;
+  CompileJob job;  ///< the queued compile; its claimer takes it
 
   std::mutex mu;
-  std::condition_variable cv;
+  /// The morsel domain ran dry: nothing installs after this. Guarded by mu.
+  bool drained = false;
   std::vector<std::pair<ExecMode, double>> compiles;  ///< guarded by mu
   /// MonotonicNanos at which each of `compiles` was installed; guarded by mu.
   std::vector<int64_t> install_nanos;
+  /// What keeps each installed compile's code alive; guarded by mu.
+  std::vector<std::shared_ptr<const void>> keepalive;
 
-  /// No helper morsel and no compile job in flight: the drain condition.
+  /// No helper morsel in flight: the drain condition.
   bool Quiescent() const {
-    return active_helpers.load(std::memory_order_seq_cst) == 0 &&
-           compile_state.load(std::memory_order_seq_cst) == kCompIdle;
+    return active_helpers.load(std::memory_order_seq_cst) == 0;
   }
 };
 
 namespace {
 
 /// After this many controller morsels with a compile job still kQueued,
-/// the controller claims it inline — occupying one thread exactly like the
-/// paper's dedicated path — so a saturated scheduler cannot delay a mode
-/// switch indefinitely.
+/// the controller hands the job to its own worker as that worker's next
+/// task — occupying one thread exactly like the paper's dedicated path —
+/// so a saturated scheduler cannot delay a mode switch indefinitely.
 constexpr int kInlineCompileAfterMorsels = 2;
 
 /// One of this pipeline's trace events; `mode` is the event's detail.
@@ -129,41 +132,57 @@ void ExecuteMorsel(PipelineExecState& st, const MorselBatch& batch, int slot,
   }
 }
 
-/// Claims and performs a pending compile job: compile -> install into the
-/// handle -> record -> notify the controller. Returns false when no job is
-/// pending or another thread owns it. Callable from any scheduler worker or
-/// the controller; controller call sites pass `blocking_seconds` to
-/// attribute the compile to blocked execution time.
-bool TryRunCompileJob(PipelineExecState& st,
+/// Claims and runs the queued compile job, then installs its code into the
+/// handle unless the domain drained meanwhile. A job that produced no code
+/// leaves kFailed: the pipeline keeps its tier and is decided no more.
+/// Callable from any scheduler worker; the controller passes
+/// `blocking_seconds` when it compiles inline.
+void TryRunCompileJob(PipelineExecState& st,
                       double* blocking_seconds = nullptr) {
   int expected = kCompQueued;
   if (!st.compile_state.compare_exchange_strong(expected, kCompRunning,
                                                 std::memory_order_acq_rel)) {
-    return false;
+    return;
   }
-  AQE_CHECK_MSG(*st.compile != nullptr, "pipeline has no compile hook");
   const ExecMode target = st.compile_target;
+  const CompileJob job = std::move(st.job);
   Timer compile_timer;
-  int64_t t0 = MonotonicNanos();
-  WorkerFn fn = (*st.compile)(target);
-  double seconds = compile_timer.ElapsedSeconds();
-  st.handle->SetCompiled(fn, target);
-  const int64_t t1 = MonotonicNanos();
+  const int64_t t0 = MonotonicNanos();
+  CompiledCode code = job();
+  const double seconds = compile_timer.ElapsedSeconds();
+  if (blocking_seconds != nullptr) *blocking_seconds += seconds;
+  if (code.fn == nullptr) {
+    st.compile_state.store(kCompFailed, std::memory_order_release);
+    return;
+  }
   if (st.obs.enabled()) {
     st.obs.tracer->Record(
         runtime_internal::GetThreadIndex(),
-        PipelineEvent(st, TraceEventKind::kCompile, t0, t1,
+        PipelineEvent(st, TraceEventKind::kCompile, t0, MonotonicNanos(),
                       st.function_instructions, target));
   }
   {
     std::lock_guard<std::mutex> lock(st.mu);
-    st.compiles.emplace_back(target, seconds);
-    st.install_nanos.push_back(t1);
+    if (!st.drained) {
+      st.handle->SetCompiled(code.fn, target);
+      st.compiles.emplace_back(target, seconds);
+      st.install_nanos.push_back(MonotonicNanos());
+      st.keepalive.push_back(std::move(code.keepalive));
+    }
   }
   st.compile_state.store(kCompIdle, std::memory_order_release);
-  st.cv.notify_all();
-  if (blocking_seconds != nullptr) *blocking_seconds += seconds;
-  return true;
+}
+
+/// The domain ran dry: aborts a compile job nobody claimed (it would be
+/// wasted work) and closes installs, so a running job drops its code.
+void CloseCompiles(PipelineExecState& st) {
+  int expected = kCompQueued;
+  if (st.compile_state.compare_exchange_strong(expected, kCompIdle,
+                                               std::memory_order_acq_rel)) {
+    st.job = nullptr;
+  }
+  std::lock_guard<std::mutex> lock(st.mu);
+  st.drained = true;
 }
 
 /// Processes one morsel per slice from its preferred shard (stealing when
@@ -181,33 +200,24 @@ class MorselHelperTask : public Task {
     // between claim and call can never be missed.
     st.active_helpers.fetch_add(1, std::memory_order_seq_cst);
     MorselBatch morsel;
-    if (!st.shards.Next(slot_, &morsel)) {
-      FinishSlice(st);
-      return Status::kDone;
-    }
-    ExecuteMorsel(st, morsel, slot_, worker);
-    FinishSlice(st);
-    return Status::kYield;
+    const bool claimed = st.shards.Next(slot_, &morsel);
+    if (claimed) ExecuteMorsel(st, morsel, slot_, worker);
+    st.active_helpers.fetch_sub(1, std::memory_order_seq_cst);
+    return claimed ? Status::kYield : Status::kDone;
   }
 
  private:
-  static void FinishSlice(PipelineExecState& st) {
-    if (st.active_helpers.fetch_sub(1, std::memory_order_seq_cst) == 1 &&
-        st.shards.remaining() == 0) {
-      std::lock_guard<std::mutex> lock(st.mu);
-      st.cv.notify_all();
-    }
-  }
-
   std::shared_ptr<PipelineExecState> st_;
   const int slot_;
 };
 
-/// Low-priority carrier for an adaptive compile decision.
+/// Carrier for an adaptive compile decision.
 class CompileJobTask : public Task {
  public:
-  explicit CompileJobTask(std::shared_ptr<PipelineExecState> st)
-      : st_(std::move(st)) {}
+  CompileJobTask(std::shared_ptr<PipelineExecState> st, int cls)
+      : st_(std::move(st)) {
+    set_scheduling_class(cls);
+  }
 
   Status Run(int) override {
     TryRunCompileJob(*st_);
@@ -249,22 +259,17 @@ PipelineRun::PipelineRun(TaskScheduler* scheduler, ExecutionStrategy strategy,
 
 PipelineRun::~PipelineRun() {
   if (st_ == nullptr || phase_ == Phase::kDone) return;
-  // Abandoned mid-run (the scheduler's destructor destroying a suspended
-  // query task): close the morsel domain, abort an unclaimed compile job,
-  // and wait out in-flight claims so the owner may free handle/state/
-  // bindings right after us (invariant 3). With the workers joined nothing
-  // claims anew, so this returns immediately.
+  // Abandoned mid-run (a query failed over budget, or the scheduler's
+  // destructor destroying a suspended query task): close the morsel domain
+  // and installs, and wait out in-flight morsels so the owner may free
+  // handle/state/bindings right after us (invariant 3). With the workers
+  // joined nothing claims anew, so this returns immediately.
   MorselBatch discard;
   while (st_->shards.Next(controller_slot_, &discard)) {
   }
-  int expected = kCompQueued;
-  st_->compile_state.compare_exchange_strong(expected, kCompIdle,
-                                             std::memory_order_acq_rel);
-  std::unique_lock<std::mutex> lock(st_->mu);
-  // Timed wait: completion is signalled, but a 1 ms re-check also makes
-  // the wait robust against any missed notify.
+  CloseCompiles(*st_);
   while (!st_->Quiescent()) {
-    st_->cv.wait_for(lock, std::chrono::milliseconds(1));
+    std::this_thread::sleep_for(std::chrono::microseconds(50));
   }
 }
 
@@ -287,7 +292,6 @@ void PipelineRun::Start(int worker) {
   st_->pipeline_id = task_.pipeline_id;
   st_->function_instructions = task_.function_instructions;
   st_->obs = task_.obs;
-  st_->compile = &task_.compile;  // task_ is our member copy: stable address
 
   if (st_->obs.enabled()) {
     st_->obs.tracer->Record(
@@ -299,19 +303,15 @@ void PipelineRun::Start(int worker) {
   // Static compile-up-front strategies (single-threaded compilation before
   // any morsel runs — exactly the §III critique). Skipped when the handle
   // was seeded with cached machine code already in the requested mode.
-  auto compile_inline = [&](ExecMode mode) {
-    st_->compile_target = mode;
-    st_->compile_state.store(kCompQueued, std::memory_order_release);
-    AQE_CHECK(TryRunCompileJob(*st_, &blocking_compile_seconds_));
-  };
-  if (strategy_ == ExecutionStrategy::kUnoptimized) {
-    if (task_.handle->mode() != ExecMode::kUnoptimized) {
-      compile_inline(ExecMode::kUnoptimized);
-    }
-  } else if (strategy_ == ExecutionStrategy::kOptimized) {
-    if (task_.handle->mode() != ExecMode::kOptimized) {
-      compile_inline(ExecMode::kOptimized);
-    }
+  const ExecMode up_front = strategy_ == ExecutionStrategy::kUnoptimized
+                                ? ExecMode::kUnoptimized
+                                : ExecMode::kOptimized;
+  if ((strategy_ == ExecutionStrategy::kUnoptimized ||
+       strategy_ == ExecutionStrategy::kOptimized) &&
+      task_.handle->mode() != up_front) {
+    QueueCompile(up_front);
+    TryRunCompileJob(*st_, &blocking_compile_seconds_);
+    AQE_CHECK_MSG(task_.handle->mode() == up_front, "static compile failed");
   }
 
   if (!single_threaded_) {
@@ -345,24 +345,17 @@ Task::Status PipelineRun::RunSingleThreaded(int worker) {
   // Invariant 4: strictly one thread touches the pipeline, in one slice —
   // no helpers, no yields, compiles inline.
   Start(worker);
-  MorselBatch morsel;
-  while (st_->shards.Next(controller_slot_, &morsel)) {
-    ExecuteMorsel(*st_, morsel, controller_slot_, worker);
-    if (adaptive_) Evaluate(worker);
+  while (StepMorsel(worker) == Task::Status::kYield) {
   }
-  phase_ = Phase::kDrain;
-  return StepDrain();
+  return Task::Status::kDone;
 }
 
 Task::Status PipelineRun::StepMorsel(int worker) {
   MorselBatch morsel;
   if (!st_->shards.Next(controller_slot_, &morsel)) {
-    // Domain drained. Abort a compile job nobody started (it would be
-    // wasted work); a running one must finish — the compile hook references
-    // owner state — as must in-flight helper morsels.
-    int expected = kCompQueued;
-    st_->compile_state.compare_exchange_strong(expected, kCompIdle,
-                                               std::memory_order_acq_rel);
+    // Domain drained. A running compile is not waited for: in-flight
+    // helper morsels are the only thing the drain waits out.
+    CloseCompiles(*st_);
     phase_ = Phase::kDrain;
     return StepDrain();
   }
@@ -374,21 +367,8 @@ Task::Status PipelineRun::StepMorsel(int worker) {
 }
 
 Task::Status PipelineRun::StepDrain() {
-  if (!st_->Quiescent()) {
-    // Helpers mid-morsel notify within microseconds — plain re-check. A
-    // *running* JIT compile is ms-scale though: park briefly on the state
-    // condvar instead of spinning through the scheduler for its whole
-    // duration (the wait is bounded, so other tasks queued on this worker
-    // stall at most 200 µs — and thieves can take them meanwhile).
-    if (st_->compile_state.load(std::memory_order_seq_cst) == kCompRunning) {
-      std::unique_lock<std::mutex> lock(st_->mu);
-      if (st_->compile_state.load(std::memory_order_seq_cst) ==
-          kCompRunning) {
-        st_->cv.wait_for(lock, std::chrono::microseconds(200));
-      }
-    }
-    return Task::Status::kYield;  // check again next slice
-  }
+  // Helpers mid-morsel finish within a morsel: check again next slice.
+  if (!st_->Quiescent()) return Task::Status::kYield;
   PipelineReport& report = *task_.report;
   std::vector<int64_t> install_nanos;
   {
@@ -444,16 +424,17 @@ Task::Status PipelineRun::StepDrain() {
 /// §III-C: the extrapolation is performed by a single thread — the
 /// controller — re-evaluated after every one of its morsels.
 void PipelineRun::Evaluate(int worker) {
-  ExecMode mode = task_.handle->mode();
-  if (mode == ExecMode::kOptimized) return;
-  int phase = st_->compile_state.load(std::memory_order_acquire);
-  if (phase == kCompRunning) return;
-  if (phase == kCompQueued) {
-    if (++morsels_since_queued_ >= kInlineCompileAfterMorsels) {
-      TryRunCompileJob(*st_, &blocking_compile_seconds_);
-    }
-    return;
+  // The phase first: once a job left kRunning, its install is visible.
+  const int phase = st_->compile_state.load(std::memory_order_acquire);
+  if (phase == kCompQueued &&
+      ++morsels_since_queued_ == kInlineCompileAfterMorsels) {
+    // No other worker claimed the job: this worker pops it next, once the
+    // controller yields.
+    sched_->SubmitTo(worker, std::make_unique<CompileJobTask>(
+                                 st_, task_.scheduling_class));
   }
+  const ExecMode mode = task_.handle->mode();
+  if (phase != kCompIdle || mode == ExecMode::kOptimized) return;
   if (static_cast<double>(MonotonicNanos() - start_nanos_) <
       first_eval_delay_seconds_ * 1e9) {
     return;
@@ -479,15 +460,15 @@ void PipelineRun::Evaluate(int worker) {
       r0, remaining, participants_, task_.function_instructions, mode,
       params_, task_.runtime_call_fraction, &breakdown);
   if (decision == Decision::kDoNothing) return;
-  st_->compile_target = decision == Decision::kCompileUnoptimized
-                            ? ExecMode::kUnoptimized
-                            : ExecMode::kOptimized;
+  const ExecMode target = decision == Decision::kCompileUnoptimized
+                              ? ExecMode::kUnoptimized
+                              : ExecMode::kOptimized;
   const int64_t decision_nanos = MonotonicNanos();
   {
     // Prediction-vs-realized bookkeeping: keep the decision in the report
     // (only the controller writes it), realized filled at drain.
     ModeSwitchRecord rec;
-    rec.target = st_->compile_target;
+    rec.target = target;
     rec.decision_nanos = decision_nanos;
     rec.r0 = r0;
     rec.remaining_tuples = remaining;
@@ -500,7 +481,7 @@ void PipelineRun::Evaluate(int worker) {
     // observed (r0) and what it extrapolated for staying vs. switching.
     TraceEvent e =
         PipelineEvent(*st_, TraceEventKind::kModeSwitch, decision_nanos,
-                      decision_nanos, remaining, st_->compile_target);
+                      decision_nanos, remaining, target);
     e.payload2 = TraceEventDoubleToBits(task_.runtime_call_fraction);
     e.d0 = r0;
     e.d1 = breakdown.t_current;
@@ -508,15 +489,24 @@ void PipelineRun::Evaluate(int worker) {
     st_->obs.tracer->Record(worker, e);
   }
   morsels_since_queued_ = 0;
-  st_->compile_state.store(kCompQueued, std::memory_order_release);
-  if (single_threaded_ || participants_ == 1) {
+  QueueCompile(target);
+  if (participants_ == 1) {
     // No other thread can ever pick the job up: compile inline now.
     TryRunCompileJob(*st_, &blocking_compile_seconds_);
   } else {
-    auto job = std::make_unique<CompileJobTask>(st_);
-    job->set_scheduling_class(task_.scheduling_class);
-    sched_->Submit(std::move(job), TaskPriority::kLow);
+    sched_->Submit(
+        std::make_unique<CompileJobTask>(st_, task_.scheduling_class),
+        TaskPriority::kLow);
   }
+}
+
+/// Prepares the compile on the controller, while the plan is alive, and
+/// queues the job, which owns its inputs.
+void PipelineRun::QueueCompile(ExecMode target) {
+  AQE_CHECK_MSG(task_.compile != nullptr, "pipeline has no compile hook");
+  st_->job = task_.compile(target);
+  st_->compile_target = target;
+  st_->compile_state.store(kCompQueued, std::memory_order_release);
 }
 
 }  // namespace aqe

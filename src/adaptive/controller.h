@@ -25,6 +25,18 @@ enum class ExecutionStrategy {
 
 const char* ExecutionStrategyName(ExecutionStrategy strategy);
 
+/// What a compile job produced: the machine code and what keeps it alive.
+/// A null `fn` is a failed compile.
+struct CompiledCode {
+  WorkerFn fn = nullptr;
+  std::shared_ptr<const void> keepalive;
+};
+
+/// One compile that owns every input it reads (the IR module, and whatever
+/// it publishes its code with), so it may run on any worker, even after its
+/// pipeline drained and its query finished.
+using CompileJob = std::function<CompiledCode()>;
+
 /// One pipeline's execution request.
 struct PipelineTask {
   FunctionHandle* handle = nullptr;  ///< starts in bytecode mode
@@ -44,10 +56,10 @@ struct PipelineTask {
   /// compiled speedups in every §III-C evaluation, so call-heavy pipelines
   /// (LIKE via aqe_like_match) stay interpreted longer.
   double runtime_call_fraction = 0;
-  /// Compiles the pipeline's worker function in the given mode and returns
-  /// the machine code (the callee keeps the compiled module alive). Invoked
-  /// from a worker thread, at most once per mode.
-  std::function<WorkerFn(ExecMode)> compile;
+  /// Prepares a compile of the pipeline's worker function in the given
+  /// mode: runs on the controller, while the plan is alive, and returns the
+  /// job that compiles it. Called at most once per mode.
+  std::function<CompileJob(ExecMode)> compile;
   int pipeline_id = 0;
   /// Weighted-fair scheduling class the pipeline's helper and compile tasks
   /// inherit (the submitting query's class; see sched/task.h).
@@ -86,16 +98,18 @@ struct PipelineExecState;
 /// worker) counts its work per morsel, under the mode the morsel started
 /// in; the controller alone, from 1 ms in and after each of its morsels,
 /// runs the Fig 7 extrapolation on the participants' rates in the handle's
-/// current mode. When compiling wins, a low-priority compile task (or the
-/// controller itself, if no worker claims it within a few morsels)
-/// compiles and flips the FunctionHandle; the next evaluation reads the new
-/// mode's counters, which is the paper's rate reset.
+/// current mode. When compiling wins, the controller prepares a CompileJob
+/// and a compile task runs it (on the controller's own worker, next, if no
+/// other claims it within a few morsels) while every participant keeps
+/// running morsels; its code flips the FunctionHandle unless the run has
+/// drained. The next evaluation reads the new mode's counters, which is
+/// the paper's rate reset. With one participant the controller runs it.
 ///
 /// ===================== Suspension invariants =====================
 ///
 /// 1. All mode-switch state survives suspension. The per-mode work
 ///    counters r0 is read from (per mode, so a switch needs no reset),
-///    the compile handshake word (kIdle/kQueued/kRunning + target mode),
+///    the compile handshake word (its phase and target mode),
 ///    the recorded compiles and the calibrated cost-model parameters live
 ///    in PipelineExecState / PipelineRun members, never on a worker's
 ///    stack — a resumed controller continues the §III-C evaluation exactly
@@ -115,16 +129,16 @@ struct PipelineExecState;
 ///    buffer's consumer reads every thread's rows, and an aggregation's
 ///    partition merge folds partition p of every thread table.
 ///
-/// 3. Raw pipeline pointers outlive the run. `task.handle`, `task.state`
-///    and the compile hook are dereferenced by helper/compile tasks only
-///    after a successful morsel or compile-job claim. The drain phase
-///    (and the destructor, for a run abandoned at scheduler shutdown)
-///    closes the morsel domain and waits until no claim is in flight
-///    (`active_helpers == 0 && compile_state == kIdle`), so the owner may
-///    free the handle, binding array and captured state the moment the run
-///    is done or destroyed. Straggler tasks scheduled after that touch
-///    only the shared_ptr-owned PipelineExecState, fail their claim, and
-///    die.
+/// 3. Raw pipeline pointers outlive the run; no compile borrows them.
+///    Helper tasks dereference `task.handle` and `task.state` only after a
+///    successful morsel claim. A compile job owns what it reads, and its
+///    install touches `task.handle` only under PipelineExecState::mu while
+///    the run has not drained. The drain phase (and the destructor, for a
+///    run abandoned mid-run) closes the morsel domain and installs, and
+///    waits until no morsel claim is in flight (`active_helpers == 0`), so
+///    the owner may free the handle, binding array and captured state the
+///    moment the run is done or destroyed, however long a compile runs.
+///    Straggler tasks touch only the shared_ptr-owned PipelineExecState.
 ///
 /// 4. `single_threaded` pins the pledge, not the wall clock: the whole
 ///    pipeline (morsels and compiles) executes inside one Step on the
@@ -162,6 +176,7 @@ class PipelineRun {
   Task::Status StepDrain();
   Task::Status RunSingleThreaded(int worker);  // one slice (inv. 4)
   void Evaluate(int worker);
+  void QueueCompile(ExecMode target);
 
   TaskScheduler* sched_;
   ExecutionStrategy strategy_;
@@ -177,9 +192,9 @@ class PipelineRun {
   int morsels_since_queued_ = 0;
   int64_t start_nanos_ = 0;
   /// Compile time that occupied the controller thread: the up-front static
-  /// compiles and adaptive compiles claimed inline. Compiles other workers
-  /// picked up overlap execution and are not counted. The report's
-  /// exec_only_seconds is exec_seconds minus this.
+  /// compiles and, with one participant, adaptive compiles. Compile tasks
+  /// overlap execution and are not counted. The report's exec_only_seconds
+  /// is exec_seconds minus this.
   double blocking_compile_seconds_ = 0;
   bool adaptive_ = false;
 };

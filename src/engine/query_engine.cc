@@ -625,11 +625,6 @@ class QueryJob : public Task {
   std::shared_ptr<CacheEntry> entry_;  ///< null when the cache is bypassed
   /// Submit re-created the entry of a plan that has a record: evicted.
   bool evicted_ = false;
-  /// Keeps compiled code alive until the query finishes; pushed from
-  /// compile tasks on any worker. Shared with the cache, so LRU eviction
-  /// mid-query cannot free code this query still executes.
-  std::vector<std::shared_ptr<CachedCode>> keepalive_;
-  std::mutex keepalive_mutex_;
   QueryRunResult result_;
   size_t stage_index_ = 0;
   bool started_ = false;
@@ -983,59 +978,53 @@ std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
   task->function_instructions = instructions;
   task->runtime_call_fraction = call_fraction;
   task->obs = {&obs_->tracer, query_id_};
-  task->compile = [this, &spec, bindings = std::move(bindings),
-                   request = std::move(request)](ExecMode mode) -> WorkerFn {
+  task->compile = [&spec, bindings = std::move(bindings),
+                   request = std::move(request), cache = cache_,
+                   entry = entry_, tracer = &obs_->tracer,
+                   query_id = query_id_,
+                   cost_model = options_.cost_model](ExecMode mode) {
     // Regenerate IR (codegen is ~100x cheaper than machine-code
-    // generation, Fig 1) so each compilation owns its LLVMContext —
-    // required because adaptive compilation runs on a worker thread.
-    // `spec` lives in the (caller-owned) program and outlives the run
-    // (PipelineRun invariant 3).
+    // generation, Fig 1) so each job owns its LLVMContext. The controller
+    // calls this hook while the plan, and so `spec`, is alive; the job it
+    // returns owns everything it reads, so it may finish after the query.
     GeneratedPipeline fresh =
         GeneratePipeline(spec, bindings, LiteralForm::kImmediate);
-    aqe::Status status;  // Task::Status shadows it here
-    auto compiled =
-        JitCompile(std::move(*fresh.mod),
-                   mode == ExecMode::kOptimized ? JitMode::kOptimized
-                                                : JitMode::kUnoptimized,
-                   RuntimeRegistry::Global(), &status);
-    AQE_CHECK_MSG(status.ok(), status.message().c_str());
-    auto* fn = reinterpret_cast<WorkerFn>(compiled->Lookup("worker"));
-    AQE_CHECK(fn != nullptr);
-    auto code = std::make_shared<CachedCode>();
-    code->code_bytes = compiled->code_bytes();
-    code->module = std::move(compiled);
-    code->fn = fn;
-    {
-      std::lock_guard<std::mutex> lock(keepalive_mutex_);
-      keepalive_.push_back(code);
-    }
-    if (entry_ != nullptr) {
-      // The publish runs off the critical path, as a low-priority task. It
-      // holds the entry and code by shared_ptr, so a publish racing engine
-      // shutdown or LRU eviction touches only live memory.
-      const double call_fraction = RuntimeCallFraction(
-          fresh.loop_instructions, fresh.loop_calls, options_.cost_model);
-      sched_->Submit(
-          MakeClosureTask([cache = cache_, entry = entry_,
-                           request, mode, code,
-                           instructions = fresh.instructions, call_fraction,
-                           tracer = &obs_->tracer,
-                           query_id = query_id_](int worker) {
-            cache->PublishCode(*entry, request, mode, code, instructions,
-                               call_fraction);
-            TraceEvent ev;
-            ev.start_nanos = MonotonicNanos();
-            ev.end_nanos = ev.start_nanos;
-            ev.payload = 1;  // machine code (bytecode publishes happen inline)
-            ev.query_id = query_id;
-            ev.pipeline_id = static_cast<uint16_t>(request.pipeline);
-            ev.kind = TraceEventKind::kCachePublish;
-            ev.detail = static_cast<uint8_t>(mode);
-            tracer->Record(worker, ev);
-          }),
-          TaskPriority::kLow);
-    }
-    return fn;
+    const double call_fraction = RuntimeCallFraction(
+        fresh.loop_instructions, fresh.loop_calls, cost_model);
+    return CompileJob([mod = std::shared_ptr<IrModule>(std::move(fresh.mod)),
+                       mode, request, cache, entry, tracer, query_id,
+                       instructions = fresh.instructions,
+                       call_fraction]() -> CompiledCode {
+      aqe::Status status;  // Task::Status shadows it here
+      auto compiled =
+          JitCompile(std::move(*mod),
+                     mode == ExecMode::kOptimized ? JitMode::kOptimized
+                                                  : JitMode::kUnoptimized,
+                     RuntimeRegistry::Global(), &status);
+      if (!status.ok()) return {};  // the pipeline keeps its tier
+      auto* fn = reinterpret_cast<WorkerFn>(compiled->Lookup("worker"));
+      if (fn == nullptr) return {};
+      auto code = std::make_shared<CachedCode>();
+      code->code_bytes = compiled->code_bytes();
+      code->module = std::move(compiled);
+      code->fn = fn;
+      if (entry != nullptr) {
+        // The entry and code are held by shared_ptr, so a publish racing
+        // engine shutdown or LRU eviction touches only live memory.
+        cache->PublishCode(*entry, request, mode, code, instructions,
+                           call_fraction);
+        TraceEvent ev;
+        ev.start_nanos = MonotonicNanos();
+        ev.end_nanos = ev.start_nanos;
+        ev.payload = 1;  // machine code (bytecode publishes happen inline)
+        ev.query_id = query_id;
+        ev.pipeline_id = static_cast<uint16_t>(request.pipeline);
+        ev.kind = TraceEventKind::kCachePublish;
+        ev.detail = static_cast<uint8_t>(mode);
+        tracer->Record(TaskScheduler::CurrentWorker(), ev);
+      }
+      return {fn, std::move(code)};
+    });
   };
 
   return run;

@@ -40,6 +40,14 @@ const char* ModeLabel(const QueryRunResult& r, ExecMode mode) {
                                            : EngineKindName(r.engine);
 }
 
+/// Whether the code `pp`'s i-th mode switch asked for ever ran. A run
+/// decides a switch only after the last one installed, so only its last
+/// can have no compile: one aborted while queued, finished after the
+/// drain, or failed.
+bool SwitchRan(const PipelineReport& pp, size_t i) {
+  return i < pp.compiles.size();
+}
+
 /// A plan name as one flamegraph frame. flamegraph.pl splits a line at
 /// every ';' and at its last space, so those and control bytes become '_'.
 std::string FrameName(const std::string& name) {
@@ -163,17 +171,17 @@ std::string ExplainAnalyzeJson(const QueryRunResult& r) {
       first_m = false;
     }
     out += "],\"switches\":[";
-    bool first_s = true;
-    for (const ModeSwitchRecord& sw : pp.mode_switches) {
+    for (size_t i = 0; i < pp.mode_switches.size(); ++i) {
+      const ModeSwitchRecord& sw = pp.mode_switches[i];
       Append(out,
              "%s{\"target\":\"%s\",\"r0\":%.1f,\"remaining\":%llu,"
              "\"t_current_s\":%.6f,\"predicted_s\":%.6f,"
-             "\"realized_s\":%.6f,\"error_pct\":%.1f}",
-             first_s ? "" : ",", ExecModeName(sw.target), sw.r0,
+             "\"realized_s\":%.6f,\"error_pct\":%.1f,\"ran\":%s}",
+             i == 0 ? "" : ",", ExecModeName(sw.target), sw.r0,
              static_cast<unsigned long long>(sw.remaining_tuples),
              sw.t_current_seconds, sw.t_chosen_seconds,
-             sw.realized_seconds, sw.error_pct());
-      first_s = false;
+             sw.realized_seconds, sw.error_pct(),
+             SwitchRan(pp, i) ? "true" : "false");
     }
     out += "]}";
   }
@@ -235,15 +243,17 @@ std::string ExplainAnalyze(const QueryRunResult& r) {
              m.busy_seconds * 1e3, m.wall_seconds * 1e3,
              m.tuples_per_sec() / 1e6);
     }
-    for (const ModeSwitchRecord& sw : pp.mode_switches) {
+    for (size_t i = 0; i < pp.mode_switches.size(); ++i) {
+      const ModeSwitchRecord& sw = pp.mode_switches[i];
       Append(out,
              "    switch -> %s: predicted %.3f ms (stay: %.3f ms), "
              "realized %.3f ms, error %+.1f%%  [r0=%.0f t/s, %llu tuples "
-             "remained]\n",
+             "remained]%s\n",
              ExecModeName(sw.target), sw.t_chosen_seconds * 1e3,
              sw.t_current_seconds * 1e3, sw.realized_seconds * 1e3,
              sw.error_pct(), sw.r0,
-             static_cast<unsigned long long>(sw.remaining_tuples));
+             static_cast<unsigned long long>(sw.remaining_tuples),
+             SwitchRan(pp, i) ? "" : "  (its code never ran)");
     }
   }
   return out;

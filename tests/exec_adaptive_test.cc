@@ -263,10 +263,10 @@ TEST(PipelineRunTest, BytecodeStrategyNeverCompiles) {
   TaskScheduler sched(2);
   SyntheticPipeline pipe;
   PipelineTask task = pipe.MakeTask(100000);
-  task.compile = [](ExecMode) -> WorkerFn {
+  task.compile = testutil::Hook([](ExecMode) -> WorkerFn {
     ADD_FAILURE() << "bytecode strategy must not compile";
     return nullptr;
-  };
+  });
   PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kBytecode, task);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 100000u);
@@ -279,11 +279,11 @@ TEST(PipelineRunTest, StaticOptimizedCompilesUpFront) {
   SyntheticPipeline pipe;
   PipelineTask task = pipe.MakeTask(50000);
   int compile_calls = 0;
-  task.compile = [&compile_calls](ExecMode mode) -> WorkerFn {
+  task.compile = testutil::Hook([&compile_calls](ExecMode mode) -> WorkerFn {
     ++compile_calls;
     EXPECT_EQ(mode, ExecMode::kOptimized);
     return &SyntheticPipeline::FastOpt;
-  };
+  });
   PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kOptimized, task);
   EXPECT_EQ(compile_calls, 1);
@@ -316,14 +316,83 @@ TEST(PipelineRunTest, AdaptiveLeavesShortPipelineInterpreted) {
   SyntheticPipeline pipe;
   PipelineTask task = pipe.MakeTask(4000);  // well under 1 ms
   task.function_instructions = 5000;
-  task.compile = [](ExecMode) -> WorkerFn {
+  task.compile = testutil::Hook([](ExecMode) -> WorkerFn {
     ADD_FAILURE() << "short pipeline must not compile";
     return nullptr;
-  };
+  });
   PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kAdaptive, task);
   EXPECT_EQ(report.final_mode, ExecMode::kBytecode);
   EXPECT_EQ(pipe.interpreted_tuples.load(), 4000u);
+}
+
+TEST(PipelineRunTest, DrainDoesNotWaitForARunningCompile) {
+  // The job blocks until released (3 s at most), far longer than the
+  // pipeline runs: the run drains without it, and the code it returns
+  // after the pipeline is gone is never installed.
+  constexpr uint64_t kTuples = 1000000;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  std::atomic<int> job_stage{0};  // 1 blocked, 2 returned
+  auto pipe = std::make_unique<SyntheticPipeline>();
+  PipelineTask task = pipe->MakeTask(kTuples);
+  task.compile = testutil::Hook([released, &job_stage](ExecMode) -> WorkerFn {
+    job_stage = 1;
+    released.wait_for(std::chrono::seconds(3));
+    job_stage = 2;
+    return &SyntheticPipeline::FastUnopt;
+  });
+  TaskScheduler sched(2);
+  auto run = std::make_unique<PipelineRun>(
+      &sched, ExecutionStrategy::kAdaptive, testutil::ForcedUnoptParams(),
+      task, /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
+  std::future<void> done = testutil::StepInTask(&sched, run.get());
+  const bool drained =
+      done.wait_for(std::chrono::seconds(2)) == std::future_status::ready;
+  const int stage_at_drain = job_stage.load();
+  if (!drained) {
+    release.set_value();  // let a run that waits for the job end first
+    done.get();
+  }
+  ASSERT_TRUE(drained) << "the drain waited for the running compile";
+  EXPECT_EQ(stage_at_drain, 1);
+  const PipelineReport& report = pipe->report;
+  EXPECT_EQ(report.final_mode, ExecMode::kBytecode);
+  EXPECT_TRUE(report.compiles.empty());
+  EXPECT_EQ(report.mode_switches.size(), 1u);
+  EXPECT_EQ(pipe->interpreted_tuples.load(), kTuples);
+  EXPECT_EQ(pipe->total(), kTuples);
+  // Free the pipeline before the job returns: an install into its handle
+  // would now write freed memory.
+  run.reset();
+  pipe.reset();
+  release.set_value();
+}
+
+TEST(PipelineRunTest, FailedCompileKeepsTheTier) {
+  // A job that produces no code: nothing is installed, and the controller
+  // decides no other compile for the pipeline.
+  std::atomic<int> jobs{0};
+  TaskScheduler sched(2);
+  for (bool single_threaded : {true, false}) {
+    SCOPED_TRACE(single_threaded ? "single-threaded" : "2 workers");
+    jobs = 0;
+    SyntheticPipeline pipe;
+    PipelineTask task = pipe.MakeTask(1000000);
+    task.compile = testutil::Hook([&jobs](ExecMode) -> WorkerFn {
+      ++jobs;
+      return nullptr;
+    });
+    PipelineReport report =
+        RunPipeline(&sched, ExecutionStrategy::kAdaptive, task,
+                    testutil::ForcedUnoptParams(), single_threaded,
+                    /*first_eval_delay_seconds=*/0);
+    EXPECT_EQ(jobs.load(), 1);
+    EXPECT_EQ(report.mode_switches.size(), 1u);
+    EXPECT_TRUE(report.compiles.empty());
+    EXPECT_EQ(report.final_mode, ExecMode::kBytecode);
+    EXPECT_EQ(pipe.interpreted_tuples.load(), 1000000u);
+  }
 }
 
 TEST(PipelineRunTest, TraceRecordsMorselsAndCompiles) {
@@ -336,12 +405,12 @@ TEST(PipelineRunTest, TraceRecordsMorselsAndCompiles) {
   PipelineTask task = pipe.MakeTask(2000000);
   task.function_instructions = 100;
   task.obs.tracer = &tracer;
-  task.compile = [](ExecMode mode) -> WorkerFn {
+  task.compile = testutil::Hook([](ExecMode mode) -> WorkerFn {
     // A compile long enough to own a few columns of the chart below.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return mode == ExecMode::kUnoptimized ? &SyntheticPipeline::FastUnopt
                                           : &SyntheticPipeline::FastOpt;
-  };
+  });
   RunPipeline(&sched, ExecutionStrategy::kAdaptive, task, params);
   const TraceSnapshot snap = tracer.Snapshot();
   ASSERT_FALSE(snap.lanes.empty());
@@ -406,8 +475,11 @@ struct StraddlingPipeline {
   std::atomic<bool> holding{false};
   std::atomic<bool> resumed{false};
   /// The controller's first unoptimized morsel's rate, timed inside the
-  /// worker: an upper bound on the rate the run records for it.
-  std::atomic<double> controller_unopt_rate{0};
+  /// worker: an upper bound on the rate the run records for it. Only
+  /// controller steps write it, so the morsel the run times holds no atomic
+  /// operation of the test's own (under ThreadSanitizer, an atomic's first
+  /// operation costs tens of microseconds, which the run would time).
+  double controller_unopt_rate = 0;
 
   static void Bytecode(void* state, uint64_t begin, uint64_t end,
                        const void*) {
@@ -435,9 +507,9 @@ struct StraddlingPipeline {
     const int64_t t0 = MonotonicNanos();
     SpinRows(end - begin, kUnoptNsPerRow);
     const double seconds = static_cast<double>(MonotonicNanos() - t0) / 1e9;
-    double unset = 0;
-    self->controller_unopt_rate.compare_exchange_strong(
-        unset, static_cast<double>(end - begin) / seconds);
+    if (self->controller_unopt_rate == 0) {
+      self->controller_unopt_rate = static_cast<double>(end - begin) / seconds;
+    }
   }
   static void Opt(void* state, uint64_t begin, uint64_t end, const void*) {
     if (!tl_in_controller_step) {
@@ -500,12 +572,12 @@ TEST(PipelineRunTest, MorselAcrossTheSwitchStaysOutOfTheNewModesRate) {
   task.state = &pipe;
   task.report = &pipe.report;
   task.domain = ScanDomain::Make({{0, 1000000}}, 1000000);
-  task.compile = [](ExecMode mode) -> WorkerFn {
+  task.compile = testutil::Hook([](ExecMode mode) -> WorkerFn {
     // Holds the helper's morsel a little longer.
     std::this_thread::sleep_for(std::chrono::milliseconds(5));
     return mode == ExecMode::kUnoptimized ? &StraddlingPipeline::Unopt
                                           : &StraddlingPipeline::Opt;
-  };
+  });
   PipelineRun run(&sched, ExecutionStrategy::kAdaptive, params, task,
                   /*single_threaded=*/false, /*first_eval_delay_seconds=*/0);
   auto stepper = std::make_unique<StraddleStepTask>(&run, &pipe);
@@ -520,7 +592,7 @@ TEST(PipelineRunTest, MorselAcrossTheSwitchStaysOutOfTheNewModesRate) {
   // The second decision's r0 is the controller's one unoptimized morsel's
   // rate: the helper's held bytecode morsel stays out of it. Had it
   // entered, r0 would be about half that rate.
-  const double controller_rate = pipe.controller_unopt_rate.load();
+  const double controller_rate = pipe.controller_unopt_rate;
   EXPECT_LE(switches[1].r0, controller_rate);
   EXPECT_GE(switches[1].r0, 0.9 * controller_rate);
   EXPECT_LE(switches[1].r0, 1e9 / StraddlingPipeline::kUnoptNsPerRow);

@@ -115,10 +115,10 @@ TEST(ResumablePipelineTest, ModeSwitchStateSurvivesSuspension) {
   TaskScheduler sched(2);  // the controller's worker and exactly one helper
   SyntheticPipeline pipe;
   PipelineTask task = pipe.MakeTask(kTuples);
-  task.compile = [](ExecMode mode) -> WorkerFn {
+  task.compile = testutil::Hook([](ExecMode mode) -> WorkerFn {
     EXPECT_EQ(mode, ExecMode::kUnoptimized);
     return &SyntheticPipeline::FastUnopt;
-  };
+  });
   PipelineRun run(&sched, ExecutionStrategy::kAdaptive, ForcedUnoptParams(),
                   task, /*single_threaded=*/false,
                   /*first_eval_delay_seconds=*/0);

@@ -1239,8 +1239,9 @@ TEST_F(ObsEngineTest, ModeCountsStayExactWhenTraceRingsWrap) {
 }
 
 // Golden output: a hand-built result (one pruned pipeline, two mode
-// slices, one switch). Every JSON key and ExplainAnalyze line is pinned.
-// Engine steps, compile time and the compile count are derived from it.
+// slices, one switch; a second pipeline whose switch's code never ran).
+// Every JSON key and ExplainAnalyze line is pinned. Engine steps, compile
+// time and the compile count are derived from it.
 TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
   QueryRunResult result;
   result.query_id = 7;
@@ -1274,11 +1275,23 @@ TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
       {ExecMode::kOptimized, 0, 2500000, 30000, 0.006, 0.004, 0.005});
   pp.compiles.emplace_back(ExecMode::kOptimized, 0.002);
   result.pipelines.push_back(pp);
+  // Its compile finished after the drain (or was aborted, or failed): the
+  // switch has no compile in the report.
+  PipelineReport late;
+  late.name = "scan orders";
+  late.pipeline_index = 2;
+  late.tuples = 1000;
+  late.exec_seconds = 0.001;
+  late.exec_only_seconds = 0.001;
+  late.modes.push_back({ExecMode::kBytecode, 1, 1000, 0.0005, 0.001});
+  late.mode_switches.push_back(
+      {ExecMode::kUnoptimized, 0, 2000000, 500, 0.00025, 0.0002, 0.0005});
+  result.pipelines.push_back(late);
 
   EXPECT_EQ(ExplainAnalyzeJson(result),
       "{\"query\":7,\"plan\":\"golden \\\"plan\\\"\",\"total_s\":0.012500"
       ",\"queue_wait_s\":0.000500,\"exec_s\":0.010000"
-      ",\"engine_step_s\":0.003000,\"on_cpu_s\":0.015000,\"compile_s\":0.002000"
+      ",\"engine_step_s\":0.002000,\"on_cpu_s\":0.015000,\"compile_s\":0.002000"
       ",\"compiles\":1,\"cache_hits\":2,\"peak_memory_bytes\":65536"
       ",\"pipelines\":[{\"name\":\"scan lineitem\",\"index\":1,\"tuples\":40000"
       ",\"wall_s\":0.009000,\"exec_only_s\":0.007000"
@@ -1294,13 +1307,22 @@ TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
       ",\"busy_s\":0.003000,\"wall_s\":0.001500,\"tuples_per_s\":10000000}]"
       ",\"switches\":[{\"target\":\"optimized\",\"r0\":2500000.0"
       ",\"remaining\":30000,\"t_current_s\":0.006000,\"predicted_s\":0.004000"
-      ",\"realized_s\":0.005000,\"error_pct\":25.0}]}]}");
+      ",\"realized_s\":0.005000,\"error_pct\":25.0,\"ran\":true}]}"
+      ",{\"name\":\"scan orders\",\"index\":2,\"tuples\":1000"
+      ",\"wall_s\":0.001000,\"exec_only_s\":0.001000"
+      ",\"initial_mode\":\"bytecode\",\"final_mode\":\"bytecode\""
+      ",\"cache_hit\":false"
+      ",\"modes\":[{\"mode\":\"bytecode\",\"morsels\":1,\"tuples\":1000"
+      ",\"busy_s\":0.000500,\"wall_s\":0.001000,\"tuples_per_s\":2000000}]"
+      ",\"switches\":[{\"target\":\"unoptimized\",\"r0\":2000000.0"
+      ",\"remaining\":500,\"t_current_s\":0.000250,\"predicted_s\":0.000200"
+      ",\"realized_s\":0.000500,\"error_pct\":150.0,\"ran\":false}]}]}");
   EXPECT_EQ(ExplainAnalyze(result),
       "EXPLAIN ANALYZE  golden \"plan\"  (query 7)\n"
       "  total 12.500 ms = queue 0.500 ms + service 12.000 ms; "
       "exec 10.000 ms; on-cpu 15.000 ms\n"
       "  compile 2.000 ms this query (1 jits, 2 cache hits)\n"
-      "  engine steps 3.000 ms (finalize / merge / top-k)\n"
+      "  engine steps 2.000 ms (finalize / merge / top-k)\n"
       "  peak memory 65536 bytes\n"
       "  pipeline 1 \"scan lineitem\": 9.000 ms wall (7.000 ms exec-only), "
       "40000 tuples, bytecode -> optimized, cache hit\n"
@@ -1313,7 +1335,14 @@ TEST(ExplainAnalyzeTest, JsonAndTextGolden) {
       "   3.000 ms busy,    1.500 ms wall,   10.00 M tuples/s\n"
       "    switch -> optimized: predicted 4.000 ms (stay: 6.000 ms), "
       "realized 5.000 ms, error +25.0%  [r0=2500000 t/s, "
-      "30000 tuples remained]\n");
+      "30000 tuples remained]\n"
+      "  pipeline 2 \"scan orders\": 1.000 ms wall (1.000 ms exec-only), "
+      "1000 tuples, bytecode -> bytecode\n"
+      "    mode bytecode   :      1 morsels,       1000 tuples, "
+      "   0.500 ms busy,    1.000 ms wall,    2.00 M tuples/s\n"
+      "    switch -> unoptimized: predicted 0.200 ms (stay: 0.250 ms), "
+      "realized 0.500 ms, error +150.0%  [r0=2000000 t/s, "
+      "500 tuples remained]  (its code never ran)\n");
 }
 
 // Plan names come from the caller of Submit, so they can be any length:
@@ -1825,7 +1854,12 @@ TEST_F(ObsEngineTest, FlamegraphIsTheSumOfEachRunsExactTimes) {
   std::vector<QueryRunResult> results;
   for (int number : {1, 3, 6}) {
     QueryProgram program = BuildTpchQuery(number, catalog());
-    results.push_back(engine.Run(program, ForcedSwitchOptions()));
+    // Q6 single-threaded: its forced switch compiles inline, so its report
+    // holds a compile. On 2 workers a compile may end after its pipeline
+    // drained, and then adds nothing to the report.
+    QueryRunOptions options = ForcedSwitchOptions();
+    options.single_threaded = number == 6;
+    results.push_back(engine.Run(program, options));
     ASSERT_FALSE(results.back().rows.empty());
   }
   QueryProgram q6 = BuildTpchQuery(6, catalog());

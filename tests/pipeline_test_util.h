@@ -17,6 +17,17 @@
 
 namespace aqe::testutil {
 
+/// A PipelineTask::compile hook whose job returns `compile(mode)`: the
+/// test's own machine code, which needs no keep-alive. The job calls
+/// `compile` on the worker that claims it.
+inline std::function<CompileJob(ExecMode)> Hook(
+    std::function<WorkerFn(ExecMode)> compile) {
+  return [compile = std::move(compile)](ExecMode mode) {
+    return CompileJob(
+        [compile, mode] { return CompiledCode{compile(mode), nullptr}; });
+  };
+}
+
 /// A synthetic "worker function" whose interpreted variant is slow
 /// (~10M tuples/s) and compiled variants are fast, with per-variant tuple
 /// counters, a handle that starts interpreted and the report its run fills.
@@ -56,9 +67,9 @@ struct SyntheticPipeline {
     task.state = this;
     task.domain = ScanDomain::Make({{0, tuples}}, tuples);
     task.function_instructions = 1000;
-    task.compile = [](ExecMode mode) -> WorkerFn {
+    task.compile = Hook([](ExecMode mode) -> WorkerFn {
       return mode == ExecMode::kUnoptimized ? &FastUnopt : &FastOpt;
-    };
+    });
     return task;
   }
 };

@@ -488,10 +488,10 @@ TEST_F(SchedulerDifferentialTest, SingleThreadedTaskPathSwitchesInline) {
   TaskScheduler sched(2);
   SyntheticPipeline pipe;
   PipelineTask task = pipe.MakeTask(kTuples);
-  task.compile = [](ExecMode mode) -> WorkerFn {
+  task.compile = testutil::Hook([](ExecMode mode) -> WorkerFn {
     EXPECT_EQ(mode, ExecMode::kUnoptimized);
     return &SyntheticPipeline::FastUnopt;
-  };
+  });
   PipelineReport report =
       RunPipeline(&sched, ExecutionStrategy::kAdaptive, task,
                   ForcedUnoptParams(), /*single_threaded=*/true,
@@ -556,10 +556,10 @@ TEST_F(SchedulerDifferentialTest, PrunedDomainRunsExactlySelectedRows) {
     task.report = &counter.report;
     task.domain = domain;
     task.function_instructions = 1000;
-    task.compile = [](ExecMode mode) -> WorkerFn {
+    task.compile = testutil::Hook([](ExecMode mode) -> WorkerFn {
       EXPECT_EQ(mode, ExecMode::kUnoptimized);
       return &RowCounter::Worker<true>;
-    };
+    });
     PipelineReport report =
         RunPipeline(&sched, ExecutionStrategy::kAdaptive, task,
                     ForcedUnoptParams(), single_threaded,
