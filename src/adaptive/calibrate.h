@@ -9,8 +9,8 @@ namespace aqe {
 /// scan-filter-sum kernel (translated bytecode vs unoptimized vs optimized
 /// machine code of the same IR) and returns CostModelParams with the
 /// measured `unopt_speedup` / `opt_speedup` in place of the hand-measured
-/// 3.2 / 3.8. Compile-time coefficients keep their defaults — they already
-/// come from bench/fig06_compile_scaling's linear fit.
+/// 3.2 / 3.8. Compile-time coefficients keep their defaults, which sit above
+/// bench/fig06_compile_scaling's linear fit on purpose (see CostModelParams).
 ///
 /// Runs once per process (memoized, thread-safe); costs roughly the price
 /// of one small optimized compilation plus a few milliseconds of kernel

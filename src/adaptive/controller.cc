@@ -83,12 +83,6 @@ struct PipelineExecState {
 
 namespace {
 
-/// After this many controller morsels with a compile job still kQueued,
-/// the controller hands the job to its own worker as that worker's next
-/// task — occupying one thread exactly like the paper's dedicated path —
-/// so a saturated scheduler cannot delay a mode switch indefinitely.
-constexpr int kInlineCompileAfterMorsels = 2;
-
 /// One of this pipeline's trace events; `mode` is the event's detail.
 TraceEvent PipelineEvent(const PipelineExecState& st, TraceEventKind kind,
                          int64_t start, int64_t end, uint64_t payload,
@@ -209,23 +203,6 @@ class MorselHelperTask : public Task {
  private:
   std::shared_ptr<PipelineExecState> st_;
   const int slot_;
-};
-
-/// Carrier for an adaptive compile decision.
-class CompileJobTask : public Task {
- public:
-  CompileJobTask(std::shared_ptr<PipelineExecState> st, int cls)
-      : st_(std::move(st)) {
-    set_scheduling_class(cls);
-  }
-
-  Status Run(int) override {
-    TryRunCompileJob(*st_);
-    return Status::kDone;
-  }
-
- private:
-  std::shared_ptr<PipelineExecState> st_;
 };
 
 }  // namespace
@@ -426,13 +403,6 @@ Task::Status PipelineRun::StepDrain() {
 void PipelineRun::Evaluate(int worker) {
   // The phase first: once a job left kRunning, its install is visible.
   const int phase = st_->compile_state.load(std::memory_order_acquire);
-  if (phase == kCompQueued &&
-      ++morsels_since_queued_ == kInlineCompileAfterMorsels) {
-    // No other worker claimed the job: this worker pops it next, once the
-    // controller yields.
-    sched_->SubmitTo(worker, std::make_unique<CompileJobTask>(
-                                 st_, task_.scheduling_class));
-  }
   const ExecMode mode = task_.handle->mode();
   if (phase != kCompIdle || mode == ExecMode::kOptimized) return;
   if (static_cast<double>(MonotonicNanos() - start_nanos_) <
@@ -488,16 +458,18 @@ void PipelineRun::Evaluate(int worker) {
     e.d2 = breakdown.chosen_seconds(decision);
     st_->obs.tracer->Record(worker, e);
   }
-  morsels_since_queued_ = 0;
   QueueCompile(target);
   if (participants_ == 1) {
     // No other thread can ever pick the job up: compile inline now.
     TryRunCompileJob(*st_, &blocking_compile_seconds_);
-  } else {
-    sched_->Submit(
-        std::make_unique<CompileJobTask>(st_, task_.scheduling_class),
-        TaskPriority::kLow);
+    return;
   }
+  // Fig 7's compiling thread: the job takes the local end of this worker's
+  // lane, so the worker pops it next once the controller yields, while the
+  // helpers keep running morsels.
+  auto compile = MakeClosureTask([st = st_](int) { TryRunCompileJob(*st); });
+  compile->set_scheduling_class(task_.scheduling_class);
+  sched_->SubmitTo(worker, std::move(compile));
 }
 
 /// Prepares the compile on the controller, while the plan is alive, and

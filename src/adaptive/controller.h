@@ -99,11 +99,11 @@ struct PipelineExecState;
 /// in; the controller alone, from 1 ms in and after each of its morsels,
 /// runs the Fig 7 extrapolation on the participants' rates in the handle's
 /// current mode. When compiling wins, the controller prepares a CompileJob
-/// and a compile task runs it (on the controller's own worker, next, if no
-/// other claims it within a few morsels) while every participant keeps
-/// running morsels; its code flips the FunctionHandle unless the run has
-/// drained. The next evaluation reads the new mode's counters, which is
-/// the paper's rate reset. With one participant the controller runs it.
+/// and submits a task that runs it to its own worker, which pops it next,
+/// once the controller yields, while every other participant keeps running
+/// morsels; its code flips the FunctionHandle unless the run has drained.
+/// The next evaluation reads the new mode's counters, which is the paper's
+/// rate reset. With one participant the controller runs it.
 ///
 /// ===================== Suspension invariants =====================
 ///
@@ -189,7 +189,6 @@ class PipelineRun {
   std::shared_ptr<PipelineExecState> st_;
   int participants_ = 1;
   int controller_slot_ = 0;
-  int morsels_since_queued_ = 0;
   int64_t start_nanos_ = 0;
   /// Compile time that occupied the controller thread: the up-front static
   /// compiles and, with one participant, adaptive compiles. Compile tasks

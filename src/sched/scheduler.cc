@@ -44,9 +44,8 @@ TaskScheduler::~TaskScheduler() {
   // promise breaks, so futures handed out by Submit() never hang.
   for (auto& worker : workers_) {
     for (int c = 0; c < kNumTaskClasses; ++c) {
-      while (Task* task = worker->normal[c].PopLocal()) delete task;
+      while (Task* task = worker->lanes[c].PopLocal()) delete task;
     }
-    while (Task* task = worker->low.PopLocal()) delete task;
   }
 }
 
@@ -65,7 +64,7 @@ void TaskScheduler::set_class_weight(int cls, int weight) {
 int TaskScheduler::CurrentWorker() { return t_worker_index; }
 TaskScheduler* TaskScheduler::CurrentScheduler() { return t_scheduler; }
 
-void TaskScheduler::Submit(std::unique_ptr<Task> task, TaskPriority priority) {
+void TaskScheduler::Submit(std::unique_ptr<Task> task) {
   int worker;
   if (t_scheduler == this) {
     worker = t_worker_index;  // spawned work stays local until stolen
@@ -74,27 +73,21 @@ void TaskScheduler::Submit(std::unique_ptr<Task> task, TaskPriority priority) {
                  1, std::memory_order_relaxed) %
              static_cast<uint64_t>(workers_.size()));
   }
-  Enqueue(worker, task.release(), priority);
+  Enqueue(worker, task.release());
 }
 
-void TaskScheduler::SubmitTo(int worker, std::unique_ptr<Task> task,
-                             TaskPriority priority) {
+void TaskScheduler::SubmitTo(int worker, std::unique_ptr<Task> task) {
   AQE_CHECK(worker >= 0 && worker < num_workers());
-  Enqueue(worker, task.release(), priority);
+  Enqueue(worker, task.release());
 }
 
-void TaskScheduler::Enqueue(int worker, Task* task, TaskPriority priority) {
-  Worker& w = *workers_[static_cast<size_t>(worker)];
-  if (priority == TaskPriority::kLow) {
-    w.low.PushLocal(task);
-  } else {
-    const int cls = task->scheduling_class();
-    if (class_pending_[static_cast<size_t>(cls)].fetch_add(
-            1, std::memory_order_acq_rel) == 0) {
-      OnClassActivated(cls);
-    }
-    w.normal[cls].PushLocal(task);
+void TaskScheduler::Enqueue(int worker, Task* task) {
+  const int cls = task->scheduling_class();
+  if (class_pending_[static_cast<size_t>(cls)].fetch_add(
+          1, std::memory_order_acq_rel) == 0) {
+    OnClassActivated(cls);
   }
+  workers_[static_cast<size_t>(worker)]->lanes[cls].PushLocal(task);
   pending_.fetch_add(1, std::memory_order_seq_cst);
   // Dekker-style pairing with the parking path: workers either see
   // pending_ > 0 before sleeping or are woken under the mutex.
@@ -104,23 +97,10 @@ void TaskScheduler::Enqueue(int worker, Task* task, TaskPriority priority) {
   work_available_.notify_one();
 }
 
-Task* TaskScheduler::FindLow(int index) {
-  const int n = num_workers();
-  if (Task* task = workers_[static_cast<size_t>(index)]->low.PopLocal()) {
-    return task;
-  }
-  for (int offset = 1; offset < n; ++offset) {
-    size_t victim = static_cast<size_t>((index + offset) % n);
-    if (workers_[victim]->low.ApproxSize() == 0) continue;  // skip the lock
-    if (Task* task = workers_[victim]->low.Steal()) return task;
-  }
-  return nullptr;
-}
-
 void TaskScheduler::ClassPickOrder(int* order) const {
   // Snapshot the active classes' clocks and insertion-sort them most-behind
   // first (kNumTaskClasses is tiny). Globally empty classes get -1 slots at
-  // the tail so FindNormal skips their lanes without touching any lock.
+  // the tail so FindWork skips their lanes without touching any lock.
   uint64_t vt[kNumTaskClasses];
   int count = 0;
   for (int c = 0; c < kNumTaskClasses; ++c) {
@@ -158,7 +138,7 @@ void TaskScheduler::OnClassActivated(int cls) {
   }
 }
 
-Task* TaskScheduler::FindNormal(int index) {
+Task* TaskScheduler::FindWork(int index) {
   int order[kNumTaskClasses];
   ClassPickOrder(order);
   Worker& w = *workers_[static_cast<size_t>(index)];
@@ -170,7 +150,7 @@ Task* TaskScheduler::FindNormal(int index) {
   for (int k = 0; k < kNumTaskClasses; ++k) {
     const int cls = order[k];
     if (cls < 0) break;
-    if (Task* task = w.normal[cls].PopLocal()) return task;
+    if (Task* task = w.lanes[cls].PopLocal()) return task;
   }
   // Steal in the same class order: fairness beats locality for a class
   // that is behind.
@@ -180,31 +160,14 @@ Task* TaskScheduler::FindNormal(int index) {
     if (cls < 0) break;
     for (int offset = 1; offset < n; ++offset) {
       size_t victim = static_cast<size_t>((index + offset) % n);
-      if (workers_[victim]->normal[cls].ApproxSize() == 0) continue;
-      if (Task* task = workers_[victim]->normal[cls].Steal()) return task;
+      if (workers_[victim]->lanes[cls].ApproxSize() == 0) continue;
+      if (Task* task = workers_[victim]->lanes[cls].Steal()) return task;
     }
   }
   return nullptr;
 }
 
-Task* TaskScheduler::FindWork(int index, uint64_t picks, bool* from_low) {
-  // Periodic low-priority tick: without it, back-to-back morsel yields
-  // would keep the normal lanes non-empty forever and starve compilations.
-  if (picks % kLowPriorityTick == kLowPriorityTick - 1) {
-    if (Task* task = FindLow(index)) {
-      *from_low = true;
-      return task;
-    }
-  }
-  if (Task* task = FindNormal(index)) {
-    *from_low = false;
-    return task;
-  }
-  *from_low = true;
-  return FindLow(index);
-}
-
-void TaskScheduler::RunTask(Task* task, int worker, bool from_low) {
+void TaskScheduler::RunTask(Task* task, int worker) {
   executed_slices_.fetch_add(1, std::memory_order_relaxed);
   const int cls = task->scheduling_class();
   Task::Status status = task->Run(worker);
@@ -239,14 +202,9 @@ void TaskScheduler::RunTask(Task* task, int worker, bool from_low) {
   if (status == Task::Status::kYield) {
     // Back at the *steal* end of its class lane: other local tasks run
     // first, and thieves pick the yielder up — a long pipeline cannot
-    // monopolize its worker. A normal-lane task stayed "pending" across
-    // its slice (see FindNormal); a low-lane yielder enters the class
-    // accounting here for the first time.
-    if (from_low &&
-        class_pending_[cls].fetch_add(1, std::memory_order_acq_rel) == 0) {
-      OnClassActivated(cls);
-    }
-    workers_[static_cast<size_t>(worker)]->normal[cls].PushSteal(task);
+    // monopolize its worker. The task stayed "pending" across its slice
+    // (see FindWork).
+    workers_[static_cast<size_t>(worker)]->lanes[cls].PushSteal(task);
     pending_.fetch_add(1, std::memory_order_seq_cst);
     // Same Dekker pairing as Enqueue: without touching the mutex, the
     // notify could land in a parker's pred-check-to-block gap and be lost.
@@ -255,9 +213,9 @@ void TaskScheduler::RunTask(Task* task, int worker, bool from_low) {
     }
     work_available_.notify_one();
   } else {
-    // Completion deactivates: the pop in FindNormal left the class counted
+    // Completion deactivates: the pop in FindWork left the class counted
     // as pending while the slice ran.
-    if (!from_low) class_pending_[cls].fetch_sub(1, std::memory_order_acq_rel);
+    class_pending_[cls].fetch_sub(1, std::memory_order_acq_rel);
     delete task;
   }
 }
@@ -266,18 +224,16 @@ void TaskScheduler::WorkerLoop(int index) {
   runtime_internal::SetThreadIndex(index);
   t_worker_index = index;
   t_scheduler = this;
-  uint64_t picks = 0;
   std::unique_lock<std::mutex> lock(mutex_, std::defer_lock);
   for (;;) {
     // Checked every iteration (not only when idle): on shutdown, queued and
     // yielded tasks stop being resumed and are destroyed by the destructor.
     // A task mid-slice still finishes its slice.
     if (shutdown_.load(std::memory_order_seq_cst)) return;
-    bool from_low = false;
-    Task* task = FindWork(index, picks++, &from_low);
+    Task* task = FindWork(index);
     if (task != nullptr) {
       pending_.fetch_sub(1, std::memory_order_seq_cst);
-      RunTask(task, index, from_low);
+      RunTask(task, index);
       continue;
     }
     // Brief spin before parking: morsel yields re-arrive within

@@ -17,25 +17,22 @@ namespace aqe {
 /// Task scheduler with per-worker work-stealing deques — the engine's one
 /// execution substrate. Queries, morsels and JIT compilations are all
 /// tasks on it, so N concurrent queries (and the adaptive controller's
-/// background compilations) share one set of cores. See DESIGN.md in
-/// this directory for invariants (task lifetime, steal protocol, priority
-/// and class rules).
+/// compilations) share one set of cores. See DESIGN.md in this directory
+/// for invariants (task lifetime, steal protocol, class rules).
 ///
-/// Normal-priority work is split into kNumTaskClasses weighted-fair lanes
-/// (one deque per class per worker). The scheduler keeps one global virtual
-/// time per class — each executed slice advances its class's clock by
-/// 1/weight — and always serves the most-behind (minimum virtual time)
-/// non-empty class first, both for local pops and steals. An idle class's
-/// clock is clamped forward when it re-activates, so sleeping never banks
-/// credit. This is weighted fair queueing at task-slice (= morsel)
-/// granularity: a weight-8 class receives ~8x the slices of a weight-1
-/// class while both are backlogged.
+/// Work is split into kNumTaskClasses weighted-fair lanes (one deque per
+/// class per worker). The scheduler keeps one global virtual time per
+/// class — each executed slice advances its class's clock by 1/weight —
+/// and always serves the most-behind (minimum virtual time) non-empty
+/// class first, both for local pops and steals. An idle class's clock is
+/// clamped forward when it re-activates, so sleeping never banks credit.
+/// This is weighted fair queueing at task-slice (= morsel) granularity: a
+/// weight-8 class receives ~8x the slices of a weight-1 class while both
+/// are backlogged.
 ///
-/// Work pick order for worker w (DESIGN.md §priority):
-///   1. every kLowPriorityTick picks: a low-priority task (own, then steal)
-///   2. w's own class lanes, most-behind class first (LIFO within a lane)
-///   3. steal from other workers' lanes (FIFO end), same class order
-///   4. any low-priority task
+/// Work pick order for worker w (DESIGN.md §pick order):
+///   1. w's own class lanes, most-behind class first (LIFO within a lane)
+///   2. steal from other workers' lanes (FIFO end), same class order
 /// Then spin briefly and park until new work is submitted.
 ///
 /// Shutdown: the destructor stops all workers after their current task
@@ -56,12 +53,12 @@ class TaskScheduler {
 
   /// Enqueues a task. Thread-safe; callable from workers and external
   /// threads. External submissions round-robin across workers.
-  void Submit(std::unique_ptr<Task> task,
-              TaskPriority priority = TaskPriority::kNormal);
+  void Submit(std::unique_ptr<Task> task);
 
-  /// Enqueues a task on a specific worker's deque (it may still be stolen).
-  void SubmitTo(int worker, std::unique_ptr<Task> task,
-                TaskPriority priority = TaskPriority::kNormal);
+  /// Enqueues a task at the local end of a specific worker's lane: that
+  /// worker pops it before anything else of its class (it may still be
+  /// stolen).
+  void SubmitTo(int worker, std::unique_ptr<Task> task);
 
   /// Index of the worker the calling thread is, or -1 for external threads.
   static int CurrentWorker();
@@ -98,15 +95,9 @@ class TaskScheduler {
 
  private:
   struct Worker {
-    StealingDeque normal[kNumTaskClasses];
-    StealingDeque low;
+    StealingDeque lanes[kNumTaskClasses];
     std::unique_ptr<std::thread> thread;
   };
-
-  /// A low-priority task is considered at least once per this many picks
-  /// even when normal work is plentiful, bounding compile-task latency to a
-  /// few morsels without letting compilations displace morsel processing.
-  static constexpr uint64_t kLowPriorityTick = 4;
 
   /// Virtual-time increment of one slice for a weight-1 class; a weight-w
   /// class advances by kVtimeScale / w.
@@ -121,13 +112,9 @@ class TaskScheduler {
   static constexpr uint64_t kMaxClassCredit = 64 * kVtimeScale;
 
   void WorkerLoop(int index);
-  /// `from_low` reports which lane kind the task came from: low-lane tasks
-  /// are outside the per-class pending accounting.
-  Task* FindWork(int index, uint64_t picks, bool* from_low);
-  Task* FindNormal(int index);
-  Task* FindLow(int index);
-  void RunTask(Task* task, int worker, bool from_low);
-  void Enqueue(int worker, Task* task, TaskPriority priority);
+  Task* FindWork(int index);
+  void RunTask(Task* task, int worker);
+  void Enqueue(int worker, Task* task);
   /// Sorts the class indices by virtual time (most-behind first) into
   /// `order`; classes with no queued work anywhere go last.
   void ClassPickOrder(int* order) const;
@@ -144,8 +131,8 @@ class TaskScheduler {
   std::atomic<int> weights_[kNumTaskClasses];
   std::atomic<uint64_t> vtime_[kNumTaskClasses];
   std::atomic<uint64_t> class_slices_[kNumTaskClasses];
-  /// Queued normal-priority tasks per class across all workers (activation
-  /// detection + lets FindNormal skip globally empty classes).
+  /// Queued and running tasks per class across all workers (activation
+  /// detection + lets FindWork skip globally empty classes).
   std::atomic<int64_t> class_pending_[kNumTaskClasses];
 
   // Parking. pending_ counts queued tasks; workers park only when it is 0

@@ -8,12 +8,6 @@
 
 namespace aqe {
 
-/// Scheduling class of a task (see DESIGN.md for the exact pick order).
-/// kNormal: query control flow and morsel work. kLow: background work that
-/// must not displace morsel processing but must still make progress —
-/// currently the adaptive controller's JIT compilations and cache publishes.
-enum class TaskPriority : uint8_t { kNormal = 0, kLow = 1 };
-
 /// Number of weighted-fair scheduling classes (per-client priority lanes).
 /// Class 0 is the default; higher classes are meant for lower-latency
 /// tenants, but the mapping is purely a weight question — see
@@ -26,10 +20,10 @@ constexpr int kNumTaskClasses = 4;
 /// tasks (and thieves) get a turn between slices — this is what keeps a
 /// long scan from starving short queries that land on the same worker.
 ///
-/// Every task carries a scheduling class. Normal-priority tasks are queued
-/// in their class's per-worker lane; the scheduler accounts executed slices
-/// per class (weighted virtual time) and picks the most-behind class first,
-/// so a high-weight class of short queries overtakes a saturating low-class
+/// Every task carries a scheduling class and is queued in its class's
+/// per-worker lane; the scheduler accounts executed slices per class
+/// (weighted virtual time) and picks the most-behind class first, so a
+/// high-weight class of short queries overtakes a saturating low-class
 /// scan at slice granularity. The class survives yields: a re-enqueued
 /// slice stays in its lane.
 class Task {

@@ -45,7 +45,8 @@ class CacheTest : public ::testing::Test {
     return engine->Run(q, options).rows;
   }
 
-  /// The publish path is a low-priority scheduler task; wait for it.
+  /// A compile job publishes its code when it finishes, which may be after
+  /// its query returned; wait for the publishes.
   static bool WaitForPublishes(QueryEngine* engine, uint64_t n) {
     auto deadline =
         std::chrono::steady_clock::now() + std::chrono::seconds(10);

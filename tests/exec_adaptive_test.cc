@@ -431,6 +431,59 @@ TEST(PipelineRunTest, TraceRecordsMorselsAndCompiles) {
   EXPECT_NE(chart.find('#'), std::string::npos);
 }
 
+TEST(PipelineRunTest, CompileRunsWhileEveryWorkerHasEndlessWork) {
+  // Every worker always has a task of the pipeline's class to pop, so no
+  // worker steals: the compile runs on the controller's worker, which pops
+  // it next once the controller yields (Fig 7's one compiling thread).
+  // (The scheduler is declared after `stop` and the tracer: its destructor
+  // joins the workers while both are still alive.)
+  class EndlessTask : public Task {
+   public:
+    explicit EndlessTask(const std::atomic<bool>* stop) : stop_(stop) {}
+    Status Run(int) override {
+      return stop_->load() ? Status::kDone : Status::kYield;
+    }
+
+   private:
+    const std::atomic<bool>* stop_;
+  };
+  constexpr uint64_t kTuples = 1000000;
+  std::atomic<bool> stop{false};
+  EngineTracer tracer;
+  TaskScheduler sched(2);
+  SyntheticPipeline pipe;
+  PipelineTask task = pipe.MakeTask(kTuples);
+  task.obs.tracer = &tracer;
+  for (int w = 0; w < sched.num_workers(); ++w) {
+    auto endless = std::make_unique<EndlessTask>(&stop);
+    endless->set_scheduling_class(task.scheduling_class);
+    sched.SubmitTo(w, std::move(endless));
+  }
+  PipelineReport report = RunPipeline(
+      &sched, ExecutionStrategy::kAdaptive, task,
+      testutil::ForcedUnoptParams(), /*single_threaded=*/false,
+      /*first_eval_delay_seconds=*/0);
+  stop = true;
+
+  EXPECT_EQ(pipe.total(), kTuples);
+  EXPECT_EQ(report.compiles.size(), 1u);
+  EXPECT_EQ(report.final_mode, ExecMode::kUnoptimized);
+  int start_lane = -1, compile_lane = -1, compiles = 0;
+  for (const auto& lane : tracer.Snapshot().lanes) {
+    for (const TraceEvent& e : lane.events) {
+      if (e.kind == TraceEventKind::kPipelineStart) start_lane = lane.lane;
+      if (e.kind == TraceEventKind::kCompile) {
+        compile_lane = lane.lane;
+        ++compiles;
+      }
+    }
+  }
+  EXPECT_EQ(compiles, 1);
+  ASSERT_GE(start_lane, 0);
+  EXPECT_EQ(compile_lane, start_lane)
+      << "the compile ran off the controller's worker";
+}
+
 // --- §III-C rate reset: r0 is read per mode --------------------------------
 
 /// True on a thread that is inside PipelineRun::Step: the controller's

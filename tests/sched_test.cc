@@ -128,36 +128,6 @@ TEST(TaskSchedulerTest, YieldedTaskResumesUntilDone) {
   EXPECT_EQ(slices.load(), 5);
 }
 
-TEST(TaskSchedulerTest, LowPriorityRunsDespiteEndlessNormalWork) {
-  // A morsel-like task that yields forever keeps the normal deque non-
-  // empty; the periodic low-priority tick must still run the low task.
-  // (The scheduler is declared last: its destructor joins the workers
-  // while the captured locals are still alive.)
-  std::atomic<bool> low_ran{false};
-  std::promise<void> low_done;
-  TaskScheduler sched(1);
-
-  class EndlessTask : public Task {
-   public:
-    explicit EndlessTask(std::atomic<bool>* stop) : stop_(stop) {}
-    Status Run(int) override {
-      return stop_->load() ? Status::kDone : Status::kYield;
-    }
-
-   private:
-    std::atomic<bool>* stop_;
-  };
-
-  sched.Submit(std::make_unique<EndlessTask>(&low_ran));
-  sched.Submit(MakeClosureTask([&](int) {
-                 low_ran.store(true);
-                 low_done.set_value();
-               }),
-               TaskPriority::kLow);
-  auto status = low_done.get_future().wait_for(std::chrono::seconds(10));
-  EXPECT_EQ(status, std::future_status::ready);
-}
-
 /// Counts its own slices and yields until told to stop.
 class CountedYieldTask : public Task {
  public:
