@@ -31,13 +31,12 @@ ArtifactCache::ArtifactCache(uint64_t byte_budget)
 std::shared_ptr<CacheEntry> ArtifactCache::Intern(
     uint64_t key, size_t num_pipelines, const std::string& plan_name,
     bool* created) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  *created = it == shard.map.end();
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  *created = it == map_.end();
   if (!*created) {
     ++entry_hits_;
-    shard.lru.splice(shard.lru.begin(), shard.lru, it->second.lru_pos);
+    lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     const std::shared_ptr<CacheEntry>& entry = it->second.entry;
     if (entry->plan_name != plan_name ||
         entry->pipelines.size() != num_pipelines) {
@@ -50,8 +49,8 @@ std::shared_ptr<CacheEntry> ArtifactCache::Intern(
   entry->key = key;
   entry->plan_name = plan_name;
   entry->pipelines.resize(num_pipelines);
-  shard.lru.push_front(key);
-  shard.map.emplace(key, Resident{entry, shard.lru.begin(), 0});
+  lru_.push_front(key);
+  map_.emplace(key, Resident{entry, lru_.begin(), 0});
   return entry;
 }
 
@@ -153,87 +152,79 @@ void ArtifactCache::PublishPruning(CacheEntry& entry,
 }
 
 std::shared_ptr<CacheEntry> ArtifactCache::Peek(uint64_t key) const {
-  const Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(key);
-  return it == shard.map.end() ? nullptr : it->second.entry;
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(key);
+  return it == map_.end() ? nullptr : it->second.entry;
 }
 
 void ArtifactCache::OnBytesChanged(const CacheEntry& entry, int64_t delta) {
-  Shard& shard = ShardFor(entry.key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.map.find(entry.key);
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = map_.find(entry.key);
   // Publishing into an evicted entry — including one whose key has since
   // been re-interned as a *different* CacheEntry — must not be charged to
-  // the shard: those artifacts die with the queries holding the old entry.
+  // the cache: those artifacts die with the queries holding the old entry.
   // The identity check makes accounting follow the object, not the key.
-  if (it == shard.map.end() || it->second.entry.get() != &entry) return;
+  if (it == map_.end() || it->second.entry.get() != &entry) return;
   int64_t updated = static_cast<int64_t>(it->second.bytes) + delta;
   it->second.bytes = static_cast<uint64_t>(std::max<int64_t>(updated, 0));
-  int64_t total = static_cast<int64_t>(shard.bytes) + delta;
-  shard.bytes = static_cast<uint64_t>(std::max<int64_t>(total, 0));
-  EvictOverBudgetLocked(&shard);
+  int64_t total = static_cast<int64_t>(bytes_) + delta;
+  bytes_ = static_cast<uint64_t>(std::max<int64_t>(total, 0));
+  EvictOverBudgetLocked();
 }
 
 void ArtifactCache::set_byte_budget(uint64_t bytes) {
-  byte_budget_.store(bytes);
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    EvictOverBudgetLocked(&shard);
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  byte_budget_ = bytes;
+  EvictOverBudgetLocked();
 }
 
 void ArtifactCache::Clear() {
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    evictions_ += shard.map.size();
-    shard.map.clear();
-    shard.lru.clear();
-    shard.bytes = 0;
-  }
+  std::lock_guard<std::mutex> lock(mu_);
+  evictions_ += map_.size();
+  map_.clear();
+  lru_.clear();
+  bytes_ = 0;
 }
 
-void ArtifactCache::EvictOverBudgetLocked(Shard* shard) {
-  const uint64_t shard_budget =
-      std::max<uint64_t>(byte_budget_.load() / kNumShards, 1);
+void ArtifactCache::EvictOverBudgetLocked() {
   // Evict from the cold end; the most recently touched entry always stays
   // (a single over-budget plan must remain usable).
-  while (shard->bytes > shard_budget && shard->lru.size() > 1) {
-    uint64_t victim = shard->lru.back();
-    shard->lru.pop_back();
-    auto it = shard->map.find(victim);
-    AQE_CHECK(it != shard->map.end());
-    shard->bytes -= std::min(shard->bytes, it->second.bytes);
-    shard->map.erase(it);
+  while (bytes_ > byte_budget_ && lru_.size() > 1) {
+    auto it = map_.find(lru_.back());
+    AQE_CHECK(it != map_.end());
+    lru_.pop_back();
+    bytes_ -= std::min(bytes_, it->second.bytes);
+    map_.erase(it);
     ++evictions_;
   }
 }
 
 ArtifactCacheStats ArtifactCache::stats() const {
   ArtifactCacheStats s;
-  s.entry_hits = entry_hits_.load();
-  s.entry_misses = entry_misses_.load();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    s.entry_hits = entry_hits_;
+    s.entry_misses = entry_misses_;
+    s.evictions = evictions_;
+    s.bytes = bytes_;
+    s.entries = map_.size();
+  }
   s.bytecode_hits = bytecode_hits_.load();
   s.bytecode_misses = bytecode_misses_.load();
   s.code_hits = code_hits_.load();
   s.publishes = publishes_.load();
-  s.evictions = evictions_.load();
-  for (const Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    s.bytes += shard.bytes;
-    s.entries += shard.map.size();
-  }
   return s;
 }
 
 void ArtifactCache::ResetStats() {
-  entry_hits_.store(0);
-  entry_misses_.store(0);
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    entry_hits_ = entry_misses_ = evictions_ = 0;
+  }
   bytecode_hits_.store(0);
   bytecode_misses_.store(0);
   code_hits_.store(0);
   publishes_.store(0);
-  evictions_.store(0);
 }
 
 }  // namespace aqe

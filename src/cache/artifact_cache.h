@@ -193,12 +193,13 @@ struct CachedArtifacts {
   std::optional<PruningDecision> pruning;  ///< when asked for and resident
 };
 
-/// Concurrent plan-fingerprint → artifact map: sharded locks, per-shard LRU
-/// under a global byte budget, hit/miss/evict counters. See
-/// src/cache/DESIGN.md for the engine/controller handshake.
+/// Concurrent plan-fingerprint → artifact map: one index of resident
+/// entries (map, LRU list and resident bytes) under one mutex and the whole
+/// byte budget, plus hit/miss/evict counters. A query takes the index lock
+/// about once (Intern) and once per publish; Lookup takes only the entry's.
+/// See src/cache/DESIGN.md for the engine/controller handshake.
 class ArtifactCache {
  public:
-  static constexpr int kNumShards = 8;
   static constexpr uint64_t kDefaultByteBudget = 256ull << 20;
 
   explicit ArtifactCache(uint64_t byte_budget = kDefaultByteBudget);
@@ -261,18 +262,12 @@ class ArtifactCache {
   void ResetStats();
 
  private:
-  /// A resident entry's cache-side bookkeeping, all under the shard lock
-  /// (entry *contents* stay under the entry mutex). The stored iterator
-  /// makes the per-submission LRU bump O(1).
+  /// A resident entry's cache-side bookkeeping, all under `mu_` (entry
+  /// *contents* stay under the entry mutex). The stored iterator makes the
+  /// per-submission LRU bump O(1).
   struct Resident {
     std::shared_ptr<CacheEntry> entry;
     std::list<uint64_t>::iterator lru_pos;
-    uint64_t bytes = 0;
-  };
-  struct Shard {
-    mutable std::mutex mu;
-    std::unordered_map<uint64_t, Resident> map;
-    std::list<uint64_t> lru;  ///< keys, most recent first
     uint64_t bytes = 0;
   };
 
@@ -281,17 +276,19 @@ class ArtifactCache {
   /// least-recently-used entries (the most recent entry is never evicted).
   void OnBytesChanged(const CacheEntry& entry, int64_t delta);
 
-  Shard& ShardFor(uint64_t key) { return shards_[key % kNumShards]; }
-  const Shard& ShardFor(uint64_t key) const { return shards_[key % kNumShards]; }
-  void EvictOverBudgetLocked(Shard* shard);
+  void EvictOverBudgetLocked();
 
-  Shard shards_[kNumShards];
-  std::atomic<uint64_t> byte_budget_;
+  mutable std::mutex mu_;  ///< guards everything down to `evictions_`
+  std::unordered_map<uint64_t, Resident> map_;
+  std::list<uint64_t> lru_;  ///< keys, most recent first
+  uint64_t bytes_ = 0;
+  uint64_t byte_budget_;
+  uint64_t entry_hits_ = 0, entry_misses_ = 0, evictions_ = 0;
 
-  mutable std::atomic<uint64_t> entry_hits_{0}, entry_misses_{0};
+  // Counted by Lookup and the publishes, outside `mu_`.
   std::atomic<uint64_t> bytecode_hits_{0}, bytecode_misses_{0};
   std::atomic<uint64_t> code_hits_{0};
-  std::atomic<uint64_t> publishes_{0}, evictions_{0};
+  std::atomic<uint64_t> publishes_{0};
 };
 
 /// Approximate resident footprint of a translated program.

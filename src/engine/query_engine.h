@@ -68,11 +68,13 @@ struct QueryRunResult {
   uint32_t query_id = 0;  ///< what the query's trace events carry
   std::string plan_name;
   EngineKind engine = EngineKind::kCompiled;  ///< names a baseline's mode
-  double total_seconds = 0;                ///< whole query wall time
+  /// Whole query wall time: submit to completion, the query's kQueryDone
+  /// end on the same clock.
+  double total_seconds = 0;
   /// Admission-to-first-slice wait: how long the query sat in the engine's
   /// admission queue plus the scheduler's deque before its first task slice
-  /// ran. Makes admission order observable per query
-  /// (total_seconds - queue_wait_seconds ≈ service time).
+  /// ran, exactly its kAdmissionWait span. Makes admission order observable
+  /// per query (total_seconds - queue_wait_seconds = service time).
   double queue_wait_seconds = 0;
   std::vector<PipelineReport> pipelines;
   double codegen_millis_total = 0;

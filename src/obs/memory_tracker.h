@@ -6,8 +6,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "runtime/thread_index.h"
-
 namespace aqe {
 
 /// Typed failure for per-class memory budgets: thrown through the query's
@@ -40,28 +38,15 @@ class MemoryBudgetExceeded : public std::runtime_error {
 /// query's behalf — join/agg hash tables, output buffers, binding arrays,
 /// private bytecode copies. Allocation sites are page- or chunk-granular
 /// (4 KiB arena pages, doubling hash tables and directories, 8 KiB output
-/// chunks), so a charge is rare relative to row work; small charges are additionally
-/// thread-cached in per-thread slots and folded into the shared counters
-/// only when a slot accumulates `kFlushBytes`, so even byte-granular
-/// callers never contend.
-///
-/// `current_bytes()` is exact at any quiesce point (it folds the slot
-/// residues in); `peak_bytes()` tracks the shared counter's high-water and
-/// can under-report by up to `kFlushBytes` per concurrently-charging
-/// thread *between* folds. The engine closes that skew at every slice
-/// boundary and at completion by calling `FoldResidues()`, which moves all
-/// slot residues into the shared counter — so the peak a query reports and
-/// the budget latch both see every byte the query ever held across a
-/// boundary, and only sub-slice transients can hide in the slots.
+/// chunks), so a query makes at most a few thousand charges: one shared
+/// counter takes them all, and `current_bytes()`, `peak_bytes()` and the
+/// budget latch are exact at every charge.
 ///
 /// Budgets are *soft*: `Charge` never throws (it may run under a JIT/VM
-/// frame); crossing the limit latches `over_budget()`, and the engine
-/// checks the flag at slice boundaries where unwinding is safe.
+/// frame); the charge that crosses the limit latches `over_budget()`, and
+/// the engine checks the flag at slice boundaries where unwinding is safe.
 class QueryMemoryTracker {
  public:
-  static constexpr int kSlots = kMaxThreads;
-  static constexpr int64_t kFlushBytes = 64 << 10;
-
   QueryMemoryTracker() = default;
   QueryMemoryTracker(const QueryMemoryTracker&) = delete;
   QueryMemoryTracker& operator=(const QueryMemoryTracker&) = delete;
@@ -69,18 +54,12 @@ class QueryMemoryTracker {
   void Charge(uint64_t bytes);
   void Release(uint64_t bytes);
 
-  /// Moves every thread slot's residue into the shared counter, updating
-  /// the peak high-water and the over-budget latch. Safe against concurrent
-  /// Charge/Release (exchange keeps the books exact); the engine calls it
-  /// at slice boundaries and query completion — the quiesce points where
-  /// peak and budget answers must be exact.
-  void FoldResidues();
-
-  /// Shared counter plus all thread-slot residues, clamped at 0 (a release
-  /// can fold in before its charge's slot flushes).
-  uint64_t current_bytes() const;
-  /// High-water of the shared counter (see class comment for the skew).
-  uint64_t peak_bytes() const;
+  uint64_t current_bytes() const {
+    const int64_t now = current_.load(std::memory_order_relaxed);
+    return now > 0 ? static_cast<uint64_t>(now) : 0;
+  }
+  /// High-water of current_bytes().
+  uint64_t peak_bytes() const { return peak_.load(std::memory_order_relaxed); }
 
   /// 0 = unlimited. Crossing the limit latches over_budget(); it never
   /// unlatches (a query that ever exceeded its budget is failed).
@@ -95,16 +74,7 @@ class QueryMemoryTracker {
   }
 
  private:
-  struct alignas(64) Slot {
-    std::atomic<int64_t> pending{0};
-  };
-
-  /// Moves `delta` into the shared counter, updates the peak high-water
-  /// and the over-budget latch.
-  void FoldShared(int64_t delta);
-
-  Slot slots_[kSlots];
-  std::atomic<int64_t> shared_{0};
+  std::atomic<int64_t> current_{0};
   std::atomic<uint64_t> peak_{0};
   std::atomic<uint64_t> soft_limit_{0};
   std::atomic<bool> over_budget_{false};

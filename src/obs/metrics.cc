@@ -170,13 +170,6 @@ Counter* MetricsRegistry::GetCounter(const std::string& name) {
   return slot.get();
 }
 
-Gauge* MetricsRegistry::GetGauge(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  auto& slot = gauges_[name];
-  if (slot == nullptr) slot = std::make_unique<Gauge>();
-  return slot.get();
-}
-
 Histogram* MetricsRegistry::GetHistogram(const std::string& name) {
   std::lock_guard<std::mutex> lock(mu_);
   auto& slot = histograms_[name];
@@ -189,9 +182,6 @@ MetricsSnapshot MetricsRegistry::Snapshot() const {
   std::lock_guard<std::mutex> lock(mu_);
   for (const auto& [name, c] : counters_) {
     snap.counters.emplace_back(name, c->value());
-  }
-  for (const auto& [name, g] : gauges_) {
-    snap.gauges.emplace_back(name, g->value());
   }
   for (const auto& [name, h] : histograms_) {
     snap.histograms.emplace_back(name, h->Snapshot());

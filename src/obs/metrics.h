@@ -24,18 +24,6 @@ class Counter {
   std::atomic<uint64_t> value_{0};
 };
 
-/// Last-write-wins signed gauge (footprints, limits, weights).
-class Gauge {
- public:
-  void Set(int64_t v) { value_.store(v, std::memory_order_relaxed); }
-  void Add(int64_t n) { value_.fetch_add(n, std::memory_order_relaxed); }
-  int64_t value() const { return value_.load(std::memory_order_relaxed); }
-  void Reset() { value_.store(0, std::memory_order_relaxed); }
-
- private:
-  std::atomic<int64_t> value_{0};
-};
-
 /// What a histogram reports: percentiles interpolated from the log-linear
 /// buckets (no samples stored), plus exact count/sum/max and the non-empty
 /// buckets themselves (ascending upper bound, per-bucket count — the
@@ -109,20 +97,17 @@ struct MetricsSnapshot {
 class MetricsRegistry {
  public:
   Counter* GetCounter(const std::string& name);
-  Gauge* GetGauge(const std::string& name);
   Histogram* GetHistogram(const std::string& name);
 
   MetricsSnapshot Snapshot() const;
 
-  /// Zeroes every counter and histogram (gauges keep their last value:
-  /// they describe current state, not accumulation). Phase-delta hygiene
-  /// for benches; concurrent updates during a reset land in the new phase.
+  /// Zeroes every counter and histogram. Phase-delta hygiene for benches;
+  /// concurrent updates during a reset land in the new phase.
   void Reset();
 
  private:
   mutable std::mutex mu_;
   std::map<std::string, std::unique_ptr<Counter>> counters_;
-  std::map<std::string, std::unique_ptr<Gauge>> gauges_;
   std::map<std::string, std::unique_ptr<Histogram>> histograms_;
 };
 

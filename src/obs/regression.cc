@@ -121,7 +121,6 @@ bool RegressionTracker::Observe(Observation obs, AnomalyRecord* anomaly) {
   t.best_mode = std::max(t.best_mode, obs.final_mode);
 
   if (flagged) {
-    ++anomaly_count_;
     recent_.push_back(rec);
     if (recent_.size() > kRecentAnomalies) recent_.pop_front();
     if (anomaly != nullptr) *anomaly = std::move(rec);
@@ -153,11 +152,6 @@ std::vector<AnomalyRecord> RegressionTracker::RecentAnomalies() const {
   return {recent_.begin(), recent_.end()};
 }
 
-uint64_t RegressionTracker::anomaly_count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return anomaly_count_;
-}
-
 void RegressionTracker::set_deviation_factor(double factor) {
   std::lock_guard<std::mutex> lock(mu_);
   factor_ = factor;
@@ -172,7 +166,6 @@ void RegressionTracker::ReplayServiceTimes(
 void RegressionTracker::ResetAnomalies() {
   std::lock_guard<std::mutex> lock(mu_);
   recent_.clear();
-  anomaly_count_ = 0;
   observed_runs_ = 0;
 }
 

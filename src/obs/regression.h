@@ -117,7 +117,6 @@ class RegressionTracker {
   size_t plan_count() const;
 
   std::vector<AnomalyRecord> RecentAnomalies() const;
-  uint64_t anomaly_count() const;
   /// Completed runs folded in by Observe since the last ResetAnomalies.
   uint64_t observed_runs() const { return observed_runs_.load(); }
 
@@ -127,7 +126,7 @@ class RegressionTracker {
   /// in place of the measured ones (recorded times instead of live timing).
   void ReplayServiceTimes(const std::vector<double>& service_ms);
 
-  /// Clears the anomaly ring and the anomaly and run counters. Records
+  /// Clears the anomaly ring and the run counter. Records
   /// persist: they describe the workload, not a measurement phase
   /// (phase-delta hygiene resets counters, not state).
   void ResetAnomalies();
@@ -147,7 +146,6 @@ class RegressionTracker {
   std::list<uint64_t> lru_;  ///< keys, most recent first
   std::deque<AnomalyRecord> recent_;
   std::deque<double> replay_ms_;  ///< see ReplayServiceTimes
-  uint64_t anomaly_count_ = 0;
   std::atomic<uint64_t> observed_runs_{0};
   double factor_;
 };

@@ -293,7 +293,6 @@ TEST(AggHashTableTest, TableStopsGrowingAtItsCapAndSpills) {
     for (int64_t k = 0; k < kKeys; ++k) {
       ASSERT_EQ(groups.at(k)[0], k * k) << k;
     }
-    tracker.FoldResidues();
     EXPECT_EQ(tracker.current_bytes(), set.footprint());
     // 16 bytes per group, and at most a page more per run.
     EXPECT_GE(set.footprint(), kKeys * 16u);
@@ -352,7 +351,6 @@ TEST(AggHashTableSetTest, MergeFoldsRunsInPlace) {
     fill(1, kKeys);
     fill(0, 10);
     fill(2, 10);
-    tracker.FoldResidues();
     const uint64_t before = tracker.current_bytes();
 
     EXPECT_GT(set.BeginMerge(), 0u);
@@ -363,7 +361,6 @@ TEST(AggHashTableSetTest, MergeFoldsRunsInPlace) {
       ASSERT_EQ(groups.at(k)[0], k < 10 ? 3 : 1) << k;
     }
     // Only the runs are left: every thread table was freed.
-    tracker.FoldResidues();
     EXPECT_EQ(tracker.current_bytes(), set.footprint());
     // A partition's index takes 4/3 of 4 bytes per entry, and a partition
     // holds about a 16th of the keys.
@@ -429,7 +426,6 @@ TEST(AggHashTableSetTest, PartitionedMergeMatchesMapFold) {
 
       ASSERT_EQ(set.size(), expected.size());
       EXPECT_EQ(MergedGroups(set), expected);
-      tracker.FoldResidues();
       EXPECT_EQ(tracker.current_bytes(), set.footprint());
     }
     EXPECT_EQ(tracker.current_bytes(), 0u);
@@ -461,7 +457,6 @@ TEST(AggHashTableSetTest, OneUnspilledTableNeedsNoFold) {
     }
     ASSERT_EQ(local->size(), 1000u);  // below the cap: nothing spilled
     EXPECT_EQ(set.BeginMerge(), 0u);
-    tracker.FoldResidues();
     EXPECT_EQ(tracker.current_bytes(), set.footprint());
     EXPECT_EQ(set.size(), 1000u);
     const auto groups = MergedGroups(set);
@@ -574,7 +569,6 @@ TEST(AggHashTableSetTest, MatchesUnorderedMapOnEveryStream) {
         ++matched;
       });
       EXPECT_EQ(matched, expected.size());
-      tracker.FoldResidues();
       const uint64_t fixed =
           static_cast<uint64_t>(threads) * kAggTableBytes +
           kAggPartitions * 4096u;

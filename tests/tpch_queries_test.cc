@@ -290,9 +290,9 @@ TEST_F(TpchQueryTest, EveryEngineRunsTheSameMorsels) {
 // allocates or charges them shows here.
 TEST_F(TpchQueryTest, PeakMemoryMatchesPinned) {
   const std::pair<int, uint64_t> pinned[] = {
-      {1, 16384},   {3, 151808},  {4, 91136},  {5, 66816},  {6, 4096},
-      {7, 80000},   {9, 636416},  {10, 148480}, {11, 78080}, {12, 86016},
-      {14, 69632},  {18, 336536}, {19, 102400},
+      {1, 20032},   {3, 155904},  {4, 107520}, {5, 67904},  {6, 5184},
+      {7, 81088},   {9, 640512},  {10, 168960}, {11, 91392}, {12, 91136},
+      {14, 71232},  {18, 401408}, {19, 103488},
   };
   QueryRunOptions options;
   options.strategy = ExecutionStrategy::kBytecode;
