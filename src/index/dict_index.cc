@@ -44,6 +44,7 @@ DictCodeIndex DictCodeIndex::Build(const Column& column, int32_t num_codes) {
       }
     }
   });
+  if (index.listed_rows() == rows) index.listed_ = PageVector<uint32_t>();
   return index;
 }
 
@@ -62,15 +63,15 @@ bool DictCodeIndex::Listed(int64_t lo, int64_t hi) const {
   if (!Clamp(&lo, &hi)) return true;
   const auto l = static_cast<size_t>(lo);
   const auto h = static_cast<size_t>(hi);
-  return listed_[h] - listed_[l] == counts_[h] - counts_[l];
+  return listed()[h] - listed()[l] == counts_[h] - counts_[l];
 }
 
 void DictCodeIndex::CollectRows(int64_t lo, int64_t hi,
                                 std::vector<uint32_t>* out) const {
   AQE_CHECK_MSG(Listed(lo, hi), "collecting rows of an unlisted code");
   if (!Clamp(&lo, &hi)) return;
-  out->insert(out->end(), row_ids_.begin() + listed_[static_cast<size_t>(lo)],
-              row_ids_.begin() + listed_[static_cast<size_t>(hi)]);
+  out->insert(out->end(), row_ids_.begin() + listed()[static_cast<size_t>(lo)],
+              row_ids_.begin() + listed()[static_cast<size_t>(hi)]);
 }
 
 }  // namespace aqe

@@ -60,8 +60,15 @@ class DictCodeIndex {
   /// Clamps [lo, hi) to the code range; false when it is empty.
   bool Clamp(int64_t* lo, int64_t* hi) const;
 
+  /// The listed-row prefix sums: counts_ when every code is listed.
+  const PageVector<uint32_t>& listed() const {
+    return listed_.empty() ? counts_ : listed_;
+  }
+
   PageVector<uint32_t> counts_;   ///< row-count prefix sums, num_codes + 1
-  PageVector<uint32_t> listed_;   ///< listed-row prefix sums, num_codes + 1
+  /// Listed-row prefix sums, num_codes + 1; empty when every code is
+  /// listed, where they would equal counts_.
+  PageVector<uint32_t> listed_;
   PageVector<uint32_t> row_ids_;  ///< grouped by listed code, ascending within
 };
 

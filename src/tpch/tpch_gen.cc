@@ -6,7 +6,6 @@
 #include <string>
 #include <string_view>
 #include <tuple>
-#include <vector>
 
 #include "common/fork_join.h"
 #include "common/page_allocator.h"
@@ -271,7 +270,7 @@ class OrderGenerator {
   std::array<int32_t, 7> sm_code_;
 };
 
-/// The replay's sink: counts the lines.
+/// The replay's sink: counts the lines on from the given row.
 struct LineCounter {
   uint64_t lines = 0;
   void Line(const LineitemRow&) { ++lines; }
@@ -293,6 +292,7 @@ class RowWriter {
     Write(lineitem_, line_row_++, values);
   }
   void Order(const OrdersRow& values) { Write(orders_, order_row_++, values); }
+  uint64_t line_row() const { return line_row_; }
 
  private:
   template <size_t N>
@@ -308,15 +308,49 @@ class RowWriter {
   uint64_t order_row_, line_row_;
 };
 
-/// The orders in one range of a replay split, which one task writes.
-constexpr uint64_t kOrdersPerRange = 16384;
+/// The orders in one range of a replay split, which one task writes. Small
+/// enough that SF 0.01's 15,000 orders reach every core, and fixed, so the
+/// boundaries do not depend on the host.
+constexpr uint64_t kOrdersPerRange = 1024;
 
-/// Generates orders and lineitem: a replay on this thread records the
-/// Random state and lineitem row at the start of each range of
-/// kOrdersPerRange orders and counts the lines; this thread then sizes
-/// every column, so they stay on its malloc (see src/obs/DESIGN.md), and
-/// the ranges are written in parallel into their disjoint rows. The values
-/// are those of one pass writing every order in turn.
+/// Writes orders [0, count) of one generator stream in parallel ranges of
+/// kOrdersPerRange. `replay(o, rng, position)` and `write(o, rng, position)`
+/// each draw order o from `rng` and return the output position (a row, a
+/// byte offset) after it; only `write` writes. A replay on this thread draws
+/// every order in turn and records the stream's state and the position at
+/// the start of each range; `size(end)` then sizes the output on this
+/// thread, and the ranges are written from their recorded states. Every
+/// range starts where one pass writing every order in turn would be, so
+/// the values do not depend on the range size.
+template <typename Replay, typename Size, typename Write>
+void ReplaySplit(uint64_t count, Random* rng, const Replay& replay,
+                 const Size& size, const Write& write) {
+  struct RangeStart {
+    Random rng;
+    uint64_t position;
+  };
+  // Page-mapped: the comment task runs on a helper (see GenerateTpchData).
+  PageVector<RangeStart> starts;
+  uint64_t position = 0;
+  for (uint64_t o = 0; o < count; ++o) {
+    if (o % kOrdersPerRange == 0) starts.push_back({*rng, position});
+    position = replay(o, rng, position);
+  }
+  size(position);
+  ForkJoin(starts.size(), [&](size_t r) {
+    Random range_rng = starts[r].rng;
+    uint64_t range_position = starts[r].position;
+    const uint64_t first = r * kOrdersPerRange;
+    for (uint64_t o = first; o < std::min(count, first + kOrdersPerRange);
+         ++o) {
+      range_position = write(o, &range_rng, range_position);
+    }
+  });
+}
+
+/// Generates orders and lineitem, split by replay: the replay counts each
+/// order's lines, this thread sizes every column, so they stay on its malloc
+/// (see src/obs/DESIGN.md), and the ranges write their disjoint rows.
 void GenOrdersAndLineitem(Catalog* catalog, const Cardinalities& card,
                           Random* rng) {
   Table* orders = catalog->GetTable("orders");
@@ -325,31 +359,26 @@ void GenOrdersAndLineitem(Catalog* catalog, const Cardinalities& card,
   AQE_CHECK(orders->ColumnIndex("o_comment") == std::tuple_size_v<OrdersRow> &&
             lineitem->num_columns() == std::tuple_size_v<LineitemRow>);
   const OrderGenerator generator(catalog, card);
-  struct RangeStart {
-    Random rng;
-    uint64_t line_row;
-  };
-  std::vector<RangeStart> starts;
-  LineCounter counter;
-  for (uint64_t o = 0; o < card.orders; ++o) {
-    if (o % kOrdersPerRange == 0) starts.push_back({*rng, counter.lines});
-    generator.Generate(o, rng, &counter);
-  }
-  for (size_t c = 0; c < std::tuple_size_v<OrdersRow>; ++c) {
-    orders->column(static_cast<int>(c)).Resize(card.orders);
-  }
-  for (int c = 0; c < lineitem->num_columns(); ++c) {
-    lineitem->column(c).Resize(counter.lines);
-  }
-  ForkJoin(starts.size(), [&](size_t r) {
-    Random range_rng = starts[r].rng;
-    const uint64_t first = r * kOrdersPerRange;
-    RowWriter writer(orders, lineitem, first, starts[r].line_row);
-    for (uint64_t o = first; o < std::min(card.orders, first + kOrdersPerRange);
-         ++o) {
-      generator.Generate(o, &range_rng, &writer);
-    }
-  });
+  ReplaySplit(
+      card.orders, rng,
+      [&](uint64_t o, Random* order_rng, uint64_t line_row) {
+        LineCounter counter{line_row};
+        generator.Generate(o, order_rng, &counter);
+        return counter.lines;
+      },
+      [&](uint64_t lines) {
+        for (size_t c = 0; c < std::tuple_size_v<OrdersRow>; ++c) {
+          orders->column(static_cast<int>(c)).Resize(card.orders);
+        }
+        for (int c = 0; c < lineitem->num_columns(); ++c) {
+          lineitem->column(c).Resize(lines);
+        }
+      },
+      [&](uint64_t o, Random* order_rng, uint64_t line_row) {
+        RowWriter writer(orders, lineitem, o, line_row);
+        generator.Generate(o, order_rng, &writer);
+        return writer.line_row();
+      });
 }
 
 /// One order's comment: 4..8 vocabulary words joined by single spaces.
@@ -396,34 +425,28 @@ class Comment {
 
 /// Fills o_comment, sized by the caller. Nearly all comments are distinct,
 /// making this the engine's high-cardinality dictionary column. Split by
-/// replay like the orders: a replay sizes every comment and records the
-/// Random state at the start of each range of kOrdersPerRange orders, the
-/// ranges write the comments back to back into one buffer in parallel, and
-/// the dictionary is bulk-loaded from it, sorted, so the column is written
-/// once with its final codes. The comments draw from their own
-/// deterministic stream so the text column does not perturb the
-/// long-standing key/date/price distributions (and the query results
-/// derived from them), and so they can be generated beside the main
-/// stream: only this column and its dictionary are touched.
+/// replay like the orders: the replay sizes every comment, the ranges write
+/// the comments back to back into one buffer, and the dictionary is
+/// bulk-loaded from it, sorted, so the column is written once with its
+/// final codes. The comments draw from their own deterministic stream so
+/// the text column does not perturb the long-standing key/date/price
+/// distributions (and the query results derived from them), and so they
+/// can be generated beside the main stream: only this column and its
+/// dictionary are touched.
 void GenOrderComments(Table* orders, uint64_t order_count) {
   Random rng(0x5EA7C0DEu);
-  PageVector<Random> starts;  // a helper's: see GenerateTpchData
-  PageVector<uint64_t> ends(order_count);
-  uint64_t end = 0;
-  for (uint64_t o = 0; o < order_count; ++o) {
-    if (o % kOrdersPerRange == 0) starts.push_back(rng);
-    end += Comment(&rng).size();
-    ends[o] = end;
-  }
-  PageVector<char> bytes(end);
-  ForkJoin(starts.size(), [&](size_t r) {
-    Random range_rng = starts[r];
-    const uint64_t first = r * kOrdersPerRange;
-    for (uint64_t o = first; o < std::min(order_count, first + kOrdersPerRange);
-         ++o) {
-      Comment(&range_rng).CopyTo(bytes.data() + (o == 0 ? 0 : ends[o - 1]));
-    }
-  });
+  PageVector<uint64_t> ends(order_count);  // a helper's: see GenerateTpchData
+  PageVector<char> bytes;
+  ReplaySplit(
+      order_count, &rng,
+      [&](uint64_t o, Random* order_rng, uint64_t end) {
+        return ends[o] = end + Comment(order_rng).size();
+      },
+      [&](uint64_t end) { bytes.resize(end); },
+      [&](uint64_t o, Random* order_rng, uint64_t offset) {
+        Comment(order_rng).CopyTo(bytes.data() + offset);
+        return ends[o];
+      });
   const int column = orders->ColumnIndex("o_comment");
   const PageVector<int32_t> codes =
       orders->dictionary(column).BulkLoad(bytes, ends);

@@ -253,8 +253,12 @@ TEST(DictCodeIndexTest, RowsGroupedByCodeAndCountsMatch) {
   EXPECT_EQ(csr.rows(), IndexedTable::kRows);
   EXPECT_EQ(csr.num_codes(), t.table->dictionary(t.s_col).size());
   EXPECT_EQ(csr.CountForCodeRange(0, csr.num_codes()), IndexedTable::kRows);
-  // Every code is rare here, so every row is listed.
+  // Every code is rare here, so every row is listed, and the listed-row
+  // prefix sums are the row counts', stored once.
   EXPECT_EQ(csr.listed_rows(), IndexedTable::kRows);
+  EXPECT_TRUE(csr.Listed(0, csr.num_codes()));
+  EXPECT_EQ(csr.approx_bytes(),
+            (csr.num_codes() + 1 + IndexedTable::kRows) * sizeof(uint32_t));
   // Every row listed under a code actually stores that code, ascending.
   for (int32_t c = 0; c < csr.num_codes(); ++c) {
     std::vector<uint32_t> rows;
@@ -333,6 +337,9 @@ TEST(DictCodeIndexTest, ListsRowsOfRareCodesOnly) {
   EXPECT_FALSE(csr.Listed(0, csr.num_codes()));
   EXPECT_EQ(csr.listed_rows(), SkewedTable::kRows - common_rows);
   EXPECT_EQ(csr.CountForCodeRange(0, csr.num_codes()), SkewedTable::kRows);
+  // Both prefix-sum arrays are kept.
+  EXPECT_EQ(csr.approx_bytes(),
+            (2 * (csr.num_codes() + 1) + csr.listed_rows()) * sizeof(uint32_t));
 }
 
 TEST(TokenIndexTest, PatternPartsSplitsAtWildcardsAndShortParts) {

@@ -128,13 +128,19 @@ TEST(TaskSchedulerTest, YieldedTaskResumesUntilDone) {
   EXPECT_EQ(slices.load(), 5);
 }
 
-/// Counts its own slices and yields until told to stop.
+/// Counts its own slices and yields until told to stop. Given a gate, its
+/// first slice waits for the gate to open before it counts.
 class CountedYieldTask : public Task {
  public:
   CountedYieldTask(std::atomic<uint64_t>* count, std::atomic<bool>* stop,
-                   std::promise<void>* done)
-      : count_(count), stop_(stop), done_(done) {}
+                   std::promise<void>* done,
+                   std::shared_future<void> gate = {})
+      : count_(count), stop_(stop), done_(done), gate_(std::move(gate)) {}
   Status Run(int) override {
+    if (gate_.valid()) {
+      gate_.wait();
+      gate_ = {};
+    }
     if (stop_->load()) {
       done_->set_value();
       return Status::kDone;
@@ -147,23 +153,29 @@ class CountedYieldTask : public Task {
   std::atomic<uint64_t>* count_;
   std::atomic<bool>* stop_;
   std::promise<void>* done_;
+  std::shared_future<void> gate_;
 };
 
 TEST(TaskSchedulerTest, WeightedClassesShareSlicesProportionally) {
   // Two endless yielders in different classes on one worker: the weight-4
-  // class must receive ~4x the slices of the weight-1 class.
+  // class must receive ~4x the slices of the weight-1 class. Both wait
+  // behind one gate that opens once both Submits have returned, so the
+  // window starts with both queued: were the first to run alone while the
+  // submitter lost its core, it could fill the window by itself.
   std::atomic<uint64_t> slices1{0}, slices2{0};
   std::atomic<bool> stop{false};
-  std::promise<void> done1, done2;
+  std::promise<void> done1, done2, open;
+  const std::shared_future<void> gate = open.get_future().share();
   TaskScheduler sched(1);
   sched.set_class_weight(1, 1);
   sched.set_class_weight(2, 4);
-  auto t1 = std::make_unique<CountedYieldTask>(&slices1, &stop, &done1);
+  auto t1 = std::make_unique<CountedYieldTask>(&slices1, &stop, &done1, gate);
   t1->set_scheduling_class(1);
-  auto t2 = std::make_unique<CountedYieldTask>(&slices2, &stop, &done2);
+  auto t2 = std::make_unique<CountedYieldTask>(&slices2, &stop, &done2, gate);
   t2->set_scheduling_class(2);
   sched.Submit(std::move(t1));
   sched.Submit(std::move(t2));
+  open.set_value();
   while (slices1.load() + slices2.load() < 5000) std::this_thread::yield();
   stop.store(true);
   done1.get_future().wait();

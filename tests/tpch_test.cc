@@ -238,8 +238,8 @@ TEST(TpchFingerprintTest, CatalogValuesMatchPinnedValue) {
   }
 }
 
-// The same pin at a scale factor whose 67,650 orders are not a multiple of
-// any power-of-two range of orders: the generator's last range is partial.
+// The same pin at a scale factor whose 67,650 orders are 66 full ranges of
+// 1 Ki orders and a partial one of 66 orders.
 TEST(TpchFingerprintTest, CatalogValuesMatchPinnedValueAtPartialRange) {
   Catalog catalog;
   tpch::BuildTpchDatabase(&catalog, 0.0451);
@@ -286,7 +286,8 @@ TEST(TpchFingerprintTest, TokenIndexMatchesPinnedValue) {
 // the structures store, so they repeat exactly on every load and under
 // the sanitizers. A loaded dictionary is sorted, so it holds its strings
 // and their ends and no table; the o_comment token index keeps each
-// token's postings in the smaller of an array and a bitmap.
+// token's postings in the smaller of an array and a bitmap; a code index
+// whose codes are all listed keeps one prefix-sum array, not two.
 TEST(TpchFingerprintTest, CatalogBytesMatchPinnedValues) {
   struct Pin {
     const char* table;
@@ -294,12 +295,12 @@ TEST(TpchFingerprintTest, CatalogBytesMatchPinnedValues) {
     uint64_t dictionary_bytes;
   };
   static constexpr Pin kPins[] = {{"region", 144, 74},
-                                  {"nation", 420, 377},
+                                  {"nation", 316, 377},
                                   {"supplier", 48, 0},
-                                  {"customer", 182936, 390085},
-                                  {"part", 247504, 5313},
+                                  {"customer", 122932, 390085},
+                                  {"part", 246632, 5313},
                                   {"partsupp", 5056, 0},
-                                  {"orders", 2124370, 8169312},
+                                  {"orders", 1549642, 8169312},
                                   {"lineitem", 290816, 211}};
   Catalog catalog;
   tpch::BuildTpchDatabase(&catalog, 0.1);
