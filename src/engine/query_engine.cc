@@ -1342,19 +1342,15 @@ QueryRunResult QueryEngine::Run(const QueryProgram& program,
 
 std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
     const QueryProgram& program, bool measure_unopt, bool measure_opt,
-    const TranslatorOptions& translator_options,
-    const CostModelParams& cost_model) {
+    const TranslatorOptions& translator_options) {
   std::vector<PipelineCompileCosts> costs;
+  // Code generation reads only the bindings (addresses, column types,
+  // literals), so every pipeline binds on one fresh context and nothing
+  // runs: the join tables a pipeline probes are sealed empty.
   std::unique_ptr<QueryContext> ctx = program.MakeContext(impl_->catalog);
   const RuntimeRegistry& registry = RuntimeRegistry::Global();
 
-  for (const QueryProgram::Stage& stage : program.stages()) {
-    if (stage.pipeline < 0) {
-      RunStep(program.steps()[static_cast<size_t>(stage.step)], ctx.get());
-      continue;
-    }
-    const PipelineSpec& spec =
-        program.pipelines()[static_cast<size_t>(stage.pipeline)];
+  for (const PipelineSpec& spec : program.pipelines()) {
     PipelineBindings bindings = BindPipeline(program, spec, *ctx);
     PipelineCompileCosts cost;
     cost.name = spec.name;
@@ -1365,7 +1361,7 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
     cost.codegen_millis = generated.codegen_millis;
     cost.runtime_calls = generated.loop_calls;
     cost.runtime_call_fraction = RuntimeCallFraction(
-        generated.loop_instructions, generated.loop_calls, cost_model);
+        generated.loop_instructions, generated.loop_calls, CostModelParams{});
 
     {
       Timer timer;
@@ -1391,15 +1387,6 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
     if (measure_unopt) cost.unopt_millis = jit_millis(JitMode::kUnoptimized);
     if (measure_opt) cost.opt_millis = jit_millis(JitMode::kOptimized);
     costs.push_back(std::move(cost));
-
-    // Execute the pipeline (interpreted) so later pipelines probe the hash
-    // tables this one builds, and the steps read its merged aggregation.
-    InterpretedPipeline interpreted{
-        &spec, program.ResolveTable(spec.source_table, *ctx), ctx.get()};
-    VolcanoWorker(&interpreted, 0, interpreted.source->num_rows(), nullptr);
-    if (const auto* sink = std::get_if<SinkAgg>(&spec.sink)) {
-      ctx->agg_sets[static_cast<size_t>(sink->agg)]->Merge();
-    }
   }
   return costs;
 }

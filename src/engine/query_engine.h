@@ -263,14 +263,10 @@ class QueryEngine {
   /// compilation costs for every pipeline of `program`. `measure_jit`
   /// can be disabled when only translation times matter (huge generated
   /// queries, Fig 15, where optimized compilation takes minutes).
-  /// `cost_model` only affects the reported runtime_call_fraction (pass
-  /// the same params the queries will run with so the report matches the
-  /// adaptive controller's input).
   std::vector<PipelineCompileCosts> MeasureCompileCosts(
       const QueryProgram& program, bool measure_unopt = true,
       bool measure_opt = true,
-      const TranslatorOptions& translator_options = {},
-      const CostModelParams& cost_model = {});
+      const TranslatorOptions& translator_options = {});
 
  private:
   friend struct QueryEngineTestPeer;  // engine/query_engine_test_peer.h

@@ -19,9 +19,9 @@ class Column;
 /// row id per row for nothing.
 ///
 /// Doubles as the hash index over dictionary codes (the dictionary's own
-/// hash map resolves string → code in O(1); this structure resolves code →
+/// binary search resolves string → code; this structure resolves code →
 /// rows in O(result)) and, because codes are grouped contiguously, as the
-/// prefix index: after Table::SortDictionaries a LIKE-prefix predicate maps
+/// prefix index: codes follow string order, so a LIKE-prefix predicate maps
 /// to a code range [lo, hi) via Dictionary::PrefixRange, and that range's
 /// rows are one contiguous CSR slice. Built once after bulk load, possibly
 /// on a helper thread, so its arrays come from PageAllocator; immutable.

@@ -25,8 +25,8 @@ struct TableIndexOptions {
 };
 
 /// All secondary index structures of one table (see src/index/DESIGN.md).
-/// Built once after bulk load + Table::SortDictionaries; immutable, shared
-/// by reference from scan-pruning analysis and cached ScanDomains.
+/// Built once after bulk load; immutable, shared by reference from
+/// scan-pruning analysis and cached ScanDomains.
 struct TableIndexes {
   TableIndexOptions options;
   ZoneMaps zones;

@@ -12,15 +12,6 @@ namespace aqe {
 
 namespace {
 
-constexpr size_t kMinTableSize = 16;
-
-/// The table size for `n` codes: a power of two, at least twice `n`.
-size_t TableCapacity(size_t n) {
-  size_t capacity = kMinTableSize;
-  while (capacity < 2 * n) capacity *= 2;
-  return capacity;
-}
-
 /// String i of a string list is bytes[ends[i-1], ends[i]) (ends[-1] reads
 /// as 0): the arena's layout, and the bulk load's.
 std::string_view ListEntry(const char* bytes, const uint64_t* ends,
@@ -81,7 +72,7 @@ void SortKeys(const char* bytes, const uint64_t* ends, SortKey* keys,
 
 /// The one string sort: returns the indexes of the `n` strings of the list
 /// in byte-wise (unsigned) order, equal strings in any order. An MSD sort on
-/// 8-byte digits. From Dictionary::kParallelSortCodes strings on, the keys
+/// 8-byte digits. From Dictionary::kParallelBulkLoad strings on, the keys
 /// are scattered into buckets by their first two bytes in ForkJoinWidth()
 /// chunks, and the buckets, largest first, are sorted on as many threads;
 /// below it one chunk fills one bucket.
@@ -90,7 +81,7 @@ PageVector<int32_t> SortStrings(const char* bytes, const uint64_t* ends,
   AQE_CHECK_MSG(n <= static_cast<size_t>(std::numeric_limits<int32_t>::max()),
                 "too many strings to sort");
   const bool parallel =
-      n >= static_cast<size_t>(Dictionary::kParallelSortCodes);
+      n >= static_cast<size_t>(Dictionary::kParallelBulkLoad);
   const size_t chunks = parallel ? ForkJoinWidth() : 1;
   const size_t buckets = parallel ? size_t{1} << 16 : 1;
   const auto bucket_of = [parallel](SortKey key) {
@@ -161,56 +152,14 @@ int32_t Dictionary::PartitionPoint(int32_t lo, const Before& before) const {
   return lo;
 }
 
-size_t Dictionary::Slot(std::string_view s) const {
-  const size_t mask = table_.size() - 1;
-  for (size_t i = std::hash<std::string_view>{}(s) & mask;; i = (i + 1) & mask) {
-    const int32_t code = table_[i];
-    if (code == kEmpty || View(static_cast<size_t>(code)) == s) return i;
-  }
-}
-
-void Dictionary::Rehash(size_t capacity) {
-  // Hashing the strings is most of the work, so each code's home slot is
-  // found first, from kParallelSortCodes codes on in ForkJoinWidth()
-  // chunks; the probes then run in code order.
-  const size_t n = ends_.size();
-  const size_t mask = capacity - 1;
-  const size_t chunks =
-      n < static_cast<size_t>(kParallelSortCodes) ? 1 : ForkJoinWidth();
-  PageVector<size_t> home(n);
-  ForkJoin(chunks, [&](size_t c) {
-    for (size_t code = n * c / chunks; code < n * (c + 1) / chunks; ++code) {
-      home[code] = std::hash<std::string_view>{}(View(code)) & mask;
-    }
-  });
-  table_.assign(capacity, kEmpty);
-  for (size_t code = 0; code < n; ++code) {
-    size_t i = home[code];
-    while (table_[i] != kEmpty) i = (i + 1) & mask;
-    table_[i] = static_cast<int32_t>(code);
-  }
-}
-
 int32_t Dictionary::GetOrAdd(std::string_view s) {
-  if (sorted_) {
-    // An in-order append costs one compare with the last string.
-    const int order = ends_.empty() ? 1 : s.compare(View(ends_.size() - 1));
-    if (order > 0) return Append(s);
-    const int32_t code = Find(s);
-    if (code >= 0) return code;
-    // The first insert out of order: the table, built below, answers from
-    // here on.
-    sorted_ = false;
-  }
-  // Build or grow the table before probing, so the insert below keeps the
-  // load at most 1/2.
-  if (2 * (ends_.size() + 1) > table_.size()) {
-    Rehash(TableCapacity(ends_.size() + 1));
-  }
-  const size_t slot = Slot(s);
-  if (table_[slot] != kEmpty) return table_[slot];
-  table_[slot] = Append(s);
-  return table_[slot];
+  // An in-order append costs one compare with the last string.
+  if (ends_.empty() || s > View(ends_.size() - 1)) return Append(s);
+  const int32_t code = Find(s);
+  AQE_CHECK_MSG(code >= 0,
+                "GetOrAdd of a new string below the last one; load strings "
+                "in any order with BulkLoad");
+  return code;
 }
 
 int32_t Dictionary::Append(std::string_view s) {
@@ -239,12 +188,9 @@ void Dictionary::AppendToArena(std::string_view s) {
 }
 
 int32_t Dictionary::Find(std::string_view s) const {
-  if (sorted_) {
-    const int32_t code =
-        PartitionPoint(0, [s](std::string_view other) { return other < s; });
-    return code < size() && View(static_cast<size_t>(code)) == s ? code : -1;
-  }
-  return table_[Slot(s)];  // kEmpty == -1
+  const int32_t code =
+      PartitionPoint(0, [s](std::string_view other) { return other < s; });
+  return code < size() && View(static_cast<size_t>(code)) == s ? code : -1;
 }
 
 std::string_view Dictionary::Get(int32_t code) const {
@@ -290,30 +236,6 @@ std::vector<uint8_t> Dictionary::MatchBitmap(
   return BitmapOf(predicate);
 }
 
-PageVector<int32_t> Dictionary::SortCodes() {
-  const size_t n = ends_.size();
-  // new code -> old code
-  const PageVector<int32_t> order = SortStrings(arena_.data(), ends_.data(), n);
-  // One pass into exact-size buffers: the load-time slack of both goes.
-  PageVector<char> arena(arena_.size());
-  PageVector<uint64_t> ends(n);
-  PageVector<int32_t> remap(n);  // old code -> new code
-  uint64_t end = 0;
-  for (size_t new_code = 0; new_code < n; ++new_code) {
-    const auto old_code = static_cast<size_t>(order[new_code]);
-    const std::string_view s = View(old_code);
-    std::copy(s.begin(), s.end(), arena.begin() + end);
-    end += s.size();
-    ends[new_code] = end;
-    remap[old_code] = static_cast<int32_t>(new_code);
-  }
-  arena_ = std::move(arena);
-  ends_ = std::move(ends);
-  PageVector<int32_t>().swap(table_);
-  sorted_ = true;
-  return remap;
-}
-
 PageVector<int32_t> Dictionary::BulkLoad(const PageVector<char>& bytes,
                                          const PageVector<uint64_t>& ends) {
   AQE_CHECK_MSG(ends_.empty(), "bulk load into a non-empty dictionary");
@@ -328,7 +250,7 @@ PageVector<int32_t> Dictionary::BulkLoad(const PageVector<char>& bytes,
   // the strings and their bytes per chunk; pass 2 writes them from the
   // chunk's first code and arena offset.
   const size_t chunks =
-      rows >= static_cast<size_t>(kParallelSortCodes) ? ForkJoinWidth() : 1;
+      rows >= static_cast<size_t>(kParallelBulkLoad) ? ForkJoinWidth() : 1;
   const auto chunk_begin = [rows, chunks](size_t c) {
     return rows * c / chunks;
   };
@@ -363,7 +285,6 @@ PageVector<int32_t> Dictionary::BulkLoad(const PageVector<char>& bytes,
       codes[static_cast<size_t>(order[i])] = code;
     }
   });
-  sorted_ = true;
   return codes;
 }
 

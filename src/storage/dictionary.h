@@ -19,43 +19,37 @@ namespace aqe {
 /// type system small (see DESIGN.md substitutions).
 ///
 /// Each distinct string is stored once: the strings lie back to back in one
-/// char arena, code c spanning [end(c-1), end(c)). A sorted dictionary
-/// answers lookups by binary search over its codes; an unsorted one keeps
-/// an open-addressing table of codes, probed with the string's bytes, built
-/// by the first insert out of order and dropped again by SortCodes. Nothing
-/// is allocated per string, and all three arrays come from PageAllocator,
-/// so a dictionary built or sorted on a helper thread leaves nothing behind
-/// in that thread's malloc arena (see src/strings/DESIGN.md, "Storage
-/// layout").
+/// char arena, code c spanning [end(c-1), end(c)). Codes are assigned in
+/// string order, so lookups are binary searches over the codes. Nothing is
+/// allocated per string, and both arrays come from PageAllocator, so a
+/// dictionary built on a helper thread leaves nothing behind in that
+/// thread's malloc arena (see src/strings/DESIGN.md, "Storage layout").
 class Dictionary {
  public:
-  /// SortCodes and BulkLoad sort, and building the table hashes, at least
-  /// this many strings on ForkJoinWidth() threads (see src/strings/DESIGN.md,
-  /// "Storage layout").
-  static constexpr int32_t kParallelSortCodes = int32_t{64} << 10;
+  /// BulkLoad sorts and deduplicates at least this many strings on
+  /// ForkJoinWidth() threads (see src/strings/DESIGN.md, "Storage layout").
+  static constexpr int32_t kParallelBulkLoad = int32_t{64} << 10;
 
   Dictionary() = default;
 
-  /// Returns the code for `s`, inserting it if new. On a sorted dictionary
-  /// a string above the last one is appended after one compare; the first
-  /// string that breaks the order builds the table.
+  /// Returns the code of `s` if the dictionary holds it; otherwise appends
+  /// `s`, which must sort after the last string (one compare), as the next
+  /// code. A new string below the last CHECK-fails: load strings in any
+  /// order with BulkLoad.
   int32_t GetOrAdd(std::string_view s);
 
-  /// Returns the code for `s` or -1 if absent: a binary search on a sorted
-  /// dictionary, a table probe on an unsorted one.
+  /// Returns the code for `s` or -1 if absent (a binary search).
   int32_t Find(std::string_view s) const;
 
   /// Returns the string for a code. The view points into the arena and stays
-  /// valid until the next GetOrAdd or SortCodes, either of which may move it.
+  /// valid until the next GetOrAdd, which may move it.
   std::string_view Get(int32_t code) const;
 
   int32_t size() const { return static_cast<int32_t>(ends_.size()); }
 
-  /// Bytes held: the arena, the ends and the table's slots (none while
-  /// sorted).
+  /// Bytes held: the arena and the ends.
   uint64_t approx_bytes() const {
-    return arena_.size() + ends_.size() * sizeof(uint64_t) +
-           table_.size() * sizeof(int32_t);
+    return arena_.size() + ends_.size() * sizeof(uint64_t);
   }
 
   /// Builds a byte-per-code bitmap where bitmap[code] == 1 iff the dictionary
@@ -74,31 +68,15 @@ class Dictionary {
   std::vector<uint8_t> MatchBitmap(
       const std::function<bool(std::string_view)>& predicate) const;
 
-  /// True when codes are assigned in lexicographic string order, i.e.
-  /// code_a < code_b  <=>  Get(code_a) < Get(code_b). Incremental GetOrAdd
-  /// assigns insertion order; SortCodes() (via Table::SortDictionaries)
-  /// establishes the invariant after a load, and BulkLoad loads sorted.
-  /// O(1): the flag is maintained on every insert (plan lowering consults
-  /// it per query).
-  bool is_sorted() const { return sorted_; }
-
-  /// Lexicographically reorders the dictionary, drops its table and returns
-  /// the old-code -> new-code remap the owner must apply to every encoded
-  /// column value. After this, is_sorted() holds (until a GetOrAdd inserts
-  /// out of order).
-  PageVector<int32_t> SortCodes();
-
   /// Loads an empty dictionary from a column's strings at once and returns
   /// each row's code: row r's string is bytes[ends[r-1], ends[r]) (ends[-1]
-  /// reads as 0). The distinct strings are stored sorted, so the codes are
-  /// those GetOrAdd on every row and then SortCodes would give, without the
-  /// per-row probes, a table or the remap.
+  /// reads as 0). The distinct strings are stored sorted: the one way to
+  /// add strings in any order. GetOrAdd may append after it.
   PageVector<int32_t> BulkLoad(const PageVector<char>& bytes,
                                const PageVector<uint64_t>& ends);
 
-  /// The [lo, hi) code range of strings starting with `prefix`. Only
-  /// meaningful on a sorted dictionary, where it turns a LIKE-prefix
-  /// predicate into two integer compares on the code column.
+  /// The [lo, hi) code range of strings starting with `prefix`: it turns a
+  /// LIKE-prefix predicate into two integer compares on the code column.
   std::pair<int32_t, int32_t> PrefixRange(std::string_view prefix) const;
 
  private:
@@ -108,15 +86,10 @@ class Dictionary {
     return {arena_.data() + begin, static_cast<size_t>(ends_[code] - begin)};
   }
   /// The first code in [lo, size()) whose string fails `before`, which
-  /// must hold on a prefix of the codes (of a sorted dictionary, for an
-  /// order-compatible `before`).
+  /// must hold on a prefix of the codes (for an order-compatible
+  /// `before`).
   template <typename Before>
   int32_t PartitionPoint(int32_t lo, const Before& before) const;
-  /// Table slot holding the code of `s`, or the empty slot where it belongs.
-  /// Requires a non-empty table.
-  size_t Slot(std::string_view s) const;
-  /// Re-inserts every code into an empty table of `capacity` slots.
-  void Rehash(size_t capacity);
   /// Appends `s` as the next code and returns it; `s` may view the arena.
   int32_t Append(std::string_view s);
   /// Appends `s` to the arena; `s` may view the arena itself.
@@ -130,11 +103,6 @@ class Dictionary {
   /// Code c is arena_[ends_[c-1], ends_[c]) (ends_[-1] reads as 0); 64-bit
   /// so the arena may exceed 4 GiB.
   PageVector<uint64_t> ends_;
-  /// Open addressing with linear probing: codes, kEmpty for a free slot.
-  /// Empty while sorted_; otherwise a power of two at least twice size().
-  PageVector<int32_t> table_;
-  static constexpr int32_t kEmpty = -1;
-  bool sorted_ = true;  ///< empty/ordered-insert dictionaries are sorted
 };
 
 }  // namespace aqe

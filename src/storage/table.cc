@@ -55,27 +55,6 @@ bool Table::has_dictionary(int index) const {
   return dictionaries_[static_cast<size_t>(index)] != nullptr;
 }
 
-void Table::SortDictionary(int column) {
-  Dictionary& dict = dictionary(column);
-  if (dict.is_sorted()) return;
-  const PageVector<int32_t> remap = dict.SortCodes();
-  Column& col = *columns_[static_cast<size_t>(column)];
-  // A remapped code is below the dictionary size, like every code the
-  // checked append let in, so it fits the column's width.
-  VisitIntColumn(col, [&](auto* codes) {
-    using T = std::remove_pointer_t<decltype(codes)>;
-    for (uint64_t r = 0; r < col.size(); ++r) {
-      codes[r] = static_cast<T>(remap[static_cast<size_t>(codes[r])]);
-    }
-  });
-}
-
-void Table::SortDictionaries() {
-  for (int c = 0; c < num_columns(); ++c) {
-    if (has_dictionary(c)) SortDictionary(c);
-  }
-}
-
 Table* Catalog::CreateTable(const std::string& name) {
   AQE_CHECK_MSG(!HasTable(name), "duplicate table");
   auto table = std::make_unique<Table>(name);

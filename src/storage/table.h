@@ -15,7 +15,9 @@ namespace aqe {
 struct TableIndexes;  // src/index/table_index.h
 
 /// An in-memory columnar table. Columns are appended at schema-definition
-/// time; rows are appended column-wise by the data generator.
+/// time; rows are appended column-wise by the data generator. A string
+/// column holds codes of its Dictionary, which is always sorted, so code
+/// order is string order and a loaded column is never rewritten.
 class Table {
  public:
   explicit Table(std::string name);
@@ -48,18 +50,6 @@ class Table {
   Dictionary& dictionary(int index);
   const Dictionary& dictionary(int index) const;
   bool has_dictionary(int index) const;
-
-  /// Establishes the order-preserving invariant on one dictionary column:
-  /// sorts its dictionary lexicographically and rewrites the column's codes
-  /// in place (nothing to do if already sorted). Called once after bulk load
-  /// (further GetOrAdd inserts would break the invariant again). Enables
-  /// LIKE-prefix predicates to lower to integer range compares on the code
-  /// column. Touches only that column and its dictionary, so separate
-  /// columns may be sorted concurrently.
-  void SortDictionary(int column);
-
-  /// SortDictionary on every dictionary column.
-  void SortDictionaries();
 
   /// Secondary index structures (src/index/: zone maps, dictionary-code
   /// CSR indexes, inverted token indexes), built once after bulk load and

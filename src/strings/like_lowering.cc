@@ -38,16 +38,14 @@ LoweredLike LowerLikePredicate(QueryProgram* program, const Table& table,
       result.expr = Eq(Slot(code_slot), I64(code));
       return result;
     }
-    case LikePatternClass::kPrefix:
-      if (dict.is_sorted()) {
-        // Order-preserving dictionary: the prefix owns a contiguous code
-        // range, so LIKE 'x%' is two fusable integer compares.
-        const auto [lo, hi] = dict.PrefixRange(matcher.literal());
-        result.expr =
-            And(Ge(Slot(code_slot), I64(lo)), Lt(Slot(code_slot), I64(hi)));
-        return result;
-      }
-      break;
+    case LikePatternClass::kPrefix: {
+      // Order-preserving dictionary: the prefix owns a contiguous code
+      // range, so LIKE 'x%' is two fusable integer compares.
+      const auto [lo, hi] = dict.PrefixRange(matcher.literal());
+      result.expr =
+          And(Ge(Slot(code_slot), I64(lo)), Lt(Slot(code_slot), I64(hi)));
+      return result;
+    }
     default:
       break;
   }

@@ -68,7 +68,7 @@ struct LoweredLike {
 /// Lowers `<column> LIKE <pattern>` against the dictionary of
 /// `table.column(column_index)`, whose code the pipeline scans into
 /// `code_slot`. Wildcard-free patterns become a single code compare and
-/// prefix patterns on a sorted dictionary a code-range compare — both
+/// prefix patterns a code-range compare — both
 /// carry the pattern as plain I64 literals, so pattern variants share
 /// cached bytecode exactly like numeric constants. Everything
 /// else either pre-evaluates into a program-owned bitmap (kBitmapTest) or

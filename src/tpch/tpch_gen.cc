@@ -2,10 +2,12 @@
 
 #include <array>
 #include <cstdio>
+#include <initializer_list>
 #include <iterator>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <vector>
 
 #include "common/fork_join.h"
 #include "common/page_allocator.h"
@@ -60,25 +62,36 @@ constexpr std::string_view kCommentWords[16] = {
     "accounts",  "packages", "theodolites", "foxes",     "ideas",
     "platelets"};
 
-/// Adds `values` to `dict` in order; returns their codes, index for index.
-template <size_t N>
-std::array<int32_t, N> RegisterAll(Dictionary* dict,
-                                   const char* const (&values)[N]) {
-  std::array<int32_t, N> codes{};
-  for (size_t i = 0; i < N; ++i) codes[i] = dict->GetOrAdd(values[i]);
-  return codes;
+/// Loads `values`, a whole vocabulary in any order, into the empty `dict`
+/// and returns each value's code, index for index, so a row writes its
+/// final code by vocabulary index.
+template <typename Values = std::initializer_list<std::string_view>>
+PageVector<int32_t> LoadVocabulary(Dictionary* dict, const Values& values) {
+  PageVector<char> bytes;
+  PageVector<uint64_t> ends;
+  for (const std::string_view value : values) {
+    bytes.insert(bytes.end(), value.begin(), value.end());
+    ends.push_back(bytes.size());
+  }
+  return dict->BulkLoad(bytes, ends);
 }
 
 void GenRegionNation(Catalog* catalog) {
   Table* region = catalog->GetTable("region");
+  const PageVector<int32_t> region_code =
+      LoadVocabulary(&region->dictionary(1), kRegionNames);
   for (int i = 0; i < 5; ++i) {
     region->column(0).AppendInt(i);
-    region->column(1).AppendInt(region->dictionary(1).GetOrAdd(kRegionNames[i]));
+    region->column(1).AppendInt(region_code[i]);
   }
   Table* nation = catalog->GetTable("nation");
+  std::array<std::string_view, 25> nation_names;
+  for (int i = 0; i < 25; ++i) nation_names[i] = kNations[i].name;
+  const PageVector<int32_t> nation_code =
+      LoadVocabulary(&nation->dictionary(1), nation_names);
   for (int i = 0; i < 25; ++i) {
     nation->column(0).AppendInt(i);
-    nation->column(1).AppendInt(nation->dictionary(1).GetOrAdd(kNations[i].name));
+    nation->column(1).AppendInt(nation_code[i]);
     nation->column(2).AppendInt(kNations[i].region);
   }
 }
@@ -103,7 +116,8 @@ void GenCustomer(Catalog* catalog, uint64_t count, Random* rng) {
   Column& nationkey = t->column("c_nationkey");
   Column& mktsegment = t->column("c_mktsegment");
   Dictionary& name_dict = t->dictionary(t->ColumnIndex("c_name"));
-  Dictionary& seg_dict = t->dictionary(t->ColumnIndex("c_mktsegment"));
+  const PageVector<int32_t> seg_code = LoadVocabulary(
+      &t->dictionary(t->ColumnIndex("c_mktsegment")), kSegments);
   char buf[32];
   for (uint64_t i = 0; i < count; ++i) {
     custkey.AppendInt(static_cast<int64_t>(i) + 1);
@@ -111,7 +125,7 @@ void GenCustomer(Catalog* catalog, uint64_t count, Random* rng) {
                   static_cast<unsigned long long>(i + 1));
     name.AppendInt(name_dict.GetOrAdd(buf));
     nationkey.AppendInt(static_cast<int32_t>(rng->NextBelow(25)));
-    mktsegment.AppendInt(seg_dict.GetOrAdd(kSegments[rng->NextBelow(5)]));
+    mktsegment.AppendInt(seg_code[rng->NextBelow(5)]);
   }
 }
 
@@ -123,26 +137,47 @@ void GenPart(Catalog* catalog, uint64_t count, Random* rng) {
   Column& size = t->column("p_size");
   Column& container = t->column("p_container");
   Column& retail = t->column("p_retailprice");
-  Dictionary& brand_dict = t->dictionary(t->ColumnIndex("p_brand"));
-  Dictionary& type_dict = t->dictionary(t->ColumnIndex("p_type"));
-  Dictionary& cont_dict = t->dictionary(t->ColumnIndex("p_container"));
-  char buf[64];
+  // Each vocabulary enumerated whole, its first part outermost, so value
+  // (a, b, c) has index (a * B + b) * C + c.
+  std::vector<std::string> brands, types, containers;
+  for (char m = '1'; m <= '5'; ++m) {
+    for (char n = '1'; n <= '5'; ++n) {
+      brands.push_back(std::string("Brand#") + m + n);
+    }
+  }
+  for (const char* s1 : kTypeSyllable1) {
+    for (const char* s2 : kTypeSyllable2) {
+      for (const char* s3 : kTypeSyllable3) {
+        types.push_back(std::string(s1) + " " + s2 + " " + s3);
+      }
+    }
+  }
+  for (const char* s1 : kContainerSyllable1) {
+    for (const char* s2 : kContainerSyllable2) {
+      containers.push_back(std::string(s1) + " " + s2);
+    }
+  }
+  const PageVector<int32_t> brand_code =
+      LoadVocabulary(&t->dictionary(t->ColumnIndex("p_brand")), brands);
+  const PageVector<int32_t> type_code =
+      LoadVocabulary(&t->dictionary(t->ColumnIndex("p_type")), types);
+  const PageVector<int32_t> container_code = LoadVocabulary(
+      &t->dictionary(t->ColumnIndex("p_container")), containers);
   for (uint64_t i = 0; i < count; ++i) {
     partkey.AppendInt(static_cast<int64_t>(i) + 1);
-    std::snprintf(buf, sizeof(buf), "Brand#%llu%llu",
-                  static_cast<unsigned long long>(rng->NextBelow(5) + 1),
-                  static_cast<unsigned long long>(rng->NextBelow(5) + 1));
-    brand.AppendInt(brand_dict.GetOrAdd(buf));
-    std::snprintf(buf, sizeof(buf), "%s %s %s",
-                  kTypeSyllable1[rng->NextBelow(6)],
-                  kTypeSyllable2[rng->NextBelow(5)],
-                  kTypeSyllable3[rng->NextBelow(5)]);
-    type.AppendInt(type_dict.GetOrAdd(buf));
+    // The catalog pins fix this draw order: each value's parts are drawn
+    // last part first.
+    const uint64_t brand_n = rng->NextBelow(5);
+    const uint64_t brand_m = rng->NextBelow(5);
+    brand.AppendInt(brand_code[brand_m * 5 + brand_n]);
+    const uint64_t type3 = rng->NextBelow(5);
+    const uint64_t type2 = rng->NextBelow(5);
+    const uint64_t type1 = rng->NextBelow(6);
+    type.AppendInt(type_code[(type1 * 5 + type2) * 5 + type3]);
     size.AppendInt(static_cast<int32_t>(rng->NextBelow(50)) + 1);
-    std::snprintf(buf, sizeof(buf), "%s %s",
-                  kContainerSyllable1[rng->NextBelow(5)],
-                  kContainerSyllable2[rng->NextBelow(8)]);
-    container.AppendInt(cont_dict.GetOrAdd(buf));
+    const uint64_t container2 = rng->NextBelow(8);
+    const uint64_t container1 = rng->NextBelow(5);
+    container.AppendInt(container_code[container1 * 8 + container2]);
     // p_retailprice per spec: 90000 + (partkey/10 mod 20001) + 100*(partkey mod 1000), /100.
     int64_t pk = static_cast<int64_t>(i) + 1;
     retail.AppendInt(90000 + (pk / 10) % 20001 + 100 * (pk % 1000));
@@ -192,21 +227,23 @@ class OrderGenerator {
     Dictionary& ls_dict = lt->dictionary(lt->ColumnIndex("l_linestatus"));
     Dictionary& si_dict = lt->dictionary(lt->ColumnIndex("l_shipinstruct"));
     Dictionary& sm_dict = lt->dictionary(lt->ColumnIndex("l_shipmode"));
-    // Register dictionary entries in a fixed order so codes are stable
-    // across scale factors (query constants resolve codes at plan time
-    // regardless), and resolve each code once instead of hashing a string
-    // per row.
-    status_f_ = status_dict.GetOrAdd("F");
-    status_o_ = status_dict.GetOrAdd("O");
-    status_p_ = status_dict.GetOrAdd("P");
-    prio_code_ = RegisterAll(&prio_dict, kPriorities);
-    flag_r_ = rf_dict.GetOrAdd("R");
-    flag_a_ = rf_dict.GetOrAdd("A");
-    flag_n_ = rf_dict.GetOrAdd("N");
-    line_o_ = ls_dict.GetOrAdd("O");
-    line_f_ = ls_dict.GetOrAdd("F");
-    si_code_ = RegisterAll(&si_dict, kInstructions);
-    sm_code_ = RegisterAll(&sm_dict, kShipModes);
+    // Every vocabulary is registered whole, so codes do not depend on the
+    // scale factor, and each code is resolved once, not per row.
+    const PageVector<int32_t> status =
+        LoadVocabulary(&status_dict, {"F", "O", "P"});
+    status_f_ = status[0];
+    status_o_ = status[1];
+    status_p_ = status[2];
+    const PageVector<int32_t> flag = LoadVocabulary(&rf_dict, {"R", "A", "N"});
+    flag_r_ = flag[0];
+    flag_a_ = flag[1];
+    flag_n_ = flag[2];
+    const PageVector<int32_t> line = LoadVocabulary(&ls_dict, {"O", "F"});
+    line_o_ = line[0];
+    line_f_ = line[1];
+    prio_code_ = LoadVocabulary(&prio_dict, kPriorities);
+    si_code_ = LoadVocabulary(&si_dict, kInstructions);
+    sm_code_ = LoadVocabulary(&sm_dict, kShipModes);
   }
 
   /// Draws order `o` from `rng` and hands its lines, then the order, to
@@ -264,10 +301,8 @@ class OrderGenerator {
 
   uint64_t cust_count_, part_count_, supp_count_;
   int32_t status_f_, status_o_, status_p_;
-  std::array<int32_t, 5> prio_code_;
   int32_t flag_r_, flag_a_, flag_n_, line_o_, line_f_;
-  std::array<int32_t, 4> si_code_;
-  std::array<int32_t, 7> sm_code_;
+  PageVector<int32_t> prio_code_, si_code_, sm_code_;
 };
 
 /// The replay's sink: counts the lines on from the given row.
@@ -479,22 +514,16 @@ void GenerateTpchData(Catalog* catalog, double sf, uint64_t seed) {
     GenPartsupp(catalog, card.part, card.supplier, &rng);
     GenOrdersAndLineitem(catalog, card, &rng);
   });
-  // Establish the order-preserving dictionary invariant after the load
-  // (o_comment's bulk load already has it): codes become lexicographic, so
-  // LIKE-prefix predicates lower to integer range compares
-  // (strings/like_lowering) and code order matches string order
-  // everywhere. Queries resolve codes at plan time, so the remap is
-  // invisible to them. Secondary indexes (zone maps, dictionary-code CSR,
-  // inverted token index) are built after a table's dictionaries are sorted
-  // so code order matches string order inside the index structures too.
-  // o_comment is the one free-text column queries probe with %word%
-  // patterns. Tables are independent tasks, largest first.
+  // Secondary indexes (zone maps, dictionary-code CSR, inverted token
+  // index) are built over the loaded, sorted dictionaries, so code order
+  // matches string order inside the index structures too. o_comment is the
+  // one free-text column queries probe with %word% patterns. Tables are
+  // independent tasks, largest first.
   static constexpr const char* kTables[] = {
       "lineitem", "orders", "partsupp", "part",
       "customer", "supplier", "nation",  "region"};
   ForkJoin(std::size(kTables), [&](size_t i) {
     Table* table = catalog->GetTable(kTables[i]);
-    table->SortDictionaries();
     TableIndexOptions options;
     if (table == orders) options.text_columns = {"o_comment"};
     AttachTableIndexes(table, std::move(options));

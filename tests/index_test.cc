@@ -20,6 +20,7 @@
 #include "storage/table.h"
 #include "strings/like_lowering.h"
 #include "strings/like_pattern.h"
+#include "tests/dictionary_test_util.h"
 
 namespace aqe {
 namespace {
@@ -194,13 +195,15 @@ struct IndexedTable {
     id_col = table->AddColumn("id", DataType::kI64);
     val_col = table->AddColumn("val", DataType::kI64);
     s_col = table->AddColumn("s", DataType::kI32, /*dictionary=*/true);
-    Dictionary& d = table->dictionary(s_col);
+    std::vector<std::string> comments;
+    for (uint64_t i = 0; i < kRows; ++i) comments.push_back(MakeComment(i));
+    const PageVector<int32_t> codes =
+        testutil::BulkLoad(&table->dictionary(s_col), comments);
     for (uint64_t i = 0; i < kRows; ++i) {
       table->column(id_col).AppendInt(static_cast<int64_t>(i));
       table->column(val_col).AppendInt(static_cast<int64_t>(i % 1000));
-      table->column(s_col).AppendInt(d.GetOrAdd(MakeComment(i)));
+      table->column(s_col).AppendInt(codes[i]);
     }
-    table->SortDictionaries();
     TableIndexOptions options;
     options.text_columns = {"s"};
     AttachTableIndexes(table, std::move(options));
@@ -288,15 +291,18 @@ struct SkewedTable {
     table = catalog.CreateTable("skew");
     id_col = table->AddColumn("id", DataType::kI32);
     k_col = table->AddColumn("k", DataType::kI32, /*dictionary=*/true);
-    Dictionary& d = table->dictionary(k_col);
+    std::vector<std::string> values;
     for (uint64_t i = 0; i < kRows; ++i) {
-      const std::string value =
-          i % 5 == 0 ? "rare#" + std::to_string((i / 5) % kRareCodes)
-                     : std::string("common");
-      table->column(id_col).AppendInt(static_cast<int32_t>(i));
-      table->column(k_col).AppendInt(d.GetOrAdd(value));
+      values.push_back(i % 5 == 0
+                           ? "rare#" + std::to_string((i / 5) % kRareCodes)
+                           : std::string("common"));
     }
-    table->SortDictionaries();
+    const PageVector<int32_t> codes =
+        testutil::BulkLoad(&table->dictionary(k_col), values);
+    for (uint64_t i = 0; i < kRows; ++i) {
+      table->column(id_col).AppendInt(static_cast<int32_t>(i));
+      table->column(k_col).AppendInt(codes[i]);
+    }
     AttachTableIndexes(table, {});
   }
 
@@ -379,6 +385,18 @@ TEST(TokenIndexTest, CandidateCodesAreASupersetOfMatches) {
   EXPECT_FALSE(tokens.CandidateCodes("_%_", &none));
 }
 
+/// `code` in five base-16 digits over ascending separator bytes, which form
+/// no token, most significant first: distinct strings in code order, so a
+/// token-index test registers its strings in order and code i is string i.
+std::string CodePrefix(size_t code) {
+  static constexpr char kSeparators[] = "!#$%&()*+,-./:;<";  // 16, ascending
+  std::string prefix;
+  for (int shift = 16; shift >= 0; shift -= 4) {
+    prefix += kSeparators[code >> shift & 15];
+  }
+  return prefix;
+}
+
 // A dictionary of kParallelBuildCodes+ codes is tokenized in ranges on
 // several threads; the index must equal a serial std::map build. The
 // strings repeat tokens within one string, and the codes at every range
@@ -386,7 +404,6 @@ TEST(TokenIndexTest, CandidateCodesAreASupersetOfMatches) {
 TEST(TokenIndexTest, ParallelBuildMatchesSerialReference) {
   static constexpr const char* kVocabulary[] = {
       "alpha", "beta", "gamma", "al", "pha", "x", "Z9", "42", "delta7"};
-  static constexpr char kSeparators[] = "!#$%&()*+,-./:;<";  // 16, no token
   const size_t n = TokenIndex::kParallelBuildCodes + 4099;
   std::vector<bool> boundary(n, false);
   for (size_t ranges = 1; ranges <= 64; ++ranges) {
@@ -402,9 +419,7 @@ TEST(TokenIndexTest, ParallelBuildMatchesSerialReference) {
       if (rng.NextBelow(4) == 0) tokens.push_back(tokens.back());  // repeat
     }
     if (boundary[code]) tokens.push_back("edge");
-    // The code in base 16 over separator bytes keeps the strings distinct.
-    std::string s;
-    for (size_t rest = code; rest > 0; rest /= 16) s += kSeparators[rest % 16];
+    std::string s = CodePrefix(code);
     for (const std::string& token : tokens) s += " " + token;
     ASSERT_EQ(dict.GetOrAdd(s), static_cast<int32_t>(code));
     for (const std::string& token : tokens) {
@@ -449,7 +464,6 @@ TEST(TokenIndexTest, ParallelBuildMatchesSerialReference) {
 // every string's tokens. The dictionary is big enough for the parallel
 // build, whose ranges set bits in their own words.
 TEST(TokenIndexTest, BitmapAndArrayPostingsMatchBruteForce) {
-  static constexpr char kSeparators[] = "!#$%&()*+,-./:;<";  // 16, no token
   const size_t n = TokenIndex::kParallelBuildCodes + 4099;
   // At `crossover` postings an array takes exactly the bitmap's bytes.
   const size_t crossover = 2 * ((n + 63) / 64);
@@ -470,9 +484,7 @@ TEST(TokenIndexTest, BitmapAndArrayPostingsMatchBruteForce) {
   }
   Dictionary dict;
   for (size_t code = 0; code < n; ++code) {
-    // The code in base 16 over separator bytes keeps the strings distinct.
-    std::string s;
-    for (size_t rest = code; rest > 0; rest /= 16) s += kSeparators[rest % 16];
+    std::string s = CodePrefix(code);
     for (const std::string& token : tokens_of[code]) s += " " + token;
     ASSERT_EQ(dict.GetOrAdd(s), static_cast<int32_t>(code));
   }

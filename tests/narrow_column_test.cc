@@ -74,7 +74,7 @@ class NarrowColumnTest : public ::testing::Test {
     t->AddColumn("c32", DataType::kI32);
     t->AddColumn("s8", DataType::kI8, /*dictionary=*/true);
     t->AddColumn("s16", DataType::kI16, /*dictionary=*/true);
-    // Zero-padded names register in sorted order, so sorting keeps codes.
+    // Zero-padded names register in sorted order: code i is "v<i>".
     char name[16];
     for (int64_t code = 0; code < kCodes16; ++code) {
       std::snprintf(name, sizeof(name), "v%05lld",
@@ -106,7 +106,6 @@ class NarrowColumnTest : public ::testing::Test {
         values_->column[c].push_back(row[c]);
       }
     }
-    t->SortDictionaries();
     TableIndexOptions options;
     options.zone_block_rows = kZoneBlockRows;
     AttachTableIndexes(t, std::move(options));

@@ -429,10 +429,8 @@ TEST_F(ObsEngineTest, CatalogFootprintGaugesMatchTheCatalog) {
       column_bytes += t->num_rows() *
                       static_cast<uint64_t>(DataTypeSize(t->column(c).type()));
       if (!t->has_dictionary(c)) continue;
-      // A loaded dictionary is sorted, so it holds its strings and their
-      // ends and no table.
+      // A dictionary holds its strings and their ends.
       const Dictionary& dict = t->dictionary(c);
-      ASSERT_TRUE(dict.is_sorted()) << name << " column " << c;
       uint64_t string_bytes = 0;
       for (int32_t code = 0; code < dict.size(); ++code) {
         string_bytes += dict.Get(code).size();

@@ -11,6 +11,7 @@
 #include "storage/column.h"
 #include "storage/dictionary.h"
 #include "storage/table.h"
+#include "tests/dictionary_test_util.h"
 
 namespace aqe {
 namespace {
@@ -73,22 +74,22 @@ TEST(DictionaryTest, FindAbsentReturnsMinusOne) {
 TEST(DictionaryTest, MatchPrefix) {
   Dictionary d;
   d.GetOrAdd("PROMO ANODIZED TIN");
-  d.GetOrAdd("STANDARD PLATED BRASS");
   d.GetOrAdd("PROMO BRUSHED COPPER");
+  d.GetOrAdd("STANDARD PLATED BRASS");
   auto bm = d.MatchPrefix("PROMO");
   ASSERT_EQ(bm.size(), 3u);
   EXPECT_EQ(bm[0], 1);
-  EXPECT_EQ(bm[1], 0);
-  EXPECT_EQ(bm[2], 1);
+  EXPECT_EQ(bm[1], 1);
+  EXPECT_EQ(bm[2], 0);
 }
 
 TEST(DictionaryTest, MatchContains) {
   Dictionary d;
-  d.GetOrAdd("MED BOX");
   d.GetOrAdd("LG CASE");
+  d.GetOrAdd("MED BOX");
   auto bm = d.MatchContains("BOX");
-  EXPECT_EQ(bm[0], 1);
-  EXPECT_EQ(bm[1], 0);
+  EXPECT_EQ(bm[0], 0);
+  EXPECT_EQ(bm[1], 1);
 }
 
 TEST(DictionaryTest, MatchIn) {
@@ -102,16 +103,29 @@ TEST(DictionaryTest, MatchIn) {
   EXPECT_EQ(bm[2], 1);
 }
 
+TEST(DictionaryDeathTest, NewStringBelowTheLastDies) {
+  Dictionary d;
+  d.GetOrAdd("b");
+  d.GetOrAdd("d");
+  // A string the dictionary holds comes back with its code in any order.
+  EXPECT_EQ(d.GetOrAdd("b"), 0);
+  EXPECT_EQ(d.GetOrAdd("d"), 1);
+  EXPECT_DEATH(d.GetOrAdd("c"), "BulkLoad");
+  EXPECT_DEATH(d.GetOrAdd(""), "BulkLoad");
+  EXPECT_EQ(d.size(), 2);
+}
+
 // ---------------------------------------------------------------------------
 // Differential test: Dictionary against a std::map reference
 // ---------------------------------------------------------------------------
 
 /// The reference model: `codes` assigns each string its code, `strings`
-/// decodes it.
+/// decodes it. Codes follow string order.
 struct RefDict {
   std::map<std::string, int32_t> codes;
   std::vector<std::string> strings;
 
+  /// Dictionary::GetOrAdd of a held string, or of one past the last.
   int32_t GetOrAdd(const std::string& s) {
     auto [it, added] = codes.emplace(s, static_cast<int32_t>(strings.size()));
     if (added) strings.push_back(s);
@@ -121,19 +135,17 @@ struct RefDict {
     auto it = codes.find(s);
     return it == codes.end() ? -1 : it->second;
   }
-  bool IsSorted() const {
-    return std::is_sorted(strings.begin(), strings.end());  // distinct
-  }
-  /// What Dictionary::SortCodes does to the model; returns its remap.
-  PageVector<int32_t> SortCodes() {
-    PageVector<int32_t> remap(strings.size());
-    strings.clear();
+  /// Dictionary::BulkLoad into an empty model: the distinct values are
+  /// coded in string order. Returns each value's code.
+  std::vector<int32_t> BulkLoad(const std::vector<std::string>& values) {
+    for (const std::string& v : values) codes.emplace(v, 0);
     for (auto& [s, code] : codes) {
-      remap[static_cast<size_t>(code)] = static_cast<int32_t>(strings.size());
       code = static_cast<int32_t>(strings.size());
       strings.push_back(s);
     }
-    return remap;
+    std::vector<int32_t> value_codes;
+    for (const std::string& v : values) value_codes.push_back(codes.at(v));
+    return value_codes;
   }
 };
 
@@ -147,12 +159,19 @@ std::string RandomString(Random* rng, uint64_t max_len) {
   return s;
 }
 
+/// The bytes of a dictionary: its strings and their ends.
+uint64_t StringAndEndBytes(const RefDict& ref) {
+  uint64_t bytes = ref.strings.size() * sizeof(uint64_t);
+  for (const std::string& s : ref.strings) bytes += s.size();
+  return bytes;
+}
+
 /// Checks every read of `d` against `ref`; `probes` drive Find, the match
-/// bitmaps and (on a sorted dictionary) PrefixRange.
+/// bitmaps and PrefixRange.
 void ExpectMatchesReference(const Dictionary& d, const RefDict& ref,
                             const std::vector<std::string>& probes) {
   ASSERT_EQ(static_cast<size_t>(d.size()), ref.strings.size());
-  ASSERT_EQ(d.is_sorted(), ref.IsSorted());
+  EXPECT_EQ(d.approx_bytes(), StringAndEndBytes(ref));
   for (int32_t code = 0; code < d.size(); ++code) {
     ASSERT_EQ(d.Get(code), ref.strings[static_cast<size_t>(code)]);
     ASSERT_EQ(d.Find(ref.strings[static_cast<size_t>(code)]), code);
@@ -177,54 +196,43 @@ void ExpectMatchesReference(const Dictionary& d, const RefDict& ref,
     }
     EXPECT_EQ(d.MatchPrefix(p), prefix) << "prefix '" << p << "'";
     EXPECT_EQ(d.MatchContains(p), contains) << "infix '" << p << "'";
-    if (d.is_sorted()) {
-      EXPECT_EQ(d.PrefixRange(p), std::make_pair(below, below + with_prefix))
-          << "prefix '" << p << "'";
-    }
+    EXPECT_EQ(d.PrefixRange(p), std::make_pair(below, below + with_prefix))
+        << "prefix '" << p << "'";
   }
 }
 
-/// The bytes of a table-less dictionary: its strings and their ends.
-uint64_t StringAndEndBytes(const RefDict& ref) {
-  uint64_t bytes = ref.strings.size() * sizeof(uint64_t);
-  for (const std::string& s : ref.strings) bytes += s.size();
-  return bytes;
-}
-
-/// GetOrAdd on a sorted dictionary, which has no table: every string it
-/// holds comes back with its code and nothing grows, a new string past the
-/// last keeps it sorted, and a new string below the last builds the table
-/// from nothing, at least twice the size. Runs on copies, so `d` stays
-/// sorted for the caller.
-void ExpectSortedGetOrAddMatchesReference(
-    const Dictionary& d, const RefDict& ref,
-    const std::vector<std::string>& probes) {
-  ASSERT_TRUE(d.is_sorted());
+/// GetOrAdd: every string the dictionary holds comes back with its code,
+/// last code first, and nothing grows; new strings past the last are
+/// appended in order. Runs on a copy, so `d` stays as the caller left it.
+void ExpectGetOrAddMatchesReference(const Dictionary& d, const RefDict& ref,
+                                    const std::vector<std::string>& probes) {
   Dictionary copy = d;
   RefDict copy_ref = ref;
-  for (size_t code = 0; code < ref.strings.size(); ++code) {
+  for (size_t code = ref.strings.size(); code-- > 0;) {
     ASSERT_EQ(copy.GetOrAdd(ref.strings[code]), static_cast<int32_t>(code));
   }
   ASSERT_EQ(copy.size(), d.size());
   const std::string last = ref.strings.empty() ? "" : ref.strings.back();
-  ASSERT_EQ(copy.GetOrAdd(last + "b"), copy_ref.GetOrAdd(last + "b"));
-  EXPECT_TRUE(copy.is_sorted());
-  EXPECT_EQ(copy.approx_bytes(), StringAndEndBytes(copy_ref));
-  ASSERT_EQ(copy.GetOrAdd(last + "a"), copy_ref.GetOrAdd(last + "a"));
-  EXPECT_FALSE(copy.is_sorted());
-  EXPECT_GE(copy.approx_bytes(), StringAndEndBytes(copy_ref) +
-                                     2 * copy_ref.strings.size() *
-                                         sizeof(int32_t));
+  for (const std::string& past : {last + "\xff", last + "\xff\xff"}) {
+    ASSERT_EQ(copy.GetOrAdd(past), copy_ref.GetOrAdd(past));
+  }
   ExpectMatchesReference(copy, copy_ref, probes);
 }
 
-/// Sorts both, checks the remap and everything readable afterwards.
-void SortAndExpectMatchesReference(Dictionary* d, RefDict* ref,
-                                   const std::vector<std::string>& probes) {
-  EXPECT_EQ(d->SortCodes(), ref->SortCodes());
-  EXPECT_TRUE(d->is_sorted());
-  ExpectMatchesReference(*d, *ref, probes);
-  ExpectSortedGetOrAddMatchesReference(*d, *ref, probes);
+/// Bulk-loads `values` as a column's rows and checks each row's code, and
+/// everything readable, against the reference; then appends past the last.
+void BulkLoadAndExpectMatchesReference(const std::vector<std::string>& values,
+                                       const std::vector<std::string>& probes) {
+  RefDict ref;
+  const std::vector<int32_t> ref_codes = ref.BulkLoad(values);
+  Dictionary d;
+  const PageVector<int32_t> codes = testutil::BulkLoad(&d, values);
+  ASSERT_EQ(codes.size(), values.size());
+  for (size_t r = 0; r < values.size(); ++r) {
+    ASSERT_EQ(codes[r], ref_codes[r]) << "row " << r << " '" << values[r] << "'";
+  }
+  ExpectMatchesReference(d, ref, probes);
+  ExpectGetOrAddMatchesReference(d, ref, probes);
 }
 
 /// Probes of 0..3 bytes: short enough to hit as prefixes and infixes, and
@@ -242,84 +250,38 @@ TEST(DictionaryDifferentialTest, EmptyDictionary) {
   EXPECT_EQ(d.Find("a"), -1);
   EXPECT_EQ(d.PrefixRange(""), std::make_pair(0, 0));
   ExpectMatchesReference(d, ref, {"", "a"});
-  SortAndExpectMatchesReference(&d, &ref, {"", "a"});
-  EXPECT_EQ(d.Find(""), -1);
+  ExpectGetOrAddMatchesReference(d, ref, {"", "a"});
 }
 
 TEST(DictionaryDifferentialTest, EmptyOneByteAndEmbeddedNulStrings) {
-  Dictionary d;
-  RefDict ref;
   using namespace std::string_literals;
   std::vector<std::string> values = {"",      "\0"s,    "\0\0"s, "a\0"s,
                                      "a\0b"s, "a"s,     "\0a"s,  "ab"s};
   // Every 1-byte string, in an order that is not sorted.
   for (int b = 255; b >= 0; --b) values.emplace_back(1, static_cast<char>(b));
-  for (const std::string& v : values) {
-    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v)) << "'" << v << "'";
+  BulkLoadAndExpectMatchesReference(values, values);
+}
+
+// A view of the dictionary's own bytes is a valid argument, even when the
+// append moves them: 100 new 100-byte windows of one string, each starting
+// one byte later. Its bytes ascend, so each window sorts after the last.
+TEST(DictionaryDifferentialTest, AppendsAViewOfItsOwnBytesWhileGrowing) {
+  Dictionary d;
+  RefDict ref;
+  std::string ascending(200, ' ');
+  for (size_t i = 0; i < ascending.size(); ++i) {
+    ascending[i] = static_cast<char>(i + 1);
   }
-  ASSERT_EQ(d.size(), 8 + 256 - 2);  // "\0" and "a" came twice
-  EXPECT_EQ(d.Get(d.Find("a\0b"s)).size(), 3u);
-  // A view of the dictionary's own bytes is a valid argument, even when the
-  // insert moves them: add 100 new 100-byte substrings of one string.
-  std::string aperiodic(200, ' ');
-  for (size_t i = 0; i < aperiodic.size(); ++i) {
-    aperiodic[i] = static_cast<char>(i * 7 % 251);
-  }
-  const int32_t whole = d.GetOrAdd(aperiodic);
-  ref.GetOrAdd(aperiodic);
-  for (size_t i = 0; i < 100; ++i) {
+  const int32_t whole = d.GetOrAdd(ascending);
+  ref.GetOrAdd(ascending);
+  for (size_t i = 1; i <= 100; ++i) {
     const std::string_view own = d.Get(whole).substr(i, 100);
     ASSERT_EQ(d.GetOrAdd(own), ref.GetOrAdd(std::string(own)));
   }
-  ExpectMatchesReference(d, ref, values);
-  SortAndExpectMatchesReference(&d, &ref, values);
-}
-
-TEST(DictionaryDifferentialTest, DuplicateHeavyStream) {
-  Random rng(17);
-  std::vector<std::string> pool;
-  for (int i = 0; i < 300; ++i) pool.push_back(RandomString(&rng, 6));
-  Dictionary d;
-  RefDict ref;
-  for (int i = 0; i < 50000; ++i) {
-    const std::string& v = pool[rng.NextBelow(pool.size())];
-    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
-  }
-  std::vector<std::string> probes = ShortProbes(&rng);
-  probes.insert(probes.end(), pool.begin(), pool.begin() + 20);
+  const std::vector<std::string> probes = {ascending.substr(0, 1),
+                                           ascending.substr(7, 3), "\x05"};
   ExpectMatchesReference(d, ref, probes);
-  SortAndExpectMatchesReference(&d, &ref, probes);
-  // Re-adding after the sort hands out the sorted codes.
-  for (const std::string& v : pool) ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
-  EXPECT_TRUE(d.is_sorted());
-}
-
-TEST(DictionaryDifferentialTest, ManyDistinctStringsGrowTheTable) {
-  Random rng(23);
-  Dictionary d;
-  RefDict ref;
-  // Sorted inserts keep the dictionary sorted until the first one out of
-  // order.
-  for (const char* v : {"a", "ab", "b", "ba"}) {
-    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
-  }
-  EXPECT_TRUE(d.is_sorted());
-  while (ref.strings.size() < 120000) {
-    const std::string v = RandomString(&rng, 12);
-    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
-  }
-  // Both sorts below take the parallel, bucketed path.
-  ASSERT_GE(d.size(), Dictionary::kParallelSortCodes);
-  const std::vector<std::string> probes = ShortProbes(&rng);
-  ExpectMatchesReference(d, ref, probes);
-  SortAndExpectMatchesReference(&d, &ref, probes);
-  // Growth continues from the sorted state.
-  while (ref.strings.size() < 150000) {
-    const std::string v = RandomString(&rng, 12);
-    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
-  }
-  ExpectMatchesReference(d, ref, probes);
-  SortAndExpectMatchesReference(&d, &ref, probes);
+  ExpectGetOrAddMatchesReference(d, ref, probes);
 }
 
 // Strings sharing a 20-byte prefix: the MSD sort ties on their first two
@@ -328,61 +290,29 @@ TEST(DictionaryDifferentialTest, ManyDistinctStringsGrowTheTable) {
 // first byte fill three buckets.
 TEST(DictionaryDifferentialTest, ParallelSortRecursesPastSharedPrefixes) {
   Random rng(29);
-  Dictionary d;
-  RefDict ref;
+  std::vector<std::string> values;
+  RefDict distinct;
   const std::string prefixes[] = {std::string(20, 'p'),
                                   "a" + std::string(19, '\0'),
                                   "\xf0" + std::string(19, 'z')};
-  while (ref.strings.size() < 70000) {
+  while (distinct.strings.size() < 70000) {
     const std::string& prefix = prefixes[rng.NextBelow(3)];
-    const std::string v = prefix + RandomString(&rng, 10);
-    ASSERT_EQ(d.GetOrAdd(v), ref.GetOrAdd(v));
+    values.push_back(prefix + RandomString(&rng, 10));
+    distinct.GetOrAdd(values.back());
   }
-  ASSERT_GE(d.size(), Dictionary::kParallelSortCodes);
+  ASSERT_GE(values.size(), static_cast<size_t>(Dictionary::kParallelBulkLoad));
   std::vector<std::string> probes = ShortProbes(&rng);
   for (const std::string& p : prefixes) {
     probes.push_back(p);
     probes.push_back(p.substr(0, 17));
   }
   std::rotate(probes.begin(), probes.end() - 6, probes.end());  // checked first
-  SortAndExpectMatchesReference(&d, &ref, probes);
+  BulkLoadAndExpectMatchesReference(values, probes);
 }
 
 // ---------------------------------------------------------------------------
-// Bulk load against the same reference: GetOrAdd on every row, then
-// SortCodes
+// Bulk load against the same reference
 // ---------------------------------------------------------------------------
-
-/// Bulk-loads `values` as a column's rows and checks each row's code, and
-/// everything readable, against the reference.
-void BulkLoadAndExpectMatchesReference(const std::vector<std::string>& values,
-                                       const std::vector<std::string>& probes) {
-  PageVector<char> bytes;
-  PageVector<uint64_t> ends;
-  RefDict ref;
-  std::vector<int32_t> load_codes;  // the reference's codes before its sort
-  for (const std::string& v : values) {
-    bytes.insert(bytes.end(), v.begin(), v.end());
-    ends.push_back(bytes.size());
-    load_codes.push_back(ref.GetOrAdd(v));
-  }
-  const PageVector<int32_t> remap = ref.SortCodes();
-  Dictionary d;
-  const PageVector<int32_t> codes = d.BulkLoad(bytes, ends);
-  ASSERT_EQ(codes.size(), values.size());
-  for (size_t r = 0; r < values.size(); ++r) {
-    ASSERT_EQ(codes[r], remap[static_cast<size_t>(load_codes[r])])
-        << "row " << r << " '" << values[r] << "'";
-  }
-  EXPECT_TRUE(d.is_sorted());
-  ExpectMatchesReference(d, ref, probes);
-  ExpectSortedGetOrAddMatchesReference(d, ref, probes);
-  // GetOrAdd goes on from the loaded state.
-  const std::string past = "\xff\xff\xff";
-  ASSERT_EQ(d.GetOrAdd(past), ref.GetOrAdd(past));
-  EXPECT_EQ(d.is_sorted(), ref.IsSorted());
-  EXPECT_EQ(d.Find(past), d.size() - 1);
-}
 
 TEST(BulkLoadDifferentialTest, NoValues) {
   Dictionary d;
@@ -448,7 +378,7 @@ TEST(BulkLoadDifferentialTest, ParallelPath) {
   Random rng(41);
   std::vector<std::string> values;
   for (int i = 0; i < 90000; ++i) values.push_back(RandomString(&rng, 12));
-  ASSERT_GE(values.size(), static_cast<size_t>(Dictionary::kParallelSortCodes));
+  ASSERT_GE(values.size(), static_cast<size_t>(Dictionary::kParallelBulkLoad));
   BulkLoadAndExpectMatchesReference(values, ShortProbes(&rng));
 }
 

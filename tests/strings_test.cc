@@ -23,6 +23,7 @@
 #include "strings/like_lowering.h"
 #include "strings/like_pattern.h"
 #include "strings/string_predicate.h"
+#include "tests/dictionary_test_util.h"
 #include "tpch/tpch_gen.h"
 
 namespace aqe {
@@ -126,13 +127,14 @@ TEST(LikeMatcherTest, LongSegmentsUseFallback) {
 // Dictionary: bitmap pre-evaluation and the order-preserving invariant
 // ============================================================================
 
+const std::vector<std::string> kSmallDictStrings = {
+    "PROMO ANODIZED TIN",     "STANDARD PLATED BRASS", "PROMO BRUSHED COPPER",
+    "ECONOMY POLISHED STEEL", "",                      "PROMO",
+    "MEDIUM POLISHED NICKEL"};
+
 Dictionary SmallDict() {
   Dictionary d;
-  for (const char* s : {"PROMO ANODIZED TIN", "STANDARD PLATED BRASS",
-                        "PROMO BRUSHED COPPER", "ECONOMY POLISHED STEEL",
-                        "", "PROMO", "MEDIUM POLISHED NICKEL"}) {
-    d.GetOrAdd(s);
-  }
+  testutil::BulkLoad(&d, kSmallDictStrings);
   return d;
 }
 
@@ -152,20 +154,13 @@ TEST(DictionaryStringsTest, MatchBitmapAgreesWithScalarMatcher) {
   }
 }
 
-TEST(DictionaryStringsTest, SortCodesEstablishesOrderInvariant) {
-  Dictionary d = SmallDict();
-  EXPECT_FALSE(d.is_sorted());
-  // Remember the decoding before the sort.
-  std::vector<std::string> before;
-  for (int32_t c = 0; c < d.size(); ++c) before.emplace_back(d.Get(c));
-  const PageVector<int32_t> remap = d.SortCodes();
-  EXPECT_TRUE(d.is_sorted());
-  for (int32_t old_code = 0; old_code < d.size(); ++old_code) {
-    // Same string, new position; Find agrees with the rebuilt index.
-    EXPECT_EQ(d.Get(remap[static_cast<size_t>(old_code)]),
-              before[static_cast<size_t>(old_code)]);
-    EXPECT_EQ(d.Find(before[static_cast<size_t>(old_code)]),
-              remap[static_cast<size_t>(old_code)]);
+TEST(DictionaryStringsTest, BulkLoadEstablishesOrderInvariant) {
+  Dictionary d;
+  const PageVector<int32_t> codes = testutil::BulkLoad(&d, kSmallDictStrings);
+  for (size_t i = 0; i < kSmallDictStrings.size(); ++i) {
+    // Each string decodes from its code, and Find agrees.
+    EXPECT_EQ(d.Get(codes[i]), kSmallDictStrings[i]);
+    EXPECT_EQ(d.Find(kSmallDictStrings[i]), codes[i]);
   }
   // The invariant itself: code order == lexicographic order.
   for (int32_t c = 1; c < d.size(); ++c) {
@@ -173,15 +168,14 @@ TEST(DictionaryStringsTest, SortCodesEstablishesOrderInvariant) {
   }
 }
 
-TEST(DictionaryStringsTest, TableSortRewritesCodesConsistently) {
+TEST(DictionaryStringsTest, BulkLoadedColumnDecodesEveryRow) {
   Table t("t");
   int sc = t.AddColumn("s", DataType::kI32, /*dictionary=*/true);
-  Dictionary& d = t.dictionary(sc);
   std::vector<std::string> rows = {"delta", "alpha", "delta", "charlie",
                                    "bravo", "alpha"};
-  for (const std::string& s : rows) t.column(sc).AppendInt(d.GetOrAdd(s));
-  t.SortDictionaries();
-  EXPECT_TRUE(t.dictionary(sc).is_sorted());
+  for (const int32_t code : testutil::BulkLoad(&t.dictionary(sc), rows)) {
+    t.column(sc).AppendInt(code);
+  }
   for (uint64_t r = 0; r < rows.size(); ++r) {
     EXPECT_EQ(t.dictionary(sc).Get(t.column(sc).GetI32(r)), rows[r]);
   }
@@ -189,7 +183,6 @@ TEST(DictionaryStringsTest, TableSortRewritesCodesConsistently) {
 
 TEST(DictionaryStringsTest, PrefixRangeMatchesBitmapOnSortedDict) {
   Dictionary d = SmallDict();
-  d.SortCodes();
   for (const char* prefix : {"PROMO", "", "MEDIUM ", "Z", "P"}) {
     const auto [lo, hi] = d.PrefixRange(prefix);
     std::vector<uint8_t> bitmap = d.MatchPrefix(prefix);
@@ -208,9 +201,12 @@ TEST(DictionaryStringsTest, TpchDictionariesAreOrderPreserving) {
     const Table* t = catalog.GetTable(name);
     for (int c = 0; c < t->num_columns(); ++c) {
       if (!t->has_dictionary(c)) continue;
-      EXPECT_TRUE(t->dictionary(c).is_sorted())
-          << name << "." << t->column(c).name();
-      // And every stored code still decodes (remap covered all rows).
+      const Dictionary& dict = t->dictionary(c);
+      for (int32_t code = 1; code < dict.size(); ++code) {
+        ASSERT_LT(dict.Get(code - 1), dict.Get(code))
+            << name << "." << t->column(c).name() << " code " << code;
+      }
+      // And every stored code decodes.
       for (uint64_t r = 0; r < std::min<uint64_t>(t->num_rows(), 64); ++r) {
         const int64_t code = t->column(c).GetAsI64(r);
         ASSERT_GE(code, 0);
@@ -248,20 +244,18 @@ struct SyntheticTable {
   int id_col = 0;
   int s_col = 0;
 
-  SyntheticTable(uint64_t rows, uint64_t distinct, bool sorted = true) {
+  SyntheticTable(uint64_t rows, uint64_t distinct) {
     table = catalog.CreateTable("t");
     id_col = table->AddColumn("id", DataType::kI64);
     s_col = table->AddColumn("s", DataType::kI32, /*dictionary=*/true);
-    Dictionary& d = table->dictionary(s_col);
-    std::vector<int32_t> codes;
-    for (uint64_t i = 0; i < distinct; ++i) {
-      codes.push_back(d.GetOrAdd(MakeString(i)));
-    }
+    std::vector<std::string> strings;
+    for (uint64_t i = 0; i < distinct; ++i) strings.push_back(MakeString(i));
+    const PageVector<int32_t> codes =
+        testutil::BulkLoad(&table->dictionary(s_col), strings);
     for (uint64_t r = 0; r < rows; ++r) {
       table->column(id_col).AppendInt(static_cast<int64_t>(r));
       table->column(s_col).AppendInt(codes[r % distinct]);
     }
-    if (sorted) table->SortDictionaries();
   }
 
   static std::string MakeString(uint64_t i) {
