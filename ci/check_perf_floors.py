@@ -4,7 +4,8 @@
 Runs the dispatch microbenchmark and the string-predicate benchmark in
 --smoke mode and checks the performance *ratios* they report (fused-tier
 speedup over the plain switch interpreter, SIMD speedup over the forced
-scalar tier) against the floors in ci/perf_floors.json. Ratios are taken
+scalar tier, per-row dictionary decode cost) against the floors and
+ceilings in ci/perf_floors.json. Ratios are taken
 within a single run, so the absolute speed of the CI machine cancels out;
 the floors are deliberately tolerant (see the JSON) to survive noisy
 shared runners while still catching the failure modes that matter: a
@@ -144,6 +145,32 @@ def check_strings_index(simd, rules, failures):
                 f"string_predicates index {name}: {got:.2f} vs {rel} {bound}")
 
 
+def check_strings_decode(build, simd, rules, failures):
+    """Per-row decode ceiling: the highcard runtime-call path (o_comment,
+    one front-coded string decoded per row) over the dict runtime-call path
+    (l_shipinstruct's one block), both from the default string_predicates
+    run's summary record, so machine speed cancels out. A decode that
+    walks further than its block head raises the ratio."""
+    def ratio(records):
+        summary = next((r["summary"] for r in records if "summary" in r), {})
+        return summary.get("highcard_call_over_dict_call", float("inf"))
+
+    got = ratio(simd)
+    want = rules["max_highcard_call_over_dict_call"]
+    if got > want:
+        # One retry with a fresh run, as for the dispatch ratios.
+        got = min(got, ratio(run_json_lines(
+            [os.path.join("bench", "string_predicates"), "--smoke"],
+            cwd=build)))
+    status = "ok" if got <= want else "FAIL"
+    print(f"  [{status}] string_predicates highcard_call_over_dict_call: "
+          f"{got:.2f} (ceiling {want})")
+    if got > want:
+        failures.append(
+            f"string_predicates highcard_call_over_dict_call: {got:.2f} > "
+            f"{want}")
+
+
 def main():
     if platform.machine().lower() not in ("x86_64", "amd64"):
         print(f"perf gate: skipping on {platform.machine()} (x86-only floors)")
@@ -166,6 +193,9 @@ def main():
                        floors["string_predicates_probe_kernel"], failures)
     print("perf gate: string_predicates index access-path ratios")
     check_strings_index(strings, floors["string_predicates_index"], failures)
+    print("perf gate: string_predicates per-row decode ratio")
+    check_strings_decode(build, strings, floors["string_predicates_decode"],
+                         failures)
     if failures:
         print("perf gate FAILED:")
         for f_ in failures:

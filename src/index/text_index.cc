@@ -19,23 +19,30 @@ bool IsTokenByte(char c) {
 /// One range's vocabulary: token -> id, ids in first-seen order. Open
 /// addressing on a hash of a token's first 8 bytes and its length: a text
 /// column's tokens are few and short, and every token of every string is
-/// looked up here.
+/// looked up here. The table keeps a copy of each token's bytes, as the
+/// strings it is fed are decoded into a reused buffer.
 class TokenIds {
  public:
-  /// The id of `token`, added if new. `token` must outlive the table.
+  /// The id of `token`, added if new.
   uint32_t IdOf(std::string_view token) {
-    if (2 * (tokens_.size() + 1) > slots_.size()) Grow();
+    if (2 * (size() + 1) > slots_.size()) Grow();
     size_t i = Home(token);
     for (; slots_[i] != kEmpty; i = (i + 1) & (slots_.size() - 1)) {
-      if (tokens_[slots_[i]] == token) return slots_[i];
+      if (Token(slots_[i]) == token) return slots_[i];
     }
-    slots_[i] = static_cast<uint32_t>(tokens_.size());
-    tokens_.push_back(token);
+    slots_[i] = static_cast<uint32_t>(size());
+    bytes_.insert(bytes_.end(), token.begin(), token.end());
+    ends_.push_back(bytes_.size());
     return slots_[i];
   }
 
-  /// Every token, by id.
-  const PageVector<std::string_view>& tokens() const { return tokens_; }
+  size_t size() const { return ends_.size(); }
+
+  /// The token of `id`; the view is valid until the next IdOf.
+  std::string_view Token(uint32_t id) const {
+    const size_t begin = id == 0 ? 0 : ends_[id - 1];
+    return {bytes_.data() + begin, ends_[id] - begin};
+  }
 
  private:
   static constexpr uint32_t kEmpty = ~uint32_t{0};
@@ -49,14 +56,17 @@ class TokenIds {
 
   void Grow() {
     slots_.assign(std::max<size_t>(64, 2 * slots_.size()), kEmpty);
-    for (uint32_t id = 0; id < tokens_.size(); ++id) {
-      size_t i = Home(tokens_[id]);
+    for (uint32_t id = 0; id < size(); ++id) {
+      size_t i = Home(Token(id));
       while (slots_[i] != kEmpty) i = (i + 1) & (slots_.size() - 1);
       slots_[i] = id;
     }
   }
 
-  PageVector<std::string_view> tokens_;
+  /// Every token back to back: token id is bytes_[ends_[id-1], ends_[id])
+  /// (ends_[-1] reads as 0).
+  PageVector<char> bytes_;
+  PageVector<size_t> ends_;
   PageVector<uint32_t> slots_;  ///< ids, kEmpty for a free slot
 };
 
@@ -70,11 +80,11 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
   // bitmap words it owns, as the ranges start on multiples of 64 codes.
   // Either way the layout is a serial build's. The merged vocabulary is a
   // std::map, so the flattened tokens are sorted whatever the hash seeds.
-  // Every map key views the dictionary's strings, which `dict` (const
-  // here) keeps in place, so a token is copied only once, into the
-  // flattened vocabulary. Build time is dominated by tokenizing the
-  // distinct strings. The per-range buffers are data-sized and built on
-  // helper threads, so they come from PageAllocator.
+  // Every map key views a range's copy of the token, so a token is copied
+  // once per range that holds it, and once more into the flattened
+  // vocabulary. Build time is dominated by tokenizing the distinct
+  // strings. The per-range buffers are data-sized and built on helper
+  // threads, so they come from PageAllocator.
   struct Posting {
     uint32_t token;  ///< the range's own id of the token
     int32_t code;
@@ -99,17 +109,18 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
     const size_t first = range_begin(r), end = range_begin(r + 1);
     // A string of b bytes holds at most (b + 1) / 2 tokens, each posted at
     // most once: the bound sizes the postings once, so they are never
-    // regrown (each regrowth would map, copy and unmap pages).
+    // regrown (each regrowth would map, copy and unmap pages). The range
+    // starts on a block head, so each pass decodes its strings once.
+    const auto first_code = static_cast<int32_t>(first);
+    const auto end_code = static_cast<int32_t>(end);
     size_t bound = end - first;
-    for (size_t code = first; code < end; ++code) {
-      bound += dict.Get(static_cast<int32_t>(code)).size();
-    }
+    dict.ForEach(first_code, end_code, [&bound](int32_t, std::string_view s) {
+      bound += s.size();
+    });
     range.postings.reserve(bound / 2);
     PageVector<int32_t> last_code;  // per id: the code it was last posted for
-    for (size_t code = first; code < end; ++code) {
-      const auto c = static_cast<int32_t>(code);
+    dict.ForEach(first_code, end_code, [&](int32_t c, std::string_view s) {
       // The maximal alphanumeric runs of the string.
-      const std::string_view s = dict.Get(c);
       size_t i = 0;
       while (i < s.size()) {
         while (i < s.size() && !IsTokenByte(s[i])) ++i;
@@ -127,14 +138,14 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
         ++range.counts[id];
         range.postings.push_back({id, c});
       }
-    }
+    });
   });
   // token[t]: first the token's posting count, then its index in the
   // flattened vocabulary.
   std::map<std::string_view, uint64_t> token;
   for (const Range& range : ranges) {
-    for (uint32_t id = 0; id < range.ids.tokens().size(); ++id) {
-      token[range.ids.tokens()[id]] += range.counts[id];
+    for (uint32_t id = 0; id < range.ids.size(); ++id) {
+      token[range.ids.Token(id)] += range.counts[id];
     }
   }
   TokenIndex index;
@@ -160,8 +171,8 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
   for (size_t t = 0; t < next.size(); ++t) next[t] = index.postings_[t].first;
   for (Range& range : ranges) {
     range.token.resize(range.counts.size());
-    for (uint32_t id = 0; id < range.ids.tokens().size(); ++id) {
-      const auto t = static_cast<uint32_t>(token[range.ids.tokens()[id]]);
+    for (uint32_t id = 0; id < range.ids.size(); ++id) {
+      const auto t = static_cast<uint32_t>(token[range.ids.Token(id)]);
       const uint64_t count = range.counts[id];
       range.token[id] = t;
       range.counts[id] = next[t];

@@ -13,7 +13,7 @@ namespace aqe {
 namespace {
 
 /// String i of a string list is bytes[ends[i-1], ends[i]) (ends[-1] reads
-/// as 0): the arena's layout, and the bulk load's.
+/// as 0): the bulk load's input.
 std::string_view ListEntry(const char* bytes, const uint64_t* ends,
                            size_t i) {
   const uint64_t begin = i == 0 ? 0 : ends[i - 1];
@@ -136,25 +136,96 @@ PageVector<int32_t> SortStrings(const char* bytes, const uint64_t* ends,
   return order;
 }
 
+/// Bytes a stored length takes: one below 255, else an escape byte and
+/// four (Dictionary::ReadLength).
+size_t LengthBytes(size_t length) { return length < 255 ? 1 : 5; }
+
+char* WriteLength(char* out, size_t length) {
+  if (length < 255) {
+    *out = static_cast<char>(length);
+    return out + 1;
+  }
+  *out = static_cast<char>(255);
+  const auto value = static_cast<uint32_t>(length);
+  std::memcpy(out + 1, &value, sizeof(value));
+  return out + 5;
+}
+
+/// The bytes of `s`'s entry: a block head stores its length and bytes; a
+/// later code stores `shared`, the prefix it has in common with the code
+/// before, its suffix's length and the suffix.
+size_t EntryBytes(std::string_view s, size_t shared, bool head) {
+  return head ? LengthBytes(s.size()) + s.size()
+              : LengthBytes(shared) + LengthBytes(s.size() - shared) +
+                    s.size() - shared;
+}
+
+/// Writes `s`'s entry (see EntryBytes) at `out`; returns its end.
+char* WriteEntry(char* out, std::string_view s, size_t shared, bool head) {
+  if (head) {
+    shared = 0;  // a head is stored whole
+  } else {
+    out = WriteLength(out, shared);
+  }
+  out = WriteLength(out, s.size() - shared);
+  return std::copy(s.begin() + shared, s.end(), out);  // data() may be null
+}
+
+/// The length of the longest common prefix of `a` and `b`, 8 bytes at a
+/// time.
+size_t CommonPrefix(std::string_view a, std::string_view b) {
+  const size_t n = std::min(a.size(), b.size());
+  size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    uint64_t x, y;
+    std::memcpy(&x, a.data() + i, 8);
+    std::memcpy(&y, b.data() + i, 8);
+    if (x != y) return i + static_cast<size_t>(__builtin_ctzll(x ^ y)) / 8;
+  }
+  while (i < n && a[i] == b[i]) ++i;
+  return i;
+}
+
+/// A string longer than this cannot be stored: its length, and one more
+/// (BulkLoad's repeat mark), must fit 32 bits.
+constexpr size_t kMaxStringBytes = std::numeric_limits<uint32_t>::max() - 1;
+
+/// The decode buffer of this thread's lookups and appends.
+std::string& LookupBuffer() {
+  thread_local std::string buffer;
+  return buffer;
+}
+
 }  // namespace
 
 template <typename Before>
-int32_t Dictionary::PartitionPoint(int32_t lo, const Before& before) const {
-  int32_t hi = size();
+int32_t Dictionary::PartitionPoint(const Before& before) const {
+  // The blocks whose head holds `before` come first.
+  size_t lo = 0, hi = blocks_.size();
   while (lo < hi) {
-    const int32_t mid = lo + (hi - lo) / 2;
-    if (before(View(static_cast<size_t>(mid)))) {
+    const size_t mid = lo + (hi - lo) / 2;
+    if (before(Head(mid))) {
       lo = mid + 1;
     } else {
       hi = mid;
     }
   }
-  return lo;
+  if (lo == 0) return 0;
+  // The point is in the last such block, after its head, or at the next.
+  const auto first = static_cast<int32_t>(lo - 1) * kBlockCodes;
+  const int32_t end = std::min(first + kBlockCodes, size_);
+  std::string& buffer = LookupBuffer();
+  for (int32_t code = first + 1; code < end; ++code) {
+    if (!before(Get(code, &buffer))) return code;
+  }
+  return end;
 }
 
 int32_t Dictionary::GetOrAdd(std::string_view s) {
+  if (size_ == 0) return Append(s, {});
   // An in-order append costs one compare with the last string.
-  if (ends_.empty() || s > View(ends_.size() - 1)) return Append(s);
+  const std::string_view last = Get(size_ - 1, &LookupBuffer());
+  if (s > last) return Append(s, last);
   const int32_t code = Find(s);
   AQE_CHECK_MSG(code >= 0,
                 "GetOrAdd of a new string below the last one; load strings "
@@ -162,59 +233,62 @@ int32_t Dictionary::GetOrAdd(std::string_view s) {
   return code;
 }
 
-int32_t Dictionary::Append(std::string_view s) {
-  AQE_CHECK_MSG(ends_.size() < static_cast<size_t>(
-                                   std::numeric_limits<int32_t>::max()),
+int32_t Dictionary::Append(std::string_view s, std::string_view last) {
+  AQE_CHECK_MSG(size_ < std::numeric_limits<int32_t>::max(),
                 "dictionary code space exhausted");
-  AppendToArena(s);  // may move the arena; `s` is not used again
-  ends_.push_back(arena_.size());
-  return size() - 1;
-}
-
-void Dictionary::AppendToArena(std::string_view s) {
-  const size_t at = arena_.size();
-  if (at + s.size() <= arena_.capacity()) {
-    arena_.resize(at + s.size());  // in place: `s` stays valid
-    std::copy(s.begin(), s.end(), arena_.begin() + at);
-    return;
-  }
-  // Fill the grown buffer before the old one is freed: `s` may view it.
-  PageVector<char> grown;
-  grown.reserve(std::max(2 * arena_.capacity(), at + s.size()));
-  grown.resize(at + s.size());
-  std::copy(arena_.begin(), arena_.end(), grown.begin());
-  std::copy(s.begin(), s.end(), grown.begin() + at);
-  arena_.swap(grown);
+  AQE_CHECK_MSG(s.size() <= kMaxStringBytes, "dictionary string too long");
+  const bool head = size_ % kBlockCodes == 0;
+  const size_t shared = head ? 0 : CommonPrefix(last, s);
+  const size_t at = arena_.empty() ? 0 : arena_.size() - kDecodeSlack;
+  const size_t end = at + EntryBytes(s, shared, head);
+  AQE_CHECK_MSG(end + kDecodeSlack <= std::numeric_limits<uint32_t>::max(),
+                "dictionary arena exceeds 4 GiB");
+  arena_.resize(end + kDecodeSlack);  // `last` is not used again
+  WriteEntry(arena_.data() + at, s, shared, head);
+  if (head) blocks_.push_back(static_cast<uint32_t>(at));
+  longest_ = std::max(longest_, static_cast<uint32_t>(s.size()));
+  return size_++;
 }
 
 int32_t Dictionary::Find(std::string_view s) const {
   const int32_t code =
-      PartitionPoint(0, [s](std::string_view other) { return other < s; });
-  return code < size() && View(static_cast<size_t>(code)) == s ? code : -1;
+      PartitionPoint([s](std::string_view other) { return other < s; });
+  return code < size_ && Get(code, &LookupBuffer()) == s ? code : -1;
 }
 
-std::string_view Dictionary::Get(int32_t code) const {
-  AQE_CHECK(code >= 0 && code < size());
-  return View(static_cast<size_t>(code));
+std::string_view Dictionary::Get(int32_t code, std::string* buffer) const {
+  AQE_CHECK(code >= 0 && code < size_);
+  if (buffer->size() < DecodeBytes()) buffer->resize(DecodeBytes());
+  char* out = buffer->data();
+  const char* p = arena_.data() + blocks_[code / kBlockCodes];
+  uint32_t size = 0;
+  p = DecodeEntry(p, /*head=*/true, out, &size);
+  for (int32_t i = code % kBlockCodes; i > 0; --i) {
+    p = DecodeEntry(p, /*head=*/false, out, &size);
+  }
+  return {out, size};
 }
 
 template <typename Matches>
 std::vector<uint8_t> Dictionary::BitmapOf(const Matches& matches) const {
-  std::vector<uint8_t> bitmap(ends_.size(), 0);
-  for (size_t code = 0; code < ends_.size(); ++code) {
-    bitmap[code] = matches(View(code)) ? 1 : 0;
-  }
+  std::vector<uint8_t> bitmap(static_cast<size_t>(size_), 0);
+  ForEach(0, size_, [&](int32_t code, std::string_view s) {
+    bitmap[static_cast<size_t>(code)] = matches(s) ? 1 : 0;
+  });
   return bitmap;
 }
 
 std::vector<uint8_t> Dictionary::MatchPrefix(std::string_view prefix) const {
-  return BitmapOf([prefix](std::string_view s) {
-    return s.substr(0, prefix.size()) == prefix;
-  });
+  std::vector<uint8_t> bitmap(static_cast<size_t>(size_), 0);
+  const auto [lo, hi] = PrefixRange(prefix);
+  std::fill(bitmap.begin() + lo, bitmap.begin() + hi, 1);
+  return bitmap;
 }
 
 std::vector<uint8_t> Dictionary::MatchContains(std::string_view infix) const {
-  if (infix.empty()) return std::vector<uint8_t>(ends_.size(), 1);
+  if (infix.empty()) {
+    return std::vector<uint8_t>(static_cast<size_t>(size_), 1);
+  }
   return BitmapOf([infix](std::string_view s) {
     return FindSubstr(s.data(), s.size(), infix.data(), infix.size()) !=
            SIZE_MAX;
@@ -223,7 +297,7 @@ std::vector<uint8_t> Dictionary::MatchContains(std::string_view infix) const {
 
 std::vector<uint8_t> Dictionary::MatchIn(
     const std::vector<std::string>& values) const {
-  std::vector<uint8_t> bitmap(ends_.size(), 0);
+  std::vector<uint8_t> bitmap(static_cast<size_t>(size_), 0);
   for (const std::string& v : values) {
     int32_t code = Find(v);
     if (code >= 0) bitmap[static_cast<size_t>(code)] = 1;
@@ -238,7 +312,7 @@ std::vector<uint8_t> Dictionary::MatchBitmap(
 
 PageVector<int32_t> Dictionary::BulkLoad(const PageVector<char>& bytes,
                                          const PageVector<uint64_t>& ends) {
-  AQE_CHECK_MSG(ends_.empty(), "bulk load into a non-empty dictionary");
+  AQE_CHECK_MSG(size_ == 0, "bulk load into a non-empty dictionary");
   const size_t rows = ends.size();
   // Sorted position -> row.
   const PageVector<int32_t> order =
@@ -246,41 +320,82 @@ PageVector<int32_t> Dictionary::BulkLoad(const PageVector<char>& bytes,
   const auto row_string = [&](size_t i) {
     return ListEntry(bytes.data(), ends.data(), static_cast<size_t>(order[i]));
   };
-  // Pass 1 marks each sorted position that starts a new string and counts
-  // the strings and their bytes per chunk; pass 2 writes them from the
-  // chunk's first code and arena offset.
+  // Pass 1 compares each sorted position with the one before: shared[i] is
+  // 0 for a repeat, else 1 + the prefix the two have in common. It tallies
+  // each chunk's strings and entry bytes, and pass 2 writes them from the
+  // chunk's first code and arena offset. Which of a chunk's strings open a
+  // block depends on the codes before the chunk, so the tally keeps the
+  // bytes as if none did, plus, for each position j in a block, what
+  // opening one adds to the chunk's strings j, j + B, ... (B =
+  // kBlockCodes).
   const size_t chunks =
       rows >= static_cast<size_t>(kParallelBulkLoad) ? ForkJoinWidth() : 1;
   const auto chunk_begin = [rows, chunks](size_t c) {
     return rows * c / chunks;
   };
-  PageVector<uint8_t> starts(rows);
-  std::vector<uint64_t> first_code(chunks + 1, 0), first_byte(chunks + 1, 0);
+  struct Tally {
+    uint64_t codes = 0;
+    uint64_t bytes = 0;  ///< as if no string opened a block
+    int64_t head_extra[kBlockCodes] = {};
+    uint32_t longest = 0;
+  };
+  PageVector<uint32_t> shared(rows);
+  std::vector<Tally> tallies(chunks);
   ForkJoin(chunks, [&](size_t c) {
+    Tally& tally = tallies[c];
     for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
       const std::string_view s = row_string(i);
-      starts[i] = i == 0 || s != row_string(i - 1);
-      first_code[c + 1] += starts[i];
-      first_byte[c + 1] += starts[i] ? s.size() : 0;
+      AQE_CHECK_MSG(s.size() <= kMaxStringBytes, "dictionary string too long");
+      const std::string_view before =
+          i == 0 ? std::string_view() : row_string(i - 1);
+      const size_t common = CommonPrefix(before, s);
+      if (i > 0 && common == s.size() && common == before.size()) {
+        shared[i] = 0;
+        continue;
+      }
+      shared[i] = static_cast<uint32_t>(common + 1);
+      const auto after_head =
+          static_cast<int64_t>(EntryBytes(s, common, false));
+      tally.bytes += static_cast<uint64_t>(after_head);
+      tally.head_extra[tally.codes % kBlockCodes] +=
+          static_cast<int64_t>(EntryBytes(s, 0, true)) - after_head;
+      ++tally.codes;
+      tally.longest = std::max(tally.longest, static_cast<uint32_t>(s.size()));
     }
   });
+  std::vector<uint64_t> first_code(chunks + 1, 0), first_byte(chunks + 1, 0);
   for (size_t c = 0; c < chunks; ++c) {
-    first_code[c + 1] += first_code[c];
-    first_byte[c + 1] += first_byte[c];
+    const Tally& tally = tallies[c];
+    // The chunk's string j opens a block iff first_code[c] + j is a
+    // multiple of B.
+    const uint64_t heads_at =
+        (kBlockCodes - first_code[c] % kBlockCodes) % kBlockCodes;
+    first_code[c + 1] = first_code[c] + tally.codes;
+    first_byte[c + 1] = first_byte[c] + tally.bytes +
+                        static_cast<uint64_t>(tally.head_extra[heads_at]);
+    longest_ = std::max(longest_, tally.longest);
   }
-  arena_.resize(first_byte[chunks]);
-  ends_.resize(first_code[chunks]);
+  size_ = static_cast<int32_t>(first_code[chunks]);
+  if (size_ > 0) {
+    AQE_CHECK_MSG(first_byte[chunks] + kDecodeSlack <=
+                      std::numeric_limits<uint32_t>::max(),
+                  "dictionary arena exceeds 4 GiB");
+    arena_.resize(first_byte[chunks] + kDecodeSlack);
+  }
+  blocks_.resize((first_code[chunks] + kBlockCodes - 1) / kBlockCodes);
   PageVector<int32_t> codes(rows);
   ForkJoin(chunks, [&](size_t c) {
     // A chunk may open inside the previous chunk's last string.
     auto code = static_cast<int32_t>(first_code[c]) - 1;
-    uint64_t end = first_byte[c];
+    char* out = arena_.data() + first_byte[c];
     for (size_t i = chunk_begin(c); i < chunk_begin(c + 1); ++i) {
-      if (starts[i]) {
-        const std::string_view s = row_string(i);
-        std::copy(s.begin(), s.end(), arena_.begin() + end);
-        end += s.size();
-        ends_[static_cast<size_t>(++code)] = end;
+      if (shared[i] != 0) {
+        const bool head = ++code % kBlockCodes == 0;
+        if (head) {
+          blocks_[static_cast<size_t>(code / kBlockCodes)] =
+              static_cast<uint32_t>(out - arena_.data());
+        }
+        out = WriteEntry(out, row_string(i), shared[i] - 1, head);
       }
       codes[static_cast<size_t>(order[i])] = code;
     }
@@ -291,8 +406,8 @@ PageVector<int32_t> Dictionary::BulkLoad(const PageVector<char>& bytes,
 std::pair<int32_t, int32_t> Dictionary::PrefixRange(
     std::string_view prefix) const {
   const int32_t lo =
-      PartitionPoint(0, [prefix](std::string_view s) { return s < prefix; });
-  const int32_t hi = PartitionPoint(lo, [prefix](std::string_view s) {
+      PartitionPoint([prefix](std::string_view s) { return s < prefix; });
+  const int32_t hi = PartitionPoint([prefix](std::string_view s) {
     return s.substr(0, prefix.size()) <= prefix;
   });
   return {lo, hi};

@@ -2,6 +2,7 @@
 #define AQE_STORAGE_DICTIONARY_H_
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <string>
 #include <string_view>
@@ -9,19 +10,22 @@
 #include <vector>
 
 #include "common/page_allocator.h"
+#include "common/status.h"
 
 namespace aqe {
 
-/// Order-preserving string dictionary. String columns are stored as I32 codes
-/// into a per-column Dictionary; string predicates are evaluated against the
-/// dictionary once per query and turned into integer comparisons or match
-/// bitmaps, which is how HyPer executes them and keeps the generated code's
-/// type system small (see DESIGN.md substitutions).
+/// Order-preserving string dictionary. String columns are stored as I8,
+/// I16 or I32 codes into a per-column Dictionary; string predicates are
+/// evaluated against the dictionary once per query and turned into integer
+/// comparisons or match bitmaps, which is how HyPer executes them and keeps
+/// the generated code's type system small (see DESIGN.md substitutions).
 ///
-/// Each distinct string is stored once: the strings lie back to back in one
-/// char arena, code c spanning [end(c-1), end(c)). Codes are assigned in
-/// string order, so lookups are binary searches over the codes. Nothing is
-/// allocated per string, and both arrays come from PageAllocator, so a
+/// Each distinct string is stored once, front-coded: codes are assigned in
+/// string order and form blocks of kBlockCodes. A block's first string is
+/// stored whole, each later one as the length of the prefix it shares with
+/// the string before it and the bytes it adds. Lookups binary-search the
+/// block heads and scan one block; Get decodes into caller storage. Nothing
+/// is allocated per string, and both arrays come from PageAllocator, so a
 /// dictionary built on a helper thread leaves nothing behind in that
 /// thread's malloc arena (see src/strings/DESIGN.md, "Storage layout").
 class Dictionary {
@@ -29,6 +33,12 @@ class Dictionary {
   /// BulkLoad sorts and deduplicates at least this many strings on
   /// ForkJoinWidth() threads (see src/strings/DESIGN.md, "Storage layout").
   static constexpr int32_t kParallelBulkLoad = int32_t{64} << 10;
+  /// Codes per block. It divides 64, so a code range that starts on a
+  /// multiple of 64 starts on a block head.
+  static constexpr int32_t kBlockCodes = 4;
+  /// Decoding copies 64 bytes at a time, so it may read and write up to
+  /// this many bytes past a string's end.
+  static constexpr uint32_t kDecodeSlack = 63;
 
   Dictionary() = default;
 
@@ -41,15 +51,24 @@ class Dictionary {
   /// Returns the code for `s` or -1 if absent (a binary search).
   int32_t Find(std::string_view s) const;
 
-  /// Returns the string for a code. The view points into the arena and stays
-  /// valid until the next GetOrAdd, which may move it.
-  std::string_view Get(int32_t code) const;
+  /// Decodes the string of `code` into `buffer` and returns a view of it,
+  /// valid until the buffer is next used or changed. The buffer only grows,
+  /// to the longest string plus kDecodeSlack, so a buffer reused across
+  /// calls makes Get allocate nothing.
+  std::string_view Get(int32_t code, std::string* buffer) const;
 
-  int32_t size() const { return static_cast<int32_t>(ends_.size()); }
+  /// Calls visit(code, s) for each code in [begin, end) in order; `s` is
+  /// valid during the call only. Decoding starts at begin's block head and
+  /// runs on, so each string of the range is decoded once.
+  template <typename Visit>
+  void ForEach(int32_t begin, int32_t end, const Visit& visit) const;
 
-  /// Bytes held: the arena and the ends.
+  int32_t size() const { return size_; }
+
+  /// Bytes held: the coded arena (with its kDecodeSlack tail) and one
+  /// 32-bit offset per block.
   uint64_t approx_bytes() const {
-    return arena_.size() + ends_.size() * sizeof(uint64_t);
+    return arena_.size() + blocks_.size() * sizeof(uint32_t);
   }
 
   /// Builds a byte-per-code bitmap where bitmap[code] == 1 iff the dictionary
@@ -63,8 +82,9 @@ class Dictionary {
   std::vector<uint8_t> MatchIn(const std::vector<std::string>& values) const;
 
   /// Generic pre-evaluation hook: bitmap[code] == 1 iff
-  /// `predicate(Get(code))` — one evaluation per *distinct* string, however
-  /// expensive the predicate (the LIKE pattern matchers plug in here).
+  /// `predicate(string of code)` — one evaluation per *distinct* string,
+  /// however expensive the predicate (the LIKE pattern matchers plug in
+  /// here).
   std::vector<uint8_t> MatchBitmap(
       const std::function<bool(std::string_view)>& predicate) const;
 
@@ -80,30 +100,72 @@ class Dictionary {
   std::pair<int32_t, int32_t> PrefixRange(std::string_view prefix) const;
 
  private:
-  /// The string of an in-range code (unchecked).
-  std::string_view View(size_t code) const {
-    const uint64_t begin = code == 0 ? 0 : ends_[code - 1];
-    return {arena_.data() + begin, static_cast<size_t>(ends_[code] - begin)};
+  /// Reads a length the arena stores: one byte below 255, else 255 and
+  /// four little-endian bytes.
+  static uint32_t ReadLength(const char** p) {
+    const auto first = static_cast<uint8_t>(*(*p)++);
+    if (first < 255) return first;
+    uint32_t length;
+    std::memcpy(&length, *p, sizeof(length));
+    *p += sizeof(length);
+    return length;
   }
-  /// The first code in [lo, size()) whose string fails `before`, which
-  /// must hold on a prefix of the codes (for an order-compatible
-  /// `before`).
+  /// Decodes the entry at `p` into `out`, which holds the string before it
+  /// unless `head`; sets `size` to the string's and returns the next entry.
+  static const char* DecodeEntry(const char* p, bool head, char* out,
+                                 uint32_t* size) {
+    const uint32_t shared = head ? 0 : ReadLength(&p);
+    const uint32_t suffix = ReadLength(&p);
+    for (uint32_t i = 0; i < suffix; i += 64) {
+      std::memcpy(out + shared + i, p + i, 64);
+    }
+    *size = shared + suffix;
+    return p + suffix;
+  }
+  /// The first string of a block, which is stored whole.
+  std::string_view Head(size_t block) const {
+    const char* p = arena_.data() + blocks_[block];
+    const uint32_t size = ReadLength(&p);
+    return {p, size};
+  }
+  /// Bytes a decode buffer needs: the longest string and the slack.
+  size_t DecodeBytes() const { return size_t{longest_} + kDecodeSlack; }
+  /// The first code whose string fails `before`, which must hold on a
+  /// prefix of the codes (for an order-compatible `before`).
   template <typename Before>
-  int32_t PartitionPoint(int32_t lo, const Before& before) const;
-  /// Appends `s` as the next code and returns it; `s` may view the arena.
-  int32_t Append(std::string_view s);
-  /// Appends `s` to the arena; `s` may view the arena itself.
-  void AppendToArena(std::string_view s);
-  /// bitmap[code] = matches(Get(code)) for every code.
+  int32_t PartitionPoint(const Before& before) const;
+  /// Appends `s`, which sorts after `last`, the last string, as the next
+  /// code and returns it.
+  int32_t Append(std::string_view s, std::string_view last);
+  /// bitmap[code] = matches(string of code) for every code.
   template <typename Matches>
   std::vector<uint8_t> BitmapOf(const Matches& matches) const;
 
-  /// Every string back to back, without separators.
+  /// The blocks back to back, then kDecodeSlack bytes (none while empty).
+  /// A block's head is length and bytes; each later code is the length of
+  /// the prefix it shares with the code before, its suffix's length, and
+  /// the suffix.
   PageVector<char> arena_;
-  /// Code c is arena_[ends_[c-1], ends_[c]) (ends_[-1] reads as 0); 64-bit
-  /// so the arena may exceed 4 GiB.
-  PageVector<uint64_t> ends_;
+  /// Block b's head is at arena_[blocks_[b]]: 32-bit, so an arena is at
+  /// most 4 GiB.
+  PageVector<uint32_t> blocks_;
+  int32_t size_ = 0;
+  uint32_t longest_ = 0;  ///< the longest string's size
 };
+
+template <typename Visit>
+void Dictionary::ForEach(int32_t begin, int32_t end,
+                         const Visit& visit) const {
+  AQE_CHECK(0 <= begin && begin <= end && end <= size_);
+  if (begin == end) return;
+  std::string buffer(DecodeBytes(), '\0');
+  const char* p = arena_.data() + blocks_[begin / kBlockCodes];
+  uint32_t size = 0;
+  for (int32_t code = begin / kBlockCodes * kBlockCodes; code < end; ++code) {
+    p = DecodeEntry(p, code % kBlockCodes == 0, buffer.data(), &size);
+    if (code >= begin) visit(code, std::string_view(buffer.data(), size));
+  }
+}
 
 }  // namespace aqe
 

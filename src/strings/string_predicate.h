@@ -2,6 +2,7 @@
 #define AQE_STRINGS_STRING_PREDICATE_H_
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "storage/dictionary.h"
@@ -24,7 +25,8 @@ struct LikePredicate {
   /// yields — never match (SQL LIKE is never true for missing values).
   bool Matches(int64_t code) const {
     if (dict == nullptr || code < 0 || code >= dict->size()) return false;
-    return matcher.Matches(dict->Get(static_cast<int32_t>(code)));
+    thread_local std::string buffer;  // this thread's decode storage
+    return matcher.Matches(dict->Get(static_cast<int32_t>(code), &buffer));
   }
 };
 

@@ -368,13 +368,12 @@ TEST(TokenIndexTest, CandidateCodesAreASupersetOfMatches) {
     std::vector<int32_t> candidates;
     ASSERT_TRUE(tokens.CandidateCodes(pattern, &candidates)) << pattern;
     LikeMatcher matcher = LikeMatcher::Compile(pattern);
-    for (int32_t c = 0; c < dict.size(); ++c) {
-      if (matcher.Matches(dict.Get(c))) {
+    dict.ForEach(0, dict.size(), [&](int32_t c, std::string_view s) {
+      if (matcher.Matches(s)) {
         EXPECT_TRUE(std::binary_search(candidates.begin(), candidates.end(), c))
-            << "pattern '" << pattern << "' lost match '" << dict.Get(c)
-            << "'";
+            << "pattern '" << pattern << "' lost match '" << s << "'";
       }
-    }
+    });
   }
   // A pattern whose tokens exist nowhere: usable, empty candidates.
   std::vector<int32_t> none;

@@ -37,6 +37,7 @@
 #include "runtime/join_hash_table.h"
 #include "storage/dictionary.h"
 #include "storage/table.h"
+#include "tests/dictionary_test_util.h"
 #include "tpch/tpch_gen.h"
 #include "vm/interpreter.h"
 #include "vm/translator.h"
@@ -429,14 +430,10 @@ TEST_F(ObsEngineTest, CatalogFootprintGaugesMatchTheCatalog) {
       column_bytes += t->num_rows() *
                       static_cast<uint64_t>(DataTypeSize(t->column(c).type()));
       if (!t->has_dictionary(c)) continue;
-      // A dictionary holds its strings and their ends.
+      // A dictionary holds its front-coded blocks and their offsets.
       const Dictionary& dict = t->dictionary(c);
-      uint64_t string_bytes = 0;
-      for (int32_t code = 0; code < dict.size(); ++code) {
-        string_bytes += dict.Get(code).size();
-      }
       EXPECT_EQ(dict.approx_bytes(),
-                string_bytes + dict.size() * sizeof(uint64_t))
+                testutil::FrontCodedBytes(testutil::DecodeAll(dict)))
           << name << " column " << c;
       dictionary_bytes += dict.approx_bytes();
     }

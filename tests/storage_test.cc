@@ -61,7 +61,7 @@ TEST(DictionaryTest, GetOrAddIsIdempotent) {
   EXPECT_NE(a, b);
   EXPECT_EQ(d.GetOrAdd("MAIL"), a);
   EXPECT_EQ(d.size(), 2);
-  EXPECT_EQ(d.Get(a), "MAIL");
+  EXPECT_EQ(testutil::Decode(d, a), "MAIL");
 }
 
 TEST(DictionaryTest, FindAbsentReturnsMinusOne) {
@@ -159,22 +159,25 @@ std::string RandomString(Random* rng, uint64_t max_len) {
   return s;
 }
 
-/// The bytes of a dictionary: its strings and their ends.
-uint64_t StringAndEndBytes(const RefDict& ref) {
-  uint64_t bytes = ref.strings.size() * sizeof(uint64_t);
-  for (const std::string& s : ref.strings) bytes += s.size();
-  return bytes;
-}
-
 /// Checks every read of `d` against `ref`; `probes` drive Find, the match
 /// bitmaps and PrefixRange.
 void ExpectMatchesReference(const Dictionary& d, const RefDict& ref,
                             const std::vector<std::string>& probes) {
   ASSERT_EQ(static_cast<size_t>(d.size()), ref.strings.size());
-  EXPECT_EQ(d.approx_bytes(), StringAndEndBytes(ref));
+  EXPECT_EQ(d.approx_bytes(), testutil::FrontCodedBytes(ref.strings));
+  std::string buffer;
   for (int32_t code = 0; code < d.size(); ++code) {
-    ASSERT_EQ(d.Get(code), ref.strings[static_cast<size_t>(code)]);
+    ASSERT_EQ(d.Get(code, &buffer), ref.strings[static_cast<size_t>(code)]);
     ASSERT_EQ(d.Find(ref.strings[static_cast<size_t>(code)]), code);
+  }
+  // A walk from each of the first six codes decodes the same strings.
+  for (int32_t begin = 0; begin <= std::min(d.size(), 5); ++begin) {
+    int32_t next = begin;
+    d.ForEach(begin, d.size(), [&](int32_t code, std::string_view s) {
+      ASSERT_EQ(code, next++);
+      ASSERT_EQ(s, ref.strings[static_cast<size_t>(code)]);
+    });
+    ASSERT_EQ(next, d.size());
   }
   std::vector<uint8_t> in(ref.strings.size(), 0);
   for (const std::string& p : probes) {
@@ -185,17 +188,23 @@ void ExpectMatchesReference(const Dictionary& d, const RefDict& ref,
   // The bitmaps are O(size()) each; a few probes cover them.
   for (size_t i = 0; i < std::min<size_t>(probes.size(), 12); ++i) {
     const std::string& p = probes[i];
-    std::vector<uint8_t> prefix(ref.strings.size()), contains(prefix.size());
+    std::vector<uint8_t> prefix(ref.strings.size()), contains(prefix.size()),
+        ends_with(prefix.size());
     int32_t below = 0, with_prefix = 0;
     for (size_t code = 0; code < ref.strings.size(); ++code) {
       const std::string& s = ref.strings[code];
       prefix[code] = s.compare(0, p.size(), p) == 0;
       contains[code] = s.find(p) != std::string::npos;
+      ends_with[code] = s.size() >= p.size() &&
+                        s.compare(s.size() - p.size(), p.size(), p) == 0;
       below += s < p;
       with_prefix += prefix[code];
     }
     EXPECT_EQ(d.MatchPrefix(p), prefix) << "prefix '" << p << "'";
     EXPECT_EQ(d.MatchContains(p), contains) << "infix '" << p << "'";
+    EXPECT_EQ(d.MatchBitmap([&p](std::string_view s) {
+      return s.size() >= p.size() && s.substr(s.size() - p.size()) == p;
+    }), ends_with) << "suffix '" << p << "'";
     EXPECT_EQ(d.PrefixRange(p), std::make_pair(below, below + with_prefix))
         << "prefix '" << p << "'";
   }
@@ -262,10 +271,10 @@ TEST(DictionaryDifferentialTest, EmptyOneByteAndEmbeddedNulStrings) {
   BulkLoadAndExpectMatchesReference(values, values);
 }
 
-// A view of the dictionary's own bytes is a valid argument, even when the
-// append moves them: 100 new 100-byte windows of one string, each starting
-// one byte later. Its bytes ascend, so each window sorts after the last.
-TEST(DictionaryDifferentialTest, AppendsAViewOfItsOwnBytesWhileGrowing) {
+// A view of a Get buffer is a valid argument while the arena grows: 100
+// new 100-byte windows of one decoded string, each starting one byte
+// later. Its bytes ascend, so each window sorts after the last.
+TEST(DictionaryDifferentialTest, AppendsViewsOfADecodedStringWhileGrowing) {
   Dictionary d;
   RefDict ref;
   std::string ascending(200, ' ');
@@ -274,9 +283,10 @@ TEST(DictionaryDifferentialTest, AppendsAViewOfItsOwnBytesWhileGrowing) {
   }
   const int32_t whole = d.GetOrAdd(ascending);
   ref.GetOrAdd(ascending);
+  std::string buffer;
   for (size_t i = 1; i <= 100; ++i) {
-    const std::string_view own = d.Get(whole).substr(i, 100);
-    ASSERT_EQ(d.GetOrAdd(own), ref.GetOrAdd(std::string(own)));
+    const std::string_view window = d.Get(whole, &buffer).substr(i, 100);
+    ASSERT_EQ(d.GetOrAdd(window), ref.GetOrAdd(std::string(window)));
   }
   const std::vector<std::string> probes = {ascending.substr(0, 1),
                                            ascending.substr(7, 3), "\x05"};
@@ -380,6 +390,118 @@ TEST(BulkLoadDifferentialTest, ParallelPath) {
   for (int i = 0; i < 90000; ++i) values.push_back(RandomString(&rng, 12));
   ASSERT_GE(values.size(), static_cast<size_t>(Dictionary::kParallelBulkLoad));
   BulkLoadAndExpectMatchesReference(values, ShortProbes(&rng));
+}
+
+// ---------------------------------------------------------------------------
+// Front-coded blocks
+// ---------------------------------------------------------------------------
+
+// Bulk loads of every size up to four blocks and one code, so the last
+// block is full or partial. The strings share prefixes within and across
+// blocks, and each load is checked against the reference, then appended to.
+TEST(FrontCodingTest, EveryCodeRoundTripsAcrossBlockBoundaries) {
+  for (int32_t n = 0; n <= 4 * Dictionary::kBlockCodes + 1; ++n) {
+    std::vector<std::string> values;
+    for (int32_t i = n; i-- > 0;) {
+      values.push_back("shared prefix " + std::to_string(1000 + 7 * i));
+    }
+    SCOPED_TRACE(n);
+    BulkLoadAndExpectMatchesReference(values, {"shared prefix 10", "", "z"});
+  }
+}
+
+// "", NUL bytes, strings that prefix one another, and lengths and shared
+// prefixes on either side of 255, where a stored length takes its escape.
+TEST(FrontCodingTest, EmptyNulPrefixAndLongStrings) {
+  using namespace std::string_literals;
+  std::vector<std::string> values = {"",         "\0"s,   "\0\0"s, "ab"s,
+                                     "ab\0"s,    "abc"s,  "ab\0c"s, "abd"s};
+  for (size_t length : {254, 255, 256, 300, 70000}) {
+    values.push_back(std::string(length, 'l'));
+    values.push_back(std::string(length, 'l') + "\0"s);
+    values.push_back(std::string(length, 'p') + "a");
+    values.push_back(std::string(length, 'p') + "b" + std::string(length, 's'));
+  }
+  BulkLoadAndExpectMatchesReference(values, values);
+  BulkLoadAndExpectMatchesReference({"", ""}, {"", "a"});  // no bytes at all
+  Dictionary d;
+  testutil::BulkLoad(&d, values);
+  EXPECT_EQ(d.Find("ab\0"s), d.Find("ab") + 1);
+  EXPECT_EQ(d.Find("ab\0c"s), d.Find("ab") + 2);
+  EXPECT_EQ(d.Find("abc"), d.Find("ab") + 3);
+  // The same strings appended in order store the same bytes.
+  RefDict ref;
+  ref.BulkLoad(values);
+  Dictionary appended;
+  for (const std::string& s : ref.strings) appended.GetOrAdd(s);
+  EXPECT_EQ(appended.approx_bytes(), d.approx_bytes());
+  ExpectMatchesReference(appended, ref, {"ab", "l", "p"});
+}
+
+// GetOrAdd after a BulkLoad of one code short of a block: the first append
+// ends the block, the next opens one, and later ones fill it.
+TEST(FrontCodingTest, GetOrAddAppendsAcrossABlockBoundaryAfterBulkLoad) {
+  std::vector<std::string> values;
+  for (int32_t i = 0; i < Dictionary::kBlockCodes - 1; ++i) {
+    values.push_back("row " + std::to_string(i));
+  }
+  RefDict ref;
+  ref.BulkLoad(values);
+  Dictionary d;
+  testutil::BulkLoad(&d, values);
+  for (int32_t i = 0; i < 2 * Dictionary::kBlockCodes + 1; ++i) {
+    const std::string s = "s" + std::to_string(10 + i);
+    ASSERT_EQ(d.GetOrAdd(s), ref.GetOrAdd(s));
+    ASSERT_EQ(testutil::Decode(d, d.size() - 1), s);
+    ASSERT_EQ(d.GetOrAdd(values.front()), 0);  // a held string keeps its code
+  }
+  ExpectMatchesReference(d, ref, {"row", "s1", "s", "row 1", "s20"});
+}
+
+// Find and PrefixRange on a block head, on a string inside a block, on an
+// absent string between two blocks, and on a prefix whose codes span a
+// block boundary. Code i is 2i in three digits, so the odd numbers are
+// absent.
+TEST(FrontCodingTest, FindAndPrefixRangeAroundBlockHeads) {
+  constexpr int32_t kB = Dictionary::kBlockCodes;
+  const auto number = [](int32_t i) {
+    std::string s = std::to_string(i);
+    return std::string(3 - s.size(), '0') + s;
+  };
+  std::vector<std::string> values;
+  for (int32_t code = 0; code < 3 * kB; ++code) {
+    values.push_back(number(2 * code));
+  }
+  Dictionary d;
+  testutil::BulkLoad(&d, values);
+  // A block head and the string after it.
+  EXPECT_EQ(d.Find(number(2 * kB)), kB);
+  EXPECT_EQ(d.PrefixRange(number(2 * kB)), std::make_pair(kB, kB + 1));
+  EXPECT_EQ(d.Find(number(2 * kB + 2)), kB + 1);
+  EXPECT_EQ(d.PrefixRange(number(2 * kB + 2)), std::make_pair(kB + 1, kB + 2));
+  // The last string of a block, and an absent one between it and the next
+  // block's head.
+  EXPECT_EQ(d.Find(number(2 * kB - 2)), kB - 1);
+  EXPECT_EQ(d.Find(number(2 * kB - 1)), -1);
+  EXPECT_EQ(d.PrefixRange(number(2 * kB - 1)), std::make_pair(kB, kB));
+  // Before the first code and after the last.
+  EXPECT_EQ(d.Find(""), -1);
+  EXPECT_EQ(d.PrefixRange("/"), std::make_pair(0, 0));
+  EXPECT_EQ(d.PrefixRange("9"), std::make_pair(3 * kB, 3 * kB));
+  // The two digits the last code of block 0 and the head of block 1 share.
+  const std::string prefix = number(2 * kB).substr(0, 2);
+  ASSERT_EQ(number(2 * kB - 2).substr(0, 2), prefix);
+  int32_t lo = 0;
+  while (values[static_cast<size_t>(lo)].compare(0, 2, prefix) != 0) ++lo;
+  int32_t hi = lo;
+  while (hi < 3 * kB &&
+         values[static_cast<size_t>(hi)].compare(0, 2, prefix) == 0) {
+    ++hi;
+  }
+  ASSERT_LT(lo, kB);
+  ASSERT_GT(hi, kB);
+  EXPECT_EQ(d.PrefixRange(prefix), std::make_pair(lo, hi));
+  EXPECT_EQ(d.PrefixRange(""), std::make_pair(0, 3 * kB));
 }
 
 TEST(TableTest, SchemaAndRows) {

@@ -147,9 +147,9 @@ TEST(DictionaryStringsTest, MatchBitmapAgreesWithScalarMatcher) {
     std::vector<uint8_t> bitmap = BuildLikeBitmap(d, matcher);
     ASSERT_EQ(bitmap.size(), static_cast<size_t>(d.size()));
     for (int32_t code = 0; code < d.size(); ++code) {
-      EXPECT_EQ(bitmap[static_cast<size_t>(code)] != 0,
-                matcher.Matches(d.Get(code)))
-          << "pattern='" << pattern << "' string='" << d.Get(code) << "'";
+      const std::string s = testutil::Decode(d, code);
+      EXPECT_EQ(bitmap[static_cast<size_t>(code)] != 0, matcher.Matches(s))
+          << "pattern='" << pattern << "' string='" << s << "'";
     }
   }
 }
@@ -159,12 +159,12 @@ TEST(DictionaryStringsTest, BulkLoadEstablishesOrderInvariant) {
   const PageVector<int32_t> codes = testutil::BulkLoad(&d, kSmallDictStrings);
   for (size_t i = 0; i < kSmallDictStrings.size(); ++i) {
     // Each string decodes from its code, and Find agrees.
-    EXPECT_EQ(d.Get(codes[i]), kSmallDictStrings[i]);
+    EXPECT_EQ(testutil::Decode(d, codes[i]), kSmallDictStrings[i]);
     EXPECT_EQ(d.Find(kSmallDictStrings[i]), codes[i]);
   }
   // The invariant itself: code order == lexicographic order.
   for (int32_t c = 1; c < d.size(); ++c) {
-    EXPECT_LT(d.Get(c - 1), d.Get(c));
+    EXPECT_LT(testutil::Decode(d, c - 1), testutil::Decode(d, c));
   }
 }
 
@@ -177,7 +177,8 @@ TEST(DictionaryStringsTest, BulkLoadedColumnDecodesEveryRow) {
     t.column(sc).AppendInt(code);
   }
   for (uint64_t r = 0; r < rows.size(); ++r) {
-    EXPECT_EQ(t.dictionary(sc).Get(t.column(sc).GetI32(r)), rows[r]);
+    EXPECT_EQ(testutil::Decode(t.dictionary(sc), t.column(sc).GetI32(r)),
+              rows[r]);
   }
 }
 
@@ -201,9 +202,10 @@ TEST(DictionaryStringsTest, TpchDictionariesAreOrderPreserving) {
     const Table* t = catalog.GetTable(name);
     for (int c = 0; c < t->num_columns(); ++c) {
       if (!t->has_dictionary(c)) continue;
-      const Dictionary& dict = t->dictionary(c);
-      for (int32_t code = 1; code < dict.size(); ++code) {
-        ASSERT_LT(dict.Get(code - 1), dict.Get(code))
+      const std::vector<std::string> strings =
+          testutil::DecodeAll(t->dictionary(c));
+      for (size_t code = 1; code < strings.size(); ++code) {
+        ASSERT_LT(strings[code - 1], strings[code])
             << name << "." << t->column(c).name() << " code " << code;
       }
       // And every stored code decodes.
@@ -230,6 +232,40 @@ TEST(LikeRuntimeTest, AbsentAndOutOfRangeCodesNeverMatch) {
   EXPECT_EQ(rt::aqe_like_match(p, static_cast<uint64_t>(-1)), 0u);
   EXPECT_EQ(rt::aqe_like_match(p, static_cast<uint64_t>(d.size())), 0u);
   EXPECT_EQ(rt::aqe_like_match(p, 1u << 20), 0u);
+}
+
+// The per-row call decodes into a per-thread buffer: four threads match
+// every code of one dictionary at once, each from its own starting code,
+// and agree with the pre-evaluated bitmap.
+TEST(LikeRuntimeTest, MatchesRunsOnFourThreadsAtOnce) {
+  std::vector<std::string> strings;
+  for (int i = 0; i < 4000; ++i) {
+    strings.push_back(std::string(i % 7 == 0 ? "special " : "plain ") +
+                      std::string(static_cast<size_t>(i % 40), 'x') +
+                      (i % 3 == 0 ? " requests " : " deposits ") +
+                      std::to_string(i));
+  }
+  Dictionary d;
+  testutil::BulkLoad(&d, strings);
+  const LikePredicate pred{LikeMatcher::Compile("%special%requests%"), &d};
+  const std::vector<uint8_t> bitmap = BuildLikeBitmap(d, pred.matcher);
+  ASSERT_GT(std::count(bitmap.begin(), bitmap.end(), 1), 0);
+  std::vector<std::future<int>> mismatches;
+  for (int t = 0; t < 4; ++t) {
+    mismatches.push_back(std::async(std::launch::async, [&, t] {
+      int wrong = 0;
+      for (int pass = 0; pass < 4; ++pass) {
+        for (int32_t i = 0; i < d.size(); ++i) {
+          const int32_t code = (i + t * 997) % d.size();
+          const uint64_t match = rt::aqe_like_match(
+              reinterpret_cast<uint64_t>(&pred), static_cast<uint64_t>(code));
+          wrong += match != bitmap[static_cast<size_t>(code)];
+        }
+      }
+      return wrong;
+    }));
+  }
+  for (std::future<int>& f : mismatches) EXPECT_EQ(f.get(), 0);
 }
 
 // ============================================================================

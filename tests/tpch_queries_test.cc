@@ -446,10 +446,12 @@ int64_t Value(const Table& table, const char* column, uint64_t row) {
   return table.column(column).GetAsI64(row);
 }
 
-std::string_view DictString(const Table& table, const char* column,
-                            uint64_t row) {
-  return table.dictionary(table.ColumnIndex(column))
-      .Get(static_cast<int32_t>(Value(table, column, row)));
+std::string DictString(const Table& table, const char* column,
+                       uint64_t row) {
+  std::string buffer;
+  return std::string(table.dictionary(table.ColumnIndex(column))
+                         .Get(static_cast<int32_t>(Value(table, column, row)),
+                              &buffer));
 }
 
 /// TPC-H Q4 evaluated straight from its SQL with hash maps, independent of
@@ -479,8 +481,8 @@ Rows OracleQ4(const Catalog& catalog) {
         late_orders.count(Value(orders, "o_orderkey", r)) == 0) {
       continue;
     }
-    auto& [code, count] = by_priority[std::string(
-        DictString(orders, "o_orderpriority", r))];
+    auto& [code, count] =
+        by_priority[DictString(orders, "o_orderpriority", r)];
     code = Value(orders, "o_orderpriority", r);
     ++count;
   }
@@ -576,13 +578,13 @@ Rows OracleQ12(const Catalog& catalog) {
   std::unordered_map<int64_t, std::string> priority;
   for (uint64_t r = 0; r < orders.num_rows(); ++r) {
     priority[Value(orders, "o_orderkey", r)] =
-        std::string(DictString(orders, "o_orderpriority", r));
+        DictString(orders, "o_orderpriority", r);
   }
   const int64_t lo = tpch::DateToDays(1994, 1, 1);
   const int64_t hi = tpch::DateToDays(1995, 1, 1);
   std::map<std::string, std::vector<int64_t>> by_mode;
   for (uint64_t r = 0; r < lineitem.num_rows(); ++r) {
-    const std::string_view mode = DictString(lineitem, "l_shipmode", r);
+    const std::string mode = DictString(lineitem, "l_shipmode", r);
     const int64_t commit = Value(lineitem, "l_commitdate", r);
     const int64_t receipt = Value(lineitem, "l_receiptdate", r);
     if ((mode != "MAIL" && mode != "SHIP") || commit >= receipt ||
