@@ -5,6 +5,7 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "index/dict_index.h"
@@ -25,8 +26,8 @@ struct TableIndexOptions {
 };
 
 /// All secondary index structures of one table (see src/index/DESIGN.md).
-/// Built once after bulk load; immutable, shared by reference from
-/// scan-pruning analysis and cached ScanDomains.
+/// Built once after bulk load (AttachIndexes); immutable, shared by
+/// reference from scan-pruning analysis and cached ScanDomains.
 struct TableIndexes {
   TableIndexOptions options;
   ZoneMaps zones;
@@ -38,10 +39,14 @@ struct TableIndexes {
   uint64_t approx_bytes = 0;
 };
 
-std::shared_ptr<const TableIndexes> BuildTableIndexes(
-    const Table& table, TableIndexOptions options = {});
+/// Builds every secondary index of every listed table and attaches each
+/// table's (Table::set_indexes). The builds are one flat list of tasks,
+/// heaviest first, run under one ForkJoin: each token index, each code
+/// index and each zone-map column of every table is its own task (see
+/// src/index/DESIGN.md, "Parallel build").
+void AttachIndexes(std::vector<std::pair<Table*, TableIndexOptions>> tables);
 
-/// Builds and attaches (Table::set_indexes) in one call.
+/// AttachIndexes of one table.
 void AttachTableIndexes(Table* table, TableIndexOptions options = {});
 
 }  // namespace aqe

@@ -70,32 +70,37 @@ class TokenIds {
   PageVector<uint32_t> slots_;  ///< ids, kEmpty for a free slot
 };
 
+/// One token's codes within one range of a build: an ascending array until
+/// it would outgrow the range's bitmap words (TokenIndex's container rule,
+/// applied to the range), then a bitmap of those words, bit i for the
+/// range's i-th code.
+struct RangeCodes {
+  uint64_t count = 0;
+  int32_t last = -1;          ///< the code it was last posted for
+  PageVector<int32_t> codes;  ///< while an array
+  PageVector<uint64_t> bits;  ///< once a bitmap
+};
+
 }  // namespace
 
 TokenIndex TokenIndex::Build(const Dictionary& dict) {
-  // Each range of codes tokenizes its strings into one list of postings in
-  // code order. A token's container follows from its total count. The
-  // ranges' array postings of a token are concatenated in range order, so
-  // its codes stay ascending; a range sets the bits of its codes in the
-  // bitmap words it owns, as the ranges start on multiples of 64 codes.
-  // Either way the layout is a serial build's. The merged vocabulary is a
-  // std::map, so the flattened tokens are sorted whatever the hash seeds.
-  // Every map key views a range's copy of the token, so a token is copied
-  // once per range that holds it, and once more into the flattened
-  // vocabulary. Build time is dominated by tokenizing the distinct
-  // strings. The per-range buffers are data-sized and built on helper
-  // threads, so they come from PageAllocator.
-  struct Posting {
-    uint32_t token;  ///< the range's own id of the token
-    int32_t code;
-  };
+  // Each range of codes tokenizes its strings and keeps each token's codes
+  // in a container of its own (RangeCodes), in code order. A token's final
+  // container follows from its total count. Its ranges' codes are gathered
+  // in range order: an array token appends each range's array, or the set
+  // bits of its bitmap; a bitmap token copies each range's bitmap, or sets
+  // the bits of its array, into the words of that range, as the ranges
+  // start on multiples of 64 codes. Either way the layout is a serial
+  // build's. The merged vocabulary is a std::map, so the flattened tokens
+  // are sorted whatever the hash seeds. Every map key views a range's copy
+  // of the token, so a token is copied once per range that holds it, and
+  // once more into the flattened vocabulary. Build time is dominated by
+  // tokenizing the distinct strings. The ranges run on helper threads, so
+  // their buffers come from PageAllocator; a range's containers are at
+  // most its bitmap's size, one bit per code of the range.
   struct Range {
     TokenIds ids;
-    /// Postings per id; after the flatten, the next codes_ slot of an
-    /// array token's postings.
-    PageVector<uint64_t> counts;
-    PageVector<uint32_t> token;  ///< per id, after the flatten: its token
-    PageVector<Posting> postings;
+    PageVector<RangeCodes> tokens;  ///< by id
   };
   const auto n = static_cast<size_t>(dict.size());
   const size_t num_ranges =
@@ -107,19 +112,14 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
   ForkJoin(num_ranges, [&](size_t r) {
     Range& range = ranges[r];
     const size_t first = range_begin(r), end = range_begin(r + 1);
-    // A string of b bytes holds at most (b + 1) / 2 tokens, each posted at
-    // most once: the bound sizes the postings once, so they are never
-    // regrown (each regrowth would map, copy and unmap pages). The range
-    // starts on a block head, so each pass decodes its strings once.
-    const auto first_code = static_cast<int32_t>(first);
-    const auto end_code = static_cast<int32_t>(end);
-    size_t bound = end - first;
-    dict.ForEach(first_code, end_code, [&bound](int32_t, std::string_view s) {
-      bound += s.size();
-    });
-    range.postings.reserve(bound / 2);
-    PageVector<int32_t> last_code;  // per id: the code it was last posted for
-    dict.ForEach(first_code, end_code, [&](int32_t c, std::string_view s) {
+    const uint64_t words = (end - first + 63) / 64;
+    const auto set = [first](PageVector<uint64_t>* bits, int32_t code) {
+      const uint64_t bit = static_cast<uint64_t>(code) - first;
+      (*bits)[bit / 64] |= uint64_t{1} << (bit % 64);
+    };
+    // The range starts on a block head, so its strings are decoded once.
+    dict.ForEach(static_cast<int32_t>(first), static_cast<int32_t>(end),
+                 [&](int32_t c, std::string_view s) {
       // The maximal alphanumeric runs of the string.
       size_t i = 0;
       while (i < s.size()) {
@@ -128,15 +128,22 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
         while (i < s.size() && IsTokenByte(s[i])) ++i;
         if (i == begin) continue;
         const uint32_t id = range.ids.IdOf(s.substr(begin, i - begin));
-        if (id == last_code.size()) {
-          last_code.push_back(-1);
-          range.counts.push_back(0);
-        }
+        if (id == range.tokens.size()) range.tokens.emplace_back();
+        RangeCodes& token = range.tokens[id];
         // A token repeated within one string is posted once.
-        if (last_code[id] == c) continue;
-        last_code[id] = c;
-        ++range.counts[id];
-        range.postings.push_back({id, c});
+        if (token.last == c) continue;
+        token.last = c;
+        ++token.count;
+        if (!token.bits.empty()) {
+          set(&token.bits, c);
+        } else if (!IsBitmap(token.count, words)) {
+          token.codes.push_back(c);
+        } else {
+          token.bits.assign(words, 0);
+          for (const int32_t code : token.codes) set(&token.bits, code);
+          set(&token.bits, c);
+          token.codes = PageVector<int32_t>();
+        }
       }
     });
   });
@@ -145,11 +152,12 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
   std::map<std::string_view, uint64_t> token;
   for (const Range& range : ranges) {
     for (uint32_t id = 0; id < range.ids.size(); ++id) {
-      token[range.ids.Token(id)] += range.counts[id];
+      token[range.ids.Token(id)] += range.tokens[id].count;
     }
   }
   TokenIndex index;
   index.num_codes_ = n;
+  const uint64_t words = index.bitmap_words();
   index.tokens_.reserve(token.size());
   index.postings_.reserve(token.size());
   uint64_t array_codes = 0, bitmaps = 0;
@@ -157,49 +165,54 @@ TokenIndex TokenIndex::Build(const Dictionary& dict) {
     const uint64_t count = count_then_index;
     count_then_index = index.tokens_.size();
     index.tokens_.emplace_back(text);
-    if (index.IsBitmap(count)) {
-      index.postings_.push_back({count, bitmaps++ * index.bitmap_words()});
+    if (IsBitmap(count, words)) {
+      index.postings_.push_back({count, bitmaps++ * words});
     } else {
       index.postings_.push_back({count, array_codes});
       array_codes += count;
     }
     index.posting_entries_ += count;
   }
-  // Each range's ids get their tokens, and an array token's counts become
-  // the slots its postings from this range start at.
+  // The ranges' containers are gathered in range order; next[t] is the
+  // codes_ slot an array token's next code goes to.
   std::vector<uint64_t> next(index.postings_.size());
   for (size_t t = 0; t < next.size(); ++t) next[t] = index.postings_[t].first;
-  for (Range& range : ranges) {
-    range.token.resize(range.counts.size());
+  index.codes_.resize(array_codes);
+  index.words_.assign(bitmaps * words, 0);
+  for (size_t r = 0; r < num_ranges; ++r) {
+    const Range& range = ranges[r];
+    const size_t first = range_begin(r);
     for (uint32_t id = 0; id < range.ids.size(); ++id) {
-      const auto t = static_cast<uint32_t>(token[range.ids.Token(id)]);
-      const uint64_t count = range.counts[id];
-      range.token[id] = t;
-      range.counts[id] = next[t];
-      next[t] += count;
+      const RangeCodes& codes = range.tokens[id];
+      const uint64_t t = token[range.ids.Token(id)];
+      const Postings& postings = index.postings_[t];
+      if (IsBitmap(postings.count, words)) {
+        uint64_t* slice = index.words_.data() + postings.first + first / 64;
+        for (size_t w = 0; w < codes.bits.size(); ++w) slice[w] |= codes.bits[w];
+        for (const int32_t code : codes.codes) {
+          const uint64_t bit = static_cast<uint64_t>(code) - first;
+          slice[bit / 64] |= uint64_t{1} << (bit % 64);
+        }
+        continue;
+      }
+      int32_t* out = index.codes_.data() + next[t];
+      out = std::copy(codes.codes.begin(), codes.codes.end(), out);
+      for (size_t w = 0; w < codes.bits.size(); ++w) {
+        for (uint64_t word = codes.bits[w]; word != 0; word &= word - 1) {
+          *out++ = static_cast<int32_t>(first + 64 * w + __builtin_ctzll(word));
+        }
+      }
+      next[t] = static_cast<uint64_t>(out - index.codes_.data());
     }
   }
-  index.codes_.resize(array_codes);
-  index.words_.assign(bitmaps * index.bitmap_words(), 0);
-  ForkJoin(num_ranges, [&](size_t r) {
-    Range& range = ranges[r];
-    for (const Posting& p : range.postings) {
-      const Postings& postings = index.postings_[range.token[p.token]];
-      if (index.IsBitmap(postings.count)) {
-        const auto code = static_cast<uint64_t>(p.code);
-        index.words_[postings.first + code / 64] |= uint64_t{1} << (code % 64);
-      } else {
-        index.codes_[range.counts[p.token]++] = p.code;
-      }
-    }
-  });
   return index;
 }
 
 size_t TokenIndex::num_bitmaps() const {
   return static_cast<size_t>(
-      std::count_if(postings_.begin(), postings_.end(),
-                    [this](const Postings& p) { return IsBitmap(p.count); }));
+      std::count_if(postings_.begin(), postings_.end(), [this](const Postings& p) {
+        return IsBitmap(p.count, bitmap_words());
+      }));
 }
 
 std::vector<std::string> TokenIndex::PatternParts(std::string_view pattern) {
@@ -225,7 +238,7 @@ std::vector<std::string> TokenIndex::PatternParts(std::string_view pattern) {
 
 void TokenIndex::OrInto(size_t t, uint64_t* bits) const {
   const Postings& postings = postings_[t];
-  if (IsBitmap(postings.count)) {
+  if (IsBitmap(postings.count, bitmap_words())) {
     const uint64_t* words = words_.data() + postings.first;
     for (uint64_t w = 0; w < bitmap_words(); ++w) bits[w] |= words[w];
     return;

@@ -38,9 +38,10 @@ class TokenIndex {
 
   /// Build tokenizes a dictionary of at least this many codes in
   /// 4 x ForkJoinWidth() ranges on as many threads. Every range but the
-  /// last starts and ends on a multiple of 64 codes, so each range sets the
-  /// bits of its own bitmap words.
-  static constexpr size_t kParallelBuildCodes = size_t{64} << 10;
+  /// last starts and ends on a multiple of 64 codes, so a range's codes
+  /// fill whole words of every bitmap: a range builds its own slice of
+  /// each token's bitmap.
+  static constexpr size_t kParallelBuildCodes = size_t{4} << 10;
 
   static TokenIndex Build(const Dictionary& dict);
 
@@ -80,10 +81,10 @@ class TokenIndex {
 
   /// Words of one bitmap: one bit per code of the dictionary.
   uint64_t bitmap_words() const { return (num_codes_ + 63) / 64; }
-  /// The container rule: a bitmap once its bytes are fewer than the
-  /// array's.
-  bool IsBitmap(uint64_t count) const {
-    return count * sizeof(int32_t) > bitmap_words() * sizeof(uint64_t);
+  /// The container rule: `count` codes of a bitmap of `words` words are
+  /// a bitmap once its bytes are fewer than the array's.
+  static bool IsBitmap(uint64_t count, uint64_t words) {
+    return count * sizeof(int32_t) > words * sizeof(uint64_t);
   }
   /// Sets the bits of token t's codes in `bits` (bitmap_words() words).
   void OrInto(size_t t, uint64_t* bits) const;

@@ -15,8 +15,10 @@ class Table;
 /// presence filter for dictionary columns. Blocks are fixed-size row
 /// ranges aligned with the morsel queue's initial morsel size, so pruning
 /// a block prunes (at least) one would-be morsel. Built once after bulk
-/// load, possibly on a helper thread, so the per-block arrays come from
-/// PageAllocator; immutable.
+/// load: the calling thread sizes every column's arrays (Prepare), then each
+/// column is filled as its own task (FillColumn), possibly on a helper
+/// thread, so the per-block arrays come from PageAllocator; immutable once
+/// filled.
 class ZoneMaps {
  public:
   /// Presence-filter size: 512 bits per block per dictionary column.
@@ -33,15 +35,27 @@ class ZoneMaps {
     PageVector<uint64_t> presence;  ///< num_blocks * kPresenceWords
   };
 
-  /// Builds zones for every integer column, of any width (F64 columns are
-  /// skipped — no query predicate compares them to integer constants).
-  static ZoneMaps Build(const Table& table, uint32_t block_rows);
+  /// Sizes the zones of every integer column, of any width (F64 columns are
+  /// skipped — no query predicate compares them to integer constants),
+  /// without filling them.
+  static ZoneMaps Prepare(const Table& table, uint32_t block_rows);
+
+  /// Columns with zones, each filled by FillColumn.
+  size_t num_columns() const { return columns_.size(); }
+
+  /// Fills the i-th prepared column's zones from `table`, the table
+  /// Prepare sized them for. Distinct columns may be filled concurrently.
+  void FillColumn(const Table& table, size_t i);
 
   uint32_t block_rows() const { return block_rows_; }
   uint64_t num_blocks() const { return num_blocks_; }
 
   /// Zones of one column; nullptr when the column has none (F64 / empty).
   const ColumnZones* ForColumn(int column) const;
+
+  /// Sets the two bits of `value` in `words` (one block's kPresenceWords
+  /// filter).
+  static void PresenceAdd(uint64_t* words, int64_t value);
 
   /// Tests `words` (one block's kPresenceWords filter) for `value`. False
   /// positives possible, false negatives impossible.

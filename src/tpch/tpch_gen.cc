@@ -3,10 +3,10 @@
 #include <array>
 #include <cstdio>
 #include <initializer_list>
-#include <iterator>
 #include <string>
 #include <string_view>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "common/fork_join.h"
@@ -517,17 +517,17 @@ void GenerateTpchData(Catalog* catalog, double sf, uint64_t seed) {
   // Secondary indexes (zone maps, dictionary-code CSR, inverted token
   // index) are built over the loaded, sorted dictionaries, so code order
   // matches string order inside the index structures too. o_comment is the
-  // one free-text column queries probe with %word% patterns. Tables are
-  // independent tasks, largest first.
-  static constexpr const char* kTables[] = {
-      "lineitem", "orders", "partsupp", "part",
-      "customer", "supplier", "nation",  "region"};
-  ForkJoin(std::size(kTables), [&](size_t i) {
-    Table* table = catalog->GetTable(kTables[i]);
+  // one free-text column queries probe with %word% patterns. Every table's
+  // token indexes, code indexes and zone-map columns are tasks of one list.
+  std::vector<std::pair<Table*, TableIndexOptions>> tables;
+  for (const char* name : {"lineitem", "orders", "partsupp", "part",
+                           "customer", "supplier", "nation", "region"}) {
+    Table* table = catalog->GetTable(name);
     TableIndexOptions options;
     if (table == orders) options.text_columns = {"o_comment"};
-    AttachTableIndexes(table, std::move(options));
-  });
+    tables.emplace_back(table, std::move(options));
+  }
+  AttachIndexes(std::move(tables));
 }
 
 void BuildTpchDatabase(Catalog* catalog, double sf, uint64_t seed) {

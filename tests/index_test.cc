@@ -7,6 +7,7 @@
 #include <string>
 #include <vector>
 
+#include "common/fork_join.h"
 #include "common/random.h"
 #include "engine/query_engine.h"
 #include "exec/morsel.h"
@@ -250,6 +251,129 @@ TEST(ZoneMapsTest, MinMaxTracksBlocksAndPresenceFindsCodes) {
   }
 }
 
+/// A table of kRows rows, which end in a partial zone block: a value
+/// column of each integer width, and dictionary columns whose blocks take
+/// each presence path. `narrow` draws from 50 codes, so every block's codes
+/// fit a bitset of fewer words than the block has rows (set once per
+/// code). `wide` draws from 100,000 codes, so no block's do (set per row).
+/// `mixed` draws from 400 codes, a bitset of 7 words, in every block but
+/// the second, which is wide.
+struct ZoneTable {
+  Catalog catalog;
+  Table* table = nullptr;
+  static constexpr uint64_t kRows = 3 * 1024 + 100;
+  static constexpr int32_t kWideCodes = 100000;
+
+  ZoneTable() {
+    table = catalog.CreateTable("z");
+    const int i8 = table->AddColumn("i8", DataType::kI8);
+    const int i16 = table->AddColumn("i16", DataType::kI16);
+    const int i32 = table->AddColumn("i32", DataType::kI32);
+    const int f64 = table->AddColumn("f64", DataType::kF64);
+    const int narrow = table->AddColumn("narrow", DataType::kI8, true);
+    const int wide = table->AddColumn("wide", DataType::kI32, true);
+    const int mixed = table->AddColumn("mixed", DataType::kI32, true);
+    Load(narrow, 50);
+    Load(wide, kWideCodes);
+    Load(mixed, kWideCodes);
+    Random rng(7);
+    for (uint64_t r = 0; r < kRows; ++r) {
+      const auto draw = [&rng](int64_t lo, int64_t hi) {
+        return lo + static_cast<int64_t>(
+                        rng.NextBelow(static_cast<uint64_t>(hi - lo + 1)));
+      };
+      table->column(i8).AppendInt(draw(INT8_MIN, INT8_MAX));
+      table->column(i16).AppendInt(draw(INT16_MIN, INT16_MAX));
+      table->column(i32).AppendInt(draw(INT32_MIN, INT32_MAX));
+      table->column(f64).AppendF64(static_cast<double>(r));
+      table->column(narrow).AppendInt(draw(0, 49));
+      table->column(wide).AppendInt(draw(0, kWideCodes - 1));
+      table->column(mixed).AppendInt(
+          r / 1024 == 1 ? draw(0, kWideCodes - 1) : draw(500, 899));
+    }
+    AttachTableIndexes(table);
+  }
+
+  /// Bulk-loads `codes` distinct strings into column c's dictionary,
+  /// registered in order, so code i is the i-th string.
+  void Load(int c, int32_t codes) {
+    std::vector<std::string> values;
+    for (int32_t code = 0; code < codes; ++code) {
+      values.push_back(std::to_string(1000000 + code));
+    }
+    const PageVector<int32_t> loaded =
+        testutil::BulkLoad(&table->dictionary(c), values);
+    for (int32_t code = 0; code < codes; ++code) {
+      ASSERT_EQ(loaded[static_cast<size_t>(code)], code);
+    }
+  }
+};
+
+TEST(ZoneMapsTest, MinMaxHoldForEveryWidth) {
+  ZoneTable t;
+  const ZoneMaps& zones = t.table->indexes()->zones;
+  ASSERT_EQ(zones.num_blocks(), 4u);
+  EXPECT_EQ(zones.ForColumn(t.table->ColumnIndex("f64")), nullptr);
+  for (const char* name : {"i8", "i16", "i32", "narrow", "wide", "mixed"}) {
+    const Column& column = t.table->column(name);
+    const ZoneMaps::ColumnZones* cz =
+        zones.ForColumn(t.table->ColumnIndex(name));
+    ASSERT_NE(cz, nullptr) << name;
+    for (uint64_t b = 0; b < zones.num_blocks(); ++b) {
+      const uint64_t begin = b * zones.block_rows();
+      const uint64_t end =
+          std::min<uint64_t>(ZoneTable::kRows, begin + zones.block_rows());
+      int64_t lo = column.GetAsI64(begin), hi = lo;
+      for (uint64_t r = begin; r < end; ++r) {
+        lo = std::min(lo, column.GetAsI64(r));
+        hi = std::max(hi, column.GetAsI64(r));
+      }
+      EXPECT_EQ(cz->min[b], lo) << name << " block " << b;
+      EXPECT_EQ(cz->max[b], hi) << name << " block " << b;
+    }
+  }
+}
+
+// Presence bits are set once per distinct code of a block, or once per row
+// where a bitset of the block's codes would outgrow its rows; either way
+// every block's words must equal setting each row's bits in turn.
+TEST(ZoneMapsTest, PresenceWordsMatchAPerRowReference) {
+  ZoneTable t;
+  const ZoneMaps& zones = t.table->indexes()->zones;
+  for (const char* name : {"narrow", "wide", "mixed"}) {
+    const Column& column = t.table->column(name);
+    const ZoneMaps::ColumnZones* cz =
+        zones.ForColumn(t.table->ColumnIndex(name));
+    ASSERT_NE(cz, nullptr) << name;
+    ASSERT_TRUE(cz->has_presence) << name;
+    for (uint64_t b = 0; b < zones.num_blocks(); ++b) {
+      const uint64_t begin = b * zones.block_rows();
+      const uint64_t end =
+          std::min<uint64_t>(ZoneTable::kRows, begin + zones.block_rows());
+      // The path the block takes: a bitset over [min, max] of more words
+      // than the block has rows is set per row.
+      const bool per_row =
+          static_cast<uint64_t>(cz->max[b] - cz->min[b]) / 64 + 1 >
+          end - begin;
+      const std::string label = std::string(name) + " block " +
+                                std::to_string(b) +
+                                (per_row ? " (per row)" : " (per code)");
+      EXPECT_EQ(per_row, std::string(name) == "wide" ||
+                             (std::string(name) == "mixed" && b == 1))
+          << label;
+      uint64_t expected[ZoneMaps::kPresenceWords] = {};
+      for (uint64_t r = begin; r < end; ++r) {
+        ZoneMaps::PresenceAdd(expected, column.GetAsI64(r));
+      }
+      const uint64_t* words =
+          cz->presence.data() + b * ZoneMaps::kPresenceWords;
+      for (uint32_t w = 0; w < ZoneMaps::kPresenceWords; ++w) {
+        EXPECT_EQ(words[w], expected[w]) << label << " word " << w;
+      }
+    }
+  }
+}
+
 TEST(DictCodeIndexTest, RowsGroupedByCodeAndCountsMatch) {
   IndexedTable t;
   const DictCodeIndex& csr = t.table->indexes()->dict_indexes.at(t.s_col);
@@ -348,6 +472,79 @@ TEST(DictCodeIndexTest, ListsRowsOfRareCodesOnly) {
             (2 * (csr.num_codes() + 1) + csr.listed_rows()) * sizeof(uint32_t));
 }
 
+/// Everything a table's indexes hold, flattened: the zone maps' blocks,
+/// each code index's per-code counts, listing and rows, each token index's
+/// counts and the candidates of `patterns`, and the byte total.
+std::vector<int64_t> IndexContent(const Table& table,
+                                  const std::vector<std::string>& patterns) {
+  const TableIndexes& indexes = *table.indexes();
+  std::vector<int64_t> out = {static_cast<int64_t>(indexes.rows),
+                              static_cast<int64_t>(indexes.approx_bytes),
+                              static_cast<int64_t>(indexes.zones.num_blocks())};
+  for (int c = 0; c < table.num_columns(); ++c) {
+    if (const ZoneMaps::ColumnZones* cz = indexes.zones.ForColumn(c)) {
+      out.push_back(c);
+      out.insert(out.end(), cz->min.begin(), cz->min.end());
+      out.insert(out.end(), cz->max.begin(), cz->max.end());
+      out.insert(out.end(), cz->presence.begin(), cz->presence.end());
+    }
+    if (const auto it = indexes.dict_indexes.find(c);
+        it != indexes.dict_indexes.end()) {
+      const DictCodeIndex& codes = it->second;
+      out.push_back(codes.num_codes());
+      for (int32_t code = 0; code < codes.num_codes(); ++code) {
+        out.push_back(
+            static_cast<int64_t>(codes.CountForCodeRange(code, code + 1)));
+        if (!codes.Listed(code, code + 1)) continue;
+        std::vector<uint32_t> rows;
+        codes.CollectRows(code, code + 1, &rows);
+        out.insert(out.end(), rows.begin(), rows.end());
+      }
+    }
+    if (const auto it = indexes.text_indexes.find(c);
+        it != indexes.text_indexes.end()) {
+      const TokenIndex& tokens = it->second;
+      out.push_back(static_cast<int64_t>(tokens.num_tokens()));
+      out.push_back(static_cast<int64_t>(tokens.posting_entries()));
+      out.push_back(static_cast<int64_t>(tokens.num_bitmaps()));
+      for (const std::string& pattern : patterns) {
+        std::vector<int32_t> candidates;
+        tokens.CandidateCodes(pattern, &candidates);
+        out.push_back(static_cast<int64_t>(candidates.size()));
+        out.insert(out.end(), candidates.begin(), candidates.end());
+      }
+    }
+  }
+  return out;
+}
+
+// One AttachIndexes call builds every index of several tables as one task
+// list; each table's indexes must equal building that table alone.
+TEST(AttachIndexesTest, OneCallEqualsPerTableBuilds) {
+  IndexedTable text_alone;  // each constructor attaches its table alone
+  SkewedTable skew_alone;
+  ZoneTable zone_alone;
+  IndexedTable text;
+  SkewedTable skew;
+  ZoneTable zone;
+  TableIndexOptions text_options;
+  text_options.text_columns = {"s"};
+  AttachIndexes({{zone.table, {}},
+                 {text.table, std::move(text_options)},
+                 {skew.table, {}}});
+  const std::vector<std::string> patterns = {
+      "%special requests%", "%ironic%", "%express%deposits%", "%#39%"};
+  EXPECT_EQ(IndexContent(*text.table, patterns),
+            IndexContent(*text_alone.table, patterns));
+  EXPECT_EQ(IndexContent(*skew.table, patterns),
+            IndexContent(*skew_alone.table, patterns));
+  EXPECT_EQ(IndexContent(*zone.table, patterns),
+            IndexContent(*zone_alone.table, patterns));
+  EXPECT_EQ(text.table->indexes()->text_indexes.size(), 1u);
+  EXPECT_EQ(text.table->indexes()->options.text_columns,
+            std::vector<std::string>{"s"});
+}
+
 TEST(TokenIndexTest, PatternPartsSplitsAtWildcardsAndShortParts) {
   const auto parts = TokenIndex::PatternParts("%special requests%");
   ASSERT_EQ(parts.size(), 2u);
@@ -396,6 +593,86 @@ std::string CodePrefix(size_t code) {
   return prefix;
 }
 
+/// Registers `tokens_of[i]`, each after a space, behind CodePrefix(i) as
+/// code i of `dict`, and fills `reference`: each token's codes, ascending,
+/// a code once however often its string repeats the token.
+void MakeTokenDictionary(const std::vector<std::vector<std::string>>& tokens_of,
+                         Dictionary* dict,
+                         std::map<std::string, std::vector<int32_t>>* reference) {
+  for (size_t code = 0; code < tokens_of.size(); ++code) {
+    std::string s = CodePrefix(code);
+    for (const std::string& token : tokens_of[code]) s += " " + token;
+    ASSERT_EQ(dict->GetOrAdd(s), static_cast<int32_t>(code));
+    for (const std::string& token : tokens_of[code]) {
+      std::vector<int32_t>& codes = (*reference)[token];
+      if (codes.empty() || codes.back() != static_cast<int32_t>(code)) {
+        codes.push_back(static_cast<int32_t>(code));
+      }
+    }
+  }
+}
+
+/// Checks `index` against a serial std::map build (`reference`, from
+/// MakeTokenDictionary): its token and posting counts, and the candidates
+/// of %t% for every token t, which are the codes of every token containing
+/// t.
+void ExpectMatchesReference(
+    const TokenIndex& index,
+    const std::map<std::string, std::vector<int32_t>>& reference) {
+  ASSERT_EQ(index.num_tokens(), reference.size());
+  uint64_t postings = 0;
+  for (const auto& entry : reference) postings += entry.second.size();
+  EXPECT_EQ(index.posting_entries(), postings);
+  for (const auto& [token, codes] : reference) {
+    std::vector<int32_t> candidates;
+    const bool usable =
+        index.CandidateCodes("%" + token + "%", &candidates);
+    if (token.size() < TokenIndex::kMinSubpart) {
+      EXPECT_FALSE(usable) << token;
+      continue;
+    }
+    std::vector<int32_t> expected;
+    for (const auto& [other, other_codes] : reference) {
+      if (other.find(token) == std::string::npos) continue;
+      expected.insert(expected.end(), other_codes.begin(), other_codes.end());
+    }
+    std::sort(expected.begin(), expected.end());
+    expected.erase(std::unique(expected.begin(), expected.end()),
+                   expected.end());
+    ASSERT_TRUE(usable) << token;
+    EXPECT_EQ(candidates, expected) << token;
+  }
+}
+
+/// Whether a token of `count` codes is a bitmap in a dictionary of `codes`
+/// codes: the container rule, 4 bytes per code against one bit per code.
+bool IsBitmap(uint64_t count, uint64_t codes) {
+  return count * sizeof(int32_t) > (codes + 63) / 64 * sizeof(uint64_t);
+}
+
+/// The bitmap tokens of `reference`.
+size_t CountBitmaps(const std::map<std::string, std::vector<int32_t>>& reference,
+                    uint64_t codes) {
+  return static_cast<size_t>(
+      std::count_if(reference.begin(), reference.end(), [codes](const auto& e) {
+        return IsBitmap(e.second.size(), codes);
+      }));
+}
+
+/// The first code of each range TokenIndex::Build splits a dictionary of
+/// `n` >= kParallelBuildCodes codes into, and `n` last: 4 x ForkJoinWidth()
+/// ranges, each starting on a multiple of 64 codes. The tests below place
+/// tokens by these ranges; their checks against the reference hold for
+/// any split.
+std::vector<size_t> BuildRangeBegins(size_t n) {
+  const size_t ranges = 4 * ForkJoinWidth();
+  std::vector<size_t> begins;
+  for (size_t r = 0; r <= ranges; ++r) {
+    begins.push_back(std::min(n, (n * r / ranges + 63) / 64 * 64));
+  }
+  return begins;
+}
+
 // A dictionary of kParallelBuildCodes+ codes is tokenized in ranges on
 // several threads; the index must equal a serial std::map build. The
 // strings repeat tokens within one string, and the codes at every range
@@ -409,50 +686,116 @@ TEST(TokenIndexTest, ParallelBuildMatchesSerialReference) {
     for (size_t r = 0; r < ranges; ++r) boundary[n * r / ranges] = true;
   }
   Random rng(43);
-  Dictionary dict;
-  std::map<std::string, std::vector<int32_t>> reference;
+  std::vector<std::vector<std::string>> tokens_of(n);
   for (size_t code = 0; code < n; ++code) {
-    std::vector<std::string> tokens;
+    std::vector<std::string>& tokens = tokens_of[code];
     for (uint64_t t = 1 + rng.NextBelow(6); t > 0; --t) {
       tokens.push_back(kVocabulary[rng.NextBelow(std::size(kVocabulary))]);
       if (rng.NextBelow(4) == 0) tokens.push_back(tokens.back());  // repeat
     }
     if (boundary[code]) tokens.push_back("edge");
-    std::string s = CodePrefix(code);
-    for (const std::string& token : tokens) s += " " + token;
-    ASSERT_EQ(dict.GetOrAdd(s), static_cast<int32_t>(code));
-    for (const std::string& token : tokens) {
-      std::vector<int32_t>& codes = reference[token];
-      if (codes.empty() || codes.back() != static_cast<int32_t>(code)) {
-        codes.push_back(static_cast<int32_t>(code));
-      }
-    }
   }
+  Dictionary dict;
+  std::map<std::string, std::vector<int32_t>> reference;
+  MakeTokenDictionary(tokens_of, &dict, &reference);
+  ExpectMatchesReference(TokenIndex::Build(dict), reference);
+}
+
+// Each range keeps a token's codes in a container of its own, by the
+// container rule over the range's bitmap words. `denseone` is in every
+// 16th code of the first range, a bitmap there, and in every 997th code of
+// the others, arrays there; it is an array globally, so the flatten lists
+// the set bits of the first range's bitmap. `alpha` is a bitmap in every
+// range and globally, `rare` an array in every range and globally.
+TEST(TokenIndexTest, DenseInOneRangeIsAnArrayGlobally) {
+  const size_t n = TokenIndex::kParallelBuildCodes + 4099;
+  const std::vector<size_t> begins = BuildRangeBegins(n);
+  std::vector<std::vector<std::string>> tokens_of(n);
+  for (size_t code = 0; code < n; ++code) {
+    std::vector<std::string>& tokens = tokens_of[code];
+    if (code < begins[1] ? code % 16 == 0 : code % 997 == 5) {
+      tokens.push_back("denseone");
+    }
+    if (code % 3 == 0) tokens.push_back("alpha");
+    if (code % 500 == 2) tokens.push_back("rare");
+  }
+  Dictionary dict;
+  std::map<std::string, std::vector<int32_t>> reference;
+  MakeTokenDictionary(tokens_of, &dict, &reference);
+  const std::vector<int32_t>& dense = reference["denseone"];
+  const auto in_first = static_cast<uint64_t>(
+      std::lower_bound(dense.begin(), dense.end(),
+                       static_cast<int32_t>(begins[1])) -
+      dense.begin());
+  ASSERT_TRUE(IsBitmap(in_first, begins[1]));
+  ASSERT_FALSE(IsBitmap(dense.size(), n));
   const TokenIndex index = TokenIndex::Build(dict);
-  ASSERT_EQ(index.num_tokens(), reference.size());
-  uint64_t postings = 0;
-  for (const auto& entry : reference) postings += entry.second.size();
-  EXPECT_EQ(index.posting_entries(), postings);
-  for (const auto& [token, codes] : reference) {
-    std::vector<int32_t> candidates;
-    const bool usable =
-        index.CandidateCodes("%" + token + "%", &candidates);
-    if (token.size() < TokenIndex::kMinSubpart) {
-      EXPECT_FALSE(usable) << token;
-      continue;
+  EXPECT_EQ(index.num_bitmaps(), 1u);  // alpha
+  EXPECT_EQ(CountBitmaps(reference, n), 1u);
+  ExpectMatchesReference(index, reference);
+}
+
+// Since every range starts on a multiple of 64 codes, the ranges' bitmap
+// words add up to the dictionary's: a token that is an array in every
+// range is an array globally. `rangeedge` sits exactly at each range's
+// crossover (two codes per bitmap word, an array in each), so it is
+// exactly at the global one, an array too. `pastedge` has one code more, in
+// the last range, which makes it a bitmap there and globally: the flatten
+// sets the bits of the other ranges' arrays and copies the last range's
+// bitmap.
+TEST(TokenIndexTest, RangeArraysGatherIntoAGlobalBitmap) {
+  const size_t n = TokenIndex::kParallelBuildCodes + 4099;
+  const std::vector<size_t> begins = BuildRangeBegins(n);
+  std::vector<std::vector<std::string>> tokens_of(n);
+  for (size_t r = 0; r + 1 < begins.size(); ++r) {
+    const size_t words = (begins[r + 1] - begins[r] + 63) / 64;
+    const bool last = r + 2 == begins.size();
+    for (size_t i = 0; i < 2 * words; ++i) {
+      tokens_of[begins[r] + i].push_back("rangeedge");
     }
-    // The candidates of %t% are the codes of every token containing t.
-    std::vector<int32_t> expected;
-    for (const auto& [other, other_codes] : reference) {
-      if (other.find(token) == std::string::npos) continue;
-      expected.insert(expected.end(), other_codes.begin(), other_codes.end());
+    for (size_t i = 0; i < 2 * words + (last ? 1 : 0); ++i) {
+      tokens_of[begins[r + 1] - 1 - i].push_back("pastedge");
     }
-    std::sort(expected.begin(), expected.end());
-    expected.erase(std::unique(expected.begin(), expected.end()),
-                   expected.end());
-    ASSERT_TRUE(usable) << token;
-    EXPECT_EQ(candidates, expected) << token;
   }
+  for (size_t code = 0; code < n; code += 7) tokens_of[code].push_back("s7");
+  Dictionary dict;
+  std::map<std::string, std::vector<int32_t>> reference;
+  MakeTokenDictionary(tokens_of, &dict, &reference);
+  ASSERT_EQ(reference["rangeedge"].size(), 2 * ((n + 63) / 64));
+  ASSERT_FALSE(IsBitmap(reference["rangeedge"].size(), n));
+  ASSERT_TRUE(IsBitmap(reference["pastedge"].size(), n));
+  const TokenIndex index = TokenIndex::Build(dict);
+  EXPECT_EQ(index.num_bitmaps(), 2u);  // pastedge, s7
+  EXPECT_EQ(CountBitmaps(reference, n), 2u);
+  ExpectMatchesReference(index, reference);
+}
+
+// A dictionary below kParallelBuildCodes is one range, whose container
+// rule is the global one: `crosses` turns from an array into a bitmap
+// part-way through the build, `pastedge` on its last code, and `atedge`,
+// exactly at the crossover, stays an array.
+TEST(TokenIndexTest, OneRangeCrossesTheContainerSwitch) {
+  const size_t n = TokenIndex::kParallelBuildCodes - 96;
+  const size_t crossover = 2 * ((n + 63) / 64);
+  std::vector<std::vector<std::string>> tokens_of(n);
+  for (size_t code = 0; code < n; ++code) {
+    if (code % 8 == 3) tokens_of[code].push_back("crosses");
+    if (code % 100 == 0) tokens_of[code].push_back("few");
+  }
+  for (size_t i = 0; i < crossover; ++i) {
+    tokens_of[n - 1 - 2 * i].push_back("atedge");
+    tokens_of[n - 1 - 3 * i].push_back("pastedge");
+  }
+  tokens_of[0].push_back("pastedge");
+  Dictionary dict;
+  std::map<std::string, std::vector<int32_t>> reference;
+  MakeTokenDictionary(tokens_of, &dict, &reference);
+  ASSERT_EQ(reference["atedge"].size(), crossover);
+  ASSERT_EQ(reference["pastedge"].size(), crossover + 1);
+  const TokenIndex index = TokenIndex::Build(dict);
+  EXPECT_EQ(index.num_bitmaps(), 2u);  // crosses, pastedge
+  EXPECT_EQ(CountBitmaps(reference, n), 2u);
+  ExpectMatchesReference(index, reference);
 }
 
 // Each token's postings are an array or a bitmap, whichever is smaller: a

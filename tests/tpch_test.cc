@@ -280,6 +280,57 @@ TEST(TpchFingerprintTest, TokenIndexMatchesPinnedValue) {
   }
 }
 
+// Pins the content of the other secondary indexes, which the catalog
+// fingerprint does not see either: every table's zone maps (each column's
+// per-block min, max and presence words) and code indexes (each code's row
+// count, whether it is listed, and the row ids of a listed code).
+TEST(TpchFingerprintTest, IndexesMatchPinnedValue) {
+  for (const auto& [sf, pinned] :
+       {std::pair{0.01, 0x4c984af82e9e2a06ull},
+        std::pair{0.1, 0x46213349ddddb835ull}}) {
+    Catalog catalog;
+    tpch::BuildTpchDatabase(&catalog, sf);
+    uint64_t hash = 0xcbf29ce484222325ull;
+    auto add = [&hash](uint64_t value) {
+      hash = Fnv1a64(hash, &value, sizeof(value));
+    };
+    for (const char* name : {"region", "nation", "supplier", "customer",
+                             "part", "partsupp", "orders", "lineitem"}) {
+      const Table* t = catalog.GetTable(name);
+      const TableIndexes& indexes = *t->indexes();
+      add(indexes.zones.num_blocks());
+      for (int c = 0; c < t->num_columns(); ++c) {
+        const ZoneMaps::ColumnZones* zones = indexes.zones.ForColumn(c);
+        if (zones != nullptr) {
+          add(static_cast<uint64_t>(c));
+          hash = Fnv1a64(hash, zones->min.data(),
+                         zones->min.size() * sizeof(int64_t));
+          hash = Fnv1a64(hash, zones->max.data(),
+                         zones->max.size() * sizeof(int64_t));
+          add(zones->presence.size());
+          hash = Fnv1a64(hash, zones->presence.data(),
+                         zones->presence.size() * sizeof(uint64_t));
+        }
+        if (!t->has_dictionary(c)) continue;
+        const DictCodeIndex& codes = indexes.dict_indexes.at(c);
+        add(static_cast<uint64_t>(codes.num_codes()));
+        add(codes.listed_rows());
+        std::vector<uint32_t> rows;
+        for (int32_t code = 0; code < codes.num_codes(); ++code) {
+          add(codes.CountForCodeRange(code, code + 1));
+          const bool listed = codes.Listed(code, code + 1);
+          add(listed);
+          if (!listed) continue;
+          rows.clear();
+          codes.CollectRows(code, code + 1, &rows);
+          hash = Fnv1a64(hash, rows.data(), rows.size() * sizeof(uint32_t));
+        }
+      }
+    }
+    EXPECT_EQ(hash, pinned) << "SF " << sf << std::hex << ": got " << hash;
+  }
+}
+
 // Pins what the catalog holds besides its columns, per table at SF 0.1:
 // the bytes of its indexes and of its dictionaries. Both are counts of what
 // the structures store, so they repeat exactly on every load and under
@@ -386,8 +437,9 @@ TEST(TpchAllocatorTest, RepeatedBuildsRetainLittleHeap) {
   EXPECT_LT(info.fordblks, info.uordblks / 4)
       << "free " << (info.fordblks >> 20) << " MiB, in use "
       << (info.uordblks >> 20) << " MiB";
-  // A table's indexes are built by one task, so with malloc the lineitem
-  // task's arena alone would hold its four code indexes (9.6 MB).
+  // Every code index is a task of the load's one index list, so with
+  // malloc a helper arena would hold each code index its thread built
+  // (lineitem's four alone are 9.6 MB).
   const size_t helper_bytes = LargestHelperArenaBytes();
   EXPECT_LT(helper_bytes, size_t{4} << 20)
       << "a helper arena holds " << (helper_bytes >> 20) << " MiB";
