@@ -9,9 +9,11 @@
 //   threaded        direct-threaded (computed goto) dispatch
 //   threaded+fused  threaded dispatch + compare-and-branch fusion
 //
-// Two kernels: TPC-H Q6's scan-filter-sum pipeline (real generated code)
-// and a synthetic expression loop (compare/branch/arithmetic heavy, the
-// worst case for dispatch overhead).
+// Three dispatch kernels: TPC-H Q6's scan-filter-sum pipeline (real
+// generated code), a scan-filter count, and a synthetic expression loop
+// (compare/branch/arithmetic heavy, the worst case for dispatch overhead).
+// Then the CI gates' kernels: tracing and memory-accounting overhead, and
+// translation time per instruction.
 //
 // Each config prints one machine-readable JSON line (also written to
 // BENCH_micro_vm_dispatch.json, one snapshot per run) so each PR's perf
@@ -35,6 +37,7 @@
 #include "obs/memory_tracker.h"
 #include "obs/metrics.h"
 #include "obs/trace_ring.h"
+#include "queries/generated_queries.h"
 #include "runtime/runtime_registry.h"
 #include "vm/interpreter.h"
 #include "vm/translator.h"
@@ -501,6 +504,51 @@ int main(int argc, char** argv) {
       std::printf("%s\n", line);
       if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
     }
+  }
+
+  // --- kernel 6: translation linearity -------------------------------------
+  // The translator is linear (§IV, Fig 15): the §V-E generated query's
+  // translation time per LLVM instruction, each the minimum over repeats,
+  // at N = 50 and N = 2,000 aggregates. Their ratio must stay under the
+  // ceiling in ci/perf_floors.json; a pass that walks a block per
+  // instruction grows it with N.
+  {
+    Catalog* catalog = bench::TpchAtScale(sf);
+    double us_per_instruction[2] = {0, 0};
+    const int sizes[2] = {50, 2000};
+    for (int i = 0; i < 2; ++i) {
+      QueryProgram program = BuildGeneratedAggregateQuery(sizes[i], *catalog);
+      auto ctx = program.MakeContext(catalog);
+      const PipelineSpec& spec = program.pipelines()[0];
+      GeneratedPipeline gen = GeneratePipeline(
+          spec, BindPipeline(program, spec, *ctx), LiteralForm::kBound);
+      const llvm::Function& fn = *gen.mod->module().getFunction("worker");
+      double best = 1e30;
+      Timer total;
+      for (int rep = 0; rep < 3 || total.ElapsedSeconds() < budget; ++rep) {
+        Timer timer;
+        TranslateToBytecode(fn, RuntimeRegistry::Global());
+        best = std::min(best, timer.ElapsedSeconds());
+      }
+      us_per_instruction[i] =
+          best * 1e6 / static_cast<double>(fn.getInstructionCount());
+    }
+    const double ratio = us_per_instruction[1] / us_per_instruction[0];
+    std::printf("\n%-18s %14s %10s\n", "translate", "us/instr", "ratio");
+    for (int i = 0; i < 2; ++i) {
+      std::printf("n=%-16d %14.4f %9.2fx\n", sizes[i], us_per_instruction[i],
+                  us_per_instruction[i] / us_per_instruction[0]);
+    }
+    char line[256];
+    std::snprintf(line, sizeof(line),
+                  "{\"bench\":\"micro_vm_dispatch\","
+                  "\"kernel\":\"translate-linearity\","
+                  "\"config\":\"n2000_over_n50\","
+                  "\"us_per_instruction_n50\":%.4f,"
+                  "\"us_per_instruction_n2000\":%.4f,\"ratio\":%.4f}",
+                  us_per_instruction[0], us_per_instruction[1], ratio);
+    std::printf("%s\n", line);
+    if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
   }
 
   if (json_out != nullptr) std::fclose(json_out);

@@ -3,9 +3,10 @@
 
 Runs the dispatch microbenchmark and the string-predicate benchmark in
 --smoke mode and checks the performance *ratios* they report (fused-tier
-speedup over the plain switch interpreter, SIMD speedup over the forced
-scalar tier, per-row dictionary decode cost) against the floors and
-ceilings in ci/perf_floors.json. Ratios are taken
+speedup over the plain switch interpreter, translation time per
+instruction at two sizes, SIMD speedup over the forced scalar tier,
+per-row dictionary decode cost) against the floors and ceilings in
+ci/perf_floors.json. Ratios are taken
 within a single run, so the absolute speed of the CI machine cancels out;
 the floors are deliberately tolerant (see the JSON) to survive noisy
 shared runners while still catching the failure modes that matter: a
@@ -57,12 +58,16 @@ def check_micro(build, rules, failures):
     recs = run_json_lines([bench, "--smoke"], cwd=build)
     retried = None
     for rule in rules:
-        # Four rule shapes: fused-tier speedups over the switch baseline, a
+        # Five rule shapes: fused-tier speedups over the switch baseline, a
         # superinstruction count (exact, so a tier that silently stops
-        # firing fails even when timing noise hides it), and the two
+        # firing fails even when timing noise hides it), the two
         # observability overhead floors (traced/untraced and
-        # instrumented/bare resource accounting).
-        if "min_speedup_vs_switch" in rule:
+        # instrumented/bare resource accounting), and the translation
+        # linearity ceiling (a ratio that must stay below its bound).
+        ceiling = "max_ratio" in rule
+        if ceiling:
+            field, want = "ratio", rule["max_ratio"]
+        elif "min_speedup_vs_switch" in rule:
             field, want = "speedup_vs_switch", rule["min_speedup_vs_switch"]
         elif "min_fused_load_cmp_branches" in rule:
             field, want = ("fused_load_cmp_branches",
@@ -72,20 +77,25 @@ def check_micro(build, rules, failures):
         else:
             field, want = "ratio_vs_bare", rule["min_ratio_vs_bare"]
         key = dict(kernel=rule["kernel"], config=rule["config"])
+        missing = float("inf") if ceiling else 0.0
         rec = find(recs, **key)
-        got = rec[field] if rec else 0.0
-        if got < want:
+        got = rec[field] if rec else missing
+        if (got > want) if ceiling else (got < want):
             # One retry with a fresh run: --smoke budgets are short enough
             # that a scheduler hiccup can dent a single measurement.
             if retried is None:
                 retried = run_json_lines([bench, "--smoke"], cwd=build)
             rec2 = find(retried, **key)
-            got = max(got, rec2[field] if rec2 else 0.0)
-        status = "ok" if got >= want else "FAIL"
-        print(f"  [{status}] micro_vm_dispatch {rule['kernel']}/"
-              f"{rule['config']}: {field} {got:.2f} (floor {want})")
-        if got < want:
-            failures.append(f"micro_vm_dispatch {key}: {got:.2f} < {want}")
+            again = rec2[field] if rec2 else missing
+            got = min(got, again) if ceiling else max(got, again)
+        ok = got <= want if ceiling else got >= want
+        bound = "ceiling" if ceiling else "floor"
+        print(f"  [{'ok' if ok else 'FAIL'}] micro_vm_dispatch "
+              f"{rule['kernel']}/{rule['config']}: {field} {got:.2f} "
+              f"({bound} {want})")
+        if not ok:
+            failures.append(f"micro_vm_dispatch {key}: {got:.2f} vs "
+                            f"{bound} {want}")
 
 
 def check_strings_simd(build, simd, rules, probe, failures):

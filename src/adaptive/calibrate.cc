@@ -96,8 +96,10 @@ CostModelParams RunCalibration() {
 
   IrModule vm_mod("calibrate_vm");
   BuildCalibrationKernel(&vm_mod);
+  Status translated;
   BcProgram bytecode = TranslateToBytecode(
-      *vm_mod.module().getFunction("kernel"), registry, {});
+      *vm_mod.module().getFunction("kernel"), registry, {}, &translated);
+  AQE_CHECK_MSG(translated.ok(), translated.message().c_str());
   const double vm_rate = MeasureRate(
       kRows, kBudgetSeconds, [&] { VmExecute(bytecode, args, 3); });
 

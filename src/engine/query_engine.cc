@@ -184,8 +184,9 @@ struct EngineObs {
   /// number it holds (morsels, compiles, mode switches, the index.*
   /// counters), into the flamegraph and, when it completed, into the
   /// completion metrics and /profiles. Both completion paths call it before
-  /// the promise resolves. A query failed by its memory budget passes
-  /// `completed` false: it adds only the pipelines it finished.
+  /// the promise resolves. A failed query (its memory budget, a pipeline
+  /// it could not translate) passes `completed` false: it adds only the
+  /// pipelines it finished.
   /// `consulted_cache`: the query used the artifact cache, so each pruning
   /// analysis is a prune-cache hit or miss.
   void FoldResult(const QueryRunResult& result, int query_class,
@@ -518,29 +519,33 @@ class QueryJob : public Task {
     obs_->tracer.Record(worker, done);
   }
 
-  /// Runtime budget enforcement: when the tracker latched over-budget
-  /// (Charge never throws under VM/JIT frames; the flag is checked here,
-  /// at slice boundaries, where unwinding is safe), fail the future with
-  /// the typed error and release the admission slot. Returns true when the
-  /// query was failed. An active PipelineRun is destroyed through its
-  /// abandoned-run path (drain the domain, wait out in-flight helpers),
-  /// so no task touches freed state.
-  bool FailIfOverBudget(int worker) {
-    if (!memory_->over_budget()) return false;
+  /// Fails the future with the query's typed error at a slice boundary,
+  /// where unwinding is safe, and releases the admission slot: a pipeline
+  /// that could not be translated (failure_), or runtime budget
+  /// enforcement, when the tracker latched over-budget (Charge never throws
+  /// under VM/JIT frames). Returns true when the query was failed. An
+  /// active PipelineRun is destroyed through its abandoned-run path (drain
+  /// the domain, wait out in-flight helpers), so no task touches freed
+  /// state.
+  bool FinishIfFailed(int worker) {
+    if (failure_ == nullptr && !memory_->over_budget()) return false;
     const int64_t now = MonotonicNanos();
-    obs_->budget_rej_runtime->Add();
-    const uint64_t budget = memory_->soft_limit();
-    const uint64_t current = memory_->current_bytes();
-    // The run never completes (RecordServiceTime is skipped on this path),
-    // but the plan's record still learns its footprint, so the next
-    // submission of this plan is rejected at admission instead of executing
-    // to the failure point again.
-    if (entry_ != nullptr) {
-      const double service_ms = std::max(
-          0.0,
-          (SecondsSinceSubmit(now) - result_.queue_wait_seconds) * 1e3);
-      obs_->sentinel.ObserveBudgetFailure(entry_->key, service_ms,
-                                          memory_->peak_bytes());
+    if (failure_ == nullptr) {
+      obs_->budget_rej_runtime->Add();
+      failure_ = std::make_exception_ptr(MemoryBudgetExceeded(
+          scheduling_class(), memory_->soft_limit(), memory_->current_bytes(),
+          /*at_admission=*/false));
+      // The run never completes (RecordServiceTime is skipped on this
+      // path), but the plan's record still learns its footprint, so the
+      // next submission of this plan is rejected at admission instead of
+      // executing to the failure point again.
+      if (entry_ != nullptr) {
+        const double service_ms = std::max(
+            0.0,
+            (SecondsSinceSubmit(now) - result_.queue_wait_seconds) * 1e3);
+        obs_->sentinel.ObserveBudgetFailure(entry_->key, service_ms,
+                                            memory_->peak_bytes());
+      }
     }
     if (active_ != nullptr) {
       // The abandoned run's partial report goes with it.
@@ -550,8 +555,7 @@ class QueryJob : public Task {
     obs_->FoldResult(result_, scheduling_class(), entry_ != nullptr,
                      /*completed=*/false);
     RecordSliceEnd(worker, now, /*query_done=*/true);
-    promise_.set_exception(std::make_exception_ptr(MemoryBudgetExceeded(
-        scheduling_class(), budget, current, /*at_admission=*/false)));
+    promise_.set_exception(failure_);
     on_finished_();
     return true;
   }
@@ -560,7 +564,7 @@ class QueryJob : public Task {
   /// or controller checkpoint of the active run (a pipeline, or a parallel
   /// merge or seal).
   Status RunSlice(int worker) {
-    if (FailIfOverBudget(worker)) return Status::kDone;
+    if (FinishIfFailed(worker)) return Status::kDone;
     if (active_ != nullptr) {
       // Mid-run: one controller checkpoint per slice.
       if (active_->run->Step(worker) != Status::kDone) return Status::kYield;
@@ -573,7 +577,7 @@ class QueryJob : public Task {
       if (++stage_index_ < program_->stages().size()) return Status::kYield;
     }
     // The last stage may have grown past the budget inside its own slice.
-    if (FailIfOverBudget(worker)) return Status::kDone;
+    if (FinishIfFailed(worker)) return Status::kDone;
     result_.rows = std::move(ctx_->result);
     const int64_t done_nanos = MonotonicNanos();
     result_.total_seconds = SecondsSinceSubmit(done_nanos);
@@ -637,6 +641,8 @@ class QueryJob : public Task {
   bool started_ = false;
   uint64_t estimated_peak_bytes_ = 0;
   std::promise<QueryRunResult> promise_;
+  /// The typed error the next slice fails the query with, once set.
+  std::exception_ptr failure_;
   std::function<void()> on_finished_;
   /// The current pipeline stage has run its pipeline; what is left is
   /// merging the aggregation it fills.
@@ -828,6 +834,7 @@ void QueryJob::StartPipeline(const QueryProgram::Stage& stage,
     run->interpreted = {&spec, &source, ctx_.get()};
     task.state = &run->interpreted;
   }
+  if (run == nullptr) return;  // failure_ fails the query next slice
   run->is_pipeline = true;
   run->report = std::move(report);
   StartRun(std::move(run), std::move(task));
@@ -888,7 +895,8 @@ std::shared_ptr<const ScanDomain> QueryJob::PlanScan(
 /// result: (on miss) codegen + translation, handle seeding, the compile
 /// hook. Everything the run touches across suspensions moves into the
 /// returned ActiveRun; the pipeline's fields of `task` and `report` are
-/// filled in place.
+/// filled in place. Returns null when translation failed, with failure_
+/// set for the next slice.
 std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
     const PipelineSpec& spec, PipelineBindings bindings,
     ArtifactRequest request, CachedArtifacts cached, PipelineReport* report,
@@ -943,11 +951,17 @@ std::unique_ptr<QueryJob::ActiveRun> QueryJob::PrepareCompiledRun(
 
   if (need_translation) {
     Timer timer;
+    aqe::Status status;  // Task::Status shadows it here
     auto fresh = std::make_shared<BcProgram>(TranslateToBytecode(
         *generated.mod->module().getFunction("worker"), registry,
-        options.translator));
+        options.translator, &status));
     report->translate_millis = timer.ElapsedMillis();
     result_.translate_millis_total += report->translate_millis;
+    if (!status.ok()) {
+      failure_ = std::make_exception_ptr(
+          TranslationFailed(spec.name, status.message()));
+      return nullptr;
+    }
 
     if (entry_ != nullptr) {
       cache_instant(TraceEventKind::kCacheMiss, /*payload=*/0);
@@ -1367,9 +1381,11 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
       Timer timer;
       BcProgram bytecode = TranslateToBytecode(
           *generated.mod->module().getFunction("worker"), registry,
-          translator_options);
+          translator_options, &cost.bytecode_status);
       cost.bytecode_millis = timer.ElapsedMillis();
-      cost.register_file_bytes = bytecode.register_file_size;
+      if (cost.bytecode_status.ok()) {
+        cost.register_file_bytes = bytecode.register_file_size;
+      }
       cost.bytecode_ops = bytecode.code.size();
       cost.fused_ops = bytecode.fused_instructions;
       cost.fused_cmp_branches = bytecode.fused_cmp_branches;

@@ -3,6 +3,7 @@
 
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -107,10 +108,21 @@ struct PipelineCompileCosts {
   uint64_t bytecode_ops = 0;  ///< fixed-length VM instructions emitted
   uint64_t fused_ops = 0;     ///< LLVM instructions folded by macro fusion
   uint64_t fused_cmp_branches = 0;  ///< compare-and-branch superinstructions
+  /// TranslateToBytecode's status; the bytecode fields stay 0 on an error.
+  Status bytecode_status;
   uint64_t runtime_calls = 0;  ///< per-tuple opaque runtime calls (loop body)
   /// Runtime-call-density cost-model input (adaptive/cost_model.h):
   /// fraction of per-tuple time the model attributes to runtime calls.
   double runtime_call_fraction = 0;
+};
+
+/// Fails a query's future when one of its pipelines cannot be translated to
+/// bytecode (TranslateToBytecode's status): its registers do not fit the
+/// VM's 16-bit operand fields. The engine serves the next query as usual.
+class TranslationFailed : public std::runtime_error {
+ public:
+  TranslationFailed(const std::string& pipeline, const std::string& message)
+      : std::runtime_error(pipeline + ": " + message) {}
 };
 
 /// Engine-level construction options (the two-arg constructor covers the
@@ -154,7 +166,10 @@ class QueryEngine {
   /// queries; a single-threaded query runs each pipeline in one slice.
   /// `program` must stay alive until the future is ready. Destroying the
   /// engine abandons queued queries: their futures throw
-  /// std::future_error (broken_promise) — they never hang.
+  /// std::future_error (broken_promise) — they never hang. A query that
+  /// fails alone throws its typed error from the future:
+  /// MemoryBudgetExceeded, or TranslationFailed for a pipeline too large
+  /// for bytecode.
   std::future<QueryRunResult> Submit(const QueryProgram& program,
                                      const QueryRunOptions& options = {});
 

@@ -5,6 +5,7 @@
 
 #include <llvm/IR/Function.h>
 
+#include "common/status.h"
 #include "runtime/runtime_registry.h"
 #include "vm/bytecode.h"
 #include "vm/register_allocator.h"
@@ -55,16 +56,23 @@ TranslatorCounters TranslatorCountersSnapshot();
 void ResetTranslatorCounters();
 
 /// Translates `fn` into a BcProgram following Fig 9: compute liveness and
-/// block order, then translate block by block, allocating registers as
-/// values become live, folding subsumed instruction sequences, propagating
-/// phi values at block ends, and releasing registers whose values died.
-/// Linear in the size of the function.
+/// block order, select what each instruction emits, then translate block by
+/// block, allocating registers as values become live, folding swallowed
+/// instruction sequences, propagating phi values at block ends, and
+/// releasing registers whose values died. Linear in the size of the
+/// function.
 ///
 /// Calls must target functions registered in `registry` (resolved here, at
 /// translation time, so the interpreter just jumps through the immediate).
+///
+/// A program whose registers do not fit the instructions' 16-bit operand
+/// fields (more than 65,536 slots) cannot be encoded: with a `status`, that
+/// failure sets it to an error and returns an empty program; without one,
+/// it aborts. On success `*status` is OK.
 BcProgram TranslateToBytecode(const llvm::Function& fn,
                               const RuntimeRegistry& registry,
-                              const TranslatorOptions& options = {});
+                              const TranslatorOptions& options = {},
+                              Status* status = nullptr);
 
 }  // namespace aqe
 

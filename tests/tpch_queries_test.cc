@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <future>
 #include <map>
 #include <ostream>
 #include <string>
@@ -341,6 +343,174 @@ TEST_F(TpchQueryTest, VmDispatchCountsMatchPinned) {
     EXPECT_EQ(RowsDigest(result.rows), PinnedDigest(number)) << program.name();
   }
   engine_->set_vm_opcode_profiling(false);
+}
+
+/// The translator option sets the benches run: the fusion tiers of
+/// bench/ablation_fusion and bench/micro_vm_dispatch, then each register
+/// allocation strategy of bench/ablation_regalloc with default fusion.
+struct TranslatorConfig {
+  const char* label;
+  TranslatorOptions options;
+};
+
+std::vector<TranslatorConfig> TranslatorConfigs() {
+  const auto fusion = [](bool macro, bool cmp, bool load, bool chains) {
+    TranslatorOptions options;
+    options.fuse_macro_ops = macro;
+    options.fuse_cmp_branches = cmp;
+    options.fuse_load_cmp_branches = load;
+    options.fuse_branch_chains = chains;
+    return options;
+  };
+  const auto strategy = [](RegAllocStrategy s) {
+    TranslatorOptions options;
+    options.strategy = s;
+    return options;
+  };
+  return {
+      {"fusion off", fusion(false, false, false, false)},
+      {"macro", fusion(true, false, false, false)},
+      {"macro+cmpbr", fusion(true, true, false, true)},
+      {"fusion on", fusion(true, true, true, true)},
+      {"no-reuse", strategy(RegAllocStrategy::kNoReuse)},
+      {"window", strategy(RegAllocStrategy::kWindow)},
+      {"loop-aware", strategy(RegAllocStrategy::kLoopAware)},
+  };
+}
+
+/// Mixes a hash of everything a translated program runs with into `h`
+/// (FNV-1a): each instruction's opcode, operands and immediate, the
+/// register-file size, the constant pool, the argument slots and the four
+/// fusion counters. A literal-pool entry is a callee address, which moves
+/// between processes, so it is hashed by its runtime-registry name.
+uint64_t MixBytecode(const BcProgram& program, uint64_t h) {
+  const auto mix = [&h](uint64_t v) {
+    for (int i = 0; i < 8; ++i) {
+      h = (h ^ ((v >> (8 * i)) & 0xFF)) * 0x100000001B3ULL;
+    }
+  };
+  mix(program.code.size());
+  for (const BcInstruction& inst : program.code) {
+    mix(inst.op);
+    mix(inst.a1);
+    mix(inst.a2);
+    mix(inst.a3);
+    mix(inst.lit);
+  }
+  mix(program.register_file_size);
+  mix(program.constant_pool.size());
+  for (const BcProgram::PoolEntry& entry : program.constant_pool) {
+    mix(entry.slot);
+    mix(entry.value);
+  }
+  mix(program.literal_pool.size());
+  for (uint64_t address : program.literal_pool) {
+    const char* name = nullptr;
+    for (const auto& [n, entry] : RuntimeRegistry::Global().entries()) {
+      if (reinterpret_cast<uint64_t>(entry.address) == address) {
+        name = n.c_str();
+      }
+    }
+    EXPECT_NE(name, nullptr) << "literal is not a registered callee";
+    for (const char* c = name != nullptr ? name : ""; *c != '\0'; ++c) {
+      mix(static_cast<uint8_t>(*c));
+    }
+    mix(0);
+  }
+  mix(program.arg_offsets.size());
+  for (uint32_t slot : program.arg_offsets) mix(slot);
+  mix(program.source_instructions);
+  mix(program.fused_instructions);
+  mix(program.fused_cmp_branches);
+  mix(program.fused_load_cmp_branches);
+  return h;
+}
+
+/// The hash of every pipeline of `program` translated under `options`, in
+/// pipeline order.
+uint64_t BytecodeHash(const QueryProgram& program, const Catalog& catalog,
+                      const TranslatorOptions& options, uint64_t h) {
+  auto ctx = program.MakeContext(&catalog);
+  for (const PipelineSpec& spec : program.pipelines()) {
+    PipelineBindings bindings = BindPipeline(program, spec, *ctx);
+    GeneratedPipeline gen =
+        GeneratePipeline(spec, bindings, LiteralForm::kBound);
+    h = MixBytecode(
+        TranslateToBytecode(*gen.mod->module().getFunction("worker"),
+                            RuntimeRegistry::Global(), options),
+        h);
+  }
+  return h;
+}
+
+// The translator's output, instruction for instruction: one hash per TPC-H
+// query's bytecode under the default options, one over every query per
+// option set the benches use, and the §V-E generated query at N = 50. A
+// change to how the translator selects or emits must leave every program
+// as it was; a change to codegen shows here too.
+TEST_F(TpchQueryTest, BytecodeMatchesPinned) {
+  constexpr uint64_t kSeed = 0xCBF29CE484222325ULL;
+  const std::pair<int, uint64_t> per_query[] = {
+      {1, 0xf3d7910dcd046317ULL},  {3, 0x9008ee9d47313c63ULL},
+      {4, 0x004d5593ebcd1ac6ULL},  {5, 0xef57e34b8b82b406ULL},
+      {6, 0x80bb409eb63c6178ULL},  {7, 0xc0792017a1bfb1acULL},
+      {9, 0x14ff2d62f92c2c07ULL},  {10, 0x2dad9b2ee8f50336ULL},
+      {11, 0x209b8b34dfa36776ULL}, {12, 0x655ac49ba6a9d3f7ULL},
+      {14, 0x55019fbc7aa27caaULL}, {18, 0x8bdc9fc1819ae187ULL},
+      {19, 0x94727c6514082ddaULL},
+  };
+  for (const auto& [number, pin] : per_query) {
+    QueryProgram program = BuildTpchQuery(number, *catalog_);
+    const uint64_t h = BytecodeHash(program, *catalog_, {}, kSeed);
+    EXPECT_EQ(h, pin) << program.name() << std::hex << ": 0x" << h;
+  }
+  const std::pair<const char*, uint64_t> per_config[] = {
+      {"fusion off", 0x0dfc84ca1bc38f60ULL},
+      {"macro", 0xc5f60027186429a1ULL},
+      {"macro+cmpbr", 0x2a2df8a39b09f811ULL},
+      {"fusion on", 0xae4ac865ee57006fULL},
+      {"no-reuse", 0x317f795817831f63ULL},
+      {"window", 0xae4ac865ee57006fULL},
+      {"loop-aware", 0xae4ac865ee57006fULL},
+  };
+  const std::vector<TranslatorConfig> configs = TranslatorConfigs();
+  ASSERT_EQ(configs.size(), std::size(per_config));
+  for (size_t c = 0; c < configs.size(); ++c) {
+    ASSERT_STREQ(configs[c].label, per_config[c].first);
+    uint64_t h = kSeed;
+    for (int number : ImplementedTpchQueries()) {
+      h = BytecodeHash(BuildTpchQuery(number, *catalog_), *catalog_,
+                       configs[c].options, h);
+    }
+    EXPECT_EQ(h, per_config[c].second)
+        << configs[c].label << std::hex << ": 0x" << h;
+  }
+  const uint64_t generated = BytecodeHash(
+      BuildGeneratedAggregateQuery(50, *catalog_), *catalog_, {}, kSeed);
+  EXPECT_EQ(generated, 0x134b5902664d6ef3ULL)
+      << "generated_50" << std::hex << ": 0x" << generated;
+}
+
+// Every translator option set the benches use returns each query's pinned
+// rows: single-threaded bytecode, artifact cache off, so each run
+// translates under its own options.
+TEST_F(TpchQueryTest, EveryTranslatorOptionSetMatchesPinnedDigest) {
+  for (const TranslatorConfig& config : TranslatorConfigs()) {
+    QueryRunOptions options;
+    options.strategy = ExecutionStrategy::kBytecode;
+    options.single_threaded = true;
+    options.use_artifact_cache = false;
+    options.translator = config.options;
+    for (const auto& [number, digest] : kPinnedDigests) {
+      QueryProgram program =
+          number > 0 ? BuildTpchQuery(number, *catalog_)
+                     : BuildGeneratedAggregateQuery(-number, *catalog_);
+      const uint64_t actual = RowsDigest(engine_->Run(program, options).rows);
+      EXPECT_EQ(actual, digest) << program.name() << " under "
+                                << config.label << std::hex << ": 0x"
+                                << actual;
+    }
+  }
 }
 
 // The plans themselves: each builder's program at SF 0.01, fingerprinted.
@@ -799,6 +969,40 @@ TEST_F(TpchFixtureTest, GeneratedQueryAllEnginesAgree) {
   QueryRunOptions jit;
   jit.strategy = ExecutionStrategy::kUnoptimized;
   EXPECT_EQ(engine.Run(jit_q, jit).rows, reference);
+}
+
+// A pipeline whose registers overflow the VM's 16-bit operand fields fails
+// its query with a typed error instead of aborting the process: ~3 slots per
+// aggregate put N = 22,000 past 65,536. With one query admitted at a time,
+// the next query runs only if the failed one gave its admission slot back.
+// MeasureCompileCosts reports the failure in its costs; without register
+// reuse (~16 slots per aggregate) N = 4,500 is enough.
+TEST_F(TpchFixtureTest, OversizedProgramFailsItsQueryAndTheEngineGoesOn) {
+  QueryEngine engine(&catalog(), 2);
+  engine.set_max_concurrent_queries(1);
+  QueryRunOptions bytecode;
+  bytecode.strategy = ExecutionStrategy::kBytecode;
+  QueryProgram oversized = BuildGeneratedAggregateQuery(22000, catalog());
+  try {
+    engine.Submit(oversized, bytecode).get();
+    ADD_FAILURE() << "an oversized program ran";
+  } catch (const TranslationFailed& e) {
+    EXPECT_NE(std::string(e.what()).find("register slots"), std::string::npos)
+        << e.what();
+  }
+  QueryProgram q6 = BuildTpchQuery(6, catalog());
+  std::future<QueryRunResult> next = engine.Submit(q6, bytecode);
+  ASSERT_EQ(next.wait_for(std::chrono::seconds(30)),
+            std::future_status::ready);
+  EXPECT_EQ(RowsDigest(next.get().rows), PinnedDigest(6));
+
+  TranslatorOptions no_reuse;
+  no_reuse.strategy = RegAllocStrategy::kNoReuse;
+  const std::vector<PipelineCompileCosts> costs = engine.MeasureCompileCosts(
+      BuildGeneratedAggregateQuery(4500, catalog()), false, false, no_reuse);
+  ASSERT_EQ(costs.size(), 1u);
+  EXPECT_FALSE(costs[0].bytecode_status.ok());
+  EXPECT_EQ(costs[0].bytecode_ops, 0u);
 }
 
 TEST_F(TpchFixtureTest, RegisterAllocationAblationOnRealQuery) {

@@ -1218,6 +1218,28 @@ TEST(VmDispatchTest, DisassembleRoundTripsEveryOpcode) {
   }
 }
 
+// A program needing more register slots than the 16-bit operand fields
+// address cannot be encoded: translation reports it through its status (the
+// engine fails that query) instead of aborting. Each distinct constant holds
+// its own slot, so 70,000 of them overflow the 65,536 slots.
+TEST(VmDispatchTest, OversizedProgramReportsStatus) {
+  IrModule mod("test");
+  llvm::IRBuilder<> b(mod.context());
+  llvm::Function* fn = MakeF(&mod, &b);
+  llvm::Value* acc = fn->getArg(0);
+  for (uint64_t i = 0; i < 70000; ++i) {
+    acc = b.CreateXor(acc, b.getInt64(1000 + i));
+  }
+  b.CreateRet(acc);
+  Status status;
+  BcProgram program =
+      TranslateToBytecode(*fn, TestRegistry(), {}, &status);
+  EXPECT_FALSE(status.ok());
+  EXPECT_NE(status.message().find("register slots"), std::string::npos)
+      << status.message();
+  EXPECT_TRUE(program.code.empty());
+}
+
 TEST(VmDispatchTest, CompactEncodingIs16Bytes) {
   static_assert(sizeof(BcInstruction) == 16, "compact encoding");
   EXPECT_EQ(sizeof(BcInstruction), 16u);
