@@ -37,8 +37,7 @@ int main() {
       QueryRunResult r = engine.Run(q, options);
       // Count translated ops via compile-cost API for the same setting.
       QueryProgram q2 = BuildTpchQuery(number, *catalog);
-      auto costs =
-          engine.MeasureCompileCosts(q2, false, false, options.translator);
+      auto costs = engine.MeasureCompileCosts(q2, false, options.translator);
       uint64_t instrs = 0, fused = 0, cmp_brs = 0;
       for (const auto& c : costs) {
         instrs += c.bytecode_ops;

@@ -20,8 +20,7 @@ void Report(QueryEngine* engine, const Catalog& catalog,
     QueryProgram q = build(arg, catalog);
     TranslatorOptions options;
     options.strategy = strategy;
-    auto costs =
-        engine->MeasureCompileCosts(q, false, false, options);
+    auto costs = engine->MeasureCompileCosts(q, false, options);
     uint32_t bytes = 0;
     double ms = 0;
     for (const auto& c : costs) {

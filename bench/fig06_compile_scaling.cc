@@ -45,9 +45,8 @@ int main() {
   // Linear fit compile_ms = base + per_instr * n that minimizes the squared
   // *relative* error (weights 1/y^2). The cost model weighs a compile
   // against the execution time it saves, so a 1 ms miss on a 2 ms compile
-  // matters as much as a 50 ms miss on a 100 ms one. An unweighted fit is
-  // set by the few largest generated pipelines, whose optimized compile
-  // grows faster than linearly, and drives the optimized intercept below 0.
+  // matters as much as a 50 ms miss on a 100 ms one; an unweighted fit
+  // would be set by the few largest generated pipelines alone.
   auto fit = [&points](auto get) {
     double s = 0, sx = 0, sy = 0, sxx = 0, sxy = 0;
     for (const Point& p : points) {

@@ -13,12 +13,13 @@
 // generated code), a scan-filter count, and a synthetic expression loop
 // (compare/branch/arithmetic heavy, the worst case for dispatch overhead).
 // Then the CI gates' kernels: tracing and memory-accounting overhead, and
-// translation time per instruction.
+// translation and optimized-compile time per instruction.
 //
 // Each config prints one machine-readable JSON line (also written to
 // BENCH_micro_vm_dispatch.json, one snapshot per run) so each PR's perf
 // numbers can be archived and compared.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
@@ -219,6 +220,65 @@ void Report(const char* kernel, std::vector<Measurement>& results,
     std::printf("%s\n", line);
     if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
   }
+}
+
+/// The §V-E generated query with `n` aggregates, bound for code generation
+/// of its one pipeline; nothing runs.
+struct GeneratedQueryKernel {
+  QueryProgram program;
+  std::unique_ptr<QueryContext> ctx;
+  PipelineBindings bindings;
+  GeneratedPipeline bound;  ///< the worker with bound literals
+
+  GeneratedQueryKernel(Catalog* catalog, int n)
+      : program(BuildGeneratedAggregateQuery(n, *catalog)) {
+    ctx = program.MakeContext(catalog);
+    bindings = BindPipeline(program, program.pipelines()[0], *ctx);
+    bound = Generate(LiteralForm::kBound);
+  }
+  GeneratedPipeline Generate(LiteralForm form) const {
+    return GeneratePipeline(program.pipelines()[0], bindings, form);
+  }
+  const llvm::Function& worker() const {
+    return *bound.mod->module().getFunction("worker");
+  }
+};
+
+/// Times one stage, `seconds(kernel)`, on the generated query at `sizes[0]`
+/// and `sizes[1]` aggregates: the minimum over repeats (at least 3, and
+/// until `budget` passes) per LLVM instruction of the worker. Prints both
+/// and emits their ratio, the number a linearity ceiling gates.
+template <typename Fn>
+void ReportLinearity(const char* label, const char* kernel, Catalog* catalog,
+                     const std::array<int, 2>& sizes, double budget,
+                     const Fn& seconds, std::FILE* json_out) {
+  double us_per_instruction[2] = {0, 0};
+  for (int i = 0; i < 2; ++i) {
+    GeneratedQueryKernel k(catalog, sizes[i]);
+    double best = 1e30;
+    Timer total;
+    for (int rep = 0; rep < 3 || total.ElapsedSeconds() < budget; ++rep) {
+      best = std::min(best, seconds(k));
+    }
+    us_per_instruction[i] =
+        best * 1e6 / static_cast<double>(k.worker().getInstructionCount());
+  }
+  const double ratio = us_per_instruction[1] / us_per_instruction[0];
+  std::printf("\n%-18s %14s %10s\n", label, "us/instr", "ratio");
+  for (int i = 0; i < 2; ++i) {
+    std::printf("n=%-16d %14.4f %9.2fx\n", sizes[i], us_per_instruction[i],
+                us_per_instruction[i] / us_per_instruction[0]);
+  }
+  char line[256];
+  std::snprintf(line, sizeof(line),
+                "{\"bench\":\"micro_vm_dispatch\",\"kernel\":\"%s\","
+                "\"config\":\"n%d_over_n%d\","
+                "\"us_per_instruction_n%d\":%.4f,"
+                "\"us_per_instruction_n%d\":%.4f,\"ratio\":%.4f}",
+                kernel, sizes[1], sizes[0], sizes[0], us_per_instruction[0],
+                sizes[1], us_per_instruction[1], ratio);
+  std::printf("%s\n", line);
+  if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
 }
 
 /// Runs `fn` repeatedly until ~`budget_seconds` elapsed; returns calls/sec
@@ -506,49 +566,35 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- kernel 6: translation linearity -------------------------------------
-  // The translator is linear (§IV, Fig 15): the §V-E generated query's
-  // translation time per LLVM instruction, each the minimum over repeats,
-  // at N = 50 and N = 2,000 aggregates. Their ratio must stay under the
-  // ceiling in ci/perf_floors.json; a pass that walks a block per
-  // instruction grows it with N.
+  // --- kernel 6: translation and optimized-compile linearity --------------
+  // The translator is linear (§IV, Fig 15), and so is the optimized tier's
+  // pass list (src/jit/DESIGN.md). Each ratio must stay under its ceiling
+  // in ci/perf_floors.json: a translator pass that walks a block per
+  // instruction grows the first with N, and GVN grows the second.
   {
     Catalog* catalog = bench::TpchAtScale(sf);
-    double us_per_instruction[2] = {0, 0};
-    const int sizes[2] = {50, 2000};
-    for (int i = 0; i < 2; ++i) {
-      QueryProgram program = BuildGeneratedAggregateQuery(sizes[i], *catalog);
-      auto ctx = program.MakeContext(catalog);
-      const PipelineSpec& spec = program.pipelines()[0];
-      GeneratedPipeline gen = GeneratePipeline(
-          spec, BindPipeline(program, spec, *ctx), LiteralForm::kBound);
-      const llvm::Function& fn = *gen.mod->module().getFunction("worker");
-      double best = 1e30;
-      Timer total;
-      for (int rep = 0; rep < 3 || total.ElapsedSeconds() < budget; ++rep) {
-        Timer timer;
-        TranslateToBytecode(fn, RuntimeRegistry::Global());
-        best = std::min(best, timer.ElapsedSeconds());
-      }
-      us_per_instruction[i] =
-          best * 1e6 / static_cast<double>(fn.getInstructionCount());
-    }
-    const double ratio = us_per_instruction[1] / us_per_instruction[0];
-    std::printf("\n%-18s %14s %10s\n", "translate", "us/instr", "ratio");
-    for (int i = 0; i < 2; ++i) {
-      std::printf("n=%-16d %14.4f %9.2fx\n", sizes[i], us_per_instruction[i],
-                  us_per_instruction[i] / us_per_instruction[0]);
-    }
-    char line[256];
-    std::snprintf(line, sizeof(line),
-                  "{\"bench\":\"micro_vm_dispatch\","
-                  "\"kernel\":\"translate-linearity\","
-                  "\"config\":\"n2000_over_n50\","
-                  "\"us_per_instruction_n50\":%.4f,"
-                  "\"us_per_instruction_n2000\":%.4f,\"ratio\":%.4f}",
-                  us_per_instruction[0], us_per_instruction[1], ratio);
-    std::printf("%s\n", line);
-    if (json_out != nullptr) std::fprintf(json_out, "%s\n", line);
+    ReportLinearity(
+        "translate", "translate-linearity", catalog, {50, 2000}, budget,
+        [](const GeneratedQueryKernel& k) {
+          Timer timer;
+          TranslateToBytecode(k.worker(), RuntimeRegistry::Global());
+          return timer.ElapsedSeconds();
+        },
+        json_out);
+    // A fresh module per repeat: JitCompile consumes it.
+    ReportLinearity(
+        "jit-opt compile", "jit-opt-linearity", catalog, {50, 400}, budget,
+        [](const GeneratedQueryKernel& k) {
+          GeneratedPipeline gen = k.Generate(LiteralForm::kImmediate);
+          Timer timer;
+          Status status;
+          auto compiled = JitCompile(std::move(*gen.mod), JitMode::kOptimized,
+                                     RuntimeRegistry::Global(), &status);
+          const double seconds = timer.ElapsedSeconds();
+          AQE_CHECK_MSG(status.ok(), status.message().c_str());
+          return seconds;
+        },
+        json_out);
   }
 
   if (json_out != nullptr) std::fclose(json_out);

@@ -181,8 +181,8 @@ int main(int argc, char** argv) {
       // Runtime-call density of this plan's scan pipeline (cost-model
       // input; ~0 on the bitmap path).
       QueryProgram cost_probe = BuildLikeCount(*catalog, w, strategy);
-      const auto costs = engine.MeasureCompileCosts(
-          cost_probe, /*measure_unopt=*/false, /*measure_opt=*/false);
+      const auto costs =
+          engine.MeasureCompileCosts(cost_probe, /*measure_jit=*/false);
       const double call_fraction =
           costs.empty() ? 0 : costs.front().runtime_call_fraction;
 

@@ -3,15 +3,16 @@
 
 Runs the dispatch microbenchmark and the string-predicate benchmark in
 --smoke mode and checks the performance *ratios* they report (fused-tier
-speedup over the plain switch interpreter, translation time per
-instruction at two sizes, SIMD speedup over the forced scalar tier,
-per-row dictionary decode cost) against the floors and ceilings in
-ci/perf_floors.json. Ratios are taken
-within a single run, so the absolute speed of the CI machine cancels out;
-the floors are deliberately tolerant (see the JSON) to survive noisy
-shared runners while still catching the failure modes that matter: a
-superinstruction tier silently stops firing, the SIMD dispatch falls back
-to scalar, or a translator change pessimizes the IR the JIT compiles.
+speedup over the plain switch interpreter, translation and optimized
+compile time per instruction at two sizes, SIMD speedup over the forced
+scalar tier, per-row dictionary decode cost) against the floors and
+ceilings in ci/perf_floors.json. Ratios are taken within a single run,
+so the absolute speed of the CI machine cancels out; the floors are
+deliberately tolerant (see the JSON) to survive noisy shared runners while
+still catching the failure modes that matter: a superinstruction tier
+silently stops firing, the SIMD dispatch falls back to scalar, a
+translator change pessimizes the IR the JIT compiles, or the optimized
+pass list stops compiling in linear time.
 
 Usage: check_perf_floors.py [build_dir]   (default: build)
 
@@ -62,8 +63,9 @@ def check_micro(build, rules, failures):
         # superinstruction count (exact, so a tier that silently stops
         # firing fails even when timing noise hides it), the two
         # observability overhead floors (traced/untraced and
-        # instrumented/bare resource accounting), and the translation
-        # linearity ceiling (a ratio that must stay below its bound).
+        # instrumented/bare resource accounting), and the linearity
+        # ceilings of translation and of the optimized compile (ratios
+        # that must stay below their bound).
         ceiling = "max_ratio" in rule
         if ceiling:
             field, want = "ratio", rule["max_ratio"]

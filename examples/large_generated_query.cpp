@@ -1,7 +1,8 @@
 // The §V-E scenario: a machine-generated query (hundreds of aggregate
-// expressions, as BI tools emit) where optimized compilation alone costs
-// more than the whole interpreted execution — the workload that makes fast
-// bytecode translation indispensable.
+// expressions, as BI tools emit). Prints each tier's compile cost, runs the
+// query interpreted, compiled up front and adaptively, and compares the
+// optimized compile against the whole interpreted run. Fig 15 tracks how
+// these costs grow with the query.
 #include <cstdio>
 
 #include "common/timer.h"
@@ -22,8 +23,7 @@ int main() {
 
   // Compilation costs first (without running).
   QueryProgram probe = BuildGeneratedAggregateQuery(kAggregates, catalog);
-  auto costs = engine.MeasureCompileCosts(probe, /*measure_unopt=*/true,
-                                          /*measure_opt=*/true);
+  auto costs = engine.MeasureCompileCosts(probe);
   std::printf("worker function: %llu LLVM instructions\n",
               (unsigned long long)costs[0].instructions);
   std::printf("  bytecode translation: %8.1f ms\n", costs[0].bytecode_millis);
@@ -31,6 +31,7 @@ int main() {
   std::printf("  optimized compile:    %8.1f ms\n", costs[0].opt_millis);
 
   // Now run it end to end, interpreted vs compiled-up-front.
+  double bytecode_ms = 0;
   for (auto [label, strategy] :
        {std::pair{"bytecode", ExecutionStrategy::kBytecode},
         std::pair{"optimized", ExecutionStrategy::kOptimized},
@@ -42,8 +43,15 @@ int main() {
     QueryRunResult r = engine.Run(q, options);
     std::printf("%-10s total %8.1f ms (compile %8.1f ms)\n", label,
                 r.total_seconds * 1e3, r.compile_millis_total);
+    if (strategy == ExecutionStrategy::kBytecode) {
+      bytecode_ms = r.total_seconds * 1e3;
+    }
   }
-  std::printf("\nthe interpreter finishes before the optimizing compiler "
-              "would have produced code — §V-E's point\n");
+  std::printf("\noptimized compile %.1f ms against the whole interpreted "
+              "run's %.1f ms: %s\n",
+              costs[0].opt_millis, bytecode_ms,
+              costs[0].opt_millis < bytecode_ms
+                  ? "the compiler has code before the interpreter finishes"
+                  : "the interpreter finishes before the compiler has code");
   return 0;
 }

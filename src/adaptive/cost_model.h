@@ -22,7 +22,10 @@ struct CostModelParams {
   // defaults made the controller compile earlier and lose to the static
   // modes: the benchsuite's adaptive.vs_best_static went from 0.85 to 1.04
   // on adhoc-sf0.3 and from 0.92 to 0.96 on concurrent-sf0.1 (medians of 2
-  // traced runs each).
+  // traced runs each). Since EarlyCSE replaced global value numbering in
+  // the optimized pass list (src/jit/DESIGN.md), the optimized fit reads
+  // 2.35 ms + 18.6 us, against 1.85 ms + 36.8 us before (medians of 3
+  // alternating runs). The constants have not been re-fit to it.
   double unopt_base_seconds = 2e-3;
   double unopt_per_instruction_seconds = 9e-6;
   double opt_base_seconds = 5e-3;

@@ -1355,7 +1355,7 @@ QueryRunResult QueryEngine::Run(const QueryProgram& program,
 }
 
 std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
-    const QueryProgram& program, bool measure_unopt, bool measure_opt,
+    const QueryProgram& program, bool measure_jit,
     const TranslatorOptions& translator_options) {
   std::vector<PipelineCompileCosts> costs;
   // Code generation reads only the bindings (addresses, column types,
@@ -1400,8 +1400,10 @@ std::vector<PipelineCompileCosts> QueryEngine::MeasureCompileCosts(
       AQE_CHECK_MSG(status.ok(), status.message().c_str());
       return timer.ElapsedMillis();
     };
-    if (measure_unopt) cost.unopt_millis = jit_millis(JitMode::kUnoptimized);
-    if (measure_opt) cost.opt_millis = jit_millis(JitMode::kOptimized);
+    if (measure_jit) {
+      cost.unopt_millis = jit_millis(JitMode::kUnoptimized);
+      cost.opt_millis = jit_millis(JitMode::kOptimized);
+    }
     costs.push_back(std::move(cost));
   }
   return costs;

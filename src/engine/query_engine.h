@@ -275,12 +275,11 @@ class QueryEngine {
   std::vector<AnomalyRecord> RecentAnomalies() const;
 
   /// Measures code generation / bytecode translation / machine-code
-  /// compilation costs for every pipeline of `program`. `measure_jit`
-  /// can be disabled when only translation times matter (huge generated
-  /// queries, Fig 15, where optimized compilation takes minutes).
+  /// compilation costs for every pipeline of `program`. With `measure_jit`
+  /// off, neither JIT mode compiles, for callers that need only the
+  /// instruction counts and translation.
   std::vector<PipelineCompileCosts> MeasureCompileCosts(
-      const QueryProgram& program, bool measure_unopt = true,
-      bool measure_opt = true,
+      const QueryProgram& program, bool measure_jit = true,
       const TranslatorOptions& translator_options = {});
 
  private:

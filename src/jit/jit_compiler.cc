@@ -23,7 +23,6 @@
 #include <llvm/Target/TargetMachine.h>
 #include <llvm/Transforms/InstCombine/InstCombine.h>
 #include <llvm/Transforms/Scalar.h>
-#include <llvm/Transforms/Scalar/GVN.h>
 #include <llvm/Transforms/Utils.h>
 
 #include "common/timer.h"
@@ -31,12 +30,13 @@
 namespace aqe {
 namespace {
 
-/// Runs the paper's §V optimization pass list over the module.
+/// Runs the paper's §V optimization pass list over the module, with
+/// EarlyCSE as its common-subexpression elimination (src/jit/DESIGN.md).
 void RunOptimizationPasses(llvm::Module* module) {
   llvm::legacy::FunctionPassManager fpm(module);
   fpm.add(llvm::createInstructionCombiningPass());  // peephole
   fpm.add(llvm::createReassociatePass());
-  fpm.add(llvm::createGVNPass());  // common subexpression elimination
+  fpm.add(llvm::createEarlyCSEPass(/*UseMemorySSA=*/true));
   fpm.add(llvm::createCFGSimplificationPass());
   fpm.add(llvm::createAggressiveDCEPass());
   fpm.doInitialization();
@@ -286,11 +286,10 @@ class JitSession {
 class OrcCompiledModule : public CompiledModule {
  public:
   OrcCompiledModule(JitSession* session, LinkedCode code,
-                    double ir_pass_millis, double codegen_millis)
+                    double ir_pass_millis)
       : session_(session),
         code_(std::move(code)),
-        ir_pass_millis_(ir_pass_millis),
-        codegen_millis_(codegen_millis) {}
+        ir_pass_millis_(ir_pass_millis) {}
 
   ~OrcCompiledModule() override { session_->Remove(*code_.dylib); }
 
@@ -300,14 +299,12 @@ class OrcCompiledModule : public CompiledModule {
   }
 
   double ir_pass_millis() const override { return ir_pass_millis_; }
-  double codegen_millis() const override { return codegen_millis_; }
   uint64_t code_bytes() const override { return code_.code_bytes; }
 
  private:
   JitSession* session_;
   LinkedCode code_;
   double ir_pass_millis_;
-  double codegen_millis_;
 };
 
 }  // namespace
@@ -341,7 +338,6 @@ std::unique_ptr<CompiledModule> JitCompile(IrModule mod, JitMode mode,
     if (!fn.isDeclaration()) function_names.push_back(fn.getName().str());
   }
 
-  Timer codegen_timer;
   auto object = session->Codegen(mod.module(), mode);
   if (!object) {
     *status = ErrorStatus(object.takeError());
@@ -352,11 +348,10 @@ std::unique_ptr<CompiledModule> JitCompile(IrModule mod, JitMode mode,
     *status = ErrorStatus(code.takeError());
     return nullptr;
   }
-  const double codegen_millis = codegen_timer.ElapsedMillis();
 
   *status = Status::OK();
   return std::make_unique<OrcCompiledModule>(session, std::move(*code),
-                                             ir_pass_millis, codegen_millis);
+                                             ir_pass_millis);
 }
 
 }  // namespace aqe

@@ -14,10 +14,13 @@ namespace aqe {
 /// Machine-code generation modes (§V "unoptimized" / "optimized"):
 ///  - kUnoptimized: no IR passes, fast instruction selection, lowest backend
 ///    optimization level — cheap compilation, decent code.
-///  - kOptimized: the paper's hand-picked IR pass list (peephole/instcombine,
-///    reassociate, common-subexpression elimination via GVN, CFG
-///    simplification, aggressive DCE) plus full backend optimization —
-///    expensive compilation, fastest code.
+///  - kOptimized: instcombine (peephole), reassociate, EarlyCSE over
+///    MemorySSA, CFG simplification and aggressive DCE, plus full backend
+///    optimization — dearer compilation, fastest code. This departs from
+///    the paper's hand-picked list, which eliminates common subexpressions
+///    by global value numbering: that pass's time per instruction grows
+///    with the function, so a large generated query's compile grew
+///    superlinearly, while EarlyCSE's stays flat (src/jit/DESIGN.md).
 enum class JitMode { kUnoptimized, kOptimized };
 
 const char* JitModeName(JitMode mode);
@@ -37,8 +40,6 @@ class CompiledModule {
 
   /// Time spent running IR optimization passes (ms; 0 for unoptimized).
   virtual double ir_pass_millis() const = 0;
-  /// Time spent generating and linking machine code (ms).
-  virtual double codegen_millis() const = 0;
   /// Bytes of the code and data sections the linker allocated for this
   /// module. The artifact cache charges this against its byte budget.
   virtual uint64_t code_bytes() const = 0;

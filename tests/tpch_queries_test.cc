@@ -947,8 +947,8 @@ TEST_F(TpchFixtureTest, GeneratedQueryScalesInstructions) {
   QueryEngine engine(&catalog(), 1);
   QueryProgram small = BuildGeneratedAggregateQuery(10, catalog());
   QueryProgram large = BuildGeneratedAggregateQuery(100, catalog());
-  auto small_costs = engine.MeasureCompileCosts(small, false, false);
-  auto large_costs = engine.MeasureCompileCosts(large, false, false);
+  auto small_costs = engine.MeasureCompileCosts(small, false);
+  auto large_costs = engine.MeasureCompileCosts(large, false);
   ASSERT_EQ(small_costs.size(), 1u);
   ASSERT_EQ(large_costs.size(), 1u);
   // ~10x the aggregates -> ~10x the instructions.
@@ -969,6 +969,26 @@ TEST_F(TpchFixtureTest, GeneratedQueryAllEnginesAgree) {
   QueryRunOptions jit;
   jit.strategy = ExecutionStrategy::kUnoptimized;
   EXPECT_EQ(engine.Run(jit_q, jit).rows, reference);
+
+  // The optimized pass list over the query's checked arithmetic, compiled
+  // cold: up front, adaptively, and at N = 200, where a superlinear pass
+  // list would dominate the test's time.
+  for (ExecutionStrategy strategy :
+       {ExecutionStrategy::kOptimized, ExecutionStrategy::kAdaptive}) {
+    QueryProgram q = BuildGeneratedAggregateQuery(25, catalog());
+    QueryRunOptions options;
+    options.strategy = strategy;
+    options.use_artifact_cache = false;
+    EXPECT_EQ(engine.Run(q, options).rows, reference)
+        << ExecutionStrategyName(strategy);
+  }
+  QueryProgram large_ref = BuildGeneratedAggregateQuery(200, catalog());
+  QueryProgram large_opt = BuildGeneratedAggregateQuery(200, catalog());
+  QueryRunOptions opt;
+  opt.strategy = ExecutionStrategy::kOptimized;
+  opt.use_artifact_cache = false;
+  EXPECT_EQ(engine.Run(large_opt, opt).rows,
+            engine.Run(large_ref, ReferenceOptions()).rows);
 }
 
 // A pipeline whose registers overflow the VM's 16-bit operand fields fails
@@ -999,7 +1019,7 @@ TEST_F(TpchFixtureTest, OversizedProgramFailsItsQueryAndTheEngineGoesOn) {
   TranslatorOptions no_reuse;
   no_reuse.strategy = RegAllocStrategy::kNoReuse;
   const std::vector<PipelineCompileCosts> costs = engine.MeasureCompileCosts(
-      BuildGeneratedAggregateQuery(4500, catalog()), false, false, no_reuse);
+      BuildGeneratedAggregateQuery(4500, catalog()), false, no_reuse);
   ASSERT_EQ(costs.size(), 1u);
   EXPECT_FALSE(costs[0].bytecode_status.ok());
   EXPECT_EQ(costs[0].bytecode_ops, 0u);
@@ -1011,11 +1031,11 @@ TEST_F(TpchFixtureTest, RegisterAllocationAblationOnRealQuery) {
   QueryEngine engine(&catalog(), 1);
   QueryProgram big = BuildGeneratedAggregateQuery(200, catalog());
   TranslatorOptions loop_aware;
-  auto aware = engine.MeasureCompileCosts(big, false, false, loop_aware);
+  auto aware = engine.MeasureCompileCosts(big, false, loop_aware);
   QueryProgram big2 = BuildGeneratedAggregateQuery(200, catalog());
   TranslatorOptions no_reuse;
   no_reuse.strategy = RegAllocStrategy::kNoReuse;
-  auto noreuse = engine.MeasureCompileCosts(big2, false, false, no_reuse);
+  auto noreuse = engine.MeasureCompileCosts(big2, false, no_reuse);
   EXPECT_LT(aware[0].register_file_bytes * 3, noreuse[0].register_file_bytes);
 }
 
