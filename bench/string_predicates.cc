@@ -36,9 +36,12 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/page_allocator.h"
+#include "common/random.h"
 #include "common/timer.h"
 #include "plan/builder.h"
 #include "simd/simd.h"
+#include "storage/dictionary.h"
 #include "strings/like_lowering.h"
 
 using namespace aqe;
@@ -391,6 +394,71 @@ int main(int argc, char** argv) {
           static_cast<long long>(count), ns_per_row, selected_fraction);
       EmitJson(zline, json_out);
     }
+  }
+
+  // --- bulk-load sort: the worst input order over a shuffled one -----------
+  // 20 k distinct random 12-byte strings, bulk-loaded on one thread (below
+  // Dictionary::kParallelBulkLoad) shuffled, sorted, reversed, and one of
+  // them 20 k times, each the minimum of 3 loads. The sort's pivot is a
+  // median of 3 and its partitions per depth are capped, so no order may
+  // cost more than a constant times the shuffled one; a pivot that
+  // degrades on presorted input makes the ratio grow with the count.
+  {
+    constexpr size_t kStrings = 20000;
+    static_assert(kStrings < Dictionary::kParallelBulkLoad);
+    Random rng(0xB01Du);
+    std::vector<std::string> sorted;
+    while (sorted.size() < kStrings) {
+      std::string s(12, '\0');
+      for (char& c : s) c = static_cast<char>(rng.NextBelow(256));
+      sorted.push_back(std::move(s));
+      if (sorted.size() == kStrings) {
+        std::sort(sorted.begin(), sorted.end());
+        sorted.erase(std::unique(sorted.begin(), sorted.end()), sorted.end());
+      }
+    }
+    std::vector<std::string> shuffled = sorted;
+    for (size_t i = shuffled.size(); i > 1; --i) {
+      std::swap(shuffled[i - 1], shuffled[rng.NextBelow(i)]);
+    }
+    const std::vector<std::string> reversed(sorted.rbegin(), sorted.rend());
+    const std::vector<std::string> repeated(kStrings, sorted[kStrings / 2]);
+    const auto min_load_ms = [](const std::vector<std::string>& values) {
+      PageVector<char> bytes;
+      PageVector<uint64_t> ends;
+      for (const std::string& v : values) {
+        bytes.insert(bytes.end(), v.begin(), v.end());
+        ends.push_back(bytes.size());
+      }
+      double best = 0;
+      for (int r = 0; r < 3; ++r) {
+        Dictionary dictionary;
+        Timer timer;
+        dictionary.BulkLoad(bytes, ends);
+        const double ms = timer.ElapsedMillis();
+        if (r == 0 || ms < best) best = ms;
+      }
+      return best;
+    };
+    const double shuffled_ms = min_load_ms(shuffled);
+    const double sorted_ms = min_load_ms(sorted);
+    const double reversed_ms = min_load_ms(reversed);
+    const double repeated_ms = min_load_ms(repeated);
+    const double worst_over_shuffled =
+        std::max({sorted_ms, reversed_ms, repeated_ms}) / shuffled_ms;
+    std::printf("\nbulk load of %zu strings: shuffled %.2f ms, sorted %.2f, "
+                "reversed %.2f, repeated %.2f -> worst %.2fx shuffled\n",
+                kStrings, shuffled_ms, sorted_ms, reversed_ms, repeated_ms,
+                worst_over_shuffled);
+    char bline[384];
+    std::snprintf(bline, sizeof(bline),
+                  "{\"bench\":\"string_predicates\",\"kernel\":\"bulk-load\","
+                  "\"config\":\"worst_over_shuffled\",\"ratio\":%.3f,"
+                  "\"shuffled_ms\":%.3f,\"sorted_ms\":%.3f,"
+                  "\"reversed_ms\":%.3f,\"repeated_ms\":%.3f}",
+                  worst_over_shuffled, shuffled_ms, sorted_ms,
+                  reversed_ms, repeated_ms);
+    EmitJson(bline, json_out);
   }
 
   const double bitmap_advantage =

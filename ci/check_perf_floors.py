@@ -5,14 +5,16 @@ Runs the dispatch microbenchmark and the string-predicate benchmark in
 --smoke mode and checks the performance *ratios* they report (fused-tier
 speedup over the plain switch interpreter, translation and optimized
 compile time per instruction at two sizes, SIMD speedup over the forced
-scalar tier, per-row dictionary decode cost) against the floors and
-ceilings in ci/perf_floors.json. Ratios are taken within a single run,
+scalar tier, per-row dictionary decode cost, the dictionary sort's worst
+input order over a shuffled one) against the floors and ceilings in
+ci/perf_floors.json. Ratios are taken within a single run,
 so the absolute speed of the CI machine cancels out; the floors are
 deliberately tolerant (see the JSON) to survive noisy shared runners while
 still catching the failure modes that matter: a superinstruction tier
 silently stops firing, the SIMD dispatch falls back to scalar, a
-translator change pessimizes the IR the JIT compiles, or the optimized
-pass list stops compiling in linear time.
+translator change pessimizes the IR the JIT compiles, the optimized pass
+list stops compiling in linear time, or the string sort goes quadratic on
+presorted input.
 
 Usage: check_perf_floors.py [build_dir]   (default: build)
 
@@ -157,6 +159,22 @@ def check_strings_index(simd, rules, failures):
                 f"string_predicates index {name}: {got:.2f} vs {rel} {bound}")
 
 
+def check_strings_ceiling(build, label, read, records, want, failures):
+    """A ceiling on one within-run ratio of the default string_predicates
+    run: `read(records)` returns it (inf if missing). A reading above the
+    ceiling is retried once with a fresh run, as for the dispatch ratios."""
+    got = read(records)
+    if got > want:
+        got = min(got, read(run_json_lines(
+            [os.path.join("bench", "string_predicates"), "--smoke"],
+            cwd=build)))
+    status = "ok" if got <= want else "FAIL"
+    print(f"  [{status}] string_predicates {label}: {got:.2f} "
+          f"(ceiling {want})")
+    if got > want:
+        failures.append(f"string_predicates {label}: {got:.2f} > {want}")
+
+
 def check_strings_decode(build, simd, rules, failures):
     """Per-row decode ceiling: the highcard runtime-call path (o_comment,
     one front-coded string decoded per row) over the dict runtime-call path
@@ -167,20 +185,24 @@ def check_strings_decode(build, simd, rules, failures):
         summary = next((r["summary"] for r in records if "summary" in r), {})
         return summary.get("highcard_call_over_dict_call", float("inf"))
 
-    got = ratio(simd)
-    want = rules["max_highcard_call_over_dict_call"]
-    if got > want:
-        # One retry with a fresh run, as for the dispatch ratios.
-        got = min(got, ratio(run_json_lines(
-            [os.path.join("bench", "string_predicates"), "--smoke"],
-            cwd=build)))
-    status = "ok" if got <= want else "FAIL"
-    print(f"  [{status}] string_predicates highcard_call_over_dict_call: "
-          f"{got:.2f} (ceiling {want})")
-    if got > want:
-        failures.append(
-            f"string_predicates highcard_call_over_dict_call: {got:.2f} > "
-            f"{want}")
+    check_strings_ceiling(build, "highcard_call_over_dict_call", ratio, simd,
+                          rules["max_highcard_call_over_dict_call"], failures)
+
+
+def check_strings_bulk_load(build, records, rule, failures):
+    """Worst-case ceiling on the dictionary's string sort: the slowest of a
+    sorted, a reversed and a one-string bulk load over a shuffled one. A
+    pivot or partition that degrades on presorted or tied input raises it
+    with the string count; machine speed cancels out."""
+    key = dict(bench="string_predicates", kernel=rule["kernel"],
+               config=rule["config"])
+
+    def ratio(recs):
+        rec = find(recs, **key)
+        return rec["ratio"] if rec else float("inf")
+
+    check_strings_ceiling(build, f"{rule['kernel']}/{rule['config']}", ratio,
+                          records, rule["max_ratio"], failures)
 
 
 def main():
@@ -208,6 +230,9 @@ def main():
     print("perf gate: string_predicates per-row decode ratio")
     check_strings_decode(build, strings, floors["string_predicates_decode"],
                          failures)
+    print("perf gate: string_predicates bulk-load sort ratio")
+    check_strings_bulk_load(build, strings,
+                            floors["string_predicates_bulk_load"], failures)
     if failures:
         print("perf gate FAILED:")
         for f_ in failures:

@@ -1,5 +1,7 @@
 #include "common/fork_join.h"
 
+#include <sched.h>
+
 #include <algorithm>
 #include <atomic>
 #include <exception>
@@ -10,6 +12,13 @@
 namespace aqe {
 
 size_t ForkJoinWidth() {
+  // hardware_concurrency() counts the machine's CPUs, also those the
+  // affinity mask excludes.
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (sched_getaffinity(0, sizeof(set), &set) == 0) {
+    return std::max<size_t>(1, static_cast<size_t>(CPU_COUNT(&set)));
+  }
   return std::max<size_t>(1, std::thread::hardware_concurrency());
 }
 

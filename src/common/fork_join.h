@@ -6,8 +6,9 @@
 
 namespace aqe {
 
-/// Threads ForkJoin runs on, the caller included: hardware_concurrency(),
-/// at least 1.
+/// Threads ForkJoin runs on, the caller included: the CPUs the calling
+/// thread's affinity mask lets it run on (hardware_concurrency() if the
+/// mask cannot be read), at least 1.
 size_t ForkJoinWidth();
 
 /// Runs task(0) .. task(n - 1), each exactly once, on up to ForkJoinWidth()

@@ -27,13 +27,12 @@ void Column::Resize(uint64_t rows) {
 
 namespace {
 
-/// `v` as a T; CHECK-fails if it does not fit.
+constexpr const char* kTooWide = "value exceeds its column's declared width";
+
 template <typename T>
-T Narrow(int64_t v) {
-  AQE_CHECK_MSG(v >= std::numeric_limits<T>::min() &&
-                    v <= std::numeric_limits<T>::max(),
-                "value exceeds its column's declared width");
-  return static_cast<T>(v);
+bool Fits(int64_t v) {
+  return v >= std::numeric_limits<T>::min() &&
+         v <= std::numeric_limits<T>::max();
 }
 
 }  // namespace
@@ -41,7 +40,8 @@ T Narrow(int64_t v) {
 void Column::AppendInt(int64_t v) {
   VisitIntColumn(std::as_const(*this), [&](const auto* values) {
     using T = std::remove_const_t<std::remove_pointer_t<decltype(values)>>;
-    const T narrow = Narrow<T>(v);
+    AQE_CHECK_MSG(Fits<T>(v), kTooWide);
+    const auto narrow = static_cast<T>(v);
     const auto* bytes = reinterpret_cast<const uint8_t*>(&narrow);
     // Byte-wise push_back keeps vector's inline fast path; a range insert
     // is an out-of-line call per value, which the catalog load feels.
@@ -50,10 +50,19 @@ void Column::AppendInt(int64_t v) {
   ++size_;
 }
 
-void Column::SetInt(uint64_t row, int64_t v) {
-  AQE_CHECK(row < size_);
-  VisitIntColumn(*this, [&](auto* values) {
-    values[row] = Narrow<std::remove_pointer_t<decltype(values)>>(v);
+void Column::SetInts(uint64_t first_row, const int64_t* values,
+                     size_t count) {
+  AQE_CHECK_MSG(first_row <= size_ && count <= size_ - first_row,
+                "rows past the column's size");
+  VisitIntColumn(*this, [&](auto* column) {
+    using T = std::remove_pointer_t<decltype(column)>;
+    // Every value is checked before the first store; the check has no
+    // early exit, so the loop stays branch-free.
+    bool fits = true;
+    for (size_t i = 0; i < count; ++i) fits &= Fits<T>(values[i]);
+    AQE_CHECK_MSG(fits, kTooWide);
+    T* out = column + first_row;
+    for (size_t i = 0; i < count; ++i) out[i] = static_cast<T>(values[i]);
   });
 }
 

@@ -94,7 +94,7 @@ class Column {
   void* mutable_data() { return data_.data(); }
 
   /// Sizes the column to `rows` values so that writers can fill disjoint
-  /// row ranges with SetInt concurrently. New rows hold no defined value
+  /// row ranges with SetInts concurrently. New rows hold no defined value
   /// until written, and are not touched here: their pages are first
   /// touched by their writers.
   void Resize(uint64_t rows);
@@ -102,9 +102,14 @@ class Column {
   /// Appends an integer to an integer column of any width. CHECK-fails if
   /// `v` does not fit the declared width: a value is never truncated.
   void AppendInt(int64_t v);
-  /// Overwrites row `row` < size() of an integer column, with AppendInt's
-  /// width check.
-  void SetInt(uint64_t row, int64_t v);
+  /// Overwrites rows [first_row, first_row + count) of an integer column
+  /// with values[0, count). CHECK-fails before it stores anything if a row
+  /// reaches past size() or a value does not fit the declared width, so
+  /// no value is ever truncated; then it stores through the typed pointer,
+  /// with one width dispatch for the whole batch.
+  void SetInts(uint64_t first_row, const int64_t* values, size_t count);
+  /// SetInts of one value.
+  void SetInt(uint64_t row, int64_t v) { SetInts(row, &v, 1); }
   void AppendF64(double v);
 
   int32_t GetI32(uint64_t row) const;

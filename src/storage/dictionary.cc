@@ -20,12 +20,13 @@ std::string_view ListEntry(const char* bytes, const uint64_t* ends,
   return {bytes + begin, static_cast<size_t>(ends[i] - begin)};
 }
 
-/// One string's sort key at one depth of the MSD sort, compared as an
-/// integer: its big-endian 8-byte digit at that depth (zero-padded past the
-/// string's end) in the top 64 bits, then how many of the digit's bytes the
-/// string has (0..8, or 9 if it goes on past the digit), then its index.
-/// The byte count orders "ab" before "ab\0", whose digits tie; only keys
-/// that tie on a 9 need the next digit.
+/// One string's sort key at one depth of the MSD sort, an integer: its
+/// big-endian 8-byte digit at that depth (zero-padded past the string's
+/// end) in the top 64 bits, then how many of the digit's bytes the string
+/// has (0..8, or 9 if it goes on past the digit), then its index. The sort
+/// orders keys by their rank, the digit and byte count; the byte count
+/// orders "ab" before "ab\0", whose digits tie. Keys that tie on a rank
+/// with a count of 9 need the next digit; other ties are equal strings.
 using SortKey = unsigned __int128;
 
 SortKey MakeSortKey(std::string_view s, size_t depth, uint32_t index) {
@@ -41,38 +42,118 @@ SortKey MakeSortKey(std::string_view s, size_t depth, uint32_t index) {
 
 uint32_t KeyIndex(SortKey key) { return static_cast<uint32_t>(key); }
 
-/// Sorts keys[0, n), built at depth 0, into string order: sorts a run of
-/// keys as integers, then re-keys each run within it that ties on digit and
-/// a byte count of 9 at the next depth and sorts that run the same way.
+SortKey Rank(SortKey key) { return key >> 32; }
+
+bool GoesOn(SortKey rank) { return static_cast<uint32_t>(rank) == 9; }
+
+bool RankBefore(SortKey a, SortKey b) { return Rank(a) < Rank(b); }
+
+/// Runs of fewer keys are insertion-sorted.
+constexpr size_t kInsertionSortKeys = 24;
+
+/// Partitions a run of n keys may take at one depth before it falls back
+/// to std::sort: 2 floor(log2 n), introsort's depth limit.
+size_t PartitionBudget(size_t n) {
+  return 2 * static_cast<size_t>(63 - __builtin_clzll(n));
+}
+
+/// Sorts keys[0, n), built at depth 0, into string order: a three-way radix
+/// quicksort on 8-byte digits (Bentley and Sedgewick, "Fast algorithms for
+/// sorting and searching strings", SODA 1997). A run splits around the
+/// median of its first, middle and last ranks into the keys below, equal
+/// to and above it. The outer two stay at the run's depth; the equal part,
+/// if its strings go on past the digit, is re-keyed at the next depth.
+/// Runs below kInsertionSortKeys are insertion-sorted, and a run that has
+/// used its PartitionBudget is std::sort-ed by rank, so each depth is
+/// O(n log n) at worst. Equal strings come out in any order.
 void SortKeys(const char* bytes, const uint64_t* ends, SortKey* keys,
               size_t n) {
   struct Run {
     size_t lo, hi, depth;
+    size_t partitions_left;
   };
-  PageVector<Run> runs;  // an explicit stack: depth grows with the length
-  runs.push_back({0, n, 0});
+  // An explicit stack: depth grows with the strings' length, and nothing
+  // recurses per digit.
+  PageVector<Run> runs;
+  // Re-keys keys[lo, hi), whose strings tie on a digit at `depth` and go
+  // on past it, at the next depth.
+  const auto descend = [&](size_t lo, size_t hi, size_t depth) {
+    if (hi - lo < 2) return;
+    for (size_t i = lo; i < hi; ++i) {
+      const uint32_t index = KeyIndex(keys[i]);
+      keys[i] = MakeSortKey(ListEntry(bytes, ends, index), depth + 1, index);
+    }
+    runs.push_back({lo, hi, depth + 1, PartitionBudget(hi - lo)});
+  };
+  if (n >= 2) runs.push_back({0, n, 0, PartitionBudget(n)});
   while (!runs.empty()) {
     const Run run = runs.back();
     runs.pop_back();
-    std::sort(keys + run.lo, keys + run.hi);
-    for (size_t lo = run.lo, hi; lo < run.hi; lo = hi) {
-      const SortKey tie = keys[lo] >> 32;
-      for (hi = lo + 1; hi < run.hi && keys[hi] >> 32 == tie; ++hi) {
+    SortKey* const first = keys + run.lo;
+    SortKey* const last = keys + run.hi;
+    if (run.hi - run.lo < kInsertionSortKeys || run.partitions_left == 0) {
+      if (run.hi - run.lo < kInsertionSortKeys) {
+        for (SortKey* next = first + 1; next < last; ++next) {
+          const SortKey key = *next;
+          SortKey* at = next;
+          for (; at > first && RankBefore(key, at[-1]); --at) *at = at[-1];
+          *at = key;
+        }
+      } else {
+        std::sort(first, last, RankBefore);
       }
-      if (hi - lo < 2 || static_cast<uint32_t>(tie) != 9) continue;
-      for (size_t i = lo; i < hi; ++i) {
-        const uint32_t index = KeyIndex(keys[i]);
-        keys[i] =
-            MakeSortKey(ListEntry(bytes, ends, index), run.depth + 1, index);
+      for (size_t lo = run.lo, hi; lo < run.hi; lo = hi) {
+        const SortKey rank = Rank(keys[lo]);
+        for (hi = lo + 1; hi < run.hi && Rank(keys[hi]) == rank; ++hi) {
+        }
+        if (GoesOn(rank)) descend(lo, hi, run.depth);
       }
-      runs.push_back({lo, hi, run.depth + 1});
+      continue;
+    }
+    const SortKey x = Rank(*first), y = Rank(first[(run.hi - run.lo) / 2]),
+                  z = Rank(last[-1]);
+    const SortKey pivot = std::max(std::min(x, y), std::min(std::max(x, y), z));
+    // Bentley and McIlroy's split-end partition, as in the paper: b and c
+    // scan in from the ends and swap the pairs on the wrong side, so
+    // presorted keys stay put, and keys equal to the pivot gather at both
+    // ends.
+    size_t a = run.lo, b = run.lo, c = run.hi, d = run.hi;
+    for (;;) {
+      for (; b < c; ++b) {
+        const SortKey rank = Rank(keys[b]);
+        if (rank > pivot) break;
+        if (rank == pivot) std::swap(keys[a++], keys[b]);
+      }
+      for (; b < c; --c) {
+        const SortKey rank = Rank(keys[c - 1]);
+        if (rank < pivot) break;
+        if (rank == pivot) std::swap(keys[c - 1], keys[--d]);
+      }
+      if (b == c) break;
+      std::swap(keys[b++], keys[--c]);
+    }
+    // [run.lo, a) and [d, run.hi) equal the pivot, [a, b) rank below it
+    // and [c, d) above, and b == c. The equal keys swap into the middle.
+    const size_t left = std::min(a - run.lo, b - a);
+    std::swap_ranges(first, first + left, keys + b - left);
+    const size_t right = std::min(d - c, run.hi - d);
+    std::swap_ranges(keys + c, keys + c + right, last - right);
+    const size_t lt = run.lo + (b - a), gt = run.hi - (d - c);
+    if (GoesOn(pivot)) descend(lt, gt, run.depth);
+    // The smaller outer part is popped first, so a depth keeps O(log n)
+    // runs waiting.
+    Run below{run.lo, lt, run.depth, run.partitions_left - 1};
+    Run above{gt, run.hi, run.depth, run.partitions_left - 1};
+    if (lt - run.lo < run.hi - gt) std::swap(below, above);
+    for (const Run& part : {below, above}) {
+      if (part.hi - part.lo >= 2) runs.push_back(part);
     }
   }
 }
 
 /// The one string sort: returns the indexes of the `n` strings of the list
-/// in byte-wise (unsigned) order, equal strings in any order. An MSD sort on
-/// 8-byte digits. From Dictionary::kParallelBulkLoad strings on, the keys
+/// in byte-wise (unsigned) order, equal strings in any order: SortKeys'
+/// radix quicksort. From Dictionary::kParallelBulkLoad strings on, the keys
 /// are scattered into buckets by their first two bytes in ForkJoinWidth()
 /// chunks, and the buckets, largest first, are sorted on as many threads;
 /// below it one chunk fills one bucket.

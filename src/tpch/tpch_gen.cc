@@ -312,35 +312,64 @@ struct LineCounter {
   void Order(const OrdersRow&) {}
 };
 
-/// The writers' sink: writes rows from the given ones on into the sized
-/// orders and lineitem columns, each value width-checked.
+/// Rows bound for kColumns consecutive integer columns of one table,
+/// buffered a column batch at a time on the writer's stack: a generator
+/// helper may take no large buffer from malloc (see src/obs/DESIGN.md).
+/// A value costs one store to the buffer. Each flush stores a column's
+/// rows with one SetInts, which checks every row and width before it
+/// stores any, with one width dispatch per column per batch.
+template <size_t kColumns>
+class ColumnBatch {
+ public:
+  /// Writes rows from `first_row` on into columns [first_column,
+  /// first_column + kColumns) of `table`.
+  ColumnBatch(Table* table, int first_column, uint64_t first_row)
+      : table_(table), first_column_(first_column), first_row_(first_row) {}
+
+  void Add(const std::array<int64_t, kColumns>& row) {
+    for (size_t c = 0; c < kColumns; ++c) values_[c][rows_] = row[c];
+    if (++rows_ == kBatchRows) Flush();
+  }
+
+  /// Stores the buffered rows. A writer calls it once more at its end.
+  void Flush() {
+    for (size_t c = 0; c < kColumns; ++c) {
+      table_->column(first_column_ + static_cast<int>(c))
+          .SetInts(first_row_, values_[c], rows_);
+    }
+    first_row_ += rows_;
+    rows_ = 0;
+  }
+
+ private:
+  static constexpr size_t kBatchRows = 256;
+
+  Table* table_;
+  int first_column_;
+  uint64_t first_row_;
+  size_t rows_ = 0;
+  int64_t values_[kColumns][kBatchRows];
+};
+
+/// The writers' sink: one range's writer, which batches its orders and
+/// lines from the given rows on into the sized orders and lineitem
+/// columns: 44 KiB of buffers on the range task's stack.
 class RowWriter {
  public:
   RowWriter(Table* orders, Table* lineitem, uint64_t order_row,
             uint64_t line_row)
-      : orders_(orders),
-        lineitem_(lineitem),
-        order_row_(order_row),
-        line_row_(line_row) {}
+      : orders_(orders, 0, order_row), lines_(lineitem, 0, line_row) {}
 
-  void Line(const LineitemRow& values) {
-    Write(lineitem_, line_row_++, values);
+  void Line(const LineitemRow& values) { lines_.Add(values); }
+  void Order(const OrdersRow& values) { orders_.Add(values); }
+  void Flush() {
+    orders_.Flush();
+    lines_.Flush();
   }
-  void Order(const OrdersRow& values) { Write(orders_, order_row_++, values); }
-  uint64_t line_row() const { return line_row_; }
 
  private:
-  template <size_t N>
-  static void Write(Table* table, uint64_t row,
-                    const std::array<int64_t, N>& values) {
-    for (size_t c = 0; c < N; ++c) {
-      table->column(static_cast<int>(c)).SetInt(row, values[c]);
-    }
-  }
-
-  Table* orders_;
-  Table* lineitem_;
-  uint64_t order_row_, line_row_;
+  ColumnBatch<std::tuple_size_v<OrdersRow>> orders_;
+  ColumnBatch<std::tuple_size_v<LineitemRow>> lines_;
 };
 
 /// The orders in one range of a replay split, which one task writes. Small
@@ -349,14 +378,16 @@ class RowWriter {
 constexpr uint64_t kOrdersPerRange = 1024;
 
 /// Writes orders [0, count) of one generator stream in parallel ranges of
-/// kOrdersPerRange. `replay(o, rng, position)` and `write(o, rng, position)`
-/// each draw order o from `rng` and return the output position (a row, a
-/// byte offset) after it; only `write` writes. A replay on this thread draws
-/// every order in turn and records the stream's state and the position at
-/// the start of each range; `size(end)` then sizes the output on this
-/// thread, and the ranges are written from their recorded states. Every
-/// range starts where one pass writing every order in turn would be, so
-/// the values do not depend on the range size.
+/// kOrdersPerRange. `replay(o, rng, position)` draws order o from `rng` and
+/// returns the output position (a row, a byte offset) after it, writing
+/// nothing. A replay on this thread draws every order in turn and records
+/// the stream's state and the position at the start of each range;
+/// `size(end)` then sizes the output on this thread, and each range is one
+/// `write(first, end, rng, position)` call, which draws orders [first,
+/// end) from the range's recorded state and writes them from its recorded
+/// position on, so a range keeps one writer. Every range starts where one
+/// pass writing every order in turn would be, so the values do not depend
+/// on the range size.
 template <typename Replay, typename Size, typename Write>
 void ReplaySplit(uint64_t count, Random* rng, const Replay& replay,
                  const Size& size, const Write& write) {
@@ -374,12 +405,9 @@ void ReplaySplit(uint64_t count, Random* rng, const Replay& replay,
   size(position);
   ForkJoin(starts.size(), [&](size_t r) {
     Random range_rng = starts[r].rng;
-    uint64_t range_position = starts[r].position;
     const uint64_t first = r * kOrdersPerRange;
-    for (uint64_t o = first; o < std::min(count, first + kOrdersPerRange);
-         ++o) {
-      range_position = write(o, &range_rng, range_position);
-    }
+    write(first, std::min(count, first + kOrdersPerRange), &range_rng,
+          starts[r].position);
   });
 }
 
@@ -409,10 +437,13 @@ void GenOrdersAndLineitem(Catalog* catalog, const Cardinalities& card,
           lineitem->column(c).Resize(lines);
         }
       },
-      [&](uint64_t o, Random* order_rng, uint64_t line_row) {
-        RowWriter writer(orders, lineitem, o, line_row);
-        generator.Generate(o, order_rng, &writer);
-        return writer.line_row();
+      [&](uint64_t first, uint64_t end, Random* range_rng,
+          uint64_t line_row) {
+        RowWriter writer(orders, lineitem, first, line_row);
+        for (uint64_t o = first; o < end; ++o) {
+          generator.Generate(o, range_rng, &writer);
+        }
+        writer.Flush();
       });
 }
 
@@ -478,15 +509,18 @@ void GenOrderComments(Table* orders, uint64_t order_count) {
         return ends[o] = end + Comment(order_rng).size();
       },
       [&](uint64_t end) { bytes.resize(end); },
-      [&](uint64_t o, Random* order_rng, uint64_t offset) {
-        Comment(order_rng).CopyTo(bytes.data() + offset);
-        return ends[o];
+      [&](uint64_t first, uint64_t end, Random* range_rng, uint64_t offset) {
+        for (uint64_t o = first; o < end; ++o) {
+          Comment(range_rng).CopyTo(bytes.data() + offset);
+          offset = ends[o];
+        }
       });
   const int column = orders->ColumnIndex("o_comment");
   const PageVector<int32_t> codes =
       orders->dictionary(column).BulkLoad(bytes, ends);
-  Column& o_comment = orders->column(column);
-  for (uint64_t o = 0; o < order_count; ++o) o_comment.SetInt(o, codes[o]);
+  ColumnBatch<1> o_comment(orders, column, 0);
+  for (uint64_t o = 0; o < order_count; ++o) o_comment.Add({codes[o]});
+  o_comment.Flush();
 }
 
 }  // namespace

@@ -1,8 +1,10 @@
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <set>
 
 #include "common/fixed_point.h"
+#include "common/fork_join.h"
 #include "common/random.h"
 #include "common/status.h"
 #include "common/timer.h"
@@ -120,6 +122,23 @@ TEST(TimerTest, FormatDuration) {
   EXPECT_EQ(FormatDuration(0.0000123), "12.3us");
   EXPECT_EQ(FormatDuration(0.0123), "12.30ms");
   EXPECT_EQ(FormatDuration(1.5), "1.50s");
+}
+
+// ForkJoinWidth counts the CPUs the calling thread may run on, not the
+// machine's: pinned to two CPUs, it reads 2.
+TEST(ForkJoinTest, WidthCountsTheAffinityMask) {
+  cpu_set_t saved;
+  ASSERT_EQ(sched_getaffinity(0, sizeof(saved), &saved), 0);
+  if (CPU_COUNT(&saved) < 2) GTEST_SKIP() << "needs two CPUs";
+  cpu_set_t two;
+  CPU_ZERO(&two);
+  for (int cpu = 0; CPU_COUNT(&two) < 2; ++cpu) {
+    if (CPU_ISSET(cpu, &saved)) CPU_SET(cpu, &two);
+  }
+  ASSERT_EQ(sched_setaffinity(0, sizeof(two), &two), 0);
+  const size_t width = ForkJoinWidth();
+  ASSERT_EQ(sched_setaffinity(0, sizeof(saved), &saved), 0);
+  EXPECT_EQ(width, 2u);
 }
 
 }  // namespace

@@ -369,5 +369,33 @@ TEST(NarrowColumnDeathTest, SetOutOfRangeValueFails) {
   }
 }
 
+// A batch is checked whole before anything is stored: one value mid-batch
+// that does not fit fails it, and so does a batch that ends past size().
+TEST(NarrowColumnDeathTest, SetIntsChecksTheWholeBatch) {
+  for (const OutOfRangeCase& c : kOutOfRangeCases) {
+    Column column("x", c.type);
+    column.Resize(5);
+    const int64_t fits = c.value > 0 ? c.value - 1 : c.value + 1;
+    std::vector<int64_t> values = {fits, -1, fits, 0, fits};
+    column.SetInts(0, values.data(), values.size());
+    for (uint64_t row = 0; row < values.size(); ++row) {
+      EXPECT_EQ(column.GetAsI64(row), values[row]);
+    }
+    values[2] = c.value;
+    EXPECT_DEATH(column.SetInts(0, values.data(), values.size()),
+                 "declared width")
+        << DataTypeName(c.type) << " " << c.value;
+  }
+  for (DataType type :
+       {DataType::kI8, DataType::kI16, DataType::kI32, DataType::kI64}) {
+    Column column("x", type);
+    column.Resize(5);
+    const int64_t values[3] = {1, 2, 3};
+    column.SetInts(2, values, 3);  // ends at size()
+    EXPECT_DEATH(column.SetInts(3, values, 3), "past the column's size")
+        << DataTypeName(type);
+  }
+}
+
 }  // namespace
 }  // namespace aqe

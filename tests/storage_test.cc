@@ -392,6 +392,108 @@ TEST(BulkLoadDifferentialTest, ParallelPath) {
   BulkLoadAndExpectMatchesReference(values, ShortProbes(&rng));
 }
 
+// The sort's hard orders, each loaded below kParallelBulkLoad (one bucket
+// on one thread) and at it (buckets by the first two bytes on every
+// thread). Quicksort's bad cases are ties and presorted runs; the radix
+// quicksort also ties whole runs on a digit.
+constexpr size_t kSortSizes[] = {1000, Dictionary::kParallelBulkLoad};
+
+/// `n` distinct strings in sorted order: a shared 10-byte stem, so the
+/// sort re-keys past it, then the number in 6 digits.
+std::vector<std::string> SortedDistinct(size_t n) {
+  std::vector<std::string> values;
+  for (size_t i = 0; i < n; ++i) {
+    const std::string number = std::to_string(i);
+    values.push_back("sorted key" + std::string(6 - number.size(), '0') +
+                     number);
+  }
+  return values;
+}
+
+TEST(BulkLoadSortTest, AllEqualStrings) {
+  for (size_t n : kSortSizes) {
+    SCOPED_TRACE(n);
+    const std::vector<std::string> values(n, "the one string, 30 bytes long");
+    BulkLoadAndExpectMatchesReference(values, {values[0], "the", ""});
+  }
+}
+
+TEST(BulkLoadSortTest, SortedAndReverseSortedDistinctStrings) {
+  for (size_t n : kSortSizes) {
+    SCOPED_TRACE(n);
+    std::vector<std::string> values = SortedDistinct(n);
+    const std::vector<std::string> probes = {values[0], values[n / 2],
+                                             "sorted key0", "zz"};
+    BulkLoadAndExpectMatchesReference(values, probes);
+    std::reverse(values.begin(), values.end());
+    BulkLoadAndExpectMatchesReference(values, probes);
+  }
+}
+
+// Musser's median-of-3 killer ("Introspective Sorting and Selection
+// Algorithms", 1997): for n = 2k, position i (from 1) holds i for odd
+// i <= k, k + i - 1 for even i <= k, and 2(i - k) after k, each value
+// written as one 8-byte big-endian digit so every key is distinct at
+// depth 0 and lands in one bucket. Without the partition cap the sort
+// goes quadratic on it (100x a shuffled order at 60 k keys); with it, the
+// run falls back to std::sort.
+TEST(BulkLoadSortTest, MedianOfThreeKillerPermutation) {
+  for (size_t n : kSortSizes) {
+    SCOPED_TRACE(n);
+    const size_t k = n / 2;
+    std::vector<std::string> values;
+    for (size_t i = 1; i <= n; ++i) {
+      const uint64_t v = i > k ? 2 * (i - k) : (i % 2 == 1 ? i : k + i - 1);
+      std::string digit(8, '\0');
+      for (int b = 0; b < 8; ++b) {
+        digit[static_cast<size_t>(b)] = static_cast<char>(v >> (56 - 8 * b));
+      }
+      values.push_back(std::move(digit));
+    }
+    BulkLoadAndExpectMatchesReference(values, {values[0], values[n - 1], ""});
+  }
+}
+
+// o_comment's shape: 4 to 8 words of a 16-word vocabulary, so most keys of
+// a bucket tie on their first digit and many on later ones.
+TEST(BulkLoadSortTest, CommentShapedStrings) {
+  static constexpr const char* kWords[16] = {
+      "carefully", "quickly",  "furiously",   "ironic", "final",
+      "pending",   "bold",     "regular",     "express", "deposits",
+      "accounts",  "packages", "theodolites", "foxes",  "ideas",
+      "platelets"};
+  Random rng(43);
+  for (size_t n : kSortSizes) {
+    SCOPED_TRACE(n);
+    std::vector<std::string> values;
+    for (size_t i = 0; i < n; ++i) {
+      std::string comment = kWords[rng.NextBelow(16)];
+      for (uint64_t w = 3 + rng.NextBelow(5); w > 0; --w) {
+        comment = comment + " " + kWords[rng.NextBelow(16)];
+      }
+      values.push_back(std::move(comment));
+    }
+    BulkLoadAndExpectMatchesReference(
+        values, {values[0], "carefully quickly", "ideas ", "special", ""});
+  }
+}
+
+// Two 1 MiB strings that differ only in their last byte tie on 131,071
+// digits, so the sort re-keys them that many depths deep: a sort that
+// recursed once per digit would need as many stack frames. Their prefixes
+// end inside and on a digit boundary.
+TEST(BulkLoadSortTest, LongStringsTieToTheirLastDigit) {
+  constexpr size_t kLength = size_t{1} << 20;
+  std::string a(kLength, 'x');
+  for (size_t i = 0; i < kLength; i += 7) a[i] = static_cast<char>('a' + i % 19);
+  std::string b = a;
+  b.back() = static_cast<char>(b.back() + 1);
+  const std::vector<std::string> values = {
+      b, a.substr(0, kLength - 1), a, a.substr(0, 4096), a.substr(0, 4099),
+      b.substr(0, kLength - 9), b};
+  BulkLoadAndExpectMatchesReference(values, {a.substr(0, 5), "x", ""});
+}
+
 // ---------------------------------------------------------------------------
 // Front-coded blocks
 // ---------------------------------------------------------------------------
